@@ -209,6 +209,19 @@ func TestBenchRecordsExperiments(t *testing.T) {
 	}
 }
 
+func TestBenchRecordsPipelineDepthRuns(t *testing.T) {
+	b := NewBench()
+	opts := fastOpts(1)
+	opts.Bench = b
+	if _, err := RunPipelineDepth(2, []int{1, 2}, opts); err != nil {
+		t.Fatal(err)
+	}
+	e := b.Report().Experiments[0]
+	if e.Name != "pipeline-depth-2gpu" || e.Runs != 2*2 || e.RunSeconds <= 0 || e.Speedup <= 0 {
+		t.Fatalf("pipeline-depth record %+v, want 4 timed runs", e)
+	}
+}
+
 func TestBenchNilSafe(t *testing.T) {
 	var b *Bench
 	stop := b.Start("x", 1)

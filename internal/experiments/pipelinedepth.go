@@ -3,6 +3,7 @@ package experiments
 import (
 	"context"
 	"fmt"
+	"time"
 
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/retrieval"
@@ -66,12 +67,16 @@ func RunPipelineDepthContext(ctx context.Context, gpus int, depths []int, opts O
 		}
 		cfg := base
 		cfg.PipelineDepth = depths[di]
+		// Each job wires its own pipeline (spec and model), so the recorded
+		// run time includes it: that is serial work the pool spreads.
+		start := time.Now()
 		pl, err := dlrm.NewPipeline(cfg, hw, backend)
 		if err != nil {
 			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
 				backend.Name(), depths[di], err)
 		}
 		r, err := pl.RunContext(ctx)
+		opts.Bench.noteRun(time.Since(start))
 		if err != nil {
 			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
 				backend.Name(), depths[di], err)

@@ -6,6 +6,8 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+
+	"pgasemb/internal/workload"
 )
 
 // fingerprint flattens everything a run reports — total time, the ordered
@@ -169,6 +171,59 @@ func TestConcurrentSeedsIndependent(t *testing.T) {
 		}
 		if got[s] != want[s] {
 			t.Errorf("seed %d: concurrent result differs from serial result", s)
+		}
+	}
+}
+
+// TestZipfTableSharedAcrossConcurrentRuns starts the first runs of a Zipf
+// spec from several goroutines at once, so they race to build the spec's
+// shared rank table, and checks each against a run of a fresh spec.
+func TestZipfTableSharedAcrossConcurrentRuns(t *testing.T) {
+	cfg := TestScaleConfig(3)
+	cfg.Distribution = workload.Zipf
+	cfg.ZipfExponent = 1.2
+	cfg.Dedup = true
+	run := func(spec *SystemSpec, seed uint64) (string, error) {
+		sys, err := spec.NewRunWithSeed(seed)
+		if err != nil {
+			return "", err
+		}
+		r, err := sys.Run(&PGASFused{})
+		if err != nil {
+			return "", err
+		}
+		return fingerprint(r), nil
+	}
+	shared, err := NewSystemSpec(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const seeds = 4
+	got := make([]string, seeds)
+	errs := make([]error, seeds)
+	var wg sync.WaitGroup
+	for s := 0; s < seeds; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			got[s], errs[s] = run(shared, uint64(s))
+		}(s)
+	}
+	wg.Wait()
+	for s := 0; s < seeds; s++ {
+		if errs[s] != nil {
+			t.Fatal(errs[s])
+		}
+		fresh, err := NewSystemSpec(cfg, DefaultHardware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := run(fresh, uint64(s))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got[s] != want {
+			t.Errorf("seed %d: run on the shared-table spec differs from a fresh spec's run", s)
 		}
 	}
 }

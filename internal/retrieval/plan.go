@@ -255,10 +255,11 @@ func (p *RoutePlan) ConsumerChunkHits(sum *workload.Summary, g, s0, s1 int) (vec
 // allocations, because a run pre-generates every batch before executing).
 // NextBatchData runs host-side on one goroutine, so no synchronisation.
 type planScratch struct {
-	seen       map[uint64]int32     // pair/node unique-key index
+	pairIdx    keyIndex             // one (owner, consumer) pair's unique keys
+	nodeIdx    keyIndex             // one (owner, remote node)'s unique keys
 	fbs        []*sparse.FeatureBag // one owner's feature bags
 	rowsPer    []int                // one owner's table row counts
-	expTmp     [][]int32            // node classifier's per-consumer expansion holder
+	expTmp     [][]int32            // one node's per-consumer expansions into its key set
 	rowScratch []int32              // cache classifier's hashed-bag scratch
 }
 
@@ -366,7 +367,20 @@ func (s *System) classifyCache(bd *BatchData) *CacheView {
 }
 
 // classifyDedup scans the materialised batch and builds the dedup view,
-// folding the batch's savings into the run's counters.
+// folding the batch's savings into the run's counters. It walks each owner's
+// references once, in canonical order: consumers ascending, then each
+// consumer's samples ascending, the owner's local tables in plan order, bag
+// order. Every miss reference feeds the pair's key index, reset per
+// consumer, and on multi-node machines also the key index of the consumer's
+// node when that node is remote, reset at the node's first consumer. A
+// node's minibatches are contiguous, so the node set sees exactly the
+// consumer-ascending union a separate per-node walk would.
+//
+// The node level is the second classification tier: a node-level wire win
+// means the owner ships each unique row across the NIC once for the whole
+// node, superseding the pair-level decision for those pairs (one-sided
+// transports only — a pair-addressed collective's segments cannot share
+// rows across consumers).
 func (s *System) classifyDedup(bd *BatchData) *DedupView {
 	cfg := s.Cfg
 	B, G := cfg.BatchSize, cfg.GPUs
@@ -382,8 +396,20 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 		Keys:      make([][][]uint64, G),
 		Expand:    make([][][]int32, G),
 	}
+	multi := s.multiNode()
+	per := 1
+	if multi {
+		per = s.cluster.GPUsPerNode
+		dv.NodeUniq = make([][]int64, G)
+		dv.NodeDense = make([][]int64, G)
+		dv.NodeWire = make([][]bool, G)
+		dv.NodeNewAt = make([][][]int32, G)
+		dv.NodeKeys = make([][][]uint64, G)
+		dv.NodeExpand = make([][][]int32, G)
+	}
 	ctr := metrics.DedupCounters{Batches: 1}
-	seen := s.seenScratch()
+	pairIdx, nodeIdx := &s.planScr.pairIdx, &s.planScr.nodeIdx
+	nodeExp := scratchSlice(&s.planScr.expTmp, per)
 	for src := 0; src < G; src++ {
 		fg := len(s.Plan[src])
 		dv.MissIdx[src] = make([]int64, G)
@@ -394,16 +420,42 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 		dv.NewAt[src] = make([][]int32, G)
 		dv.Keys[src] = make([][]uint64, G)
 		dv.Expand[src] = make([][]int32, G)
+		if multi {
+			N := s.cluster.Nodes
+			dv.NodeUniq[src] = make([]int64, N)
+			dv.NodeDense[src] = make([]int64, N)
+			dv.NodeWire[src] = make([]bool, N)
+			dv.NodeNewAt[src] = make([][]int32, N)
+			dv.NodeKeys[src] = make([][]uint64, N)
+			dv.NodeExpand[src] = make([][]int32, G)
+		}
 		fbs, rowsPer := s.ownerScratch(bd, src)
+		srcNode := s.nodeOf(src)
+		// The remote node the walk is inside: its sample base and the
+		// classification accumulated over its consumers so far.
+		var nodeLo int
+		var nodeNewAt []int32
+		var nodeKeys []uint64
+		var nodeDense int64
 		for dst := 0; dst < G; dst++ {
 			dlo, dhi := s.Minibatch(dst)
-			clear(seen)
+			node := s.nodeOf(dst)
+			li := dst - node*per // dst's lane on its node
+			remote := multi && node != srcNode
+			if remote && li == 0 {
+				nodeIdx.reset()
+				var nodeHi int
+				nodeLo, nodeHi = s.nodeSampleRange(node)
+				nodeNewAt = make([]int32, nodeHi-nodeLo)
+				nodeKeys, nodeDense = nil, 0
+			}
+			pairIdx.reset()
 			newAt := make([]int32, dhi-dlo)
 			var missIdx, denseVecs int64
 			var keys []uint64
-			var expand []int32
+			var expand, nodeExpand []int32
 			for smp := dlo; smp < dhi; smp++ {
-				var newHere int32
+				var newHere, nodeNewHere int32
 				for fi := 0; fi < fg; fi++ {
 					if src != dst && view != nil && view.Hit[src][fi*B+smp] {
 						continue
@@ -412,10 +464,8 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 					rows := rowsPer[fi]
 					for _, raw := range fbs[fi].Bag(smp) {
 						key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, rows)))
-						pos, ok := seen[key]
-						if !ok {
-							pos = int32(len(seen))
-							seen[key] = pos
+						pos, fresh := pairIdx.insert(key)
+						if fresh {
 							newHere++
 							if cfg.Functional {
 								keys = append(keys, key)
@@ -425,11 +475,27 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 						if cfg.Functional {
 							expand = append(expand, pos)
 						}
+						if !remote {
+							continue
+						}
+						pos, fresh = nodeIdx.insert(key)
+						if fresh {
+							nodeNewHere++
+							if cfg.Functional {
+								nodeKeys = append(nodeKeys, key)
+							}
+						}
+						if cfg.Functional {
+							nodeExpand = append(nodeExpand, pos)
+						}
 					}
 				}
 				newAt[smp-dlo] = newHere
+				if remote {
+					nodeNewAt[smp-nodeLo] = nodeNewHere
+				}
 			}
-			uniq := int64(len(seen))
+			uniq := int64(pairIdx.len())
 			wire := src != dst && uniq < denseVecs
 			dv.MissIdx[src][dst] = missIdx
 			dv.Uniq[src][dst] = uniq
@@ -452,110 +518,29 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 					ctr.WireVecs += denseVecs
 				}
 			}
+			if !remote {
+				continue
+			}
+			nodeDense += denseVecs
+			nodeExp[li] = nodeExpand
+			if li < per-1 {
+				continue
+			}
+			// The node's last consumer: its key set is complete.
+			nodeUniq := int64(nodeIdx.len())
+			nodeWire := nodeUniq < nodeDense
+			dv.NodeUniq[src][node] = nodeUniq
+			dv.NodeDense[src][node] = nodeDense
+			dv.NodeWire[src][node] = nodeWire
+			dv.NodeNewAt[src][node] = nodeNewAt
+			if cfg.Functional && nodeWire {
+				dv.NodeKeys[src][node] = nodeKeys
+				copy(dv.NodeExpand[src][node*per:], nodeExp)
+			}
 		}
-	}
-	if s.multiNode() {
-		s.classifyNodeDedup(bd, dv)
 	}
 	s.dedupStats = s.dedupStats.Add(ctr)
 	return dv
-}
-
-// classifyNodeDedup runs the second classification level on multi-node
-// machines: per (owner GPU, remote node), the union of the owner's pair key
-// sets over the node's consumers, in the same canonical scan order (consumer
-// GPUs ascending — which is samples ascending, since a node's minibatches
-// are contiguous). A node-level wire win means the owner ships each unique
-// row across the NIC once for the whole node; the pair-level decision is
-// superseded for those pairs (one-sided transports only — a pair-addressed
-// collective's segments cannot share rows across consumers).
-func (s *System) classifyNodeDedup(bd *BatchData, dv *DedupView) {
-	cfg := s.Cfg
-	B, G, N := cfg.BatchSize, cfg.GPUs, s.cluster.Nodes
-	per := s.cluster.GPUsPerNode
-	view := bd.Cache
-	dv.NodeUniq = make([][]int64, G)
-	dv.NodeDense = make([][]int64, G)
-	dv.NodeWire = make([][]bool, G)
-	dv.NodeNewAt = make([][][]int32, G)
-	dv.NodeKeys = make([][][]uint64, G)
-	dv.NodeExpand = make([][][]int32, G)
-	seen := s.seenScratch()
-	expTmp := scratchSlice(&s.planScr.expTmp, per)
-	for src := 0; src < G; src++ {
-		fg := len(s.Plan[src])
-		dv.NodeUniq[src] = make([]int64, N)
-		dv.NodeDense[src] = make([]int64, N)
-		dv.NodeWire[src] = make([]bool, N)
-		dv.NodeNewAt[src] = make([][]int32, N)
-		dv.NodeKeys[src] = make([][]uint64, N)
-		dv.NodeExpand[src] = make([][]int32, G)
-		fbs, rowsPer := s.ownerScratch(bd, src)
-		srcNode := s.nodeOf(src)
-		for node := 0; node < N; node++ {
-			if node == srcNode {
-				continue
-			}
-			nlo, nhi := s.nodeSampleRange(node)
-			clear(seen)
-			newAt := make([]int32, nhi-nlo)
-			var keys []uint64
-			var dense int64
-			for li := 0; li < per; li++ {
-				dst := node*per + li
-				dlo, dhi := s.Minibatch(dst)
-				var expand []int32
-				for smp := dlo; smp < dhi; smp++ {
-					var newHere int32
-					for fi := 0; fi < fg; fi++ {
-						if view != nil && view.Hit[src][fi*B+smp] {
-							continue
-						}
-						dense++
-						rows := rowsPer[fi]
-						for _, raw := range fbs[fi].Bag(smp) {
-							key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, rows)))
-							pos, ok := seen[key]
-							if !ok {
-								pos = int32(len(seen))
-								seen[key] = pos
-								newHere++
-								if cfg.Functional {
-									keys = append(keys, key)
-								}
-							}
-							if cfg.Functional {
-								expand = append(expand, pos)
-							}
-						}
-					}
-					newAt[smp-nlo] = newHere
-				}
-				expTmp[li] = expand
-			}
-			uniq := int64(len(seen))
-			wire := uniq < dense
-			dv.NodeUniq[src][node] = uniq
-			dv.NodeDense[src][node] = dense
-			dv.NodeWire[src][node] = wire
-			dv.NodeNewAt[src][node] = newAt
-			if cfg.Functional && wire {
-				dv.NodeKeys[src][node] = keys
-				for li := 0; li < per; li++ {
-					dv.NodeExpand[src][node*per+li] = expTmp[li]
-				}
-			}
-		}
-	}
-}
-
-// seenScratch returns the run's reusable unique-key map (cleared per use by
-// the classifier loops).
-func (s *System) seenScratch() map[uint64]int32 {
-	if s.planScr.seen == nil {
-		s.planScr.seen = make(map[uint64]int32)
-	}
-	return s.planScr.seen
 }
 
 // ownerScratch fills the run's per-owner classifier scratch: src's feature

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"fmt"
 	"sort"
+	"sync"
 
 	"pgasemb/internal/collective"
 	"pgasemb/internal/embedding"
@@ -31,6 +32,19 @@ type SystemSpec struct {
 	cfg  Config
 	hw   HardwareParams
 	plan [][]int // plan[g] = global feature IDs resident on GPU g
+
+	// zipf is the workload's Zipf rank table (nil for uniform workloads),
+	// built on the first run and shared read-only by every later one: it
+	// depends on the exponent and row count, never on the run's seed.
+	zipfOnce sync.Once
+	zipf     *sim.ZipfCDF
+}
+
+// zipfCDF returns the spec's shared Zipf rank table, building it on first
+// use so spec construction stays cheap.
+func (spec *SystemSpec) zipfCDF() *sim.ZipfCDF {
+	spec.zipfOnce.Do(func() { spec.zipf = spec.cfg.workloadConfig().ZipfCDF() })
+	return spec.zipf
 }
 
 // NewSystemSpec validates the configuration and hardware, resolves the
@@ -199,7 +213,7 @@ func (spec *SystemSpec) NewRun() (*System, error) {
 func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	cfg := spec.cfg
 	cfg.Seed = seed
-	gen, err := workload.NewGenerator(cfg.workloadConfig())
+	gen, err := workload.NewGeneratorWithZipf(cfg.workloadConfig(), spec.zipfCDF())
 	if err != nil {
 		return nil, err
 	}

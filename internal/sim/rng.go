@@ -90,19 +90,29 @@ func (r *RNG) Perm(n int) []int {
 	return p
 }
 
-// ZipfTable samples from an exact Zipf distribution over [0, n) with any
-// exponent s > 0 via a precomputed cumulative table and binary search.
-// Construction is O(n); sampling is O(log n). The embedding workloads use it
-// for hot-item skew experiments.
-type ZipfTable struct {
-	rng *RNG
-	cdf []float64
+// ZipfCDF is the immutable half of an exact Zipf sampler over [0, n) with
+// exponent s > 0: the cumulative table plus a guide table that narrows each
+// lookup to one short CDF segment. It holds no RNG, so one table can be
+// built once and shared read-only by any number of samplers and goroutines.
+//
+// The guide has K+1 entries, K the largest power of two <= n/4 (at least
+// 1): guide[j] is the first rank whose cdf >= j/K. A uniform u in [0, 1)
+// falls in bucket j = int(u*K), and its rank — the first with cdf >= u —
+// lies in [guide[j], guide[j+1]]. Because K is a power of two, u*K and j/K
+// are exact in float64, so the guided search returns exactly the rank a
+// binary search over the whole table would.
+type ZipfCDF struct {
+	s     float64
+	cdf   []float64
+	guide []int32
+	k     float64 // K, the guide's bucket count
 }
 
-// NewZipfTable builds the sampler. It panics for n <= 0 or s <= 0.
-func NewZipfTable(rng *RNG, s float64, n int) *ZipfTable {
-	if n <= 0 || s <= 0 {
-		panic("sim: NewZipfTable requires n > 0 and s > 0")
+// NewZipfCDF builds the table in O(n). It panics for n <= 0, s <= 0, or n
+// beyond int32 ranks.
+func NewZipfCDF(s float64, n int) *ZipfCDF {
+	if n <= 0 || s <= 0 || n > math.MaxInt32 {
+		panic("sim: NewZipfCDF requires 0 < n <= MaxInt32 and s > 0")
 	}
 	cdf := make([]float64, n)
 	var sum float64
@@ -114,34 +124,83 @@ func NewZipfTable(rng *RNG, s float64, n int) *ZipfTable {
 		cdf[i] /= sum
 	}
 	cdf[n-1] = 1 // guard against float round-off
-	return &ZipfTable{rng: rng, cdf: cdf}
+
+	k := 1
+	for 8*k <= n {
+		k *= 2
+	}
+	guide := make([]int32, k+1)
+	r := 0
+	for j := range guide {
+		// cdf[n-1] == 1 >= j/k, so the scan always stops inside the table.
+		t := float64(j) / float64(k)
+		for cdf[r] < t {
+			r++
+		}
+		guide[j] = int32(r)
+	}
+	return &ZipfCDF{s: s, cdf: cdf, guide: guide, k: float64(k)}
 }
+
+// Len returns n, the number of ranks.
+func (z *ZipfCDF) Len() int { return len(z.cdf) }
+
+// Exponent returns s.
+func (z *ZipfCDF) Exponent() float64 { return z.s }
 
 // Probabilities returns a fresh copy of the per-rank probability mass
 // function p_r (r in [0, n)). Analytic workload expectations — e.g. the
 // expected number of distinct rows in a batch, which the dedup tests pin
 // measurements against — are computed from it.
-func (zt *ZipfTable) Probabilities() []float64 {
-	probs := make([]float64, len(zt.cdf))
+func (z *ZipfCDF) Probabilities() []float64 {
+	probs := make([]float64, len(z.cdf))
 	prev := 0.0
-	for i, c := range zt.cdf {
+	for i, c := range z.cdf {
 		probs[i] = c - prev
 		prev = c
 	}
 	return probs
 }
 
-// Next draws the next variate in [0, n).
-func (zt *ZipfTable) Next() int {
-	u := zt.rng.Float64()
-	lo, hi := 0, len(zt.cdf)-1
+// Rank returns the first rank whose cdf >= u, for u in [0, 1): the inverse
+// CDF lookup behind every draw.
+func (z *ZipfCDF) Rank(u float64) int {
+	j := int(u * z.k)
+	lo, hi := int(z.guide[j]), int(z.guide[j+1])
 	for lo < hi {
-		mid := (lo + hi) / 2
-		if zt.cdf[mid] < u {
+		mid := int(uint(lo+hi) >> 1)
+		if z.cdf[mid] < u {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	return lo
+}
+
+// Sampler pairs the table with rng. Each draw consumes one rng.Float64.
+func (z *ZipfCDF) Sampler(rng *RNG) *ZipfTable {
+	return &ZipfTable{ZipfCDF: z, rng: rng}
+}
+
+// ZipfTable samples from an exact Zipf distribution: a shared ZipfCDF plus
+// the RNG its draws consume. Construction is O(n); sampling is expected
+// O(1) for any n and s: every guide bucket is hit with probability 1/K and
+// the bucket segments total at most n+K ranks, so (by Jensen) a draw takes
+// at most log2(n/K+1) < 4 search steps on average. The embedding workloads
+// use it for hot-item skew experiments.
+type ZipfTable struct {
+	*ZipfCDF
+	rng *RNG
+}
+
+// NewZipfTable builds a sampler with its own table. It panics for n <= 0 or
+// s <= 0.
+func NewZipfTable(rng *RNG, s float64, n int) *ZipfTable {
+	return NewZipfCDF(s, n).Sampler(rng)
+}
+
+// Next draws the next variate in [0, n).
+func (zt *ZipfTable) Next() int {
+	return zt.Rank(zt.rng.Float64())
 }

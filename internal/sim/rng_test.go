@@ -207,6 +207,67 @@ func TestZipfTableSkew(t *testing.T) {
 	}
 }
 
+// fullSearch is the guide-free inverse-CDF lookup: the first rank whose cdf
+// >= u, by binary search over the whole table.
+func fullSearch(cdf []float64, u float64) int {
+	lo, hi := 0, len(cdf)-1
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if cdf[mid] < u {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	return lo
+}
+
+// TestZipfGuideMatchesBinarySearch pins the guided lookup to the full-table
+// binary search it replaces: the same rank for every draw of a twin RNG and
+// for every bucket edge u = j/K and its float neighbours.
+func TestZipfGuideMatchesBinarySearch(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 5, 4096, 4097, 262144} {
+		for _, s := range []float64{0.5, 1.05, 1.2, 2.5} {
+			zt := NewZipfTable(NewRNG(uint64(n)*31+uint64(s*100)), s, n)
+			twin := NewRNG(uint64(n)*31 + uint64(s*100))
+			for i := 0; i < 20000; i++ {
+				u := twin.Float64()
+				if got, want := zt.Next(), fullSearch(zt.cdf, u); got != want {
+					t.Fatalf("n=%d s=%v draw %d (u=%v): guided rank %d, full search %d", n, s, i, u, got, want)
+				}
+			}
+			k := int(zt.k)
+			if k&(k-1) != 0 || (k > 1 && 4*k > n) {
+				t.Fatalf("n=%d: guide has %d buckets, want a power of two <= n/4", n, k)
+			}
+			for j := 0; j < k; j++ {
+				edge := float64(j) / float64(k)
+				for _, u := range []float64{edge, math.Nextafter(edge, 1), math.Nextafter(edge, 0)} {
+					if u < 0 || u >= 1 {
+						continue
+					}
+					if got, want := zt.Rank(u), fullSearch(zt.cdf, u); got != want {
+						t.Fatalf("n=%d s=%v edge u=%v: guided rank %d, full search %d", n, s, u, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+func TestZipfCDFSharedAcrossSamplers(t *testing.T) {
+	cdf := NewZipfCDF(1.2, 1000)
+	a, b := cdf.Sampler(NewRNG(3)), NewZipfTable(NewRNG(3), 1.2, 1000)
+	for i := 0; i < 1000; i++ {
+		if x, y := a.Next(), b.Next(); x != y {
+			t.Fatalf("draw %d: shared-table sampler %d, private-table sampler %d", i, x, y)
+		}
+	}
+	if cdf.Len() != 1000 || cdf.Exponent() != 1.2 {
+		t.Fatalf("Len/Exponent = %d/%v, want 1000/1.2", cdf.Len(), cdf.Exponent())
+	}
+}
+
 func TestZipfTableInvalidArgs(t *testing.T) {
 	for _, c := range []struct {
 		s float64

@@ -142,8 +142,7 @@ func (c Config) ExpectedUnique(n int64, buckets int, bucket func(int64) int) flo
 	}
 	q := make([]float64, buckets)
 	if c.Distribution == Zipf {
-		zt := sim.NewZipfTable(sim.NewRNG(0), c.ZipfExponent, int(c.IndexSpace))
-		for raw, p := range zt.Probabilities() {
+		for raw, p := range sim.NewZipfCDF(c.ZipfExponent, int(c.IndexSpace)).Probabilities() {
 			q[bucket(int64(raw))] += p
 		}
 	} else {
@@ -221,8 +220,27 @@ type Generator struct {
 	driftStep   int64
 }
 
+// ZipfCDF builds the immutable rank table a Zipf configuration samples
+// from (nil for uniform or invalid ones). It depends only on ZipfExponent
+// and IndexSpace, so generators of every seed can share one; see
+// NewGeneratorWithZipf.
+func (c Config) ZipfCDF() *sim.ZipfCDF {
+	if c.Distribution != Zipf || c.Validate() != nil {
+		return nil
+	}
+	return sim.NewZipfCDF(c.ZipfExponent, int(c.IndexSpace))
+}
+
 // NewGenerator validates cfg and returns a generator.
 func NewGenerator(cfg Config) (*Generator, error) {
+	return NewGeneratorWithZipf(cfg, nil)
+}
+
+// NewGeneratorWithZipf is NewGenerator drawing Zipf ranks from a prebuilt,
+// shared table (cfg.ZipfCDF()), so callers that start many runs of one
+// configuration pay the O(IndexSpace) construction once. A nil table builds
+// a private one.
+func NewGeneratorWithZipf(cfg Config, zipf *sim.ZipfCDF) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -233,7 +251,15 @@ func NewGenerator(cfg Config) (*Generator, error) {
 		rngDense: sim.NewRNG(cfg.Seed ^ 0xA5A5_0003),
 	}
 	if cfg.Distribution == Zipf {
-		g.zipf = sim.NewZipfTable(g.rngIdx, cfg.ZipfExponent, int(cfg.IndexSpace))
+		if zipf == nil {
+			zipf = cfg.ZipfCDF()
+		} else if zipf.Len() != int(cfg.IndexSpace) || zipf.Exponent() != cfg.ZipfExponent {
+			return nil, fmt.Errorf("workload: Zipf table (n=%d, s=%v) does not match the configuration "+
+				"(IndexSpace %d, ZipfExponent %v)", zipf.Len(), zipf.Exponent(), cfg.IndexSpace, cfg.ZipfExponent)
+		}
+		g.zipf = zipf.Sampler(g.rngIdx)
+	} else if zipf != nil {
+		return nil, fmt.Errorf("workload: a Zipf table was supplied for a uniform configuration")
 	}
 	if cfg.HotSetDriftEvery > 0 && cfg.IndexSpace > 1 {
 		// A seed-derived rotation step in [1, IndexSpace): golden-ratio
@@ -288,19 +314,25 @@ func (g *Generator) drawIndex() int64 {
 	return int64(g.rngIdx.Uint64() % uint64(g.cfg.IndexSpace))
 }
 
-// NextBatch materialises a full sparse batch (pooling + indices).
+// NextBatch materialises a full sparse batch (pooling + indices). Each
+// feature's pooling factors are drawn first, so its index slice is
+// allocated once at its exact length; pooling and indices come from
+// separate streams, so the draws match interleaving them bag by bag.
 func (g *Generator) NextBatch() *sparse.Batch {
 	g.advanceBatch()
-	b := &sparse.Batch{Size: g.cfg.BatchSize, Features: make([]sparse.FeatureBag, g.cfg.NumFeatures)}
-	for f := 0; f < g.cfg.NumFeatures; f++ {
-		offsets := make([]int32, g.cfg.BatchSize+1)
+	B := g.cfg.BatchSize
+	b := &sparse.Batch{Size: B, Features: make([]sparse.FeatureBag, g.cfg.NumFeatures)}
+	for f := range b.Features {
+		offsets := make([]int32, B+1)
+		for s := 0; s < B; s++ {
+			offsets[s+1] = offsets[s] + int32(g.drawPooling(f))
+		}
 		var indices []int64
-		for s := 0; s < g.cfg.BatchSize; s++ {
-			p := g.drawPooling(f)
-			for k := 0; k < p; k++ {
-				indices = append(indices, g.drawIndex())
+		if n := offsets[B]; n > 0 {
+			indices = make([]int64, n)
+			for i := range indices {
+				indices[i] = g.drawIndex()
 			}
-			offsets[s+1] = offsets[s] + int32(p)
 		}
 		b.Features[f] = sparse.FeatureBag{FeatureID: f, Offsets: offsets, Indices: indices}
 	}

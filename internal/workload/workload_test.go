@@ -426,6 +426,40 @@ func driftCfg() Config {
 	}
 }
 
+func TestGeneratorSharedZipfTable(t *testing.T) {
+	cfg := driftCfg()
+	shared := cfg.ZipfCDF()
+	for seed := uint64(1); seed <= 3; seed++ {
+		cfg.Seed = seed
+		own, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		borrowed, err := NewGeneratorWithZipf(cfg, shared)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if !reflect.DeepEqual(own.NextBatch(), borrowed.NextBatch()) {
+				t.Fatalf("seed %d batch %d: shared-table generator diverged from a private-table one", seed, i)
+			}
+		}
+	}
+	bad := driftCfg()
+	bad.ZipfExponent = 1.1
+	if _, err := NewGeneratorWithZipf(bad, shared); err == nil {
+		t.Error("Zipf table of another exponent accepted")
+	}
+	bad = driftCfg()
+	bad.IndexSpace = 999
+	if _, err := NewGeneratorWithZipf(bad, shared); err == nil {
+		t.Error("Zipf table of another index space accepted")
+	}
+	if _, err := NewGeneratorWithZipf(smallCfg(), shared); err == nil {
+		t.Error("Zipf table accepted for a uniform configuration")
+	}
+}
+
 func TestHotSetDriftValidation(t *testing.T) {
 	c := driftCfg()
 	c.HotSetDriftEvery = -1
