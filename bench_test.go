@@ -202,24 +202,6 @@ func BenchmarkBackwardPGAS4GPU(b *testing.B) {
 	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewBackwardPGAS())
 }
 
-// Extension A5: sharding schemes — table-wise vs row-wise placement, each
-// under its best backend.
-func BenchmarkShardingTableWisePGAS(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewPGASFused())
-}
-
-func BenchmarkShardingRowWisePGAS(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.Sharding = pgasemb.RowWiseSharding
-	runBackend(b, cfg, pgasemb.NewRowWisePGAS())
-}
-
-func BenchmarkShardingRowWiseBaseline(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.Sharding = pgasemb.RowWiseSharding
-	runBackend(b, cfg, pgasemb.NewRowWiseBaseline())
-}
-
 // Extension A6: Zipf-skewed indices (hot items) versus the paper's uniform
 // distribution.
 func BenchmarkZipfWorkloadPGAS(b *testing.B) {

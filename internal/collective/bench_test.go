@@ -42,10 +42,3 @@ func BenchmarkAllReduce4Ranks(b *testing.B) {
 		c.AllReduce(p, rank, make([]float32, 16384))
 	})
 }
-
-func BenchmarkReduceScatterV4Ranks(b *testing.B) {
-	benchCollective(b, 4, func(c *Comm, p *sim.Proc, rank int) {
-		sizes := []int{4096, 4096, 4096, 4096}
-		c.ReduceScatterV(p, rank, make([]float32, 16384), make([]float32, 4096), sizes)
-	})
-}

@@ -106,21 +106,10 @@ type pendingOp struct {
 	sizes   [][]float64   // [rank][dst] -> send bytes (hierarchical schedules)
 }
 
-// New creates a communicator over every fabric endpoint. It panics on
-// invalid parameters; run setup paths that want an error instead use
-// NewChecked.
-func New(env *sim.Env, fabric *nvlink.Fabric, params Params) *Comm {
-	c, err := NewChecked(env, fabric, params)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// NewChecked is New returning invalid parameters as an error instead of a
-// panic — the variant run setup uses so misconfiguration surfaces as a
-// descriptive error before any simulated process starts.
-func NewChecked(env *sim.Env, fabric *nvlink.Fabric, params Params) (*Comm, error) {
+// New creates a communicator over every fabric endpoint, returning invalid
+// parameters as an error so misconfiguration surfaces before any simulated
+// process starts.
+func New(env *sim.Env, fabric *nvlink.Fabric, params Params) (*Comm, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
@@ -489,86 +478,6 @@ func (c *Comm) ReduceScatter(p *sim.Proc, rank int, contrib []float32, out []flo
 		sim.Duration(n-1)*c.transferTime(rank, next, stepBytes))
 	if total > 0 {
 		c.volume.Add(start, start+total, stepBytes*float64(n-1))
-	}
-	p.Wait(total)
-}
-
-// ReduceScatterV is ReduceScatter with per-rank shard sizes (shardSizes[r]
-// elements go to rank r; contrib is their concatenation). Needed when the
-// scattered dimension does not divide evenly — e.g. minibatches of a batch
-// size not divisible by the GPU count.
-func (c *Comm) ReduceScatterV(p *sim.Proc, rank int, contrib []float32, out []float32, shardSizes []int) {
-	n := c.NumRanks()
-	if len(shardSizes) != n {
-		panic(fmt.Sprintf("collective: rank %d reducescatterv with %d shard sizes, want %d", rank, len(shardSizes), n))
-	}
-	total := 0
-	for _, sz := range shardSizes {
-		total += sz
-	}
-	if len(contrib) != total {
-		panic(fmt.Sprintf("collective: rank %d reducescatterv contrib %d, want %d", rank, len(contrib), total))
-	}
-	if len(out) != shardSizes[rank] {
-		panic(fmt.Sprintf("collective: rank %d reducescatterv out %d, want %d", rank, len(out), shardSizes[rank]))
-	}
-	op := c.rendezvous(p, rank, "reducescatterv", func(op *pendingOp) {
-		op.reduceA[rank] = contrib
-		op.recvs[rank] = [][]float32{out}
-	})
-	defer c.release(op)
-	if rank == 0 {
-		at := 0
-		for dst := 0; dst < n; dst++ {
-			dstOut := op.recvs[dst][0]
-			for i := range dstOut {
-				var sum float32
-				for src := 0; src < n; src++ {
-					sum += op.reduceA[src][at+i]
-				}
-				dstOut[i] = sum
-			}
-			at += shardSizes[dst]
-		}
-	}
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	// Ring schedule paced by the largest shard.
-	maxShard := 0
-	for _, sz := range shardSizes {
-		if sz > maxShard {
-			maxShard = sz
-		}
-	}
-	next := (rank + 1) % n
-	stepBytes := 4 * float64(maxShard)
-	totalTime := c.occupyWire(p, rank, next, stepBytes*float64(n-1),
-		sim.Duration(n-1)*c.transferTime(rank, next, stepBytes))
-	if totalTime > 0 {
-		c.volume.Add(start, start+totalTime, stepBytes*float64(n-1))
-	}
-	p.Wait(totalTime)
-}
-
-// ReduceScatterSizes is the timing-only reduce-scatter: identical
-// rendezvous, launch overhead, ring schedule and volume accounting as
-// ReduceScatter, driven by the per-rank shard size in bytes.
-func (c *Comm) ReduceScatterSizes(p *sim.Proc, rank int, shardBytes float64) {
-	n := c.NumRanks()
-	c.release(c.rendezvous(p, rank, "reducescatter-sizes", func(op *pendingOp) {}))
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	next := (rank + 1) % n
-	total := c.occupyWire(p, rank, next, shardBytes*float64(n-1),
-		sim.Duration(n-1)*c.transferTime(rank, next, shardBytes))
-	if total > 0 {
-		c.volume.Add(start, start+total, shardBytes*float64(n-1))
 	}
 	p.Wait(total)
 }

@@ -10,8 +10,27 @@ import (
 
 func testComm(n int) (*sim.Env, *Comm) {
 	env := sim.NewEnv()
-	fabric := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(n))
-	return env, New(env, fabric, DefaultParams())
+	fabric := mustFabric(env, nvlink.DGXStation(n))
+	return env, mustNew(env, fabric, DefaultParams())
+}
+
+// mustFabric wires a default-parameter NVLink fabric, panicking on the
+// construction error tests never expect.
+func mustFabric(env *sim.Env, topo nvlink.Topology) *nvlink.Fabric {
+	f, err := nvlink.NewFabric(env, nvlink.DefaultParams(), topo)
+	if err != nil {
+		panic(err)
+	}
+	return f
+}
+
+// mustNew is New for tests, panicking on the construction error.
+func mustNew(env *sim.Env, fabric *nvlink.Fabric, params Params) *Comm {
+	c, err := New(env, fabric, params)
+	if err != nil {
+		panic(err)
+	}
+	return c
 }
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -33,6 +52,37 @@ func TestValidateRejects(t *testing.T) {
 		if p.Validate() == nil {
 			t.Errorf("mutation %d not rejected", i)
 		}
+	}
+}
+
+// New hands back the parameter error itself, with no communicator, for every
+// invalid field.
+func TestNewReturnsParamsError(t *testing.T) {
+	cases := []struct {
+		name string
+		mut  func(*Params)
+	}{
+		{"channel-bandwidth", func(p *Params) { p.ChannelBandwidth = 0 }},
+		{"launch-overhead", func(p *Params) { p.LaunchOverhead = -1 }},
+		{"chunk-bytes", func(p *Params) { p.ChunkBytes = 0 }},
+		{"per-chunk-latency", func(p *Params) { p.PerChunkLatency = -1 }},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			p := DefaultParams()
+			c.mut(&p)
+			comm, err := New(env, mustFabric(env, nvlink.DGXStation(2)), p)
+			if err == nil {
+				t.Fatal("New accepted invalid parameters")
+			}
+			if comm != nil {
+				t.Errorf("New returned a communicator alongside error %q", err)
+			}
+			if want := p.Validate(); err.Error() != want.Error() {
+				t.Errorf("New error %q, want the Validate error %q", err, want)
+			}
+		})
 	}
 }
 
@@ -129,10 +179,10 @@ func TestAllToAllTransferTimeScalesWithBytes(t *testing.T) {
 func TestAllToAllChannelLimited(t *testing.T) {
 	// With channel bandwidth below link rate, the channel is the bottleneck.
 	env := sim.NewEnv()
-	fabric := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(2))
+	fabric := mustFabric(env, nvlink.DGXStation(2))
 	params := DefaultParams()
 	params.ChannelBandwidth = 1e9 // far below the 50 GB/s pair
-	c := New(env, fabric, params)
+	c := mustNew(env, fabric, params)
 	var done sim.Time
 	runRanks(env, 2, func(p *sim.Proc, rank int) {
 		send := [][]float32{make([]float32, 1<<20), make([]float32, 1<<20)}
@@ -265,8 +315,8 @@ func TestAllReduceFunctional(t *testing.T) {
 func TestAllReduceRingCostGrowsWithRanks(t *testing.T) {
 	cost := func(n int) sim.Time {
 		env := sim.NewEnv()
-		fabric := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(n))
-		c := New(env, fabric, DefaultParams())
+		fabric := mustFabric(env, nvlink.DGXStation(n))
+		c := mustNew(env, fabric, DefaultParams())
 		var done sim.Time
 		runRanks(env, n, func(p *sim.Proc, rank int) {
 			buf := make([]float32, 1<<20)
@@ -332,79 +382,6 @@ func TestBackToBackCollectives(t *testing.T) {
 			}
 		}
 	})
-}
-
-func TestReduceScatterVFunctional(t *testing.T) {
-	// 5 elements over 2 ranks: shards of 3 and 2.
-	const n = 2
-	env, c := testComm(n)
-	outs := make([][]float32, n)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		contrib := []float32{1, 2, 3, 4, 5}
-		if rank == 1 {
-			contrib = []float32{10, 20, 30, 40, 50}
-		}
-		sizes := []int{3, 2}
-		out := make([]float32, sizes[rank])
-		c.ReduceScatterV(p, rank, contrib, out, sizes)
-		outs[rank] = out
-	})
-	want0 := []float32{11, 22, 33}
-	want1 := []float32{44, 55}
-	for i, v := range want0 {
-		if outs[0][i] != v {
-			t.Fatalf("rank0 out = %v", outs[0])
-		}
-	}
-	for i, v := range want1 {
-		if outs[1][i] != v {
-			t.Fatalf("rank1 out = %v", outs[1])
-		}
-	}
-}
-
-func TestReduceScatterVValidation(t *testing.T) {
-	env, c := testComm(2)
-	cases := []struct {
-		contrib, out int
-		sizes        []int
-	}{
-		{5, 3, []int{3}},    // wrong shard count
-		{4, 3, []int{3, 2}}, // contrib != sum
-		{5, 1, []int{3, 2}}, // out != own shard
-	}
-	for i, cse := range cases {
-		cse := cse
-		panicked := false
-		env.Go("bad", func(p *sim.Proc) {
-			defer func() {
-				if recover() != nil {
-					panicked = true
-				}
-			}()
-			c.ReduceScatterV(p, 0, make([]float32, cse.contrib), make([]float32, cse.out), cse.sizes)
-		})
-		env.Run()
-		if !panicked {
-			t.Errorf("case %d did not panic", i)
-		}
-	}
-}
-
-func TestReduceScatterSizesTiming(t *testing.T) {
-	const n = 3
-	env, c := testComm(n)
-	var done sim.Time
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		c.ReduceScatterSizes(p, rank, 26e6) // 26 MB shard at 2.6 GB/s = 10 ms per step
-		if p.Now() > done {
-			done = p.Now()
-		}
-	})
-	// Two ring steps of ~10 ms plus overheads.
-	if done < 20e-3 || done > 25e-3 {
-		t.Fatalf("reduce-scatter-sizes time = %v, want ~20ms", done)
-	}
 }
 
 func TestBroadcastFunctional(t *testing.T) {
@@ -500,8 +477,8 @@ func TestCollectiveContendsWithOneSidedTraffic(t *testing.T) {
 	// later than its protocol pacing alone would allow.
 	run := func(congest bool) sim.Time {
 		env := sim.NewEnv()
-		fabric := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(2))
-		c := New(env, fabric, DefaultParams())
+		fabric := mustFabric(env, nvlink.DGXStation(2))
+		c := mustNew(env, fabric, DefaultParams())
 		if congest {
 			// 5 GB head-of-line on the 0->1 pipe: 100 ms at 50 GB/s.
 			fabric.Pipe(0, 1).Offer(5e9)
@@ -531,8 +508,8 @@ func TestCollectiveOccupiesWireForLaterTraffic(t *testing.T) {
 	// Symmetric direction: a collective's bytes delay subsequent one-sided
 	// traffic on the same pipe.
 	env := sim.NewEnv()
-	fabric := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(2))
-	c := New(env, fabric, DefaultParams())
+	fabric := mustFabric(env, nvlink.DGXStation(2))
+	c := mustNew(env, fabric, DefaultParams())
 	const legBytes = 1 << 24 // 16 MiB
 	runRanks(env, 2, func(p *sim.Proc, rank int) {
 		sizes := []float64{0, 0}

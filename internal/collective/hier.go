@@ -13,24 +13,14 @@ import (
 // rail-aligned inter-node exchange over the NICs, then an intra-node
 // redistribution — while the remaining (ring/flat) collectives keep their
 // schedules with cross-node hops priced and occupied on the NIC rails. fab
-// must be wired over net's Cluster topology.
-func NewCluster(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) *Comm {
-	c, err := NewClusterChecked(env, fab, params, net)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// NewClusterChecked is NewCluster returning a mismatched fabric/cluster or
-// invalid parameters as an error instead of a panic — the variant run setup
-// uses so misconfiguration surfaces before any simulated process starts.
-func NewClusterChecked(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) (*Comm, error) {
+// must be wired over net's Cluster topology; a mismatched fabric/cluster or
+// invalid parameters come back as an error.
+func NewCluster(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) (*Comm, error) {
 	if fab.NumGPUs() != net.Cluster().NumGPUs() {
 		return nil, fmt.Errorf("collective: NVLink fabric has %d GPUs but the cluster %d",
 			fab.NumGPUs(), net.Cluster().NumGPUs())
 	}
-	c, err := NewChecked(env, fab, params)
+	c, err := New(env, fab, params)
 	if err != nil {
 		return nil, err
 	}

@@ -2,6 +2,7 @@ package collective
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"pgasemb/internal/fabric"
@@ -14,9 +15,13 @@ import (
 func testClusterComm(nodes, perNode int) (*sim.Env, *Comm, *fabric.Interconnect) {
 	env := sim.NewEnv()
 	cl := fabric.Cluster{Nodes: nodes, GPUsPerNode: perNode, IntraLinks: 2}
-	fab := nvlink.NewFabric(env, nvlink.DefaultParams(), cl)
+	fab := mustFabric(env, cl)
 	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
-	return env, NewCluster(env, fab, DefaultParams(), net), net
+	c, err := NewCluster(env, fab, DefaultParams(), net)
+	if err != nil {
+		panic(err)
+	}
+	return env, c, net
 }
 
 // A one-node cluster communicator must time every collective identically to
@@ -47,8 +52,8 @@ func TestSingleNodeClusterMatchesFlat(t *testing.T) {
 	}
 	flatEnd, flatOut := run(func() (*sim.Env, *Comm) {
 		env := sim.NewEnv()
-		fab := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(n))
-		return env, New(env, fab, DefaultParams())
+		fab := mustFabric(env, nvlink.DGXStation(n))
+		return env, mustNew(env, fab, DefaultParams())
 	})
 	clEnd, clOut := run(func() (*sim.Env, *Comm) {
 		env, c, _ := testClusterComm(1, n)
@@ -207,14 +212,45 @@ func TestRingCollectivesOnCluster(t *testing.T) {
 }
 
 func TestNewClusterRejectsMismatch(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("mismatched fabric/cluster sizes not rejected")
-		}
-	}()
 	env := sim.NewEnv()
-	fab := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(4))
+	fab := mustFabric(env, nvlink.DGXStation(4))
 	cl := fabric.Cluster{Nodes: 2, GPUsPerNode: 4, IntraLinks: 2}
 	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
-	NewCluster(env, fab, DefaultParams(), net)
+	if _, err := NewCluster(env, fab, DefaultParams(), net); err == nil {
+		t.Fatal("mismatched fabric/cluster sizes not rejected")
+	}
+}
+
+// NewCluster returns both of its failure classes as an error with no
+// communicator: a fabric sized differently from the cluster, and invalid
+// protocol parameters on a correctly wired machine.
+func TestNewClusterReturnsError(t *testing.T) {
+	cl := fabric.Cluster{Nodes: 2, GPUsPerNode: 2, IntraLinks: 2}
+	badParams := DefaultParams()
+	badParams.ChunkBytes = 0
+	cases := []struct {
+		name   string
+		fabTop nvlink.Topology
+		params Params
+		want   string
+	}{
+		{"size-mismatch", nvlink.DGXStation(2), DefaultParams(), "NVLink fabric has 2 GPUs but the cluster 4"},
+		{"bad-params", cl, badParams, "ChunkBytes must be positive"},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
+			comm, err := NewCluster(env, mustFabric(env, c.fabTop), c.params, net)
+			if err == nil {
+				t.Fatalf("NewCluster accepted %s", c.name)
+			}
+			if comm != nil {
+				t.Errorf("NewCluster returned a communicator alongside error %q", err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
 }

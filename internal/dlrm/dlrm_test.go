@@ -294,36 +294,6 @@ func TestPipelineWithDecoratedBackend(t *testing.T) {
 	}
 }
 
-func TestPipelineWithRowWiseBackend(t *testing.T) {
-	cfg := retrieval.TestScaleConfig(2)
-	cfg.Sharding = retrieval.RowWise
-	pl, err := NewPipeline(cfg, retrieval.DefaultHardware(), &retrieval.RowWisePGAS{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := pl.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustReferencePredictions(t, pl, res.LastSparse, res.LastDense)
-	at := 0
-	for g := 0; g < 2; g++ {
-		part := res.Predictions[g]
-		for i := 0; i < part.Dim(0); i++ {
-			diff := float64(part.At(i, 0) - want.At(at, 0))
-			if diff < 0 {
-				diff = -diff
-			}
-			// Row-wise partial sums reorder float additions.
-			if diff > 1e-4 {
-				t.Fatalf("prediction %d differs under row-wise: %v vs %v",
-					at, part.At(i, 0), want.At(at, 0))
-			}
-			at++
-		}
-	}
-}
-
 // The software-pipelined schedule must not change the math: at any depth the
 // predictions are byte-identical to the serial (depth 1) schedule's.
 func TestPipelineDepthPredictionsBitExact(t *testing.T) {

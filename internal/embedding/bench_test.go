@@ -34,21 +34,6 @@ func BenchmarkLookupPooledSum32(b *testing.B)  { benchLookup(b, 32, SumPooling) 
 func BenchmarkLookupPooledSum128(b *testing.B) { benchLookup(b, 128, SumPooling) }
 func BenchmarkLookupPooledMax32(b *testing.B)  { benchLookup(b, 32, MaxPooling) }
 
-func BenchmarkLookupPooledPartial(b *testing.B) {
-	rng := sim.NewRNG(2)
-	tbl := NewTable(1<<16, 64, rng)
-	bag := make([]int64, 64)
-	for i := range bag {
-		bag[i] = int64(rng.Intn(1 << 30))
-	}
-	out := make([]float32, 64)
-	lo, hi := RowShardRange(1<<16, 4, 1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.LookupPooledPartial(bag, SumPooling, out, lo, hi)
-	}
-}
-
 func BenchmarkAccumulateGrad(b *testing.B) {
 	rng := sim.NewRNG(3)
 	tbl := NewTable(1<<16, 64, rng)

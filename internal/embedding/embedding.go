@@ -7,7 +7,6 @@ package embedding
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -125,64 +124,6 @@ func (t *Table) LookupPooled(bag []int64, mode PoolingMode, out []float32) {
 	default:
 		panic(fmt.Sprintf("embedding: unknown pooling mode %d", mode))
 	}
-}
-
-// LookupPooledPartial is the row-wise-sharded lookup: it pools ONLY the bag
-// entries whose hashed row falls in [rowLo, rowHi) — one GPU's row shard —
-// into out. Summing the partials across all shards reproduces LookupPooled
-// exactly (for sum pooling; partial mean/max are not well-defined and
-// panic). It reports how many rows contributed, so callers can skip empty
-// partials on the wire.
-func (t *Table) LookupPooledPartial(bag []int64, mode PoolingMode, out []float32, rowLo, rowHi int) int {
-	if mode != SumPooling {
-		panic(fmt.Sprintf("embedding: partial lookup requires sum pooling, got %v", mode))
-	}
-	if len(out) != t.Dim {
-		panic(fmt.Sprintf("embedding: output length %d != dim %d", len(out), t.Dim))
-	}
-	if rowLo < 0 || rowHi < rowLo || rowHi > t.Rows {
-		panic(fmt.Sprintf("embedding: row shard [%d, %d) outside table (%d rows)", rowLo, rowHi, t.Rows))
-	}
-	for i := range out {
-		out[i] = 0
-	}
-	w := t.Weights.Data()
-	hits := 0
-	for _, raw := range bag {
-		row := HashIndex(raw, t.Rows)
-		if row < rowLo || row >= rowHi {
-			continue
-		}
-		hits++
-		vec := w[row*t.Dim : (row+1)*t.Dim]
-		for i, v := range vec {
-			out[i] += v
-		}
-	}
-	return hits
-}
-
-// RowShardRange returns the row interval [lo, hi) GPU g owns when rows are
-// split across gpus (remainders to the lowest GPUs, like MinibatchRange).
-func RowShardRange(rows, gpus, g int) (lo, hi int) {
-	if gpus <= 0 || g < 0 || g >= gpus {
-		panic(fmt.Sprintf("embedding: bad row shard request rows=%d gpus=%d g=%d", rows, gpus, g))
-	}
-	base := rows / gpus
-	rem := rows % gpus
-	lo = g*base + minInt(g, rem)
-	size := base
-	if g < rem {
-		size++
-	}
-	return lo, lo + size
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // AccumulateGrad adds grad into the rows a bag's lookup touched — the
@@ -322,56 +263,6 @@ func RoundRobinPlan(totalTables, gpus int) [][]int {
 		plan[g] = append(plan[g], t)
 	}
 	return plan
-}
-
-// GreedyPlan assigns tables to GPUs by longest-processing-time-first bin
-// packing on the given per-table loads (e.g. expected pooling factors):
-// tables are placed heaviest-first onto the currently least-loaded GPU.
-// This is the load-balancing step a RecShard-style planner performs when
-// features are heterogeneous; with uniform loads it degenerates to a
-// balanced assignment like TableWisePlan.
-func GreedyPlan(loads []float64, gpus int) [][]int {
-	if gpus <= 0 {
-		panic(fmt.Sprintf("embedding: GreedyPlan with %d gpus", gpus))
-	}
-	order := make([]int, len(loads))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
-	plan := make([][]int, gpus)
-	for g := range plan {
-		plan[g] = []int{}
-	}
-	totals := make([]float64, gpus)
-	for _, t := range order {
-		if loads[t] < 0 {
-			panic(fmt.Sprintf("embedding: negative load for table %d", t))
-		}
-		best := 0
-		for g := 1; g < gpus; g++ {
-			if totals[g] < totals[best] {
-				best = g
-			}
-		}
-		plan[best] = append(plan[best], t)
-		totals[best] += loads[t]
-	}
-	for g := range plan {
-		sort.Ints(plan[g]) // deterministic, readable shard contents
-	}
-	return plan
-}
-
-// PlanLoads returns the summed load per GPU under a plan.
-func PlanLoads(plan [][]int, loads []float64) []float64 {
-	out := make([]float64, len(plan))
-	for g, ids := range plan {
-		for _, id := range ids {
-			out[g] += loads[id]
-		}
-	}
-	return out
 }
 
 // PlanShardSizes returns the per-GPU table counts of a plan.

@@ -326,175 +326,3 @@ func TestPoolingModeString(t *testing.T) {
 		t.Fatal("unknown mode string wrong")
 	}
 }
-
-func TestLookupPooledPartialSumsToFull(t *testing.T) {
-	tbl := NewTable(64, 4, sim.NewRNG(21))
-	bag := []int64{3, 17, 99, 256, 1024, 17}
-	full := make([]float32, 4)
-	tbl.LookupPooled(bag, SumPooling, full)
-	sum := make([]float32, 4)
-	part := make([]float32, 4)
-	totalHits := 0
-	for g := 0; g < 3; g++ {
-		lo, hi := RowShardRange(64, 3, g)
-		totalHits += tbl.LookupPooledPartial(bag, SumPooling, part, lo, hi)
-		for i := range sum {
-			sum[i] += part[i]
-		}
-	}
-	for i := range full {
-		if math.Abs(float64(sum[i]-full[i])) > 1e-5 {
-			t.Fatalf("partials do not sum to full at %d: %v vs %v", i, sum[i], full[i])
-		}
-	}
-	if totalHits != len(bag) {
-		t.Fatalf("hits across shards = %d, want %d", totalHits, len(bag))
-	}
-}
-
-func TestLookupPooledPartialEmptyShard(t *testing.T) {
-	tbl := NewTable(100, 2, sim.NewRNG(22))
-	out := []float32{9, 9}
-	hits := tbl.LookupPooledPartial(nil, SumPooling, out, 0, 50)
-	if hits != 0 || out[0] != 0 || out[1] != 0 {
-		t.Fatal("empty bag partial must be zero with no hits")
-	}
-}
-
-func TestLookupPooledPartialValidation(t *testing.T) {
-	tbl := NewTable(100, 2, sim.NewRNG(23))
-	cases := []func(){
-		func() { tbl.LookupPooledPartial(nil, MeanPooling, make([]float32, 2), 0, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 3), 0, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 2), -1, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 2), 60, 50) },
-		func() { tbl.LookupPooledPartial(nil, SumPooling, make([]float32, 2), 0, 101) },
-	}
-	for i, c := range cases {
-		c := c
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("case %d did not panic", i)
-				}
-			}()
-			c()
-		}()
-	}
-}
-
-func TestRowShardRangeCoversRows(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		rows := rng.IntRange(1, 200)
-		gpus := rng.IntRange(1, 7)
-		end := 0
-		for g := 0; g < gpus; g++ {
-			lo, hi := RowShardRange(rows, gpus, g)
-			if lo != end || hi < lo {
-				return false
-			}
-			end = hi
-		}
-		return end == rows
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestRowShardRangePanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("bad shard request did not panic")
-		}
-	}()
-	RowShardRange(10, 2, 2)
-}
-
-func TestGreedyPlanBalancesSkewedLoads(t *testing.T) {
-	// Four heavy tables and eight light ones on two GPUs: blocks put all
-	// heavy tables on GPU 0; greedy splits them evenly.
-	loads := []float64{100, 100, 100, 100, 1, 1, 1, 1, 1, 1, 1, 1}
-	greedy := GreedyPlan(loads, 2)
-	gl := PlanLoads(greedy, loads)
-	if gl[0] != gl[1] {
-		t.Fatalf("greedy loads unbalanced: %v", gl)
-	}
-	block := TableWisePlan(len(loads), 2)
-	bl := PlanLoads(block, loads)
-	if bl[0] <= gl[0] {
-		t.Fatalf("block plan should be worse than greedy under skew: block %v greedy %v", bl, gl)
-	}
-}
-
-func TestGreedyPlanCoversAllTables(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		n := rng.IntRange(0, 30)
-		gpus := rng.IntRange(1, 6)
-		loads := make([]float64, n)
-		for i := range loads {
-			loads[i] = rng.Float64() * 100
-		}
-		plan := GreedyPlan(loads, gpus)
-		seen := make(map[int]bool)
-		for _, ids := range plan {
-			for _, id := range ids {
-				if seen[id] {
-					return false
-				}
-				seen[id] = true
-			}
-		}
-		return len(seen) == n
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGreedyPlanOptimalityBound(t *testing.T) {
-	// LPT guarantee: makespan <= (4/3 - 1/3m) * OPT >= avg. Check the loose
-	// form: max load <= 4/3 * (total/gpus) + max single load.
-	rng := sim.NewRNG(77)
-	loads := make([]float64, 40)
-	var total, maxLoad float64
-	for i := range loads {
-		loads[i] = 1 + rng.Float64()*50
-		total += loads[i]
-		if loads[i] > maxLoad {
-			maxLoad = loads[i]
-		}
-	}
-	const gpus = 4
-	pl := PlanLoads(GreedyPlan(loads, gpus), loads)
-	worst := pl[0]
-	for _, v := range pl {
-		if v > worst {
-			worst = v
-		}
-	}
-	if worst > total/gpus*4/3+maxLoad {
-		t.Fatalf("greedy makespan %v far above bound (avg %v, max item %v)", worst, total/gpus, maxLoad)
-	}
-}
-
-func TestGreedyPlanPanics(t *testing.T) {
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("gpus=0 did not panic")
-			}
-		}()
-		GreedyPlan([]float64{1}, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative load did not panic")
-			}
-		}()
-		GreedyPlan([]float64{-1}, 2)
-	}()
-}

@@ -37,7 +37,10 @@ func TestClusterGeometry(t *testing.T) {
 	}
 	// The NVLink fabric accepts the topology and wires only intra-node
 	// pipes: cross-node Pipe access must panic (no direct wire).
-	f := nvlink.NewFabric(sim.NewEnv(), nvlink.DefaultParams(), c)
+	f, err := nvlink.NewFabric(sim.NewEnv(), nvlink.DefaultParams(), c)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f.Pipe(0, 1) // intra: fine
 	defer func() {
 		if recover() == nil {

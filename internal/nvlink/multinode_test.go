@@ -43,7 +43,7 @@ func TestMultiNodeOutOfRangePanics(t *testing.T) {
 func TestMultiNodeFabricBandwidths(t *testing.T) {
 	env := sim.NewEnv()
 	params := DefaultParams()
-	f := NewFabric(env, params, MultiNode{Nodes: 2, PerNode: 2, IntraLinks: 2})
+	f := mustFabric(env, params, MultiNode{Nodes: 2, PerNode: 2, IntraLinks: 2})
 	// Intra: 2 x 25 GB/s.
 	if got := f.PairBandwidth(0, 1); got != 50e9 {
 		t.Fatalf("intra-node bandwidth = %v", got)
@@ -63,12 +63,9 @@ func TestMultiNodeFabricRejectsZeroInterBandwidth(t *testing.T) {
 	env := sim.NewEnv()
 	params := DefaultParams()
 	params.InterNodeBandwidth = 0
-	defer func() {
-		if recover() == nil {
-			t.Error("zero inter-node bandwidth not rejected")
-		}
-	}()
-	NewFabric(env, params, MultiNode{Nodes: 2, PerNode: 1, IntraLinks: 2})
+	if _, err := NewFabric(env, params, MultiNode{Nodes: 2, PerNode: 1, IntraLinks: 2}); err == nil {
+		t.Error("zero inter-node bandwidth not rejected")
+	}
 }
 
 func TestInterNodeParamsValidated(t *testing.T) {
@@ -99,7 +96,7 @@ func TestCustomTopology(t *testing.T) {
 		t.Fatal("custom topology geometry wrong")
 	}
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), m)
+	f := mustFabric(env, DefaultParams(), m)
 	if f.PairBandwidth(0, 2) != 25e9 || f.PairBandwidth(0, 1) != 50e9 {
 		t.Fatal("custom topology bandwidths wrong")
 	}

@@ -255,21 +255,10 @@ func ValidateTopology(topo Topology) error {
 	return nil
 }
 
-// NewFabric wires up the fabric, panicking on invalid parameters or
-// topologies. Unconnected pairs have no pipe; sending between them panics
+// NewFabric wires up the fabric, returning invalid parameters or topologies
+// as errors. Unconnected pairs have no pipe; sending between them panics
 // (this model has no routing — the paper's testbed is fully connected).
-func NewFabric(env *sim.Env, params Params, topo Topology) *Fabric {
-	f, err := NewFabricChecked(env, params, topo)
-	if err != nil {
-		panic(err)
-	}
-	return f
-}
-
-// NewFabricChecked is NewFabric returning construction problems as errors —
-// the form callers with their own error plumbing (spec construction, CLIs)
-// should use.
-func NewFabricChecked(env *sim.Env, params Params, topo Topology) (*Fabric, error) {
+func NewFabric(env *sim.Env, params Params, topo Topology) (*Fabric, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}

@@ -60,7 +60,7 @@ func TestTopologyOutOfRangePanics(t *testing.T) {
 
 func TestFabricPairBandwidth(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(4))
+	f := mustFabric(env, DefaultParams(), DGXStation(4))
 	want := 2 * 25e9 // two links per pair
 	if got := f.PairBandwidth(0, 3); got != want {
 		t.Fatalf("PairBandwidth = %v, want %v", got, want)
@@ -72,7 +72,7 @@ func TestFabricPairBandwidth(t *testing.T) {
 
 func TestFabricSelfPipePanics(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), DGXStation(2))
 	defer func() {
 		if recover() == nil {
 			t.Error("self pipe did not panic")
@@ -84,7 +84,7 @@ func TestFabricSelfPipePanics(t *testing.T) {
 func TestFabricUnconnectedPanics(t *testing.T) {
 	env := sim.NewEnv()
 	// Two disconnected GPUs.
-	f := NewFabric(env, DefaultParams(), FullyConnected{N: 2, LinksPerPair: 0})
+	f := mustFabric(env, DefaultParams(), FullyConnected{N: 2, LinksPerPair: 0})
 	defer func() {
 		if recover() == nil {
 			t.Error("unconnected pipe did not panic")
@@ -95,7 +95,7 @@ func TestFabricUnconnectedPanics(t *testing.T) {
 
 func TestFabricDirectionsIndependent(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), DGXStation(2))
 	// Saturate 0->1; 1->0 must stay unaffected (full duplex).
 	end01 := f.Pipe(0, 1).Offer(500e6)
 	end10 := f.Pipe(1, 0).Offer(500e6)
@@ -106,7 +106,7 @@ func TestFabricDirectionsIndependent(t *testing.T) {
 
 func TestWireBytes(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), DGXStation(2))
 	cases := []struct {
 		payload int
 		want    float64
@@ -126,7 +126,7 @@ func TestWireBytes(t *testing.T) {
 
 func TestWireBytesNegativePanics(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), DGXStation(2))
 	defer func() {
 		if recover() == nil {
 			t.Error("negative payload did not panic")
@@ -139,7 +139,7 @@ func TestWireBytesNegativePanics(t *testing.T) {
 // extra, and WireBytes is monotone.
 func TestWireBytesMonotoneProperty(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), DGXStation(2))
 	prop := func(a, b uint16) bool {
 		x, y := int(a), int(b)
 		if x > y {
@@ -154,7 +154,7 @@ func TestWireBytesMonotoneProperty(t *testing.T) {
 
 func TestFabricAggregates(t *testing.T) {
 	env := sim.NewEnv()
-	f := NewFabric(env, DefaultParams(), DGXStation(3))
+	f := mustFabric(env, DefaultParams(), DGXStation(3))
 	f.SetRecording(true)
 	f.Pipe(0, 1).Offer(100)
 	f.Pipe(1, 2).Offer(200)
@@ -179,7 +179,7 @@ func TestFabricCommTimeDropsWithMoreGPUs(t *testing.T) {
 	// (each pair its own links), per-GPU communication time decreases.
 	drain := func(n int) sim.Time {
 		env := sim.NewEnv()
-		f := NewFabric(env, DefaultParams(), DGXStation(n))
+		f := mustFabric(env, DefaultParams(), DGXStation(n))
 		total := 268e6 // output bytes per GPU per batch (weak scaling)
 		remote := total * float64(n-1) / float64(n)
 		perPeer := remote / float64(n-1)
@@ -195,13 +195,9 @@ func TestFabricCommTimeDropsWithMoreGPUs(t *testing.T) {
 }
 
 func TestNewFabricRejectsAsymmetric(t *testing.T) {
-	env := sim.NewEnv()
-	defer func() {
-		if recover() == nil {
-			t.Error("asymmetric topology not rejected")
-		}
-	}()
-	NewFabric(env, DefaultParams(), asymTopo{})
+	if _, err := NewFabric(sim.NewEnv(), DefaultParams(), asymTopo{}); err == nil {
+		t.Error("asymmetric topology not rejected")
+	}
 }
 
 type asymTopo struct{}
@@ -215,12 +211,9 @@ func (asymTopo) Links(a, b int) int {
 }
 
 func TestNewFabricRejectsEmptyTopology(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("empty topology not rejected")
-		}
-	}()
-	NewFabric(sim.NewEnv(), DefaultParams(), FullyConnected{N: 0, LinksPerPair: 2})
+	if _, err := NewFabric(sim.NewEnv(), DefaultParams(), FullyConnected{N: 0, LinksPerPair: 2}); err == nil {
+		t.Error("empty topology not rejected")
+	}
 }
 
 // ValidateTopology must return descriptive errors for every defect class —
@@ -282,9 +275,49 @@ func TestValidateTopologyAcceptsGoodWirings(t *testing.T) {
 	}
 }
 
-func TestNewFabricCheckedReturnsError(t *testing.T) {
-	_, err := NewFabricChecked(sim.NewEnv(), DefaultParams(), asymTopo{})
-	if err == nil {
-		t.Fatal("NewFabricChecked accepted an asymmetric topology")
+// NewFabric reports every parameter and wiring defect as an error and a nil
+// fabric, never as a panic, including the inter-node bandwidth check that
+// only fires while wiring pipes.
+func TestNewFabricReturnsError(t *testing.T) {
+	noInterNode := DefaultParams()
+	noInterNode.InterNodeBandwidth = 0
+	noBandwidth := DefaultParams()
+	noBandwidth.LinkBandwidth = 0
+	cases := []struct {
+		name   string
+		params Params
+		topo   Topology
+		want   string
+	}{
+		{"bad-params", noBandwidth, DGXStation(2), "LinkBandwidth must be positive"},
+		{"asymmetric", DefaultParams(), zeroDiagAsymTopo{}, "asymmetric links"},
+		{"self-links", DefaultParams(), selfLinkTopo{}, "self links"},
+		{"ragged", DefaultParams(), Custom{LinkMatrix: [][]int{{0, 1}, {1}}}, "row 1 has 1 entries"},
+		{"negative", DefaultParams(), Custom{LinkMatrix: [][]int{{0, -1}, {-1, 0}}}, "negative link count"},
+		{"empty", DefaultParams(), FullyConnected{N: 0, LinksPerPair: 2}, "no GPUs"},
+		{"no-inter-node-bandwidth", noInterNode, MultiNode{Nodes: 2, PerNode: 2, IntraLinks: 2}, "InterNodeBandwidth"},
 	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			f, err := NewFabric(sim.NewEnv(), c.params, c.topo)
+			if err == nil {
+				t.Fatalf("NewFabric accepted %s", c.name)
+			}
+			if f != nil {
+				t.Errorf("NewFabric returned a fabric alongside error %q", err)
+			}
+			if !strings.Contains(err.Error(), c.want) {
+				t.Errorf("error %q does not mention %q", err, c.want)
+			}
+		})
+	}
+}
+
+// mustFabric is NewFabric for tests, panicking on the construction error.
+func mustFabric(env *sim.Env, params Params, topo Topology) *Fabric {
+	f, err := NewFabric(env, params, topo)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }

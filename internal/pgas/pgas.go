@@ -1,7 +1,7 @@
 // Package pgas implements the PGAS-style one-sided communication runtime the
 // paper builds its fused embedding-retrieval backend on: NVSHMEM-like
-// remote stores ("RDMA writes issued by CUDA threads"), remote atomics (for
-// the backward-pass extension), quiet/barrier completion semantics, per-PE
+// remote stores ("RDMA writes issued by CUDA threads"), one-sided gets,
+// quiet/barrier completion semantics, per-PE
 // communication counters (the instrumentation behind Figures 7 and 10), and
 // the asynchronous aggregator sketched in the paper's future-work section.
 //
@@ -43,8 +43,8 @@ type Runtime struct {
 // SetVectorCodec installs a wire codec: PutFloat32s payloads made of whole
 // dim-element embedding rows are charged encBytes per row on the wire (and
 // through the inter-node proxy) instead of the raw 4·dim. Timing-only
-// callers pass their encoded vector size to PutVectors directly; atomics and
-// gets (the backward gradient paths) stay fp32. dim <= 0 clears the codec.
+// callers pass their encoded vector size to PutVectors directly; gets stay
+// fp32. dim <= 0 clears the codec.
 func (rt *Runtime) SetVectorCodec(dim, encBytes int) {
 	if dim <= 0 {
 		rt.codecDim, rt.codecBytes = 0, 0
@@ -357,23 +357,6 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 	pe.wireBytes += wire
 	pe.counter.Add(issued, delivered, payload)
 	return pe.markDelivery(delivered)
-}
-
-// AtomicAddFloat32s issues a one-sided accumulate: src is added element-wise
-// into dst on target. Remote atomics ride the same wire as stores (NVLink
-// atomics are posted operations); the addition itself is applied
-// immediately for functional purposes.
-func (pe *PE) AtomicAddFloat32s(target *PE, dst, src []float32) sim.Time {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("pgas: atomic add length mismatch %d vs %d", len(dst), len(src)))
-	}
-	for i := range src {
-		dst[i] += src[i]
-	}
-	if target.id == pe.id {
-		return pe.rt.env.Now()
-	}
-	return pe.accountPut(target, 4*len(src))
 }
 
 // GetFloat32s issues a one-sided fetch of src (on target) into dst (local).

@@ -10,8 +10,17 @@ import (
 
 func testRuntime(n int) (*sim.Env, *Runtime) {
 	env := sim.NewEnv()
-	fabric := nvlink.NewFabric(env, nvlink.DefaultParams(), nvlink.DGXStation(n))
-	return env, New(env, fabric)
+	return env, New(env, mustFabric(env, nvlink.DGXStation(n)))
+}
+
+// mustFabric wires a default-parameter NVLink fabric, panicking on the
+// construction error tests never expect.
+func mustFabric(env *sim.Env, topo nvlink.Topology) *nvlink.Fabric {
+	f, err := nvlink.NewFabric(env, nvlink.DefaultParams(), topo)
+	if err != nil {
+		panic(err)
+	}
+	return f
 }
 
 func TestRuntimeConstruction(t *testing.T) {
@@ -118,19 +127,6 @@ func TestPutBytesNegativePanics(t *testing.T) {
 		}
 	}()
 	rt.PE(0).PutBytes(rt.PE(1), -1)
-}
-
-func TestAtomicAddAccumulates(t *testing.T) {
-	_, rt := testRuntime(2)
-	dst := []float32{1, 1}
-	rt.PE(0).AtomicAddFloat32s(rt.PE(1), dst, []float32{2, 3})
-	rt.PE(0).AtomicAddFloat32s(rt.PE(1), dst, []float32{10, 10})
-	if dst[0] != 13 || dst[1] != 14 {
-		t.Fatalf("dst = %v", dst)
-	}
-	if rt.PE(0).Puts() != 2 {
-		t.Fatal("atomics should count as puts")
-	}
 }
 
 func TestGetChargesTargetDirection(t *testing.T) {
@@ -251,16 +247,6 @@ func TestGetLengthMismatchPanics(t *testing.T) {
 		}
 	}()
 	rt.PE(0).GetFloat32s(rt.PE(1), make([]float32, 2), make([]float32, 3))
-}
-
-func TestAtomicAddLengthMismatchPanics(t *testing.T) {
-	_, rt := testRuntime(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("atomic add length mismatch did not panic")
-		}
-	}()
-	rt.PE(0).AtomicAddFloat32s(rt.PE(1), make([]float32, 2), make([]float32, 3))
 }
 
 func TestPutVectorsValidation(t *testing.T) {

@@ -5,14 +5,13 @@ import (
 	"testing"
 
 	"pgasemb/internal/fabric"
-	"pgasemb/internal/nvlink"
 	"pgasemb/internal/sim"
 )
 
 // newClusterRuntime wires an N-node cluster runtime for proxy tests.
 func newClusterRuntime(env *sim.Env, nodes, perNode int, cfg ProxyConfig) (*Runtime, *fabric.Interconnect) {
 	cl := fabric.Cluster{Nodes: nodes, GPUsPerNode: perNode, IntraLinks: 2}
-	fab := nvlink.NewFabric(env, nvlink.DefaultParams(), cl)
+	fab := mustFabric(env, cl)
 	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
 	return NewCluster(env, fab, net, cfg), net
 }

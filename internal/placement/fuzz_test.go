@@ -5,7 +5,8 @@ import "testing"
 // FuzzLPT asserts the planner's core invariant on arbitrary inputs: whenever
 // LPT returns a plan at all, that plan assigns every table exactly once and
 // respects the per-GPU capacity; otherwise it returns an error (never a
-// malformed plan, never a panic).
+// malformed plan, never a panic). Without a capacity bound the plan's
+// makespan must also respect the LPT approximation bound.
 func FuzzLPT(f *testing.F) {
 	f.Add(uint64(1), 8, 4, int64(0))
 	f.Add(uint64(42), 16, 3, int64(300))
@@ -43,6 +44,28 @@ func FuzzLPT(f *testing.F) {
 		}
 		if err := ValidatePlan(plan, tables, bytes, capacity); err != nil {
 			t.Fatalf("LPT returned an invalid plan: %v", err)
+		}
+		if capacity != 0 {
+			return
+		}
+		// Unbounded LPT is list scheduling, so its makespan stays within the
+		// loose 4/3 form of Graham's bound: 4/3 of the mean GPU load plus the
+		// heaviest single table.
+		var total, maxLoad, worst float64
+		for _, l := range loads {
+			total += l
+			maxLoad = max(maxLoad, l)
+		}
+		for _, shard := range plan {
+			var sum float64
+			for _, tbl := range shard {
+				sum += loads[tbl]
+			}
+			worst = max(worst, sum)
+		}
+		if bound := total/float64(gpus)*4/3 + maxLoad; worst > bound {
+			t.Fatalf("LPT makespan %v above bound %v (mean %v, heaviest table %v)",
+				worst, bound, total/float64(gpus), maxLoad)
 		}
 	})
 }

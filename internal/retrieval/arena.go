@@ -1,8 +1,7 @@
 package retrieval
 
 // Per-GPU scratch arenas. Every backend's RunBatch used to allocate its
-// working buffers (pooling scratch, all-to-all segment tables, partial
-// buffers) per call; over a serving run that is thousands of short-lived
+// working buffers (pooling scratch, all-to-all segment tables) per call; over a serving run that is thousands of short-lived
 // slices per second of simulated traffic. Each run now owns one gpuScratch
 // per GPU, and RunBatch borrows from it instead of calling make.
 //
@@ -22,10 +21,9 @@ type gpuScratch struct {
 	recvSegs    [][]float32
 	sendBytes   []float64 // baseline timing segment sizes
 	recvBytes   []float64
-	perPeer     []int     // pgas per-peer skip tallies
-	cursors     []int     // pgas dedup wire-streaming cursors
-	nodeCursors []int     // pgas node-dedup wire-streaming cursors
-	partials    []float32 // row-wise partial-sum buffer
+	perPeer     []int // pgas per-peer skip tallies
+	cursors     []int // pgas dedup wire-streaming cursors
+	nodeCursors []int // pgas node-dedup wire-streaming cursors
 }
 
 // scratchSlice returns (*buf)[:n], reallocating only when capacity is short,

@@ -1,8 +1,6 @@
 package retrieval
 
 import (
-	"fmt"
-
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 	"pgasemb/internal/trace"
@@ -40,16 +38,6 @@ type BackwardBaseline struct{}
 
 // Name implements Backend.
 func (b *BackwardBaseline) Name() string { return "backward-baseline" }
-
-// ValidateConfig implements ConfigValidator.
-func (b *BackwardBaseline) ValidateConfig(cfg Config) error { return validateBackward(cfg) }
-
-func validateBackward(cfg Config) error {
-	if cfg.Sharding != TableWise {
-		return fmt.Errorf("requires table-wise sharding (the backward extension models table-wise gradient exchange)")
-	}
-	return nil
-}
 
 // RunBatch implements Backend for the backward pass.
 func (b *BackwardBaseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
@@ -119,9 +107,6 @@ type BackwardPGAS struct{}
 
 // Name implements Backend.
 func (b *BackwardPGAS) Name() string { return "backward-pgas" }
-
-// ValidateConfig implements ConfigValidator.
-func (b *BackwardPGAS) ValidateConfig(cfg Config) error { return validateBackward(cfg) }
 
 // RunBatch implements Backend for the backward pass.
 func (b *BackwardPGAS) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {

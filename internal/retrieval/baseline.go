@@ -37,14 +37,6 @@ func (b *Baseline) Name() string {
 	return "baseline"
 }
 
-// ValidateConfig implements ConfigValidator.
-func (b *Baseline) ValidateConfig(cfg Config) error {
-	if cfg.Sharding != TableWise {
-		return fmt.Errorf("requires table-wise sharding; use RowWiseBaseline for row-wise configurations")
-	}
-	return nil
-}
-
 // CommTrace implements CommTracer: the baseline's traffic is entirely the
 // collective's.
 func (b *Baseline) CommTrace(s *System) *trace.VolumeTrace {
@@ -375,26 +367,14 @@ func Reference(s *System, batch *sparse.Batch) ([]*tensor.Tensor, error) {
 	}
 	full := tensor.New(cfg.BatchSize, cfg.TotalTables, cfg.Dim)
 	data := full.Data()
-	if cfg.Sharding == RowWise {
-		coll := s.globalColl
-		for fi, fid := range coll.FeatureIDs {
+	for g := 0; g < cfg.GPUs; g++ {
+		coll := s.colls[g]
+		for fi, fid := range s.Plan[g] {
 			fb := batch.FeatureByID(fid)
 			tbl := coll.Tables[fi]
 			for smp := 0; smp < cfg.BatchSize; smp++ {
 				off := (smp*cfg.TotalTables + fid) * cfg.Dim
 				tbl.LookupPooled(fb.Bag(smp), coll.Mode, data[off:off+cfg.Dim])
-			}
-		}
-	} else {
-		for g := 0; g < cfg.GPUs; g++ {
-			coll := s.colls[g]
-			for fi, fid := range s.Plan[g] {
-				fb := batch.FeatureByID(fid)
-				tbl := coll.Tables[fi]
-				for smp := 0; smp < cfg.BatchSize; smp++ {
-					off := (smp*cfg.TotalTables + fid) * cfg.Dim
-					tbl.LookupPooled(fb.Bag(smp), coll.Mode, data[off:off+cfg.Dim])
-				}
 			}
 		}
 	}

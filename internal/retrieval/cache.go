@@ -31,7 +31,7 @@ import (
 // cacheEnabled reports whether this run classifies batches against a
 // hot-row cache. Single-GPU systems have no remote rows to cache.
 func (s *System) cacheEnabled() bool {
-	return s.Cfg.CacheFraction > 0 && s.Cfg.Sharding == TableWise && s.Cfg.GPUs > 1
+	return s.Cfg.CacheFraction > 0 && s.Cfg.GPUs > 1
 }
 
 // ensureCaches lazily builds the run-owned cache set sized by the
@@ -48,7 +48,7 @@ func (s *System) ensureCaches() {
 // is generated and the set's shape must match the configuration.
 func (s *System) AttachCaches(set *cache.Set) error {
 	if !s.cacheEnabled() {
-		return fmt.Errorf("retrieval: AttachCaches needs CacheFraction > 0, table-wise sharding and >1 GPU")
+		return fmt.Errorf("retrieval: AttachCaches needs CacheFraction > 0 and >1 GPU")
 	}
 	switch {
 	case set == nil:

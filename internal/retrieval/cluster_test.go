@@ -251,12 +251,6 @@ func TestClusterShapeValidation(t *testing.T) {
 			}
 		})
 	}
-	// Row-wise sharding is gated off multi-node machines.
-	cfg := clusterTestConfig(4)
-	cfg.Sharding = RowWise
-	if _, err := NewSystemSpec(cfg, ClusterHardware(2)); err == nil {
-		t.Fatal("row-wise sharding accepted on a multi-node machine")
-	}
 	// And the legal shapes still construct.
 	for _, nodes := range []int{1, 2, 3} {
 		cfg := clusterTestConfig(6)

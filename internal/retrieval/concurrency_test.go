@@ -244,28 +244,19 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-func TestValidateBackendRejectsModeMismatch(t *testing.T) {
-	// Sharding-mode misuse must surface as a setup error, not a mid-run
-	// panic.
-	tableWise, err := NewSystem(TestScaleConfig(2), DefaultHardware())
+func TestValidateBackendRejectsUnsupportedConfig(t *testing.T) {
+	// Backend/configuration misuse must surface as a setup error, not a
+	// mid-run panic: staged PGAS stores address fixed owners, so they reject
+	// replicated shards, directly and through a decorator.
+	cfg := TestScaleConfig(2)
+	cfg.Replicas = 2
+	s, err := NewSystem(cfg, DefaultHardware())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tableWise.Run(&RowWisePGAS{}); err == nil {
-		t.Fatal("row-wise backend accepted a table-wise configuration")
-	}
-	if _, err := tableWise.Run(&InputStaged{Inner: &RowWiseBaseline{}}); err == nil {
-		t.Fatal("decorated row-wise backend accepted a table-wise configuration")
-	}
-	rwCfg := TestScaleConfig(2)
-	rwCfg.Sharding = RowWise
-	rowWise, err := NewSystem(rwCfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []Backend{&Baseline{}, &PGASFused{}, &BackwardBaseline{}, &BackwardPGAS{}} {
-		if _, err := rowWise.Run(b); err == nil {
-			t.Fatalf("%s accepted a row-wise configuration", b.Name())
+	for _, b := range []Backend{&PGASFused{StageRemote: true}, &InputStaged{Inner: &PGASFused{StageRemote: true}}} {
+		if _, err := s.Run(b); err == nil {
+			t.Fatalf("%s accepted a replicated configuration", b.Name())
 		}
 	}
 }
@@ -274,9 +265,6 @@ func TestCollectionAccessorsReturnErrors(t *testing.T) {
 	s, err := NewSystem(TestScaleConfig(2), DefaultHardware())
 	if err != nil {
 		t.Fatal(err)
-	}
-	if _, err := s.GlobalCollection(); err == nil {
-		t.Fatal("GlobalCollection must error for table-wise sharding")
 	}
 	if _, err := s.Collection(99); err == nil {
 		t.Fatal("Collection must error for an out-of-range GPU")

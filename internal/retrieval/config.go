@@ -28,28 +28,6 @@ import (
 	"pgasemb/internal/workload"
 )
 
-// Sharding selects how embedding tables are partitioned across GPUs.
-type Sharding int
-
-const (
-	// TableWise gives each GPU whole tables — the paper's "simple table
-	// sharding scheme (partitioning by tables)".
-	TableWise Sharding = iota
-	// RowWise splits every table's rows across all GPUs (RecShard-style,
-	// the scheme the paper's future-work section flags as needing input
-	// partitioning fused into the kernel). Each GPU computes PARTIAL
-	// pooled sums over its row range for every (sample, feature) pair;
-	// partials are reduced across GPUs into the owners' minibatches.
-	RowWise
-)
-
-func (s Sharding) String() string {
-	if s == RowWise {
-		return "row-wise"
-	}
-	return "table-wise"
-}
-
 // Precision selects the wire transport precision for embedding rows
 // (Config.WirePrecision): rows are compressed at the owning GPU, shipped over
 // NVLink or the NIC in the reduced format, and decompressed at the consumer.
@@ -116,21 +94,18 @@ type Config struct {
 	ChunksPerKernel int
 	// Functional enables the real data plane (small configs only).
 	Functional bool
-	// Sharding selects table-wise (default) or row-wise partitioning.
-	Sharding Sharding
 	// PerFeatureMaxPooling optionally makes features heterogeneous (len
 	// TotalTables); see workload.Config.
 	PerFeatureMaxPooling []int
 	// GreedyPlan balances table placement by expected pooling load instead
-	// of assigning contiguous blocks — the planner a skewed workload needs
-	// under table-wise sharding.
+	// of assigning contiguous blocks — the planner a skewed workload needs.
 	GreedyPlan bool
 	// PerFeatureRows optionally gives each table its own hash size (len
-	// TotalTables; nil = uniform Rows). Table-wise sharding only.
+	// TotalTables; nil = uniform Rows).
 	PerFeatureRows []int
-	// CustomPlan overrides table placement entirely (table-wise sharding):
-	// CustomPlan[g] lists the global feature IDs on GPU g. Every table must
-	// be assigned exactly once. Takes precedence over GreedyPlan.
+	// CustomPlan overrides table placement entirely: CustomPlan[g] lists the
+	// global feature IDs on GPU g. Every table must be assigned exactly once.
+	// Takes precedence over GreedyPlan.
 	CustomPlan [][]int
 	// Pooling selects the pooling operation (functional mode).
 	Pooling embedding.PoolingMode
@@ -142,20 +117,20 @@ type Config struct {
 	// CacheFraction enables the serving-side hot-row cache: each GPU
 	// dedicates this fraction of its memory capacity to caching embedding
 	// rows owned by OTHER GPUs, short-circuiting their remote fetches on a
-	// hit. 0 disables the cache. Table-wise sharding only.
+	// hit. 0 disables the cache.
 	CacheFraction float64
 	// Dedup enables batch-level index deduplication: per (owner, consumer)
 	// GPU pair, each batch's repeated rows are gathered, shipped and
 	// unpacked once and expanded at the consumer (see dedup.go). Composes
-	// with the hot-row cache. Table-wise sharding only.
+	// with the hot-row cache.
 	Dedup bool
 	// Replicas mirrors each GPU's table shard on this many GPUs (shard o
 	// lives on GPUs (o+k) mod GPUs for k < Replicas): the HPS-style
 	// replication that lets the route-plan compiler serve any (owner,
 	// consumer) pair from the healthiest replica — including the consumer
 	// itself, turning remote reads into local ones — and fail over around
-	// degraded links. 0 and 1 both mean no replication. Table-wise,
-	// dense-routing only (no Dedup, no CacheFraction).
+	// degraded links. 0 and 1 both mean no replication. Dense routing only
+	// (no Dedup, no CacheFraction).
 	Replicas int
 	// AdaptivePlacement enables the access-statistics-driven placement
 	// layer: the route-plan compiler feeds per-table and per-row-bucket
@@ -164,8 +139,8 @@ type Config struct {
 	// over the EMA, cost-model-gated with hysteresis), charges the shard
 	// migration as real NVLink/NIC traffic on the simulated clock, and swaps
 	// the effective plan at the batch boundary. Outputs are bit-exact with
-	// rebalancing on or off. Table-wise sharding only; forces pipeline
-	// depth 1 (a plan swap is defined against a lockstep batch sequence).
+	// rebalancing on or off. Forces pipeline depth 1 (a plan swap is
+	// defined against a lockstep batch sequence).
 	AdaptivePlacement bool
 	// RebalanceEvery is the adaptive-placement epoch length in batches.
 	// Required (positive) when AdaptivePlacement is set.
@@ -197,8 +172,8 @@ type Config struct {
 	// counts shrink by the codec ratio while HBM-side gather costs stay
 	// fp32; in functional mode every row's values are the real
 	// quantize→dequantize round trip (the serial Reference applies the same
-	// codec, so bit-exactness still holds). Table-wise sharding only — the
-	// row-wise and backward gradient paths stay fp32.
+	// codec, so bit-exactness still holds). The backward gradient path stays
+	// fp32.
 	WirePrecision Precision
 }
 
@@ -230,25 +205,13 @@ func (c Config) Validate() error {
 		return fmt.Errorf("retrieval: Batches must be positive")
 	case c.ChunksPerKernel <= 0:
 		return fmt.Errorf("retrieval: ChunksPerKernel must be positive")
-	case c.Sharding == RowWise && c.Pooling != embedding.SumPooling:
-		return fmt.Errorf("retrieval: row-wise sharding requires sum pooling (partials of mean/max are undefined)")
-	case c.Sharding == RowWise && c.Rows < c.GPUs:
-		return fmt.Errorf("retrieval: row-wise sharding needs at least one row per GPU")
 	case c.PerFeatureRows != nil && len(c.PerFeatureRows) != c.TotalTables:
 		return fmt.Errorf("retrieval: PerFeatureRows has %d entries for %d tables",
 			len(c.PerFeatureRows), c.TotalTables)
-	case c.PerFeatureRows != nil && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: PerFeatureRows is not supported with row-wise sharding")
-	case c.CustomPlan != nil && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: CustomPlan is not supported with row-wise sharding")
 	case c.CustomPlan != nil && len(c.CustomPlan) != c.GPUs:
 		return fmt.Errorf("retrieval: CustomPlan has %d shards for %d GPUs", len(c.CustomPlan), c.GPUs)
 	case c.CacheFraction < 0 || c.CacheFraction >= 1:
 		return fmt.Errorf("retrieval: CacheFraction %g outside [0, 1)", c.CacheFraction)
-	case c.CacheFraction > 0 && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: the hot-row cache requires table-wise sharding (row-wise lookups are partial sums, not rows)")
-	case c.Dedup && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: index deduplication requires table-wise sharding (row-wise lookups are partial sums, not rows)")
 	case c.Replicas < 0:
 		return fmt.Errorf("retrieval: negative Replicas %d", c.Replicas)
 	case c.PipelineDepth < 0:
@@ -256,16 +219,12 @@ func (c Config) Validate() error {
 	case c.Replicas > c.GPUs:
 		return fmt.Errorf("retrieval: %d replicas need %d GPUs, have %d (a shard cannot be mirrored twice on one GPU)",
 			c.Replicas, c.Replicas, c.GPUs)
-	case c.Replicas > 1 && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: shard replication requires table-wise sharding (row-wise shards are row ranges, not serveable units)")
 	case c.Replicas > 1 && c.Dedup:
 		return fmt.Errorf("retrieval: shard replication does not compose with index deduplication " +
 			"(dedup key sets are per fixed (owner, consumer) pair; replica failover re-routes pairs per batch)")
 	case c.Replicas > 1 && c.CacheFraction > 0:
 		return fmt.Errorf("retrieval: shard replication does not compose with the hot-row cache " +
 			"(replicated shards already serve remote rows locally; cache hit state would diverge across replicas)")
-	case c.AdaptivePlacement && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: adaptive placement requires table-wise sharding (row-wise shards are row ranges, not movable tables)")
 	case c.AdaptivePlacement && c.RebalanceEvery <= 0:
 		return fmt.Errorf("retrieval: AdaptivePlacement needs a positive RebalanceEvery epoch length, have %d", c.RebalanceEvery)
 	case !c.AdaptivePlacement && c.RebalanceEvery != 0:
@@ -290,9 +249,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("retrieval: negative HotSetDriftEvery %d", c.HotSetDriftEvery)
 	case c.WirePrecision != FP32 && c.WirePrecision != FP16 && c.WirePrecision != Int8:
 		return fmt.Errorf("retrieval: unknown WirePrecision %d (want FP32, FP16 or Int8)", c.WirePrecision)
-	case c.WirePrecision != FP32 && c.Sharding == RowWise:
-		return fmt.Errorf("retrieval: reduced wire precision requires table-wise sharding " +
-			"(row-wise traffic is partial sums and gradients, which stay fp32)")
 	}
 	if c.PerFeatureRows != nil {
 		for f, r := range c.PerFeatureRows {

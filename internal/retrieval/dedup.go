@@ -33,12 +33,6 @@ import (
 // not double-counted as a dedup win. Outcomes are a pure function of the
 // workload seed and cache state, never of process interleaving.
 
-// dedupEnabled reports whether this run classifies batches for index
-// deduplication. Single-GPU systems still benefit (diagonal gather dedup).
-func (s *System) dedupEnabled() bool {
-	return s.Cfg.Dedup && s.Cfg.Sharding == TableWise
-}
-
 // DedupView is one batch's deduplication classification. All matrices are
 // indexed [owner][consumer]; the diagonal describes each GPU's local (own
 // minibatch) lookups, where only gather dedup can apply.

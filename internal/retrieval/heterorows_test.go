@@ -20,12 +20,6 @@ func TestPerFeatureRowsValidation(t *testing.T) {
 	if cfg.Validate() == nil {
 		t.Fatal("zero-row table accepted")
 	}
-	cfg = TestScaleConfig(2)
-	cfg.Sharding = RowWise
-	cfg.PerFeatureRows = []int{10, 10, 10, 10, 10, 10}
-	if cfg.Validate() == nil {
-		t.Fatal("PerFeatureRows with row-wise sharding accepted")
-	}
 }
 
 func TestCustomPlanValidation(t *testing.T) {

@@ -1,8 +1,6 @@
 package retrieval
 
 import (
-	"fmt"
-
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 	"pgasemb/internal/trace"
@@ -38,14 +36,6 @@ type Hybrid struct {
 
 // Name implements Backend.
 func (b *Hybrid) Name() string { return "hybrid" }
-
-// ValidateConfig implements ConfigValidator.
-func (b *Hybrid) ValidateConfig(cfg Config) error {
-	if cfg.Sharding != TableWise {
-		return fmt.Errorf("requires table-wise sharding; use the row-wise backends for row-wise configurations")
-	}
-	return nil
-}
 
 // routeCollective reports whether the (owner src -> consumer dst) pair rides
 // the all-to-all instead of one-sided stores. Diagonal, node-staged and

@@ -12,10 +12,9 @@ const CompInputStage = "Input Stage"
 // InputStaged decorates a retrieval backend with the sparse-input pipeline
 // the paper describes in §V: "we partition the sparse inputs on the CPU and
 // then copy it to the GPU". With Overlap false, the stage runs serially
-// before the EMB kernel — today's behaviour, cheap for table-wise sharding
-// but significant for row-wise. With Overlap true it models the paper's
-// proposed optimisation — "merge the sparse input partitioning into the
-// computation kernel" — as a pipeline: chunk i's input preparation hides
+// before the EMB kernel — today's behaviour. With Overlap true it models the
+// paper's proposed optimisation — "merge the sparse input partitioning into
+// the computation kernel" — as a pipeline: chunk i's input preparation hides
 // under chunk i-1's compute, so only the first chunk's input latency and
 // any excess of input time over compute time remain exposed.
 type InputStaged struct {
@@ -47,14 +46,7 @@ func (b *InputStaged) inputCost(s *System, g int, bd *BatchData) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	globalIdxBytes := 8 * float64(s.globalIndexTotal(bd.Summary, 0, cfg.BatchSize))
-	var localIdxBytes float64
-	if cfg.Sharding == RowWise {
-		// Row-wise: the full batch's indices go to EVERY GPU — the cost
-		// explosion the paper warns about.
-		localIdxBytes = globalIdxBytes
-	} else {
-		localIdxBytes = 8 * float64(s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize))
-	}
+	localIdxBytes := 8 * float64(s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize))
 	cpu := globalIdxBytes / dev.Params().CPUPartitionRate
 	h2d := localIdxBytes / dev.Params().PCIeBandwidth
 	return cpu + h2d

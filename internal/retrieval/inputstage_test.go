@@ -69,35 +69,6 @@ func TestFusedInputHidesMostOfTheStage(t *testing.T) {
 	}
 }
 
-func TestRowWiseInputStageCostlier(t *testing.T) {
-	// Row-wise sharding sends every index everywhere: its input stage must
-	// clearly exceed table-wise's — the paper's motivation for fusing it.
-	cfg := WeakScalingConfig(4)
-	cfg.Batches = 2
-	sTW, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rTW, err := sTW.Run(&InputStaged{Inner: &PGASFused{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgRW := cfg
-	cfgRW.Sharding = RowWise
-	sRW, err := NewSystem(cfgRW, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	rRW, err := sRW.Run(&InputStaged{Inner: &RowWisePGAS{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rRW.Breakdown.Get(CompInputStage) <= rTW.Breakdown.Get(CompInputStage) {
-		t.Fatalf("row-wise input stage (%v) should exceed table-wise (%v)",
-			rRW.Breakdown.Get(CompInputStage), rTW.Breakdown.Get(CompInputStage))
-	}
-}
-
 func TestInputStagedFunctionalUnchanged(t *testing.T) {
 	// The decorator is timing-only: outputs still match the reference.
 	s, err := NewSystem(TestScaleConfig(2), DefaultHardware())

@@ -48,9 +48,6 @@ func (b *PGASFused) Name() string {
 
 // ValidateConfig implements ConfigValidator.
 func (b *PGASFused) ValidateConfig(cfg Config) error {
-	if cfg.Sharding != TableWise {
-		return fmt.Errorf("requires table-wise sharding; use RowWisePGAS for row-wise configurations")
-	}
 	if cfg.Replicas > 1 && (b.StageRemote || b.Aggregate != nil) {
 		return fmt.Errorf("shard replication supports the fused store path only (staging and aggregation " +
 			"address fixed owners; replica failover re-routes pairs per batch)")

@@ -60,8 +60,8 @@ func (s *System) resetOwnerLoad() {
 }
 
 // OwnerLoad returns the run's accumulated per-GPU served load so far (the
-// live counters behind Result.OwnerKeys/OwnerBytes; table-wise plans only,
-// nil otherwise). The serving layer reads it between dispatches.
+// live counters behind Result.OwnerKeys/OwnerBytes). The serving layer reads
+// it between dispatches.
 func (s *System) OwnerLoad() (keys []int64, bytes []float64) {
 	return s.ownerKeys, s.ownerBytes
 }
@@ -71,9 +71,7 @@ func (s *System) OwnerLoad() (keys []int64, bytes []float64) {
 // NextBatchData after compileRoutePlan, while bd.Sparse is still materialised
 // on placement-enabled runs. Allocates nothing.
 func (s *System) observeBatch(bd *BatchData) {
-	if s.ownerKeys != nil {
-		s.accumOwnerLoad(bd)
-	}
+	s.accumOwnerLoad(bd)
 	if s.placeCtl == nil {
 		return
 	}

@@ -281,7 +281,7 @@ func (s *System) compileRoutePlan(bd *BatchData) {
 		plan.Cache = s.classifyHotMirror(bd)
 		bd.Cache = plan.Cache
 	}
-	if s.dedupEnabled() {
+	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
 		plan.Dedup = s.classifyDedup(bd)
 		s.attachDedup(bd, plan.Dedup) // sets bd.Dedup and the expansion plumbing
 	}

@@ -13,8 +13,9 @@ import (
 //
 // Constructors return a FRESH backend per call: Backend values hold no
 // per-run state today, but the registry should not force callers to share.
-// Only backends that run on the standard table-wise sweep grid register —
-// the row-wise family needs RowWise sharding and stays constructor-only.
+// Only forward backends that run on the standard sweep grid register; the
+// backward pass, the input-stage decorator and the aggregated PGAS variant
+// stay constructor-only.
 
 // backendEntry is one registered backend: a constructor plus a one-line
 // summary shown in CLI help and error messages.

@@ -44,7 +44,6 @@ func TestConfigValidation(t *testing.T) {
 		{"batches", func(c *Config) { c.Batches = 0 }},
 		{"chunks", func(c *Config) { c.ChunksPerKernel = 0 }},
 		{"precision", func(c *Config) { c.WirePrecision = Precision(99) }},
-		{"precision-rowwise", func(c *Config) { c.WirePrecision = FP16; c.Sharding = RowWise }},
 	}
 	for _, m := range muts {
 		c := TestScaleConfig(2)

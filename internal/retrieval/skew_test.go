@@ -1,6 +1,8 @@
 package retrieval
 
 import (
+	"slices"
+	"sort"
 	"testing"
 
 	"pgasemb/internal/tensor"
@@ -72,26 +74,6 @@ func TestGreedyPlanNeutralWithoutSkew(t *testing.T) {
 	}
 }
 
-func TestRowWiseImmuneToSkewPlacement(t *testing.T) {
-	// Row-wise sharding splits every table across all GPUs, so the hot
-	// tables' load spreads automatically: per-GPU compute stays balanced
-	// regardless of which features are hot.
-	cfg := skewedConfig(4)
-	cfg.Sharding = RowWise
-	res := runSkew(t, cfg, &RowWisePGAS{})
-	// Per-GPU fused time within 5% of each other.
-	var times []float64
-	for _, bk := range res.PerGPU {
-		times = append(times, bk.Get(CompFused))
-	}
-	for _, v := range times[1:] {
-		ratio := v / times[0]
-		if ratio < 0.95 || ratio > 1.05 {
-			t.Fatalf("row-wise per-GPU times unbalanced under skew: %v", times)
-		}
-	}
-}
-
 func TestSkewedFunctionalCorrectness(t *testing.T) {
 	// Heterogeneous pooling with the greedy plan still matches the serial
 	// reference bit-exactly.
@@ -111,6 +93,105 @@ func TestSkewedFunctionalCorrectness(t *testing.T) {
 		if !tensor.Equal(res.Final[g], want[g]) {
 			t.Fatalf("GPU %d differs from reference under skew + greedy plan", g)
 		}
+	}
+}
+
+// The skewed greedy plan interleaves hot and cold tables across GPUs, so
+// every registered backend must still match the serial reference on it.
+func TestGreedyPlanMatchesReferenceOnEveryBackend(t *testing.T) {
+	cfg := TestScaleConfig(3)
+	cfg.PerFeatureMaxPooling = SkewedPooling(cfg.TotalTables, 0.34, 9, 2)
+	cfg.GreedyPlan = true
+	for _, name := range RegisteredBackends() {
+		t.Run(name, func(t *testing.T) {
+			s, err := NewSystem(cfg, DefaultHardware())
+			if err != nil {
+				t.Fatal(err)
+			}
+			be, err := NewBackendByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(be)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := mustReference(t, s, res.LastBatch)
+			for g := range want {
+				if !tensor.Equal(res.Final[g], want[g]) {
+					t.Fatalf("GPU %d differs from reference (max diff %g)",
+						g, tensor.MaxAbsDiff(res.Final[g], want[g]))
+				}
+			}
+		})
+	}
+}
+
+// listSchedule is the rule the greedy planner follows: tables in descending
+// load, ties to the lower id, each onto the least-loaded GPU, ties to the
+// lower index.
+func listSchedule(loads []float64, gpus int) [][]int {
+	order := make([]int, len(loads))
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return loads[order[a]] > loads[order[b]] })
+	plan := make([][]int, gpus)
+	sums := make([]float64, gpus)
+	for _, id := range order {
+		best := 0
+		for g := 1; g < gpus; g++ {
+			if sums[g] < sums[best] {
+				best = g
+			}
+		}
+		plan[best] = append(plan[best], id)
+		sums[best] += loads[id]
+	}
+	return plan
+}
+
+// The greedy plan is list scheduling over the analytic pooling loads, GPU by
+// GPU and in assignment order, so greedy placement results reproduce exactly.
+func TestGreedyPlanIsListScheduling(t *testing.T) {
+	skewed := func(gpus int, hot float64) Config {
+		cfg := TestScaleConfig(gpus)
+		cfg.TotalTables = 12
+		cfg.PerFeatureMaxPooling = SkewedPooling(cfg.TotalTables, hot, 9, 2)
+		return cfg
+	}
+	cases := []struct {
+		name string
+		cfg  Config
+	}{
+		{"uniform-gpus1", TestScaleConfig(1)},
+		{"uniform-gpus2", TestScaleConfig(2)},
+		{"uniform-gpus4", TestScaleConfig(4)},
+		{"uniform-one-table-per-gpu", TestScaleConfig(6)},
+		{"skewed-gpus2", skewed(2, 0.25)},
+		{"skewed-gpus3", skewed(3, 0.34)},
+		{"skewed-gpus5", skewed(5, 0.5)},
+		{"weak-scaling-skewed-gpus4", skewedConfig(4)},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.GreedyPlan = true
+			spec, err := NewSystemSpec(cfg, DefaultHardware())
+			if err != nil {
+				t.Fatal(err)
+			}
+			got := spec.Plan()
+			want := listSchedule(cfg.workloadConfig().ExpectedPoolingLoad(), cfg.GPUs)
+			if len(got) != len(want) {
+				t.Fatalf("plan has %d shards, want %d", len(got), len(want))
+			}
+			for g := range want {
+				if !slices.Equal(got[g], want[g]) {
+					t.Fatalf("GPU %d shard %v, want %v (plan %v)", g, got[g], want[g], got)
+				}
+			}
+		})
 	}
 }
 

@@ -78,9 +78,6 @@ func NewSystemSpec(cfg Config, hw HardwareParams) (*SystemSpec, error) {
 		return nil, fmt.Errorf("retrieval: %d GPUs cannot be spread evenly over %d nodes "+
 			"(the GPU count must be divisible by the node count; %d GPUs would leave %d astray and mis-shard "+
 			"every (node, GPU) row owner)", cfg.GPUs, hw.Nodes, cfg.GPUs, cfg.GPUs%hw.Nodes)
-	case hw.Nodes > 0 && cfg.Sharding == RowWise:
-		return nil, fmt.Errorf("retrieval: multi-node machines support table-wise sharding only " +
-			"(row-wise partial sums would cross the NIC per sample)")
 	}
 	if err := hw.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("retrieval: bad fault schedule: %w", err)
@@ -107,7 +104,13 @@ func NewSystemSpec(cfg Config, hw HardwareParams) (*SystemSpec, error) {
 	case cfg.CustomPlan != nil:
 		spec.plan = cfg.CustomPlan
 	case cfg.GreedyPlan:
-		spec.plan = embedding.GreedyPlan(cfg.workloadConfig().ExpectedPoolingLoad(), cfg.GPUs)
+		// LPT on the analytic pooling loads, with no capacity bound; the
+		// per-GPU memory check below still applies.
+		plan, err := placement.LPT(cfg.workloadConfig().ExpectedPoolingLoad(), cfg.tableBytesAll(), cfg.GPUs, 0)
+		if err != nil {
+			return nil, err
+		}
+		spec.plan = plan
 	default:
 		spec.plan = embedding.TableWisePlan(cfg.TotalTables, cfg.GPUs)
 	}
@@ -146,22 +149,11 @@ func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 	for _, fid := range spec.plan[g] {
 		shardBytes += int64(cfg.tableRows(fid)) * int64(cfg.Dim) * 4
 	}
-	if cfg.Sharding == RowWise {
-		rlo, rhi := embedding.RowShardRange(cfg.Rows, cfg.GPUs, g)
-		shardBytes = int64(rhi-rlo) * int64(cfg.Dim) * 4 * int64(cfg.TotalTables)
-	}
 	lo, hi := sparse.MinibatchRange(cfg.BatchSize, cfg.GPUs, g)
 	outBytes := int64(hi-lo) * int64(cfg.TotalTables) * int64(cfg.Dim) * 4
 	allocs := []namedAlloc{
 		{"embedding-tables", shardBytes},
 		{"emb-output", outBytes},
-	}
-	if cfg.Sharding == RowWise {
-		// The partial-sum buffer covers the FULL batch for all tables.
-		allocs = append(allocs, namedAlloc{
-			"emb-partials",
-			int64(cfg.BatchSize) * int64(cfg.TotalTables) * int64(cfg.Dim) * 4,
-		})
 	}
 	if slots := cfg.CacheSlots(spec.hw.GPU); slots > 0 {
 		allocs = append(allocs, namedAlloc{
@@ -218,7 +210,7 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		return nil, err
 	}
 	env := sim.NewEnv()
-	fab, err := nvlink.NewFabricChecked(env, spec.hw.Link, spec.hw.topology(cfg.GPUs))
+	fab, err := nvlink.NewFabric(env, spec.hw.Link, spec.hw.topology(cfg.GPUs))
 	if err != nil {
 		return nil, err
 	}
@@ -234,6 +226,8 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		scratch:    make([]gpuScratch, cfg.GPUs*cfg.PipelineSlots()),
 		gates:      make([]sim.Time, cfg.GPUs),
 		faultBatch: -1,
+		ownerKeys:  make([]int64, cfg.GPUs),
+		ownerBytes: make([]float64, cfg.GPUs),
 	}
 	if spec.hw.Nodes > 0 {
 		// Cluster machine: the NIC interconnect carries inter-node traffic,
@@ -242,22 +236,20 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		s.cluster = spec.hw.cluster(cfg.GPUs)
 		s.Net = fabric.NewInterconnect(env, s.cluster, spec.hw.NIC)
 		s.PGAS = pgas.NewCluster(env, fab, s.Net, spec.hw.Proxy)
-		s.Comm, err = collective.NewClusterChecked(env, fab, spec.hw.Collective, s.Net)
+		s.Comm, err = collective.NewCluster(env, fab, spec.hw.Collective, s.Net)
 		if err != nil {
 			return nil, fmt.Errorf("retrieval: wiring cluster communicator: %w", err)
 		}
 	} else {
 		s.PGAS = pgas.New(env, fab)
-		s.Comm, err = collective.NewChecked(env, fab, spec.hw.Collective)
+		s.Comm, err = collective.New(env, fab, spec.hw.Collective)
 		if err != nil {
 			return nil, fmt.Errorf("retrieval: wiring communicator: %w", err)
 		}
 	}
 	if cfg.WireCodecActive() {
 		// Reduced wire precision: every whole-row payload on the PGAS and
-		// collective transports is accounted at the encoded size. Gradient
-		// and partial-sum traffic (AtomicAdd, reduce-scatter) never flows
-		// through these row-shaped paths and stays fp32.
+		// collective transports is accounted at the encoded size.
 		s.Comm.SetVectorCodec(cfg.Dim, cfg.WireVectorBytes())
 		s.PGAS.SetVectorCodec(cfg.Dim, cfg.WireVectorBytes())
 	}
@@ -292,20 +284,12 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	}
 	if cfg.Functional {
 		wrng := sim.NewRNG(cfg.Seed ^ 0xE3B0)
-		if cfg.Sharding == RowWise {
-			allFeatures := make([]int, cfg.TotalTables)
-			for i := range allFeatures {
-				allFeatures[i] = i
+		for g := 0; g < cfg.GPUs; g++ {
+			rowsPer := make([]int, len(spec.plan[g]))
+			for i, fid := range spec.plan[g] {
+				rowsPer[i] = cfg.tableRows(fid)
 			}
-			s.globalColl = embedding.NewCollection(allFeatures, cfg.Rows, cfg.Dim, cfg.Pooling, wrng)
-		} else {
-			for g := 0; g < cfg.GPUs; g++ {
-				rowsPer := make([]int, len(spec.plan[g]))
-				for i, fid := range spec.plan[g] {
-					rowsPer[i] = cfg.tableRows(fid)
-				}
-				s.colls = append(s.colls, embedding.NewCollectionWithRows(spec.plan[g], rowsPer, cfg.Dim, cfg.Pooling, wrng))
-			}
+			s.colls = append(s.colls, embedding.NewCollectionWithRows(spec.plan[g], rowsPer, cfg.Dim, cfg.Pooling, wrng))
 		}
 		if cfg.WireCodecActive() {
 			// Quantize-at-rest: round-trip every table through the wire codec
@@ -324,10 +308,6 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 				}
 			}
 		}
-	}
-	if cfg.Sharding == TableWise {
-		s.ownerKeys = make([]int64, cfg.GPUs)
-		s.ownerBytes = make([]float64, cfg.GPUs)
 	}
 	if cfg.AdaptivePlacement {
 		// The run owns a mutable copy of the plan (rebalance epochs rewrite

@@ -203,16 +203,12 @@ type System struct {
 
 	// ownerKeys/ownerBytes accumulate each GPU's served embedding load:
 	// keys gathered from its shard and bytes leaving its HBM on behalf of
-	// all consumers (table-wise plans only; nil otherwise).
+	// all consumers.
 	ownerKeys  []int64
 	ownerBytes []float64
 
 	// Functional state (nil slices in timing mode).
 	colls []*embedding.Collection
-	// globalColl holds the full-row tables shared by all GPUs under
-	// row-wise sharding (each GPU logically owns a row range; the
-	// functional simulation keeps one copy of the truth).
-	globalColl *embedding.Collection
 }
 
 // NewSystem builds a spec and wires one run from it — the one-shot entry
@@ -229,16 +225,6 @@ func NewSystem(cfg Config, hw HardwareParams) (*System, error) {
 
 // SaveShard checkpoints GPU g's embedding tables (functional mode only).
 func (s *System) SaveShard(g int, w io.Writer) error {
-	if s.Cfg.Sharding == RowWise {
-		if g != 0 {
-			return fmt.Errorf("retrieval: row-wise tables are shared; checkpoint shard 0")
-		}
-		coll, err := s.GlobalCollection()
-		if err != nil {
-			return err
-		}
-		return embedding.SaveCollection(w, coll)
-	}
 	coll, err := s.Collection(g)
 	if err != nil {
 		return err
@@ -247,12 +233,9 @@ func (s *System) SaveShard(g int, w io.Writer) error {
 }
 
 // LoadShard replaces GPU g's embedding tables from a checkpoint written by
-// SaveShard (functional mode, table-wise sharding). The checkpoint must
-// describe the same feature IDs, rows and dimension.
+// SaveShard (functional mode only). The checkpoint must describe the same
+// feature IDs, rows and dimension.
 func (s *System) LoadShard(g int, r io.Reader) error {
-	if s.Cfg.Sharding == RowWise {
-		return fmt.Errorf("retrieval: LoadShard supports table-wise sharding only")
-	}
 	c, err := embedding.LoadCollection(r)
 	if err != nil {
 		return err
@@ -279,24 +262,6 @@ func (s *System) LoadShard(g int, r io.Reader) error {
 	return nil
 }
 
-// GlobalCollection returns the shared full-row tables. It errors outside
-// row-wise functional mode (table-wise shards live in Collection; timing-only
-// systems materialise no weights).
-func (s *System) GlobalCollection() (*embedding.Collection, error) {
-	if s.globalColl == nil {
-		if s.Cfg.Sharding != RowWise {
-			return nil, fmt.Errorf("retrieval: GlobalCollection is row-wise; use Collection(g) for table-wise systems")
-		}
-		return nil, fmt.Errorf("retrieval: GlobalCollection needs functional mode (timing-only systems hold no weights)")
-	}
-	return s.globalColl, nil
-}
-
-// RowShard returns GPU g's row range under row-wise sharding.
-func (s *System) RowShard(g int) (lo, hi int) {
-	return embedding.RowShardRange(s.Cfg.Rows, s.Cfg.GPUs, g)
-}
-
 // globalIndexTotal returns the pooled-index total across ALL features for
 // samples [lo, hi).
 func (s *System) globalIndexTotal(sum *workload.Summary, lo, hi int) int64 {
@@ -318,14 +283,10 @@ func (s *System) Minibatch(g int) (lo, hi int) {
 	return sparse.MinibatchRange(s.Cfg.BatchSize, s.Cfg.GPUs, g)
 }
 
-// Collection returns GPU g's table shard. It errors outside table-wise
-// functional mode (row-wise tables are shared, see GlobalCollection;
-// timing-only systems materialise no weights).
+// Collection returns GPU g's table shard. It errors outside functional mode
+// (timing-only systems materialise no weights).
 func (s *System) Collection(g int) (*embedding.Collection, error) {
 	if s.colls == nil {
-		if s.Cfg.Sharding == RowWise {
-			return nil, fmt.Errorf("retrieval: Collection is table-wise; use GlobalCollection for row-wise systems")
-		}
 		return nil, fmt.Errorf("retrieval: Collection needs functional mode (timing-only systems hold no weights)")
 	}
 	if g < 0 || g >= len(s.colls) {
@@ -473,7 +434,7 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	defer func() { s.batchSeq++ }()
 	bd := &BatchData{Slot: s.batchSeq % s.PipelineDepth()}
 	if !s.Cfg.Functional {
-		if s.cacheEnabled() || s.dedupEnabled() || s.placementEnabled() {
+		if s.cacheEnabled() || s.Cfg.Dedup || s.placementEnabled() {
 			// The route-plan compiler (and the placement statistics feed)
 			// needs real indices; materialise the batch, compile, then drop
 			// it — timing runs keep no data plane. The pooling stream (and
@@ -495,20 +456,11 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	// Derive the summary from the materialised batch so timing is identical
 	// to what NextSummary would have produced (same pooling stream).
 	bd.Summary = summaryFromBatch(bd.Sparse)
-	if s.Cfg.Sharding == RowWise {
-		// Row-wise: every GPU sees the full batch of every feature (the
-		// expensive input distribution the paper's future work discusses).
-		bd.Parts = make([]*sparse.Batch, s.Cfg.GPUs)
-		for g := range bd.Parts {
-			bd.Parts[g] = bd.Sparse
-		}
-	} else {
-		parts, err := sparse.PartitionByFeature(bd.Sparse, s.Plan)
-		if err != nil {
-			return nil, err
-		}
-		bd.Parts = parts
+	parts, err := sparse.PartitionByFeature(bd.Sparse, s.Plan)
+	if err != nil {
+		return nil, err
 	}
+	bd.Parts = parts
 	for g := 0; g < s.Cfg.GPUs; g++ {
 		lo, hi := s.Minibatch(g)
 		bd.Final = append(bd.Final, tensor.New(hi-lo, s.Cfg.TotalTables, s.Cfg.Dim))
@@ -569,10 +521,10 @@ type Backend interface {
 }
 
 // ConfigValidator is implemented by backends that constrain the
-// configurations they can execute (e.g. the row-wise backends require
-// row-wise sharding). Run setup validates before any simulated process
-// starts, so misuse surfaces as a descriptive error instead of a mid-run
-// panic.
+// configurations they can execute (e.g. the staged and aggregated PGAS
+// variants reject replicated shards). Run setup validates before any
+// simulated process starts, so misuse surfaces as a descriptive error
+// instead of a mid-run panic.
 type ConfigValidator interface {
 	ValidateConfig(cfg Config) error
 }
@@ -623,7 +575,7 @@ type Result struct {
 	// OwnerKeys[g] / OwnerBytes[g] are GPU g's served embedding load across
 	// the run: keys gathered from its shard and bytes leaving its HBM on
 	// behalf of all consumers. metrics.Imbalance over either quantifies how
-	// skewed the placement was. Table-wise sharding only; nil otherwise.
+	// skewed the placement was.
 	OwnerKeys  []int64
 	OwnerBytes []float64
 	// Rebalances counts adaptive-placement plan swaps; MigratedBytes is the
@@ -746,10 +698,8 @@ func (s *System) finishResult(res *Result, b Backend, batches []*BatchData) {
 	res.Breakdown = trace.MergeMax(res.PerGPU...)
 	res.CommTrace = s.commTrace(b)
 	res.DedupStats = s.dedupStats
-	if s.ownerKeys != nil {
-		res.OwnerKeys = append([]int64(nil), s.ownerKeys...)
-		res.OwnerBytes = append([]float64(nil), s.ownerBytes...)
-	}
+	res.OwnerKeys = append([]int64(nil), s.ownerKeys...)
+	res.OwnerBytes = append([]float64(nil), s.ownerBytes...)
 	res.Rebalances = s.rebalances
 	res.MigratedBytes = s.migratedBytes
 	if s.Net != nil {

@@ -163,7 +163,7 @@ func NewServer(base retrieval.Config, hw retrieval.HardwareParams, backend retri
 		return nil, err
 	}
 	srv.model = model
-	if slots := base.CacheSlots(hw.GPU); slots > 0 && base.GPUs > 1 && base.Sharding == retrieval.TableWise {
+	if slots := base.CacheSlots(hw.GPU); slots > 0 && base.GPUs > 1 {
 		srv.caches = cache.NewSet(base.GPUs, slots, base.Dim, base.Functional)
 	}
 	if base.AdaptivePlacement {

@@ -41,6 +41,10 @@ func (v *VolumeTrace) Add(start, end sim.Time, bytes float64) {
 	v.intervals = append(v.intervals, Interval{Start: start, End: end, Bytes: bytes})
 }
 
+// Reset empties the trace in place, keeping its capacity for reuse. Slices
+// previously returned by Intervals are overwritten by later Adds.
+func (v *VolumeTrace) Reset() { v.intervals = v.intervals[:0] }
+
 // Intervals returns the raw attributed intervals (shared slice; callers
 // must not mutate).
 func (v *VolumeTrace) Intervals() []Interval { return v.intervals }

@@ -226,15 +226,6 @@ func NewBackwardBaseline() Backend { return &retrieval.BackwardBaseline{} }
 // remote atomic gradient pushes fused with the table-update kernel.
 func NewBackwardPGAS() Backend { return &retrieval.BackwardPGAS{} }
 
-// Sharding schemes (Config.Sharding).
-const (
-	// TableWiseSharding gives each GPU whole tables (the paper's setup).
-	TableWiseSharding = retrieval.TableWise
-	// RowWiseSharding splits every table's rows across GPUs (RecShard
-	// style); requires sum pooling and the row-wise backends.
-	RowWiseSharding = retrieval.RowWise
-)
-
 // IndexDist selects the synthetic workload's index distribution
 // (Config.Distribution).
 type IndexDist = workload.IndexDist
@@ -246,13 +237,6 @@ const (
 	// regime where the hot-row cache and index deduplication win.
 	ZipfIndices = workload.Zipf
 )
-
-// NewRowWiseBaseline returns the reduce-scatter row-wise EMB forward.
-func NewRowWiseBaseline() Backend { return &retrieval.RowWiseBaseline{} }
-
-// NewRowWisePGAS returns the one-sided atomic-accumulate row-wise EMB
-// forward.
-func NewRowWisePGAS() Backend { return &retrieval.RowWisePGAS{} }
 
 // NewInputStaged decorates a backend with the sparse-input pipeline (CPU
 // partition + host-to-device copy). overlap=true models the paper's
