@@ -39,8 +39,7 @@ func NewPipeline(cfg retrieval.Config, hw retrieval.HardwareParams, backend retr
 
 // NewPipelineFromSpec wires a pipeline run from an existing immutable spec —
 // the entry point for executing many pipeline runs of one configuration
-// concurrently. The backend's configuration constraints are validated here,
-// before any simulated process starts.
+// concurrently.
 func NewPipelineFromSpec(spec *retrieval.SystemSpec, backend retrieval.Backend) (*Pipeline, error) {
 	cfg := spec.Config()
 	model, err := NewModel(DefaultModelConfig(cfg.TotalTables, cfg.Dim), cfg.Seed)
@@ -53,13 +52,9 @@ func NewPipelineFromSpec(spec *retrieval.SystemSpec, backend retrieval.Backend) 
 // NewPipelineRun wires one pipeline run with a caller-owned model and an
 // explicit run seed — the serving layer's entry point: one trained model is
 // shared (read-only) across every dispatched request batch, while each
-// dispatch gets its own workload seed. The backend's configuration
-// constraints are validated here, before any simulated process starts.
+// dispatch gets its own workload seed.
 func NewPipelineRun(spec *retrieval.SystemSpec, backend retrieval.Backend, model *Model, seed uint64) (*Pipeline, error) {
 	cfg := spec.Config()
-	if err := retrieval.ValidateBackend(backend, cfg); err != nil {
-		return nil, err
-	}
 	if model.Cfg.NumSparse != cfg.TotalTables || model.Cfg.EmbDim != cfg.Dim {
 		return nil, fmt.Errorf("dlrm: model shape (%d sparse, dim %d) does not match configuration (%d, %d)",
 			model.Cfg.NumSparse, model.Cfg.EmbDim, cfg.TotalTables, cfg.Dim)
@@ -125,9 +120,6 @@ func (pl *Pipeline) Run() (*PipelineResult, error) {
 func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	s := pl.Sys
 	cfg := s.Cfg
-	if err := retrieval.ValidateBackend(pl.Backend, cfg); err != nil {
-		return nil, err
-	}
 	res := &PipelineResult{Backend: pl.Backend.Name()}
 
 	perGPU := make([]*trace.Breakdown, cfg.GPUs)

@@ -36,15 +36,9 @@ func NewTrainer(cfg retrieval.Config, hw retrieval.HardwareParams, fwd, bwd retr
 
 // NewTrainerFromSpec wires a trainer run from an existing immutable spec —
 // the entry point for executing many training runs of one configuration
-// concurrently. Both backends' configuration constraints are validated here.
+// concurrently.
 func NewTrainerFromSpec(spec *retrieval.SystemSpec, fwd, bwd retrieval.Backend) (*Trainer, error) {
 	cfg := spec.Config()
-	if err := retrieval.ValidateBackend(fwd, cfg); err != nil {
-		return nil, err
-	}
-	if err := retrieval.ValidateBackend(bwd, cfg); err != nil {
-		return nil, err
-	}
 	sys, err := spec.NewRun()
 	if err != nil {
 		return nil, err
@@ -81,12 +75,6 @@ func (tr *Trainer) Run() (*TrainResult, error) {
 func (tr *Trainer) RunContext(ctx context.Context) (*TrainResult, error) {
 	s := tr.Sys
 	cfg := s.Cfg
-	if err := retrieval.ValidateBackend(tr.Forward, cfg); err != nil {
-		return nil, err
-	}
-	if err := retrieval.ValidateBackend(tr.Backward, cfg); err != nil {
-		return nil, err
-	}
 	res := &TrainResult{ForwardName: tr.Forward.Name(), BackwardName: tr.Backward.Name()}
 
 	perGPU := make([]*trace.Breakdown, cfg.GPUs)

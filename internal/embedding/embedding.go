@@ -9,7 +9,6 @@ import (
 	"math"
 
 	"pgasemb/internal/sim"
-	"pgasemb/internal/sparse"
 	"pgasemb/internal/tensor"
 )
 
@@ -188,37 +187,6 @@ func (c *Collection) Bytes() int64 {
 		sum += t.Bytes()
 	}
 	return sum
-}
-
-// tableFor returns the table index for a global feature ID, or -1.
-func (c *Collection) tableFor(featureID int) int {
-	for i, id := range c.FeatureIDs {
-		if id == featureID {
-			return i
-		}
-	}
-	return -1
-}
-
-// Forward runs the EMB layer forward pass over a (partitioned) batch whose
-// features must all belong to this collection. The result has shape
-// (batchSize, numLocalFeatures, Dim) with features ordered as in the batch.
-func (c *Collection) Forward(batch *sparse.Batch) *tensor.Tensor {
-	out := tensor.New(batch.Size, len(batch.Features), c.Dim)
-	data := out.Data()
-	for fi := range batch.Features {
-		fb := &batch.Features[fi]
-		ti := c.tableFor(fb.FeatureID)
-		if ti < 0 {
-			panic(fmt.Sprintf("embedding: feature %d not in collection", fb.FeatureID))
-		}
-		tbl := c.Tables[ti]
-		for s := 0; s < batch.Size; s++ {
-			off := (s*len(batch.Features) + fi) * c.Dim
-			tbl.LookupPooled(fb.Bag(s), c.Mode, data[off:off+c.Dim])
-		}
-	}
-	return out
 }
 
 // TableWisePlan assigns totalTables tables to gpus in contiguous blocks —

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"pgasemb/internal/sim"
-	"pgasemb/internal/sparse"
 )
 
 func TestHashIndexInRange(t *testing.T) {
@@ -181,53 +180,6 @@ func TestAccumulateGrad(t *testing.T) {
 		}()
 		tbl.AccumulateGrad([]int64{1}, make([]float32, 3))
 	}()
-}
-
-func TestCollectionForward(t *testing.T) {
-	rng := sim.NewRNG(8)
-	c := NewCollection([]int{5, 9}, 20, 3, SumPooling, rng)
-	if c.Bytes() != 2*20*3*4 {
-		t.Fatalf("collection bytes = %d", c.Bytes())
-	}
-	batch := &sparse.Batch{
-		Size: 2,
-		Features: []sparse.FeatureBag{
-			{FeatureID: 9, Offsets: []int32{0, 1, 3}, Indices: []int64{4, 5, 6}},
-			{FeatureID: 5, Offsets: []int32{0, 0, 1}, Indices: []int64{7}},
-		},
-	}
-	out := c.Forward(batch)
-	if out.Dim(0) != 2 || out.Dim(1) != 2 || out.Dim(2) != 3 {
-		t.Fatalf("forward shape %v", out.Shape())
-	}
-	// Sample 0, feature index 0 in batch order (= global feature 9), bag {4}.
-	want := make([]float32, 3)
-	c.Tables[1].LookupPooled([]int64{4}, SumPooling, want) // table for ID 9
-	for i := 0; i < 3; i++ {
-		if out.At(0, 0, i) != want[i] {
-			t.Fatalf("forward (0,0,:) wrong at %d", i)
-		}
-	}
-	// Sample 0, global feature 5 is NULL.
-	for i := 0; i < 3; i++ {
-		if out.At(0, 1, i) != 0 {
-			t.Fatal("NULL bag not zero in forward output")
-		}
-	}
-}
-
-func TestCollectionForwardUnknownFeaturePanics(t *testing.T) {
-	c := NewCollection([]int{0}, 10, 2, SumPooling, sim.NewRNG(9))
-	batch := &sparse.Batch{
-		Size:     1,
-		Features: []sparse.FeatureBag{{FeatureID: 3, Offsets: []int32{0, 0}}},
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("unknown feature did not panic")
-		}
-	}()
-	c.Forward(batch)
 }
 
 func TestTableWisePlan(t *testing.T) {

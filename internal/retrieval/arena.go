@@ -15,13 +15,13 @@ package retrieval
 // gpuScratch is one GPU's reusable per-batch working memory.
 type gpuScratch struct {
 	vec         []float32   // Dim-sized pooling scratch
-	packBuf     []float32   // baseline send-segment packing (miss-only / unique rows)
+	packBuf     []float32   // send-buffer packing (served pairs' vectors / unique rows)
 	recvBuf     []float32   // baseline all-to-all receive buffer
 	sendSegs    [][]float32 // baseline functional segment tables
 	recvSegs    [][]float32
 	sendBytes   []float64 // baseline timing segment sizes
 	recvBytes   []float64
-	perPeer     []int // pgas per-peer skip tallies
+	perPeer     []int // pgas per-peer store and skip tallies
 	cursors     []int // pgas dedup wire-streaming cursors
 	nodeCursors []int // pgas node-dedup wire-streaming cursors
 }

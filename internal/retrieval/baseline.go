@@ -43,20 +43,20 @@ func (b *Baseline) CommTrace(s *System) *trace.VolumeTrace {
 	return s.Comm.Volume()
 }
 
+// RunBatch walks the (shard, consumer) pairs the batch's route plan has GPU
+// g serving: without replication, its own shard to every consumer; with
+// Config.Replicas, whatever pairs the plan assigned it — mirrored shards
+// included. Segment sizes, codec counts and unpack work all come from the
+// same per-pair counts.
 func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	if s.Cfg.Replicas > 1 {
-		b.runReplicated(s, p, g, bd, bk)
-		return
-	}
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb")
 	sc := s.scratchFor(g, bd)
-	fg := s.LocalTables(g)
 	lo, hi := s.Minibatch(g)
 	mini := hi - lo
 
-	// Hot-row cache discounts: vectors this owner skips (a hit at their
+	// Hot-row cache discounts: vectors a served pair skips (a hit at their
 	// consumer) and vectors this consumer pools from its own cache. Both are
 	// zero when the cache is disabled (plan.Cache == nil). All routing
 	// decisions come from the batch's compiled plan; the views only supply
@@ -64,28 +64,43 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	skipVecs, skipIdx := view.SkipFrom(g)
 	hitVecs, hitIdx := view.HitAt(g)
 	vb := float64(cfg.VectorBytes())
 
-	// --- Phase 1: lookup + pooling kernel over the full batch of local
-	// tables, writing every pooled vector into the rank-ordered send buffer —
-	// minus skipped hit vectors, plus the consumer-side cache gathers (which
-	// read the small hot working set at near-streaming efficiency).
-	totalIdx := s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize) - skipIdx
+	// --- Phase 1: lookup + pooling kernel over every served pair, writing
+	// each pooled vector into the rank-ordered send buffer — minus skipped
+	// hit vectors, plus the consumer-side cache gathers (which read the small
+	// hot working set at near-streaming efficiency).
 	var kernel sim.Duration
 	if dv == nil {
-		readBytes := float64(totalIdx)*vb + // gathered table rows
+		var idx int64
+		vecs := 0
+		for c := 0; c < cfg.GPUs; c++ {
+			clo, chi := s.Minibatch(c)
+			for o := 0; o < cfg.GPUs; o++ {
+				if plan.ServeGPU(o, c) != g {
+					continue
+				}
+				idx += s.localIndexTotal(bd.Summary, o, clo, chi)
+				if view != nil {
+					idx -= view.WireIdx[o][c]
+				}
+				vecs += plan.pairVecs(o, c)
+			}
+		}
+		readBytes := float64(idx)*vb + // gathered table rows
 			dev.HotReadEquivalent(float64(hitIdx)*vb) // gathered cached rows
-		streamBytes := float64(totalIdx+hitIdx)*8 + // index reads
-			float64(cfg.BatchSize*fg-skipVecs+hitVecs)*vb // output stores
-		kernel = dev.GatherKernelCost(readBytes, streamBytes, cfg.BatchSize*fg-skipVecs+hitVecs)
+		streamBytes := float64(idx+hitIdx)*8 + // index reads
+			float64(vecs+hitVecs)*vb // output stores
+		kernel = dev.GatherKernelCost(readBytes, streamBytes, vecs+hitVecs)
 	} else {
 		// Deduplicated: decompose the kernel per destination pair. Wire pairs
 		// gather and stage each unique row once (no pooling — the consumer
 		// expands); gather-dedup pairs stage unique rows and serve duplicate
 		// references from the hot working set; dense pairs keep the original
 		// cost shape. The conservative index-stream term is unchanged.
+		_, skipIdx := view.SkipFrom(g)
+		totalIdx := s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize) - skipIdx
 		readBytes := dev.HotReadEquivalent(float64(hitIdx) * vb)
 		streamBytes := float64(totalIdx+hitIdx)*8 + float64(hitVecs)*vb
 		items := hitVecs
@@ -111,12 +126,9 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		kernel = dev.GatherKernelCost(readBytes, streamBytes, items)
 	}
 
-	var outputs *tensor.Tensor
+	var pack []float32
 	if cfg.Functional {
-		// Collection.Forward produces (B, F_local, d) sample-major — with
-		// contiguous minibatches this IS the rank-ordered all-to-all send
-		// layout. (Mode is validated at run setup, so the shard exists.)
-		outputs = s.colls[g].Forward(bd.Parts[g])
+		pack = b.functionalPack(s, g, bd, sc)
 	}
 	_, kernelEnd := stream.Launch(p, kernel)
 	p.WaitUntil(kernelEnd)
@@ -129,15 +141,15 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 
 	if cfg.GPUs == 1 {
 		if cfg.Functional {
-			// Single GPU: outputs are already the final minibatch, just in
-			// (B, F_local, d) layout == (mini, TotalTables, d).
-			bd.Final[g].CopyFrom(outputs.Reshape(mini, cfg.TotalTables, cfg.Dim))
+			// Single GPU: the send buffer is already the final minibatch,
+			// (B, F_local, d) == (mini, TotalTables, d).
+			copy(bd.Final[g].Data(), pack)
 		}
 		return
 	}
 
-	// Owner-side wire encode: compress every off-diagonal segment before the
-	// collective ships it. A pure streaming kernel priced from the plan's
+	// Sender-side wire encode: compress every segment served to a remote
+	// consumer before the collective ships it. A pure streaming kernel priced from the plan's
 	// counts, so timing and functional runs charge identically.
 	if cfg.WireCodecActive() {
 		encStart := p.Now()
@@ -152,75 +164,31 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		bk.Accumulate(CompComputation, p.Now()-encStart)
 	}
 
-	// --- Phase 2: all_to_all_single. Segment for dst = dst's minibatch
-	// rows of the local outputs. The collective is stream-ordered: under a
-	// pipelined schedule it cannot launch past dense kernels already queued
-	// on the compute stream (the exchange gate), which is why the baseline
-	// overlaps only its pre-collective phases with the previous batch's
-	// dense compute.
+	// --- Phase 2: all_to_all_single. Segment for peer = every pair this GPU
+	// serves peer, and the receive segment from peer every pair peer serves
+	// this GPU. The collective is stream-ordered: under a pipelined schedule
+	// it cannot launch past dense kernels already queued on the compute
+	// stream (the exchange gate), which is why the baseline overlaps only its
+	// pre-collective phases with the previous batch's dense compute.
 	commStart := p.Now()
 	s.awaitExchangeGate(p, g)
 	var recvBuf []float32
 	if cfg.Functional {
 		sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
 		recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
-		out := outputs.Data()
-		rowFloats := fg * cfg.Dim
-		// Receive-segment sizes: wire sources ship unique rows, dense sources
-		// ship miss vectors; pack-buffer demand covers every packed send.
-		recvFloats, packFloats := 0, 0
+		recvFloats := 0
 		for peer := 0; peer < cfg.GPUs; peer++ {
-			recvFloats += plan.CollectiveVecs(peer, g) * cfg.Dim
-			if peer == g {
-				continue
-			}
-			if plan.CollectiveClass(g, peer) == RouteWire {
-				packFloats += int(dv.Uniq[g][peer]) * cfg.Dim
-			} else if view != nil {
-				packFloats += plan.CollectiveVecs(g, peer) * cfg.Dim
-			}
+			recvFloats += plan.segmentVecs(peer, g) * cfg.Dim
 		}
 		recvBuf = scratchSlice(&sc.recvBuf, recvFloats)
-		pack := scratchSlice(&sc.packBuf, packFloats)
-		packAt := 0
-		at := 0
+		sendAt, recvAt := 0, 0
 		for peer := 0; peer < cfg.GPUs; peer++ {
-			plo, phi := s.Minibatch(peer)
-			switch {
-			case plan.CollectiveClass(g, peer) == RouteWire:
-				// Wire dedup: gather each of the pair's unique rows once, in
-				// first-seen order; the consumer's expansion map addresses
-				// them by position.
-				seg := pack[packAt : packAt+int(dv.Uniq[g][peer])*cfg.Dim]
-				packAt += len(seg)
-				for i, key := range dv.Keys[g][peer] {
-					fi := int(key >> 32)
-					row := int(uint32(key))
-					w := s.colls[g].Tables[fi].Weights.Data()
-					copy(seg[i*cfg.Dim:(i+1)*cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
-				}
-				sendSegs[peer] = seg
-			case view == nil || peer == g:
-				sendSegs[peer] = out[plo*rowFloats : phi*rowFloats]
-			default:
-				// Pack miss-only vectors in the same sample-major order the
-				// contiguous slice would have carried.
-				seg := pack[packAt:packAt]
-				for smp := plo; smp < phi; smp++ {
-					for fi := 0; fi < fg; fi++ {
-						if view.Hit[g][fi*cfg.BatchSize+smp] {
-							continue
-						}
-						off := (smp*fg + fi) * cfg.Dim
-						seg = append(seg, out[off:off+cfg.Dim]...)
-					}
-				}
-				packAt += len(seg)
-				sendSegs[peer] = seg
-			}
-			vecs := plan.CollectiveVecs(peer, g)
-			recvSegs[peer] = recvBuf[at : at+vecs*cfg.Dim]
-			at += vecs * cfg.Dim
+			n := plan.segmentVecs(g, peer) * cfg.Dim
+			sendSegs[peer] = pack[sendAt : sendAt+n]
+			sendAt += n
+			n = plan.segmentVecs(peer, g) * cfg.Dim
+			recvSegs[peer] = recvBuf[recvAt : recvAt+n]
+			recvAt += n
 		}
 		s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
 	} else {
@@ -233,8 +201,8 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 			if peer == g {
 				continue
 			}
-			sendBytes[peer] = float64(plan.CollectiveVecs(g, peer)) * wvb
-			recvBytes[peer] = float64(plan.CollectiveVecs(peer, g)) * wvb
+			sendBytes[peer] = float64(plan.segmentVecs(g, peer)) * wvb
+			recvBytes[peer] = float64(plan.segmentVecs(peer, g)) * wvb
 		}
 		s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
 	}
@@ -257,32 +225,32 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		}
 	}
 	if !b.DirectPlacement {
-		if dv == nil {
-			remoteBytes := float64(mini*(cfg.TotalTables-fg)-hitVecs) * vb
-			unpack := dev.UnpackKernelCost(remoteBytes, cfg.GPUs-1)
+		// Without dedup every remotely served segment needs the
+		// rearrangement kernel; with it only dense incoming segments do, and
+		// wire segments go through the expansion kernel below instead. When
+		// no peer serves this GPU anything (all mirrored locally, or every
+		// source deduplicated), the unpack launch and its fixed cost
+		// disappear entirely.
+		var remote int64
+		segments := 0
+		for src := 0; src < cfg.GPUs; src++ {
+			switch {
+			case src == g: // its own segments are already in place
+			case dv == nil:
+				if plan.serves(src, g) {
+					remote += int64(plan.segmentVecs(src, g))
+					segments++
+				}
+			case plan.CollectiveClass(src, g) == RouteDense:
+				remote += dv.DenseVecs[src][g]
+				segments++
+			}
+		}
+		if segments > 0 {
+			unpack := dev.UnpackKernelCost(float64(remote)*vb, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
 			p.WaitUntil(unpackEnd)
 			stream.Synchronize(p)
-		} else {
-			// Only dense incoming segments need the rearrangement kernel;
-			// wire segments go through the expansion kernel below instead.
-			// When every source deduplicated, the unpack launch (and its
-			// fixed cost) disappears entirely.
-			var remoteBytes float64
-			segments := 0
-			for src := 0; src < cfg.GPUs; src++ {
-				if plan.CollectiveClass(src, g) != RouteDense {
-					continue
-				}
-				remoteBytes += float64(dv.DenseVecs[src][g]) * vb
-				segments++
-			}
-			if segments > 0 {
-				unpack := dev.UnpackKernelCost(remoteBytes, segments)
-				_, unpackEnd := stream.Launch(p, unpack)
-				p.WaitUntil(unpackEnd)
-				stream.Synchronize(p)
-			}
 		}
 	}
 	if dv != nil {
@@ -313,44 +281,92 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
 }
 
+// functionalPack pools every vector GPU g ships this batch into the send
+// buffer, consumer-major: for each consumer, the shards g serves it in
+// ascending order, each pair sample-major minus its cache-hit vectors — or,
+// on a wire-dedup pair, the pair's unique rows in first-seen order (the
+// consumer's expansion map addresses them by position). With contiguous
+// minibatches this is the rank-ordered all-to-all send layout.
+func (b *Baseline) functionalPack(s *System, g int, bd *BatchData, sc *gpuScratch) []float32 {
+	cfg := s.Cfg
+	plan := bd.Plan
+	view := plan.Cache
+	floats := 0
+	for c := 0; c < cfg.GPUs; c++ {
+		floats += plan.segmentVecs(g, c) * cfg.Dim
+	}
+	pack := scratchSlice(&sc.packBuf, floats)
+	at := 0
+	for c := 0; c < cfg.GPUs; c++ {
+		clo, chi := s.Minibatch(c)
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g {
+				continue
+			}
+			coll := s.colls[o]
+			if plan.CollectiveClass(o, c) == RouteWire {
+				for _, key := range plan.Dedup.Keys[o][c] {
+					w := coll.Tables[int(key>>32)].Weights.Data()
+					row := int(uint32(key))
+					at += copy(pack[at:at+cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
+				}
+				continue
+			}
+			part := bd.Parts[o]
+			for smp := clo; smp < chi; smp++ {
+				for fi := range part.Features {
+					if view != nil && view.Hit[o][fi*cfg.BatchSize+smp] {
+						continue
+					}
+					coll.Tables[fi].LookupPooled(part.Features[fi].Bag(smp), coll.Mode, pack[at:at+cfg.Dim])
+					at += cfg.Dim
+				}
+			}
+		}
+	}
+	return pack
+}
+
 // functionalUnpack rearranges the received rank-major buffer
-// [src][sample][srcLocalFeature][d] into final[sample][globalFeature][d],
-// consuming the buffer sequentially and skipping cache-hit vectors (which
-// never travelled — their final slots were pooled from the cache at
-// classification time). Wire-deduplicated segments carry unique rows instead
-// of vectors; those are expanded (re-pooled) in place. In the
-// DirectPlacement ablation this copy models what a scattering NIC would have
-// done; it costs no simulated time there.
+// [server][shard][sample][shardLocalFeature][d] into
+// final[sample][globalFeature][d], consuming the buffer sequentially and
+// skipping cache-hit vectors (which never travelled — their final slots were
+// pooled from the cache at classification time). Wire-deduplicated segments
+// carry unique rows instead of vectors; those are expanded (re-pooled) in
+// place. In the DirectPlacement ablation this copy models what a scattering
+// NIC would have done; it costs no simulated time there.
 func (b *Baseline) functionalUnpack(s *System, g, mini int, recvBuf []float32, bd *BatchData) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	final := bd.Final[g]
 	lo, _ := s.Minibatch(g)
-	dst := final.Data()
+	dst := bd.Final[g].Data()
 	at := 0
-	for src := 0; src < cfg.GPUs; src++ {
-		if plan.CollectiveClass(src, g) == RouteWire {
-			rows := recvBuf[at : at+int(dv.Uniq[src][g])*cfg.Dim]
-			at += len(rows)
-			s.functionalExpand(g, src, rows, dv.Expand[src][g], bd.Summary, view, dst)
-			continue
-		}
-		fsrc := s.LocalTables(src)
-		var hitRow []bool
-		if view != nil && src != g {
-			hitRow = view.Hit[src]
-		}
-		for smp := 0; smp < mini; smp++ {
-			for fi := 0; fi < fsrc; fi++ {
-				if hitRow != nil && hitRow[fi*cfg.BatchSize+lo+smp] {
-					continue
+	for server := 0; server < cfg.GPUs; server++ {
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, g) != server {
+				continue
+			}
+			if plan.CollectiveClass(o, g) == RouteWire {
+				rows := recvBuf[at : at+int(dv.Uniq[o][g])*cfg.Dim]
+				at += len(rows)
+				s.functionalExpand(g, o, rows, dv.Expand[o][g], bd.Summary, view, dst)
+				continue
+			}
+			var hitRow []bool
+			if view != nil {
+				hitRow = view.Hit[o]
+			}
+			for smp := 0; smp < mini; smp++ {
+				for fi, globalFID := range s.Plan[o] {
+					if hitRow != nil && hitRow[fi*cfg.BatchSize+lo+smp] {
+						continue
+					}
+					to := dst[(smp*cfg.TotalTables+globalFID)*cfg.Dim:]
+					copy(to[:cfg.Dim], recvBuf[at:at+cfg.Dim])
+					at += cfg.Dim
 				}
-				globalFID := s.Plan[src][fi]
-				to := dst[(smp*cfg.TotalTables+globalFID)*cfg.Dim:]
-				copy(to[:cfg.Dim], recvBuf[at:at+cfg.Dim])
-				at += cfg.Dim
 			}
 		}
 	}

@@ -26,9 +26,6 @@ import (
 // barrier — the same per-slot hot path the pipelined DLRM scheduler runs,
 // still allocation-free in steady state.
 func BenchLoop(s *System, b Backend, n int) error {
-	if err := ValidateBackend(b, s.Cfg); err != nil {
-		return err
-	}
 	if n <= 0 {
 		return fmt.Errorf("retrieval: BenchLoop needs a positive batch count, got %d", n)
 	}

@@ -244,23 +244,6 @@ func TestRunContextCancelled(t *testing.T) {
 	}
 }
 
-func TestValidateBackendRejectsUnsupportedConfig(t *testing.T) {
-	// Backend/configuration misuse must surface as a setup error, not a
-	// mid-run panic: staged PGAS stores address fixed owners, so they reject
-	// replicated shards, directly and through a decorator.
-	cfg := TestScaleConfig(2)
-	cfg.Replicas = 2
-	s, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, b := range []Backend{&PGASFused{StageRemote: true}, &InputStaged{Inner: &PGASFused{StageRemote: true}}} {
-		if _, err := s.Run(b); err == nil {
-			t.Fatalf("%s accepted a replicated configuration", b.Name())
-		}
-	}
-}
-
 func TestCollectionAccessorsReturnErrors(t *testing.T) {
 	s, err := NewSystem(TestScaleConfig(2), DefaultHardware())
 	if err != nil {

@@ -111,7 +111,7 @@ func (b *Hybrid) scanRoutes(s *System, plan *RoutePlan) (anyColl, allColl bool) 
 func (b *Hybrid) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
 	if s.Cfg.Replicas > 1 {
 		// Replica failover re-routes (shard, consumer) pairs per batch; the
-		// uniform one-sided path handles every routing the Serve matrix can
+		// uniform one-sided path handles every routing the serve matrix can
 		// produce, so delegate wholesale.
 		b.pgas.RunBatch(s, p, g, bd, bk)
 		return

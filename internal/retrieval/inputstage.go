@@ -30,15 +30,6 @@ func (b *InputStaged) Name() string {
 	return b.Inner.Name() + "+input"
 }
 
-// ValidateConfig implements ConfigValidator by delegating to the wrapped
-// backend's constraints.
-func (b *InputStaged) ValidateConfig(cfg Config) error {
-	if v, ok := b.Inner.(ConfigValidator); ok {
-		return v.ValidateConfig(cfg)
-	}
-	return nil
-}
-
 // inputCost returns the per-batch input-stage time for GPU g: the CPU scans
 // the global batch's index data once (every GPU waits on it), then this
 // GPU's share crosses PCIe.

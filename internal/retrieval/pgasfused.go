@@ -1,8 +1,6 @@
 package retrieval
 
 import (
-	"fmt"
-
 	"pgasemb/internal/pgas"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -46,30 +44,19 @@ func (b *PGASFused) Name() string {
 	}
 }
 
-// ValidateConfig implements ConfigValidator.
-func (b *PGASFused) ValidateConfig(cfg Config) error {
-	if cfg.Replicas > 1 && (b.StageRemote || b.Aggregate != nil) {
-		return fmt.Errorf("shard replication supports the fused store path only (staging and aggregation " +
-			"address fixed owners; replica failover re-routes pairs per batch)")
-	}
-	return nil
-}
-
+// RunBatch walks the (shard, consumer) pairs the batch's route plan has GPU
+// g serving: without replication, its own shard to every consumer; with
+// Config.Replicas, whatever pairs the plan assigned it — mirrored shards
+// included, consumer-local pairs storing straight into HBM. Kernel items,
+// one-sided stores, staged unpack bytes and codec counts all come from the
+// same per-pair counts.
 func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	if s.Cfg.Replicas > 1 {
-		b.runReplicated(s, p, g, bd, bk)
-		return
-	}
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb-fused")
 	sc := s.scratchFor(g, bd)
 	pe := s.PGAS.PE(g)
 	pe.SetSlot(bd.Slot)
-	fg := s.LocalTables(g)
-	lo, hi := s.Minibatch(g)
-	mini := hi - lo
-	peers := cfg.GPUs - 1
 
 	var agg *pgas.Aggregator
 	if b.Aggregate != nil {
@@ -84,16 +71,29 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	wireVecBytes := cfg.WireVectorBytes() // per-vector payload on the transport
 
 	// Hot-row cache discounts (zero when plan.Cache is nil): the kernel's
-	// occupancy is set by the whole batch's real item count — skipped hit
-	// vectors removed, consumer-side cache gathers added. With dedup, wire
-	// pairs contribute their unique rows as items instead of dense vectors.
-	// All routing decisions come from the batch's compiled plan.
+	// occupancy is set by the whole batch's real item count — every served
+	// pair's vectors minus their hits, plus consumer-side cache gathers. The
+	// per-peer store overhead covers the consumers this GPU serves remotely.
+	// With dedup, wire pairs contribute their unique rows as items instead of
+	// dense vectors. All routing decisions come from the batch's compiled
+	// plan.
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	batchSkipVecs, _ := view.SkipFrom(g)
 	batchHitVecs, _ := view.HitAt(g)
-	kernelItems := cfg.BatchSize*fg - batchSkipVecs + batchHitVecs
+	kernelItems, peers := batchHitVecs, 0
+	for c := 0; c < cfg.GPUs; c++ {
+		served := false
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) == g {
+				kernelItems += plan.pairVecs(o, c)
+				served = true
+			}
+		}
+		if served && c != g {
+			peers++
+		}
+	}
 	if dv != nil {
 		for d := 0; d < cfg.GPUs; d++ {
 			if plan.Class(g, d) == RouteWire {
@@ -109,7 +109,7 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		}
 	}
 	var perPeer []int
-	if view != nil && !cfg.Functional && dv == nil {
+	if !cfg.Functional && dv == nil {
 		perPeer = scratchSlice(&sc.perPeer, cfg.GPUs)
 	}
 
@@ -153,21 +153,7 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		}
 		var cost sim.Duration
 		if dv == nil {
-			for i := range perPeer {
-				perPeer[i] = 0
-			}
-			skipVecs, skipIdx := plan.OwnerChunkHits(bd.Summary, g, s0, s1, perPeer)
-			hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
-			chunkIdx := s.localIndexTotal(bd.Summary, g, s0, s1) - skipIdx
-			// Local outputs store to HBM; remote outputs leave from registers.
-			localSamples := overlap(s0, s1, lo, hi)
-			remoteSamples := (s1 - s0) - localSamples
-			readBytes := float64(chunkIdx)*fvb +
-				dev.HotReadEquivalent(float64(hitIdx)*fvb)
-			streamBytes := float64(chunkIdx+hitIdx)*8 + float64(localSamples*fg+hitVecs)*fvb
-			cost = dev.GatherKernelChunkCost(readBytes, streamBytes, (s1-s0)*fg-skipVecs+hitVecs, kernelItems) +
-				dev.RemoteIssueCost(remoteSamples*fg-skipVecs) +
-				sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
+			cost = b.servedChunkCost(s, g, bd, s0, s1, kernelItems, peers, perPeer)
 		} else {
 			cost = b.dedupChunkCost(s, g, bd, s0, s1, kernelItems)
 		}
@@ -196,15 +182,14 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 			case RouteWire:
 				vecs = plan.NewKeysIn(g, peer, s0, s1)
 			default:
-				plo, phi := s.Minibatch(peer)
-				vecs = overlap(s0, s1, plo, phi) * fg
-				if dv != nil {
-					o0, o1 := clampRange(s0, s1, plo, phi)
-					hitV, _ := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
-					vecs -= hitV
-				} else if perPeer != nil {
-					vecs -= perPeer[peer]
+				if dv == nil {
+					vecs = perPeer[peer]
+					break
 				}
+				plo, phi := s.Minibatch(peer)
+				o0, o1 := clampRange(s0, s1, plo, phi)
+				hitV, _ := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
+				vecs = overlap(s0, s1, plo, phi)*s.LocalTables(g) - hitV
 			}
 			if vecs == 0 {
 				continue
@@ -281,8 +266,20 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		// A2 ablation: remote stores landed rank-ordered; rearrange.
 		unpackStart := p.Now()
 		var remoteBytes float64
+		segments := 0
+		for src := 0; src < cfg.GPUs; src++ {
+			if src != g && plan.serves(src, g) {
+				segments++
+			}
+		}
 		if dv == nil {
-			remoteBytes = float64(mini*(cfg.TotalTables-fg)-batchHitVecs) * fvb
+			var remote int64
+			for o := 0; o < cfg.GPUs; o++ {
+				if plan.ServeGPU(o, g) != g {
+					remote += int64(plan.pairVecs(o, g))
+				}
+			}
+			remoteBytes = float64(remote) * fvb
 		} else {
 			myNode := s.nodeOf(g)
 			for src := 0; src < cfg.GPUs; src++ {
@@ -302,9 +299,11 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 				}
 			}
 		}
-		unpack := dev.UnpackKernelCost(remoteBytes, cfg.GPUs-1)
-		_, unpackEnd := stream.Launch(p, unpack)
-		p.WaitUntil(unpackEnd)
+		if segments > 0 {
+			unpack := dev.UnpackKernelCost(remoteBytes, segments)
+			_, unpackEnd := stream.Launch(p, unpack)
+			p.WaitUntil(unpackEnd)
+		}
 		bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
 	}
 
@@ -323,6 +322,54 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	syncStart := p.Now()
 	stream.Synchronize(p)
 	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
+}
+
+// servedChunkCost prices one chunk of the fused kernel over every
+// (shard, consumer) pair GPU g serves: each pair gathers its cache-missed
+// vectors, consumer-local pairs store them to HBM, remote pairs issue
+// one-sided stores, and the consumer's own cache hits are gathered from the
+// hot working set. It tallies each remote consumer's store count for the
+// chunk into perPeer (timing mode; nil in functional mode).
+func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, perPeer []int) sim.Duration {
+	cfg := s.Cfg
+	dev := s.Devs[g]
+	plan := bd.Plan
+	fvb := float64(cfg.VectorBytes())
+	var chunkIdx int64
+	items, localVecs, issues := 0, 0, 0
+	for c := 0; c < cfg.GPUs; c++ {
+		if perPeer != nil {
+			perPeer[c] = 0
+		}
+		clo, chi := s.Minibatch(c)
+		o0, o1 := clampRange(s0, s1, clo, chi)
+		if o1 <= o0 {
+			continue
+		}
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g {
+				continue
+			}
+			hitV, hitI := plan.OwnerChunkHits(bd.Summary, o, o0, o1, nil)
+			vecs := (o1-o0)*s.LocalTables(o) - hitV
+			chunkIdx += s.localIndexTotal(bd.Summary, o, o0, o1) - hitI
+			items += vecs
+			if c == g {
+				localVecs += vecs
+				continue
+			}
+			issues += vecs
+			if perPeer != nil {
+				perPeer[c] += vecs
+			}
+		}
+	}
+	hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
+	readBytes := float64(chunkIdx)*fvb + dev.HotReadEquivalent(float64(hitIdx)*fvb)
+	streamBytes := float64(chunkIdx+hitIdx)*8 + float64(localVecs+hitVecs)*fvb
+	return dev.GatherKernelChunkCost(readBytes, streamBytes, items+hitVecs, kernelItems) +
+		dev.RemoteIssueCost(issues) +
+		sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
 }
 
 // dedupChunkCost prices one chunk of the deduplicated fused kernel by
@@ -408,20 +455,20 @@ func clampRange(a0, a1, b0, b1 int) (int, int) {
 	return a0, a1
 }
 
-// functionalChunk pools every (sample, feature) output in [s0, s1) and
-// stores it one-sidedly at its final address on the owning GPU — except
-// cache-hit vectors, which the consumer already pooled locally, and wire
-// pairs, where only the unique rows first referenced in this chunk are
-// streamed (in canonical first-seen order) into the owner's staging buffer;
-// the owner expands them after the dedup barrier.
+// functionalChunk pools every (sample, feature) output in [s0, s1) of the
+// shards this GPU serves the sample's consumer, and stores it one-sidedly at
+// its final address on the consumer — except cache-hit vectors, which the
+// consumer already pooled locally, and wire pairs, where only the unique rows
+// first referenced in this chunk are streamed (in canonical first-seen order)
+// into the consumer's staging buffer; the consumer expands them after the
+// dedup barrier.
 func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData, s0, s1 int, scratch []float32, cursors, nodeCursors []int, agg *pgas.Aggregator) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
 	pe := s.PGAS.PE(g)
-	part := bd.Parts[g]
-	coll := s.colls[g]
+	coll := s.colls[g] // wire routes ship g's own rows (dedup runs are unreplicated)
 	for smp := s0; smp < s1; smp++ {
 		owner := sparse.OwnerOfSample(cfg.BatchSize, cfg.GPUs, smp)
 		olo, _ := s.Minibatch(owner)
@@ -482,21 +529,25 @@ func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData
 			cursors[owner] = cur + n
 			continue
 		}
-		dstTensor := bd.Final[owner]
-		dstData := dstTensor.Data()
-		for fi := range part.Features {
-			if view != nil && view.Hit[g][fi*cfg.BatchSize+smp] {
+		dstData := bd.Final[owner].Data()
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, owner) != g {
 				continue
 			}
-			fb := &part.Features[fi]
-			coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
-			globalFID := fb.FeatureID
-			off := ((smp-olo)*cfg.TotalTables + globalFID) * cfg.Dim
-			dst := dstData[off : off+cfg.Dim]
-			if agg != nil {
-				agg.Store(s.PGAS.PE(owner), dst, scratch)
-			} else {
-				pe.PutFloat32s(s.PGAS.PE(owner), dst, scratch)
+			part, coll := bd.Parts[o], s.colls[o]
+			for fi := range part.Features {
+				if view != nil && view.Hit[o][fi*cfg.BatchSize+smp] {
+					continue
+				}
+				fb := &part.Features[fi]
+				coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
+				off := ((smp-olo)*cfg.TotalTables + fb.FeatureID) * cfg.Dim
+				dst := dstData[off : off+cfg.Dim]
+				if agg != nil {
+					agg.Store(s.PGAS.PE(owner), dst, scratch)
+				} else {
+					pe.PutFloat32s(s.PGAS.PE(owner), dst, scratch)
+				}
 			}
 		}
 	}

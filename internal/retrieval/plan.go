@@ -68,22 +68,47 @@ type RoutePlan struct {
 	Cache *CacheView
 	Dedup *DedupView
 
-	// Serve is the batch's replica routing (nil unless Config.Replicas > 1):
-	// Serve[o][c] is the GPU that serves shard o's vectors to consumer c,
+	// serve is the batch's replica routing (nil unless Config.Replicas > 1):
+	// serve[o][c] is the GPU that serves shard o's vectors to consumer c,
 	// chosen from the shard's healthy replicas — the consumer itself when it
 	// holds a mirror, otherwise the replica with the best degradation-aware
 	// path to the consumer. Computed host-side per batch from the fault
 	// schedule, so recompilation routes around links that fault mid-run.
-	Serve [][]int
+	// Backends read it only through ServeGPU.
+	serve [][]int
 }
 
 // ServeGPU returns the GPU serving shard o to consumer c (o itself without
 // replication).
 func (p *RoutePlan) ServeGPU(o, c int) int {
-	if p.Serve == nil {
+	if p.serve == nil {
 		return o
 	}
-	return p.Serve[o][c]
+	return p.serve[o][c]
+}
+
+// serves reports whether GPU server serves consumer c at least one shard.
+// Without replication every GPU serves every consumer its own shard.
+func (p *RoutePlan) serves(server, c int) bool {
+	for o := 0; o < p.sys.Cfg.GPUs; o++ {
+		if p.ServeGPU(o, c) == server {
+			return true
+		}
+	}
+	return false
+}
+
+// pairVecs returns the pooled vectors shard o owes consumer c this batch:
+// c's minibatch times o's tables, minus the vectors c reads from its own
+// cache or hot-table mirrors.
+func (p *RoutePlan) pairVecs(o, c int) int {
+	s := p.sys
+	lo, hi := s.Minibatch(c)
+	vecs := (hi - lo) * s.LocalTables(o)
+	if v := p.Cache; v != nil {
+		vecs -= v.WireVecs[o][c]
+	}
+	return vecs
 }
 
 // Class returns the (owner src → consumer dst) route under a one-sided
@@ -125,62 +150,65 @@ func (p *RoutePlan) NodeWire(src, node int) bool {
 }
 
 // CollectiveVecs returns how many vectors owner src contributes to consumer
-// dst's receive segment of the pair-addressed all-to-all: the contiguous
-// local segment on the diagonal, the pair's unique rows on a wire route, the
-// cache-missed dense vectors otherwise.
+// dst's receive segment of the pair-addressed all-to-all: the pair's unique
+// rows on a wire route, its cache-missed pooled vectors otherwise (the whole
+// contiguous local segment on the diagonal).
 func (p *RoutePlan) CollectiveVecs(src, dst int) int {
-	s := p.sys
-	dlo, dhi := s.Minibatch(dst)
-	mini := dhi - dlo
-	if src == dst {
-		return mini * s.LocalTables(src)
+	if p.CollectiveClass(src, dst) == RouteWire {
+		return int(p.Dedup.Uniq[src][dst])
 	}
-	if dv := p.Dedup; dv != nil {
-		if dv.Wire[src][dst] {
-			return int(dv.Uniq[src][dst])
+	return p.pairVecs(src, dst)
+}
+
+// segmentVecs returns the vectors GPU server ships into consumer dst's
+// all-to-all segment: CollectiveVecs summed over every shard the plan has
+// server serving dst. Without replication that is CollectiveVecs(server, dst).
+func (p *RoutePlan) segmentVecs(server, dst int) int {
+	vecs := 0
+	for o := 0; o < p.sys.Cfg.GPUs; o++ {
+		if p.ServeGPU(o, dst) == server {
+			vecs += p.CollectiveVecs(o, dst)
 		}
-		return int(dv.DenseVecs[src][dst])
-	}
-	vecs := mini * s.LocalTables(src)
-	if v := p.Cache; v != nil {
-		vecs -= v.WireVecs[src][dst]
 	}
 	return vecs
 }
 
 // CollectiveCodecVecs returns the vectors GPU g encodes into and decodes out
 // of the pair-addressed all-to-all when a wire codec is active: every
-// off-diagonal segment it contributes (sent) and receives (recv). Diagonal
-// segments stay local HBM traffic and are never encoded.
+// off-diagonal segment it contributes (sent) and receives (recv). Segments a
+// GPU serves itself — its own minibatch, mirror-local reads — stay local HBM
+// traffic and are never encoded.
 func (p *RoutePlan) CollectiveCodecVecs(g int) (sent, recv int64) {
 	for peer := 0; peer < p.sys.Cfg.GPUs; peer++ {
 		if peer == g {
 			continue
 		}
-		sent += int64(p.CollectiveVecs(g, peer))
-		recv += int64(p.CollectiveVecs(peer, g))
+		sent += int64(p.segmentVecs(g, peer))
+		recv += int64(p.segmentVecs(peer, g))
 	}
 	return sent, recv
 }
 
-// OneSidedCodecVecs returns the vectors GPU g encodes (as an owner issuing
+// OneSidedCodecVecs returns the vectors GPU g encodes (as a server issuing
 // one-sided stores) and decodes (as a consumer, before expand/unpack) when a
-// wire codec is active. Node-wire routes ship each node-deduplicated row
-// once per destination node (counted once on the send side), and every
-// consumer on the node decodes the full staged set its expansion references.
+// wire codec is active, over every (shard, consumer) pair served across the
+// wire. Node-wire routes ship each node-deduplicated row once per
+// destination node (counted once on the send side), and every consumer on
+// the node decodes the full staged set its expansion references.
 func (p *RoutePlan) OneSidedCodecVecs(g int) (sent, recv int64) {
 	s := p.sys
-	for d := 0; d < s.Cfg.GPUs; d++ {
-		if d == g {
-			continue
+	for o := 0; o < s.Cfg.GPUs; o++ {
+		for c := 0; c < s.Cfg.GPUs; c++ {
+			if c != g && p.ServeGPU(o, c) == g && p.Class(o, c) != RouteNodeWire {
+				sent += int64(p.CollectiveVecs(o, c))
+			}
 		}
-		if p.Class(g, d) != RouteNodeWire {
-			sent += int64(p.CollectiveVecs(g, d))
-		}
-		if p.Class(d, g) == RouteNodeWire {
-			recv += p.Dedup.NodeUniq[d][s.nodeOf(g)]
-		} else {
-			recv += int64(p.CollectiveVecs(d, g))
+		switch {
+		case p.ServeGPU(o, g) == g: // served locally, never on the wire
+		case p.Class(o, g) == RouteNodeWire:
+			recv += p.Dedup.NodeUniq[o][s.nodeOf(g)]
+		default:
+			recv += int64(p.CollectiveVecs(o, g))
 		}
 	}
 	if dv := p.Dedup; dv != nil && dv.NodeWire != nil {
@@ -188,28 +216,6 @@ func (p *RoutePlan) OneSidedCodecVecs(g int) (sent, recv int64) {
 			if wire {
 				sent += dv.NodeUniq[g][node]
 			}
-		}
-	}
-	return sent, recv
-}
-
-// ReplicatedCodecVecs returns the vectors GPU g encodes (pairs the batch's
-// Serve matrix has it serving to REMOTE consumers) and decodes (pairs remote
-// GPUs serve to it) when a wire codec is active. Replicated runs only
-// (Serve != nil); consumer-local mirror reads never touch the wire.
-func (p *RoutePlan) ReplicatedCodecVecs(g int) (sent, recv int64) {
-	s := p.sys
-	glo, ghi := s.Minibatch(g)
-	for o := 0; o < s.Cfg.GPUs; o++ {
-		fgo := int64(s.LocalTables(o))
-		for c := 0; c < s.Cfg.GPUs; c++ {
-			if c != g && p.Serve[o][c] == g {
-				clo, chi := s.Minibatch(c)
-				sent += int64(chi-clo) * fgo
-			}
-		}
-		if p.Serve[o][g] != g {
-			recv += int64(ghi-glo) * fgo
 		}
 	}
 	return sent, recv
@@ -286,7 +292,7 @@ func (s *System) compileRoutePlan(bd *BatchData) {
 		s.attachDedup(bd, plan.Dedup) // sets bd.Dedup and the expansion plumbing
 	}
 	if s.Cfg.Replicas > 1 {
-		plan.Serve = s.computeServe(s.batchSeq + s.faultOffset)
+		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
 	}
 }
 

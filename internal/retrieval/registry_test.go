@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"pgasemb/internal/fault"
+	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
 )
 
@@ -224,9 +225,6 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 			timeGate(t, sched, 0, FP32)
 		})
 	}
-	if name == "pgas-overlap-only" {
-		return // staging addresses fixed owners; replication is rejected by design
-	}
 	t.Run(fmt.Sprintf("%s/%s+replicas2", name, machine), func(t *testing.T) {
 		sched, err := fault.Profile("flaky-link", 99)
 		if err != nil {
@@ -239,4 +237,56 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 			timeGate(t, sched, 2, prec)
 		}
 	})
+}
+
+// The staged (A2) and aggregated (A3) PGAS variants price their unpack bytes
+// and per-target stores from the same served-pair counts as the fused path,
+// so they run replicated shards too — directly and through the input-stage
+// decorator — and stay bit-exact with timing equal to functional while
+// failover re-routes pairs under a flaky link.
+func TestReplicasComposeWithStagedAndAggregatedPGAS(t *testing.T) {
+	sched, err := fault.Profile("flaky-link", 99)
+	if err != nil {
+		t.Fatal(err)
+	}
+	backends := []func() Backend{
+		func() Backend { return &PGASFused{StageRemote: true} },
+		func() Backend {
+			return &PGASFused{Aggregate: &AggregatorConfig{FlushBytes: 4096, MaxWait: sim.Millisecond}}
+		},
+		func() Backend { return &InputStaged{Inner: &PGASFused{StageRemote: true}} },
+	}
+	for _, newBackend := range backends {
+		t.Run(newBackend().Name(), func(t *testing.T) {
+			run := func(functional bool) *Result {
+				cfg := clusterTestConfig(4)
+				cfg.Replicas = 2
+				cfg.Functional = functional
+				hw := DefaultHardware()
+				hw.Faults = sched
+				s, err := NewSystem(cfg, hw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res, err := s.Run(newBackend())
+				if err != nil {
+					t.Fatal(err)
+				}
+				if functional {
+					want := mustReference(t, s, res.LastBatch)
+					for g := range want {
+						if !tensor.Equal(res.Final[g], want[g]) {
+							t.Fatalf("GPU %d differs from reference (max diff %g)",
+								g, tensor.MaxAbsDiff(res.Final[g], want[g]))
+						}
+					}
+				}
+				return res
+			}
+			fRes, tRes := run(true), run(false)
+			if math.Abs(fRes.TotalTime-tRes.TotalTime) > 1e-9 {
+				t.Errorf("functional total %g != timing total %g", fRes.TotalTime, tRes.TotalTime)
+			}
+		})
+	}
 }

@@ -1,11 +1,6 @@
 package retrieval
 
-import (
-	"pgasemb/internal/fault"
-	"pgasemb/internal/sim"
-	"pgasemb/internal/sparse"
-	"pgasemb/internal/trace"
-)
+import "pgasemb/internal/fault"
 
 // Replicated shards (Config.Replicas > 1): shard o's tables are mirrored on
 // GPUs (o+k) mod GPUs for k < Replicas, and the route-plan compiler picks,
@@ -13,15 +8,18 @@ import (
 // consumer itself when it holds a mirror (the remote read becomes a local
 // gather), otherwise the replica with the best degradation-aware path. The
 // selection is a pure function of (fault schedule, batch index, machine
-// shape), so every GPU derives the same Serve matrix host-side and no
-// agreement protocol runs on the simulated machine.
+// shape), so every GPU derives the same serve matrix host-side and no
+// agreement protocol runs on the simulated machine. Backends walk the pairs
+// each GPU serves through RoutePlan.ServeGPU, so a replicated run takes the
+// same batch path as an unreplicated one, whose serve matrix is the
+// identity.
 //
 // Functionally, mirrors alias the primary shard's collection (s.colls[o]):
 // replication changes which GPU reads the weights, never the weights
 // themselves, so replicated results are bit-exact against the serial
 // reference under any fault schedule by construction.
 
-// computeServe builds the batch's replica routing: Serve[o][c] is the GPU
+// computeServe builds the batch's replica routing: serve[o][c] is the GPU
 // serving shard o to consumer c. Ties between equally healthy replicas break
 // toward the smallest replica offset k, keeping the choice deterministic.
 func (s *System) computeServe(batch int) [][]int {
@@ -68,358 +66,4 @@ func (s *System) replicaPathBW(sched *fault.Schedule, batch, r, c int) float64 {
 	}
 	links := float64(s.Fab.Topology().Links(r, c))
 	return links * s.HW.Link.LinkBandwidth * sched.LinkFactor(batch, r, c)
-}
-
-// runReplicated is the baseline's replicated path: the same three phases
-// (gather kernel, all_to_all_single, unpack), except GPU g gathers every
-// vector of every (shard, consumer) pair the plan assigned to it — from its
-// mirrors as well as its primary shard — and the all-to-all's segment sizes
-// follow the Serve matrix instead of the identity routing.
-func (b *Baseline) runReplicated(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	cfg := s.Cfg
-	dev := s.Devs[g]
-	stream := dev.Stream("emb")
-	sc := s.scratchFor(g, bd)
-	plan := bd.Plan
-	vb := float64(cfg.VectorBytes())
-	lo, hi := s.Minibatch(g)
-	mini := hi - lo
-
-	// --- Phase 1: one gather kernel over every served (shard, consumer)
-	// pair, writing pooled vectors into the rank-ordered send buffer.
-	var totalIdx int64
-	items := 0
-	for o := 0; o < cfg.GPUs; o++ {
-		fgo := s.LocalTables(o)
-		for c := 0; c < cfg.GPUs; c++ {
-			if plan.Serve[o][c] != g {
-				continue
-			}
-			clo, chi := s.Minibatch(c)
-			totalIdx += s.localIndexTotal(bd.Summary, o, clo, chi)
-			items += (chi - clo) * fgo
-		}
-	}
-	readBytes := float64(totalIdx) * vb
-	streamBytes := float64(totalIdx)*8 + float64(items)*vb
-	kernel := dev.GatherKernelCost(readBytes, streamBytes, items)
-
-	var pack []float32
-	if cfg.Functional {
-		// Consumer-major, shard-ascending, sample-major within a pair — the
-		// canonical order the consumer's unpack walks.
-		pack = scratchSlice(&sc.packBuf, items*cfg.Dim)
-		at := 0
-		for c := 0; c < cfg.GPUs; c++ {
-			clo, chi := s.Minibatch(c)
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][c] != g {
-					continue
-				}
-				coll := s.colls[o]
-				part := bd.Parts[o]
-				for smp := clo; smp < chi; smp++ {
-					for fi := range part.Features {
-						coll.Tables[fi].LookupPooled(part.Features[fi].Bag(smp), coll.Mode, pack[at:at+cfg.Dim])
-						at += cfg.Dim
-					}
-				}
-			}
-		}
-	}
-	_, kernelEnd := stream.Launch(p, kernel)
-	p.WaitUntil(kernelEnd)
-	bk.Accumulate(CompComputation, kernel+dev.Params().KernelLaunch)
-
-	syncStart := p.Now()
-	stream.Synchronize(p)
-	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
-
-	// Owner-side wire encode of every remotely served segment.
-	if cfg.WireCodecActive() {
-		encStart := p.Now()
-		sent, _ := plan.ReplicatedCodecVecs(g)
-		if sent > 0 {
-			wvb := float64(cfg.WireVectorBytes())
-			enc := dev.EncodeKernelCost(float64(sent)*vb, float64(sent)*wvb)
-			_, encEnd := stream.Launch(p, enc)
-			p.WaitUntil(encEnd)
-			stream.Synchronize(p)
-		}
-		bk.Accumulate(CompComputation, p.Now()-encStart)
-	}
-
-	// --- Phase 2: all_to_all_single with Serve-derived segment sizes. The
-	// collective is stream-ordered behind the exchange gate under pipelining.
-	commStart := p.Now()
-	s.awaitExchangeGate(p, g)
-	var recvBuf []float32
-	if cfg.Functional {
-		sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
-		recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
-		recvFloats := 0
-		for o := 0; o < cfg.GPUs; o++ {
-			recvFloats += mini * s.LocalTables(o) * cfg.Dim
-		}
-		recvBuf = scratchSlice(&sc.recvBuf, recvFloats)
-		sendAt, recvAt := 0, 0
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			plo, phi := s.Minibatch(peer)
-			sendFloats, peerRecv := 0, 0
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][peer] == g {
-					sendFloats += (phi - plo) * s.LocalTables(o) * cfg.Dim
-				}
-				if plan.Serve[o][g] == peer {
-					peerRecv += mini * s.LocalTables(o) * cfg.Dim
-				}
-			}
-			sendSegs[peer] = pack[sendAt : sendAt+sendFloats]
-			sendAt += sendFloats
-			recvSegs[peer] = recvBuf[recvAt : recvAt+peerRecv]
-			recvAt += peerRecv
-		}
-		s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
-	} else {
-		sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
-		recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
-		wvb := float64(cfg.WireVectorBytes())
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			sendBytes[peer] = 0
-			recvBytes[peer] = 0
-			if peer == g {
-				continue
-			}
-			plo, phi := s.Minibatch(peer)
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][peer] == g {
-					sendBytes[peer] += float64((phi-plo)*s.LocalTables(o)) * wvb
-				}
-				if plan.Serve[o][g] == peer {
-					recvBytes[peer] += float64(mini*s.LocalTables(o)) * wvb
-				}
-			}
-		}
-		s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
-	}
-	bk.Accumulate(CompComm, p.Now()-commStart)
-
-	// --- Phase 3: unpack the remotely served segments into the final layout.
-	unpackStart := p.Now()
-	// Consumer-side wire decode of every remotely served segment (runs under
-	// DirectPlacement too — the ablation removes only the rearrangement).
-	if cfg.WireCodecActive() {
-		if _, recv := plan.ReplicatedCodecVecs(g); recv > 0 {
-			wvb := float64(cfg.WireVectorBytes())
-			dec := dev.DecodeKernelCost(float64(recv)*wvb, float64(recv)*vb)
-			_, decEnd := stream.Launch(p, dec)
-			p.WaitUntil(decEnd)
-			stream.Synchronize(p)
-		}
-	}
-	if !b.DirectPlacement {
-		var remoteBytes float64
-		segments := 0
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			if peer == g {
-				continue
-			}
-			served := 0
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][g] == peer {
-					served += mini * s.LocalTables(o)
-				}
-			}
-			if served > 0 {
-				remoteBytes += float64(served) * vb
-				segments++
-			}
-		}
-		if segments > 0 {
-			unpack := dev.UnpackKernelCost(remoteBytes, segments)
-			_, unpackEnd := stream.Launch(p, unpack)
-			p.WaitUntil(unpackEnd)
-			stream.Synchronize(p)
-		}
-	}
-	if cfg.Functional {
-		dst := bd.Final[g].Data()
-		at := 0
-		for src := 0; src < cfg.GPUs; src++ {
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][g] != src {
-					continue
-				}
-				for smp := 0; smp < mini; smp++ {
-					for _, globalFID := range s.Plan[o] {
-						to := dst[(smp*cfg.TotalTables+globalFID)*cfg.Dim:]
-						copy(to[:cfg.Dim], recvBuf[at:at+cfg.Dim])
-						at += cfg.Dim
-					}
-				}
-			}
-		}
-	}
-	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
-}
-
-// runReplicated is PGASFused's replicated path: the chunked fused kernel
-// gathers every (shard, consumer) pair the Serve matrix assigned to this GPU
-// — consumer-local pairs store pooled vectors straight into HBM (the
-// failover read the replication exists for), remote pairs leave as one-sided
-// stores exactly like the dense path.
-func (b *PGASFused) runReplicated(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	cfg := s.Cfg
-	dev := s.Devs[g]
-	stream := dev.Stream("emb-fused")
-	sc := s.scratchFor(g, bd)
-	pe := s.PGAS.PE(g)
-	pe.SetSlot(bd.Slot)
-	plan := bd.Plan
-	vecBytes := cfg.VectorBytes()
-	fvb := float64(vecBytes)
-	wireVecBytes := cfg.WireVectorBytes()
-
-	batchStart := p.Now()
-	p.Wait(dev.Params().KernelLaunch)
-
-	// Owner-side wire encode of every remotely served vector, folded into
-	// the fused window like the dense path's.
-	if cfg.WireCodecActive() {
-		if sent, _ := plan.ReplicatedCodecVecs(g); sent > 0 {
-			p.Wait(dev.EncodeKernelCost(float64(sent)*fvb, float64(sent)*float64(wireVecBytes)))
-		}
-	}
-
-	// Occupancy is set by every vector this GPU serves across the batch; the
-	// per-peer store overhead covers only consumers actually served remotely.
-	kernelItems, peers := 0, 0
-	for c := 0; c < cfg.GPUs; c++ {
-		clo, chi := s.Minibatch(c)
-		served := 0
-		for o := 0; o < cfg.GPUs; o++ {
-			if plan.Serve[o][c] == g {
-				served += (chi - clo) * s.LocalTables(o)
-			}
-		}
-		kernelItems += served
-		if served > 0 && c != g {
-			peers++
-		}
-	}
-
-	var scratch []float32
-	if cfg.Functional {
-		scratch = scratchSlice(&sc.vec, cfg.Dim)
-	}
-
-	chunks := cfg.ChunksPerKernel
-	for k := 0; k < chunks; k++ {
-		s0 := cfg.BatchSize * k / chunks
-		s1 := cfg.BatchSize * (k + 1) / chunks
-		if s0 == s1 {
-			continue
-		}
-		var readBytes, streamBytes float64
-		var chunkIdx int64
-		items, issues := 0, 0
-		for c := 0; c < cfg.GPUs; c++ {
-			clo, chi := s.Minibatch(c)
-			o0, o1 := clampRange(s0, s1, clo, chi)
-			if o1 <= o0 {
-				continue
-			}
-			ovl := o1 - o0
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][c] != g {
-					continue
-				}
-				pairIdx := s.localIndexTotal(bd.Summary, o, o0, o1)
-				chunkIdx += pairIdx
-				readBytes += float64(pairIdx) * fvb
-				vecs := ovl * s.LocalTables(o)
-				items += vecs
-				if c == g {
-					streamBytes += float64(vecs) * fvb
-				} else {
-					issues += vecs
-				}
-			}
-		}
-		streamBytes += float64(chunkIdx) * 8
-		cost := dev.GatherKernelChunkCost(readBytes, streamBytes, items, kernelItems) +
-			dev.RemoteIssueCost(issues) +
-			sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
-		p.Wait(cost)
-
-		if cfg.Functional {
-			b.replicatedChunk(s, g, bd, s0, s1, scratch)
-			continue
-		}
-		for c := 0; c < cfg.GPUs; c++ {
-			if c == g {
-				continue
-			}
-			clo, chi := s.Minibatch(c)
-			o0, o1 := clampRange(s0, s1, clo, chi)
-			if o1 <= o0 {
-				continue
-			}
-			vecs := 0
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.Serve[o][c] == g {
-					vecs += (o1 - o0) * s.LocalTables(o)
-				}
-			}
-			if vecs > 0 {
-				pe.PutVectors(s.PGAS.PE(c), vecs, wireVecBytes)
-			}
-		}
-	}
-
-	pe.QuietSlot(p, bd.Slot)
-	bk.Accumulate(CompFused, p.Now()-batchStart)
-
-	// Consumer-side wire decode of everything remotely served to this GPU.
-	if cfg.WireCodecActive() {
-		decStart := p.Now()
-		if _, recv := plan.ReplicatedCodecVecs(g); recv > 0 {
-			dec := dev.DecodeKernelCost(float64(recv)*float64(wireVecBytes), float64(recv)*fvb)
-			_, decEnd := stream.Launch(p, dec)
-			p.WaitUntil(decEnd)
-		}
-		bk.Accumulate(CompSyncUnpack, p.Now()-decStart)
-	}
-
-	syncStart := p.Now()
-	stream.Synchronize(p)
-	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
-}
-
-// replicatedChunk pools and stores the chunk's served outputs: for every
-// sample, every shard this GPU serves to the sample's owner ships its pooled
-// vectors one-sidedly to their final addresses (a local copy when the owner
-// is this GPU — the mirror-local read).
-func (b *PGASFused) replicatedChunk(s *System, g int, bd *BatchData, s0, s1 int, scratch []float32) {
-	cfg := s.Cfg
-	plan := bd.Plan
-	pe := s.PGAS.PE(g)
-	for smp := s0; smp < s1; smp++ {
-		owner := sparse.OwnerOfSample(cfg.BatchSize, cfg.GPUs, smp)
-		olo, _ := s.Minibatch(owner)
-		dstData := bd.Final[owner].Data()
-		for o := 0; o < cfg.GPUs; o++ {
-			if plan.Serve[o][owner] != g {
-				continue
-			}
-			coll := s.colls[o]
-			part := bd.Parts[o]
-			for fi := range part.Features {
-				fb := &part.Features[fi]
-				coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
-				off := ((smp-olo)*cfg.TotalTables + fb.FeatureID) * cfg.Dim
-				pe.PutFloat32s(s.PGAS.PE(owner), dstData[off:off+cfg.Dim], scratch)
-			}
-		}
-	}
 }

@@ -520,25 +520,6 @@ type Backend interface {
 	RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown)
 }
 
-// ConfigValidator is implemented by backends that constrain the
-// configurations they can execute (e.g. the staged and aggregated PGAS
-// variants reject replicated shards). Run setup validates before any
-// simulated process starts, so misuse surfaces as a descriptive error
-// instead of a mid-run panic.
-type ConfigValidator interface {
-	ValidateConfig(cfg Config) error
-}
-
-// ValidateBackend checks b against cfg when b implements ConfigValidator.
-func ValidateBackend(b Backend, cfg Config) error {
-	if v, ok := b.(ConfigValidator); ok {
-		if err := v.ValidateConfig(cfg); err != nil {
-			return fmt.Errorf("retrieval: backend %s: %w", b.Name(), err)
-		}
-	}
-	return nil
-}
-
 // Result summarises one Run.
 type Result struct {
 	Backend string
@@ -599,9 +580,6 @@ func (s *System) Run(b Backend) (*Result, error) {
 // cancelled run leaves the System in an undefined mid-simulation state;
 // discard it and build a fresh run from the spec.
 func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
-	if err := ValidateBackend(b, s.Cfg); err != nil {
-		return nil, err
-	}
 	res := &Result{
 		Backend: b.Name(),
 		Cfg:     s.Cfg,

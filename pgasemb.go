@@ -22,17 +22,12 @@ package pgasemb
 import (
 	"context"
 
-	"pgasemb/internal/cache"
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/experiments"
-	"pgasemb/internal/fabric"
 	"pgasemb/internal/fault"
-	"pgasemb/internal/metrics"
 	"pgasemb/internal/nvlink"
-	"pgasemb/internal/pgas"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/serve"
-	"pgasemb/internal/workload"
 )
 
 // Core experiment types.
@@ -54,11 +49,6 @@ type (
 	Result = retrieval.Result
 	// Backend is an EMB-layer retrieval implementation.
 	Backend = retrieval.Backend
-	// Baseline is the NCCL collective implementation (kernel → sync →
-	// all_to_all_single → unpack).
-	Baseline = retrieval.Baseline
-	// PGASFused is the paper's one-sided fused-kernel implementation.
-	PGASFused = retrieval.PGASFused
 	// AggregatorConfig enables the future-work aggregated-store variant.
 	AggregatorConfig = retrieval.AggregatorConfig
 )
@@ -69,10 +59,6 @@ type (
 	Pipeline = dlrm.Pipeline
 	// PipelineResult is a timed inference run's summary.
 	PipelineResult = dlrm.PipelineResult
-	// Model is the dense-path DLRM (MLPs + interaction + sigmoid).
-	Model = dlrm.Model
-	// ModelConfig shapes a Model.
-	ModelConfig = dlrm.ModelConfig
 )
 
 // Experiment harness types.
@@ -100,7 +86,6 @@ const (
 	CompComputation = retrieval.CompComputation
 	CompComm        = retrieval.CompComm
 	CompSyncUnpack  = retrieval.CompSyncUnpack
-	CompFused       = retrieval.CompFused
 )
 
 // DefaultHardware returns the calibrated DGX Station V100 parameter set.
@@ -118,21 +103,6 @@ func A100Hardware() HardwareParams { return retrieval.A100Hardware() }
 // divisible by `nodes`; a count that is not is rejected with a descriptive
 // error by NewSystemSpec / NewSystem.
 func ClusterHardware(nodes int) HardwareParams { return retrieval.ClusterHardware(nodes) }
-
-// NICParams tunes the per-node NIC model (HardwareParams.NIC): count,
-// bandwidth, latency, header bytes, message chunking and launch overhead.
-type NICParams = fabric.NICParams
-
-// DefaultNICParams returns the calibrated HDR-InfiniBand-class NIC model.
-func DefaultNICParams() NICParams { return fabric.DefaultNICParams() }
-
-// ProxyConfig tunes the inter-node PGAS proxy (HardwareParams.Proxy): the
-// staging-buffer threshold that flushes coalesced stores into one NIC
-// message, and the drain interval bounding staging delay.
-type ProxyConfig = pgas.ProxyConfig
-
-// DefaultProxyConfig returns the default proxy coalescing parameters.
-func DefaultProxyConfig() ProxyConfig { return pgas.DefaultProxyConfig() }
 
 // MultiNodeHardware returns the default hardware with the interconnect
 // split into `nodes` chassis joined by thin NVLink-modeled network links —
@@ -187,21 +157,12 @@ func NewBaseline() Backend { return &retrieval.Baseline{} }
 // NewPGASFused returns the paper's PGAS fused-kernel backend.
 func NewPGASFused() Backend { return &retrieval.PGASFused{} }
 
-// NewHybrid returns the size-adaptive backend: per (owner, consumer) pair it
-// routes traffic over one-sided stores or the collective, whichever the
-// batch's route plan prices cheaper on the configured hardware.
-func NewHybrid() Backend { return &retrieval.Hybrid{} }
-
 // NewBackendByName constructs a registered backend by its registry name; an
 // unknown name errors with the list of registered names.
 func NewBackendByName(name string) (Backend, error) { return retrieval.NewBackendByName(name) }
 
 // RegisteredBackends returns the names of all registered backends, sorted.
 func RegisteredBackends() []string { return retrieval.RegisteredBackends() }
-
-// BackendSummary returns the registered one-line description for a backend
-// name ("" if unregistered).
-func BackendSummary(name string) string { return retrieval.BackendSummary(name) }
 
 // NewUnpackOnlyAblation returns ablation A1: collective communication kept,
 // unpack step eliminated (direct placement).
@@ -225,18 +186,6 @@ func NewBackwardBaseline() Backend { return &retrieval.BackwardBaseline{} }
 // NewBackwardPGAS returns the paper's proposed backward pass: one-sided
 // remote atomic gradient pushes fused with the table-update kernel.
 func NewBackwardPGAS() Backend { return &retrieval.BackwardPGAS{} }
-
-// IndexDist selects the synthetic workload's index distribution
-// (Config.Distribution).
-type IndexDist = workload.IndexDist
-
-const (
-	// UniformIndices draws raw indices uniformly (the default).
-	UniformIndices = workload.Uniform
-	// ZipfIndices draws Zipf-skewed indices (Config.ZipfExponent); the
-	// regime where the hot-row cache and index deduplication win.
-	ZipfIndices = workload.Zipf
-)
 
 // NewInputStaged decorates a backend with the sparse-input pipeline (CPU
 // partition + host-to-device copy). overlap=true models the paper's
@@ -283,14 +232,9 @@ type Precision = retrieval.Precision
 
 // Wire precisions (Config.WirePrecision).
 const (
-	// WireFP32 ships rows uncompressed (the default).
-	WireFP32 = retrieval.FP32
 	// WireFP16 ships rows as IEEE half floats: 2 bytes per element,
 	// worst-case per-element error 2^-10 times the element magnitude.
 	WireFP16 = retrieval.FP16
-	// WireInt8 ships rows as per-row absmax-scaled int8: 1 byte per element
-	// plus a 4-byte scale, worst-case error absmax/127 per row.
-	WireInt8 = retrieval.Int8
 )
 
 // ParsePrecision maps "fp32", "fp16" or "int8" (or "") to a Precision.
@@ -302,8 +246,6 @@ type (
 	PrecisionOptions = experiments.PrecisionOptions
 	// PrecisionResult is the sweep's cell grid plus measured output errors.
 	PrecisionResult = experiments.PrecisionResult
-	// PrecisionPoint is one (backend, dedup, precision) timing run.
-	PrecisionPoint = experiments.PrecisionPoint
 )
 
 // RunPrecision executes the wire-precision sweep: every (backend, dedup,
@@ -326,21 +268,7 @@ type (
 	MultiNodeOptions = experiments.MultiNodeOptions
 	// MultiNodeResult is a sweep over node counts with both backends.
 	MultiNodeResult = experiments.MultiNodeResult
-	// MultiNodePoint is one node count's pair of runs.
-	MultiNodePoint = experiments.MultiNodePoint
 )
-
-// MultiNodeConfig returns the multi-node weak-scaling configuration (16
-// tables per GPU, Zipf-skewed serving-style stream).
-func MultiNodeConfig(nodes, gpusPerNode int) Config {
-	return retrieval.MultiNodeConfig(nodes, gpusPerNode)
-}
-
-// MultiNodeStrongConfig is MultiNodeConfig with the table population fixed
-// while nodes are added.
-func MultiNodeStrongConfig(nodes, gpusPerNode int) Config {
-	return retrieval.MultiNodeStrongConfig(nodes, gpusPerNode)
-}
 
 // RunMultiNode executes the multi-node scaling sweep: both backends at every
 // node count, with NIC-traffic accounting alongside the speedups.
@@ -361,13 +289,9 @@ func Scorecard(weak, strong *ScalingResult) *RenderedTable {
 // SpeedupStats summarises speedups across workload seeds.
 type SpeedupStats = experiments.SpeedupStats
 
-// RunScalingStats repeats the sweep across several workload seeds and
-// reports per-point speedup statistics.
-func RunScalingStats(kind ScalingKind, seeds int, opts ExperimentOptions) ([]SpeedupStats, error) {
-	return experiments.RunScalingStats(kind, seeds, opts)
-}
-
-// RunScalingStatsContext is RunScalingStats with cancellation.
+// RunScalingStatsContext repeats the sweep across several workload seeds and
+// reports per-point speedup statistics; it stops with ctx.Err() on
+// cancellation.
 func RunScalingStatsContext(ctx context.Context, kind ScalingKind, seeds int, opts ExperimentOptions) ([]SpeedupStats, error) {
 	return experiments.RunScalingStatsContext(ctx, kind, seeds, opts)
 }
@@ -380,13 +304,9 @@ func StatsTable(kind ScalingKind, stats []SpeedupStats) *RenderedTable {
 // AblationResult is one backend's runtime in the mechanism-isolation suite.
 type AblationResult = experiments.AblationResult
 
-// RunAblations executes the mechanism-isolation suite: baseline, each of
-// the paper's two mechanisms alone, full PGAS, and aggregated PGAS.
-func RunAblations(gpus int, opts ExperimentOptions) ([]AblationResult, error) {
-	return experiments.RunAblations(gpus, opts)
-}
-
-// RunAblationsContext is RunAblations with cancellation.
+// RunAblationsContext executes the mechanism-isolation suite: baseline, each
+// of the paper's two mechanisms alone, full PGAS, and aggregated PGAS; it
+// stops with ctx.Err() on cancellation.
 func RunAblationsContext(ctx context.Context, gpus int, opts ExperimentOptions) ([]AblationResult, error) {
 	return experiments.RunAblationsContext(ctx, gpus, opts)
 }
@@ -395,13 +315,9 @@ func RunAblationsContext(ctx context.Context, gpus int, opts ExperimentOptions) 
 // pipelining sweep.
 type PipelineDepthPoint = experiments.PipelineDepthPoint
 
-// RunPipelineDepth sweeps the inter-batch pipeline depth for the baseline
-// and the accelerated backend on the weak-scaling DLRM workload.
-func RunPipelineDepth(gpus int, depths []int, opts ExperimentOptions) ([]PipelineDepthPoint, error) {
-	return experiments.RunPipelineDepth(gpus, depths, opts)
-}
-
-// RunPipelineDepthContext is RunPipelineDepth with cancellation.
+// RunPipelineDepthContext sweeps the inter-batch pipeline depth for the
+// baseline and the accelerated backend on the weak-scaling DLRM workload; it
+// stops with ctx.Err() on cancellation.
 func RunPipelineDepthContext(ctx context.Context, gpus int, depths []int, opts ExperimentOptions) ([]PipelineDepthPoint, error) {
 	return experiments.RunPipelineDepthContext(ctx, gpus, depths, opts)
 }
@@ -429,9 +345,6 @@ type HotPathBenchmark = experiments.HotPathBenchmark
 // serving run, recording each measurement on b.
 func RunHotPaths(b *Bench) error { return experiments.RunHotPaths(b) }
 
-// DedupCounters aggregates batch-level index-deduplication savings.
-type DedupCounters = metrics.DedupCounters
-
 // AblationTable renders ablation results as a table.
 func AblationTable(results []AblationResult) *RenderedTable {
 	return experiments.AblationTable(results)
@@ -448,8 +361,6 @@ type (
 	// Trainer times full DLRM training steps (EMB forward + dense
 	// forward/backward + EMB backward).
 	Trainer = dlrm.Trainer
-	// TrainResult summarises a training run.
-	TrainResult = dlrm.TrainResult
 )
 
 // NewTrainer wires a training-step driver with separate forward and
@@ -467,15 +378,8 @@ type (
 	// queue, dynamic batcher, and a persistent hot-row cache, dispatching
 	// device batches through the DLRM pipeline.
 	Server = serve.Server
-	// ServeResult is one serving run's counters and latency samples.
-	ServeResult = serve.Result
 	// Arrival selects the request arrival process.
 	Arrival = serve.Arrival
-	// CacheCounters aggregates hot-row cache hit/miss/eviction counts.
-	CacheCounters = metrics.CacheCounters
-	// CacheSet is the per-GPU hot-row embedding cache array; one set can
-	// stay attached — warm — across many pipeline runs.
-	CacheSet = cache.Set
 )
 
 // Arrival processes (ServeConfig.Arrival).
@@ -491,18 +395,12 @@ func NewServer(base Config, hw HardwareParams, backend Backend, cfg ServeConfig)
 	return serve.NewServer(base, hw, backend, cfg)
 }
 
-// ServingScaleConfig returns the serving workload configuration: a skewed
-// (Zipf) index stream on a machine one device batch fits comfortably.
-func ServingScaleConfig(gpus int) Config { return retrieval.ServingScaleConfig(gpus) }
-
 // Serving sweep types.
 type (
 	// ServingOptions tunes the rate × cache-fraction × backend sweep.
 	ServingOptions = experiments.ServingOptions
 	// ServingResult is the sweep's point grid.
 	ServingResult = experiments.ServingResult
-	// ServingPoint is one (backend, rate, cache fraction) serving run.
-	ServingPoint = experiments.ServingPoint
 )
 
 // RunServing executes the online-serving sweep: every (backend, arrival
@@ -523,39 +421,17 @@ type (
 	// link/NIC bandwidth degradation, per-GPU stragglers and proxy delivery
 	// drops, installed via HardwareParams.Faults.
 	FaultSchedule = fault.Schedule
-	// FaultEvent is one windowed fault.
-	FaultEvent = fault.Event
-	// FaultKind names a fault event's mechanism.
-	FaultKind = fault.Kind
-	// FaultRetryPolicy tunes the proxy retransmission loop (timeout,
-	// backoff, attempt cap) for dropped deliveries.
-	FaultRetryPolicy = fault.RetryPolicy
 	// DegradePolicy decides what the serving layer sacrifices while the
 	// machine is unhealthy (ServeConfig.Degrade).
 	DegradePolicy = serve.DegradePolicy
-	// RetryCounters aggregates proxy drop/retry volume and the serving
-	// layer's shed/reject actions.
-	RetryCounters = metrics.RetryCounters
 	// ChaosOptions tunes the backend × fault-profile × replica-count sweep.
 	ChaosOptions = experiments.ChaosOptions
 	// ChaosResult is the chaos sweep's point grid.
 	ChaosResult = experiments.ChaosResult
-	// ChaosPoint is one (backend, fault profile, replica count) serving run.
-	ChaosPoint = experiments.ChaosPoint
 	// PlacementOptions tunes the placement-policy × backend × Zipf sweep.
 	PlacementOptions = experiments.PlacementOptions
 	// PlacementResult is the placement sweep's point grid.
 	PlacementResult = experiments.PlacementResult
-	// PlacementPoint is one (backend, Zipf exponent, policy) retrieval run.
-	PlacementPoint = experiments.PlacementPoint
-)
-
-// Fault event kinds (FaultEvent.Kind).
-const (
-	LinkDegrade = fault.LinkDegrade
-	NICDegrade  = fault.NICDegrade
-	Straggler   = fault.Straggler
-	ProxyDrop   = fault.ProxyDrop
 )
 
 // FaultProfiles lists the named fault profiles, sorted.
