@@ -6,7 +6,10 @@
 // slot's reference bit, an admission sweeps the clock hand past referenced
 // slots — clearing their bits — and evicts the first unreferenced slot it
 // finds. CLOCK approximates LRU at O(1) state per slot and, on the Zipf
-// streams internal/workload generates, keeps the hot head resident.
+// streams internal/workload generates, keeps the hot head resident. Keys find
+// their slots through an open-addressed index (slotIndex) whose size follows
+// the resident rows, not the capacity, so an empty cache costs only its
+// per-slot key and reference-bit arrays.
 //
 // The cache is deliberately single-threaded: each simulated GPU owns one
 // Cache, and all probes/admissions happen during deterministic host-side
@@ -35,7 +38,9 @@ type Key struct {
 
 // Cache is one GPU's hot-row store. In functional mode it keeps the actual
 // row values (so cached lookups can be verified bit-exactly); in timing mode
-// it tracks residency only.
+// it tracks residency only. Its counters are per row: every Touch is one row
+// probe, so Stats().HitRate() is the share of remote row lookups the cache
+// served.
 type Cache struct {
 	dim   int
 	funct bool
@@ -43,7 +48,7 @@ type Cache struct {
 	ref   []bool
 	used  int
 	hand  int
-	index map[Key]int32
+	index slotIndex
 	rows  []float32 // used*dim values in functional mode
 	stats metrics.CacheCounters
 	// frozen blocks new admissions (and so evictions): the serving layer's
@@ -67,7 +72,6 @@ func New(slots, dim int, functional bool) *Cache {
 		funct: functional,
 		keys:  make([]Key, slots),
 		ref:   make([]bool, slots),
-		index: make(map[Key]int32, slots),
 	}
 	if functional {
 		c.rows = make([]float32, slots*dim)
@@ -75,10 +79,10 @@ func New(slots, dim int, functional bool) *Cache {
 	return c
 }
 
-// Touch probes the cache for k, counting a hit or miss and setting the
-// slot's reference bit on a hit. It reports whether the row is resident.
+// Touch probes the cache for row k, counting one row hit or miss and setting
+// the slot's reference bit on a hit. It reports whether the row is resident.
 func (c *Cache) Touch(k Key) bool {
-	if slot, ok := c.index[k]; ok {
+	if slot := c.index.find(k); slot >= 0 {
 		c.ref[slot] = true
 		c.stats.Hits++
 		return true
@@ -94,7 +98,7 @@ func (c *Cache) Touch(k Key) bool {
 // and counted instead. In functional mode row must hold the key's dim
 // values; in timing mode it is ignored and may be nil.
 func (c *Cache) Admit(k Key, row []float32) {
-	if slot, ok := c.index[k]; ok {
+	if slot := c.index.find(k); slot >= 0 {
 		c.ref[slot] = true
 		if c.funct {
 			copy(c.rows[int(slot)*c.dim:], row[:c.dim])
@@ -117,12 +121,12 @@ func (c *Cache) Admit(k Key, row []float32) {
 		}
 		slot = c.hand
 		c.hand = (c.hand + 1) % len(c.keys)
-		delete(c.index, c.keys[slot])
+		c.index.remove(c.keys[slot])
 		c.stats.Evictions++
 	}
 	c.keys[slot] = k
 	c.ref[slot] = false
-	c.index[k] = int32(slot)
+	c.index.insert(k, int32(slot))
 	if c.funct {
 		copy(c.rows[slot*c.dim:], row[:c.dim])
 	}
@@ -136,8 +140,8 @@ func (c *Cache) Row(k Key) []float32 {
 	if !c.funct {
 		return nil
 	}
-	slot, ok := c.index[k]
-	if !ok {
+	slot := c.index.find(k)
+	if slot < 0 {
 		return nil
 	}
 	return c.rows[int(slot)*c.dim : (int(slot)+1)*c.dim]

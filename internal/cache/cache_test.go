@@ -152,3 +152,19 @@ func TestClockKeepsHotHead(t *testing.T) {
 		t.Fatalf("hot-head hit rate %.3f too low for a skewed stream on %d/%d slots", rate, slots, universe)
 	}
 }
+
+// Once the index has grown to hold the resident set, probes, admissions and
+// evictions allocate nothing.
+func TestTouchAdmitSteadyStateZeroAllocs(t *testing.T) {
+	keys := ZipfKeys(1<<14, 24, 4096, 1.05, 7)
+	for _, slots := range []int{1 << 16, 512} {
+		c := New(slots, 8, false)
+		TouchAdmitLoop(c, keys, len(keys))
+		if allocs := testing.AllocsPerRun(5, func() { TouchAdmitLoop(c, keys, len(keys)) }); allocs != 0 {
+			t.Fatalf("%d slots: steady-state probe loop allocated %v times per pass", slots, allocs)
+		}
+		if st := c.Stats(); slots == 512 && st.Evictions == 0 {
+			t.Fatalf("%d slots: no evictions, the loop exercises no deletions", slots)
+		}
+	}
+}

@@ -1,0 +1,170 @@
+package cache
+
+import (
+	"slices"
+	"testing"
+
+	"pgasemb/internal/metrics"
+)
+
+// mapClock is the reference CLOCK cache: the same replacement policy and
+// counters as Cache, indexed by a Go map. FuzzCache holds Cache to it.
+type mapClock struct {
+	dim    int
+	funct  bool
+	keys   []Key
+	ref    []bool
+	used   int
+	hand   int
+	index  map[Key]int32
+	rows   []float32
+	stats  metrics.CacheCounters
+	frozen bool
+}
+
+func newMapClock(slots, dim int, functional bool) *mapClock {
+	m := &mapClock{
+		dim:   dim,
+		funct: functional,
+		keys:  make([]Key, slots),
+		ref:   make([]bool, slots),
+		index: make(map[Key]int32, slots),
+	}
+	if functional {
+		m.rows = make([]float32, slots*dim)
+	}
+	return m
+}
+
+func (m *mapClock) touch(k Key) bool {
+	if slot, ok := m.index[k]; ok {
+		m.ref[slot] = true
+		m.stats.Hits++
+		return true
+	}
+	m.stats.Misses++
+	return false
+}
+
+func (m *mapClock) admit(k Key, row []float32) {
+	if slot, ok := m.index[k]; ok {
+		m.ref[slot] = true
+		if m.funct {
+			copy(m.rows[int(slot)*m.dim:], row[:m.dim])
+		}
+		return
+	}
+	if m.frozen {
+		m.stats.FrozenRejects++
+		return
+	}
+	var slot int
+	if m.used < len(m.keys) {
+		slot = m.used
+		m.used++
+	} else {
+		for m.ref[m.hand] {
+			m.ref[m.hand] = false
+			m.hand = (m.hand + 1) % len(m.keys)
+		}
+		slot = m.hand
+		m.hand = (m.hand + 1) % len(m.keys)
+		delete(m.index, m.keys[slot])
+		m.stats.Evictions++
+	}
+	m.keys[slot] = k
+	m.ref[slot] = false
+	m.index[k] = int32(slot)
+	if m.funct {
+		copy(m.rows[slot*m.dim:], row[:m.dim])
+	}
+	m.stats.Insertions++
+}
+
+func (m *mapClock) row(k Key) []float32 {
+	if !m.funct {
+		return nil
+	}
+	slot, ok := m.index[k]
+	if !ok {
+		return nil
+	}
+	return m.rows[int(slot)*m.dim : (int(slot)+1)*m.dim]
+}
+
+// FuzzCache drives Touch/Admit/Row/SetFrozen streams against the map-backed
+// reference at capacities of 1 to 300 slots over up to 1024 keys, so
+// evictions — and with them the index's backward-shift deletions — dominate.
+// After every operation the two must agree on the result, the Stats, the
+// slot layout and the reference bits; the index must hold exactly Len()
+// keys, and every resident key must map back to its own slot.
+func FuzzCache(f *testing.F) {
+	f.Add(uint16(0), false, []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 1})
+	f.Add(uint16(7), true, []byte{5, 1, 2, 5, 1, 3, 3, 1, 2, 4, 0, 0, 5, 0, 0, 2, 2, 9, 3, 2, 9})
+	f.Add(uint16(63), false, []byte("a longer mixed stream over a mid-sized cache with evictions"))
+	f.Add(uint16(299), true, []byte("\x05\x00\x00\x05\x00\x01\x04\x01\x00\x05\x00\x00\x02\x03\xff"))
+	f.Fuzz(func(t *testing.T, capSeed uint16, functional bool, ops []byte) {
+		const dim = 2
+		slots := 1 + int(capSeed)%300
+		c := New(slots, dim, functional)
+		ref := newMapClock(slots, dim, functional)
+		row := make([]float32, dim)
+		for op := 0; len(ops) >= 3; op, ops = op+1, ops[3:] {
+			k := Key{Feature: int32(ops[1] % 4), Row: int32(ops[2])}
+			row[0], row[1] = float32(op), -float32(op)
+			switch ops[0] % 6 {
+			case 0, 1:
+				if got, want := c.Touch(k), ref.touch(k); got != want {
+					t.Fatalf("op %d: Touch(%v) = %v, want %v", op, k, got, want)
+				}
+			case 2:
+				c.Admit(k, row)
+				ref.admit(k, row)
+			case 3:
+				if got, want := c.Row(k), ref.row(k); !slices.Equal(got, want) {
+					t.Fatalf("op %d: Row(%v) = %v, want %v", op, k, got, want)
+				}
+			case 4:
+				frozen := ops[1]&1 == 1
+				c.SetFrozen(frozen)
+				ref.frozen = frozen
+			case 5:
+				// The serving pattern: probe, then admit on a miss.
+				if !c.Touch(k) {
+					c.Admit(k, row)
+				}
+				if !ref.touch(k) {
+					ref.admit(k, row)
+				}
+			}
+			if got, want := c.Stats(), ref.stats; got != want {
+				t.Fatalf("op %d: Stats = %+v, want %+v", op, got, want)
+			}
+			if c.Len() != ref.used || c.hand != ref.hand ||
+				!slices.Equal(c.keys, ref.keys) || !slices.Equal(c.ref, ref.ref) {
+				t.Fatalf("op %d: CLOCK state diverged from the reference", op)
+			}
+			checkIndex(t, c)
+		}
+	})
+}
+
+// checkIndex asserts the slot index holds exactly the resident keys, each
+// mapped to its own slot.
+func checkIndex(t *testing.T, c *Cache) {
+	t.Helper()
+	held := 0
+	for _, e := range c.index.entries {
+		if e.slot != 0 {
+			held++
+		}
+	}
+	if held != c.Len() || c.index.n != c.Len() {
+		t.Fatalf("index holds %d entries (count %d), cache has %d resident keys", held, c.index.n, c.Len())
+	}
+	for s, k := range c.keys[:c.Len()] {
+		if got := c.index.find(k); got != int32(s) {
+			t.Fatalf("resident key %v in slot %d maps to slot %d", k, s, got)
+		}
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"pgasemb/internal/cache"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/serve"
 	"pgasemb/internal/sim"
@@ -126,11 +127,12 @@ func hotPathCases() []hotPathCase {
 	}
 }
 
-// RunHotPaths measures the per-batch retrieval hot paths and a short
-// serving run with testing.Benchmark, recording each as a HotPathBenchmark
-// on b. Each measurement drives retrieval.BenchLoop — batch generation and
-// classification sit outside the measured loop, so ns/op and allocs/op
-// describe exactly the steady-state RunBatch path.
+// RunHotPaths measures the per-batch retrieval hot paths, the hot-row
+// cache's probe loop and a short serving run with testing.Benchmark,
+// recording each as a HotPathBenchmark on b. Each retrieval measurement
+// drives retrieval.BenchLoop — batch generation and classification sit
+// outside the measured loop, so ns/op and allocs/op describe exactly the
+// steady-state RunBatch path.
 func RunHotPaths(b *Bench) error {
 	hw := retrieval.DefaultHardware()
 	var firstErr error
@@ -159,13 +161,32 @@ func RunHotPaths(b *Bench) error {
 		if firstErr != nil {
 			return firstErr
 		}
-		b.NoteHotPath(HotPathBenchmark{
-			Name:        c.name,
-			Iterations:  r.N,
-			NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
-			BytesPerOp:  r.AllocedBytesPerOp(),
-			AllocsPerOp: r.AllocsPerOp(),
+		b.NoteHotPath(hotPathResult(c.name, r))
+	}
+
+	// The hot-row cache on its own: serving-pattern probes over a Zipf
+	// stream of serve-zipf's shape (the remote tables of a 4-GPU
+	// ServingScaleConfig, 1% of HBM as cache), at that capacity — where the
+	// stream fits and the steady state is resident probes — and at an
+	// eviction-heavy 4096 slots. A warm pass sizes the index first.
+	serving := retrieval.ServingScaleConfig(4)
+	serving.CacheFraction = 0.01
+	keys := cache.ZipfKeys(1<<21, serving.TotalTables-serving.TotalTables/serving.GPUs,
+		serving.Rows, serving.ZipfExponent, serving.Seed)
+	for _, c := range []struct {
+		name  string
+		slots int
+	}{
+		{"cache/touch-admit", serving.CacheSlots(hw.GPU)},
+		{"cache/touch-admit-evict", 4096},
+	} {
+		hot := cache.New(c.slots, serving.Dim, false)
+		cache.TouchAdmitLoop(hot, keys, len(keys))
+		r := testing.Benchmark(func(tb *testing.B) {
+			tb.ReportAllocs()
+			cache.TouchAdmitLoop(hot, keys, tb.N)
 		})
+		b.NoteHotPath(hotPathResult(c.name, r))
 	}
 
 	// One end-to-end serving measurement: arrivals, batching and dispatch
@@ -193,12 +214,18 @@ func RunHotPaths(b *Bench) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	b.NoteHotPath(HotPathBenchmark{
-		Name:        "serve/dispatch-20ms-dedup",
+	b.NoteHotPath(hotPathResult("serve/dispatch-20ms-dedup", r))
+	return nil
+}
+
+// hotPathResult converts one testing.Benchmark measurement into its
+// bench.json record.
+func hotPathResult(name string, r testing.BenchmarkResult) HotPathBenchmark {
+	return HotPathBenchmark{
+		Name:        name,
 		Iterations:  r.N,
 		NsPerOp:     float64(r.T.Nanoseconds()) / float64(r.N),
 		BytesPerOp:  r.AllocedBytesPerOp(),
 		AllocsPerOp: r.AllocsPerOp(),
-	})
-	return nil
+	}
 }

@@ -131,12 +131,13 @@ func Percentile(xs []float64, p float64) float64 {
 	return sorted[rank-1]
 }
 
-// CacheCounters aggregates hot-row cache activity: probe outcomes and the
-// admission/eviction churn behind them. One Cache owns one counter set;
-// Add folds per-GPU sets into a system-wide view.
+// CacheCounters aggregates hot-row cache activity: row probe outcomes and
+// the admission/eviction churn behind them. One Cache owns one counter set;
+// Add folds per-GPU sets into a system-wide view, and Sub takes the
+// activity between two snapshots of one set.
 type CacheCounters struct {
-	Hits       int64 // probes that found every row of a pooled lookup resident
-	Misses     int64 // probes that fell through to the owning GPU
+	Hits       int64 // row probes that found the row resident
+	Misses     int64 // row probes that fell through to the owning GPU
 	Insertions int64 // rows admitted (including those that evicted a victim)
 	Evictions  int64 // resident rows displaced by an admission
 	// FrozenRejects counts admissions refused while the cache was frozen by
@@ -144,10 +145,11 @@ type CacheCounters struct {
 	FrozenRejects int64
 }
 
-// Accesses returns the total probe count.
+// Accesses returns the total row probe count.
 func (c CacheCounters) Accesses() int64 { return c.Hits + c.Misses }
 
-// HitRate returns Hits/Accesses, or 0 when the cache was never probed.
+// HitRate returns Hits/Accesses — the share of remote row lookups the cache
+// served — or 0 when the cache was never probed.
 func (c CacheCounters) HitRate() float64 {
 	if c.Accesses() == 0 {
 		return 0
@@ -163,6 +165,18 @@ func (c CacheCounters) Add(o CacheCounters) CacheCounters {
 		Insertions:    c.Insertions + o.Insertions,
 		Evictions:     c.Evictions + o.Evictions,
 		FrozenRejects: c.FrozenRejects + o.FrozenRejects,
+	}
+}
+
+// Sub returns the element-wise difference c - o: the activity since the
+// snapshot o of the same counters.
+func (c CacheCounters) Sub(o CacheCounters) CacheCounters {
+	return CacheCounters{
+		Hits:          c.Hits - o.Hits,
+		Misses:        c.Misses - o.Misses,
+		Insertions:    c.Insertions - o.Insertions,
+		Evictions:     c.Evictions - o.Evictions,
+		FrozenRejects: c.FrozenRejects - o.FrozenRejects,
 	}
 }
 

@@ -175,3 +175,12 @@ func TestImbalance(t *testing.T) {
 	}()
 	Imbalance([]float64{1, -1})
 }
+
+// Sub undoes Add: the activity after a snapshot is the later total minus it.
+func TestCacheCountersSubUndoesAdd(t *testing.T) {
+	before := CacheCounters{Hits: 5, Misses: 3, Insertions: 3, Evictions: 1, FrozenRejects: 2}
+	run := CacheCounters{Hits: 7, Misses: 4, Insertions: 2, Evictions: 2}
+	if got := before.Add(run).Sub(before); got != run {
+		t.Fatalf("(before+run)-before = %+v, want %+v", got, run)
+	}
+}

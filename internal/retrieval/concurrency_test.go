@@ -228,6 +228,57 @@ func TestZipfTableSharedAcrossConcurrentRuns(t *testing.T) {
 	}
 }
 
+// A spec derived by WithBatchSize shares its parent's Zipf rank table, which
+// stays unbuilt until the first run of either, and runs exactly like a spec
+// built fresh at that batch size. It is validated like one too.
+func TestWithBatchSizeSharesZipfTable(t *testing.T) {
+	cfg := TestScaleConfig(2)
+	cfg.Distribution = workload.Zipf
+	cfg.ZipfExponent = 1.05
+	top, err := NewSystemSpec(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half, err := top.WithBatchSize(cfg.BatchSize / 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if half.zipf != top.zipf || top.zipf.cdf != nil {
+		t.Fatal("derived spec does not share an unbuilt rank table with its parent")
+	}
+	sys, err := half.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if top.zipf.cdf == nil {
+		t.Fatal("the derived spec's first run did not build the shared table")
+	}
+	got, err := sys.Run(&PGASFused{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh := cfg
+	fresh.BatchSize = cfg.BatchSize / 2
+	freshSpec, err := NewSystemSpec(fresh, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	freshSys, err := freshSpec.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := freshSys.Run(&PGASFused{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fingerprint(got) != fingerprint(want) {
+		t.Fatal("run of the derived spec differs from a fresh spec's run at the same batch size")
+	}
+	if _, err := top.WithBatchSize(0); err == nil {
+		t.Fatal("WithBatchSize(0) accepted")
+	}
+}
+
 func TestRunContextCancelled(t *testing.T) {
 	spec, err := NewSystemSpec(TestScaleConfig(2), DefaultHardware())
 	if err != nil {

@@ -33,18 +33,25 @@ type SystemSpec struct {
 	hw   HardwareParams
 	plan [][]int // plan[g] = global feature IDs resident on GPU g
 
-	// zipf is the workload's Zipf rank table (nil for uniform workloads),
-	// built on the first run and shared read-only by every later one: it
-	// depends on the exponent and row count, never on the run's seed.
-	zipfOnce sync.Once
-	zipf     *sim.ZipfCDF
+	// zipf holds the workload's Zipf rank table, shared with every spec
+	// derived by WithBatchSize.
+	zipf *lazyZipf
+}
+
+// lazyZipf is a workload's Zipf rank table (nil for uniform workloads),
+// built on the first run and shared read-only by every later one: it
+// depends on the exponent and row count, never on the run's seed or the
+// batch size.
+type lazyZipf struct {
+	once sync.Once
+	cdf  *sim.ZipfCDF
 }
 
 // zipfCDF returns the spec's shared Zipf rank table, building it on first
 // use so spec construction stays cheap.
 func (spec *SystemSpec) zipfCDF() *sim.ZipfCDF {
-	spec.zipfOnce.Do(func() { spec.zipf = spec.cfg.workloadConfig().ZipfCDF() })
-	return spec.zipf
+	spec.zipf.once.Do(func() { spec.zipf.cdf = spec.cfg.workloadConfig().ZipfCDF() })
+	return spec.zipf.cdf
 }
 
 // NewSystemSpec validates the configuration and hardware, resolves the
@@ -54,6 +61,20 @@ func (spec *SystemSpec) zipfCDF() *sim.ZipfCDF {
 // not match the configuration, the multi-node divisibility mistake — is
 // reported here as an error, before any run starts.
 func NewSystemSpec(cfg Config, hw HardwareParams) (*SystemSpec, error) {
+	return newSystemSpec(cfg, hw, &lazyZipf{})
+}
+
+// WithBatchSize returns a spec of the same machine and workload at another
+// batch size, validated like NewSystemSpec. The two specs share one Zipf
+// rank table, still built on the first run of either: the serving layer
+// derives its bucketed batch shapes this way.
+func (spec *SystemSpec) WithBatchSize(batchSize int) (*SystemSpec, error) {
+	cfg := spec.cfg
+	cfg.BatchSize = batchSize
+	return newSystemSpec(cfg, spec.hw, spec.zipf)
+}
+
+func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
@@ -99,7 +120,7 @@ func NewSystemSpec(cfg Config, hw HardwareParams) (*SystemSpec, error) {
 		return nil, fmt.Errorf("retrieval: topology wires %d GPUs but the configuration needs %d "+
 			"(multi-node topologies need a GPU count divisible by the node count)", n, cfg.GPUs)
 	}
-	spec := &SystemSpec{cfg: cfg, hw: hw} // hw is the normalized copy
+	spec := &SystemSpec{cfg: cfg, hw: hw, zipf: zipf} // hw is the normalized copy
 	switch {
 	case cfg.CustomPlan != nil:
 		spec.plan = cfg.CustomPlan

@@ -148,13 +148,19 @@ func NewServer(base retrieval.Config, hw retrieval.HardwareParams, backend retri
 	for shape := base.BatchSize; shape >= base.GPUs; shape /= 2 {
 		srv.shapes = append([]int{shape}, srv.shapes...)
 	}
+	// The bucket specs derive from the largest so they share one Zipf rank
+	// table, built lazily by the first dispatch.
+	top, err := retrieval.NewSystemSpec(base, hw)
+	if err != nil {
+		return nil, err
+	}
 	srv.specs = make(map[int]*retrieval.SystemSpec, len(srv.shapes))
 	for _, shape := range srv.shapes {
-		b := base
-		b.BatchSize = shape
-		spec, err := retrieval.NewSystemSpec(b, hw)
-		if err != nil {
-			return nil, err
+		spec := top
+		if shape != base.BatchSize {
+			if spec, err = top.WithBatchSize(shape); err != nil {
+				return nil, err
+			}
 		}
 		srv.specs[shape] = spec
 	}
@@ -209,8 +215,9 @@ type Result struct {
 	// Makespan is when the last dispatch completed (≥ Duration when the
 	// queue drained after the arrival window).
 	Makespan sim.Duration
-	// CacheStats aggregates the hot-row cache counters across GPUs (zero
-	// when the cache is disabled).
+	// CacheStats aggregates this run's hot-row cache counters across GPUs
+	// (zero when the cache is disabled). The cache set stays warm across a
+	// Server's runs, but each run counts only its own row probes.
 	CacheStats metrics.CacheCounters
 	// DedupStats aggregates the index-deduplication counters across every
 	// dispatched batch (zero when Config.Dedup is off).
@@ -296,6 +303,11 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 		CacheFraction: s.base.CacheFraction,
 		Rate:          s.cfg.Rate,
 		Duration:      s.cfg.Duration,
+	}
+	// The cache set outlives runs; this run reports only its own activity.
+	var cacheBefore metrics.CacheCounters
+	if s.caches != nil {
+		cacheBefore = s.caches.Stats()
 	}
 
 	var (
@@ -523,7 +535,7 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 		// Thaw: the cache set outlives this run (warm across serving runs in
 		// sweeps) and must not stay frozen past a degraded final dispatch.
 		s.caches.SetFrozen(false)
-		res.CacheStats = s.caches.Stats()
+		res.CacheStats = s.caches.Stats().Sub(cacheBefore)
 	}
 	return res, nil
 }

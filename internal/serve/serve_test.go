@@ -143,6 +143,39 @@ func TestServingCacheWarmsAcrossDispatches(t *testing.T) {
 	}
 }
 
+// The cache set stays warm across a Server's runs, but each Result counts
+// only its own run's probes: the same arrivals and dispatch seeds make the
+// same row probes, so a second run's access count equals the first's, and
+// the two runs together make up the set's lifetime totals.
+func TestServingCacheCountsPerRun(t *testing.T) {
+	base := serveTestConfig()
+	base.CacheFraction = 0.003
+	hw := retrieval.DefaultHardware()
+	hw.GPU.MemoryCapacity = 1 << 20
+
+	srv, err := NewServer(base, hw, &retrieval.PGASFused{}, serveTestServeConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	second, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.CacheStats.Accesses() == 0 {
+		t.Fatal("first run probed no rows; the test exercises nothing")
+	}
+	if got, want := second.CacheStats.Accesses(), first.CacheStats.Accesses(); got != want {
+		t.Fatalf("second run counted %d row probes, want the first run's %d", got, want)
+	}
+	if got, want := first.CacheStats.Add(second.CacheStats), srv.caches.Stats(); got != want {
+		t.Fatalf("runs sum to %+v, the cache set's lifetime totals are %+v", got, want)
+	}
+}
+
 // The batcher must bucket partial batches onto smaller device shapes rather
 // than padding everything to the full batch size.
 func TestServingBucketsPartialBatches(t *testing.T) {

@@ -341,8 +341,9 @@ func NewBench() *Bench { return experiments.NewBench() }
 // recorded into bench.json for regression tracking.
 type HotPathBenchmark = experiments.HotPathBenchmark
 
-// RunHotPaths measures the per-batch retrieval hot paths and a short
-// serving run, recording each measurement on b.
+// RunHotPaths measures the per-batch retrieval hot paths, the hot-row
+// cache's probe loop and a short serving run, recording each measurement
+// on b.
 func RunHotPaths(b *Bench) error { return experiments.RunHotPaths(b) }
 
 // AblationTable renders ablation results as a table.
