@@ -177,9 +177,9 @@ func (c *Comm) pairBandwidth(src, dst int) float64 {
 	return raw
 }
 
-// transferTime returns the protocol time to move bytes from src to dst.
+// TransferTime returns the protocol time to move bytes from src to dst.
 // Cross-node hops additionally pay the NIC's one-way latency.
-func (c *Comm) transferTime(src, dst int, bytes float64) sim.Duration {
+func (c *Comm) TransferTime(src, dst int, bytes float64) sim.Duration {
 	if bytes <= 0 {
 		return 0
 	}
@@ -330,8 +330,8 @@ func (c *Comm) AllToAllSingle(p *sim.Proc, rank int, sendSegs, recvSegs [][]floa
 			continue
 		}
 		outBytes := c.segBytes(len(sendSegs[peer]))
-		out := c.occupyWire(p, rank, peer, outBytes, c.transferTime(rank, peer, outBytes))
-		in := c.transferTime(peer, rank, c.segBytes(len(recvSegs[peer])))
+		out := c.occupyWire(p, rank, peer, outBytes, c.TransferTime(rank, peer, outBytes))
+		in := c.TransferTime(peer, rank, c.segBytes(len(recvSegs[peer])))
 		if out > worst {
 			worst = out
 		}
@@ -377,8 +377,8 @@ func (c *Comm) AllToAllSingleSizes(p *sim.Proc, rank int, sendBytes, recvBytes [
 		if peer == rank {
 			continue
 		}
-		out := c.occupyWire(p, rank, peer, sendBytes[peer], c.transferTime(rank, peer, sendBytes[peer]))
-		in := c.transferTime(peer, rank, recvBytes[peer])
+		out := c.occupyWire(p, rank, peer, sendBytes[peer], c.TransferTime(rank, peer, sendBytes[peer]))
+		in := c.TransferTime(peer, rank, recvBytes[peer])
 		if out > worst {
 			worst = out
 		}
@@ -434,7 +434,7 @@ func (c *Comm) AllGather(p *sim.Proc, rank int, shard []float32, out [][]float32
 	next := (rank + 1) % n
 	stepBytes := 4 * float64(len(shard))
 	total := c.occupyWire(p, rank, next, stepBytes*float64(n-1),
-		sim.Duration(n-1)*c.transferTime(rank, next, stepBytes))
+		sim.Duration(n-1)*c.TransferTime(rank, next, stepBytes))
 	if total > 0 {
 		c.volume.Add(start, start+total, stepBytes*float64(n-1))
 	}
@@ -475,7 +475,7 @@ func (c *Comm) ReduceScatter(p *sim.Proc, rank int, contrib []float32, out []flo
 	next := (rank + 1) % n
 	stepBytes := 4 * float64(len(out))
 	total := c.occupyWire(p, rank, next, stepBytes*float64(n-1),
-		sim.Duration(n-1)*c.transferTime(rank, next, stepBytes))
+		sim.Duration(n-1)*c.TransferTime(rank, next, stepBytes))
 	if total > 0 {
 		c.volume.Add(start, start+total, stepBytes*float64(n-1))
 	}
@@ -519,7 +519,7 @@ func (c *Comm) Broadcast(p *sim.Proc, rank, root int, buf []float32) {
 				continue
 			}
 			bytes := 4 * float64(len(buf))
-			if t := c.occupyWire(p, root, peer, bytes, c.transferTime(root, peer, bytes)); t > dur {
+			if t := c.occupyWire(p, root, peer, bytes, c.TransferTime(root, peer, bytes)); t > dur {
 				dur = t
 			}
 		}
@@ -527,7 +527,7 @@ func (c *Comm) Broadcast(p *sim.Proc, rank, root int, buf []float32) {
 			c.volume.Add(start, start+dur, 4*float64(len(buf))*float64(n-1))
 		}
 	} else {
-		dur = c.transferTime(root, rank, 4*float64(len(buf)))
+		dur = c.TransferTime(root, rank, 4*float64(len(buf)))
 	}
 	p.Wait(dur)
 }
@@ -566,13 +566,13 @@ func (c *Comm) Gather(p *sim.Proc, rank, root int, shard []float32, out [][]floa
 			if peer == root {
 				continue
 			}
-			if t := c.transferTime(peer, root, 4*float64(len(op.recvs[root][peer]))); t > dur {
+			if t := c.TransferTime(peer, root, 4*float64(len(op.recvs[root][peer]))); t > dur {
 				dur = t
 			}
 		}
 	} else {
 		bytes := 4 * float64(len(shard))
-		dur = c.occupyWire(p, rank, root, bytes, c.transferTime(rank, root, bytes))
+		dur = c.occupyWire(p, rank, root, bytes, c.TransferTime(rank, root, bytes))
 		if dur > 0 {
 			c.volume.Add(start, start+dur, bytes)
 		}
@@ -614,7 +614,7 @@ func (c *Comm) AllReduce(p *sim.Proc, rank int, buf []float32) {
 	shardBytes := 4 * float64(len(buf)) / float64(n)
 	next := (rank + 1) % n
 	total := c.occupyWire(p, rank, next, shardBytes*2*float64(n-1),
-		2*sim.Duration(n-1)*c.transferTime(rank, next, shardBytes))
+		2*sim.Duration(n-1)*c.TransferTime(rank, next, shardBytes))
 	if total > 0 {
 		c.volume.Add(start, start+total, shardBytes*2*float64(n-1))
 	}

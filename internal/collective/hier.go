@@ -91,10 +91,10 @@ func (c *Comm) runIntraPhase(p *sim.Proc, rank, node, lane int, eg, in []float64
 			continue
 		}
 		gm := cl.GPU(node, m)
-		if out := c.occupyWire(p, rank, gm, eg[m], c.transferTime(rank, gm, eg[m])); out > worst {
+		if out := c.occupyWire(p, rank, gm, eg[m], c.TransferTime(rank, gm, eg[m])); out > worst {
 			worst = out
 		}
-		if t := c.transferTime(gm, rank, in[m]); t > worst {
+		if t := c.TransferTime(gm, rank, in[m]); t > worst {
 			worst = t
 		}
 		egress += eg[m]
@@ -238,7 +238,7 @@ func (c *Comm) hierAllGather(p *sim.Proc, rank int, shardBytes float64) {
 		start := p.Now()
 		bytes := shardBytes * float64(G-1)
 		total := c.occupyWire(p, rank, next, bytes,
-			sim.Duration(G-1)*c.transferTime(rank, next, shardBytes))
+			sim.Duration(G-1)*c.TransferTime(rank, next, shardBytes))
 		if total > 0 {
 			c.volume.Add(start, start+total, bytes)
 		}
@@ -264,7 +264,7 @@ func (c *Comm) hierAllGather(p *sim.Proc, rank int, shardBytes float64) {
 		start := p.Now()
 		bytes := stepBytes * float64(G-1)
 		total := c.occupyWire(p, rank, next, bytes,
-			sim.Duration(G-1)*c.transferTime(rank, next, stepBytes))
+			sim.Duration(G-1)*c.TransferTime(rank, next, stepBytes))
 		if total > 0 {
 			c.volume.Add(start, start+total, bytes)
 		}

@@ -92,6 +92,8 @@ func hotPathCases() []hotPathCase {
 	pool[0], pool[1] = 64, 64 // two dominant tables: the mirror set
 	placedMirror.PerFeatureMaxPooling = pool
 	cluster := retrieval.ClusterHardware(2)
+	taxed := cluster
+	taxed.Link.HeaderBytes = 1 << 20
 	return []hotPathCase{
 		{name: "retrieval/baseline-batch", cfg: base, hw: hw, backend: &retrieval.Baseline{}},
 		{name: "retrieval/baseline-batch-dedup", cfg: dedup, hw: hw, backend: &retrieval.Baseline{}},
@@ -101,6 +103,10 @@ func hotPathCases() []hotPathCase {
 		{name: "retrieval/pgas-fused-batch-replicas2", cfg: replicated, hw: hw, backend: &retrieval.PGASFused{}},
 		{name: "retrieval/pgas-fused-batch-pipelined2", cfg: pipelined, hw: hw, backend: &retrieval.PGASFused{}},
 		{name: "retrieval/hybrid-batch", cfg: base, hw: hw, backend: &retrieval.Hybrid{}},
+		// A header tax past the crossover sends the 2-node cluster's
+		// intra-node pairs through the all-to-all while cross-node pairs
+		// keep storing: the hybrid walk with both transports in one batch.
+		{name: "retrieval/hybrid-batch-mixed", cfg: base, hw: taxed, backend: &retrieval.Hybrid{}},
 		// Reduced wire precision: the same batch with the transport codec's
 		// vector counting and encode/decode kernel charges on the loop.
 		{name: "retrieval/pgas-fused-batch-fp16", cfg: fp16, hw: hw, backend: &retrieval.PGASFused{}},

@@ -21,9 +21,10 @@ type gpuScratch struct {
 	recvSegs    [][]float32
 	sendBytes   []float64 // baseline timing segment sizes
 	recvBytes   []float64
-	perPeer     []int // pgas per-peer store and skip tallies
-	cursors     []int // pgas dedup wire-streaming cursors
-	nodeCursors []int // pgas node-dedup wire-streaming cursors
+	perPeer     []int     // pgas per-peer store and skip tallies
+	cursors     []int     // pgas dedup wire-streaming cursors
+	nodeCursors []int     // pgas node-dedup wire-streaming cursors
+	route       transport // hybrid transport matrix (see Hybrid.routes)
 }
 
 // scratchSlice returns (*buf)[:n], reallocating only when capacity is short,

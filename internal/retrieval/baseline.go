@@ -53,8 +53,6 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	dev := s.Devs[g]
 	stream := dev.Stream("emb")
 	sc := s.scratchFor(g, bd)
-	lo, hi := s.Minibatch(g)
-	mini := hi - lo
 
 	// Hot-row cache discounts: vectors a served pair skips (a hit at their
 	// consumer) and vectors this consumer pools from its own cache. Both are
@@ -128,7 +126,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 
 	var pack []float32
 	if cfg.Functional {
-		pack = b.functionalPack(s, g, bd, sc)
+		pack = s.packSegments(g, bd, sc, nil)
 	}
 	_, kernelEnd := stream.Launch(p, kernel)
 	p.WaitUntil(kernelEnd)
@@ -172,40 +170,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// pre-collective phases with the previous batch's dense compute.
 	commStart := p.Now()
 	s.awaitExchangeGate(p, g)
-	var recvBuf []float32
-	if cfg.Functional {
-		sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
-		recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
-		recvFloats := 0
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			recvFloats += plan.segmentVecs(peer, g) * cfg.Dim
-		}
-		recvBuf = scratchSlice(&sc.recvBuf, recvFloats)
-		sendAt, recvAt := 0, 0
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			n := plan.segmentVecs(g, peer) * cfg.Dim
-			sendSegs[peer] = pack[sendAt : sendAt+n]
-			sendAt += n
-			n = plan.segmentVecs(peer, g) * cfg.Dim
-			recvSegs[peer] = recvBuf[recvAt : recvAt+n]
-			recvAt += n
-		}
-		s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
-	} else {
-		sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
-		recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
-		wvb := float64(cfg.WireVectorBytes())
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			sendBytes[peer] = 0
-			recvBytes[peer] = 0
-			if peer == g {
-				continue
-			}
-			sendBytes[peer] = float64(plan.segmentVecs(g, peer)) * wvb
-			recvBytes[peer] = float64(plan.segmentVecs(peer, g)) * wvb
-		}
-		s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
-	}
+	recvBuf := s.exchangeSegments(p, g, bd, sc, pack, nil)
 	bk.Accumulate(CompComm, p.Now()-commStart)
 
 	// --- Phase 3: unpack the received rank-major segments into the
@@ -231,22 +196,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		// no peer serves this GPU anything (all mirrored locally, or every
 		// source deduplicated), the unpack launch and its fixed cost
 		// disappear entirely.
-		var remote int64
-		segments := 0
-		for src := 0; src < cfg.GPUs; src++ {
-			switch {
-			case src == g: // its own segments are already in place
-			case dv == nil:
-				if plan.serves(src, g) {
-					remote += int64(plan.segmentVecs(src, g))
-					segments++
-				}
-			case plan.CollectiveClass(src, g) == RouteDense:
-				remote += dv.DenseVecs[src][g]
-				segments++
-			}
-		}
-		if segments > 0 {
+		if remote, segments := s.unpackVecs(g, plan, nil); segments > 0 {
 			unpack := dev.UnpackKernelCost(float64(remote)*vb, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
 			p.WaitUntil(unpackEnd)
@@ -276,31 +226,36 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		}
 	}
 	if cfg.Functional {
-		b.functionalUnpack(s, g, mini, recvBuf, bd)
+		s.unpackSegments(g, recvBuf, bd, nil)
 	}
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
 }
 
-// functionalPack pools every vector GPU g ships this batch into the send
-// buffer, consumer-major: for each consumer, the shards g serves it in
-// ascending order, each pair sample-major minus its cache-hit vectors — or,
-// on a wire-dedup pair, the pair's unique rows in first-seen order (the
-// consumer's expansion map addresses them by position). With contiguous
-// minibatches this is the rank-ordered all-to-all send layout.
-func (b *Baseline) functionalPack(s *System, g int, bd *BatchData, sc *gpuScratch) []float32 {
+// The all-to-all's three stages — pack, exchange, unpack — shared by
+// Baseline (route nil: every served pair rides the collective) and
+// PGASFused's routed walk (only the pairs the hybrid transport matrix sends
+// through the collective).
+
+// packSegments pools every vector GPU g ships in the all-to-all into the
+// send buffer, consumer-major: for each consumer, the exchanged shards g
+// serves it in ascending order, each pair sample-major minus its cache-hit
+// vectors — or, on a wire-dedup pair, the pair's unique rows in first-seen
+// order (the consumer's expansion map addresses them by position). With
+// contiguous minibatches this is the rank-ordered all-to-all send layout.
+func (s *System) packSegments(g int, bd *BatchData, sc *gpuScratch, route *transport) []float32 {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
 	floats := 0
 	for c := 0; c < cfg.GPUs; c++ {
-		floats += plan.segmentVecs(g, c) * cfg.Dim
+		floats += plan.segmentVecs(g, c, route) * cfg.Dim
 	}
 	pack := scratchSlice(&sc.packBuf, floats)
 	at := 0
 	for c := 0; c < cfg.GPUs; c++ {
 		clo, chi := s.Minibatch(c)
 		for o := 0; o < cfg.GPUs; o++ {
-			if plan.ServeGPU(o, c) != g {
+			if plan.ServeGPU(o, c) != g || !route.exchanged(o, c) {
 				continue
 			}
 			coll := s.colls[o]
@@ -327,7 +282,70 @@ func (b *Baseline) functionalPack(s *System, g int, bd *BatchData, sc *gpuScratc
 	return pack
 }
 
-// functionalUnpack rearranges the received rank-major buffer
+// exchangeSegments runs GPU g's all-to-all over the exchanged pairs. In
+// functional mode it ships pack's segments and returns the receive buffer,
+// rank-major; timing runs price the same segment sizes and return nil.
+func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData, sc *gpuScratch, pack []float32, route *transport) []float32 {
+	cfg := s.Cfg
+	plan := bd.Plan
+	if !cfg.Functional {
+		sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
+		recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
+		wvb := float64(cfg.WireVectorBytes())
+		for peer := 0; peer < cfg.GPUs; peer++ {
+			sendBytes[peer] = 0
+			recvBytes[peer] = 0
+			if peer == g {
+				continue
+			}
+			sendBytes[peer] = float64(plan.segmentVecs(g, peer, route)) * wvb
+			recvBytes[peer] = float64(plan.segmentVecs(peer, g, route)) * wvb
+		}
+		s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
+		return nil
+	}
+	sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
+	recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
+	recvFloats := 0
+	for peer := 0; peer < cfg.GPUs; peer++ {
+		recvFloats += plan.segmentVecs(peer, g, route) * cfg.Dim
+	}
+	recvBuf := scratchSlice(&sc.recvBuf, recvFloats)
+	sendAt, recvAt := 0, 0
+	for peer := 0; peer < cfg.GPUs; peer++ {
+		n := plan.segmentVecs(g, peer, route) * cfg.Dim
+		sendSegs[peer] = pack[sendAt : sendAt+n]
+		sendAt += n
+		n = plan.segmentVecs(peer, g, route) * cfg.Dim
+		recvSegs[peer] = recvBuf[recvAt : recvAt+n]
+		recvAt += n
+	}
+	s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
+	return recvBuf
+}
+
+// unpackVecs returns the vectors and segments the rearrangement kernel moves
+// into consumer g's layout: every exchanged remote segment without dedup,
+// only the dense ones with it (wire segments go through expansion instead).
+func (s *System) unpackVecs(g int, plan *RoutePlan, route *transport) (vecs int64, segments int) {
+	dv := plan.Dedup
+	for src := 0; src < s.Cfg.GPUs; src++ {
+		switch {
+		case src == g || !route.exchanged(src, g): // in place, or stored one-sidedly
+		case dv == nil:
+			if plan.serves(src, g) {
+				vecs += int64(plan.segmentVecs(src, g, route))
+				segments++
+			}
+		case plan.CollectiveClass(src, g) == RouteDense:
+			vecs += dv.DenseVecs[src][g]
+			segments++
+		}
+	}
+	return vecs, segments
+}
+
+// unpackSegments rearranges the received rank-major buffer
 // [server][shard][sample][shardLocalFeature][d] into
 // final[sample][globalFeature][d], consuming the buffer sequentially and
 // skipping cache-hit vectors (which never travelled — their final slots were
@@ -335,17 +353,18 @@ func (b *Baseline) functionalPack(s *System, g int, bd *BatchData, sc *gpuScratc
 // carry unique rows instead of vectors; those are expanded (re-pooled) in
 // place. In the DirectPlacement ablation this copy models what a scattering
 // NIC would have done; it costs no simulated time there.
-func (b *Baseline) functionalUnpack(s *System, g, mini int, recvBuf []float32, bd *BatchData) {
+func (s *System) unpackSegments(g int, recvBuf []float32, bd *BatchData, route *transport) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
-	lo, _ := s.Minibatch(g)
+	lo, hi := s.Minibatch(g)
+	mini := hi - lo
 	dst := bd.Final[g].Data()
 	at := 0
 	for server := 0; server < cfg.GPUs; server++ {
 		for o := 0; o < cfg.GPUs; o++ {
-			if plan.ServeGPU(o, g) != server {
+			if plan.ServeGPU(o, g) != server || !route.exchanged(o, g) {
 				continue
 			}
 			if plan.CollectiveClass(o, g) == RouteWire {

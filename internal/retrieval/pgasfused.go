@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"pgasemb/internal/gpu"
 	"pgasemb/internal/pgas"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -51,6 +52,14 @@ func (b *PGASFused) Name() string {
 // one-sided stores, staged unpack bytes and codec counts all come from the
 // same per-pair counts.
 func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
+	b.run(s, p, g, bd, bk, nil)
+}
+
+// run is RunBatch over a hybrid transport matrix (nil: every pair stores).
+// A collective-routed pair's outputs stream into the HBM send buffer
+// instead of leaving as one-sided stores, so they pay no remote-issue or
+// per-peer overhead; after quiet, one exchange phase ships and lands them.
+func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown, route *transport) {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb-fused")
@@ -73,24 +82,24 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	// Hot-row cache discounts (zero when plan.Cache is nil): the kernel's
 	// occupancy is set by the whole batch's real item count — every served
 	// pair's vectors minus their hits, plus consumer-side cache gathers. The
-	// per-peer store overhead covers the consumers this GPU serves remotely.
-	// With dedup, wire pairs contribute their unique rows as items instead of
-	// dense vectors. All routing decisions come from the batch's compiled
-	// plan.
+	// per-peer store overhead covers the consumers this GPU stores to
+	// remotely. With dedup, wire pairs contribute their unique rows as items
+	// instead of dense vectors. All routing decisions come from the batch's
+	// compiled plan.
 	plan := bd.Plan
 	view := plan.Cache
 	dv := plan.Dedup
 	batchHitVecs, _ := view.HitAt(g)
 	kernelItems, peers := batchHitVecs, 0
 	for c := 0; c < cfg.GPUs; c++ {
-		served := false
+		stored := false
 		for o := 0; o < cfg.GPUs; o++ {
 			if plan.ServeGPU(o, c) == g {
 				kernelItems += plan.pairVecs(o, c)
-				served = true
+				stored = stored || !route.collective(o, c)
 			}
 		}
-		if served && c != g {
+		if stored && c != g {
 			peers++
 		}
 	}
@@ -153,19 +162,19 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		}
 		var cost sim.Duration
 		if dv == nil {
-			cost = b.servedChunkCost(s, g, bd, s0, s1, kernelItems, peers, perPeer)
+			cost = b.servedChunkCost(s, g, bd, s0, s1, kernelItems, peers, perPeer, route)
 		} else {
-			cost = b.dedupChunkCost(s, g, bd, s0, s1, kernelItems)
+			cost = b.dedupChunkCost(s, g, bd, s0, s1, kernelItems, peers, route)
 		}
 		p.Wait(cost)
 
 		if cfg.Functional {
-			b.functionalChunk(s, p, g, bd, s0, s1, scratch, cursors, nodeCursors, agg)
+			b.functionalChunk(s, p, g, bd, s0, s1, scratch, cursors, nodeCursors, agg, route)
 			continue
 		}
 		for peer := 0; peer < cfg.GPUs; peer++ {
-			if peer == g {
-				continue
+			if peer == g || route.collective(g, peer) {
+				continue // collective-routed pairs ship in the exchange phase
 			}
 			var vecs int
 			target := peer
@@ -208,55 +217,20 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	pe.QuietSlot(p, bd.Slot)
 	bk.Accumulate(CompFused, p.Now()-batchStart)
 
+	if route != nil {
+		b.exchange(s, p, g, bd, bk, stream, route)
+		return
+	}
+
 	if bd.dedupBarrier != nil {
 		// Quiet drained only OUR pipes; expansion consumes rows streamed by
 		// every owner, so all PEs rendezvous first.
 		expandStart := p.Now()
 		bd.dedupBarrier.Await(p)
-		myNode := s.nodeOf(g)
-		var refs int64
-		outVecs := 0
-		var redist sim.Time
-		for src := 0; src < cfg.GPUs; src++ {
-			if src == g {
-				continue
-			}
-			switch plan.Class(src, g) {
-			case RouteNodeWire:
-				refs += dv.MissIdx[src][g]
-				outVecs += int(dv.DenseVecs[src][g])
-				if lane := s.stageGPU(src, myNode); lane != g {
-					// The staged node-unique rows landed on the lane GPU;
-					// redistribute them over NVLink before expanding (still
-					// wire-encoded; consumers decode before the final sync).
-					bytes := float64(dv.NodeUniq[src][myNode]) * s.Fab.WireBytes(wireVecBytes)
-					if done := s.Fab.Pipe(lane, g).Offer(bytes); done > redist {
-						redist = done
-					}
-				}
-			case RouteWire:
-				refs += dv.MissIdx[src][g]
-				outVecs += int(dv.DenseVecs[src][g])
-			}
-		}
-		if redist > p.Now() {
-			p.WaitUntil(redist)
-		}
-		if outVecs > 0 {
-			expand := dev.ExpandKernelCost(refs, outVecs, vecBytes)
+		if expand, ok := s.expandCost(p, g, plan); ok {
 			stream.Launch(p, expand) // drains before the final Synchronize
 			if cfg.Functional {
-				for src := 0; src < cfg.GPUs; src++ {
-					if src == g {
-						continue
-					}
-					switch plan.Class(src, g) {
-					case RouteNodeWire:
-						s.functionalExpand(g, src, bd.NodeStage[src][myNode], dv.NodeExpand[src][g], bd.Summary, view, bd.Final[g].Data())
-					case RouteWire:
-						s.functionalExpand(g, src, bd.DedupStage[src][g], dv.Expand[src][g], bd.Summary, view, bd.Final[g].Data())
-					}
-				}
+				s.expandStaged(g, bd, nil)
 			}
 		}
 		bk.Accumulate(CompSyncUnpack, p.Now()-expandStart)
@@ -324,19 +298,132 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
 }
 
+// exchange is the routed walk's post-quiet phase over the collective-routed
+// pairs. Every rank enters the all-to-all (bulk-synchronous contract), even
+// with all-zero segments; its entry rendezvous doubles as the post-store
+// barrier, so staged dedup rows are complete before any consumer expands.
+// Like the baseline's, the launch is stream-ordered behind the exchange gate
+// under pipelining. Then the consumer decodes both arrival paths, unpacks
+// the dense collective segments, and one expansion kernel re-pools every
+// wire pairing whichever transport delivered its rows.
+func (b *PGASFused) exchange(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown, stream *gpu.Stream, route *transport) {
+	cfg := s.Cfg
+	dev := s.Devs[g]
+	sc := s.scratchFor(g, bd)
+	plan := bd.Plan
+	vb := float64(cfg.VectorBytes())
+
+	commStart := p.Now()
+	s.awaitExchangeGate(p, g)
+	var pack []float32
+	if cfg.Functional {
+		pack = s.packSegments(g, bd, sc, route)
+	}
+	recvBuf := s.exchangeSegments(p, g, bd, sc, pack, route)
+	bk.Accumulate(CompComm, p.Now()-commStart)
+
+	unpackStart := p.Now()
+	if cfg.WireCodecActive() {
+		if _, recv := plan.OneSidedCodecVecs(g); recv > 0 {
+			dec := dev.DecodeKernelCost(float64(recv)*float64(cfg.WireVectorBytes()), float64(recv)*vb)
+			_, decEnd := stream.Launch(p, dec)
+			p.WaitUntil(decEnd)
+		}
+	}
+	if vecs, segments := s.unpackVecs(g, plan, route); segments > 0 {
+		_, unpackEnd := stream.Launch(p, dev.UnpackKernelCost(float64(vecs)*vb, segments))
+		p.WaitUntil(unpackEnd)
+	}
+	if plan.Dedup != nil {
+		if expand, ok := s.expandCost(p, g, plan); ok {
+			_, expandEnd := stream.Launch(p, expand)
+			p.WaitUntil(expandEnd)
+		}
+	}
+	if cfg.Functional {
+		s.unpackSegments(g, recvBuf, bd, route)
+		if plan.Dedup != nil {
+			s.expandStaged(g, bd, route)
+		}
+	}
+	stream.Synchronize(p)
+	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
+}
+
+// expandCost prices consumer g's expansion kernel, which re-pools every wire
+// pairing it consumes from the unique rows that pairing shipped, whichever
+// transport delivered them. It first waits out the NVLink redistribution of
+// node-staged rows that landed on another lane GPU (still wire-encoded;
+// consumers decode before the final sync). ok is false when nothing expands.
+func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Duration, ok bool) {
+	dv := plan.Dedup
+	myNode := s.nodeOf(g)
+	var refs int64
+	outVecs := 0
+	var redist sim.Time
+	for src := 0; src < s.Cfg.GPUs; src++ {
+		if src == g {
+			continue
+		}
+		switch plan.Class(src, g) {
+		case RouteNodeWire:
+			refs += dv.MissIdx[src][g]
+			outVecs += int(dv.DenseVecs[src][g])
+			if lane := s.stageGPU(src, myNode); lane != g {
+				bytes := float64(dv.NodeUniq[src][myNode]) * s.Fab.WireBytes(s.Cfg.WireVectorBytes())
+				if done := s.Fab.Pipe(lane, g).Offer(bytes); done > redist {
+					redist = done
+				}
+			}
+		case RouteWire:
+			refs += dv.MissIdx[src][g]
+			outVecs += int(dv.DenseVecs[src][g])
+		}
+	}
+	if redist > p.Now() {
+		p.WaitUntil(redist)
+	}
+	if outVecs == 0 {
+		return 0, false
+	}
+	return s.Devs[g].ExpandKernelCost(refs, outVecs, s.Cfg.VectorBytes()), true
+}
+
+// expandStaged expands, into consumer g's final outputs, every wire pairing
+// whose unique rows were stored one-sidedly into a staging buffer — all of
+// them unless route sends some pairs through the all-to-all, whose rows
+// unpackSegments expands instead.
+func (s *System) expandStaged(g int, bd *BatchData, route *transport) {
+	plan := bd.Plan
+	dv := plan.Dedup
+	dst := bd.Final[g].Data()
+	myNode := s.nodeOf(g)
+	for src := 0; src < s.Cfg.GPUs; src++ {
+		if src == g || route.collective(src, g) {
+			continue
+		}
+		switch plan.Class(src, g) {
+		case RouteNodeWire:
+			s.functionalExpand(g, src, bd.NodeStage[src][myNode], dv.NodeExpand[src][g], bd.Summary, plan.Cache, dst)
+		case RouteWire:
+			s.functionalExpand(g, src, bd.DedupStage[src][g], dv.Expand[src][g], bd.Summary, plan.Cache, dst)
+		}
+	}
+}
+
 // servedChunkCost prices one chunk of the fused kernel over every
 // (shard, consumer) pair GPU g serves: each pair gathers its cache-missed
-// vectors, consumer-local pairs store them to HBM, remote pairs issue
-// one-sided stores, and the consumer's own cache hits are gathered from the
-// hot working set. It tallies each remote consumer's store count for the
-// chunk into perPeer (timing mode; nil in functional mode).
-func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, perPeer []int) sim.Duration {
+// vectors, consumer-local and collective-routed pairs store them to HBM,
+// remote pairs issue one-sided stores, and the consumer's own cache hits are
+// gathered from the hot working set. It tallies each remote consumer's store
+// count for the chunk into perPeer (timing mode; nil in functional mode).
+func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, perPeer []int, route *transport) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
 	fvb := float64(cfg.VectorBytes())
 	var chunkIdx int64
-	items, localVecs, issues := 0, 0, 0
+	items, hbmVecs, issues := 0, 0, 0
 	for c := 0; c < cfg.GPUs; c++ {
 		if perPeer != nil {
 			perPeer[c] = 0
@@ -354,8 +441,8 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 			vecs := (o1-o0)*s.LocalTables(o) - hitV
 			chunkIdx += s.localIndexTotal(bd.Summary, o, o0, o1) - hitI
 			items += vecs
-			if c == g {
-				localVecs += vecs
+			if c == g || route.collective(o, c) {
+				hbmVecs += vecs // final output or all-to-all send buffer
 				continue
 			}
 			issues += vecs
@@ -366,7 +453,7 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
 	readBytes := float64(chunkIdx)*fvb + dev.HotReadEquivalent(float64(hitIdx)*fvb)
-	streamBytes := float64(chunkIdx+hitIdx)*8 + float64(localVecs+hitVecs)*fvb
+	streamBytes := float64(chunkIdx+hitIdx)*8 + float64(hbmVecs+hitVecs)*fvb
 	return dev.GatherKernelChunkCost(readBytes, streamBytes, items+hitVecs, kernelItems) +
 		dev.RemoteIssueCost(issues) +
 		sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
@@ -375,9 +462,10 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 // dedupChunkCost prices one chunk of the deduplicated fused kernel by
 // destination pair: own-minibatch outputs store to HBM (with gather dedup
 // when it wins), dense remote pairs issue per-vector stores, and wire pairs
-// gather and issue only the keys first seen in this chunk. Chunk items sum
-// exactly to the kernel's occupancy item count.
-func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems int) sim.Duration {
+// gather and issue only the keys first seen in this chunk. Collective-routed
+// pairs stream the same outputs into the HBM send buffer instead of issuing
+// them. Chunk items sum exactly to the kernel's occupancy item count.
+func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, route *transport) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
@@ -410,6 +498,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 		hitV, hitI := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
 		missIdx := pairIdx - hitI
 		chunkIdx += missIdx
+		coll := route.collective(g, d)
 		switch plan.Class(g, d) {
 		case RouteNodeWire:
 			nk := plan.NodeNewKeysIn(g, s.nodeOf(d), o0, o1)
@@ -421,7 +510,11 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			nk := plan.NewKeysIn(g, d, o0, o1)
 			readBytes += float64(nk) * fvb
 			items += nk
-			issues += nk
+			if coll {
+				streamBytes += float64(nk) * fvb
+			} else {
+				issues += nk
+			}
 			continue
 		}
 		missVecs := ovl*fg - hitV
@@ -433,7 +526,11 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			readBytes += float64(missIdx) * fvb
 		}
 		items += missVecs
-		issues += missVecs
+		if coll {
+			streamBytes += float64(missVecs) * fvb
+		} else {
+			issues += missVecs
+		}
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
 	readBytes += dev.HotReadEquivalent(float64(hitIdx) * fvb)
@@ -441,7 +538,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 	items += hitVecs
 	return dev.GatherKernelChunkCost(readBytes, streamBytes, items, kernelItems) +
 		dev.RemoteIssueCost(issues) +
-		sim.Duration(cfg.GPUs-1)*dev.Params().RemotePeerChunkOverhead
+		sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
 }
 
 // clampRange returns [a0, a1) ∩ [b0, b1) as a (possibly empty) range.
@@ -461,8 +558,9 @@ func clampRange(a0, a1, b0, b1 int) (int, int) {
 // consumer already pooled locally, and wire pairs, where only the unique rows
 // first referenced in this chunk are streamed (in canonical first-seen order)
 // into the consumer's staging buffer; the consumer expands them after the
-// dedup barrier.
-func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData, s0, s1 int, scratch []float32, cursors, nodeCursors []int, agg *pgas.Aggregator) {
+// dedup barrier. Collective-routed pairs are skipped: the exchange phase
+// packs them.
+func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData, s0, s1 int, scratch []float32, cursors, nodeCursors []int, agg *pgas.Aggregator, route *transport) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	view := plan.Cache
@@ -471,6 +569,9 @@ func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData
 	coll := s.colls[g] // wire routes ship g's own rows (dedup runs are unreplicated)
 	for smp := s0; smp < s1; smp++ {
 		owner := sparse.OwnerOfSample(cfg.BatchSize, cfg.GPUs, smp)
+		if route.collective(g, owner) {
+			continue
+		}
 		olo, _ := s.Minibatch(owner)
 		if plan.Class(g, owner) == RouteNodeWire {
 			// Node-level wire dedup: stream the node keys this sample

@@ -109,7 +109,7 @@ func (s *System) accumOwnerLoad(bd *BatchData) {
 			lo, hi := s.Minibatch(c)
 			idx := s.localIndexTotal(sum, o, lo, hi)
 			vecs := (hi - lo) * s.LocalTables(o)
-			if v := bd.Cache; v != nil && o != c {
+			if v := bd.Plan.Cache; v != nil && o != c {
 				hitVecs, hitIdx := v.WireVecs[o][c], v.WireIdx[o][c]
 				vecs -= hitVecs
 				idx -= hitIdx

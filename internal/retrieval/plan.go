@@ -162,11 +162,12 @@ func (p *RoutePlan) CollectiveVecs(src, dst int) int {
 
 // segmentVecs returns the vectors GPU server ships into consumer dst's
 // all-to-all segment: CollectiveVecs summed over every shard the plan has
-// server serving dst. Without replication that is CollectiveVecs(server, dst).
-func (p *RoutePlan) segmentVecs(server, dst int) int {
+// server serving dst that route exchanges (all of them when route is nil).
+// Without replication that is CollectiveVecs(server, dst), or zero.
+func (p *RoutePlan) segmentVecs(server, dst int, route *transport) int {
 	vecs := 0
 	for o := 0; o < p.sys.Cfg.GPUs; o++ {
-		if p.ServeGPU(o, dst) == server {
+		if p.ServeGPU(o, dst) == server && route.exchanged(o, dst) {
 			vecs += p.CollectiveVecs(o, dst)
 		}
 	}
@@ -183,8 +184,8 @@ func (p *RoutePlan) CollectiveCodecVecs(g int) (sent, recv int64) {
 		if peer == g {
 			continue
 		}
-		sent += int64(p.segmentVecs(g, peer))
-		recv += int64(p.segmentVecs(peer, g))
+		sent += int64(p.segmentVecs(g, peer, nil))
+		recv += int64(p.segmentVecs(peer, g, nil))
 	}
 	return sent, recv
 }
@@ -270,7 +271,7 @@ type planScratch struct {
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the
-// resulting plan (plus the legacy Cache/Dedup views it owns) to bd.
+// resulting plan to bd.
 func (s *System) compileRoutePlan(bd *BatchData) {
 	plan := &RoutePlan{sys: s}
 	bd.Plan = plan
@@ -278,18 +279,16 @@ func (s *System) compileRoutePlan(bd *BatchData) {
 		// Cache classification first: hit vectors never enter the dedup key
 		// sets, so the dedup pass below sees only cache misses.
 		plan.Cache = s.classifyCache(bd)
-		bd.Cache = plan.Cache
 	} else if s.hotMirrorActive() {
 		// Mirrored hot tables ride the same view: their vectors are
 		// guaranteed local hits for every consumer, so every backend's
 		// cache-skip path serves mirror reads unchanged. (Cache and adaptive
 		// placement are mutually exclusive by Config validation.)
 		plan.Cache = s.classifyHotMirror(bd)
-		bd.Cache = plan.Cache
 	}
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
 		plan.Dedup = s.classifyDedup(bd)
-		s.attachDedup(bd, plan.Dedup) // sets bd.Dedup and the expansion plumbing
+		s.attachDedup(bd, plan.Dedup)
 	}
 	if s.Cfg.Replicas > 1 {
 		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
@@ -391,7 +390,7 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 	cfg := s.Cfg
 	B, G := cfg.BatchSize, cfg.GPUs
 	vb := float64(cfg.VectorBytes())
-	view := bd.Cache
+	view := bd.Plan.Cache
 	dv := &DedupView{
 		MissIdx:   make([][]int64, G),
 		Uniq:      make([][]int64, G),
@@ -570,7 +569,6 @@ func (s *System) ownerScratch(bd *BatchData, src int) ([]*sparse.FeatureBag, []i
 // baseline never awaits the barrier (its collective is already a global
 // synchronisation point); an unawaited barrier is inert.
 func (s *System) attachDedup(bd *BatchData, dv *DedupView) {
-	bd.Dedup = dv
 	if s.Cfg.GPUs <= 1 {
 		return
 	}

@@ -328,15 +328,6 @@ type BatchData struct {
 	// nil when the corresponding feature is off.
 	Plan *RoutePlan
 
-	// Cache is the batch's hot-row classification (nil when the cache is
-	// disabled): which vectors each backend may skip sending and each
-	// consumer pools locally. Owned by Plan; kept for direct access.
-	Cache *CacheView
-
-	// Dedup is the batch's index-deduplication classification (nil when
-	// Config.Dedup is off): per (owner, consumer) pair, the unique key sets
-	// and inverse-expansion maps.
-	Dedup *DedupView
 	// DedupStage[src][dst] is the consumer-side staging buffer owner src
 	// streams its unique rows into (functional wire pairs only).
 	DedupStage [][][]float32
