@@ -34,7 +34,7 @@ type ChaosOptions struct {
 	Duration sim.Duration
 	// Base overrides the serving workload configuration (default
 	// retrieval.ServingScaleConfig(GPUs)); its Replicas field is overwritten
-	// by the sweep. Replication requires CacheFraction == 0 and Dedup off.
+	// by the sweep. Replication requires Dedup and AdaptivePlacement off.
 	Base *retrieval.Config
 	// HW selects the hardware model (nil = calibrated defaults, clustered
 	// when Nodes > 0); its Faults field is overwritten by the sweep.

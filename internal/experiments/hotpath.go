@@ -91,6 +91,8 @@ func hotPathCases() []hotPathCase {
 	}
 	pool[0], pool[1] = 64, 64 // two dominant tables: the mirror set
 	placedMirror.PerFeatureMaxPooling = pool
+	placedMirrorCached := placedMirror
+	placedMirrorCached.CacheFraction = 0.0001
 	cluster := retrieval.ClusterHardware(2)
 	taxed := cluster
 	taxed.Link.HeaderBytes = 1 << 20
@@ -123,11 +125,15 @@ func hotPathCases() []hotPathCase {
 		{name: "retrieval/multinode-pgas-batch-dedup", cfg: dedup, hw: cluster, backend: &retrieval.PGASFused{}},
 		// Route-plan compilation alone: the shared classification +
 		// plan-build step every backend's RunBatch starts from, across the
-		// layers that change its shape (dedup, cache, cluster boundaries).
+		// layers that change its shape (dedup, residency, cluster boundaries).
 		{name: "retrieval/plan-compile", cfg: base, hw: hw, planOnly: true},
 		{name: "retrieval/plan-compile-dedup", cfg: dedup, hw: hw, planOnly: true},
 		{name: "retrieval/plan-compile-dedup-cached", cfg: dedupCached, hw: hw, planOnly: true},
 		{name: "retrieval/plan-compile-placement-mirror", cfg: placedMirror, hw: hw,
+			planOnly: true, prime: primePlacement},
+		// The residency pass with every tier live: mirrored tables skip the
+		// cache, the rest probe and admit it.
+		{name: "retrieval/plan-compile-placement-mirror-cached", cfg: placedMirrorCached, hw: hw,
 			planOnly: true, prime: primePlacement},
 		{name: "retrieval/multinode-plan-compile-dedup", cfg: dedup, hw: cluster, planOnly: true},
 	}

@@ -92,7 +92,7 @@ func (s *System) dropVolumeRecords(g int) {
 }
 
 // PlanCompileLoop drives n route-plan compilations over ONE materialised
-// batch, for Go benchmarks of the host-side classifier passes (cache view,
+// batch, for Go benchmarks of the host-side classifier passes (residency view,
 // dedup key sets, node-level dedup, replica serve map). Input generation runs
 // once outside the loop, so what the loop measures is exactly the per-batch
 // compile cost the pipelined scheduler pays on the host while the device

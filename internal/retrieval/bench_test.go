@@ -228,36 +228,41 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 	cases := []struct {
 		name     string
 		dedup    bool
+		cached   bool
 		replicas int
 		depth    int
 		prec     Precision
 		hw       HardwareParams
 		backend  Backend
 	}{
-		{"pgas-fused", false, 0, 1, FP32, cluster, &PGASFused{}},
-		{"pgas-fused-dedup", true, 0, 1, FP32, cluster, &PGASFused{}},
-		{"pgas-fused-replicas2", false, 2, 1, FP32, cluster, &PGASFused{}},
-		{"baseline", false, 0, 1, FP32, cluster, &Baseline{}},
-		{"baseline-replicas2", false, 2, 1, FP32, cluster, &Baseline{}},
-		{"hybrid", false, 0, 1, FP32, cluster, &Hybrid{}},
-		{"hybrid-dedup", true, 0, 1, FP32, cluster, &Hybrid{}},
+		{"pgas-fused", false, false, 0, 1, FP32, cluster, &PGASFused{}},
+		{"pgas-fused-dedup", true, false, 0, 1, FP32, cluster, &PGASFused{}},
+		{"pgas-fused-replicas2", false, false, 2, 1, FP32, cluster, &PGASFused{}},
+		{"baseline", false, false, 0, 1, FP32, cluster, &Baseline{}},
+		{"baseline-replicas2", false, false, 2, 1, FP32, cluster, &Baseline{}},
+		// Replicas beside the hot-row cache: one residency view, read by
+		// shard, in both served-pair walks.
+		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, cluster, &PGASFused{}},
+		{"baseline-replicas2-cached", false, true, 2, 1, FP32, cluster, &Baseline{}},
+		{"hybrid", false, false, 0, 1, FP32, cluster, &Hybrid{}},
+		{"hybrid-dedup", true, false, 0, 1, FP32, cluster, &Hybrid{}},
 		// Header-taxed variants: the hybrid walks that route pairs through
 		// the collective, mixed on two nodes and all-collective on one.
-		{"hybrid-mixed", false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}},
-		{"hybrid-mixed-dedup", true, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}},
-		{"hybrid-all-collective", false, 0, 1, FP32, headerTaxedHardware(0), &Hybrid{}},
+		{"hybrid-mixed", false, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}},
+		{"hybrid-mixed-dedup", true, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}},
+		{"hybrid-all-collective", false, false, 0, 1, FP32, headerTaxedHardware(0), &Hybrid{}},
 		// Depth-2 pipelined variants: the per-slot arenas, window rendezvous
 		// and QuietSlot path must hold the same zero-alloc contract.
-		{"pgas-fused-depth2", false, 0, 2, FP32, cluster, &PGASFused{}},
-		{"pgas-fused-dedup-depth2", true, 0, 2, FP32, cluster, &PGASFused{}},
-		{"baseline-depth2", false, 0, 2, FP32, cluster, &Baseline{}},
-		{"hybrid-depth2", false, 0, 2, FP32, cluster, &Hybrid{}},
+		{"pgas-fused-depth2", false, false, 0, 2, FP32, cluster, &PGASFused{}},
+		{"pgas-fused-dedup-depth2", true, false, 0, 2, FP32, cluster, &PGASFused{}},
+		{"baseline-depth2", false, false, 0, 2, FP32, cluster, &Baseline{}},
+		{"hybrid-depth2", false, false, 0, 2, FP32, cluster, &Hybrid{}},
 		// Reduced-wire-precision variants: codec vector counting and the
 		// encode/decode kernel charges must not allocate either.
-		{"pgas-fused-batch-fp16", false, 0, 1, FP16, cluster, &PGASFused{}},
-		{"pgas-fused-batch-int8", false, 0, 1, Int8, cluster, &PGASFused{}},
-		{"baseline-fp16", false, 0, 1, FP16, cluster, &Baseline{}},
-		{"hybrid-int8", true, 0, 1, Int8, cluster, &Hybrid{}},
+		{"pgas-fused-batch-fp16", false, false, 0, 1, FP16, cluster, &PGASFused{}},
+		{"pgas-fused-batch-int8", false, false, 0, 1, Int8, cluster, &PGASFused{}},
+		{"baseline-fp16", false, false, 0, 1, FP16, cluster, &Baseline{}},
+		{"hybrid-int8", true, false, 0, 1, Int8, cluster, &Hybrid{}},
 	}
 	// wantMode names the routing each hybrid case must engage, so a
 	// hardware change cannot silently fold a case into another's walk.
@@ -272,6 +277,9 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			cfg := benchConfig()
 			cfg.Dedup = c.dedup
+			if c.cached {
+				cfg.CacheFraction = 1e-8
+			}
 			cfg.Replicas = c.replicas
 			cfg.PipelineDepth = c.depth
 			cfg.WirePrecision = c.prec

@@ -5,8 +5,6 @@ import (
 
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
-	"pgasemb/internal/sparse"
-	"pgasemb/internal/workload"
 )
 
 // Hot-row cache integration. Each GPU g may hold a software-managed cache of
@@ -19,13 +17,15 @@ import (
 // internal/workload generates.
 //
 // Classification (probe → hit/miss → admission) happens host-side during
-// route-plan compilation (plan.go), in one canonical order (consumer, then
-// owner, then local table, then sample), so outcomes are a pure function of
-// the workload seed and cache capacity — never of simulated-process
-// interleaving. The refill
-// path (admitting missed rows) models HPS-style lazy asynchronous insertion:
-// it rides along with the miss traffic the system already pays for and is
-// not charged to batch latency. Cache-hit gathers are priced through
+// route-plan compilation (classifyResidency in plan.go, which resolves
+// consumer-held replicas and hot-table mirrors before probing), in one
+// canonical order (consumer, then owner, then local table, then sample), so
+// outcomes are a pure function of the workload seed and cache capacity —
+// never of simulated-process interleaving. Keys are (table, row), not owner,
+// so residency survives adaptive-placement plan swaps. The refill path
+// (admitting missed rows) models HPS-style lazy asynchronous insertion: it
+// rides along with the miss traffic the system already pays for and is not
+// charged to batch latency. Cache-hit gathers are priced through
 // gpu.HotReadEquivalent (the hot working set mostly lives in L2).
 
 // cacheEnabled reports whether this run classifies batches against a
@@ -67,8 +67,9 @@ func (s *System) AttachCaches(set *cache.Set) error {
 	return nil
 }
 
-// CacheView is one batch's classification result: which output vectors are
-// cache hits, and the per-(owner, consumer) totals the timing model needs.
+// CacheView is one batch's residency result: which output vectors their
+// consumers read without the owner (hot-row cache hits and hot-table mirror
+// reads alike), and the per-(owner, consumer) totals the timing model needs.
 type CacheView struct {
 	// Hit[p][fi*BatchSize+smp] marks the vector (owner p, p-local table fi,
 	// sample smp) as a hit at smp's consumer. Vectors of p's own minibatch
@@ -152,66 +153,4 @@ func poolFromCache(c *cache.Cache, fid int32, rows []int32, mode embedding.Pooli
 	default:
 		panic(fmt.Sprintf("retrieval: unknown pooling mode %d", mode))
 	}
-}
-
-// cacheChunkOwner returns the hit vectors (and pooled indices) that
-// work-owner g skips within sample range [s0, s1) — the fused kernel's
-// per-chunk discount. When perPeer is non-nil it additionally tallies the
-// skipped vectors by consuming GPU (for the timing put loop); entries must
-// be zeroed by the caller.
-func (s *System) cacheChunkOwner(view *CacheView, sum *workload.Summary, g, s0, s1 int, perPeer []int) (vecs int, idx int64) {
-	if view == nil {
-		return 0, 0
-	}
-	B := s.Cfg.BatchSize
-	for fi, fid := range s.Plan[g] {
-		hitRow := view.Hit[g][fi*B:]
-		pool := sum.Pooling[fid*B:]
-		for smp := s0; smp < s1; smp++ {
-			if !hitRow[smp] {
-				continue
-			}
-			vecs++
-			idx += int64(pool[smp])
-			if perPeer != nil {
-				perPeer[sparse.OwnerOfSample(B, s.Cfg.GPUs, smp)]++
-			}
-		}
-	}
-	return vecs, idx
-}
-
-// cacheChunkConsumer returns the hit vectors (and pooled indices) that
-// consumer g pools from its cache for its minibatch samples within [s0, s1).
-func (s *System) cacheChunkConsumer(view *CacheView, sum *workload.Summary, g, s0, s1 int) (vecs int, idx int64) {
-	if view == nil {
-		return 0, 0
-	}
-	B := s.Cfg.BatchSize
-	lo, hi := s.Minibatch(g)
-	if s0 < lo {
-		s0 = lo
-	}
-	if s1 > hi {
-		s1 = hi
-	}
-	if s1 <= s0 {
-		return 0, 0
-	}
-	for p := 0; p < s.Cfg.GPUs; p++ {
-		if p == g {
-			continue
-		}
-		for fi, fid := range s.Plan[p] {
-			hitRow := view.Hit[p][fi*B:]
-			pool := sum.Pooling[fid*B:]
-			for smp := s0; smp < s1; smp++ {
-				if hitRow[smp] {
-					vecs++
-					idx += int64(pool[smp])
-				}
-			}
-		}
-	}
-	return vecs, idx
 }

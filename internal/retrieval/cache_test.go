@@ -218,6 +218,34 @@ func TestCacheDeterminismAndSlots(t *testing.T) {
 	}
 }
 
+// A consumer reads a shard it holds a replica of from that replica, so the
+// residency pass never probes its cache for one: with every shard on every
+// GPU nothing probes at all, and a second replica leaves fewer probes than
+// an unreplicated run.
+func TestResidencySkipsReplicaHeldShards(t *testing.T) {
+	probes := func(replicas int) int64 {
+		t.Helper()
+		cfg := cacheTestConfig(4)
+		cfg.CacheFraction = 0.003
+		cfg.Replicas = replicas
+		sys, err := NewSystem(cfg, cacheTestHardware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := sys.Run(&PGASFused{}); err != nil {
+			t.Fatal(err)
+		}
+		st := sys.Caches.Stats()
+		return st.Hits + st.Misses
+	}
+	if n := probes(4); n != 0 {
+		t.Fatalf("fully replicated run probed the cache %d times (want 0)", n)
+	}
+	if one, two := probes(1), probes(2); two == 0 || two >= one {
+		t.Fatalf("probes: %d with 2 replicas, %d unreplicated (want 0 < replicated < unreplicated)", two, one)
+	}
+}
+
 // Misconfigurations must be rejected at validation time.
 func TestCacheConfigValidation(t *testing.T) {
 	cfg := TestScaleConfig(2)

@@ -129,8 +129,9 @@ type Config struct {
 	// replication that lets the route-plan compiler serve any (owner,
 	// consumer) pair from the healthiest replica — including the consumer
 	// itself, turning remote reads into local ones — and fail over around
-	// degraded links. 0 and 1 both mean no replication. Dense routing only
-	// (no Dedup, no CacheFraction).
+	// degraded links. 0 and 1 both mean no replication. Composes with the
+	// hot-row cache (a consumer never caches a shard it holds a replica of);
+	// excludes Dedup and AdaptivePlacement.
 	Replicas int
 	// AdaptivePlacement enables the access-statistics-driven placement
 	// layer: the route-plan compiler feeds per-table and per-row-bucket
@@ -149,8 +150,8 @@ type Config struct {
 	// every GPU (selective replication — cheaper than the full-mirror
 	// Replicas): consumers pool mirrored vectors locally, exactly like a
 	// hot-row cache hit, and the mirror installs are charged as migration
-	// traffic. Requires AdaptivePlacement; mutually exclusive with
-	// CacheFraction (both claim the batch's hit-classification view).
+	// traffic. Requires AdaptivePlacement. Composes with the hot-row cache:
+	// a mirrored table's vectors never probe it.
 	HotTables int
 	// HotSetDriftEvery passes through to the workload generator: the Zipf
 	// hot set rotates to a different index-space region every this many
@@ -222,9 +223,6 @@ func (c Config) Validate() error {
 	case c.Replicas > 1 && c.Dedup:
 		return fmt.Errorf("retrieval: shard replication does not compose with index deduplication " +
 			"(dedup key sets are per fixed (owner, consumer) pair; replica failover re-routes pairs per batch)")
-	case c.Replicas > 1 && c.CacheFraction > 0:
-		return fmt.Errorf("retrieval: shard replication does not compose with the hot-row cache " +
-			"(replicated shards already serve remote rows locally; cache hit state would diverge across replicas)")
 	case c.AdaptivePlacement && c.RebalanceEvery <= 0:
 		return fmt.Errorf("retrieval: AdaptivePlacement needs a positive RebalanceEvery epoch length, have %d", c.RebalanceEvery)
 	case !c.AdaptivePlacement && c.RebalanceEvery != 0:
@@ -239,12 +237,6 @@ func (c Config) Validate() error {
 	case c.AdaptivePlacement && c.Replicas > 1:
 		return fmt.Errorf("retrieval: adaptive placement does not compose with full-mirror Replicas " +
 			"(both re-route reads; use HotTables for selective replication instead)")
-	case c.HotTables > 0 && c.CacheFraction > 0:
-		return fmt.Errorf("retrieval: hot-table mirrors do not compose with the hot-row cache " +
-			"(both claim the batch's hit-classification view; a mirrored table needs no cache)")
-	case c.AdaptivePlacement && c.CacheFraction > 0:
-		return fmt.Errorf("retrieval: adaptive placement does not compose with the hot-row cache " +
-			"(cache residency is keyed by owner; a plan swap would invalidate every cached row)")
 	case c.HotSetDriftEvery < 0:
 		return fmt.Errorf("retrieval: negative HotSetDriftEvery %d", c.HotSetDriftEvery)
 	case c.WirePrecision != FP32 && c.WirePrecision != FP16 && c.WirePrecision != Int8:

@@ -197,7 +197,7 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 				}
 				plo, phi := s.Minibatch(peer)
 				o0, o1 := clampRange(s0, s1, plo, phi)
-				hitV, _ := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
+				hitV, _ := plan.OwnerChunkHits(bd.Summary, g, o0, o1)
 				vecs = overlap(s0, s1, plo, phi)*s.LocalTables(g) - hitV
 			}
 			if vecs == 0 {
@@ -437,7 +437,7 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 			if plan.ServeGPU(o, c) != g {
 				continue
 			}
-			hitV, hitI := plan.OwnerChunkHits(bd.Summary, o, o0, o1, nil)
+			hitV, hitI := plan.OwnerChunkHits(bd.Summary, o, o0, o1)
 			vecs := (o1-o0)*s.LocalTables(o) - hitV
 			chunkIdx += s.localIndexTotal(bd.Summary, o, o0, o1) - hitI
 			items += vecs
@@ -495,7 +495,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			items += ovl * fg
 			continue
 		}
-		hitV, hitI := plan.OwnerChunkHits(bd.Summary, g, o0, o1, nil)
+		hitV, hitI := plan.OwnerChunkHits(bd.Summary, g, o0, o1)
 		missIdx := pairIdx - hitI
 		chunkIdx += missIdx
 		coll := route.collective(g, d)

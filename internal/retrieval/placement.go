@@ -14,8 +14,9 @@ import (
 //
 //   - the route-plan compiler feeds the controller's statistics collector as
 //     a side effect of the single host-side pass every batch already makes;
-//   - mirrored hot tables are expressed as a CacheView, so every backend's
-//     existing hit-skipping path serves mirror reads with zero backend edits;
+//   - mirrored hot tables are guaranteed hits in the route plan's residency
+//     view (classifyResidency), so every backend's existing hit-skipping
+//     path serves mirror reads with zero backend edits;
 //   - rebalance epochs run on the ONE simulated clock: migration traffic is
 //     charged to the NVLink pipes (or the NIC fabric across nodes) between
 //     epochs, and plans swap only at batch boundaries.
@@ -121,57 +122,6 @@ func (s *System) accumOwnerLoad(bd *BatchData) {
 			s.ownerBytes[g] += float64(vecs) * vb
 		}
 	}
-}
-
-// classifyHotMirror expresses the controller's mirror set as a CacheView:
-// every non-empty output vector of a mirrored table is a guaranteed hit for
-// every remote consumer, pooled locally from the consumer's mirror copy. The
-// backends' cache-skip arithmetic (cacheChunkOwner / cacheChunkConsumer) then
-// serves mirror reads without any backend knowing mirrors exist. In
-// functional mode the mirror copy is bit-identical to the primary, so the
-// pool happens straight off the owner's table object.
-func (s *System) classifyHotMirror(bd *BatchData) *CacheView {
-	cfg := s.Cfg
-	B := cfg.BatchSize
-	view := &CacheView{
-		Hit:      make([][]bool, cfg.GPUs),
-		WireVecs: make([][]int, cfg.GPUs),
-		WireIdx:  make([][]int64, cfg.GPUs),
-	}
-	for p := 0; p < cfg.GPUs; p++ {
-		view.Hit[p] = make([]bool, len(s.Plan[p])*B)
-		view.WireVecs[p] = make([]int, cfg.GPUs)
-		view.WireIdx[p] = make([]int64, cfg.GPUs)
-	}
-	for p := 0; p < cfg.GPUs; p++ {
-		for fi, fid := range s.Plan[p] {
-			if !s.hotMirror[fid] {
-				continue
-			}
-			fb := bd.Sparse.FeatureByID(fid)
-			for g := 0; g < cfg.GPUs; g++ {
-				if g == p {
-					continue
-				}
-				lo, hi := s.Minibatch(g)
-				for smp := lo; smp < hi; smp++ {
-					bag := fb.Bag(smp)
-					if len(bag) == 0 {
-						continue // zero vector; nothing to gather or send
-					}
-					view.Hit[p][fi*B+smp] = true
-					view.WireVecs[p][g]++
-					view.WireIdx[p][g] += int64(len(bag))
-					if cfg.Functional {
-						off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
-						out := bd.Final[g].Data()[off : off+cfg.Dim]
-						s.colls[p].Tables[fi].LookupPooled(bag, cfg.Pooling, out)
-					}
-				}
-			}
-		}
-	}
-	return view
 }
 
 // runAdaptive is RunContext's adaptive-placement body: batches are generated

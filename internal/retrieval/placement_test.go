@@ -31,14 +31,19 @@ func placementGateConfig() Config {
 // data), and (b) a timing-only adaptive run must land on the functional run's
 // simulated time — including the migration traffic charged between epochs.
 // The third variant layers index deduplication on top: mirror hits must never
-// enter the dedup key sets, and swaps must stay bit-exact under both.
+// enter the dedup key sets, and swaps must stay bit-exact under both. The
+// cache variants add the hot-row cache, which must keep real hits across
+// swaps and beside mirrors.
 func registryPlacementGate(t *testing.T, name, machine string, hw HardwareParams) {
-	run := func(t *testing.T, functional, adaptive, dedup bool, hot int, prec Precision) *Result {
+	run := func(t *testing.T, functional, adaptive, dedup, cached bool, hot int, prec Precision) (*Result, *System) {
 		t.Helper()
 		cfg := placementGateConfig()
 		cfg.Functional = functional
 		cfg.Dedup = dedup
 		cfg.WirePrecision = prec
+		if cached {
+			cfg.CacheFraction = 1e-8
+		}
 		if adaptive {
 			cfg.AdaptivePlacement = true
 			cfg.RebalanceEvery = 2
@@ -65,28 +70,37 @@ func registryPlacementGate(t *testing.T, name, machine string, hw HardwareParams
 				}
 			}
 		}
-		return res
+		return res, s
 	}
 	for _, v := range []struct {
 		label string
 		hot   int
 		dedup bool
+		cache bool
 		prec  Precision
 	}{
-		{"rebalance", 0, false, FP32},
-		{"rebalance+mirror", 1, false, FP32},
-		{"rebalance+mirror+dedup", 1, true, FP32},
+		{"rebalance", 0, false, false, FP32},
+		{"rebalance+mirror", 1, false, false, FP32},
+		{"rebalance+mirror+dedup", 1, true, false, FP32},
 		// Reduced wire precision under swaps and mirrors: rebalancing
 		// relocates quantized-at-rest tables, so outputs must stay byte-
 		// identical to the codec-applied placement-off run and reference.
-		{"rebalance+mirror+dedup+fp16", 1, true, FP16},
-		{"rebalance+mirror+dedup+int8", 1, true, Int8},
+		{"rebalance+mirror+dedup+fp16", 1, true, false, FP16},
+		{"rebalance+mirror+dedup+int8", 1, true, false, Int8},
+		// The hot-row cache under swaps and mirrors: cache keys name the
+		// (table, row), not the owner, so a swap invalidates nothing, and a
+		// mirrored table's vectors never probe the cache.
+		{"rebalance+cache", 0, false, true, FP32},
+		{"rebalance+mirror+dedup+cache", 1, true, true, FP32},
 	} {
 		t.Run(fmt.Sprintf("%s/%s+placement-%s", name, machine, v.label), func(t *testing.T) {
-			off := run(t, true, false, v.dedup, 0, v.prec)
-			on := run(t, true, true, v.dedup, v.hot, v.prec)
+			off, _ := run(t, true, false, v.dedup, v.cache, 0, v.prec)
+			on, sys := run(t, true, true, v.dedup, v.cache, v.hot, v.prec)
 			if on.Rebalances == 0 {
 				t.Fatal("skewed gate workload triggered no rebalance; the gate is not exercising swaps")
+			}
+			if v.cache && sys.Caches.Stats().Hits == 0 {
+				t.Fatal("cached gate workload saw no cache hits; the gate is not exercising the cache")
 			}
 			for g := range on.Final {
 				if !tensor.Equal(on.Final[g], off.Final[g]) {
@@ -94,7 +108,7 @@ func registryPlacementGate(t *testing.T, name, machine string, hw HardwareParams
 						g, tensor.MaxAbsDiff(on.Final[g], off.Final[g]))
 				}
 			}
-			tRes := run(t, false, true, v.dedup, v.hot, v.prec)
+			tRes, _ := run(t, false, true, v.dedup, v.cache, v.hot, v.prec)
 			if math.Abs(on.TotalTime-tRes.TotalTime) > 1e-9 {
 				t.Errorf("functional total %g != timing total %g", on.TotalTime, tRes.TotalTime)
 			}

@@ -244,16 +244,51 @@ func (p *RoutePlan) NodeNewKeysIn(src, node, s0, s1 int) int {
 	return p.sys.nodeNewKeysIn(p.Dedup, src, node, s0, s1)
 }
 
-// OwnerChunkHits returns the cache-hit vectors (and pooled indices) owner g
-// skips within sample range [s0, s1); see cacheChunkOwner.
-func (p *RoutePlan) OwnerChunkHits(sum *workload.Summary, g, s0, s1 int, perPeer []int) (vecs int, idx int64) {
-	return p.sys.cacheChunkOwner(p.Cache, sum, g, s0, s1, perPeer)
+// OwnerChunkHits returns the hit vectors (and pooled indices) of shard o
+// within sample range [s0, s1) — vectors their consumers read without the
+// owner, so no server gathers or sends them: the fused kernel's per-chunk
+// discount.
+func (p *RoutePlan) OwnerChunkHits(sum *workload.Summary, o, s0, s1 int) (vecs int, idx int64) {
+	view := p.Cache
+	if view == nil {
+		return 0, 0
+	}
+	B := p.sys.Cfg.BatchSize
+	for fi, fid := range p.sys.Plan[o] {
+		hitRow := view.Hit[o][fi*B:]
+		pool := sum.Pooling[fid*B:]
+		for smp := s0; smp < s1; smp++ {
+			if hitRow[smp] {
+				vecs++
+				idx += int64(pool[smp])
+			}
+		}
+	}
+	return vecs, idx
 }
 
-// ConsumerChunkHits returns the cache-hit vectors (and pooled indices)
-// consumer g pools locally within [s0, s1); see cacheChunkConsumer.
+// ConsumerChunkHits returns the hit vectors (and pooled indices) that
+// consumer g pools locally — from its cache or its hot-table mirrors — for
+// its minibatch samples within [s0, s1).
 func (p *RoutePlan) ConsumerChunkHits(sum *workload.Summary, g, s0, s1 int) (vecs int, idx int64) {
-	return p.sys.cacheChunkConsumer(p.Cache, sum, g, s0, s1)
+	if p.Cache == nil {
+		return 0, 0
+	}
+	s := p.sys
+	lo, hi := s.Minibatch(g)
+	s0, s1 = clampRange(s0, s1, lo, hi)
+	if s1 <= s0 {
+		return 0, 0
+	}
+	for o := 0; o < s.Cfg.GPUs; o++ {
+		if o == g {
+			continue
+		}
+		v, i := p.OwnerChunkHits(sum, o, s0, s1)
+		vecs += v
+		idx += i
+	}
+	return vecs, idx
 }
 
 // planScratch is the per-run arena for plan COMPILATION: working state that
@@ -267,7 +302,7 @@ type planScratch struct {
 	fbs        []*sparse.FeatureBag // one owner's feature bags
 	rowsPer    []int                // one owner's table row counts
 	expTmp     [][]int32            // one node's per-consumer expansions into its key set
-	rowScratch []int32              // cache classifier's hashed-bag scratch
+	rowScratch []int32              // residency classifier's hashed-bag scratch
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the
@@ -275,16 +310,11 @@ type planScratch struct {
 func (s *System) compileRoutePlan(bd *BatchData) {
 	plan := &RoutePlan{sys: s}
 	bd.Plan = plan
-	if s.cacheEnabled() {
-		// Cache classification first: hit vectors never enter the dedup key
-		// sets, so the dedup pass below sees only cache misses.
-		plan.Cache = s.classifyCache(bd)
-	} else if s.hotMirrorActive() {
-		// Mirrored hot tables ride the same view: their vectors are
-		// guaranteed local hits for every consumer, so every backend's
-		// cache-skip path serves mirror reads unchanged. (Cache and adaptive
-		// placement are mutually exclusive by Config validation.)
-		plan.Cache = s.classifyHotMirror(bd)
+	if s.cacheEnabled() || s.hotMirrorActive() {
+		// Residency first: vectors a consumer reads without their owner
+		// never enter the dedup key sets, so the dedup pass below sees only
+		// the owner-served misses.
+		plan.Cache = s.classifyResidency(bd)
 	}
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
 		plan.Dedup = s.classifyDedup(bd)
@@ -295,12 +325,33 @@ func (s *System) compileRoutePlan(bd *BatchData) {
 	}
 }
 
-// classifyCache probes every remote-owned output vector of the batch against
-// the consumer's cache, admits missed rows, and (in functional mode) pools
-// hit vectors into bd.Final immediately — with the cache contents as of this
-// classification, so later evictions cannot corrupt earlier batches.
-func (s *System) classifyCache(bd *BatchData) *CacheView {
-	s.ensureCaches()
+// holdsReplica reports whether consumer c holds a copy of shard o: its own
+// shard, or one of the mirrors Config.Replicas places on GPUs (o+k) mod GPUs
+// for k < Replicas. The route plan always serves such a pair locally.
+func (s *System) holdsReplica(c, o int) bool {
+	G := s.Cfg.GPUs
+	return c == o || ((c-o)%G+G)%G < s.Cfg.Replicas
+}
+
+// classifyResidency answers, once per batch, which remote-owned output
+// vectors each consumer reads without their owner. It walks the batch in the
+// cache's canonical order (consumer, owner, local table, sample) and decides
+// every non-empty vector once:
+//
+//   - a shard the consumer holds a replica of is skipped: the route plan
+//     serves it locally (ServeGPU), and it never probes the cache;
+//   - a vector of a mirrored hot table is a guaranteed hit;
+//   - anything else probes the consumer's hot-row cache: a hit if every
+//     hashed row of its bag is resident, otherwise the whole bag is admitted
+//     (lazy refill, off the critical path alongside the miss fetch the batch
+//     pays anyway).
+//
+// In functional mode hit vectors are pooled into bd.Final immediately —
+// mirrored ones straight off the owner's table (the mirror copy is
+// bit-identical), cached ones from the cache contents as of this
+// classification, so later evictions cannot corrupt earlier batches. Every
+// backend's hit-skipping path then serves cache and mirror reads alike.
+func (s *System) classifyResidency(bd *BatchData) *CacheView {
 	cfg := s.Cfg
 	B := cfg.BatchSize
 	view := &CacheView{
@@ -313,55 +364,72 @@ func (s *System) classifyCache(bd *BatchData) *CacheView {
 		view.WireVecs[p] = make([]int, cfg.GPUs)
 		view.WireIdx[p] = make([]int64, cfg.GPUs)
 	}
+	cached, mirrors := s.cacheEnabled(), s.hotMirrorActive()
+	if cached {
+		s.ensureCaches()
+	}
 	rowScratch := s.planScr.rowScratch
 	defer func() { s.planScr.rowScratch = rowScratch }()
 	for g := 0; g < cfg.GPUs; g++ {
-		c := s.Caches.GPU(g)
+		var c *cache.Cache
+		if cached {
+			c = s.Caches.GPU(g)
+		}
 		lo, hi := s.Minibatch(g)
 		for p := 0; p < cfg.GPUs; p++ {
-			if p == g {
+			if s.holdsReplica(g, p) {
 				continue
 			}
 			for fi, fid := range s.Plan[p] {
+				mirrored := mirrors && s.hotMirror[fid]
+				if !mirrored && c == nil {
+					continue
+				}
 				rows := cfg.tableRows(fid)
 				fb := bd.Sparse.FeatureByID(fid)
+				var tbl *embedding.Table
 				var w []float32
 				if cfg.Functional {
-					w = s.colls[p].Tables[fi].Weights.Data()
+					tbl = s.colls[p].Tables[fi]
+					w = tbl.Weights.Data()
 				}
 				for smp := lo; smp < hi; smp++ {
 					bag := fb.Bag(smp)
 					if len(bag) == 0 {
 						continue // zero vector; nothing to gather or send
 					}
-					rowScratch = rowScratch[:0]
-					hit := true
-					for _, raw := range bag {
-						row := int32(embedding.HashIndex(raw, rows))
-						rowScratch = append(rowScratch, row)
-						if !c.Touch(cache.Key{Feature: int32(fid), Row: row}) {
-							hit = false
-						}
-					}
-					if !hit {
-						// Lazy refill: admit the whole bag (resident rows are
-						// refreshed, missing ones inserted), off the critical
-						// path alongside the miss fetch the batch pays anyway.
-						for _, row := range rowScratch {
-							var vec []float32
-							if cfg.Functional {
-								vec = w[int(row)*cfg.Dim : (int(row)+1)*cfg.Dim]
+					if !mirrored {
+						rowScratch = rowScratch[:0]
+						hit := true
+						for _, raw := range bag {
+							row := int32(embedding.HashIndex(raw, rows))
+							rowScratch = append(rowScratch, row)
+							if !c.Touch(cache.Key{Feature: int32(fid), Row: row}) {
+								hit = false
 							}
-							c.Admit(cache.Key{Feature: int32(fid), Row: row}, vec)
 						}
-						continue
+						if !hit {
+							for _, row := range rowScratch {
+								var vec []float32
+								if cfg.Functional {
+									vec = w[int(row)*cfg.Dim : (int(row)+1)*cfg.Dim]
+								}
+								c.Admit(cache.Key{Feature: int32(fid), Row: row}, vec)
+							}
+							continue
+						}
 					}
 					view.Hit[p][fi*B+smp] = true
 					view.WireVecs[p][g]++
 					view.WireIdx[p][g] += int64(len(bag))
-					if cfg.Functional {
-						off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
-						out := bd.Final[g].Data()[off : off+cfg.Dim]
+					if !cfg.Functional {
+						continue
+					}
+					off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
+					out := bd.Final[g].Data()[off : off+cfg.Dim]
+					if mirrored {
+						tbl.LookupPooled(bag, cfg.Pooling, out)
+					} else {
 						poolFromCache(c, int32(fid), rowScratch, cfg.Pooling, out)
 					}
 				}

@@ -148,21 +148,25 @@ func TestRegistryBitExactnessGate(t *testing.T) {
 }
 
 // registryFaultGate is the fault-injection and replication extension of the
-// bit-exactness gate, run at the plain (no dedup, no cache) grid point:
+// bit-exactness gate, run at the plain (no dedup) grid point:
 //
 //   - an empty fault schedule with Replicas = 1 must be byte- AND
 //     time-identical to running with no schedule at all (the hooks cost
 //     nothing when idle);
-//   - under seeded fault schedules, and with replicated shards, functional
-//     outputs must still match the serial reference bit-exactly and a
-//     timing-only run must land on the functional run's simulated time.
+//   - under seeded fault schedules, and with replicated shards (alone and
+//     beside the hot-row cache), functional outputs must still match the
+//     serial reference bit-exactly and a timing-only run must land on the
+//     functional run's simulated time.
 func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
-	run := func(t *testing.T, sched *fault.Schedule, replicas int, functional bool, prec Precision) *Result {
+	run := func(t *testing.T, sched *fault.Schedule, replicas int, cached, functional bool, prec Precision) *Result {
 		t.Helper()
 		cfg := clusterTestConfig(4)
 		cfg.Functional = functional
 		cfg.Replicas = replicas
 		cfg.WirePrecision = prec
+		if cached {
+			cfg.CacheFraction = 1e-8
+		}
 		fhw := hw
 		fhw.Faults = sched
 		s, err := NewSystem(cfg, fhw)
@@ -177,6 +181,9 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if cached && s.Caches.Stats().Hits == 0 {
+			t.Fatal("cached run saw no cache hits; the gate is not exercising the cache")
+		}
 		if functional {
 			want := mustReference(t, s, res.LastBatch)
 			for g := range want {
@@ -188,17 +195,17 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 		}
 		return res
 	}
-	timeGate := func(t *testing.T, sched *fault.Schedule, replicas int, prec Precision) {
-		fRes := run(t, sched, replicas, true, prec)
-		tRes := run(t, sched, replicas, false, prec)
+	timeGate := func(t *testing.T, sched *fault.Schedule, replicas int, cached bool, prec Precision) {
+		fRes := run(t, sched, replicas, cached, true, prec)
+		tRes := run(t, sched, replicas, cached, false, prec)
 		if math.Abs(fRes.TotalTime-tRes.TotalTime) > 1e-9 {
 			t.Errorf("functional total %g != timing total %g", fRes.TotalTime, tRes.TotalTime)
 		}
 	}
 
 	t.Run(fmt.Sprintf("%s/%s+empty-schedule-identity", name, machine), func(t *testing.T) {
-		plain := run(t, nil, 0, true, FP32)
-		empty := run(t, &fault.Schedule{Seed: 1}, 1, true, FP32)
+		plain := run(t, nil, 0, false, true, FP32)
+		empty := run(t, &fault.Schedule{Seed: 1}, 1, false, true, FP32)
 		// Replicas 0 and 1 both mean "unreplicated" and are recorded in
 		// Result.Cfg; mask the echoed configs so the comparison covers the
 		// simulation outputs — times, breakdowns, traces, tensors, counters.
@@ -222,7 +229,7 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			timeGate(t, sched, 0, FP32)
+			timeGate(t, sched, 0, false, FP32)
 		})
 	}
 	t.Run(fmt.Sprintf("%s/%s+replicas2", name, machine), func(t *testing.T) {
@@ -233,8 +240,20 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 		// All three wire precisions: replica failover re-routes pairs per
 		// batch, and quantize-at-rest must keep every routing byte-exact.
 		for _, prec := range []Precision{FP32, FP16, Int8} {
-			timeGate(t, nil, 2, prec)
-			timeGate(t, sched, 2, prec)
+			timeGate(t, nil, 2, false, prec)
+			timeGate(t, sched, 2, false, prec)
+		}
+	})
+	t.Run(fmt.Sprintf("%s/%s+replicas2+cache", name, machine), func(t *testing.T) {
+		sched, err := fault.Profile("flaky-link", 99)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Replicas and the hot-row cache share one residency pass: a
+		// consumer never probes its cache for a shard it holds a replica
+		// of, and failover re-routes only the pairs the cache missed.
+		for _, prec := range []Precision{FP32, FP16, Int8} {
+			timeGate(t, sched, 2, true, prec)
 		}
 	})
 }

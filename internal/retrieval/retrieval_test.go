@@ -44,12 +44,34 @@ func TestConfigValidation(t *testing.T) {
 		{"batches", func(c *Config) { c.Batches = 0 }},
 		{"chunks", func(c *Config) { c.ChunksPerKernel = 0 }},
 		{"precision", func(c *Config) { c.WirePrecision = Precision(99) }},
+		// The two pairwise exclusions left: the dedup and placement walks
+		// key pairs by owner, replica failover re-routes them per batch.
+		{"replicas+dedup", func(c *Config) { c.Replicas = 2; c.Dedup = true }},
+		{"placement+replicas", func(c *Config) { c.Replicas = 2; c.AdaptivePlacement = true; c.RebalanceEvery = 2 }},
 	}
 	for _, m := range muts {
 		c := TestScaleConfig(2)
 		m.mut(&c)
 		if c.Validate() == nil {
 			t.Errorf("%s not rejected", m.name)
+		}
+	}
+	// The hot-row cache composes with replicas, adaptive placement and hot-
+	// table mirrors: one residency pass classifies all of them.
+	composes := []struct {
+		name string
+		mut  func(*Config)
+	}{
+		{"cache+replicas", func(c *Config) { c.Replicas = 2 }},
+		{"cache+placement", func(c *Config) { c.AdaptivePlacement = true; c.RebalanceEvery = 2 }},
+		{"cache+placement+mirror", func(c *Config) { c.AdaptivePlacement = true; c.RebalanceEvery = 2; c.HotTables = 1 }},
+	}
+	for _, m := range composes {
+		c := TestScaleConfig(2)
+		c.CacheFraction = 1e-8
+		m.mut(&c)
+		if err := c.Validate(); err != nil {
+			t.Errorf("%s rejected: %v", m.name, err)
 		}
 	}
 }

@@ -423,12 +423,15 @@ func TestServingPipelinedGoodput(t *testing.T) {
 // every RebalanceEvery DISPATCHES; the swap shows up in the result counters,
 // served owner load is tracked across the session, and the whole trajectory
 // is deterministic. On the graded-skew workload the rebalanced session must
-// end better balanced than the static one.
+// end better balanced than the static one. The cached input runs the same
+// session beside the warm hot-row cache: cache keys name (table, row), so
+// plan swaps keep its hits.
 func TestServingAdaptivePlacement(t *testing.T) {
 	base := serveTestConfig()
 	base.PerFeatureMaxPooling = []int{12, 8, 3, 3, 3, 3}
-	run := func(adaptive bool) *Result {
+	run := func(adaptive bool, cacheFraction float64) *Result {
 		b := base
+		b.CacheFraction = cacheFraction
 		if adaptive {
 			b.AdaptivePlacement = true
 			b.RebalanceEvery = 4
@@ -437,29 +440,43 @@ func TestServingAdaptivePlacement(t *testing.T) {
 		cfg.Duration = 200 * sim.Millisecond // ~12 dispatches: several epochs
 		return runOnce(t, b, cfg, &retrieval.PGASFused{})
 	}
-	a, b := run(true), run(true)
-	if !reflect.DeepEqual(a, b) {
-		t.Fatalf("same-seed adaptive serving runs diverged:\n%+v\n%+v", a, b)
-	}
-	if a.Dispatches < 8 {
-		t.Fatalf("only %d dispatches; the session never crossed a rebalance boundary twice", a.Dispatches)
-	}
-	if a.Rebalances == 0 {
-		t.Fatal("adaptive serving session never swapped plans on a skewed stream")
-	}
-	if a.MigratedBytes <= 0 {
-		t.Error("plan swaps reported no migration traffic")
-	}
-	if len(a.OwnerKeys) != base.GPUs {
-		t.Fatalf("owner load has %d entries for %d GPUs", len(a.OwnerKeys), base.GPUs)
-	}
-	for g, k := range a.OwnerKeys {
-		if k <= 0 || a.OwnerBytes[g] <= 0 {
-			t.Errorf("GPU %d served no load (%d keys, %g bytes)", g, k, a.OwnerBytes[g])
-		}
-	}
-	static := run(false)
-	if ai, si := a.Imbalance(), static.Imbalance(); ai >= si {
-		t.Errorf("adaptive serving imbalance %.3f is not below static %.3f", ai, si)
+	for _, in := range []struct {
+		name          string
+		cacheFraction float64
+	}{
+		{"uncached", 0},
+		{"cached", 1e-8},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			a, b := run(true, in.cacheFraction), run(true, in.cacheFraction)
+			if !reflect.DeepEqual(a, b) {
+				t.Fatalf("same-seed adaptive serving runs diverged:\n%+v\n%+v", a, b)
+			}
+			if a.Dispatches < 8 {
+				t.Fatalf("only %d dispatches; the session never crossed a rebalance boundary twice", a.Dispatches)
+			}
+			if a.Rebalances == 0 {
+				t.Fatal("adaptive serving session never swapped plans on a skewed stream")
+			}
+			if in.cacheFraction > 0 && a.CacheStats.Hits == 0 {
+				t.Fatal("cached adaptive serving session saw no cache hits")
+			}
+			if a.MigratedBytes <= 0 {
+				t.Error("plan swaps reported no migration traffic")
+			}
+			if len(a.OwnerKeys) != base.GPUs {
+				t.Fatalf("owner load has %d entries for %d GPUs", len(a.OwnerKeys), base.GPUs)
+			}
+			for g, k := range a.OwnerKeys {
+				if k <= 0 || a.OwnerBytes[g] <= 0 {
+					t.Errorf("GPU %d served no load (%d keys, %g bytes)", g, k, a.OwnerBytes[g])
+				}
+			}
+			static := run(false, in.cacheFraction)
+			if ai, si := a.Imbalance(), static.Imbalance(); ai >= si {
+				t.Errorf("adaptive serving imbalance %.3f is not below static %.3f", ai, si)
+			}
+			t.Logf("%d dispatches, %d rebalances, %d cache hits", a.Dispatches, a.Rebalances, a.CacheStats.Hits)
+		})
 	}
 }
