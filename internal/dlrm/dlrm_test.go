@@ -95,6 +95,8 @@ func TestModelConfigValidation(t *testing.T) {
 		{DenseFeatures: 0, NumSparse: 1, EmbDim: 1},
 		{DenseFeatures: 1, NumSparse: 0, EmbDim: 1},
 		{DenseFeatures: 1, NumSparse: 1, EmbDim: 0},
+		{DenseFeatures: 13, NumSparse: 1, EmbDim: 1, TopHidden: []int{0}},
+		{DenseFeatures: 13, NumSparse: 1, EmbDim: 1, BottomHidden: []int{8, -2}},
 	}
 	for i, c := range bad {
 		if c.Validate() == nil {

@@ -10,6 +10,7 @@ package dlrm
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
@@ -27,13 +28,17 @@ func NewLinear(in, out int, rng *sim.RNG) *Linear {
 	if in <= 0 || out <= 0 {
 		panic(fmt.Sprintf("dlrm: invalid linear %dx%d", in, out))
 	}
-	std := float32(math.Sqrt(2 / float64(in+out)))
-	return &Linear{
-		In:  in,
-		Out: out,
-		W:   tensor.New(in, out).RandomNormal(rng, std),
-		B:   tensor.New(out),
-	}
+	l := &Linear{In: in, Out: out}
+	l.initWeights(rng)
+	return l
+}
+
+// initWeights draws the layer's N(0, 2/(In+Out)) weights from rng and zeroes
+// its bias.
+func (l *Linear) initWeights(rng *sim.RNG) {
+	std := float32(math.Sqrt(2 / float64(l.In+l.Out)))
+	l.W = tensor.New(l.In, l.Out).RandomNormal(rng, std)
+	l.B = tensor.New(l.Out)
 }
 
 // Forward applies the layer to a (batch, In) input.
@@ -65,6 +70,15 @@ func NewMLP(dims []int, rng *sim.RNG) *MLP {
 	m := &MLP{}
 	for i := 0; i+1 < len(dims); i++ {
 		m.Layers = append(m.Layers, NewLinear(dims[i], dims[i+1], rng))
+	}
+	return m
+}
+
+// mlpShape builds an MLP's layer shapes through dims, with no weights.
+func mlpShape(dims []int) *MLP {
+	m := &MLP{Layers: make([]*Linear, len(dims)-1)}
+	for i := range m.Layers {
+		m.Layers[i] = &Linear{In: dims[i], Out: dims[i+1]}
 	}
 	return m
 }
@@ -135,23 +149,41 @@ func (c ModelConfig) Validate() error {
 	case c.EmbDim <= 0:
 		return fmt.Errorf("dlrm: EmbDim must be positive")
 	}
+	for _, h := range c.TopHidden {
+		if h <= 0 {
+			return fmt.Errorf("dlrm: TopHidden %v has a non-positive layer width", c.TopHidden)
+		}
+	}
+	for _, h := range c.BottomHidden {
+		if h <= 0 {
+			return fmt.Errorf("dlrm: BottomHidden %v has a non-positive layer width", c.BottomHidden)
+		}
+	}
 	return nil
 }
 
 // Model holds the dense-path weights. In the multi-GPU pipeline the model
 // is replicated (data parallelism); only the embedding tables are sharded.
+//
+// A model starts shape-only: its layers carry In and Out, which is all the
+// timing model reads (FLOPs, Bytes, InDim, OutDim), and nil W and B. The
+// first Forward draws every weight, so timing-only runs never build them.
+// A Model must not be copied.
 type Model struct {
 	Cfg    ModelConfig
 	Top    *MLP // dense -> EmbDim
 	Bottom *MLP // interaction -> 1
+
+	seed    uint64
+	weights sync.Once
 }
 
-// NewModel builds a model with reproducible weights.
+// NewModel builds a model whose weights are reproducible from seed. Only the
+// layer shapes are built here; the first Forward materialises the weights.
 func NewModel(cfg ModelConfig, seed uint64) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	rng := sim.NewRNG(seed ^ 0xD14A)
 	topDims := append([]int{cfg.DenseFeatures}, cfg.TopHidden...)
 	topDims = append(topDims, cfg.EmbDim)
 	// Interaction output: pairwise dots of (NumSparse+1) feature vectors
@@ -162,20 +194,36 @@ func NewModel(cfg ModelConfig, seed uint64) (*Model, error) {
 	botDims = append(botDims, 1)
 	return &Model{
 		Cfg:    cfg,
-		Top:    NewMLP(topDims, rng),
-		Bottom: NewMLP(botDims, rng),
+		Top:    mlpShape(topDims),
+		Bottom: mlpShape(botDims),
+		seed:   seed,
 	}, nil
+}
+
+// materialize draws every layer's weights, Top then Bottom in layer order,
+// from the model's seeded stream. Safe for concurrent use.
+func (m *Model) materialize() {
+	m.weights.Do(func() {
+		rng := sim.NewRNG(m.seed ^ 0xD14A)
+		for _, mlp := range []*MLP{m.Top, m.Bottom} {
+			for _, l := range mlp.Layers {
+				l.initWeights(rng)
+			}
+		}
+	})
 }
 
 // Forward computes predictions for a minibatch: dense is (B, DenseFeatures)
 // and emb is (B, NumSparse, EmbDim) — the EMB layer's output. Returns
-// (B, 1) click probabilities.
+// (B, 1) click probabilities. The first call on a model materialises its
+// weights.
 func (m *Model) Forward(dense, emb *tensor.Tensor) *tensor.Tensor {
 	b := dense.Dim(0)
 	if emb.Dim(0) != b || emb.Dim(1) != m.Cfg.NumSparse || emb.Dim(2) != m.Cfg.EmbDim {
 		panic(fmt.Sprintf("dlrm: emb shape %v does not match (batch=%d, sparse=%d, dim=%d)",
 			emb.Shape(), b, m.Cfg.NumSparse, m.Cfg.EmbDim))
 	}
+	m.materialize()
 	z := m.Top.Forward(dense) // (B, d)
 
 	// Stack z with the embeddings: (B, NumSparse+1, d).

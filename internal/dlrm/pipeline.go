@@ -64,8 +64,8 @@ func NewPipelineRun(spec *retrieval.SystemSpec, backend retrieval.Backend, model
 		return nil, err
 	}
 	// A second generator over the same workload config supplies the dense
-	// inputs; its dense stream is independent of the sparse draws, so it
-	// stays in sync with the retrieval system's batches.
+	// inputs of functional runs; its dense stream is independent of the
+	// sparse draws, so it stays in sync with the retrieval system's batches.
 	gen, err := workload.NewGenerator(workload.Config{
 		NumFeatures: cfg.TotalTables,
 		BatchSize:   cfg.BatchSize,
@@ -141,7 +141,10 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 		if err != nil {
 			return nil, err
 		}
-		batches[i] = batchIn{bd: bd, dense: pl.denseGen.NextDense()}
+		batches[i] = batchIn{bd: bd}
+		if cfg.Functional {
+			batches[i].dense = pl.denseGen.NextDense()
+		}
 	}
 
 	barrier := sim.NewBarrier(s.Env, cfg.GPUs)

@@ -5,9 +5,11 @@ import (
 	"testing"
 
 	"pgasemb/internal/cache"
+	"pgasemb/internal/dlrm"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/serve"
 	"pgasemb/internal/sim"
+	"pgasemb/internal/sparse"
 	"pgasemb/internal/workload"
 )
 
@@ -139,12 +141,12 @@ func hotPathCases() []hotPathCase {
 	}
 }
 
-// RunHotPaths measures the per-batch retrieval hot paths, the hot-row
-// cache's probe loop and a short serving run with testing.Benchmark,
-// recording each as a HotPathBenchmark on b. Each retrieval measurement
-// drives retrieval.BenchLoop — batch generation and classification sit
-// outside the measured loop, so ns/op and allocs/op describe exactly the
-// steady-state RunBatch path.
+// RunHotPaths measures the per-batch retrieval hot paths, input generation
+// and model construction, the hot-row cache's probe loop and a short serving
+// run with testing.Benchmark, recording each as a HotPathBenchmark on b.
+// Each retrieval measurement drives retrieval.BenchLoop — batch generation
+// and classification sit outside the measured loop, so ns/op and allocs/op
+// describe exactly the steady-state RunBatch path.
 func RunHotPaths(b *Bench) error {
 	hw := retrieval.DefaultHardware()
 	var firstErr error
@@ -168,6 +170,46 @@ func RunHotPaths(b *Bench) error {
 			if err := loop(tb.N); err != nil {
 				firstErr = fmt.Errorf("experiments: hot path %s: %w", c.name, err)
 				tb.SkipNow()
+			}
+		})
+		if firstErr != nil {
+			return firstErr
+		}
+		b.NoteHotPath(hotPathResult(c.name, r))
+	}
+
+	// Input generation and model construction at the benchmark workloads'
+	// shapes: the timing path's pooling draw at infer-weak4's, the draw into
+	// one reused batch that compile-driven timing runs take at
+	// infer-cluster16's (primed once, so the loop sees the steady state),
+	// and the shape-only model infer-weak4 builds.
+	weak := retrieval.WeakScalingConfig(4)
+	weakGen, err := workload.NewGenerator(weak.WorkloadConfig())
+	if err != nil {
+		return fmt.Errorf("experiments: hot path workload/next-summary-weak4: %w", err)
+	}
+	clusterGen, err := workload.NewGenerator(retrieval.MultiNodeConfig(4, 4).WorkloadConfig())
+	if err != nil {
+		return fmt.Errorf("experiments: hot path workload/next-batch-into-cluster16: %w", err)
+	}
+	var batch sparse.Batch
+	clusterGen.NextBatchInto(&batch)
+	modelCfg := dlrm.DefaultModelConfig(weak.TotalTables, weak.Dim)
+	for _, c := range []struct {
+		name string
+		op   func() error
+	}{
+		{"workload/next-summary-weak4", func() error { weakGen.NextSummary(); return nil }},
+		{"workload/next-batch-into-cluster16", func() error { clusterGen.NextBatchInto(&batch); return nil }},
+		{"dlrm/new-model-weak4", func() error { _, err := dlrm.NewModel(modelCfg, weak.Seed); return err }},
+	} {
+		r := testing.Benchmark(func(tb *testing.B) {
+			tb.ReportAllocs()
+			for i := 0; i < tb.N; i++ {
+				if err := c.op(); err != nil {
+					firstErr = fmt.Errorf("experiments: hot path %s: %w", c.name, err)
+					tb.SkipNow()
+				}
 			}
 		})
 		if firstErr != nil {

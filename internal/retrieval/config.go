@@ -334,8 +334,9 @@ func (c Config) CacheSlots(g gpu.Params) int {
 	return slots
 }
 
-// workloadConfig builds the generator configuration for this experiment.
-func (c Config) workloadConfig() workload.Config {
+// WorkloadConfig returns the input generator configuration the run draws
+// its batches from.
+func (c Config) WorkloadConfig() workload.Config {
 	return workload.Config{
 		NumFeatures:          c.TotalTables,
 		BatchSize:            c.BatchSize,

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"encoding/json"
 	"testing"
 
 	"pgasemb/internal/embedding"
@@ -307,7 +308,7 @@ func TestDedupRatioMatchesAnalytic(t *testing.T) {
 		fg := cfg.TotalTables / cfg.GPUs
 		mini := cfg.BatchSize / cfg.GPUs
 		n := int64(mini * cfg.MinPooling)
-		expected := float64(fg) * cfg.workloadConfig().ExpectedUnique(n, cfg.Rows, func(raw int64) int {
+		expected := float64(fg) * cfg.WorkloadConfig().ExpectedUnique(n, cfg.Rows, func(raw int64) int {
 			return embedding.HashIndex(raw, cfg.Rows)
 		})
 		pairs := cfg.GPUs * (cfg.GPUs - 1)
@@ -367,5 +368,50 @@ func TestDedupSingleGPUMatchesReference(t *testing.T) {
 	}
 	if !tensor.Equal(res.Final[0], ref[0]) {
 		t.Fatal("single-GPU deduped output differs from reference")
+	}
+}
+
+// Timing-mode runs draw every batch into one reused scratch batch and keep
+// only the compiled plan. The plan must own its views: each batch's
+// DedupView and CacheView read the same after every later batch is drawn
+// over the scratch batch as right after their own compile.
+func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
+	cfg := dedupTestConfig(3)
+	cfg.Functional = false
+	cfg.CacheFraction = 0.003
+	hw := DefaultHardware()
+	hw.GPU.MemoryCapacity = 1 << 20
+	sys, err := NewSystem(cfg, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	snapshot := func(bd *BatchData) string {
+		t.Helper()
+		b, err := json.Marshal([]any{bd.Plan.Dedup, bd.Plan.Cache})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return string(b)
+	}
+	var bds []*BatchData
+	var at []string
+	for i := 0; i < cfg.Batches; i++ {
+		bd, err := sys.NextBatchData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bd.Sparse != nil || bd.Plan.Dedup == nil || bd.Plan.Cache == nil {
+			t.Fatalf("batch %d: timing batch keeps its input (%v) or lacks a dedup/cache view", i, bd.Sparse != nil)
+		}
+		bds = append(bds, bd)
+		at = append(at, snapshot(bd))
+	}
+	if sys.Caches.Stats().Hits == 0 {
+		t.Fatal("cache saw no hits; the cache view is not exercised")
+	}
+	for i, bd := range bds {
+		if snapshot(bd) != at[i] {
+			t.Fatalf("batch %d: compiled views changed after later batches were drawn", i)
+		}
 	}
 }

@@ -303,6 +303,7 @@ type planScratch struct {
 	rowsPer    []int                // one owner's table row counts
 	expTmp     [][]int32            // one node's per-consumer expansions into its key set
 	rowScratch []int32              // residency classifier's hashed-bag scratch
+	batch      sparse.Batch         // timing mode's input batch, redrawn every batch
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the

@@ -182,7 +182,7 @@ func TestGreedyPlanIsListScheduling(t *testing.T) {
 				t.Fatal(err)
 			}
 			got := spec.Plan()
-			want := listSchedule(cfg.workloadConfig().ExpectedPoolingLoad(), cfg.GPUs)
+			want := listSchedule(cfg.WorkloadConfig().ExpectedPoolingLoad(), cfg.GPUs)
 			if len(got) != len(want) {
 				t.Fatalf("plan has %d shards, want %d", len(got), len(want))
 			}

@@ -50,7 +50,7 @@ type lazyZipf struct {
 // zipfCDF returns the spec's shared Zipf rank table, building it on first
 // use so spec construction stays cheap.
 func (spec *SystemSpec) zipfCDF() *sim.ZipfCDF {
-	spec.zipf.once.Do(func() { spec.zipf.cdf = spec.cfg.workloadConfig().ZipfCDF() })
+	spec.zipf.once.Do(func() { spec.zipf.cdf = spec.cfg.WorkloadConfig().ZipfCDF() })
 	return spec.zipf.cdf
 }
 
@@ -127,7 +127,7 @@ func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, 
 	case cfg.GreedyPlan:
 		// LPT on the analytic pooling loads, with no capacity bound; the
 		// per-GPU memory check below still applies.
-		plan, err := placement.LPT(cfg.workloadConfig().ExpectedPoolingLoad(), cfg.tableBytesAll(), cfg.GPUs, 0)
+		plan, err := placement.LPT(cfg.WorkloadConfig().ExpectedPoolingLoad(), cfg.tableBytesAll(), cfg.GPUs, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -226,7 +226,7 @@ func (spec *SystemSpec) NewRun() (*System, error) {
 func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	cfg := spec.cfg
 	cfg.Seed = seed
-	gen, err := workload.NewGeneratorWithZipf(cfg.workloadConfig(), spec.zipfCDF())
+	gen, err := workload.NewGeneratorWithZipf(cfg.WorkloadConfig(), spec.zipfCDF())
 	if err != nil {
 		return nil, err
 	}

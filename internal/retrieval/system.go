@@ -427,11 +427,14 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	if !s.Cfg.Functional {
 		if s.cacheEnabled() || s.Cfg.Dedup || s.placementEnabled() {
 			// The route-plan compiler (and the placement statistics feed)
-			// needs real indices; materialise the batch, compile, then drop
-			// it — timing runs keep no data plane. The pooling stream (and
-			// so all timing inputs) is identical to what NextSummary would
+			// needs real indices; draw them into the run's scratch batch,
+			// compile, then drop it — timing runs keep no data plane, and
+			// no timing-mode plan field aliases the batch (dedup keys and
+			// expansions are functional-only). The pooling stream (and so
+			// all timing inputs) is identical to what NextSummary would
 			// have produced.
-			bd.Sparse = s.gen.NextBatch()
+			bd.Sparse = &s.planScr.batch
+			s.gen.NextBatchInto(bd.Sparse)
 			bd.Summary = summaryFromBatch(bd.Sparse)
 			s.compileRoutePlan(bd)
 			s.observeBatch(bd)

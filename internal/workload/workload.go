@@ -15,6 +15,7 @@ package workload
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -101,14 +102,26 @@ func (c Config) Validate() error {
 		return fmt.Errorf("workload: HotSetDriftEvery rotates the Zipf rank mapping; it needs Distribution == Zipf " +
 			"(a uniform stream has no hot set to drift)")
 	}
-	if c.PerFeatureMaxPooling != nil {
-		for f, m := range c.PerFeatureMaxPooling {
-			if m < c.MinPooling {
-				return fmt.Errorf("workload: feature %d max pooling %d below MinPooling %d", f, m, c.MinPooling)
-			}
+	for f := 0; f < c.NumFeatures; f++ {
+		m := c.featureMaxPooling(f)
+		if m < c.MinPooling {
+			return fmt.Errorf("workload: feature %d max pooling %d below MinPooling %d", f, m, c.MinPooling)
+		}
+		// A feature's bag offsets are int32 (sparse.FeatureBag).
+		if m > math.MaxInt32/c.BatchSize {
+			return fmt.Errorf("workload: feature %d can draw %d x %d indices per batch, past the int32 offset range",
+				f, c.BatchSize, m)
 		}
 	}
 	return nil
+}
+
+// featureMaxPooling returns feature f's pooling upper bound.
+func (c Config) featureMaxPooling(f int) int {
+	if c.PerFeatureMaxPooling != nil {
+		return c.PerFeatureMaxPooling[f]
+	}
+	return c.MaxPooling
 }
 
 // ExpectedPoolingLoad returns the expected per-sample lookup count of each
@@ -116,11 +129,7 @@ func (c Config) Validate() error {
 func (c Config) ExpectedPoolingLoad() []float64 {
 	loads := make([]float64, c.NumFeatures)
 	for f := range loads {
-		max := c.MaxPooling
-		if c.PerFeatureMaxPooling != nil {
-			max = c.PerFeatureMaxPooling[f]
-		}
-		loads[f] = (1 - c.NullProbability) * float64(c.MinPooling+max) / 2
+		loads[f] = (1 - c.NullProbability) * float64(c.MinPooling+c.featureMaxPooling(f)) / 2
 	}
 	return loads
 }
@@ -206,10 +215,10 @@ func CriteoShaped(seed uint64) Config {
 // Generator produces batches (or their timing summaries) deterministically.
 type Generator struct {
 	cfg      Config
-	rngPool  *sim.RNG // pooling factors and null draws
-	rngIdx   *sim.RNG // index values
-	rngDense *sim.RNG // dense features
-	zipf     *sim.ZipfTable
+	rngPool  *sim.RNG     // pooling factors and null draws
+	rngIdx   *sim.RNG     // index values
+	rngDense *sim.RNG     // dense features
+	zipf     *sim.ZipfCDF // Zipf rank table (nil for uniform); draws consume rngIdx
 
 	// Hot-set drift state: batches counts draws of either kind (NextBatch
 	// and NextSummary advance it identically, keeping the two modes
@@ -257,7 +266,7 @@ func NewGeneratorWithZipf(cfg Config, zipf *sim.ZipfCDF) (*Generator, error) {
 			return nil, fmt.Errorf("workload: Zipf table (n=%d, s=%v) does not match the configuration "+
 				"(IndexSpace %d, ZipfExponent %v)", zipf.Len(), zipf.Exponent(), cfg.IndexSpace, cfg.ZipfExponent)
 		}
-		g.zipf = zipf.Sampler(g.rngIdx)
+		g.zipf = zipf
 	} else if zipf != nil {
 		return nil, fmt.Errorf("workload: a Zipf table was supplied for a uniform configuration")
 	}
@@ -284,59 +293,96 @@ func (g *Generator) advanceBatch() {
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// drawPooling draws one bag's pooling factor for feature f (0 for a NULL
-// bag).
-func (g *Generator) drawPooling(f int) int {
-	if g.cfg.NullProbability > 0 && g.rngPool.Float64() < g.cfg.NullProbability {
-		return 0
-	}
-	max := g.cfg.MaxPooling
-	if g.cfg.PerFeatureMaxPooling != nil {
-		max = g.cfg.PerFeatureMaxPooling[f]
-	}
-	return g.rngPool.IntRange(g.cfg.MinPooling, max)
-}
-
-func (g *Generator) drawIndex() int64 {
-	if g.zipf != nil {
-		v := int64(g.zipf.Next())
-		if g.driftOffset != 0 {
-			// Rotate the rank→index mapping: the same rank (same draw
-			// stream) lands on a shifted raw index, so the hot set moves
-			// while the skew shape is preserved exactly.
-			v = (v + g.driftOffset) % g.cfg.IndexSpace
+// drawPoolings fills dst with feature f's per-bag pooling factors in
+// sample order (0 for a NULL bag). Each bag takes a NULL draw (when NULL
+// bags are on) and then its pooling draw, both from rngPool.
+func (g *Generator) drawPoolings(f int, dst []int32) {
+	lo := g.cfg.MinPooling
+	span := g.cfg.featureMaxPooling(f) - lo + 1
+	rng := g.rngPool
+	if null := g.cfg.NullProbability; null > 0 {
+		for i := range dst {
+			if rng.Float64() < null {
+				dst[i] = 0
+				continue
+			}
+			dst[i] = int32(lo + rng.Intn(span))
 		}
-		return v
+		return
 	}
-	if g.cfg.IndexSpace <= 1<<31 {
-		return int64(g.rngIdx.Intn(int(g.cfg.IndexSpace)))
+	for i := range dst {
+		dst[i] = int32(lo + rng.Intn(span))
 	}
-	return int64(g.rngIdx.Uint64() % uint64(g.cfg.IndexSpace))
 }
 
-// NextBatch materialises a full sparse batch (pooling + indices). Each
-// feature's pooling factors are drawn first, so its index slice is
-// allocated once at its exact length; pooling and indices come from
-// separate streams, so the draws match interleaving them bag by bag.
+// drawIndices fills dst with consecutive raw indices from rngIdx.
+func (g *Generator) drawIndices(dst []int64) {
+	rng, space, zipf, off := g.rngIdx, g.cfg.IndexSpace, g.zipf, g.driftOffset
+	switch {
+	case zipf != nil && off != 0:
+		// Rotate the rank→index mapping: the same rank (same draw stream)
+		// lands on a shifted raw index, so the hot set moves while the skew
+		// shape is preserved exactly.
+		for i := range dst {
+			dst[i] = (int64(zipf.Rank(rng.Float64())) + off) % space
+		}
+	case zipf != nil:
+		for i := range dst {
+			dst[i] = int64(zipf.Rank(rng.Float64()))
+		}
+	case space <= 1<<31:
+		n := int(space)
+		for i := range dst {
+			dst[i] = int64(rng.Intn(n))
+		}
+	default:
+		for i := range dst {
+			dst[i] = int64(rng.Uint64() % uint64(space))
+		}
+	}
+}
+
+// NextBatch materialises a full sparse batch (pooling + indices) into a
+// fresh batch.
 func (g *Generator) NextBatch() *sparse.Batch {
+	b := &sparse.Batch{}
+	g.NextBatchInto(b)
+	return b
+}
+
+// NextBatchInto draws the next batch into b, reusing the capacity of its
+// feature, offset and index slices; b's previous contents are overwritten.
+// Each feature's pooling factors are drawn first, so its index slice is
+// sized once at its exact length; pooling and indices come from separate
+// streams, so the draws match interleaving them bag by bag.
+func (g *Generator) NextBatchInto(b *sparse.Batch) {
 	g.advanceBatch()
 	B := g.cfg.BatchSize
-	b := &sparse.Batch{Size: B, Features: make([]sparse.FeatureBag, g.cfg.NumFeatures)}
+	b.Size = B
+	b.Features = resize(b.Features, g.cfg.NumFeatures)
 	for f := range b.Features {
-		offsets := make([]int32, B+1)
-		for s := 0; s < B; s++ {
-			offsets[s+1] = offsets[s] + int32(g.drawPooling(f))
+		fb := &b.Features[f]
+		fb.FeatureID = f
+		fb.Offsets = resize(fb.Offsets, B+1)
+		offsets := fb.Offsets
+		offsets[0] = 0
+		g.drawPoolings(f, offsets[1:])
+		for s := 1; s <= B; s++ {
+			offsets[s] += offsets[s-1]
 		}
-		var indices []int64
-		if n := offsets[B]; n > 0 {
-			indices = make([]int64, n)
-			for i := range indices {
-				indices[i] = g.drawIndex()
-			}
-		}
-		b.Features[f] = sparse.FeatureBag{FeatureID: f, Offsets: offsets, Indices: indices}
+		fb.Indices = resize(fb.Indices, int(offsets[B]))
+		g.drawIndices(fb.Indices)
 	}
-	return b
+}
+
+// resize returns s with length n, reallocating only when its capacity is
+// short. A nil s gets exactly n; a reused s regrows by append's policy, so
+// the headroom absorbs later draws a little larger than this one.
+func resize[T any](s []T, n int) []T {
+	if cap(s) < n {
+		return slices.Grow(s[:0], n)[:n]
+	}
+	return s[:n]
 }
 
 // Summary carries only the pooling structure of a batch — everything the
@@ -357,10 +403,9 @@ func (g *Generator) NextSummary() *Summary {
 		NumFeatures: g.cfg.NumFeatures,
 		Pooling:     make([]int32, g.cfg.NumFeatures*g.cfg.BatchSize),
 	}
+	B := g.cfg.BatchSize
 	for f := 0; f < g.cfg.NumFeatures; f++ {
-		for smp := 0; smp < g.cfg.BatchSize; smp++ {
-			s.Pooling[f*g.cfg.BatchSize+smp] = int32(g.drawPooling(f))
-		}
+		g.drawPoolings(f, s.Pooling[f*B:(f+1)*B])
 	}
 	return s
 }

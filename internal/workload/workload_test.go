@@ -32,6 +32,9 @@ func TestValidateRejects(t *testing.T) {
 		{"zipf exp", func(c *Config) { c.Distribution = Zipf; c.ZipfExponent = 0 }},
 		{"zipf space", func(c *Config) { c.Distribution = Zipf; c.ZipfExponent = 1; c.IndexSpace = 1 << 30 }},
 		{"dense", func(c *Config) { c.NumDense = -1 }},
+		// 8 x 268435456 = 2^31 indices overflow a feature's int32 offsets.
+		{"offsets", func(c *Config) { c.MaxPooling = 1 << 28 }},
+		{"offsets per feature", func(c *Config) { c.PerFeatureMaxPooling = []int{5, 5, 1 << 28, 5} }},
 	}
 	for _, m := range muts {
 		c := smallCfg()
