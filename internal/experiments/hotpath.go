@@ -179,14 +179,25 @@ func RunHotPaths(b *Bench) error {
 	}
 
 	// Input generation and model construction at the benchmark workloads'
-	// shapes: the timing path's pooling draw at infer-weak4's, the draw into
-	// one reused batch that compile-driven timing runs take at
-	// infer-cluster16's (primed once, so the loop sees the steady state),
-	// and the shape-only model infer-weak4 builds.
+	// shapes: the timing path's pooling draw into one reused summary at
+	// infer-weak4's, the whole timing NextBatchData there (that draw plus
+	// the route plan's prefix sums), the draw into one reused batch that
+	// compile-driven timing runs take at infer-cluster16's, and the
+	// shape-only model infer-weak4 builds. Every reused buffer is primed
+	// once, so the loops see the steady state.
 	weak := retrieval.WeakScalingConfig(4)
 	weakGen, err := workload.NewGenerator(weak.WorkloadConfig())
 	if err != nil {
 		return fmt.Errorf("experiments: hot path workload/next-summary-weak4: %w", err)
+	}
+	var summary workload.Summary
+	weakGen.NextSummaryInto(&summary)
+	weakSys, err := retrieval.NewSystem(weak, hw)
+	if err != nil {
+		return fmt.Errorf("experiments: hot path retrieval/next-batch-data-weak4: %w", err)
+	}
+	if _, err := weakSys.NextBatchData(); err != nil {
+		return fmt.Errorf("experiments: hot path retrieval/next-batch-data-weak4: %w", err)
 	}
 	clusterGen, err := workload.NewGenerator(retrieval.MultiNodeConfig(4, 4).WorkloadConfig())
 	if err != nil {
@@ -199,7 +210,8 @@ func RunHotPaths(b *Bench) error {
 		name string
 		op   func() error
 	}{
-		{"workload/next-summary-weak4", func() error { weakGen.NextSummary(); return nil }},
+		{"workload/next-summary-weak4", func() error { weakGen.NextSummaryInto(&summary); return nil }},
+		{"retrieval/next-batch-data-weak4", func() error { _, err := weakSys.NextBatchData(); return err }},
 		{"workload/next-batch-into-cluster16", func() error { clusterGen.NextBatchInto(&batch); return nil }},
 		{"dlrm/new-model-weak4", func() error { _, err := dlrm.NewModel(modelCfg, weak.Seed); return err }},
 	} {

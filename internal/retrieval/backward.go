@@ -89,7 +89,7 @@ func (b *BackwardBaseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData
 	// Every index of every bag of every local feature receives its output
 	// gradient: a read-modify-write per touched row.
 	applyStart := p.Now()
-	totalIdx := s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize)
+	totalIdx := bd.Plan.localIndexTotal(g, 0, cfg.BatchSize)
 	applyBytes := 2 * float64(totalIdx) * vecBytes
 	apply := dev.GatherKernelCost(applyBytes, float64(totalIdx)*8, cfg.BatchSize*fg)
 	_, applyEnd := stream.Launch(p, apply)
@@ -128,7 +128,7 @@ func (b *BackwardPGAS) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk
 	// (sample, feature) gradient vector is pushed as a one-sided atomic
 	// add to the owner the moment it is read, overlapping with the local
 	// table update for locally-owned features.
-	totalIdx := s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize)
+	totalIdx := bd.Plan.localIndexTotal(g, 0, cfg.BatchSize)
 	// Local apply traffic: this GPU's tables are updated with gradients
 	// from the FULL batch, pushed in by all peers; the update kernel is
 	// the same scatter-add as the baseline's.

@@ -79,7 +79,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 				if plan.ServeGPU(o, c) != g {
 					continue
 				}
-				idx += s.localIndexTotal(bd.Summary, o, clo, chi)
+				idx += plan.localIndexTotal(o, clo, chi)
 				if view != nil {
 					idx -= view.WireIdx[o][c]
 				}
@@ -98,7 +98,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		// references from the hot working set; dense pairs keep the original
 		// cost shape. The conservative index-stream term is unchanged.
 		_, skipIdx := view.SkipFrom(g)
-		totalIdx := s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize) - skipIdx
+		totalIdx := plan.localIndexTotal(g, 0, cfg.BatchSize) - skipIdx
 		readBytes := dev.HotReadEquivalent(float64(hitIdx) * vb)
 		streamBytes := float64(totalIdx+hitIdx)*8 + float64(hitVecs)*vb
 		items := hitVecs
@@ -370,7 +370,7 @@ func (s *System) unpackSegments(g int, recvBuf []float32, bd *BatchData, route *
 			if plan.CollectiveClass(o, g) == RouteWire {
 				rows := recvBuf[at : at+int(dv.Uniq[o][g])*cfg.Dim]
 				at += len(rows)
-				s.functionalExpand(g, o, rows, dv.Expand[o][g], bd.Summary, view, dst)
+				s.functionalExpand(g, o, rows, dv.Expand[o][g], bd.Parts[o], view, dst)
 				continue
 			}
 			var hitRow []bool

@@ -101,11 +101,9 @@ func PlanCompileLoop(s *System, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("retrieval: PlanCompileLoop needs a positive count, got %d", n)
 	}
-	bd := &BatchData{}
-	bd.Sparse = s.gen.NextBatch()
-	bd.Summary = summaryFromBatch(bd.Sparse)
+	bd := &BatchData{Sparse: s.gen.NextBatch()}
 	for i := 0; i < n; i++ {
-		s.compileRoutePlan(bd)
+		s.compileRoutePlan(bd, nil)
 	}
 	return nil
 }

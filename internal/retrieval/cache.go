@@ -73,12 +73,18 @@ func (s *System) AttachCaches(set *cache.Set) error {
 type CacheView struct {
 	// Hit[p][fi*BatchSize+smp] marks the vector (owner p, p-local table fi,
 	// sample smp) as a hit at smp's consumer. Vectors of p's own minibatch
-	// never appear (they are local either way).
+	// never appear (they are local either way). Functional mode only: timing
+	// runs drop it once the plan is compiled.
 	Hit [][]bool
 	// WireVecs[src][dst] counts hit vectors owned by src and consumed by
 	// dst; WireIdx totals their bag sizes (pooled index counts).
 	WireVecs [][]int
 	WireIdx  [][]int64
+	// hitVecs[p][smp] and hitIdx[p][smp] count shard p's hit vectors and
+	// their pooled indices over samples [0, smp) (len BatchSize+1): the
+	// prefix sums behind RoutePlan.OwnerChunkHits.
+	hitVecs [][]int64
+	hitIdx  [][]int64
 }
 
 // SkipFrom returns the vectors (and their pooled indices) that work-owner g

@@ -14,7 +14,8 @@
 //
 // Each backend runs in two modes on the same orchestration path: a
 // timing-only mode at paper scale (batch 16384, millions of rows), where
-// traffic and kernel costs are derived from workload summaries, and a
+// traffic and kernel costs are derived from the pooled-index counts each
+// batch's route plan compiles, and a
 // functional mode at test scale, where real embeddings move through real
 // buffers and every backend's output is verified bit-exactly against a
 // serial reference.

@@ -2,7 +2,7 @@ package retrieval
 
 import (
 	"pgasemb/internal/embedding"
-	"pgasemb/internal/workload"
+	"pgasemb/internal/sparse"
 )
 
 // Batch-level index deduplication. Zipfian traffic repeats the same hot rows
@@ -111,9 +111,10 @@ func (v *DedupView) newKeysIn(s *System, src, dst, s0, s1 int) int {
 // mean scaling, same max copy-then-compare. expand is the inverse-expansion
 // map addressing rows — dv.Expand[src][g] for pair-level wire dedup,
 // dv.NodeExpand[src][g] for node-level (where rows is the node staging
-// buffer). Cache-hit vectors were pooled at classification time and are
-// skipped; empty bags become zero vectors, as LookupPooled makes them.
-func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, sum *workload.Summary, view *CacheView, dst []float32) {
+// buffer) — and part is src's partition of the batch, whose bag lengths
+// step through it. Cache-hit vectors were pooled at classification time and
+// are skipped; empty bags become zero vectors, as LookupPooled makes them.
+func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, part *sparse.Batch, view *CacheView, dst []float32) {
 	cfg := s.Cfg
 	B := cfg.BatchSize
 	lo, hi := s.Minibatch(g)
@@ -123,7 +124,7 @@ func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, su
 			if view != nil && view.Hit[src][fi*B+smp] {
 				continue
 			}
-			bagLen := int(sum.Pooling[fid*B+smp])
+			bagLen := part.Features[fi].PoolingFactor(smp)
 			out := dst[((smp-lo)*cfg.TotalTables+fid)*cfg.Dim:][:cfg.Dim]
 			poolFromRows(rows, expand[e:e+bagLen], cfg.Dim, cfg.Pooling, out)
 			e += bagLen

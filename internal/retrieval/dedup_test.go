@@ -373,8 +373,9 @@ func TestDedupSingleGPUMatchesReference(t *testing.T) {
 
 // Timing-mode runs draw every batch into one reused scratch batch and keep
 // only the compiled plan. The plan must own its views: each batch's
-// DedupView and CacheView read the same after every later batch is drawn
-// over the scratch batch as right after their own compile.
+// DedupView, CacheView and prefix sums read the same after every later batch
+// is drawn over the scratch batch as right after their own compile, and the
+// residency bitmap, which is scratch too, is gone.
 func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
 	cfg := dedupTestConfig(3)
 	cfg.Functional = false
@@ -387,7 +388,8 @@ func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
 	}
 	snapshot := func(bd *BatchData) string {
 		t.Helper()
-		b, err := json.Marshal([]any{bd.Plan.Dedup, bd.Plan.Cache})
+		c := bd.Plan.Cache
+		b, err := json.Marshal([]any{bd.Plan.Dedup, c, bd.Plan.pooled, c.hitVecs, c.hitIdx})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -402,6 +404,9 @@ func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
 		}
 		if bd.Sparse != nil || bd.Plan.Dedup == nil || bd.Plan.Cache == nil {
 			t.Fatalf("batch %d: timing batch keeps its input (%v) or lacks a dedup/cache view", i, bd.Sparse != nil)
+		}
+		if bd.Plan.Cache.Hit != nil {
+			t.Fatalf("batch %d: timing plan keeps the residency bitmap, which the next batch redraws", i)
 		}
 		bds = append(bds, bd)
 		at = append(at, snapshot(bd))

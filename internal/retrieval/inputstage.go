@@ -36,8 +36,8 @@ func (b *InputStaged) Name() string {
 func (b *InputStaged) inputCost(s *System, g int, bd *BatchData) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
-	globalIdxBytes := 8 * float64(s.globalIndexTotal(bd.Summary, 0, cfg.BatchSize))
-	localIdxBytes := 8 * float64(s.localIndexTotal(bd.Summary, g, 0, cfg.BatchSize))
+	globalIdxBytes := 8 * float64(bd.Plan.globalIndexTotal(0, cfg.BatchSize))
+	localIdxBytes := 8 * float64(bd.Plan.localIndexTotal(g, 0, cfg.BatchSize))
 	cpu := globalIdxBytes / dev.Params().CPUPartitionRate
 	h2d := localIdxBytes / dev.Params().PCIeBandwidth
 	return cpu + h2d

@@ -197,7 +197,7 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 				}
 				plo, phi := s.Minibatch(peer)
 				o0, o1 := clampRange(s0, s1, plo, phi)
-				hitV, _ := plan.OwnerChunkHits(bd.Summary, g, o0, o1)
+				hitV, _ := plan.OwnerChunkHits(g, o0, o1)
 				vecs = overlap(s0, s1, plo, phi)*s.LocalTables(g) - hitV
 			}
 			if vecs == 0 {
@@ -404,9 +404,9 @@ func (s *System) expandStaged(g int, bd *BatchData, route *transport) {
 		}
 		switch plan.Class(src, g) {
 		case RouteNodeWire:
-			s.functionalExpand(g, src, bd.NodeStage[src][myNode], dv.NodeExpand[src][g], bd.Summary, plan.Cache, dst)
+			s.functionalExpand(g, src, bd.NodeStage[src][myNode], dv.NodeExpand[src][g], bd.Parts[src], plan.Cache, dst)
 		case RouteWire:
-			s.functionalExpand(g, src, bd.DedupStage[src][g], dv.Expand[src][g], bd.Summary, plan.Cache, dst)
+			s.functionalExpand(g, src, bd.DedupStage[src][g], dv.Expand[src][g], bd.Parts[src], plan.Cache, dst)
 		}
 	}
 }
@@ -437,9 +437,9 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 			if plan.ServeGPU(o, c) != g {
 				continue
 			}
-			hitV, hitI := plan.OwnerChunkHits(bd.Summary, o, o0, o1)
+			hitV, hitI := plan.OwnerChunkHits(o, o0, o1)
 			vecs := (o1-o0)*s.LocalTables(o) - hitV
-			chunkIdx += s.localIndexTotal(bd.Summary, o, o0, o1) - hitI
+			chunkIdx += plan.localIndexTotal(o, o0, o1) - hitI
 			items += vecs
 			if c == g || route.collective(o, c) {
 				hbmVecs += vecs // final output or all-to-all send buffer
@@ -451,7 +451,7 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 			}
 		}
 	}
-	hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
+	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
 	readBytes := float64(chunkIdx)*fvb + dev.HotReadEquivalent(float64(hitIdx)*fvb)
 	streamBytes := float64(chunkIdx+hitIdx)*8 + float64(hbmVecs+hitVecs)*fvb
 	return dev.GatherKernelChunkCost(readBytes, streamBytes, items+hitVecs, kernelItems) +
@@ -481,7 +481,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			continue
 		}
 		ovl := o1 - o0
-		pairIdx := s.localIndexTotal(bd.Summary, g, o0, o1)
+		pairIdx := plan.localIndexTotal(g, o0, o1)
 		if d == g {
 			chunkIdx += pairIdx
 			if plan.GatherDedup(g, g) {
@@ -495,7 +495,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			items += ovl * fg
 			continue
 		}
-		hitV, hitI := plan.OwnerChunkHits(bd.Summary, g, o0, o1)
+		hitV, hitI := plan.OwnerChunkHits(g, o0, o1)
 		missIdx := pairIdx - hitI
 		chunkIdx += missIdx
 		coll := route.collective(g, d)
@@ -532,7 +532,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			issues += missVecs
 		}
 	}
-	hitVecs, hitIdx := plan.ConsumerChunkHits(bd.Summary, g, s0, s1)
+	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
 	readBytes += dev.HotReadEquivalent(float64(hitIdx) * fvb)
 	streamBytes += float64(chunkIdx+hitIdx)*8 + float64(hitVecs)*fvb
 	items += hitVecs

@@ -103,12 +103,11 @@ func (s *System) observeBatch(bd *BatchData) {
 // cache hits and hot-mirror reads — are charged to the consumer instead,
 // which is exactly the load-spreading effect mirroring buys.
 func (s *System) accumOwnerLoad(bd *BatchData) {
-	sum := bd.Summary
 	vb := float64(s.Cfg.VectorBytes())
 	for o := 0; o < s.Cfg.GPUs; o++ {
 		for c := 0; c < s.Cfg.GPUs; c++ {
 			lo, hi := s.Minibatch(c)
-			idx := s.localIndexTotal(sum, o, lo, hi)
+			idx := bd.Plan.localIndexTotal(o, lo, hi)
 			vecs := (hi - lo) * s.LocalTables(o)
 			if v := bd.Plan.Cache; v != nil && o != c {
 				hitVecs, hitIdx := v.WireVecs[o][c], v.WireIdx[o][c]

@@ -220,48 +220,83 @@ func TestAdaptivePlacementBeatsStatic(t *testing.T) {
 	}
 }
 
-// TestOwnerLoadAccounting pins the served-load bookkeeping on a tiny run
-// with placement off: every pooled lookup is charged to exactly one GPU, so
-// the owner-key total equals the workload's pooled-lookup total.
+// TestOwnerLoadAccounting pins the served-load bookkeeping (the ROADMAP's
+// conservation law): every pooled lookup is charged to exactly one GPU — the
+// serving owner or replica for the keys it gathers, the consumer for the hit
+// keys it resolves from its cache or a hot-table mirror — so the owner-key
+// total equals the workload's pooled-lookup total. The oracle counts lookups
+// with a fresh generator of the same seed, independent of the route plan.
 func TestOwnerLoadAccounting(t *testing.T) {
-	cfg := TestScaleConfig(2)
-	cfg.Functional = false
-	s, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(&Baseline{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.OwnerKeys) != cfg.GPUs || len(res.OwnerBytes) != cfg.GPUs {
-		t.Fatalf("owner load has %d/%d entries for %d GPUs", len(res.OwnerKeys), len(res.OwnerBytes), cfg.GPUs)
-	}
-	var total int64
-	for g, k := range res.OwnerKeys {
-		if k <= 0 {
-			t.Errorf("GPU %d served no keys", g)
-		}
-		total += k
-		if res.OwnerBytes[g] <= 0 {
-			t.Errorf("GPU %d served no bytes", g)
-		}
-	}
-	// Re-run the same seed and count pooled lookups straight off the batches.
-	s2, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want int64
-	for i := 0; i < cfg.Batches; i++ {
-		bd, err := s2.NextBatchData()
-		if err != nil {
-			t.Fatal(err)
-		}
-		want += s2.globalIndexTotal(bd.Summary, 0, cfg.BatchSize)
-	}
-	if total != want {
-		t.Errorf("owner keys sum to %d, workload pooled %d lookups", total, want)
+	plain := TestScaleConfig(2)
+	cached := cacheTestConfig(3)
+	cached.CacheFraction = 0.003
+	mirrored := placementGateConfig()
+	mirrored.AdaptivePlacement = true
+	mirrored.RebalanceEvery = 2
+	mirrored.HotTables = 1
+	replicated := TestScaleConfig(3)
+	replicated.Replicas = 2
+	replicatedCached := cached
+	replicatedCached.Replicas = 2
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		hw   HardwareParams
+		// hits names the consumer-local tier the row must exercise.
+		hits string
+	}{
+		{"plain", plain, DefaultHardware(), ""},
+		{"cache", cached, cacheTestHardware(), "cache"},
+		{"hot-mirror", mirrored, DefaultHardware(), "mirror"},
+		{"replicas2", replicated, DefaultHardware(), ""},
+		{"replicas2+cache", replicatedCached, cacheTestHardware(), "cache"},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			cfg.Functional = false
+			s, err := NewSystem(cfg, c.hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			res, err := s.Run(&Baseline{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(res.OwnerKeys) != cfg.GPUs || len(res.OwnerBytes) != cfg.GPUs {
+				t.Fatalf("owner load has %d/%d entries for %d GPUs", len(res.OwnerKeys), len(res.OwnerBytes), cfg.GPUs)
+			}
+			var total int64
+			for g, k := range res.OwnerKeys {
+				if k <= 0 {
+					t.Errorf("GPU %d served no keys", g)
+				}
+				total += k
+				if res.OwnerBytes[g] <= 0 {
+					t.Errorf("GPU %d served no bytes", g)
+				}
+			}
+			switch c.hits {
+			case "cache":
+				if s.Caches.Stats().Hits == 0 {
+					t.Fatal("no cache hits; the row is not exercising consumer-local keys")
+				}
+			case "mirror":
+				if res.Rebalances == 0 || !s.hotMirrorActive() {
+					t.Fatal("no mirror installed; the row is not exercising consumer-local keys")
+				}
+			}
+			gen, err := workload.NewGenerator(cfg.WorkloadConfig())
+			if err != nil {
+				t.Fatal(err)
+			}
+			var want int64
+			for i := 0; i < cfg.Batches; i++ {
+				want += gen.NextSummary().TotalIndices()
+			}
+			if total != want {
+				t.Errorf("owner-served plus consumer-local keys sum to %d, workload pooled %d lookups", total, want)
+			}
+		})
 	}
 }
 

@@ -76,6 +76,39 @@ type RoutePlan struct {
 	// schedule, so recompilation routes around links that fault mid-run.
 	// Backends read it only through ServeGPU.
 	serve [][]int
+
+	// pooled is the batch's pooled-index arithmetic: pooled[o][smp] counts
+	// the indices of shard o's tables over samples [0, smp), under the
+	// placement the batch executes (len BatchSize+1 per shard). Every
+	// pooled-index total the timing model needs is a difference of two
+	// entries, so no timing path reads the batch or its summary after
+	// compile.
+	pooled [][]int64
+}
+
+// localIndexTotal returns the pooled-index total of shard o's tables over
+// samples [lo, hi).
+func (p *RoutePlan) localIndexTotal(o, lo, hi int) int64 {
+	return rangeSum(p.pooled[o], lo, hi)
+}
+
+// globalIndexTotal returns the pooled-index total of every table over
+// samples [lo, hi).
+func (p *RoutePlan) globalIndexTotal(lo, hi int) int64 {
+	var total int64
+	for o := range p.pooled {
+		total += p.localIndexTotal(o, lo, hi)
+	}
+	return total
+}
+
+// rangeSum returns the total over samples [lo, hi) of a prefix array whose
+// entry smp sums samples [0, smp); an empty or inverted range sums to zero.
+func rangeSum(pre []int64, lo, hi int) int64 {
+	if hi <= lo {
+		return 0
+	}
+	return pre[hi] - pre[lo]
 }
 
 // ServeGPU returns the GPU serving shard o to consumer c (o itself without
@@ -248,29 +281,18 @@ func (p *RoutePlan) NodeNewKeysIn(src, node, s0, s1 int) int {
 // within sample range [s0, s1) — vectors their consumers read without the
 // owner, so no server gathers or sends them: the fused kernel's per-chunk
 // discount.
-func (p *RoutePlan) OwnerChunkHits(sum *workload.Summary, o, s0, s1 int) (vecs int, idx int64) {
+func (p *RoutePlan) OwnerChunkHits(o, s0, s1 int) (vecs int, idx int64) {
 	view := p.Cache
 	if view == nil {
 		return 0, 0
 	}
-	B := p.sys.Cfg.BatchSize
-	for fi, fid := range p.sys.Plan[o] {
-		hitRow := view.Hit[o][fi*B:]
-		pool := sum.Pooling[fid*B:]
-		for smp := s0; smp < s1; smp++ {
-			if hitRow[smp] {
-				vecs++
-				idx += int64(pool[smp])
-			}
-		}
-	}
-	return vecs, idx
+	return int(rangeSum(view.hitVecs[o], s0, s1)), rangeSum(view.hitIdx[o], s0, s1)
 }
 
 // ConsumerChunkHits returns the hit vectors (and pooled indices) that
 // consumer g pools locally — from its cache or its hot-table mirrors — for
 // its minibatch samples within [s0, s1).
-func (p *RoutePlan) ConsumerChunkHits(sum *workload.Summary, g, s0, s1 int) (vecs int, idx int64) {
+func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 	if p.Cache == nil {
 		return 0, 0
 	}
@@ -284,7 +306,7 @@ func (p *RoutePlan) ConsumerChunkHits(sum *workload.Summary, g, s0, s1 int) (vec
 		if o == g {
 			continue
 		}
-		v, i := p.OwnerChunkHits(sum, o, s0, s1)
+		v, i := p.OwnerChunkHits(o, s0, s1)
 		vecs += v
 		idx += i
 	}
@@ -303,13 +325,16 @@ type planScratch struct {
 	rowsPer    []int                // one owner's table row counts
 	expTmp     [][]int32            // one node's per-consumer expansions into its key set
 	rowScratch []int32              // residency classifier's hashed-bag scratch
+	hit        []bool               // timing mode's residency hit bitmap, redrawn every batch
 	batch      sparse.Batch         // timing mode's input batch, redrawn every batch
+	summary    workload.Summary     // timing mode's pooling summary, redrawn every batch
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the
-// resulting plan to bd.
-func (s *System) compileRoutePlan(bd *BatchData) {
-	plan := &RoutePlan{sys: s}
+// resulting plan to bd. The batch's pooling comes from bd.Sparse when it is
+// materialised and from sum otherwise (timing runs that classify nothing).
+func (s *System) compileRoutePlan(bd *BatchData, sum *workload.Summary) {
+	plan := &RoutePlan{sys: s, pooled: s.pooledPrefixes(bd.Sparse, sum)}
 	bd.Plan = plan
 	if s.cacheEnabled() || s.hotMirrorActive() {
 		// Residency first: vectors a consumer reads without their owner
@@ -323,6 +348,54 @@ func (s *System) compileRoutePlan(bd *BatchData) {
 	}
 	if s.Cfg.Replicas > 1 {
 		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
+	}
+	if plan.Cache != nil && !s.Cfg.Functional {
+		// Timing runs read hits only through the prefix sums; the bitmap is
+		// the run's scratch and the next batch redraws it.
+		plan.Cache.Hit = nil
+	}
+}
+
+// pooledPrefixes builds the plan's per-shard pooled-index prefix sums under
+// the current placement. A materialised batch's bag offsets already are
+// per-feature prefixes, so each shard's prefix is their sum; a summary's
+// pooling factors are summed per sample and then scanned.
+func (s *System) pooledPrefixes(batch *sparse.Batch, sum *workload.Summary) [][]int64 {
+	B, G := s.Cfg.BatchSize, s.Cfg.GPUs
+	flat := make([]int64, G*(B+1))
+	pooled := make([][]int64, G)
+	for o := range pooled {
+		pre := flat[o*(B+1) : (o+1)*(B+1) : (o+1)*(B+1)]
+		pooled[o] = pre
+		fids := s.Plan[o]
+		if batch != nil {
+			addRows(pre, len(fids), func(i int) []int32 { return batch.FeatureByID(fids[i]).Offsets })
+			continue
+		}
+		addRows(pre[1:], len(fids), func(i int) []int32 { return sum.Pooling[fids[i]*B:] })
+		for smp := 1; smp <= B; smp++ {
+			pre[smp] += pre[smp-1]
+		}
+	}
+	return pooled
+}
+
+// addRows adds the leading len(acc) entries of row(0) … row(n-1) into acc,
+// widened to int64. Four rows share each pass, so acc is read and written a
+// quarter as often as the rows.
+func addRows(acc []int64, n int, row func(int) []int32) {
+	i := 0
+	for ; i+4 <= n; i += 4 {
+		a, b := row(i)[:len(acc)], row(i + 1)[:len(acc)]
+		c, d := row(i + 2)[:len(acc)], row(i + 3)[:len(acc)]
+		for j := range acc {
+			acc[j] += int64(a[j]) + int64(b[j]) + int64(c[j]) + int64(d[j])
+		}
+	}
+	for ; i < n; i++ {
+		for j, v := range row(i)[:len(acc)] {
+			acc[j] += int64(v)
+		}
 	}
 }
 
@@ -359,11 +432,24 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 		Hit:      make([][]bool, cfg.GPUs),
 		WireVecs: make([][]int, cfg.GPUs),
 		WireIdx:  make([][]int64, cfg.GPUs),
+		hitVecs:  make([][]int64, cfg.GPUs),
+		hitIdx:   make([][]int64, cfg.GPUs),
 	}
+	var hits []bool
+	if cfg.Functional {
+		hits = make([]bool, cfg.TotalTables*B)
+	} else {
+		hits = scratchSlice(&s.planScr.hit, cfg.TotalTables*B)
+		clear(hits)
+	}
+	pre := make([]int64, 2*cfg.GPUs*(B+1))
 	for p := 0; p < cfg.GPUs; p++ {
-		view.Hit[p] = make([]bool, len(s.Plan[p])*B)
+		n := len(s.Plan[p]) * B
+		view.Hit[p], hits = hits[:n:n], hits[n:]
 		view.WireVecs[p] = make([]int, cfg.GPUs)
 		view.WireIdx[p] = make([]int64, cfg.GPUs)
+		view.hitVecs[p], pre = pre[:B+1:B+1], pre[B+1:]
+		view.hitIdx[p], pre = pre[:B+1:B+1], pre[B+1:]
 	}
 	cached, mirrors := s.cacheEnabled(), s.hotMirrorActive()
 	if cached {
@@ -423,6 +509,8 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 					view.Hit[p][fi*B+smp] = true
 					view.WireVecs[p][g]++
 					view.WireIdx[p][g] += int64(len(bag))
+					view.hitVecs[p][smp+1]++
+					view.hitIdx[p][smp+1] += int64(len(bag))
 					if !cfg.Functional {
 						continue
 					}
@@ -435,6 +523,13 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 					}
 				}
 			}
+		}
+	}
+	for p := range view.hitVecs {
+		vecs, idx := view.hitVecs[p], view.hitIdx[p]
+		for smp := 1; smp <= B; smp++ {
+			vecs[smp] += vecs[smp-1]
+			idx[smp] += idx[smp-1]
 		}
 	}
 	return view

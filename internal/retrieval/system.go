@@ -262,19 +262,6 @@ func (s *System) LoadShard(g int, r io.Reader) error {
 	return nil
 }
 
-// globalIndexTotal returns the pooled-index total across ALL features for
-// samples [lo, hi).
-func (s *System) globalIndexTotal(sum *workload.Summary, lo, hi int) int64 {
-	var total int64
-	for fid := 0; fid < sum.NumFeatures; fid++ {
-		row := sum.Pooling[fid*sum.BatchSize:]
-		for smp := lo; smp < hi; smp++ {
-			total += int64(row[smp])
-		}
-	}
-	return total
-}
-
 // LocalTables returns the number of tables resident on GPU g.
 func (s *System) LocalTables(g int) int { return len(s.Plan[g]) }
 
@@ -295,17 +282,15 @@ func (s *System) Collection(g int) (*embedding.Collection, error) {
 	return s.colls[g], nil
 }
 
-// BatchData carries one batch's inputs through a backend: always the
-// pooling summary (timing), plus real indices and output buffers in
-// functional mode.
+// BatchData carries one batch through a backend: always its compiled route
+// plan, which holds the pooled-index arithmetic the timing model reads, plus
+// real indices and output buffers in functional mode.
 type BatchData struct {
 	// Slot is the batch's pipeline slot (batch index modulo the effective
 	// pipeline depth): the index of the per-GPU scratch arena, route-plan
 	// arena and PGAS staging region this batch borrows. Always 0 when
 	// pipelining is off.
 	Slot int
-	// Summary is the pooling structure driving the timing model.
-	Summary *workload.Summary
 	// Sparse is the materialised input batch (nil in timing mode).
 	Sparse *sparse.Batch
 	// Parts are the per-GPU model-parallel partitions of Sparse.
@@ -425,31 +410,26 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	defer func() { s.batchSeq++ }()
 	bd := &BatchData{Slot: s.batchSeq % s.PipelineDepth()}
 	if !s.Cfg.Functional {
+		// Timing runs draw into the run's scratch batch (classifiers and the
+		// placement statistics feed need real indices) or scratch summary,
+		// compile, then drop it: the plan carries every count the timing
+		// model reads, and no timing-mode plan field aliases the input
+		// (dedup keys and expansions are functional-only). Both draws follow
+		// the pooling stream NextSummary would.
+		var sum *workload.Summary
 		if s.cacheEnabled() || s.Cfg.Dedup || s.placementEnabled() {
-			// The route-plan compiler (and the placement statistics feed)
-			// needs real indices; draw them into the run's scratch batch,
-			// compile, then drop it — timing runs keep no data plane, and
-			// no timing-mode plan field aliases the batch (dedup keys and
-			// expansions are functional-only). The pooling stream (and so
-			// all timing inputs) is identical to what NextSummary would
-			// have produced.
 			bd.Sparse = &s.planScr.batch
 			s.gen.NextBatchInto(bd.Sparse)
-			bd.Summary = summaryFromBatch(bd.Sparse)
-			s.compileRoutePlan(bd)
-			s.observeBatch(bd)
-			bd.Sparse = nil
-			return bd, nil
+		} else {
+			sum = &s.planScr.summary
+			s.gen.NextSummaryInto(sum)
 		}
-		bd.Summary = s.gen.NextSummary()
-		s.compileRoutePlan(bd)
+		s.compileRoutePlan(bd, sum)
 		s.observeBatch(bd)
+		bd.Sparse = nil
 		return bd, nil
 	}
 	bd.Sparse = s.gen.NextBatch()
-	// Derive the summary from the materialised batch so timing is identical
-	// to what NextSummary would have produced (same pooling stream).
-	bd.Summary = summaryFromBatch(bd.Sparse)
 	parts, err := sparse.PartitionByFeature(bd.Sparse, s.Plan)
 	if err != nil {
 		return nil, err
@@ -465,7 +445,7 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	// After Final is allocated: cache classification pools hit vectors into
 	// it, and dedup classification (which runs after, so hit vectors never
 	// enter the key sets) sizes the staging buffers.
-	s.compileRoutePlan(bd)
+	s.compileRoutePlan(bd, nil)
 	s.observeBatch(bd)
 	return bd, nil
 }
@@ -473,33 +453,6 @@ func (s *System) NextBatchData() (*BatchData, error) {
 // DedupStats returns the run's accumulated index-deduplication counters
 // (zero-valued when Config.Dedup is off).
 func (s *System) DedupStats() metrics.DedupCounters { return s.dedupStats }
-
-func summaryFromBatch(b *sparse.Batch) *workload.Summary {
-	sum := &workload.Summary{
-		BatchSize:   b.Size,
-		NumFeatures: len(b.Features),
-		Pooling:     make([]int32, len(b.Features)*b.Size),
-	}
-	for f := range b.Features {
-		for smp := 0; smp < b.Size; smp++ {
-			sum.Pooling[f*b.Size+smp] = int32(b.Features[f].PoolingFactor(smp))
-		}
-	}
-	return sum
-}
-
-// localIndexTotal returns the pooled-index total across GPU g's features for
-// samples [lo, hi).
-func (s *System) localIndexTotal(sum *workload.Summary, g, lo, hi int) int64 {
-	var total int64
-	for _, fid := range s.Plan[g] {
-		row := sum.Pooling[fid*sum.BatchSize:]
-		for smp := lo; smp < hi; smp++ {
-			total += int64(row[smp])
-		}
-	}
-	return total
-}
 
 // Backend is one EMB-layer retrieval implementation under test.
 type Backend interface {

@@ -207,3 +207,29 @@ func TestNextBatchIntoReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestNextSummaryIntoReuse pins the reused-summary draw: redrawing one
+// Summary yields NextSummary's pooling factors batch after batch, drift
+// epochs included, and allocates nothing once the summary is sized.
+func TestNextSummaryIntoReuse(t *testing.T) {
+	withNull := nullFreePerFeatureCfg()
+	withNull.NullProbability = 0.3
+	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
+		fresh, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		reused, _ := NewGenerator(cfg)
+		var s Summary
+		for i := 0; i < 12; i++ {
+			want := fresh.NextSummary()
+			reused.NextSummaryInto(&s)
+			if s.BatchSize != want.BatchSize || s.NumFeatures != want.NumFeatures || !slices.Equal(s.Pooling, want.Pooling) {
+				t.Fatalf("seed %d batch %d: reused summary differs from NextSummary", cfg.Seed, i)
+			}
+		}
+		if allocs := testing.AllocsPerRun(4, func() { reused.NextSummaryInto(&s) }); allocs != 0 {
+			t.Errorf("seed %d: warm NextSummaryInto allocates %v times per draw", cfg.Seed, allocs)
+		}
+	}
+}

@@ -395,19 +395,26 @@ type Summary struct {
 }
 
 // NextSummary draws the same pooling sequence NextBatch would (identical
-// rngPool trajectory) without touching the index stream.
+// rngPool trajectory) without touching the index stream, into a fresh
+// summary.
 func (g *Generator) NextSummary() *Summary {
+	s := &Summary{}
+	g.NextSummaryInto(s)
+	return s
+}
+
+// NextSummaryInto draws the next summary into s, reusing the capacity of its
+// pooling slice; s's previous contents are overwritten. The draws are
+// NextSummary's.
+func (g *Generator) NextSummaryInto(s *Summary) {
 	g.advanceBatch()
-	s := &Summary{
-		BatchSize:   g.cfg.BatchSize,
-		NumFeatures: g.cfg.NumFeatures,
-		Pooling:     make([]int32, g.cfg.NumFeatures*g.cfg.BatchSize),
-	}
 	B := g.cfg.BatchSize
+	s.BatchSize = B
+	s.NumFeatures = g.cfg.NumFeatures
+	s.Pooling = resize(s.Pooling, g.cfg.NumFeatures*B)
 	for f := 0; f < g.cfg.NumFeatures; f++ {
 		g.drawPoolings(f, s.Pooling[f*B:(f+1)*B])
 	}
-	return s
 }
 
 // PoolingFactor returns the bag size for (feature, sample).
