@@ -192,16 +192,6 @@ func BenchmarkAggregatedPGASWeak4GPU(b *testing.B) {
 	}))
 }
 
-// Extension A4: the backward pass (future-work §V) — collective shift
-// rounds vs fused one-sided atomic pushes.
-func BenchmarkBackwardBaseline4GPU(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewBackwardBaseline())
-}
-
-func BenchmarkBackwardPGAS4GPU(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewBackwardPGAS())
-}
-
 // Extension A6: Zipf-skewed indices (hot items) versus the paper's uniform
 // distribution.
 func BenchmarkZipfWorkloadPGAS(b *testing.B) {
@@ -250,16 +240,6 @@ func BenchmarkMultiNodeAggregatedPGAS(b *testing.B) {
 	b.ReportMetric(total*1e3/benchBatches, "sim_ms_per_batch")
 }
 
-// Extension A7: the sparse-input stage (future-work §V): serial CPU
-// partition + H2D copy vs fused into the kernel.
-func BenchmarkInputStageSerial(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewInputStaged(pgasemb.NewPGASFused(), false))
-}
-
-func BenchmarkInputStageFused(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewInputStaged(pgasemb.NewPGASFused(), true))
-}
-
 // Extension A8: heterogeneous (skewed) features under block vs greedy
 // table placement.
 func BenchmarkSkewBlockPlan(b *testing.B) {
@@ -273,34 +253,6 @@ func BenchmarkSkewGreedyPlan(b *testing.B) {
 	cfg.PerFeatureMaxPooling = pgasemb.SkewedPooling(cfg.TotalTables, 0.125, 256, 16)
 	cfg.GreedyPlan = true
 	runBackend(b, cfg, pgasemb.NewPGASFused())
-}
-
-// Training steps end to end (trainer).
-func BenchmarkTrainStepCollective(b *testing.B) {
-	benchTrainStep(b, pgasemb.NewBaseline(), pgasemb.NewBackwardBaseline())
-}
-
-func BenchmarkTrainStepPGAS(b *testing.B) {
-	benchTrainStep(b, pgasemb.NewPGASFused(), pgasemb.NewBackwardPGAS())
-}
-
-func benchTrainStep(b *testing.B, fwd, bwd pgasemb.Backend) {
-	b.Helper()
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.Batches = benchBatches
-	var total float64
-	for i := 0; i < b.N; i++ {
-		tr, err := pgasemb.NewTrainer(cfg, pgasemb.DefaultHardware(), fwd, bwd)
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := tr.Run()
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = res.TotalTime
-	}
-	b.ReportMetric(total*1e3/benchBatches, "sim_ms_per_step")
 }
 
 // Criteo-shaped workload: single-valued bags, the latency-dominated regime.

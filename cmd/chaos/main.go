@@ -32,6 +32,7 @@ import (
 	"time"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func main() {
@@ -47,6 +48,7 @@ func main() {
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
+	cliflag.RequirePositive("gpus")
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}

@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func main() {
@@ -42,6 +43,7 @@ func main() {
 	precision := flag.String("precision", "fp32", "wire transport format for embedding rows: fp32, fp16 or int8")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
+	cliflag.RequirePositive("gpus", "batches", "pipeline")
 
 	prec, err := pgasemb.ParsePrecision(*precision)
 	if err != nil {

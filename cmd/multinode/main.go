@@ -20,6 +20,7 @@ import (
 	"os"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func main() {
@@ -33,6 +34,7 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
+	cliflag.RequirePositive("nodes", "gpus-per-node")
 
 	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
 		fmt.Fprintln(os.Stderr, "multinode:", err)

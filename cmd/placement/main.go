@@ -29,6 +29,7 @@ import (
 	"strings"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func main() {
@@ -44,6 +45,7 @@ func main() {
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
+	cliflag.RequirePositive("gpus", "batches", "every", "hot")
 	if *parallel <= 0 {
 		*parallel = runtime.GOMAXPROCS(0)
 	}

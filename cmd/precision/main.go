@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func fatal(err error) {
@@ -41,6 +42,7 @@ func main() {
 	out := flag.String("out", "", "directory to also write precision.txt and precision.csv into (empty = stdout only)")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
+	cliflag.RequirePositive("nodes", "gpus-per-node")
 
 	var names []string
 	if *backends != "" {

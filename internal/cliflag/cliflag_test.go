@@ -1,0 +1,73 @@
+package cliflag
+
+import (
+	"context"
+	"errors"
+	"os/exec"
+	"path/filepath"
+	"strings"
+	"testing"
+	"time"
+)
+
+// TestCommandsRejectNonPositiveSizes builds the commands and runs each with a
+// size flag below 1: every run must exit with status 2 and name the flag,
+// rather than run on a default that the command's header misreports.
+func TestCommandsRejectNonPositiveSizes(t *testing.T) {
+	goTool, err := exec.LookPath("go")
+	if err != nil {
+		t.Skip("go tool not on PATH")
+	}
+	cases := []struct {
+		cmd  string
+		args []string
+		flag string
+	}{
+		{"serve", []string{"-gpus", "0"}, "-gpus"},
+		{"serve", []string{"-pipeline", "0"}, "-pipeline"},
+		{"chaos", []string{"-gpus", "-1"}, "-gpus"},
+		{"placement", []string{"-batches", "0"}, "-batches"},
+		{"placement", []string{"-every", "0"}, "-every"},
+		{"placement", []string{"-gpus", "0"}, "-gpus"},
+		{"placement", []string{"-hot", "0"}, "-hot"},
+		{"multinode", []string{"-nodes", "0"}, "-nodes"},
+		{"multinode", []string{"-gpus-per-node", "0"}, "-gpus-per-node"},
+		{"precision", []string{"-nodes", "-2"}, "-nodes"},
+		{"precision", []string{"-gpus-per-node", "0"}, "-gpus-per-node"},
+		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus"},
+		{"dlrminfer", []string{"-batches", "0"}, "-batches"},
+		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline"},
+	}
+	bin := t.TempDir()
+	pkgs := []string{"build", "-o", bin + string(filepath.Separator)}
+	seen := map[string]bool{}
+	for _, c := range cases {
+		if !seen[c.cmd] {
+			seen[c.cmd] = true
+			pkgs = append(pkgs, "pgasemb/cmd/"+c.cmd)
+		}
+	}
+	if out, err := exec.Command(goTool, pkgs...).CombinedOutput(); err != nil {
+		t.Fatalf("go build: %v\n%s", err, out)
+	}
+	for _, c := range cases {
+		t.Run(c.cmd+c.flag, func(t *testing.T) {
+			// A command that accepts the value would start its sweep; the
+			// short -timeout and a scratch -out bound that failure mode.
+			args := append([]string{"-timeout", "2s"}, c.args...)
+			if c.cmd == "serve" || c.cmd == "chaos" || c.cmd == "placement" {
+				args = append(args, "-out", t.TempDir())
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+			defer cancel()
+			out, err := exec.CommandContext(ctx, filepath.Join(bin, c.cmd), args...).CombinedOutput()
+			var exit *exec.ExitError
+			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+				t.Fatalf("%s %v: err %v, want exit status 2\n%s", c.cmd, c.args, err, out)
+			}
+			if want := c.flag + " must be at least 1"; !strings.Contains(string(out), want) {
+				t.Fatalf("%s %v: output does not say %q:\n%s", c.cmd, c.args, want, out)
+			}
+		})
+	}
+}

@@ -36,9 +36,3 @@ func BenchmarkAllToAllSizes4Ranks(b *testing.B) {
 		c.AllToAllSingleSizes(p, rank, sizes, sizes)
 	})
 }
-
-func BenchmarkAllReduce4Ranks(b *testing.B) {
-	benchCollective(b, 4, func(c *Comm, p *sim.Proc, rank int) {
-		c.AllReduce(p, rank, make([]float32, 16384))
-	})
-}

@@ -1,8 +1,7 @@
 // Package collective implements an NCCL-like collective communication
 // library over the simulated NVLink fabric: the all-to-all exchange the
 // paper's baseline uses after the embedding kernel (PyTorch
-// all_to_all_single with async_op=true + wait), plus all-gather,
-// reduce-scatter and ring all-reduce for the backward-pass comparison.
+// all_to_all_single with async_op=true + wait).
 //
 // Collectives are bulk-synchronous: no rank's transfers start before every
 // rank has entered the call (the "false dependency" the paper eliminates),
@@ -98,12 +97,11 @@ type Comm struct {
 }
 
 type pendingOp struct {
-	kind    string
-	users   int           // ranks still inside the collective call
-	sends   [][][]float32 // [rank][dst] -> segment
-	recvs   [][][]float32 // [rank][src] -> segment
-	reduceA [][]float32   // [rank] -> full buffer (allreduce)
-	sizes   [][]float64   // [rank][dst] -> send bytes (hierarchical schedules)
+	kind  string
+	users int           // ranks still inside the collective call
+	sends [][][]float32 // [rank][dst] -> segment
+	recvs [][][]float32 // [rank][src] -> segment
+	sizes [][]float64   // [rank][dst] -> send bytes (hierarchical schedules)
 }
 
 // New creates a communicator over every fabric endpoint, returning invalid
@@ -138,9 +136,7 @@ func (c *Comm) ResetVolume() { c.volume = &trace.VolumeTrace{} }
 
 // SetVectorCodec installs a wire codec for the all-to-all paths: functional
 // segments made of whole dim-element embedding rows ship encBytes per row
-// instead of the raw 4·dim. Only the forward all-to-all applies the codec —
-// gradients and reductions (all-gather, reduce-scatter, all-reduce,
-// broadcast) stay fp32 by design. dim <= 0 clears the codec.
+// instead of the raw 4·dim. dim <= 0 clears the codec.
 func (c *Comm) SetVectorCodec(dim, encBytes int) {
 	if dim <= 0 {
 		c.codecDim, c.codecBytes = 0, 0
@@ -162,23 +158,18 @@ func (c *Comm) segBytes(n int) float64 {
 }
 
 // pairBandwidth returns the effective rate from src to dst inside a
-// collective. Cross-node pairs of a cluster communicator are paced by the
-// NIC instead of an NVLink pipe.
+// collective.
 func (c *Comm) pairBandwidth(src, dst int) float64 {
-	var raw float64
-	if c.crossNode(src, dst) {
-		raw = c.net.NIC().Bandwidth
-	} else {
-		raw = c.fabric.PairBandwidth(src, dst)
-	}
+	raw := c.fabric.PairBandwidth(src, dst)
 	if c.params.ChannelBandwidth < raw {
 		return c.params.ChannelBandwidth
 	}
 	return raw
 }
 
-// TransferTime returns the protocol time to move bytes from src to dst.
-// Cross-node hops additionally pay the NIC's one-way latency.
+// TransferTime returns the protocol time to move bytes from src to dst over
+// NVLink. Cross-node hops are never priced here: a cluster communicator's
+// all-to-all carries them on the NIC phase of its hierarchical schedule.
 func (c *Comm) TransferTime(src, dst int, bytes float64) sim.Duration {
 	if bytes <= 0 {
 		return 0
@@ -190,11 +181,7 @@ func (c *Comm) TransferTime(src, dst int, bytes float64) sim.Duration {
 	if chunks == 0 {
 		chunks = 1
 	}
-	t := bytes/c.pairBandwidth(src, dst) + sim.Duration(chunks)*c.params.PerChunkLatency
-	if c.crossNode(src, dst) {
-		t += c.net.NIC().Latency
-	}
-	return t
+	return bytes/c.pairBandwidth(src, dst) + sim.Duration(chunks)*c.params.PerChunkLatency
 }
 
 // occupyWire places a collective's egress bytes on the physical pipe so
@@ -207,15 +194,7 @@ func (c *Comm) occupyWire(p *sim.Proc, src, dst int, bytes float64, protocol sim
 	if bytes <= 0 {
 		return protocol
 	}
-	var drained sim.Time
-	if c.crossNode(src, dst) {
-		// Cross-node hop of a cluster communicator: the bytes occupy the
-		// NIC rails (and are counted as NIC traffic) instead of an NVLink
-		// pipe.
-		drained = c.net.SendAt(p.Now(), src, c.net.Cluster().Node(dst), int(bytes))
-	} else {
-		drained = c.fabric.Pipe(src, dst).Offer(bytes)
-	}
+	drained := c.fabric.Pipe(src, dst).Offer(bytes)
 	if wire := drained - p.Now(); wire > protocol {
 		return wire
 	}
@@ -234,11 +213,10 @@ func (c *Comm) rendezvous(p *sim.Proc, rank int, kind string, install func(op *p
 			c.op.kind = kind
 		} else {
 			c.op = &pendingOp{
-				kind:    kind,
-				sends:   make([][][]float32, n),
-				recvs:   make([][][]float32, n),
-				reduceA: make([][]float32, n),
-				sizes:   make([][]float64, n),
+				kind:  kind,
+				sends: make([][][]float32, n),
+				recvs: make([][][]float32, n),
+				sizes: make([][]float64, n),
 			}
 		}
 	}
@@ -267,7 +245,7 @@ func (c *Comm) release(op *pendingOp) {
 		return
 	}
 	for i := range op.sends {
-		op.sends[i], op.recvs[i], op.reduceA[i], op.sizes[i] = nil, nil, nil, nil
+		op.sends[i], op.recvs[i], op.sizes[i] = nil, nil, nil
 	}
 	c.opFree = append(c.opFree, op)
 }
@@ -399,224 +377,4 @@ func copySeg(dst, src []float32, from, to int) {
 			from, to, len(dst), len(src)))
 	}
 	copy(dst, src)
-}
-
-// AllGather gathers each rank's shard into every rank's out slot:
-// out[r] <- shard of rank r. Ring schedule: P-1 steps, each moving one shard
-// per rank.
-func (c *Comm) AllGather(p *sim.Proc, rank int, shard []float32, out [][]float32) {
-	n := c.NumRanks()
-	if len(out) != n {
-		panic(fmt.Sprintf("collective: rank %d allgather with %d out slots, want %d", rank, len(out), n))
-	}
-	op := c.rendezvous(p, rank, "allgather", func(op *pendingOp) {
-		op.sends[rank] = [][]float32{shard}
-		op.recvs[rank] = out
-	})
-	if rank == 0 {
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				copySeg(op.recvs[dst][src], op.sends[src][0], src, dst)
-			}
-		}
-	}
-	c.release(op)
-	if c.hierarchical() {
-		c.hierAllGather(p, rank, 4*float64(len(shard)))
-		return
-	}
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	// Ring: each step sends one shard to the next rank.
-	next := (rank + 1) % n
-	stepBytes := 4 * float64(len(shard))
-	total := c.occupyWire(p, rank, next, stepBytes*float64(n-1),
-		sim.Duration(n-1)*c.TransferTime(rank, next, stepBytes))
-	if total > 0 {
-		c.volume.Add(start, start+total, stepBytes*float64(n-1))
-	}
-	p.Wait(total)
-}
-
-// ReduceScatter reduces (sums) the concatenation of per-rank contributions
-// and leaves rank r with the r-th shard: out <- sum over ranks of
-// contrib[r-th shard]. contrib must be n*len(out) long.
-func (c *Comm) ReduceScatter(p *sim.Proc, rank int, contrib []float32, out []float32) {
-	n := c.NumRanks()
-	if len(contrib) != n*len(out) {
-		panic(fmt.Sprintf("collective: rank %d reducescatter contrib %d, want %d", rank, len(contrib), n*len(out)))
-	}
-	op := c.rendezvous(p, rank, "reducescatter", func(op *pendingOp) {
-		op.reduceA[rank] = contrib
-		op.recvs[rank] = [][]float32{out}
-	})
-	defer c.release(op)
-	if rank == 0 {
-		shard := len(out)
-		for dst := 0; dst < n; dst++ {
-			dstOut := op.recvs[dst][0]
-			for i := range dstOut {
-				var sum float32
-				for src := 0; src < n; src++ {
-					sum += op.reduceA[src][dst*shard+i]
-				}
-				dstOut[i] = sum
-			}
-		}
-	}
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	next := (rank + 1) % n
-	stepBytes := 4 * float64(len(out))
-	total := c.occupyWire(p, rank, next, stepBytes*float64(n-1),
-		sim.Duration(n-1)*c.TransferTime(rank, next, stepBytes))
-	if total > 0 {
-		c.volume.Add(start, start+total, stepBytes*float64(n-1))
-	}
-	p.Wait(total)
-}
-
-// Broadcast copies root's buf into every rank's buf. Flat schedule: the
-// root pushes to each peer over its own pipe concurrently; completion is
-// paced by the slowest peer transfer.
-func (c *Comm) Broadcast(p *sim.Proc, rank, root int, buf []float32) {
-	n := c.NumRanks()
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("collective: broadcast root %d out of range", root))
-	}
-	op := c.rendezvous(p, rank, "broadcast", func(op *pendingOp) {
-		op.reduceA[rank] = buf
-	})
-	defer c.release(op)
-	if rank == 0 {
-		src := op.reduceA[root]
-		for r := 0; r < n; r++ {
-			if r == root {
-				continue
-			}
-			if len(op.reduceA[r]) != len(src) {
-				panic(fmt.Sprintf("collective: broadcast buffer sizes differ: rank %d has %d, root has %d",
-					r, len(op.reduceA[r]), len(src)))
-			}
-			copy(op.reduceA[r], src)
-		}
-	}
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	var dur sim.Duration
-	if rank == root {
-		for peer := 0; peer < n; peer++ {
-			if peer == root {
-				continue
-			}
-			bytes := 4 * float64(len(buf))
-			if t := c.occupyWire(p, root, peer, bytes, c.TransferTime(root, peer, bytes)); t > dur {
-				dur = t
-			}
-		}
-		if dur > 0 {
-			c.volume.Add(start, start+dur, 4*float64(len(buf))*float64(n-1))
-		}
-	} else {
-		dur = c.TransferTime(root, rank, 4*float64(len(buf)))
-	}
-	p.Wait(dur)
-}
-
-// Gather collects each rank's shard at the root: on the root, out[r]
-// receives rank r's shard; on other ranks out may be nil.
-func (c *Comm) Gather(p *sim.Proc, rank, root int, shard []float32, out [][]float32) {
-	n := c.NumRanks()
-	if root < 0 || root >= n {
-		panic(fmt.Sprintf("collective: gather root %d out of range", root))
-	}
-	if rank == root && len(out) != n {
-		panic(fmt.Sprintf("collective: gather root needs %d out slots, got %d", n, len(out)))
-	}
-	op := c.rendezvous(p, rank, "gather", func(op *pendingOp) {
-		op.sends[rank] = [][]float32{shard}
-		if rank == root {
-			op.recvs[rank] = out
-		}
-	})
-	defer c.release(op)
-	if rank == 0 {
-		for src := 0; src < n; src++ {
-			copySeg(op.recvs[root][src], op.sends[src][0], src, root)
-		}
-	}
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	var dur sim.Duration
-	if rank == root {
-		// Root ingress: paced by the slowest sender.
-		for peer := 0; peer < n; peer++ {
-			if peer == root {
-				continue
-			}
-			if t := c.TransferTime(peer, root, 4*float64(len(op.recvs[root][peer]))); t > dur {
-				dur = t
-			}
-		}
-	} else {
-		bytes := 4 * float64(len(shard))
-		dur = c.occupyWire(p, rank, root, bytes, c.TransferTime(rank, root, bytes))
-		if dur > 0 {
-			c.volume.Add(start, start+dur, bytes)
-		}
-	}
-	p.Wait(dur)
-}
-
-// AllReduce sums buf element-wise across ranks, leaving every rank with the
-// full result. Ring algorithm: reduce-scatter then all-gather, 2(P-1) steps
-// over shards of len(buf)/P.
-func (c *Comm) AllReduce(p *sim.Proc, rank int, buf []float32) {
-	n := c.NumRanks()
-	op := c.rendezvous(p, rank, "allreduce", func(op *pendingOp) {
-		op.reduceA[rank] = buf
-	})
-	defer c.release(op)
-	if rank == 0 {
-		m := len(op.reduceA[0])
-		for _, b := range op.reduceA {
-			if len(b) != m {
-				panic(fmt.Sprintf("collective: allreduce buffer sizes differ: %d vs %d", len(b), m))
-			}
-		}
-		sum := make([]float32, m)
-		for _, b := range op.reduceA {
-			for i, v := range b {
-				sum[i] += v
-			}
-		}
-		for _, b := range op.reduceA {
-			copy(b, sum)
-		}
-	}
-	p.Wait(c.params.LaunchOverhead)
-	if n == 1 {
-		return
-	}
-	start := p.Now()
-	shardBytes := 4 * float64(len(buf)) / float64(n)
-	next := (rank + 1) % n
-	total := c.occupyWire(p, rank, next, shardBytes*2*float64(n-1),
-		2*sim.Duration(n-1)*c.TransferTime(rank, next, shardBytes))
-	if total > 0 {
-		c.volume.Add(start, start+total, shardBytes*2*float64(n-1))
-	}
-	p.Wait(total)
 }

@@ -236,108 +236,11 @@ func TestAllToAllVolumeTrace(t *testing.T) {
 	}
 }
 
-func TestAllGatherFunctional(t *testing.T) {
-	const n = 3
-	env, c := testComm(n)
-	results := make([][][]float32, n)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		shard := []float32{float32(rank), float32(rank * 100)}
-		out := make([][]float32, n)
-		for i := range out {
-			out[i] = make([]float32, 2)
-		}
-		c.AllGather(p, rank, shard, out)
-		results[rank] = out
-	})
-	for rank := 0; rank < n; rank++ {
-		for src := 0; src < n; src++ {
-			if results[rank][src][0] != float32(src) || results[rank][src][1] != float32(src*100) {
-				t.Fatalf("rank %d slot %d = %v", rank, src, results[rank][src])
-			}
-		}
-	}
-}
-
-func TestReduceScatterFunctional(t *testing.T) {
-	const n = 2
-	env, c := testComm(n)
-	outs := make([][]float32, n)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		// contrib = [rank+1, rank+1, rank+1, rank+1], shards of 2.
-		contrib := []float32{float32(rank + 1), float32(rank + 1), float32(rank + 1), float32(rank + 1)}
-		out := make([]float32, 2)
-		c.ReduceScatter(p, rank, contrib, out)
-		outs[rank] = out
-	})
-	// Sum across ranks: 1+2 = 3 everywhere.
-	for rank := 0; rank < n; rank++ {
-		for _, v := range outs[rank] {
-			if v != 3 {
-				t.Fatalf("rank %d out = %v", rank, outs[rank])
-			}
-		}
-	}
-}
-
-func TestReduceScatterSizePanics(t *testing.T) {
-	env, c := testComm(2)
-	panicked := false
-	env.Go("bad", func(p *sim.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		c.ReduceScatter(p, 0, make([]float32, 3), make([]float32, 2))
-	})
-	env.Run()
-	if !panicked {
-		t.Fatal("bad contrib size did not panic")
-	}
-}
-
-func TestAllReduceFunctional(t *testing.T) {
-	const n = 4
-	env, c := testComm(n)
-	bufs := make([][]float32, n)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		bufs[rank] = []float32{float32(rank), 1}
-		c.AllReduce(p, rank, bufs[rank])
-	})
-	// Sum of ranks 0..3 = 6; sum of ones = 4.
-	for rank := 0; rank < n; rank++ {
-		if bufs[rank][0] != 6 || bufs[rank][1] != 4 {
-			t.Fatalf("rank %d buf = %v", rank, bufs[rank])
-		}
-	}
-}
-
-func TestAllReduceRingCostGrowsWithRanks(t *testing.T) {
-	cost := func(n int) sim.Time {
-		env := sim.NewEnv()
-		fabric := mustFabric(env, nvlink.DGXStation(n))
-		c := mustNew(env, fabric, DefaultParams())
-		var done sim.Time
-		runRanks(env, n, func(p *sim.Proc, rank int) {
-			buf := make([]float32, 1<<20)
-			c.AllReduce(p, rank, buf)
-			if p.Now() > done {
-				done = p.Now()
-			}
-		})
-		return done
-	}
-	// Ring allreduce time ∝ 2(P-1)/P: grows with P at fixed buffer size.
-	if !(cost(2) < cost(3) && cost(3) < cost(4)) {
-		t.Fatalf("ring cost not increasing: %v %v %v", cost(2), cost(3), cost(4))
-	}
-}
-
 func TestMismatchedCollectiveKindsPanic(t *testing.T) {
 	env, c := testComm(2)
 	panicked := false
 	env.Go("r0", func(p *sim.Proc) {
-		c.AllReduce(p, 0, make([]float32, 4))
+		c.AllToAllSingle(p, 0, make([][]float32, 2), make([][]float32, 2))
 	})
 	env.Go("r1", func(p *sim.Proc) {
 		defer func() {
@@ -345,7 +248,7 @@ func TestMismatchedCollectiveKindsPanic(t *testing.T) {
 				panicked = true
 			}
 		}()
-		c.AllGather(p, 1, make([]float32, 2), [][]float32{make([]float32, 2), make([]float32, 2)})
+		c.AllToAllSingleSizes(p, 1, make([]float64, 2), make([]float64, 2))
 	})
 	env.Run()
 	if !panicked {
@@ -362,113 +265,42 @@ func TestSingleRankCollectivesDegenerate(t *testing.T) {
 		if recv[0][0] != 1 || recv[0][1] != 2 {
 			t.Errorf("self alltoall = %v", recv[0])
 		}
-		buf := []float32{5}
-		c.AllReduce(p, rank, buf)
-		if buf[0] != 5 {
-			t.Errorf("self allreduce = %v", buf[0])
+		if p.Now() != c.Params().LaunchOverhead {
+			t.Errorf("self alltoall took %v, want only the launch overhead %v", p.Now(), c.Params().LaunchOverhead)
 		}
 	})
+	if c.Volume().Total() != 0 {
+		t.Errorf("self alltoall put %v bytes on the wire", c.Volume().Total())
+	}
 }
 
+// TestBackToBackCollectives reuses the communicator for several rounds with a
+// different payload each time, so a recycled op descriptor that kept a stale
+// buffer reference would deliver the previous round's data.
 func TestBackToBackCollectives(t *testing.T) {
 	const n = 2
 	env, c := testComm(n)
 	runRanks(env, n, func(p *sim.Proc, rank int) {
 		for round := 0; round < 5; round++ {
-			buf := []float32{1}
-			c.AllReduce(p, rank, buf)
-			if buf[0] != n {
-				t.Errorf("round %d: allreduce = %v", round, buf[0])
+			send := make([][]float32, n)
+			recv := make([][]float32, n)
+			for peer := range send {
+				send[peer] = []float32{float32(100*round + 10*rank + peer)}
+				recv[peer] = make([]float32, 1)
+			}
+			c.AllToAllSingle(p, rank, send, recv)
+			for src := range recv {
+				if want := float32(100*round + 10*src + rank); recv[src][0] != want {
+					t.Errorf("round %d rank %d: from %d got %v, want %v", round, rank, src, recv[src][0], want)
+				}
 			}
 		}
 	})
-}
-
-func TestBroadcastFunctional(t *testing.T) {
-	const n = 3
-	env, c := testComm(n)
-	bufs := make([][]float32, n)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		bufs[rank] = make([]float32, 4)
-		if rank == 1 { // root
-			for i := range bufs[rank] {
-				bufs[rank][i] = float32(10 + i)
-			}
-		}
-		c.Broadcast(p, rank, 1, bufs[rank])
-	})
-	for rank := 0; rank < n; rank++ {
-		for i := 0; i < 4; i++ {
-			if bufs[rank][i] != float32(10+i) {
-				t.Fatalf("rank %d buf = %v", rank, bufs[rank])
-			}
-		}
+	// A rank may enter the next round while its peer still holds the last
+	// one's descriptor, so at most two are ever live.
+	if len(c.opFree) > 2 {
+		t.Errorf("%d op descriptors after 5 sequential rounds, want at most 2 recycled", len(c.opFree))
 	}
-}
-
-func TestBroadcastRootOutOfRangePanics(t *testing.T) {
-	env, c := testComm(2)
-	panicked := false
-	env.Go("bad", func(p *sim.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		c.Broadcast(p, 0, 5, make([]float32, 1))
-	})
-	env.Run()
-	if !panicked {
-		t.Fatal("bad root did not panic")
-	}
-}
-
-func TestGatherFunctional(t *testing.T) {
-	const n = 3
-	env, c := testComm(n)
-	var rootOut [][]float32
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		shard := []float32{float32(rank * 7)}
-		var out [][]float32
-		if rank == 2 {
-			out = [][]float32{make([]float32, 1), make([]float32, 1), make([]float32, 1)}
-			rootOut = out
-		}
-		c.Gather(p, rank, 2, shard, out)
-	})
-	for src := 0; src < n; src++ {
-		if rootOut[src][0] != float32(src*7) {
-			t.Fatalf("gathered = %v", rootOut)
-		}
-	}
-}
-
-func TestGatherRootNeedsSlots(t *testing.T) {
-	env, c := testComm(2)
-	panicked := false
-	env.Go("bad", func(p *sim.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		c.Gather(p, 0, 0, make([]float32, 1), nil)
-	})
-	env.Run()
-	if !panicked {
-		t.Fatal("root without out slots did not panic")
-	}
-}
-
-func TestBroadcastSingleRank(t *testing.T) {
-	env, c := testComm(1)
-	runRanks(env, 1, func(p *sim.Proc, rank int) {
-		buf := []float32{3}
-		c.Broadcast(p, rank, 0, buf)
-		if buf[0] != 3 {
-			t.Error("self broadcast corrupted buffer")
-		}
-	})
 }
 
 func TestCollectiveContendsWithOneSidedTraffic(t *testing.T) {

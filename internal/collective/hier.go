@@ -8,13 +8,11 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// NewCluster creates a communicator over a multi-node cluster: all-to-all and
-// all-gather run hierarchically — an intra-node exchange over NVLink, a
+// NewCluster creates a communicator over a multi-node cluster: the
+// all-to-all runs hierarchically — an intra-node exchange over NVLink, a
 // rail-aligned inter-node exchange over the NICs, then an intra-node
-// redistribution — while the remaining (ring/flat) collectives keep their
-// schedules with cross-node hops priced and occupied on the NIC rails. fab
-// must be wired over net's Cluster topology; a mismatched fabric/cluster or
-// invalid parameters come back as an error.
+// redistribution. fab must be wired over net's Cluster topology; a
+// mismatched fabric/cluster or invalid parameters come back as an error.
 func NewCluster(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) (*Comm, error) {
 	if fab.NumGPUs() != net.Cluster().NumGPUs() {
 		return nil, fmt.Errorf("collective: NVLink fabric has %d GPUs but the cluster %d",
@@ -53,15 +51,6 @@ func resizeF(s *[]float64, n int) []float64 {
 // multi-node path.
 func (c *Comm) hierarchical() bool {
 	return c.net != nil && c.net.Cluster().Nodes > 1
-}
-
-// crossNode reports whether the src->dst hop leaves a node.
-func (c *Comm) crossNode(src, dst int) bool {
-	if c.net == nil {
-		return false
-	}
-	cl := c.net.Cluster()
-	return cl.Node(src) != cl.Node(dst)
 }
 
 // interTime is the analytic time for one rank to receive bytes over its NIC
@@ -221,53 +210,4 @@ func (c *Comm) hierAllToAll(p *sim.Proc, rank int, op *pendingOp) {
 	c.barrier.Await(p)
 
 	c.runIntraPhase(p, rank, a, l, e3, i3)
-}
-
-// hierAllGather runs the hierarchical all-gather schedule for one rank:
-// an intra-node ring gathers the node's shards on every local GPU, then each
-// lane ring-gathers its own lane's shards across nodes over the NIC rails,
-// and a final intra-node ring spreads the remote shards locally.
-func (c *Comm) hierAllGather(p *sim.Proc, rank int, shardBytes float64) {
-	cl := c.net.Cluster()
-	G, N := cl.GPUsPerNode, cl.Nodes
-	a, l := cl.Node(rank), cl.Lane(rank)
-
-	p.Wait(c.params.LaunchOverhead)
-	if G > 1 && shardBytes > 0 {
-		next := cl.GPU(a, (l+1)%G)
-		start := p.Now()
-		bytes := shardBytes * float64(G-1)
-		total := c.occupyWire(p, rank, next, bytes,
-			sim.Duration(G-1)*c.TransferTime(rank, next, shardBytes))
-		if total > 0 {
-			c.volume.Add(start, start+total, bytes)
-		}
-		p.Wait(total)
-	}
-	c.barrier.Await(p)
-	if shardBytes > 0 {
-		// Lane-aligned inter-node ring: (N-1) steps, one lane-l shard each.
-		start := p.Now()
-		ready := start
-		for step := 0; step < N-1; step++ {
-			ready = c.net.SendAt(ready, rank, (a+1)%N, int(shardBytes))
-		}
-		if ready > start {
-			c.volume.Add(start, ready, shardBytes*float64(N-1))
-		}
-		p.WaitUntil(ready)
-	}
-	c.barrier.Await(p)
-	if G > 1 && N > 1 && shardBytes > 0 {
-		next := cl.GPU(a, (l+1)%G)
-		stepBytes := shardBytes * float64(N-1)
-		start := p.Now()
-		bytes := stepBytes * float64(G-1)
-		total := c.occupyWire(p, rank, next, bytes,
-			sim.Duration(G-1)*c.TransferTime(rank, next, stepBytes))
-		if total > 0 {
-			c.volume.Add(start, start+total, bytes)
-		}
-		p.Wait(total)
-	}
 }

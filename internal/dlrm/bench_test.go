@@ -33,16 +33,3 @@ func BenchmarkPipelineInferenceTestScale(b *testing.B) {
 		}
 	}
 }
-
-func BenchmarkTrainerStepTestScale(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		tr, err := NewTrainer(retrieval.TestScaleConfig(2), retrieval.DefaultHardware(),
-			&retrieval.PGASFused{}, &retrieval.BackwardPGAS{})
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := tr.Run(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}

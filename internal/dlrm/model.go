@@ -243,14 +243,6 @@ func (m *Model) Forward(dense, emb *tensor.Tensor) *tensor.Tensor {
 	return m.Bottom.Forward(cat).Sigmoid()  // (B, 1)
 }
 
-// DensePathFLOPs returns the per-minibatch FLOPs of the data-parallel path
-// (top MLP + interaction + bottom MLP) for the timing model.
-func (m *Model) DensePathFLOPs(batch int) float64 {
-	features := m.Cfg.NumSparse + 1
-	interFLOPs := float64(batch) * float64(features*(features-1)/2) * float64(2*m.Cfg.EmbDim)
-	return m.Top.FLOPs(batch) + interFLOPs + m.Bottom.FLOPs(batch)
-}
-
 // DensePathBytes returns the per-minibatch traffic of the data-parallel
 // path.
 func (m *Model) DensePathBytes(batch int) float64 {

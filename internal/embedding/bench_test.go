@@ -33,17 +33,3 @@ func benchLookup(b *testing.B, pooling int, mode PoolingMode) {
 func BenchmarkLookupPooledSum32(b *testing.B)  { benchLookup(b, 32, SumPooling) }
 func BenchmarkLookupPooledSum128(b *testing.B) { benchLookup(b, 128, SumPooling) }
 func BenchmarkLookupPooledMax32(b *testing.B)  { benchLookup(b, 32, MaxPooling) }
-
-func BenchmarkAccumulateGrad(b *testing.B) {
-	rng := sim.NewRNG(3)
-	tbl := NewTable(1<<16, 64, rng)
-	bag := make([]int64, 64)
-	for i := range bag {
-		bag[i] = int64(rng.Intn(1 << 30))
-	}
-	grad := make([]float32, 64)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.AccumulateGrad(bag, grad)
-	}
-}

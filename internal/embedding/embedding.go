@@ -125,23 +125,6 @@ func (t *Table) LookupPooled(bag []int64, mode PoolingMode, out []float32) {
 	}
 }
 
-// AccumulateGrad adds grad into the rows a bag's lookup touched — the
-// backward pass of sum pooling, used by the backward-pass extension
-// experiments. Mean/max backward are not needed by the paper's workloads.
-func (t *Table) AccumulateGrad(bag []int64, grad []float32) {
-	if len(grad) != t.Dim {
-		panic(fmt.Sprintf("embedding: grad length %d != dim %d", len(grad), t.Dim))
-	}
-	w := t.Weights.Data()
-	for _, raw := range bag {
-		row := HashIndex(raw, t.Rows)
-		vec := w[row*t.Dim : (row+1)*t.Dim]
-		for i, g := range grad {
-			vec[i] += g
-		}
-	}
-}
-
 // Collection is a set of same-dimension tables for a set of global feature
 // IDs — one GPU's shard under table-wise model parallelism.
 type Collection struct {

@@ -200,46 +200,3 @@ func (s *Stream) Synchronize(p *sim.Proc) {
 	p.WaitUntil(s.busyUntil)
 	p.Wait(s.dev.params.StreamSync)
 }
-
-// Event is a marker in a stream's work queue (cudaEvent semantics): it
-// completes when every kernel enqueued before it has finished.
-type Event struct {
-	stream   *Stream
-	at       sim.Time
-	recorded bool
-}
-
-// RecordEvent marks the stream's current tail: the event completes when all
-// previously enqueued work does.
-func (s *Stream) RecordEvent() *Event {
-	return &Event{stream: s, at: s.busyUntil, recorded: true}
-}
-
-// CompletesAt returns the event's completion time.
-func (e *Event) CompletesAt() sim.Time {
-	if !e.recorded {
-		panic("gpu: CompletesAt on unrecorded event")
-	}
-	return e.at
-}
-
-// WaitEvent makes subsequent work on s wait for e to complete
-// (cudaStreamWaitEvent): cross-stream ordering without host involvement.
-func (s *Stream) WaitEvent(e *Event) {
-	if !e.recorded {
-		panic("gpu: WaitEvent on unrecorded event")
-	}
-	if e.at > s.busyUntil {
-		s.busyUntil = e.at
-	}
-}
-
-// SynchronizeEvent blocks the calling process until the event completes
-// (cudaEventSynchronize), without draining the rest of the stream.
-func (e *Event) SynchronizeEvent(p *sim.Proc) {
-	if !e.recorded {
-		panic("gpu: SynchronizeEvent on unrecorded event")
-	}
-	p.WaitUntil(e.at)
-	p.Wait(e.stream.dev.params.StreamSync)
-}

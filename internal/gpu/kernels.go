@@ -159,15 +159,6 @@ func (d *Device) UnpackKernelCost(receivedBytes float64, segments int) sim.Durat
 		moved/(d.params.HBMBandwidth*d.params.UnpackEfficiency)) * sim.Duration(d.slow)
 }
 
-// CopyKernelCost models a contiguous device-to-device-memory copy of the
-// given size (one read + one write at streaming efficiency).
-func (d *Device) CopyKernelCost(bytes float64) sim.Duration {
-	if bytes < 0 {
-		panic(fmt.Sprintf("gpu%d: negative copy bytes %g", d.id, bytes))
-	}
-	return 2 * bytes / (d.params.HBMBandwidth * d.params.StreamEfficiency) * sim.Duration(d.slow)
-}
-
 // EncodeKernelCost models the owner-side wire-precision encode: rawBytes of
 // fp32 rows are read and encBytes of compressed rows written, a streaming
 // bandwidth-bound kernel (quantization arithmetic hides under the memory

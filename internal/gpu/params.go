@@ -105,17 +105,6 @@ type Params struct {
 	// received byte count shrinks (the paper's strong-scaling sync+unpack
 	// trend).
 	UnpackPerSegment sim.Duration
-
-	// PCIeBandwidth is the host-to-device copy rate for staging inputs
-	// (bytes/second).
-	PCIeBandwidth float64
-
-	// CPUPartitionRate is the host-side throughput of partitioning the
-	// sparse inputs for model parallelism (bytes of index data per
-	// second). The paper notes this stage is cheap for table-wise
-	// sharding but "will become more significant" for row-wise schemes —
-	// and proposes fusing it into the kernel.
-	CPUPartitionRate float64
 }
 
 // V100Params returns parameters calibrated to a 32 GB Tesla V100 in a DGX
@@ -139,8 +128,6 @@ func V100Params() Params {
 		RemotePeerChunkOverhead: 25 * sim.Microsecond,
 		UnpackFixed:             2 * sim.Millisecond,
 		UnpackPerSegment:        13 * sim.Millisecond,
-		PCIeBandwidth:           12e9,
-		CPUPartitionRate:        50e9,
 	}
 }
 
@@ -195,10 +182,6 @@ func (p Params) Validate() error {
 		return paramErr("UnpackFixed")
 	case p.UnpackPerSegment < 0:
 		return paramErr("UnpackPerSegment")
-	case p.PCIeBandwidth <= 0:
-		return paramErr("PCIeBandwidth")
-	case p.CPUPartitionRate <= 0:
-		return paramErr("CPUPartitionRate")
 	}
 	return nil
 }

@@ -83,45 +83,15 @@ func TestInterNodeParamsValidated(t *testing.T) {
 
 func TestCustomTopology(t *testing.T) {
 	// A DGX-1-style quad: some pairs two links, some one.
-	m := Custom{LinkMatrix: [][]int{
+	m := matrixTopo{
 		{0, 2, 1, 2},
 		{2, 0, 2, 1},
 		{1, 2, 0, 2},
 		{2, 1, 2, 0},
-	}}
-	if err := m.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if m.NumGPUs() != 4 || m.Links(0, 1) != 2 || m.Links(0, 2) != 1 || m.Links(3, 3) != 0 {
-		t.Fatal("custom topology geometry wrong")
 	}
 	env := sim.NewEnv()
 	f := mustFabric(env, DefaultParams(), m)
 	if f.PairBandwidth(0, 2) != 25e9 || f.PairBandwidth(0, 1) != 50e9 {
 		t.Fatal("custom topology bandwidths wrong")
 	}
-}
-
-func TestCustomTopologyValidateRejects(t *testing.T) {
-	cases := []Custom{
-		{LinkMatrix: [][]int{{0, 1}, {1}}},      // ragged
-		{LinkMatrix: [][]int{{0, -1}, {-1, 0}}}, // negative
-		{LinkMatrix: [][]int{{1, 1}, {1, 0}}},   // self links
-		{LinkMatrix: [][]int{{0, 2}, {1, 0}}},   // asymmetric
-	}
-	for i, c := range cases {
-		if c.Validate() == nil {
-			t.Errorf("case %d not rejected", i)
-		}
-	}
-}
-
-func TestCustomTopologyOutOfRangePanics(t *testing.T) {
-	m := Custom{LinkMatrix: [][]int{{0, 1}, {1, 0}}}
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range did not panic")
-		}
-	}()
-	m.Links(0, 5)
 }

@@ -110,51 +110,6 @@ func DGXStation(n int) Topology {
 	return FullyConnected{N: n, LinksPerPair: 2}
 }
 
-// Custom is an explicit symmetric link matrix, for modelling irregular
-// wirings (e.g. DGX-1-style hybrid meshes where some pairs have two links,
-// some one). LinkMatrix[a][b] is the link count between GPUs a and b.
-type Custom struct {
-	LinkMatrix [][]int
-}
-
-// NumGPUs implements Topology.
-func (t Custom) NumGPUs() int { return len(t.LinkMatrix) }
-
-// Links implements Topology.
-func (t Custom) Links(a, b int) int {
-	n := len(t.LinkMatrix)
-	if a < 0 || b < 0 || a >= n || b >= n {
-		panic(fmt.Sprintf("nvlink: GPU index out of range: Links(%d, %d) with %d GPUs", a, b, n))
-	}
-	if a == b {
-		return 0
-	}
-	return t.LinkMatrix[a][b]
-}
-
-// Validate checks the matrix is square, symmetric, non-negative and
-// zero-diagonal.
-func (t Custom) Validate() error {
-	n := len(t.LinkMatrix)
-	for a, row := range t.LinkMatrix {
-		if len(row) != n {
-			return fmt.Errorf("nvlink: link matrix row %d has %d entries, want %d", a, len(row), n)
-		}
-		for b, links := range row {
-			if links < 0 {
-				return fmt.Errorf("nvlink: negative link count between %d and %d", a, b)
-			}
-			if a == b && links != 0 {
-				return fmt.Errorf("nvlink: self links on GPU %d", a)
-			}
-			if t.LinkMatrix[b][a] != links {
-				return fmt.Errorf("nvlink: asymmetric links between %d and %d", a, b)
-			}
-		}
-	}
-	return nil
-}
-
 // LinkClass distinguishes wire types in heterogeneous topologies.
 type LinkClass int
 
@@ -224,10 +179,9 @@ type Fabric struct {
 
 // ValidateTopology checks a topology's wiring at construction time:
 // positive GPU count, zero diagonal, no negative link counts, symmetric
-// pairs. Topologies carrying their own Validate method (e.g. Custom) are
-// checked with it first, so structural defects like a ragged link matrix
-// surface as descriptive errors instead of panicking during the pairwise
-// probe below.
+// pairs. Topologies carrying their own Validate method (fabric.Cluster) are
+// checked with it first, so a defective shape surfaces as a descriptive
+// error instead of a wiring that panics or stays unconnected.
 func ValidateTopology(topo Topology) error {
 	if v, ok := topo.(interface{ Validate() error }); ok {
 		if err := v.Validate(); err != nil {

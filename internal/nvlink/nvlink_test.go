@@ -1,6 +1,7 @@
 package nvlink
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -217,18 +218,18 @@ func TestNewFabricRejectsEmptyTopology(t *testing.T) {
 }
 
 // ValidateTopology must return descriptive errors for every defect class —
-// and, for a ragged Custom matrix, must not panic the way a raw pairwise
-// Links probe would.
+// and, for a topology with its own Validate, must consult it before the
+// pairwise Links probe that would panic on a malformed shape.
 func TestValidateTopologyErrors(t *testing.T) {
 	cases := []struct {
 		name string
 		topo Topology
 		want string
 	}{
-		{"ragged", Custom{LinkMatrix: [][]int{{0, 1}, {1}}}, "row 1 has 1 entries"},
+		{"ragged", raggedTopo{}, "row 1 has 1 entries"},
 		{"asymmetric", zeroDiagAsymTopo{}, "asymmetric links between GPUs 0 and 1"},
-		{"asymmetric-custom", Custom{LinkMatrix: [][]int{{0, 2}, {1, 0}}}, "asymmetric links"},
-		{"negative", Custom{LinkMatrix: [][]int{{0, -1}, {-1, 0}}}, "negative link count"},
+		{"asymmetric-matrix", matrixTopo{{0, 2}, {1, 0}}, "asymmetric links"},
+		{"negative", matrixTopo{{0, -1}, {-1, 0}}, "negative link count"},
 		{"self-links", selfLinkTopo{}, "self links"},
 		{"empty", FullyConnected{N: 0, LinksPerPair: 2}, "no GPUs"},
 	}
@@ -263,11 +264,26 @@ type selfLinkTopo struct{}
 func (selfLinkTopo) NumGPUs() int       { return 2 }
 func (selfLinkTopo) Links(a, b int) int { return 1 }
 
+// matrixTopo is an explicit link matrix: m[a][b] links between GPUs a and b.
+type matrixTopo [][]int
+
+func (m matrixTopo) NumGPUs() int       { return len(m) }
+func (m matrixTopo) Links(a, b int) int { return m[a][b] }
+
+// raggedTopo reports its own shape defect; probing its links would panic.
+type raggedTopo struct{}
+
+func (raggedTopo) NumGPUs() int       { return 2 }
+func (raggedTopo) Links(a, b int) int { panic("nvlink test: Links probed before Validate") }
+func (raggedTopo) Validate() error {
+	return errors.New("nvlink test: link matrix row 1 has 1 entries, want 2")
+}
+
 func TestValidateTopologyAcceptsGoodWirings(t *testing.T) {
 	for _, topo := range []Topology{
 		DGXStation(4),
 		MultiNode{Nodes: 2, PerNode: 4, IntraLinks: 2},
-		Custom{LinkMatrix: [][]int{{0, 1}, {1, 0}}},
+		matrixTopo{{0, 1}, {1, 0}},
 	} {
 		if err := ValidateTopology(topo); err != nil {
 			t.Errorf("ValidateTopology(%T) = %v, want nil", topo, err)
@@ -292,8 +308,8 @@ func TestNewFabricReturnsError(t *testing.T) {
 		{"bad-params", noBandwidth, DGXStation(2), "LinkBandwidth must be positive"},
 		{"asymmetric", DefaultParams(), zeroDiagAsymTopo{}, "asymmetric links"},
 		{"self-links", DefaultParams(), selfLinkTopo{}, "self links"},
-		{"ragged", DefaultParams(), Custom{LinkMatrix: [][]int{{0, 1}, {1}}}, "row 1 has 1 entries"},
-		{"negative", DefaultParams(), Custom{LinkMatrix: [][]int{{0, -1}, {-1, 0}}}, "negative link count"},
+		{"ragged", DefaultParams(), raggedTopo{}, "row 1 has 1 entries"},
+		{"negative", DefaultParams(), matrixTopo{{0, -1}, {-1, 0}}, "negative link count"},
 		{"empty", DefaultParams(), FullyConnected{N: 0, LinksPerPair: 2}, "no GPUs"},
 		{"no-inter-node-bandwidth", noInterNode, MultiNode{Nodes: 2, PerNode: 2, IntraLinks: 2}, "InterNodeBandwidth"},
 	}

@@ -1,9 +1,9 @@
 // Package pgas implements the PGAS-style one-sided communication runtime the
 // paper builds its fused embedding-retrieval backend on: NVSHMEM-like
-// remote stores ("RDMA writes issued by CUDA threads"), one-sided gets,
-// quiet/barrier completion semantics, per-PE
-// communication counters (the instrumentation behind Figures 7 and 10), and
-// the asynchronous aggregator sketched in the paper's future-work section.
+// remote stores ("RDMA writes issued by CUDA threads"), quiet/barrier
+// completion semantics, per-PE communication counters (the instrumentation
+// behind Figures 7 and 10), and the asynchronous aggregator sketched in the
+// paper's future-work section.
 //
 // Each GPU is a processing element (PE). A remote store is functionally a
 // memcpy into the destination PE's memory — performed immediately, since the
@@ -357,19 +357,6 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 	pe.wireBytes += wire
 	pe.counter.Add(issued, delivered, payload)
 	return pe.markDelivery(delivered)
-}
-
-// GetFloat32s issues a one-sided fetch of src (on target) into dst (local).
-// The wire cost is charged on the target→pe direction.
-func (pe *PE) GetFloat32s(target *PE, dst, src []float32) sim.Time {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("pgas: get length mismatch %d vs %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-	if target.id == pe.id {
-		return pe.rt.env.Now()
-	}
-	return target.accountPut(pe, 4*len(src))
 }
 
 // remoteNode returns the destination node index when target lives on a

@@ -227,6 +227,13 @@ func TestClusterShapeValidation(t *testing.T) {
 			hw.Topology = func(g int) nvlink.Topology { return nvlink.DGXStation(g) }
 			return hw
 		}, "mutually exclusive"},
+		// A hand-built cluster topology is checked by its own Validate: with
+		// no intra-node links it would wire no pipes at all.
+		{"unlinked-cluster-topology", 4, func() HardwareParams {
+			hw := DefaultHardware()
+			hw.Topology = func(g int) nvlink.Topology { return fabric.Cluster{Nodes: 2, GPUsPerNode: g / 2} }
+			return hw
+		}, "intra-node NVLink link"},
 		{"bad-nic", 4, func() HardwareParams {
 			hw := ClusterHardware(2)
 			hw.NIC = fabric.NICParams{NICsPerNode: -1, Bandwidth: 1e9, MaxMessage: 1}

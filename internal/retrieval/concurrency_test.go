@@ -294,22 +294,3 @@ func TestRunContextCancelled(t *testing.T) {
 		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
-
-func TestCollectionAccessorsReturnErrors(t *testing.T) {
-	s, err := NewSystem(TestScaleConfig(2), DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Collection(99); err == nil {
-		t.Fatal("Collection must error for an out-of-range GPU")
-	}
-	timing := WeakScalingConfig(2)
-	timing.Batches = 1
-	ts, err := NewSystem(timing, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := ts.Collection(0); err == nil {
-		t.Fatal("Collection must error in timing-only mode")
-	}
-}

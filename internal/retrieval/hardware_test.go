@@ -63,25 +63,24 @@ func TestA100FitsBiggerShards(t *testing.T) {
 	}
 }
 
-// degradedHW wires a DGX Station in which the 0-1 pair lost one of its two
+// degradedTopo is a DGX Station in which the 0-1 pair lost one of its two
 // NVLink links — a realistic partial failure.
+type degradedTopo int
+
+func (d degradedTopo) NumGPUs() int { return int(d) }
+func (d degradedTopo) Links(a, b int) int {
+	switch {
+	case a == b:
+		return 0
+	case a+b == 1:
+		return 1
+	}
+	return 2
+}
+
 func degradedHW() HardwareParams {
 	hw := DefaultHardware()
-	hw.Topology = func(gpus int) nvlink.Topology {
-		m := make([][]int, gpus)
-		for a := range m {
-			m[a] = make([]int, gpus)
-			for b := range m[a] {
-				if a != b {
-					m[a][b] = 2
-				}
-			}
-		}
-		if gpus >= 2 {
-			m[0][1], m[1][0] = 1, 1
-		}
-		return nvlink.Custom{LinkMatrix: m}
-	}
+	hw.Topology = func(gpus int) nvlink.Topology { return degradedTopo(gpus) }
 	return hw
 }
 

@@ -92,16 +92,6 @@ func (p *RoutePlan) localIndexTotal(o, lo, hi int) int64 {
 	return rangeSum(p.pooled[o], lo, hi)
 }
 
-// globalIndexTotal returns the pooled-index total of every table over
-// samples [lo, hi).
-func (p *RoutePlan) globalIndexTotal(lo, hi int) int64 {
-	var total int64
-	for o := range p.pooled {
-		total += p.localIndexTotal(o, lo, hi)
-	}
-	return total
-}
-
 // rangeSum returns the total over samples [lo, hi) of a prefix array whose
 // entry smp sums samples [0, smp); an empty or inverted range sums to zero.
 func rangeSum(pre []int64, lo, hi int) int64 {

@@ -13,9 +13,8 @@ import (
 //
 // Constructors return a FRESH backend per call: Backend values hold no
 // per-run state today, but the registry should not force callers to share.
-// Only forward backends that run on the standard sweep grid register; the
-// backward pass, the input-stage decorator and the aggregated PGAS variant
-// stay constructor-only.
+// Only backends that run on the standard sweep grid register; the
+// aggregated PGAS variant stays constructor-only.
 
 // backendEntry is one registered backend: a constructor plus a one-line
 // summary shown in CLI help and error messages.

@@ -260,9 +260,8 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 
 // The staged (A2) and aggregated (A3) PGAS variants price their unpack bytes
 // and per-target stores from the same served-pair counts as the fused path,
-// so they run replicated shards too — directly and through the input-stage
-// decorator — and stay bit-exact with timing equal to functional while
-// failover re-routes pairs under a flaky link.
+// so they run replicated shards too and stay bit-exact, with timing equal
+// to functional, while failover re-routes pairs under a flaky link.
 func TestReplicasComposeWithStagedAndAggregatedPGAS(t *testing.T) {
 	sched, err := fault.Profile("flaky-link", 99)
 	if err != nil {
@@ -273,7 +272,6 @@ func TestReplicasComposeWithStagedAndAggregatedPGAS(t *testing.T) {
 		func() Backend {
 			return &PGASFused{Aggregate: &AggregatorConfig{FlushBytes: 4096, MaxWait: sim.Millisecond}}
 		},
-		func() Backend { return &InputStaged{Inner: &PGASFused{StageRemote: true}} },
 	}
 	for _, newBackend := range backends {
 		t.Run(newBackend().Name(), func(t *testing.T) {

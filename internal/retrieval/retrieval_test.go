@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"bytes"
 	"testing"
 
 	"pgasemb/internal/embedding"
@@ -18,16 +17,6 @@ func mustReference(t *testing.T, s *System, batch *sparse.Batch) []*tensor.Tenso
 		t.Fatal(err)
 	}
 	return want
-}
-
-// mustCollection is System.Collection with test-fatal error handling.
-func mustCollection(t *testing.T, s *System, g int) *embedding.Collection {
-	t.Helper()
-	coll, err := s.Collection(g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return coll
 }
 
 func TestConfigValidation(t *testing.T) {
@@ -343,61 +332,6 @@ func TestRunsAreDeterministic(t *testing.T) {
 		if got := run(); got != first {
 			t.Fatalf("run %d: %v != %v", i, got, first)
 		}
-	}
-}
-
-func TestSaveLoadShardRoundTrip(t *testing.T) {
-	s1, err := NewSystem(TestScaleConfig(2), DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Train s1's tables a little so they differ from fresh init.
-	if _, err := s1.Run(&BackwardPGAS{}); err != nil {
-		t.Fatal(err)
-	}
-	var bufs []*bytes.Buffer
-	for g := 0; g < 2; g++ {
-		var buf bytes.Buffer
-		if err := s1.SaveShard(g, &buf); err != nil {
-			t.Fatal(err)
-		}
-		bufs = append(bufs, &buf)
-	}
-	// Load into a fresh system and verify forward outputs match s1's.
-	s2, err := NewSystem(TestScaleConfig(2), DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for g := 0; g < 2; g++ {
-		if err := s2.LoadShard(g, bufs[g]); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for g := 0; g < 2; g++ {
-		c1, c2 := mustCollection(t, s1, g), mustCollection(t, s2, g)
-		for ti := range c1.Tables {
-			if !tensor.Equal(c1.Tables[ti].Weights, c2.Tables[ti].Weights) {
-				t.Fatalf("GPU %d table %d differs after checkpoint round trip", g, ti)
-			}
-		}
-	}
-}
-
-func TestLoadShardRejectsMismatch(t *testing.T) {
-	s1, _ := NewSystem(TestScaleConfig(2), DefaultHardware())
-	var buf bytes.Buffer
-	if err := s1.SaveShard(0, &buf); err != nil {
-		t.Fatal(err)
-	}
-	// A config with a different dim must reject the checkpoint.
-	cfg := TestScaleConfig(2)
-	cfg.Dim = 16
-	s2, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s2.LoadShard(0, &buf); err == nil {
-		t.Fatal("dim mismatch accepted")
 	}
 }
 

@@ -243,7 +243,6 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		Fab:        fab,
 		Plan:       spec.plan,
 		gen:        gen,
-		gradRng:    sim.NewRNG(cfg.Seed ^ 0x6AAD),
 		scratch:    make([]gpuScratch, cfg.GPUs*cfg.PipelineSlots()),
 		gates:      make([]sim.Time, cfg.GPUs),
 		faultBatch: -1,

@@ -3,7 +3,6 @@ package retrieval
 import (
 	"context"
 	"fmt"
-	"io"
 
 	"pgasemb/internal/cache"
 	"pgasemb/internal/collective"
@@ -143,8 +142,7 @@ type System struct {
 	// Nil when the cache is disabled.
 	Caches *cache.Set
 
-	gen     *workload.Generator
-	gradRng *sim.RNG // upstream gradients for the backward extension
+	gen *workload.Generator
 
 	// batchSeq counts NextBatchData calls: the batch index the route-plan
 	// compiler hands to the fault schedule when picking replica routes.
@@ -223,63 +221,12 @@ func NewSystem(cfg Config, hw HardwareParams) (*System, error) {
 	return spec.NewRun()
 }
 
-// SaveShard checkpoints GPU g's embedding tables (functional mode only).
-func (s *System) SaveShard(g int, w io.Writer) error {
-	coll, err := s.Collection(g)
-	if err != nil {
-		return err
-	}
-	return embedding.SaveCollection(w, coll)
-}
-
-// LoadShard replaces GPU g's embedding tables from a checkpoint written by
-// SaveShard (functional mode only). The checkpoint must describe the same
-// feature IDs, rows and dimension.
-func (s *System) LoadShard(g int, r io.Reader) error {
-	c, err := embedding.LoadCollection(r)
-	if err != nil {
-		return err
-	}
-	cur, err := s.Collection(g)
-	if err != nil {
-		return err
-	}
-	if c.Dim != cur.Dim || len(c.Tables) != len(cur.Tables) {
-		return fmt.Errorf("retrieval: checkpoint shape (%d tables, dim %d) does not match shard (%d, %d)",
-			len(c.Tables), c.Dim, len(cur.Tables), cur.Dim)
-	}
-	for i := range c.FeatureIDs {
-		if c.FeatureIDs[i] != cur.FeatureIDs[i] {
-			return fmt.Errorf("retrieval: checkpoint feature %d is table %d, shard has %d",
-				i, c.FeatureIDs[i], cur.FeatureIDs[i])
-		}
-		if c.Tables[i].Rows != cur.Tables[i].Rows {
-			return fmt.Errorf("retrieval: checkpoint table %d has %d rows, shard has %d",
-				i, c.Tables[i].Rows, cur.Tables[i].Rows)
-		}
-	}
-	s.colls[g] = c
-	return nil
-}
-
 // LocalTables returns the number of tables resident on GPU g.
 func (s *System) LocalTables(g int) int { return len(s.Plan[g]) }
 
 // Minibatch returns GPU g's data-parallel sample range.
 func (s *System) Minibatch(g int) (lo, hi int) {
 	return sparse.MinibatchRange(s.Cfg.BatchSize, s.Cfg.GPUs, g)
-}
-
-// Collection returns GPU g's table shard. It errors outside functional mode
-// (timing-only systems materialise no weights).
-func (s *System) Collection(g int) (*embedding.Collection, error) {
-	if s.colls == nil {
-		return nil, fmt.Errorf("retrieval: Collection needs functional mode (timing-only systems hold no weights)")
-	}
-	if g < 0 || g >= len(s.colls) {
-		return nil, fmt.Errorf("retrieval: Collection(%d) out of range for %d GPUs", g, len(s.colls))
-	}
-	return s.colls[g], nil
 }
 
 // BatchData carries one batch through a backend: always its compiled route
@@ -300,12 +247,6 @@ type BatchData struct {
 	// features in global ID order — the layout the interaction layer
 	// consumes. Functional mode only.
 	Final []*tensor.Tensor
-
-	// Grads[g] is the upstream gradient arriving at GPU g's EMB output
-	// during the backward pass — same shape as Final[g]. Synthesised
-	// deterministically in functional mode for the backward-pass
-	// extension experiments.
-	Grads []*tensor.Tensor
 
 	// Plan is the batch's compiled route plan: the per-(owner, consumer)
 	// routing every backend consults in both timing and functional mode.
@@ -438,9 +379,6 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	for g := 0; g < s.Cfg.GPUs; g++ {
 		lo, hi := s.Minibatch(g)
 		bd.Final = append(bd.Final, tensor.New(hi-lo, s.Cfg.TotalTables, s.Cfg.Dim))
-		grad := tensor.New(hi-lo, s.Cfg.TotalTables, s.Cfg.Dim)
-		grad.RandomUniform(s.gradRng, -0.1, 0.1)
-		bd.Grads = append(bd.Grads, grad)
 	}
 	// After Final is allocated: cache classification pools hit vectors into
 	// it, and dedup classification (which runs after, so hit vectors never

@@ -178,22 +178,6 @@ func NewAggregatedPGAS(cfg AggregatorConfig) Backend {
 	return &retrieval.PGASFused{Aggregate: &cfg}
 }
 
-// NewBackwardBaseline returns the backward-pass baseline (future-work §V
-// comparison): multi-round collective gradient shifts with per-round
-// synchronisation, then a scatter-add into the tables.
-func NewBackwardBaseline() Backend { return &retrieval.BackwardBaseline{} }
-
-// NewBackwardPGAS returns the paper's proposed backward pass: one-sided
-// remote atomic gradient pushes fused with the table-update kernel.
-func NewBackwardPGAS() Backend { return &retrieval.BackwardPGAS{} }
-
-// NewInputStaged decorates a backend with the sparse-input pipeline (CPU
-// partition + host-to-device copy). overlap=true models the paper's
-// proposed fusion of input partitioning into the computation kernel.
-func NewInputStaged(inner Backend, overlap bool) Backend {
-	return &retrieval.InputStaged{Inner: inner, Overlap: overlap}
-}
-
 // SkewedPooling builds a heterogeneous per-feature pooling vector for
 // Config.PerFeatureMaxPooling: hotFraction of the features get hotMax, the
 // rest coldMax.
@@ -355,19 +339,6 @@ func AblationTable(results []AblationResult) *RenderedTable {
 // retrieval backend.
 func NewPipeline(cfg Config, hw HardwareParams, backend Backend) (*Pipeline, error) {
 	return dlrm.NewPipeline(cfg, hw, backend)
-}
-
-// Trainer types.
-type (
-	// Trainer times full DLRM training steps (EMB forward + dense
-	// forward/backward + EMB backward).
-	Trainer = dlrm.Trainer
-)
-
-// NewTrainer wires a training-step driver with separate forward and
-// backward EMB communication schemes.
-func NewTrainer(cfg Config, hw HardwareParams, fwd, bwd Backend) (*Trainer, error) {
-	return dlrm.NewTrainer(cfg, hw, fwd, bwd)
 }
 
 // Online serving types.
