@@ -255,3 +255,72 @@ func TestSendToOwnNodePanics(t *testing.T) {
 	}()
 	ic.Send(0, 0, 64)
 }
+
+// A degraded rail slows both directions through it: sends out of the node
+// (egress) and sends into it (ingress). Other nodes and rails keep their
+// bandwidth, and a factor of 1 restores the healthy time exactly.
+func TestSetRailDegrade(t *testing.T) {
+	nic := DefaultNICParams()
+	nic.NICsPerNode = 2
+	cl := Cluster{Nodes: 3, GPUsPerNode: 2, IntraLinks: 2}
+	payload := 1 << 20
+	healthy := nic.MessageOverhead + nic.WireBytes(payload)/nic.Bandwidth + nic.Latency
+	halved := nic.MessageOverhead + nic.WireBytes(payload)/(nic.Bandwidth*0.5) + nic.Latency
+	cases := []struct {
+		name       string
+		node, rail int
+		factors    []float64 // applied in order
+		want       sim.Time
+	}{
+		{"egress-rail", 0, 0, []float64{0.5}, halved},
+		{"ingress-rail", 1, 0, []float64{0.5}, halved},
+		{"other-node", 2, 0, []float64{0.5}, healthy},
+		{"other-rail", 0, 1, []float64{0.5}, healthy},
+		{"restored", 0, 0, []float64{0.5, 1}, healthy},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			ic := NewInterconnect(sim.NewEnv(), cl, nic)
+			for _, f := range c.factors {
+				ic.SetRailDegrade(c.node, c.rail, f)
+			}
+			// GPU 0 on node 0 sends on rail 0 to node 1.
+			if ic.Rail(0) != 0 {
+				t.Fatalf("GPU 0 sends on rail %d, want 0", ic.Rail(0))
+			}
+			if got := ic.Send(0, 1, payload); !almostEqual(got, c.want) {
+				t.Fatalf("delivery at %g, want %g", got, c.want)
+			}
+		})
+	}
+}
+
+func TestSetRailDegradeOutOfRangePanics(t *testing.T) {
+	ic := NewInterconnect(sim.NewEnv(), Cluster{Nodes: 2, GPUsPerNode: 2, IntraLinks: 2}, DefaultNICParams())
+	for _, c := range []struct {
+		name       string
+		node, rail int
+	}{
+		{"node-negative", -1, 0},
+		{"node-past-end", 2, 0},
+		{"rail-past-end", 0, DefaultNICParams().NICsPerNode},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("SetRailDegrade(%d, %d, 0.5) did not panic", c.node, c.rail)
+				}
+			}()
+			ic.SetRailDegrade(c.node, c.rail, 0.5)
+		})
+	}
+}
+
+func TestInterconnectAccessors(t *testing.T) {
+	cl := Cluster{Nodes: 2, GPUsPerNode: 4, IntraLinks: 2}
+	nic := DefaultNICParams()
+	ic := NewInterconnect(sim.NewEnv(), cl, nic)
+	if ic.Cluster() != cl || ic.NIC() != nic {
+		t.Fatalf("accessors return %+v / %+v", ic.Cluster(), ic.NIC())
+	}
+}

@@ -118,7 +118,7 @@ func Percentile(xs []float64, p float64) float64 {
 	if len(xs) == 0 {
 		return 0
 	}
-	if p <= 0 || p > 100 {
+	if !(p > 0 && p <= 100) { // also catches NaN
 		panic(fmt.Sprintf("metrics: percentile %g outside (0, 100]", p))
 	}
 	sorted := make([]float64, len(xs))

@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -182,5 +183,138 @@ func TestCacheCountersSubUndoesAdd(t *testing.T) {
 	run := CacheCounters{Hits: 7, Misses: 4, Insertions: 2, Evictions: 2}
 	if got := before.Add(run).Sub(before); got != run {
 		t.Fatalf("(before+run)-before = %+v, want %+v", got, run)
+	}
+}
+
+// Nearest rank: the p-th percentile of n samples is the ceil(p/100·n)-th
+// smallest, so it is always one of the samples.
+func TestPercentileNearestRank(t *testing.T) {
+	xs := []float64{15, 20, 35, 40, 50} // the textbook nearest-rank example
+	cases := []struct {
+		name string
+		xs   []float64
+		p    float64
+		want float64
+	}{
+		{"p5-is-minimum", xs, 5, 15},
+		{"p30-rounds-rank-up", xs, 30, 20},
+		{"p40-exact-rank", xs, 40, 20},
+		{"p50-median-odd", xs, 50, 35},
+		{"p50-median-even", []float64{4, 1, 3, 2}, 50, 2},
+		{"p99-of-hundred", seq(100), 99, 99},
+		{"p100-is-maximum", xs, 100, 50},
+		{"tiny-p-is-minimum", xs, 1e-9, 15},
+		{"singleton", []float64{7}, 95, 7},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := Percentile(c.xs, c.p); got != c.want {
+				t.Fatalf("Percentile(%v, %g) = %g, want %g", c.xs, c.p, got, c.want)
+			}
+		})
+	}
+}
+
+// seq returns 1, 2, ..., n in descending order, so a percentile over it
+// only comes out right if the input is sorted first.
+func seq(n int) []float64 {
+	xs := make([]float64, n)
+	for i := range xs {
+		xs[i] = float64(n - i)
+	}
+	return xs
+}
+
+func TestPercentileLeavesInputUnsorted(t *testing.T) {
+	xs := []float64{3, 1, 2}
+	Percentile(xs, 50)
+	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
+		t.Fatalf("Percentile reordered its input: %v", xs)
+	}
+}
+
+func TestPercentileRejectsOutOfRange(t *testing.T) {
+	for _, p := range []float64{0, -5, 100.5, math.NaN()} {
+		t.Run(fmt.Sprintf("p=%g", p), func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Percentile(_, %g) did not panic", p)
+				}
+			}()
+			Percentile([]float64{1, 2}, p)
+		})
+	}
+}
+
+func TestCacheCountersHitRate(t *testing.T) {
+	cases := []struct {
+		name     string
+		c        CacheCounters
+		accesses int64
+		want     float64
+	}{
+		{"never-probed", CacheCounters{Insertions: 3}, 0, 0},
+		{"all-hits", CacheCounters{Hits: 8}, 8, 1},
+		{"all-misses", CacheCounters{Misses: 5}, 5, 0},
+		{"mixed", CacheCounters{Hits: 3, Misses: 1, Evictions: 9}, 4, 0.75},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.c.Accesses(); got != c.accesses {
+				t.Errorf("Accesses = %d, want %d", got, c.accesses)
+			}
+			if got := c.c.HitRate(); got != c.want {
+				t.Errorf("HitRate = %g, want %g", got, c.want)
+			}
+		})
+	}
+}
+
+func TestRetryCountersAdd(t *testing.T) {
+	a := RetryCounters{Drops: 1, Retries: 2, Exhausted: 3, Shed: 4, Rejected: 5}
+	b := RetryCounters{Drops: 10, Retries: 20, Exhausted: 30, Shed: 40, Rejected: 50}
+	want := RetryCounters{Drops: 11, Retries: 22, Exhausted: 33, Shed: 44, Rejected: 55}
+	if got := a.Add(b); got != want {
+		t.Fatalf("Add = %+v, want %+v", got, want)
+	}
+	if got := a.Add(RetryCounters{}); got != a {
+		t.Fatalf("adding zero changed the counters: %+v", got)
+	}
+}
+
+func TestDedupCountersUniqueFraction(t *testing.T) {
+	cases := []struct {
+		name string
+		c    DedupCounters
+		want float64
+	}{
+		{"nothing-eligible", DedupCounters{Batches: 2, UniqueRows: 0}, 0},
+		{"no-duplicates", DedupCounters{EligibleIdx: 40, UniqueRows: 40}, 1},
+		{"quarter-unique", DedupCounters{EligibleIdx: 40, UniqueRows: 10}, 0.25},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.c.UniqueFraction(); got != c.want {
+				t.Fatalf("UniqueFraction = %g, want %g", got, c.want)
+			}
+		})
+	}
+}
+
+// Add folds two runs into one view: counts add, and the batch-level unique
+// fraction of the sum is the reference-weighted mean of the parts'.
+func TestDedupCountersAdd(t *testing.T) {
+	a := DedupCounters{Batches: 1, EligibleIdx: 100, EligibleVecs: 60, UniqueRows: 50,
+		WireRows: 30, WireVecs: 10, WireSavedBytes: 2048}
+	b := DedupCounters{Batches: 3, EligibleIdx: 300, EligibleVecs: 90, UniqueRows: 30,
+		WireRows: 20, WireVecs: 5, WireSavedBytes: 512.5}
+	want := DedupCounters{Batches: 4, EligibleIdx: 400, EligibleVecs: 150, UniqueRows: 80,
+		WireRows: 50, WireVecs: 15, WireSavedBytes: 2560.5}
+	got := a.Add(b)
+	if got != want {
+		t.Fatalf("Add = %+v, want %+v", got, want)
+	}
+	if f := got.UniqueFraction(); f != 0.2 {
+		t.Fatalf("folded UniqueFraction = %g, want 0.2", f)
 	}
 }

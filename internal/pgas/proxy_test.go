@@ -195,3 +195,164 @@ func TestProxyResetClearsState(t *testing.T) {
 		t.Fatalf("reset proxy still flushed %d messages", net.Messages())
 	}
 }
+
+func TestProxyConfigValidate(t *testing.T) {
+	cases := []struct {
+		name string
+		cfg  ProxyConfig
+		ok   bool
+	}{
+		{"default", DefaultProxyConfig(), true},
+		{"timer-disabled", ProxyConfig{StagingBytes: 4096}, true},
+		{"zero-staging", ProxyConfig{StagingBytes: 0, DrainInterval: sim.Microsecond}, false},
+		{"negative-staging", ProxyConfig{StagingBytes: -1}, false},
+		{"negative-drain", ProxyConfig{StagingBytes: 4096, DrainInterval: -sim.Microsecond}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if err := c.cfg.Validate(); (err == nil) != c.ok {
+				t.Fatalf("Validate(%+v) = %v, want ok=%v", c.cfg, err, c.ok)
+			}
+		})
+	}
+}
+
+func TestNewClusterRejectsBadProxyConfig(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Error("NewCluster accepted StagingBytes 0")
+		}
+	}()
+	newClusterRuntime(sim.NewEnv(), 2, 2, ProxyConfig{})
+}
+
+func TestRuntimeInterconnectAccessor(t *testing.T) {
+	if _, rt := testRuntime(2); rt.Interconnect() != nil {
+		t.Fatal("single-node runtime reports an interconnect")
+	}
+	rt, net := newClusterRuntime(sim.NewEnv(), 2, 2, DefaultProxyConfig())
+	if rt.Interconnect() != net {
+		t.Fatal("cluster runtime does not return its interconnect")
+	}
+}
+
+// quietAfterOnePut sends one remote-node store under the given fault hooks
+// and returns the PE and the time Quiet released the sender.
+func quietAfterOnePut(t *testing.T, hooks *FaultHooks, payload int) (*PE, *fabric.Interconnect, sim.Time) {
+	t.Helper()
+	env := sim.NewEnv()
+	rt, net := newClusterRuntime(env, 2, 2, ProxyConfig{StagingBytes: 1 << 20})
+	rt.SetFaultHooks(hooks)
+	pe, remote := rt.PE(0), rt.PE(2)
+	var quietAt sim.Time
+	env.Go("sender", func(p *sim.Proc) {
+		pe.PutBytes(remote, payload)
+		pe.Quiet(p)
+		quietAt = p.Now()
+	})
+	env.Run()
+	return pe, net, quietAt
+}
+
+// A lost flush is resent after the retry timeout, the timeout grows by the
+// backoff factor per attempt, and Quiet waits for the delivery that landed.
+func TestProxyRetransmitsDroppedFlush(t *testing.T) {
+	payload := 4096
+	timeout := 5 * sim.Microsecond
+	hooks := &FaultHooks{
+		Drop:         func(pe, dstNode int, seq int64, attempt int) bool { return attempt < 2 },
+		RetryTimeout: timeout,
+		RetryBackoff: 2,
+	}
+	pe, net, quietAt := quietAfterOnePut(t, hooks, payload)
+	if pe.Drops() != 2 || pe.Retries() != 2 || pe.RetriesExhausted() != 0 {
+		t.Fatalf("drops %d retries %d exhausted %d, want 2 2 0",
+			pe.Drops(), pe.Retries(), pe.RetriesExhausted())
+	}
+	if net.Messages() != 3 {
+		t.Fatalf("NIC carried %d messages, want the original and two resends", net.Messages())
+	}
+	nic := net.NIC()
+	trip := nic.MessageOverhead + nic.WireBytes(payload)/nic.Bandwidth + nic.Latency
+	want := 3*trip + timeout + 2*timeout
+	if math.Abs(quietAt-want) > 1e-12 {
+		t.Fatalf("quiet returned at %g, want %g", quietAt, want)
+	}
+	if pe.WireBytes() != 3*nic.WireBytes(payload) {
+		t.Fatalf("wire bytes %g, want three sends", pe.WireBytes())
+	}
+}
+
+func TestProxyRetryAttemptCap(t *testing.T) {
+	always := func(pe, dstNode int, seq int64, attempt int) bool { return true }
+	cases := []struct {
+		name     string
+		max      int
+		attempts int
+	}{
+		{"explicit-cap", 3, 3},
+		{"default-cap", 0, 16},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			hooks := &FaultHooks{Drop: always, RetryTimeout: sim.Microsecond, MaxAttempts: c.max}
+			pe, net, _ := quietAfterOnePut(t, hooks, 256)
+			if pe.Drops() != int64(c.attempts) || pe.Retries() != int64(c.attempts-1) || pe.RetriesExhausted() != 1 {
+				t.Fatalf("drops %d retries %d exhausted %d, want %d %d 1",
+					pe.Drops(), pe.Retries(), pe.RetriesExhausted(), c.attempts, c.attempts-1)
+			}
+			if net.Messages() != int64(c.attempts) {
+				t.Fatalf("NIC carried %d messages, want %d", net.Messages(), c.attempts)
+			}
+		})
+	}
+}
+
+// A backoff below 1 keeps the timeout constant instead of shrinking it.
+func TestProxyBackoffBelowOneIsConstant(t *testing.T) {
+	payload := 256
+	timeout := 5 * sim.Microsecond
+	hooks := &FaultHooks{
+		Drop:         func(pe, dstNode int, seq int64, attempt int) bool { return attempt < 2 },
+		RetryTimeout: timeout,
+		RetryBackoff: 0.5,
+	}
+	_, net, quietAt := quietAfterOnePut(t, hooks, payload)
+	nic := net.NIC()
+	trip := nic.MessageOverhead + nic.WireBytes(payload)/nic.Bandwidth + nic.Latency
+	if want := 3*trip + 2*timeout; math.Abs(quietAt-want) > 1e-12 {
+		t.Fatalf("quiet returned at %g, want %g", quietAt, want)
+	}
+}
+
+func TestSetFaultHooksRejectsNonPositiveTimeout(t *testing.T) {
+	rt, _ := newClusterRuntime(sim.NewEnv(), 2, 2, DefaultProxyConfig())
+	rt.SetFaultHooks(nil) // removing hooks is always fine
+	defer func() {
+		if recover() == nil {
+			t.Error("hooks with RetryTimeout 0 accepted")
+		}
+	}()
+	rt.SetFaultHooks(&FaultHooks{Drop: func(int, int, int64, int) bool { return false }})
+}
+
+// Hooks touch only the inter-node proxy: same-node NVLink stores are never
+// offered to Drop.
+func TestFaultHooksSkipSameNodeStores(t *testing.T) {
+	env := sim.NewEnv()
+	rt, _ := newClusterRuntime(env, 2, 2, DefaultProxyConfig())
+	called := false
+	rt.SetFaultHooks(&FaultHooks{
+		Drop:         func(int, int, int64, int) bool { called = true; return true },
+		RetryTimeout: sim.Microsecond,
+	})
+	pe := rt.PE(0)
+	env.Go("sender", func(p *sim.Proc) {
+		pe.PutBytes(rt.PE(1), 4096)
+		pe.Quiet(p)
+	})
+	env.Run()
+	if called || pe.Drops() != 0 {
+		t.Fatalf("same-node store reached the fault hook (drops %d)", pe.Drops())
+	}
+}

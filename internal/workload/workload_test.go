@@ -574,3 +574,97 @@ func TestHotSetDriftSummaryBatchParity(t *testing.T) {
 		t.Fatalf("three batches at HotSetDriftEvery=2 must have drifted")
 	}
 }
+
+func TestExpectedUnique(t *testing.T) {
+	uniform := smallCfg() // 100 raw indices
+	zipf := smallCfg()
+	zipf.Distribution = Zipf
+	zipf.ZipfExponent = 1.1
+	cases := []struct {
+		name    string
+		cfg     Config
+		n       int64
+		buckets int
+		bucket  func(int64) int
+		want    float64
+	}{
+		{"zero-draws", uniform, 0, 0, nil, 0},
+		{"one-draw", uniform, 1, 0, nil, 1},
+		{"uniform-closed-form", uniform, 50, 0, nil, 100 * (1 - math.Pow(0.99, 50))},
+		{"single-bucket", uniform, 7, 1, func(int64) int { return 0 }, 1},
+		// Folding the raw indices pairwise halves the space: 50 buckets of
+		// probability 2/100 each.
+		{"folded-buckets", uniform, 30, 50, func(raw int64) int { return int(raw / 2) }, 50 * (1 - math.Pow(0.98, 30))},
+		{"zipf-one-draw", zipf, 1, 0, nil, 1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got := c.cfg.ExpectedUnique(c.n, c.buckets, c.bucket); math.Abs(got-c.want) > 1e-9 {
+				t.Fatalf("ExpectedUnique(%d) = %.12g, want %.12g", c.n, got, c.want)
+			}
+		})
+	}
+	// Skew concentrates draws on few rows, so fewer distinct rows are hit.
+	t.Run("zipf-below-uniform", func(t *testing.T) {
+		z, u := zipf.ExpectedUnique(80, 0, nil), uniform.ExpectedUnique(80, 0, nil)
+		if z >= u {
+			t.Fatalf("zipf expects %g distinct, uniform %g", z, u)
+		}
+	})
+}
+
+// The closed form agrees with the distinct counts of generated bags: over
+// many feature batches, measured and expected totals match within 2%.
+func TestExpectedUniqueMatchesGenerator(t *testing.T) {
+	for _, dist := range []IndexDist{Uniform, Zipf} {
+		c := smallCfg()
+		c.BatchSize = 64
+		c.IndexSpace = 1000
+		c.Distribution = dist
+		c.ZipfExponent = 1.1
+		g, err := NewGenerator(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var measured, expected float64
+		for b := 0; b < 25; b++ {
+			batch := g.NextBatch()
+			for f := range batch.Features {
+				idx := batch.Features[f].Indices
+				distinct := make(map[int64]bool, len(idx))
+				for _, raw := range idx {
+					distinct[raw] = true
+				}
+				measured += float64(len(distinct))
+				expected += c.ExpectedUnique(int64(len(idx)), 0, nil)
+			}
+		}
+		if math.Abs(measured/expected-1) > 0.02 {
+			t.Errorf("distribution %v: measured %g distinct, expected %g", dist, measured, expected)
+		}
+	}
+}
+
+func TestCriteoShaped(t *testing.T) {
+	c := CriteoShaped(3)
+	if err := c.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	if c.NumFeatures != 26 || c.NumDense != 13 || c.MinPooling != 1 || c.MaxPooling != 1 {
+		t.Fatalf("not Criteo-shaped: %+v", c)
+	}
+	// Every bag is single-valued: a batch holds one index per sample.
+	c.BatchSize = 32
+	g, err := NewGenerator(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(g.Config(), c) {
+		t.Fatalf("Config() = %+v, want %+v", g.Config(), c)
+	}
+	for f, fb := range g.NextBatch().Features {
+		if len(fb.Indices) != c.BatchSize {
+			t.Fatalf("feature %d: %d indices for %d samples", f, len(fb.Indices), c.BatchSize)
+		}
+	}
+}
