@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-smoke chaos placement precision report fmt vet
+.PHONY: build test race bench benchdiff bench-smoke chaos placement precision report fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -62,3 +62,13 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# loc prints the non-test Go lines of every package outside benchmark/ (a
+# nested module with its own go.mod), then their total: the net-lines figure
+# simplicity changes report before and after.
+loc:
+	@find . \( -path ./benchmark -o -path './.*' \) -prune -o -name '*.go' ! -name '*_test.go' -print \
+		| xargs wc -l | grep -v ' total$$' \
+		| awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
+			END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' \
+		| sort -k2

@@ -14,18 +14,6 @@ func benchCollective(b *testing.B, n int, fn func(c *Comm, p *sim.Proc, rank int
 	}
 }
 
-func BenchmarkAllToAllSingle4Ranks(b *testing.B) {
-	benchCollective(b, 4, func(c *Comm, p *sim.Proc, rank int) {
-		send := make([][]float32, 4)
-		recv := make([][]float32, 4)
-		for i := range send {
-			send[i] = make([]float32, 4096)
-			recv[i] = make([]float32, 4096)
-		}
-		c.AllToAllSingle(p, rank, send, recv)
-	})
-}
-
 func BenchmarkAllToAllSizes4Ranks(b *testing.B) {
 	benchCollective(b, 4, func(c *Comm, p *sim.Proc, rank int) {
 		sizes := []float64{0, 1 << 20, 1 << 20, 1 << 20}

@@ -81,12 +81,6 @@ type Comm struct {
 
 	volume *trace.VolumeTrace
 
-	// Vector codec for reduced wire precision: segments that are whole
-	// codecDim-element embedding rows are accounted at codecBytes per row on
-	// the wire instead of 4·codecDim. Zero codecDim means no codec (fp32).
-	codecDim   int
-	codecBytes int
-
 	// Rendezvous state for the in-flight collective. Op descriptors are
 	// refcounted and recycled through opFree, and the entry barrier reuses
 	// its waiter list, so a steady-state collective allocates nothing.
@@ -97,11 +91,8 @@ type Comm struct {
 }
 
 type pendingOp struct {
-	kind  string
-	users int           // ranks still inside the collective call
-	sends [][][]float32 // [rank][dst] -> segment
-	recvs [][][]float32 // [rank][src] -> segment
-	sizes [][]float64   // [rank][dst] -> send bytes (hierarchical schedules)
+	users int         // ranks still inside the collective call
+	sizes [][]float64 // [rank][dst] -> send bytes (hierarchical schedules)
 }
 
 // New creates a communicator over every fabric endpoint, returning invalid
@@ -133,29 +124,6 @@ func (c *Comm) Volume() *trace.VolumeTrace { return c.volume }
 
 // ResetVolume clears the volume trace between measurement repetitions.
 func (c *Comm) ResetVolume() { c.volume = &trace.VolumeTrace{} }
-
-// SetVectorCodec installs a wire codec for the all-to-all paths: functional
-// segments made of whole dim-element embedding rows ship encBytes per row
-// instead of the raw 4·dim. dim <= 0 clears the codec.
-func (c *Comm) SetVectorCodec(dim, encBytes int) {
-	if dim <= 0 {
-		c.codecDim, c.codecBytes = 0, 0
-		return
-	}
-	c.codecDim, c.codecBytes = dim, encBytes
-}
-
-// segBytes returns the wire bytes of a functional segment of n float32
-// elements: whole embedding rows are priced by the installed codec; anything
-// else (no codec, or a payload that is not whole rows) ships as fp32. The
-// per-row byte count is integer arithmetic so the timing-mode byte totals
-// (vector count × encoded bytes) match exactly.
-func (c *Comm) segBytes(n int) float64 {
-	if c.codecDim > 0 && n%c.codecDim == 0 {
-		return float64(n / c.codecDim * c.codecBytes)
-	}
-	return 4 * float64(n)
-}
 
 // pairBandwidth returns the effective rate from src to dst inside a
 // collective.
@@ -201,27 +169,18 @@ func (c *Comm) occupyWire(p *sim.Proc, src, dst int, bytes float64, protocol sim
 	return protocol
 }
 
-// rendezvous blocks until all ranks have entered the same collective. The
-// last arriver installs nothing; the first installs the op descriptor. It
-// returns the shared op.
-func (c *Comm) rendezvous(p *sim.Proc, rank int, kind string, install func(op *pendingOp)) *pendingOp {
+// rendezvous blocks until all ranks have entered the collective. The first
+// arriver installs the op descriptor; every arriver fills in its own part.
+// It returns the shared op.
+func (c *Comm) rendezvous(p *sim.Proc, install func(op *pendingOp)) *pendingOp {
 	n := c.NumRanks()
 	if c.op == nil {
 		if k := len(c.opFree); k > 0 {
 			c.op = c.opFree[k-1]
 			c.opFree = c.opFree[:k-1]
-			c.op.kind = kind
 		} else {
-			c.op = &pendingOp{
-				kind:  kind,
-				sends: make([][][]float32, n),
-				recvs: make([][][]float32, n),
-				sizes: make([][]float64, n),
-			}
+			c.op = &pendingOp{sizes: make([][]float64, n)}
 		}
-	}
-	if c.op.kind != kind {
-		panic(fmt.Sprintf("collective: rank %d called %s while %s is in flight", rank, kind, c.op.kind))
 	}
 	install(c.op)
 	c.op.users++
@@ -236,7 +195,7 @@ func (c *Comm) rendezvous(p *sim.Proc, rank int, kind string, install func(op *p
 }
 
 // release drops one rank's hold on an op descriptor; the last release clears
-// the caller-supplied buffer references and recycles the descriptor. Every
+// the caller-supplied size references and recycles the descriptor. Every
 // collective releases its op on return, so a descriptor outlives the call
 // of no rank — recycling never races a straggler still reading it.
 func (c *Comm) release(op *pendingOp) {
@@ -244,92 +203,26 @@ func (c *Comm) release(op *pendingOp) {
 	if op.users > 0 {
 		return
 	}
-	for i := range op.sends {
-		op.sends[i], op.recvs[i], op.sizes[i] = nil, nil, nil
+	for i := range op.sizes {
+		op.sizes[i] = nil
 	}
 	c.opFree = append(c.opFree, op)
 }
 
-// AllToAllSingle exchanges per-destination segments: sendSegs[dst] travels
-// to rank dst, landing in that rank's recvSegs[me]. Segment j may be empty.
-// Functionally this is PyTorch's all_to_all_single over a contiguous buffer
-// pre-split into rank segments; the receiving side still holds the data in
-// *rank order*, which is why the baseline needs the unpack/rearrangement
-// step afterwards (modelled in the retrieval backend, not here).
+// AllToAllSingleSizes exchanges per-destination segments — PyTorch's
+// all_to_all_single over a buffer pre-split into rank segments — priced
+// from their sizes: sendBytes[dst] / recvBytes[src] give this rank's
+// per-peer traffic (self entries are ignored — the local segment copy is
+// part of the kernel's write traffic, not the wire). The collective models
+// timing only; the caller moves the data. The receiving side holds its
+// segments in rank order, which is why the baseline needs the
+// unpack/rearrangement step afterwards (modelled in the retrieval backend,
+// not here).
 //
 // The call blocks until this rank's transfers complete: entry rendezvous
 // (bulk-synchronous start) + launch overhead + the slowest pairwise
 // transfer this rank participates in (egress and ingress proceed on
 // independent link directions and overlap).
-func (c *Comm) AllToAllSingle(p *sim.Proc, rank int, sendSegs, recvSegs [][]float32) {
-	n := c.NumRanks()
-	if len(sendSegs) != n || len(recvSegs) != n {
-		panic(fmt.Sprintf("collective: rank %d alltoall with %d send / %d recv segments, want %d",
-			rank, len(sendSegs), len(recvSegs), n))
-	}
-	hier := c.hierarchical()
-	op := c.rendezvous(p, rank, "alltoall", func(op *pendingOp) {
-		op.sends[rank] = sendSegs
-		op.recvs[rank] = recvSegs
-		if hier {
-			sz := resizeF(&c.hier[rank].sizes, n)
-			for d := range sendSegs {
-				sz[d] = c.segBytes(len(sendSegs[d]))
-			}
-			op.sizes[rank] = sz
-		}
-	})
-	// All ranks released at the same instant; copies are globally consistent
-	// to perform once, by rank 0's process (functional state only).
-	if rank == 0 {
-		for src := 0; src < n; src++ {
-			for dst := 0; dst < n; dst++ {
-				if src == dst {
-					// Local segment: all_to_all_single still copies it
-					// through the buffer, functionally a plain copy.
-					copySeg(op.recvs[src][src], op.sends[src][src], src, src)
-					continue
-				}
-				copySeg(op.recvs[dst][src], op.sends[src][dst], src, dst)
-			}
-		}
-	}
-	if hier {
-		c.hierAllToAll(p, rank, op) // releases op after reading sizes
-		return
-	}
-	defer c.release(op)
-	p.Wait(c.params.LaunchOverhead)
-	start := p.Now()
-	var worst sim.Duration
-	var egress float64
-	for peer := 0; peer < n; peer++ {
-		if peer == rank {
-			continue
-		}
-		outBytes := c.segBytes(len(sendSegs[peer]))
-		out := c.occupyWire(p, rank, peer, outBytes, c.TransferTime(rank, peer, outBytes))
-		in := c.TransferTime(peer, rank, c.segBytes(len(recvSegs[peer])))
-		if out > worst {
-			worst = out
-		}
-		if in > worst {
-			worst = in
-		}
-		egress += outBytes
-	}
-	if worst > 0 {
-		c.volume.Add(start, start+worst, egress)
-	}
-	p.Wait(worst)
-}
-
-// AllToAllSingleSizes is the timing-only all-to-all: identical rendezvous,
-// launch overhead, transfer schedule and volume accounting as
-// AllToAllSingle, but driven by byte counts instead of real buffers. The
-// paper-scale simulations use this path; sendBytes[dst] / recvBytes[src]
-// give this rank's per-peer traffic (self entries are ignored — the local
-// segment copy is part of the kernel's write traffic, not the wire).
 func (c *Comm) AllToAllSingleSizes(p *sim.Proc, rank int, sendBytes, recvBytes []float64) {
 	n := c.NumRanks()
 	if len(sendBytes) != n || len(recvBytes) != n {
@@ -337,7 +230,7 @@ func (c *Comm) AllToAllSingleSizes(p *sim.Proc, rank int, sendBytes, recvBytes [
 			rank, len(sendBytes), len(recvBytes), n))
 	}
 	hier := c.hierarchical()
-	op := c.rendezvous(p, rank, "alltoall-sizes", func(op *pendingOp) {
+	op := c.rendezvous(p, func(op *pendingOp) {
 		if hier {
 			op.sizes[rank] = sendBytes
 		}
@@ -369,12 +262,4 @@ func (c *Comm) AllToAllSingleSizes(p *sim.Proc, rank int, sendBytes, recvBytes [
 		c.volume.Add(start, start+worst, egress)
 	}
 	p.Wait(worst)
-}
-
-func copySeg(dst, src []float32, from, to int) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("collective: segment size mismatch %d->%d: recv %d vs send %d",
-			from, to, len(dst), len(src)))
-	}
-	copy(dst, src)
 }

@@ -95,35 +95,22 @@ func runRanks(env *sim.Env, n int, fn func(p *sim.Proc, rank int)) {
 	env.Run()
 }
 
-func TestAllToAllSingleFunctional(t *testing.T) {
-	const n = 4
-	env, c := testComm(n)
-	// sendSegs[r][dst] = {r*10 + dst}; after exchange recvSegs[r][src] must
-	// be {src*10 + r}.
-	recv := make([][][]float32, n)
-	runRanks(env, n, func(p *sim.Proc, rank int) {
-		send := make([][]float32, n)
-		recv[rank] = make([][]float32, n)
-		for dst := 0; dst < n; dst++ {
-			send[dst] = []float32{float32(rank*10 + dst)}
-			recv[rank][dst] = make([]float32, 1)
+// uniform returns an n-entry size vector with bytes for every peer but self.
+func uniform(n, self int, bytes float64) []float64 {
+	sizes := make([]float64, n)
+	for i := range sizes {
+		if i != self {
+			sizes[i] = bytes
 		}
-		c.AllToAllSingle(p, rank, send, recv[rank])
-		for src := 0; src < n; src++ {
-			if got, want := recv[rank][src][0], float32(src*10+rank); got != want {
-				t.Errorf("rank %d recv from %d = %v, want %v", rank, src, got, want)
-			}
-		}
-	})
+	}
+	return sizes
 }
 
 func TestAllToAllEmptySegments(t *testing.T) {
 	const n = 2
 	env, c := testComm(n)
 	runRanks(env, n, func(p *sim.Proc, rank int) {
-		send := [][]float32{{}, {}}
-		recv := [][]float32{{}, {}}
-		c.AllToAllSingle(p, rank, send, recv)
+		c.AllToAllSingleSizes(p, rank, make([]float64, n), make([]float64, n))
 	})
 	if env.Now() <= 0 {
 		t.Fatal("even an empty collective pays launch overhead")
@@ -139,9 +126,8 @@ func TestAllToAllIsBulkSynchronous(t *testing.T) {
 		if rank == 1 {
 			p.Wait(10 * sim.Millisecond)
 		}
-		send := [][]float32{make([]float32, 64), make([]float32, 64)}
-		recv := [][]float32{make([]float32, 64), make([]float32, 64)}
-		c.AllToAllSingle(p, rank, send, recv)
+		sizes := uniform(n, rank, 256)
+		c.AllToAllSingleSizes(p, rank, sizes, sizes)
 		doneAt[rank] = p.Now()
 	})
 	if doneAt[0] < 10*sim.Millisecond {
@@ -150,27 +136,26 @@ func TestAllToAllIsBulkSynchronous(t *testing.T) {
 }
 
 func TestAllToAllTransferTimeScalesWithBytes(t *testing.T) {
-	run := func(elems int) sim.Time {
+	run := func(bytes float64) sim.Time {
 		const n = 2
 		env, c := testComm(n)
 		var done sim.Time
 		runRanks(env, n, func(p *sim.Proc, rank int) {
-			send := [][]float32{make([]float32, elems), make([]float32, elems)}
-			recv := [][]float32{make([]float32, elems), make([]float32, elems)}
-			c.AllToAllSingle(p, rank, send, recv)
+			sizes := uniform(n, rank, bytes)
+			c.AllToAllSingleSizes(p, rank, sizes, sizes)
 			if p.Now() > done {
 				done = p.Now()
 			}
 		})
 		return done
 	}
-	small := run(1 << 10)
-	big := run(1 << 22)
+	small := run(4 << 10)
+	big := run(16 << 20)
 	if big <= small {
 		t.Fatalf("transfer time did not grow with volume: %v vs %v", small, big)
 	}
-	// 4 MiB floats = 16 MiB per peer at 5.2 GB/s ≈ 3.2 ms dominates overheads.
-	wantBig := 4 * float64(1<<22) / DefaultParams().ChannelBandwidth
+	// 16 MiB per peer at the channel bandwidth dominates the overheads.
+	wantBig := float64(16<<20) / DefaultParams().ChannelBandwidth
 	if math.Abs(big-wantBig)/wantBig > 0.2 {
 		t.Fatalf("big transfer = %v, want ≈%v", big, wantBig)
 	}
@@ -185,12 +170,11 @@ func TestAllToAllChannelLimited(t *testing.T) {
 	c := mustNew(env, fabric, params)
 	var done sim.Time
 	runRanks(env, 2, func(p *sim.Proc, rank int) {
-		send := [][]float32{make([]float32, 1<<20), make([]float32, 1<<20)}
-		recv := [][]float32{make([]float32, 1<<20), make([]float32, 1<<20)}
-		c.AllToAllSingle(p, rank, send, recv)
+		sizes := uniform(2, rank, 4<<20)
+		c.AllToAllSingleSizes(p, rank, sizes, sizes)
 		done = p.Now()
 	})
-	want := 4 * float64(1<<20) / 1e9
+	want := float64(4<<20) / 1e9
 	if done < want {
 		t.Fatalf("finished at %v, faster than channel bandwidth allows (%v)", done, want)
 	}
@@ -205,7 +189,7 @@ func TestAllToAllSegmentCountPanics(t *testing.T) {
 				panicked = true
 			}
 		}()
-		c.AllToAllSingle(p, 0, make([][]float32, 3), make([][]float32, 2))
+		c.AllToAllSingleSizes(p, 0, make([]float64, 3), make([]float64, 2))
 	})
 	env.Run()
 	if !panicked {
@@ -217,13 +201,8 @@ func TestAllToAllVolumeTrace(t *testing.T) {
 	const n = 4
 	env, c := testComm(n)
 	runRanks(env, n, func(p *sim.Proc, rank int) {
-		send := make([][]float32, n)
-		recv := make([][]float32, n)
-		for i := 0; i < n; i++ {
-			send[i] = make([]float32, 256)
-			recv[i] = make([]float32, 256)
-		}
-		c.AllToAllSingle(p, rank, send, recv)
+		sizes := uniform(n, rank, 1024)
+		c.AllToAllSingleSizes(p, rank, sizes, sizes)
 	})
 	// Each rank sends 3 remote segments of 1 KiB.
 	want := float64(n) * 3 * 1024
@@ -236,35 +215,11 @@ func TestAllToAllVolumeTrace(t *testing.T) {
 	}
 }
 
-func TestMismatchedCollectiveKindsPanic(t *testing.T) {
-	env, c := testComm(2)
-	panicked := false
-	env.Go("r0", func(p *sim.Proc) {
-		c.AllToAllSingle(p, 0, make([][]float32, 2), make([][]float32, 2))
-	})
-	env.Go("r1", func(p *sim.Proc) {
-		defer func() {
-			if recover() != nil {
-				panicked = true
-			}
-		}()
-		c.AllToAllSingleSizes(p, 1, make([]float64, 2), make([]float64, 2))
-	})
-	env.Run()
-	if !panicked {
-		t.Fatal("mismatched collective kinds did not panic")
-	}
-}
-
 func TestSingleRankCollectivesDegenerate(t *testing.T) {
 	env, c := testComm(1)
 	runRanks(env, 1, func(p *sim.Proc, rank int) {
-		send := [][]float32{{1, 2}}
-		recv := [][]float32{make([]float32, 2)}
-		c.AllToAllSingle(p, rank, send, recv)
-		if recv[0][0] != 1 || recv[0][1] != 2 {
-			t.Errorf("self alltoall = %v", recv[0])
-		}
+		// The self entry is the kernel's local copy, never wire traffic.
+		c.AllToAllSingleSizes(p, rank, []float64{8}, []float64{8})
 		if p.Now() != c.Params().LaunchOverhead {
 			t.Errorf("self alltoall took %v, want only the launch overhead %v", p.Now(), c.Params().LaunchOverhead)
 		}
@@ -275,24 +230,20 @@ func TestSingleRankCollectivesDegenerate(t *testing.T) {
 }
 
 // TestBackToBackCollectives reuses the communicator for several rounds with a
-// different payload each time, so a recycled op descriptor that kept a stale
-// buffer reference would deliver the previous round's data.
+// different segment size each time: every round must take its own size's
+// time, and recycled op descriptors must not pile up.
 func TestBackToBackCollectives(t *testing.T) {
 	const n = 2
 	env, c := testComm(n)
 	runRanks(env, n, func(p *sim.Proc, rank int) {
 		for round := 0; round < 5; round++ {
-			send := make([][]float32, n)
-			recv := make([][]float32, n)
-			for peer := range send {
-				send[peer] = []float32{float32(100*round + 10*rank + peer)}
-				recv[peer] = make([]float32, 1)
-			}
-			c.AllToAllSingle(p, rank, send, recv)
-			for src := range recv {
-				if want := float32(100*round + 10*src + rank); recv[src][0] != want {
-					t.Errorf("round %d rank %d: from %d got %v, want %v", round, rank, src, recv[src][0], want)
-				}
+			bytes := float64(1<<10) * float64(1+3*round)
+			start := p.Now()
+			sizes := uniform(n, rank, bytes)
+			c.AllToAllSingleSizes(p, rank, sizes, sizes)
+			want := c.Params().LaunchOverhead + c.TransferTime(rank, 1-rank, bytes)
+			if got := p.Now() - start; math.Abs(got-want) > 1e-15 {
+				t.Errorf("round %d rank %d took %v, want %v", round, rank, got, want)
 			}
 		}
 	})

@@ -30,7 +30,6 @@ func NewCluster(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Int
 // hierScratch is one rank's reusable working set for hierarchical
 // collectives, so steady-state calls allocate nothing.
 type hierScratch struct {
-	sizes  []float64 // derived per-destination send bytes (functional path)
 	e1, i1 []float64 // phase-1 egress/ingress per local lane
 	e3, i3 []float64 // phase-3 egress/ingress per local lane
 	p2     []float64 // phase-2 egress per destination node
@@ -108,11 +107,9 @@ func (c *Comm) runIntraPhase(p *sim.Proc, rank, node, lane int, eg, in []float64
 // Phase 3 (NVLink): receiving lanes scatter the per-node ingress to the
 // local consumers.
 //
-// Functional copies were already performed at the rendezvous (by rank 0)
-// exactly as in the flat path, so outputs are bit-identical to the flat
-// all-to-all; only the timing schedule differs. The op is released after the
-// per-phase aggregates are computed — all ranks compute them at the
-// rendezvous-release instant, before any simulated time passes.
+// Only the timing schedule differs from the flat all-to-all. The op is
+// released after the per-phase aggregates are computed — all ranks compute
+// them at the rendezvous-release instant, before any simulated time passes.
 func (c *Comm) hierAllToAll(p *sim.Proc, rank int, op *pendingOp) {
 	cl := c.net.Cluster()
 	G, N := cl.GPUsPerNode, cl.Nodes

@@ -56,68 +56,26 @@ func TestSingleNodeClusterMatchesFlat(t *testing.T) {
 	}
 }
 
-// Hierarchical all-to-all must deliver the same functional outputs as the
-// flat schedule (the copies happen at the rendezvous either way).
-func TestHierAllToAllFunctional(t *testing.T) {
+// The hierarchical all-to-all coalesces cross-node payload per node pair:
+// with uniform 4 B segments, each of the 2 ordered node pairs carries G*G
+// segments in one send.
+func TestHierAllToAllCoalescesPerNodePair(t *testing.T) {
 	const nodes, perNode = 2, 2
 	n := nodes * perNode
 	env, c, net := testClusterComm(nodes, perNode)
-	recv := make([][][]float32, n)
 	runRanks(env, n, func(p *sim.Proc, rank int) {
-		send := make([][]float32, n)
-		recv[rank] = make([][]float32, n)
-		for dst := 0; dst < n; dst++ {
-			send[dst] = []float32{float32(rank*10 + dst)}
-			recv[rank][dst] = make([]float32, 1)
+		sizes := make([]float64, n)
+		for d := range sizes {
+			sizes[d] = 4
 		}
-		c.AllToAllSingle(p, rank, send, recv[rank])
-		for src := 0; src < n; src++ {
-			if got, want := recv[rank][src][0], float32(src*10+rank); got != want {
-				t.Errorf("rank %d recv from %d = %v, want %v", rank, src, got, want)
-			}
-		}
+		c.AllToAllSingleSizes(p, rank, sizes, sizes)
 	})
 	if net.Messages() == 0 {
 		t.Fatal("hierarchical all-to-all never touched the NIC")
 	}
-	// Cross-node payload is coalesced per node pair: with uniform 4 B
-	// segments, each of the 2 ordered node pairs carries G*G segments.
 	wantPayload := float64(2 * perNode * perNode * 4)
 	if got := net.PayloadBytes(); math.Abs(got-wantPayload) > 1e-9 {
 		t.Fatalf("NIC payload %g, want %g (one coalesced send per node pair)", got, wantPayload)
-	}
-}
-
-// The timing-only all-to-all over a cluster must finish at the same instant
-// as the functional one with matching sizes.
-func TestHierSizesMatchesFunctional(t *testing.T) {
-	const nodes, perNode = 2, 2
-	n := nodes * perNode
-	segElems := func(src, dst int) int { return 1 + (src+dst)%3 }
-
-	fEnv, fc, _ := testClusterComm(nodes, perNode)
-	runRanks(fEnv, n, func(p *sim.Proc, rank int) {
-		send := make([][]float32, n)
-		recv := make([][]float32, n)
-		for dst := 0; dst < n; dst++ {
-			send[dst] = make([]float32, segElems(rank, dst))
-			recv[dst] = make([]float32, segElems(dst, rank))
-		}
-		fc.AllToAllSingle(p, rank, send, recv)
-	})
-
-	tEnv, tc, _ := testClusterComm(nodes, perNode)
-	runRanks(tEnv, n, func(p *sim.Proc, rank int) {
-		send := make([]float64, n)
-		recv := make([]float64, n)
-		for dst := 0; dst < n; dst++ {
-			send[dst] = 4 * float64(segElems(rank, dst))
-			recv[dst] = 4 * float64(segElems(dst, rank))
-		}
-		tc.AllToAllSingleSizes(p, rank, send, recv)
-	})
-	if math.Abs(fEnv.Now()-tEnv.Now()) > 1e-9 {
-		t.Fatalf("functional hier all-to-all ends at %g, sizes path at %g", fEnv.Now(), tEnv.Now())
 	}
 }
 

@@ -49,31 +49,9 @@ func NewAggregator(pe *PE, flushBytes int, maxWait sim.Duration) *Aggregator {
 	}
 }
 
-// Store issues an aggregated one-sided store of src into dst on target. The
-// functional copy is immediate; the wire message is deferred until the
-// destination bucket flushes. Local stores bypass aggregation entirely.
-func (a *Aggregator) Store(target *PE, dst, src []float32) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("pgas: aggregated store length mismatch %d vs %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-	if target.id == a.pe.id {
-		return
-	}
-	b := &a.pending[target.id]
-	if b.payload == 0 {
-		b.oldestAt = a.pe.rt.env.Now()
-		a.armTimer(target.id)
-	}
-	b.payload += 4 * len(src)
-	if b.payload >= a.flushBytes {
-		a.flush(target.id)
-	}
-}
-
-// StoreBytes is the timing-only aggregated store: payload bytes destined
-// for target accumulate in its bucket like Store's, with no functional
-// copy. Used by paper-scale simulations of the aggregated-PGAS variant.
+// StoreBytes issues an aggregated one-sided store of payload bytes: they
+// accumulate in target's bucket, and the wire message is deferred until the
+// bucket flushes. Local stores bypass aggregation entirely.
 func (a *Aggregator) StoreBytes(target *PE, payload int) {
 	if payload < 0 {
 		panic(fmt.Sprintf("pgas: aggregated StoreBytes(%d)", payload))

@@ -9,10 +9,8 @@ import (
 func TestAggregatorBuffersUntilThreshold(t *testing.T) {
 	_, rt := testRuntime(2)
 	a := NewAggregator(rt.PE(0), 1024, sim.Second) // long maxWait: size-triggered only
-	src := make([]float32, 64)                     // 256 B per store
-	dst := make([]float32, 64)
 	for i := 0; i < 3; i++ {
-		a.Store(rt.PE(1), dst, src)
+		a.StoreBytes(rt.PE(1), 256)
 	}
 	if a.Flushes() != 0 {
 		t.Fatalf("flushed early: %d", a.Flushes())
@@ -20,7 +18,7 @@ func TestAggregatorBuffersUntilThreshold(t *testing.T) {
 	if a.PendingBytes() != 768 {
 		t.Fatalf("pending = %d", a.PendingBytes())
 	}
-	a.Store(rt.PE(1), dst, src) // 1024 B -> flush
+	a.StoreBytes(rt.PE(1), 256) // 1024 B -> flush
 	if a.Flushes() != 1 {
 		t.Fatalf("flushes = %d, want 1", a.Flushes())
 	}
@@ -33,10 +31,8 @@ func TestAggregatorSingleHeaderPerFlush(t *testing.T) {
 	_, rt := testRuntime(2)
 	pe := rt.PE(0)
 	a := NewAggregator(pe, 1024, sim.Second)
-	src := make([]float32, 64)
-	dst := make([]float32, 64)
 	for i := 0; i < 4; i++ {
-		a.Store(rt.PE(1), dst, src)
+		a.StoreBytes(rt.PE(1), 256)
 	}
 	// 1024 B payload + one 32 B header, versus 4 x (256+32) unaggregated.
 	if pe.WireBytes() != 1024+32 {
@@ -50,10 +46,8 @@ func TestAggregatorSingleHeaderPerFlush(t *testing.T) {
 func TestAggregatorMaxWaitFlush(t *testing.T) {
 	env, rt := testRuntime(2)
 	a := NewAggregator(rt.PE(0), 1<<20, 5*sim.Millisecond)
-	src := make([]float32, 64)
-	dst := make([]float32, 64)
 	env.Go("worker", func(p *sim.Proc) {
-		a.Store(rt.PE(1), dst, src)
+		a.StoreBytes(rt.PE(1), 256)
 		p.Wait(20 * sim.Millisecond)
 	})
 	env.Run()
@@ -68,11 +62,9 @@ func TestAggregatorMaxWaitFlush(t *testing.T) {
 func TestAggregatorTimerDoesNotDoubleFlush(t *testing.T) {
 	env, rt := testRuntime(2)
 	a := NewAggregator(rt.PE(0), 512, 5*sim.Millisecond)
-	src := make([]float32, 64)
-	dst := make([]float32, 64)
 	env.Go("worker", func(p *sim.Proc) {
-		a.Store(rt.PE(1), dst, src)
-		a.Store(rt.PE(1), dst, src) // 512 B -> size flush at t=0
+		a.StoreBytes(rt.PE(1), 256)
+		a.StoreBytes(rt.PE(1), 256) // 512 B -> size flush at t=0
 		p.Wait(20 * sim.Millisecond)
 	})
 	env.Run()
@@ -81,22 +73,11 @@ func TestAggregatorTimerDoesNotDoubleFlush(t *testing.T) {
 	}
 }
 
-func TestAggregatorFunctionalCopyImmediate(t *testing.T) {
-	_, rt := testRuntime(2)
-	a := NewAggregator(rt.PE(0), 1<<20, sim.Second)
-	dst := make([]float32, 2)
-	a.Store(rt.PE(1), dst, []float32{7, 8})
-	if dst[0] != 7 || dst[1] != 8 {
-		t.Fatal("aggregated store did not copy functionally")
-	}
-}
-
 func TestAggregatorLocalStoresBypass(t *testing.T) {
 	_, rt := testRuntime(2)
 	pe := rt.PE(0)
 	a := NewAggregator(pe, 256, sim.Second)
-	dst := make([]float32, 64)
-	a.Store(pe, dst, make([]float32, 64))
+	a.StoreBytes(pe, 256)
 	if a.PendingBytes() != 0 || a.Flushes() != 0 || pe.Puts() != 0 {
 		t.Fatal("local store went through the aggregator")
 	}
@@ -106,9 +87,8 @@ func TestAggregatorFlushAll(t *testing.T) {
 	_, rt := testRuntime(3)
 	pe := rt.PE(0)
 	a := NewAggregator(pe, 1<<20, sim.Second)
-	dst := make([]float32, 64)
-	a.Store(rt.PE(1), dst, make([]float32, 64))
-	a.Store(rt.PE(2), dst, make([]float32, 64))
+	a.StoreBytes(rt.PE(1), 256)
+	a.StoreBytes(rt.PE(2), 256)
 	a.FlushAll()
 	if a.PendingBytes() != 0 {
 		t.Fatalf("pending after FlushAll = %d", a.PendingBytes())
@@ -127,17 +107,15 @@ func TestAggregatorFewerMessagesSameBytes(t *testing.T) {
 	// The aggregator's entire purpose: same payload, fewer headers.
 	_, rt := testRuntime(2)
 	direct := rt.PE(0)
-	src := make([]float32, 64)
-	dst := make([]float32, 64)
 	for i := 0; i < 100; i++ {
-		direct.PutFloat32s(rt.PE(1), dst, src)
+		direct.PutBytes(rt.PE(1), 256)
 	}
 	directWire := direct.WireBytes()
 
 	_, rt2 := testRuntime(2)
 	agg := NewAggregator(rt2.PE(0), 8192, sim.Second)
 	for i := 0; i < 100; i++ {
-		agg.Store(rt2.PE(1), dst, src)
+		agg.StoreBytes(rt2.PE(1), 256)
 	}
 	agg.FlushAll()
 	aggWire := rt2.PE(0).WireBytes()
@@ -172,9 +150,9 @@ func TestAggregatorValidation(t *testing.T) {
 	func() {
 		defer func() {
 			if recover() == nil {
-				t.Error("length mismatch did not panic")
+				t.Error("negative payload did not panic")
 			}
 		}()
-		a.Store(rt.PE(1), make([]float32, 1), make([]float32, 2))
+		a.StoreBytes(rt.PE(1), -1)
 	}()
 }

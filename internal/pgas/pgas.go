@@ -5,12 +5,11 @@
 // behind Figures 7 and 10), and the asynchronous aggregator sketched in the
 // paper's future-work section.
 //
-// Each GPU is a processing element (PE). A remote store is functionally a
-// memcpy into the destination PE's memory — performed immediately, since the
-// simulation is deterministic and single-threaded — while its *timing* is a
-// message on the per-direction NVLink pipe: payload plus per-fragment header
-// drains at link bandwidth, concurrently with whatever compute the issuing
-// kernel continues to do. Quiet blocks until all of a PE's outstanding
+// Each GPU is a processing element (PE). The runtime models only the
+// timing of a remote store — the caller moves the data — as a message on the
+// per-direction NVLink pipe: payload plus per-fragment header drains at link
+// bandwidth, concurrently with whatever compute the issuing kernel continues
+// to do. Quiet blocks until all of a PE's outstanding
 // stores have drained, exactly the semantics the fused kernel relies on
 // before the EMB layer is declared complete.
 package pgas
@@ -32,36 +31,6 @@ type Runtime struct {
 	net    *fabric.Interconnect // nil on single-node runtimes
 	pes    []*PE
 	hooks  *FaultHooks // nil = perfect delivery
-
-	// Vector codec for reduced wire precision: functional stores whose
-	// payload is whole codecDim-element embedding rows are accounted at
-	// codecBytes per row instead of 4·codecDim. Zero codecDim = no codec.
-	codecDim   int
-	codecBytes int
-}
-
-// SetVectorCodec installs a wire codec: PutFloat32s payloads made of whole
-// dim-element embedding rows are charged encBytes per row on the wire (and
-// through the inter-node proxy) instead of the raw 4·dim. Timing-only
-// callers pass their encoded vector size to PutVectors directly; gets stay
-// fp32. dim <= 0 clears the codec.
-func (rt *Runtime) SetVectorCodec(dim, encBytes int) {
-	if dim <= 0 {
-		rt.codecDim, rt.codecBytes = 0, 0
-		return
-	}
-	rt.codecDim, rt.codecBytes = dim, encBytes
-}
-
-// putPayload returns the wire payload of a functional store of n float32
-// elements under the installed codec (fp32 when no codec is installed or the
-// store is not whole rows). Integer per-row arithmetic, so functional
-// payloads equal the timing mode's vector-count × encoded-bytes exactly.
-func (rt *Runtime) putPayload(n int) int {
-	if rt.codecDim > 0 && n%rt.codecDim == 0 {
-		return n / rt.codecDim * rt.codecBytes
-	}
-	return 4 * n
 }
 
 // FaultHooks injects delivery faults into a cluster runtime's proxy layer.
@@ -293,25 +262,10 @@ func (pe *PE) markDelivery(at sim.Time) sim.Time {
 	return at
 }
 
-// PutFloat32s issues a one-sided store of src into dst, which lives on
-// target's memory (dst must be sized to len(src)). The copy happens
-// immediately — functional state is always current — while the wire time is
-// queued on the src→target pipe. It returns the simulated delivery time.
-// Local "stores" (target == pe) are plain writes that never touch the
-// fabric; the caller's kernel cost model already accounts for them.
-func (pe *PE) PutFloat32s(target *PE, dst, src []float32) sim.Time {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("pgas: put length mismatch %d vs %d", len(dst), len(src)))
-	}
-	copy(dst, src)
-	if target.id == pe.id {
-		return pe.rt.env.Now()
-	}
-	return pe.accountPut(target, pe.rt.putPayload(len(src)))
-}
-
-// PutBytes issues a timing-only one-sided store of payload bytes to target.
-// Used by cost-level experiments that do not carry functional data.
+// PutBytes issues a one-sided store of payload bytes to target and returns
+// its simulated delivery time. Local "stores" (target == pe) are plain
+// writes that never touch the fabric; the caller's kernel cost model already
+// accounts for them.
 func (pe *PE) PutBytes(target *PE, payload int) sim.Time {
 	if payload < 0 {
 		panic(fmt.Sprintf("pgas: negative payload %d", payload))
@@ -338,7 +292,7 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 	if dn := pe.remoteNode(target); dn >= 0 {
 		// Per-vector staging: the proxy sees the same store sequence as
 		// count individual puts, so its coalescing boundaries (and hence
-		// NIC timing) are identical in timing-only and functional modes.
+		// NIC timing) match theirs exactly.
 		pe.puts += int64(count)
 		pe.payloadBytes += float64(count) * float64(vecBytes)
 		last := pe.rt.env.Now()

@@ -45,24 +45,10 @@ func TestPEOutOfRangePanics(t *testing.T) {
 	rt.PE(5)
 }
 
-func TestPutFloat32sCopiesImmediately(t *testing.T) {
-	_, rt := testRuntime(2)
-	src := []float32{1, 2, 3}
-	dst := make([]float32, 3)
-	rt.PE(0).PutFloat32s(rt.PE(1), dst, src)
-	for i := range src {
-		if dst[i] != src[i] {
-			t.Fatalf("dst[%d] = %v", i, dst[i])
-		}
-	}
-}
-
 func TestPutTimingIncludesHeader(t *testing.T) {
 	env, rt := testRuntime(2)
-	// 64 floats = 256 B payload + 32 B header = 288 B over 50 GB/s + latency.
-	src := make([]float32, 64)
-	dst := make([]float32, 64)
-	delivered := rt.PE(0).PutFloat32s(rt.PE(1), dst, src)
+	// One 256 B vector + 32 B header = 288 B over 50 GB/s + latency.
+	delivered := rt.PE(0).PutVectors(rt.PE(1), 1, 256)
 	params := nvlink.DefaultParams()
 	want := params.LinkLatency + 288/(2*params.LinkBandwidth)
 	if math.Abs(delivered-want) > 1e-15 {
@@ -76,28 +62,13 @@ func TestPutTimingIncludesHeader(t *testing.T) {
 func TestLocalPutBypassesFabric(t *testing.T) {
 	_, rt := testRuntime(2)
 	pe := rt.PE(0)
-	src := []float32{5}
-	dst := make([]float32, 1)
-	at := pe.PutFloat32s(pe, dst, src)
+	at := pe.PutVectors(pe, 3, 256)
 	if at != 0 {
 		t.Fatalf("local put delivered at %v, want now (0)", at)
 	}
 	if pe.Puts() != 0 || pe.WireBytes() != 0 {
 		t.Fatal("local put must not count as communication")
 	}
-	if dst[0] != 5 {
-		t.Fatal("local put did not copy")
-	}
-}
-
-func TestPutLengthMismatchPanics(t *testing.T) {
-	_, rt := testRuntime(2)
-	defer func() {
-		if recover() == nil {
-			t.Error("length mismatch did not panic")
-		}
-	}()
-	rt.PE(0).PutFloat32s(rt.PE(1), make([]float32, 2), make([]float32, 3))
 }
 
 func TestPutBytesAccounting(t *testing.T) {
@@ -280,38 +251,20 @@ func TestFabricAccessor(t *testing.T) {
 	}
 }
 
-// A vector codec charges whole dim-element rows at the encoded size; other
-// stores, and stores after the codec is cleared, stay fp32.
-func TestSetVectorCodec(t *testing.T) {
-	const dim, enc = 64, 72 // 8-bit rows plus an 8 B scale/offset
-	cases := []struct {
-		name    string
-		dim     int
-		n       int
-		payload float64
-	}{
-		{"one-row", dim, dim, enc},
-		{"three-rows", dim, 3 * dim, 3 * enc},
-		{"partial-row-stays-fp32", dim, dim + 1, 4 * (dim + 1)},
-		{"cleared", 0, dim, 4 * dim},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			_, rt := testRuntime(2)
-			rt.SetVectorCodec(dim, enc)
-			rt.SetVectorCodec(c.dim, enc)
-			src := make([]float32, c.n)
-			for i := range src {
-				src[i] = float32(i)
-			}
-			dst := make([]float32, c.n)
-			rt.PE(0).PutFloat32s(rt.PE(1), dst, src)
-			if got := rt.PE(0).PayloadBytes(); got != c.payload {
-				t.Fatalf("payload %g B, want %g", got, c.payload)
-			}
-			if dst[c.n-1] != src[c.n-1] {
-				t.Fatal("codec changed the functional copy")
-			}
-		})
+// Reduced wire precision is the caller's encoded vector size: a store of
+// encoded rows is charged exactly count × encoded bytes of payload, plus one
+// header per vector on the wire.
+func TestPutVectorsChargesEncodedBytes(t *testing.T) {
+	const fp32, fp16, int8 = 256, 128, 72 // d=64 rows; int8 adds an 8 B scale/offset
+	for _, enc := range []int{fp32, fp16, int8} {
+		_, rt := testRuntime(2)
+		pe := rt.PE(0)
+		pe.PutVectors(rt.PE(1), 3, enc)
+		if got := pe.PayloadBytes(); got != float64(3*enc) {
+			t.Errorf("%d B rows: payload %g B, want %d", enc, got, 3*enc)
+		}
+		if got, want := pe.WireBytes(), 3*rt.Fabric().WireBytes(enc); got != want {
+			t.Errorf("%d B rows: wire %g B, want %g", enc, got, want)
+		}
 	}
 }

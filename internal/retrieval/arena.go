@@ -1,30 +1,23 @@
 package retrieval
 
 // Per-GPU scratch arenas. Every backend's RunBatch used to allocate its
-// working buffers (pooling scratch, all-to-all segment tables) per call; over a serving run that is thousands of short-lived
-// slices per second of simulated traffic. Each run now owns one gpuScratch
-// per GPU, and RunBatch borrows from it instead of calling make.
+// working buffers (all-to-all segment sizes, per-peer tallies) per call; over
+// a serving run that is thousands of short-lived slices per second of
+// simulated traffic. Each run now owns one gpuScratch per GPU, and RunBatch
+// borrows from it instead of calling make.
 //
 // Safety: the simulator's processes never run concurrently (strict handoff),
 // and scratch[g] is only touched by GPU g's process, so no synchronisation is
-// needed. Buffers handed to a collective or the PGAS runtime are fully
-// consumed before the call returns (functional copies are synchronous), and
-// the inter-batch barrier keeps one batch's borrows from overlapping the
-// next's.
+// needed. Buffers handed to a collective are fully consumed before the call
+// returns, and the inter-batch barrier keeps one batch's borrows from
+// overlapping the next's.
 
 // gpuScratch is one GPU's reusable per-batch working memory.
 type gpuScratch struct {
-	vec         []float32   // Dim-sized pooling scratch
-	packBuf     []float32   // send-buffer packing (served pairs' vectors / unique rows)
-	recvBuf     []float32   // baseline all-to-all receive buffer
-	sendSegs    [][]float32 // baseline functional segment tables
-	recvSegs    [][]float32
-	sendBytes   []float64 // baseline timing segment sizes
-	recvBytes   []float64
-	perPeer     []int     // pgas per-peer store and skip tallies
-	cursors     []int     // pgas dedup wire-streaming cursors
-	nodeCursors []int     // pgas node-dedup wire-streaming cursors
-	route       transport // hybrid transport matrix (see Hybrid.routes)
+	sendBytes []float64 // all-to-all segment sizes
+	recvBytes []float64
+	perPeer   []int     // pgas per-peer store tallies
+	route     transport // hybrid transport matrix (see Hybrid.routes)
 }
 
 // scratchSlice returns (*buf)[:n], reallocating only when capacity is short,

@@ -52,7 +52,6 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb")
-	sc := s.scratchFor(g, bd)
 
 	// Hot-row cache discounts: vectors a served pair skips (a hit at their
 	// consumer) and vectors this consumer pools from its own cache. Both are
@@ -124,10 +123,6 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		kernel = dev.GatherKernelCost(readBytes, streamBytes, items)
 	}
 
-	var pack []float32
-	if cfg.Functional {
-		pack = s.packSegments(g, bd, sc, nil)
-	}
 	_, kernelEnd := stream.Launch(p, kernel)
 	p.WaitUntil(kernelEnd)
 	bk.Accumulate(CompComputation, kernel+dev.Params().KernelLaunch)
@@ -137,18 +132,18 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	stream.Synchronize(p)
 	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
 
+	// Every segment the kernel packed, the local one included, is one
+	// logged transfer; on a single GPU the send buffer already is the final
+	// minibatch.
+	s.logSegments(g, bd, nil)
 	if cfg.GPUs == 1 {
-		if cfg.Functional {
-			// Single GPU: the send buffer is already the final minibatch,
-			// (B, F_local, d) == (mini, TotalTables, d).
-			copy(bd.Final[g].Data(), pack)
-		}
+		s.walkDone(bd)
 		return
 	}
 
 	// Sender-side wire encode: compress every segment served to a remote
-	// consumer before the collective ships it. A pure streaming kernel priced from the plan's
-	// counts, so timing and functional runs charge identically.
+	// consumer before the collective ships it. A pure streaming kernel priced
+	// from the plan's counts.
 	if cfg.WireCodecActive() {
 		encStart := p.Now()
 		sent, _ := plan.CollectiveCodecVecs(g)
@@ -170,7 +165,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// pre-collective phases with the previous batch's dense compute.
 	commStart := p.Now()
 	s.awaitExchangeGate(p, g)
-	recvBuf := s.exchangeSegments(p, g, bd, sc, pack, nil)
+	s.exchangeSegments(p, g, bd, nil)
 	bk.Accumulate(CompComm, p.Now()-commStart)
 
 	// --- Phase 3: unpack the received rank-major segments into the
@@ -225,103 +220,61 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 			stream.Synchronize(p)
 		}
 	}
-	if cfg.Functional {
-		s.unpackSegments(g, recvBuf, bd, nil)
-	}
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
+	s.walkDone(bd)
 }
 
-// The all-to-all's three stages — pack, exchange, unpack — shared by
-// Baseline (route nil: every served pair rides the collective) and
-// PGASFused's routed walk (only the pairs the hybrid transport matrix sends
-// through the collective).
+// The all-to-all's stages, shared by Baseline (route nil: every served pair
+// rides the collective) and PGASFused's routed walk (only the pairs the
+// hybrid transport matrix sends through the collective).
 
-// packSegments pools every vector GPU g ships in the all-to-all into the
-// send buffer, consumer-major: for each consumer, the exchanged shards g
-// serves it in ascending order, each pair sample-major minus its cache-hit
-// vectors — or, on a wire-dedup pair, the pair's unique rows in first-seen
-// order (the consumer's expansion map addresses them by position). With
-// contiguous minibatches this is the rank-ordered all-to-all send layout.
-func (s *System) packSegments(g int, bd *BatchData, sc *gpuScratch, route *transport) []float32 {
-	cfg := s.Cfg
-	plan := bd.Plan
-	view := plan.Cache
-	floats := 0
-	for c := 0; c < cfg.GPUs; c++ {
-		floats += plan.segmentVecs(g, c, route) * cfg.Dim
+// logSegments logs every pair GPU g packs into its all-to-all send buffer:
+// for each consumer, the exchanged shards g serves it, each the pair's whole
+// minibatch — its cache-missed pooled vectors, or on a wire-dedup pair its
+// unique rows. Local segments log with no wire bytes.
+func (s *System) logSegments(g int, bd *BatchData, route *transport) {
+	if bd.log == nil {
+		return // timing runs keep no log
 	}
-	pack := scratchSlice(&sc.packBuf, floats)
-	at := 0
-	for c := 0; c < cfg.GPUs; c++ {
+	plan := bd.Plan
+	wvb := s.Cfg.WireVectorBytes()
+	for c := 0; c < s.Cfg.GPUs; c++ {
 		clo, chi := s.Minibatch(c)
-		for o := 0; o < cfg.GPUs; o++ {
+		for o := 0; o < s.Cfg.GPUs; o++ {
 			if plan.ServeGPU(o, c) != g || !route.exchanged(o, c) {
 				continue
 			}
-			coll := s.colls[o]
+			t := transfer{server: g, consumer: c, shard: o, lo: clo, hi: chi, route: RouteDense, vecs: plan.CollectiveVecs(o, c)}
 			if plan.CollectiveClass(o, c) == RouteWire {
-				for _, key := range plan.Dedup.Keys[o][c] {
-					w := coll.Tables[int(key>>32)].Weights.Data()
-					row := int(uint32(key))
-					at += copy(pack[at:at+cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
-				}
-				continue
+				t.route = RouteWire
 			}
-			part := bd.Parts[o]
-			for smp := clo; smp < chi; smp++ {
-				for fi := range part.Features {
-					if view != nil && view.Hit[o][fi*cfg.BatchSize+smp] {
-						continue
-					}
-					coll.Tables[fi].LookupPooled(part.Features[fi].Bag(smp), coll.Mode, pack[at:at+cfg.Dim])
-					at += cfg.Dim
-				}
+			if c != g {
+				t.wireBytes = t.vecs * wvb
 			}
+			bd.log.add(t)
 		}
 	}
-	return pack
 }
 
-// exchangeSegments runs GPU g's all-to-all over the exchanged pairs. In
-// functional mode it ships pack's segments and returns the receive buffer,
-// rank-major; timing runs price the same segment sizes and return nil.
-func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData, sc *gpuScratch, pack []float32, route *transport) []float32 {
+// exchangeSegments runs GPU g's all-to-all over the exchanged pairs, priced
+// from the plan's segment sizes.
+func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData, route *transport) {
 	cfg := s.Cfg
 	plan := bd.Plan
-	if !cfg.Functional {
-		sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
-		recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
-		wvb := float64(cfg.WireVectorBytes())
-		for peer := 0; peer < cfg.GPUs; peer++ {
-			sendBytes[peer] = 0
-			recvBytes[peer] = 0
-			if peer == g {
-				continue
-			}
-			sendBytes[peer] = float64(plan.segmentVecs(g, peer, route)) * wvb
-			recvBytes[peer] = float64(plan.segmentVecs(peer, g, route)) * wvb
+	sc := s.scratchFor(g, bd)
+	sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
+	recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
+	wvb := float64(cfg.WireVectorBytes())
+	for peer := 0; peer < cfg.GPUs; peer++ {
+		sendBytes[peer] = 0
+		recvBytes[peer] = 0
+		if peer == g {
+			continue
 		}
-		s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
-		return nil
+		sendBytes[peer] = float64(plan.segmentVecs(g, peer, route)) * wvb
+		recvBytes[peer] = float64(plan.segmentVecs(peer, g, route)) * wvb
 	}
-	sendSegs := scratchSlice(&sc.sendSegs, cfg.GPUs)
-	recvSegs := scratchSlice(&sc.recvSegs, cfg.GPUs)
-	recvFloats := 0
-	for peer := 0; peer < cfg.GPUs; peer++ {
-		recvFloats += plan.segmentVecs(peer, g, route) * cfg.Dim
-	}
-	recvBuf := scratchSlice(&sc.recvBuf, recvFloats)
-	sendAt, recvAt := 0, 0
-	for peer := 0; peer < cfg.GPUs; peer++ {
-		n := plan.segmentVecs(g, peer, route) * cfg.Dim
-		sendSegs[peer] = pack[sendAt : sendAt+n]
-		sendAt += n
-		n = plan.segmentVecs(peer, g, route) * cfg.Dim
-		recvSegs[peer] = recvBuf[recvAt : recvAt+n]
-		recvAt += n
-	}
-	s.Comm.AllToAllSingle(p, g, sendSegs, recvSegs)
-	return recvBuf
+	s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
 }
 
 // unpackVecs returns the vectors and segments the rearrangement kernel moves
@@ -343,52 +296,6 @@ func (s *System) unpackVecs(g int, plan *RoutePlan, route *transport) (vecs int6
 		}
 	}
 	return vecs, segments
-}
-
-// unpackSegments rearranges the received rank-major buffer
-// [server][shard][sample][shardLocalFeature][d] into
-// final[sample][globalFeature][d], consuming the buffer sequentially and
-// skipping cache-hit vectors (which never travelled — their final slots were
-// pooled from the cache at classification time). Wire-deduplicated segments
-// carry unique rows instead of vectors; those are expanded (re-pooled) in
-// place. In the DirectPlacement ablation this copy models what a scattering
-// NIC would have done; it costs no simulated time there.
-func (s *System) unpackSegments(g int, recvBuf []float32, bd *BatchData, route *transport) {
-	cfg := s.Cfg
-	plan := bd.Plan
-	view := plan.Cache
-	dv := plan.Dedup
-	lo, hi := s.Minibatch(g)
-	mini := hi - lo
-	dst := bd.Final[g].Data()
-	at := 0
-	for server := 0; server < cfg.GPUs; server++ {
-		for o := 0; o < cfg.GPUs; o++ {
-			if plan.ServeGPU(o, g) != server || !route.exchanged(o, g) {
-				continue
-			}
-			if plan.CollectiveClass(o, g) == RouteWire {
-				rows := recvBuf[at : at+int(dv.Uniq[o][g])*cfg.Dim]
-				at += len(rows)
-				s.functionalExpand(g, o, rows, dv.Expand[o][g], bd.Parts[o], view, dst)
-				continue
-			}
-			var hitRow []bool
-			if view != nil {
-				hitRow = view.Hit[o]
-			}
-			for smp := 0; smp < mini; smp++ {
-				for fi, globalFID := range s.Plan[o] {
-					if hitRow != nil && hitRow[fi*cfg.BatchSize+lo+smp] {
-						continue
-					}
-					to := dst[(smp*cfg.TotalTables+globalFID)*cfg.Dim:]
-					copy(to[:cfg.Dim], recvBuf[at:at+cfg.Dim])
-					at += cfg.Dim
-				}
-			}
-		}
-	}
 }
 
 // Reference computes the expected per-GPU EMB outputs serially: the full

@@ -226,43 +226,49 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 	}
 	cluster := ClusterHardware(2)
 	cases := []struct {
-		name     string
-		dedup    bool
-		cached   bool
-		replicas int
-		depth    int
-		prec     Precision
-		hw       HardwareParams
-		backend  Backend
+		name       string
+		dedup      bool
+		cached     bool
+		replicas   int
+		depth      int
+		prec       Precision
+		hw         HardwareParams
+		backend    Backend
+		functional bool
 	}{
-		{"pgas-fused", false, false, 0, 1, FP32, cluster, &PGASFused{}},
-		{"pgas-fused-dedup", true, false, 0, 1, FP32, cluster, &PGASFused{}},
-		{"pgas-fused-replicas2", false, false, 2, 1, FP32, cluster, &PGASFused{}},
-		{"baseline", false, false, 0, 1, FP32, cluster, &Baseline{}},
-		{"baseline-replicas2", false, false, 2, 1, FP32, cluster, &Baseline{}},
+		{"pgas-fused", false, false, 0, 1, FP32, cluster, &PGASFused{}, false},
+		{"pgas-fused-dedup", true, false, 0, 1, FP32, cluster, &PGASFused{}, false},
+		{"pgas-fused-replicas2", false, false, 2, 1, FP32, cluster, &PGASFused{}, false},
+		{"baseline", false, false, 0, 1, FP32, cluster, &Baseline{}, false},
+		{"baseline-replicas2", false, false, 2, 1, FP32, cluster, &Baseline{}, false},
 		// Replicas beside the hot-row cache: one residency view, read by
 		// shard, in both served-pair walks.
-		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, cluster, &PGASFused{}},
-		{"baseline-replicas2-cached", false, true, 2, 1, FP32, cluster, &Baseline{}},
-		{"hybrid", false, false, 0, 1, FP32, cluster, &Hybrid{}},
-		{"hybrid-dedup", true, false, 0, 1, FP32, cluster, &Hybrid{}},
+		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, cluster, &PGASFused{}, false},
+		{"baseline-replicas2-cached", false, true, 2, 1, FP32, cluster, &Baseline{}, false},
+		{"hybrid", false, false, 0, 1, FP32, cluster, &Hybrid{}, false},
+		{"hybrid-dedup", true, false, 0, 1, FP32, cluster, &Hybrid{}, false},
 		// Header-taxed variants: the hybrid walks that route pairs through
 		// the collective, mixed on two nodes and all-collective on one.
-		{"hybrid-mixed", false, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}},
-		{"hybrid-mixed-dedup", true, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}},
-		{"hybrid-all-collective", false, false, 0, 1, FP32, headerTaxedHardware(0), &Hybrid{}},
+		{"hybrid-mixed", false, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}, false},
+		{"hybrid-mixed-dedup", true, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}, false},
+		{"hybrid-all-collective", false, false, 0, 1, FP32, headerTaxedHardware(0), &Hybrid{}, false},
 		// Depth-2 pipelined variants: the per-slot arenas, window rendezvous
 		// and QuietSlot path must hold the same zero-alloc contract.
-		{"pgas-fused-depth2", false, false, 0, 2, FP32, cluster, &PGASFused{}},
-		{"pgas-fused-dedup-depth2", true, false, 0, 2, FP32, cluster, &PGASFused{}},
-		{"baseline-depth2", false, false, 0, 2, FP32, cluster, &Baseline{}},
-		{"hybrid-depth2", false, false, 0, 2, FP32, cluster, &Hybrid{}},
+		{"pgas-fused-depth2", false, false, 0, 2, FP32, cluster, &PGASFused{}, false},
+		{"pgas-fused-dedup-depth2", true, false, 0, 2, FP32, cluster, &PGASFused{}, false},
+		{"baseline-depth2", false, false, 0, 2, FP32, cluster, &Baseline{}, false},
+		{"hybrid-depth2", false, false, 0, 2, FP32, cluster, &Hybrid{}, false},
 		// Reduced-wire-precision variants: codec vector counting and the
 		// encode/decode kernel charges must not allocate either.
-		{"pgas-fused-batch-fp16", false, false, 0, 1, FP16, cluster, &PGASFused{}},
-		{"pgas-fused-batch-int8", false, false, 0, 1, Int8, cluster, &PGASFused{}},
-		{"baseline-fp16", false, false, 0, 1, FP16, cluster, &Baseline{}},
-		{"hybrid-int8", true, false, 0, 1, Int8, cluster, &Hybrid{}},
+		{"pgas-fused-batch-fp16", false, false, 0, 1, FP16, cluster, &PGASFused{}, false},
+		{"pgas-fused-batch-int8", false, false, 0, 1, Int8, cluster, &PGASFused{}, false},
+		{"baseline-fp16", false, false, 0, 1, FP16, cluster, &Baseline{}, false},
+		{"hybrid-int8", true, false, 0, 1, Int8, cluster, &Hybrid{}, false},
+		// Functional runs: the walks log every transfer and the executor
+		// replays the log, both into storage reused batch after batch.
+		{"pgas-fused-dedup-functional", true, false, 0, 1, FP32, cluster, &PGASFused{}, true},
+		{"baseline-dedup-functional", true, false, 0, 1, FP32, cluster, &Baseline{}, true},
+		{"hybrid-mixed-functional", false, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}, true},
 	}
 	// wantMode names the routing each hybrid case must engage, so a
 	// hardware change cannot silently fold a case into another's walk.
@@ -283,6 +289,7 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 			cfg.Replicas = c.replicas
 			cfg.PipelineDepth = c.depth
 			cfg.WirePrecision = c.prec
+			cfg.Functional = c.functional
 			if want, ok := wantMode[c.name]; ok {
 				if anyColl, allColl := probeRoutes(t, cfg, c.hw); anyColl != want[0] || allColl != want[1] {
 					t.Fatalf("anyColl=%v allColl=%v, want %v", anyColl, allColl, want)

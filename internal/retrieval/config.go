@@ -12,13 +12,13 @@
 // plus the two ablations that isolate the paper's claimed mechanisms
 // (unpack elimination vs. communication/computation overlap).
 //
-// Each backend runs in two modes on the same orchestration path: a
-// timing-only mode at paper scale (batch 16384, millions of rows), where
-// traffic and kernel costs are derived from the pooled-index counts each
-// batch's route plan compiles, and a
-// functional mode at test scale, where real embeddings move through real
-// buffers and every backend's output is verified bit-exactly against a
-// serial reference.
+// Each backend runs in two modes on the same walk: a timing-only mode at
+// paper scale (batch 16384, millions of rows), where traffic and kernel
+// costs are derived from the pooled-index counts each batch's route plan
+// compiles, and a functional mode at test scale, where the walk also logs
+// its transfers, one executor replays them over real embeddings (see
+// transfer.go), and every backend's output is verified bit-exactly against
+// a serial reference.
 package retrieval
 
 import (

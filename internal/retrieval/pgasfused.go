@@ -4,7 +4,6 @@ import (
 	"pgasemb/internal/gpu"
 	"pgasemb/internal/pgas"
 	"pgasemb/internal/sim"
-	"pgasemb/internal/sparse"
 	"pgasemb/internal/trace"
 )
 
@@ -63,7 +62,6 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb-fused")
-	sc := s.scratchFor(g, bd)
 	pe := s.PGAS.PE(g)
 	pe.SetSlot(bd.Slot)
 
@@ -118,31 +116,13 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 		}
 	}
 	var perPeer []int
-	if !cfg.Functional && dv == nil {
-		perPeer = scratchSlice(&sc.perPeer, cfg.GPUs)
-	}
-
-	var scratch []float32
-	var cursors, nodeCursors []int
-	if cfg.Functional {
-		scratch = scratchSlice(&sc.vec, cfg.Dim)
-		if dv != nil {
-			cursors = scratchSlice(&sc.cursors, cfg.GPUs)
-			for i := range cursors {
-				cursors[i] = 0
-			}
-			if dv.NodeWire != nil {
-				nodeCursors = scratchSlice(&sc.nodeCursors, s.cluster.Nodes)
-				for i := range nodeCursors {
-					nodeCursors[i] = 0
-				}
-			}
-		}
+	if dv == nil {
+		perPeer = scratchSlice(&s.scratchFor(g, bd).perPeer, cfg.GPUs)
 	}
 
 	// Owner-side wire encode: remote-bound vectors are compressed as they
 	// leave. Priced once for the batch from the plan's counts — a streaming
-	// kernel folded into the fused window, identical in both modes.
+	// kernel folded into the fused window.
 	if cfg.WireCodecActive() && cfg.GPUs > 1 {
 		if sent, _ := plan.OneSidedCodecVecs(g); sent > 0 {
 			p.Wait(dev.EncodeKernelCost(float64(sent)*fvb, float64(sent)*float64(wireVecBytes)))
@@ -168,10 +148,6 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 		}
 		p.Wait(cost)
 
-		if cfg.Functional {
-			b.functionalChunk(s, p, g, bd, s0, s1, scratch, cursors, nodeCursors, agg, route)
-			continue
-		}
 		for peer := 0; peer < cfg.GPUs; peer++ {
 			if peer == g || route.collective(g, peer) {
 				continue // collective-routed pairs ship in the exchange phase
@@ -219,6 +195,7 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 
 	if route != nil {
 		b.exchange(s, p, g, bd, bk, stream, route)
+		s.walkDone(bd)
 		return
 	}
 
@@ -229,9 +206,6 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 		bd.dedupBarrier.Await(p)
 		if expand, ok := s.expandCost(p, g, plan); ok {
 			stream.Launch(p, expand) // drains before the final Synchronize
-			if cfg.Functional {
-				s.expandStaged(g, bd, nil)
-			}
 		}
 		bk.Accumulate(CompSyncUnpack, p.Now()-expandStart)
 	}
@@ -296,6 +270,7 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 	syncStart := p.Now()
 	stream.Synchronize(p)
 	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
+	s.walkDone(bd)
 }
 
 // exchange is the routed walk's post-quiet phase over the collective-routed
@@ -309,17 +284,13 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 func (b *PGASFused) exchange(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown, stream *gpu.Stream, route *transport) {
 	cfg := s.Cfg
 	dev := s.Devs[g]
-	sc := s.scratchFor(g, bd)
 	plan := bd.Plan
 	vb := float64(cfg.VectorBytes())
 
 	commStart := p.Now()
 	s.awaitExchangeGate(p, g)
-	var pack []float32
-	if cfg.Functional {
-		pack = s.packSegments(g, bd, sc, route)
-	}
-	recvBuf := s.exchangeSegments(p, g, bd, sc, pack, route)
+	s.logSegments(g, bd, route)
+	s.exchangeSegments(p, g, bd, route)
 	bk.Accumulate(CompComm, p.Now()-commStart)
 
 	unpackStart := p.Now()
@@ -338,12 +309,6 @@ func (b *PGASFused) exchange(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		if expand, ok := s.expandCost(p, g, plan); ok {
 			_, expandEnd := stream.Launch(p, expand)
 			p.WaitUntil(expandEnd)
-		}
-	}
-	if cfg.Functional {
-		s.unpackSegments(g, recvBuf, bd, route)
-		if plan.Dedup != nil {
-			s.expandStaged(g, bd, route)
 		}
 	}
 	stream.Synchronize(p)
@@ -389,45 +354,23 @@ func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Durat
 	return s.Devs[g].ExpandKernelCost(refs, outVecs, s.Cfg.VectorBytes()), true
 }
 
-// expandStaged expands, into consumer g's final outputs, every wire pairing
-// whose unique rows were stored one-sidedly into a staging buffer — all of
-// them unless route sends some pairs through the all-to-all, whose rows
-// unpackSegments expands instead.
-func (s *System) expandStaged(g int, bd *BatchData, route *transport) {
-	plan := bd.Plan
-	dv := plan.Dedup
-	dst := bd.Final[g].Data()
-	myNode := s.nodeOf(g)
-	for src := 0; src < s.Cfg.GPUs; src++ {
-		if src == g || route.collective(src, g) {
-			continue
-		}
-		switch plan.Class(src, g) {
-		case RouteNodeWire:
-			s.functionalExpand(g, src, bd.NodeStage[src][myNode], dv.NodeExpand[src][g], bd.Parts[src], plan.Cache, dst)
-		case RouteWire:
-			s.functionalExpand(g, src, bd.DedupStage[src][g], dv.Expand[src][g], bd.Parts[src], plan.Cache, dst)
-		}
-	}
-}
-
 // servedChunkCost prices one chunk of the fused kernel over every
 // (shard, consumer) pair GPU g serves: each pair gathers its cache-missed
 // vectors, consumer-local and collective-routed pairs store them to HBM,
 // remote pairs issue one-sided stores, and the consumer's own cache hits are
 // gathered from the hot working set. It tallies each remote consumer's store
-// count for the chunk into perPeer (timing mode; nil in functional mode).
+// count for the chunk into perPeer and logs every pair it does not leave to
+// the exchange phase.
 func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, perPeer []int, route *transport) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
 	fvb := float64(cfg.VectorBytes())
+	wvb := cfg.WireVectorBytes()
 	var chunkIdx int64
 	items, hbmVecs, issues := 0, 0, 0
 	for c := 0; c < cfg.GPUs; c++ {
-		if perPeer != nil {
-			perPeer[c] = 0
-		}
+		perPeer[c] = 0
 		clo, chi := s.Minibatch(c)
 		o0, o1 := clampRange(s0, s1, clo, chi)
 		if o1 <= o0 {
@@ -441,14 +384,20 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 			vecs := (o1-o0)*s.LocalTables(o) - hitV
 			chunkIdx += plan.localIndexTotal(o, o0, o1) - hitI
 			items += vecs
-			if c == g || route.collective(o, c) {
+			coll := route.collective(o, c)
+			if !coll {
+				t := transfer{server: g, consumer: c, shard: o, lo: o0, hi: o1, route: RouteDense, vecs: vecs}
+				if c != g {
+					t.wireBytes = vecs * wvb
+				}
+				bd.log.add(t)
+			}
+			if c == g || coll {
 				hbmVecs += vecs // final output or all-to-all send buffer
 				continue
 			}
 			issues += vecs
-			if perPeer != nil {
-				perPeer[c] += vecs
-			}
+			perPeer[c] += vecs
 		}
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
@@ -464,13 +413,18 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 // when it wins), dense remote pairs issue per-vector stores, and wire pairs
 // gather and issue only the keys first seen in this chunk. Collective-routed
 // pairs stream the same outputs into the HBM send buffer instead of issuing
-// them. Chunk items sum exactly to the kernel's occupancy item count.
+// them, and are left to the exchange phase's log. Chunk items sum exactly to
+// the kernel's occupancy item count.
 func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, route *transport) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
 	fg := s.LocalTables(g)
 	fvb := float64(cfg.VectorBytes())
+	wvb := cfg.WireVectorBytes()
+	logRemote := func(d, lo, hi int, route PairClass, vecs int) {
+		bd.log.add(transfer{server: g, consumer: d, shard: g, lo: lo, hi: hi, route: route, vecs: vecs, wireBytes: vecs * wvb})
+	}
 	var readBytes, streamBytes float64
 	var items, issues int
 	var chunkIdx int64
@@ -493,6 +447,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			}
 			streamBytes += float64(ovl*fg) * fvb
 			items += ovl * fg
+			bd.log.add(transfer{server: g, consumer: g, shard: g, lo: o0, hi: o1, route: RouteDense, vecs: ovl * fg})
 			continue
 		}
 		hitV, hitI := plan.OwnerChunkHits(g, o0, o1)
@@ -505,6 +460,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			readBytes += float64(nk) * fvb
 			items += nk
 			issues += nk
+			logRemote(d, o0, o1, RouteNodeWire, nk)
 			continue
 		case RouteWire:
 			nk := plan.NewKeysIn(g, d, o0, o1)
@@ -514,6 +470,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 				streamBytes += float64(nk) * fvb
 			} else {
 				issues += nk
+				logRemote(d, o0, o1, RouteWire, nk)
 			}
 			continue
 		}
@@ -530,6 +487,7 @@ func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kern
 			streamBytes += float64(missVecs) * fvb
 		} else {
 			issues += missVecs
+			logRemote(d, o0, o1, RouteDense, missVecs)
 		}
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
@@ -550,108 +508,6 @@ func clampRange(a0, a1, b0, b1 int) (int, int) {
 		a1 = b1
 	}
 	return a0, a1
-}
-
-// functionalChunk pools every (sample, feature) output in [s0, s1) of the
-// shards this GPU serves the sample's consumer, and stores it one-sidedly at
-// its final address on the consumer — except cache-hit vectors, which the
-// consumer already pooled locally, and wire pairs, where only the unique rows
-// first referenced in this chunk are streamed (in canonical first-seen order)
-// into the consumer's staging buffer; the consumer expands them after the
-// dedup barrier. Collective-routed pairs are skipped: the exchange phase
-// packs them.
-func (b *PGASFused) functionalChunk(s *System, p *sim.Proc, g int, bd *BatchData, s0, s1 int, scratch []float32, cursors, nodeCursors []int, agg *pgas.Aggregator, route *transport) {
-	cfg := s.Cfg
-	plan := bd.Plan
-	view := plan.Cache
-	dv := plan.Dedup
-	pe := s.PGAS.PE(g)
-	coll := s.colls[g] // wire routes ship g's own rows (dedup runs are unreplicated)
-	for smp := s0; smp < s1; smp++ {
-		owner := sparse.OwnerOfSample(cfg.BatchSize, cfg.GPUs, smp)
-		if route.collective(g, owner) {
-			continue
-		}
-		olo, _ := s.Minibatch(owner)
-		if plan.Class(g, owner) == RouteNodeWire {
-			// Node-level wire dedup: stream the node keys this sample
-			// introduces into the destination node's staging buffer, via its
-			// stage-lane PE (one NIC crossing per node-unique row).
-			node := s.nodeOf(owner)
-			nlo, _ := s.nodeSampleRange(node)
-			n := int(dv.NodeNewAt[g][node][smp-nlo])
-			if n == 0 {
-				continue
-			}
-			cur := nodeCursors[node]
-			stage := bd.NodeStage[g][node]
-			keys := dv.NodeKeys[g][node]
-			lane := s.PGAS.PE(s.stageGPU(g, node))
-			for i := 0; i < n; i++ {
-				key := keys[cur+i]
-				fi := int(key >> 32)
-				row := int(uint32(key))
-				w := coll.Tables[fi].Weights.Data()
-				dst := stage[(cur+i)*cfg.Dim : (cur+i+1)*cfg.Dim]
-				src := w[row*cfg.Dim : (row+1)*cfg.Dim]
-				if agg != nil {
-					agg.Store(lane, dst, src)
-				} else {
-					pe.PutFloat32s(lane, dst, src)
-				}
-			}
-			nodeCursors[node] = cur + n
-			continue
-		}
-		if plan.Class(g, owner) == RouteWire {
-			// Stream the keys this sample introduces; everything else in
-			// this sample's bags is already staged (or will never be — only
-			// first references ship).
-			n := int(dv.NewAt[g][owner][smp-olo])
-			if n == 0 {
-				continue
-			}
-			cur := cursors[owner]
-			stage := bd.DedupStage[g][owner]
-			keys := dv.Keys[g][owner]
-			for i := 0; i < n; i++ {
-				key := keys[cur+i]
-				fi := int(key >> 32)
-				row := int(uint32(key))
-				w := coll.Tables[fi].Weights.Data()
-				dst := stage[(cur+i)*cfg.Dim : (cur+i+1)*cfg.Dim]
-				src := w[row*cfg.Dim : (row+1)*cfg.Dim]
-				if agg != nil {
-					agg.Store(s.PGAS.PE(owner), dst, src)
-				} else {
-					pe.PutFloat32s(s.PGAS.PE(owner), dst, src)
-				}
-			}
-			cursors[owner] = cur + n
-			continue
-		}
-		dstData := bd.Final[owner].Data()
-		for o := 0; o < cfg.GPUs; o++ {
-			if plan.ServeGPU(o, owner) != g {
-				continue
-			}
-			part, coll := bd.Parts[o], s.colls[o]
-			for fi := range part.Features {
-				if view != nil && view.Hit[o][fi*cfg.BatchSize+smp] {
-					continue
-				}
-				fb := &part.Features[fi]
-				coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, scratch)
-				off := ((smp-olo)*cfg.TotalTables + fb.FeatureID) * cfg.Dim
-				dst := dstData[off : off+cfg.Dim]
-				if agg != nil {
-					agg.Store(s.PGAS.PE(owner), dst, scratch)
-				} else {
-					pe.PutFloat32s(s.PGAS.PE(owner), dst, scratch)
-				}
-			}
-		}
-	}
 }
 
 // overlap returns |[a0,a1) ∩ [b0,b1)|.

@@ -305,8 +305,8 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 
 // planScratch is the per-run arena for plan COMPILATION: working state that
 // never outlives one compileRoutePlan call (per-batch outputs — the views,
-// key lists, expansion maps, staging buffers — must stay per-batch
-// allocations, because a run pre-generates every batch before executing).
+// key lists, expansion maps — must stay per-batch allocations, because a
+// run pre-generates every batch before executing).
 // NextBatchData runs host-side on one goroutine, so no synchronisation.
 type planScratch struct {
 	pairIdx    keyIndex             // one (owner, consumer) pair's unique keys
@@ -334,7 +334,14 @@ func (s *System) compileRoutePlan(bd *BatchData, sum *workload.Summary) {
 	}
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
 		plan.Dedup = s.classifyDedup(bd)
-		s.attachDedup(bd, plan.Dedup)
+		if s.Cfg.GPUs > 1 {
+			// The post-quiet rendezvous one-sided backends await before
+			// expanding: quiet only drains a PE's OWN pipes, so a consumer
+			// must not expand until every owner has finished streaming. The
+			// baseline never awaits it (its collective is already a global
+			// synchronisation point); an unawaited barrier is inert.
+			bd.dedupBarrier = sim.NewBarrier(s.Env, s.Cfg.GPUs)
+		}
 	}
 	if s.Cfg.Replicas > 1 {
 		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
@@ -413,8 +420,9 @@ func (s *System) holdsReplica(c, o int) bool {
 // In functional mode hit vectors are pooled into bd.Final immediately —
 // mirrored ones straight off the owner's table (the mirror copy is
 // bit-identical), cached ones from the cache contents as of this
-// classification, so later evictions cannot corrupt earlier batches. Every
-// backend's hit-skipping path then serves cache and mirror reads alike.
+// classification, so later evictions cannot corrupt earlier batches. The
+// transfer-log executor skips hit vectors, so every backend serves cache and
+// mirror reads alike.
 func (s *System) classifyResidency(bd *BatchData) *CacheView {
 	cfg := s.Cfg
 	B := cfg.BatchSize
@@ -713,43 +721,4 @@ func (s *System) ownerScratch(bd *BatchData, src int) ([]*sparse.FeatureBag, []i
 		rowsPer[fi] = s.Cfg.tableRows(fid)
 	}
 	return fbs, rowsPer
-}
-
-// attachDedup allocates the batch's cross-GPU expansion plumbing: the
-// consumer-side staging buffers the owners stream unique rows into
-// (functional wire pairs), and the post-quiet barrier one-sided backends
-// rendezvous on before expanding — quiet only drains a PE's OWN pipes, so a
-// consumer must not expand until every owner has finished streaming. The
-// baseline never awaits the barrier (its collective is already a global
-// synchronisation point); an unawaited barrier is inert.
-func (s *System) attachDedup(bd *BatchData, dv *DedupView) {
-	if s.Cfg.GPUs <= 1 {
-		return
-	}
-	bd.dedupBarrier = sim.NewBarrier(s.Env, s.Cfg.GPUs)
-	if !s.Cfg.Functional {
-		return
-	}
-	bd.DedupStage = make([][][]float32, s.Cfg.GPUs)
-	for src := range bd.DedupStage {
-		bd.DedupStage[src] = make([][]float32, s.Cfg.GPUs)
-		for dst := range bd.DedupStage[src] {
-			if dv.Wire[src][dst] && !s.nodeWirePair(dv, src, dst) {
-				bd.DedupStage[src][dst] = make([]float32, int(dv.Uniq[src][dst])*s.Cfg.Dim)
-			}
-		}
-	}
-	if dv.NodeWire != nil {
-		// Node-level staging: one buffer per (owner, destination node), held
-		// by the node's stage-lane GPU.
-		bd.NodeStage = make([][][]float32, s.Cfg.GPUs)
-		for src := range bd.NodeStage {
-			bd.NodeStage[src] = make([][]float32, s.cluster.Nodes)
-			for node := range bd.NodeStage[src] {
-				if dv.NodeWire[src][node] {
-					bd.NodeStage[src][node] = make([]float32, int(dv.NodeUniq[src][node])*s.Cfg.Dim)
-				}
-			}
-		}
-	}
 }

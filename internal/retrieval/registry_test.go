@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"fmt"
-	"math"
 	"reflect"
 	"strings"
 	"testing"
@@ -134,7 +133,7 @@ func TestRegistryBitExactnessGate(t *testing.T) {
 									}
 								}
 								tRes := run(false, depth)
-								if math.Abs(fRes.TotalTime-tRes.TotalTime) > 1e-9 {
+								if fRes.TotalTime != tRes.TotalTime {
 									t.Errorf("depth %d: functional total %g != timing total %g",
 										depth, fRes.TotalTime, tRes.TotalTime)
 								}
@@ -198,7 +197,7 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 	timeGate := func(t *testing.T, sched *fault.Schedule, replicas int, cached bool, prec Precision) {
 		fRes := run(t, sched, replicas, cached, true, prec)
 		tRes := run(t, sched, replicas, cached, false, prec)
-		if math.Abs(fRes.TotalTime-tRes.TotalTime) > 1e-9 {
+		if fRes.TotalTime != tRes.TotalTime {
 			t.Errorf("functional total %g != timing total %g", fRes.TotalTime, tRes.TotalTime)
 		}
 	}
@@ -301,7 +300,7 @@ func TestReplicasComposeWithStagedAndAggregatedPGAS(t *testing.T) {
 				return res
 			}
 			fRes, tRes := run(true), run(false)
-			if math.Abs(fRes.TotalTime-tRes.TotalTime) > 1e-9 {
+			if fRes.TotalTime != tRes.TotalTime {
 				t.Errorf("functional total %g != timing total %g", fRes.TotalTime, tRes.TotalTime)
 			}
 		})

@@ -267,12 +267,6 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 			return nil, fmt.Errorf("retrieval: wiring communicator: %w", err)
 		}
 	}
-	if cfg.WireCodecActive() {
-		// Reduced wire precision: every whole-row payload on the PGAS and
-		// collective transports is accounted at the encoded size.
-		s.Comm.SetVectorCodec(cfg.Dim, cfg.WireVectorBytes())
-		s.PGAS.SetVectorCodec(cfg.Dim, cfg.WireVectorBytes())
-	}
 	if slots := cfg.PipelineSlots(); slots > 1 {
 		// Double-buffered symmetric heap: each PE's staging region is split
 		// into per-slot halves, so quiet can retire one slot's stores while

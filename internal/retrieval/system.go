@@ -205,8 +205,10 @@ type System struct {
 	ownerKeys  []int64
 	ownerBytes []float64
 
-	// Functional state (nil slices in timing mode).
-	colls []*embedding.Collection
+	// Functional state (nil slices in timing mode): the shard collections,
+	// and the transfer executor's row-staging scratch.
+	colls     []*embedding.Collection
+	replayScr []float32
 }
 
 // NewSystem builds a spec and wires one run from it — the one-shot entry
@@ -254,14 +256,9 @@ type BatchData struct {
 	// nil when the corresponding feature is off.
 	Plan *RoutePlan
 
-	// DedupStage[src][dst] is the consumer-side staging buffer owner src
-	// streams its unique rows into (functional wire pairs only).
-	DedupStage [][][]float32
-	// NodeStage[src][node] is the node-level staging buffer: owner src
-	// streams each node-unique row into it once, addressed at the node's
-	// stage-lane GPU; the node's consumers expand from it after the dedup
-	// barrier (functional node-wire pairings only).
-	NodeStage [][][]float32
+	// log records the transfers the walks price, for the executor that
+	// replays them into Final (functional mode only; see transfer.go).
+	log *transferLog
 	// dedupBarrier is the post-quiet rendezvous PGAS backends await before
 	// consumer-side expansion (nil when dedup is off or single-GPU).
 	dedupBarrier *sim.Barrier
@@ -376,13 +373,14 @@ func (s *System) NextBatchData() (*BatchData, error) {
 		return nil, err
 	}
 	bd.Parts = parts
+	bd.log = &transferLog{}
 	for g := 0; g < s.Cfg.GPUs; g++ {
 		lo, hi := s.Minibatch(g)
 		bd.Final = append(bd.Final, tensor.New(hi-lo, s.Cfg.TotalTables, s.Cfg.Dim))
 	}
 	// After Final is allocated: cache classification pools hit vectors into
-	// it, and dedup classification (which runs after, so hit vectors never
-	// enter the key sets) sizes the staging buffers.
+	// it (dedup classification runs after, so hit vectors never enter the
+	// key sets).
 	s.compileRoutePlan(bd, nil)
 	s.observeBatch(bd)
 	return bd, nil

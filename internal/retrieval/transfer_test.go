@@ -1,0 +1,219 @@
+package retrieval
+
+import (
+	"context"
+	"fmt"
+	"testing"
+
+	"pgasemb/internal/sim"
+	"pgasemb/internal/tensor"
+	"pgasemb/internal/trace"
+)
+
+// The aggregated-PGAS variant (A3) is constructor-only, so the registry gate
+// never runs it. It is held to the gate's invariants here, across every wire
+// precision, with and without dedup, on a single node and on a 2-node
+// cluster: its outputs match the serial reference byte for byte, and a
+// timing-only run lands on the functional run's simulated time exactly.
+func TestAggregatedPGASMatchesReferenceAndTiming(t *testing.T) {
+	machines := []struct {
+		name string
+		hw   HardwareParams
+	}{
+		{"single", DefaultHardware()},
+		{"cluster2", ClusterHardware(2)},
+	}
+	for _, m := range machines {
+		for _, prec := range []Precision{FP32, FP16, Int8} {
+			for _, dedup := range []bool{false, true} {
+				t.Run(fmt.Sprintf("%s/%s/dedup=%v", m.name, prec, dedup), func(t *testing.T) {
+					run := func(functional bool) *Result {
+						cfg := clusterTestConfig(4)
+						cfg.WirePrecision = prec
+						cfg.Dedup = dedup
+						cfg.Functional = functional
+						s, err := NewSystem(cfg, m.hw)
+						if err != nil {
+							t.Fatal(err)
+						}
+						res, err := s.Run(&PGASFused{Aggregate: &AggregatorConfig{FlushBytes: 4096, MaxWait: sim.Millisecond}})
+						if err != nil {
+							t.Fatal(err)
+						}
+						if functional {
+							want := mustReference(t, s, res.LastBatch)
+							for g := range want {
+								if !tensor.Equal(res.Final[g], want[g]) {
+									t.Fatalf("GPU %d differs from reference (max diff %g)",
+										g, tensor.MaxAbsDiff(res.Final[g], want[g]))
+								}
+							}
+						}
+						return res
+					}
+					if f, tm := run(true), run(false); f.TotalTime != tm.TotalTime {
+						t.Errorf("functional total %g != timing total %g (diff %g)",
+							f.TotalTime, tm.TotalTime, f.TotalTime-tm.TotalTime)
+					}
+				})
+			}
+		}
+	}
+}
+
+// walkBatches draws n functional batches on s and walks them under be,
+// returning them with their transfer logs intact.
+func walkBatches(t *testing.T, s *System, be Backend, n int) []*BatchData {
+	t.Helper()
+	batches := make([]*BatchData, n)
+	for i := range batches {
+		bd, err := s.NextBatchData()
+		if err != nil {
+			t.Fatal(err)
+		}
+		batches[i] = bd
+	}
+	res := &Result{PerGPU: make([]*trace.Breakdown, s.Cfg.GPUs)}
+	for g := range res.PerGPU {
+		res.PerGPU[g] = &trace.Breakdown{}
+	}
+	if err := s.runEpoch(context.Background(), be, res, batches, 0); err != nil {
+		t.Fatal(err)
+	}
+	return batches
+}
+
+// TestTransferLogConservation sums the transfer log of functional runs over
+// the registry grid's machines and checks it against the route plan and the
+// transports:
+//
+//   - each (server, consumer) pair logs exactly the plan's vectors for it:
+//     the served shards' cache-missed pooled vectors on dense routes, the
+//     pair's unique rows on wire routes, and each owner's node-level unique
+//     rows once per destination node on node-wire routes;
+//   - each server's logged wire bytes equal the payload its PGAS PE issued
+//     (one-sided backends), or, summed over servers, the collective's egress
+//     volume (the baseline on a flat machine, where the all-to-all is not
+//     relayed through node lanes).
+func TestTransferLogConservation(t *testing.T) {
+	machines := []struct {
+		name string
+		hw   HardwareParams
+	}{
+		{"single", DefaultHardware()},
+		{"cluster1", ClusterHardware(1)},
+		{"cluster2", ClusterHardware(2)},
+	}
+	seen := map[PairClass]int{}
+	for _, name := range RegisteredBackends() {
+		collective := name == "baseline" || name == "baseline-direct-placement"
+		for _, m := range machines {
+			for _, prec := range []Precision{FP32, FP16, Int8} {
+				for _, dedup := range []bool{false, true} {
+					for _, cached := range []bool{false, true} {
+						label := fmt.Sprintf("%s/%s/%s/dedup=%v/cache=%v", name, m.name, prec, dedup, cached)
+						t.Run(label, func(t *testing.T) {
+							cfg := clusterTestConfig(4)
+							cfg.Functional = true
+							cfg.WirePrecision = prec
+							cfg.Dedup = dedup
+							if cached {
+								cfg.CacheFraction = 1e-8
+							}
+							s, err := NewSystem(cfg, m.hw)
+							if err != nil {
+								t.Fatal(err)
+							}
+							be, err := NewBackendByName(name)
+							if err != nil {
+								t.Fatal(err)
+							}
+							G := cfg.GPUs
+							logged := make([]int, G)
+							for _, bd := range walkBatches(t, s, be, cfg.Batches) {
+								checkPairCounts(t, s, bd, collective)
+								for _, tr := range bd.log.recs {
+									logged[tr.server] += tr.wireBytes
+									seen[tr.route]++
+								}
+							}
+							total := 0
+							for g := 0; g < G; g++ {
+								total += logged[g]
+								if collective {
+									continue
+								}
+								if pay := s.PGAS.PE(g).PayloadBytes(); float64(logged[g]) != pay {
+									t.Errorf("server %d logged %d wire bytes, its PE issued %g", g, logged[g], pay)
+								}
+							}
+							if collective && !s.multiNode() {
+								if vol := s.Comm.Volume().Total(); float64(total) != vol {
+									t.Errorf("logged %d wire bytes, the collective moved %g", total, vol)
+								}
+							}
+						})
+					}
+				}
+			}
+		}
+	}
+	for _, route := range []PairClass{RouteDense, RouteWire, RouteNodeWire} {
+		if seen[route] == 0 {
+			t.Errorf("no %s transfer logged anywhere on the grid; the test is not exercising it", route)
+		}
+	}
+}
+
+// checkPairCounts compares one batch's logged vectors per (server, consumer)
+// pair — per (server, node) on node-wire routes — with the plan's counts.
+// collective selects the pair-addressed routes the all-to-all uses.
+func checkPairCounts(t *testing.T, s *System, bd *BatchData, collective bool) {
+	t.Helper()
+	type key struct {
+		server, dst int // dst: consumer, or destination node on node-wire
+		route       PairClass
+	}
+	got, want := map[key]int{}, map[key]int{}
+	for _, tr := range bd.log.recs {
+		k := key{tr.server, tr.consumer, tr.route}
+		if tr.route == RouteNodeWire {
+			k.dst = s.nodeOf(tr.consumer)
+		}
+		got[k] += tr.vecs
+	}
+	plan := bd.Plan
+	for o := 0; o < s.Cfg.GPUs; o++ {
+		for c := 0; c < s.Cfg.GPUs; c++ {
+			route := plan.Class(o, c)
+			if collective {
+				route = plan.CollectiveClass(o, c)
+			}
+			server := plan.ServeGPU(o, c)
+			switch route {
+			case RouteWire:
+				want[key{server, c, RouteWire}] += int(plan.Dedup.Uniq[o][c])
+			case RouteNodeWire:
+				node := s.nodeOf(c)
+				want[key{server, node, RouteNodeWire}] = int(plan.Dedup.NodeUniq[o][node])
+			default:
+				if v := plan.pairVecs(o, c); v > 0 {
+					want[key{server, c, RouteDense}] += v
+				}
+			}
+		}
+	}
+	for k, v := range want {
+		if v == 0 {
+			delete(want, k)
+		}
+	}
+	if len(got) != len(want) {
+		t.Errorf("logged %d (server, destination, route) pairs, the plan has %d: %v vs %v", len(got), len(want), got, want)
+	}
+	for k, w := range want {
+		if got[k] != w {
+			t.Errorf("server %d -> %d (%s): logged %d vectors, plan counts %d", k.server, k.dst, k.route, got[k], w)
+		}
+	}
+}
