@@ -1,0 +1,327 @@
+package retrieval
+
+import (
+	"fmt"
+	"slices"
+	"testing"
+
+	"pgasemb/internal/embedding"
+	"pgasemb/internal/metrics"
+)
+
+// dedupOracle is one batch's dedup classification recomputed by a plain
+// map-based walk in sample-major order: for each owner and consumer, the
+// consumer's samples ascending, the owner's tables in plan order, bag order.
+type dedupOracle struct {
+	miss, uniq, dense [][]int64
+	wire, gather      [][]bool
+	newAt             [][][]int32
+	// refs[src][dst] lists the pair's miss references' keys table-major —
+	// the order the expansion maps follow.
+	refs                [][][]uint64
+	nodeUniq, nodeDense [][]int64
+	nodeWire            [][]bool
+	nodeNewAt           [][][]int32
+	ctr                 metrics.DedupCounters
+}
+
+// classifyOracle recomputes the dedup view of functional batch bd.
+func classifyOracle(s *System, bd *BatchData) *dedupOracle {
+	cfg := s.Cfg
+	B, G := cfg.BatchSize, cfg.GPUs
+	grid := func() [][]int64 {
+		m := make([][]int64, G)
+		for i := range m {
+			m[i] = make([]int64, G)
+		}
+		return m
+	}
+	flags := func() [][]bool {
+		m := make([][]bool, G)
+		for i := range m {
+			m[i] = make([]bool, G)
+		}
+		return m
+	}
+	o := &dedupOracle{
+		miss: grid(), uniq: grid(), dense: grid(), wire: flags(), gather: flags(),
+		newAt: make([][][]int32, G), refs: make([][][]uint64, G),
+		ctr: metrics.DedupCounters{Batches: 1},
+	}
+	hit := func(src, dst, fi, smp int) bool {
+		v := bd.Plan.Cache
+		return src != dst && v != nil && v.Hit[src][fi*B+smp]
+	}
+	key := func(src, fi int, raw int64) uint64 {
+		row := embedding.HashIndex(raw, cfg.tableRows(s.Plan[src][fi]))
+		return uint64(fi)<<32 | uint64(row)
+	}
+	bag := func(src, fi, smp int) []int64 { return bd.Sparse.FeatureByID(s.Plan[src][fi]).Bag(smp) }
+	vb := float64(cfg.VectorBytes())
+	for src := 0; src < G; src++ {
+		o.newAt[src] = make([][]int32, G)
+		o.refs[src] = make([][]uint64, G)
+		for dst := 0; dst < G; dst++ {
+			lo, hi := s.Minibatch(dst)
+			seen := map[uint64]bool{}
+			newAt := make([]int32, hi-lo)
+			for smp := lo; smp < hi; smp++ {
+				for fi := range s.Plan[src] {
+					if hit(src, dst, fi, smp) {
+						continue
+					}
+					o.dense[src][dst]++
+					for _, raw := range bag(src, fi, smp) {
+						o.miss[src][dst]++
+						if k := key(src, fi, raw); !seen[k] {
+							seen[k] = true
+							newAt[smp-lo]++
+						}
+					}
+				}
+			}
+			for fi := range s.Plan[src] {
+				for smp := lo; smp < hi; smp++ {
+					if hit(src, dst, fi, smp) {
+						continue
+					}
+					for _, raw := range bag(src, fi, smp) {
+						o.refs[src][dst] = append(o.refs[src][dst], key(src, fi, raw))
+					}
+				}
+			}
+			uniq, dense, miss := int64(len(seen)), o.dense[src][dst], o.miss[src][dst]
+			wire := src != dst && uniq < dense
+			o.uniq[src][dst], o.newAt[src][dst], o.wire[src][dst] = uniq, newAt, wire
+			o.gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(uniq, miss)
+			if src != dst {
+				o.ctr.EligibleIdx += miss
+				o.ctr.EligibleVecs += dense
+				o.ctr.UniqueRows += uniq
+				if wire {
+					o.ctr.WireRows += uniq
+					o.ctr.WireSavedBytes += float64(dense-uniq) * vb
+				} else {
+					o.ctr.WireVecs += dense
+				}
+			}
+		}
+	}
+	if !s.multiNode() {
+		return o
+	}
+	N, per := s.cluster.Nodes, s.cluster.GPUsPerNode
+	o.nodeUniq, o.nodeDense = make([][]int64, G), make([][]int64, G)
+	o.nodeWire, o.nodeNewAt = make([][]bool, G), make([][][]int32, G)
+	for src := 0; src < G; src++ {
+		o.nodeUniq[src], o.nodeDense[src] = make([]int64, N), make([]int64, N)
+		o.nodeWire[src], o.nodeNewAt[src] = make([]bool, N), make([][]int32, N)
+		for node := 0; node < N; node++ {
+			if node == s.nodeOf(src) {
+				continue
+			}
+			nlo, nhi := s.nodeSampleRange(node)
+			seen := map[uint64]bool{}
+			newAt := make([]int32, nhi-nlo)
+			for dst := node * per; dst < (node+1)*per; dst++ {
+				o.nodeDense[src][node] += o.dense[src][dst]
+				lo, hi := s.Minibatch(dst)
+				for smp := lo; smp < hi; smp++ {
+					for fi := range s.Plan[src] {
+						if hit(src, dst, fi, smp) {
+							continue
+						}
+						for _, raw := range bag(src, fi, smp) {
+							if k := key(src, fi, raw); !seen[k] {
+								seen[k] = true
+								newAt[smp-nlo]++
+							}
+						}
+					}
+				}
+			}
+			o.nodeUniq[src][node], o.nodeNewAt[src][node] = int64(len(seen)), newAt
+			o.nodeWire[src][node] = o.nodeUniq[src][node] < o.nodeDense[src][node]
+		}
+	}
+	return o
+}
+
+// checkKeys checks one functional key list and the expansion maps into it:
+// the list holds uniq distinct keys, and every map resolves each reference of
+// its consumer (table-major) to that reference's key.
+func checkKeys(t *testing.T, what string, keys []uint64, uniq int64, expands [][]int32, refs [][]uint64) {
+	t.Helper()
+	if int64(len(keys)) != uniq {
+		t.Fatalf("%s: %d keys, want %d", what, len(keys), uniq)
+	}
+	seen := map[uint64]bool{}
+	for _, k := range keys {
+		if seen[k] {
+			t.Fatalf("%s: key %#x listed twice", what, k)
+		}
+		seen[k] = true
+	}
+	for i, exp := range expands {
+		if len(exp) != len(refs[i]) {
+			t.Fatalf("%s: consumer %d expansion has %d entries, want %d", what, i, len(exp), len(refs[i]))
+		}
+		for e, p := range exp {
+			if keys[p] != refs[i][e] {
+				t.Fatalf("%s: consumer %d reference %d expands to %#x, want %#x", what, i, e, keys[p], refs[i][e])
+			}
+		}
+	}
+}
+
+// checkAgainstOracle compares every count and flag of dv with the oracle,
+// and on functional views the key lists and expansion maps.
+func checkAgainstOracle(t *testing.T, s *System, dv *DedupView, o *dedupOracle) {
+	t.Helper()
+	G := s.Cfg.GPUs
+	fn := s.Cfg.Functional
+	for src := 0; src < G; src++ {
+		for dst := 0; dst < G; dst++ {
+			pair := fmt.Sprintf("pair %d->%d", src, dst)
+			if dv.MissIdx[src][dst] != o.miss[src][dst] || dv.Uniq[src][dst] != o.uniq[src][dst] ||
+				dv.DenseVecs[src][dst] != o.dense[src][dst] {
+				t.Fatalf("%s: miss/uniq/dense %d/%d/%d, oracle %d/%d/%d", pair,
+					dv.MissIdx[src][dst], dv.Uniq[src][dst], dv.DenseVecs[src][dst],
+					o.miss[src][dst], o.uniq[src][dst], o.dense[src][dst])
+			}
+			if dv.Wire[src][dst] != o.wire[src][dst] || dv.Gather[src][dst] != o.gather[src][dst] {
+				t.Fatalf("%s: wire/gather %v/%v, oracle %v/%v", pair,
+					dv.Wire[src][dst], dv.Gather[src][dst], o.wire[src][dst], o.gather[src][dst])
+			}
+			if !slices.Equal(dv.NewAt[src][dst], o.newAt[src][dst]) {
+				t.Fatalf("%s: NewAt %v, oracle %v", pair, dv.NewAt[src][dst], o.newAt[src][dst])
+			}
+			if fn && o.wire[src][dst] {
+				checkKeys(t, pair, dv.Keys[src][dst], o.uniq[src][dst],
+					[][]int32{dv.Expand[src][dst]}, [][]uint64{o.refs[src][dst]})
+			} else if dv.Keys[src][dst] != nil || dv.Expand[src][dst] != nil {
+				t.Fatalf("%s: keeps a key list or expansion map off a functional wire route", pair)
+			}
+		}
+	}
+	if !s.multiNode() {
+		if dv.NodeUniq != nil || dv.NodeWire != nil || dv.NodeKeys != nil {
+			t.Fatal("single-node view carries a node-level classification")
+		}
+		return
+	}
+	per := s.cluster.GPUsPerNode
+	for src := 0; src < G; src++ {
+		for node := 0; node < s.cluster.Nodes; node++ {
+			at := fmt.Sprintf("owner %d -> node %d", src, node)
+			if dv.NodeUniq[src][node] != o.nodeUniq[src][node] || dv.NodeDense[src][node] != o.nodeDense[src][node] ||
+				dv.NodeWire[src][node] != o.nodeWire[src][node] {
+				t.Fatalf("%s: uniq/dense/wire %d/%d/%v, oracle %d/%d/%v", at,
+					dv.NodeUniq[src][node], dv.NodeDense[src][node], dv.NodeWire[src][node],
+					o.nodeUniq[src][node], o.nodeDense[src][node], o.nodeWire[src][node])
+			}
+			if !slices.Equal(dv.NodeNewAt[src][node], o.nodeNewAt[src][node]) {
+				t.Fatalf("%s: NodeNewAt %v, oracle %v", at, dv.NodeNewAt[src][node], o.nodeNewAt[src][node])
+			}
+			consumers := dv.NodeExpand[src][node*per : (node+1)*per]
+			if fn && o.nodeWire[src][node] {
+				checkKeys(t, at, dv.NodeKeys[src][node], o.nodeUniq[src][node],
+					consumers, o.refs[src][node*per:(node+1)*per])
+				continue
+			}
+			if dv.NodeKeys[src][node] != nil || slices.ContainsFunc(consumers, func(e []int32) bool { return e != nil }) {
+				t.Fatalf("%s: keeps a node key list or expansion map off a functional node-wire route", at)
+			}
+		}
+	}
+}
+
+// TestClassifyDedupMatchesOracle holds the table-major dedup walk to a
+// sample-major map-based recomputation on every batch of several shapes, in
+// timing and functional runs. A timing run keeps neither its batch nor its
+// residency bitmap, so each shape runs twice from the same seed: the
+// functional twin's batch feeds the oracle, and both views must match it.
+func TestClassifyDedupMatchesOracle(t *testing.T) {
+	cases := []struct {
+		name string
+		hw   HardwareParams
+		tune func(*Config)
+	}{
+		{"flat4", DefaultHardware(), func(*Config) {}},
+		{"cluster2", ClusterHardware(2), func(*Config) {}},
+		{"cache", cacheTestHardware(), func(c *Config) { c.CacheFraction = 0.003 }},
+		{"hetero-rows", DefaultHardware(), func(c *Config) { c.PerFeatureRows = []int{4, 400, 16, 1000, 8, 64} }},
+		{"nulls", DefaultHardware(), func(c *Config) { c.NullProbability = 0.4 }},
+		{"cluster2-cache-hetero-nulls", func() HardwareParams {
+			hw := cacheTestHardware()
+			hw.Nodes = 2
+			return hw
+		}(), func(c *Config) {
+			c.CacheFraction = 0.003
+			c.PerFeatureRows = []int{4, 400, 16, 1000, 8, 64}
+			c.NullProbability = 0.4
+		}},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			newSys := func(functional bool) *System {
+				cfg := dedupTestConfig(4)
+				tc.tune(&cfg)
+				cfg.Functional = functional
+				s, err := NewSystem(cfg, tc.hw)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return s
+			}
+			fs, ts := newSys(true), newSys(false)
+			want := metrics.DedupCounters{}
+			var wires, nodeWires int
+			for b := 0; b < fs.Cfg.Batches; b++ {
+				fbd, err := fs.NextBatchData()
+				if err != nil {
+					t.Fatal(err)
+				}
+				tbd, err := ts.NextBatchData()
+				if err != nil {
+					t.Fatal(err)
+				}
+				o := classifyOracle(fs, fbd)
+				want = want.Add(o.ctr)
+				for _, run := range []struct {
+					s  *System
+					bd *BatchData
+				}{{fs, fbd}, {ts, tbd}} {
+					t.Run(fmt.Sprintf("batch%d/functional=%v", b, run.s.Cfg.Functional), func(t *testing.T) {
+						checkAgainstOracle(t, run.s, run.bd.Plan.Dedup, o)
+					})
+				}
+				for src := range o.wire {
+					wires += countTrue(o.wire[src])
+					if o.nodeWire != nil {
+						nodeWires += countTrue(o.nodeWire[src])
+					}
+				}
+			}
+			if fs.DedupStats() != want || ts.DedupStats() != want {
+				t.Fatalf("dedup counters: functional %+v, timing %+v, oracle %+v", fs.DedupStats(), ts.DedupStats(), want)
+			}
+			if wires == 0 || (fs.multiNode() && nodeWires == 0) {
+				t.Fatalf("no wire pairs (%d) or node-wire routes (%d): the key lists go unchecked", wires, nodeWires)
+			}
+			if fs.Cfg.CacheFraction > 0 && fs.Caches.Stats().Hits == 0 {
+				t.Fatal("cache saw no hits; hit skipping goes unchecked")
+			}
+		})
+	}
+}
+
+func countTrue(bs []bool) int {
+	n := 0
+	for _, b := range bs {
+		if b {
+			n++
+		}
+	}
+	return n
+}

@@ -26,12 +26,15 @@ import (
 //     unchanged, so this needs no functional counterpart.
 //
 // Classification happens host-side during route-plan compilation (plan.go)
-// in one canonical order
-// (owner, consumer, then the consumer's samples ascending, the owner's local
-// tables in plan order, bag order), after cache classification — cache-hit
-// vectors never enter the key sets, so a row served from the hot-row cache is
-// not double-counted as a dedup win. Outcomes are a pure function of the
-// workload seed and cache state, never of process interleaving.
+// in one canonical, table-major order (owner, consumer group, the owner's
+// local tables in plan order, the group's consumers ascending, each
+// consumer's samples ascending, bag order), after cache classification —
+// cache-hit vectors never enter the key sets, so a row served from the
+// hot-row cache is not double-counted as a dedup win. A key's first sample
+// does not depend on the order its table is walked in, so the counts are
+// those of any walk; the functional key lists follow the canonical order.
+// Outcomes are a pure function of the workload seed and cache state, never
+// of process interleaving.
 
 // DedupView is one batch's deduplication classification. All matrices are
 // indexed [owner][consumer]; the diagonal describes each GPU's local (own
@@ -52,15 +55,18 @@ type DedupView struct {
 	// the dense gather (timing model only).
 	Gather [][]bool
 	// NewAt[src][dst][smp-dstLo] counts the pair's keys FIRST seen at that
-	// consumer sample, in canonical scan order; it sums to Uniq[src][dst] and
-	// lets the chunked fused kernel apportion unique-row work per chunk.
+	// consumer sample: the earliest of the consumer's samples whose miss
+	// bags reference the key. It sums to Uniq[src][dst] and lets the chunked
+	// fused kernel apportion unique-row work per chunk.
 	NewAt [][][]int32
-	// Keys[src][dst] lists the pair's unique keys in first-seen order
-	// (owner-local table index <<32 | hashed row). Functional wire pairs only.
+	// Keys[src][dst] lists the pair's unique keys (owner-local table index
+	// <<32 | hashed row) table-major: tables in plan order, each table's
+	// keys in first-seen sample order. Functional wire pairs only.
 	Keys [][][]uint64
 	// Expand[src][dst] is the inverse-expansion map: for every miss-bag
-	// reference in canonical order, the position of its row in Keys.
-	// Functional wire pairs only.
+	// reference in table-major order (tables in plan order, then samples
+	// ascending, bag order), the position of its row in Keys. Functional
+	// wire pairs only.
 	Expand [][][]int32
 
 	// Node-level classification (multi-node machines only; all nil
@@ -73,9 +79,10 @@ type DedupView struct {
 	// NodeUniq counts distinct keys among the owner's miss references into
 	// the node; NodeDense the dense vectors those references produce;
 	// NodeWire marks remote nodes where NodeUniq < NodeDense. NodeNewAt
-	// spreads NodeUniq over the node's sample range (canonical scan order);
-	// NodeKeys/NodeExpand are the functional key list (first-seen order)
-	// and each consumer GPU's inverse-expansion map into it.
+	// spreads NodeUniq over the node's sample range, each key at the
+	// earliest node sample referencing it; NodeKeys/NodeExpand are the
+	// functional key list (table-major, as Keys) and each consumer GPU's
+	// inverse-expansion map into it (table-major, as Expand).
 	NodeUniq  [][]int64
 	NodeDense [][]int64
 	NodeWire  [][]bool
@@ -106,8 +113,10 @@ func (v *DedupView) newKeysIn(s *System, src, dst, s0, s1 int) int {
 
 // functionalExpand re-pools consumer g's miss vectors of a wire pairing with
 // owner src from the received unique rows, bit-exactly reproducing what the
-// dense path (owner-side LookupPooled + ship) would have written: same
-// accumulation order (bag order, via the inverse-expansion positions), same
+// dense path (owner-side LookupPooled + ship) would have written: it steps
+// through the bags table-major, as the expansion maps do, and pools each in
+// the same accumulation order (bag order, via the inverse-expansion
+// positions), with the same
 // mean scaling, same max copy-then-compare. expand is the inverse-expansion
 // map addressing rows — dv.Expand[src][g] for pair-level wire dedup,
 // dv.NodeExpand[src][g] for node-level (where rows is the node staging
@@ -119,8 +128,8 @@ func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, pa
 	B := cfg.BatchSize
 	lo, hi := s.Minibatch(g)
 	e := 0
-	for smp := lo; smp < hi; smp++ {
-		for fi, fid := range s.Plan[src] {
+	for fi, fid := range s.Plan[src] {
+		for smp := lo; smp < hi; smp++ {
 			if view != nil && view.Hit[src][fi*B+smp] {
 				continue
 			}

@@ -309,11 +309,11 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 // run pre-generates every batch before executing).
 // NextBatchData runs host-side on one goroutine, so no synchronisation.
 type planScratch struct {
-	pairIdx    keyIndex             // one (owner, consumer) pair's unique keys
-	nodeIdx    keyIndex             // one (owner, remote node)'s unique keys
+	pairSet    rowSet               // one (consumer, table)'s unique rows
+	nodeSet    rowSet               // one (remote node, table)'s unique rows
+	pairAcc    []pairAcc            // one consumer group's per-pair classification
 	fbs        []*sparse.FeatureBag // one owner's feature bags
 	rowsPer    []int                // one owner's table row counts
-	expTmp     [][]int32            // one node's per-consumer expansions into its key set
 	rowScratch []int32              // residency classifier's hashed-bag scratch
 	hit        []bool               // timing mode's residency hit bitmap, redrawn every batch
 	batch      sparse.Batch         // timing mode's input batch, redrawn every batch
@@ -535,13 +535,18 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 
 // classifyDedup scans the materialised batch and builds the dedup view,
 // folding the batch's savings into the run's counters. It walks each owner's
-// references once, in canonical order: consumers ascending, then each
-// consumer's samples ascending, the owner's local tables in plan order, bag
-// order. Every miss reference feeds the pair's key index, reset per
-// consumer, and on multi-node machines also the key index of the consumer's
-// node when that node is remote, reset at the node's first consumer. A
-// node's minibatches are contiguous, so the node set sees exactly the
-// consumer-ascending union a separate per-node walk would.
+// references once, table-major: consumer groups ascending (one destination
+// node on a multi-node machine, every GPU otherwise), then the owner's local
+// tables in plan order, the group's consumers ascending, each consumer's
+// samples ascending, bag order. A key is (table, hashed row) and keys of
+// different tables never collide, so each table's references go to two
+// per-table row sets: the pair set, reset per (consumer, table), and on
+// multi-node machines, when the group is a remote node, the node set, reset
+// per (node, table). A node's minibatches are contiguous, so the node set
+// sees exactly the consumer-ascending union a separate per-node walk would.
+// A key's first sample does not depend on which table is walked first, so
+// the counts and NewAt spreads equal a sample-major walk's; the functional
+// key lists and expansion maps come out table-major.
 //
 // The node level is the second classification tier: a node-level wire win
 // means the owner ships each unique row across the NIC once for the whole
@@ -551,6 +556,7 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 func (s *System) classifyDedup(bd *BatchData) *DedupView {
 	cfg := s.Cfg
 	B, G := cfg.BatchSize, cfg.GPUs
+	fn := cfg.Functional
 	vb := float64(cfg.VectorBytes())
 	view := bd.Plan.Cache
 	dv := &DedupView{
@@ -564,7 +570,7 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 		Expand:    make([][][]int32, G),
 	}
 	multi := s.multiNode()
-	per := 1
+	per := G
 	if multi {
 		per = s.cluster.GPUsPerNode
 		dv.NodeUniq = make([][]int64, G)
@@ -575,10 +581,9 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 		dv.NodeExpand = make([][][]int32, G)
 	}
 	ctr := metrics.DedupCounters{Batches: 1}
-	pairIdx, nodeIdx := &s.planScr.pairIdx, &s.planScr.nodeIdx
-	nodeExp := scratchSlice(&s.planScr.expTmp, per)
+	pairSet, nodeSet := &s.planScr.pairSet, &s.planScr.nodeSet
+	acc := scratchSlice(&s.planScr.pairAcc, per)
 	for src := 0; src < G; src++ {
-		fg := len(s.Plan[src])
 		dv.MissIdx[src] = make([]int64, G)
 		dv.Uniq[src] = make([]int64, G)
 		dv.DenseVecs[src] = make([]int64, G)
@@ -598,116 +603,136 @@ func (s *System) classifyDedup(bd *BatchData) *DedupView {
 		}
 		fbs, rowsPer := s.ownerScratch(bd, src)
 		srcNode := s.nodeOf(src)
-		// The remote node the walk is inside: its sample base and the
-		// classification accumulated over its consumers so far.
-		var nodeLo int
-		var nodeNewAt []int32
-		var nodeKeys []uint64
-		var nodeDense int64
-		for dst := 0; dst < G; dst++ {
-			dlo, dhi := s.Minibatch(dst)
-			node := s.nodeOf(dst)
-			li := dst - node*per // dst's lane on its node
+		for first := 0; first < G; first += per {
+			node := s.nodeOf(first)
 			remote := multi && node != srcNode
-			if remote && li == 0 {
-				nodeIdx.reset()
+			// The remote node's sample base and its classification.
+			var nodeLo int
+			var nodeNewAt []int32
+			var nodeKeys []uint64
+			var nodeUniq int64
+			if remote {
 				var nodeHi int
 				nodeLo, nodeHi = s.nodeSampleRange(node)
 				nodeNewAt = make([]int32, nodeHi-nodeLo)
-				nodeKeys, nodeDense = nil, 0
 			}
-			pairIdx.reset()
-			newAt := make([]int32, dhi-dlo)
-			var missIdx, denseVecs int64
-			var keys []uint64
-			var expand, nodeExpand []int32
-			for smp := dlo; smp < dhi; smp++ {
-				var newHere, nodeNewHere int32
-				for fi := 0; fi < fg; fi++ {
-					if src != dst && view != nil && view.Hit[src][fi*B+smp] {
-						continue
+			for li := range acc {
+				dlo, dhi := s.Minibatch(first + li)
+				acc[li] = pairAcc{newAt: make([]int32, dhi-dlo)}
+			}
+			for fi, fb := range fbs {
+				rows := rowsPer[fi]
+				if remote {
+					nodeSet.reset(rows, fn)
+				}
+				for li := range acc {
+					dst, a := first+li, &acc[li]
+					dlo, dhi := s.Minibatch(dst)
+					var hit []bool
+					if src != dst && view != nil {
+						hit = view.Hit[src][fi*B : (fi+1)*B]
 					}
-					denseVecs++
-					rows := rowsPer[fi]
-					for _, raw := range fbs[fi].Bag(smp) {
-						key := uint64(fi)<<32 | uint64(uint32(embedding.HashIndex(raw, rows)))
-						pos, fresh := pairIdx.insert(key)
-						if fresh {
-							newHere++
-							if cfg.Functional {
-								keys = append(keys, key)
-							}
-						}
-						missIdx++
-						if cfg.Functional {
-							expand = append(expand, pos)
-						}
-						if !remote {
+					pairSet.reset(rows, fn)
+					for smp := dlo; smp < dhi; smp++ {
+						if hit != nil && hit[smp] {
 							continue
 						}
-						pos, fresh = nodeIdx.insert(key)
-						if fresh {
-							nodeNewHere++
-							if cfg.Functional {
+						a.dense++
+						bag := fb.Bag(smp)
+						a.miss += int64(len(bag))
+						for _, raw := range bag {
+							row := embedding.HashIndex(raw, rows)
+							if !fn {
+								// The pair's rows are all in the node set
+								// already: only pair-fresh rows can be new
+								// there.
+								if pairSet.add(row) {
+									a.newAt[smp-dlo]++
+									if remote && nodeSet.add(row) {
+										nodeNewAt[smp-nodeLo]++
+									}
+								}
+								continue
+							}
+							key := uint64(fi)<<32 | uint64(row)
+							pos, fresh := pairSet.insert(row, int32(len(a.keys)))
+							if fresh {
+								a.newAt[smp-dlo]++
+								a.keys = append(a.keys, key)
+							}
+							a.expand = append(a.expand, pos)
+							if !remote {
+								continue
+							}
+							pos, fresh = nodeSet.insert(row, int32(len(nodeKeys)))
+							if fresh {
+								nodeNewAt[smp-nodeLo]++
 								nodeKeys = append(nodeKeys, key)
 							}
-						}
-						if cfg.Functional {
-							nodeExpand = append(nodeExpand, pos)
+							a.nodeExpand = append(a.nodeExpand, pos)
 						}
 					}
+					a.uniq += int64(pairSet.len())
 				}
-				newAt[smp-dlo] = newHere
 				if remote {
-					nodeNewAt[smp-nodeLo] = nodeNewHere
+					nodeUniq += int64(nodeSet.len())
 				}
 			}
-			uniq := int64(pairIdx.len())
-			wire := src != dst && uniq < denseVecs
-			dv.MissIdx[src][dst] = missIdx
-			dv.Uniq[src][dst] = uniq
-			dv.DenseVecs[src][dst] = denseVecs
-			dv.Wire[src][dst] = wire
-			dv.Gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(uniq, missIdx)
-			dv.NewAt[src][dst] = newAt
-			if cfg.Functional && wire {
-				dv.Keys[src][dst] = keys
-				dv.Expand[src][dst] = expand
-			}
-			if src != dst {
-				ctr.EligibleIdx += missIdx
-				ctr.EligibleVecs += denseVecs
-				ctr.UniqueRows += uniq
-				if wire {
-					ctr.WireRows += uniq
-					ctr.WireSavedBytes += float64(denseVecs-uniq) * vb
-				} else {
-					ctr.WireVecs += denseVecs
+			var nodeDense int64
+			for li, a := range acc {
+				dst := first + li
+				wire := src != dst && a.uniq < a.dense
+				dv.MissIdx[src][dst] = a.miss
+				dv.Uniq[src][dst] = a.uniq
+				dv.DenseVecs[src][dst] = a.dense
+				dv.Wire[src][dst] = wire
+				dv.Gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(a.uniq, a.miss)
+				dv.NewAt[src][dst] = a.newAt
+				if fn && wire {
+					dv.Keys[src][dst] = a.keys
+					dv.Expand[src][dst] = a.expand
+				}
+				nodeDense += a.dense
+				if src != dst {
+					ctr.EligibleIdx += a.miss
+					ctr.EligibleVecs += a.dense
+					ctr.UniqueRows += a.uniq
+					if wire {
+						ctr.WireRows += a.uniq
+						ctr.WireSavedBytes += float64(a.dense-a.uniq) * vb
+					} else {
+						ctr.WireVecs += a.dense
+					}
 				}
 			}
 			if !remote {
 				continue
 			}
-			nodeDense += denseVecs
-			nodeExp[li] = nodeExpand
-			if li < per-1 {
-				continue
-			}
-			// The node's last consumer: its key set is complete.
-			nodeUniq := int64(nodeIdx.len())
 			nodeWire := nodeUniq < nodeDense
 			dv.NodeUniq[src][node] = nodeUniq
 			dv.NodeDense[src][node] = nodeDense
 			dv.NodeWire[src][node] = nodeWire
 			dv.NodeNewAt[src][node] = nodeNewAt
-			if cfg.Functional && nodeWire {
+			if fn && nodeWire {
 				dv.NodeKeys[src][node] = nodeKeys
-				copy(dv.NodeExpand[src][node*per:], nodeExp)
+				for li, a := range acc {
+					dv.NodeExpand[src][first+li] = a.nodeExpand
+				}
 			}
 		}
 	}
 	s.dedupStats = s.dedupStats.Add(ctr)
 	return dv
+}
+
+// pairAcc accumulates one (owner, consumer) pair's classification while the
+// table-major walk visits its consumer group.
+type pairAcc struct {
+	miss, dense, uniq int64
+	newAt             []int32
+	keys              []uint64 // functional only: first-seen keys, table-major
+	expand            []int32  // functional only: each reference's position in keys
+	nodeExpand        []int32  // functional only: each reference's position in the node's keys
 }
 
 // ownerScratch fills the run's per-owner classifier scratch: src's feature

@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"cmp"
+	"fmt"
 	"slices"
 )
 
@@ -72,8 +73,8 @@ func (s *System) walkDone(bd *BatchData) {
 
 // replay executes a batch's transfer log into bd.Final. Dense transfers pool
 // straight into their final slots; wire and node-wire transfers are grouped
-// per (shard, consumer) pair or (shard, node), their rows staged in sample
-// order, and the group's consumers expand from the staged set. Cache and
+// per (shard, consumer) pair or (shard, node), each group stages its key
+// list's rows, and the group's consumers expand from the staged set. Cache and
 // mirror hits were pooled at classification time and are skipped.
 func (s *System) replay(bd *BatchData) {
 	recs := bd.log.recs
@@ -85,7 +86,7 @@ func (s *System) replay(bd *BatchData) {
 	}
 	slices.SortFunc(recs, func(a, b transfer) int {
 		return cmp.Or(cmp.Compare(a.route, b.route), cmp.Compare(a.shard, b.shard),
-			cmp.Compare(group(a), group(b)), cmp.Compare(a.lo, b.lo))
+			cmp.Compare(group(a), group(b)))
 	})
 	for i := 0; i < len(recs); {
 		t := recs[i]
@@ -126,10 +127,12 @@ func (s *System) replayDense(bd *BatchData, t transfer) {
 	}
 }
 
-// replayRows stages one pair's (or one node's) unique rows from its wire
-// transfers, taken in sample order so each transfer's rows are the next
-// vecs keys of the first-seen key list, then expands every consumer the
-// rows serve: the pair's consumer, or each consumer on the node.
+// replayRows stages one pair's (or one node's) unique rows — its whole
+// first-seen key list, which the group's wire transfers carry between them —
+// then expands every consumer the rows serve: the pair's consumer, or each
+// consumer on the node. The key list is table-major while the transfers
+// split it by sample range, so the transfers' vectors are checked only in
+// sum against it.
 func (s *System) replayRows(bd *BatchData, group []transfer) {
 	cfg := s.Cfg
 	t := group[0]
@@ -143,16 +146,19 @@ func (s *System) replayRows(bd *BatchData, group []transfer) {
 		first = node * s.cluster.GPUsPerNode
 		last = first + s.cluster.GPUsPerNode - 1
 	}
-	rows := scratchSlice(&s.replayScr, len(keys)*cfg.Dim)
-	clear(rows)
-	at := 0
+	vecs := 0
 	for _, t := range group {
-		for _, key := range keys[at : at+t.vecs] {
-			w := s.colls[o].Tables[int(key>>32)].Weights.Data()
-			row := int(uint32(key))
-			copy(rows[at*cfg.Dim:(at+1)*cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
-			at++
-		}
+		vecs += t.vecs
+	}
+	if vecs != len(keys) {
+		panic(fmt.Sprintf("retrieval: shard %d %s transfers to GPU %d log %d rows, key list holds %d",
+			o, t.route, t.consumer, vecs, len(keys)))
+	}
+	rows := scratchSlice(&s.replayScr, len(keys)*cfg.Dim)
+	for at, key := range keys {
+		w := s.colls[o].Tables[int(key>>32)].Weights.Data()
+		row := int(uint32(key))
+		copy(rows[at*cfg.Dim:(at+1)*cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
 	}
 	for c := first; c <= last; c++ {
 		expand := dv.Expand[o][c]

@@ -1,6 +1,9 @@
 package sim
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 func BenchmarkEventScheduleAndRun(b *testing.B) {
 	for i := 0; i < b.N; i++ {
@@ -51,12 +54,22 @@ func BenchmarkRNGIntn(b *testing.B) {
 	_ = sink
 }
 
+// BenchmarkZipfTableNext times one draw on a large table and on a small,
+// steeply skewed one shaped like the 4096-row tables of a 16-GPU cluster
+// workload.
 func BenchmarkZipfTableNext(b *testing.B) {
-	zt := NewZipfTable(NewRNG(1), 1.1, 1<<20)
-	b.ResetTimer()
-	var sink int
-	for i := 0; i < b.N; i++ {
-		sink ^= zt.Next()
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{1 << 20, 1.1}, {4096, 1.2}} {
+		b.Run(fmt.Sprintf("n=%d/s=%v", c.n, c.s), func(b *testing.B) {
+			zt := NewZipfTable(NewRNG(1), c.s, c.n)
+			b.ResetTimer()
+			var sink int
+			for i := 0; i < b.N; i++ {
+				sink ^= zt.Next()
+			}
+			_ = sink
+		})
 	}
-	_ = sink
 }

@@ -95,12 +95,12 @@ func (r *RNG) Perm(n int) []int {
 // lookup to one short CDF segment. It holds no RNG, so one table can be
 // built once and shared read-only by any number of samplers and goroutines.
 //
-// The guide has K+1 entries, K the largest power of two <= n/4 (at least
-// 1): guide[j] is the first rank whose cdf >= j/K. A uniform u in [0, 1)
-// falls in bucket j = int(u*K), and its rank — the first with cdf >= u —
-// lies in [guide[j], guide[j+1]]. Because K is a power of two, u*K and j/K
-// are exact in float64, so the guided search returns exactly the rank a
-// binary search over the whole table would.
+// The guide has K+1 entries, K the least power of two >= n (4n to 8n bytes
+// beside the CDF's 8n): guide[j] is the first rank whose cdf >= j/K. A
+// uniform u in [0, 1) falls in bucket j = int(u*K), and its rank — the
+// first with cdf >= u — lies in [guide[j], guide[j+1]]. Because K is a
+// power of two, u*K and j/K are exact in float64, so the guided search
+// returns exactly the rank a binary search over the whole table would.
 type ZipfCDF struct {
 	s     float64
 	cdf   []float64
@@ -126,7 +126,7 @@ func NewZipfCDF(s float64, n int) *ZipfCDF {
 	cdf[n-1] = 1 // guard against float round-off
 
 	k := 1
-	for 8*k <= n {
+	for k < n {
 		k *= 2
 	}
 	guide := make([]int32, k+1)
@@ -187,7 +187,7 @@ func (z *ZipfCDF) Sampler(rng *RNG) *ZipfTable {
 // the RNG its draws consume. Construction is O(n); sampling is expected
 // O(1) for any n and s: every guide bucket is hit with probability 1/K and
 // the bucket segments total at most n+K ranks, so (by Jensen) a draw takes
-// at most log2(n/K+1) < 4 search steps on average. The embedding workloads
+// at most log2(n/K+1) <= 1 search step on average. The embedding workloads
 // use it for hot-item skew experiments.
 type ZipfTable struct {
 	*ZipfCDF

@@ -236,9 +236,12 @@ func TestZipfGuideMatchesBinarySearch(t *testing.T) {
 					t.Fatalf("n=%d s=%v draw %d (u=%v): guided rank %d, full search %d", n, s, i, u, got, want)
 				}
 			}
-			k := int(zt.k)
-			if k&(k-1) != 0 || (k > 1 && 4*k > n) {
-				t.Fatalf("n=%d: guide has %d buckets, want a power of two <= n/4", n, k)
+			k, want := int(zt.k), 1
+			for want < n {
+				want *= 2
+			}
+			if k != want || len(zt.guide) != k+1 {
+				t.Fatalf("n=%d: guide has %d buckets (%d entries), want %d, the least power of two >= n", n, k, len(zt.guide), want)
 			}
 			for j := 0; j < k; j++ {
 				edge := float64(j) / float64(k)
