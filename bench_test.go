@@ -18,11 +18,11 @@ package pgasemb_test
 // benchmark iteration simulates a fixed number of inference batches;
 // sim_ms_per_batch reports the simulated per-batch runtime.
 //
-// The cmd/weakscale, cmd/strongscale and cmd/commtrace binaries produce the
-// same artifacts as rendered tables/charts at the paper's full 100-batch
-// configuration.
+// cmd/report writes the same artifacts as rendered tables and charts into
+// results/, at the paper's full 100-batch configuration.
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -38,7 +38,7 @@ func runScaling(b *testing.B, kind pgasemb.ScalingKind) *pgasemb.ScalingResult {
 	b.Helper()
 	var res *pgasemb.ScalingResult
 	for i := 0; i < b.N; i++ {
-		r, err := pgasemb.RunScaling(kind, pgasemb.ExperimentOptions{Batches: benchBatches})
+		r, err := pgasemb.RunScaling(context.Background(), kind, pgasemb.ExperimentOptions{Batches: benchBatches})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -107,7 +107,7 @@ func benchCommVolume(b *testing.B, kind pgasemb.ScalingKind, gpus int) {
 	b.Helper()
 	var cv *pgasemb.CommVolumeResult
 	for i := 0; i < b.N; i++ {
-		r, err := pgasemb.RunCommVolume(kind, gpus, 100, pgasemb.ExperimentOptions{Batches: 2})
+		r, err := pgasemb.RunCommVolume(context.Background(), kind, gpus, 100, pgasemb.ExperimentOptions{Batches: 2})
 		if err != nil {
 			b.Fatal(err)
 		}

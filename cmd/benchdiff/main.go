@@ -22,6 +22,7 @@ import (
 	"os"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func main() {
@@ -30,19 +31,19 @@ func main() {
 	tolerance := flag.Float64("tolerance", 15, "allowed ns/op growth in percent")
 	flag.Parse()
 	if *tolerance < 0 {
-		fatal(fmt.Errorf("-tolerance must be non-negative, got %g", *tolerance))
+		cliflag.Fatal(fmt.Errorf("-tolerance must be non-negative, got %g", *tolerance))
 	}
 
 	oldRep, err := load(*oldPath)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	newRep, err := load(*newPath)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	if len(oldRep.HotPaths) == 0 {
-		fatal(fmt.Errorf("%s records no hot paths (regenerate it with `make bench`)", *oldPath))
+		cliflag.Fatal(fmt.Errorf("%s records no hot paths (regenerate it with `make bench`)", *oldPath))
 	}
 
 	fresh := make(map[string]pgasemb.HotPathBenchmark, len(newRep.HotPaths))
@@ -102,9 +103,4 @@ func load(path string) (*pgasemb.BenchReport, error) {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
 	return rep, nil
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "benchdiff:", err)
-	os.Exit(1)
 }

@@ -21,13 +21,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 	"time"
 
@@ -43,41 +39,19 @@ func main() {
 	nodes := flag.Int("nodes", 0, "NVLink islands joined by the NIC fabric (0 = single node)")
 	rate := flag.Float64("rate", 4000, "arrival rate (requests/second)")
 	duration := flag.Duration("duration", time.Second, "simulated arrival window per sweep point")
-	backend := flag.String("backend", "both", "backend to sweep: a registered backend name, pgas (alias for pgas-fused), or both")
+	backend := flag.String("backend", "both", "backend to sweep: registered backend names, pgas (alias for pgas-fused), or both")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep points")
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequirePositive("gpus")
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var backends []pgasemb.Backend
-	switch *backend {
-	case "both":
-		backends = []pgasemb.Backend{pgasemb.NewBaseline(), pgasemb.NewPGASFused()}
-	case "pgas": // alias, matching cmd/serve
-		backends = []pgasemb.Backend{pgasemb.NewPGASFused()}
-	default:
-		be, err := pgasemb.NewBackendByName(*backend)
-		if err != nil {
-			fatal(fmt.Errorf("%w; also accepted: both, pgas", err))
-		}
-		backends = []pgasemb.Backend{be}
-	}
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
 	opts := pgasemb.ChaosOptions{
-		Profiles: parseStrings(*profiles, "-profiles"),
-		Replicas: parseInts(*replicas, "-replicas"),
-		Backends: backends,
+		Profiles: cliflag.Strings("profiles", *profiles),
+		Replicas: cliflag.Ints("replicas", *replicas),
+		Backends: cliflag.Backends("backend", *backend),
 		GPUs:     *gpus,
 		Nodes:    *nodes,
 		Rate:     *rate,
@@ -85,59 +59,16 @@ func main() {
 		Parallel: *parallel,
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
 	fmt.Printf("== Chaos sweep (%d GPUs, %d nodes, %.0f req/s, %v simulated per point) ==\n",
 		*gpus, *nodes, *rate, *duration)
-	res, err := pgasemb.RunChaosContext(ctx, opts)
+	res, err := pgasemb.RunChaos(ctx, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	t := res.Table()
-	if err := os.WriteFile(filepath.Join(*out, "chaos.txt"), []byte(t.Render()), 0o644); err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(*out, "chaos.csv"), []byte(t.CSV()), 0o644); err != nil {
-		fatal(err)
+	if err := cliflag.WriteTable(*out, "chaos", t); err != nil {
+		cliflag.Fatal(err)
 	}
 	fmt.Println(t.Render())
 	fmt.Printf("artifacts written to %s/\n", *out)
-}
-
-func parseStrings(s, flagName string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func parseInts(s, flagName string) []int {
-	var out []int
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.Atoi(f)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", flagName, err))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "chaos:", err)
-	os.Exit(1)
 }

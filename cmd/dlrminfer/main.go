@@ -22,11 +22,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"pgasemb"
 	"pgasemb/internal/cliflag"
@@ -44,30 +42,14 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequirePositive("gpus", "batches", "pipeline")
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
 	prec, err := pgasemb.ParsePrecision(*precision)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "dlrminfer: %v\n", err)
-		os.Exit(2)
+		cliflag.Usage(err)
 	}
-
-	var backends []pgasemb.Backend
-	for _, name := range strings.Split(*backendNames, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		be, err := pgasemb.NewBackendByName(name)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "dlrminfer: %v\n", err)
-			os.Exit(2)
-		}
-		backends = append(backends, be)
-	}
-	if len(backends) == 0 {
-		fmt.Fprintln(os.Stderr, "dlrminfer: -backend selected no backends")
-		os.Exit(2)
-	}
+	backends := cliflag.Backends("backend", *backendNames)
 
 	var cfg pgasemb.Config
 	switch *kind {
@@ -76,8 +58,7 @@ func main() {
 	case "strong":
 		cfg = pgasemb.StrongScalingConfig(*gpus)
 	default:
-		fmt.Fprintln(os.Stderr, "dlrminfer: -kind must be weak or strong")
-		os.Exit(2)
+		cliflag.Usage(fmt.Errorf("-kind must be weak or strong"))
 	}
 	cfg.Batches = *batches
 	cfg.Dedup = *dedup
@@ -85,13 +66,6 @@ func main() {
 	cfg.WirePrecision = prec
 	if *seed != 0 {
 		cfg.Seed = *seed
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
 	}
 
 	fmt.Printf("DLRM inference: %s scaling, %d GPUs, %d tables, batch %d, %d batches, pipeline depth %d, wire %s, seed %d\n\n",

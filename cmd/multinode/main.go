@@ -14,10 +14,8 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
 
 	"pgasemb"
 	"pgasemb/internal/cliflag"
@@ -35,21 +33,15 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequirePositive("nodes", "gpus-per-node")
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
 	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
-		fmt.Fprintln(os.Stderr, "multinode:", err)
-		os.Exit(2)
+		cliflag.Usage(err)
 	}
 	prec, err := pgasemb.ParsePrecision(*precision)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "multinode:", err)
-		os.Exit(2)
-	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
+		cliflag.Usage(err)
 	}
 	opts := pgasemb.MultiNodeOptions{
 		MaxNodes:      *nodes,
@@ -60,20 +52,17 @@ func main() {
 		WirePrecision: prec,
 		Parallel:      *parallel,
 	}
-	var tables []*pgasemb.RenderedTable
 	for _, kind := range []pgasemb.ScalingKind{pgasemb.WeakScaling, pgasemb.StrongScaling} {
-		res, err := pgasemb.RunMultiNodeContext(ctx, kind, opts)
+		res, err := pgasemb.RunMultiNode(ctx, kind, opts)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "multinode:", err)
-			os.Exit(1)
+			cliflag.Fatal(err)
 		}
-		tables = append(tables, res.ScalingTable(), res.CommTable())
-	}
-	for _, t := range tables {
-		if *csv {
-			fmt.Print(t.CSV())
-		} else {
-			fmt.Println(t.Render())
+		for _, t := range []*pgasemb.RenderedTable{res.ScalingTable(), res.CommTable()} {
+			if *csv {
+				fmt.Print(t.CSV())
+			} else {
+				fmt.Println(t.Render())
+			}
 		}
 	}
 }

@@ -19,13 +19,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"pgasemb"
@@ -40,41 +36,19 @@ func main() {
 	batches := flag.Int("batches", 48, "batches per sweep point")
 	every := flag.Int("every", 8, "rebalance epoch length in batches")
 	hot := flag.Int("hot", 2, "mirror budget of the adaptive+mirror policy")
-	backend := flag.String("backend", "both", "backend to sweep: a registered backend name, pgas (alias for pgas-fused), or both")
+	backend := flag.String("backend", "both", "backend to sweep: registered backend names, pgas (alias for pgas-fused), or both")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent sweep points")
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequirePositive("gpus", "batches", "every", "hot")
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var backends []pgasemb.Backend
-	switch *backend {
-	case "both":
-		backends = []pgasemb.Backend{pgasemb.NewBaseline(), pgasemb.NewPGASFused()}
-	case "pgas": // alias, matching cmd/serve
-		backends = []pgasemb.Backend{pgasemb.NewPGASFused()}
-	default:
-		be, err := pgasemb.NewBackendByName(*backend)
-		if err != nil {
-			fatal(fmt.Errorf("%w; also accepted: both, pgas", err))
-		}
-		backends = []pgasemb.Backend{be}
-	}
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
 	opts := pgasemb.PlacementOptions{
-		Policies:       parseStrings(*policies, "-policies"),
-		ZipfExponents:  parseFloats(*zipf, "-zipf"),
-		Backends:       backends,
+		Policies:       cliflag.Strings("policies", *policies),
+		ZipfExponents:  cliflag.Floats("zipf", *zipf),
+		Backends:       cliflag.Backends("backend", *backend),
 		GPUs:           *gpus,
 		Batches:        *batches,
 		RebalanceEvery: *every,
@@ -82,59 +56,16 @@ func main() {
 		Parallel:       *parallel,
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
 	fmt.Printf("== Placement sweep (%d GPUs, %d batches, rebalance every %d, %d mirrors) ==\n",
 		*gpus, *batches, *every, *hot)
-	res, err := pgasemb.RunPlacementContext(ctx, opts)
+	res, err := pgasemb.RunPlacement(ctx, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	t := res.Table()
-	if err := os.WriteFile(filepath.Join(*out, "placement.txt"), []byte(t.Render()), 0o644); err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(*out, "placement.csv"), []byte(t.CSV()), 0o644); err != nil {
-		fatal(err)
+	if err := cliflag.WriteTable(*out, "placement", t); err != nil {
+		cliflag.Fatal(err)
 	}
 	fmt.Println(t.Render())
 	fmt.Printf("artifacts written to %s/\n", *out)
-}
-
-func parseStrings(s, flagName string) []string {
-	var out []string
-	for _, f := range strings.Split(s, ",") {
-		if f = strings.TrimSpace(f); f != "" {
-			out = append(out, f)
-		}
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func parseFloats(s, flagName string) []float64 {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", flagName, err))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "placement:", err)
-	os.Exit(1)
 }

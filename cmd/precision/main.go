@@ -15,21 +15,12 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"pgasemb"
 	"pgasemb/internal/cliflag"
 )
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "precision:", err)
-	os.Exit(1)
-}
 
 func main() {
 	nodes := flag.Int("nodes", 1, "NVLink node count (>1 adds NIC-joined cluster fabric)")
@@ -43,28 +34,16 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequirePositive("nodes", "gpus-per-node")
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
 	var names []string
 	if *backends != "" {
-		for _, n := range strings.Split(*backends, ",") {
-			n = strings.TrimSpace(n)
-			if n == "" {
-				continue
-			}
-			if _, err := pgasemb.NewBackendByName(n); err != nil {
-				fmt.Fprintln(os.Stderr, "precision:", err)
-				os.Exit(2)
-			}
-			names = append(names, n)
+		for _, be := range cliflag.Backends("backends", *backends) {
+			names = append(names, be.Name())
 		}
 	}
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-	res, err := pgasemb.RunPrecisionContext(ctx, pgasemb.PrecisionOptions{
+	res, err := pgasemb.RunPrecision(ctx, pgasemb.PrecisionOptions{
 		Nodes:       *nodes,
 		GPUsPerNode: *gpusPerNode,
 		Batches:     *batches,
@@ -73,7 +52,7 @@ func main() {
 		Parallel:    *parallel,
 	})
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	t := res.SweepTable()
 	if *csv {
@@ -82,14 +61,8 @@ func main() {
 		fmt.Println(t.Render())
 	}
 	if *out != "" {
-		if err := os.MkdirAll(*out, 0o755); err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(*out, "precision.txt"), []byte(t.Render()), 0o644); err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(*out, "precision.csv"), []byte(t.CSV()), 0o644); err != nil {
-			fatal(err)
+		if err := cliflag.WriteTable(*out, "precision", t); err != nil {
+			cliflag.Fatal(err)
 		}
 	}
 }

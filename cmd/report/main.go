@@ -22,7 +22,6 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
 	"os"
@@ -30,6 +29,7 @@ import (
 	"runtime"
 
 	"pgasemb"
+	"pgasemb/internal/cliflag"
 )
 
 func main() {
@@ -42,49 +42,44 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
 	timeout := flag.Duration("timeout", 0, "abort the whole report after this duration (0 = no limit)")
 	flag.Parse()
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
-
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
+	cliflag.RequirePositive("batches")
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
 	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
-		fatal(err)
+		cliflag.Usage(err)
 	}
 	bench := pgasemb.NewBench()
 	opts := pgasemb.ExperimentOptions{Batches: *batches, Backend: *backend, Dedup: *dedup, Parallel: *parallel, Bench: bench}
 
 	write := func(name string, t *pgasemb.RenderedTable) {
-		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(t.Render()), 0o644); err != nil {
-			fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(*out, name+".csv"), []byte(t.CSV()), 0o644); err != nil {
-			fatal(err)
+		if err := cliflag.WriteTable(*out, name, t); err != nil {
+			cliflag.Fatal(err)
 		}
 		fmt.Println(t.Render())
 	}
+	writeChart := func(name, chart string) {
+		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(chart), 0o644); err != nil {
+			cliflag.Fatal(err)
+		}
+	}
 
 	fmt.Println("== Weak scaling (Table 1, Figures 5-6) ==")
-	weak, err := pgasemb.RunScalingContext(ctx, pgasemb.WeakScaling, opts)
+	weak, err := pgasemb.RunScaling(ctx, pgasemb.WeakScaling, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	write("table1_weak_speedups", weak.SpeedupTable())
 	write("fig5_weak_factors", weak.FactorTable())
 	write("fig6_weak_breakdown", weak.BreakdownTable())
 
 	fmt.Println("== Strong scaling (Table 2, Figures 8-9) ==")
-	strong, err := pgasemb.RunScalingContext(ctx, pgasemb.StrongScaling, opts)
+	strong, err := pgasemb.RunScaling(ctx, pgasemb.StrongScaling, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	write("table2_strong_speedups", strong.SpeedupTable())
 	write("fig8_strong_factors", strong.FactorTable())
@@ -100,45 +95,39 @@ func main() {
 	}
 	traceOpts := opts
 	traceOpts.Batches = traceBatches
-	fig7, err := pgasemb.RunCommVolumeContext(ctx, pgasemb.WeakScaling, 2, 120, traceOpts)
+	fig7, err := pgasemb.RunCommVolume(ctx, pgasemb.WeakScaling, 2, 120, traceOpts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	write("fig7_comm_volume_2gpu", fig7.CSVTable())
-	if err := os.WriteFile(filepath.Join(*out, "fig7_comm_volume_2gpu_chart.txt"),
-		[]byte(fig7.CommVolumeCharts(10)), 0o644); err != nil {
-		fatal(err)
-	}
-	fig10, err := pgasemb.RunCommVolumeContext(ctx, pgasemb.StrongScaling, 4, 120, traceOpts)
+	writeChart("fig7_comm_volume_2gpu_chart", fig7.CommVolumeCharts(10))
+	fig10, err := pgasemb.RunCommVolume(ctx, pgasemb.StrongScaling, 4, 120, traceOpts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	write("fig10_comm_volume_4gpu", fig10.CSVTable())
-	if err := os.WriteFile(filepath.Join(*out, "fig10_comm_volume_4gpu_chart.txt"),
-		[]byte(fig10.CommVolumeCharts(10)), 0o644); err != nil {
-		fatal(err)
-	}
+	writeChart("fig10_comm_volume_4gpu_chart", fig10.CommVolumeCharts(10))
 
 	fmt.Println("== Mechanism ablations ==")
-	ab, err := pgasemb.RunAblationsContext(ctx, 4, opts)
+	ab, err := pgasemb.RunAblations(ctx, 4, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	write("ablations", pgasemb.AblationTable(ab))
 
 	fmt.Println("== Inter-batch pipelining ==")
-	pd, err := pgasemb.RunPipelineDepthContext(ctx, 4, []int{1, 2}, opts)
+	pd, err := pgasemb.RunPipelineDepth(ctx, 4, []int{1, 2}, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	write("pipeline_depth", pgasemb.PipelineDepthTable(pd))
 
 	if *seeds > 0 {
 		fmt.Println("== Multi-seed statistics ==")
 		for _, kind := range []pgasemb.ScalingKind{pgasemb.WeakScaling, pgasemb.StrongScaling} {
-			stats, err := pgasemb.RunScalingStatsContext(ctx, kind, *seeds, opts)
+			stats, err := pgasemb.RunScalingStats(ctx, kind, *seeds, opts)
 			if err != nil {
-				fatal(err)
+				cliflag.Fatal(err)
 			}
 			write(fmt.Sprintf("stats_%s", kind), pgasemb.StatsTable(kind, stats))
 		}
@@ -147,7 +136,7 @@ func main() {
 	if *benchHot {
 		fmt.Println("== Hot-path benchmarks ==")
 		if err := pgasemb.RunHotPaths(bench); err != nil {
-			fatal(err)
+			cliflag.Fatal(err)
 		}
 		for _, h := range bench.Report().HotPaths {
 			fmt.Printf("%-36s %10.0f ns/op  %6d B/op  %4d allocs/op\n",
@@ -158,22 +147,17 @@ func main() {
 	benchPath := filepath.Join(*out, "bench.json")
 	bf, err := os.Create(benchPath)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	if err := bench.WriteJSON(bf); err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	if err := bf.Close(); err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	rep := bench.Report()
 	fmt.Printf("host timing: %.1fs wall, %.1fs of simulation across %d workers (%s)\n",
-		rep.TotalWallSeconds, rep.TotalRunSeconds, *parallel, benchPath)
+		rep.TotalWallSeconds, rep.TotalRunSeconds, rep.Experiments[0].Parallel, benchPath)
 
 	fmt.Printf("artifacts written to %s/\n", *out)
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "report:", err)
-	os.Exit(1)
 }

@@ -20,14 +20,9 @@
 package main
 
 import (
-	"context"
 	"flag"
 	"fmt"
-	"os"
-	"path/filepath"
 	"runtime"
-	"strconv"
-	"strings"
 	"time"
 
 	"pgasemb"
@@ -39,7 +34,7 @@ func main() {
 	cacheFracs := flag.String("cache", "0,0.01,0.05", "comma-separated hot-row cache sizes (fraction of device memory)")
 	duration := flag.Duration("duration", 2*time.Second, "simulated arrival window per sweep point")
 	gpus := flag.Int("gpus", 4, "GPUs in the serving machine")
-	backend := flag.String("backend", "both", "backend to sweep: a registered backend name (see -backend help), pgas (alias for pgas-fused), or both")
+	backend := flag.String("backend", "both", "backend to sweep: registered backend names, pgas (alias for pgas-fused), or both")
 	arrival := flag.String("arrival", "poisson", "arrival process: poisson or bursty")
 	dedup := flag.Bool("dedup", false, "add the batch-level index-deduplication axis (each point runs with dedup off and on)")
 	seed := flag.Uint64("seed", 0, "arrival-process seed (0 = workload default)")
@@ -50,33 +45,12 @@ func main() {
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequirePositive("gpus", "pipeline")
-	if *parallel <= 0 {
-		*parallel = runtime.GOMAXPROCS(0)
-	}
+	ctx, cancel := cliflag.Context(*timeout)
+	defer cancel()
 
-	ctx := context.Background()
-	if *timeout > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, *timeout)
-		defer cancel()
-	}
-
-	var backends []pgasemb.Backend
-	switch *backend {
-	case "both":
-		backends = []pgasemb.Backend{pgasemb.NewBaseline(), pgasemb.NewPGASFused()}
-	case "pgas": // legacy alias
-		backends = []pgasemb.Backend{pgasemb.NewPGASFused()}
-	default:
-		be, err := pgasemb.NewBackendByName(*backend)
-		if err != nil {
-			fatal(fmt.Errorf("%w; also accepted: both, pgas", err))
-		}
-		backends = []pgasemb.Backend{be}
-	}
 	prec, err := pgasemb.ParsePrecision(*precision)
 	if err != nil {
-		fatal(err)
+		cliflag.Usage(err)
 	}
 	var arr pgasemb.Arrival
 	switch *arrival {
@@ -85,13 +59,13 @@ func main() {
 	case "bursty":
 		arr = pgasemb.BurstyArrivals
 	default:
-		fatal(fmt.Errorf("unknown -arrival %q (want poisson or bursty)", *arrival))
+		cliflag.Usage(fmt.Errorf("unknown -arrival %q (want poisson or bursty)", *arrival))
 	}
 
 	opts := pgasemb.ServingOptions{
-		Rates:          parseFloats(*rates, "-rate"),
-		CacheFractions: parseFloats(*cacheFracs, "-cache"),
-		Backends:       backends,
+		Rates:          cliflag.Floats("rate", *rates),
+		CacheFractions: cliflag.Floats("cache", *cacheFracs),
+		Backends:       cliflag.Backends("backend", *backend),
 		GPUs:           *gpus,
 		Duration:       duration.Seconds(),
 		Serve:          pgasemb.ServeConfig{Arrival: arr, Seed: *seed},
@@ -103,46 +77,16 @@ func main() {
 		opts.Dedups = []bool{false, true}
 	}
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		fatal(err)
-	}
 	fmt.Printf("== Online serving sweep (%d GPUs, %s arrivals, %v simulated per point) ==\n",
 		*gpus, arr, *duration)
-	res, err := pgasemb.RunServingContext(ctx, opts)
+	res, err := pgasemb.RunServing(ctx, opts)
 	if err != nil {
-		fatal(err)
+		cliflag.Fatal(err)
 	}
 	t := res.Table()
-	if err := os.WriteFile(filepath.Join(*out, "serving.txt"), []byte(t.Render()), 0o644); err != nil {
-		fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(*out, "serving.csv"), []byte(t.CSV()), 0o644); err != nil {
-		fatal(err)
+	if err := cliflag.WriteTable(*out, "serving", t); err != nil {
+		cliflag.Fatal(err)
 	}
 	fmt.Println(t.Render())
 	fmt.Printf("artifacts written to %s/\n", *out)
-}
-
-func parseFloats(s, flagName string) []float64 {
-	var out []float64
-	for _, f := range strings.Split(s, ",") {
-		f = strings.TrimSpace(f)
-		if f == "" {
-			continue
-		}
-		v, err := strconv.ParseFloat(f, 64)
-		if err != nil {
-			fatal(fmt.Errorf("%s: %w", flagName, err))
-		}
-		out = append(out, v)
-	}
-	if len(out) == 0 {
-		fatal(fmt.Errorf("%s: empty sweep", flagName))
-	}
-	return out
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, "serve:", err)
-	os.Exit(1)
 }

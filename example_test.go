@@ -1,6 +1,7 @@
 package pgasemb_test
 
 import (
+	"context"
 	"fmt"
 
 	"pgasemb"
@@ -38,7 +39,7 @@ func ExampleNewSystem() {
 // ExampleRunScaling regenerates the headline of the paper's Table 1 at
 // reduced batch count.
 func ExampleRunScaling() {
-	res, err := pgasemb.RunScaling(pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, MaxGPUs: 2})
+	res, err := pgasemb.RunScaling(context.Background(), pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, MaxGPUs: 2})
 	if err != nil {
 		panic(err)
 	}

@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -16,7 +17,7 @@ import (
 
 func main() {
 	// Profile the paper's Figure 7 setting: weak scaling on 2 GPUs.
-	cv, err := pgasemb.RunCommVolume(pgasemb.WeakScaling, 2, 96, pgasemb.ExperimentOptions{Batches: 2})
+	cv, err := pgasemb.RunCommVolume(context.Background(), pgasemb.WeakScaling, 2, 96, pgasemb.ExperimentOptions{Batches: 2})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -5,10 +5,39 @@ import (
 	"errors"
 	"os/exec"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
 )
+
+// The list parsers trim entries and drop blanks; "both", "pgas" and
+// comma-separated registry names resolve to backends in order.
+func TestListsAndBackends(t *testing.T) {
+	if got := Strings("profiles", " none, ,straggler "); !reflect.DeepEqual(got, []string{"none", "straggler"}) {
+		t.Errorf("Strings = %q", got)
+	}
+	if got := Ints("replicas", "1,2,"); !reflect.DeepEqual(got, []int{1, 2}) {
+		t.Errorf("Ints = %v", got)
+	}
+	if got := Floats("rate", "4000, 0.5"); !reflect.DeepEqual(got, []float64{4000, 0.5}) {
+		t.Errorf("Floats = %v", got)
+	}
+	for value, want := range map[string][]string{
+		"both":              {"baseline", "pgas-fused"},
+		"pgas":              {"pgas-fused"},
+		"hybrid, baseline":  {"hybrid", "baseline"},
+		"pgas-overlap-only": {"pgas-overlap-only"},
+	} {
+		var got []string
+		for _, be := range Backends("backend", value) {
+			got = append(got, be.Name())
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Backends(%q) = %q, want %q", value, got, want)
+		}
+	}
+}
 
 // TestCommandsRejectNonPositiveSizes builds the commands and runs each with a
 // size flag below 1: every run must exit with status 2 and name the flag,
@@ -37,6 +66,7 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus"},
 		{"dlrminfer", []string{"-batches", "0"}, "-batches"},
 		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline"},
+		{"report", []string{"-batches", "0"}, "-batches"},
 	}
 	bin := t.TempDir()
 	pkgs := []string{"build", "-o", bin + string(filepath.Separator)}
@@ -55,7 +85,7 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 			// A command that accepts the value would start its sweep; the
 			// short -timeout and a scratch -out bound that failure mode.
 			args := append([]string{"-timeout", "2s"}, c.args...)
-			if c.cmd == "serve" || c.cmd == "chaos" || c.cmd == "placement" {
+			if c.cmd == "serve" || c.cmd == "chaos" || c.cmd == "placement" || c.cmd == "report" {
 				args = append(args, "-out", t.TempDir())
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)

@@ -18,14 +18,9 @@ type AblationResult struct {
 // configuration at the given GPU count: baseline, unpack-elimination only
 // (A1), overlap only (A2), full PGAS, and aggregated PGAS (A3). The paper
 // attributes its speedup to two mechanisms; this run shows each mechanism's
-// isolated contribution.
-func RunAblations(gpus int, opts Options) ([]AblationResult, error) {
-	return RunAblationsContext(context.Background(), gpus, opts)
-}
-
-// RunAblationsContext is RunAblations with cancellation; all five backends
-// run concurrently from one shared spec.
-func RunAblationsContext(ctx context.Context, gpus int, opts Options) ([]AblationResult, error) {
+// isolated contribution. All five backends run concurrently from one shared
+// spec. It returns early when ctx is done.
+func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult, error) {
 	spec, err := retrieval.NewSystemSpec(opts.apply(retrieval.WeakScalingConfig(gpus)), opts.hardware())
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ablations: %w", err)

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -29,7 +30,7 @@ var (
 func weak(t *testing.T) *ScalingResult {
 	t.Helper()
 	weakOnce.Do(func() {
-		r, err := RunScaling(WeakScaling, calOpts)
+		r, err := RunScaling(context.Background(), WeakScaling, calOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -44,7 +45,7 @@ func weak(t *testing.T) *ScalingResult {
 func strong(t *testing.T) *ScalingResult {
 	t.Helper()
 	strongOnce.Do(func() {
-		r, err := RunScaling(StrongScaling, calOpts)
+		r, err := RunScaling(context.Background(), StrongScaling, calOpts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -201,7 +202,7 @@ func TestFig9StrongBreakdownTrends(t *testing.T) {
 }
 
 func TestFig7CommVolumeOverTime2GPUs(t *testing.T) {
-	cv, err := RunCommVolume(WeakScaling, 2, 100, Options{Batches: 3})
+	cv, err := RunCommVolume(context.Background(), WeakScaling, 2, 100, Options{Batches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +210,7 @@ func TestFig7CommVolumeOverTime2GPUs(t *testing.T) {
 }
 
 func TestFig10CommVolumeOverTime4GPUs(t *testing.T) {
-	cv, err := RunCommVolume(StrongScaling, 4, 100, Options{Batches: 3})
+	cv, err := RunCommVolume(context.Background(), StrongScaling, 4, 100, Options{Batches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}

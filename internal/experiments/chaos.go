@@ -153,16 +153,11 @@ type ChaosResult struct {
 	Points   []ChaosPoint
 }
 
-// RunChaos executes the resilience sweep.
-func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
-	return RunChaosContext(context.Background(), opts)
-}
-
-// RunChaosContext is RunChaos with cancellation. Every grid point owns its
-// server, so points are independent and dispatch freely onto the worker
-// pool; results land in an index-addressed slice, byte-identical at any
-// parallelism.
-func RunChaosContext(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
+// RunChaos executes the resilience sweep. Every grid point owns its server,
+// so points are independent and dispatch freely onto the worker pool;
+// results land in an index-addressed slice, byte-identical at any
+// parallelism. It returns early when ctx is done.
+func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 	profiles := opts.profiles()
 	replicas := opts.replicas()
 	backends := opts.backends()

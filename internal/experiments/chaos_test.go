@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -33,7 +34,7 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		o := chaosTestOptions()
 		o.Parallel = parallel
-		res, err := RunChaos(o)
+		res, err := RunChaos(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func TestChaosDeterministicAcrossParallelism(t *testing.T) {
 // straggler profile costs the collective baseline tail latency.
 func TestChaosSweepContent(t *testing.T) {
 	opts := chaosTestOptions()
-	res, err := RunChaos(opts)
+	res, err := RunChaos(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,12 +104,12 @@ func TestChaosSweepContent(t *testing.T) {
 func TestChaosValidation(t *testing.T) {
 	o := chaosTestOptions()
 	o.Replicas = []int{0}
-	if _, err := RunChaos(o); err == nil {
+	if _, err := RunChaos(context.Background(), o); err == nil {
 		t.Fatal("replica count 0 accepted")
 	}
 	o = chaosTestOptions()
 	o.Profiles = []string{"nope"}
-	if _, err := RunChaos(o); err == nil {
+	if _, err := RunChaos(context.Background(), o); err == nil {
 		t.Fatal("unknown fault profile accepted")
 	}
 }

@@ -18,12 +18,12 @@ func TestScalingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	opts := fastOpts(1)
 	opts.Dedup = true
 	opts.BatchSize = 96
-	serial, err := RunScalingContext(context.Background(), WeakScaling, opts)
+	serial, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallel = 6
-	parallel, err := RunScalingContext(context.Background(), WeakScaling, opts)
+	parallel, err := RunScaling(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func TestScalingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	}
 	// Without the axis the extra runs must not exist and the tables keep
 	// their original shape.
-	plain, err := RunScalingContext(context.Background(), WeakScaling, fastOpts(2))
+	plain, err := RunScaling(context.Background(), WeakScaling, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		o := opts
 		o.Parallel = parallel
-		res, err := RunServing(o)
+		res, err := RunServing(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -7,6 +7,8 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"pgasemb/internal/sim"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -102,11 +104,11 @@ func fastOpts(parallel int) Options {
 // serial sweep's.
 func TestParallelScalingMatchesSerial(t *testing.T) {
 	for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
-		serial, err := RunScalingContext(context.Background(), kind, fastOpts(1))
+		serial, err := RunScaling(context.Background(), kind, fastOpts(1))
 		if err != nil {
 			t.Fatal(err)
 		}
-		parallel, err := RunScalingContext(context.Background(), kind, fastOpts(4))
+		parallel, err := RunScaling(context.Background(), kind, fastOpts(4))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -129,11 +131,11 @@ func TestParallelScalingMatchesSerial(t *testing.T) {
 }
 
 func TestParallelAblationsMatchSerial(t *testing.T) {
-	serial, err := RunAblationsContext(context.Background(), 3, fastOpts(1))
+	serial, err := RunAblations(context.Background(), 3, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunAblationsContext(context.Background(), 3, fastOpts(5))
+	parallel, err := RunAblations(context.Background(), 3, fastOpts(5))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,11 +145,11 @@ func TestParallelAblationsMatchSerial(t *testing.T) {
 }
 
 func TestParallelStatsMatchSerial(t *testing.T) {
-	serial, err := RunScalingStatsContext(context.Background(), WeakScaling, 3, fastOpts(1))
+	serial, err := RunScalingStats(context.Background(), WeakScaling, 3, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunScalingStatsContext(context.Background(), WeakScaling, 3, fastOpts(6))
+	parallel, err := RunScalingStats(context.Background(), WeakScaling, 3, fastOpts(6))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -159,11 +161,11 @@ func TestParallelStatsMatchSerial(t *testing.T) {
 }
 
 func TestParallelCommVolumeMatchesSerial(t *testing.T) {
-	serial, err := RunCommVolumeContext(context.Background(), WeakScaling, 2, 50, fastOpts(1))
+	serial, err := RunCommVolume(context.Background(), WeakScaling, 2, 50, fastOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := RunCommVolumeContext(context.Background(), WeakScaling, 2, 50, fastOpts(2))
+	parallel, err := RunCommVolume(context.Background(), WeakScaling, 2, 50, fastOpts(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,14 +174,80 @@ func TestParallelCommVolumeMatchesSerial(t *testing.T) {
 	}
 }
 
+func TestParallelPipelineDepthMatchesSerial(t *testing.T) {
+	serial, err := RunPipelineDepth(context.Background(), 2, []int{1, 2}, fastOpts(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel, err := RunPipelineDepth(context.Background(), 2, []int{1, 2}, fastOpts(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, p := PipelineDepthTable(serial), PipelineDepthTable(parallel)
+	if s.Render() != p.Render() || s.CSV() != p.CSV() {
+		t.Fatalf("parallel pipeline-depth table differs from serial:\n%s\n---\n%s", s.CSV(), p.CSV())
+	}
+}
+
+// Every sweep entry point honours a context cancelled before it starts.
 func TestExperimentContextCancellation(t *testing.T) {
+	sweeps := []struct {
+		name string
+		run  func(ctx context.Context) error
+	}{
+		{"RunScaling", func(ctx context.Context) error {
+			_, err := RunScaling(ctx, WeakScaling, fastOpts(2))
+			return err
+		}},
+		{"RunCommVolume", func(ctx context.Context) error {
+			_, err := RunCommVolume(ctx, WeakScaling, 2, 50, fastOpts(2))
+			return err
+		}},
+		{"RunScalingStats", func(ctx context.Context) error {
+			_, err := RunScalingStats(ctx, WeakScaling, 2, fastOpts(2))
+			return err
+		}},
+		{"RunAblations", func(ctx context.Context) error {
+			_, err := RunAblations(ctx, 2, fastOpts(2))
+			return err
+		}},
+		{"RunPipelineDepth", func(ctx context.Context) error {
+			_, err := RunPipelineDepth(ctx, 2, []int{1, 2}, fastOpts(2))
+			return err
+		}},
+		{"RunMultiNode", func(ctx context.Context) error {
+			_, err := RunMultiNode(ctx, WeakScaling, multiNodeTestOptions())
+			return err
+		}},
+		{"RunPrecision", func(ctx context.Context) error {
+			_, err := RunPrecision(ctx, precisionTestOptions())
+			return err
+		}},
+		{"RunServing", func(ctx context.Context) error {
+			base, hw := servingTestBase(), servingTestHW()
+			_, err := RunServing(ctx, ServingOptions{
+				Rates: []float64{1500}, CacheFractions: []float64{0},
+				Duration: 200 * sim.Millisecond, Base: &base, HW: &hw,
+			})
+			return err
+		}},
+		{"RunChaos", func(ctx context.Context) error {
+			_, err := RunChaos(ctx, chaosTestOptions())
+			return err
+		}},
+		{"RunPlacement", func(ctx context.Context) error {
+			_, err := RunPlacement(ctx, placementTestOptions())
+			return err
+		}},
+	}
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	if _, err := RunScalingContext(ctx, WeakScaling, fastOpts(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunScalingContext: err = %v, want context.Canceled", err)
-	}
-	if _, err := RunAblationsContext(ctx, 2, fastOpts(2)); !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunAblationsContext: err = %v, want context.Canceled", err)
+	for _, sw := range sweeps {
+		t.Run(sw.name, func(t *testing.T) {
+			if err := sw.run(ctx); !errors.Is(err, context.Canceled) {
+				t.Fatalf("err = %v, want context.Canceled", err)
+			}
+		})
 	}
 }
 
@@ -187,7 +255,7 @@ func TestBenchRecordsExperiments(t *testing.T) {
 	b := NewBench()
 	opts := fastOpts(2)
 	opts.Bench = b
-	if _, err := RunScalingContext(context.Background(), WeakScaling, opts); err != nil {
+	if _, err := RunScaling(context.Background(), WeakScaling, opts); err != nil {
 		t.Fatal(err)
 	}
 	rep := b.Report()
@@ -213,7 +281,7 @@ func TestBenchRecordsPipelineDepthRuns(t *testing.T) {
 	b := NewBench()
 	opts := fastOpts(1)
 	opts.Bench = b
-	if _, err := RunPipelineDepth(2, []int{1, 2}, opts); err != nil {
+	if _, err := RunPipelineDepth(context.Background(), 2, []int{1, 2}, opts); err != nil {
 		t.Fatal(err)
 	}
 	e := b.Report().Experiments[0]

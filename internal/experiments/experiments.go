@@ -143,16 +143,12 @@ type ScalingResult struct {
 }
 
 // RunScaling executes the weak- or strong-scaling sweep with both backends.
-func RunScaling(kind ScalingKind, opts Options) (*ScalingResult, error) {
-	return RunScalingContext(context.Background(), kind, opts)
-}
-
-// RunScalingContext is RunScaling with cancellation. The sweep's runs
-// (baseline and PGAS at every GPU count, ×2 when the dedup axis is on)
-// dispatch onto the worker pool; each (GPU count, dedup) combination shares
-// one immutable spec, and results land in an index-addressed slice so the
-// tables are byte-identical at any Parallel.
-func RunScalingContext(ctx context.Context, kind ScalingKind, opts Options) (*ScalingResult, error) {
+// The sweep's runs (baseline and PGAS at every GPU count, ×2 when the dedup
+// axis is on) dispatch onto the worker pool; each (GPU count, dedup)
+// combination shares one immutable spec, and results land in an
+// index-addressed slice so the tables are byte-identical at any Parallel. It
+// returns early when ctx is done.
+func RunScaling(ctx context.Context, kind ScalingKind, opts Options) (*ScalingResult, error) {
 	hw := opts.hardware()
 	maxGPUs := opts.maxGPUs()
 	perPoint := 2
@@ -312,15 +308,10 @@ type CommVolumeResult struct {
 
 // RunCommVolume profiles communication volume over time (the paper's
 // "communication counter" experiment) for the given scaling kind and GPU
-// count. The paper plots 2 GPUs for the weak configuration (Figure 7) and
-// 4 GPUs for the strong one (Figure 10).
-func RunCommVolume(kind ScalingKind, gpus, bins int, opts Options) (*CommVolumeResult, error) {
-	return RunCommVolumeContext(context.Background(), kind, gpus, bins, opts)
-}
-
-// RunCommVolumeContext is RunCommVolume with cancellation; the baseline and
-// PGAS runs execute concurrently from one shared spec.
-func RunCommVolumeContext(ctx context.Context, kind ScalingKind, gpus, bins int, opts Options) (*CommVolumeResult, error) {
+// count. The paper plots 2 GPUs for the weak configuration (Figure 7) and 4
+// GPUs for the strong one (Figure 10). The baseline and PGAS runs execute
+// concurrently from one shared spec. It returns early when ctx is done.
+func RunCommVolume(ctx context.Context, kind ScalingKind, gpus, bins int, opts Options) (*CommVolumeResult, error) {
 	if gpus < 2 {
 		return nil, fmt.Errorf("experiments: communication profiling needs >= 2 GPUs")
 	}

@@ -123,15 +123,11 @@ func (r *MultiNodeResult) Point(nodes int) MultiNodePoint {
 }
 
 // RunMultiNode executes the multi-node scaling sweep with both backends.
-func RunMultiNode(kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	return RunMultiNodeContext(context.Background(), kind, opts)
-}
-
-// RunMultiNodeContext is RunMultiNode with cancellation. Every (node count,
-// backend) run dispatches onto the worker pool; each node count shares one
-// immutable spec, and results land in an index-addressed slice, so the
-// tables are byte-identical at any Parallel.
-func RunMultiNodeContext(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
+// Every (node count, backend) run dispatches onto the worker pool; each node
+// count shares one immutable spec, and results land in an index-addressed
+// slice, so the tables are byte-identical at any Parallel. It returns early
+// when ctx is done.
+func RunMultiNode(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
 	maxNodes := opts.maxNodes()
 	specs := make([]*retrieval.SystemSpec, maxNodes+1)
 	for nodes := 1; nodes <= maxNodes; nodes++ {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"pgasemb/internal/retrieval"
@@ -19,7 +20,7 @@ func multiNodeTestOptions() MultiNodeOptions {
 // than the hierarchical baseline.
 func TestMultiNodeWeakScaling(t *testing.T) {
 	opts := multiNodeTestOptions()
-	res, err := RunMultiNode(WeakScaling, opts)
+	res, err := RunMultiNode(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -86,7 +87,7 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 func TestMultiNodeStrongScaling(t *testing.T) {
 	opts := multiNodeTestOptions()
 	opts.MaxNodes = 2
-	res, err := RunMultiNode(StrongScaling, opts)
+	res, err := RunMultiNode(context.Background(), StrongScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,12 +107,12 @@ func TestMultiNodeParallelInvariance(t *testing.T) {
 	opts.MaxNodes = 2
 	opts.Batches = 1
 	opts.Parallel = 1
-	serial, err := RunMultiNode(WeakScaling, opts)
+	serial, err := RunMultiNode(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallel = 4
-	parallel, err := RunMultiNode(WeakScaling, opts)
+	parallel, err := RunMultiNode(context.Background(), WeakScaling, opts)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -27,17 +27,13 @@ type PipelineDepthPoint struct {
 }
 
 // RunPipelineDepth sweeps the inter-batch pipeline depth for the baseline
-// and the accelerated backend on the weak-scaling DLRM workload at the
-// given GPU count. Depth 1 is the serial schedule; deeper runs overlap the
-// next batch's EMB exchange with the current batch's dense tail.
-func RunPipelineDepth(gpus int, depths []int, opts Options) ([]PipelineDepthPoint, error) {
-	return RunPipelineDepthContext(context.Background(), gpus, depths, opts)
-}
-
-// RunPipelineDepthContext is RunPipelineDepth with cancellation. Every
-// (backend, depth) run is independent and dispatches onto the worker pool;
-// results land in an index-addressed slice, identical at any parallelism.
-func RunPipelineDepthContext(ctx context.Context, gpus int, depths []int, opts Options) ([]PipelineDepthPoint, error) {
+// and the accelerated backend on the weak-scaling DLRM workload at the given
+// GPU count. Depth 1 is the serial schedule; deeper runs overlap the next
+// batch's EMB exchange with the current batch's dense tail. Every (backend,
+// depth) run is independent and dispatches onto the worker pool; results
+// land in an index-addressed slice, identical at any parallelism. It returns
+// early when ctx is done.
+func RunPipelineDepth(ctx context.Context, gpus int, depths []int, opts Options) ([]PipelineDepthPoint, error) {
 	if len(depths) == 0 {
 		depths = []int{1, 2}
 	}

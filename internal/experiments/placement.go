@@ -162,15 +162,11 @@ type PlacementResult struct {
 	Points   []PlacementPoint
 }
 
-// RunPlacement executes the placement-policy sweep.
-func RunPlacement(opts PlacementOptions) (*PlacementResult, error) {
-	return RunPlacementContext(context.Background(), opts)
-}
-
-// RunPlacementContext is RunPlacement with cancellation. Every grid point
-// owns its system, so points dispatch freely onto the worker pool; results
-// land in an index-addressed slice, byte-identical at any parallelism.
-func RunPlacementContext(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
+// RunPlacement executes the placement-policy sweep. Every grid point owns
+// its system, so points dispatch freely onto the worker pool; results land
+// in an index-addressed slice, byte-identical at any parallelism. It returns
+// early when ctx is done.
+func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
 	policies := opts.policies()
 	zipfs := opts.zipfs()
 	backends := opts.backends()

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"reflect"
 	"testing"
 
@@ -40,7 +41,7 @@ func TestPlacementDeterministicAcrossParallelism(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		o := placementTestOptions()
 		o.Parallel = parallel
-		res, err := RunPlacement(o)
+		res, err := RunPlacement(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +64,7 @@ func TestPlacementDeterministicAcrossParallelism(t *testing.T) {
 // static plan.
 func TestPlacementSweepContent(t *testing.T) {
 	opts := placementTestOptions()
-	res, err := RunPlacement(opts)
+	res, err := RunPlacement(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -124,7 +125,7 @@ func TestPlacementSweepContent(t *testing.T) {
 func TestPlacementValidation(t *testing.T) {
 	o := placementTestOptions()
 	o.Policies = []string{"nope"}
-	if _, err := RunPlacement(o); err == nil {
+	if _, err := RunPlacement(context.Background(), o); err == nil {
 		t.Fatal("unknown placement policy accepted")
 	}
 }

@@ -119,16 +119,11 @@ func (r *PrecisionResult) Point(backend string, dedup bool, prec retrieval.Preci
 	panic(fmt.Sprintf("experiments: no precision point for %s/dedup=%v/%s", backend, dedup, prec))
 }
 
-// RunPrecision executes the wire-precision sweep.
-func RunPrecision(opts PrecisionOptions) (*PrecisionResult, error) {
-	return RunPrecisionContext(context.Background(), opts)
-}
-
-// RunPrecisionContext is RunPrecision with cancellation. All timing cells
-// and the functional accuracy runs dispatch onto one worker pool; specs are
-// built up front and results land in index-addressed slices, so the tables
-// are byte-identical at any Parallel.
-func RunPrecisionContext(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
+// RunPrecision executes the wire-precision sweep. All timing cells and the
+// functional accuracy runs dispatch onto one worker pool; specs are built up
+// front and results land in index-addressed slices, so the tables are
+// byte-identical at any Parallel. It returns early when ctx is done.
+func RunPrecision(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
 	backends := opts.backends()
 	hw := opts.hardware()
 	dedups := []bool{false, true}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -19,7 +20,7 @@ func precisionTestOptions() PrecisionOptions {
 // renders one row per cell.
 func TestPrecisionSweep(t *testing.T) {
 	opts := precisionTestOptions()
-	res, err := RunPrecision(opts)
+	res, err := RunPrecision(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,12 +74,12 @@ func TestPrecisionParallelInvariance(t *testing.T) {
 	opts.Backends = []string{"baseline", "pgas-fused"}
 	opts.Batches = 1
 	opts.Parallel = 1
-	serial, err := RunPrecision(opts)
+	serial, err := RunPrecision(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opts.Parallel = 4
-	parallel, err := RunPrecision(opts)
+	parallel, err := RunPrecision(context.Background(), opts)
 	if err != nil {
 		t.Fatal(err)
 	}

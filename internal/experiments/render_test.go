@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"strings"
 	"testing"
 
@@ -105,7 +106,7 @@ func TestTimeSeriesChart(t *testing.T) {
 }
 
 func TestCommVolumeRendering(t *testing.T) {
-	cv, err := RunCommVolume(WeakScaling, 2, 40, Options{Batches: 1})
+	cv, err := RunCommVolume(context.Background(), WeakScaling, 2, 40, Options{Batches: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -120,7 +121,7 @@ func TestCommVolumeRendering(t *testing.T) {
 }
 
 func TestRunCommVolumeValidation(t *testing.T) {
-	if _, err := RunCommVolume(WeakScaling, 1, 10, calOpts); err == nil {
+	if _, err := RunCommVolume(context.Background(), WeakScaling, 1, 10, calOpts); err == nil {
 		t.Fatal("1-GPU comm profile accepted")
 	}
 }
@@ -148,7 +149,7 @@ func TestPointLookupPanics(t *testing.T) {
 }
 
 func TestRunAblationsOrdering(t *testing.T) {
-	res, err := RunAblations(4, Options{Batches: 3})
+	res, err := RunAblations(context.Background(), 4, Options{Batches: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -180,7 +181,7 @@ func TestRunAblationsOrdering(t *testing.T) {
 }
 
 func TestRunScalingStats(t *testing.T) {
-	stats, err := RunScalingStats(WeakScaling, 3, Options{Batches: 2, MaxGPUs: 2})
+	stats, err := RunScalingStats(context.Background(), WeakScaling, 3, Options{Batches: 2, MaxGPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -208,7 +209,7 @@ func TestRunScalingStats(t *testing.T) {
 }
 
 func TestRunScalingStatsValidation(t *testing.T) {
-	if _, err := RunScalingStats(WeakScaling, 0, Options{}); err == nil {
+	if _, err := RunScalingStats(context.Background(), WeakScaling, 0, Options{}); err == nil {
 		t.Fatal("zero seeds accepted")
 	}
 }

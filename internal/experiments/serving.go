@@ -132,16 +132,11 @@ type ServingResult struct {
 	Points         []ServingPoint
 }
 
-// RunServing executes the serving sweep.
-func RunServing(opts ServingOptions) (*ServingResult, error) {
-	return RunServingContext(context.Background(), opts)
-}
-
-// RunServingContext is RunServing with cancellation. Every grid point owns
-// its server (and therefore its cache set), so points are independent and
-// dispatch freely onto the worker pool; results land in an index-addressed
-// slice, byte-identical at any parallelism.
-func RunServingContext(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
+// RunServing executes the serving sweep. Every grid point owns its server
+// (and therefore its cache set), so points are independent and dispatch
+// freely onto the worker pool; results land in an index-addressed slice,
+// byte-identical at any parallelism. It returns early when ctx is done.
+func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
 	if len(opts.Rates) == 0 || len(opts.CacheFractions) == 0 {
 		return nil, fmt.Errorf("experiments: serving sweep needs at least one rate and one cache fraction")
 	}

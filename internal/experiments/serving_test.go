@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"testing"
 
 	"pgasemb/internal/metrics"
@@ -41,7 +42,7 @@ func servingTestHW() retrieval.HardwareParams {
 func TestServingP99ImprovesWithCacheFraction(t *testing.T) {
 	base := servingTestBase()
 	hw := servingTestHW()
-	res, err := RunServing(ServingOptions{
+	res, err := RunServing(context.Background(), ServingOptions{
 		Rates:          []float64{2600},
 		CacheFractions: []float64{0, 0.001, 0.01, 0.05},
 		Backends:       []retrieval.Backend{&retrieval.PGASFused{}},
@@ -92,7 +93,7 @@ func TestServingTableDeterministicAcrossParallelism(t *testing.T) {
 	for _, parallel := range []int{1, 4} {
 		o := opts
 		o.Parallel = parallel
-		res, err := RunServing(o)
+		res, err := RunServing(context.Background(), o)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -106,10 +107,10 @@ func TestServingTableDeterministicAcrossParallelism(t *testing.T) {
 
 // An empty grid is a configuration error, not a silent empty table.
 func TestServingSweepValidation(t *testing.T) {
-	if _, err := RunServing(ServingOptions{Rates: []float64{100}}); err == nil {
+	if _, err := RunServing(context.Background(), ServingOptions{Rates: []float64{100}}); err == nil {
 		t.Fatal("sweep without cache fractions accepted")
 	}
-	if _, err := RunServing(ServingOptions{CacheFractions: []float64{0}}); err == nil {
+	if _, err := RunServing(context.Background(), ServingOptions{CacheFractions: []float64{0}}); err == nil {
 		t.Fatal("sweep without rates accepted")
 	}
 }

@@ -23,16 +23,11 @@ type SpeedupStats struct {
 // and reports per-GPU-count speedup statistics — the variance the paper's
 // single-seed tables do not show. The pooling draws are the only stochastic
 // input, so at paper scale the spread is small; the statistics quantify
-// exactly how small.
-func RunScalingStats(kind ScalingKind, seeds int, opts Options) ([]SpeedupStats, error) {
-	return RunScalingStatsContext(context.Background(), kind, seeds, opts)
-}
-
-// RunScalingStatsContext is RunScalingStats with cancellation. All
-// seeds × GPU counts × backends runs dispatch onto the worker pool; every
-// seed of a GPU count shares that count's immutable spec (the per-seed RNG
-// streams are derived at run creation).
-func RunScalingStatsContext(ctx context.Context, kind ScalingKind, seeds int, opts Options) ([]SpeedupStats, error) {
+// exactly how small. All seeds × GPU counts × backends runs dispatch onto
+// the worker pool; every seed of a GPU count shares that count's immutable
+// spec (the per-seed RNG streams are derived at run creation). It returns
+// early when ctx is done.
+func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts Options) ([]SpeedupStats, error) {
 	if seeds <= 0 {
 		return nil, fmt.Errorf("experiments: need at least one seed")
 	}

@@ -186,26 +186,16 @@ func SkewedPooling(totalTables int, hotFraction float64, hotMax, coldMax int) []
 }
 
 // RunScaling executes the weak- or strong-scaling sweep (Tables 1/2,
-// Figures 5/6/8/9).
-func RunScaling(kind ScalingKind, opts ExperimentOptions) (*ScalingResult, error) {
-	return experiments.RunScaling(kind, opts)
-}
-
-// RunScalingContext is RunScaling with cancellation: the sweep's runs
-// dispatch onto a bounded worker pool (ExperimentOptions.Parallel) and stop
-// early when ctx is cancelled.
-func RunScalingContext(ctx context.Context, kind ScalingKind, opts ExperimentOptions) (*ScalingResult, error) {
-	return experiments.RunScalingContext(ctx, kind, opts)
+// Figures 5/6/8/9). The sweep's runs dispatch onto a bounded worker pool
+// (ExperimentOptions.Parallel) and stop early when ctx is cancelled, as do
+// those of every other Run* sweep.
+func RunScaling(ctx context.Context, kind ScalingKind, opts ExperimentOptions) (*ScalingResult, error) {
+	return experiments.RunScaling(ctx, kind, opts)
 }
 
 // RunCommVolume profiles communication volume over time (Figures 7/10).
-func RunCommVolume(kind ScalingKind, gpus, bins int, opts ExperimentOptions) (*CommVolumeResult, error) {
-	return experiments.RunCommVolume(kind, gpus, bins, opts)
-}
-
-// RunCommVolumeContext is RunCommVolume with cancellation.
-func RunCommVolumeContext(ctx context.Context, kind ScalingKind, gpus, bins int, opts ExperimentOptions) (*CommVolumeResult, error) {
-	return experiments.RunCommVolumeContext(ctx, kind, gpus, bins, opts)
+func RunCommVolume(ctx context.Context, kind ScalingKind, gpus, bins int, opts ExperimentOptions) (*CommVolumeResult, error) {
+	return experiments.RunCommVolume(ctx, kind, gpus, bins, opts)
 }
 
 // Precision selects the wire transport format for embedding rows
@@ -236,13 +226,8 @@ type (
 // precision) cell is a timing run on the same seed, with communication
 // volume, NIC traffic and measured worst-case output error alongside the
 // speedups.
-func RunPrecision(opts PrecisionOptions) (*PrecisionResult, error) {
-	return experiments.RunPrecision(opts)
-}
-
-// RunPrecisionContext is RunPrecision with cancellation.
-func RunPrecisionContext(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
-	return experiments.RunPrecisionContext(ctx, opts)
+func RunPrecision(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
+	return experiments.RunPrecision(ctx, opts)
 }
 
 // Multi-node sweep types.
@@ -256,13 +241,8 @@ type (
 
 // RunMultiNode executes the multi-node scaling sweep: both backends at every
 // node count, with NIC-traffic accounting alongside the speedups.
-func RunMultiNode(kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	return experiments.RunMultiNode(kind, opts)
-}
-
-// RunMultiNodeContext is RunMultiNode with cancellation.
-func RunMultiNodeContext(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	return experiments.RunMultiNodeContext(ctx, kind, opts)
+func RunMultiNode(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
+	return experiments.RunMultiNode(ctx, kind, opts)
 }
 
 // Scorecard renders the headline paper-vs-measured comparison.
@@ -273,11 +253,11 @@ func Scorecard(weak, strong *ScalingResult) *RenderedTable {
 // SpeedupStats summarises speedups across workload seeds.
 type SpeedupStats = experiments.SpeedupStats
 
-// RunScalingStatsContext repeats the sweep across several workload seeds and
+// RunScalingStats repeats the sweep across several workload seeds and
 // reports per-point speedup statistics; it stops with ctx.Err() on
 // cancellation.
-func RunScalingStatsContext(ctx context.Context, kind ScalingKind, seeds int, opts ExperimentOptions) ([]SpeedupStats, error) {
-	return experiments.RunScalingStatsContext(ctx, kind, seeds, opts)
+func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts ExperimentOptions) ([]SpeedupStats, error) {
+	return experiments.RunScalingStats(ctx, kind, seeds, opts)
 }
 
 // StatsTable renders speedup statistics.
@@ -288,22 +268,22 @@ func StatsTable(kind ScalingKind, stats []SpeedupStats) *RenderedTable {
 // AblationResult is one backend's runtime in the mechanism-isolation suite.
 type AblationResult = experiments.AblationResult
 
-// RunAblationsContext executes the mechanism-isolation suite: baseline, each
+// RunAblations executes the mechanism-isolation suite: baseline, each
 // of the paper's two mechanisms alone, full PGAS, and aggregated PGAS; it
 // stops with ctx.Err() on cancellation.
-func RunAblationsContext(ctx context.Context, gpus int, opts ExperimentOptions) ([]AblationResult, error) {
-	return experiments.RunAblationsContext(ctx, gpus, opts)
+func RunAblations(ctx context.Context, gpus int, opts ExperimentOptions) ([]AblationResult, error) {
+	return experiments.RunAblations(ctx, gpus, opts)
 }
 
 // PipelineDepthPoint is one (backend, depth) run of the inter-batch
 // pipelining sweep.
 type PipelineDepthPoint = experiments.PipelineDepthPoint
 
-// RunPipelineDepthContext sweeps the inter-batch pipeline depth for the
+// RunPipelineDepth sweeps the inter-batch pipeline depth for the
 // baseline and the accelerated backend on the weak-scaling DLRM workload; it
 // stops with ctx.Err() on cancellation.
-func RunPipelineDepthContext(ctx context.Context, gpus int, depths []int, opts ExperimentOptions) ([]PipelineDepthPoint, error) {
-	return experiments.RunPipelineDepthContext(ctx, gpus, depths, opts)
+func RunPipelineDepth(ctx context.Context, gpus int, depths []int, opts ExperimentOptions) ([]PipelineDepthPoint, error) {
+	return experiments.RunPipelineDepth(ctx, gpus, depths, opts)
 }
 
 // PipelineDepthTable renders the pipeline-depth sweep as a table.
@@ -378,13 +358,8 @@ type (
 // RunServing executes the online-serving sweep: every (backend, arrival
 // rate, cache fraction) point is a full serving simulation reporting tail
 // latency, goodput, drops, and cache hit rate.
-func RunServing(opts ServingOptions) (*ServingResult, error) {
-	return experiments.RunServing(opts)
-}
-
-// RunServingContext is RunServing with cancellation.
-func RunServingContext(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
-	return experiments.RunServingContext(ctx, opts)
+func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
+	return experiments.RunServing(ctx, opts)
 }
 
 // Fault-injection and resilience types.
@@ -421,13 +396,8 @@ func DefaultDegradePolicy() DegradePolicy { return experiments.DefaultDegradePol
 // RunChaos executes the resilience sweep: every (backend, fault profile,
 // replica count) point is a full serving simulation under that fault
 // schedule, reporting availability, tail latency, goodput and retry volume.
-func RunChaos(opts ChaosOptions) (*ChaosResult, error) {
-	return experiments.RunChaos(opts)
-}
-
-// RunChaosContext is RunChaos with cancellation.
-func RunChaosContext(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
-	return experiments.RunChaosContext(ctx, opts)
+func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
+	return experiments.RunChaos(ctx, opts)
 }
 
 // PlacementPolicies lists the placement sweep's known policy names, in
@@ -440,11 +410,6 @@ func PlacementPolicies() []string {
 // exponent, policy) point is an offline retrieval run on a skewed workload,
 // reporting simulated time, per-owner load imbalance, plan swaps and
 // migration volume.
-func RunPlacement(opts PlacementOptions) (*PlacementResult, error) {
-	return experiments.RunPlacement(opts)
-}
-
-// RunPlacementContext is RunPlacement with cancellation.
-func RunPlacementContext(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
-	return experiments.RunPlacementContext(ctx, opts)
+func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
+	return experiments.RunPlacement(ctx, opts)
 }

@@ -1,6 +1,7 @@
 package pgasemb_test
 
 import (
+	"context"
 	"testing"
 
 	"pgasemb"
@@ -58,7 +59,7 @@ func TestPublicAPIBackendsDiffer(t *testing.T) {
 }
 
 func TestPublicAPIExperimentHarness(t *testing.T) {
-	res, err := pgasemb.RunScaling(pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, MaxGPUs: 2})
+	res, err := pgasemb.RunScaling(context.Background(), pgasemb.WeakScaling, pgasemb.ExperimentOptions{Batches: 2, MaxGPUs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
