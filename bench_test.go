@@ -202,13 +202,14 @@ func BenchmarkZipfWorkloadPGAS(b *testing.B) {
 	runBackend(b, cfg, pgasemb.NewPGASFused())
 }
 
-// Multi-node (future-work §V): the aggregator's raison d'être.
+// Multi-node (future-work §V): direct vs aggregated PGAS across two
+// NIC-joined nodes.
 func BenchmarkMultiNodeDirectPGAS(b *testing.B) {
 	cfg := pgasemb.WeakScalingConfig(4)
 	cfg.Batches = benchBatches
 	var total float64
 	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.MultiNodeHardware(2))
+		sys, err := pgasemb.NewSystem(cfg, pgasemb.ClusterHardware(2))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -227,7 +228,7 @@ func BenchmarkMultiNodeAggregatedPGAS(b *testing.B) {
 	backend := pgasemb.NewAggregatedPGAS(pgasemb.AggregatorConfig{FlushBytes: 64 << 10, MaxWait: 100e-6})
 	var total float64
 	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.MultiNodeHardware(2))
+		sys, err := pgasemb.NewSystem(cfg, pgasemb.ClusterHardware(2))
 		if err != nil {
 			b.Fatal(err)
 		}

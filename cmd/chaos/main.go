@@ -44,7 +44,8 @@ func main() {
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequirePositive("gpus")
+	cliflag.RequireAtLeast(1, "gpus")
+	cliflag.RequireAtLeast(0, "nodes", "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

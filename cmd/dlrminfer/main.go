@@ -41,7 +41,7 @@ func main() {
 	precision := flag.String("precision", "fp32", "wire transport format for embedding rows: fp32, fp16 or int8")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequirePositive("gpus", "batches", "pipeline")
+	cliflag.RequireAtLeast(1, "gpus", "batches", "pipeline")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

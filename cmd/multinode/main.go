@@ -32,7 +32,8 @@ func main() {
 	csv := flag.Bool("csv", false, "emit CSV instead of aligned tables")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequirePositive("nodes", "gpus-per-node")
+	cliflag.RequireAtLeast(1, "nodes", "gpus-per-node")
+	cliflag.RequireAtLeast(0, "batches", "batchsize", "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

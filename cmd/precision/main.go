@@ -33,7 +33,8 @@ func main() {
 	out := flag.String("out", "", "directory to also write precision.txt and precision.csv into (empty = stdout only)")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequirePositive("nodes", "gpus-per-node")
+	cliflag.RequireAtLeast(1, "nodes", "gpus-per-node")
+	cliflag.RequireAtLeast(0, "batches", "batchsize", "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

@@ -42,7 +42,8 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
 	timeout := flag.Duration("timeout", 0, "abort the whole report after this duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequirePositive("batches")
+	cliflag.RequireAtLeast(1, "batches")
+	cliflag.RequireAtLeast(0, "seeds", "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

@@ -44,7 +44,8 @@ func main() {
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequirePositive("gpus", "pipeline")
+	cliflag.RequireAtLeast(1, "gpus", "pipeline")
+	cliflag.RequireAtLeast(0, "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

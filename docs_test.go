@@ -16,6 +16,12 @@ import (
 // ./cmd/serve, examples/quickstart.
 var docRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/])(?:\./)?(cmd|examples)/([A-Za-z0-9_-]+)`)
 
+// docPath matches a repository path under internal/ inside a doc span.
+var docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])(internal/[A-Za-z0-9_./-]*[A-Za-z0-9_])`)
+
+// docAPI matches a facade identifier inside a doc span: pgasemb.RunChaos.
+var docAPI = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])pgasemb\.([A-Za-z_][A-Za-z0-9_]*)`)
+
 // docFlag matches a command-line flag token: -batches, -out=results.
 var docFlag = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:=.*)?$`)
 
@@ -108,6 +114,67 @@ func TestDocsNameRealCommandsAndFlags(t *testing.T) {
 					if f := docFlag.FindStringSubmatch(tok); f != nil && !flagsOf[name][f[1]] {
 						t.Errorf("%s: %q passes -%s, which cmd/%s does not define", doc, span, f[1], name)
 					}
+				}
+			}
+		}
+	}
+}
+
+// facadeNames parses pgasemb.go and returns the exported package-level
+// identifiers it declares: functions, types, constants and variables.
+func facadeNames(t *testing.T) map[string]bool {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "pgasemb.go", nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	add := func(id *ast.Ident) {
+		if id.IsExported() {
+			names[id.Name] = true
+		}
+	}
+	for _, decl := range f.Decls {
+		switch d := decl.(type) {
+		case *ast.FuncDecl:
+			if d.Recv == nil {
+				add(d.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range d.Specs {
+				switch sp := spec.(type) {
+				case *ast.TypeSpec:
+					add(sp.Name)
+				case *ast.ValueSpec:
+					for _, id := range sp.Names {
+						add(id)
+					}
+				}
+			}
+		}
+	}
+	return names
+}
+
+// TestDocsNameRealPathsAndAPI checks the user-facing docs against the tree:
+// every internal/... path they put in backticks exists, and every
+// pgasemb.<Name> is an exported identifier of the facade.
+func TestDocsNameRealPathsAndAPI(t *testing.T) {
+	api := facadeNames(t)
+	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, span := range docSpans(string(data)) {
+			for _, m := range docPath.FindAllStringSubmatch(span, -1) {
+				if _, err := os.Stat(m[1]); err != nil {
+					t.Errorf("%s: %q names %s, which does not exist", doc, span, m[1])
+				}
+			}
+			for _, m := range docAPI.FindAllStringSubmatch(span, -1) {
+				if !api[m[1]] {
+					t.Errorf("%s: %q names pgasemb.%s, which pgasemb.go does not export", doc, span, m[1])
 				}
 			}
 		}

@@ -31,14 +31,15 @@ func Usage(err error) {
 	os.Exit(2)
 }
 
-// RequirePositive exits with status 2, naming the flag, if any of the named
-// int flags of the parsed command line is below 1. Commands call it after
-// flag.Parse for size flags that have no "0 = default" meaning, so a bad
-// value is refused instead of silently replaced by a default.
-func RequirePositive(names ...string) {
+// RequireAtLeast exits with status 2, naming the flag, if any of the named
+// int flags of the parsed command line is below min. Commands call it after
+// flag.Parse with min 1 for size flags and min 0 for flags where 0 selects a
+// default, so a bad value is refused instead of silently replaced by a
+// default.
+func RequireAtLeast(min int, names ...string) {
 	for _, name := range names {
-		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < 1 {
-			Usage(fmt.Errorf("-%s must be at least 1, got %d", name, v))
+		if v := flag.Lookup(name).Value.(flag.Getter).Get().(int); v < min {
+			Usage(fmt.Errorf("-%s must be at least %d, got %d", name, min, v))
 		}
 	}
 }

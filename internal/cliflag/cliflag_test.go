@@ -3,6 +3,7 @@ package cliflag
 import (
 	"context"
 	"errors"
+	"fmt"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -40,8 +41,9 @@ func TestListsAndBackends(t *testing.T) {
 }
 
 // TestCommandsRejectNonPositiveSizes builds the commands and runs each with a
-// size flag below 1: every run must exit with status 2 and name the flag,
-// rather than run on a default that the command's header misreports.
+// size flag below 1, or a negative value of a flag where 0 selects a
+// default: every run must exit with status 2 and name the flag, rather than
+// run on a default that the command's header misreports.
 func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -51,22 +53,35 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 		cmd  string
 		args []string
 		flag string
+		min  int
 	}{
-		{"serve", []string{"-gpus", "0"}, "-gpus"},
-		{"serve", []string{"-pipeline", "0"}, "-pipeline"},
-		{"chaos", []string{"-gpus", "-1"}, "-gpus"},
-		{"placement", []string{"-batches", "0"}, "-batches"},
-		{"placement", []string{"-every", "0"}, "-every"},
-		{"placement", []string{"-gpus", "0"}, "-gpus"},
-		{"placement", []string{"-hot", "0"}, "-hot"},
-		{"multinode", []string{"-nodes", "0"}, "-nodes"},
-		{"multinode", []string{"-gpus-per-node", "0"}, "-gpus-per-node"},
-		{"precision", []string{"-nodes", "-2"}, "-nodes"},
-		{"precision", []string{"-gpus-per-node", "0"}, "-gpus-per-node"},
-		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus"},
-		{"dlrminfer", []string{"-batches", "0"}, "-batches"},
-		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline"},
-		{"report", []string{"-batches", "0"}, "-batches"},
+		{"serve", []string{"-gpus", "0"}, "-gpus", 1},
+		{"serve", []string{"-pipeline", "0"}, "-pipeline", 1},
+		{"serve", []string{"-parallel", "-1"}, "-parallel", 0},
+		{"chaos", []string{"-gpus", "-1"}, "-gpus", 1},
+		{"chaos", []string{"-nodes", "-1"}, "-nodes", 0},
+		{"chaos", []string{"-parallel", "-1"}, "-parallel", 0},
+		{"placement", []string{"-batches", "0"}, "-batches", 1},
+		{"placement", []string{"-every", "0"}, "-every", 1},
+		{"placement", []string{"-gpus", "0"}, "-gpus", 1},
+		{"placement", []string{"-hot", "0"}, "-hot", 1},
+		{"placement", []string{"-parallel", "-1"}, "-parallel", 0},
+		{"multinode", []string{"-nodes", "0"}, "-nodes", 1},
+		{"multinode", []string{"-gpus-per-node", "0"}, "-gpus-per-node", 1},
+		{"multinode", []string{"-batches", "-5"}, "-batches", 0},
+		{"multinode", []string{"-batchsize", "-5"}, "-batchsize", 0},
+		{"multinode", []string{"-parallel", "-1"}, "-parallel", 0},
+		{"precision", []string{"-nodes", "-2"}, "-nodes", 1},
+		{"precision", []string{"-gpus-per-node", "0"}, "-gpus-per-node", 1},
+		{"precision", []string{"-batches", "-5"}, "-batches", 0},
+		{"precision", []string{"-batchsize", "-5"}, "-batchsize", 0},
+		{"precision", []string{"-parallel", "-1"}, "-parallel", 0},
+		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus", 1},
+		{"dlrminfer", []string{"-batches", "0"}, "-batches", 1},
+		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline", 1},
+		{"report", []string{"-batches", "0"}, "-batches", 1},
+		{"report", []string{"-seeds", "-1"}, "-seeds", 0},
+		{"report", []string{"-parallel", "-1"}, "-parallel", 0},
 	}
 	bin := t.TempDir()
 	pkgs := []string{"build", "-o", bin + string(filepath.Separator)}
@@ -95,7 +110,7 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Fatalf("%s %v: err %v, want exit status 2\n%s", c.cmd, c.args, err, out)
 			}
-			if want := c.flag + " must be at least 1"; !strings.Contains(string(out), want) {
+			if want := fmt.Sprintf("%s must be at least %d", c.flag, c.min); !strings.Contains(string(out), want) {
 				t.Fatalf("%s %v: output does not say %q:\n%s", c.cmd, c.args, want, out)
 			}
 		})

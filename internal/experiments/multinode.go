@@ -71,7 +71,6 @@ func (o MultiNodeOptions) hardware(nodes int) retrieval.HardwareParams {
 	if o.HW != nil {
 		hw := *o.HW
 		hw.Nodes = nodes
-		hw.Topology = nil
 		return hw
 	}
 	return retrieval.ClusterHardware(nodes)

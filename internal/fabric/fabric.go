@@ -17,7 +17,6 @@ package fabric
 import (
 	"fmt"
 
-	"pgasemb/internal/nvlink"
 	"pgasemb/internal/sim"
 )
 
@@ -151,15 +150,6 @@ func (c Cluster) Links(a, b int) int {
 		return c.IntraLinks
 	}
 	return 0
-}
-
-// Class implements nvlink.ClassedTopology (informational: inter-node pairs
-// carry zero NVLink links, so the NVLink fabric never consults it for them).
-func (c Cluster) Class(a, b int) nvlink.LinkClass {
-	if c.Node(a) == c.Node(b) {
-		return nvlink.IntraNode
-	}
-	return nvlink.InterNode
 }
 
 // Interconnect is the cluster's NIC layer: per-node, per-rail egress and

@@ -31,25 +31,15 @@ type Params struct {
 	// MaxPayload is the largest single one-sided message payload; larger
 	// puts are split and pay one header per fragment.
 	MaxPayload int
-
-	// InterNodeBandwidth is bytes/second per direction of one inter-node
-	// link (a GPU pair's share of the NIC) in MultiNode topologies.
-	// Ignored for purely intra-node topologies.
-	InterNodeBandwidth float64
-
-	// InterNodeLatency is the one-way latency of an inter-node link.
-	InterNodeLatency sim.Duration
 }
 
 // DefaultParams returns NVLink 2.0 (V100-generation) parameters.
 func DefaultParams() Params {
 	return Params{
-		LinkBandwidth:      25e9,
-		LinkLatency:        1.3 * sim.Microsecond,
-		HeaderBytes:        32,
-		MaxPayload:         256,
-		InterNodeBandwidth: 1e9, // one pair's share of a 100 GbE-class NIC
-		InterNodeLatency:   4 * sim.Microsecond,
+		LinkBandwidth: 25e9,
+		LinkLatency:   1.3 * sim.Microsecond,
+		HeaderBytes:   32,
+		MaxPayload:    256,
 	}
 }
 
@@ -64,10 +54,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("nvlink: HeaderBytes must be non-negative")
 	case p.MaxPayload <= 0:
 		return fmt.Errorf("nvlink: MaxPayload must be positive")
-	case p.InterNodeBandwidth < 0:
-		return fmt.Errorf("nvlink: InterNodeBandwidth must be non-negative")
-	case p.InterNodeLatency < 0:
-		return fmt.Errorf("nvlink: InterNodeLatency must be non-negative")
 	}
 	return nil
 }
@@ -108,65 +94,6 @@ func (t FullyConnected) Links(a, b int) int {
 // fully connected with 2 NVLink links (50 GB/s per direction) per pair.
 func DGXStation(n int) Topology {
 	return FullyConnected{N: n, LinksPerPair: 2}
-}
-
-// LinkClass distinguishes wire types in heterogeneous topologies.
-type LinkClass int
-
-const (
-	// IntraNode links are NVLink connections inside one chassis.
-	IntraNode LinkClass = iota
-	// InterNode links cross the network between chassis — lower bandwidth,
-	// higher latency, the regime the paper's future-work aggregator
-	// targets.
-	InterNode
-)
-
-// ClassedTopology is a Topology that also labels each pair's wire type.
-// Fabrics give InterNode pairs the Params' inter-node bandwidth/latency.
-type ClassedTopology interface {
-	Topology
-	// Class returns the wire type between a and b (a != b, connected).
-	Class(a, b int) LinkClass
-}
-
-// MultiNode is a cluster of fully connected NVLink nodes joined by a
-// network: GPUs [k*PerNode, (k+1)*PerNode) form node k. Intra-node pairs
-// get IntraLinks NVLink links; every inter-node pair is connected by one
-// InterNode link (a share of the NIC).
-type MultiNode struct {
-	Nodes      int
-	PerNode    int
-	IntraLinks int
-}
-
-// NumGPUs implements Topology.
-func (t MultiNode) NumGPUs() int { return t.Nodes * t.PerNode }
-
-// Node returns the node index of GPU g.
-func (t MultiNode) Node(g int) int { return g / t.PerNode }
-
-// Links implements Topology.
-func (t MultiNode) Links(a, b int) int {
-	if a == b {
-		return 0
-	}
-	n := t.NumGPUs()
-	if a < 0 || b < 0 || a >= n || b >= n {
-		panic(fmt.Sprintf("nvlink: GPU index out of range: Links(%d, %d) with %d GPUs", a, b, n))
-	}
-	if t.Node(a) == t.Node(b) {
-		return t.IntraLinks
-	}
-	return 1
-}
-
-// Class implements ClassedTopology.
-func (t MultiNode) Class(a, b int) LinkClass {
-	if t.Node(a) == t.Node(b) {
-		return IntraNode
-	}
-	return InterNode
 }
 
 // Fabric instantiates a topology as per-direction fluid pipes.
@@ -231,18 +158,8 @@ func NewFabric(env *sim.Env, params Params, topo Topology) (*Fabric, error) {
 			if links <= 0 {
 				continue
 			}
-			bw := float64(links) * params.LinkBandwidth
-			lat := params.LinkLatency
-			name := fmt.Sprintf("nvlink-%d->%d", src, dst)
-			if ct, ok := topo.(ClassedTopology); ok && ct.Class(src, dst) == InterNode {
-				if params.InterNodeBandwidth <= 0 {
-					return nil, fmt.Errorf("nvlink: inter-node topology needs positive InterNodeBandwidth")
-				}
-				bw = float64(links) * params.InterNodeBandwidth
-				lat = params.InterNodeLatency
-				name = fmt.Sprintf("net-%d->%d", src, dst)
-			}
-			f.pipes[src][dst] = sim.NewPipe(env, name, bw, lat)
+			f.pipes[src][dst] = sim.NewPipe(env, fmt.Sprintf("nvlink-%d->%d", src, dst),
+				float64(links)*params.LinkBandwidth, params.LinkLatency)
 		}
 	}
 	return f, nil
@@ -297,18 +214,6 @@ func (f *Fabric) SetLinkDegrade(src, dst int, factor float64) {
 	f.Pipe(src, dst).SetDegrade(factor)
 }
 
-// SetRecording toggles completion recording on every pipe (needed for
-// delivered-volume traces).
-func (f *Fabric) SetRecording(on bool) {
-	for _, row := range f.pipes {
-		for _, p := range row {
-			if p != nil {
-				p.SetRecording(on)
-			}
-		}
-	}
-}
-
 // Reset clears all pipe state between measurement repetitions.
 func (f *Fabric) Reset() {
 	for _, row := range f.pipes {
@@ -332,31 +237,4 @@ func (f *Fabric) TotalBytes() float64 {
 		}
 	}
 	return sum
-}
-
-// DeliveredBy sums delivered bytes across all pipes by time t (requires
-// recording).
-func (f *Fabric) DeliveredBy(t sim.Time) float64 {
-	var sum float64
-	for _, row := range f.pipes {
-		for _, p := range row {
-			if p != nil {
-				sum += p.DeliveredBy(t)
-			}
-		}
-	}
-	return sum
-}
-
-// BusyUntil returns the latest drain time over all pipes.
-func (f *Fabric) BusyUntil() sim.Time {
-	var worst sim.Time
-	for _, row := range f.pipes {
-		for _, p := range row {
-			if p != nil && p.BusyUntil() > worst {
-				worst = p.BusyUntil()
-			}
-		}
-	}
-	return worst
 }

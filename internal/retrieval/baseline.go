@@ -37,12 +37,6 @@ func (b *Baseline) Name() string {
 	return "baseline"
 }
 
-// CommTrace implements CommTracer: the baseline's traffic is entirely the
-// collective's.
-func (b *Baseline) CommTrace(s *System) *trace.VolumeTrace {
-	return s.Comm.Volume()
-}
-
 // RunBatch walks the (shard, consumer) pairs the batch's route plan has GPU
 // g serving: without replication, its own shard to every consumer; with
 // Config.Replicas, whatever pairs the plan assigned it — mirrored shards

@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"pgasemb/internal/fabric"
-	"pgasemb/internal/nvlink"
 	"pgasemb/internal/pgas"
 	"pgasemb/internal/tensor"
 	"pgasemb/internal/workload"
@@ -222,18 +221,6 @@ func TestClusterShapeValidation(t *testing.T) {
 		{"three-gpus-two-nodes", 3, func() HardwareParams { return ClusterHardware(2) }, "divisible"},
 		{"five-gpus-three-nodes", 5, func() HardwareParams { return ClusterHardware(3) }, "divisible"},
 		{"more-nodes-than-gpus", 2, func() HardwareParams { return ClusterHardware(4) }, "at least one GPU"},
-		{"nodes-and-topology", 4, func() HardwareParams {
-			hw := ClusterHardware(2)
-			hw.Topology = func(g int) nvlink.Topology { return nvlink.DGXStation(g) }
-			return hw
-		}, "mutually exclusive"},
-		// A hand-built cluster topology is checked by its own Validate: with
-		// no intra-node links it would wire no pipes at all.
-		{"unlinked-cluster-topology", 4, func() HardwareParams {
-			hw := DefaultHardware()
-			hw.Topology = func(g int) nvlink.Topology { return fabric.Cluster{Nodes: 2, GPUsPerNode: g / 2} }
-			return hw
-		}, "intra-node NVLink link"},
 		{"bad-nic", 4, func() HardwareParams {
 			hw := ClusterHardware(2)
 			hw.NIC = fabric.NICParams{NICsPerNode: -1, Bandwidth: 1e9, MaxMessage: 1}

@@ -3,8 +3,8 @@ package retrieval
 import (
 	"testing"
 
+	"pgasemb/internal/fault"
 	"pgasemb/internal/gpu"
-	"pgasemb/internal/nvlink"
 )
 
 func TestA100ParamsValid(t *testing.T) {
@@ -63,24 +63,15 @@ func TestA100FitsBiggerShards(t *testing.T) {
 	}
 }
 
-// degradedTopo is a DGX Station in which the 0-1 pair lost one of its two
-// NVLink links — a realistic partial failure.
-type degradedTopo int
-
-func (d degradedTopo) NumGPUs() int { return int(d) }
-func (d degradedTopo) Links(a, b int) int {
-	switch {
-	case a == b:
-		return 0
-	case a+b == 1:
-		return 1
-	}
-	return 2
-}
-
+// degradedHW is a DGX Station in which the 0-1 pair runs at half its
+// bandwidth in both directions, as if it lost one of its two NVLink links —
+// a realistic partial failure.
 func degradedHW() HardwareParams {
 	hw := DefaultHardware()
-	hw.Topology = func(gpus int) nvlink.Topology { return degradedTopo(gpus) }
+	hw.Faults = &fault.Schedule{Events: []fault.Event{
+		{Kind: fault.LinkDegrade, Src: 0, Dst: 1, Factor: 0.5},
+		{Kind: fault.LinkDegrade, Src: 1, Dst: 0, Factor: 0.5},
+	}}
 	return hw
 }
 

@@ -160,7 +160,7 @@ func (s *System) runAdaptive(ctx context.Context, b Backend, res *Result) (*Resu
 		}
 	}
 	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, b, lastEpoch)
+	s.finishResult(res, lastEpoch)
 	return res, nil
 }
 

@@ -25,9 +25,6 @@ import (
 // goroutines, and each Run owns all of its mutable state (simulator clock,
 // devices, streams, counters, RNG streams, table weights). Two Runs built
 // from the same spec with the same seed produce bit-identical results.
-//
-// The only caller-supplied code a spec retains is HardwareParams.Topology;
-// when set, it must be a pure function of the GPU count.
 type SystemSpec struct {
 	cfg  Config
 	hw   HardwareParams
@@ -57,9 +54,8 @@ func (spec *SystemSpec) zipfCDF() *sim.ZipfCDF {
 // NewSystemSpec validates the configuration and hardware, resolves the
 // sharding plan, and checks every GPU's shard against device memory (the
 // 32 GB capacity the paper's strong-scaling configuration was designed
-// around). All misconfiguration — including a topology whose GPU count does
-// not match the configuration, the multi-node divisibility mistake — is
-// reported here as an error, before any run starts.
+// around). All misconfiguration — the multi-node divisibility mistake
+// included — is reported here as an error, before any run starts.
 func NewSystemSpec(cfg Config, hw HardwareParams) (*SystemSpec, error) {
 	return newSystemSpec(cfg, hw, &lazyZipf{})
 }
@@ -90,9 +86,6 @@ func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, 
 	switch {
 	case hw.Nodes < 0:
 		return nil, fmt.Errorf("retrieval: negative node count %d", hw.Nodes)
-	case hw.Nodes > 0 && hw.Topology != nil:
-		return nil, fmt.Errorf("retrieval: HardwareParams.Nodes and HardwareParams.Topology are mutually exclusive " +
-			"(Nodes builds the cluster topology itself)")
 	case hw.Nodes > cfg.GPUs:
 		return nil, fmt.Errorf("retrieval: %d nodes need at least one GPU each, have %d GPUs", hw.Nodes, cfg.GPUs)
 	case hw.Nodes > 0 && cfg.GPUs%hw.Nodes != 0:
@@ -111,14 +104,6 @@ func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, 
 		if err := hw.Proxy.Validate(); err != nil {
 			return nil, fmt.Errorf("retrieval: bad proxy parameters: %w", err)
 		}
-	}
-	topo := hw.topology(cfg.GPUs)
-	if err := nvlink.ValidateTopology(topo); err != nil {
-		return nil, fmt.Errorf("retrieval: bad topology: %w", err)
-	}
-	if n := topo.NumGPUs(); n != cfg.GPUs {
-		return nil, fmt.Errorf("retrieval: topology wires %d GPUs but the configuration needs %d "+
-			"(multi-node topologies need a GPU count divisible by the node count)", n, cfg.GPUs)
 	}
 	spec := &SystemSpec{cfg: cfg, hw: hw, zipf: zipf} // hw is the normalized copy
 	switch {

@@ -27,12 +27,6 @@ type HardwareParams struct {
 	Link       nvlink.Params
 	Collective collective.Params
 
-	// Topology overrides the interconnect wiring; nil selects the paper's
-	// DGX Station (fully connected, 2 NVLink links per pair). The
-	// multi-node extension passes nvlink.MultiNode here. Mutually exclusive
-	// with Nodes.
-	Topology func(gpus int) nvlink.Topology
-
 	// Nodes composes the machine from this many NVLink islands joined by
 	// the simulated inter-node fabric: per-node NICs, hierarchical
 	// collectives for the baseline, and proxy-coalesced one-sided stores
@@ -58,9 +52,6 @@ type HardwareParams struct {
 func (hw HardwareParams) topology(gpus int) nvlink.Topology {
 	if hw.Nodes > 0 {
 		return hw.cluster(gpus)
-	}
-	if hw.Topology != nil {
-		return hw.Topology(gpus)
 	}
 	return nvlink.DGXStation(gpus)
 }
@@ -502,7 +493,7 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 		return nil, err
 	}
 	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, b, batches)
+	s.finishResult(res, batches)
 	return res, nil
 }
 
@@ -555,9 +546,9 @@ func (s *System) runEpoch(ctx context.Context, b Backend, res *Result, batches [
 // finishResult fills the post-run summary fields shared by the lockstep and
 // adaptive-placement paths; batches is the final epoch's inputs (for the
 // functional last-batch capture).
-func (s *System) finishResult(res *Result, b Backend, batches []*BatchData) {
+func (s *System) finishResult(res *Result, batches []*BatchData) {
 	res.Breakdown = trace.MergeMax(res.PerGPU...)
-	res.CommTrace = s.commTrace(b)
+	res.CommTrace = s.commTrace()
 	res.DedupStats = s.dedupStats
 	res.OwnerKeys = append([]int64(nil), s.ownerKeys...)
 	res.OwnerBytes = append([]float64(nil), s.ownerBytes...)
@@ -581,23 +572,9 @@ func (s *System) finishResult(res *Result, b Backend, batches []*BatchData) {
 	}
 }
 
-// CommTracer is implemented by backends whose communication rides a single,
-// known plane (e.g. the baseline's collective); the Result's volume trace
-// comes from the backend itself instead of a type switch. Backends that do
-// not implement it get the merged one-sided + collective trace, which is
-// correct for any mix of the two transports.
-type CommTracer interface {
-	// CommTrace returns the backend's communication-volume-over-time trace
-	// for the run that just completed on s.
-	CommTrace(s *System) *trace.VolumeTrace
-}
-
-// commTrace picks the volume trace that corresponds to the backend's
-// communication path.
-func (s *System) commTrace(b Backend) *trace.VolumeTrace {
-	if ct, ok := b.(CommTracer); ok {
-		return ct.CommTrace(s)
-	}
+// commTrace merges the run's one-sided and collective volume traces, which
+// is correct for any mix of the two transports.
+func (s *System) commTrace() *trace.VolumeTrace {
 	merged := &trace.VolumeTrace{}
 	for _, iv := range s.PGAS.TotalTrace().Intervals() {
 		merged.Add(iv.Start, iv.End, iv.Bytes)

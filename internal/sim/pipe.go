@@ -7,15 +7,12 @@ import "fmt"
 // occupy it for bytes/bandwidth, one after another; delivery completes one
 // wire latency after the last byte leaves (latency pipelines across
 // messages, LogGP-style, so a stream of small messages costs the same link
-// occupancy as one large one). The pipe records every completion so callers
-// can reconstruct delivered-volume-over-time traces (Figures 7 and 10 of
-// the paper).
+// occupancy as one large one).
 //
 // A Pipe does not block the offering process: Offer returns the simulated
 // completion time immediately, which models asynchronous one-sided traffic
 // (PGAS remote stores) as well as DMA engines driving collective transfers.
-// Callers that need blocking semantics wait on the returned time or use
-// Drained.
+// Callers that need blocking semantics wait on the returned time.
 type Pipe struct {
 	env       *Env
 	name      string
@@ -27,16 +24,6 @@ type Pipe struct {
 	busyUntil  Time // when the last queued transfer finishes draining
 	totalBytes float64
 	transfers  int64
-
-	completions []PipeCompletion
-	record      bool
-}
-
-// PipeCompletion records one finished transfer for trace reconstruction.
-type PipeCompletion struct {
-	Start Time
-	End   Time
-	Bytes float64
 }
 
 // NewPipe returns a pipe with the given bandwidth (bytes/second) and fixed
@@ -63,13 +50,6 @@ func (p *Pipe) SetDegrade(factor float64) {
 	}
 	p.scale = factor
 }
-
-// Degrade returns the current bandwidth degrade factor (1 = healthy).
-func (p *Pipe) Degrade() float64 { return p.scale }
-
-// SetRecording toggles completion recording. Recording is off by default to
-// keep long simulations lean; experiment harnesses switch it on.
-func (p *Pipe) SetRecording(on bool) { p.record = on }
 
 // Name returns the pipe's name.
 func (p *Pipe) Name() string { return p.name }
@@ -101,24 +81,14 @@ func (p *Pipe) OfferAt(readyAt Time, bytes float64) Time {
 		start = p.busyUntil
 	}
 	p.busyUntil = start + bytes/(p.bandwidth*p.scale)
-	delivered := p.busyUntil + p.latency
 	p.totalBytes += bytes
 	p.transfers++
-	if p.record {
-		p.completions = append(p.completions, PipeCompletion{Start: start + p.latency, End: delivered, Bytes: bytes})
-	}
-	return delivered
+	return p.busyUntil + p.latency
 }
 
 // BusyUntil returns the time at which all currently queued transfers will
 // have drained. If the pipe is idle it returns a time in the past (or now).
 func (p *Pipe) BusyUntil() Time { return p.busyUntil }
-
-// Drained blocks the process until the pipe has no queued transfers left,
-// considering only transfers offered before the call.
-func (p *Pipe) Drained(proc *Proc) {
-	proc.WaitUntil(p.busyUntil)
-}
 
 // TotalBytes returns the cumulative bytes ever offered.
 func (p *Pipe) TotalBytes() float64 { return p.totalBytes }
@@ -126,38 +96,11 @@ func (p *Pipe) TotalBytes() float64 { return p.totalBytes }
 // Transfers returns the number of transfers ever offered.
 func (p *Pipe) Transfers() int64 { return p.transfers }
 
-// Completions returns the recorded transfer completions (empty unless
-// recording was enabled).
-func (p *Pipe) Completions() []PipeCompletion { return p.completions }
-
-// DeliveredBy returns the number of bytes fully or partially delivered by
-// time t, assuming bytes stream uniformly during each transfer's drain
-// window. Requires recording.
-func (p *Pipe) DeliveredBy(t Time) float64 {
-	var sum float64
-	for _, c := range p.completions {
-		switch {
-		case t >= c.End:
-			sum += c.Bytes
-		case t <= c.Start:
-			// nothing delivered yet
-		default:
-			span := c.End - c.Start
-			if span > 0 {
-				sum += c.Bytes * (t - c.Start) / span
-			}
-		}
-	}
-	return sum
-}
-
-// Reset clears counters, recorded completions, the busy horizon and any
-// degrade factor. Intended for reusing a topology across measurement
-// repetitions.
+// Reset clears counters, the busy horizon and any degrade factor. Intended
+// for reusing a topology across measurement repetitions.
 func (p *Pipe) Reset() {
 	p.busyUntil = 0
 	p.totalBytes = 0
 	p.transfers = 0
-	p.completions = nil
 	p.scale = 1
 }

@@ -91,18 +91,6 @@ func (p *Proc) WaitSignal(s *Signal) {
 	p.park()
 }
 
-// Join suspends the process until other finishes.
-func (p *Proc) Join(other *Proc) {
-	p.WaitSignal(other.Done)
-}
-
-// JoinAll suspends the process until every given process finishes.
-func (p *Proc) JoinAll(procs ...*Proc) {
-	for _, q := range procs {
-		p.Join(q)
-	}
-}
-
 // Signal is a one-shot broadcast condition. Fire releases all current and
 // future waiters. The zero value is not usable; construct with NewSignal.
 type Signal struct {

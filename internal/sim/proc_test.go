@@ -184,33 +184,17 @@ func TestOnFireCallback(t *testing.T) {
 	}
 }
 
-func TestProcJoin(t *testing.T) {
+func TestProcDoneFiresOnReturn(t *testing.T) {
 	e := NewEnv()
 	var joinedAt Time
 	worker := e.Go("worker", func(p *Proc) { p.Wait(7) })
 	e.Go("joiner", func(p *Proc) {
-		p.Join(worker)
+		p.WaitSignal(worker.Done)
 		joinedAt = p.Now()
 	})
 	e.Run()
 	if joinedAt != 7 {
 		t.Fatalf("joined at %v, want 7", joinedAt)
-	}
-}
-
-func TestProcJoinAll(t *testing.T) {
-	e := NewEnv()
-	var joinedAt Time
-	a := e.Go("a", func(p *Proc) { p.Wait(3) })
-	b := e.Go("b", func(p *Proc) { p.Wait(9) })
-	c := e.Go("c", func(p *Proc) { p.Wait(6) })
-	e.Go("joiner", func(p *Proc) {
-		p.JoinAll(a, b, c)
-		joinedAt = p.Now()
-	})
-	e.Run()
-	if joinedAt != 9 {
-		t.Fatalf("joined at %v, want 9", joinedAt)
 	}
 }
 
@@ -274,77 +258,4 @@ func TestBarrierInvalidParties(t *testing.T) {
 		}
 	}()
 	NewBarrier(NewEnv(), 0)
-}
-
-func TestResourceLimitsConcurrency(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 2)
-	var maxHeld, held int
-	for i := 0; i < 5; i++ {
-		e.Go("u", func(p *Proc) {
-			r.Acquire(p)
-			held++
-			if held > maxHeld {
-				maxHeld = held
-			}
-			p.Wait(1)
-			held--
-			r.Release()
-		})
-	}
-	e.Run()
-	if maxHeld != 2 {
-		t.Fatalf("max concurrently held = %d, want 2", maxHeld)
-	}
-	if e.Now() != 3 { // ceil(5/2) rounds of 1s
-		t.Fatalf("makespan = %v, want 3", e.Now())
-	}
-}
-
-func TestResourceFIFO(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 1)
-	var order []int
-	for i := 0; i < 4; i++ {
-		i := i
-		e.Go("u", func(p *Proc) {
-			r.Acquire(p)
-			order = append(order, i)
-			p.Wait(1)
-			r.Release()
-		})
-	}
-	e.Run()
-	for i, v := range order {
-		if v != i {
-			t.Fatalf("admission order = %v, want FIFO", order)
-		}
-	}
-}
-
-func TestResourceDoubleReleasePanics(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 1)
-	defer func() {
-		if recover() == nil {
-			t.Error("release of idle resource did not panic")
-		}
-	}()
-	r.Release()
-}
-
-func TestResourceUseReleasesOnReturn(t *testing.T) {
-	e := NewEnv()
-	r := NewResource(e, 1)
-	e.Go("u", func(p *Proc) {
-		r.Use(p, func() {
-			if r.InUse() != 1 {
-				t.Errorf("InUse during Use = %d, want 1", r.InUse())
-			}
-		})
-		if r.InUse() != 0 {
-			t.Errorf("InUse after Use = %d, want 0", r.InUse())
-		}
-	})
-	e.Run()
 }

@@ -156,17 +156,5 @@ func (e *Env) RunContext(ctx context.Context) (Time, error) {
 	}
 }
 
-// RunUntil executes events with timestamps <= deadline, then advances the
-// clock to the deadline. Events scheduled beyond the deadline stay queued.
-func (e *Env) RunUntil(deadline Time) Time {
-	for len(e.queue) > 0 && e.queue[0].at <= deadline {
-		e.Step()
-	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-	return e.now
-}
-
 // Pending reports the number of queued events.
 func (e *Env) Pending() int { return len(e.queue) }

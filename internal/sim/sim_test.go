@@ -75,27 +75,6 @@ func TestAfterAccumulates(t *testing.T) {
 	}
 }
 
-func TestRunUntilLeavesLaterEvents(t *testing.T) {
-	e := NewEnv()
-	fired := 0
-	e.Schedule(1, func() { fired++ })
-	e.Schedule(10, func() { fired++ })
-	e.RunUntil(5)
-	if fired != 1 {
-		t.Fatalf("fired = %d, want 1", fired)
-	}
-	if e.Now() != 5 {
-		t.Fatalf("clock = %v, want 5", e.Now())
-	}
-	if e.Pending() != 1 {
-		t.Fatalf("pending = %d, want 1", e.Pending())
-	}
-	e.Run()
-	if fired != 2 || e.Now() != 10 {
-		t.Fatalf("after Run: fired=%d clock=%v", fired, e.Now())
-	}
-}
-
 func TestStepReturnsFalseWhenEmpty(t *testing.T) {
 	e := NewEnv()
 	if e.Step() {

@@ -25,7 +25,6 @@ import (
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/experiments"
 	"pgasemb/internal/fault"
-	"pgasemb/internal/nvlink"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/serve"
 )
@@ -103,25 +102,6 @@ func A100Hardware() HardwareParams { return retrieval.A100Hardware() }
 // divisible by `nodes`; a count that is not is rejected with a descriptive
 // error by NewSystemSpec / NewSystem.
 func ClusterHardware(nodes int) HardwareParams { return retrieval.ClusterHardware(nodes) }
-
-// MultiNodeHardware returns the default hardware with the interconnect
-// split into `nodes` chassis joined by thin NVLink-modeled network links —
-// the legacy topology-only multi-node approximation. Prefer ClusterHardware,
-// which models NICs, hierarchical collectives and proxy coalescing. The
-// experiment's GPU count must be divisible by `nodes`; a count that is not
-// is rejected with an error by NewSystemSpec / NewSystem.
-func MultiNodeHardware(nodes int) HardwareParams {
-	hw := retrieval.DefaultHardware()
-	hw.Topology = func(gpus int) nvlink.Topology {
-		if nodes <= 0 || gpus%nodes != 0 {
-			// A topology wiring zero GPUs never matches the configuration,
-			// so spec validation reports the mismatch as an error.
-			return nvlink.MultiNode{Nodes: nodes, PerNode: 0, IntraLinks: 2}
-		}
-		return nvlink.MultiNode{Nodes: nodes, PerNode: gpus / nodes, IntraLinks: 2}
-	}
-	return hw
-}
 
 // NewSystemSpec validates the configuration and hardware and returns the
 // immutable spec from which runs are created.

@@ -103,12 +103,12 @@ func TestPublicAPIMultiNodeDivisibility(t *testing.T) {
 	// 3 GPUs cannot split across 2 nodes: rejected at system construction
 	// with an error, never a panic.
 	cfg := pgasemb.TestScaleConfig(3)
-	if _, err := pgasemb.NewSystem(cfg, pgasemb.MultiNodeHardware(2)); err == nil {
+	if _, err := pgasemb.NewSystem(cfg, pgasemb.ClusterHardware(2)); err == nil {
 		t.Fatal("indivisible multi-node GPU count accepted")
 	}
 	// Divisible counts still work.
 	cfg4 := pgasemb.TestScaleConfig(4)
-	sys, err := pgasemb.NewSystem(cfg4, pgasemb.MultiNodeHardware(2))
+	sys, err := pgasemb.NewSystem(cfg4, pgasemb.ClusterHardware(2))
 	if err != nil {
 		t.Fatal(err)
 	}
