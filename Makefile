@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-smoke chaos placement precision report fmt vet loc
+.PHONY: build test race bench benchdiff bench-smoke chaos multinode placement precision report fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -41,6 +41,15 @@ bench-smoke:
 # policy active.
 chaos:
 	$(GO) run ./cmd/chaos -out results
+
+# multinode regenerates results/multinode.txt and results/multinode_b4096.txt:
+# the §V multi-node weak and strong sweeps (1-4 nodes x 4 GPUs, baseline vs
+# PGAS with NIC-traffic columns) at the configuration's default batch size
+# and at a 4096-sample global batch.
+multinode:
+	@mkdir -p results
+	$(GO) run ./cmd/multinode > results/multinode.txt
+	$(GO) run ./cmd/multinode -batchsize 4096 > results/multinode_b4096.txt
 
 # placement regenerates results/placement.{txt,csv}: the placement-policy
 # sweep (static / greedy / adaptive / adaptive+mirror x backend x Zipf) with

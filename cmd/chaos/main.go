@@ -9,12 +9,12 @@
 // Usage:
 //
 //	chaos [-profiles none,flaky-link,straggler] [-replicas 1,2] [-gpus 4]
-//	      [-nodes 0] [-rate 4000] [-duration 1s] [-backend both]
+//	      [-nodes 1] [-rate 4000] [-duration 1s] [-backend both]
 //	      [-parallel N] [-out results] [-timeout 0]
 //
 // -profiles and -replicas take comma-separated sweeps; -duration is
 // SIMULATED time (the arrival window of each point). NIC and proxy-drop
-// profiles (degraded-nic, lossy-proxy, mixed) need -nodes > 0 to have any
+// profiles (degraded-nic, lossy-proxy, mixed) need -nodes > 1 to have any
 // effect. Independent points execute concurrently on -parallel workers; the
 // table is byte-identical at any parallelism. -timeout bounds host
 // wall-clock time.
@@ -36,7 +36,7 @@ func main() {
 		fmt.Sprintf("comma-separated fault profiles (known: %s)", strings.Join(pgasemb.FaultProfiles(), ", ")))
 	replicas := flag.String("replicas", "1,2", "comma-separated shard replication factors")
 	gpus := flag.Int("gpus", 4, "GPUs in the machine")
-	nodes := flag.Int("nodes", 0, "NVLink islands joined by the NIC fabric (0 = single node)")
+	nodes := flag.Int("nodes", 1, "NVLink node count (>1 adds NIC-joined cluster fabric)")
 	rate := flag.Float64("rate", 4000, "arrival rate (requests/second)")
 	duration := flag.Duration("duration", time.Second, "simulated arrival window per sweep point")
 	backend := flag.String("backend", "both", "backend to sweep: registered backend names, pgas (alias for pgas-fused), or both")
@@ -44,8 +44,8 @@ func main() {
 	out := flag.String("out", "results", "output directory")
 	timeout := flag.Duration("timeout", 0, "abort after this host wall-clock duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequireAtLeast(1, "gpus")
-	cliflag.RequireAtLeast(0, "nodes", "parallel")
+	cliflag.RequireAtLeast(1, "gpus", "nodes")
+	cliflag.RequireAtLeast(0, "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 

@@ -59,7 +59,7 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 		{"serve", []string{"-pipeline", "0"}, "-pipeline", 1},
 		{"serve", []string{"-parallel", "-1"}, "-parallel", 0},
 		{"chaos", []string{"-gpus", "-1"}, "-gpus", 1},
-		{"chaos", []string{"-nodes", "-1"}, "-nodes", 0},
+		{"chaos", []string{"-nodes", "0"}, "-nodes", 1},
 		{"chaos", []string{"-parallel", "-1"}, "-parallel", 0},
 		{"placement", []string{"-batches", "0"}, "-batches", 1},
 		{"placement", []string{"-every", "0"}, "-every", 1},

@@ -73,9 +73,8 @@ type Comm struct {
 	fabric *nvlink.Fabric
 	params Params
 
-	// net is the inter-node NIC layer of a cluster communicator (nil on
-	// single-node communicators), and hier the per-rank scratch for the
-	// hierarchical schedules.
+	// net is the inter-node NIC layer, and hier the per-rank scratch for
+	// the hierarchical schedules (nil on one node).
 	net  *fabric.Interconnect
 	hier []hierScratch
 
@@ -95,20 +94,33 @@ type pendingOp struct {
 	sizes [][]float64 // [rank][dst] -> send bytes (hierarchical schedules)
 }
 
-// New creates a communicator over every fabric endpoint, returning invalid
-// parameters as an error so misconfiguration surfaces before any simulated
-// process starts.
-func New(env *sim.Env, fabric *nvlink.Fabric, params Params) (*Comm, error) {
+// New creates a communicator over every fabric endpoint. On a machine of
+// more than one node the all-to-all runs hierarchically: an intra-node
+// exchange over NVLink, a rail-aligned inter-node exchange over the NICs,
+// then an intra-node redistribution. fab must be wired over net's Cluster
+// topology; a mismatched fabric/cluster or invalid parameters come back as
+// an error, so misconfiguration surfaces before any simulated process
+// starts.
+func New(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) (*Comm, error) {
 	if err := params.Validate(); err != nil {
 		return nil, err
 	}
-	return &Comm{
+	n := fab.NumGPUs()
+	if n != net.Cluster().NumGPUs() {
+		return nil, fmt.Errorf("collective: NVLink fabric has %d GPUs but the cluster %d", n, net.Cluster().NumGPUs())
+	}
+	c := &Comm{
 		env:     env,
-		fabric:  fabric,
+		fabric:  fab,
 		params:  params,
+		net:     net,
 		volume:  &trace.VolumeTrace{},
-		barrier: sim.NewBarrier(env, fabric.NumGPUs()),
-	}, nil
+		barrier: sim.NewBarrier(env, n),
+	}
+	if c.hierarchical() {
+		c.hier = make([]hierScratch, n)
+	}
+	return c, nil
 }
 
 // NumRanks returns the number of participants.
@@ -122,8 +134,9 @@ func (c *Comm) Params() Params { return c.params }
 // own convention for plotting the baseline's communication volume).
 func (c *Comm) Volume() *trace.VolumeTrace { return c.volume }
 
-// ResetVolume clears the volume trace between measurement repetitions.
-func (c *Comm) ResetVolume() { c.volume = &trace.VolumeTrace{} }
+// ResetVolume clears the volume trace in place between measurement
+// repetitions.
+func (c *Comm) ResetVolume() { c.volume.Reset() }
 
 // pairBandwidth returns the effective rate from src to dst inside a
 // collective.
@@ -136,8 +149,9 @@ func (c *Comm) pairBandwidth(src, dst int) float64 {
 }
 
 // TransferTime returns the protocol time to move bytes from src to dst over
-// NVLink. Cross-node hops are never priced here: a cluster communicator's
-// all-to-all carries them on the NIC phase of its hierarchical schedule.
+// NVLink. Cross-node hops are never priced here: a multi-node
+// communicator's all-to-all carries them on the NIC phase of its
+// hierarchical schedule.
 func (c *Comm) TransferTime(src, dst int, bytes float64) sim.Duration {
 	if bytes <= 0 {
 		return 0

@@ -4,14 +4,29 @@ import (
 	"math"
 	"testing"
 
+	"pgasemb/internal/fabric"
 	"pgasemb/internal/nvlink"
 	"pgasemb/internal/sim"
 )
 
+// testComm wires a default communicator over one node of n GPUs.
 func testComm(n int) (*sim.Env, *Comm) {
 	env := sim.NewEnv()
-	fabric := mustFabric(env, nvlink.DGXStation(n))
-	return env, mustNew(env, fabric, DefaultParams())
+	c, _, _ := testMachine(env, 1, n, DefaultParams())
+	return env, c
+}
+
+// testMachine wires a communicator over a nodes x perNode cluster,
+// panicking on the construction error.
+func testMachine(env *sim.Env, nodes, perNode int, params Params) (*Comm, *nvlink.Fabric, *fabric.Interconnect) {
+	cl := fabric.Cluster{Nodes: nodes, GPUsPerNode: perNode, IntraLinks: 2}
+	fab := mustFabric(env, cl)
+	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
+	c, err := New(env, fab, params, net)
+	if err != nil {
+		panic(err)
+	}
+	return c, fab, net
 }
 
 // mustFabric wires a default-parameter NVLink fabric, panicking on the
@@ -22,15 +37,6 @@ func mustFabric(env *sim.Env, topo nvlink.Topology) *nvlink.Fabric {
 		panic(err)
 	}
 	return f
-}
-
-// mustNew is New for tests, panicking on the construction error.
-func mustNew(env *sim.Env, fabric *nvlink.Fabric, params Params) *Comm {
-	c, err := New(env, fabric, params)
-	if err != nil {
-		panic(err)
-	}
-	return c
 }
 
 func TestDefaultParamsValid(t *testing.T) {
@@ -72,7 +78,9 @@ func TestNewReturnsParamsError(t *testing.T) {
 			env := sim.NewEnv()
 			p := DefaultParams()
 			c.mut(&p)
-			comm, err := New(env, mustFabric(env, nvlink.DGXStation(2)), p)
+			cl := fabric.Cluster{Nodes: 1, GPUsPerNode: 2, IntraLinks: 2}
+			net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
+			comm, err := New(env, mustFabric(env, cl), p, net)
 			if err == nil {
 				t.Fatal("New accepted invalid parameters")
 			}
@@ -164,10 +172,9 @@ func TestAllToAllTransferTimeScalesWithBytes(t *testing.T) {
 func TestAllToAllChannelLimited(t *testing.T) {
 	// With channel bandwidth below link rate, the channel is the bottleneck.
 	env := sim.NewEnv()
-	fabric := mustFabric(env, nvlink.DGXStation(2))
 	params := DefaultParams()
 	params.ChannelBandwidth = 1e9 // far below the 50 GB/s pair
-	c := mustNew(env, fabric, params)
+	c, _, _ := testMachine(env, 1, 2, params)
 	var done sim.Time
 	runRanks(env, 2, func(p *sim.Proc, rank int) {
 		sizes := uniform(2, rank, 4<<20)
@@ -260,11 +267,10 @@ func TestCollectiveContendsWithOneSidedTraffic(t *testing.T) {
 	// later than its protocol pacing alone would allow.
 	run := func(congest bool) sim.Time {
 		env := sim.NewEnv()
-		fabric := mustFabric(env, nvlink.DGXStation(2))
-		c := mustNew(env, fabric, DefaultParams())
+		c, fab, _ := testMachine(env, 1, 2, DefaultParams())
 		if congest {
 			// 5 GB head-of-line on the 0->1 pipe: 100 ms at 50 GB/s.
-			fabric.Pipe(0, 1).Offer(5e9)
+			fab.Pipe(0, 1).Offer(5e9)
 		}
 		var done sim.Time
 		runRanks(env, 2, func(p *sim.Proc, rank int) {
@@ -291,8 +297,7 @@ func TestCollectiveOccupiesWireForLaterTraffic(t *testing.T) {
 	// Symmetric direction: a collective's bytes delay subsequent one-sided
 	// traffic on the same pipe.
 	env := sim.NewEnv()
-	fabric := mustFabric(env, nvlink.DGXStation(2))
-	c := mustNew(env, fabric, DefaultParams())
+	c, fab, _ := testMachine(env, 1, 2, DefaultParams())
 	const legBytes = 1 << 24 // 16 MiB
 	runRanks(env, 2, func(p *sim.Proc, rank int) {
 		sizes := []float64{0, 0}
@@ -301,7 +306,7 @@ func TestCollectiveOccupiesWireForLaterTraffic(t *testing.T) {
 	})
 	// The pipe now holds the collective's bytes; their drain horizon must
 	// reflect 16 MiB at 50 GB/s.
-	if got := fabric.Pipe(0, 1).TotalBytes(); got != legBytes {
+	if got := fab.Pipe(0, 1).TotalBytes(); got != legBytes {
 		t.Fatalf("pipe carried %v bytes, want %v", got, float64(legBytes))
 	}
 }

@@ -1,31 +1,6 @@
 package collective
 
-import (
-	"fmt"
-
-	"pgasemb/internal/fabric"
-	"pgasemb/internal/nvlink"
-	"pgasemb/internal/sim"
-)
-
-// NewCluster creates a communicator over a multi-node cluster: the
-// all-to-all runs hierarchically — an intra-node exchange over NVLink, a
-// rail-aligned inter-node exchange over the NICs, then an intra-node
-// redistribution. fab must be wired over net's Cluster topology; a
-// mismatched fabric/cluster or invalid parameters come back as an error.
-func NewCluster(env *sim.Env, fab *nvlink.Fabric, params Params, net *fabric.Interconnect) (*Comm, error) {
-	if fab.NumGPUs() != net.Cluster().NumGPUs() {
-		return nil, fmt.Errorf("collective: NVLink fabric has %d GPUs but the cluster %d",
-			fab.NumGPUs(), net.Cluster().NumGPUs())
-	}
-	c, err := New(env, fab, params)
-	if err != nil {
-		return nil, err
-	}
-	c.net = net
-	c.hier = make([]hierScratch, fab.NumGPUs())
-	return c, nil
-}
+import "pgasemb/internal/sim"
 
 // hierScratch is one rank's reusable working set for hierarchical
 // collectives, so steady-state calls allocate nothing.
@@ -49,7 +24,7 @@ func resizeF(s *[]float64, n int) []float64 {
 // hierarchical reports whether collectives should take the hierarchical
 // multi-node path.
 func (c *Comm) hierarchical() bool {
-	return c.net != nil && c.net.Cluster().Nodes > 1
+	return c.net.Cluster().Nodes > 1
 }
 
 // interTime is the analytic time for one rank to receive bytes over its NIC

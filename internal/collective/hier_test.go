@@ -10,59 +10,14 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// testClusterComm wires a hierarchical communicator over a nodes x perNode
-// cluster.
-func testClusterComm(nodes, perNode int) (*sim.Env, *Comm, *fabric.Interconnect) {
-	env := sim.NewEnv()
-	cl := fabric.Cluster{Nodes: nodes, GPUsPerNode: perNode, IntraLinks: 2}
-	fab := mustFabric(env, cl)
-	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
-	c, err := NewCluster(env, fab, DefaultParams(), net)
-	if err != nil {
-		panic(err)
-	}
-	return env, c, net
-}
-
-// A one-node cluster communicator must time the all-to-all identically to
-// the flat communicator over the same NVLink topology: the fabric layer is
-// present but carries nothing.
-func TestSingleNodeClusterMatchesFlat(t *testing.T) {
-	const n = 4
-	run := func(mk func() (*sim.Env, *Comm)) sim.Time {
-		env, c := mk()
-		runRanks(env, n, func(p *sim.Proc, rank int) {
-			send := make([]float64, n)
-			recv := make([]float64, n)
-			for d := 0; d < n; d++ {
-				send[d] = float64(1000 * (rank + 1))
-				recv[d] = float64(1000 * (d + 1))
-			}
-			c.AllToAllSingleSizes(p, rank, send, recv)
-		})
-		return env.Now()
-	}
-	flatEnd := run(func() (*sim.Env, *Comm) {
-		env := sim.NewEnv()
-		fab := mustFabric(env, nvlink.DGXStation(n))
-		return env, mustNew(env, fab, DefaultParams())
-	})
-	clEnd := run(func() (*sim.Env, *Comm) {
-		env, c, _ := testClusterComm(1, n)
-		return env, c
-	})
-	if math.Abs(flatEnd-clEnd) > 1e-12 {
-		t.Fatalf("1-node cluster end %g != flat end %g", clEnd, flatEnd)
-	}
-}
-
 // The hierarchical all-to-all coalesces cross-node payload per node pair:
 // with uniform 4 B segments, each of the 2 ordered node pairs carries G*G
 // segments in one send.
 func TestHierAllToAllCoalescesPerNodePair(t *testing.T) {
 	const nodes, perNode = 2, 2
 	n := nodes * perNode
-	env, c, net := testClusterComm(nodes, perNode)
+	env := sim.NewEnv()
+	c, _, net := testMachine(env, nodes, perNode, DefaultParams())
 	runRanks(env, n, func(p *sim.Proc, rank int) {
 		sizes := make([]float64, n)
 		for d := range sizes {
@@ -86,7 +41,8 @@ func TestHierAllToAllNodeScalingMonotone(t *testing.T) {
 	perPeer := float64(64 << 10)
 	var prev sim.Time
 	for nodes := 1; nodes <= 4; nodes++ {
-		env, c, _ := testClusterComm(nodes, perNode)
+		env := sim.NewEnv()
+		c, _, _ := testMachine(env, nodes, perNode, DefaultParams())
 		n := nodes * perNode
 		runRanks(env, n, func(p *sim.Proc, rank int) {
 			send := make([]float64, n)
@@ -104,20 +60,10 @@ func TestHierAllToAllNodeScalingMonotone(t *testing.T) {
 	}
 }
 
-func TestNewClusterRejectsMismatch(t *testing.T) {
-	env := sim.NewEnv()
-	fab := mustFabric(env, nvlink.DGXStation(4))
-	cl := fabric.Cluster{Nodes: 2, GPUsPerNode: 4, IntraLinks: 2}
-	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
-	if _, err := NewCluster(env, fab, DefaultParams(), net); err == nil {
-		t.Fatal("mismatched fabric/cluster sizes not rejected")
-	}
-}
-
-// NewCluster returns both of its failure classes as an error with no
+// New returns both of its failure classes as an error with no
 // communicator: a fabric sized differently from the cluster, and invalid
 // protocol parameters on a correctly wired machine.
-func TestNewClusterReturnsError(t *testing.T) {
+func TestNewReturnsError(t *testing.T) {
 	cl := fabric.Cluster{Nodes: 2, GPUsPerNode: 2, IntraLinks: 2}
 	badParams := DefaultParams()
 	badParams.ChunkBytes = 0
@@ -127,19 +73,19 @@ func TestNewClusterReturnsError(t *testing.T) {
 		params Params
 		want   string
 	}{
-		{"size-mismatch", nvlink.DGXStation(2), DefaultParams(), "NVLink fabric has 2 GPUs but the cluster 4"},
+		{"size-mismatch", fabric.Cluster{Nodes: 1, GPUsPerNode: 2, IntraLinks: 2}, DefaultParams(), "NVLink fabric has 2 GPUs but the cluster 4"},
 		{"bad-params", cl, badParams, "ChunkBytes must be positive"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
 			env := sim.NewEnv()
 			net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
-			comm, err := NewCluster(env, mustFabric(env, c.fabTop), c.params, net)
+			comm, err := New(env, mustFabric(env, c.fabTop), c.params, net)
 			if err == nil {
-				t.Fatalf("NewCluster accepted %s", c.name)
+				t.Fatalf("New accepted %s", c.name)
 			}
 			if comm != nil {
-				t.Errorf("NewCluster returned a communicator alongside error %q", err)
+				t.Errorf("New returned a communicator alongside error %q", err)
 			}
 			if !strings.Contains(err.Error(), c.want) {
 				t.Errorf("error %q does not mention %q", err, c.want)

@@ -16,7 +16,7 @@ import (
 type ChaosOptions struct {
 	// Profiles names the fault profiles to sweep (see fault.Profiles).
 	// Default: none, flaky-link, straggler — the profiles that bite on a
-	// single-node machine. NIC and proxy profiles need Nodes > 0 to have any
+	// single-node machine. NIC and proxy profiles need Nodes > 1 to have any
 	// effect.
 	Profiles []string
 	// Replicas are the shard replication factors to sweep (default {1, 2}).
@@ -26,7 +26,7 @@ type ChaosOptions struct {
 	// GPUs sizes the machine (default 4). Ignored when Base is set.
 	GPUs int
 	// Nodes composes the machine from NVLink islands joined by the NIC
-	// fabric (0 = single node). Ignored when HW is set.
+	// fabric (0 means 1, a single node). Ignored when HW is set.
 	Nodes int
 	// Rate is the arrival rate in requests/second (default 2000).
 	Rate float64
@@ -36,8 +36,8 @@ type ChaosOptions struct {
 	// retrieval.ServingScaleConfig(GPUs)); its Replicas field is overwritten
 	// by the sweep. Replication requires Dedup and AdaptivePlacement off.
 	Base *retrieval.Config
-	// HW selects the hardware model (nil = calibrated defaults, clustered
-	// when Nodes > 0); its Faults field is overwritten by the sweep.
+	// HW selects the hardware model (nil = the calibrated defaults on Nodes
+	// nodes); its Faults field is overwritten by the sweep.
 	HW *retrieval.HardwareParams
 	// Serve carries the batching knobs and the degraded-serving policy; Rate
 	// and Duration are overwritten by the sweep. A zero-valued Degrade
@@ -101,10 +101,7 @@ func (o ChaosOptions) hardware() retrieval.HardwareParams {
 	if o.HW != nil {
 		return *o.HW
 	}
-	if o.Nodes > 0 {
-		return retrieval.ClusterHardware(o.Nodes)
-	}
-	return retrieval.DefaultHardware()
+	return retrieval.ClusterHardware(o.Nodes)
 }
 
 func (o ChaosOptions) rate() float64 {

@@ -28,8 +28,8 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 		t.Fatalf("got %d points, want %d", len(res.Points), opts.MaxNodes)
 	}
 
-	// 1 node: the fabric layer is present but carries nothing, and the
-	// result matches a plain single-node machine exactly.
+	// 1 node: the NICs carry nothing, and the sweep point matches a one-off
+	// run of the default machine exactly.
 	p1 := res.Point(1)
 	if p1.Baseline.NICWireBytes != 0 || p1.PGAS.NICWireBytes != 0 {
 		t.Errorf("1-node sweep point moved NIC bytes: base %g, pgas %g",
@@ -52,7 +52,7 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 			t.Fatal(err)
 		}
 		if plain.TotalTime != c.got.TotalTime {
-			t.Errorf("%s: 1-node sweep total %g != plain single-node machine %g",
+			t.Errorf("%s: 1-node sweep total %g != default machine %g",
 				c.backend.Name(), c.got.TotalTime, plain.TotalTime)
 		}
 	}

@@ -163,11 +163,12 @@ type Interconnect struct {
 	cluster Cluster
 	nic     NICParams
 
-	egress  [][]*sim.Pipe // [node][rail]
-	ingress [][]*sim.Pipe // [node][rail]
-	// launchFree[node][rail] is when the rail's proxy engine is free to
-	// post the next message (MessageOverhead serialisation).
-	launchFree [][]sim.Time
+	// The per-rail slices are indexed by railIndex(node, rail). launchFree
+	// is when the rail's proxy engine is free to post the next message
+	// (MessageOverhead serialisation).
+	egress     []*sim.Pipe
+	ingress    []*sim.Pipe
+	launchFree []sim.Time
 
 	messages     int64
 	payloadBytes float64
@@ -184,21 +185,21 @@ func NewInterconnect(env *sim.Env, cluster Cluster, nic NICParams) *Interconnect
 	if err := nic.Validate(); err != nil {
 		panic(err)
 	}
+	rails := cluster.Nodes * nic.NICsPerNode
+	pipes := make([]*sim.Pipe, 2*rails) // one allocation: a run wires a fresh interconnect
 	ic := &Interconnect{
 		env:        env,
 		cluster:    cluster,
 		nic:        nic,
-		egress:     make([][]*sim.Pipe, cluster.Nodes),
-		ingress:    make([][]*sim.Pipe, cluster.Nodes),
-		launchFree: make([][]sim.Time, cluster.Nodes),
+		egress:     pipes[:rails:rails],
+		ingress:    pipes[rails:],
+		launchFree: make([]sim.Time, rails),
 	}
 	for node := 0; node < cluster.Nodes; node++ {
-		ic.egress[node] = make([]*sim.Pipe, nic.NICsPerNode)
-		ic.ingress[node] = make([]*sim.Pipe, nic.NICsPerNode)
-		ic.launchFree[node] = make([]sim.Time, nic.NICsPerNode)
 		for rail := 0; rail < nic.NICsPerNode; rail++ {
-			ic.egress[node][rail] = sim.NewPipe(env, fmt.Sprintf("nic-egress-%d.%d", node, rail), nic.Bandwidth, 0)
-			ic.ingress[node][rail] = sim.NewPipe(env, fmt.Sprintf("nic-ingress-%d.%d", node, rail), nic.Bandwidth, 0)
+			i := ic.railIndex(node, rail)
+			ic.egress[i] = sim.NewPipe(env, fmt.Sprintf("nic-egress-%d.%d", node, rail), nic.Bandwidth, 0)
+			ic.ingress[i] = sim.NewPipe(env, fmt.Sprintf("nic-ingress-%d.%d", node, rail), nic.Bandwidth, 0)
 		}
 	}
 	return ic
@@ -209,6 +210,9 @@ func (ic *Interconnect) Cluster() Cluster { return ic.cluster }
 
 // NIC returns the NIC parameters.
 func (ic *Interconnect) NIC() NICParams { return ic.nic }
+
+// railIndex flattens (node, rail) into the per-rail slices.
+func (ic *Interconnect) railIndex(node, rail int) int { return node*ic.nic.NICsPerNode + rail }
 
 // Rail returns the NIC rail GPU g sends and receives on.
 func (ic *Interconnect) Rail(g int) int {
@@ -237,14 +241,15 @@ func (ic *Interconnect) SendAt(readyAt sim.Time, src, dstNode, payload int) sim.
 		start = now
 	}
 	// Message launches serialise on the sending rail's proxy engine.
-	if lf := ic.launchFree[srcNode][rail]; lf > start {
+	src, dst := ic.railIndex(srcNode, rail), ic.railIndex(dstNode, rail)
+	if lf := ic.launchFree[src]; lf > start {
 		start = lf
 	}
 	start += sim.Duration(msgs) * ic.nic.MessageOverhead
-	ic.launchFree[srcNode][rail] = start
+	ic.launchFree[src] = start
 
-	eDone := ic.egress[srcNode][rail].OfferAt(start, wire)
-	iDone := ic.ingress[dstNode][rail].OfferAt(start, wire)
+	eDone := ic.egress[src].OfferAt(start, wire)
+	iDone := ic.ingress[dst].OfferAt(start, wire)
 	delivered := eDone
 	if iDone > delivered {
 		delivered = iDone
@@ -273,8 +278,9 @@ func (ic *Interconnect) SetRailDegrade(node, rail int, factor float64) {
 	if rail < 0 || rail >= ic.nic.NICsPerNode {
 		panic(fmt.Sprintf("fabric: degrade on rail %d out of range (%d rails)", rail, ic.nic.NICsPerNode))
 	}
-	ic.egress[node][rail].SetDegrade(factor)
-	ic.ingress[node][rail].SetDegrade(factor)
+	i := ic.railIndex(node, rail)
+	ic.egress[i].SetDegrade(factor)
+	ic.ingress[i].SetDegrade(factor)
 }
 
 // Messages returns the cumulative NIC message count since the last Reset.
@@ -286,30 +292,12 @@ func (ic *Interconnect) PayloadBytes() float64 { return ic.payloadBytes }
 // WireBytes returns the cumulative payload+header bytes sent over the NICs.
 func (ic *Interconnect) WireBytes() float64 { return ic.wireBytes }
 
-// BusyUntil returns the latest drain time over all NIC rails.
-func (ic *Interconnect) BusyUntil() sim.Time {
-	var worst sim.Time
-	for node := range ic.egress {
-		for rail := range ic.egress[node] {
-			if t := ic.egress[node][rail].BusyUntil(); t > worst {
-				worst = t
-			}
-			if t := ic.ingress[node][rail].BusyUntil(); t > worst {
-				worst = t
-			}
-		}
-	}
-	return worst
-}
-
 // Reset clears all rail state and counters between measurement repetitions.
 func (ic *Interconnect) Reset() {
-	for node := range ic.egress {
-		for rail := range ic.egress[node] {
-			ic.egress[node][rail].Reset()
-			ic.ingress[node][rail].Reset()
-			ic.launchFree[node][rail] = 0
-		}
+	for i := range ic.egress {
+		ic.egress[i].Reset()
+		ic.ingress[i].Reset()
+		ic.launchFree[i] = 0
 	}
 	ic.messages = 0
 	ic.payloadBytes = 0

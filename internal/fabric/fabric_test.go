@@ -255,11 +255,14 @@ func TestRailAssignment(t *testing.T) {
 func TestInterconnectReset(t *testing.T) {
 	ic := NewInterconnect(sim.NewEnv(), Cluster{Nodes: 2, GPUsPerNode: 2, IntraLinks: 2}, DefaultNICParams())
 	ic.Send(0, 1, 1<<20)
-	if ic.BusyUntil() == 0 || ic.Messages() == 0 {
+	egress, ingress := ic.egress[ic.railIndex(0, ic.Rail(0))], ic.ingress[ic.railIndex(1, ic.Rail(0))]
+	if egress.BusyUntil() == 0 || ingress.BusyUntil() == 0 ||
+		ic.Messages() == 0 || ic.PayloadBytes() == 0 || ic.WireBytes() == 0 {
 		t.Fatal("send left no trace")
 	}
 	ic.Reset()
-	if ic.BusyUntil() != 0 || ic.Messages() != 0 || ic.PayloadBytes() != 0 || ic.WireBytes() != 0 {
+	if egress.BusyUntil() != 0 || ingress.BusyUntil() != 0 ||
+		ic.Messages() != 0 || ic.PayloadBytes() != 0 || ic.WireBytes() != 0 {
 		t.Fatal("reset incomplete")
 	}
 	// After a reset the first send sees a cold interconnect again.

@@ -7,7 +7,7 @@ import (
 )
 
 func BenchmarkFabricPipeLookup(b *testing.B) {
-	f := mustFabric(sim.NewEnv(), DefaultParams(), DGXStation(4))
+	f := mustFabric(sim.NewEnv(), DefaultParams(), station(4))
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
@@ -17,7 +17,7 @@ func BenchmarkFabricPipeLookup(b *testing.B) {
 }
 
 func BenchmarkWireBytes(b *testing.B) {
-	f := mustFabric(sim.NewEnv(), DefaultParams(), DGXStation(2))
+	f := mustFabric(sim.NewEnv(), DefaultParams(), station(2))
 	b.ResetTimer()
 	var sink float64
 	for i := 0; i < b.N; i++ {
@@ -27,7 +27,7 @@ func BenchmarkWireBytes(b *testing.B) {
 }
 
 func BenchmarkFabricOffer(b *testing.B) {
-	f := mustFabric(sim.NewEnv(), DefaultParams(), DGXStation(2))
+	f := mustFabric(sim.NewEnv(), DefaultParams(), station(2))
 	p := f.Pipe(0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -68,34 +68,6 @@ type Topology interface {
 	Links(a, b int) int
 }
 
-// FullyConnected is a topology where every GPU pair is wired with the same
-// number of links — the DGX Station V100 layout the paper uses: each V100
-// has 6 links, fully connecting 4 GPUs with 2 links per pair.
-type FullyConnected struct {
-	N            int
-	LinksPerPair int
-}
-
-// NumGPUs implements Topology.
-func (t FullyConnected) NumGPUs() int { return t.N }
-
-// Links implements Topology.
-func (t FullyConnected) Links(a, b int) int {
-	if a == b {
-		return 0
-	}
-	if a < 0 || b < 0 || a >= t.N || b >= t.N {
-		panic(fmt.Sprintf("nvlink: GPU index out of range: Links(%d, %d) with %d GPUs", a, b, t.N))
-	}
-	return t.LinksPerPair
-}
-
-// DGXStation returns the paper's testbed topology for n active GPUs: V100s
-// fully connected with 2 NVLink links (50 GB/s per direction) per pair.
-func DGXStation(n int) Topology {
-	return FullyConnected{N: n, LinksPerPair: 2}
-}
-
 // Fabric instantiates a topology as per-direction fluid pipes.
 type Fabric struct {
 	env    *sim.Env
@@ -148,8 +120,9 @@ func NewFabric(env *sim.Env, params Params, topo Topology) (*Fabric, error) {
 	}
 	n := topo.NumGPUs()
 	f := &Fabric{env: env, params: params, topo: topo, pipes: make([][]*sim.Pipe, n)}
+	all := make([]*sim.Pipe, n*n) // one allocation for every row: a run wires a fresh fabric
 	for src := 0; src < n; src++ {
-		f.pipes[src] = make([]*sim.Pipe, n)
+		f.pipes[src] = all[src*n : (src+1)*n : (src+1)*n]
 		for dst := 0; dst < n; dst++ {
 			if src == dst {
 				continue

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"pgasemb/internal/fabric"
 	"pgasemb/internal/sim"
 )
 
@@ -33,7 +34,7 @@ func TestValidateRejectsBadParams(t *testing.T) {
 }
 
 func TestDGXStationTopology(t *testing.T) {
-	topo := DGXStation(4)
+	topo := station(4)
 	if topo.NumGPUs() != 4 {
 		t.Fatalf("NumGPUs = %d", topo.NumGPUs())
 	}
@@ -51,7 +52,7 @@ func TestDGXStationTopology(t *testing.T) {
 }
 
 func TestTopologyOutOfRangePanics(t *testing.T) {
-	topo := DGXStation(2)
+	topo := station(2)
 	defer func() {
 		if recover() == nil {
 			t.Error("out-of-range Links did not panic")
@@ -62,7 +63,7 @@ func TestTopologyOutOfRangePanics(t *testing.T) {
 
 func TestFabricPairBandwidth(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(4))
+	f := mustFabric(env, DefaultParams(), station(4))
 	want := 2 * 25e9 // two links per pair
 	if got := f.PairBandwidth(0, 3); got != want {
 		t.Fatalf("PairBandwidth = %v, want %v", got, want)
@@ -94,7 +95,7 @@ func TestFabricExposesTopologyAndParams(t *testing.T) {
 // SetLinkDegrade slows only the one directed pipe it names.
 func TestFabricSetLinkDegradeOneDirection(t *testing.T) {
 	params := DefaultParams()
-	f := mustFabric(sim.NewEnv(), params, DGXStation(3))
+	f := mustFabric(sim.NewEnv(), params, station(3))
 	f.SetLinkDegrade(0, 1, 0.5)
 	bytes := 2 * params.LinkBandwidth * 1e-3 // 1 ms on a healthy two-link pair
 	healthy := 1e-3 + params.LinkLatency
@@ -132,7 +133,7 @@ func TestCustomTopology(t *testing.T) {
 
 func TestFabricSelfPipePanics(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), station(2))
 	defer func() {
 		if recover() == nil {
 			t.Error("self pipe did not panic")
@@ -144,7 +145,7 @@ func TestFabricSelfPipePanics(t *testing.T) {
 func TestFabricUnconnectedPanics(t *testing.T) {
 	env := sim.NewEnv()
 	// Two disconnected GPUs.
-	f := mustFabric(env, DefaultParams(), FullyConnected{N: 2, LinksPerPair: 0})
+	f := mustFabric(env, DefaultParams(), matrixTopo{{0, 0}, {0, 0}})
 	defer func() {
 		if recover() == nil {
 			t.Error("unconnected pipe did not panic")
@@ -155,7 +156,7 @@ func TestFabricUnconnectedPanics(t *testing.T) {
 
 func TestFabricDirectionsIndependent(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), station(2))
 	// Saturate 0->1; 1->0 must stay unaffected (full duplex).
 	end01 := f.Pipe(0, 1).Offer(500e6)
 	end10 := f.Pipe(1, 0).Offer(500e6)
@@ -166,7 +167,7 @@ func TestFabricDirectionsIndependent(t *testing.T) {
 
 func TestWireBytes(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), station(2))
 	cases := []struct {
 		payload int
 		want    float64
@@ -186,7 +187,7 @@ func TestWireBytes(t *testing.T) {
 
 func TestWireBytesNegativePanics(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), station(2))
 	defer func() {
 		if recover() == nil {
 			t.Error("negative payload did not panic")
@@ -199,7 +200,7 @@ func TestWireBytesNegativePanics(t *testing.T) {
 // extra, and WireBytes is monotone.
 func TestWireBytesMonotoneProperty(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(2))
+	f := mustFabric(env, DefaultParams(), station(2))
 	prop := func(a, b uint16) bool {
 		x, y := int(a), int(b)
 		if x > y {
@@ -214,7 +215,7 @@ func TestWireBytesMonotoneProperty(t *testing.T) {
 
 func TestFabricAggregates(t *testing.T) {
 	env := sim.NewEnv()
-	f := mustFabric(env, DefaultParams(), DGXStation(3))
+	f := mustFabric(env, DefaultParams(), station(3))
 	f.Pipe(0, 1).Offer(100)
 	f.Pipe(1, 2).Offer(200)
 	f.Pipe(2, 0).Offer(300)
@@ -232,7 +233,7 @@ func TestFabricCommTimeDropsWithMoreGPUs(t *testing.T) {
 	// (each pair its own links), per-GPU communication time decreases.
 	drain := func(n int) sim.Time {
 		env := sim.NewEnv()
-		f := mustFabric(env, DefaultParams(), DGXStation(n))
+		f := mustFabric(env, DefaultParams(), station(n))
 		total := 268e6 // output bytes per GPU per batch (weak scaling)
 		remote := total * float64(n-1) / float64(n)
 		perPeer := remote / float64(n-1)
@@ -264,7 +265,7 @@ func (asymTopo) Links(a, b int) int {
 }
 
 func TestNewFabricRejectsEmptyTopology(t *testing.T) {
-	if _, err := NewFabric(sim.NewEnv(), DefaultParams(), FullyConnected{N: 0, LinksPerPair: 2}); err == nil {
+	if _, err := NewFabric(sim.NewEnv(), DefaultParams(), matrixTopo{}); err == nil {
 		t.Error("empty topology not rejected")
 	}
 }
@@ -283,7 +284,7 @@ func TestValidateTopologyErrors(t *testing.T) {
 		{"asymmetric-matrix", matrixTopo{{0, 2}, {1, 0}}, "asymmetric links"},
 		{"negative", matrixTopo{{0, -1}, {-1, 0}}, "negative link count"},
 		{"self-links", selfLinkTopo{}, "self links"},
-		{"empty", FullyConnected{N: 0, LinksPerPair: 2}, "no GPUs"},
+		{"empty", matrixTopo{}, "no GPUs"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -333,7 +334,7 @@ func (raggedTopo) Validate() error {
 
 func TestValidateTopologyAcceptsGoodWirings(t *testing.T) {
 	for _, topo := range []Topology{
-		DGXStation(4),
+		station(4),
 		matrixTopo{{0, 1}, {1, 0}},
 	} {
 		if err := ValidateTopology(topo); err != nil {
@@ -353,12 +354,12 @@ func TestNewFabricReturnsError(t *testing.T) {
 		topo   Topology
 		want   string
 	}{
-		{"bad-params", noBandwidth, DGXStation(2), "LinkBandwidth must be positive"},
+		{"bad-params", noBandwidth, station(2), "LinkBandwidth must be positive"},
 		{"asymmetric", DefaultParams(), zeroDiagAsymTopo{}, "asymmetric links"},
 		{"self-links", DefaultParams(), selfLinkTopo{}, "self links"},
 		{"ragged", DefaultParams(), raggedTopo{}, "row 1 has 1 entries"},
 		{"negative", DefaultParams(), matrixTopo{{0, -1}, {-1, 0}}, "negative link count"},
-		{"empty", DefaultParams(), FullyConnected{N: 0, LinksPerPair: 2}, "no GPUs"},
+		{"empty", DefaultParams(), matrixTopo{}, "no GPUs"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -375,6 +376,10 @@ func TestNewFabricReturnsError(t *testing.T) {
 		})
 	}
 }
+
+// station is the paper's DGX Station wiring for n GPUs: one node, fully
+// connected with two NVLink links per pair.
+func station(n int) Topology { return fabric.Cluster{Nodes: 1, GPUsPerNode: n, IntraLinks: 2} }
 
 // mustFabric is NewFabric for tests, panicking on the construction error.
 func mustFabric(env *sim.Env, params Params, topo Topology) *Fabric {

@@ -23,17 +23,16 @@ import (
 	"pgasemb/internal/trace"
 )
 
-// Runtime is the communication context shared by all PEs on one machine (or,
-// for cluster runtimes, across all nodes of one cluster).
+// Runtime is the communication context shared by all PEs across every node
+// of one machine.
 type Runtime struct {
 	env    *sim.Env
 	fabric *nvlink.Fabric
-	net    *fabric.Interconnect // nil on single-node runtimes
-	pes    []*PE
+	pes    []PE
 	hooks  *FaultHooks // nil = perfect delivery
 }
 
-// FaultHooks injects delivery faults into a cluster runtime's proxy layer.
+// FaultHooks injects delivery faults into the runtime's proxy layer.
 // One-sided stores have no acknowledgement visible to the issuing kernel, so
 // the quiet/flush boundary is exactly where loss must be detected and
 // retried (as the NVSHMEM system analyses observe): a dropped coalesced NIC
@@ -83,34 +82,28 @@ func (rt *Runtime) SetFaultHooks(h *FaultHooks) {
 	rt.hooks = h
 }
 
-// New creates a runtime with one PE per fabric endpoint.
-func New(env *sim.Env, fabric *nvlink.Fabric) *Runtime {
-	rt := &Runtime{env: env, fabric: fabric}
-	n := fabric.NumGPUs()
-	rt.pes = make([]*PE, n)
-	for i := 0; i < n; i++ {
-		rt.pes[i] = &PE{rt: rt, id: i, counter: &trace.VolumeTrace{}}
-	}
-	return rt
-}
-
-// NewCluster creates a runtime spanning a multi-node cluster: PEs reach
-// same-node peers through direct device stores on the NVLink fabric exactly
-// as New's, while stores to remote-node PEs are routed through a per-PE
-// proxy that coalesces them into NIC messages on net (the NVSHMEM
-// proxy/IBRC boundary). fab must be wired over net's Cluster topology.
-func NewCluster(env *sim.Env, fab *nvlink.Fabric, net *fabric.Interconnect, cfg ProxyConfig) *Runtime {
+// New creates a runtime with one PE per fabric endpoint. PEs reach
+// same-node peers through direct device stores on the NVLink fabric, while
+// stores to remote-node PEs are routed through a per-PE proxy that
+// coalesces them into NIC messages on net (the NVSHMEM proxy/IBRC
+// boundary). fab must be wired over net's Cluster topology.
+func New(env *sim.Env, fab *nvlink.Fabric, net *fabric.Interconnect, cfg ProxyConfig) *Runtime {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
-	if fab.NumGPUs() != net.Cluster().NumGPUs() {
-		panic(fmt.Sprintf("pgas: NVLink fabric has %d GPUs but the cluster %d",
-			fab.NumGPUs(), net.Cluster().NumGPUs()))
+	n := fab.NumGPUs()
+	if n != net.Cluster().NumGPUs() {
+		panic(fmt.Sprintf("pgas: NVLink fabric has %d GPUs but the cluster %d", n, net.Cluster().NumGPUs()))
 	}
-	rt := New(env, fab)
-	rt.net = net
-	for _, pe := range rt.pes {
-		pe.proxy = newProxy(pe, net, cfg)
+	// One allocation each for the PEs and every proxy's staging buffers:
+	// the serving layer wires a fresh runtime per dispatch.
+	rt := &Runtime{env: env, fabric: fab, pes: make([]PE, n)}
+	nodes := net.Cluster().Nodes
+	bufs := make([]proxyBuf, n*nodes)
+	for i := range rt.pes {
+		pe := &rt.pes[i]
+		pe.rt, pe.id = rt, i
+		pe.proxy.init(pe, net, cfg, bufs[i*nodes:(i+1)*nodes:(i+1)*nodes])
 	}
 	return rt
 }
@@ -123,15 +116,11 @@ func (rt *Runtime) PE(i int) *PE {
 	if i < 0 || i >= len(rt.pes) {
 		panic(fmt.Sprintf("pgas: PE %d out of range (n=%d)", i, len(rt.pes)))
 	}
-	return rt.pes[i]
+	return &rt.pes[i]
 }
 
 // Fabric returns the underlying interconnect.
 func (rt *Runtime) Fabric() *nvlink.Fabric { return rt.fabric }
-
-// Interconnect returns the inter-node NIC layer of a cluster runtime, or nil
-// for single-node runtimes.
-func (rt *Runtime) Interconnect() *fabric.Interconnect { return rt.net }
 
 // NewBarrier returns a barrier across all PEs (each PE's process calls
 // Await once per round).
@@ -141,8 +130,9 @@ func (rt *Runtime) NewBarrier() *sim.Barrier {
 
 // ResetCounters clears every PE's communication counter.
 func (rt *Runtime) ResetCounters() {
-	for _, pe := range rt.pes {
-		pe.counter = &trace.VolumeTrace{}
+	for i := range rt.pes {
+		pe := &rt.pes[i]
+		pe.counter.Reset()
 		pe.puts = 0
 		pe.payloadBytes = 0
 		pe.wireBytes = 0
@@ -153,9 +143,7 @@ func (rt *Runtime) ResetCounters() {
 			pe.slotMarks[i] = 0
 		}
 		pe.curSlot = 0
-		if pe.proxy != nil {
-			pe.proxy.reset()
-		}
+		pe.proxy.reset()
 	}
 }
 
@@ -163,8 +151,8 @@ func (rt *Runtime) ResetCounters() {
 // communication-volume-over-time curve of Figures 7 and 10.
 func (rt *Runtime) TotalTrace() *trace.VolumeTrace {
 	merged := &trace.VolumeTrace{}
-	for _, pe := range rt.pes {
-		for _, iv := range pe.counter.Intervals() {
+	for i := range rt.pes {
+		for _, iv := range rt.pes[i].counter.Intervals() {
 			merged.Add(iv.Start, iv.End, iv.Bytes)
 		}
 	}
@@ -180,7 +168,8 @@ func (rt *Runtime) ConfigureSlots(n int) {
 	if n < 2 {
 		panic(fmt.Sprintf("pgas: ConfigureSlots(%d): need at least 2 slots (1 is the unsliced heap)", n))
 	}
-	for _, pe := range rt.pes {
+	for i := range rt.pes {
+		pe := &rt.pes[i]
 		pe.slotMarks = make([]sim.Time, n)
 		pe.curSlot = 0
 	}
@@ -191,7 +180,7 @@ func (rt *Runtime) ConfigureSlots(n int) {
 type PE struct {
 	rt    *Runtime
 	id    int
-	proxy *proxy // inter-node forwarding engine; nil on single-node runtimes
+	proxy proxy // inter-node forwarding engine
 
 	// slotMarks[k] is slot k's outstanding-store horizon: the latest delivery
 	// time of any store issued while slot k was active. Nil when the heap is
@@ -205,7 +194,7 @@ type PE struct {
 	drops        int64 // delivery attempts lost to injected faults
 	retries      int64 // retransmissions issued by the proxy
 	exhausted    int64 // messages that hit MaxAttempts
-	counter      *trace.VolumeTrace
+	counter      trace.VolumeTrace
 }
 
 // ID returns the PE ordinal.
@@ -231,7 +220,7 @@ func (pe *PE) Retries() int64 { return pe.retries }
 func (pe *PE) RetriesExhausted() int64 { return pe.exhausted }
 
 // Counter returns this PE's communication-volume trace.
-func (pe *PE) Counter() *trace.VolumeTrace { return pe.counter }
+func (pe *PE) Counter() *trace.VolumeTrace { return &pe.counter }
 
 // Slots returns the number of staging slots the heap is sliced into (1 when
 // unsliced).
@@ -314,12 +303,8 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 }
 
 // remoteNode returns the destination node index when target lives on a
-// different node of a cluster runtime, and -1 for same-node (or
-// single-node-runtime) targets.
+// different node, and -1 for same-node targets.
 func (pe *PE) remoteNode(target *PE) int {
-	if pe.proxy == nil {
-		return -1
-	}
 	cl := pe.proxy.net.Cluster()
 	if dn := cl.Node(target.id); dn != cl.Node(pe.id) {
 		return dn
@@ -348,11 +333,8 @@ func (pe *PE) accountPut(target *PE, payload int) sim.Time {
 // far has drained onto the wire — nvshmem_quiet semantics, the completion
 // point at the end of the paper's fused kernel.
 func (pe *PE) Quiet(p *sim.Proc) {
-	var worst sim.Time
-	if pe.proxy != nil {
-		pe.proxy.drain()
-		worst = pe.proxy.lastDelivery
-	}
+	pe.proxy.drain()
+	worst := pe.proxy.lastDelivery
 	for dst := 0; dst < pe.rt.NumPEs(); dst++ {
 		if dst == pe.id {
 			continue
@@ -370,10 +352,9 @@ func (pe *PE) Quiet(p *sim.Proc) {
 // QuietSlot blocks the calling process until every store issued against the
 // given staging slot has drained, then retires the slot for reuse. Unlike
 // Quiet — which waits on the whole outgoing-pipe horizon — QuietSlot only
-// needs the slot's own store horizon (plus the proxy's coalescing flush on
-// cluster runtimes), which is what lets a pipelined schedule quiesce slot k
-// while slot k+1's stores are still in flight. On an unsliced heap it
-// degrades to Quiet.
+// needs the slot's own store horizon (plus the proxy's coalescing flush),
+// which is what lets a pipelined schedule quiesce slot k while slot k+1's
+// stores are still in flight. On an unsliced heap it degrades to Quiet.
 func (pe *PE) QuietSlot(p *sim.Proc, slot int) {
 	if pe.slotMarks == nil {
 		pe.Quiet(p)
@@ -383,11 +364,9 @@ func (pe *PE) QuietSlot(p *sim.Proc, slot int) {
 		panic(fmt.Sprintf("pgas: QuietSlot(%d) out of range (%d slots)", slot, len(pe.slotMarks)))
 	}
 	worst := pe.slotMarks[slot]
-	if pe.proxy != nil {
-		pe.proxy.drain()
-		if pe.proxy.lastDelivery > worst {
-			worst = pe.proxy.lastDelivery
-		}
+	pe.proxy.drain()
+	if pe.proxy.lastDelivery > worst {
+		worst = pe.proxy.lastDelivery
 	}
 	p.WaitUntil(worst)
 	pe.slotMarks[slot] = 0 // slot retired: its staging half is reusable

@@ -8,9 +8,11 @@ import (
 	"pgasemb/internal/sim"
 )
 
+// testRuntime wires a single-node runtime of n PEs.
 func testRuntime(n int) (*sim.Env, *Runtime) {
 	env := sim.NewEnv()
-	return env, New(env, mustFabric(env, nvlink.DGXStation(n)))
+	rt, _ := newClusterRuntime(env, 1, n, DefaultProxyConfig())
+	return env, rt
 }
 
 // mustFabric wires a default-parameter NVLink fabric, panicking on the

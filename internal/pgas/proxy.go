@@ -7,7 +7,7 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// ProxyConfig tunes the per-PE inter-node proxy of a cluster runtime.
+// ProxyConfig tunes the per-PE inter-node proxy of a runtime.
 //
 // Real NVSHMEM cannot issue device stores across nodes: remote-node transfers
 // are delegated to a CPU proxy thread that drains a staging buffer onto the
@@ -61,9 +61,15 @@ type proxyBuf struct {
 	timerFn    func() // cached drain-timer closure: staging never allocates
 }
 
-func newProxy(pe *PE, net *fabric.Interconnect, cfg ProxyConfig) *proxy {
-	px := &proxy{pe: pe, net: net, cfg: cfg, bufs: make([]proxyBuf, net.Cluster().Nodes)}
+// init wires pe's proxy over bufs, one staging buffer per node. Stores to
+// pe's own node never stage, so its buffer gets no drain timer.
+func (px *proxy) init(pe *PE, net *fabric.Interconnect, cfg ProxyConfig, bufs []proxyBuf) {
+	*px = proxy{pe: pe, net: net, cfg: cfg, bufs: bufs}
+	own := net.Cluster().Node(pe.id)
 	for node := range px.bufs {
+		if node == own {
+			continue
+		}
 		node := node
 		px.bufs[node].timerFn = func() {
 			b := &px.bufs[node]
@@ -73,7 +79,6 @@ func newProxy(pe *PE, net *fabric.Interconnect, cfg ProxyConfig) *proxy {
 			}
 		}
 	}
-	return px
 }
 
 // stage queues payload bytes destined for a remote node. The caller has

@@ -8,12 +8,12 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// newClusterRuntime wires an N-node cluster runtime for proxy tests.
+// newClusterRuntime wires a runtime over nodes x perNode GPUs.
 func newClusterRuntime(env *sim.Env, nodes, perNode int, cfg ProxyConfig) (*Runtime, *fabric.Interconnect) {
 	cl := fabric.Cluster{Nodes: nodes, GPUsPerNode: perNode, IntraLinks: 2}
 	fab := mustFabric(env, cl)
 	net := fabric.NewInterconnect(env, cl, fabric.DefaultNICParams())
-	return NewCluster(env, fab, net, cfg), net
+	return New(env, fab, net, cfg), net
 }
 
 func TestProxyCoalescesSmallStores(t *testing.T) {
@@ -217,23 +217,13 @@ func TestProxyConfigValidate(t *testing.T) {
 	}
 }
 
-func TestNewClusterRejectsBadProxyConfig(t *testing.T) {
+func TestNewRejectsBadProxyConfig(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Error("NewCluster accepted StagingBytes 0")
+			t.Error("New accepted StagingBytes 0")
 		}
 	}()
 	newClusterRuntime(sim.NewEnv(), 2, 2, ProxyConfig{})
-}
-
-func TestRuntimeInterconnectAccessor(t *testing.T) {
-	if _, rt := testRuntime(2); rt.Interconnect() != nil {
-		t.Fatal("single-node runtime reports an interconnect")
-	}
-	rt, net := newClusterRuntime(sim.NewEnv(), 2, 2, DefaultProxyConfig())
-	if rt.Interconnect() != net {
-		t.Fatal("cluster runtime does not return its interconnect")
-	}
 }
 
 // quietAfterOnePut sends one remote-node store under the given fault hooks

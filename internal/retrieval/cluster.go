@@ -11,13 +11,8 @@ package retrieval
 // multiNode reports whether the run spans more than one node.
 func (s *System) multiNode() bool { return s.cluster.Nodes > 1 }
 
-// nodeOf returns the node owning GPU g (0 on single-node machines).
-func (s *System) nodeOf(g int) int {
-	if s.cluster.Nodes == 0 {
-		return 0
-	}
-	return s.cluster.Node(g)
-}
+// nodeOf returns the node owning GPU g.
+func (s *System) nodeOf(g int) int { return s.cluster.Node(g) }
 
 // nodeSampleRange returns the contiguous global-batch sample range whose
 // owners live on the given node: minibatches are contiguous and ascending in

@@ -104,10 +104,6 @@ type Config struct {
 	// PerFeatureRows optionally gives each table its own hash size (len
 	// TotalTables; nil = uniform Rows).
 	PerFeatureRows []int
-	// CustomPlan overrides table placement entirely: CustomPlan[g] lists the
-	// global feature IDs on GPU g. Every table must be assigned exactly once.
-	// Takes precedence over GreedyPlan.
-	CustomPlan [][]int
 	// Pooling selects the pooling operation (functional mode).
 	Pooling embedding.PoolingMode
 	// NullProbability, Distribution, ZipfExponent pass through to the
@@ -210,8 +206,6 @@ func (c Config) Validate() error {
 	case c.PerFeatureRows != nil && len(c.PerFeatureRows) != c.TotalTables:
 		return fmt.Errorf("retrieval: PerFeatureRows has %d entries for %d tables",
 			len(c.PerFeatureRows), c.TotalTables)
-	case c.CustomPlan != nil && len(c.CustomPlan) != c.GPUs:
-		return fmt.Errorf("retrieval: CustomPlan has %d shards for %d GPUs", len(c.CustomPlan), c.GPUs)
 	case c.CacheFraction < 0 || c.CacheFraction >= 1:
 		return fmt.Errorf("retrieval: CacheFraction %g outside [0, 1)", c.CacheFraction)
 	case c.Replicas < 0:
@@ -248,23 +242,6 @@ func (c Config) Validate() error {
 			if r <= 0 {
 				return fmt.Errorf("retrieval: table %d has non-positive rows %d", f, r)
 			}
-		}
-	}
-	if c.CustomPlan != nil {
-		seen := make(map[int]bool, c.TotalTables)
-		for g, ids := range c.CustomPlan {
-			for _, id := range ids {
-				if id < 0 || id >= c.TotalTables {
-					return fmt.Errorf("retrieval: CustomPlan GPU %d references table %d (have %d)", g, id, c.TotalTables)
-				}
-				if seen[id] {
-					return fmt.Errorf("retrieval: CustomPlan assigns table %d twice", id)
-				}
-				seen[id] = true
-			}
-		}
-		if len(seen) != c.TotalTables {
-			return fmt.Errorf("retrieval: CustomPlan covers %d of %d tables", len(seen), c.TotalTables)
 		}
 	}
 	return nil

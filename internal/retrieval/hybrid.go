@@ -72,7 +72,7 @@ func (b *Hybrid) routeCollective(s *System, plan *RoutePlan, src, dst int) bool 
 	if plan.Class(src, dst) == RouteNodeWire {
 		return false
 	}
-	if s.multiNode() && s.nodeOf(src) != s.nodeOf(dst) {
+	if s.nodeOf(src) != s.nodeOf(dst) {
 		return false
 	}
 	vecs := plan.CollectiveVecs(src, dst)

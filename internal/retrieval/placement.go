@@ -235,7 +235,7 @@ func (s *System) chargeMigration(ctx context.Context, reb *placement.Rebalance) 
 			return
 		}
 		var at sim.Time
-		if s.multiNode() && s.nodeOf(src) != s.nodeOf(dst) {
+		if s.nodeOf(src) != s.nodeOf(dst) {
 			at = s.Net.Send(src, s.nodeOf(dst), int(bytes))
 		} else {
 			at = s.Fab.Pipe(src, dst).Offer(float64(bytes))

@@ -55,7 +55,7 @@ func (s *System) computeServe(batch int) [][]int {
 // pairs ride the NICs, throttled by the unhealthier of the egress and
 // ingress rails.
 func (s *System) replicaPathBW(sched *fault.Schedule, batch, r, c int) float64 {
-	if s.multiNode() && s.nodeOf(r) != s.nodeOf(c) {
+	if s.nodeOf(r) != s.nodeOf(c) {
 		egress := sched.NICFactor(batch, s.nodeOf(r), s.Net.Rail(r))
 		ingress := sched.NICFactor(batch, s.nodeOf(c), s.Net.Rail(c))
 		health := egress

@@ -83,12 +83,13 @@ func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, 
 	if err := hw.Collective.Validate(); err != nil {
 		return nil, fmt.Errorf("retrieval: bad collective parameters: %w", err)
 	}
+	hw = hw.normalized()
 	switch {
 	case hw.Nodes < 0:
 		return nil, fmt.Errorf("retrieval: negative node count %d", hw.Nodes)
 	case hw.Nodes > cfg.GPUs:
 		return nil, fmt.Errorf("retrieval: %d nodes need at least one GPU each, have %d GPUs", hw.Nodes, cfg.GPUs)
-	case hw.Nodes > 0 && cfg.GPUs%hw.Nodes != 0:
+	case cfg.GPUs%hw.Nodes != 0:
 		return nil, fmt.Errorf("retrieval: %d GPUs cannot be spread evenly over %d nodes "+
 			"(the GPU count must be divisible by the node count; %d GPUs would leave %d astray and mis-shard "+
 			"every (node, GPU) row owner)", cfg.GPUs, hw.Nodes, cfg.GPUs, cfg.GPUs%hw.Nodes)
@@ -96,20 +97,14 @@ func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, 
 	if err := hw.Faults.Validate(); err != nil {
 		return nil, fmt.Errorf("retrieval: bad fault schedule: %w", err)
 	}
-	hw = hw.normalized()
-	if hw.Nodes > 0 {
-		if err := hw.NIC.Validate(); err != nil {
-			return nil, fmt.Errorf("retrieval: bad NIC parameters: %w", err)
-		}
-		if err := hw.Proxy.Validate(); err != nil {
-			return nil, fmt.Errorf("retrieval: bad proxy parameters: %w", err)
-		}
+	if err := hw.NIC.Validate(); err != nil {
+		return nil, fmt.Errorf("retrieval: bad NIC parameters: %w", err)
+	}
+	if err := hw.Proxy.Validate(); err != nil {
+		return nil, fmt.Errorf("retrieval: bad proxy parameters: %w", err)
 	}
 	spec := &SystemSpec{cfg: cfg, hw: hw, zipf: zipf} // hw is the normalized copy
-	switch {
-	case cfg.CustomPlan != nil:
-		spec.plan = cfg.CustomPlan
-	case cfg.GreedyPlan:
+	if cfg.GreedyPlan {
 		// LPT on the analytic pooling loads, with no capacity bound; the
 		// per-GPU memory check below still applies.
 		plan, err := placement.LPT(cfg.WorkloadConfig().ExpectedPoolingLoad(), cfg.tableBytesAll(), cfg.GPUs, 0)
@@ -117,7 +112,7 @@ func newSystemSpec(cfg Config, hw HardwareParams, zipf *lazyZipf) (*SystemSpec, 
 			return nil, err
 		}
 		spec.plan = plan
-	default:
+	} else {
 		spec.plan = embedding.TableWisePlan(cfg.TotalTables, cfg.GPUs)
 	}
 	for g := 0; g < cfg.GPUs; g++ {
@@ -216,7 +211,8 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		return nil, err
 	}
 	env := sim.NewEnv()
-	fab, err := nvlink.NewFabric(env, spec.hw.Link, spec.hw.topology(cfg.GPUs))
+	cluster := spec.hw.cluster(cfg.GPUs)
+	fab, err := nvlink.NewFabric(env, spec.hw.Link, cluster)
 	if err != nil {
 		return nil, err
 	}
@@ -227,6 +223,7 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		Env:        env,
 		Fab:        fab,
 		Plan:       spec.plan,
+		cluster:    cluster,
 		gen:        gen,
 		scratch:    make([]gpuScratch, cfg.GPUs*cfg.PipelineSlots()),
 		gates:      make([]sim.Time, cfg.GPUs),
@@ -234,23 +231,14 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		ownerKeys:  make([]int64, cfg.GPUs),
 		ownerBytes: make([]float64, cfg.GPUs),
 	}
-	if spec.hw.Nodes > 0 {
-		// Cluster machine: the NIC interconnect carries inter-node traffic,
-		// one-sided stores to remote nodes ride the per-GPU proxies, and the
-		// baseline's collectives go hierarchical.
-		s.cluster = spec.hw.cluster(cfg.GPUs)
-		s.Net = fabric.NewInterconnect(env, s.cluster, spec.hw.NIC)
-		s.PGAS = pgas.NewCluster(env, fab, s.Net, spec.hw.Proxy)
-		s.Comm, err = collective.NewCluster(env, fab, spec.hw.Collective, s.Net)
-		if err != nil {
-			return nil, fmt.Errorf("retrieval: wiring cluster communicator: %w", err)
-		}
-	} else {
-		s.PGAS = pgas.New(env, fab)
-		s.Comm, err = collective.New(env, fab, spec.hw.Collective)
-		if err != nil {
-			return nil, fmt.Errorf("retrieval: wiring communicator: %w", err)
-		}
+	// The NIC interconnect carries inter-node traffic, one-sided stores to
+	// remote nodes ride the per-GPU proxies, and the baseline's collectives
+	// go hierarchical once the machine spans more than one node.
+	s.Net = fabric.NewInterconnect(env, s.cluster, spec.hw.NIC)
+	s.PGAS = pgas.New(env, fab, s.Net, spec.hw.Proxy)
+	s.Comm, err = collective.New(env, fab, spec.hw.Collective, s.Net)
+	if err != nil {
+		return nil, fmt.Errorf("retrieval: wiring communicator: %w", err)
 	}
 	if slots := cfg.PipelineSlots(); slots > 1 {
 		// Double-buffered symmetric heap: each PE's staging region is split
@@ -258,10 +246,10 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		// the next slot's are still in flight.
 		s.PGAS.ConfigureSlots(slots)
 	}
-	if sched := spec.hw.Faults; !sched.Empty() && spec.hw.Nodes > 0 && sched.HasProxyDrops() {
-		// Delivery-loss hooks only exist on cluster machines: drops model
-		// NIC-level delivery failure, and the retry loop lives in the proxy.
-		// The closure reads s.faultBatch so the loss process follows the
+	if sched := spec.hw.Faults; !sched.Empty() && sched.HasProxyDrops() {
+		// Drops model NIC-level delivery failure, and the retry loop lives
+		// in the proxy, so they only bite on a multi-node machine. The
+		// closure reads s.faultBatch so the loss process follows the
 		// batch the machine is currently executing.
 		s.PGAS.SetFaultHooks(&pgas.FaultHooks{
 			Drop: func(pe, dstNode int, seq int64, attempt int) bool {

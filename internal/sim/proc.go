@@ -12,29 +12,25 @@ type Proc struct {
 	resume chan struct{} // scheduler -> proc
 	parked chan struct{} // proc -> scheduler
 	done   bool
-	wakeFn func()  // cached wake closure, so blocking calls don't allocate
-	Done   *Signal // fires when the process function returns
+	wakeFn func() // cached wake closure, so blocking calls don't allocate
 }
 
 // Name returns the process name given to Env.Go.
 func (p *Proc) Name() string { return p.name }
 
-// Go starts fn as a simulated process at the current time. The returned Proc
-// can be joined via its Done signal.
+// Go starts fn as a simulated process at the current time.
 func (e *Env) Go(name string, fn func(p *Proc)) *Proc {
 	p := &Proc{
 		env:    e,
 		name:   name,
 		resume: make(chan struct{}),
 		parked: make(chan struct{}),
-		Done:   NewSignal(e),
 	}
 	p.wakeFn = p.wake
 	e.After(0, func() {
 		go func() {
 			defer func() {
 				p.done = true
-				p.Done.Fire()
 				p.parked <- struct{}{}
 			}()
 			fn(p)

@@ -184,20 +184,6 @@ func TestOnFireCallback(t *testing.T) {
 	}
 }
 
-func TestProcDoneFiresOnReturn(t *testing.T) {
-	e := NewEnv()
-	var joinedAt Time
-	worker := e.Go("worker", func(p *Proc) { p.Wait(7) })
-	e.Go("joiner", func(p *Proc) {
-		p.WaitSignal(worker.Done)
-		joinedAt = p.Now()
-	})
-	e.Run()
-	if joinedAt != 7 {
-		t.Fatalf("joined at %v, want 7", joinedAt)
-	}
-}
-
 func TestBarrierSynchronises(t *testing.T) {
 	e := NewEnv()
 	b := NewBarrier(e, 3)

@@ -87,7 +87,8 @@ const (
 	CompSyncUnpack  = retrieval.CompSyncUnpack
 )
 
-// DefaultHardware returns the calibrated DGX Station V100 parameter set.
+// DefaultHardware returns the calibrated DGX Station V100 parameter set: one
+// NVLink node, the same machine as ClusterHardware(1).
 func DefaultHardware() HardwareParams { return retrieval.DefaultHardware() }
 
 // A100Hardware returns an A100-generation machine (faster devices, NVLink
