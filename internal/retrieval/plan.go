@@ -6,7 +6,6 @@ import (
 	"pgasemb/internal/metrics"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
-	"pgasemb/internal/workload"
 )
 
 // Route-plan compilation. Every batch's key classification — which output
@@ -81,8 +80,8 @@ type RoutePlan struct {
 	// the indices of shard o's tables over samples [0, smp), under the
 	// placement the batch executes (len BatchSize+1 per shard). Every
 	// pooled-index total the timing model needs is a difference of two
-	// entries, so no timing path reads the batch or its summary after
-	// compile.
+	// entries, so no timing path reads the batch or its pooling factors
+	// after compile.
 	pooled [][]int64
 }
 
@@ -317,14 +316,19 @@ type planScratch struct {
 	rowScratch []int32              // residency classifier's hashed-bag scratch
 	hit        []bool               // timing mode's residency hit bitmap, redrawn every batch
 	batch      sparse.Batch         // timing mode's input batch, redrawn every batch
-	summary    workload.Summary     // timing mode's pooling summary, redrawn every batch
+	poolRow    []int32              // timing mode's pooling factors of one feature
+	ownerOf    []int                // timing mode's owner GPU of every feature
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the
-// resulting plan to bd. The batch's pooling comes from bd.Sparse when it is
-// materialised and from sum otherwise (timing runs that classify nothing).
-func (s *System) compileRoutePlan(bd *BatchData, sum *workload.Summary) {
-	plan := &RoutePlan{sys: s, pooled: s.pooledPrefixes(bd.Sparse, sum)}
+// resulting plan to bd. pooled is the batch's prefixes when they were drawn
+// without a batch (timing runs that classify nothing); nil builds them from
+// bd.Sparse.
+func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
+	if pooled == nil {
+		pooled = s.pooledPrefixes(bd.Sparse)
+	}
+	plan := &RoutePlan{sys: s, pooled: pooled}
 	bd.Plan = plan
 	if s.cacheEnabled() || s.hotMirrorActive() {
 		// Residency first: vectors a consumer reads without their owner
@@ -353,24 +357,55 @@ func (s *System) compileRoutePlan(bd *BatchData, sum *workload.Summary) {
 	}
 }
 
-// pooledPrefixes builds the plan's per-shard pooled-index prefix sums under
-// the current placement. A materialised batch's bag offsets already are
-// per-feature prefixes, so each shard's prefix is their sum; a summary's
-// pooling factors are summed per sample and then scanned.
-func (s *System) pooledPrefixes(batch *sparse.Batch, sum *workload.Summary) [][]int64 {
+// newPooled returns zeroed per-shard prefix rows of BatchSize+1 entries
+// over one backing array.
+func (s *System) newPooled() [][]int64 {
 	B, G := s.Cfg.BatchSize, s.Cfg.GPUs
 	flat := make([]int64, G*(B+1))
 	pooled := make([][]int64, G)
 	for o := range pooled {
-		pre := flat[o*(B+1) : (o+1)*(B+1) : (o+1)*(B+1)]
-		pooled[o] = pre
+		pooled[o] = flat[o*(B+1) : (o+1)*(B+1) : (o+1)*(B+1)]
+	}
+	return pooled
+}
+
+// pooledPrefixes builds the plan's per-shard pooled-index prefix sums of a
+// materialised batch under the current placement. Its bag offsets already
+// are per-feature prefixes, so each shard's prefix is their sum.
+func (s *System) pooledPrefixes(batch *sparse.Batch) [][]int64 {
+	pooled := s.newPooled()
+	for o, pre := range pooled {
 		fids := s.Plan[o]
-		if batch != nil {
-			addRows(pre, len(fids), func(i int) []int32 { return batch.FeatureByID(fids[i]).Offsets })
-			continue
+		addRows(pre, len(fids), func(i int) []int32 { return batch.FeatureByID(fids[i]).Offsets })
+	}
+	return pooled
+}
+
+// drawPooledPrefixes draws the next batch's pooling factors one feature at
+// a time and builds the same prefixes pooledPrefixes would from that batch:
+// each feature's factors are added into its owner's shard, then every shard
+// is scanned. No (feature, sample) array is ever held, so a timing run that
+// classifies nothing keeps its memory independent of the table count.
+func (s *System) drawPooledPrefixes() [][]int64 {
+	pooled := s.newPooled()
+	owner := s.planScr.ownerOf
+	if len(owner) != s.Cfg.TotalTables {
+		owner = make([]int, s.Cfg.TotalTables)
+		s.planScr.ownerOf = owner
+	}
+	for o, fids := range s.Plan {
+		for _, fid := range fids {
+			owner[fid] = o
 		}
-		addRows(pre[1:], len(fids), func(i int) []int32 { return sum.Pooling[fids[i]*B:] })
-		for smp := 1; smp <= B; smp++ {
+	}
+	s.planScr.poolRow = s.gen.NextPoolingsInto(s.planScr.poolRow, func(f int, row []int32) {
+		acc := pooled[owner[f]][1:]
+		for smp, p := range row {
+			acc[smp] += int64(p)
+		}
+	})
+	for _, pre := range pooled {
+		for smp := 1; smp < len(pre); smp++ {
 			pre[smp] += pre[smp-1]
 		}
 	}

@@ -256,8 +256,8 @@ func TestRoutePlanPrefixesMatchResum(t *testing.T) {
 
 // TestTimingBatchAllocatesNoPerBagArray pins the retained-memory contract of
 // timing runs on a scaled-down weak-scaling shape: a warm NextBatchData
-// draws into the run's scratch summary and keeps only the compiled plan,
-// whose pooled-index prefixes take G×(B+1)×8 bytes. A batch that allocated
+// draws one feature's pooling factors at a time and keeps only the compiled
+// plan, whose pooled-index prefixes take G×(B+1)×8 bytes. A batch that allocated
 // a per-(table, sample) array again — one int32 per bag — fails here.
 func TestTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 	cfg := WeakScalingConfig(4)
@@ -267,7 +267,7 @@ func TestTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.NextBatchData(); err != nil { // sizes the scratch summary
+	if _, err := s.NextBatchData(); err != nil { // sizes the scratch row
 		t.Fatal(err)
 	}
 	const n = 4
@@ -287,4 +287,30 @@ func TestTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 			"the plan's prefixes need %d B", perBatch, perBag, prefixes)
 	}
 	t.Logf("%d B per warm timing batch (prefixes %d B, per-bag array %d B)", perBatch, prefixes, perBag)
+}
+
+// TestFirstTimingBatchAllocatesNoPerBagArray extends the contract to a
+// run's first batch: a timing run that classifies nothing never sizes a
+// per-(table, sample) array, not even once, so a process that builds one
+// run after another holds no such array between them.
+func TestFirstTimingBatchAllocatesNoPerBagArray(t *testing.T) {
+	cfg := WeakScalingConfig(4)
+	cfg.TotalTables = 64
+	cfg.BatchSize = 4096
+	s, err := NewSystem(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.NextBatchData(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	first := after.TotalAlloc - before.TotalAlloc
+	perBag := uint64(cfg.TotalTables * cfg.BatchSize * 4)
+	if first >= perBag {
+		t.Fatalf("first timing NextBatchData allocates %d B, at least one per-bag int32 array (%d B)", first, perBag)
+	}
+	t.Logf("%d B for the first timing batch (per-bag array %d B)", first, perBag)
 }

@@ -233,3 +233,38 @@ func TestNextSummaryIntoReuse(t *testing.T) {
 		}
 	}
 }
+
+// TestNextPoolingsIntoMatchesSummary pins the one-feature-at-a-time draw:
+// the rows handed to fn, in feature order, are NextSummary's pooling
+// factors batch after batch, drift epochs included, and a warm draw
+// allocates nothing.
+func TestNextPoolingsIntoMatchesSummary(t *testing.T) {
+	withNull := nullFreePerFeatureCfg()
+	withNull.NullProbability = 0.3
+	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
+		fresh, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, _ := NewGenerator(cfg)
+		var row []int32
+		for i := 0; i < 12; i++ {
+			want := fresh.NextSummary()
+			next := 0
+			row = streamed.NextPoolingsInto(row, func(f int, pooling []int32) {
+				B := want.BatchSize
+				if f != next || !slices.Equal(pooling, want.Pooling[f*B:(f+1)*B]) {
+					t.Fatalf("seed %d batch %d: feature %d (want %d) differs from NextSummary", cfg.Seed, i, f, next)
+				}
+				next++
+			})
+			if next != want.NumFeatures {
+				t.Fatalf("seed %d batch %d: %d features drawn, want %d", cfg.Seed, i, next, want.NumFeatures)
+			}
+		}
+		discard := func(int, []int32) {}
+		if allocs := testing.AllocsPerRun(4, func() { row = streamed.NextPoolingsInto(row, discard) }); allocs != 0 {
+			t.Errorf("seed %d: warm NextPoolingsInto allocates %v times per draw", cfg.Seed, allocs)
+		}
+	}
+}

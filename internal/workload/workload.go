@@ -417,6 +417,21 @@ func (g *Generator) NextSummaryInto(s *Summary) {
 	}
 }
 
+// NextPoolingsInto draws the next batch's pooling factors one feature at a
+// time into row, resized to BatchSize, and hands each feature's factors to
+// fn in feature order; fn must not keep row, which the next feature
+// overwrites. The draws are NextSummary's, but only one feature's factors
+// are held at a time. It returns row for reuse.
+func (g *Generator) NextPoolingsInto(row []int32, fn func(f int, pooling []int32)) []int32 {
+	g.advanceBatch()
+	row = resize(row, g.cfg.BatchSize)
+	for f := 0; f < g.cfg.NumFeatures; f++ {
+		g.drawPoolings(f, row)
+		fn(f, row)
+	}
+	return row
+}
+
 // PoolingFactor returns the bag size for (feature, sample).
 func (s *Summary) PoolingFactor(feature, sample int) int {
 	return int(s.Pooling[feature*s.BatchSize+sample])
