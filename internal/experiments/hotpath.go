@@ -181,10 +181,12 @@ func RunHotPaths(b *Bench) error {
 	// Input generation and model construction at the benchmark workloads'
 	// shapes: the timing path's pooling draw into one reused summary at
 	// infer-weak4's, the whole timing NextBatchData there (that draw plus
-	// the route plan's prefix sums), the draw into one reused batch that
-	// compile-driven timing runs take at infer-cluster16's, and the
-	// shape-only model infer-weak4 builds. Every reused buffer is primed
-	// once, so the loops see the steady state.
+	// the route plan's prefix sums), the whole timing NextBatchData at
+	// infer-cluster16's (each feature's bags drawn and run through the dedup
+	// walk as they are drawn), the draw into one reused batch that cached,
+	// placement and functional runs still take, at infer-cluster16's shape,
+	// and the shape-only model infer-weak4 builds. Every reused buffer is
+	// primed once, so the loops see the steady state.
 	weak := retrieval.WeakScalingConfig(4)
 	weakGen, err := workload.NewGenerator(weak.WorkloadConfig())
 	if err != nil {
@@ -199,7 +201,15 @@ func RunHotPaths(b *Bench) error {
 	if _, err := weakSys.NextBatchData(); err != nil {
 		return fmt.Errorf("experiments: hot path retrieval/next-batch-data-weak4: %w", err)
 	}
-	clusterGen, err := workload.NewGenerator(retrieval.MultiNodeConfig(4, 4).WorkloadConfig())
+	clusterCfg := retrieval.MultiNodeConfig(4, 4)
+	clusterSys, err := retrieval.NewSystem(clusterCfg, retrieval.ClusterHardware(4))
+	if err != nil {
+		return fmt.Errorf("experiments: hot path retrieval/next-batch-data-cluster16: %w", err)
+	}
+	if _, err := clusterSys.NextBatchData(); err != nil {
+		return fmt.Errorf("experiments: hot path retrieval/next-batch-data-cluster16: %w", err)
+	}
+	clusterGen, err := workload.NewGenerator(clusterCfg.WorkloadConfig())
 	if err != nil {
 		return fmt.Errorf("experiments: hot path workload/next-batch-into-cluster16: %w", err)
 	}
@@ -212,6 +222,7 @@ func RunHotPaths(b *Bench) error {
 	}{
 		{"workload/next-summary-weak4", func() error { weakGen.NextSummaryInto(&summary); return nil }},
 		{"retrieval/next-batch-data-weak4", func() error { _, err := weakSys.NextBatchData(); return err }},
+		{"retrieval/next-batch-data-cluster16", func() error { _, err := clusterSys.NextBatchData(); return err }},
 		{"workload/next-batch-into-cluster16", func() error { clusterGen.NextBatchInto(&batch); return nil }},
 		{"dlrm/new-model-weak4", func() error { _, err := dlrm.NewModel(modelCfg, weak.Seed); return err }},
 	} {

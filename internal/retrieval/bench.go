@@ -103,7 +103,7 @@ func PlanCompileLoop(s *System, n int) error {
 	}
 	bd := &BatchData{Sparse: s.gen.NextBatch()}
 	for i := 0; i < n; i++ {
-		s.compileRoutePlan(bd, nil)
+		s.compileRoutePlan(bd, nil, nil)
 	}
 	return nil
 }

@@ -241,6 +241,11 @@ func checkAgainstOracle(t *testing.T, s *System, dv *DedupView, o *dedupOracle) 
 // timing and functional runs. A timing run keeps neither its batch nor its
 // residency bitmap, so each shape runs twice from the same seed: the
 // functional twin's batch feeds the oracle, and both views must match it.
+// Timing runs without a cache step the walk in draw order as they generate
+// (drawStreamed), functional and cached ones in plan order over the
+// materialised batch, so the shapes below cover both drivers: one node and
+// several, one GPU (diagonal gather dedup only), a plan whose order is not
+// the feature order, and a drifting hot set.
 func TestClassifyDedupMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -261,6 +266,15 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			c.PerFeatureRows = []int{4, 400, 16, 1000, 8, 64}
 			c.NullProbability = 0.4
 		}},
+		{"cluster4", ClusterHardware(4), func(c *Config) {
+			c.GPUs, c.TotalTables, c.BatchSize = 8, 16, 64
+		}},
+		{"one-gpu", DefaultHardware(), func(c *Config) { c.GPUs = 1 }},
+		{"greedy-plan", DefaultHardware(), func(c *Config) {
+			c.GreedyPlan = true
+			c.PerFeatureMaxPooling = []int{2, 9, 3, 7, 5, 8}
+		}},
+		{"drift", DefaultHardware(), func(c *Config) { c.HotSetDriftEvery = 2 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -275,8 +289,11 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 				return s
 			}
 			fs, ts := newSys(true), newSys(false)
+			if fs.Cfg.GreedyPlan && slices.IsSorted(slices.Concat(fs.Plan...)) {
+				t.Fatalf("plan %v walks the tables in feature order; the draw-order driver goes unchecked", fs.Plan)
+			}
 			want := metrics.DedupCounters{}
-			var wires, nodeWires int
+			var wires, nodeWires, gathers int
 			for b := 0; b < fs.Cfg.Batches; b++ {
 				fbd, err := fs.NextBatchData()
 				if err != nil {
@@ -298,6 +315,7 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 				}
 				for src := range o.wire {
 					wires += countTrue(o.wire[src])
+					gathers += countTrue(o.gather[src])
 					if o.nodeWire != nil {
 						nodeWires += countTrue(o.nodeWire[src])
 					}
@@ -306,7 +324,10 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			if fs.DedupStats() != want || ts.DedupStats() != want {
 				t.Fatalf("dedup counters: functional %+v, timing %+v, oracle %+v", fs.DedupStats(), ts.DedupStats(), want)
 			}
-			if wires == 0 || (fs.multiNode() && nodeWires == 0) {
+			if fs.Cfg.GPUs == 1 && gathers == 0 {
+				t.Fatal("no gather-dedup diagonal: the one-GPU walk goes unchecked")
+			}
+			if (fs.Cfg.GPUs > 1 && wires == 0) || (fs.multiNode() && nodeWires == 0) {
 				t.Fatalf("no wire pairs (%d) or node-wire routes (%d): the key lists go unchecked", wires, nodeWires)
 			}
 			if fs.Cfg.CacheFraction > 0 && fs.Caches.Stats().Hits == 0 {

@@ -303,28 +303,29 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 }
 
 // planScratch is the per-run arena for plan COMPILATION: working state that
-// never outlives one compileRoutePlan call (per-batch outputs — the views,
-// key lists, expansion maps — must stay per-batch allocations, because a
-// run pre-generates every batch before executing).
+// never outlives one NextBatchData call (per-batch outputs — the views, key
+// lists, expansion maps — must stay per-batch allocations, because a run
+// pre-generates every batch before executing).
 // NextBatchData runs host-side on one goroutine, so no synchronisation.
 type planScratch struct {
-	pairSet    rowSet               // one (consumer, table)'s unique rows
-	nodeSet    rowSet               // one (remote node, table)'s unique rows
-	pairAcc    []pairAcc            // one consumer group's per-pair classification
-	fbs        []*sparse.FeatureBag // one owner's feature bags
-	rowsPer    []int                // one owner's table row counts
-	rowScratch []int32              // residency classifier's hashed-bag scratch
-	hit        []bool               // timing mode's residency hit bitmap, redrawn every batch
-	batch      sparse.Batch         // timing mode's input batch, redrawn every batch
-	poolRow    []int32              // timing mode's pooling factors of one feature
-	ownerOf    []int                // timing mode's owner GPU of every feature
+	pairSet    rowSet            // one (consumer, table)'s unique rows
+	nodeSet    rowSet            // one (remote node, table)'s unique rows
+	pairAcc    []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
+	nodeAcc    []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
+	rowScratch []int32           // residency classifier's hashed-bag scratch
+	hit        []bool            // timing mode's residency hit bitmap, redrawn every batch
+	batch      sparse.Batch      // timing mode's input batch, redrawn every batch
+	bag        sparse.FeatureBag // streamed timing mode's one feature, redrawn per feature
+	poolRow    []int32           // streamed timing mode's pooling factors of one feature
+	ownerOf    []int             // streamed timing mode's owner GPU of every feature
+	tableOf    []int             // streamed timing mode's owner-local table of every feature
 }
 
 // compileRoutePlan runs the classifier passes for one batch and attaches the
-// resulting plan to bd. pooled is the batch's prefixes when they were drawn
-// without a batch (timing runs that classify nothing); nil builds them from
-// bd.Sparse.
-func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
+// resulting plan to bd. pooled and dv are the batch's prefixes and dedup view
+// when a streamed draw built them (timing runs with neither cache nor
+// placement); nil builds them from bd.Sparse.
+func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64, dv *DedupView) {
 	if pooled == nil {
 		pooled = s.pooledPrefixes(bd.Sparse)
 	}
@@ -337,7 +338,10 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 		plan.Cache = s.classifyResidency(bd)
 	}
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
-		plan.Dedup = s.classifyDedup(bd)
+		if dv == nil {
+			dv = s.classifyDedup(bd)
+		}
+		plan.Dedup = dv
 		if s.Cfg.GPUs > 1 {
 			// The post-quiet rendezvous one-sided backends await before
 			// expanding: quiet only drains a PE's OWN pipes, so a consumer
@@ -357,23 +361,21 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 	}
 }
 
-// newPooled returns zeroed per-shard prefix rows of BatchSize+1 entries
-// over one backing array.
-func (s *System) newPooled() [][]int64 {
-	B, G := s.Cfg.BatchSize, s.Cfg.GPUs
-	flat := make([]int64, G*(B+1))
-	pooled := make([][]int64, G)
-	for o := range pooled {
-		pooled[o] = flat[o*(B+1) : (o+1)*(B+1) : (o+1)*(B+1)]
+// grid returns a zeroed r×c matrix over one backing array.
+func grid[T any](r, c int) [][]T {
+	flat := make([]T, r*c)
+	m := make([][]T, r)
+	for i := range m {
+		m[i] = flat[i*c : (i+1)*c : (i+1)*c]
 	}
-	return pooled
+	return m
 }
 
 // pooledPrefixes builds the plan's per-shard pooled-index prefix sums of a
 // materialised batch under the current placement. Its bag offsets already
 // are per-feature prefixes, so each shard's prefix is their sum.
 func (s *System) pooledPrefixes(batch *sparse.Batch) [][]int64 {
-	pooled := s.newPooled()
+	pooled := grid[int64](s.Cfg.GPUs, s.Cfg.BatchSize+1)
 	for o, pre := range pooled {
 		fids := s.Plan[o]
 		addRows(pre, len(fids), func(i int) []int32 { return batch.FeatureByID(fids[i]).Offsets })
@@ -381,24 +383,36 @@ func (s *System) pooledPrefixes(batch *sparse.Batch) [][]int64 {
 	return pooled
 }
 
-// drawPooledPrefixes draws the next batch's pooling factors one feature at
-// a time and builds the same prefixes pooledPrefixes would from that batch:
-// each feature's factors are added into its owner's shard, then every shard
-// is scanned. No (feature, sample) array is ever held, so a timing run that
-// classifies nothing keeps its memory independent of the table count.
-func (s *System) drawPooledPrefixes() [][]int64 {
-	pooled := s.newPooled()
-	owner := s.planScr.ownerOf
-	if len(owner) != s.Cfg.TotalTables {
-		owner = make([]int, s.Cfg.TotalTables)
-		s.planScr.ownerOf = owner
-	}
+// drawStreamed draws the next batch one feature at a time and builds the
+// prefixes pooledPrefixes would from that batch, adding each feature into
+// its owner's shard, so a timing run with neither cache nor placement never
+// holds a batch. Without dedup it draws pooling factors only and scans the
+// shards at the end. With dedup it draws each feature's bags and steps the
+// dedup walk over the table at once, while they are still in cache; the
+// returned view is the one classifyDedup builds from the whole batch.
+func (s *System) drawStreamed() ([][]int64, *DedupView) {
+	pooled := grid[int64](s.Cfg.GPUs, s.Cfg.BatchSize+1)
+	ps := &s.planScr
+	owner := scratchSlice(&ps.ownerOf, s.Cfg.TotalTables)
+	table := scratchSlice(&ps.tableOf, s.Cfg.TotalTables)
 	for o, fids := range s.Plan {
-		for _, fid := range fids {
-			owner[fid] = o
+		for fi, fid := range fids {
+			owner[fid], table[fid] = o, fi
 		}
 	}
-	s.planScr.poolRow = s.gen.NextPoolingsInto(s.planScr.poolRow, func(f int, row []int32) {
+	if s.Cfg.Dedup {
+		s.beginDedup()
+		s.gen.NextBagsInto(&ps.bag, func(fb *sparse.FeatureBag) {
+			f := fb.FeatureID
+			acc := pooled[owner[f]]
+			for smp, off := range fb.Offsets {
+				acc[smp] += int64(off)
+			}
+			s.dedupTable(owner[f], table[f], fb, nil)
+		})
+		return pooled, s.finishDedup()
+	}
+	ps.poolRow = s.gen.NextPoolingsInto(ps.poolRow, func(f int, row []int32) {
 		acc := pooled[owner[f]][1:]
 		for smp, p := range row {
 			acc[smp] += int64(p)
@@ -409,7 +423,7 @@ func (s *System) drawPooledPrefixes() [][]int64 {
 			pre[smp] += pre[smp-1]
 		}
 	}
-	return pooled
+	return pooled, nil
 }
 
 // addRows adds the leading len(acc) entries of row(0) … row(n-1) into acc,
@@ -568,200 +582,27 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 	return view
 }
 
-// classifyDedup scans the materialised batch and builds the dedup view,
-// folding the batch's savings into the run's counters. It walks each owner's
-// references once, table-major: consumer groups ascending (one destination
-// node on a multi-node machine, every GPU otherwise), then the owner's local
-// tables in plan order, the group's consumers ascending, each consumer's
-// samples ascending, bag order. A key is (table, hashed row) and keys of
-// different tables never collide, so each table's references go to two
-// per-table row sets: the pair set, reset per (consumer, table), and on
-// multi-node machines, when the group is a remote node, the node set, reset
-// per (node, table). A node's minibatches are contiguous, so the node set
-// sees exactly the consumer-ascending union a separate per-node walk would.
-// A key's first sample does not depend on which table is walked first, so
-// the counts and NewAt spreads equal a sample-major walk's; the functional
-// key lists and expansion maps come out table-major.
+// Dedup classification is one walk with two drivers. The step, dedupTable,
+// runs one (owner, table)'s references through the row sets and adds into
+// per-pair and per-(owner, node) accumulators; finishDedup turns the sums
+// into the batch's view. A key is (table, hashed row), so every count the
+// view holds is a sum over per-table key sets and step order cannot change
+// it: classifyDedup steps a materialised batch in plan order (functional,
+// cached and placement runs; functional key lists come out table-major in
+// plan order), drawStreamed steps each table as it is drawn.
 //
-// The node level is the second classification tier: a node-level wire win
-// means the owner ships each unique row across the NIC once for the whole
-// node, superseding the pair-level decision for those pairs (one-sided
-// transports only — a pair-addressed collective's segments cannot share
-// rows across consumers).
-func (s *System) classifyDedup(bd *BatchData) *DedupView {
-	cfg := s.Cfg
-	B, G := cfg.BatchSize, cfg.GPUs
-	fn := cfg.Functional
-	vb := float64(cfg.VectorBytes())
-	view := bd.Plan.Cache
-	dv := &DedupView{
-		MissIdx:   make([][]int64, G),
-		Uniq:      make([][]int64, G),
-		DenseVecs: make([][]int64, G),
-		Wire:      make([][]bool, G),
-		Gather:    make([][]bool, G),
-		NewAt:     make([][][]int32, G),
-		Keys:      make([][][]uint64, G),
-		Expand:    make([][][]int32, G),
-	}
-	multi := s.multiNode()
-	per := G
-	if multi {
-		per = s.cluster.GPUsPerNode
-		dv.NodeUniq = make([][]int64, G)
-		dv.NodeDense = make([][]int64, G)
-		dv.NodeWire = make([][]bool, G)
-		dv.NodeNewAt = make([][][]int32, G)
-		dv.NodeKeys = make([][][]uint64, G)
-		dv.NodeExpand = make([][][]int32, G)
-	}
-	ctr := metrics.DedupCounters{Batches: 1}
-	pairSet, nodeSet := &s.planScr.pairSet, &s.planScr.nodeSet
-	acc := scratchSlice(&s.planScr.pairAcc, per)
-	for src := 0; src < G; src++ {
-		dv.MissIdx[src] = make([]int64, G)
-		dv.Uniq[src] = make([]int64, G)
-		dv.DenseVecs[src] = make([]int64, G)
-		dv.Wire[src] = make([]bool, G)
-		dv.Gather[src] = make([]bool, G)
-		dv.NewAt[src] = make([][]int32, G)
-		dv.Keys[src] = make([][]uint64, G)
-		dv.Expand[src] = make([][]int32, G)
-		if multi {
-			N := s.cluster.Nodes
-			dv.NodeUniq[src] = make([]int64, N)
-			dv.NodeDense[src] = make([]int64, N)
-			dv.NodeWire[src] = make([]bool, N)
-			dv.NodeNewAt[src] = make([][]int32, N)
-			dv.NodeKeys[src] = make([][]uint64, N)
-			dv.NodeExpand[src] = make([][]int32, G)
-		}
-		fbs, rowsPer := s.ownerScratch(bd, src)
-		srcNode := s.nodeOf(src)
-		for first := 0; first < G; first += per {
-			node := s.nodeOf(first)
-			remote := multi && node != srcNode
-			// The remote node's sample base and its classification.
-			var nodeLo int
-			var nodeNewAt []int32
-			var nodeKeys []uint64
-			var nodeUniq int64
-			if remote {
-				var nodeHi int
-				nodeLo, nodeHi = s.nodeSampleRange(node)
-				nodeNewAt = make([]int32, nodeHi-nodeLo)
-			}
-			for li := range acc {
-				dlo, dhi := s.Minibatch(first + li)
-				acc[li] = pairAcc{newAt: make([]int32, dhi-dlo)}
-			}
-			for fi, fb := range fbs {
-				rows := rowsPer[fi]
-				if remote {
-					nodeSet.reset(rows, fn)
-				}
-				for li := range acc {
-					dst, a := first+li, &acc[li]
-					dlo, dhi := s.Minibatch(dst)
-					var hit []bool
-					if src != dst && view != nil {
-						hit = view.Hit[src][fi*B : (fi+1)*B]
-					}
-					pairSet.reset(rows, fn)
-					for smp := dlo; smp < dhi; smp++ {
-						if hit != nil && hit[smp] {
-							continue
-						}
-						a.dense++
-						bag := fb.Bag(smp)
-						a.miss += int64(len(bag))
-						for _, raw := range bag {
-							row := embedding.HashIndex(raw, rows)
-							if !fn {
-								// The pair's rows are all in the node set
-								// already: only pair-fresh rows can be new
-								// there.
-								if pairSet.add(row) {
-									a.newAt[smp-dlo]++
-									if remote && nodeSet.add(row) {
-										nodeNewAt[smp-nodeLo]++
-									}
-								}
-								continue
-							}
-							key := uint64(fi)<<32 | uint64(row)
-							pos, fresh := pairSet.insert(row, int32(len(a.keys)))
-							if fresh {
-								a.newAt[smp-dlo]++
-								a.keys = append(a.keys, key)
-							}
-							a.expand = append(a.expand, pos)
-							if !remote {
-								continue
-							}
-							pos, fresh = nodeSet.insert(row, int32(len(nodeKeys)))
-							if fresh {
-								nodeNewAt[smp-nodeLo]++
-								nodeKeys = append(nodeKeys, key)
-							}
-							a.nodeExpand = append(a.nodeExpand, pos)
-						}
-					}
-					a.uniq += int64(pairSet.len())
-				}
-				if remote {
-					nodeUniq += int64(nodeSet.len())
-				}
-			}
-			var nodeDense int64
-			for li, a := range acc {
-				dst := first + li
-				wire := src != dst && a.uniq < a.dense
-				dv.MissIdx[src][dst] = a.miss
-				dv.Uniq[src][dst] = a.uniq
-				dv.DenseVecs[src][dst] = a.dense
-				dv.Wire[src][dst] = wire
-				dv.Gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(a.uniq, a.miss)
-				dv.NewAt[src][dst] = a.newAt
-				if fn && wire {
-					dv.Keys[src][dst] = a.keys
-					dv.Expand[src][dst] = a.expand
-				}
-				nodeDense += a.dense
-				if src != dst {
-					ctr.EligibleIdx += a.miss
-					ctr.EligibleVecs += a.dense
-					ctr.UniqueRows += a.uniq
-					if wire {
-						ctr.WireRows += a.uniq
-						ctr.WireSavedBytes += float64(a.dense-a.uniq) * vb
-					} else {
-						ctr.WireVecs += a.dense
-					}
-				}
-			}
-			if !remote {
-				continue
-			}
-			nodeWire := nodeUniq < nodeDense
-			dv.NodeUniq[src][node] = nodeUniq
-			dv.NodeDense[src][node] = nodeDense
-			dv.NodeWire[src][node] = nodeWire
-			dv.NodeNewAt[src][node] = nodeNewAt
-			if fn && nodeWire {
-				dv.NodeKeys[src][node] = nodeKeys
-				for li, a := range acc {
-					dv.NodeExpand[src][first+li] = a.nodeExpand
-				}
-			}
-		}
-	}
-	s.dedupStats = s.dedupStats.Add(ctr)
-	return dv
-}
+// Within a step, consumers are walked group by group (one destination node
+// on a multi-node machine, every GPU otherwise), samples ascending, bag
+// order. The pair set is reset per (consumer, table) and, for a remote
+// node, the node set per (node, table); a node's minibatches are
+// contiguous, so the node set sees the union a per-node walk would. The
+// node level is the second tier: a node-level wire win ships each unique
+// row across the NIC once per node, superseding the pair-level decision
+// (one-sided transports only — a pair-addressed collective's segments
+// cannot share rows across consumers).
 
-// pairAcc accumulates one (owner, consumer) pair's classification while the
-// table-major walk visits its consumer group.
+// pairAcc accumulates one (owner, consumer) pair's classification over the
+// owner's tables.
 type pairAcc struct {
 	miss, dense, uniq int64
 	newAt             []int32
@@ -770,15 +611,222 @@ type pairAcc struct {
 	nodeExpand        []int32  // functional only: each reference's position in the node's keys
 }
 
-// ownerScratch fills the run's per-owner classifier scratch: src's feature
-// bags and table row counts, in plan order.
-func (s *System) ownerScratch(bd *BatchData, src int) ([]*sparse.FeatureBag, []int) {
-	fg := len(s.Plan[src])
-	fbs := scratchSlice(&s.planScr.fbs, fg)
-	rowsPer := scratchSlice(&s.planScr.rowsPer, fg)
-	for fi, fid := range s.Plan[src] {
-		fbs[fi] = bd.Sparse.FeatureByID(fid)
-		rowsPer[fi] = s.Cfg.tableRows(fid)
+// nodeAcc accumulates one (owner, remote node) classification over the
+// owner's tables.
+type nodeAcc struct {
+	uniq  int64
+	newAt []int32  // spread over the node's sample range
+	keys  []uint64 // functional only: first-seen keys, table-major
+}
+
+// classifyDedup is the materialised driver: it steps every owner's tables of
+// batch bd in plan order, skipping the vectors the residency view serves
+// without their owner.
+func (s *System) classifyDedup(bd *BatchData) *DedupView {
+	B := s.Cfg.BatchSize
+	view := bd.Plan.Cache
+	s.beginDedup()
+	for src, fids := range s.Plan {
+		for fi, fid := range fids {
+			var hit []bool
+			if view != nil {
+				hit = view.Hit[src][fi*B : (fi+1)*B]
+			}
+			s.dedupTable(src, fi, bd.Sparse.FeatureByID(fid), hit)
+		}
 	}
-	return fbs, rowsPer
+	return s.finishDedup()
+}
+
+// beginDedup readies the walk's accumulators for a batch. Each pair's NewAt
+// spread and each remote node's are fresh per batch (the view keeps them);
+// both come from one backing array per kind.
+func (s *System) beginDedup() {
+	G, B := s.Cfg.GPUs, s.Cfg.BatchSize
+	pairs := scratchSlice(&s.planScr.pairAcc, G*G)
+	newAt := make([]int32, G*B)
+	for src := 0; src < G; src++ {
+		for dst := 0; dst < G; dst++ {
+			lo, hi := s.Minibatch(dst)
+			pairs[src*G+dst], newAt = pairAcc{newAt: newAt[: hi-lo : hi-lo]}, newAt[hi-lo:]
+		}
+	}
+	if !s.multiNode() {
+		return
+	}
+	N := s.cluster.Nodes
+	nodes := scratchSlice(&s.planScr.nodeAcc, G*N)
+	newAt = make([]int32, G*B)
+	for src := 0; src < G; src++ {
+		for node := 0; node < N; node++ {
+			na := nodeAcc{}
+			if node != s.nodeOf(src) {
+				lo, hi := s.nodeSampleRange(node)
+				na.newAt, newAt = newAt[:hi-lo:hi-lo], newAt[hi-lo:]
+			}
+			nodes[src*N+node] = na
+		}
+	}
+}
+
+// dedupTable is the walk's step: it runs owner src's local table fi, whose
+// references fb holds, through the row sets and adds the results into the
+// walk's accumulators. hit, when non-nil, marks the table's vectors remote
+// consumers read without the owner (indexed by sample); they never enter
+// the key sets.
+func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
+	G := s.Cfg.GPUs
+	fn := s.Cfg.Functional
+	rows := s.Cfg.tableRows(fb.FeatureID)
+	pairSet, nodeSet := &s.planScr.pairSet, &s.planScr.nodeSet
+	accs := s.planScr.pairAcc[src*G : (src+1)*G]
+	per, multi := G, s.multiNode()
+	if multi {
+		per = s.cluster.GPUsPerNode
+	}
+	srcNode := s.nodeOf(src)
+	for first := 0; first < G; first += per {
+		// The remote node's accumulator and sample base.
+		var na *nodeAcc
+		var nodeLo int
+		if node := s.nodeOf(first); multi && node != srcNode {
+			na = &s.planScr.nodeAcc[src*s.cluster.Nodes+node]
+			nodeLo, _ = s.nodeSampleRange(node)
+			nodeSet.reset(rows, fn)
+		}
+		for dst := first; dst < first+per; dst++ {
+			a := &accs[dst]
+			dlo, dhi := s.Minibatch(dst)
+			skip := hit
+			if src == dst {
+				skip = nil
+			}
+			pairSet.reset(rows, fn)
+			for smp := dlo; smp < dhi; smp++ {
+				if skip != nil && skip[smp] {
+					continue
+				}
+				a.dense++
+				bag := fb.Bag(smp)
+				a.miss += int64(len(bag))
+				for _, raw := range bag {
+					row := embedding.HashIndex(raw, rows)
+					if !fn {
+						// The pair's rows are all in the node set
+						// already: only pair-fresh rows can be new there.
+						if pairSet.add(row) {
+							a.newAt[smp-dlo]++
+							if na != nil && nodeSet.add(row) {
+								na.newAt[smp-nodeLo]++
+							}
+						}
+						continue
+					}
+					key := uint64(fi)<<32 | uint64(row)
+					pos, fresh := pairSet.insert(row, int32(len(a.keys)))
+					if fresh {
+						a.newAt[smp-dlo]++
+						a.keys = append(a.keys, key)
+					}
+					a.expand = append(a.expand, pos)
+					if na == nil {
+						continue
+					}
+					pos, fresh = nodeSet.insert(row, int32(len(na.keys)))
+					if fresh {
+						na.newAt[smp-nodeLo]++
+						na.keys = append(na.keys, key)
+					}
+					a.nodeExpand = append(a.nodeExpand, pos)
+				}
+			}
+			a.uniq += int64(pairSet.len())
+		}
+		if na != nil {
+			na.uniq += int64(nodeSet.len())
+		}
+	}
+}
+
+// finishDedup builds the batch's dedup view from the walk's sums, deciding
+// every route, and folds the batch's savings into the run's counters.
+func (s *System) finishDedup() *DedupView {
+	G := s.Cfg.GPUs
+	fn := s.Cfg.Functional
+	vb := float64(s.Cfg.VectorBytes())
+	dv := &DedupView{
+		MissIdx:   grid[int64](G, G),
+		Uniq:      grid[int64](G, G),
+		DenseVecs: grid[int64](G, G),
+		Wire:      grid[bool](G, G),
+		Gather:    grid[bool](G, G),
+		NewAt:     grid[[]int32](G, G),
+		Keys:      grid[[]uint64](G, G),
+		Expand:    grid[[]int32](G, G),
+	}
+	ctr := metrics.DedupCounters{Batches: 1}
+	for src := 0; src < G; src++ {
+		for dst := 0; dst < G; dst++ {
+			a := &s.planScr.pairAcc[src*G+dst]
+			wire := src != dst && a.uniq < a.dense
+			dv.MissIdx[src][dst] = a.miss
+			dv.Uniq[src][dst] = a.uniq
+			dv.DenseVecs[src][dst] = a.dense
+			dv.Wire[src][dst] = wire
+			dv.Gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(a.uniq, a.miss)
+			dv.NewAt[src][dst] = a.newAt
+			if fn && wire {
+				dv.Keys[src][dst] = a.keys
+				dv.Expand[src][dst] = a.expand
+			}
+			if src == dst {
+				continue
+			}
+			ctr.EligibleIdx += a.miss
+			ctr.EligibleVecs += a.dense
+			ctr.UniqueRows += a.uniq
+			if wire {
+				ctr.WireRows += a.uniq
+				ctr.WireSavedBytes += float64(a.dense-a.uniq) * vb
+			} else {
+				ctr.WireVecs += a.dense
+			}
+		}
+	}
+	s.dedupStats = s.dedupStats.Add(ctr)
+	if !s.multiNode() {
+		return dv
+	}
+	N, per := s.cluster.Nodes, s.cluster.GPUsPerNode
+	dv.NodeUniq = grid[int64](G, N)
+	dv.NodeDense = grid[int64](G, N)
+	dv.NodeWire = grid[bool](G, N)
+	dv.NodeNewAt = grid[[]int32](G, N)
+	dv.NodeKeys = grid[[]uint64](G, N)
+	dv.NodeExpand = grid[[]int32](G, G)
+	for src := 0; src < G; src++ {
+		for node := 0; node < N; node++ {
+			if node == s.nodeOf(src) {
+				continue
+			}
+			na := &s.planScr.nodeAcc[src*N+node]
+			consumers := s.planScr.pairAcc[src*G+node*per : src*G+(node+1)*per]
+			var nodeDense int64
+			for _, a := range consumers {
+				nodeDense += a.dense
+			}
+			nodeWire := na.uniq < nodeDense
+			dv.NodeUniq[src][node] = na.uniq
+			dv.NodeDense[src][node] = nodeDense
+			dv.NodeWire[src][node] = nodeWire
+			dv.NodeNewAt[src][node] = na.newAt
+			if fn && nodeWire {
+				dv.NodeKeys[src][node] = na.keys
+				for li, a := range consumers {
+					dv.NodeExpand[src][node*per+li] = a.nodeExpand
+				}
+			}
+		}
+	}
+	return dv
 }

@@ -290,27 +290,42 @@ func TestTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 }
 
 // TestFirstTimingBatchAllocatesNoPerBagArray extends the contract to a
-// run's first batch: a timing run that classifies nothing never sizes a
+// run's first batch: a timing run without cache or placement never sizes a
 // per-(table, sample) array, not even once, so a process that builds one
-// run after another holds no such array between them.
+// run after another holds no such array between them. Without dedup it
+// draws pooling factors only; with dedup (on a 2-node cluster, so the node
+// walk runs too) it draws one feature's bags at a time and classifies them
+// as they are drawn.
 func TestFirstTimingBatchAllocatesNoPerBagArray(t *testing.T) {
-	cfg := WeakScalingConfig(4)
-	cfg.TotalTables = 64
-	cfg.BatchSize = 4096
-	s, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
+	weak := WeakScalingConfig(4)
+	weak.TotalTables = 64
+	weak.BatchSize = 4096
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		hw   HardwareParams
+	}{
+		{"pooling-only", weak, DefaultHardware()},
+		{"dedup", MultiNodeConfig(2, 2), ClusterHardware(2)},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := c.cfg
+			s, err := NewSystem(cfg, c.hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			if _, err := s.NextBatchData(); err != nil {
+				t.Fatal(err)
+			}
+			runtime.ReadMemStats(&after)
+			first := after.TotalAlloc - before.TotalAlloc
+			perBag := uint64(cfg.TotalTables * cfg.BatchSize * 4)
+			if first >= perBag {
+				t.Fatalf("first timing NextBatchData allocates %d B, at least one per-bag int32 array (%d B)", first, perBag)
+			}
+			t.Logf("%d B for the first timing batch (per-bag array %d B)", first, perBag)
+		})
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	if _, err := s.NextBatchData(); err != nil {
-		t.Fatal(err)
-	}
-	runtime.ReadMemStats(&after)
-	first := after.TotalAlloc - before.TotalAlloc
-	perBag := uint64(cfg.TotalTables * cfg.BatchSize * 4)
-	if first >= perBag {
-		t.Fatalf("first timing NextBatchData allocates %d B, at least one per-bag int32 array (%d B)", first, perBag)
-	}
-	t.Logf("%d B for the first timing batch (per-bag array %d B)", first, perBag)
 }

@@ -334,20 +334,24 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	defer func() { s.batchSeq++ }()
 	bd := &BatchData{Slot: s.batchSeq % s.PipelineDepth()}
 	if !s.Cfg.Functional {
-		// Timing runs draw into the run's scratch batch (classifiers and the
-		// placement statistics feed need real indices) or straight into the
-		// plan's prefix sums, compile, then drop the batch: the plan carries
-		// every count the timing model reads, and no timing-mode plan field
-		// aliases the input (dedup keys and expansions are functional-only).
-		// Both draws follow the pooling stream NextSummary would.
+		// Timing runs never keep their batch: the plan carries every count
+		// the timing model reads, and no timing-mode plan field aliases the
+		// input (dedup keys and expansions are functional-only). The
+		// residency pass and the placement statistics walk a whole batch in
+		// their own orders, so cached and placement runs draw into the run's
+		// scratch batch and compile it. Every other run streams: it draws one
+		// feature at a time into the plan's prefix sums and, with dedup on,
+		// steps the dedup walk over each table as it is drawn. Every draw
+		// follows the pooling stream NextSummary would.
 		var pooled [][]int64
-		if s.cacheEnabled() || s.Cfg.Dedup || s.placementEnabled() {
+		var dv *DedupView
+		if s.cacheEnabled() || s.placementEnabled() {
 			bd.Sparse = &s.planScr.batch
 			s.gen.NextBatchInto(bd.Sparse)
 		} else {
-			pooled = s.drawPooledPrefixes()
+			pooled, dv = s.drawStreamed()
 		}
-		s.compileRoutePlan(bd, pooled)
+		s.compileRoutePlan(bd, pooled, dv)
 		s.observeBatch(bd)
 		bd.Sparse = nil
 		return bd, nil
@@ -366,7 +370,7 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	// After Final is allocated: cache classification pools hit vectors into
 	// it (dedup classification runs after, so hit vectors never enter the
 	// key sets).
-	s.compileRoutePlan(bd, nil)
+	s.compileRoutePlan(bd, nil, nil)
 	s.observeBatch(bd)
 	return bd, nil
 }

@@ -224,9 +224,10 @@ func fullSearch(cdf []float64, u float64) int {
 
 // TestZipfGuideMatchesBinarySearch pins the guided lookup to the full-table
 // binary search it replaces: the same rank for every draw of a twin RNG and
-// for every bucket edge u = j/K and its float neighbours.
+// for every bucket edge u = j/K and its float neighbours, at table sizes on
+// both sides of the guide's 2^16-bucket floor.
 func TestZipfGuideMatchesBinarySearch(t *testing.T) {
-	for _, n := range []int{1, 2, 3, 5, 4096, 4097, 262144} {
+	for _, n := range []int{1, 2, 3, 5, 4096, 4097, 1 << 16, 1<<16 + 1, 262144} {
 		for _, s := range []float64{0.5, 1.05, 1.2, 2.5} {
 			zt := NewZipfTable(NewRNG(uint64(n)*31+uint64(s*100)), s, n)
 			twin := NewRNG(uint64(n)*31 + uint64(s*100))
@@ -237,11 +238,12 @@ func TestZipfGuideMatchesBinarySearch(t *testing.T) {
 				}
 			}
 			k, want := int(zt.k), 1
-			for want < n {
+			for want < max(n, 1<<16) {
 				want *= 2
 			}
 			if k != want || len(zt.guide) != k+1 {
-				t.Fatalf("n=%d: guide has %d buckets (%d entries), want %d, the least power of two >= n", n, k, len(zt.guide), want)
+				t.Fatalf("n=%d: guide has %d buckets (%d entries), want %d, the least power of two >= max(n, 2^16)",
+					n, k, len(zt.guide), want)
 			}
 			for j := 0; j < k; j++ {
 				edge := float64(j) / float64(k)
@@ -256,6 +258,31 @@ func TestZipfGuideMatchesBinarySearch(t *testing.T) {
 			}
 		}
 	}
+}
+
+// FuzzZipfRank holds the guided lookup to the full-table binary search for
+// any u in [0, 1), any exponent s > 0 and any table size n up to 2^18 (both
+// sides of the guide's floor). The inputs are folded into those ranges.
+func FuzzZipfRank(f *testing.F) {
+	f.Add(0.0, 1.2, 4096)
+	f.Add(0.5, 1.2, 1)
+	f.Add(math.Nextafter(1, 0), 0.5, 65536)
+	f.Add(0.999, 2.5, 65537)
+	f.Add(1e-300, 1e-9, 3)
+	f.Add(0.25, 80.0, 262143)
+	f.Fuzz(func(t *testing.T, u, s float64, n int) {
+		if math.IsNaN(u) || math.IsInf(u, 0) || math.IsNaN(s) || math.IsInf(s, 0) || s == 0 {
+			t.Skip()
+		}
+		u = math.Abs(u)
+		u -= math.Floor(u)
+		s = math.Abs(s)
+		n = 1 + int(uint(n)%(1<<18))
+		z := NewZipfCDF(s, n)
+		if got, want := z.Rank(u), fullSearch(z.cdf, u); got != want {
+			t.Fatalf("n=%d s=%v u=%v: guided rank %d, full search %d", n, s, u, got, want)
+		}
+	})
 }
 
 func TestZipfCDFSharedAcrossSamplers(t *testing.T) {

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"slices"
 	"testing"
+	"unsafe"
 
 	"pgasemb/internal/sparse"
 )
@@ -265,6 +266,50 @@ func TestNextPoolingsIntoMatchesSummary(t *testing.T) {
 		discard := func(int, []int32) {}
 		if allocs := testing.AllocsPerRun(4, func() { row = streamed.NextPoolingsInto(row, discard) }); allocs != 0 {
 			t.Errorf("seed %d: warm NextPoolingsInto allocates %v times per draw", cfg.Seed, allocs)
+		}
+	}
+}
+
+// TestNextBagsIntoMatchesNextBatch pins the streamed draw: the feature bags
+// handed to fn, in feature order, are NextBatch's features batch after
+// batch, drift epochs and NULL bags included. The bag's index slice is sized
+// by the first draw for the largest feature any batch can draw, so no later
+// draw moves it and a warm draw allocates nothing.
+func TestNextBagsIntoMatchesNextBatch(t *testing.T) {
+	withNull := nullFreePerFeatureCfg()
+	withNull.NullProbability = 0.3
+	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
+		cfg.BatchSize = 3 // few bags per feature, so totals swing batch to batch
+		fresh, err := NewGenerator(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		streamed, _ := NewGenerator(cfg)
+		var fb sparse.FeatureBag
+		var backing *int64
+		for i := 0; i < 40; i++ {
+			want := fresh.NextBatch()
+			next := 0
+			streamed.NextBagsInto(&fb, func(got *sparse.FeatureBag) {
+				w := &want.Features[next]
+				if got != &fb || got.FeatureID != next || !slices.Equal(got.Offsets, w.Offsets) ||
+					!slices.Equal(got.Indices, w.Indices) {
+					t.Fatalf("seed %d batch %d: feature %d differs from NextBatch", cfg.Seed, i, next)
+				}
+				next++
+			})
+			if next != cfg.NumFeatures {
+				t.Fatalf("seed %d batch %d: %d features drawn, want %d", cfg.Seed, i, next, cfg.NumFeatures)
+			}
+			if i == 0 {
+				backing = unsafe.SliceData(fb.Indices)
+			} else if unsafe.SliceData(fb.Indices) != backing {
+				t.Fatalf("seed %d batch %d: the index buffer was reallocated after the first draw", cfg.Seed, i)
+			}
+		}
+		discard := func(*sparse.FeatureBag) {}
+		if allocs := testing.AllocsPerRun(4, func() { streamed.NextBagsInto(&fb, discard) }); allocs != 0 {
+			t.Errorf("seed %d: warm NextBagsInto allocates %v times per draw", cfg.Seed, allocs)
 		}
 	}
 }

@@ -352,27 +352,52 @@ func (g *Generator) NextBatch() *sparse.Batch {
 
 // NextBatchInto draws the next batch into b, reusing the capacity of its
 // feature, offset and index slices; b's previous contents are overwritten.
-// Each feature's pooling factors are drawn first, so its index slice is
-// sized once at its exact length; pooling and indices come from separate
-// streams, so the draws match interleaving them bag by bag.
 func (g *Generator) NextBatchInto(b *sparse.Batch) {
 	g.advanceBatch()
-	B := g.cfg.BatchSize
-	b.Size = B
+	b.Size = g.cfg.BatchSize
 	b.Features = resize(b.Features, g.cfg.NumFeatures)
 	for f := range b.Features {
-		fb := &b.Features[f]
-		fb.FeatureID = f
-		fb.Offsets = resize(fb.Offsets, B+1)
-		offsets := fb.Offsets
-		offsets[0] = 0
-		g.drawPoolings(f, offsets[1:])
-		for s := 1; s <= B; s++ {
-			offsets[s] += offsets[s-1]
-		}
-		fb.Indices = resize(fb.Indices, int(offsets[B]))
-		g.drawIndices(fb.Indices)
+		g.drawFeature(f, &b.Features[f])
 	}
+}
+
+// NextBagsInto draws the next batch one feature at a time into fb and hands
+// each feature to fn in feature order; fn must not keep fb's slices, which
+// the next feature overwrites. The draws are NextBatch's, but only one
+// feature's offsets and indices are held at a time. fb's index slice is
+// sized once for the largest feature a batch can draw (BatchSize × the
+// largest pooling bound), so a warm fb never regrows.
+func (g *Generator) NextBagsInto(fb *sparse.FeatureBag, fn func(fb *sparse.FeatureBag)) {
+	g.advanceBatch()
+	most := 0
+	for f := 0; f < g.cfg.NumFeatures; f++ {
+		most = max(most, g.cfg.featureMaxPooling(f))
+	}
+	if n := g.cfg.BatchSize * most; cap(fb.Indices) < n {
+		fb.Indices = make([]int64, 0, n)
+	}
+	for f := 0; f < g.cfg.NumFeatures; f++ {
+		g.drawFeature(f, fb)
+		fn(fb)
+	}
+}
+
+// drawFeature draws feature f's offsets and indices into fb, reusing their
+// capacity. The pooling factors are drawn first, so the index slice is sized
+// once at its exact length; pooling and indices come from separate streams,
+// so the draws match interleaving them bag by bag.
+func (g *Generator) drawFeature(f int, fb *sparse.FeatureBag) {
+	B := g.cfg.BatchSize
+	fb.FeatureID = f
+	fb.Offsets = resize(fb.Offsets, B+1)
+	offsets := fb.Offsets
+	offsets[0] = 0
+	g.drawPoolings(f, offsets[1:])
+	for s := 1; s <= B; s++ {
+		offsets[s] += offsets[s-1]
+	}
+	fb.Indices = resize(fb.Indices, int(offsets[B]))
+	g.drawIndices(fb.Indices)
 }
 
 // resize returns s with length n, reallocating only when its capacity is
