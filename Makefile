@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-smoke chaos multinode placement precision report fmt vet loc
+.PHONY: build test race bench benchdiff bench-smoke chaos multinode placement precision serving report fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -62,6 +62,12 @@ placement:
 # cluster, with comm-volume, NIC-traffic and measured output-error columns.
 precision:
 	$(GO) run ./cmd/precision -nodes 2 -gpus-per-node 2 -out results
+
+# serving regenerates results/serving.{txt,csv}: the online-serving sweep
+# (both backends x dedup off/on x no cache, an eviction-heavy 0.0001 and a
+# non-evicting 0.01 hot-row cache) at 8000 rps over a 500 ms window.
+serving:
+	$(GO) run ./cmd/serve -rate 8000 -cache 0,0.0001,0.01 -duration 500ms -dedup -out results
 
 report:
 	$(GO) run ./cmd/report

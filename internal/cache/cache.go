@@ -3,13 +3,18 @@
 // embedding rows owned by OTHER GPUs, so that cache-hit lookups are served
 // from local HBM instead of travelling the fabric (the HugeCTR HPS
 // mechanism). Replacement is CLOCK (second-chance): a probe hit sets the
-// slot's reference bit, an admission sweeps the clock hand past referenced
+// row's reference bit, an admission sweeps the clock hand past referenced
 // slots — clearing their bits — and evicts the first unreferenced slot it
-// finds. CLOCK approximates LRU at O(1) state per slot and, on the Zipf
-// streams internal/workload generates, keeps the hot head resident. Keys find
-// their slots through an open-addressed index (slotIndex) whose size follows
-// the resident rows, not the capacity, so an empty cache costs only its
-// per-slot key and reference-bit arrays.
+// finds. CLOCK approximates LRU with one reference bit per row and, on the Zipf
+// streams internal/workload generates, keeps the hot head resident.
+//
+// Residency lives in a dense state array over the whole key space: every
+// (table, hashed row) key owns two bits, resident and referenced, at index
+// base[table]+row, so a probe tests and sets bits in one word and an
+// eviction clears them. That costs 2 bits × Σ table rows per GPU whatever
+// the capacity, and a table's bits stay cache-resident while a batch walks
+// its rows. The slot → key array grows with residency, and functional
+// caches also keep a dense key → slot map beside their stored rows.
 //
 // The cache is deliberately single-threaded: each simulated GPU owns one
 // Cache, and all probes/admissions happen during deterministic host-side
@@ -25,6 +30,8 @@ package cache
 
 import (
 	"fmt"
+	"math"
+	"slices"
 
 	"pgasemb/internal/metrics"
 )
@@ -44,13 +51,16 @@ type Key struct {
 type Cache struct {
 	dim   int
 	funct bool
-	keys  []Key
-	ref   []bool
-	used  int
-	hand  int
-	index slotIndex
-	rows  []float32 // used*dim values in functional mode
-	stats metrics.CacheCounters
+	// base[f] is the dense index of table f's row 0; base[len-1] is the
+	// key-space size. A key's state lives at index base[Feature]+Row.
+	base   []int
+	state  []uint64 // resident and referenced bits, two per key
+	keys   []int32  // dense key index per slot; grows with residency
+	slots  int
+	hand   int
+	slotOf []int32   // key index -> slot (functional mode only)
+	rows   []float32 // len(keys)*dim values in functional mode
+	stats  metrics.CacheCounters
 	// frozen blocks new admissions (and so evictions): the serving layer's
 	// stale-cache degradation policy freezes contents while the machine is
 	// unhealthy, trading freshness for stability. Probes and resident-key
@@ -58,32 +68,67 @@ type Cache struct {
 	frozen bool
 }
 
-// New returns an empty cache with the given slot count and row dimension.
-// functional selects whether row values are stored.
-func New(slots, dim int, functional bool) *Cache {
+// A key's two state bits, at bit 2*(index mod 32) of word index/32.
+const (
+	resident   = 1
+	referenced = 2
+)
+
+// New returns an empty cache with the given slot count and row dimension
+// over the key space of tables with the given row counts (tableRows[f] is
+// table f's hash size). functional selects whether row values are stored.
+func New(slots, dim int, tableRows []int, functional bool) *Cache {
 	if slots <= 0 {
 		panic(fmt.Sprintf("cache: non-positive slot count %d", slots))
 	}
 	if dim <= 0 {
 		panic(fmt.Sprintf("cache: non-positive row dim %d", dim))
 	}
+	base := make([]int, len(tableRows)+1)
+	for f, n := range tableRows {
+		if n <= 0 {
+			panic(fmt.Sprintf("cache: table %d has non-positive row count %d", f, n))
+		}
+		base[f+1] = base[f] + n
+	}
+	n := base[len(tableRows)]
+	if n > math.MaxInt32 {
+		panic(fmt.Sprintf("cache: key space of %d rows exceeds int32", n))
+	}
 	c := &Cache{
 		dim:   dim,
 		funct: functional,
-		keys:  make([]Key, slots),
-		ref:   make([]bool, slots),
+		base:  base,
+		state: make([]uint64, (n+31)/32),
+		slots: slots,
 	}
 	if functional {
-		c.rows = make([]float32, slots*dim)
+		c.slotOf = make([]int32, n)
 	}
 	return c
 }
 
+// index returns k's dense key index, panicking on a key outside the
+// cache's key space.
+func (c *Cache) index(k Key) int {
+	lo, hi := c.base[k.Feature], c.base[k.Feature+1]
+	if uint(k.Row) >= uint(hi-lo) {
+		panic("cache: key row outside its table")
+	}
+	return lo + int(k.Row)
+}
+
+// bits returns the state word holding key index i's bits and their shift.
+func (c *Cache) bits(i int) (*uint64, uint) {
+	return &c.state[i>>5], uint(i&31) * 2
+}
+
 // Touch probes the cache for row k, counting one row hit or miss and setting
-// the slot's reference bit on a hit. It reports whether the row is resident.
+// the key's reference bit on a hit. It reports whether the row is resident.
 func (c *Cache) Touch(k Key) bool {
-	if slot := c.index.find(k); slot >= 0 {
-		c.ref[slot] = true
+	w, sh := c.bits(c.index(k))
+	if *w>>sh&resident != 0 {
+		*w |= referenced << sh
 		c.stats.Hits++
 		return true
 	}
@@ -98,10 +143,12 @@ func (c *Cache) Touch(k Key) bool {
 // and counted instead. In functional mode row must hold the key's dim
 // values; in timing mode it is ignored and may be nil.
 func (c *Cache) Admit(k Key, row []float32) {
-	if slot := c.index.find(k); slot >= 0 {
-		c.ref[slot] = true
+	i := c.index(k)
+	w, sh := c.bits(i)
+	if *w>>sh&resident != 0 {
+		*w |= referenced << sh
 		if c.funct {
-			copy(c.rows[int(slot)*c.dim:], row[:c.dim])
+			copy(c.rows[int(c.slotOf[i])*c.dim:], row[:c.dim])
 		}
 		return
 	}
@@ -109,26 +156,34 @@ func (c *Cache) Admit(k Key, row []float32) {
 		c.stats.FrozenRejects++
 		return
 	}
-	var slot int
-	if c.used < len(c.keys) {
-		slot = c.used
-		c.used++
+	slot := len(c.keys)
+	if slot < c.slots {
+		c.keys = append(c.keys, int32(i))
+		if c.funct {
+			c.rows = append(c.rows, row[:c.dim]...)
+		}
 	} else {
 		// CLOCK sweep: give referenced slots a second chance.
-		for c.ref[c.hand] {
-			c.ref[c.hand] = false
-			c.hand = (c.hand + 1) % len(c.keys)
+		for {
+			vw, vsh := c.bits(int(c.keys[c.hand]))
+			if *vw>>vsh&referenced == 0 {
+				*vw &^= resident << vsh
+				break
+			}
+			*vw &^= referenced << vsh
+			c.hand = (c.hand + 1) % c.slots
 		}
 		slot = c.hand
-		c.hand = (c.hand + 1) % len(c.keys)
-		c.index.remove(c.keys[slot])
+		c.hand = (c.hand + 1) % c.slots
+		c.keys[slot] = int32(i)
+		if c.funct {
+			copy(c.rows[slot*c.dim:], row[:c.dim])
+		}
 		c.stats.Evictions++
 	}
-	c.keys[slot] = k
-	c.ref[slot] = false
-	c.index.insert(k, int32(slot))
+	*w |= resident << sh
 	if c.funct {
-		copy(c.rows[slot*c.dim:], row[:c.dim])
+		c.slotOf[i] = int32(slot)
 	}
 	c.stats.Insertions++
 }
@@ -140,18 +195,19 @@ func (c *Cache) Row(k Key) []float32 {
 	if !c.funct {
 		return nil
 	}
-	slot := c.index.find(k)
-	if slot < 0 {
+	i := c.index(k)
+	if w, sh := c.bits(i); *w>>sh&resident == 0 {
 		return nil
 	}
-	return c.rows[int(slot)*c.dim : (int(slot)+1)*c.dim]
+	slot := int(c.slotOf[i])
+	return c.rows[slot*c.dim : (slot+1)*c.dim]
 }
 
 // Slots returns the cache capacity in rows.
-func (c *Cache) Slots() int { return len(c.keys) }
+func (c *Cache) Slots() int { return c.slots }
 
 // Len returns the number of resident rows.
-func (c *Cache) Len() int { return c.used }
+func (c *Cache) Len() int { return len(c.keys) }
 
 // SetFrozen freezes (or thaws) the cache's contents: while frozen, Admit
 // refuses non-resident keys so the working set cannot churn. Used by the
@@ -172,11 +228,13 @@ type Set struct {
 	caches []*Cache
 	slots  int
 	dim    int
+	rows   []int
 	funct  bool
 }
 
-// NewSet builds one cache per GPU.
-func NewSet(gpus, slots, dim int, functional bool) *Set {
+// NewSet builds one cache per GPU over the key space of tables with the
+// given row counts.
+func NewSet(gpus, slots, dim int, tableRows []int, functional bool) *Set {
 	if gpus <= 0 {
 		panic(fmt.Sprintf("cache: non-positive GPU count %d", gpus))
 	}
@@ -184,10 +242,11 @@ func NewSet(gpus, slots, dim int, functional bool) *Set {
 		caches: make([]*Cache, gpus),
 		slots:  slots,
 		dim:    dim,
+		rows:   slices.Clone(tableRows),
 		funct:  functional,
 	}
 	for g := range s.caches {
-		s.caches[g] = New(slots, dim, functional)
+		s.caches[g] = New(slots, dim, tableRows, functional)
 	}
 	return s
 }
@@ -203,6 +262,10 @@ func (s *Set) Slots() int { return s.slots }
 
 // Dim returns the row dimension.
 func (s *Set) Dim() int { return s.dim }
+
+// TableRows returns the per-table row counts of the key space the caches
+// cover. The slice aliases the set's own; callers must not modify it.
+func (s *Set) TableRows() []int { return s.rows }
 
 // Functional reports whether the caches store row values.
 func (s *Set) Functional() bool { return s.funct }

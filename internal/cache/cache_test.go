@@ -8,8 +8,17 @@ import (
 
 func key(f, r int) Key { return Key{Feature: int32(f), Row: int32(r)} }
 
+// uniform returns the row counts of tables tables of rows rows each.
+func uniform(tables, rows int) []int {
+	out := make([]int, tables)
+	for f := range out {
+		out[f] = rows
+	}
+	return out
+}
+
 func TestTouchMissThenAdmitHit(t *testing.T) {
-	c := New(4, 2, false)
+	c := New(4, 2, uniform(1, 4), false)
 	if c.Touch(key(0, 1)) {
 		t.Fatal("empty cache reported a hit")
 	}
@@ -29,7 +38,7 @@ func TestTouchMissThenAdmitHit(t *testing.T) {
 // CLOCK second chance: a referenced resident survives one eviction sweep, an
 // unreferenced one does not.
 func TestClockSecondChance(t *testing.T) {
-	c := New(2, 1, false)
+	c := New(2, 1, uniform(1, 3), false)
 	c.Admit(key(0, 0), nil)
 	c.Admit(key(0, 1), nil)
 	c.Touch(key(0, 0)) // reference slot 0 only
@@ -50,7 +59,7 @@ func TestClockSecondChance(t *testing.T) {
 
 	// Slot 0's bit was cleared by the sweep and not re-set before this
 	// admission in a fresh cache state — verify second-chance expiry too.
-	c2 := New(2, 1, false)
+	c2 := New(2, 1, uniform(2, 3), false)
 	c2.Admit(key(1, 0), nil)
 	c2.Admit(key(1, 1), nil)
 	c2.Admit(key(1, 2), nil) // no bits set: evicts slot 0 immediately
@@ -60,7 +69,7 @@ func TestClockSecondChance(t *testing.T) {
 }
 
 func TestFunctionalRowStorage(t *testing.T) {
-	c := New(2, 3, true)
+	c := New(2, 3, uniform(1, 3), true)
 	a := []float32{1, 2, 3}
 	b := []float32{4, 5, 6}
 	c.Admit(key(0, 0), a)
@@ -93,7 +102,7 @@ func TestFunctionalRowStorage(t *testing.T) {
 }
 
 func TestTimingModeStoresNoRows(t *testing.T) {
-	c := New(2, 4, false)
+	c := New(2, 4, uniform(1, 1), false)
 	c.Admit(key(0, 0), nil)
 	if c.Row(key(0, 0)) != nil {
 		t.Fatal("timing-only cache returned row values")
@@ -101,7 +110,7 @@ func TestTimingModeStoresNoRows(t *testing.T) {
 }
 
 func TestSetAggregation(t *testing.T) {
-	s := NewSet(2, 4, 2, false)
+	s := NewSet(2, 4, 2, uniform(1, 1), false)
 	if s.NumGPUs() != 2 || s.Slots() != 4 || s.Dim() != 2 || s.Functional() {
 		t.Fatalf("set shape wrong: %+v", s)
 	}
@@ -118,7 +127,7 @@ func TestSetAggregation(t *testing.T) {
 // resident: hit rate well above the uniform-random baseline.
 func TestClockKeepsHotHead(t *testing.T) {
 	const slots, universe = 32, 1024
-	c := New(slots, 1, false)
+	c := New(slots, 1, uniform(1, universe), false)
 	// Deterministic skewed stream: key i appears with weight ~ 1/(i+1) by
 	// cycling a precomputed schedule (no RNG needed).
 	var stream []int
@@ -153,12 +162,12 @@ func TestClockKeepsHotHead(t *testing.T) {
 	}
 }
 
-// Once the index has grown to hold the resident set, probes, admissions and
-// evictions allocate nothing.
+// Once the slots have filled, probes, admissions and evictions allocate
+// nothing.
 func TestTouchAdmitSteadyStateZeroAllocs(t *testing.T) {
 	keys := ZipfKeys(1<<14, 24, 4096, 1.05, 7)
 	for _, slots := range []int{1 << 16, 512} {
-		c := New(slots, 8, false)
+		c := New(slots, 8, uniform(24, 4096), false)
 		TouchAdmitLoop(c, keys, len(keys))
 		if allocs := testing.AllocsPerRun(5, func() { TouchAdmitLoop(c, keys, len(keys)) }); allocs != 0 {
 			t.Fatalf("%d slots: steady-state probe loop allocated %v times per pass", slots, allocs)
@@ -166,5 +175,23 @@ func TestTouchAdmitSteadyStateZeroAllocs(t *testing.T) {
 		if st := c.Stats(); slots == 512 && st.Evictions == 0 {
 			t.Fatalf("%d slots: no evictions, the loop exercises no deletions", slots)
 		}
+	}
+}
+
+// A key outside the key space — a row past its table's last, or a table the
+// cache was not built for — panics instead of aliasing another key's state.
+func TestKeyOutsideKeySpacePanics(t *testing.T) {
+	c := New(4, 1, []int{3, 5}, false)
+	c.Admit(key(0, 2), nil) // each table's last row is in range
+	c.Admit(key(1, 4), nil)
+	for _, k := range []Key{key(0, 3), key(1, 5), key(0, -1), key(2, 0), key(-1, 0)} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("Touch(%v) did not panic", k)
+				}
+			}()
+			c.Touch(k)
+		}()
 	}
 }

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -93,24 +94,29 @@ func (m *mapClock) row(k Key) []float32 {
 }
 
 // FuzzCache drives Touch/Admit/Row/SetFrozen streams against the map-backed
-// reference at capacities of 1 to 300 slots over up to 1024 keys, so
-// evictions — and with them the index's backward-shift deletions — dominate.
+// reference at capacities of 1 to 300 slots over four tables of 1 to 256
+// rows each, so evictions dominate and each table's last row can be drawn.
 // After every operation the two must agree on the result, the Stats, the
-// slot layout and the reference bits; the index must hold exactly Len()
-// keys, and every resident key must map back to its own slot.
+// slot layout and the per-slot reference bits, and the state array must hold
+// exactly the resident keys (see checkState).
 func FuzzCache(f *testing.F) {
-	f.Add(uint16(0), false, []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 1})
-	f.Add(uint16(7), true, []byte{5, 1, 2, 5, 1, 3, 3, 1, 2, 4, 0, 0, 5, 0, 0, 2, 2, 9, 3, 2, 9})
-	f.Add(uint16(63), false, []byte("a longer mixed stream over a mid-sized cache with evictions"))
-	f.Add(uint16(299), true, []byte("\x05\x00\x00\x05\x00\x01\x04\x01\x00\x05\x00\x00\x02\x03\xff"))
-	f.Fuzz(func(t *testing.T, capSeed uint16, functional bool, ops []byte) {
+	f.Add(uint16(0), uint32(0xffffffff), false, []byte{0, 0, 0, 2, 0, 0, 0, 0, 0, 1, 0, 1})
+	f.Add(uint16(7), uint32(0x00030102), true, []byte{5, 1, 2, 5, 1, 3, 3, 1, 2, 4, 0, 0, 5, 0, 0, 2, 2, 9, 3, 2, 9})
+	f.Add(uint16(63), uint32(0x40ff0710), false, []byte("a longer mixed stream over a mid-sized cache with evictions"))
+	f.Add(uint16(299), uint32(0x80808080), true, []byte("\x05\x00\x00\x05\x00\x01\x04\x01\x00\x05\x00\x00\x02\x03\xff"))
+	f.Fuzz(func(t *testing.T, capSeed uint16, shape uint32, functional bool, ops []byte) {
 		const dim = 2
 		slots := 1 + int(capSeed)%300
-		c := New(slots, dim, functional)
+		tableRows := make([]int, 4)
+		for f := range tableRows {
+			tableRows[f] = 1 + int(shape>>(8*f)&0xff)
+		}
+		c := New(slots, dim, tableRows, functional)
 		ref := newMapClock(slots, dim, functional)
 		row := make([]float32, dim)
 		for op := 0; len(ops) >= 3; op, ops = op+1, ops[3:] {
-			k := Key{Feature: int32(ops[1] % 4), Row: int32(ops[2])}
+			f := int(ops[1] % 4)
+			k := Key{Feature: int32(f), Row: int32(int(ops[2]) % tableRows[f])}
 			row[0], row[1] = float32(op), -float32(op)
 			switch ops[0] % 6 {
 			case 0, 1:
@@ -140,31 +146,49 @@ func FuzzCache(f *testing.F) {
 			if got, want := c.Stats(), ref.stats; got != want {
 				t.Fatalf("op %d: Stats = %+v, want %+v", op, got, want)
 			}
-			if c.Len() != ref.used || c.hand != ref.hand ||
-				!slices.Equal(c.keys, ref.keys) || !slices.Equal(c.ref, ref.ref) {
-				t.Fatalf("op %d: CLOCK state diverged from the reference", op)
+			if c.Len() != ref.used || c.hand != ref.hand {
+				t.Fatalf("op %d: Len/hand = %d/%d, want %d/%d", op, c.Len(), c.hand, ref.used, ref.hand)
 			}
-			checkIndex(t, c)
+			for s, rk := range ref.keys[:ref.used] {
+				i := int(c.keys[s])
+				if i != c.index(rk) || c.stateOf(i)&referenced != 0 != ref.ref[s] {
+					t.Fatalf("op %d: slot %d holds key index %d (referenced %v), want %v (referenced %v)",
+						op, s, i, c.stateOf(i)&referenced != 0, rk, ref.ref[s])
+				}
+			}
+			checkState(t, c)
 		}
 	})
 }
 
-// checkIndex asserts the slot index holds exactly the resident keys, each
-// mapped to its own slot.
-func checkIndex(t *testing.T, c *Cache) {
+// stateOf returns key index i's two state bits.
+func (c *Cache) stateOf(i int) uint64 {
+	w, sh := c.bits(i)
+	return *w >> sh & (resident | referenced)
+}
+
+// checkState asserts the state array marks exactly Len() keys resident, no
+// key referenced without being resident, and every slot's key resident —
+// mapped back to its own slot in functional mode.
+func checkState(t *testing.T, c *Cache) {
 	t.Helper()
+	const lo = 0x5555555555555555 // each key's resident bit
 	held := 0
-	for _, e := range c.index.entries {
-		if e.slot != 0 {
-			held++
+	for wi, w := range c.state {
+		held += bits.OnesCount64(w & lo)
+		if stray := w >> 1 & lo &^ w; stray != 0 {
+			t.Fatalf("key index %d referenced but not resident", wi*32+bits.TrailingZeros64(stray)/2)
 		}
 	}
-	if held != c.Len() || c.index.n != c.Len() {
-		t.Fatalf("index holds %d entries (count %d), cache has %d resident keys", held, c.index.n, c.Len())
+	if held != c.Len() {
+		t.Fatalf("state marks %d keys resident, cache has %d", held, c.Len())
 	}
-	for s, k := range c.keys[:c.Len()] {
-		if got := c.index.find(k); got != int32(s) {
-			t.Fatalf("resident key %v in slot %d maps to slot %d", k, s, got)
+	for s, i := range c.keys {
+		if c.stateOf(int(i))&resident == 0 {
+			t.Fatalf("slot %d's key index %d is not resident", s, i)
+		}
+		if c.funct && c.slotOf[i] != int32(s) {
+			t.Fatalf("resident key index %d in slot %d maps to slot %d", i, s, c.slotOf[i])
 		}
 	}
 }

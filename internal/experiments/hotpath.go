@@ -245,7 +245,8 @@ func RunHotPaths(b *Bench) error {
 	// stream of serve-zipf's shape (the remote tables of a 4-GPU
 	// ServingScaleConfig, 1% of HBM as cache), at that capacity — where the
 	// stream fits and the steady state is resident probes — and at an
-	// eviction-heavy 4096 slots. A warm pass sizes the index first.
+	// eviction-heavy 4096 slots. A warm pass fills the slots first, so the
+	// measured loop allocates nothing.
 	serving := retrieval.ServingScaleConfig(4)
 	serving.CacheFraction = 0.01
 	keys := cache.ZipfKeys(1<<21, serving.TotalTables-serving.TotalTables/serving.GPUs,
@@ -257,7 +258,7 @@ func RunHotPaths(b *Bench) error {
 		{"cache/touch-admit", serving.CacheSlots(hw.GPU)},
 		{"cache/touch-admit-evict", 4096},
 	} {
-		hot := cache.New(c.slots, serving.Dim, false)
+		hot := cache.New(c.slots, serving.Dim, serving.RowCounts(), false)
 		cache.TouchAdmitLoop(hot, keys, len(keys))
 		r := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()

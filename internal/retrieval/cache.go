@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"fmt"
+	"slices"
 
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
@@ -38,7 +39,7 @@ func (s *System) cacheEnabled() bool {
 // configuration. AttachCaches preempts it with a caller-owned set.
 func (s *System) ensureCaches() {
 	if s.Caches == nil {
-		s.Caches = cache.NewSet(s.Cfg.GPUs, s.Cfg.CacheSlots(s.HW.GPU), s.Cfg.Dim, s.Cfg.Functional)
+		s.Caches = cache.NewSet(s.Cfg.GPUs, s.Cfg.CacheSlots(s.HW.GPU), s.Cfg.Dim, s.Cfg.RowCounts(), s.Cfg.Functional)
 	}
 }
 
@@ -62,6 +63,8 @@ func (s *System) AttachCaches(set *cache.Set) error {
 	case set.Slots() != s.Cfg.CacheSlots(s.HW.GPU):
 		return fmt.Errorf("retrieval: cache set has %d slots, configuration implies %d",
 			set.Slots(), s.Cfg.CacheSlots(s.HW.GPU))
+	case !slices.Equal(set.TableRows(), s.Cfg.RowCounts()):
+		return fmt.Errorf("retrieval: cache set's per-table row counts differ from the configuration's")
 	}
 	s.Caches = set
 	return nil

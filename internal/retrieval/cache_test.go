@@ -1,8 +1,11 @@
 package retrieval
 
 import (
+	"math"
+	"runtime"
 	"testing"
 
+	"pgasemb/internal/cache"
 	"pgasemb/internal/tensor"
 	"pgasemb/internal/workload"
 )
@@ -259,6 +262,30 @@ func TestCacheConfigValidation(t *testing.T) {
 	}
 }
 
+// A fresh serve-zipf-shaped cache set allocates its state bits — 2 bits per
+// key of the 32 × 262,144-row key space, 2 MiB per GPU — and at most 4 KiB
+// of headers: its 1.26M slots per GPU cost nothing until rows arrive.
+func TestServingCacheSetBytes(t *testing.T) {
+	cfg := ServingScaleConfig(4)
+	cfg.CacheFraction = 0.01
+	slots, rows := cfg.CacheSlots(DefaultHardware().GPU), cfg.RowCounts()
+	// The least of a few measurements leaves out other goroutines' allocations.
+	got := uint64(math.MaxUint64)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		set := cache.NewSet(cfg.GPUs, slots, cfg.Dim, rows, false)
+		runtime.ReadMemStats(&after)
+		runtime.KeepAlive(set)
+		got = min(got, after.TotalAlloc-before.TotalAlloc)
+	}
+	const state = 4 << 21
+	if got < state || got > state+4096 {
+		t.Fatalf("fresh %d-GPU set of %d slots allocated %d bytes, want %d of state bits plus at most 4 KiB",
+			cfg.GPUs, slots, got, state)
+	}
+}
+
 // AttachCaches must reject shape mismatches and carry residency (warm
 // caches) across runs when shapes agree.
 func TestAttachCachesWarm(t *testing.T) {
@@ -307,5 +334,26 @@ func TestAttachCachesWarm(t *testing.T) {
 	}
 	if err := otherSys.AttachCaches(cold.Caches); err == nil {
 		t.Fatal("AttachCaches accepted a dim-mismatched set")
+	}
+
+	// So is a set over another key space, even at the same slot count: one
+	// row moves between the first two tables.
+	reshaped := cfg
+	reshaped.PerFeatureRows = cfg.RowCounts()
+	reshaped.PerFeatureRows[0]++
+	reshaped.PerFeatureRows[1]--
+	reshapedSpec, err := NewSystemSpec(reshaped, hw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reshapedSys, err := reshapedSpec.NewRun()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if reshaped.CacheSlots(hw.GPU) != cold.Caches.Slots() {
+		t.Fatalf("reshaped config implies %d slots, want the set's %d", reshaped.CacheSlots(hw.GPU), cold.Caches.Slots())
+	}
+	if err := reshapedSys.AttachCaches(cold.Caches); err == nil {
+		t.Fatal("AttachCaches accepted a set over different table row counts")
 	}
 }

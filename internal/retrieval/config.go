@@ -255,6 +255,16 @@ func (c Config) tableRows(fid int) int {
 	return c.Rows
 }
 
+// RowCounts returns every table's hash size, indexed by global feature id:
+// the key space of the hot-row cache.
+func (c Config) RowCounts() []int {
+	out := make([]int, c.TotalTables)
+	for fid := range out {
+		out[fid] = c.tableRows(fid)
+	}
+	return out
+}
+
 // VectorBytes returns the uncompressed (fp32) payload of one embedding
 // vector — the HBM-side unit every gather, expand and unpack kernel works in.
 func (c Config) VectorBytes() int { return 4 * c.Dim }

@@ -170,7 +170,7 @@ func NewServer(base retrieval.Config, hw retrieval.HardwareParams, backend retri
 	}
 	srv.model = model
 	if slots := base.CacheSlots(hw.GPU); slots > 0 && base.GPUs > 1 {
-		srv.caches = cache.NewSet(base.GPUs, slots, base.Dim, base.Functional)
+		srv.caches = cache.NewSet(base.GPUs, slots, base.Dim, base.RowCounts(), base.Functional)
 	}
 	if base.AdaptivePlacement {
 		// Build the controller off the largest shape's spec: table sizes are
