@@ -52,12 +52,11 @@ func main() {
 	opts := pgasemb.ChaosOptions{
 		Profiles: cliflag.Strings("profiles", *profiles),
 		Replicas: cliflag.Ints("replicas", *replicas),
-		Backends: cliflag.Backends("backend", *backend),
+		Sweep:    pgasemb.Sweep{Backends: cliflag.Backends("backend", *backend), Parallel: *parallel},
 		GPUs:     *gpus,
 		Nodes:    *nodes,
 		Rate:     *rate,
 		Duration: duration.Seconds(),
-		Parallel: *parallel,
 	}
 
 	fmt.Printf("== Chaos sweep (%d GPUs, %d nodes, %.0f req/s, %v simulated per point) ==\n",

@@ -37,7 +37,8 @@ func main() {
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 
-	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
+	be, err := pgasemb.NewBackendByName(*backend)
+	if err != nil {
 		cliflag.Usage(err)
 	}
 	prec, err := pgasemb.ParsePrecision(*precision)
@@ -45,13 +46,12 @@ func main() {
 		cliflag.Usage(err)
 	}
 	opts := pgasemb.MultiNodeOptions{
+		Sweep:         pgasemb.Sweep{Backends: []pgasemb.Backend{be}, Parallel: *parallel},
 		MaxNodes:      *nodes,
 		GPUsPerNode:   *gpusPerNode,
 		Batches:       *batches,
 		BatchSize:     *batchSize,
-		Backend:       *backend,
 		WirePrecision: prec,
-		Parallel:      *parallel,
 	}
 	for _, kind := range []pgasemb.ScalingKind{pgasemb.WeakScaling, pgasemb.StrongScaling} {
 		res, err := pgasemb.RunMultiNode(ctx, kind, opts)

@@ -49,12 +49,11 @@ func main() {
 	opts := pgasemb.PlacementOptions{
 		Policies:       cliflag.Strings("policies", *policies),
 		ZipfExponents:  cliflag.Floats("zipf", *zipf),
-		Backends:       cliflag.Backends("backend", *backend),
+		Sweep:          pgasemb.Sweep{Backends: cliflag.Backends("backend", *backend), Parallel: *parallel},
 		GPUs:           *gpus,
 		Batches:        *batches,
 		RebalanceEvery: *every,
 		HotTables:      *hot,
-		Parallel:       *parallel,
 	}
 
 	fmt.Printf("== Placement sweep (%d GPUs, %d batches, rebalance every %d, %d mirrors) ==\n",

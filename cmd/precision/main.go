@@ -38,19 +38,16 @@ func main() {
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 
-	var names []string
+	sweep := pgasemb.Sweep{Parallel: *parallel}
 	if *backends != "" {
-		for _, be := range cliflag.Backends("backends", *backends) {
-			names = append(names, be.Name())
-		}
+		sweep.Backends = cliflag.Backends("backends", *backends)
 	}
 	res, err := pgasemb.RunPrecision(ctx, pgasemb.PrecisionOptions{
+		Sweep:       sweep,
 		Nodes:       *nodes,
 		GPUsPerNode: *gpusPerNode,
 		Batches:     *batches,
 		BatchSize:   *batchSize,
-		Backends:    names,
-		Parallel:    *parallel,
 	})
 	if err != nil {
 		cliflag.Fatal(err)

@@ -50,11 +50,16 @@ func main() {
 	if err := os.MkdirAll(*out, 0o755); err != nil {
 		cliflag.Fatal(err)
 	}
-	if _, err := pgasemb.NewBackendByName(*backend); err != nil {
+	be, err := pgasemb.NewBackendByName(*backend)
+	if err != nil {
 		cliflag.Usage(err)
 	}
 	bench := pgasemb.NewBench()
-	opts := pgasemb.ExperimentOptions{Batches: *batches, Backend: *backend, Dedup: *dedup, Parallel: *parallel, Bench: bench}
+	opts := pgasemb.ExperimentOptions{
+		Sweep:   pgasemb.Sweep{Backends: []pgasemb.Backend{be}, Parallel: *parallel, Bench: bench},
+		Batches: *batches,
+		Dedup:   *dedup,
+	}
 
 	write := func(name string, t *pgasemb.RenderedTable) {
 		if err := cliflag.WriteTable(*out, name, t); err != nil {

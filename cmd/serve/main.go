@@ -66,13 +66,12 @@ func main() {
 	opts := pgasemb.ServingOptions{
 		Rates:          cliflag.Floats("rate", *rates),
 		CacheFractions: cliflag.Floats("cache", *cacheFracs),
-		Backends:       cliflag.Backends("backend", *backend),
+		Sweep:          pgasemb.Sweep{Backends: cliflag.Backends("backend", *backend), Parallel: *parallel},
 		GPUs:           *gpus,
 		Duration:       duration.Seconds(),
 		Serve:          pgasemb.ServeConfig{Arrival: arr, Seed: *seed},
 		PipelineDepth:  *pipeline,
 		WirePrecision:  prec,
-		Parallel:       *parallel,
 	}
 	if *dedup {
 		opts.Dedups = []bool{false, true}

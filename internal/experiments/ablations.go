@@ -21,7 +21,7 @@ type AblationResult struct {
 // isolated contribution. All five backends run concurrently from one shared
 // spec. It returns early when ctx is done.
 func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult, error) {
-	spec, err := retrieval.NewSystemSpec(opts.apply(retrieval.WeakScalingConfig(gpus)), opts.hardware())
+	spec, err := opts.spec(retrieval.WeakScalingConfig(gpus))
 	if err != nil {
 		return nil, fmt.Errorf("experiments: ablations: %w", err)
 	}
@@ -35,22 +35,13 @@ func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult
 			MaxWait:    100 * sim.Microsecond,
 		}},
 	}
-	out := make([]AblationResult, len(backends))
-	stop := opts.Bench.Start(fmt.Sprintf("ablations-%dgpu", gpus), opts.parallel())
-	err = forEach(ctx, opts.parallel(), len(backends), func(i int) error {
-		b := backends[i]
-		r, err := runSpec(ctx, spec, b, spec.Config().Seed, opts.Bench)
+	return runJobs(ctx, opts.Sweep, fmt.Sprintf("ablations-%dgpu", gpus), len(backends), func(i int) (AblationResult, error) {
+		r, err := runSpec(ctx, spec, backends[i], spec.Config().Seed)
 		if err != nil {
-			return fmt.Errorf("experiments: ablations, %s: %w", b.Name(), err)
+			return AblationResult{}, fmt.Errorf("experiments: ablations, %s: %w", backends[i].Name(), err)
 		}
-		out[i] = AblationResult{Name: r.Backend, TotalTime: r.TotalTime}
-		return nil
+		return AblationResult{Name: r.Backend, TotalTime: r.TotalTime}, nil
 	})
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
 }
 
 // AblationTable renders ablation results with speedups over the first

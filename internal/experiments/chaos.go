@@ -14,6 +14,8 @@ import (
 // ChaosOptions tunes the resilience sweep: backend × fault profile × replica
 // count, each point one full serving simulation under that fault schedule.
 type ChaosOptions struct {
+	// Sweep.Backends defaults to baseline and pgas-fused.
+	Sweep
 	// Profiles names the fault profiles to sweep (see fault.Profiles).
 	// Default: none, flaky-link, straggler — the profiles that bite on a
 	// single-node machine. NIC and proxy profiles need Nodes > 1 to have any
@@ -21,14 +23,12 @@ type ChaosOptions struct {
 	Profiles []string
 	// Replicas are the shard replication factors to sweep (default {1, 2}).
 	Replicas []int
-	// Backends defaults to baseline and pgas-fused.
-	Backends []retrieval.Backend
 	// GPUs sizes the machine (default 4). Ignored when Base is set.
 	GPUs int
 	// Nodes composes the machine from NVLink islands joined by the NIC
 	// fabric (0 means 1, a single node). Ignored when HW is set.
 	Nodes int
-	// Rate is the arrival rate in requests/second (default 2000).
+	// Rate is the arrival rate in requests/second (default 4000).
 	Rate float64
 	// Duration is each point's arrival window (default 1 simulated second).
 	Duration sim.Duration
@@ -45,11 +45,6 @@ type ChaosOptions struct {
 	// machinery; pass a policy with only QueueTimeout < 0 semantics via the
 	// serve package directly if a truly inert policy is wanted.
 	Serve serve.Config
-	// Parallel bounds concurrently executed points (0 = GOMAXPROCS).
-	// Results are identical for every value.
-	Parallel int
-	// Bench, when set, records the sweep's wall-clock time.
-	Bench *Bench
 }
 
 // DefaultDegradePolicy is the degraded-serving policy the chaos sweep applies
@@ -63,63 +58,6 @@ func DefaultDegradePolicy() serve.DegradePolicy {
 		ShedAt:          0.6,
 		StaleCacheServe: true,
 	}
-}
-
-func (o ChaosOptions) profiles() []string {
-	if len(o.Profiles) > 0 {
-		return o.Profiles
-	}
-	return []string{"none", "flaky-link", "straggler"}
-}
-
-func (o ChaosOptions) replicas() []int {
-	if len(o.Replicas) > 0 {
-		return o.Replicas
-	}
-	return []int{1, 2}
-}
-
-func (o ChaosOptions) backends() []retrieval.Backend {
-	if len(o.Backends) > 0 {
-		return o.Backends
-	}
-	return []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
-}
-
-func (o ChaosOptions) base() retrieval.Config {
-	if o.Base != nil {
-		return *o.Base
-	}
-	gpus := o.GPUs
-	if gpus <= 0 {
-		gpus = 4
-	}
-	return retrieval.ServingScaleConfig(gpus)
-}
-
-func (o ChaosOptions) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.ClusterHardware(o.Nodes)
-}
-
-func (o ChaosOptions) rate() float64 {
-	if o.Rate > 0 {
-		return o.Rate
-	}
-	return 4000
-}
-
-func (o ChaosOptions) duration() sim.Duration {
-	if o.Duration > 0 {
-		return o.Duration
-	}
-	return 1 * sim.Second
-}
-
-func (o ChaosOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
 }
 
 // ChaosPoint is one (backend, fault profile, replica count) serving run.
@@ -155,21 +93,19 @@ type ChaosResult struct {
 // results land in an index-addressed slice, byte-identical at any
 // parallelism. It returns early when ctx is done.
 func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
-	profiles := opts.profiles()
-	replicas := opts.replicas()
-	backends := opts.backends()
-	base := opts.base()
-	hw := opts.hardware()
+	profiles := orList(opts.Profiles, []string{"none", "flaky-link", "straggler"})
+	replicas := orList(opts.Replicas, []int{1, 2})
+	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
+	base := servingBase(opts.Base, opts.GPUs)
+	hw := hardware(opts.HW, opts.Nodes)
 	for _, r := range replicas {
 		if r < 1 {
 			return nil, fmt.Errorf("experiments: chaos sweep replica count %d must be >= 1", r)
 		}
 	}
 	res := &ChaosResult{Profiles: profiles, Replicas: replicas}
-	res.Points = make([]ChaosPoint, len(backends)*len(profiles)*len(replicas))
-
-	stop := opts.Bench.Start("chaos", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(res.Points), func(i int) error {
+	n := len(backends) * len(profiles) * len(replicas)
+	points, err := runJobs(ctx, opts.Sweep, "chaos", n, func(i int) (ChaosPoint, error) {
 		ri := i % len(replicas)
 		pi := i / len(replicas) % len(profiles)
 		bi := i / (len(replicas) * len(profiles))
@@ -179,20 +115,20 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		cfg := base
 		cfg.Replicas = replicas[ri]
 		phw := hw
+		fail := func(err error) (ChaosPoint, error) {
+			return ChaosPoint{}, fmt.Errorf("experiments: chaos, %s profile %s replicas %d: %w",
+				backend.Name(), profile, cfg.Replicas, err)
+		}
 		sched, err := fault.Profile(profile, cfg.Seed)
 		if err != nil {
-			return fmt.Errorf("experiments: chaos sweep: %w", err)
+			return fail(err)
 		}
 		phw.Faults = sched
 		scfg := opts.Serve
-		scfg.Rate = opts.rate()
-		scfg.Duration = opts.duration()
+		scfg.Rate = orDefault(opts.Rate, 4000)
+		scfg.Duration = orDefault(opts.Duration, 1*sim.Second)
 		if scfg.Degrade == (serve.DegradePolicy{}) {
 			scfg.Degrade = DefaultDegradePolicy()
-		}
-		fail := func(err error) error {
-			return fmt.Errorf("experiments: chaos, %s profile %s replicas %d: %w",
-				backend.Name(), profile, cfg.Replicas, err)
 		}
 		srv, err := serve.NewServer(cfg, phw, backend, scfg)
 		if err != nil {
@@ -202,7 +138,7 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 		if err != nil {
 			return fail(err)
 		}
-		res.Points[i] = ChaosPoint{
+		return ChaosPoint{
 			Backend:      r.Backend,
 			Profile:      profile,
 			Replicas:     cfg.Replicas,
@@ -214,13 +150,12 @@ func RunChaos(ctx context.Context, opts ChaosOptions) (*ChaosResult, error) {
 			P50:          r.Percentile(50),
 			P99:          r.Percentile(99),
 			Goodput:      r.Goodput(),
-		}
-		return nil
+		}, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
+	res.Points = points
 	return res, nil
 }
 

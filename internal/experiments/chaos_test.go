@@ -17,7 +17,7 @@ func chaosTestOptions() ChaosOptions {
 	return ChaosOptions{
 		Profiles: []string{"none", "straggler"},
 		Replicas: []int{1, 2},
-		Backends: []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}},
+		Sweep:    Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}},
 		Rate:     2400,
 		Duration: 200 * sim.Millisecond,
 		Base:     &base,

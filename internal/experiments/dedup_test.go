@@ -85,7 +85,7 @@ func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 		Rates:          []float64{2000},
 		CacheFractions: []float64{0, 0.01},
 		Dedups:         []bool{false, true},
-		Backends:       []retrieval.Backend{&retrieval.PGASFused{}},
+		Sweep:          Sweep{Backends: []retrieval.Backend{&retrieval.PGASFused{}}},
 		Duration:       200 * sim.Millisecond,
 		Base:           &base,
 		HW:             &hw,

@@ -4,10 +4,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
 
+	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
 )
 
@@ -96,7 +98,7 @@ func TestForEachHonoursCancelledContext(t *testing.T) {
 
 // fastOpts keeps the engine determinism sweeps quick.
 func fastOpts(parallel int) Options {
-	return Options{Batches: 2, MaxGPUs: 3, Parallel: parallel}
+	return Options{Batches: 2, MaxGPUs: 3, Sweep: Sweep{Parallel: parallel}}
 }
 
 // TestParallelScalingMatchesSerial is the engine's core guarantee: the
@@ -189,104 +191,200 @@ func TestParallelPipelineDepthMatchesSerial(t *testing.T) {
 	}
 }
 
-// Every sweep entry point honours a context cancelled before it starts.
-func TestExperimentContextCancellation(t *testing.T) {
-	sweeps := []struct {
-		name string
-		run  func(ctx context.Context) error
-	}{
-		{"RunScaling", func(ctx context.Context) error {
-			_, err := RunScaling(ctx, WeakScaling, fastOpts(2))
+// entryPoint is one Run* entry point at test size: run executes it with sw
+// as its options' Sweep (nil Backends = the entry point's default). jobs is
+// its job count and bench its bench record's name.
+type entryPoint struct {
+	name  string
+	bench string
+	jobs  int
+	run   func(ctx context.Context, sw Sweep) error
+}
+
+func entryPoints() []entryPoint {
+	opts := func(sw Sweep) Options {
+		o := fastOpts(0)
+		o.Sweep = sw
+		return o
+	}
+	return []entryPoint{
+		{"RunScaling", "weak-scaling", 2 * 3, func(ctx context.Context, sw Sweep) error {
+			_, err := RunScaling(ctx, WeakScaling, opts(sw))
 			return err
 		}},
-		{"RunCommVolume", func(ctx context.Context) error {
-			_, err := RunCommVolume(ctx, WeakScaling, 2, 50, fastOpts(2))
+		{"RunCommVolume", "weak-commvolume-2gpu", 2, func(ctx context.Context, sw Sweep) error {
+			_, err := RunCommVolume(ctx, WeakScaling, 2, 50, opts(sw))
 			return err
 		}},
-		{"RunScalingStats", func(ctx context.Context) error {
-			_, err := RunScalingStats(ctx, WeakScaling, 2, fastOpts(2))
+		{"RunScalingStats", "weak-scaling-stats", 2 * 2 * 2, func(ctx context.Context, sw Sweep) error {
+			_, err := RunScalingStats(ctx, WeakScaling, 2, opts(sw))
 			return err
 		}},
-		{"RunAblations", func(ctx context.Context) error {
-			_, err := RunAblations(ctx, 2, fastOpts(2))
+		{"RunAblations", "ablations-2gpu", 5, func(ctx context.Context, sw Sweep) error {
+			_, err := RunAblations(ctx, 2, opts(sw))
 			return err
 		}},
-		{"RunPipelineDepth", func(ctx context.Context) error {
-			_, err := RunPipelineDepth(ctx, 2, []int{1, 2}, fastOpts(2))
+		{"RunPipelineDepth", "pipeline-depth-2gpu", 2 * 2, func(ctx context.Context, sw Sweep) error {
+			_, err := RunPipelineDepth(ctx, 2, []int{1, 2}, opts(sw))
 			return err
 		}},
-		{"RunMultiNode", func(ctx context.Context) error {
-			_, err := RunMultiNode(ctx, WeakScaling, multiNodeTestOptions())
+		{"RunMultiNode", "multinode-weak-scaling", 2 * 3, func(ctx context.Context, sw Sweep) error {
+			o := multiNodeTestOptions()
+			o.Sweep = sw
+			_, err := RunMultiNode(ctx, WeakScaling, o)
 			return err
 		}},
-		{"RunPrecision", func(ctx context.Context) error {
-			_, err := RunPrecision(ctx, precisionTestOptions())
+		{"RunPrecision", "precision-sweep", 3*2*3 + 3, func(ctx context.Context, sw Sweep) error {
+			o := precisionTestOptions()
+			o.Sweep, o.Batches = sw, 1
+			_, err := RunPrecision(ctx, o)
 			return err
 		}},
-		{"RunServing", func(ctx context.Context) error {
+		{"RunServing", "serving", 2, func(ctx context.Context, sw Sweep) error {
 			base, hw := servingTestBase(), servingTestHW()
 			_, err := RunServing(ctx, ServingOptions{
-				Rates: []float64{1500}, CacheFractions: []float64{0},
+				Sweep: sw, Rates: []float64{1500}, CacheFractions: []float64{0},
 				Duration: 200 * sim.Millisecond, Base: &base, HW: &hw,
 			})
 			return err
 		}},
-		{"RunChaos", func(ctx context.Context) error {
-			_, err := RunChaos(ctx, chaosTestOptions())
+		{"RunChaos", "chaos", 2 * 2 * 2, func(ctx context.Context, sw Sweep) error {
+			o := chaosTestOptions()
+			o.Sweep = sw
+			_, err := RunChaos(ctx, o)
 			return err
 		}},
-		{"RunPlacement", func(ctx context.Context) error {
-			_, err := RunPlacement(ctx, placementTestOptions())
+		{"RunPlacement", "placement", 2 * 4, func(ctx context.Context, sw Sweep) error {
+			o := placementTestOptions()
+			o.Sweep = sw
+			_, err := RunPlacement(ctx, o)
 			return err
 		}},
 	}
+}
+
+// Every sweep entry point honours a context cancelled before it starts.
+func TestExperimentContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, sw := range sweeps {
-		t.Run(sw.name, func(t *testing.T) {
-			if err := sw.run(ctx); !errors.Is(err, context.Canceled) {
+	for _, ep := range entryPoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			if err := ep.run(ctx, Sweep{Parallel: 2}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
 		})
 	}
 }
 
+// Every entry point opens one bench record, under its own name and worker
+// count, and notes one timed run per job.
 func TestBenchRecordsExperiments(t *testing.T) {
-	b := NewBench()
-	opts := fastOpts(2)
-	opts.Bench = b
-	if _, err := RunScaling(context.Background(), WeakScaling, opts); err != nil {
-		t.Fatal(err)
-	}
-	rep := b.Report()
-	if len(rep.Experiments) != 1 {
-		t.Fatalf("recorded %d experiments, want 1", len(rep.Experiments))
-	}
-	e := rep.Experiments[0]
-	if e.Name != "weak-scaling" || e.Parallel != 2 {
-		t.Fatalf("experiment record %+v", e)
-	}
-	if e.Runs != 2*3 {
-		t.Fatalf("recorded %d runs, want 6", e.Runs)
-	}
-	if e.WallSeconds <= 0 || e.RunSeconds <= 0 {
-		t.Fatalf("timings not recorded: %+v", e)
-	}
-	if rep.TotalWallSeconds <= 0 || rep.GoMaxProcs <= 0 {
-		t.Fatalf("report totals missing: %+v", rep)
+	for _, ep := range entryPoints() {
+		t.Run(ep.name, func(t *testing.T) {
+			b := NewBench()
+			if err := ep.run(context.Background(), Sweep{Parallel: 2, Bench: b}); err != nil {
+				t.Fatal(err)
+			}
+			rep := b.Report()
+			if len(rep.Experiments) != 1 {
+				t.Fatalf("recorded %d experiments, want 1", len(rep.Experiments))
+			}
+			e := rep.Experiments[0]
+			if e.Name != ep.bench || e.Parallel != 2 || e.Runs != ep.jobs {
+				t.Fatalf("record %+v, want name %q, parallel 2, %d runs", e, ep.bench, ep.jobs)
+			}
+			if e.WallSeconds <= 0 || e.RunSeconds <= 0 || e.Speedup <= 0 {
+				t.Fatalf("timings not recorded: %+v", e)
+			}
+			if rep.TotalWallSeconds <= 0 || rep.GoMaxProcs <= 0 {
+				t.Fatalf("report totals missing: %+v", rep)
+			}
+		})
 	}
 }
 
-func TestBenchRecordsPipelineDepthRuns(t *testing.T) {
-	b := NewBench()
-	opts := fastOpts(1)
-	opts.Bench = b
-	if _, err := RunPipelineDepth(context.Background(), 2, []int{1, 2}, opts); err != nil {
-		t.Fatal(err)
+// A negative value in a "0 = default" shared field is an error naming the
+// field, never a silent default, on every entry point family.
+func TestSweepsRefuseNegativeSharedFields(t *testing.T) {
+	ctx := context.Background()
+	for _, ep := range entryPoints() {
+		t.Run(ep.name+"/Parallel", func(t *testing.T) {
+			err := ep.run(ctx, Sweep{Parallel: -1})
+			if err == nil || !strings.Contains(err.Error(), "Parallel must be >= 0") {
+				t.Fatalf("err = %v, want a Parallel error", err)
+			}
+		})
 	}
-	e := b.Report().Experiments[0]
-	if e.Name != "pipeline-depth-2gpu" || e.Runs != 2*2 || e.RunSeconds <= 0 || e.Speedup <= 0 {
-		t.Fatalf("pipeline-depth record %+v, want 4 timed runs", e)
+	// Each entry point taking batch overrides, with the fields it has.
+	both := []string{"Batches", "BatchSize"}
+	sized := []struct {
+		name   string
+		fields []string
+		run    func(batches, batchSize int) error
+	}{
+		{"RunScaling", both, func(b, s int) error {
+			_, err := RunScaling(ctx, WeakScaling, Options{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunCommVolume", both, func(b, s int) error {
+			_, err := RunCommVolume(ctx, WeakScaling, 2, 50, Options{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunScalingStats", both, func(b, s int) error {
+			_, err := RunScalingStats(ctx, WeakScaling, 2, Options{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunAblations", both, func(b, s int) error {
+			_, err := RunAblations(ctx, 2, Options{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunPipelineDepth", both, func(b, s int) error {
+			_, err := RunPipelineDepth(ctx, 2, nil, Options{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunMultiNode", both, func(b, s int) error {
+			_, err := RunMultiNode(ctx, WeakScaling, MultiNodeOptions{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunPrecision", both, func(b, s int) error {
+			_, err := RunPrecision(ctx, PrecisionOptions{Batches: b, BatchSize: s})
+			return err
+		}},
+		{"RunPlacement", []string{"Batches"}, func(b, _ int) error {
+			_, err := RunPlacement(ctx, PlacementOptions{Batches: b})
+			return err
+		}},
+	}
+	for _, sz := range sized {
+		for _, field := range sz.fields {
+			t.Run(sz.name+"/"+field, func(t *testing.T) {
+				batches, batchSize := -1, 0
+				if field == "BatchSize" {
+					batches, batchSize = 0, -1
+				}
+				err := sz.run(batches, batchSize)
+				if err == nil || !strings.Contains(err.Error(), field+" must be >= 0") {
+					t.Fatalf("err = %v, want a %s error", err, field)
+				}
+			})
+		}
+	}
+}
+
+// The baseline-vs-accelerated sweeps take one accelerated backend, and no
+// sweep takes a nil one.
+func TestSweepsRefuseBadBackends(t *testing.T) {
+	two := fastOpts(1)
+	two.Backends = []retrieval.Backend{&retrieval.PGASFused{}, &retrieval.Hybrid{}}
+	if _, err := RunScaling(context.Background(), WeakScaling, two); err == nil ||
+		!strings.Contains(err.Error(), "accelerated column alone") {
+		t.Errorf("two accelerated backends: err = %v", err)
+	}
+	for _, ep := range entryPoints() {
+		if err := ep.run(context.Background(), Sweep{Backends: []retrieval.Backend{nil}}); err == nil ||
+			!strings.Contains(err.Error(), "Backends[0] is nil") {
+			t.Errorf("%s: nil backend: err = %v", ep.name, err)
+		}
 	}
 }
 

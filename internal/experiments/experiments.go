@@ -47,8 +47,10 @@ func (k ScalingKind) Config(gpus int) retrieval.Config {
 	return retrieval.StrongScalingConfig(gpus)
 }
 
-// Options tunes an experiment run.
+// Options tunes the paper's sweeps: scaling, statistics, communication
+// volume, ablations and pipeline depth.
 type Options struct {
+	Sweep
 	// MaxGPUs bounds the sweep (paper: 4).
 	MaxGPUs int
 	// Batches overrides the per-run batch count (0 = paper's 100).
@@ -59,55 +61,20 @@ type Options struct {
 	BatchSize int
 	// HW selects the hardware model (zero value = calibrated defaults).
 	HW *retrieval.HardwareParams
-	// Backend names the registered backend occupying the accelerated slot
-	// of every sweep — the "PGAS" column of the rendered tables. Empty
-	// means "pgas-fused"; the comparison slot always runs the baseline.
-	Backend string
 	// Dedup adds the batch-level index-deduplication axis: every scaling
 	// point runs each backend twice, with deduplication off and on, and the
 	// rendered tables grow the dedup columns.
 	Dedup bool
-	// Parallel bounds the number of simulation runs executed concurrently
-	// (0 = GOMAXPROCS). Results are identical for every value; only
-	// wall-clock time changes.
-	Parallel int
-	// Bench, when set, records each experiment's wall-clock time and the
-	// host time of every simulation run.
-	Bench *Bench
 }
 
-func (o Options) maxGPUs() int {
-	if o.MaxGPUs <= 0 {
-		return 4
+// spec builds a sweep point's spec from cfg with the batch overrides and
+// the hardware applied.
+func (o Options) spec(cfg retrieval.Config) (*retrieval.SystemSpec, error) {
+	cfg, err := resize(cfg, o.Batches, o.BatchSize)
+	if err != nil {
+		return nil, err
 	}
-	return o.MaxGPUs
-}
-
-func (o Options) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.DefaultHardware()
-}
-
-// pgasBackend resolves Options.Backend through the backend registry; a
-// fresh instance is built per call so concurrent runs never share one.
-func (o Options) pgasBackend() (retrieval.Backend, error) {
-	name := o.Backend
-	if name == "" {
-		name = "pgas-fused"
-	}
-	return retrieval.NewBackendByName(name)
-}
-
-func (o Options) apply(cfg retrieval.Config) retrieval.Config {
-	if o.Batches > 0 {
-		cfg.Batches = o.Batches
-	}
-	if o.BatchSize > 0 {
-		cfg.BatchSize = o.BatchSize
-	}
-	return cfg
+	return retrieval.NewSystemSpec(cfg, hardware(o.HW, 1))
 }
 
 // ScalingPoint holds one GPU count's pair of runs. When the sweep carries
@@ -149,67 +116,42 @@ type ScalingResult struct {
 // index-addressed slice so the tables are byte-identical at any Parallel. It
 // returns early when ctx is done.
 func RunScaling(ctx context.Context, kind ScalingKind, opts Options) (*ScalingResult, error) {
-	hw := opts.hardware()
-	maxGPUs := opts.maxGPUs()
-	perPoint := 2
+	maxGPUs := orDefault(opts.MaxGPUs, 4)
+	dedups := []bool{false}
 	if opts.Dedup {
-		perPoint = 4
+		dedups = append(dedups, true)
 	}
-	specs := make([]*retrieval.SystemSpec, maxGPUs+1)
-	dedupSpecs := make([]*retrieval.SystemSpec, maxGPUs+1)
+	// Point p is GPU count p/len(dedups)+1 with dedup dedups[p%len(dedups)].
+	var specs []*retrieval.SystemSpec
 	for gpus := 1; gpus <= maxGPUs; gpus++ {
-		cfg := opts.apply(kind.Config(gpus))
-		spec, err := retrieval.NewSystemSpec(cfg, hw)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s scaling, %d GPUs: %w", kind, gpus, err)
-		}
-		specs[gpus] = spec
-		if opts.Dedup {
-			cfg.Dedup = true
-			dspec, err := retrieval.NewSystemSpec(cfg, hw)
+		for _, dedup := range dedups {
+			cfg := kind.Config(gpus)
+			cfg.Dedup = dedup
+			spec, err := opts.spec(cfg)
 			if err != nil {
-				return nil, fmt.Errorf("experiments: %s scaling, %d GPUs, dedup: %w", kind, gpus, err)
+				return nil, fmt.Errorf("experiments: %s scaling, %d GPUs, dedup=%v: %w", kind, gpus, dedup, err)
 			}
-			dedupSpecs[gpus] = dspec
+			specs = append(specs, spec)
 		}
 	}
-	results := make([]*retrieval.Result, perPoint*maxGPUs)
-	stop := opts.Bench.Start(fmt.Sprintf("%s-scaling", kind), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(results), func(i int) error {
-		gpus := i/perPoint + 1
-		slot := i % perPoint
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if slot%2 == 1 {
-			var berr error
-			if backend, berr = opts.pgasBackend(); berr != nil {
-				return fmt.Errorf("experiments: %w", berr)
+	results, err := versus(ctx, opts.Sweep, fmt.Sprintf("%s-scaling", kind), len(specs),
+		func(p int, b retrieval.Backend) (*retrieval.Result, error) {
+			spec := specs[p]
+			r, err := runSpec(ctx, spec, b, spec.Config().Seed)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: %s scaling, %d GPUs, %s: %w", kind, spec.Config().GPUs, b.Name(), err)
 			}
-		}
-		spec := specs[gpus]
-		if slot >= 2 {
-			spec = dedupSpecs[gpus]
-		}
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return fmt.Errorf("experiments: %s scaling, %d GPUs, %s: %w", kind, gpus, backend.Name(), err)
-		}
-		results[i] = r
-		return nil
-	})
-	stop()
+			return r, nil
+		})
 	if err != nil {
 		return nil, err
 	}
 	res := &ScalingResult{Kind: kind, Dedup: opts.Dedup}
 	for gpus := 1; gpus <= maxGPUs; gpus++ {
-		p := ScalingPoint{
-			GPUs:     gpus,
-			Baseline: results[perPoint*(gpus-1)],
-			PGAS:     results[perPoint*(gpus-1)+1],
-		}
+		at := 2 * len(dedups) * (gpus - 1)
+		p := ScalingPoint{GPUs: gpus, Baseline: results[at], PGAS: results[at+1]}
 		if opts.Dedup {
-			p.BaselineDedup = results[perPoint*(gpus-1)+2]
-			p.PGASDedup = results[perPoint*(gpus-1)+3]
+			p.BaselineDedup, p.PGASDedup = results[at+2], results[at+3]
 		}
 		res.Points = append(res.Points, p)
 	}
@@ -315,40 +257,24 @@ func RunCommVolume(ctx context.Context, kind ScalingKind, gpus, bins int, opts O
 	if gpus < 2 {
 		return nil, fmt.Errorf("experiments: communication profiling needs >= 2 GPUs")
 	}
-	if bins <= 0 {
-		bins = 120
+	bins = orDefault(bins, 120)
+	spec, err := opts.spec(kind.Config(gpus))
+	if err != nil {
+		return nil, fmt.Errorf("experiments: %s comm volume, %d GPUs: %w", kind, gpus, err)
 	}
-	spec, err := retrieval.NewSystemSpec(opts.apply(kind.Config(gpus)), opts.hardware())
+	runs, err := versus(ctx, opts.Sweep, fmt.Sprintf("%s-commvolume-%dgpu", kind, gpus), 1,
+		func(_ int, b retrieval.Backend) (*retrieval.Result, error) {
+			return runSpec(ctx, spec, b, spec.Config().Seed)
+		})
 	if err != nil {
 		return nil, err
 	}
-	out := &CommVolumeResult{Kind: kind, GPUs: gpus, Bins: bins}
-	stop := opts.Bench.Start(fmt.Sprintf("%s-commvolume-%dgpu", kind, gpus), opts.parallel())
-	err = forEach(ctx, opts.parallel(), 2, func(i int) error {
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if i == 1 {
-			var berr error
-			if backend, berr = opts.pgasBackend(); berr != nil {
-				return fmt.Errorf("experiments: %w", berr)
-			}
-		}
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return err
-		}
-		series := r.CommTrace.RateSeries(0, r.TotalTime, bins)
-		if i == 1 {
-			out.PGAS = series
-			out.PGASSpan = r.TotalTime
-		} else {
-			out.Baseline = series
-			out.BaselineSpan = r.TotalTime
-		}
-		return nil
-	})
-	stop()
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
+	base, pgas := runs[0], runs[1]
+	return &CommVolumeResult{
+		Kind: kind, GPUs: gpus, Bins: bins,
+		Baseline:     base.CommTrace.RateSeries(0, base.TotalTime, bins),
+		PGAS:         pgas.CommTrace.RateSeries(0, pgas.TotalTime, bins),
+		BaselineSpan: base.TotalTime,
+		PGASSpan:     pgas.TotalTime,
+	}, nil
 }

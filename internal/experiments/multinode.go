@@ -19,6 +19,7 @@ import (
 
 // MultiNodeOptions tunes the multi-node sweep.
 type MultiNodeOptions struct {
+	Sweep
 	// MaxNodes bounds the sweep (default 4).
 	MaxNodes int
 	// GPUsPerNode is each node's GPU count (default 4).
@@ -31,64 +32,10 @@ type MultiNodeOptions struct {
 	// HW optionally overrides the base hardware model; its Nodes field is
 	// set per sweep point. Zero value = retrieval.ClusterHardware.
 	HW *retrieval.HardwareParams
-	// Backend names the registered backend occupying the accelerated slot
-	// (the "PGAS fused" column). Empty means "pgas-fused".
-	Backend string
 	// WirePrecision sets the wire transport format for embedding rows at
 	// every sweep point (FP32 = uncompressed, the default). Both columns
 	// run at the same precision, so the speedups stay like-for-like.
 	WirePrecision retrieval.Precision
-	// Parallel bounds concurrent simulation runs (0 = GOMAXPROCS). Results
-	// are identical for every value; only wall-clock time changes.
-	Parallel int
-	// Bench, when set, records wall-clock timing of every run.
-	Bench *Bench
-}
-
-func (o MultiNodeOptions) maxNodes() int {
-	if o.MaxNodes <= 0 {
-		return 4
-	}
-	return o.MaxNodes
-}
-
-func (o MultiNodeOptions) gpusPerNode() int {
-	if o.GPUsPerNode <= 0 {
-		return 4
-	}
-	return o.GPUsPerNode
-}
-
-func (o MultiNodeOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
-}
-
-func (o MultiNodeOptions) pgasBackend() (retrieval.Backend, error) {
-	return Options{Backend: o.Backend}.pgasBackend()
-}
-
-func (o MultiNodeOptions) hardware(nodes int) retrieval.HardwareParams {
-	if o.HW != nil {
-		hw := *o.HW
-		hw.Nodes = nodes
-		return hw
-	}
-	return retrieval.ClusterHardware(nodes)
-}
-
-func (o MultiNodeOptions) config(kind ScalingKind, nodes int) retrieval.Config {
-	cfg := retrieval.MultiNodeConfig(nodes, o.gpusPerNode())
-	if kind == StrongScaling {
-		cfg = retrieval.MultiNodeStrongConfig(nodes, o.gpusPerNode())
-	}
-	if o.Batches > 0 {
-		cfg.Batches = o.Batches
-	}
-	if o.BatchSize > 0 {
-		cfg.BatchSize = o.BatchSize
-	}
-	cfg.WirePrecision = o.WirePrecision
-	return cfg
 }
 
 // MultiNodePoint holds one node count's pair of runs.
@@ -127,45 +74,47 @@ func (r *MultiNodeResult) Point(nodes int) MultiNodePoint {
 // slice, so the tables are byte-identical at any Parallel. It returns early
 // when ctx is done.
 func RunMultiNode(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	maxNodes := opts.maxNodes()
-	specs := make([]*retrieval.SystemSpec, maxNodes+1)
-	for nodes := 1; nodes <= maxNodes; nodes++ {
-		spec, err := retrieval.NewSystemSpec(opts.config(kind, nodes), opts.hardware(nodes))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: multi-node %s scaling, %d nodes: %w", kind, nodes, err)
+	maxNodes := orDefault(opts.MaxNodes, 4)
+	perNode := orDefault(opts.GPUsPerNode, 4)
+	specs := make([]*retrieval.SystemSpec, maxNodes)
+	for i := range specs {
+		nodes := i + 1
+		cfg := retrieval.MultiNodeConfig(nodes, perNode)
+		if kind == StrongScaling {
+			cfg = retrieval.MultiNodeStrongConfig(nodes, perNode)
 		}
-		specs[nodes] = spec
+		cfg.WirePrecision = opts.WirePrecision
+		fail := func(err error) error {
+			return fmt.Errorf("experiments: multi-node %s scaling, %d nodes: %w", kind, nodes, err)
+		}
+		cfg, err := resize(cfg, opts.Batches, opts.BatchSize)
+		if err != nil {
+			return nil, fail(err)
+		}
+		hw := hardware(opts.HW, nodes)
+		hw.Nodes = nodes
+		if specs[i], err = retrieval.NewSystemSpec(cfg, hw); err != nil {
+			return nil, fail(err)
+		}
 	}
-	results := make([]*retrieval.Result, 2*maxNodes)
-	stop := opts.Bench.Start(fmt.Sprintf("multinode-%s-scaling", kind), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(results), func(i int) error {
-		nodes := i/2 + 1
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if i%2 == 1 {
-			var berr error
-			if backend, berr = opts.pgasBackend(); berr != nil {
-				return fmt.Errorf("experiments: %w", berr)
+	results, err := versus(ctx, opts.Sweep, fmt.Sprintf("multinode-%s-scaling", kind), maxNodes,
+		func(p int, b retrieval.Backend) (*retrieval.Result, error) {
+			r, err := runSpec(ctx, specs[p], b, specs[p].Config().Seed)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: multi-node %s scaling, %d nodes, %s: %w", kind, p+1, b.Name(), err)
 			}
-		}
-		spec := specs[nodes]
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return fmt.Errorf("experiments: multi-node %s scaling, %d nodes, %s: %w", kind, nodes, backend.Name(), err)
-		}
-		results[i] = r
-		return nil
-	})
-	stop()
+			return r, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	res := &MultiNodeResult{Kind: kind, GPUsPerNode: opts.gpusPerNode()}
-	for nodes := 1; nodes <= maxNodes; nodes++ {
+	res := &MultiNodeResult{Kind: kind, GPUsPerNode: perNode}
+	for i := range specs {
 		res.Points = append(res.Points, MultiNodePoint{
-			Nodes:    nodes,
-			GPUs:     nodes * opts.gpusPerNode(),
-			Baseline: results[2*(nodes-1)],
-			PGAS:     results[2*(nodes-1)+1],
+			Nodes:    i + 1,
+			GPUs:     (i + 1) * perNode,
+			Baseline: results[2*i],
+			PGAS:     results[2*i+1],
 		})
 	}
 	return res, nil

@@ -35,7 +35,8 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 		t.Errorf("1-node sweep point moved NIC bytes: base %g, pgas %g",
 			p1.Baseline.NICWireBytes, p1.PGAS.NICWireBytes)
 	}
-	cfg := opts.config(WeakScaling, 1)
+	cfg := retrieval.MultiNodeConfig(1, opts.GPUsPerNode)
+	cfg.Batches = opts.Batches
 	for _, c := range []struct {
 		backend retrieval.Backend
 		got     *retrieval.Result

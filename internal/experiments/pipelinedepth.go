@@ -3,7 +3,6 @@ package experiments
 import (
 	"context"
 	"fmt"
-	"time"
 
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/retrieval"
@@ -42,62 +41,43 @@ func RunPipelineDepth(ctx context.Context, gpus int, depths []int, opts Options)
 			return nil, fmt.Errorf("experiments: pipeline-depth sweep needs depths >= 1, got %d", d)
 		}
 	}
-	base := opts.apply(retrieval.WeakScalingConfig(gpus))
-	hw := opts.hardware()
-	type slot struct {
-		name  string
-		fresh func() (retrieval.Backend, error)
+	base, err := resize(retrieval.WeakScalingConfig(gpus), opts.Batches, opts.BatchSize)
+	if err != nil {
+		return nil, fmt.Errorf("experiments: pipeline-depth sweep: %w", err)
 	}
-	slots := []slot{
-		{"baseline", func() (retrieval.Backend, error) { return &retrieval.Baseline{}, nil }},
-		{"", opts.pgasBackend},
-	}
-	out := make([]PipelineDepthPoint, len(slots)*len(depths))
-	stop := opts.Bench.Start(fmt.Sprintf("pipeline-depth-%dgpu", gpus), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(out), func(i int) error {
-		si := i / len(depths)
-		di := i % len(depths)
-		backend, err := slots[si].fresh()
-		if err != nil {
-			return fmt.Errorf("experiments: pipeline-depth sweep: %w", err)
-		}
-		cfg := base
-		cfg.PipelineDepth = depths[di]
-		// Each job wires its own pipeline (spec and model), so the recorded
-		// run time includes it: that is serial work the pool spreads.
-		start := time.Now()
-		pl, err := dlrm.NewPipeline(cfg, hw, backend)
-		if err != nil {
-			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
-				backend.Name(), depths[di], err)
-		}
-		r, err := pl.RunContext(ctx)
-		opts.Bench.noteRun(time.Since(start))
-		if err != nil {
-			return fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
-				backend.Name(), depths[di], err)
-		}
-		out[i] = PipelineDepthPoint{
-			Backend: r.Backend,
-			Depth:   depths[di],
-			Total:   r.TotalTime,
-			EMB:     r.EMBTime,
-			Dense:   r.DenseTime,
-			Stall:   r.EMBStall,
-		}
-		return nil
-	})
-	stop()
+	hw := hardware(opts.HW, 1)
+	// Each job wires its own pipeline (spec and model), so its recorded run
+	// time includes the wiring: that is serial work the pool spreads.
+	runs, err := versus(ctx, opts.Sweep, fmt.Sprintf("pipeline-depth-%dgpu", gpus), len(depths),
+		func(p int, b retrieval.Backend) (PipelineDepthPoint, error) {
+			cfg := base
+			cfg.PipelineDepth = depths[p]
+			fail := func(err error) (PipelineDepthPoint, error) {
+				return PipelineDepthPoint{}, fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
+					b.Name(), depths[p], err)
+			}
+			pl, err := dlrm.NewPipeline(cfg, hw, b)
+			if err != nil {
+				return fail(err)
+			}
+			r, err := pl.RunContext(ctx)
+			if err != nil {
+				return fail(err)
+			}
+			return PipelineDepthPoint{Backend: r.Backend, Depth: depths[p], Total: r.TotalTime,
+				EMB: r.EMBTime, Dense: r.DenseTime, Stall: r.EMBStall}, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	// Speedups are relative to each backend's own shallowest run, so the
-	// column reads as "what deeper pipelining alone bought this backend".
-	for si := range slots {
-		ref := out[si*len(depths)].Total
-		for di := range depths {
-			out[si*len(depths)+di].Speedup = float64(ref / out[si*len(depths)+di].Total)
-		}
+	// Rows run backend-major. Speedups are relative to each backend's own
+	// shallowest run, so the column reads as "what deeper pipelining alone
+	// bought this backend".
+	out := make([]PipelineDepthPoint, len(runs))
+	for i, r := range runs {
+		side, di := i%2, i/2
+		r.Speedup = float64(runs[side].Total / r.Total)
+		out[side*len(depths)+di] = r
 	}
 	return out, nil
 }

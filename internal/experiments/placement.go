@@ -15,14 +15,14 @@ import (
 // mid-hot, flat tail) so table loads are skewed the way production
 // recommendation traffic is.
 type PlacementOptions struct {
+	// Sweep.Backends defaults to baseline and pgas-fused.
+	Sweep
 	// Policies names the placement policies to sweep. Known: static (the
 	// table-wise contiguous plan), greedy (the analytic LPT plan over
 	// EXPECTED loads), adaptive (statistics-driven rebalancing), and
 	// adaptive+mirror (rebalancing plus top-K hot-table replication).
 	// Default: all four.
 	Policies []string
-	// Backends defaults to baseline and pgas-fused.
-	Backends []retrieval.Backend
 	// GPUs sizes the machine (default 4). Ignored when Base is set.
 	GPUs int
 	// ZipfExponents are the row-skew settings to sweep (default {1.05, 1.2}).
@@ -41,69 +41,22 @@ type PlacementOptions struct {
 	Base *retrieval.Config
 	// HW selects the hardware model (nil = calibrated defaults).
 	HW *retrieval.HardwareParams
-	// Parallel bounds concurrently executed points (0 = GOMAXPROCS).
-	// Results are identical for every value.
-	Parallel int
-	// Bench, when set, records the sweep's wall-clock time.
-	Bench *Bench
 }
 
 // PlacementPolicies are the known policy names, in sweep order.
 var PlacementPolicies = []string{"static", "greedy", "adaptive", "adaptive+mirror"}
 
-func (o PlacementOptions) policies() []string {
-	if len(o.Policies) > 0 {
-		return o.Policies
-	}
-	return PlacementPolicies
-}
-
-func (o PlacementOptions) backends() []retrieval.Backend {
-	if len(o.Backends) > 0 {
-		return o.Backends
-	}
-	return []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
-}
-
-func (o PlacementOptions) zipfs() []float64 {
-	if len(o.ZipfExponents) > 0 {
-		return o.ZipfExponents
-	}
-	return []float64{1.05, 1.2}
-}
-
-func (o PlacementOptions) rebalanceEvery() int {
-	if o.RebalanceEvery > 0 {
-		return o.RebalanceEvery
-	}
-	return 8
-}
-
-func (o PlacementOptions) hotTables() int {
-	if o.HotTables > 0 {
-		return o.HotTables
-	}
-	return 2
-}
-
 // base builds the sweep workload: ServingScaleConfig sized to the machine,
 // re-pooled so the first two tables dominate (max pooling 64), the next two
 // are mid-hot (16), and the tail is flat (4) — the static table-wise plan
 // colocates all four heavy tables on GPU 0.
-func (o PlacementOptions) base() retrieval.Config {
+func (o PlacementOptions) base() (retrieval.Config, error) {
 	if o.Base != nil {
-		return *o.Base
+		return *o.Base, nil
 	}
-	gpus := o.GPUs
-	if gpus <= 0 {
-		gpus = 4
-	}
-	cfg := retrieval.ServingScaleConfig(gpus)
+	cfg := servingBase(nil, o.GPUs)
 	cfg.Functional = false
-	cfg.Batches = o.Batches
-	if cfg.Batches <= 0 {
-		cfg.Batches = 48
-	}
+	cfg.Batches = 48
 	pool := make([]int, cfg.TotalTables)
 	for f := range pool {
 		pool[f] = 4
@@ -117,18 +70,7 @@ func (o PlacementOptions) base() retrieval.Config {
 	// Dedup makes the Zipf dimension bite: hot-row duplication — and so the
 	// wire traffic each policy leaves behind — scales with the exponent.
 	cfg.Dedup = true
-	return cfg
-}
-
-func (o PlacementOptions) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o PlacementOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
+	return resize(cfg, o.Batches, 0)
 }
 
 // PlacementPoint is one (backend, Zipf exponent, policy) retrieval run.
@@ -167,11 +109,14 @@ type PlacementResult struct {
 // in an index-addressed slice, byte-identical at any parallelism. It returns
 // early when ctx is done.
 func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
-	policies := opts.policies()
-	zipfs := opts.zipfs()
-	backends := opts.backends()
-	base := opts.base()
-	hw := opts.hardware()
+	policies := orList(opts.Policies, PlacementPolicies)
+	zipfs := orList(opts.ZipfExponents, []float64{1.05, 1.2})
+	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
+	base, err := opts.base()
+	if err != nil {
+		return nil, fmt.Errorf("experiments: placement: %w", err)
+	}
+	hw := hardware(opts.HW, 1)
 	for _, p := range policies {
 		switch p {
 		case "static", "greedy", "adaptive", "adaptive+mirror":
@@ -180,10 +125,8 @@ func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult,
 		}
 	}
 	res := &PlacementResult{Policies: policies, Zipfs: zipfs}
-	res.Points = make([]PlacementPoint, len(backends)*len(zipfs)*len(policies))
-
-	stop := opts.Bench.Start("placement", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(res.Points), func(i int) error {
+	n := len(backends) * len(zipfs) * len(policies)
+	res.Points, err = runJobs(ctx, opts.Sweep, "placement", n, func(i int) (PlacementPoint, error) {
 		pi := i % len(policies)
 		zi := i / len(policies) % len(zipfs)
 		bi := i / (len(policies) * len(zipfs))
@@ -197,13 +140,13 @@ func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult,
 			cfg.GreedyPlan = true
 		case "adaptive", "adaptive+mirror":
 			cfg.AdaptivePlacement = true
-			cfg.RebalanceEvery = opts.rebalanceEvery()
+			cfg.RebalanceEvery = orDefault(opts.RebalanceEvery, 8)
 			if policy == "adaptive+mirror" {
-				cfg.HotTables = opts.hotTables()
+				cfg.HotTables = orDefault(opts.HotTables, 2)
 			}
 		}
-		fail := func(err error) error {
-			return fmt.Errorf("experiments: placement, %s policy %s zipf %g: %w",
+		fail := func(err error) (PlacementPoint, error) {
+			return PlacementPoint{}, fmt.Errorf("experiments: placement, %s policy %s zipf %g: %w",
 				backend.Name(), policy, cfg.ZipfExponent, err)
 		}
 		s, err := retrieval.NewSystem(cfg, hw)
@@ -222,7 +165,7 @@ func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult,
 				maxKeys = k
 			}
 		}
-		res.Points[i] = PlacementPoint{
+		return PlacementPoint{
 			Backend:       backend.Name(),
 			Zipf:          cfg.ZipfExponent,
 			Policy:        policy,
@@ -231,10 +174,8 @@ func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult,
 			Imbalance:     metrics.Imbalance(keys),
 			Rebalances:    r.Rebalances,
 			MigratedBytes: r.MigratedBytes,
-		}
-		return nil
+		}, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}

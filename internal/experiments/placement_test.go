@@ -27,7 +27,7 @@ func placementTestOptions() PlacementOptions {
 	hw := retrieval.DefaultHardware()
 	return PlacementOptions{
 		ZipfExponents:  []float64{1.2},
-		Backends:       []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}},
+		Sweep:          Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}},
 		RebalanceEvery: 3,
 		Base:           &base,
 		HW:             &hw,

@@ -21,6 +21,9 @@ import (
 
 // PrecisionOptions tunes the wire-precision sweep.
 type PrecisionOptions struct {
+	// Sweep.Backends are the backends to sweep. Empty means baseline,
+	// pgas-fused and hybrid.
+	Sweep
 	// Nodes picks the machine: 1 = a single NVLink node, >1 = a cluster of
 	// NVLink nodes joined by NICs (default 1).
 	Nodes int
@@ -31,59 +34,6 @@ type PrecisionOptions struct {
 	// BatchSize overrides the per-run global batch size (0 = the
 	// configuration's). Mainly for tests and CI smoke runs.
 	BatchSize int
-	// Backends names the registered backends to sweep. Empty means
-	// baseline, pgas-fused and hybrid.
-	Backends []string
-	// Parallel bounds concurrent simulation runs (0 = GOMAXPROCS). Results
-	// are identical for every value; only wall-clock time changes.
-	Parallel int
-	// Bench, when set, records wall-clock timing of every run.
-	Bench *Bench
-}
-
-func (o PrecisionOptions) nodes() int {
-	if o.Nodes <= 0 {
-		return 1
-	}
-	return o.Nodes
-}
-
-func (o PrecisionOptions) gpusPerNode() int {
-	if o.GPUsPerNode <= 0 {
-		return 4
-	}
-	return o.GPUsPerNode
-}
-
-func (o PrecisionOptions) backends() []string {
-	if len(o.Backends) == 0 {
-		return []string{"baseline", "pgas-fused", "hybrid"}
-	}
-	return o.Backends
-}
-
-func (o PrecisionOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
-}
-
-func (o PrecisionOptions) hardware() retrieval.HardwareParams {
-	if o.nodes() > 1 {
-		return retrieval.ClusterHardware(o.nodes())
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o PrecisionOptions) config(dedup bool, prec retrieval.Precision) retrieval.Config {
-	cfg := retrieval.MultiNodeConfig(o.nodes(), o.gpusPerNode())
-	cfg.Dedup = dedup
-	cfg.WirePrecision = prec
-	if o.Batches > 0 {
-		cfg.Batches = o.Batches
-	}
-	if o.BatchSize > 0 {
-		cfg.BatchSize = o.BatchSize
-	}
-	return cfg
 }
 
 // precisionSweep is the fixed precision axis, widest wire format first.
@@ -124,81 +74,83 @@ func (r *PrecisionResult) Point(backend string, dedup bool, prec retrieval.Preci
 // front and results land in index-addressed slices, so the tables are
 // byte-identical at any Parallel. It returns early when ctx is done.
 func RunPrecision(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
-	backends := opts.backends()
-	hw := opts.hardware()
+	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}, &retrieval.Hybrid{}})
+	nodes := orDefault(opts.Nodes, 1)
+	perNode := orDefault(opts.GPUsPerNode, 4)
+	hw := hardware(nil, nodes)
 	dedups := []bool{false, true}
 	// One spec per (dedup, precision); every backend shares it.
-	specs := make([]*retrieval.SystemSpec, len(dedups)*len(precisionSweep))
-	for di, dedup := range dedups {
-		for pi, prec := range precisionSweep {
-			spec, err := retrieval.NewSystemSpec(opts.config(dedup, prec), hw)
+	var specs []*retrieval.SystemSpec
+	for _, dedup := range dedups {
+		for _, prec := range precisionSweep {
+			cfg := retrieval.MultiNodeConfig(nodes, perNode)
+			cfg.Dedup = dedup
+			cfg.WirePrecision = prec
+			cfg, err := resize(cfg, opts.Batches, opts.BatchSize)
+			if err != nil {
+				return nil, fmt.Errorf("experiments: precision sweep: %w", err)
+			}
+			spec, err := retrieval.NewSystemSpec(cfg, hw)
 			if err != nil {
 				return nil, fmt.Errorf("experiments: precision sweep, dedup=%v %s: %w", dedup, prec, err)
 			}
-			specs[di*len(precisionSweep)+pi] = spec
+			specs = append(specs, spec)
 		}
 	}
 	// The accuracy sidecar runs the small functional workload, whose outputs
 	// depend only on the precision (quantize-at-rest), not the backend.
-	errSpecs := make([]*retrieval.SystemSpec, len(precisionSweep))
-	for pi, prec := range precisionSweep {
-		cfg := retrieval.TestScaleConfig(opts.gpusPerNode())
+	for _, prec := range precisionSweep {
+		cfg := retrieval.TestScaleConfig(perNode)
 		cfg.WirePrecision = prec
 		spec, err := retrieval.NewSystemSpec(cfg, retrieval.DefaultHardware())
 		if err != nil {
 			return nil, fmt.Errorf("experiments: precision accuracy run, %s: %w", prec, err)
 		}
-		errSpecs[pi] = spec
+		specs = append(specs, spec)
 	}
 
-	timingRuns := len(backends) * len(specs)
-	results := make([]*retrieval.Result, timingRuns+len(errSpecs))
-	stop := opts.Bench.Start("precision-sweep", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(results), func(i int) error {
-		if i >= timingRuns {
-			spec := errSpecs[i-timingRuns]
-			r, err := runSpec(ctx, spec, &retrieval.Baseline{}, spec.Config().Seed, opts.Bench)
-			if err != nil {
-				return fmt.Errorf("experiments: precision accuracy run, %s: %w",
-					precisionSweep[i-timingRuns], err)
-			}
-			results[i] = r
-			return nil
+	// Cells run backend-major over the timing specs, then the baseline on
+	// each accuracy spec.
+	type cell struct {
+		backend retrieval.Backend
+		spec    *retrieval.SystemSpec
+	}
+	timing := len(dedups) * len(precisionSweep)
+	var cells []cell
+	for _, b := range backends {
+		for _, spec := range specs[:timing] {
+			cells = append(cells, cell{b, spec})
 		}
-		spec := specs[i%len(specs)]
-		backend, err := retrieval.NewBackendByName(backends[i/len(specs)])
+	}
+	timingRuns := len(cells)
+	for _, spec := range specs[timing:] {
+		cells = append(cells, cell{&retrieval.Baseline{}, spec})
+	}
+	results, err := runJobs(ctx, opts.Sweep, "precision-sweep", len(cells), func(i int) (*retrieval.Result, error) {
+		c := cells[i]
+		r, err := runSpec(ctx, c.spec, c.backend, c.spec.Config().Seed)
 		if err != nil {
-			return fmt.Errorf("experiments: %w", err)
+			return nil, fmt.Errorf("experiments: precision sweep, %s dedup=%v %s: %w",
+				c.backend.Name(), c.spec.Config().Dedup, c.spec.Config().WirePrecision, err)
 		}
-		r, err := runSpec(ctx, spec, backend, spec.Config().Seed, opts.Bench)
-		if err != nil {
-			return fmt.Errorf("experiments: precision sweep, %s dedup=%v %s: %w",
-				backend.Name(), spec.Config().Dedup, spec.Config().WirePrecision, err)
-		}
-		results[i] = r
-		return nil
+		return r, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
 
 	res := &PrecisionResult{
-		Nodes:       opts.nodes(),
-		GPUsPerNode: opts.gpusPerNode(),
+		Nodes:       nodes,
+		GPUsPerNode: perNode,
 		MaxAbsErr:   map[retrieval.Precision]float64{},
 	}
-	for bi, name := range backends {
-		for di, dedup := range dedups {
-			for pi, prec := range precisionSweep {
-				res.Points = append(res.Points, PrecisionPoint{
-					Backend:   name,
-					Dedup:     dedup,
-					Precision: prec,
-					Result:    results[bi*len(specs)+di*len(precisionSweep)+pi],
-				})
-			}
-		}
+	for i, c := range cells[:timingRuns] {
+		res.Points = append(res.Points, PrecisionPoint{
+			Backend:   c.backend.Name(),
+			Dedup:     c.spec.Config().Dedup,
+			Precision: c.spec.Config().WirePrecision,
+			Result:    results[i],
+		})
 	}
 	fp32 := results[timingRuns]
 	for pi, prec := range precisionSweep {

@@ -24,11 +24,12 @@ func TestPrecisionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cells := len(opts.backends()) * 2 * len(precisionSweep)
+	names := []string{"baseline", "pgas-fused", "hybrid"} // the default backends
+	cells := len(names) * 2 * len(precisionSweep)
 	if len(res.Points) != cells {
 		t.Fatalf("got %d points, want %d", len(res.Points), cells)
 	}
-	for _, name := range opts.backends() {
+	for _, name := range names {
 		for _, dedup := range []bool{false, true} {
 			base := res.Point(name, dedup, retrieval.FP32).Result
 			prevComm, prevNIC := base.CommTrace.Total(), base.NICWireBytes
@@ -71,7 +72,7 @@ func TestPrecisionSweep(t *testing.T) {
 // The sweep must be byte-identical at any worker count.
 func TestPrecisionParallelInvariance(t *testing.T) {
 	opts := precisionTestOptions()
-	opts.Backends = []string{"baseline", "pgas-fused"}
+	opts.Backends = []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
 	opts.Batches = 1
 	opts.Parallel = 1
 	serial, err := RunPrecision(context.Background(), opts)

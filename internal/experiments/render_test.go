@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"pgasemb/internal/retrieval"
 	"pgasemb/internal/trace"
 )
 
@@ -205,6 +206,21 @@ func TestRunScalingStats(t *testing.T) {
 	tb := StatsTable(WeakScaling, stats)
 	if len(tb.Rows) != 1 || !strings.Contains(tb.Title, "weak") {
 		t.Fatalf("stats table wrong: %+v", tb)
+	}
+}
+
+// The statistics compare the baseline with the accelerated column the
+// options choose: with the baseline in both columns every speedup is 1.
+func TestRunScalingStatsHonoursBackend(t *testing.T) {
+	opts := Options{Batches: 2, MaxGPUs: 3, Sweep: Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}}}}
+	stats, err := RunScalingStats(context.Background(), WeakScaling, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range stats {
+		if s.Mean != 1 || s.StdDev != 0 || s.Min != 1 || s.Max != 1 {
+			t.Errorf("%d GPUs: baseline over baseline gave %+v, want exactly 1", s.GPUs, s)
+		}
 	}
 }
 

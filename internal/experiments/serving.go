@@ -13,6 +13,8 @@ import (
 // ServingOptions tunes the online-serving sweep: arrival rate × cache
 // fraction × backend, each point one full serving simulation.
 type ServingOptions struct {
+	// Sweep.Backends defaults to baseline and pgas-fused.
+	Sweep
 	// Rates are the arrival rates to sweep (requests/second). Required.
 	Rates []float64
 	// CacheFractions are the hot-row cache sizes to sweep, as fractions of
@@ -22,8 +24,6 @@ type ServingOptions struct {
 	// {false}). It is the innermost axis, so each (backend, rate, fraction)
 	// combination's dedup variants render adjacently.
 	Dedups []bool
-	// Backends defaults to baseline and pgas-fused.
-	Backends []retrieval.Backend
 	// GPUs sizes the serving machine (default 4). Ignored when Base is set.
 	GPUs int
 	// Duration is each point's arrival window (default 2 simulated seconds).
@@ -44,54 +44,15 @@ type ServingOptions struct {
 	// Serve carries the batching knobs (MaxBatch, MaxWait, QueueCap,
 	// arrival process); Rate and Duration are overwritten by the sweep.
 	Serve serve.Config
-	// Parallel bounds concurrently executed points (0 = GOMAXPROCS).
-	// Results are identical for every value.
-	Parallel int
-	// Bench, when set, records the sweep's wall-clock time.
-	Bench *Bench
 }
 
-func (o ServingOptions) backends() []retrieval.Backend {
-	if len(o.Backends) > 0 {
-		return o.Backends
+// servingBase returns the Base override, or the serving workload on gpus
+// GPUs (default 4).
+func servingBase(base *retrieval.Config, gpus int) retrieval.Config {
+	if base != nil {
+		return *base
 	}
-	return []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}
-}
-
-func (o ServingOptions) base() retrieval.Config {
-	if o.Base != nil {
-		return *o.Base
-	}
-	gpus := o.GPUs
-	if gpus <= 0 {
-		gpus = 4
-	}
-	return retrieval.ServingScaleConfig(gpus)
-}
-
-func (o ServingOptions) duration() sim.Duration {
-	if o.Duration > 0 {
-		return o.Duration
-	}
-	return 2 * sim.Second
-}
-
-func (o ServingOptions) hardware() retrieval.HardwareParams {
-	if o.HW != nil {
-		return *o.HW
-	}
-	return retrieval.DefaultHardware()
-}
-
-func (o ServingOptions) dedups() []bool {
-	if len(o.Dedups) > 0 {
-		return o.Dedups
-	}
-	return []bool{false}
-}
-
-func (o ServingOptions) parallel() int {
-	return Options{Parallel: o.Parallel}.parallel()
+	return retrieval.ServingScaleConfig(orDefault(gpus, 4))
 }
 
 // ServingPoint is one (backend, rate, cache fraction, dedup) serving run.
@@ -140,15 +101,13 @@ func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error
 	if len(opts.Rates) == 0 || len(opts.CacheFractions) == 0 {
 		return nil, fmt.Errorf("experiments: serving sweep needs at least one rate and one cache fraction")
 	}
-	backends := opts.backends()
-	dedups := opts.dedups()
-	base := opts.base()
-	hw := opts.hardware()
+	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
+	dedups := orList(opts.Dedups, []bool{false})
+	base := servingBase(opts.Base, opts.GPUs)
+	hw := hardware(opts.HW, 1)
 	res := &ServingResult{Rates: opts.Rates, CacheFractions: opts.CacheFractions, Dedups: dedups}
-	res.Points = make([]ServingPoint, len(backends)*len(opts.Rates)*len(opts.CacheFractions)*len(dedups))
-
-	stop := opts.Bench.Start("serving", opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(res.Points), func(i int) error {
+	n := len(backends) * len(opts.Rates) * len(opts.CacheFractions) * len(dedups)
+	points, err := runJobs(ctx, opts.Sweep, "serving", n, func(i int) (ServingPoint, error) {
 		di := i % len(dedups)
 		fi := i / len(dedups) % len(opts.CacheFractions)
 		ri := i / (len(dedups) * len(opts.CacheFractions)) % len(opts.Rates)
@@ -164,18 +123,20 @@ func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error
 		}
 		scfg := opts.Serve
 		scfg.Rate = opts.Rates[ri]
-		scfg.Duration = opts.duration()
+		scfg.Duration = orDefault(opts.Duration, 2*sim.Second)
+		fail := func(err error) (ServingPoint, error) {
+			return ServingPoint{}, fmt.Errorf("experiments: serving, %s rate %.0f frac %g dedup %v: %w",
+				backend.Name(), scfg.Rate, cfg.CacheFraction, cfg.Dedup, err)
+		}
 		srv, err := serve.NewServer(cfg, hw, backend, scfg)
 		if err != nil {
-			return fmt.Errorf("experiments: serving, %s rate %.0f frac %g dedup %v: %w",
-				backend.Name(), scfg.Rate, cfg.CacheFraction, cfg.Dedup, err)
+			return fail(err)
 		}
 		r, err := srv.RunContext(ctx)
 		if err != nil {
-			return fmt.Errorf("experiments: serving, %s rate %.0f frac %g dedup %v: %w",
-				backend.Name(), scfg.Rate, cfg.CacheFraction, cfg.Dedup, err)
+			return fail(err)
 		}
-		res.Points[i] = ServingPoint{
+		return ServingPoint{
 			Backend:       r.Backend,
 			Rate:          r.Rate,
 			CacheFraction: r.CacheFraction,
@@ -193,13 +154,12 @@ func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error
 			P95:           r.Percentile(95),
 			P99:           r.Percentile(99),
 			Goodput:       r.Goodput(),
-		}
-		return nil
+		}, nil
 	})
-	stop()
 	if err != nil {
 		return nil, err
 	}
+	res.Points = points
 	return res, nil
 }
 

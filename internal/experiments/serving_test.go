@@ -45,7 +45,7 @@ func TestServingP99ImprovesWithCacheFraction(t *testing.T) {
 	res, err := RunServing(context.Background(), ServingOptions{
 		Rates:          []float64{2600},
 		CacheFractions: []float64{0, 0.001, 0.01, 0.05},
-		Backends:       []retrieval.Backend{&retrieval.PGASFused{}},
+		Sweep:          Sweep{Backends: []retrieval.Backend{&retrieval.PGASFused{}}},
 		Duration:       1 * sim.Second,
 		Base:           &base,
 		HW:             &hw,

@@ -31,55 +31,39 @@ func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts Opti
 	if seeds <= 0 {
 		return nil, fmt.Errorf("experiments: need at least one seed")
 	}
-	hw := opts.hardware()
-	maxGPUs := opts.maxGPUs()
+	maxGPUs := orDefault(opts.MaxGPUs, 4)
 	counts := maxGPUs - 1 // GPU counts 2..maxGPUs
 	if counts <= 0 {
 		return nil, fmt.Errorf("experiments: statistics need MaxGPUs >= 2")
 	}
-	specs := make([]*retrieval.SystemSpec, maxGPUs+1)
-	for gpus := 2; gpus <= maxGPUs; gpus++ {
-		spec, err := retrieval.NewSystemSpec(opts.apply(kind.Config(gpus)), hw)
+	specs := make([]*retrieval.SystemSpec, counts)
+	for c := range specs {
+		spec, err := opts.spec(kind.Config(c + 2))
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("experiments: %s scaling stats, %d GPUs: %w", kind, c+2, err)
 		}
-		specs[gpus] = spec
+		specs[c] = spec
 	}
-	// Job i covers (seed, gpus, backend); results land indexed so the
-	// assembled statistics are identical at any parallelism.
-	times := make([]float64, seeds*counts*2)
-	stop := opts.Bench.Start(fmt.Sprintf("%s-scaling-stats", kind), opts.parallel())
-	err := forEach(ctx, opts.parallel(), len(times), func(i int) error {
-		s := i / (counts * 2)
-		rem := i % (counts * 2)
-		gpus := 2 + rem/2
-		var backend retrieval.Backend = &retrieval.Baseline{}
-		if rem%2 == 1 {
-			backend = &retrieval.PGASFused{}
-		}
-		spec := specs[gpus]
-		seed := spec.Config().Seed + uint64(s)*1_000_003
-		r, err := runSpec(ctx, spec, backend, seed, opts.Bench)
-		if err != nil {
-			return err
-		}
-		times[i] = r.TotalTime
-		return nil
-	})
-	stop()
+	// Point p is seed p/counts at GPU count p%counts+2; results land
+	// indexed, so the assembled statistics are identical at any parallelism.
+	times, err := versus(ctx, opts.Sweep, fmt.Sprintf("%s-scaling-stats", kind), seeds*counts,
+		func(p int, b retrieval.Backend) (float64, error) {
+			spec := specs[p%counts]
+			r, err := runSpec(ctx, spec, b, spec.Config().Seed+uint64(p/counts)*1_000_003)
+			if err != nil {
+				return 0, err
+			}
+			return r.TotalTime, nil
+		})
 	if err != nil {
 		return nil, err
 	}
-	samples := make([][]float64, maxGPUs+1)
-	for s := 0; s < seeds; s++ {
-		for gpus := 2; gpus <= maxGPUs; gpus++ {
-			at := s*counts*2 + (gpus-2)*2
-			samples[gpus] = append(samples[gpus], times[at]/times[at+1])
-		}
+	samples := make([][]float64, counts)
+	for p := 0; p < seeds*counts; p++ {
+		samples[p%counts] = append(samples[p%counts], times[2*p]/times[2*p+1])
 	}
 	var out []SpeedupStats
-	for gpus := 2; gpus <= maxGPUs; gpus++ {
-		xs := samples[gpus]
+	for c, xs := range samples {
 		var sum float64
 		mn, mx := xs[0], xs[0]
 		for _, x := range xs {
@@ -101,7 +85,7 @@ func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts Opti
 			sd = math.Sqrt(sq / float64(len(xs)-1))
 		}
 		out = append(out, SpeedupStats{
-			GPUs: gpus, Seeds: seeds, Mean: mean, StdDev: sd, Min: mn, Max: mx,
+			GPUs: c + 2, Seeds: seeds, Mean: mean, StdDev: sd, Min: mn, Max: mx,
 		})
 	}
 	return out, nil

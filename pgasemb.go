@@ -70,6 +70,9 @@ type (
 	CommVolumeResult = experiments.CommVolumeResult
 	// ExperimentOptions tunes a harness run.
 	ExperimentOptions = experiments.Options
+	// Sweep is what every sweep's options share: its backends, its worker
+	// count and its timing recorder.
+	Sweep = experiments.Sweep
 	// RenderedTable is an ASCII/CSV-renderable experiment artifact.
 	RenderedTable = experiments.Table
 )
