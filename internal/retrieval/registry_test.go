@@ -139,6 +139,9 @@ func TestRegistryBitExactnessGate(t *testing.T) {
 									t.Errorf("depth %d: functional total %g != timing total %g",
 										depth, fRes.TotalTime, tRes.TotalTime)
 								}
+								if depth == 1 && prec == FP32 && m.name != "cluster1" {
+									checkPinned(t, label, tRes)
+								}
 							}
 						})
 					}
@@ -196,11 +199,19 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 		}
 		return res
 	}
-	timeGate := func(t *testing.T, sched *fault.Schedule, replicas int, cached bool, prec Precision) {
+	timeGate := func(t *testing.T, sched *fault.Schedule, replicas int, cached bool, prec Precision) *Result {
 		fRes := run(t, sched, replicas, cached, true, prec)
 		tRes := run(t, sched, replicas, cached, false, prec)
 		if fRes.TotalTime != tRes.TotalTime {
 			t.Errorf("functional total %g != timing total %g", fRes.TotalTime, tRes.TotalTime)
+		}
+		return tRes
+	}
+	// pinReplicas holds the fault-free FP32 replicated timing run to its
+	// pinned result (one-node and two-node machines).
+	pinReplicas := func(t *testing.T, label string, res *Result) {
+		if machine != "cluster1" {
+			checkPinned(t, fmt.Sprintf("%s/%s+%s", name, machine, label), res)
 		}
 	}
 
@@ -241,7 +252,10 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 		// All three wire precisions: replica failover re-routes pairs per
 		// batch, and quantize-at-rest must keep every routing byte-exact.
 		for _, prec := range []Precision{FP32, FP16, Int8} {
-			timeGate(t, nil, 2, false, prec)
+			res := timeGate(t, nil, 2, false, prec)
+			if prec == FP32 {
+				pinReplicas(t, "replicas2", res)
+			}
 			timeGate(t, sched, 2, false, prec)
 		}
 	})
@@ -253,6 +267,7 @@ func registryFaultGate(t *testing.T, name, machine string, hw HardwareParams) {
 		// Replicas and the hot-row cache share one residency pass: a
 		// consumer never probes its cache for a shard it holds a replica
 		// of, and failover re-routes only the pairs the cache missed.
+		pinReplicas(t, "replicas2+cache", timeGate(t, nil, 2, true, FP32))
 		for _, prec := range []Precision{FP32, FP16, Int8} {
 			timeGate(t, sched, 2, true, prec)
 		}
