@@ -73,7 +73,7 @@ report:
 	$(GO) run ./cmd/report
 
 fmt:
-	gofmt -l -w .
+	gofmt -s -l -w .
 
 vet:
 	$(GO) vet ./...

@@ -216,7 +216,8 @@ type DedupCounters struct {
 	WireRows     int64 // unique rows actually shipped (pairs where dedup won)
 	WireVecs     int64 // dense vectors shipped on pairs where dedup lost
 	// WireSavedBytes is the modeled wire traffic avoided: for each pair
-	// where dedup won, (dense vectors - unique rows) × vector bytes.
+	// where dedup won, (dense vectors - unique rows) × the vector's encoded
+	// wire size under the wire codec.
 	WireSavedBytes float64
 }
 

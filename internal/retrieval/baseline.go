@@ -53,58 +53,37 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// decisions come from the batch's compiled plan; the views only supply
 	// counts.
 	plan := bd.Plan
-	view := plan.Cache
-	dv := plan.Dedup
-	hitVecs, hitIdx := view.HitAt(g)
+	hitVecs, hitIdx := plan.Cache.HitAt(g)
 	vb := float64(cfg.VectorBytes())
 
 	// --- Phase 1: lookup + pooling kernel over every served pair, writing
-	// each pooled vector into the rank-ordered send buffer — minus skipped
-	// hit vectors, plus the consumer-side cache gathers (which read the small
-	// hot working set at near-streaming efficiency).
-	var kernel sim.Duration
-	if dv == nil {
-		var idx int64
-		vecs := 0
-		for c := 0; c < cfg.GPUs; c++ {
-			clo, chi := s.Minibatch(c)
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.ServeGPU(o, c) != g {
-					continue
-				}
-				idx += plan.localIndexTotal(o, clo, chi)
-				if view != nil {
-					idx -= view.WireIdx[o][c]
-				}
-				vecs += plan.pairVecs(o, c)
+	// each pair's segment into the rank-ordered send buffer, plus the
+	// consumer-side cache gathers (which read the small hot working set at
+	// near-streaming efficiency). A dense pair gathers and stores its
+	// cache-missed vectors; a gather-dedup pair stages its unique rows and
+	// serves duplicate references from the hot working set; a wire pair
+	// gathers and stages each unique row once (no pooling — the consumer
+	// expands). Every reference streams its index.
+	var idx int64
+	readBytes := dev.HotReadEquivalent(float64(hitIdx) * vb)
+	streamBytes := float64(hitVecs) * vb
+	items := hitVecs
+	for c := 0; c < cfg.GPUs; c++ {
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, c) != g {
+				continue
 			}
-		}
-		readBytes := float64(idx)*vb + // gathered table rows
-			dev.HotReadEquivalent(float64(hitIdx)*vb) // gathered cached rows
-		streamBytes := float64(idx+hitIdx)*8 + // index reads
-			float64(vecs+hitVecs)*vb // output stores
-		kernel = dev.GatherKernelCost(readBytes, streamBytes, vecs+hitVecs)
-	} else {
-		// Deduplicated: decompose the kernel per destination pair. Wire pairs
-		// gather and stage each unique row once (no pooling — the consumer
-		// expands); gather-dedup pairs stage unique rows and serve duplicate
-		// references from the hot working set; dense pairs keep the original
-		// cost shape. The conservative index-stream term is unchanged.
-		_, skipIdx := view.SkipFrom(g)
-		totalIdx := plan.localIndexTotal(g, 0, cfg.BatchSize) - skipIdx
-		readBytes := dev.HotReadEquivalent(float64(hitIdx) * vb)
-		streamBytes := float64(totalIdx+hitIdx)*8 + float64(hitVecs)*vb
-		items := hitVecs
-		for d := 0; d < cfg.GPUs; d++ {
-			missIdx := dv.MissIdx[g][d]
-			uniq := dv.Uniq[g][d]
-			dense := int(dv.DenseVecs[g][d])
+			missIdx := plan.pairMissIdx(o, c)
+			dense := plan.pairVecs(o, c)
+			idx += missIdx
 			switch {
-			case plan.CollectiveClass(g, d) == RouteWire:
+			case plan.CollectiveClass(o, c) == RouteWire:
+				uniq := plan.Dedup.Uniq[o][c]
 				readBytes += float64(uniq) * vb
 				streamBytes += float64(uniq) * vb
 				items += int(uniq)
-			case plan.GatherDedup(g, d):
+			case plan.GatherDedup(o, c):
+				uniq := plan.Dedup.Uniq[o][c]
 				readBytes += float64(uniq)*vb + dev.HotReadEquivalent(float64(missIdx-uniq)*vb)
 				streamBytes += float64(dense+int(uniq)) * vb
 				items += dense
@@ -114,8 +93,9 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 				items += dense
 			}
 		}
-		kernel = dev.GatherKernelCost(readBytes, streamBytes, items)
 	}
+	streamBytes += float64(idx+hitIdx) * 8
+	kernel := dev.GatherKernelCost(readBytes, streamBytes, items)
 
 	_, kernelEnd := stream.Launch(p, kernel)
 	p.WaitUntil(kernelEnd)
@@ -179,12 +159,11 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		}
 	}
 	if !b.DirectPlacement {
-		// Without dedup every remotely served segment needs the
-		// rearrangement kernel; with it only dense incoming segments do, and
-		// wire segments go through the expansion kernel below instead. When
-		// no peer serves this GPU anything (all mirrored locally, or every
-		// source deduplicated), the unpack launch and its fixed cost
-		// disappear entirely.
+		// Every dense remotely served segment needs the rearrangement
+		// kernel; wire segments go through the expansion kernel below
+		// instead. When no peer serves this GPU a dense segment (all
+		// mirrored locally, or every source deduplicated), the unpack launch
+		// and its fixed cost disappear entirely.
 		if remote, segments := s.unpackVecs(g, plan, nil); segments > 0 {
 			unpack := dev.UnpackKernelCost(float64(remote)*vb, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
@@ -192,27 +171,23 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 			stream.Synchronize(p)
 		}
 	}
-	if dv != nil {
-		// Inverse expansion of wire segments: every miss-bag reference
-		// re-reads its unique row from the small received set (L2-resident),
-		// pooling into the final vectors. Runs under DirectPlacement too —
-		// expansion builds pooled outputs, it is not the rearrangement the
-		// ablation removes.
-		var refs int64
-		outVecs := 0
-		for src := 0; src < cfg.GPUs; src++ {
-			if plan.CollectiveClass(src, g) != RouteWire {
-				continue
-			}
-			refs += dv.MissIdx[src][g]
-			outVecs += int(dv.DenseVecs[src][g])
+	// Inverse expansion of wire segments: every miss-bag reference re-reads
+	// its unique row from the small received set (L2-resident), pooling into
+	// the final vectors. Runs under DirectPlacement too — expansion builds
+	// pooled outputs, it is not the rearrangement the ablation removes.
+	var refs int64
+	outVecs := 0
+	for src := 0; src < cfg.GPUs; src++ {
+		if plan.CollectiveClass(src, g) == RouteWire {
+			refs += plan.pairMissIdx(src, g)
+			outVecs += plan.pairVecs(src, g)
 		}
-		if outVecs > 0 {
-			expand := dev.ExpandKernelCost(refs, outVecs, cfg.VectorBytes())
-			_, expandEnd := stream.Launch(p, expand)
-			p.WaitUntil(expandEnd)
-			stream.Synchronize(p)
-		}
+	}
+	if outVecs > 0 {
+		expand := dev.ExpandKernelCost(refs, outVecs, cfg.VectorBytes())
+		_, expandEnd := stream.Launch(p, expand)
+		p.WaitUntil(expandEnd)
+		stream.Synchronize(p)
 	}
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
 	s.walkDone(bd)
@@ -272,20 +247,22 @@ func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData, route *tran
 }
 
 // unpackVecs returns the vectors and segments the rearrangement kernel moves
-// into consumer g's layout: every exchanged remote segment without dedup,
-// only the dense ones with it (wire segments go through expansion instead).
+// into consumer g's layout: one segment per remote server of an exchanged
+// dense pair, holding those pairs' vectors (wire pairs go through expansion
+// instead).
 func (s *System) unpackVecs(g int, plan *RoutePlan, route *transport) (vecs int64, segments int) {
-	dv := plan.Dedup
 	for src := 0; src < s.Cfg.GPUs; src++ {
-		switch {
-		case src == g || !route.exchanged(src, g): // in place, or stored one-sidedly
-		case dv == nil:
-			if plan.serves(src, g) {
-				vecs += int64(plan.segmentVecs(src, g, route))
-				segments++
+		if src == g || !route.exchanged(src, g) {
+			continue // in place, or stored one-sidedly
+		}
+		dense := false
+		for o := 0; o < s.Cfg.GPUs; o++ {
+			if plan.ServeGPU(o, g) == src && plan.CollectiveClass(o, g) == RouteDense {
+				vecs += int64(plan.pairVecs(o, g))
+				dense = true
 			}
-		case plan.CollectiveClass(src, g) == RouteDense:
-			vecs += dv.DenseVecs[src][g]
+		}
+		if dense {
 			segments++
 		}
 	}

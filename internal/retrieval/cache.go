@@ -90,19 +90,6 @@ type CacheView struct {
 	hitIdx  [][]int64
 }
 
-// SkipFrom returns the vectors (and their pooled indices) that work-owner g
-// does NOT gather or send this batch. Nil-safe.
-func (v *CacheView) SkipFrom(g int) (vecs int, idx int64) {
-	if v == nil {
-		return 0, 0
-	}
-	for dst, n := range v.WireVecs[g] {
-		vecs += n
-		idx += v.WireIdx[g][dst]
-	}
-	return vecs, idx
-}
-
 // HitAt returns the vectors (and their pooled indices) that consumer g pools
 // from its own cache this batch. Nil-safe.
 func (v *CacheView) HitAt(g int) (vecs int, idx int64) {

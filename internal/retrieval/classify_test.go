@@ -57,7 +57,7 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 		return uint64(fi)<<32 | uint64(row)
 	}
 	bag := func(src, fi, smp int) []int64 { return bd.Sparse.FeatureByID(s.Plan[src][fi]).Bag(smp) }
-	vb := float64(cfg.VectorBytes())
+	wvb := float64(cfg.WireVectorBytes())
 	for src := 0; src < G; src++ {
 		o.newAt[src] = make([][]int32, G)
 		o.refs[src] = make([][]uint64, G)
@@ -100,7 +100,7 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 				o.ctr.UniqueRows += uniq
 				if wire {
 					o.ctr.WireRows += uniq
-					o.ctr.WireSavedBytes += float64(dense-uniq) * vb
+					o.ctr.WireSavedBytes += float64(dense-uniq) * wvb
 				} else {
 					o.ctr.WireVecs += dense
 				}
@@ -174,20 +174,21 @@ func checkKeys(t *testing.T, what string, keys []uint64, uniq int64, expands [][
 	}
 }
 
-// checkAgainstOracle compares every count and flag of dv with the oracle,
-// and on functional views the key lists and expansion maps.
-func checkAgainstOracle(t *testing.T, s *System, dv *DedupView, o *dedupOracle) {
+// checkAgainstOracle compares every count and flag of the plan's dedup view
+// with the oracle — the miss and dense counts through the plan's prefix-sum
+// arithmetic — and on functional views the key lists and expansion maps.
+func checkAgainstOracle(t *testing.T, s *System, plan *RoutePlan, o *dedupOracle) {
 	t.Helper()
 	G := s.Cfg.GPUs
 	fn := s.Cfg.Functional
+	dv := plan.Dedup
 	for src := 0; src < G; src++ {
 		for dst := 0; dst < G; dst++ {
 			pair := fmt.Sprintf("pair %d->%d", src, dst)
-			if dv.MissIdx[src][dst] != o.miss[src][dst] || dv.Uniq[src][dst] != o.uniq[src][dst] ||
-				dv.DenseVecs[src][dst] != o.dense[src][dst] {
+			miss, dense := plan.pairMissIdx(src, dst), int64(plan.pairVecs(src, dst))
+			if miss != o.miss[src][dst] || dv.Uniq[src][dst] != o.uniq[src][dst] || dense != o.dense[src][dst] {
 				t.Fatalf("%s: miss/uniq/dense %d/%d/%d, oracle %d/%d/%d", pair,
-					dv.MissIdx[src][dst], dv.Uniq[src][dst], dv.DenseVecs[src][dst],
-					o.miss[src][dst], o.uniq[src][dst], o.dense[src][dst])
+					miss, dv.Uniq[src][dst], dense, o.miss[src][dst], o.uniq[src][dst], o.dense[src][dst])
 			}
 			if dv.Wire[src][dst] != o.wire[src][dst] || dv.Gather[src][dst] != o.gather[src][dst] {
 				t.Fatalf("%s: wire/gather %v/%v, oracle %v/%v", pair,
@@ -214,10 +215,14 @@ func checkAgainstOracle(t *testing.T, s *System, dv *DedupView, o *dedupOracle) 
 	for src := 0; src < G; src++ {
 		for node := 0; node < s.cluster.Nodes; node++ {
 			at := fmt.Sprintf("owner %d -> node %d", src, node)
-			if dv.NodeUniq[src][node] != o.nodeUniq[src][node] || dv.NodeDense[src][node] != o.nodeDense[src][node] ||
+			var nodeDense int64 // the owner's own node has no node-level route
+			for dst := node * per; dst < (node+1)*per && node != s.nodeOf(src); dst++ {
+				nodeDense += int64(plan.pairVecs(src, dst))
+			}
+			if dv.NodeUniq[src][node] != o.nodeUniq[src][node] || nodeDense != o.nodeDense[src][node] ||
 				dv.NodeWire[src][node] != o.nodeWire[src][node] {
 				t.Fatalf("%s: uniq/dense/wire %d/%d/%v, oracle %d/%d/%v", at,
-					dv.NodeUniq[src][node], dv.NodeDense[src][node], dv.NodeWire[src][node],
+					dv.NodeUniq[src][node], nodeDense, dv.NodeWire[src][node],
 					o.nodeUniq[src][node], o.nodeDense[src][node], o.nodeWire[src][node])
 			}
 			if !slices.Equal(dv.NodeNewAt[src][node], o.nodeNewAt[src][node]) {
@@ -310,7 +315,7 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 					bd *BatchData
 				}{{fs, fbd}, {ts, tbd}} {
 					t.Run(fmt.Sprintf("batch%d/functional=%v", b, run.s.Cfg.Functional), func(t *testing.T) {
-						checkAgainstOracle(t, run.s, run.bd.Plan.Dedup, o)
+						checkAgainstOracle(t, run.s, run.bd.Plan, o)
 					})
 				}
 				for src := range o.wire {

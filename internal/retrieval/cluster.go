@@ -42,21 +42,3 @@ func (s *System) nodeWirePair(dv *DedupView, src, dst int) bool {
 	}
 	return dv.NodeWire[src][s.nodeOf(dst)]
 }
-
-// nodeNewKeysIn returns the node-level unique keys of owner src first seen in
-// sample range [s0, s1), clamped to the destination node's sample range.
-func (s *System) nodeNewKeysIn(dv *DedupView, src, node, s0, s1 int) int {
-	nlo, nhi := s.nodeSampleRange(node)
-	if s0 < nlo {
-		s0 = nlo
-	}
-	if s1 > nhi {
-		s1 = nhi
-	}
-	n := 0
-	newAt := dv.NodeNewAt[src][node]
-	for smp := s0; smp < s1; smp++ {
-		n += int(newAt[smp-nlo])
-	}
-	return n
-}

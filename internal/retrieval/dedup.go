@@ -41,16 +41,13 @@ import (
 // indexed [owner][consumer]; the diagonal describes each GPU's local (own
 // minibatch) lookups, where only gather dedup can apply.
 type DedupView struct {
-	// MissIdx counts the pair's pooled bag references (cache misses only).
-	MissIdx [][]int64
-	// Uniq counts the distinct (table, hashed-row) keys among MissIdx.
+	// Uniq counts the distinct (table, hashed-row) keys among the pair's
+	// pooled bag references (cache misses only: RoutePlan.pairMissIdx).
 	Uniq [][]int64
-	// DenseVecs counts the output vectors the dense scheme would produce for
-	// the pair: consumer minibatch × owner tables, minus cache hits. Empty
-	// bags count — the dense scheme ships their zero vectors.
-	DenseVecs [][]int64
 	// Wire marks pairs where unique-row shipping beats dense vectors
-	// (off-diagonal only, Uniq < DenseVecs).
+	// (off-diagonal only, Uniq < RoutePlan.pairVecs: the consumer minibatch
+	// × owner tables, minus cache hits; empty bags count, as the dense
+	// scheme ships their zero vectors).
 	Wire [][]bool
 	// Gather marks non-wire pairs where the staged unique-row gather beats
 	// the dense gather (timing model only).
@@ -78,14 +75,14 @@ type DedupView struct {
 	// of once per (owner, consumer) pair or, dense, once per reference.
 	//
 	// NodeUniq counts distinct keys among the owner's miss references into
-	// the node; NodeDense the dense vectors those references produce;
-	// NodeWire marks remote nodes where NodeUniq < NodeDense. NodeNewAt
+	// the node; NodeWire marks remote nodes where NodeUniq is below the dense
+	// vectors those references produce (pairVecs summed over the node's
+	// consumers). NodeNewAt
 	// spreads NodeUniq over the node's sample range, each key at the
 	// earliest node sample referencing it; NodeKeys/NodeExpand are the
 	// functional key list (table-major, as Keys) and each consumer GPU's
 	// inverse-expansion map into it (table-major, as Expand).
 	NodeUniq  [][]int64
-	NodeDense [][]int64
 	NodeWire  [][]bool
 	NodeNewAt [][][]int32
 	NodeKeys  [][][]uint64
@@ -94,20 +91,14 @@ type DedupView struct {
 	NodeExpand [][][]int32
 }
 
-// newKeysIn returns the pair's unique keys first seen in sample range
-// [s0, s1), clamped to the consumer's minibatch.
-func (v *DedupView) newKeysIn(s *System, src, dst, s0, s1 int) int {
-	dlo, dhi := s.Minibatch(dst)
-	if s0 < dlo {
-		s0 = dlo
-	}
-	if s1 > dhi {
-		s1 = dhi
-	}
+// firstSeenIn sums a first-seen spread (NewAt or NodeNewAt, whose entry i
+// counts the keys first seen at sample lo+i) over sample range [s0, s1),
+// clamped to the samples the spread covers.
+func firstSeenIn(newAt []int32, lo, s0, s1 int) int {
+	s0, s1 = clampRange(s0, s1, lo, lo+len(newAt))
 	n := 0
-	newAt := v.NewAt[src][dst]
 	for smp := s0; smp < s1; smp++ {
-		n += int(newAt[smp-dlo])
+		n += int(newAt[smp-lo])
 	}
 	return n
 }

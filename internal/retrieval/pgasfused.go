@@ -79,45 +79,23 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 
 	// Hot-row cache discounts (zero when plan.Cache is nil): the kernel's
 	// occupancy is set by the whole batch's real item count — every served
-	// pair's vectors minus their hits, plus consumer-side cache gathers. The
+	// pair's items (pairItems) plus consumer-side cache gathers. The
 	// per-peer store overhead covers the consumers this GPU stores to
-	// remotely. With dedup, wire pairs contribute their unique rows as items
-	// instead of dense vectors. All routing decisions come from the batch's
-	// compiled plan.
+	// remotely. All routing decisions come from the batch's compiled plan.
 	plan := bd.Plan
-	view := plan.Cache
-	dv := plan.Dedup
-	batchHitVecs, _ := view.HitAt(g)
+	batchHitVecs, _ := plan.Cache.HitAt(g)
 	kernelItems, peers := batchHitVecs, 0
 	for c := 0; c < cfg.GPUs; c++ {
 		stored := false
 		for o := 0; o < cfg.GPUs; o++ {
 			if plan.ServeGPU(o, c) == g {
-				kernelItems += plan.pairVecs(o, c)
+				kernelItems += plan.pairItems(o, c)
 				stored = stored || !route.collective(o, c)
 			}
 		}
 		if stored && c != g {
 			peers++
 		}
-	}
-	if dv != nil {
-		for d := 0; d < cfg.GPUs; d++ {
-			if plan.Class(g, d) == RouteWire {
-				kernelItems += int(dv.Uniq[g][d]) - int(dv.DenseVecs[g][d])
-			}
-		}
-		if dv.NodeWire != nil {
-			for node := range dv.NodeWire[g] {
-				if plan.NodeWire(g, node) {
-					kernelItems += int(dv.NodeUniq[g][node]) - int(dv.NodeDense[g][node])
-				}
-			}
-		}
-	}
-	var perPeer []int
-	if dv == nil {
-		perPeer = scratchSlice(&s.scratchFor(g, bd).perPeer, cfg.GPUs)
 	}
 
 	// Owner-side wire encode: remote-bound vectors are compressed as they
@@ -140,41 +118,27 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 		if s0 == s1 {
 			continue
 		}
-		var cost sim.Duration
-		if dv == nil {
-			cost = b.servedChunkCost(s, g, bd, s0, s1, kernelItems, peers, perPeer, route)
-		} else {
-			cost = b.dedupChunkCost(s, g, bd, s0, s1, kernelItems, peers, route)
-		}
-		p.Wait(cost)
+		p.Wait(b.chunkCost(s, g, bd, s0, s1, kernelItems, peers, route))
 
+		// One put per (peer, target) per chunk, carrying every served pair's
+		// stores to that peer.
 		for peer := 0; peer < cfg.GPUs; peer++ {
 			if peer == g || route.collective(g, peer) {
 				continue // collective-routed pairs ship in the exchange phase
 			}
-			var vecs int
-			target := peer
-			switch plan.Class(g, peer) {
-			case RouteNodeWire:
-				// Node-level wire dedup: only the keys FIRST seen in this
-				// peer's share of the chunk cross the NIC, addressed at the
-				// destination node's stage-lane GPU.
-				node := s.nodeOf(peer)
-				plo, phi := s.Minibatch(peer)
-				o0, o1 := clampRange(s0, s1, plo, phi)
-				vecs = plan.NodeNewKeysIn(g, node, o0, o1)
-				target = s.stageGPU(g, node)
-			case RouteWire:
-				vecs = plan.NewKeysIn(g, peer, s0, s1)
-			default:
-				if dv == nil {
-					vecs = perPeer[peer]
-					break
+			plo, phi := s.Minibatch(peer)
+			o0, o1 := clampRange(s0, s1, plo, phi)
+			if o1 <= o0 {
+				continue
+			}
+			vecs, target := 0, peer
+			for o := 0; o < cfg.GPUs; o++ {
+				if plan.ServeGPU(o, peer) != g {
+					continue
 				}
-				plo, phi := s.Minibatch(peer)
-				o0, o1 := clampRange(s0, s1, plo, phi)
-				hitV, _ := plan.OwnerChunkHits(g, o0, o1)
-				vecs = overlap(s0, s1, plo, phi)*s.LocalTables(g) - hitV
+				var n int
+				n, target = plan.chunkItems(o, peer, o0, o1)
+				vecs += n
 			}
 			if vecs == 0 {
 				continue
@@ -211,44 +175,24 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 	}
 
 	if b.StageRemote && cfg.GPUs > 1 {
-		// A2 ablation: remote stores landed rank-ordered; rearrange.
+		// A2 ablation: remote stores landed rank-ordered; rearrange. Each
+		// remotely served pair's rows land here as its kernel items did at
+		// the server — node-staged rows on the stage-lane GPU only.
 		unpackStart := p.Now()
-		var remoteBytes float64
 		segments := 0
 		for src := 0; src < cfg.GPUs; src++ {
 			if src != g && plan.serves(src, g) {
 				segments++
 			}
 		}
-		if dv == nil {
-			var remote int64
-			for o := 0; o < cfg.GPUs; o++ {
-				if plan.ServeGPU(o, g) != g {
-					remote += int64(plan.pairVecs(o, g))
-				}
-			}
-			remoteBytes = float64(remote) * fvb
-		} else {
-			myNode := s.nodeOf(g)
-			for src := 0; src < cfg.GPUs; src++ {
-				if src == g {
-					continue
-				}
-				switch plan.Class(src, g) {
-				case RouteNodeWire:
-					// Node-staged rows land on the stage-lane GPU only.
-					if s.stageGPU(src, myNode) == g {
-						remoteBytes += float64(dv.NodeUniq[src][myNode]) * fvb
-					}
-				case RouteWire:
-					remoteBytes += float64(dv.Uniq[src][g]) * fvb
-				default:
-					remoteBytes += float64(dv.DenseVecs[src][g]) * fvb
-				}
+		var remote int64
+		for o := 0; o < cfg.GPUs; o++ {
+			if plan.ServeGPU(o, g) != g {
+				remote += int64(plan.pairItems(o, g))
 			}
 		}
 		if segments > 0 {
-			unpack := dev.UnpackKernelCost(remoteBytes, segments)
+			unpack := dev.UnpackKernelCost(float64(remote)*fvb, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
 			p.WaitUntil(unpackEnd)
 		}
@@ -305,11 +249,9 @@ func (b *PGASFused) exchange(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 		_, unpackEnd := stream.Launch(p, dev.UnpackKernelCost(float64(vecs)*vb, segments))
 		p.WaitUntil(unpackEnd)
 	}
-	if plan.Dedup != nil {
-		if expand, ok := s.expandCost(p, g, plan); ok {
-			_, expandEnd := stream.Launch(p, expand)
-			p.WaitUntil(expandEnd)
-		}
+	if expand, ok := s.expandCost(p, g, plan); ok {
+		_, expandEnd := stream.Launch(p, expand)
+		p.WaitUntil(expandEnd)
 	}
 	stream.Synchronize(p)
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
@@ -332,8 +274,8 @@ func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Durat
 		}
 		switch plan.Class(src, g) {
 		case RouteNodeWire:
-			refs += dv.MissIdx[src][g]
-			outVecs += int(dv.DenseVecs[src][g])
+			refs += plan.pairMissIdx(src, g)
+			outVecs += plan.pairVecs(src, g)
 			if lane := s.stageGPU(src, myNode); lane != g {
 				bytes := float64(dv.NodeUniq[src][myNode]) * s.Fab.WireBytes(s.Cfg.WireVectorBytes())
 				if done := s.Fab.Pipe(lane, g).Offer(bytes); done > redist {
@@ -341,8 +283,8 @@ func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Durat
 				}
 			}
 		case RouteWire:
-			refs += dv.MissIdx[src][g]
-			outVecs += int(dv.DenseVecs[src][g])
+			refs += plan.pairMissIdx(src, g)
+			outVecs += plan.pairVecs(src, g)
 		}
 	}
 	if redist > p.Now() {
@@ -354,23 +296,27 @@ func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Durat
 	return s.Devs[g].ExpandKernelCost(refs, outVecs, s.Cfg.VectorBytes()), true
 }
 
-// servedChunkCost prices one chunk of the fused kernel over every
-// (shard, consumer) pair GPU g serves: each pair gathers its cache-missed
-// vectors, consumer-local and collective-routed pairs store them to HBM,
-// remote pairs issue one-sided stores, and the consumer's own cache hits are
-// gathered from the hot working set. It tallies each remote consumer's store
-// count for the chunk into perPeer and logs every pair it does not leave to
+// chunkCost prices one chunk of the fused kernel over every (shard,
+// consumer) pair GPU g serves, plus the consumer's own cache hits gathered
+// from the hot working set. Each pair streams its cache-missed references'
+// indices and gathers by its route: a dense pair reads its references (or,
+// under gather dedup, its new unique rows once and the duplicates from the
+// staged working set) and pools its vectors; a wire or node-wire pair reads
+// and stages only the keys first seen in the chunk. Consumer-local and
+// collective-routed outputs stream to HBM (final output or all-to-all send
+// buffer); the rest issue one-sided stores. Chunk items sum exactly to the
+// kernel's occupancy item count. It logs every pair it does not leave to
 // the exchange phase.
-func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, perPeer []int, route *transport) sim.Duration {
+func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, route *transport) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
 	fvb := float64(cfg.VectorBytes())
 	wvb := cfg.WireVectorBytes()
+	var readBytes, streamBytes float64
+	var items, issues int
 	var chunkIdx int64
-	items, hbmVecs, issues := 0, 0, 0
 	for c := 0; c < cfg.GPUs; c++ {
-		perPeer[c] = 0
 		clo, chi := s.Minibatch(c)
 		o0, o1 := clampRange(s0, s1, clo, chi)
 		if o1 <= o0 {
@@ -380,114 +326,34 @@ func (b *PGASFused) servedChunkCost(s *System, g int, bd *BatchData, s0, s1, ker
 			if plan.ServeGPU(o, c) != g {
 				continue
 			}
-			hitV, hitI := plan.OwnerChunkHits(o, o0, o1)
-			vecs := (o1-o0)*s.LocalTables(o) - hitV
-			chunkIdx += plan.localIndexTotal(o, o0, o1) - hitI
+			_, hitI := plan.OwnerChunkHits(o, o0, o1)
+			missIdx := plan.localIndexTotal(o, o0, o1) - hitI
+			chunkIdx += missIdx
+			vecs, _ := plan.chunkItems(o, c, o0, o1)
 			items += vecs
-			coll := route.collective(o, c)
+			cls, coll := plan.Class(o, c), route.collective(o, c)
+			switch {
+			case cls == RouteWire || cls == RouteNodeWire:
+				readBytes += float64(vecs) * fvb
+			case plan.GatherDedup(o, c):
+				nk := int64(plan.NewKeysIn(o, c, o0, o1))
+				readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(missIdx-nk)*fvb)
+				streamBytes += float64(nk) * fvb
+			default:
+				readBytes += float64(missIdx) * fvb
+			}
+			if c == g || coll {
+				streamBytes += float64(vecs) * fvb // final output or all-to-all send buffer
+			} else {
+				issues += vecs
+			}
 			if !coll {
 				t := transfer{server: g, consumer: c, shard: o, lo: o0, hi: o1, route: RouteDense, vecs: vecs}
 				if c != g {
-					t.wireBytes = vecs * wvb
+					t.route, t.wireBytes = cls, vecs*wvb
 				}
 				bd.log.add(t)
 			}
-			if c == g || coll {
-				hbmVecs += vecs // final output or all-to-all send buffer
-				continue
-			}
-			issues += vecs
-			perPeer[c] += vecs
-		}
-	}
-	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
-	readBytes := float64(chunkIdx)*fvb + dev.HotReadEquivalent(float64(hitIdx)*fvb)
-	streamBytes := float64(chunkIdx+hitIdx)*8 + float64(hbmVecs+hitVecs)*fvb
-	return dev.GatherKernelChunkCost(readBytes, streamBytes, items+hitVecs, kernelItems) +
-		dev.RemoteIssueCost(issues) +
-		sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
-}
-
-// dedupChunkCost prices one chunk of the deduplicated fused kernel by
-// destination pair: own-minibatch outputs store to HBM (with gather dedup
-// when it wins), dense remote pairs issue per-vector stores, and wire pairs
-// gather and issue only the keys first seen in this chunk. Collective-routed
-// pairs stream the same outputs into the HBM send buffer instead of issuing
-// them, and are left to the exchange phase's log. Chunk items sum exactly to
-// the kernel's occupancy item count.
-func (b *PGASFused) dedupChunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, route *transport) sim.Duration {
-	cfg := s.Cfg
-	dev := s.Devs[g]
-	plan := bd.Plan
-	fg := s.LocalTables(g)
-	fvb := float64(cfg.VectorBytes())
-	wvb := cfg.WireVectorBytes()
-	logRemote := func(d, lo, hi int, route PairClass, vecs int) {
-		bd.log.add(transfer{server: g, consumer: d, shard: g, lo: lo, hi: hi, route: route, vecs: vecs, wireBytes: vecs * wvb})
-	}
-	var readBytes, streamBytes float64
-	var items, issues int
-	var chunkIdx int64
-	for d := 0; d < cfg.GPUs; d++ {
-		dlo, dhi := s.Minibatch(d)
-		o0, o1 := clampRange(s0, s1, dlo, dhi)
-		if o1 <= o0 {
-			continue
-		}
-		ovl := o1 - o0
-		pairIdx := plan.localIndexTotal(g, o0, o1)
-		if d == g {
-			chunkIdx += pairIdx
-			if plan.GatherDedup(g, g) {
-				nk := int64(plan.NewKeysIn(g, g, o0, o1))
-				readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(pairIdx-nk)*fvb)
-				streamBytes += float64(nk) * fvb
-			} else {
-				readBytes += float64(pairIdx) * fvb
-			}
-			streamBytes += float64(ovl*fg) * fvb
-			items += ovl * fg
-			bd.log.add(transfer{server: g, consumer: g, shard: g, lo: o0, hi: o1, route: RouteDense, vecs: ovl * fg})
-			continue
-		}
-		hitV, hitI := plan.OwnerChunkHits(g, o0, o1)
-		missIdx := pairIdx - hitI
-		chunkIdx += missIdx
-		coll := route.collective(g, d)
-		switch plan.Class(g, d) {
-		case RouteNodeWire:
-			nk := plan.NodeNewKeysIn(g, s.nodeOf(d), o0, o1)
-			readBytes += float64(nk) * fvb
-			items += nk
-			issues += nk
-			logRemote(d, o0, o1, RouteNodeWire, nk)
-			continue
-		case RouteWire:
-			nk := plan.NewKeysIn(g, d, o0, o1)
-			readBytes += float64(nk) * fvb
-			items += nk
-			if coll {
-				streamBytes += float64(nk) * fvb
-			} else {
-				issues += nk
-				logRemote(d, o0, o1, RouteWire, nk)
-			}
-			continue
-		}
-		missVecs := ovl*fg - hitV
-		if plan.GatherDedup(g, d) {
-			nk := int64(plan.NewKeysIn(g, d, o0, o1))
-			readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(missIdx-nk)*fvb)
-			streamBytes += float64(nk) * fvb
-		} else {
-			readBytes += float64(missIdx) * fvb
-		}
-		items += missVecs
-		if coll {
-			streamBytes += float64(missVecs) * fvb
-		} else {
-			issues += missVecs
-			logRemote(d, o0, o1, RouteDense, missVecs)
 		}
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
@@ -508,19 +374,4 @@ func clampRange(a0, a1, b0, b1 int) (int, int) {
 		a1 = b1
 	}
 	return a0, a1
-}
-
-// overlap returns |[a0,a1) ∩ [b0,b1)|.
-func overlap(a0, a1, b0, b1 int) int {
-	lo, hi := a0, a1
-	if b0 > lo {
-		lo = b0
-	}
-	if b1 < hi {
-		hi = b1
-	}
-	if hi <= lo {
-		return 0
-	}
-	return hi - lo
 }

@@ -104,64 +104,18 @@ func (s *System) observeBatch(bd *BatchData) {
 // which is exactly the load-spreading effect mirroring buys.
 func (s *System) accumOwnerLoad(bd *BatchData) {
 	vb := float64(s.Cfg.VectorBytes())
+	plan := bd.Plan
 	for o := 0; o < s.Cfg.GPUs; o++ {
 		for c := 0; c < s.Cfg.GPUs; c++ {
-			lo, hi := s.Minibatch(c)
-			idx := bd.Plan.localIndexTotal(o, lo, hi)
-			vecs := (hi - lo) * s.LocalTables(o)
-			if v := bd.Plan.Cache; v != nil && o != c {
-				hitVecs, hitIdx := v.WireVecs[o][c], v.WireIdx[o][c]
-				vecs -= hitVecs
-				idx -= hitIdx
-				s.ownerKeys[c] += hitIdx
-				s.ownerBytes[c] += float64(hitVecs) * vb
+			if v := plan.Cache; v != nil {
+				s.ownerKeys[c] += v.WireIdx[o][c]
+				s.ownerBytes[c] += float64(v.WireVecs[o][c]) * vb
 			}
-			g := bd.Plan.ServeGPU(o, c)
-			s.ownerKeys[g] += idx
-			s.ownerBytes[g] += float64(vecs) * vb
+			g := plan.ServeGPU(o, c)
+			s.ownerKeys[g] += plan.pairMissIdx(o, c)
+			s.ownerBytes[g] += float64(plan.pairVecs(o, c)) * vb
 		}
 	}
-}
-
-// runAdaptive is RunContext's adaptive-placement body: batches are generated
-// and executed one rebalance epoch at a time, so every epoch's route plans
-// are compiled against the placement that actually executes it, and the
-// controller decides between epochs with the epoch's statistics folded in.
-// Migration traffic from a swap is charged to the fabric before the next
-// epoch starts.
-func (s *System) runAdaptive(ctx context.Context, b Backend, res *Result) (*Result, error) {
-	start := s.Env.Now()
-	var lastEpoch []*BatchData
-	for done := 0; done < s.Cfg.Batches; {
-		n := s.Cfg.RebalanceEvery
-		if rem := s.Cfg.Batches - done; rem < n {
-			n = rem
-		}
-		epoch := make([]*BatchData, n)
-		for i := range epoch {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			bd, err := s.NextBatchData()
-			if err != nil {
-				return nil, err
-			}
-			epoch[i] = bd
-		}
-		if err := s.runEpoch(ctx, b, res, epoch, done); err != nil {
-			return nil, err
-		}
-		done += n
-		lastEpoch = epoch
-		if done < s.Cfg.Batches && s.placeCtl.Due(done) {
-			if err := s.rebalanceNow(ctx); err != nil {
-				return nil, err
-			}
-		}
-	}
-	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, lastEpoch)
-	return res, nil
 }
 
 // rebalanceNow asks the controller for an epoch decision and applies it to

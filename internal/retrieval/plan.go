@@ -133,6 +133,54 @@ func (p *RoutePlan) pairVecs(o, c int) int {
 	return vecs
 }
 
+// pairItems returns the rows pair (o, c) lands at its destination this
+// batch: its unique rows on a wire route, and on a node-wire route the whole
+// node-staged row set, which lands on the node's stage-lane GPU only (the
+// node's other pairs land nothing); its pooled vectors otherwise.
+func (p *RoutePlan) pairItems(o, c int) int {
+	switch p.Class(o, c) {
+	case RouteWire:
+		return int(p.Dedup.Uniq[o][c])
+	case RouteNodeWire:
+		if node := p.sys.nodeOf(c); p.sys.stageGPU(o, node) == c {
+			return int(p.Dedup.NodeUniq[o][node])
+		}
+		return 0
+	}
+	return p.pairVecs(o, c)
+}
+
+// chunkItems returns the items pair (o, c) contributes to a fused-kernel
+// chunk covering samples [lo, hi) of c's minibatch, and the GPU they are
+// addressed to: on a wire route the pair's keys first seen in the chunk,
+// on a node-wire route the node-level keys first seen there (addressed to
+// the node's stage-lane GPU), otherwise its cache-missed vectors. Over the
+// whole batch they sum to pairItems (a node-wire route's summed over the
+// node's pairs).
+func (p *RoutePlan) chunkItems(o, c, lo, hi int) (items, target int) {
+	switch p.Class(o, c) {
+	case RouteWire:
+		return p.NewKeysIn(o, c, lo, hi), c
+	case RouteNodeWire:
+		node := p.sys.nodeOf(c)
+		return p.NodeNewKeysIn(o, node, lo, hi), p.sys.stageGPU(o, node)
+	}
+	hitV, _ := p.OwnerChunkHits(o, lo, hi)
+	return (hi-lo)*p.sys.LocalTables(o) - hitV, c
+}
+
+// pairMissIdx returns the pooled indices behind pairVecs(o, c): shard o's
+// references over c's minibatch, minus those of the vectors c reads from its
+// own cache or hot-table mirrors.
+func (p *RoutePlan) pairMissIdx(o, c int) int64 {
+	lo, hi := p.sys.Minibatch(c)
+	idx := p.localIndexTotal(o, lo, hi)
+	if v := p.Cache; v != nil {
+		idx -= v.WireIdx[o][c]
+	}
+	return idx
+}
+
 // Class returns the (owner src → consumer dst) route under a one-sided
 // transport, where node-level wire dedup supersedes the pair-level decision.
 func (p *RoutePlan) Class(src, dst int) PairClass {
@@ -163,12 +211,6 @@ func (p *RoutePlan) CollectiveClass(src, dst int) PairClass {
 		return RouteWire
 	}
 	return RouteDense
-}
-
-// NodeWire reports whether owner src ships node-deduplicated rows to node.
-func (p *RoutePlan) NodeWire(src, node int) bool {
-	dv := p.Dedup
-	return dv != nil && dv.NodeWire != nil && dv.NodeWire[src][node]
 }
 
 // CollectiveVecs returns how many vectors owner src contributes to consumer
@@ -256,14 +298,16 @@ func (p *RoutePlan) GatherDedup(src, dst int) bool {
 // [s0, s1), clamped to the consumer's minibatch. Wire and gather-dedup routes
 // only.
 func (p *RoutePlan) NewKeysIn(src, dst, s0, s1 int) int {
-	return p.Dedup.newKeysIn(p.sys, src, dst, s0, s1)
+	lo, _ := p.sys.Minibatch(dst)
+	return firstSeenIn(p.Dedup.NewAt[src][dst], lo, s0, s1)
 }
 
 // NodeNewKeysIn returns owner src's node-level unique keys first seen in
 // sample range [s0, s1), clamped to the node's sample range. Node-wire routes
 // only.
 func (p *RoutePlan) NodeNewKeysIn(src, node, s0, s1 int) int {
-	return p.sys.nodeNewKeysIn(p.Dedup, src, node, s0, s1)
+	lo, _ := p.sys.nodeSampleRange(node)
+	return firstSeenIn(p.Dedup.NodeNewAt[src][node], lo, s0, s1)
 }
 
 // OwnerChunkHits returns the hit vectors (and pooled indices) of shard o
@@ -749,29 +793,28 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 }
 
 // finishDedup builds the batch's dedup view from the walk's sums, deciding
-// every route, and folds the batch's savings into the run's counters.
+// every route, and folds the batch's savings into the run's counters. The
+// walk's miss and dense sums are the plan's pairMissIdx and pairVecs, so the
+// view keeps only what the plan cannot derive: the unique-key counts and the
+// decisions they drive.
 func (s *System) finishDedup() *DedupView {
 	G := s.Cfg.GPUs
 	fn := s.Cfg.Functional
-	vb := float64(s.Cfg.VectorBytes())
+	wvb := float64(s.Cfg.WireVectorBytes())
 	dv := &DedupView{
-		MissIdx:   grid[int64](G, G),
-		Uniq:      grid[int64](G, G),
-		DenseVecs: grid[int64](G, G),
-		Wire:      grid[bool](G, G),
-		Gather:    grid[bool](G, G),
-		NewAt:     grid[[]int32](G, G),
-		Keys:      grid[[]uint64](G, G),
-		Expand:    grid[[]int32](G, G),
+		Uniq:   grid[int64](G, G),
+		Wire:   grid[bool](G, G),
+		Gather: grid[bool](G, G),
+		NewAt:  grid[[]int32](G, G),
+		Keys:   grid[[]uint64](G, G),
+		Expand: grid[[]int32](G, G),
 	}
 	ctr := metrics.DedupCounters{Batches: 1}
 	for src := 0; src < G; src++ {
 		for dst := 0; dst < G; dst++ {
 			a := &s.planScr.pairAcc[src*G+dst]
 			wire := src != dst && a.uniq < a.dense
-			dv.MissIdx[src][dst] = a.miss
 			dv.Uniq[src][dst] = a.uniq
-			dv.DenseVecs[src][dst] = a.dense
 			dv.Wire[src][dst] = wire
 			dv.Gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(a.uniq, a.miss)
 			dv.NewAt[src][dst] = a.newAt
@@ -787,7 +830,7 @@ func (s *System) finishDedup() *DedupView {
 			ctr.UniqueRows += a.uniq
 			if wire {
 				ctr.WireRows += a.uniq
-				ctr.WireSavedBytes += float64(a.dense-a.uniq) * vb
+				ctr.WireSavedBytes += float64(a.dense-a.uniq) * wvb
 			} else {
 				ctr.WireVecs += a.dense
 			}
@@ -799,7 +842,6 @@ func (s *System) finishDedup() *DedupView {
 	}
 	N, per := s.cluster.Nodes, s.cluster.GPUsPerNode
 	dv.NodeUniq = grid[int64](G, N)
-	dv.NodeDense = grid[int64](G, N)
 	dv.NodeWire = grid[bool](G, N)
 	dv.NodeNewAt = grid[[]int32](G, N)
 	dv.NodeKeys = grid[[]uint64](G, N)
@@ -817,7 +859,6 @@ func (s *System) finishDedup() *DedupView {
 			}
 			nodeWire := na.uniq < nodeDense
 			dv.NodeUniq[src][node] = na.uniq
-			dv.NodeDense[src][node] = nodeDense
 			dv.NodeWire[src][node] = nodeWire
 			dv.NodeNewAt[src][node] = na.newAt
 			if fn && nodeWire {

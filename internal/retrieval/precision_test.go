@@ -63,6 +63,37 @@ func TestWirePrecisionReducesCommBytes(t *testing.T) {
 	}
 }
 
+// TestDedupWireSavingsFollowWirePrecision: the dedup counters' saved wire
+// bytes price each avoided vector at its encoded size, so the same dedup run
+// saves exactly half the fp32 bytes at fp16 and (d+4)/(4d) of them at int8
+// (routes do not depend on the wire precision).
+func TestDedupWireSavingsFollowWirePrecision(t *testing.T) {
+	saved := map[Precision]float64{}
+	for _, prec := range wirePrecisions {
+		cfg := dedupTestConfig(4)
+		cfg.WirePrecision = prec
+		s, err := NewSystem(cfg, DefaultHardware())
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(&PGASFused{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		saved[prec] = res.DedupStats.WireSavedBytes
+	}
+	d := float64(dedupTestConfig(4).Dim)
+	if saved[FP32] <= 0 {
+		t.Fatal("fp32 run saved no wire bytes; the test is not exercising wire dedup")
+	}
+	if 2*saved[FP16] != saved[FP32] {
+		t.Errorf("fp16 saved %g bytes, want half of fp32's %g", saved[FP16], saved[FP32])
+	}
+	if 4*d*saved[Int8] != (d+4)*saved[FP32] {
+		t.Errorf("int8 saved %g bytes, want (d+4)/(4d) of fp32's %g", saved[Int8], saved[FP32])
+	}
+}
+
 // TestWirePrecisionReducesNICWireBytes: on a 2-node cluster, reduced wire
 // precision must strictly shrink the NIC wire bytes (headers included —
 // the payload shrinks, the per-message header tax does not) as well as the

@@ -465,31 +465,44 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 	s.Fab.Reset()
 	s.Net.Reset()
 	s.resetOwnerLoad()
+
+	// Batches are generated and executed one epoch at a time: the whole run
+	// is one epoch, unless adaptive placement chunks it into rebalance
+	// epochs so every epoch's route plans are compiled against the placement
+	// that actually executes it, and the controller decides between epochs
+	// with the epoch's statistics folded in (migration traffic from a swap
+	// is charged to the fabric before the next epoch starts). Generation
+	// does not advance the simulated clock.
+	epochLen := s.Cfg.Batches
 	if s.placementEnabled() {
-		// Adaptive placement runs epoch-chunked: batches are generated one
-		// rebalance epoch at a time so each epoch's route plans are compiled
-		// against the placement that will actually execute it.
-		return s.runAdaptive(ctx, b, res)
+		epochLen = s.Cfg.RebalanceEvery
 	}
-
-	batches := make([]*BatchData, s.Cfg.Batches)
-	for i := range batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bd, err := s.NextBatchData()
-		if err != nil {
-			return nil, err
-		}
-		batches[i] = bd
-	}
-
 	start := s.Env.Now()
-	if err := s.runEpoch(ctx, b, res, batches, 0); err != nil {
-		return nil, err
+	var epoch []*BatchData
+	for done := 0; done < s.Cfg.Batches; {
+		epoch = make([]*BatchData, min(epochLen, s.Cfg.Batches-done))
+		for i := range epoch {
+			if err := ctx.Err(); err != nil {
+				return nil, err
+			}
+			bd, err := s.NextBatchData()
+			if err != nil {
+				return nil, err
+			}
+			epoch[i] = bd
+		}
+		if err := s.runEpoch(ctx, b, res, epoch, done); err != nil {
+			return nil, err
+		}
+		done += len(epoch)
+		if s.placementEnabled() && done < s.Cfg.Batches && s.placeCtl.Due(done) {
+			if err := s.rebalanceNow(ctx); err != nil {
+				return nil, err
+			}
+		}
 	}
 	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, batches)
+	s.finishResult(res, epoch)
 	return res, nil
 }
 
@@ -539,9 +552,8 @@ func (s *System) runEpoch(ctx context.Context, b Backend, res *Result, batches [
 	return runErr
 }
 
-// finishResult fills the post-run summary fields shared by the lockstep and
-// adaptive-placement paths; batches is the final epoch's inputs (for the
-// functional last-batch capture).
+// finishResult fills the run's post-run summary fields; batches is the final
+// epoch's inputs (for the functional last-batch capture).
 func (s *System) finishResult(res *Result, batches []*BatchData) {
 	res.Breakdown = trace.MergeMax(res.PerGPU...)
 	res.CommTrace = s.commTrace()
