@@ -14,16 +14,18 @@ import (
 
 // HashIndex maps a raw categorical value into [0, rows) — the hash function
 // H of the paper's §II-A that bounds table memory at the cost of
-// collisions. A splitmix64 finaliser gives good avalanche so collisions are
-// uniform.
+// collisions. The splitmix64 finaliser gives good avalanche so collisions are
+// uniform. A power-of-two row count keeps the hash's low bits, which is the
+// same value as the modulo without a 64-bit divide.
 func HashIndex(raw int64, rows int) int {
 	if rows <= 0 {
 		panic(fmt.Sprintf("embedding: hash into %d rows", rows))
 	}
-	z := uint64(raw) + 0x9e3779b97f4a7c15
-	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
-	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
-	z ^= z >> 31
+	// One splitmix64 step from state raw: add its increment, then finalise.
+	z := sim.Mix64(uint64(raw) + 0x9e3779b97f4a7c15)
+	if rows&(rows-1) == 0 {
+		return int(z & uint64(rows-1))
+	}
 	return int(z % uint64(rows))
 }
 

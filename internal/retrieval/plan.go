@@ -360,7 +360,6 @@ type planScratch struct {
 	hit        []bool            // timing mode's residency hit bitmap, redrawn every batch
 	batch      sparse.Batch      // timing mode's input batch, redrawn every batch
 	bag        sparse.FeatureBag // streamed timing mode's one feature, redrawn per feature
-	poolRow    []int32           // streamed timing mode's pooling factors of one feature
 	ownerOf    []int             // streamed timing mode's owner GPU of every feature
 	tableOf    []int             // streamed timing mode's owner-local table of every feature
 }
@@ -456,12 +455,7 @@ func (s *System) drawStreamed() ([][]int64, *DedupView) {
 		})
 		return pooled, s.finishDedup()
 	}
-	ps.poolRow = s.gen.NextPoolingsInto(ps.poolRow, func(f int, row []int32) {
-		acc := pooled[owner[f]][1:]
-		for smp, p := range row {
-			acc[smp] += int64(p)
-		}
-	})
+	s.gen.NextPoolingSums(func(f int) []int64 { return pooled[owner[f]][1:] })
 	for _, pre := range pooled {
 		for smp := 1; smp < len(pre); smp++ {
 			pre[smp] += pre[smp-1]

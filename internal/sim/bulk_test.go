@@ -1,0 +1,89 @@
+package sim
+
+import (
+	"math"
+	"slices"
+	"testing"
+)
+
+// FuzzBulkDraws holds every bulk kernel to the scalar loop its comment
+// names: the same outputs and the same final generator state, for any seed,
+// offset lo, bound n, slice length, coin probability and Zipf drift offset.
+// The inputs are folded into each kernel's domain. The corpus includes an n
+// of about 3/4 of MaxInt, where Lemire's method rejects about a quarter of
+// the draws on 64-bit hosts, so the retry path runs.
+func FuzzBulkDraws(f *testing.F) {
+	f.Add(uint64(1), 1, 128, uint16(300), 0.0, int64(0))
+	f.Add(uint64(2), 1, 32, uint16(64), 0.25, int64(1))
+	f.Add(uint64(7), 0, 41, uint16(97), 0.3, int64(5))
+	f.Add(uint64(3), -5, math.MaxInt/4*3, uint16(400), 0.0, int64(4000))
+	f.Add(uint64(4), 9, math.MaxInt/4*3, uint16(400), 0.5, int64(-3))
+	f.Add(uint64(5), 2, 1, uint16(10), 0.999, int64(1<<40+7))
+	f.Fuzz(func(t *testing.T, seed uint64, lo, n int, length uint16, pZero float64, off int64) {
+		if n <= 0 {
+			n = n&math.MaxInt | 1
+		}
+		if math.IsNaN(pZero) || math.IsInf(pZero, 0) {
+			pZero = 0
+		}
+		pZero = math.Abs(pZero)
+		pZero -= math.Floor(pZero)
+		size := int(length % 2048)
+
+		got64, want64 := make([]int64, size), make([]int64, size)
+		got32, want32 := make([]int32, size), make([]int32, size)
+		for i := range got64 {
+			got64[i], want64[i] = int64(3*i-7), int64(3*i-7)
+			got32[i], want32[i] = int32(5*i+1), int32(5*i+1)
+		}
+		check := func(kernel string, a, b *RNG, equal bool) {
+			t.Helper()
+			if !equal {
+				t.Fatalf("%s (seed %d, lo %d, n %d, len %d, pZero %v): outputs differ from the scalar loop",
+					kernel, seed, lo, n, size, pZero)
+			}
+			if a.state != b.state {
+				t.Fatalf("%s (seed %d, lo %d, n %d, len %d, pZero %v): final state %#x, scalar loop %#x",
+					kernel, seed, lo, n, size, pZero, a.state, b.state)
+			}
+		}
+
+		a, b := NewRNG(seed), NewRNG(seed)
+		AddIntn(a, got64, lo, n, pZero)
+		for i := range want64 {
+			if pZero > 0 && b.Float64() < pZero {
+				continue
+			}
+			want64[i] += int64(lo + b.Intn(n))
+		}
+		check("AddIntn[int64]", a, b, slices.Equal(got64, want64))
+
+		AddIntn(a, got32, lo, n, pZero)
+		for i := range want32 {
+			if pZero > 0 && b.Float64() < pZero {
+				continue
+			}
+			want32[i] += int32(lo + b.Intn(n))
+		}
+		check("AddIntn[int32]", a, b, slices.Equal(got32, want32))
+
+		m := off
+		if m <= 0 {
+			m = m&math.MaxInt64 | 1
+		}
+		a.Mods(got64, m)
+		for i := range want64 {
+			want64[i] = int64(b.Uint64() % uint64(m))
+		}
+		check("Mods", a, b, slices.Equal(got64, want64))
+
+		zn := 1 + int(uint(n)%5000)
+		z := NewZipfCDF(1+pZero, zn)
+		drift := int64(uint64(off) % uint64(zn))
+		z.Ranks(a, got64, drift)
+		for i := range want64 {
+			want64[i] = (int64(z.Rank(b.Float64())) + drift) % int64(zn)
+		}
+		check("Ranks", a, b, slices.Equal(got64, want64))
+	})
+}

@@ -26,13 +26,22 @@ func (r *RNG) Split() *RNG {
 	return &RNG{state: r.Uint64()}
 }
 
-// Uint64 returns the next 64 uniformly random bits.
-func (r *RNG) Uint64() uint64 {
-	r.state += 0x9e3779b97f4a7c15
-	z := r.state
+// gamma is splitmix64's state increment, the golden ratio in 64 bits.
+const gamma = 0x9e3779b97f4a7c15
+
+// Mix64 is splitmix64's finaliser: a bijection on 64-bit words with full
+// avalanche. The generator's output is Mix64 of its advanced state, and the
+// embedding row hash applies it to raw indices.
+func Mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
 	return z ^ (z >> 31)
+}
+
+// Uint64 returns the next 64 uniformly random bits.
+func (r *RNG) Uint64() uint64 {
+	r.state += gamma
+	return Mix64(r.state)
 }
 
 // Intn returns a uniform integer in [0, n). It panics if n <= 0.
@@ -62,7 +71,12 @@ func (r *RNG) IntRange(lo, hi int) int {
 
 // Float64 returns a uniform float64 in [0, 1).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return unit(r.Uint64())
+}
+
+// unit maps 64 random bits to a uniform float64 in [0, 1).
+func unit(v uint64) float64 {
+	return float64(v>>11) / (1 << 53)
 }
 
 // NormFloat64 returns a standard normal variate (Box–Muller; one value per

@@ -235,11 +235,12 @@ func TestNextSummaryIntoReuse(t *testing.T) {
 	}
 }
 
-// TestNextPoolingsIntoMatchesSummary pins the one-feature-at-a-time draw:
-// the rows handed to fn, in feature order, are NextSummary's pooling
-// factors batch after batch, drift epochs included, and a warm draw
-// allocates nothing.
-func TestNextPoolingsIntoMatchesSummary(t *testing.T) {
+// TestNextPoolingSumsMatchesSummary pins the shard-sum draw: features
+// mapped to two shards (even features to one, odd to the other) add into
+// them exactly NextSummary's per-shard sums, on top of what the shards
+// held, batch after batch, NULL bags, per-feature bounds, non-power-of-two
+// spans and drift epochs included, and a warm draw allocates nothing.
+func TestNextPoolingSumsMatchesSummary(t *testing.T) {
 	withNull := nullFreePerFeatureCfg()
 	withNull.NullProbability = 0.3
 	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
@@ -248,24 +249,44 @@ func TestNextPoolingsIntoMatchesSummary(t *testing.T) {
 			t.Fatal(err)
 		}
 		streamed, _ := NewGenerator(cfg)
-		var row []int32
-		for i := 0; i < 12; i++ {
-			want := fresh.NextSummary()
-			next := 0
-			row = streamed.NextPoolingsInto(row, func(f int, pooling []int32) {
-				B := want.BatchSize
-				if f != next || !slices.Equal(pooling, want.Pooling[f*B:(f+1)*B]) {
-					t.Fatalf("seed %d batch %d: feature %d (want %d) differs from NextSummary", cfg.Seed, i, f, next)
-				}
-				next++
-			})
-			if next != want.NumFeatures {
-				t.Fatalf("seed %d batch %d: %d features drawn, want %d", cfg.Seed, i, next, want.NumFeatures)
+		B := cfg.BatchSize
+		shardOf := func(f int) int { return f % 2 }
+		var got, want [2][]int64
+		for sh := range got {
+			// One spare element past BatchSize: the draw must not touch it.
+			got[sh], want[sh] = make([]int64, B+1), make([]int64, B+1)
+			for smp := range got[sh] {
+				got[sh][smp] = int64(1000*sh + smp)
+				want[sh][smp] = got[sh][smp]
 			}
 		}
-		discard := func(int, []int32) {}
-		if allocs := testing.AllocsPerRun(4, func() { row = streamed.NextPoolingsInto(row, discard) }); allocs != 0 {
-			t.Errorf("seed %d: warm NextPoolingsInto allocates %v times per draw", cfg.Seed, allocs)
+		for i := 0; i < 12; i++ {
+			s := fresh.NextSummary()
+			for f := 0; f < s.NumFeatures; f++ {
+				for smp := 0; smp < B; smp++ {
+					want[shardOf(f)][smp] += int64(s.PoolingFactor(f, smp))
+				}
+			}
+			next := 0
+			streamed.NextPoolingSums(func(f int) []int64 {
+				if f != next {
+					t.Fatalf("seed %d batch %d: feature %d asked for, want %d", cfg.Seed, i, f, next)
+				}
+				next++
+				return got[shardOf(f)]
+			})
+			if next != s.NumFeatures {
+				t.Fatalf("seed %d batch %d: %d features drawn, want %d", cfg.Seed, i, next, s.NumFeatures)
+			}
+			for sh := range got {
+				if !slices.Equal(got[sh], want[sh]) {
+					t.Fatalf("seed %d batch %d: shard %d sums differ from NextSummary's", cfg.Seed, i, sh)
+				}
+			}
+		}
+		sum := func(f int) []int64 { return got[shardOf(f)] }
+		if allocs := testing.AllocsPerRun(4, func() { streamed.NextPoolingSums(sum) }); allocs != 0 {
+			t.Errorf("seed %d: warm NextPoolingSums allocates %v times per draw", cfg.Seed, allocs)
 		}
 	}
 }

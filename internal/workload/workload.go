@@ -293,52 +293,27 @@ func (g *Generator) advanceBatch() {
 // Config returns the generator's configuration.
 func (g *Generator) Config() Config { return g.cfg }
 
-// drawPoolings fills dst with feature f's per-bag pooling factors in
-// sample order (0 for a NULL bag). Each bag takes a NULL draw (when NULL
-// bags are on) and then its pooling draw, both from rngPool.
-func (g *Generator) drawPoolings(f int, dst []int32) {
+// addPoolings adds feature f's per-bag pooling factors, in sample order, to
+// dst (a NULL bag adds 0). Each bag takes a NULL draw (when NULL bags are on)
+// and then its pooling draw, both from rngPool.
+func addPoolings[T int32 | int64](g *Generator, f int, dst []T) {
 	lo := g.cfg.MinPooling
-	span := g.cfg.featureMaxPooling(f) - lo + 1
-	rng := g.rngPool
-	if null := g.cfg.NullProbability; null > 0 {
-		for i := range dst {
-			if rng.Float64() < null {
-				dst[i] = 0
-				continue
-			}
-			dst[i] = int32(lo + rng.Intn(span))
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = int32(lo + rng.Intn(span))
-	}
+	sim.AddIntn(g.rngPool, dst, lo, g.cfg.featureMaxPooling(f)-lo+1, g.cfg.NullProbability)
 }
 
 // drawIndices fills dst with consecutive raw indices from rngIdx.
 func (g *Generator) drawIndices(dst []int64) {
-	rng, space, zipf, off := g.rngIdx, g.cfg.IndexSpace, g.zipf, g.driftOffset
-	switch {
-	case zipf != nil && off != 0:
-		// Rotate the rank→index mapping: the same rank (same draw stream)
-		// lands on a shifted raw index, so the hot set moves while the skew
-		// shape is preserved exactly.
-		for i := range dst {
-			dst[i] = (int64(zipf.Rank(rng.Float64())) + off) % space
-		}
-	case zipf != nil:
-		for i := range dst {
-			dst[i] = int64(zipf.Rank(rng.Float64()))
-		}
+	switch space := g.cfg.IndexSpace; {
+	case g.zipf != nil:
+		// Drift rotates the rank→index mapping: the same rank (same draw
+		// stream) lands on a shifted raw index, so the hot set moves while
+		// the skew shape is preserved exactly.
+		g.zipf.Ranks(g.rngIdx, dst, g.driftOffset)
 	case space <= 1<<31:
-		n := int(space)
-		for i := range dst {
-			dst[i] = int64(rng.Intn(n))
-		}
+		clear(dst)
+		sim.AddIntn(g.rngIdx, dst, 0, int(space), 0)
 	default:
-		for i := range dst {
-			dst[i] = int64(rng.Uint64() % uint64(space))
-		}
+		g.rngIdx.Mods(dst, space)
 	}
 }
 
@@ -391,8 +366,8 @@ func (g *Generator) drawFeature(f int, fb *sparse.FeatureBag) {
 	fb.FeatureID = f
 	fb.Offsets = resize(fb.Offsets, B+1)
 	offsets := fb.Offsets
-	offsets[0] = 0
-	g.drawPoolings(f, offsets[1:])
+	clear(offsets)
+	addPoolings(g, f, offsets[1:])
 	for s := 1; s <= B; s++ {
 		offsets[s] += offsets[s-1]
 	}
@@ -438,23 +413,24 @@ func (g *Generator) NextSummaryInto(s *Summary) {
 	s.NumFeatures = g.cfg.NumFeatures
 	s.Pooling = resize(s.Pooling, g.cfg.NumFeatures*B)
 	for f := 0; f < g.cfg.NumFeatures; f++ {
-		g.drawPoolings(f, s.Pooling[f*B:(f+1)*B])
+		// Cleared one feature at a time, so the row is still in cache when
+		// the draw adds into it.
+		row := s.Pooling[f*B : (f+1)*B]
+		clear(row)
+		addPoolings(g, f, row)
 	}
 }
 
-// NextPoolingsInto draws the next batch's pooling factors one feature at a
-// time into row, resized to BatchSize, and hands each feature's factors to
-// fn in feature order; fn must not keep row, which the next feature
-// overwrites. The draws are NextSummary's, but only one feature's factors
-// are held at a time. It returns row for reuse.
-func (g *Generator) NextPoolingsInto(row []int32, fn func(f int, pooling []int32)) []int32 {
+// NextPoolingSums draws the next batch's pooling factors one feature at a
+// time, in feature order, and adds feature f's factors, in sample order, to
+// the first BatchSize elements of sum(f). The draws are NextSummary's, but no
+// factor is stored: features that sum(f) maps to one slice are summed there
+// as they are drawn.
+func (g *Generator) NextPoolingSums(sum func(f int) []int64) {
 	g.advanceBatch()
-	row = resize(row, g.cfg.BatchSize)
 	for f := 0; f < g.cfg.NumFeatures; f++ {
-		g.drawPoolings(f, row)
-		fn(f, row)
+		addPoolings(g, f, sum(f)[:g.cfg.BatchSize])
 	}
-	return row
 }
 
 // PoolingFactor returns the bag size for (feature, sample).
