@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -250,7 +251,9 @@ func checkAgainstOracle(t *testing.T, s *System, plan *RoutePlan, o *dedupOracle
 // (drawStreamed), functional and cached ones in plan order over the
 // materialised batch, so the shapes below cover both drivers: one node and
 // several, one GPU (diagonal gather dedup only), a plan whose order is not
-// the feature order, and a drifting hot set.
+// the feature order, a drifting hot set, and adaptive placement whose
+// mirrored table skips vectors in the walk (rebalanced between batches, as
+// a run does at its epoch boundaries).
 func TestClassifyDedupMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -280,6 +283,11 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			c.PerFeatureMaxPooling = []int{2, 9, 3, 7, 5, 8}
 		}},
 		{"drift", DefaultHardware(), func(c *Config) { c.HotSetDriftEvery = 2 }},
+		{"placement-mirror", DefaultHardware(), func(c *Config) {
+			c.AdaptivePlacement = true
+			c.HotTables = 1
+			c.RebalanceEvery = 2
+		}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -298,7 +306,7 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 				t.Fatalf("plan %v walks the tables in feature order; the draw-order driver goes unchecked", fs.Plan)
 			}
 			want := metrics.DedupCounters{}
-			var wires, nodeWires, gathers int
+			var wires, nodeWires, gathers, mirrored int
 			for b := 0; b < fs.Cfg.Batches; b++ {
 				fbd, err := fs.NextBatchData()
 				if err != nil {
@@ -307,6 +315,9 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 				tbd, err := ts.NextBatchData()
 				if err != nil {
 					t.Fatal(err)
+				}
+				if fs.hotMirrorActive() {
+					mirrored++
 				}
 				o := classifyOracle(fs, fbd)
 				want = want.Add(o.ctr)
@@ -325,6 +336,13 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 						nodeWires += countTrue(o.nodeWire[src])
 					}
 				}
+				for _, s := range []*System{fs, ts} {
+					if s.placementEnabled() && s.placeCtl.Due(b+1) {
+						if err := s.rebalanceNow(context.Background()); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
 			}
 			if fs.DedupStats() != want || ts.DedupStats() != want {
 				t.Fatalf("dedup counters: functional %+v, timing %+v, oracle %+v", fs.DedupStats(), ts.DedupStats(), want)
@@ -337,6 +355,9 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			}
 			if fs.Cfg.CacheFraction > 0 && fs.Caches.Stats().Hits == 0 {
 				t.Fatal("cache saw no hits; hit skipping goes unchecked")
+			}
+			if fs.Cfg.HotTables > 0 && mirrored == 0 {
+				t.Fatal("no batch ran with a mirror installed; mirror skipping goes unchecked")
 			}
 		})
 	}

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"context"
 	"fmt"
+	"math/bits"
 
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/placement"
@@ -70,7 +71,8 @@ func (s *System) OwnerLoad() (keys []int64, bytes []float64) {
 // observeBatch folds one compiled batch into the run's load accounting and
 // (when adaptive placement is on) the controller's statistics. Called from
 // NextBatchData after compileRoutePlan, while bd.Sparse is still materialised
-// on placement-enabled runs. Allocates nothing.
+// on placement-enabled runs. Allocates nothing once its per-bucket scratch
+// is sized.
 func (s *System) observeBatch(bd *BatchData) {
 	s.accumOwnerLoad(bd)
 	if s.placeCtl == nil {
@@ -79,19 +81,32 @@ func (s *System) observeBatch(bd *BatchData) {
 	st := s.placeCtl.Stats()
 	st.BeginBatch()
 	nb := st.NumBuckets()
+	load := scratchSlice(&s.planScr.bucketLoad, nb)
 	for fid := 0; fid < s.Cfg.TotalTables; fid++ {
 		fb := bd.Sparse.FeatureByID(fid)
+		refs := fb.Indices[:fb.Offsets[s.Cfg.BatchSize]]
 		rows := s.Cfg.tableRows(fid)
-		var count int64
-		for smp := 0; smp < s.Cfg.BatchSize; smp++ {
-			bag := fb.Bag(smp)
-			count += int64(len(bag))
-			for _, raw := range bag {
-				row := embedding.HashIndex(raw, rows)
-				st.AddBucket(fid, int(uint64(row)*uint64(nb)/uint64(rows)), 1)
+		// Bucket row*nb/rows; a power-of-two table divides by a shift.
+		pow2, shift := rows&(rows-1) == 0, bits.TrailingZeros(uint(rows))
+		clear(load)
+		for _, raw := range refs {
+			b := uint64(embedding.HashIndex(raw, rows)) * uint64(nb)
+			if pow2 {
+				b >>= shift
+			} else {
+				b /= uint64(rows)
+			}
+			load[b]++
+		}
+		// One add per bucket of its integer count: a float64 sum of ones
+		// is exact below 2^53, so the statistics match per-reference adds
+		// bit for bit.
+		for b, n := range load {
+			if n != 0 {
+				st.AddBucket(fid, b, float64(n))
 			}
 		}
-		st.AddTable(fid, float64(count))
+		st.AddTable(fid, float64(len(refs)))
 	}
 	st.EndBatch()
 }

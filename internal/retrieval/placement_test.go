@@ -5,9 +5,12 @@ import (
 	"fmt"
 	"math"
 	"reflect"
+	"slices"
 	"testing"
 
+	"pgasemb/internal/embedding"
 	"pgasemb/internal/metrics"
+	"pgasemb/internal/placement"
 	"pgasemb/internal/tensor"
 	"pgasemb/internal/workload"
 )
@@ -297,6 +300,76 @@ func TestOwnerLoadAccounting(t *testing.T) {
 				t.Errorf("owner-served plus consumer-local keys sum to %d, workload pooled %d lookups", total, want)
 			}
 		})
+	}
+}
+
+// TestPlacementStatsMatchPerReferenceCounts holds the controller's bucket
+// and table EMAs, batch after batch, to a reference collector fed the plain
+// way: one AddBucket(fid, row*nb/rows, 1) per reference. The per-bucket
+// integer counts and the shift bucketing of power-of-two tables must match
+// it exactly, on power-of-two tables, on tables of mixed sizes (most not a
+// power of two, some smaller than the bucket count) and with empty bags, in
+// timing runs (which draw into the run's scratch batch) and functional runs.
+func TestPlacementStatsMatchPerReferenceCounts(t *testing.T) {
+	for _, c := range []struct {
+		name string
+		tune func(*Config)
+	}{
+		{"pow2", func(*Config) {}},
+		{"mixed-rows", func(c *Config) {
+			c.PerFeatureRows = []int{1000, 3, 512, 777, 1, 100, 4096, 63, 65, 96, 2, 5000, 129, 24, 1 << 14, 10007}
+		}},
+		{"nulls", func(c *Config) { c.NullProbability = 0.4 }},
+	} {
+		for _, functional := range []bool{false, true} {
+			t.Run(fmt.Sprintf("%s/functional=%v", c.name, functional), func(t *testing.T) {
+				cfg := placementSkewConfig()
+				cfg.Batches = 6
+				cfg.AdaptivePlacement = true
+				cfg.RebalanceEvery = 2
+				cfg.Functional = functional
+				c.tune(&cfg)
+				s, err := NewSystem(cfg, DefaultHardware())
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := s.Placement().Stats()
+				want := placement.NewStats(s.Placement().Config())
+				nb := want.NumBuckets()
+				for b := 0; b < cfg.Batches; b++ {
+					bd, err := s.NextBatchData()
+					if err != nil {
+						t.Fatal(err)
+					}
+					batch := bd.Sparse
+					if !functional {
+						batch = &s.planScr.batch
+					}
+					want.BeginBatch()
+					for fid := 0; fid < cfg.TotalTables; fid++ {
+						fb := batch.FeatureByID(fid)
+						rows := cfg.tableRows(fid)
+						for smp := 0; smp < cfg.BatchSize; smp++ {
+							for _, raw := range fb.Bag(smp) {
+								row := embedding.HashIndex(raw, rows)
+								want.AddBucket(fid, int(uint64(row)*uint64(nb)/uint64(rows)), 1)
+							}
+							want.AddTable(fid, float64(fb.PoolingFactor(smp)))
+						}
+					}
+					want.EndBatch()
+					if !slices.Equal(got.Loads(), want.Loads()) {
+						t.Fatalf("batch %d: table loads %v, per-reference %v", b, got.Loads(), want.Loads())
+					}
+					for fid := 0; fid < cfg.TotalTables; fid++ {
+						if g, w := got.BucketLoads(fid), want.BucketLoads(fid); !slices.Equal(g, w) {
+							t.Fatalf("batch %d table %d (%d rows): bucket loads %v, per-reference %v",
+								b, fid, cfg.tableRows(fid), g, w)
+						}
+					}
+				}
+			})
+		}
 	}
 }
 

@@ -357,6 +357,7 @@ type planScratch struct {
 	pairAcc    []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
 	nodeAcc    []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
 	rowScratch []int32           // residency classifier's hashed-bag scratch
+	bucketLoad []int32           // placement statistics' per-bucket counts of one table
 	hit        []bool            // timing mode's residency hit bitmap, redrawn every batch
 	batch      sparse.Batch      // timing mode's input batch, redrawn every batch
 	bag        sparse.FeatureBag // streamed timing mode's one feature, redrawn per feature
@@ -747,23 +748,23 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 				a.dense++
 				bag := fb.Bag(smp)
 				a.miss += int64(len(bag))
+				var pairNew, nodeNew int32
 				for _, raw := range bag {
 					row := embedding.HashIndex(raw, rows)
 					if !fn {
-						// The pair's rows are all in the node set
-						// already: only pair-fresh rows can be new there.
-						if pairSet.add(row) {
-							a.newAt[smp-dlo]++
-							if na != nil && nodeSet.add(row) {
-								na.newAt[smp-nodeLo]++
-							}
+						// Branch-free: every row already in the pair
+						// set entered the node set when it was pair-fresh,
+						// so adding it there again adds 0.
+						pairNew += pairSet.add(row)
+						if na != nil {
+							nodeNew += nodeSet.add(row)
 						}
 						continue
 					}
 					key := uint64(fi)<<32 | uint64(row)
 					pos, fresh := pairSet.insert(row, int32(len(a.keys)))
 					if fresh {
-						a.newAt[smp-dlo]++
+						pairNew++
 						a.keys = append(a.keys, key)
 					}
 					a.expand = append(a.expand, pos)
@@ -772,10 +773,14 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 					}
 					pos, fresh = nodeSet.insert(row, int32(len(na.keys)))
 					if fresh {
-						na.newAt[smp-nodeLo]++
+						nodeNew++
 						na.keys = append(na.keys, key)
 					}
 					a.nodeExpand = append(a.nodeExpand, pos)
+				}
+				a.newAt[smp-dlo] += pairNew
+				if na != nil {
+					na.newAt[smp-nodeLo] += nodeNew
 				}
 			}
 			a.uniq += int64(pairSet.len())

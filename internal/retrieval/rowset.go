@@ -44,25 +44,24 @@ func (rs *rowSet) reset(rows int, positions bool) {
 // len returns the number of distinct rows added since the last reset.
 func (rs *rowSet) len() int { return int(rs.n) }
 
-// add adds row and reports whether this call added it.
-func (rs *rowSet) add(row int) bool {
+// add adds row and returns 1 if this call added it, 0 if it was already
+// in the set. It never branches on the row: it ORs in the row's bit and its
+// word's dirty bit on every call (no-ops when they are set), so a skewed
+// stream whose rows are fresh about half the time costs no mispredictions.
+func (rs *rowSet) add(row int) int32 {
 	w := row >> 6
-	word, bit := rs.bits[w], uint64(1)<<(row&63)
-	if word&bit != 0 {
-		return false
-	}
-	if word == 0 {
-		rs.dirty[w>>6] |= 1 << (w & 63)
-	}
-	rs.bits[w] = word | bit
-	rs.n++
-	return true
+	word := rs.bits[w]
+	fresh := int32(^word >> (row & 63) & 1)
+	rs.bits[w] = word | 1<<(row&63)
+	rs.dirty[w>>6] |= 1 << (w & 63)
+	rs.n += fresh
+	return fresh
 }
 
 // insert is add in positions mode: it returns row's first-seen position —
 // next, when this call adds it.
 func (rs *rowSet) insert(row int, next int32) (pos int32, fresh bool) {
-	if !rs.add(row) {
+	if rs.add(row) == 0 {
 		return rs.pos[row], false
 	}
 	rs.pos[row] = next

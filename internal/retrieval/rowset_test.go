@@ -4,9 +4,10 @@ import "testing"
 
 // FuzzRowSet drives random add/insert/reset sequences against a map
 // reference, over tables whose row counts change (grow and shrink) at every
-// reset: every call must return the reference's fresh flag — and, in
-// positions mode, its first-seen position — len must track the reference
-// after every step (including right after a reset), and every row added
+// reset: every call must return the reference's fresh flag (add as a 0 or 1
+// count) — and, in positions mode, its first-seen position — len must track
+// the reference after every step (including right after a reset) and equal
+// the sum of the counts add returned since the reset, and every row added
 // since the reset must still read as present, at its position.
 func FuzzRowSet(f *testing.F) {
 	f.Add(uint64(1), uint16(500), uint8(3), uint32(64), true)
@@ -29,10 +30,12 @@ func FuzzRowSet(f *testing.F) {
 		ref := map[int]int32{}
 		base := int32(0) // positions keep counting across resets, as across tables
 		rows := 0
+		var added int // sum of add's counts since the last reset
 		reset := func() {
 			rows = int(next()%uint64(maxRows)) + 1
 			rs.reset(rows, positions)
 			clear(ref)
+			added = 0
 			if rs.len() != 0 {
 				t.Fatalf("len %d after a reset to %d rows", rs.len(), rows)
 			}
@@ -43,7 +46,7 @@ func FuzzRowSet(f *testing.F) {
 					if pos, fresh := rs.insert(row, -1); fresh || pos != want {
 						t.Fatalf("row %d of %d lost: got (%d, fresh=%v), want position %d", row, rows, pos, fresh, want)
 					}
-				} else if rs.add(row) {
+				} else if rs.add(row) == 1 {
 					t.Fatalf("row %d of %d lost", row, rows)
 				}
 			}
@@ -61,7 +64,7 @@ func FuzzRowSet(f *testing.F) {
 			}
 			// Skewed rows: half the draws land in the table's first 64 rows.
 			r := next()
-			row := int(r>>8) % rows
+			row := int((r >> 8) % uint64(rows)) // unsigned: int is 32 bits on 386
 			if r&1 == 0 {
 				row %= 64
 				row %= rows
@@ -76,8 +79,18 @@ func FuzzRowSet(f *testing.F) {
 				if pos != want || fresh == seen {
 					t.Fatalf("op %d row %d of %d: got (%d, fresh=%v), want (%d, fresh=%v)", op, row, rows, pos, fresh, want, !seen)
 				}
-			} else if fresh := rs.add(row); fresh == seen {
-				t.Fatalf("op %d row %d of %d: fresh=%v, want %v", op, row, rows, fresh, !seen)
+			} else {
+				n, wantN := rs.add(row), int32(1)
+				if seen {
+					wantN = 0
+				}
+				if n != wantN {
+					t.Fatalf("op %d row %d of %d: add returned %d, want %d", op, row, rows, n, wantN)
+				}
+				added += int(n)
+				if rs.len() != added {
+					t.Fatalf("op %d: len %d, add returned %d fresh rows since the reset", op, rs.len(), added)
+				}
 			}
 			if rs.len() != len(ref) {
 				t.Fatalf("op %d: len %d, reference holds %d rows", op, rs.len(), len(ref))
@@ -100,7 +113,9 @@ func TestRowSetSteadyStateZeroAllocs(t *testing.T) {
 					if positions {
 						rs.insert(row, int32(rs.len()))
 					}
-					rs.add(row) // a duplicate reference in positions mode
+					if rs.add(row) == 1 && positions {
+						t.Fatal("a duplicate reference was added afresh")
+					}
 				}
 			}
 		}
