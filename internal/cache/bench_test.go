@@ -5,8 +5,9 @@ import (
 	"testing"
 )
 
-// BenchmarkTouchAdmit measures one serving-pattern probe (Touch, then Admit
-// on a miss) over a Zipf-1.05 stream on the serve-zipf shape: 24 remote
+// BenchmarkTouchAdmit measures one row probe of the route-plan compiler's
+// bag pattern (TouchRows over a bag of ProbeBag rows, then AdmitRows unless
+// every row hit) over a Zipf-1.05 stream on the serve-zipf shape: 24 remote
 // tables of 262,144 rows, whose state bits take 1.5 MB. At 1.26M slots every
 // key of the stream fits, so the steady state is resident probes; at 4096
 // slots six probes in ten insert and evict. A warm pass before the timer

@@ -45,9 +45,9 @@ type Key struct {
 
 // Cache is one GPU's hot-row store. In functional mode it keeps the actual
 // row values (so cached lookups can be verified bit-exactly); in timing mode
-// it tracks residency only. Its counters are per row: every Touch is one row
-// probe, so Stats().HitRate() is the share of remote row lookups the cache
-// served.
+// it tracks residency only. Its counters are per row: every row of a
+// TouchRows bag is one row probe, so Stats().HitRate() is the share of remote
+// row lookups the cache served.
 type Cache struct {
 	dim   int
 	funct bool
@@ -111,29 +111,62 @@ func New(slots, dim int, tableRows []int, functional bool) *Cache {
 // index returns k's dense key index, panicking on a key outside the
 // cache's key space.
 func (c *Cache) index(k Key) int {
-	lo, hi := c.base[k.Feature], c.base[k.Feature+1]
-	if uint(k.Row) >= uint(hi-lo) {
-		panic("cache: key row outside its table")
+	lo, n := c.table(k.Feature)
+	if uint(k.Row) >= n {
+		panic(errRowOutside)
 	}
 	return lo + int(k.Row)
 }
+
+// table returns table f's first dense key index and its row count.
+func (c *Cache) table(f int32) (int, uint) {
+	lo := c.base[f]
+	return lo, uint(c.base[f+1] - lo)
+}
+
+const errRowOutside = "cache: key row outside its table"
 
 // bits returns the state word holding key index i's bits and their shift.
 func (c *Cache) bits(i int) (*uint64, uint) {
 	return &c.state[i>>5], uint(i&31) * 2
 }
 
-// Touch probes the cache for row k, counting one row hit or miss and setting
-// the key's reference bit on a hit. It reports whether the row is resident.
-func (c *Cache) Touch(k Key) bool {
-	w, sh := c.bits(c.index(k))
-	if *w>>sh&resident != 0 {
-		*w |= referenced << sh
-		c.stats.Hits++
-		return true
+// TouchRows probes the cache for each row of a bag of table f, counting a
+// hit or miss per row and setting resident rows' reference bits, and reports
+// whether every row was resident. It never branches on residency: a row ORs
+// its resident bit, shifted onto its reference bit, into its word.
+func (c *Cache) TouchRows(f int32, rows []int32) (allHit bool) {
+	lo, n := c.table(f)
+	var hits uint64
+	for _, row := range rows {
+		if uint(row) >= n {
+			panic(errRowOutside)
+		}
+		w, sh := c.bits(lo + int(row))
+		h := *w >> sh & resident
+		*w |= h << 1 << sh
+		hits += h
 	}
-	c.stats.Misses++
-	return false
+	c.stats.Hits += int64(hits)
+	c.stats.Misses += int64(len(rows)) - int64(hits)
+	return hits == uint64(len(rows))
+}
+
+// AdmitRows admits every row of one bag of table f, in order, as Admit
+// does. In functional mode w holds the owner table's weights, row r's values
+// at w[r*dim:(r+1)*dim]; in timing mode it is ignored and may be nil.
+func (c *Cache) AdmitRows(f int32, rows []int32, w []float32) {
+	lo, n := c.table(f)
+	for _, row := range rows {
+		if uint(row) >= n {
+			panic(errRowOutside)
+		}
+		var vec []float32
+		if c.funct {
+			vec = w[int(row)*c.dim : (int(row)+1)*c.dim]
+		}
+		c.admit(lo+int(row), vec)
+	}
 }
 
 // Admit inserts the row for k, evicting a victim by CLOCK second-chance if
@@ -142,8 +175,10 @@ func (c *Cache) Touch(k Key) bool {
 // cache is frozen (SetFrozen), admissions of non-resident keys are refused
 // and counted instead. In functional mode row must hold the key's dim
 // values; in timing mode it is ignored and may be nil.
-func (c *Cache) Admit(k Key, row []float32) {
-	i := c.index(k)
+func (c *Cache) Admit(k Key, row []float32) { c.admit(c.index(k), row) }
+
+// admit is Admit of dense key index i.
+func (c *Cache) admit(i int, row []float32) {
 	w, sh := c.bits(i)
 	if *w>>sh&resident != 0 {
 		*w |= referenced << sh

@@ -8,6 +8,9 @@ import (
 
 func key(f, r int) Key { return Key{Feature: int32(f), Row: int32(r)} }
 
+// touch probes c for k alone: a one-row bag.
+func touch(c *Cache, k Key) bool { return c.TouchRows(k.Feature, []int32{k.Row}) }
+
 // uniform returns the row counts of tables tables of rows rows each.
 func uniform(tables, rows int) []int {
 	out := make([]int, tables)
@@ -19,11 +22,11 @@ func uniform(tables, rows int) []int {
 
 func TestTouchMissThenAdmitHit(t *testing.T) {
 	c := New(4, 2, uniform(1, 4), false)
-	if c.Touch(key(0, 1)) {
+	if touch(c, key(0, 1)) {
 		t.Fatal("empty cache reported a hit")
 	}
 	c.Admit(key(0, 1), nil)
-	if !c.Touch(key(0, 1)) {
+	if !touch(c, key(0, 1)) {
 		t.Fatal("admitted key not resident")
 	}
 	want := metrics.CacheCounters{Hits: 1, Misses: 1, Insertions: 1}
@@ -41,16 +44,16 @@ func TestClockSecondChance(t *testing.T) {
 	c := New(2, 1, uniform(1, 3), false)
 	c.Admit(key(0, 0), nil)
 	c.Admit(key(0, 1), nil)
-	c.Touch(key(0, 0)) // reference slot 0 only
+	touch(c, key(0, 0)) // reference slot 0 only
 
 	c.Admit(key(0, 2), nil) // sweep: slot 0 spared (bit cleared), slot 1 evicted
-	if !c.Touch(key(0, 0)) {
+	if !touch(c, key(0, 0)) {
 		t.Fatal("referenced row was evicted before the unreferenced one")
 	}
-	if c.Touch(key(0, 1)) {
+	if touch(c, key(0, 1)) {
 		t.Fatal("unreferenced row survived the sweep")
 	}
-	if !c.Touch(key(0, 2)) {
+	if !touch(c, key(0, 2)) {
 		t.Fatal("newly admitted row not resident")
 	}
 	if ev := c.Stats().Evictions; ev != 1 {
@@ -63,7 +66,7 @@ func TestClockSecondChance(t *testing.T) {
 	c2.Admit(key(1, 0), nil)
 	c2.Admit(key(1, 1), nil)
 	c2.Admit(key(1, 2), nil) // no bits set: evicts slot 0 immediately
-	if c2.Touch(key(1, 0)) {
+	if touch(c2, key(1, 0)) {
 		t.Fatal("unreferenced first row survived a full cache admission")
 	}
 }
@@ -114,9 +117,9 @@ func TestSetAggregation(t *testing.T) {
 	if s.NumGPUs() != 2 || s.Slots() != 4 || s.Dim() != 2 || s.Functional() {
 		t.Fatalf("set shape wrong: %+v", s)
 	}
-	s.GPU(0).Touch(key(0, 0))
+	touch(s.GPU(0), key(0, 0))
 	s.GPU(0).Admit(key(0, 0), nil)
-	s.GPU(1).Touch(key(0, 0))
+	touch(s.GPU(1), key(0, 0))
 	want := metrics.CacheCounters{Misses: 2, Insertions: 1}
 	if got := s.Stats(); got != want {
 		t.Fatalf("aggregate stats = %+v, want %+v", got, want)
@@ -149,7 +152,7 @@ func TestClockKeepsHotHead(t *testing.T) {
 		for step := 0; step < len(stream); step++ {
 			k := key(0, stream[(step*7919+round)%len(stream)])
 			probes++
-			if c.Touch(k) {
+			if touch(c, k) {
 				hits++
 			} else {
 				c.Admit(k, nil)
@@ -179,19 +182,26 @@ func TestTouchAdmitSteadyStateZeroAllocs(t *testing.T) {
 }
 
 // A key outside the key space — a row past its table's last, or a table the
-// cache was not built for — panics instead of aliasing another key's state.
+// cache was not built for — panics in every probe and admission instead of
+// aliasing another key's state.
 func TestKeyOutsideKeySpacePanics(t *testing.T) {
 	c := New(4, 1, []int{3, 5}, false)
 	c.Admit(key(0, 2), nil) // each table's last row is in range
 	c.Admit(key(1, 4), nil)
 	for _, k := range []Key{key(0, 3), key(1, 5), key(0, -1), key(2, 0), key(-1, 0)} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Touch(%v) did not panic", k)
-				}
+		for name, op := range map[string]func(){
+			"TouchRows": func() { touch(c, k) },
+			"AdmitRows": func() { c.AdmitRows(k.Feature, []int32{k.Row}, nil) },
+			"Admit":     func() { c.Admit(k, nil) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s(%v) did not panic", name, k)
+					}
+				}()
+				op()
 			}()
-			c.Touch(k)
-		}()
+		}
 	}
 }

@@ -21,12 +21,37 @@ func HashIndex(raw int64, rows int) int {
 	if rows <= 0 {
 		panic(fmt.Sprintf("embedding: hash into %d rows", rows))
 	}
-	// One splitmix64 step from state raw: add its increment, then finalise.
-	z := sim.Mix64(uint64(raw) + 0x9e3779b97f4a7c15)
+	z := hashMix(raw)
 	if rows&(rows-1) == 0 {
 		return int(z & uint64(rows-1))
 	}
 	return int(z % uint64(rows))
+}
+
+// hashMix is one splitmix64 step from state raw: add its increment, then
+// finalise.
+func hashMix(raw int64) uint64 { return sim.Mix64(uint64(raw) + 0x9e3779b97f4a7c15) }
+
+// HashRows sets dst[i] to HashIndex(raws[i], rows) for every raw, with the
+// power-of-two test made once for the slice: the bulk form the route-plan
+// compiler and the placement statistics hash references with. dst must hold
+// len(raws) rows; rows must fit an int32.
+func HashRows(dst []int32, raws []int64, rows int) {
+	if rows <= 0 || rows > math.MaxInt32 {
+		panic(fmt.Sprintf("embedding: hash into %d rows", rows))
+	}
+	dst = dst[:len(raws)]
+	if rows&(rows-1) == 0 {
+		mask := uint64(rows - 1)
+		for i, raw := range raws {
+			dst[i] = int32(hashMix(raw) & mask)
+		}
+		return
+	}
+	m := uint64(rows)
+	for i, raw := range raws {
+		dst[i] = int32(hashMix(raw) % m)
+	}
 }
 
 // PoolingMode selects how a bag's embedding vectors combine into one.

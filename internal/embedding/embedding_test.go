@@ -47,6 +47,41 @@ func TestHashIndexInvalidRowsPanics(t *testing.T) {
 	HashIndex(1, 0)
 }
 
+// HashRows is HashIndex element by element: on power-of-two row counts
+// (the masked path, rows = 1 included), on others (the modulo path, the
+// int32 limit included), for negative, zero and extreme raws. It writes
+// exactly len(raws) rows and panics where HashIndex does.
+func TestHashRowsMatchesHashIndex(t *testing.T) {
+	rng := sim.NewRNG(5)
+	raws := []int64{0, 1, -1, 2, -2, math.MaxInt64, math.MinInt64, 1 << 40, -(1 << 40)}
+	for len(raws) < 300 {
+		raws = append(raws, int64(rng.Uint64()))
+	}
+	for _, rows := range []int{1, 2, 3, 7, 64, 100, 4096, 4097, 262_144, 1_000_000, 1 << 30, math.MaxInt32} {
+		dst := make([]int32, len(raws)+1)
+		dst[len(raws)] = -7
+		HashRows(dst, raws, rows)
+		for i, raw := range raws {
+			if got, want := int(dst[i]), HashIndex(raw, rows); got != want {
+				t.Fatalf("HashRows(rows=%d)[%d] for raw %d = %d, HashIndex = %d", rows, i, raw, got, want)
+			}
+		}
+		if dst[len(raws)] != -7 {
+			t.Fatalf("rows=%d: HashRows wrote past len(raws)", rows)
+		}
+	}
+	for _, rows := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("HashRows into %d rows did not panic", rows)
+				}
+			}()
+			HashRows(make([]int32, 1), raws[:1], rows)
+		}()
+	}
+}
+
 func TestNewTableInit(t *testing.T) {
 	rng := sim.NewRNG(1)
 	tbl := NewTable(100, 16, rng)

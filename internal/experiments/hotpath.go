@@ -142,8 +142,9 @@ func hotPathCases() []hotPathCase {
 }
 
 // RunHotPaths measures the per-batch retrieval hot paths, input generation
-// and model construction, the hot-row cache's probe loop and a short serving
-// run with testing.Benchmark, recording each as a HotPathBenchmark on b.
+// (the bulk Zipf rank kernel among it) and model construction, the hot-row
+// cache's probe loop and a short serving run with testing.Benchmark,
+// recording each as a HotPathBenchmark on b.
 // Each retrieval measurement drives retrieval.BenchLoop — batch generation
 // and classification sit outside the measured loop, so ns/op and allocs/op
 // describe exactly the steady-state RunBatch path.
@@ -220,6 +221,10 @@ func RunHotPaths(b *Bench) error {
 	for testing.AllocsPerRun(1, drawCluster) != 0 {
 	}
 	modelCfg := dlrm.DefaultModelConfig(weak.TotalTables, weak.Dim)
+	// The bulk Zipf rank kernel alone, 4096 draws per op over serve-zipf's
+	// 262,144-row tables at its exponent and at the cluster workloads'.
+	zipf105, zipf12 := sim.NewZipfCDF(1.05, 262_144), sim.NewZipfCDF(1.2, 262_144)
+	rankRNG, ranks := sim.NewRNG(weak.Seed), make([]int64, 4096)
 	for _, c := range []struct {
 		name string
 		op   func() error
@@ -229,6 +234,8 @@ func RunHotPaths(b *Bench) error {
 		{"retrieval/next-batch-data-cluster16", func() error { _, err := clusterSys.NextBatchData(); return err }},
 		{"workload/next-batch-into-cluster16", func() error { drawCluster(); return nil }},
 		{"dlrm/new-model-weak4", func() error { _, err := dlrm.NewModel(modelCfg, weak.Seed); return err }},
+		{"sim/zipf-ranks-s1.05", func() error { zipf105.Ranks(rankRNG, ranks, 0); return nil }},
+		{"sim/zipf-ranks-s1.2", func() error { zipf12.Ranks(rankRNG, ranks, 0); return nil }},
 	} {
 		r := testing.Benchmark(func(tb *testing.B) {
 			tb.ReportAllocs()
@@ -245,12 +252,13 @@ func RunHotPaths(b *Bench) error {
 		b.NoteHotPath(hotPathResult(c.name, r))
 	}
 
-	// The hot-row cache on its own: serving-pattern probes over a Zipf
-	// stream of serve-zipf's shape (the remote tables of a 4-GPU
-	// ServingScaleConfig, 1% of HBM as cache), at that capacity — where the
-	// stream fits and the steady state is resident probes — and at an
-	// eviction-heavy 4096 slots. A warm pass fills the slots first, so the
-	// measured loop allocates nothing.
+	// The hot-row cache on its own: the route-plan compiler's bag probes
+	// (TouchRows, then AdmitRows unless the bag hit) over a Zipf stream of
+	// serve-zipf's shape (the remote tables of a 4-GPU ServingScaleConfig,
+	// 1% of HBM as cache), at that capacity — where the stream fits and the
+	// steady state is resident probes — and at an eviction-heavy 4096
+	// slots. ns/op is per row probe. A warm pass fills the slots first, so
+	// the measured loop allocates nothing.
 	serving := retrieval.ServingScaleConfig(4)
 	serving.CacheFraction = 0.01
 	keys := cache.ZipfKeys(1<<21, serving.TotalTables-serving.TotalTables/serving.GPUs,

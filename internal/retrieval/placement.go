@@ -82,6 +82,7 @@ func (s *System) observeBatch(bd *BatchData) {
 	st.BeginBatch()
 	nb := st.NumBuckets()
 	load := scratchSlice(&s.planScr.bucketLoad, nb)
+	var hashed [256]int32 // a chunk of one table's references, hashed in bulk
 	for fid := 0; fid < s.Cfg.TotalTables; fid++ {
 		fb := bd.Sparse.FeatureByID(fid)
 		refs := fb.Indices[:fb.Offsets[s.Cfg.BatchSize]]
@@ -89,14 +90,19 @@ func (s *System) observeBatch(bd *BatchData) {
 		// Bucket row*nb/rows; a power-of-two table divides by a shift.
 		pow2, shift := rows&(rows-1) == 0, bits.TrailingZeros(uint(rows))
 		clear(load)
-		for _, raw := range refs {
-			b := uint64(embedding.HashIndex(raw, rows)) * uint64(nb)
-			if pow2 {
-				b >>= shift
-			} else {
-				b /= uint64(rows)
+		for rest := refs; len(rest) > 0; {
+			chunk := hashed[:min(len(rest), len(hashed))]
+			embedding.HashRows(chunk, rest[:len(chunk)], rows)
+			rest = rest[len(chunk):]
+			for _, row := range chunk {
+				b := uint64(row) * uint64(nb)
+				if pow2 {
+					b >>= shift
+				} else {
+					b /= uint64(rows)
+				}
+				load[b]++
 			}
-			load[b]++
 		}
 		// One add per bucket of its integer count: a float64 sum of ones
 		// is exact below 2^53, so the statistics match per-reference adds

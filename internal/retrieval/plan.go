@@ -356,7 +356,7 @@ type planScratch struct {
 	nodeSet    rowSet            // one (remote node, table)'s unique rows
 	pairAcc    []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
 	nodeAcc    []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
-	rowScratch []int32           // residency classifier's hashed-bag scratch
+	rows       []int32           // residency walk's hashed references of one minibatch range
 	bucketLoad []int32           // placement statistics' per-bucket counts of one table
 	hit        []bool            // timing mode's residency hit bitmap, redrawn every batch
 	batch      sparse.Batch      // timing mode's input batch, redrawn every batch
@@ -541,8 +541,6 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 	if cached {
 		s.ensureCaches()
 	}
-	rowScratch := s.planScr.rowScratch
-	defer func() { s.planScr.rowScratch = rowScratch }()
 	for g := 0; g < cfg.GPUs; g++ {
 		var c *cache.Cache
 		if cached {
@@ -558,7 +556,6 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 				if !mirrored && c == nil {
 					continue
 				}
-				rows := cfg.tableRows(fid)
 				fb := bd.Sparse.FeatureByID(fid)
 				var tbl *embedding.Table
 				var w []float32
@@ -566,29 +563,25 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 					tbl = s.colls[p].Tables[fi]
 					w = tbl.Weights.Data()
 				}
+				// The minibatch's hashed rows; bag smp's are
+				// rows[Offsets[smp]-base : Offsets[smp+1]-base].
+				var rows []int32
+				base := fb.Offsets[lo]
+				if !mirrored {
+					raws := fb.Indices[base:fb.Offsets[hi]]
+					rows = scratchSlice(&s.planScr.rows, len(raws))
+					embedding.HashRows(rows, raws, cfg.tableRows(fid))
+				}
 				for smp := lo; smp < hi; smp++ {
 					bag := fb.Bag(smp)
 					if len(bag) == 0 {
 						continue // zero vector; nothing to gather or send
 					}
+					var bagRows []int32
 					if !mirrored {
-						rowScratch = rowScratch[:0]
-						hit := true
-						for _, raw := range bag {
-							row := int32(embedding.HashIndex(raw, rows))
-							rowScratch = append(rowScratch, row)
-							if !c.Touch(cache.Key{Feature: int32(fid), Row: row}) {
-								hit = false
-							}
-						}
-						if !hit {
-							for _, row := range rowScratch {
-								var vec []float32
-								if cfg.Functional {
-									vec = w[int(row)*cfg.Dim : (int(row)+1)*cfg.Dim]
-								}
-								c.Admit(cache.Key{Feature: int32(fid), Row: row}, vec)
-							}
+						bagRows = rows[fb.Offsets[smp]-base : fb.Offsets[smp+1]-base]
+						if !c.TouchRows(int32(fid), bagRows) {
+							c.AdmitRows(int32(fid), bagRows, w)
 							continue
 						}
 					}
@@ -605,7 +598,7 @@ func (s *System) classifyResidency(bd *BatchData) *CacheView {
 					if mirrored {
 						tbl.LookupPooled(bag, cfg.Pooling, out)
 					} else {
-						poolFromCache(c, int32(fid), rowScratch, cfg.Pooling, out)
+						poolFromCache(c, int32(fid), bagRows, cfg.Pooling, out)
 					}
 				}
 			}
@@ -724,6 +717,9 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 		per = s.cluster.GPUsPerNode
 	}
 	srcNode := s.nodeOf(src)
+	// Each bag is hashed in bulk, up to len(hashed) rows at a time, into a
+	// stack buffer: a run-owned scratch would allocate in every short run.
+	var hashed [64]int32
 	for first := 0; first < G; first += per {
 		// The remote node's accumulator and sample base.
 		var na *nodeAcc
@@ -746,37 +742,42 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 					continue
 				}
 				a.dense++
-				bag := fb.Bag(smp)
-				a.miss += int64(len(bag))
+				raws := fb.Bag(smp)
+				a.miss += int64(len(raws))
 				var pairNew, nodeNew int32
-				for _, raw := range bag {
-					row := embedding.HashIndex(raw, rows)
-					if !fn {
-						// Branch-free: every row already in the pair
-						// set entered the node set when it was pair-fresh,
-						// so adding it there again adds 0.
-						pairNew += pairSet.add(row)
-						if na != nil {
-							nodeNew += nodeSet.add(row)
+				for len(raws) > 0 {
+					bag := hashed[:min(len(raws), len(hashed))]
+					embedding.HashRows(bag, raws[:len(bag)], rows)
+					raws = raws[len(bag):]
+					for _, r := range bag {
+						row := int(r)
+						if !fn {
+							// Branch-free: every row already in the pair
+							// set entered the node set when it was pair-fresh,
+							// so adding it there again adds 0.
+							pairNew += pairSet.add(row)
+							if na != nil {
+								nodeNew += nodeSet.add(row)
+							}
+							continue
 						}
-						continue
+						key := uint64(fi)<<32 | uint64(row)
+						pos, fresh := pairSet.insert(row, int32(len(a.keys)))
+						if fresh {
+							pairNew++
+							a.keys = append(a.keys, key)
+						}
+						a.expand = append(a.expand, pos)
+						if na == nil {
+							continue
+						}
+						pos, fresh = nodeSet.insert(row, int32(len(na.keys)))
+						if fresh {
+							nodeNew++
+							na.keys = append(na.keys, key)
+						}
+						a.nodeExpand = append(a.nodeExpand, pos)
 					}
-					key := uint64(fi)<<32 | uint64(row)
-					pos, fresh := pairSet.insert(row, int32(len(a.keys)))
-					if fresh {
-						pairNew++
-						a.keys = append(a.keys, key)
-					}
-					a.expand = append(a.expand, pos)
-					if na == nil {
-						continue
-					}
-					pos, fresh = nodeSet.insert(row, int32(len(na.keys)))
-					if fresh {
-						nodeNew++
-						na.keys = append(na.keys, key)
-					}
-					a.nodeExpand = append(a.nodeExpand, pos)
 				}
 				a.newAt[smp-dlo] += pairNew
 				if na != nil {

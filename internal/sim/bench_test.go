@@ -73,3 +73,22 @@ func BenchmarkZipfTableNext(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkZipfRanks times one bulk draw of 4096 ranks (ns/op over 4096 is
+// ns per draw) on the 262,144-row tables of the serving workload at two
+// exponents, and on a small steep table.
+func BenchmarkZipfRanks(b *testing.B) {
+	for _, c := range []struct {
+		n int
+		s float64
+	}{{262_144, 1.05}, {262_144, 1.2}, {4096, 1.2}} {
+		b.Run(fmt.Sprintf("n=%d/s=%v", c.n, c.s), func(b *testing.B) {
+			z, r := NewZipfCDF(c.s, c.n), NewRNG(1)
+			dst := make([]int64, 4096)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				z.Ranks(r, dst, 0)
+			}
+		})
+	}
+}

@@ -88,23 +88,67 @@ func (r *RNG) Mods(dst []int64, m int64) {
 	r.state = s
 }
 
+// rankBlock is the number of draws Ranks takes per block.
+const rankBlock = 256
+
 // Ranks sets every element of dst to (Rank(r.Float64()) + off) mod Len() in
 // order, the draws of the scalar loop, one Float64 each. off rotates the
-// rank-to-index mapping; it panics unless 0 <= off < Len().
+// rank-to-index mapping; it panics unless 0 <= off < Len(). Each block of
+// rankBlock draws takes two passes, which keeps Rank's data-dependent work
+// out of the draw loop: guideRanks, then Rank on the draws it lists.
 func (z *ZipfCDF) Ranks(r *RNG, dst []int64, off int64) {
 	n := int64(len(z.cdf))
 	if off < 0 || off >= n {
 		panic("sim: Ranks offset outside [0, Len())")
 	}
+	var fix rankFixups
 	s := r.state
-	for i := range dst {
-		s += gamma
-		// rank + off < 2n, so one subtraction is the modulo.
-		v := int64(z.Rank(unit(Mix64(s)))) + off
-		if v >= n {
-			v -= n
+	for len(dst) > 0 {
+		blk := dst[:min(len(dst), rankBlock)]
+		dst = dst[len(blk):]
+		var nf uint32
+		s, nf = z.guideRanks(s, blk, off, &fix)
+		for f, at := range fix.at[:nf] {
+			blk[at] = rotate(int64(z.Rank(fix.u[f])), off, n)
 		}
-		dst[i] = v
 	}
 	r.state = s
+}
+
+// rankFixups lists a block's draws in spanning buckets: each one's index in
+// the block and its uniform.
+type rankFixups struct {
+	at [rankBlock]uint8
+	u  [rankBlock]float64
+}
+
+// guideRanks is Ranks' first pass over a block of at most rankBlock draws
+// from generator state s. It stores each draw's guide floor, its rank unless
+// the bucket spans several ranks, and returns the state after the block and
+// the number of spanning draws listed in fix. It never branches on a draw:
+// every draw is written into the list, which advances only for a spanning
+// bucket.
+func (z *ZipfCDF) guideRanks(s uint64, blk []int64, off int64, fix *rankFixups) (uint64, uint32) {
+	guide, k, n := z.guide, z.k, int64(len(z.cdf))
+	nf := uint32(0)
+	for i := range blk {
+		s += gamma
+		u := unit(Mix64(s))
+		j := int(u * k)
+		lo, hi := guide[j], guide[j+1]
+		blk[i] = rotate(int64(lo), off, n)
+		fix.at[nf%rankBlock], fix.u[nf%rankBlock] = uint8(i), u
+		nf += uint32(lo-hi) >> 31
+	}
+	return s, nf
+}
+
+// rotate returns (rank + off) mod n for rank and off in [0, n): the sum is
+// below 2n, so one subtraction is the modulo.
+func rotate(rank, off, n int64) int64 {
+	v := rank + off
+	if v >= n {
+		v -= n
+	}
+	return v
 }

@@ -12,6 +12,18 @@ import (
 // The inputs are folded into each kernel's domain. The corpus includes an n
 // of about 3/4 of MaxInt, where Lemire's method rejects about a quarter of
 // the draws on 64-bit hosts, so the retry path runs.
+//
+// Ranks is held to the whole-table binary search, so a fault it shares
+// with Rank cannot hide. Its Zipf exponent is 1+pZero over 1 + n%5000
+// ranks. The corpus reaches both of Rank's paths with lengths that are not
+// multiples of Ranks' 256-draw block: at s = 1.99 over 4999 ranks the tail
+// guide buckets span hundreds of ranks, and seed 86 sends five draws to the
+// binary-search fallback. Two seeds are constructed by inverting the
+// generator so that one draw equals a CDF value exactly, where a count of
+// cdf <= u instead of cdf < u is off by one: draw 499 of the Ranks section
+// equals cdf[3000] of Zipf(1.2) over 4097 ranks (a two-rank bucket,
+// counted), and draw 750 equals cdf[3500] of Zipf(1.99) over 4999 ranks (a
+// 294-rank bucket, binary-searched).
 func FuzzBulkDraws(f *testing.F) {
 	f.Add(uint64(1), 1, 128, uint16(300), 0.0, int64(0))
 	f.Add(uint64(2), 1, 32, uint16(64), 0.25, int64(1))
@@ -19,6 +31,9 @@ func FuzzBulkDraws(f *testing.F) {
 	f.Add(uint64(3), -5, math.MaxInt/4*3, uint16(400), 0.0, int64(4000))
 	f.Add(uint64(4), 9, math.MaxInt/4*3, uint16(400), 0.5, int64(-3))
 	f.Add(uint64(5), 2, 1, uint16(10), 0.999, int64(1<<40+7))
+	f.Add(uint64(86), 3, 4998, uint16(2047), 0.99, int64(11))
+	f.Add(uint64(0xdca8e05760e03813), 0, 4096, uint16(1000), 0.2, int64(17))
+	f.Add(uint64(0xadd37b07bd8fdd79), 0, 4998, uint16(1500), 0.99, int64(17))
 	f.Fuzz(func(t *testing.T, seed uint64, lo, n int, length uint16, pZero float64, off int64) {
 		if n <= 0 {
 			n = n&math.MaxInt | 1
@@ -82,7 +97,7 @@ func FuzzBulkDraws(f *testing.F) {
 		drift := int64(uint64(off) % uint64(zn))
 		z.Ranks(a, got64, drift)
 		for i := range want64 {
-			want64[i] = (int64(z.Rank(b.Float64())) + drift) % int64(zn)
+			want64[i] = (int64(fullSearch(z.cdf, b.Float64())) + drift) % int64(zn)
 		}
 		check("Ranks", a, b, slices.Equal(got64, want64))
 	})

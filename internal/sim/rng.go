@@ -184,11 +184,26 @@ func (z *ZipfCDF) Probabilities() []float64 {
 	return probs
 }
 
+// maxRankCount is the widest guide bucket Rank resolves by counting.
+const maxRankCount = 64
+
 // Rank returns the first rank whose cdf >= u, for u in [0, 1): the inverse
-// CDF lookup behind every draw.
+// CDF lookup behind every draw. The rank lies in u's guide bucket [lo, hi].
+// It is lo plus the number of ranks in [lo, hi) whose cdf is below u, exact
+// because the CDF is non-decreasing; a bucket wider than maxRankCount is
+// binary-searched instead.
 func (z *ZipfCDF) Rank(u float64) int {
 	j := int(u * z.k)
 	lo, hi := int(z.guide[j]), int(z.guide[j+1])
+	if hi-lo <= maxRankCount {
+		rank := lo
+		for _, c := range z.cdf[lo:hi] {
+			if c < u {
+				rank++
+			}
+		}
+		return rank
+	}
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if z.cdf[mid] < u {

@@ -290,8 +290,8 @@ func NewBench() *Bench { return experiments.NewBench() }
 type HotPathBenchmark = experiments.HotPathBenchmark
 
 // RunHotPaths measures the per-batch retrieval hot paths, input generation
-// and model construction, the hot-row cache's probe loop and a short serving
-// run, recording each measurement on b.
+// (the bulk Zipf rank kernel among it) and model construction, the hot-row
+// cache's probe loop and a short serving run, recording each measurement on b.
 func RunHotPaths(b *Bench) error { return experiments.RunHotPaths(b) }
 
 // AblationTable renders ablation results as a table.
