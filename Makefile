@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff bench-smoke chaos multinode placement precision serving report fmt vet loc
+.PHONY: build test race bench benchdiff .bench-tmp/bench.txt bench-smoke chaos multinode placement precision serving report fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -11,24 +11,35 @@ test:
 race:
 	$(GO) test -race ./...
 
-# bench regenerates results/bench.json: the experiment wall-clock records
-# plus the per-batch hot-path benchmarks (ns/op, allocs/op) future PRs diff
-# against for regressions. The diff against the previous baseline is printed
-# first (non-fatal here — regenerating is how an accepted change lands).
-bench:
-	$(GO) run ./cmd/report -bench -batches 10 -seeds 0 -out .bench-tmp >/dev/null
-	-$(GO) run ./cmd/benchdiff -old results/bench.json -new .bench-tmp/bench.json
+# The hot-path rows of results/bench.json are the packages' own Go
+# benchmarks: `cmd/benchdiff` names BenchmarkX/sub in internal/<pkg> the row
+# <pkg>/X/sub and keeps the median ns/op and the largest allocs/op over the
+# three runs below. Run one row alone with
+# go test -run '^$' -bench '^BenchmarkX$' ./internal/<pkg>.
+.bench-tmp/bench.txt:
+	@mkdir -p .bench-tmp
+	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 250ms ./internal/... > $@ || { cat $@; exit 1; }
+
+# bench regenerates results/bench.json: the experiment wall-clock records of
+# a short cmd/report run plus the hot-path rows (ns/op, B/op, allocs/op)
+# future changes diff against for regressions. The diff against the previous
+# baseline is printed first (non-fatal here — regenerating is how an accepted
+# change lands).
+bench: .bench-tmp/bench.txt
+	$(GO) run ./cmd/report -batches 10 -seeds 0 -out .bench-tmp >/dev/null
+	-$(GO) run ./cmd/benchdiff -old results/bench.json -new .bench-tmp/bench.txt
+	$(GO) run ./cmd/benchdiff -new .bench-tmp/bench.txt -write .bench-tmp/bench.json
 	@mkdir -p results
 	@cp .bench-tmp/bench.json results/bench.json && rm -rf .bench-tmp
 	@echo "wrote results/bench.json"
 
-# benchdiff measures the hot paths fresh and FAILS on regressions against
-# the committed results/bench.json — the CI gate. Override the ns/op
-# tolerance (percent) with TOLERANCE; allocs/op regressions always fail.
+# benchdiff runs the Go benchmarks fresh and FAILS on regressions against the
+# hot-path rows of the committed results/bench.json — the CI gate. Override
+# the ns/op tolerance (percent) with TOLERANCE; allocs/op regressions always
+# fail.
 TOLERANCE ?= 15
-benchdiff:
-	$(GO) run ./cmd/report -bench -batches 10 -seeds 0 -out .bench-tmp >/dev/null
-	$(GO) run ./cmd/benchdiff -old results/bench.json -new .bench-tmp/bench.json -tolerance $(TOLERANCE)
+benchdiff: .bench-tmp/bench.txt
+	$(GO) run ./cmd/benchdiff -old results/bench.json -new .bench-tmp/bench.txt -tolerance $(TOLERANCE)
 	@rm -rf .bench-tmp
 
 # bench-smoke compiles and runs every Go benchmark once — the CI guard that

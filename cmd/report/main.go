@@ -6,15 +6,14 @@
 //
 // Usage:
 //
-//	report [-out results] [-batches 100] [-seeds 3] [-dedup] [-bench]
+//	report [-out results] [-batches 100] [-seeds 3] [-dedup]
 //	       [-backend pgas-fused] [-parallel N] [-timeout 0]
 //
 // -dedup adds the batch-level index-deduplication axis to the scaling
 // sweeps (each backend runs with dedup off and on; the tables grow the
 // dedup columns). -backend swaps the accelerated column's backend for any
 // registered name (e.g. hybrid); the baseline column always runs for
-// comparison. -bench additionally measures the per-batch retrieval hot
-// paths with Go benchmarks and records them in bench.json.
+// comparison.
 //
 // Independent simulation runs within each experiment execute concurrently
 // on -parallel workers (default GOMAXPROCS); the tables and CSVs are
@@ -38,7 +37,6 @@ func main() {
 	seeds := flag.Int("seeds", 3, "workload seeds for the statistics tables (0 = skip)")
 	dedup := flag.Bool("dedup", false, "add the index-deduplication axis to the scaling sweeps")
 	backend := flag.String("backend", "pgas-fused", "registered backend for the accelerated column (baseline always runs for comparison)")
-	benchHot := flag.Bool("bench", false, "measure the per-batch hot paths and record them in bench.json")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
 	timeout := flag.Duration("timeout", 0, "abort the whole report after this duration (0 = no limit)")
 	flag.Parse()
@@ -136,17 +134,6 @@ func main() {
 				cliflag.Fatal(err)
 			}
 			write(fmt.Sprintf("stats_%s", kind), pgasemb.StatsTable(kind, stats))
-		}
-	}
-
-	if *benchHot {
-		fmt.Println("== Hot-path benchmarks ==")
-		if err := pgasemb.RunHotPaths(bench); err != nil {
-			cliflag.Fatal(err)
-		}
-		for _, h := range bench.Report().HotPaths {
-			fmt.Printf("%-36s %10.0f ns/op  %6d B/op  %4d allocs/op\n",
-				h.Name, h.NsPerOp, h.BytesPerOp, h.AllocsPerOp)
 		}
 	}
 

@@ -168,11 +168,11 @@ func TestClockKeepsHotHead(t *testing.T) {
 // Once the slots have filled, probes, admissions and evictions allocate
 // nothing.
 func TestTouchAdmitSteadyStateZeroAllocs(t *testing.T) {
-	keys := ZipfKeys(1<<14, 24, 4096, 1.05, 7)
+	keys := zipfKeys(1<<14, 24, 4096, 1.05, 7)
 	for _, slots := range []int{1 << 16, 512} {
 		c := New(slots, 8, uniform(24, 4096), false)
-		TouchAdmitLoop(c, keys, len(keys))
-		if allocs := testing.AllocsPerRun(5, func() { TouchAdmitLoop(c, keys, len(keys)) }); allocs != 0 {
+		touchAdmitLoop(c, keys, len(keys))
+		if allocs := testing.AllocsPerRun(5, func() { touchAdmitLoop(c, keys, len(keys)) }); allocs != 0 {
 			t.Fatalf("%d slots: steady-state probe loop allocated %v times per pass", slots, allocs)
 		}
 		if st := c.Stats(); slots == 512 && st.Evictions == 0 {

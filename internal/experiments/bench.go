@@ -17,7 +17,6 @@ type Bench struct {
 	mu          sync.Mutex
 	cur         *BenchExperiment
 	experiments []*BenchExperiment
-	hot         []HotPathBenchmark
 }
 
 // BenchExperiment is one experiment's timing record.
@@ -79,35 +78,12 @@ func (b *Bench) noteRun(d time.Duration) {
 	b.cur.RunSeconds += d.Seconds()
 }
 
-// HotPathBenchmark is one Go-benchmark measurement of a per-batch hot path
-// (the steady-state RunBatch loop the arenas keep allocation-free). Future
-// PRs diff these fields against the committed bench.json to catch ns/op or
-// allocs/op regressions.
-type HotPathBenchmark struct {
-	Name        string  `json:"name"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     float64 `json:"ns_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-}
-
-// NoteHotPath records one hot-path benchmark measurement.
-func (b *Bench) NoteHotPath(h HotPathBenchmark) {
-	if b == nil {
-		return
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.hot = append(b.hot, h)
-}
-
 // BenchReport is the machine-readable summary written to bench.json.
 type BenchReport struct {
 	GoMaxProcs       int                `json:"gomaxprocs"`
 	TotalWallSeconds float64            `json:"total_wall_seconds"`
 	TotalRunSeconds  float64            `json:"total_run_seconds"`
 	Experiments      []*BenchExperiment `json:"experiments"`
-	HotPaths         []HotPathBenchmark `json:"hot_paths,omitempty"`
 }
 
 // Report assembles the recorded experiments into a report.
@@ -124,7 +100,6 @@ func (b *Bench) Report() *BenchReport {
 		rep.TotalWallSeconds += e.WallSeconds
 		rep.TotalRunSeconds += e.RunSeconds
 	}
-	rep.HotPaths = append(rep.HotPaths, b.hot...)
 	return rep
 }
 

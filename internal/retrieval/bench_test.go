@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"runtime"
 	"testing"
 
@@ -37,10 +38,60 @@ func benchRunHW(b *testing.B, cfg Config, hw HardwareParams, backend Backend) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	benchSystem(b, sys, backend)
+}
+
+// benchSystem measures backend's steady-state RunBatch on sys, so that
+// allocs/op counts the batches alone, whatever b.N. A one-batch loop before
+// the timer grows the system's arenas, and the timer restarts from an event
+// queued ahead of BenchLoop's own, which runs first when the loop starts the
+// environment, after its batches are drawn and classified.
+func benchSystem(b *testing.B, sys *System, backend Backend) {
+	b.Helper()
+	if err := BenchLoop(sys, backend, 1); err != nil {
+		b.Fatal(err)
+	}
 	b.ReportAllocs()
-	b.ResetTimer()
+	sys.Env.After(0, b.ResetTimer)
 	if err := BenchLoop(sys, backend, b.N); err != nil {
 		b.Fatal(err)
+	}
+}
+
+// benchPlacementConfig is benchConfig under adaptive placement, rebalancing
+// every 8 batches.
+func benchPlacementConfig() Config {
+	cfg := benchConfig()
+	cfg.AdaptivePlacement = true
+	cfg.RebalanceEvery = 8
+	return cfg
+}
+
+// benchMirrorConfig is benchPlacementConfig with two hot-table mirrors and
+// two dominant tables (pooling up to 64) for them to hold.
+func benchMirrorConfig() Config {
+	cfg := benchPlacementConfig()
+	cfg.HotTables = 2
+	cfg.PerFeatureMaxPooling = SkewedPooling(cfg.TotalTables, 2.0/16, 64, cfg.MaxPooling)
+	return cfg
+}
+
+// primeMirrors observes two batches on sys and forces one rebalance, so the
+// steady state measured next is "after the first epoch", when every batch
+// carries a hot-mirror view. It fails if the rebalance installed no mirror,
+// which would leave the mirror path unmeasured.
+func primeMirrors(tb testing.TB, sys *System) {
+	tb.Helper()
+	for i := 0; i < 2; i++ {
+		if _, err := sys.NextBatchData(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	if err := sys.rebalanceNow(context.Background()); err != nil {
+		tb.Fatal(err)
+	}
+	if !sys.hotMirrorActive() {
+		tb.Fatal("rebalance installed no mirror; the mirror path would go unmeasured")
 	}
 }
 
@@ -56,6 +107,10 @@ func BenchmarkBaselineBatchDedup(b *testing.B) {
 
 func BenchmarkPGASFusedBatch(b *testing.B) {
 	benchRun(b, benchConfig(), &PGASFused{})
+}
+
+func BenchmarkHybridBatch(b *testing.B) {
+	benchRun(b, benchConfig(), &Hybrid{})
 }
 
 func BenchmarkPGASFusedBatchDedup(b *testing.B) {
@@ -97,6 +152,21 @@ func BenchmarkPGASFusedBatchReplicated(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Replicas = 2
 	benchRun(b, cfg, &PGASFused{})
+}
+
+// Adaptive placement: the statistics collector on the compile pass, and a
+// live mirror set serving hot tables through the CacheView skip path.
+func BenchmarkPGASFusedBatchPlacement(b *testing.B) {
+	benchRun(b, benchPlacementConfig(), &PGASFused{})
+}
+
+func BenchmarkPGASFusedBatchPlacementMirror(b *testing.B) {
+	sys, err := NewSystem(benchMirrorConfig(), DefaultHardware())
+	if err != nil {
+		b.Fatal(err)
+	}
+	primeMirrors(b, sys)
+	benchSystem(b, sys, &PGASFused{})
 }
 
 func BenchmarkBaselineBatchReplicated(b *testing.B) {
@@ -142,23 +212,31 @@ func BenchmarkHybridBatchMixed(b *testing.B) {
 
 // BenchmarkRoutePlanCompile measures the host-side route-plan compiler
 // across its classifier variants: plain, dedup key sets, hot-row cache view,
-// both combined, and node-level dedup on a 2-node cluster.
+// both combined, node-level dedup on a 2-node cluster, and a live mirror set
+// whose tables skip the residency pass, alone and beside a cache the other
+// tables probe and admit.
 func BenchmarkRoutePlanCompile(b *testing.B) {
 	cases := []struct {
 		name    string
 		dedup   bool
 		cached  bool
 		cluster bool
+		mirror  bool
 	}{
-		{"plain", false, false, false},
-		{"dedup", true, false, false},
-		{"cache", false, true, false},
-		{"dedup-cache", true, true, false},
-		{"cluster-dedup", true, false, true},
+		{"plain", false, false, false, false},
+		{"dedup", true, false, false, false},
+		{"cache", false, true, false, false},
+		{"dedup-cache", true, true, false, false},
+		{"cluster-dedup", true, false, true, false},
+		{"placement-mirror", false, false, false, true},
+		{"placement-mirror-cache", false, true, false, true},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			cfg := benchConfig()
+			if c.mirror {
+				cfg = benchMirrorConfig()
+			}
 			cfg.Dedup = c.dedup
 			if c.cached {
 				cfg.CacheFraction = 0.0001
@@ -171,10 +249,50 @@ func BenchmarkRoutePlanCompile(b *testing.B) {
 			if err != nil {
 				b.Fatal(err)
 			}
+			if c.mirror {
+				primeMirrors(b, sys)
+			}
+			// A first compile grows the plan's arenas before the timer.
+			if err := PlanCompileLoop(sys, 1); err != nil {
+				b.Fatal(err)
+			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			if err := PlanCompileLoop(sys, b.N); err != nil {
 				b.Fatal(err)
+			}
+		})
+	}
+}
+
+// BenchmarkNextBatchData measures one timing-mode NextBatchData at two
+// benchmark workloads' shapes: at infer-weak4's, the pooling draw plus the
+// route plan's prefix sums; at infer-cluster16's, each feature's bags drawn
+// and run through the dedup walk as they are drawn. A draw before the timer
+// sizes the reused buffers.
+func BenchmarkNextBatchData(b *testing.B) {
+	for _, c := range []struct {
+		name string
+		cfg  Config
+		hw   HardwareParams
+	}{
+		{"infer-weak4", WeakScalingConfig(4), DefaultHardware()},
+		{"infer-cluster16", MultiNodeConfig(4, 4), ClusterHardware(4)},
+	} {
+		b.Run("shape="+c.name, func(b *testing.B) {
+			sys, err := NewSystem(c.cfg, c.hw)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := sys.NextBatchData(); err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := sys.NextBatchData(); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}

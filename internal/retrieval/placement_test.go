@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -385,31 +384,15 @@ func TestAdaptivePlacementSteadyStateZeroAllocs(t *testing.T) {
 	cfg.AdaptivePlacement = true
 	cfg.RebalanceEvery = 2
 	cfg.HotTables = 2
-	r := testing.Benchmark(func(b *testing.B) {
-		sys, err := NewSystem(cfg, DefaultHardware())
-		if err != nil {
-			b.Fatal(err)
-		}
-		// Observe a couple of batches and force one rebalance so the mirror
-		// set is installed — the steady state under measurement is "after the
-		// first epoch", when every batch carries a hot-mirror view.
-		for i := 0; i < 2; i++ {
-			if _, err := sys.NextBatchData(); err != nil {
-				b.Fatal(err)
-			}
-		}
-		if err := sys.rebalanceNow(context.Background()); err != nil {
-			b.Fatal(err)
-		}
-		if !sys.hotMirrorActive() {
-			b.Fatal("rebalance did not install mirrors; the benchmark would not cover the mirror path")
-		}
-		b.ReportAllocs()
-		b.ResetTimer()
-		if err := BenchLoop(sys, &PGASFused{}, b.N); err != nil {
-			b.Fatal(err)
-		}
-	})
+	sys, err := NewSystem(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	primeMirrors(t, sys)
+	r := testing.Benchmark(func(b *testing.B) { benchSystem(b, sys, &PGASFused{}) })
+	if r.N == 0 {
+		t.Fatal("the steady-state benchmark failed")
+	}
 	if allocs := r.AllocsPerOp(); allocs != 0 {
 		t.Errorf("placement steady state allocates %d allocs/op (want 0)", allocs)
 	}

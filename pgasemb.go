@@ -285,15 +285,6 @@ type BenchReport = experiments.BenchReport
 // NewBench returns an empty experiment-timing recorder.
 func NewBench() *Bench { return experiments.NewBench() }
 
-// HotPathBenchmark is one Go-benchmark measurement of a per-batch hot path,
-// recorded into bench.json for regression tracking.
-type HotPathBenchmark = experiments.HotPathBenchmark
-
-// RunHotPaths measures the per-batch retrieval hot paths, input generation
-// (the bulk Zipf rank kernel among it) and model construction, the hot-row
-// cache's probe loop and a short serving run, recording each measurement on b.
-func RunHotPaths(b *Bench) error { return experiments.RunHotPaths(b) }
-
 // AblationTable renders ablation results as a table.
 func AblationTable(results []AblationResult) *RenderedTable {
 	return experiments.AblationTable(results)
