@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 
+	"pgasemb/internal/gpu"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
@@ -23,6 +24,7 @@ type Pipeline struct {
 	Backend retrieval.Backend
 	Model   *Model
 
+	// denseGen draws the dense inputs of functional runs.
 	denseGen *workload.Generator
 }
 
@@ -117,157 +119,113 @@ func (pl *Pipeline) Run() (*PipelineResult, error) {
 // RunContext is Run with cancellation: the run stops with ctx.Err() when ctx
 // is cancelled or its deadline passes. A cancelled pipeline is left
 // mid-simulation and must be discarded.
+//
+// Every batch runs the same schedule on each GPU: a lockstep rendezvous, the
+// top MLP queued on the dense stream, the EMB retrieval driving the process,
+// a second rendezvous (the EMB layer is complete only once every GPU's
+// one-sided stores have landed — the paper's Listing 2 synchronises all
+// devices' streams for the same reason), then the interaction + bottom MLP
+// tail once the top MLP is done. At depth 1 the GPU drains the tail before
+// the next batch. At depth d > 1 (software pipelining, inter-batch double
+// buffering) the tail of batch N stays queued while the process moves on to
+// batch N+1's exchange in the next staging slot; a slot is reused only once
+// its previous occupant's tail has drained, and the exchange gate tells
+// collective backends where the dense stream's queue ends, because a
+// collective kernel cannot overtake compute kernels launched before it —
+// which is why the baseline overlaps only its pre-collective phases while
+// one-sided stores (issued from inside the fused gather kernel) proceed
+// immediately.
 func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	s := pl.Sys
 	cfg := s.Cfg
 	res := &PipelineResult{Backend: pl.Backend.Name()}
-
-	perGPU := make([]*trace.Breakdown, cfg.GPUs)
-	for g := range perGPU {
-		perGPU[g] = &trace.Breakdown{}
-	}
-	embEnd := make([]sim.Duration, cfg.GPUs)
-
-	type batchIn struct {
-		bd    *retrieval.BatchData
-		dense *tensor.Tensor
-	}
-	batches := make([]batchIn, cfg.Batches)
-	for i := range batches {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		bd, err := s.NextBatchData()
-		if err != nil {
-			return nil, err
-		}
-		batches[i] = batchIn{bd: bd}
-		if cfg.Functional {
-			batches[i].dense = pl.denseGen.NextDense()
-		}
-	}
-
-	barrier := sim.NewBarrier(s.Env, cfg.GPUs)
 	depth := s.PipelineDepth()
-	denseEnd := make([]sim.Duration, cfg.GPUs)
+	n := cfg.Batches
+
+	type gpuState struct {
+		dense              *gpu.Stream
+		top, tail          sim.Duration
+		lo, mini           int
+		tailRing           []sim.Time // tail end of the batch last in each slot
+		embTime, denseTime sim.Duration
+		bk                 trace.Breakdown
+	}
+	gpus := make([]gpuState, cfg.GPUs)
+	features := pl.Model.Cfg.NumSparse + 1
+	for g := range gpus {
+		dev := s.Devs[g]
+		lo, hi := s.Minibatch(g)
+		mini := hi - lo
+		// The explicit float64 conversion rounds the product, so no
+		// architecture fuses it into the add below.
+		interFLOPs := float64(float64(mini) * float64(features*(features-1)/2) * float64(2*cfg.Dim))
+		st := &gpus[g]
+		st.dense = dev.NewStream("dense")
+		st.lo, st.mini = lo, mini
+		st.top = dev.MLPKernelCost(pl.Model.Top.FLOPs(mini), pl.Model.Top.Bytes(mini))
+		st.tail = dev.MLPKernelCost(
+			interFLOPs+pl.Model.Bottom.FLOPs(mini),
+			pl.Model.DensePathBytes(mini)-pl.Model.Top.Bytes(mini))
+		if depth > 1 {
+			st.tailRing = make([]sim.Time, depth)
+		}
+		st.denseTime = sim.Duration(n) * (st.top + st.tail)
+	}
+	functional := cfg.Functional
 	var preds []*tensor.Tensor
-	if cfg.Functional {
+	if functional {
 		preds = make([]*tensor.Tensor, cfg.GPUs)
 	}
-	var runErr error
+	embDone := sim.NewBarrier(s.Env, cfg.GPUs)
 	start := s.Env.Now()
-	for g := 0; g < cfg.GPUs; g++ {
-		g := g
-		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("dlrm: GPU %d: %v", g, r)
-				}
-			}()
-			dev := s.Devs[g]
-			denseStream := dev.NewStream("dense")
-			lo, hi := s.Minibatch(g)
-			mini := hi - lo
-			topCost := dev.MLPKernelCost(pl.Model.Top.FLOPs(mini), pl.Model.Top.Bytes(mini))
-			features := pl.Model.Cfg.NumSparse + 1
-			interFLOPs := float64(mini) * float64(features*(features-1)/2) * float64(2*cfg.Dim)
-			tailCost := dev.MLPKernelCost(
-				interFLOPs+pl.Model.Bottom.FLOPs(mini),
-				pl.Model.DensePathBytes(mini)-pl.Model.Top.Bytes(mini))
-			denseEnd[g] = sim.Duration(len(batches)) * (topCost + tailCost)
-
-			if depth > 1 {
-				// Software-pipelined schedule (inter-batch double buffering):
-				// the interaction + bottom MLP of batch N stays queued on the
-				// dense stream while this process moves on to batch N+1's EMB
-				// exchange in the next staging slot. A slot is reused only
-				// once its previous occupant's tail has drained (the ring
-				// wait below); the exchange gate tells collective backends
-				// where the dense stream's queue ends, because a collective
-				// kernel cannot overtake compute kernels launched before it —
-				// which is why the baseline overlaps only its pre-collective
-				// phases while one-sided stores (issued from inside the fused
-				// gather kernel) proceed immediately.
-				tailRing := make([]sim.Time, depth)
-				var lastTail sim.Time
-				for _, in := range batches {
-					p.WaitUntil(tailRing[in.bd.Slot])
-					barrier.Await(p)
-					embStart := p.Now()
-					s.SetExchangeGate(g, denseStream.BusyUntil())
-					_, topEnd := denseStream.Launch(p, topCost)
-					pl.Backend.RunBatch(s, p, g, in.bd, perGPU[g])
-					barrier.Await(p)
-					embEnd[g] += p.Now() - embStart
-					if cfg.Functional {
-						denseMini := in.dense.Narrow(0, lo, mini).Contiguous()
-						preds[g] = pl.Model.Forward(denseMini, in.bd.Final[g])
-					}
-					p.WaitUntil(topEnd)
-					_, tailEnd := denseStream.Launch(p, tailCost)
-					tailRing[in.bd.Slot] = tailEnd
-					lastTail = tailEnd
-				}
-				p.WaitUntil(lastTail)
-				denseStream.Synchronize(p)
-				barrier.Await(p)
-				return
-			}
-
-			for bi, in := range batches {
-				barrier.Await(p)
-				s.ApplyFaults(bi)
-				// Dense path and EMB retrieval run concurrently (Figure 4):
-				// the top MLP is queued on its own stream, then the EMB
-				// backend drives this process.
-				embStart := p.Now()
-				_, topEnd := denseStream.Launch(p, topCost)
-				pl.Backend.RunBatch(s, p, g, in.bd, perGPU[g])
-				// The EMB layer is only complete once EVERY GPU's one-sided
-				// stores have landed: quiet covers a GPU's own sends, so the
-				// consumers must rendezvous before touching the gathered
-				// embeddings (the paper's Listing 2 synchronises all
-				// devices' streams for the same reason).
-				barrier.Await(p)
-				embEnd[g] += p.Now() - embStart
-				p.WaitUntil(topEnd)
-				// Interaction + bottom MLP consume the gathered minibatch.
-				_, tailEnd := denseStream.Launch(p, tailCost)
-				p.WaitUntil(tailEnd)
-				denseStream.Synchronize(p)
-
-				if cfg.Functional {
-					denseMini := in.dense.Narrow(0, lo, mini).Contiguous()
-					preds[g] = pl.Model.Forward(denseMini, in.bd.Final[g])
-				}
-			}
-			barrier.Await(p)
-		})
-	}
-	if _, err := s.Env.RunContext(ctx); err != nil {
+	last, err := s.Drive(ctx, 1, func(p *sim.Proc, g, i int, bd *retrieval.BatchData) {
+		if functional && g == 0 {
+			// GPU 0 draws the batch's dense input into res.LastDense. Every
+			// GPU reads it only after embDone, which GPU 0 reaches after the
+			// draw, and the lockstep drive starts no GPU on this batch
+			// before all have finished the previous one.
+			res.LastDense = pl.denseGen.NextDense()
+		}
+		st := &gpus[g]
+		embStart := p.Now()
+		// At depth 1 the stream has drained, so the gate is already open.
+		s.SetExchangeGate(g, st.dense.BusyUntil())
+		_, topEnd := st.dense.Launch(p, st.top)
+		pl.Backend.RunBatch(s, p, g, bd, &st.bk)
+		embDone.Await(p)
+		st.embTime += p.Now() - embStart
+		if functional {
+			denseMini := res.LastDense.Narrow(0, st.lo, st.mini).Contiguous()
+			preds[g] = pl.Model.Forward(denseMini, bd.Final[g])
+		}
+		p.WaitUntil(topEnd)
+		_, tailEnd := st.dense.Launch(p, st.tail)
+		if depth > 1 && i+1 < n {
+			st.tailRing[i%depth] = tailEnd
+			p.WaitUntil(st.tailRing[(i+1)%depth])
+			return
+		}
+		p.WaitUntil(tailEnd)
+		st.dense.Synchronize(p)
+	})
+	if err != nil {
 		return nil, fmt.Errorf("dlrm: %s pipeline run: %w", pl.Backend.Name(), err)
 	}
-	if runErr != nil {
-		return nil, runErr
-	}
 	res.TotalTime = s.Env.Now() - start
-	for g := 0; g < cfg.GPUs; g++ {
-		if embEnd[g] > res.EMBTime {
-			res.EMBTime = embEnd[g]
-		}
-		if denseEnd[g] > res.DenseTime {
-			res.DenseTime = denseEnd[g]
-		}
+	perGPU := make([]*trace.Breakdown, cfg.GPUs)
+	for g := range gpus {
+		st := &gpus[g]
+		perGPU[g] = &st.bk
+		res.EMBTime = max(res.EMBTime, st.embTime)
+		res.DenseTime = max(res.DenseTime, st.denseTime)
 	}
 	if stall := res.TotalTime - res.DenseTime; stall > 0 {
 		res.EMBStall = stall
 	}
 	res.EMBBreakdown = trace.MergeMax(perGPU...)
 	res.Predictions = preds
-	if cfg.Functional && len(batches) > 0 {
-		last := batches[len(batches)-1]
-		res.LastSparse = last.bd.Sparse
-		res.LastDense = last.dense
+	if functional {
+		res.LastSparse = last.Sparse
 	}
 	return res, nil
 }

@@ -1,30 +1,27 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
-	"strconv"
 
 	"pgasemb/internal/sim"
 	"pgasemb/internal/trace"
 )
 
-// BenchLoop drives n barrier-synchronised batches of backend b over ONE
-// pre-generated batch, for Go benchmarks of the per-batch hot path. Input
-// generation, cache/dedup classification and buffer attachment run once,
-// outside the measured loop, so what the loop exercises is exactly the
-// steady-state RunBatch path — the code the per-run arenas keep
-// allocation-free.
+// BenchLoop drives n batches of backend b over pre-generated batches, for Go
+// benchmarks of the per-batch hot path. Input generation, cache/dedup
+// classification and buffer attachment run once, outside the measured loop,
+// so what the loop exercises is exactly the steady-state RunBatch path — the
+// code the per-run arenas keep allocation-free.
 //
-// The batch's input and classification state is reused read-only by every
-// iteration; output buffers are rewritten in place, which every backend
-// tolerates (they overwrite). Each iteration starts by emptying the
-// communication-volume traces, which only a Run's Result reads.
-//
-// With Config.PipelineDepth > 1 the loop drives the window-pipelined
-// schedule instead: one pre-generated batch per staging slot (cycled
-// round-robin), with the sliding-window rendezvous in place of the lockstep
-// barrier — the same per-slot hot path the pipelined DLRM scheduler runs,
-// still allocation-free in steady state.
+// The loop draws one batch per pipeline slot and cycles them round-robin
+// through the run's batch driver: barrier-synchronised at depth 1, and at
+// Config.PipelineDepth > 1 the window-pipelined schedule, the same per-slot
+// hot path the pipelined DLRM scheduler runs. The batches' input and
+// classification state is reused read-only by every iteration; output buffers
+// are rewritten in place, which every backend tolerates (they overwrite).
+// Each iteration starts by emptying the communication-volume traces, which
+// only a Run's Result reads.
 func BenchLoop(s *System, b Backend, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("retrieval: BenchLoop needs a positive batch count, got %d", n)
@@ -42,42 +39,14 @@ func BenchLoop(s *System, b Backend, n int) error {
 	for g := range bks {
 		bks[g] = &trace.Breakdown{}
 	}
-	barrier := sim.NewBarrier(s.Env, s.Cfg.GPUs)
-	var win *sim.Window
-	if depth > 1 {
-		win = sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
+	err := s.drive(&batchLoop{ctx: context.Background(), n: n, fixed: bds}, depth, func(p *sim.Proc, g, _ int, bd *BatchData) {
+		s.dropVolumeRecords(g)
+		b.RunBatch(s, p, g, bd, bks[g])
+	})
+	if err != nil {
+		return fmt.Errorf("retrieval: BenchLoop: %w", err)
 	}
-	var runErr error
-	for g := 0; g < s.Cfg.GPUs; g++ {
-		g := g
-		// Named without fmt: its printer pool drops entries at random under
-		// the race detector, which would make set-up allocation counts vary.
-		s.Env.Go("gpu"+strconv.Itoa(g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("retrieval: GPU %d: %v", g, r)
-				}
-			}()
-			if win != nil {
-				for i := 0; i < n; i++ {
-					win.Enter(p, i)
-					s.dropVolumeRecords(g)
-					b.RunBatch(s, p, g, bds[i%depth], bks[g])
-					win.Retire(g)
-				}
-				barrier.Await(p)
-				return
-			}
-			for i := 0; i < n; i++ {
-				barrier.Await(p)
-				s.dropVolumeRecords(g)
-				b.RunBatch(s, p, g, bds[0], bks[g])
-			}
-			barrier.Await(p)
-		})
-	}
-	s.Env.Run()
-	return runErr
+	return nil
 }
 
 // dropVolumeRecords empties GPU g's one-sided volume trace and, from GPU 0,

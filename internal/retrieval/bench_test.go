@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"context"
 	"runtime"
 	"testing"
 
@@ -87,7 +86,7 @@ func primeMirrors(tb testing.TB, sys *System) {
 			tb.Fatal(err)
 		}
 	}
-	if err := sys.rebalanceNow(context.Background()); err != nil {
+	if _, err := sys.rebalanceNow(); err != nil {
 		tb.Fatal(err)
 	}
 	if !sys.hotMirrorActive() {

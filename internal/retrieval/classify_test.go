@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"context"
 	"fmt"
 	"slices"
 	"testing"
@@ -338,7 +337,7 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 				}
 				for _, s := range []*System{fs, ts} {
 					if s.placementEnabled() && s.placeCtl.Due(b+1) {
-						if err := s.rebalanceNow(context.Background()); err != nil {
+						if _, err := s.rebalanceNow(); err != nil {
 							t.Fatal(err)
 						}
 					}

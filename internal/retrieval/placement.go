@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"context"
 	"fmt"
 	"math/bits"
 
@@ -19,8 +18,8 @@ import (
 //     view (classifyResidency), so every backend's existing hit-skipping
 //     path serves mirror reads with zero backend edits;
 //   - rebalance epochs run on the ONE simulated clock: migration traffic is
-//     charged to the NVLink pipes (or the NIC fabric across nodes) between
-//     epochs, and plans swap only at batch boundaries.
+//     charged to the NVLink pipes (or the NIC fabric across nodes) at the
+//     epoch boundary, and the boundary batch starts once it has landed.
 //
 // Determinism: the controller sees identical statistics whether the run is
 // timing-only or functional (both feed from the materialised batch), so the
@@ -66,6 +65,12 @@ func (s *System) resetOwnerLoad() {
 // it between dispatches.
 func (s *System) OwnerLoad() (keys []int64, bytes []float64) {
 	return s.ownerKeys, s.ownerBytes
+}
+
+// Migration returns the run's adaptive-placement plan swaps and migrated
+// bytes so far (the live counters behind Result.Rebalances/MigratedBytes).
+func (s *System) Migration() (rebalances int, bytes float64) {
+	return s.rebalances, s.migratedBytes
 }
 
 // observeBatch folds one compiled batch into the run's load accounting and
@@ -140,26 +145,25 @@ func (s *System) accumOwnerLoad(bd *BatchData) {
 }
 
 // rebalanceNow asks the controller for an epoch decision and applies it to
-// the machine: the plan swap (shards re-pointed, no weights copied), the
-// mirror-set update, and the migration traffic both cost — charged on the
-// simulated clock so rebalancing is never free in TotalTime.
-func (s *System) rebalanceNow(ctx context.Context) error {
+// the machine: the plan swap (shards re-pointed, no weights copied) and the
+// mirror-set update. It offers the migration traffic both cost to the fabric
+// and returns when the last of it lands, the earliest the next batch may
+// start, so rebalancing is never free in TotalTime.
+func (s *System) rebalanceNow() (sim.Time, error) {
 	reb, err := s.placeCtl.Rebalance()
 	if err != nil {
-		return fmt.Errorf("retrieval: rebalance: %w", err)
+		return 0, fmt.Errorf("retrieval: rebalance: %w", err)
 	}
 	if reb.Swapped {
 		s.applyPlan(reb.Plan)
 		s.rebalances++
 	}
 	s.setHot(reb.Hot)
-	if reb.MoveBytes+reb.MirrorBytes > 0 {
-		s.migratedBytes += float64(reb.MoveBytes + reb.MirrorBytes)
-		if err := s.chargeMigration(ctx, reb); err != nil {
-			return err
-		}
+	if reb.MoveBytes+reb.MirrorBytes == 0 {
+		return 0, nil
 	}
-	return nil
+	s.migratedBytes += float64(reb.MoveBytes + reb.MirrorBytes)
+	return s.chargeMigration(reb), nil
 }
 
 // applyPlan installs a new sharding plan on the run: Plan is rewritten in
@@ -199,10 +203,10 @@ func (s *System) setHot(hot []int) {
 
 // chargeMigration prices a rebalance decision's data movement on the live
 // machine: each moved shard rides the direct NVLink pipe (or the NIC fabric
-// when source and destination sit on different nodes), each new mirror is
-// copied from its owner to every other GPU, and the clock advances to the
-// last delivery — the availability cost of rebalancing under traffic.
-func (s *System) chargeMigration(ctx context.Context, reb *placement.Rebalance) error {
+// when source and destination sit on different nodes), and each new mirror
+// is copied from its owner to every other GPU. It returns the last delivery
+// time — the availability cost of rebalancing under traffic.
+func (s *System) chargeMigration(reb *placement.Rebalance) sim.Time {
 	tb := s.placeCtl.Config().TableBytes
 	var until sim.Time
 	send := func(src, dst int, bytes int64) {
@@ -235,11 +239,5 @@ func (s *System) chargeMigration(ctx context.Context, reb *placement.Rebalance) 
 			}
 		}
 	}
-	if until > s.Env.Now() {
-		s.Env.Go("placement-migrate", func(p *sim.Proc) { p.WaitUntil(until) })
-		if _, err := s.Env.RunContext(ctx); err != nil {
-			return fmt.Errorf("retrieval: migration wait: %w", err)
-		}
-	}
-	return nil
+	return until
 }

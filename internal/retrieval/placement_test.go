@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"context"
 	"fmt"
 	"math"
 	"reflect"
@@ -10,7 +11,9 @@ import (
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/metrics"
 	"pgasemb/internal/placement"
+	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
+	"pgasemb/internal/trace"
 	"pgasemb/internal/workload"
 )
 
@@ -427,5 +430,86 @@ func TestAdaptivePlacementUnderDrift(t *testing.T) {
 	}
 	if a.Rebalances == 0 && a.MigratedBytes == 0 {
 		t.Fatal("drifting adaptive run never rebalanced")
+	}
+}
+
+// pipelinedPlacementTimes pins each registered backend's simulated total on
+// TestPipelinedPlacementRunsLockstep's run, the lockstep schedule that
+// finishes every rebalance epoch before it swaps the plan.
+var pipelinedPlacementTimes = map[string]sim.Duration{
+	"baseline":                  0.8099957518349503,
+	"baseline-direct-placement": 0.3177677518349504,
+	"hybrid":                    0.3202582287242682,
+	"pgas-fused":                0.3202582287242682,
+	"pgas-overlap-only":         0.812341873168713,
+}
+
+// batchRecorder is a backend that records the batches GPU 0 runs.
+type batchRecorder struct {
+	Backend
+	ran []*BatchData
+}
+
+func (r *batchRecorder) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
+	if g == 0 {
+		r.ran = append(r.ran, bd)
+	}
+	r.Backend.RunBatch(s, p, g, bd, bk)
+}
+
+// TestPipelinedPlacementRunsLockstep runs adaptive placement with
+// PipelineDepth 2. A plan swap must never reach a batch still in flight, so
+// the run is lockstep: every batch sits in slot 0, Drive refuses depth 2,
+// every batch's functional outputs equal the serial reference, and the
+// simulated total is pinned.
+func TestPipelinedPlacementRunsLockstep(t *testing.T) {
+	for _, name := range RegisteredBackends() {
+		t.Run(name, func(t *testing.T) {
+			cfg := placementSkewConfig()
+			cfg.Functional = true
+			cfg.PipelineDepth = 2
+			cfg.AdaptivePlacement = true
+			cfg.RebalanceEvery = 3
+			cfg.HotTables = 2
+			s, err := NewSystem(cfg, DefaultHardware())
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := s.Drive(context.Background(), 2, func(*sim.Proc, int, int, *BatchData) {}); err == nil {
+				t.Fatal("Drive ran an adaptive-placement run at depth 2")
+			}
+			be, err := NewBackendByName(name)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rec := &batchRecorder{Backend: be}
+			res, err := s.Run(rec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Rebalances == 0 {
+				t.Fatal("the run swapped no plan; the test is not exercising placement")
+			}
+			if len(rec.ran) != cfg.Batches {
+				t.Fatalf("GPU 0 ran %d batches, want %d", len(rec.ran), cfg.Batches)
+			}
+			for i, bd := range rec.ran {
+				if bd.Slot != 0 {
+					t.Fatalf("batch %d ran in slot %d, want lockstep slot 0", i, bd.Slot)
+				}
+				want := mustReference(t, s, bd.Sparse)
+				for g := range want {
+					if !tensor.Equal(bd.Final[g], want[g]) {
+						t.Fatalf("batch %d, GPU %d differs from reference (max diff %g)",
+							i, g, tensor.MaxAbsDiff(bd.Final[g], want[g]))
+					}
+				}
+			}
+			if want, ok := pipelinedPlacementTimes[name]; !ok {
+				t.Errorf("no pinned total for %q", name)
+			} else if res.TotalTime != want {
+				t.Errorf("TotalTime %v, want %v", res.TotalTime, want)
+			}
+		})
 	}
 }

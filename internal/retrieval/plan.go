@@ -347,10 +347,12 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 }
 
 // planScratch is the per-run arena for plan COMPILATION: working state that
-// never outlives one NextBatchData call (per-batch outputs — the views, key
-// lists, expansion maps — must stay per-batch allocations, because a run
-// pre-generates every batch before executing).
-// NextBatchData runs host-side on one goroutine, so no synchronisation.
+// never outlives one NextBatchData call. Per-batch outputs — the views, key
+// lists, expansion maps — are still allocated per batch. The run's batch
+// driver (Drive) compiles each batch at its rendezvous, in batch order, and
+// keeps at most depth batches live, so a per-slot arena, the way gpuScratch
+// works, could own them. Simulated processes never run concurrently, so
+// NextBatchData needs no synchronisation.
 type planScratch struct {
 	pairSet    rowSet            // one (consumer, table)'s unique rows
 	nodeSet    rowSet            // one (remote node, table)'s unique rows

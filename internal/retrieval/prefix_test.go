@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"context"
 	"fmt"
 	"reflect"
 	"runtime"
@@ -203,7 +202,7 @@ func TestRoutePlanPrefixesMatchResum(t *testing.T) {
 			for i := 0; i < c.cfg.Batches; i++ {
 				if i > 0 && i == c.rebalanceAt {
 					for _, s := range []*System{fs, ts} {
-						if err := s.rebalanceNow(context.Background()); err != nil {
+						if _, err := s.rebalanceNow(); err != nil {
 							t.Fatal(err)
 						}
 					}

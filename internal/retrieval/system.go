@@ -257,9 +257,10 @@ type BatchData struct {
 // the machine: every connected NVLink pipe's degradation, every device's
 // straggler slowdown, and every NIC rail's degradation. It is idempotent per
 // batch, so every GPU's simulated process calls it right after the batch
-// barrier — the first one through applies, the rest no-op — and it is a no-op when no schedule is installed (healthy factors are exactly 1.0,
-// and multiplying by 1.0 is IEEE-exact, so never-faulted runs are bit- and
-// time-identical to a machine without fault hooks).
+// rendezvous: the first one through applies, the rest no-op. It is a no-op
+// when no schedule is installed. Healthy factors are exactly 1.0, and
+// multiplying by 1.0 is IEEE-exact, so never-faulted runs are bit- and
+// time-identical to a machine without fault hooks.
 func (s *System) ApplyFaults(batch int) {
 	sched := s.HW.Faults
 	batch += s.faultOffset
@@ -440,17 +441,18 @@ type Result struct {
 
 // Run executes the configured number of batches under the given backend and
 // returns timing results (plus functional outputs in functional mode).
-// Each batch is barrier-synchronised across GPUs, mirroring the paper's
-// measurement of accumulated EMB-layer time over 100 batches.
+// Each batch is barrier-synchronised across GPUs (or window-pipelined at
+// PipelineDepth), mirroring the paper's measurement of accumulated EMB-layer
+// time over 100 batches.
 func (s *System) Run(b Backend) (*Result, error) {
 	return s.RunContext(context.Background(), b)
 }
 
 // RunContext is Run with cancellation: the run stops (returning ctx.Err())
-// when ctx is cancelled or its deadline passes, checked between batches
-// during input generation and periodically inside the event loop. A
-// cancelled run leaves the System in an undefined mid-simulation state;
-// discard it and build a fresh run from the spec.
+// when ctx is cancelled or its deadline passes, checked before each batch is
+// drawn and periodically inside the event loop. A cancelled run leaves the
+// System in an undefined mid-simulation state; discard it and build a fresh
+// run from the spec.
 func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 	res := &Result{
 		Backend: b.Name(),
@@ -466,95 +468,21 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 	s.Net.Reset()
 	s.resetOwnerLoad()
 
-	// Batches are generated and executed one epoch at a time: the whole run
-	// is one epoch, unless adaptive placement chunks it into rebalance
-	// epochs so every epoch's route plans are compiled against the placement
-	// that actually executes it, and the controller decides between epochs
-	// with the epoch's statistics folded in (migration traffic from a swap
-	// is charged to the fabric before the next epoch starts). Generation
-	// does not advance the simulated clock.
-	epochLen := s.Cfg.Batches
-	if s.placementEnabled() {
-		epochLen = s.Cfg.RebalanceEvery
-	}
 	start := s.Env.Now()
-	var epoch []*BatchData
-	for done := 0; done < s.Cfg.Batches; {
-		epoch = make([]*BatchData, min(epochLen, s.Cfg.Batches-done))
-		for i := range epoch {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			bd, err := s.NextBatchData()
-			if err != nil {
-				return nil, err
-			}
-			epoch[i] = bd
-		}
-		if err := s.runEpoch(ctx, b, res, epoch, done); err != nil {
-			return nil, err
-		}
-		done += len(epoch)
-		if s.placementEnabled() && done < s.Cfg.Batches && s.placeCtl.Due(done) {
-			if err := s.rebalanceNow(ctx); err != nil {
-				return nil, err
-			}
-		}
+	last, err := s.Drive(ctx, s.PipelineDepth(), func(p *sim.Proc, g, _ int, bd *BatchData) {
+		b.RunBatch(s, p, g, bd, res.PerGPU[g])
+	})
+	if err != nil {
+		return nil, fmt.Errorf("retrieval: %s run: %w", b.Name(), err)
 	}
 	res.TotalTime = s.Env.Now() - start
-	s.finishResult(res, epoch)
+	s.finishResult(res, last)
 	return res, nil
 }
 
-// runEpoch executes the given batches on all GPUs — the inner loop of a run.
-// firstBatch offsets the fault schedule's batch indices for epoch-chunked
-// adaptive-placement runs, whose batches arrive one rebalance epoch at a time.
-func (s *System) runEpoch(ctx context.Context, b Backend, res *Result, batches []*BatchData, firstBatch int) error {
-	barrier := sim.NewBarrier(s.Env, s.Cfg.GPUs)
-	depth := s.PipelineDepth()
-	var win *sim.Window
-	if depth > 1 {
-		win = sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
-	}
-	var runErr error
-	for g := 0; g < s.Cfg.GPUs; g++ {
-		g := g
-		s.Env.Go(fmt.Sprintf("gpu%d", g), func(p *sim.Proc) {
-			defer func() {
-				if r := recover(); r != nil && runErr == nil {
-					runErr = fmt.Errorf("retrieval: GPU %d: %v", g, r)
-				}
-			}()
-			if win != nil {
-				// Pipelined: the sliding window lets this GPU run up to
-				// depth-1 batches ahead of the slowest one, so a fast GPU's
-				// next exchange overlaps a slow GPU's current batch. Fault
-				// schedules force depth 1, so ApplyFaults never runs here.
-				for bi, bd := range batches {
-					win.Enter(p, bi)
-					b.RunBatch(s, p, g, bd, res.PerGPU[g])
-					win.Retire(g)
-				}
-				barrier.Await(p) // final rendezvous so TotalTime is the makespan
-				return
-			}
-			for bi, bd := range batches {
-				barrier.Await(p)
-				s.ApplyFaults(firstBatch + bi)
-				b.RunBatch(s, p, g, bd, res.PerGPU[g])
-			}
-			barrier.Await(p) // final rendezvous so TotalTime is the makespan
-		})
-	}
-	if _, err := s.Env.RunContext(ctx); err != nil {
-		return fmt.Errorf("retrieval: %s run: %w", b.Name(), err)
-	}
-	return runErr
-}
-
-// finishResult fills the run's post-run summary fields; batches is the final
-// epoch's inputs (for the functional last-batch capture).
-func (s *System) finishResult(res *Result, batches []*BatchData) {
+// finishResult fills the run's post-run summary fields; last is the run's
+// final batch (for the functional last-batch capture).
+func (s *System) finishResult(res *Result, last *BatchData) {
 	res.Breakdown = trace.MergeMax(res.PerGPU...)
 	res.CommTrace = s.commTrace()
 	res.DedupStats = s.dedupStats
@@ -571,8 +499,7 @@ func (s *System) finishResult(res *Result, batches []*BatchData) {
 		res.ProxyRetries += pe.Retries()
 		res.ProxyRetriesExhausted += pe.RetriesExhausted()
 	}
-	if s.Cfg.Functional && len(batches) > 0 {
-		last := batches[len(batches)-1]
+	if s.Cfg.Functional {
 		res.Final = last.Final
 		res.LastBatch = last.Sparse
 	}

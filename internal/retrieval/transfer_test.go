@@ -62,23 +62,22 @@ func TestAggregatedPGASMatchesReferenceAndTiming(t *testing.T) {
 	}
 }
 
-// walkBatches draws n functional batches on s and walks them under be,
-// returning them with their transfer logs intact.
-func walkBatches(t *testing.T, s *System, be Backend, n int) []*BatchData {
+// walkBatches runs s's functional batches under be and returns them with
+// their transfer logs intact.
+func walkBatches(t *testing.T, s *System, be Backend) []*BatchData {
 	t.Helper()
-	batches := make([]*BatchData, n)
-	for i := range batches {
-		bd, err := s.NextBatchData()
-		if err != nil {
-			t.Fatal(err)
+	var batches []*BatchData
+	bks := make([]*trace.Breakdown, s.Cfg.GPUs)
+	for g := range bks {
+		bks[g] = &trace.Breakdown{}
+	}
+	_, err := s.Drive(context.Background(), 1, func(p *sim.Proc, g, _ int, bd *BatchData) {
+		if g == 0 {
+			batches = append(batches, bd)
 		}
-		batches[i] = bd
-	}
-	res := &Result{PerGPU: make([]*trace.Breakdown, s.Cfg.GPUs)}
-	for g := range res.PerGPU {
-		res.PerGPU[g] = &trace.Breakdown{}
-	}
-	if err := s.runEpoch(context.Background(), be, res, batches, 0); err != nil {
+		be.RunBatch(s, p, g, bd, bks[g])
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	return batches
@@ -131,7 +130,7 @@ func TestTransferLogConservation(t *testing.T) {
 							}
 							G := cfg.GPUs
 							logged := make([]int, G)
-							for _, bd := range walkBatches(t, s, be, cfg.Batches) {
+							for _, bd := range walkBatches(t, s, be) {
 								checkPairCounts(t, s, bd, collective)
 								for _, tr := range bd.log.recs {
 									logged[tr.server] += tr.wireBytes

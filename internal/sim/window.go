@@ -36,7 +36,10 @@ func NewWindow(e *Env, parties, depth int) *Window {
 	if depth <= 0 {
 		panic("sim: window needs depth >= 1")
 	}
-	return &Window{env: e, parties: parties, depth: depth, retired: make([]int, parties)}
+	// At most every party but one waits at a time, so the waiter list never
+	// grows past its first allocation.
+	return &Window{env: e, parties: parties, depth: depth, retired: make([]int, parties),
+		waiters: make([]windowWaiter, 0, parties)}
 }
 
 // Depth returns the window's pipeline depth.
