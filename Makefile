@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff .bench-tmp/bench.txt bench-smoke chaos multinode placement precision serving report fmt vet loc
+.PHONY: build test race bench benchdiff .bench-tmp/bench.txt bench-smoke chaos multinode placement precision serving report fmt vet loc nofma
 
 build:
 	$(GO) build ./...
@@ -98,3 +98,20 @@ loc:
 		| awk '{ d = $$2; sub(/\/[^\/]*$$/, "", d); n[d] += $$1; t += $$1 } \
 			END { for (d in n) printf "%7d  %s\n", n[d], d; printf "%7d  total\n", t }' \
 		| sort -k2
+
+# nofma fails if the compiler fuses any multiply-add in the module. Go may
+# fuse x*y + z into one instruction on arm64 and ppc64le (never on amd64 or
+# 386), which moves the last bit of a simulated time; every product that
+# could fuse is rounded by an explicit conversion, float64(x*y). The check
+# cross-compiles the module for both with the assembly listing on and greps
+# it for the fused instructions (FMADDD, FNMSUBD, FMADDS, ... on arm64;
+# FMADD, FMSUB, ... on ppc64le).
+nofma:
+	@for arch in arm64 ppc64le; do \
+		asm=$$(mktemp); \
+		GOARCH=$$arch $(GO) build -a -gcflags='pgasemb/...=-S' ./... 2> $$asm || { cat $$asm; rm -f $$asm; exit 1; }; \
+		if grep -E '\sF(N)?M(ADD|SUB)[DS]?\s' $$asm; then \
+			echo "fused multiply-add on $$arch: round the product with an explicit conversion"; rm -f $$asm; exit 1; \
+		fi; \
+		rm -f $$asm; echo "$$arch: no fused multiply-add"; \
+	done

@@ -163,7 +163,7 @@ func (c *Comm) TransferTime(src, dst int, bytes float64) sim.Duration {
 	if chunks == 0 {
 		chunks = 1
 	}
-	return bytes/c.pairBandwidth(src, dst) + sim.Duration(chunks)*c.params.PerChunkLatency
+	return bytes/c.pairBandwidth(src, dst) + sim.Duration(sim.Duration(chunks)*c.params.PerChunkLatency)
 }
 
 // occupyWire places a collective's egress bytes on the physical pipe so

@@ -37,7 +37,7 @@ func (c *Comm) interTime(bytes float64) sim.Duration {
 	nic := c.net.NIC()
 	msgs := nic.Messages(int(bytes))
 	return nic.WireBytes(int(bytes))/nic.Bandwidth +
-		sim.Duration(msgs)*nic.MessageOverhead + nic.Latency
+		sim.Duration(sim.Duration(msgs)*nic.MessageOverhead) + nic.Latency
 }
 
 // runIntraPhase executes one intra-node exchange phase: this rank sends eg[m]

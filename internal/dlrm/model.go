@@ -48,12 +48,12 @@ func (l *Linear) Forward(x *tensor.Tensor) *tensor.Tensor {
 
 // FLOPs returns the multiply-add count for a batch.
 func (l *Linear) FLOPs(batch int) float64 {
-	return 2 * float64(batch) * float64(l.In) * float64(l.Out)
+	return float64(2 * float64(batch) * float64(l.In) * float64(l.Out))
 }
 
 // Bytes returns the memory traffic for a batch (weights + activations).
 func (l *Linear) Bytes(batch int) float64 {
-	return 4 * (float64(l.In)*float64(l.Out) + float64(batch)*float64(l.In+l.Out))
+	return float64(4 * (float64(float64(l.In)*float64(l.Out)) + float64(float64(batch)*float64(l.In+l.Out))))
 }
 
 // MLP is a stack of Linear layers with ReLU between them (none after the
@@ -247,6 +247,6 @@ func (m *Model) Forward(dense, emb *tensor.Tensor) *tensor.Tensor {
 // path.
 func (m *Model) DensePathBytes(batch int) float64 {
 	features := m.Cfg.NumSparse + 1
-	interBytes := 4 * float64(batch) * float64(features*m.Cfg.EmbDim+features*(features-1)/2)
+	interBytes := float64(4 * float64(batch) * float64(features*m.Cfg.EmbDim+features*(features-1)/2))
 	return m.Top.Bytes(batch) + interBytes + m.Bottom.Bytes(batch)
 }

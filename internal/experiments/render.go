@@ -234,7 +234,7 @@ func TimeSeriesChart(title string, pts []trace.Point, height int) string {
 		return b.String()
 	}
 	for row := height; row >= 1; row-- {
-		threshold := float64(row) / float64(height) * maxV
+		threshold := float64(float64(row) / float64(height) * maxV)
 		for _, p := range pts {
 			if p.V >= threshold {
 				b.WriteString("█")

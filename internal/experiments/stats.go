@@ -78,7 +78,7 @@ func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts Opti
 		mean := sum / float64(len(xs))
 		var sq float64
 		for _, x := range xs {
-			sq += (x - mean) * (x - mean)
+			sq += float64((x - mean) * (x - mean))
 		}
 		sd := 0.0
 		if len(xs) > 1 {

@@ -245,7 +245,7 @@ func (ic *Interconnect) SendAt(readyAt sim.Time, src, dstNode, payload int) sim.
 	if lf := ic.launchFree[src]; lf > start {
 		start = lf
 	}
-	start += sim.Duration(msgs) * ic.nic.MessageOverhead
+	start += sim.Duration(sim.Duration(msgs) * ic.nic.MessageOverhead)
 	ic.launchFree[src] = start
 
 	eDone := ic.egress[src].OfferAt(start, wire)

@@ -42,7 +42,7 @@ func (d *Device) GatherKernelCost(readBytes, writeBytes float64, workItems int) 
 	}
 	read := readBytes / (d.params.HBMBandwidth * d.params.GatherEfficiency)
 	write := writeBytes / (d.params.HBMBandwidth * d.params.StreamEfficiency)
-	items := sim.Duration(workItems) * d.params.ItemOverhead
+	items := sim.Duration(sim.Duration(workItems) * d.params.ItemOverhead)
 	return (read + write + items) / util * sim.Duration(d.slow)
 }
 
@@ -65,7 +65,7 @@ func (d *Device) GatherKernelChunkCost(readBytes, writeBytes float64, chunkItems
 	}
 	read := readBytes / (d.params.HBMBandwidth * d.params.GatherEfficiency)
 	write := writeBytes / (d.params.HBMBandwidth * d.params.StreamEfficiency)
-	items := sim.Duration(chunkItems) * d.params.ItemOverhead
+	items := sim.Duration(sim.Duration(chunkItems) * d.params.ItemOverhead)
 	return (read + write + items) / util * sim.Duration(d.slow)
 }
 
@@ -105,7 +105,7 @@ func (d *Device) ExpandKernelCost(refs int64, outItems, vecBytes int) sim.Durati
 		readEff = d.params.GatherEfficiency
 	}
 	read := float64(refs) * float64(vecBytes) / (d.params.HBMBandwidth * readEff)
-	write := (float64(outItems)*float64(vecBytes) + float64(refs)*4) /
+	write := (float64(float64(outItems)*float64(vecBytes)) + float64(float64(refs)*4)) /
 		(d.params.HBMBandwidth * d.params.StreamEfficiency)
 	return (sim.Duration(read) + sim.Duration(write)) * sim.Duration(d.slow)
 }
@@ -155,7 +155,7 @@ func (d *Device) UnpackKernelCost(receivedBytes float64, segments int) sim.Durat
 	}
 	moved := 2 * receivedBytes // read staging + write destination
 	return (d.params.UnpackFixed +
-		sim.Duration(segments)*d.params.UnpackPerSegment +
+		sim.Duration(sim.Duration(segments)*d.params.UnpackPerSegment) +
 		moved/(d.params.HBMBandwidth*d.params.UnpackEfficiency)) * sim.Duration(d.slow)
 }
 

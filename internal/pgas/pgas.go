@@ -283,18 +283,18 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 		// count individual puts, so its coalescing boundaries (and hence
 		// NIC timing) match theirs exactly.
 		pe.puts += int64(count)
-		pe.payloadBytes += float64(count) * float64(vecBytes)
+		pe.payloadBytes += float64(float64(count) * float64(vecBytes))
 		last := pe.rt.env.Now()
 		for i := 0; i < count; i++ {
 			last = pe.proxy.stage(dn, vecBytes)
 		}
 		return pe.markDelivery(last)
 	}
-	wire := float64(count) * pe.rt.fabric.WireBytes(vecBytes)
+	wire := float64(float64(count) * pe.rt.fabric.WireBytes(vecBytes))
 	pipe := pe.rt.fabric.Pipe(pe.id, target.id)
 	issued := pe.rt.env.Now()
 	delivered := pipe.Offer(wire)
-	payload := float64(count) * float64(vecBytes)
+	payload := float64(float64(count) * float64(vecBytes))
 	pe.puts += int64(count)
 	pe.payloadBytes += payload
 	pe.wireBytes += wire

@@ -174,10 +174,10 @@ func (st *Stats) EndBatch() {
 	}
 	a := st.alpha
 	for i, x := range st.tmpTable {
-		st.table[i] += a * (x - st.table[i])
+		st.table[i] += float64(a * (x - st.table[i]))
 	}
 	for i, x := range st.tmpBucket {
-		st.bucket[i] += a * (x - st.bucket[i])
+		st.bucket[i] += float64(a * (x - st.bucket[i]))
 	}
 	st.batches++
 }
@@ -208,7 +208,7 @@ func (st *Stats) Concentration(t int, frac float64) float64 {
 		return 0
 	}
 	sort.Sort(sort.Reverse(sort.Float64Slice(st.sortTmp)))
-	k := int(float64(st.buckets)*frac + 0.9999)
+	k := int(float64(float64(st.buckets)*frac) + 0.9999)
 	if k < 1 {
 		k = 1
 	}
@@ -275,7 +275,7 @@ func (m CostModel) Score(plan [][]int, loads []float64, hot []bool) Score {
 				continue
 			}
 			reads += loads[t]
-			coldWire += loads[t] * (g64 - 1) / g64 * vb
+			coldWire += float64(loads[t] * (g64 - 1) / g64 * vb)
 		}
 		sc.WireBytes += coldWire
 		ot := reads * vb / m.HBMBandwidth

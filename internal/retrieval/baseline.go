@@ -79,22 +79,22 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 			switch {
 			case plan.CollectiveClass(o, c) == RouteWire:
 				uniq := plan.Dedup.Uniq[o][c]
-				readBytes += float64(uniq) * vb
-				streamBytes += float64(uniq) * vb
+				readBytes += float64(float64(uniq) * vb)
+				streamBytes += float64(float64(uniq) * vb)
 				items += int(uniq)
 			case plan.GatherDedup(o, c):
 				uniq := plan.Dedup.Uniq[o][c]
-				readBytes += float64(uniq)*vb + dev.HotReadEquivalent(float64(missIdx-uniq)*vb)
-				streamBytes += float64(dense+int(uniq)) * vb
+				readBytes += float64(float64(uniq)*vb) + dev.HotReadEquivalent(float64(missIdx-uniq)*vb)
+				streamBytes += float64(float64(dense+int(uniq)) * vb)
 				items += dense
 			default:
-				readBytes += float64(missIdx) * vb
-				streamBytes += float64(dense) * vb
+				readBytes += float64(float64(missIdx) * vb)
+				streamBytes += float64(float64(dense) * vb)
 				items += dense
 			}
 		}
 	}
-	streamBytes += float64(idx+hitIdx) * 8
+	streamBytes += float64(float64(idx+hitIdx) * 8)
 	kernel := dev.GatherKernelCost(readBytes, streamBytes, items)
 
 	_, kernelEnd := stream.Launch(p, kernel)

@@ -62,17 +62,19 @@ func (s *System) dropVolumeRecords(g int) {
 
 // PlanCompileLoop drives n route-plan compilations over ONE materialised
 // batch, for Go benchmarks of the host-side classifier passes (residency view,
-// dedup key sets, node-level dedup, replica serve map). Input generation runs
-// once outside the loop, so what the loop measures is exactly the per-batch
-// compile cost the pipelined scheduler pays on the host while the device
-// works on the previous batch.
+// dedup key sets, node-level dedup, placement statistics, replica serve map).
+// Input generation, the pooled prefix sums included, runs once outside the
+// loop, so what the loop measures is exactly the per-batch compile cost the
+// pipelined scheduler pays on the host while the device works on the
+// previous batch.
 func PlanCompileLoop(s *System, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("retrieval: PlanCompileLoop needs a positive count, got %d", n)
 	}
-	bd := &BatchData{Sparse: s.gen.NextBatch()}
+	pooled := s.drawPooling()
+	bd := &BatchData{Sparse: s.drawBatch()}
 	for i := 0; i < n; i++ {
-		s.compileRoutePlan(bd, nil, nil)
+		s.compileRoutePlan(bd, pooled)
 	}
 	return nil
 }

@@ -18,16 +18,18 @@ import (
 // internal/workload generates.
 //
 // Classification (probe → hit/miss → admission) happens host-side during
-// route-plan compilation (classifyResidency in plan.go, which resolves
-// consumer-held replicas and hot-table mirrors before probing), in one
-// canonical order (consumer, then owner, then local table, then sample), so
-// outcomes are a pure function of the workload seed and cache capacity —
-// never of simulated-process interleaving. Keys are (table, row), not owner,
-// so residency survives adaptive-placement plan swaps. The refill path
-// (admitting missed rows) models HPS-style lazy asynchronous insertion: it
-// rides along with the miss traffic the system already pays for and is not
-// charged to batch latency. Cache-hit gathers are priced through
-// gpu.HotReadEquivalent (the hot working set mostly lives in L2).
+// route-plan compilation (residencyTable in plan.go, which resolves
+// consumer-held replicas and hot-table mirrors before probing). The compile
+// walk steps the tables in plan order and each table's consumers in turn,
+// so every consumer's cache sees its probes in one canonical order (owner,
+// then local table, then sample), and outcomes are a pure function of the
+// workload seed and cache capacity — never of simulated-process
+// interleaving. Keys are (table, row), not owner, so residency survives
+// adaptive-placement plan swaps. The refill path (admitting missed rows)
+// models HPS-style lazy asynchronous insertion: it rides along with the miss
+// traffic the system already pays for and is not charged to batch latency.
+// Cache-hit gathers are priced through gpu.HotReadEquivalent (the hot
+// working set mostly lives in L2).
 
 // cacheEnabled reports whether this run classifies batches against a
 // hot-row cache. Single-GPU systems have no remote rows to cache.
@@ -76,8 +78,8 @@ func (s *System) AttachCaches(set *cache.Set) error {
 type CacheView struct {
 	// Hit[p][fi*BatchSize+smp] marks the vector (owner p, p-local table fi,
 	// sample smp) as a hit at smp's consumer. Vectors of p's own minibatch
-	// never appear (they are local either way). Functional mode only: timing
-	// runs drop it once the plan is compiled.
+	// never appear (they are local either way). Functional mode only (nil
+	// in timing runs, whose walk keeps one table's hits at a time).
 	Hit [][]bool
 	// WireVecs[src][dst] counts hit vectors owned by src and consumed by
 	// dst; WireIdx totals their bag sizes (pooled index counts).

@@ -246,13 +246,15 @@ func checkAgainstOracle(t *testing.T, s *System, plan *RoutePlan, o *dedupOracle
 // timing and functional runs. A timing run keeps neither its batch nor its
 // residency bitmap, so each shape runs twice from the same seed: the
 // functional twin's batch feeds the oracle, and both views must match it.
-// Timing runs without a cache step the walk in draw order as they generate
-// (drawStreamed), functional and cached ones in plan order over the
-// materialised batch, so the shapes below cover both drivers: one node and
-// several, one GPU (diagonal gather dedup only), a plan whose order is not
-// the feature order, a drifting hot set, and adaptive placement whose
-// mirrored table skips vectors in the walk (rebalanced between batches, as
-// a run does at its epoch boundaries).
+// Both runs step the tables in plan order; the functional run reads them
+// from its materialised batch, the timing run draws each as the walk
+// reaches it (Generator.Feature). The shapes cover one node and several,
+// one GPU (diagonal gather dedup only), a plan whose order is not the
+// feature order, alone and with a cache (the one shape where the order the
+// timing run seeks its tables in decides what each cache holds), a drifting
+// hot set, and adaptive placement whose mirrored table skips vectors in the
+// walk (rebalanced between batches, as a run does at its epoch
+// boundaries).
 func TestClassifyDedupMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name string
@@ -281,6 +283,11 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			c.GreedyPlan = true
 			c.PerFeatureMaxPooling = []int{2, 9, 3, 7, 5, 8}
 		}},
+		{"greedy-plan+cache", cacheTestHardware(), func(c *Config) {
+			c.GreedyPlan = true
+			c.PerFeatureMaxPooling = []int{2, 9, 3, 7, 5, 8}
+			c.CacheFraction = 0.003
+		}},
 		{"drift", DefaultHardware(), func(c *Config) { c.HotSetDriftEvery = 2 }},
 		{"placement-mirror", DefaultHardware(), func(c *Config) {
 			c.AdaptivePlacement = true
@@ -302,7 +309,7 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			}
 			fs, ts := newSys(true), newSys(false)
 			if fs.Cfg.GreedyPlan && slices.IsSorted(slices.Concat(fs.Plan...)) {
-				t.Fatalf("plan %v walks the tables in feature order; the draw-order driver goes unchecked", fs.Plan)
+				t.Fatalf("plan %v walks the tables in feature order; seeking a table out of order goes unchecked", fs.Plan)
 			}
 			want := metrics.DedupCounters{}
 			var wires, nodeWires, gathers, mirrored int

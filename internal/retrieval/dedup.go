@@ -25,17 +25,15 @@ import (
 //     hot-row efficiency (gpu.GatherDedupWins decides). Output data is
 //     unchanged, so this needs no functional counterpart.
 //
-// Classification happens host-side, per batch, in one walk over one (owner,
-// table) at a time (plan.go) with two drivers. Route-plan compilation steps
-// a materialised batch's tables in plan order, after cache classification —
-// cache-hit vectors never enter the key sets, so a row served from the
-// hot-row cache is not double-counted as a dedup win. Timing runs with
-// neither cache nor placement step each table as it is drawn, so the batch
-// is never materialised. Every count is a sum over per-table key sets, and a
-// key's first sample does not depend on the order its table is walked in,
-// so the counts are those of any walk; the functional key lists (plan-order
-// driver only) follow plan order. Outcomes are a pure function of the
-// workload seed and cache state, never of process interleaving.
+// Classification happens host-side, per batch, as one step of route-plan
+// compilation's walk over the tables in plan order (plan.go). Each table's
+// dedup step runs after its residency step — cache-hit vectors never enter
+// the key sets, so a row served from the hot-row cache is not
+// double-counted as a dedup win. A timing run draws each table as the walk
+// reaches it, so the batch is never materialised; a functional run reads it
+// from the materialised batch, and its key lists follow plan order. Outcomes
+// are a pure function of the workload seed and cache state, never of
+// process interleaving.
 
 // DedupView is one batch's deduplication classification. All matrices are
 // indexed [owner][consumer]; the diagonal describes each GPU's local (own

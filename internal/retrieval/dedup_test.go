@@ -371,11 +371,11 @@ func TestDedupSingleGPUMatchesReference(t *testing.T) {
 	}
 }
 
-// Timing-mode runs draw every batch into one reused scratch batch and keep
-// only the compiled plan. The plan must own its views: each batch's
-// DedupView, CacheView and prefix sums read the same after every later batch
-// is drawn over the scratch batch as right after their own compile, and the
-// residency bitmap, which is scratch too, is gone.
+// Timing-mode runs draw each table of every batch into one reused scratch
+// bag and keep only the compiled plan. The plan must own its views: each
+// batch's DedupView, CacheView and prefix sums read the same after every
+// later batch is drawn over the scratch bag as right after their own
+// compile, and the residency hits, which are scratch too, are gone.
 func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
 	cfg := dedupTestConfig(3)
 	cfg.Functional = false

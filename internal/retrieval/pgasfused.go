@@ -334,16 +334,16 @@ func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelIte
 			cls, coll := plan.Class(o, c), route.collective(o, c)
 			switch {
 			case cls == RouteWire || cls == RouteNodeWire:
-				readBytes += float64(vecs) * fvb
+				readBytes += float64(float64(vecs) * fvb)
 			case plan.GatherDedup(o, c):
 				nk := int64(plan.NewKeysIn(o, c, o0, o1))
-				readBytes += float64(nk)*fvb + dev.HotReadEquivalent(float64(missIdx-nk)*fvb)
-				streamBytes += float64(nk) * fvb
+				readBytes += float64(float64(nk)*fvb) + dev.HotReadEquivalent(float64(missIdx-nk)*fvb)
+				streamBytes += float64(float64(nk) * fvb)
 			default:
-				readBytes += float64(missIdx) * fvb
+				readBytes += float64(float64(missIdx) * fvb)
 			}
 			if c == g || coll {
-				streamBytes += float64(vecs) * fvb // final output or all-to-all send buffer
+				streamBytes += float64(float64(vecs) * fvb) // final output or all-to-all send buffer
 			} else {
 				issues += vecs
 			}
@@ -358,11 +358,11 @@ func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelIte
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)
 	readBytes += dev.HotReadEquivalent(float64(hitIdx) * fvb)
-	streamBytes += float64(chunkIdx+hitIdx)*8 + float64(hitVecs)*fvb
+	streamBytes += float64(float64(chunkIdx+hitIdx)*8) + float64(float64(hitVecs)*fvb)
 	items += hitVecs
 	return dev.GatherKernelChunkCost(readBytes, streamBytes, items, kernelItems) +
 		dev.RemoteIssueCost(issues) +
-		sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead
+		sim.Duration(sim.Duration(peers)*dev.Params().RemotePeerChunkOverhead)
 }
 
 // clampRange returns [a0, a1) ∩ [b0, b1) as a (possibly empty) range.

@@ -7,22 +7,25 @@ import (
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
+	"pgasemb/internal/sparse"
 )
 
 // Adaptive placement wiring. The placement package decides WHERE tables live
 // and WHICH are mirrored; this file connects those decisions to the machine:
 //
-//   - the route-plan compiler feeds the controller's statistics collector as
-//     a side effect of the single host-side pass every batch already makes;
+//   - the route-plan compiler feeds the controller's statistics collector
+//     from its one walk over the tables (observeTable), the step after
+//     residency and dedup;
 //   - mirrored hot tables are guaranteed hits in the route plan's residency
-//     view (classifyResidency), so every backend's existing hit-skipping
-//     path serves mirror reads with zero backend edits;
+//     view (residencyTable), so every backend's existing hit-skipping path
+//     serves mirror reads with zero backend edits;
 //   - rebalance epochs run on the ONE simulated clock: migration traffic is
 //     charged to the NVLink pipes (or the NIC fabric across nodes) at the
 //     epoch boundary, and the boundary batch starts once it has landed.
 //
 // Determinism: the controller sees identical statistics whether the run is
-// timing-only or functional (both feed from the materialised batch), so the
+// timing-only or functional (each table's bags are the same whether drawn
+// as the walk reaches them or read from the materialised batch), so the
 // placement trajectory — and therefore every route plan — is a pure function
 // of (config, seed).
 
@@ -73,53 +76,42 @@ func (s *System) Migration() (rebalances int, bytes float64) {
 	return s.rebalances, s.migratedBytes
 }
 
-// observeBatch folds one compiled batch into the run's load accounting and
-// (when adaptive placement is on) the controller's statistics. Called from
-// NextBatchData after compileRoutePlan, while bd.Sparse is still materialised
-// on placement-enabled runs. Allocates nothing once its per-bucket scratch
-// is sized.
-func (s *System) observeBatch(bd *BatchData) {
-	s.accumOwnerLoad(bd)
-	if s.placeCtl == nil {
-		return
-	}
-	st := s.placeCtl.Stats()
-	st.BeginBatch()
+// observeTable is the compile walk's placement step: it folds one table's
+// references, whose bags fb holds, into the controller's open batch of
+// statistics. Allocates nothing once its per-bucket scratch is sized.
+func (s *System) observeTable(st *placement.Stats, fb *sparse.FeatureBag) {
 	nb := st.NumBuckets()
 	load := scratchSlice(&s.planScr.bucketLoad, nb)
-	var hashed [256]int32 // a chunk of one table's references, hashed in bulk
-	for fid := 0; fid < s.Cfg.TotalTables; fid++ {
-		fb := bd.Sparse.FeatureByID(fid)
-		refs := fb.Indices[:fb.Offsets[s.Cfg.BatchSize]]
-		rows := s.Cfg.tableRows(fid)
-		// Bucket row*nb/rows; a power-of-two table divides by a shift.
-		pow2, shift := rows&(rows-1) == 0, bits.TrailingZeros(uint(rows))
-		clear(load)
-		for rest := refs; len(rest) > 0; {
-			chunk := hashed[:min(len(rest), len(hashed))]
-			embedding.HashRows(chunk, rest[:len(chunk)], rows)
-			rest = rest[len(chunk):]
-			for _, row := range chunk {
-				b := uint64(row) * uint64(nb)
-				if pow2 {
-					b >>= shift
-				} else {
-					b /= uint64(rows)
-				}
-				load[b]++
+	var hashed [256]int32 // a chunk of the table's references, hashed in bulk
+	fid := fb.FeatureID
+	refs := fb.Indices[:fb.Offsets[s.Cfg.BatchSize]]
+	rows := s.Cfg.tableRows(fid)
+	// Bucket row*nb/rows; a power-of-two table divides by a shift.
+	pow2, shift := rows&(rows-1) == 0, bits.TrailingZeros(uint(rows))
+	clear(load)
+	for rest := refs; len(rest) > 0; {
+		chunk := hashed[:min(len(rest), len(hashed))]
+		embedding.HashRows(chunk, rest[:len(chunk)], rows)
+		rest = rest[len(chunk):]
+		for _, row := range chunk {
+			b := uint64(row) * uint64(nb)
+			if pow2 {
+				b >>= shift
+			} else {
+				b /= uint64(rows)
 			}
+			load[b]++
 		}
-		// One add per bucket of its integer count: a float64 sum of ones
-		// is exact below 2^53, so the statistics match per-reference adds
-		// bit for bit.
-		for b, n := range load {
-			if n != 0 {
-				st.AddBucket(fid, b, float64(n))
-			}
-		}
-		st.AddTable(fid, float64(len(refs)))
 	}
-	st.EndBatch()
+	// One add per bucket of its integer count: a float64 sum of ones is
+	// exact below 2^53, so the statistics match per-reference adds bit for
+	// bit.
+	for b, n := range load {
+		if n != 0 {
+			st.AddBucket(fid, b, float64(n))
+		}
+	}
+	st.AddTable(fid, float64(len(refs)))
 }
 
 // accumOwnerLoad charges one batch's embedding service work to the GPU that
@@ -135,11 +127,11 @@ func (s *System) accumOwnerLoad(bd *BatchData) {
 		for c := 0; c < s.Cfg.GPUs; c++ {
 			if v := plan.Cache; v != nil {
 				s.ownerKeys[c] += v.WireIdx[o][c]
-				s.ownerBytes[c] += float64(v.WireVecs[o][c]) * vb
+				s.ownerBytes[c] += float64(float64(v.WireVecs[o][c]) * vb)
 			}
 			g := plan.ServeGPU(o, c)
 			s.ownerKeys[g] += plan.pairMissIdx(o, c)
-			s.ownerBytes[g] += float64(plan.pairVecs(o, c)) * vb
+			s.ownerBytes[g] += float64(float64(plan.pairVecs(o, c)) * vb)
 		}
 	}
 }

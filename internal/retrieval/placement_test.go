@@ -311,7 +311,8 @@ func TestOwnerLoadAccounting(t *testing.T) {
 // integer counts and the shift bucketing of power-of-two tables must match
 // it exactly, on power-of-two tables, on tables of mixed sizes (most not a
 // power of two, some smaller than the bucket count) and with empty bags, in
-// timing runs (which draw into the run's scratch batch) and functional runs.
+// timing runs (which draw each table as the walk reaches it) and functional
+// runs.
 func TestPlacementStatsMatchPerReferenceCounts(t *testing.T) {
 	for _, c := range []struct {
 		name string
@@ -335,6 +336,12 @@ func TestPlacementStatsMatchPerReferenceCounts(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				// A timing run keeps no batch; a twin generator draws the
+				// batches it walked.
+				twin, err := workload.NewGenerator(cfg.WorkloadConfig())
+				if err != nil {
+					t.Fatal(err)
+				}
 				got := s.Placement().Stats()
 				want := placement.NewStats(s.Placement().Config())
 				nb := want.NumBuckets()
@@ -345,7 +352,7 @@ func TestPlacementStatsMatchPerReferenceCounts(t *testing.T) {
 					}
 					batch := bd.Sparse
 					if !functional {
-						batch = &s.planScr.batch
+						batch = twin.NextBatch()
 					}
 					want.BeginBatch()
 					for fid := 0; fid < cfg.TotalTables; fid++ {

@@ -4,6 +4,7 @@ import (
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/metrics"
+	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 )
@@ -358,36 +359,101 @@ type planScratch struct {
 	nodeSet    rowSet            // one (remote node, table)'s unique rows
 	pairAcc    []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
 	nodeAcc    []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
-	rows       []int32           // residency walk's hashed references of one minibatch range
+	rows       []int32           // residency step's hashed references of one minibatch range
 	bucketLoad []int32           // placement statistics' per-bucket counts of one table
-	hit        []bool            // timing mode's residency hit bitmap, redrawn every batch
-	batch      sparse.Batch      // timing mode's input batch, redrawn every batch
-	bag        sparse.FeatureBag // streamed timing mode's one feature, redrawn per feature
-	ownerOf    []int             // streamed timing mode's owner GPU of every feature
-	tableOf    []int             // streamed timing mode's owner-local table of every feature
+	hit        []bool            // timing mode's residency hits of one table, by sample
+	bag        sparse.FeatureBag // timing mode's one table, drawn in plan order
+	ownerOf    []int             // owner GPU of every feature, for the pooling pass
 }
 
-// compileRoutePlan runs the classifier passes for one batch and attaches the
-// resulting plan to bd. pooled and dv are the batch's prefixes and dedup view
-// when a streamed draw built them (timing runs with neither cache nor
-// placement); nil builds them from bd.Sparse.
-func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64, dv *DedupView) {
-	if pooled == nil {
-		pooled = s.pooledPrefixes(bd.Sparse)
+// drawPooling opens the next batch with the generator's pooling pass and
+// returns the plan's per-shard pooled-index prefix sums under the current
+// placement: pooled[o][smp] counts shard o's indices over samples [0, smp).
+// Each feature's factors are added into its owner's shard as they are drawn.
+func (s *System) drawPooling() [][]int64 {
+	pooled := grid[int64](s.Cfg.GPUs, s.Cfg.BatchSize+1)
+	owner := scratchSlice(&s.planScr.ownerOf, s.Cfg.TotalTables)
+	for o, fids := range s.Plan {
+		for _, fid := range fids {
+			owner[fid] = o
+		}
 	}
+	s.gen.NextPoolingSums(func(f int) []int64 { return pooled[owner[f]][1:] })
+	scan(pooled)
+	return pooled
+}
+
+// scan turns every row's per-sample counts into prefix sums, in place.
+func scan(rows [][]int64) {
+	for _, row := range rows {
+		for smp := 1; smp < len(row); smp++ {
+			row[smp] += row[smp-1]
+		}
+	}
+}
+
+// drawBatch materialises the open batch in feature order.
+func (s *System) drawBatch() *sparse.Batch {
+	b := &sparse.Batch{Size: s.Cfg.BatchSize, Features: make([]sparse.FeatureBag, s.Cfg.TotalTables)}
+	for f := range b.Features {
+		s.gen.Feature(f, &b.Features[f])
+	}
+	return b
+}
+
+// compileRoutePlan runs the classifier passes for one batch, whose pooled
+// prefixes drawPooling returned, and attaches the resulting plan to bd.
+// Every pass that reads indices runs in one walk over the tables in plan
+// order: for each table, the residency step for every consumer, the dedup
+// step, then the placement statistics, while its bags are in cache. The
+// bags come from bd.Sparse when the batch is materialised (functional runs
+// and PlanCompileLoop); a timing run draws each table as the walk reaches
+// it (Generator.Feature). Runs that read no indices skip the walk.
+func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 	plan := &RoutePlan{sys: s, pooled: pooled}
 	bd.Plan = plan
 	if s.cacheEnabled() || s.hotMirrorActive() {
 		// Residency first: vectors a consumer reads without their owner
-		// never enter the dedup key sets, so the dedup pass below sees only
-		// the owner-served misses.
-		plan.Cache = s.classifyResidency(bd)
+		// never enter the dedup key sets, so the dedup step sees only the
+		// owner-served misses.
+		plan.Cache = s.newCacheView()
 	}
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
-		if dv == nil {
-			dv = s.classifyDedup(bd)
+		s.beginDedup()
+	}
+	var st *placement.Stats
+	if s.placeCtl != nil {
+		st = s.placeCtl.Stats()
+		st.BeginBatch()
+	}
+	if plan.Cache != nil || s.Cfg.Dedup || st != nil {
+		for o, fids := range s.Plan {
+			for fi, fid := range fids {
+				fb := &s.planScr.bag
+				if bd.Sparse != nil {
+					fb = bd.Sparse.FeatureByID(fid)
+				} else {
+					s.gen.Feature(fid, fb)
+				}
+				var hit []bool
+				if plan.Cache != nil {
+					hit = s.residencyTable(bd, o, fi, fb)
+				}
+				if s.Cfg.Dedup {
+					s.dedupTable(o, fi, fb, hit)
+				}
+				if st != nil {
+					s.observeTable(st, fb)
+				}
+			}
 		}
-		plan.Dedup = dv
+	}
+	if v := plan.Cache; v != nil {
+		scan(v.hitVecs)
+		scan(v.hitIdx)
+	}
+	if s.Cfg.Dedup {
+		plan.Dedup = s.finishDedup()
 		if s.Cfg.GPUs > 1 {
 			// The post-quiet rendezvous one-sided backends await before
 			// expanding: quiet only drains a PE's OWN pipes, so a consumer
@@ -397,13 +463,11 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64, dv *DedupView
 			bd.dedupBarrier = sim.NewBarrier(s.Env, s.Cfg.GPUs)
 		}
 	}
+	if st != nil {
+		st.EndBatch()
+	}
 	if s.Cfg.Replicas > 1 {
 		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
-	}
-	if plan.Cache != nil && !s.Cfg.Functional {
-		// Timing runs read hits only through the prefix sums; the bitmap is
-		// the run's scratch and the next batch redraws it.
-		plan.Cache.Hit = nil
 	}
 }
 
@@ -417,75 +481,6 @@ func grid[T any](r, c int) [][]T {
 	return m
 }
 
-// pooledPrefixes builds the plan's per-shard pooled-index prefix sums of a
-// materialised batch under the current placement. Its bag offsets already
-// are per-feature prefixes, so each shard's prefix is their sum.
-func (s *System) pooledPrefixes(batch *sparse.Batch) [][]int64 {
-	pooled := grid[int64](s.Cfg.GPUs, s.Cfg.BatchSize+1)
-	for o, pre := range pooled {
-		fids := s.Plan[o]
-		addRows(pre, len(fids), func(i int) []int32 { return batch.FeatureByID(fids[i]).Offsets })
-	}
-	return pooled
-}
-
-// drawStreamed draws the next batch one feature at a time and builds the
-// prefixes pooledPrefixes would from that batch, adding each feature into
-// its owner's shard, so a timing run with neither cache nor placement never
-// holds a batch. Without dedup it draws pooling factors only and scans the
-// shards at the end. With dedup it draws each feature's bags and steps the
-// dedup walk over the table at once, while they are still in cache; the
-// returned view is the one classifyDedup builds from the whole batch.
-func (s *System) drawStreamed() ([][]int64, *DedupView) {
-	pooled := grid[int64](s.Cfg.GPUs, s.Cfg.BatchSize+1)
-	ps := &s.planScr
-	owner := scratchSlice(&ps.ownerOf, s.Cfg.TotalTables)
-	table := scratchSlice(&ps.tableOf, s.Cfg.TotalTables)
-	for o, fids := range s.Plan {
-		for fi, fid := range fids {
-			owner[fid], table[fid] = o, fi
-		}
-	}
-	if s.Cfg.Dedup {
-		s.beginDedup()
-		s.gen.NextBagsInto(&ps.bag, func(fb *sparse.FeatureBag) {
-			f := fb.FeatureID
-			acc := pooled[owner[f]]
-			for smp, off := range fb.Offsets {
-				acc[smp] += int64(off)
-			}
-			s.dedupTable(owner[f], table[f], fb, nil)
-		})
-		return pooled, s.finishDedup()
-	}
-	s.gen.NextPoolingSums(func(f int) []int64 { return pooled[owner[f]][1:] })
-	for _, pre := range pooled {
-		for smp := 1; smp < len(pre); smp++ {
-			pre[smp] += pre[smp-1]
-		}
-	}
-	return pooled, nil
-}
-
-// addRows adds the leading len(acc) entries of row(0) … row(n-1) into acc,
-// widened to int64. Four rows share each pass, so acc is read and written a
-// quarter as often as the rows.
-func addRows(acc []int64, n int, row func(int) []int32) {
-	i := 0
-	for ; i+4 <= n; i += 4 {
-		a, b := row(i)[:len(acc)], row(i + 1)[:len(acc)]
-		c, d := row(i + 2)[:len(acc)], row(i + 3)[:len(acc)]
-		for j := range acc {
-			acc[j] += int64(a[j]) + int64(b[j]) + int64(c[j]) + int64(d[j])
-		}
-	}
-	for ; i < n; i++ {
-		for j, v := range row(i)[:len(acc)] {
-			acc[j] += int64(v)
-		}
-	}
-}
-
 // holdsReplica reports whether consumer c holds a copy of shard o: its own
 // shard, or one of the mirrors Config.Replicas places on GPUs (o+k) mod GPUs
 // for k < Replicas. The route plan always serves such a pair locally.
@@ -494,10 +489,34 @@ func (s *System) holdsReplica(c, o int) bool {
 	return c == o || ((c-o)%G+G)%G < s.Cfg.Replicas
 }
 
-// classifyResidency answers, once per batch, which remote-owned output
-// vectors each consumer reads without their owner. It walks the batch in the
-// cache's canonical order (consumer, owner, local table, sample) and decides
-// every non-empty vector once:
+// newCacheView returns an empty residency view for the batch, with its
+// functional hit bitmap when the run is functional.
+func (s *System) newCacheView() *CacheView {
+	cfg := s.Cfg
+	B := cfg.BatchSize
+	hits := grid[int64](2*cfg.GPUs, B+1)
+	view := &CacheView{
+		WireVecs: grid[int](cfg.GPUs, cfg.GPUs),
+		WireIdx:  grid[int64](cfg.GPUs, cfg.GPUs),
+		hitVecs:  hits[:cfg.GPUs],
+		hitIdx:   hits[cfg.GPUs:],
+	}
+	if cfg.Functional {
+		view.Hit = make([][]bool, cfg.GPUs)
+		for p := range view.Hit {
+			view.Hit[p] = make([]bool, len(s.Plan[p])*B)
+		}
+	}
+	if s.cacheEnabled() {
+		s.ensureCaches()
+	}
+	return view
+}
+
+// residencyTable is the residency step: it decides, for every consumer,
+// which of its minibatch's vectors of owner p's local table fi (whose bags
+// fb holds) it reads without the owner, and returns the table's hits by
+// sample. Every non-empty vector is decided once:
 //
 //   - a shard the consumer holds a replica of is skipped: the route plan
 //     serves it locally (ServeGPU), and it never probes the cache;
@@ -507,134 +526,94 @@ func (s *System) holdsReplica(c, o int) bool {
 //     (lazy refill, off the critical path alongside the miss fetch the batch
 //     pays anyway).
 //
+// Each consumer's cache sees its probes in the canonical order (owner,
+// local table, sample), whatever order the consumers are stepped in.
+//
 // In functional mode hit vectors are pooled into bd.Final immediately —
 // mirrored ones straight off the owner's table (the mirror copy is
 // bit-identical), cached ones from the cache contents as of this
 // classification, so later evictions cannot corrupt earlier batches. The
 // transfer-log executor skips hit vectors, so every backend serves cache and
 // mirror reads alike.
-func (s *System) classifyResidency(bd *BatchData) *CacheView {
+func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag) []bool {
 	cfg := s.Cfg
 	B := cfg.BatchSize
-	view := &CacheView{
-		Hit:      make([][]bool, cfg.GPUs),
-		WireVecs: make([][]int, cfg.GPUs),
-		WireIdx:  make([][]int64, cfg.GPUs),
-		hitVecs:  make([][]int64, cfg.GPUs),
-		hitIdx:   make([][]int64, cfg.GPUs),
-	}
-	var hits []bool
+	view := bd.Plan.Cache
+	fid := fb.FeatureID
+	hit := scratchSlice(&s.planScr.hit, B)
 	if cfg.Functional {
-		hits = make([]bool, cfg.TotalTables*B)
-	} else {
-		hits = scratchSlice(&s.planScr.hit, cfg.TotalTables*B)
-		clear(hits)
+		hit = view.Hit[p][fi*B : (fi+1)*B]
 	}
-	pre := make([]int64, 2*cfg.GPUs*(B+1))
-	for p := 0; p < cfg.GPUs; p++ {
-		n := len(s.Plan[p]) * B
-		view.Hit[p], hits = hits[:n:n], hits[n:]
-		view.WireVecs[p] = make([]int, cfg.GPUs)
-		view.WireIdx[p] = make([]int64, cfg.GPUs)
-		view.hitVecs[p], pre = pre[:B+1:B+1], pre[B+1:]
-		view.hitIdx[p], pre = pre[:B+1:B+1], pre[B+1:]
+	clear(hit)
+	mirrored := s.hotMirrorActive() && s.hotMirror[fid]
+	if !mirrored && !s.cacheEnabled() {
+		return hit
 	}
-	cached, mirrors := s.cacheEnabled(), s.hotMirrorActive()
-	if cached {
-		s.ensureCaches()
+	var tbl *embedding.Table
+	var w []float32
+	if cfg.Functional {
+		tbl = s.colls[p].Tables[fi]
+		w = tbl.Weights.Data()
 	}
 	for g := 0; g < cfg.GPUs; g++ {
+		if s.holdsReplica(g, p) {
+			continue
+		}
 		var c *cache.Cache
-		if cached {
+		if !mirrored {
 			c = s.Caches.GPU(g)
 		}
 		lo, hi := s.Minibatch(g)
-		for p := 0; p < cfg.GPUs; p++ {
-			if s.holdsReplica(g, p) {
-				continue
+		// The minibatch's hashed rows; bag smp's are
+		// rows[Offsets[smp]-base : Offsets[smp+1]-base].
+		var rows []int32
+		base := fb.Offsets[lo]
+		if !mirrored {
+			raws := fb.Indices[base:fb.Offsets[hi]]
+			rows = scratchSlice(&s.planScr.rows, len(raws))
+			embedding.HashRows(rows, raws, cfg.tableRows(fid))
+		}
+		for smp := lo; smp < hi; smp++ {
+			bag := fb.Bag(smp)
+			if len(bag) == 0 {
+				continue // zero vector; nothing to gather or send
 			}
-			for fi, fid := range s.Plan[p] {
-				mirrored := mirrors && s.hotMirror[fid]
-				if !mirrored && c == nil {
+			var bagRows []int32
+			if !mirrored {
+				bagRows = rows[fb.Offsets[smp]-base : fb.Offsets[smp+1]-base]
+				if !c.TouchRows(int32(fid), bagRows) {
+					c.AdmitRows(int32(fid), bagRows, w)
 					continue
 				}
-				fb := bd.Sparse.FeatureByID(fid)
-				var tbl *embedding.Table
-				var w []float32
-				if cfg.Functional {
-					tbl = s.colls[p].Tables[fi]
-					w = tbl.Weights.Data()
-				}
-				// The minibatch's hashed rows; bag smp's are
-				// rows[Offsets[smp]-base : Offsets[smp+1]-base].
-				var rows []int32
-				base := fb.Offsets[lo]
-				if !mirrored {
-					raws := fb.Indices[base:fb.Offsets[hi]]
-					rows = scratchSlice(&s.planScr.rows, len(raws))
-					embedding.HashRows(rows, raws, cfg.tableRows(fid))
-				}
-				for smp := lo; smp < hi; smp++ {
-					bag := fb.Bag(smp)
-					if len(bag) == 0 {
-						continue // zero vector; nothing to gather or send
-					}
-					var bagRows []int32
-					if !mirrored {
-						bagRows = rows[fb.Offsets[smp]-base : fb.Offsets[smp+1]-base]
-						if !c.TouchRows(int32(fid), bagRows) {
-							c.AdmitRows(int32(fid), bagRows, w)
-							continue
-						}
-					}
-					view.Hit[p][fi*B+smp] = true
-					view.WireVecs[p][g]++
-					view.WireIdx[p][g] += int64(len(bag))
-					view.hitVecs[p][smp+1]++
-					view.hitIdx[p][smp+1] += int64(len(bag))
-					if !cfg.Functional {
-						continue
-					}
-					off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
-					out := bd.Final[g].Data()[off : off+cfg.Dim]
-					if mirrored {
-						tbl.LookupPooled(bag, cfg.Pooling, out)
-					} else {
-						poolFromCache(c, int32(fid), bagRows, cfg.Pooling, out)
-					}
-				}
+			}
+			hit[smp] = true
+			view.WireVecs[p][g]++
+			view.WireIdx[p][g] += int64(len(bag))
+			view.hitVecs[p][smp+1]++
+			view.hitIdx[p][smp+1] += int64(len(bag))
+			if !cfg.Functional {
+				continue
+			}
+			off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
+			out := bd.Final[g].Data()[off : off+cfg.Dim]
+			if mirrored {
+				tbl.LookupPooled(bag, cfg.Pooling, out)
+			} else {
+				poolFromCache(c, int32(fid), bagRows, cfg.Pooling, out)
 			}
 		}
 	}
-	for p := range view.hitVecs {
-		vecs, idx := view.hitVecs[p], view.hitIdx[p]
-		for smp := 1; smp <= B; smp++ {
-			vecs[smp] += vecs[smp-1]
-			idx[smp] += idx[smp-1]
-		}
-	}
-	return view
+	return hit
 }
 
-// Dedup classification is one walk with two drivers. The step, dedupTable,
-// runs one (owner, table)'s references through the row sets and adds into
-// per-pair and per-(owner, node) accumulators; finishDedup turns the sums
-// into the batch's view. A key is (table, hashed row), so every count the
-// view holds is a sum over per-table key sets and step order cannot change
-// it: classifyDedup steps a materialised batch in plan order (functional,
-// cached and placement runs; functional key lists come out table-major in
-// plan order), drawStreamed steps each table as it is drawn.
+// Dedup classification is one step of the compile walk. The step,
+// dedupTable, runs one (owner, table)'s references through the row sets and
+// adds into per-pair and per-(owner, node) accumulators; finishDedup turns
+// the sums into the batch's view. The walk steps the tables in plan order,
+// so functional key lists come out table-major in plan order. A key is
+// (table, hashed row), so every count the view holds is a sum over
+// per-table key sets, which no step order could change.
 //
-// Within a step, consumers are walked group by group (one destination node
-// on a multi-node machine, every GPU otherwise), samples ascending, bag
-// order. The pair set is reset per (consumer, table) and, for a remote
-// node, the node set per (node, table); a node's minibatches are
-// contiguous, so the node set sees the union a per-node walk would. The
-// node level is the second tier: a node-level wire win ships each unique
-// row across the NIC once per node, superseding the pair-level decision
-// (one-sided transports only — a pair-addressed collective's segments
-// cannot share rows across consumers).
-
 // pairAcc accumulates one (owner, consumer) pair's classification over the
 // owner's tables.
 type pairAcc struct {
@@ -651,25 +630,6 @@ type nodeAcc struct {
 	uniq  int64
 	newAt []int32  // spread over the node's sample range
 	keys  []uint64 // functional only: first-seen keys, table-major
-}
-
-// classifyDedup is the materialised driver: it steps every owner's tables of
-// batch bd in plan order, skipping the vectors the residency view serves
-// without their owner.
-func (s *System) classifyDedup(bd *BatchData) *DedupView {
-	B := s.Cfg.BatchSize
-	view := bd.Plan.Cache
-	s.beginDedup()
-	for src, fids := range s.Plan {
-		for fi, fid := range fids {
-			var hit []bool
-			if view != nil {
-				hit = view.Hit[src][fi*B : (fi+1)*B]
-			}
-			s.dedupTable(src, fi, bd.Sparse.FeatureByID(fid), hit)
-		}
-	}
-	return s.finishDedup()
 }
 
 // beginDedup readies the walk's accumulators for a batch. Each pair's NewAt
@@ -832,7 +792,7 @@ func (s *System) finishDedup() *DedupView {
 			ctr.UniqueRows += a.uniq
 			if wire {
 				ctr.WireRows += a.uniq
-				ctr.WireSavedBytes += float64(a.dense-a.uniq) * wvb
+				ctr.WireSavedBytes += float64(float64(a.dense-a.uniq) * wvb)
 			} else {
 				ctr.WireVecs += a.dense
 			}

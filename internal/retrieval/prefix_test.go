@@ -289,12 +289,12 @@ func TestTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 }
 
 // TestFirstTimingBatchAllocatesNoPerBagArray extends the contract to a
-// run's first batch: a timing run without cache or placement never sizes a
-// per-(table, sample) array, not even once, so a process that builds one
-// run after another holds no such array between them. Without dedup it
-// draws pooling factors only; with dedup (on a 2-node cluster, so the node
-// walk runs too) it draws one feature's bags at a time and classifies them
-// as they are drawn.
+// run's first batch: a timing run never sizes a per-(table, sample) array,
+// not even once, so a process that builds one run after another holds no
+// such array between them. Without a pass that reads indices it draws
+// pooling factors only; with dedup (on a 2-node cluster, so the node walk
+// runs too) it draws one table's bags at a time, in plan order, and
+// classifies them as they are drawn.
 func TestFirstTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 	weak := WeakScalingConfig(4)
 	weak.TotalTables = 64

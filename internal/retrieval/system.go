@@ -165,7 +165,7 @@ type System struct {
 	// plan.go).
 	planScr planScratch
 
-	// dedupStats accumulates the run's deduplication savings (classifyDedup
+	// dedupStats accumulates the run's deduplication savings (finishDedup
 	// folds one batch in at a time; host-side, so no synchronisation).
 	dedupStats metrics.DedupCounters
 
@@ -330,49 +330,31 @@ func (s *System) awaitExchangeGate(p *sim.Proc, g int) {
 // dispatches hits the right requests. Call before the first batch.
 func (s *System) SetFaultOffset(off int) { s.faultOffset = off }
 
-// NextBatchData draws the next batch in the mode the system was built for.
+// NextBatchData draws the next batch in the mode the system was built for
+// and compiles its route plan. A timing run never holds its batch: the plan
+// carries every count the timing model reads (dedup keys and expansions are
+// functional-only), and the compile walk draws each table as it reaches it.
+// A functional run materialises the whole batch.
 func (s *System) NextBatchData() (*BatchData, error) {
 	defer func() { s.batchSeq++ }()
 	bd := &BatchData{Slot: s.batchSeq % s.PipelineDepth()}
-	if !s.Cfg.Functional {
-		// Timing runs never keep their batch: the plan carries every count
-		// the timing model reads, and no timing-mode plan field aliases the
-		// input (dedup keys and expansions are functional-only). The
-		// residency pass and the placement statistics walk a whole batch in
-		// their own orders, so cached and placement runs draw into the run's
-		// scratch batch and compile it. Every other run streams: it draws one
-		// feature at a time into the plan's prefix sums and, with dedup on,
-		// steps the dedup walk over each table as it is drawn. Every draw
-		// follows the pooling stream NextSummary would.
-		var pooled [][]int64
-		var dv *DedupView
-		if s.cacheEnabled() || s.placementEnabled() {
-			bd.Sparse = &s.planScr.batch
-			s.gen.NextBatchInto(bd.Sparse)
-		} else {
-			pooled, dv = s.drawStreamed()
+	pooled := s.drawPooling()
+	if s.Cfg.Functional {
+		bd.Sparse = s.drawBatch()
+		parts, err := sparse.PartitionByFeature(bd.Sparse, s.Plan)
+		if err != nil {
+			return nil, err
 		}
-		s.compileRoutePlan(bd, pooled, dv)
-		s.observeBatch(bd)
-		bd.Sparse = nil
-		return bd, nil
+		bd.Parts = parts
+		bd.log = &transferLog{}
+		for g := 0; g < s.Cfg.GPUs; g++ {
+			lo, hi := s.Minibatch(g)
+			bd.Final = append(bd.Final, tensor.New(hi-lo, s.Cfg.TotalTables, s.Cfg.Dim))
+		}
 	}
-	bd.Sparse = s.gen.NextBatch()
-	parts, err := sparse.PartitionByFeature(bd.Sparse, s.Plan)
-	if err != nil {
-		return nil, err
-	}
-	bd.Parts = parts
-	bd.log = &transferLog{}
-	for g := 0; g < s.Cfg.GPUs; g++ {
-		lo, hi := s.Minibatch(g)
-		bd.Final = append(bd.Final, tensor.New(hi-lo, s.Cfg.TotalTables, s.Cfg.Dim))
-	}
-	// After Final is allocated: cache classification pools hit vectors into
-	// it (dedup classification runs after, so hit vectors never enter the
-	// key sets).
-	s.compileRoutePlan(bd, nil, nil)
-	s.observeBatch(bd)
+	// After Final is allocated: the residency step pools hit vectors into it.
+	s.compileRoutePlan(bd, pooled)
+	s.accumOwnerLoad(bd)
 	return bd, nil
 }
 

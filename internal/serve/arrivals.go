@@ -49,14 +49,14 @@ func (c Config) nextArrival(rng *sim.RNG, now sim.Time) sim.Time {
 	// Track the cycle by index rather than walking t by float remainders —
 	// sub-ULP increments near the on-window edge would stall the walk.
 	k := math.Floor(float64(now) / cycle)
-	pos := float64(now) - k*cycle
+	pos := float64(now) - float64(k*cycle)
 	if pos >= onLen {
 		k, pos = k+1, 0
 	}
 	for {
 		gap := float64(expDraw(rng, onRate))
 		if pos+gap < onLen {
-			return sim.Time(k*cycle + pos + gap)
+			return sim.Time(float64(k*cycle) + pos + gap)
 		}
 		// No arrival before this on window closes; memorylessness lets the
 		// next window redraw fresh.

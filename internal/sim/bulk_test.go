@@ -11,7 +11,9 @@ import (
 // offset lo, bound n, slice length, coin probability and Zipf drift offset.
 // The inputs are folded into each kernel's domain. The corpus includes an n
 // of about 3/4 of MaxInt, where Lemire's method rejects about a quarter of
-// the draws on 64-bit hosts, so the retry path runs.
+// the draws on 64-bit hosts, so the retry path runs, in AddIntn and in
+// SkipIntn, which must leave the state AddIntn leaves without producing the
+// values. AddIntn's returned sum is held to the values the loop adds.
 //
 // Ranks is held to the whole-table binary search, so a fault it shares
 // with Rank cannot hide. Its Zipf exponent is 1+pZero over 1 + n%5000
@@ -64,14 +66,33 @@ func FuzzBulkDraws(f *testing.F) {
 		}
 
 		a, b := NewRNG(seed), NewRNG(seed)
-		AddIntn(a, got64, lo, n, pZero)
+		sum := AddIntn(a, got64, lo, n, pZero)
+		var added int64
 		for i := range want64 {
 			if pZero > 0 && b.Float64() < pZero {
 				continue
 			}
-			want64[i] += int64(lo + b.Intn(n))
+			v := b.Intn(n)
+			want64[i] += int64(lo + v)
+			added += int64(lo) + int64(v)
 		}
 		check("AddIntn[int64]", a, b, slices.Equal(got64, want64))
+		if sum != added {
+			t.Fatalf("AddIntn (seed %d, lo %d, n %d, len %d, pZero %v): returned sum %d, values added %d",
+				seed, lo, n, size, pZero, sum, added)
+		}
+
+		// SkipIntn leaves the state AddIntn without coins leaves, and over
+		// n = 1 the state of as many Uint64 draws.
+		skip, draw := NewRNG(seed), NewRNG(seed)
+		SkipIntn(skip, size, n)
+		AddIntn(draw, make([]int64, size), lo, n, 0)
+		check("SkipIntn", skip, draw, true)
+		SkipIntn(skip, size, 1)
+		for range size {
+			draw.Uint64()
+		}
+		check("SkipIntn(n=1)", skip, draw, true)
 
 		AddIntn(a, got32, lo, n, pZero)
 		for i := range want32 {

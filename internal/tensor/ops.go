@@ -32,7 +32,7 @@ func MatMul(a, b *Tensor) *Tensor {
 			}
 			brow := bc[kk*n : (kk+1)*n]
 			for j := range brow {
-				orow[j] += av * brow[j]
+				orow[j] += float32(av * brow[j])
 			}
 		}
 	}
@@ -161,7 +161,7 @@ func DotInteraction(features *Tensor) *Tensor {
 				vj := fc[base+j*d : base+(j+1)*d]
 				var dot float32
 				for x := range vi {
-					dot += vi[x] * vj[x]
+					dot += float32(vi[x] * vj[x])
 				}
 				out.data[s*pairs+k] = dot
 				k++
@@ -177,7 +177,7 @@ func (t *Tensor) RandomUniform(rng *sim.RNG, lo, hi float32) *Tensor {
 	d := t.Data()
 	span := hi - lo
 	for i := range d {
-		d[i] = lo + span*float32(rng.Float64())
+		d[i] = lo + float32(span*float32(rng.Float64()))
 	}
 	return t
 }

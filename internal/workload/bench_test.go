@@ -48,33 +48,15 @@ func BenchmarkSummaryTotals(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkNextSummaryInto draws infer-weak4's pooling structure (the
-// workload of retrieval.WeakScalingConfig(4)) into one reused summary — the
-// timing path's per-batch draw. A draw before the timer sizes the summary.
-func BenchmarkNextSummaryInto(b *testing.B) {
-	b.Run("shape=infer-weak4", func(b *testing.B) {
-		g, err := NewGenerator(PaperWeakScaling(256, 2024))
-		if err != nil {
-			b.Fatal(err)
-		}
-		var s Summary
-		g.NextSummaryInto(&s)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			g.NextSummaryInto(&s)
-		}
-	})
-}
-
-// BenchmarkNextBatchInto draws infer-cluster16's batches (the workload of
-// retrieval.MultiNodeConfig(4, 4)) into one reused batch — the draw cached,
-// placement and functional runs still take. The batch's slices grow by
-// append's policy over its first draws, so it is drawn until a draw
-// allocates nothing before the timer starts.
-func BenchmarkNextBatchInto(b *testing.B) {
+// BenchmarkFeature draws infer-cluster16's batches (the workload of
+// retrieval.MultiNodeConfig(4, 4)) the way a timing run's compile walk does:
+// a pooling pass, then every feature into one reused bag in a plan order
+// that is not the feature order (odd features first, then even ones). The
+// bag's slices grow by append's policy over the first batches, so it is
+// drawn until a batch allocates nothing before the timer starts.
+func BenchmarkFeature(b *testing.B) {
 	b.Run("shape=infer-cluster16", func(b *testing.B) {
-		g, err := NewGenerator(Config{
+		cfg := Config{
 			NumFeatures:  256,
 			BatchSize:    8192,
 			MinPooling:   1,
@@ -84,12 +66,25 @@ func BenchmarkNextBatchInto(b *testing.B) {
 			ZipfExponent: 1.2,
 			NumDense:     13,
 			Seed:         2024,
-		})
+		}
+		g, err := NewGenerator(cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		var batch sparse.Batch
-		draw := func() { g.NextBatchInto(&batch) }
+		order := make([]int, 0, cfg.NumFeatures)
+		for start := 1; start >= 0; start-- {
+			for f := start; f < cfg.NumFeatures; f += 2 {
+				order = append(order, f)
+			}
+		}
+		sum := make([]int64, cfg.BatchSize)
+		var fb sparse.FeatureBag
+		draw := func() {
+			g.NextPoolingSums(func(int) []int64 { return sum })
+			for _, f := range order {
+				g.Feature(f, &fb)
+			}
+		}
 		for testing.AllocsPerRun(1, draw) != 0 {
 		}
 		b.ReportAllocs()

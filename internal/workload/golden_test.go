@@ -4,9 +4,9 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
+	"math/rand/v2"
 	"slices"
 	"testing"
-	"unsafe"
 
 	"pgasemb/internal/sparse"
 )
@@ -40,11 +40,18 @@ func batchDigest(t *testing.T, cfg Config, n int) string {
 	return hex.EncodeToString(h.Sum(nil))
 }
 
-// TestNextBatchGolden pins the exact indices fixed-seed generators draw, so
-// any change to the sampling streams (pooling order, index order, Zipf rank
-// lookup, drift rotation) fails loudly instead of silently shifting every
-// committed result.
-func TestNextBatchGolden(t *testing.T) {
+// batchGoldenCase is one fixed-seed configuration and the digest of its
+// first five NextBatch draws.
+type batchGoldenCase struct {
+	name string
+	cfg  Config
+	want string
+}
+
+// batchGoldenCases are TestNextBatchGolden's configurations: uniform and
+// Zipf indices, drift, NULL bags, per-feature pooling bounds and a uniform
+// space past 2^31.
+func batchGoldenCases() []batchGoldenCase {
 	zipf := Config{
 		NumFeatures:          3,
 		BatchSize:            64,
@@ -57,11 +64,7 @@ func TestNextBatchGolden(t *testing.T) {
 		ZipfExponent:         1.05,
 		Seed:                 12,
 	}
-	cases := []struct {
-		name string
-		cfg  Config
-		want string
-	}{
+	return []batchGoldenCase{
 		{"uniform", Config{
 			NumFeatures:     3,
 			BatchSize:       64,
@@ -80,7 +83,14 @@ func TestNextBatchGolden(t *testing.T) {
 		{"uniform-nonull-wide", nullFreeWideCfg(), "036ea9c3257a2b7bf24f059322ecfb8e842d7c77c5ebdcc020d1e2a80e44cb52"},
 		{"zipf-drift-nonull-perfeature", zipfDriftPerFeatureCfg(), "dfa4e60b38cf02f1aecf36dac2e79f72a621f283c7af1f37bfba3e9678eb8d3c"},
 	}
-	for _, c := range cases {
+}
+
+// TestNextBatchGolden pins the exact indices fixed-seed generators draw, so
+// any change to the sampling streams (pooling order, index order, Zipf rank
+// lookup, drift rotation) fails loudly instead of silently shifting every
+// committed result.
+func TestNextBatchGolden(t *testing.T) {
+	for _, c := range batchGoldenCases() {
 		if got := batchDigest(t, c.cfg, 5); got != c.want {
 			t.Errorf("%s: NextBatch digest %s, want %s", c.name, got, c.want)
 		}
@@ -166,75 +176,6 @@ func TestNextSummaryGolden(t *testing.T) {
 	}
 }
 
-// TestNextBatchIntoReuse draws consecutive batches into one reused batch and
-// checks each against a twin generator's fresh NextBatch, byte for byte,
-// across per-feature index totals that both grow and shrink.
-func TestNextBatchIntoReuse(t *testing.T) {
-	withNull := nullFreePerFeatureCfg()
-	withNull.NullProbability = 0.3
-	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
-		cfg.BatchSize = 3 // few bags per feature, so totals swing batch to batch
-		fresh, err := NewGenerator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reused, _ := NewGenerator(cfg)
-		var b sparse.Batch
-		prev := make([]int, cfg.NumFeatures)
-		var grew, shrank bool
-		for i := 0; i < 40; i++ {
-			want := fresh.NextBatch()
-			reused.NextBatchInto(&b)
-			if b.Size != want.Size || len(b.Features) != len(want.Features) {
-				t.Fatalf("seed %d batch %d: shape %d x %d, want %d x %d",
-					cfg.Seed, i, b.Size, len(b.Features), want.Size, len(want.Features))
-			}
-			for f := range want.Features {
-				got, w := &b.Features[f], &want.Features[f]
-				if got.FeatureID != w.FeatureID || !slices.Equal(got.Offsets, w.Offsets) ||
-					!slices.Equal(got.Indices, w.Indices) {
-					t.Fatalf("seed %d batch %d feature %d: reused draw differs from NextBatch", cfg.Seed, i, f)
-				}
-				n := len(got.Indices)
-				if i > 0 {
-					grew = grew || n > prev[f]
-					shrank = shrank || n < prev[f]
-				}
-				prev[f] = n
-			}
-		}
-		if !grew || !shrank {
-			t.Fatalf("seed %d: index totals never both grew (%v) and shrank (%v)", cfg.Seed, grew, shrank)
-		}
-	}
-}
-
-// TestNextSummaryIntoReuse pins the reused-summary draw: redrawing one
-// Summary yields NextSummary's pooling factors batch after batch, drift
-// epochs included, and allocates nothing once the summary is sized.
-func TestNextSummaryIntoReuse(t *testing.T) {
-	withNull := nullFreePerFeatureCfg()
-	withNull.NullProbability = 0.3
-	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
-		fresh, err := NewGenerator(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		reused, _ := NewGenerator(cfg)
-		var s Summary
-		for i := 0; i < 12; i++ {
-			want := fresh.NextSummary()
-			reused.NextSummaryInto(&s)
-			if s.BatchSize != want.BatchSize || s.NumFeatures != want.NumFeatures || !slices.Equal(s.Pooling, want.Pooling) {
-				t.Fatalf("seed %d batch %d: reused summary differs from NextSummary", cfg.Seed, i)
-			}
-		}
-		if allocs := testing.AllocsPerRun(4, func() { reused.NextSummaryInto(&s) }); allocs != 0 {
-			t.Errorf("seed %d: warm NextSummaryInto allocates %v times per draw", cfg.Seed, allocs)
-		}
-	}
-}
-
 // TestNextPoolingSumsMatchesSummary pins the shard-sum draw: features
 // mapped to two shards (even features to one, odd to the other) add into
 // them exactly NextSummary's per-shard sums, on top of what the shards
@@ -291,46 +232,84 @@ func TestNextPoolingSumsMatchesSummary(t *testing.T) {
 	}
 }
 
-// TestNextBagsIntoMatchesNextBatch pins the streamed draw: the feature bags
-// handed to fn, in feature order, are NextBatch's features batch after
-// batch, drift epochs and NULL bags included. The bag's index slice is sized
-// by the first draw for the largest feature any batch can draw, so no later
-// draw moves it and a warm draw allocates nothing.
-func TestNextBagsIntoMatchesNextBatch(t *testing.T) {
-	withNull := nullFreePerFeatureCfg()
-	withNull.NullProbability = 0.3
-	for _, cfg := range []Config{nullFreePerFeatureCfg(), withNull, zipfDriftPerFeatureCfg()} {
-		cfg.BatchSize = 3 // few bags per feature, so totals swing batch to batch
-		fresh, err := NewGenerator(cfg)
+// checkFeatures opens batch i of seek with a pooling pass, draws its
+// features in the given order and holds each to want's.
+func checkFeatures(t *testing.T, name string, i int, seek *Generator, want *sparse.Batch, order []int, fb *sparse.FeatureBag) {
+	t.Helper()
+	B := seek.cfg.BatchSize
+	sum := make([]int64, B)
+	seek.NextPoolingSums(func(int) []int64 { return sum })
+	var total int64
+	for _, p := range sum {
+		total += p
+	}
+	for _, f := range order {
+		w := &want.Features[f]
+		seek.Feature(f, fb)
+		if fb.FeatureID != f || !slices.Equal(fb.Offsets, w.Offsets) || !slices.Equal(fb.Indices, w.Indices) {
+			t.Fatalf("%s batch %d: feature %d drawn in order %v differs from NextBatch's", name, i, f, order)
+		}
+	}
+	var wantTotal int
+	for _, w := range want.Features {
+		wantTotal += len(w.Indices)
+	}
+	if total != int64(wantTotal) {
+		t.Fatalf("%s batch %d: the pooling pass summed %d indices, NextBatch drew %d", name, i, total, wantTotal)
+	}
+}
+
+// TestFeatureMatchesNextBatch holds the seekable draw to NextBatch: on every
+// TestNextBatchGolden configuration, a pooling pass followed by Feature for
+// every feature in a seeded random order draws NextBatch's features, batch
+// after batch (so every batch's index stream starts where the last one's
+// ended, whatever order it was drawn in), and a warm pass plus Feature
+// allocates nothing. A uniform space of 1,000,000 rows, not a power of two,
+// is drawn in reverse feature order, so every feature but the last is first
+// reached by skipping its draws. A batch whose features are not all drawn
+// still moves the next batch's index stream past all of its draws.
+func TestFeatureMatchesNextBatch(t *testing.T) {
+	rng := rand.New(rand.NewPCG(7, 8))
+	for _, c := range batchGoldenCases() {
+		fresh, err := NewGenerator(c.cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		streamed, _ := NewGenerator(cfg)
+		seek, _ := NewGenerator(c.cfg)
 		var fb sparse.FeatureBag
-		var backing *int64
-		for i := 0; i < 40; i++ {
-			want := fresh.NextBatch()
-			next := 0
-			streamed.NextBagsInto(&fb, func(got *sparse.FeatureBag) {
-				w := &want.Features[next]
-				if got != &fb || got.FeatureID != next || !slices.Equal(got.Offsets, w.Offsets) ||
-					!slices.Equal(got.Indices, w.Indices) {
-					t.Fatalf("seed %d batch %d: feature %d differs from NextBatch", cfg.Seed, i, next)
-				}
-				next++
-			})
-			if next != cfg.NumFeatures {
-				t.Fatalf("seed %d batch %d: %d features drawn, want %d", cfg.Seed, i, next, cfg.NumFeatures)
-			}
-			if i == 0 {
-				backing = unsafe.SliceData(fb.Indices)
-			} else if unsafe.SliceData(fb.Indices) != backing {
-				t.Fatalf("seed %d batch %d: the index buffer was reallocated after the first draw", cfg.Seed, i)
+		for i := 0; i < 6; i++ {
+			checkFeatures(t, c.name, i, seek, fresh.NextBatch(), rng.Perm(c.cfg.NumFeatures), &fb)
+		}
+		// A batch of which only the middle feature is drawn.
+		mid := []int{c.cfg.NumFeatures / 2}
+		checkFeatures(t, c.name, 6, seek, fresh.NextBatch(), mid, &fb)
+		checkFeatures(t, c.name, 7, seek, fresh.NextBatch(), rng.Perm(c.cfg.NumFeatures), &fb)
+
+		sum := make([]int64, c.cfg.BatchSize)
+		draw := func() {
+			seek.NextPoolingSums(func(int) []int64 { return sum })
+			for f := c.cfg.NumFeatures - 1; f >= 0; f-- {
+				seek.Feature(f, &fb)
 			}
 		}
-		discard := func(*sparse.FeatureBag) {}
-		if allocs := testing.AllocsPerRun(4, func() { streamed.NextBagsInto(&fb, discard) }); allocs != 0 {
-			t.Errorf("seed %d: warm NextBagsInto allocates %v times per draw", cfg.Seed, allocs)
+		for range 3 {
+			draw() // warm: the bag's slices reach every feature's size
 		}
+		if allocs := testing.AllocsPerRun(4, draw); allocs != 0 {
+			t.Errorf("%s: a warm pooling pass plus Feature allocates %v times per batch", c.name, allocs)
+		}
+	}
+
+	cfg := nullFreeCfg()
+	cfg.NumFeatures = 5
+	cfg.BatchSize = 300
+	fresh, err := NewGenerator(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seek, _ := NewGenerator(cfg)
+	var fb sparse.FeatureBag
+	for i := 0; i < 4; i++ {
+		checkFeatures(t, "uniform-1M-reverse", i, seek, fresh.NextBatch(), []int{4, 3, 2, 1, 0}, &fb)
 	}
 }

@@ -10,6 +10,13 @@
 // (batch 16384 × 64+ tables × pooling up to 128) run as pure timing
 // simulations while small-scale tests verify the data plane bit-exactly on
 // the same code path.
+//
+// Both streams are splitmix64, which is counter-based: draw k of a stream
+// is a function of its start and k alone. So the streams can be sought per
+// feature. A batch opens with a pooling pass over its features in feature
+// order, which records where each feature's pooling and index draws start;
+// Feature then draws any feature's bags, in any order, bit-identical to the
+// same feature of NextBatch, and a caller never has to hold a whole batch.
 package workload
 
 import (
@@ -213,17 +220,32 @@ func CriteoShaped(seed uint64) Config {
 }
 
 // Generator produces batches (or their timing summaries) deterministically.
+//
+// Each batch is opened by a pooling pass (NextPoolingSums, NextSummary or
+// NextBatch) in feature order, which records where each feature's draws
+// start; Feature then draws any feature of the open batch, in any order. A
+// batch's index draws start where those of the last batch that drew any
+// ended, so pooling-only batches leave the index stream alone.
 type Generator struct {
 	cfg      Config
-	rngPool  *sim.RNG     // pooling factors and null draws
-	rngIdx   *sim.RNG     // index values
-	rngDense *sim.RNG     // dense features
-	zipf     *sim.ZipfCDF // Zipf rank table (nil for uniform); draws consume rngIdx
+	rngPool  sim.RNG      // pooling factors and null draws
+	rngDense sim.RNG      // dense features
+	zipf     *sim.ZipfCDF // Zipf rank table (nil for uniform); draws consume the index stream
 
-	// Hot-set drift state: batches counts draws of either kind (NextBatch
-	// and NextSummary advance it identically, keeping the two modes
-	// trajectory-identical), and driftOffset rotates the Zipf rank→index
-	// mapping by driftStep every HotSetDriftEvery batches.
+	// The open batch's seek records. poolAt[f] is the pooling stream at
+	// feature f's first draw and idxLen[f] the number of indices feature f
+	// draws. idxAt[f] is the index stream at feature f's first index draw,
+	// known for f <= frontier; idxAt[0] is where the batch's index draws
+	// start. The frontier stays 0 until a feature of the batch is drawn.
+	poolAt   []sim.RNG
+	idxLen   []int
+	idxAt    []sim.RNG
+	frontier int
+
+	// Hot-set drift state: batches counts opened batches of every kind, so
+	// the rotation schedule is the same whether or not indices are drawn,
+	// and driftOffset rotates the Zipf rank→index mapping by driftStep every
+	// HotSetDriftEvery batches.
 	batches     int
 	driftOffset int64
 	driftStep   int64
@@ -253,12 +275,17 @@ func NewGeneratorWithZipf(cfg Config, zipf *sim.ZipfCDF) (*Generator, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	F := cfg.NumFeatures
+	rngs := make([]sim.RNG, 2*F+1) // poolAt and idxAt, in one allocation
 	g := &Generator{
 		cfg:      cfg,
-		rngPool:  sim.NewRNG(cfg.Seed ^ 0xA5A5_0001),
-		rngIdx:   sim.NewRNG(cfg.Seed ^ 0xA5A5_0002),
-		rngDense: sim.NewRNG(cfg.Seed ^ 0xA5A5_0003),
+		rngPool:  *sim.NewRNG(cfg.Seed ^ 0xA5A5_0001),
+		rngDense: *sim.NewRNG(cfg.Seed ^ 0xA5A5_0003),
+		poolAt:   rngs[:F:F],
+		idxLen:   make([]int, F),
+		idxAt:    rngs[F:],
 	}
+	g.idxAt[0] = *sim.NewRNG(cfg.Seed ^ 0xA5A5_0002)
 	if cfg.Distribution == Zipf {
 		if zipf == nil {
 			zipf = cfg.ZipfCDF()
@@ -280,99 +307,129 @@ func NewGeneratorWithZipf(cfg Config, zipf *sim.ZipfCDF) (*Generator, error) {
 	return g, nil
 }
 
-// advanceBatch steps the drift epoch counter. NextBatch and NextSummary both
-// call it exactly once per batch, so the rotation schedule is identical
-// whether or not indices are materialised.
-func (g *Generator) advanceBatch() {
+// Config returns the generator's configuration.
+func (g *Generator) Config() Config { return g.cfg }
+
+// addPoolings adds feature f's per-bag pooling factors, in sample order, to
+// dst (a NULL bag adds 0), drawing from r, and returns their sum. Each bag
+// takes a NULL draw (when NULL bags are on) and then its pooling draw.
+func addPoolings[T int32 | int64](g *Generator, r *sim.RNG, f int, dst []T) int64 {
+	lo := g.cfg.MinPooling
+	return sim.AddIntn(r, dst, lo, g.cfg.featureMaxPooling(f)-lo+1, g.cfg.NullProbability)
+}
+
+// openBatch starts the next batch's pooling pass (see poolFeature).
+func (g *Generator) openBatch() {
+	if g.frontier > 0 { // the last batch drew indices
+		g.idxAt[0] = g.indexStream(g.cfg.NumFeatures)
+	}
+	g.frontier = 0
 	if g.cfg.HotSetDriftEvery > 0 && g.batches > 0 && g.batches%g.cfg.HotSetDriftEvery == 0 {
 		g.driftOffset = (g.driftOffset + g.driftStep) % g.cfg.IndexSpace
 	}
 	g.batches++
 }
 
-// Config returns the generator's configuration.
-func (g *Generator) Config() Config { return g.cfg }
-
-// addPoolings adds feature f's per-bag pooling factors, in sample order, to
-// dst (a NULL bag adds 0). Each bag takes a NULL draw (when NULL bags are on)
-// and then its pooling draw, both from rngPool.
-func addPoolings[T int32 | int64](g *Generator, f int, dst []T) {
-	lo := g.cfg.MinPooling
-	sim.AddIntn(g.rngPool, dst, lo, g.cfg.featureMaxPooling(f)-lo+1, g.cfg.NullProbability)
+// poolFeature is the pooling pass's step: it draws feature f's pooling
+// factors, adding them in sample order to the first BatchSize elements of
+// dst, and records where the feature's draws start.
+func poolFeature[T int32 | int64](g *Generator, f int, dst []T) {
+	g.poolAt[f] = g.rngPool
+	g.idxLen[f] = int(addPoolings(g, &g.rngPool, f, dst[:g.cfg.BatchSize]))
 }
 
-// drawIndices fills dst with consecutive raw indices from rngIdx.
-func (g *Generator) drawIndices(dst []int64) {
+// NextPoolingSums opens the next batch with its pooling pass: it draws the
+// batch's pooling factors one feature at a time, in feature order, and adds
+// feature f's factors, in sample order, to the first BatchSize elements of
+// sum(f). No factor is stored: features that sum(f) maps to one slice are
+// summed there as they are drawn. Feature then draws the batch's bags.
+func (g *Generator) NextPoolingSums(sum func(f int) []int64) {
+	g.openBatch()
+	for f := range g.poolAt {
+		poolFeature(g, f, sum(f))
+	}
+}
+
+// Feature draws feature f of the batch the last pooling pass opened into
+// fb, reusing the capacity of its slices: the offsets and indices of
+// feature f of the batch NextBatch would draw, in any order, any number of
+// times. The pooling factors are redrawn from the pass's record, and the
+// indices start at the recorded index-stream state (see indexStream).
+func (g *Generator) Feature(f int, fb *sparse.FeatureBag) {
+	fb.Offsets = resize(fb.Offsets, g.cfg.BatchSize+1)
+	clear(fb.Offsets)
+	pool := g.poolAt[f]
+	addPoolings(g, &pool, f, fb.Offsets[1:])
+	g.drawBag(f, fb)
+}
+
+// drawBag finishes feature f's bag of the open batch, whose offsets hold
+// the feature's pooling factors after a leading 0: it scans them into
+// offsets and draws the indices.
+func (g *Generator) drawBag(f int, fb *sparse.FeatureBag) {
+	fb.FeatureID = f
+	for s := 1; s < len(fb.Offsets); s++ {
+		fb.Offsets[s] += fb.Offsets[s-1]
+	}
+	fb.Indices = resize(fb.Indices, g.idxLen[f])
+	r := g.indexStream(f)
 	switch space := g.cfg.IndexSpace; {
 	case g.zipf != nil:
 		// Drift rotates the rank→index mapping: the same rank (same draw
 		// stream) lands on a shifted raw index, so the hot set moves while
 		// the skew shape is preserved exactly.
-		g.zipf.Ranks(g.rngIdx, dst, g.driftOffset)
+		g.zipf.Ranks(&r, fb.Indices, g.driftOffset)
 	case space <= 1<<31:
-		clear(dst)
-		sim.AddIntn(g.rngIdx, dst, 0, int(space), 0)
+		clear(fb.Indices)
+		sim.AddIntn(&r, fb.Indices, 0, int(space), 0)
 	default:
-		g.rngIdx.Mods(dst, space)
+		r.Mods(fb.Indices, space)
+	}
+	if f == g.frontier {
+		g.idxAt[f+1] = r
+		g.frontier++
 	}
 }
 
-// NextBatch materialises a full sparse batch (pooling + indices) into a
-// fresh batch.
+// indexStream returns the index stream at feature f's first index draw.
+// Features up to the frontier have a recorded start; one past it is reached
+// by skipping the draws of the features before it. Zipf, Mods and
+// power-of-two uniform indices take one draw each, so the skip is
+// arithmetic; any other uniform index takes one unless Lemire's method
+// rejects it (probability below IndexSpace/2^64), so SkipIntn tests each
+// skipped draw. A batch drawn in feature order never skips.
+func (g *Generator) indexStream(f int) sim.RNG {
+	for ; g.frontier < f; g.frontier++ {
+		r := g.idxAt[g.frontier]
+		n := 1 // a Zipf or Mods index takes one draw, as Intn(1) does
+		if space := g.cfg.IndexSpace; g.zipf == nil && space <= 1<<31 {
+			n = int(space)
+		}
+		sim.SkipIntn(&r, g.idxLen[g.frontier], n)
+		g.idxAt[g.frontier+1] = r
+	}
+	return g.idxAt[f]
+}
+
+// NextBatch materialises the next full sparse batch (pooling + indices)
+// into a fresh batch.
 func (g *Generator) NextBatch() *sparse.Batch {
 	b := &sparse.Batch{}
-	g.NextBatchInto(b)
+	g.batchInto(b)
 	return b
 }
 
-// NextBatchInto draws the next batch into b, reusing the capacity of its
-// feature, offset and index slices; b's previous contents are overwritten.
-func (g *Generator) NextBatchInto(b *sparse.Batch) {
-	g.advanceBatch()
-	b.Size = g.cfg.BatchSize
-	b.Features = resize(b.Features, g.cfg.NumFeatures)
-	for f := range b.Features {
-		g.drawFeature(f, &b.Features[f])
-	}
-}
-
-// NextBagsInto draws the next batch one feature at a time into fb and hands
-// each feature to fn in feature order; fn must not keep fb's slices, which
-// the next feature overwrites. The draws are NextBatch's, but only one
-// feature's offsets and indices are held at a time. fb's index slice is
-// sized once for the largest feature a batch can draw (BatchSize × the
-// largest pooling bound), so a warm fb never regrows.
-func (g *Generator) NextBagsInto(fb *sparse.FeatureBag, fn func(fb *sparse.FeatureBag)) {
-	g.advanceBatch()
-	most := 0
-	for f := 0; f < g.cfg.NumFeatures; f++ {
-		most = max(most, g.cfg.featureMaxPooling(f))
-	}
-	if n := g.cfg.BatchSize * most; cap(fb.Indices) < n {
-		fb.Indices = make([]int64, 0, n)
-	}
-	for f := 0; f < g.cfg.NumFeatures; f++ {
-		g.drawFeature(f, fb)
-		fn(fb)
-	}
-}
-
-// drawFeature draws feature f's offsets and indices into fb, reusing their
-// capacity. The pooling factors are drawn first, so the index slice is sized
-// once at its exact length; pooling and indices come from separate streams,
-// so the draws match interleaving them bag by bag.
-func (g *Generator) drawFeature(f int, fb *sparse.FeatureBag) {
+// batchInto opens the next batch and draws it whole into b, in feature order.
+func (g *Generator) batchInto(b *sparse.Batch) {
 	B := g.cfg.BatchSize
-	fb.FeatureID = f
-	fb.Offsets = resize(fb.Offsets, B+1)
-	offsets := fb.Offsets
-	clear(offsets)
-	addPoolings(g, f, offsets[1:])
-	for s := 1; s <= B; s++ {
-		offsets[s] += offsets[s-1]
+	*b = sparse.Batch{Size: B, Features: make([]sparse.FeatureBag, g.cfg.NumFeatures)}
+	g.openBatch()
+	for f := range b.Features {
+		fb := &b.Features[f]
+		fb.Offsets = make([]int32, B+1)
+		poolFeature(g, f, fb.Offsets[1:])
+		g.drawBag(f, fb)
 	}
-	fb.Indices = resize(fb.Indices, int(offsets[B]))
-	g.drawIndices(fb.Indices)
 }
 
 // resize returns s with length n, reallocating only when its capacity is
@@ -394,42 +451,22 @@ type Summary struct {
 	Pooling []int32
 }
 
-// NextSummary draws the same pooling sequence NextBatch would (identical
-// rngPool trajectory) without touching the index stream, into a fresh
-// summary.
+// NextSummary opens the next batch with its pooling pass and returns its
+// pooling factors in a fresh summary: the pooling sequence NextBatch would
+// draw, without touching the index stream.
 func (g *Generator) NextSummary() *Summary {
 	s := &Summary{}
-	g.NextSummaryInto(s)
+	g.summaryInto(s)
 	return s
 }
 
-// NextSummaryInto draws the next summary into s, reusing the capacity of its
-// pooling slice; s's previous contents are overwritten. The draws are
-// NextSummary's.
-func (g *Generator) NextSummaryInto(s *Summary) {
-	g.advanceBatch()
-	B := g.cfg.BatchSize
-	s.BatchSize = B
-	s.NumFeatures = g.cfg.NumFeatures
-	s.Pooling = resize(s.Pooling, g.cfg.NumFeatures*B)
-	for f := 0; f < g.cfg.NumFeatures; f++ {
-		// Cleared one feature at a time, so the row is still in cache when
-		// the draw adds into it.
-		row := s.Pooling[f*B : (f+1)*B]
-		clear(row)
-		addPoolings(g, f, row)
-	}
-}
-
-// NextPoolingSums draws the next batch's pooling factors one feature at a
-// time, in feature order, and adds feature f's factors, in sample order, to
-// the first BatchSize elements of sum(f). The draws are NextSummary's, but no
-// factor is stored: features that sum(f) maps to one slice are summed there
-// as they are drawn.
-func (g *Generator) NextPoolingSums(sum func(f int) []int64) {
-	g.advanceBatch()
-	for f := 0; f < g.cfg.NumFeatures; f++ {
-		addPoolings(g, f, sum(f)[:g.cfg.BatchSize])
+// summaryInto opens the next batch with its pooling pass into s.
+func (g *Generator) summaryInto(s *Summary) {
+	B, F := g.cfg.BatchSize, g.cfg.NumFeatures
+	*s = Summary{BatchSize: B, NumFeatures: F, Pooling: make([]int32, F*B)}
+	g.openBatch()
+	for f := range g.poolAt {
+		poolFeature(g, f, s.Pooling[f*B:(f+1)*B])
 	}
 }
 
@@ -459,5 +496,5 @@ func (s *Summary) FeatureIndices(feature int) int64 {
 // NextDense returns a (BatchSize, NumDense) tensor of uniform [0,1) dense
 // features.
 func (g *Generator) NextDense() *tensor.Tensor {
-	return tensor.New(g.cfg.BatchSize, g.cfg.NumDense).RandomUniform(g.rngDense, 0, 1)
+	return tensor.New(g.cfg.BatchSize, g.cfg.NumDense).RandomUniform(&g.rngDense, 0, 1)
 }
