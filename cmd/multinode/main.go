@@ -10,7 +10,7 @@
 //	          [-backend pgas-fused] [-precision fp32] [-csv] [-timeout 0]
 //
 // -backend swaps the accelerated column's backend for any registered name
-// (e.g. hybrid); the baseline column always runs for comparison.
+// (e.g. pgas-overlap-only); the baseline column always runs for comparison.
 package main
 
 import (

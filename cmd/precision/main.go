@@ -7,7 +7,7 @@
 // Usage:
 //
 //	precision [-nodes 1] [-gpus-per-node 4] [-batches 20]
-//	          [-backends baseline,pgas-fused,hybrid] [-csv]
+//	          [-backends baseline,pgas-fused] [-csv]
 //	          [-out ""] [-timeout 0]
 //
 // With -out set, the rendered table and its CSV are also written to
@@ -27,7 +27,7 @@ func main() {
 	gpusPerNode := flag.Int("gpus-per-node", 4, "GPUs per node")
 	batches := flag.Int("batches", 0, "inference batches per run (0 = configuration default)")
 	batchSize := flag.Int("batchsize", 0, "global batch size (0 = configuration default)")
-	backends := flag.String("backends", "", "comma-separated registered backends (default baseline,pgas-fused,hybrid)")
+	backends := flag.String("backends", "", "comma-separated registered backends (default baseline,pgas-fused)")
 	parallel := flag.Int("parallel", 0, "concurrent simulation runs (0 = GOMAXPROCS); results are identical for every value")
 	csv := flag.Bool("csv", false, "emit CSV instead of an aligned table")
 	out := flag.String("out", "", "directory to also write precision.txt and precision.csv into (empty = stdout only)")

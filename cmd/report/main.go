@@ -12,8 +12,8 @@
 // -dedup adds the batch-level index-deduplication axis to the scaling
 // sweeps (each backend runs with dedup off and on; the tables grow the
 // dedup columns). -backend swaps the accelerated column's backend for any
-// registered name (e.g. hybrid); the baseline column always runs for
-// comparison.
+// registered name (e.g. pgas-overlap-only); the baseline column always runs
+// for comparison.
 //
 // Independent simulation runs within each experiment execute concurrently
 // on -parallel workers (default GOMAXPROCS); the tables and CSVs are

@@ -25,10 +25,10 @@ func TestListsAndBackends(t *testing.T) {
 		t.Errorf("Floats = %v", got)
 	}
 	for value, want := range map[string][]string{
-		"both":              {"baseline", "pgas-fused"},
-		"pgas":              {"pgas-fused"},
-		"hybrid, baseline":  {"hybrid", "baseline"},
-		"pgas-overlap-only": {"pgas-overlap-only"},
+		"both":                        {"baseline", "pgas-fused"},
+		"pgas":                        {"pgas-fused"},
+		"pgas-overlap-only, baseline": {"pgas-overlap-only", "baseline"},
+		"pgas-overlap-only":           {"pgas-overlap-only"},
 	} {
 		var got []string
 		for _, be := range Backends("backend", value) {

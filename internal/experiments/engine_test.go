@@ -234,7 +234,7 @@ func entryPoints() []entryPoint {
 			_, err := RunMultiNode(ctx, WeakScaling, o)
 			return err
 		}},
-		{"RunPrecision", "precision-sweep", 3*2*3 + 3, func(ctx context.Context, sw Sweep) error {
+		{"RunPrecision", "precision-sweep", 2*2*3 + 3, func(ctx context.Context, sw Sweep) error {
 			o := precisionTestOptions()
 			o.Sweep, o.Batches = sw, 1
 			_, err := RunPrecision(ctx, o)
@@ -375,7 +375,7 @@ func TestSweepsRefuseNegativeSharedFields(t *testing.T) {
 // sweep takes a nil one.
 func TestSweepsRefuseBadBackends(t *testing.T) {
 	two := fastOpts(1)
-	two.Backends = []retrieval.Backend{&retrieval.PGASFused{}, &retrieval.Hybrid{}}
+	two.Backends = []retrieval.Backend{&retrieval.PGASFused{}, &retrieval.PGASFused{StageRemote: true}}
 	if _, err := RunScaling(context.Background(), WeakScaling, two); err == nil ||
 		!strings.Contains(err.Error(), "accelerated column alone") {
 		t.Errorf("two accelerated backends: err = %v", err)

@@ -21,8 +21,8 @@ import (
 
 // PrecisionOptions tunes the wire-precision sweep.
 type PrecisionOptions struct {
-	// Sweep.Backends are the backends to sweep. Empty means baseline,
-	// pgas-fused and hybrid.
+	// Sweep.Backends are the backends to sweep. Empty means baseline and
+	// pgas-fused.
 	Sweep
 	// Nodes picks the machine: 1 = a single NVLink node, >1 = a cluster of
 	// NVLink nodes joined by NICs (default 1).
@@ -74,7 +74,7 @@ func (r *PrecisionResult) Point(backend string, dedup bool, prec retrieval.Preci
 // front and results land in index-addressed slices, so the tables are
 // byte-identical at any Parallel. It returns early when ctx is done.
 func RunPrecision(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
-	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}, &retrieval.Hybrid{}})
+	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
 	nodes := orDefault(opts.Nodes, 1)
 	perNode := orDefault(opts.GPUsPerNode, 4)
 	hw := hardware(nil, nodes)

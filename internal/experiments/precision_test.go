@@ -24,7 +24,7 @@ func TestPrecisionSweep(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	names := []string{"baseline", "pgas-fused", "hybrid"} // the default backends
+	names := []string{"baseline", "pgas-fused"} // the default backends
 	cells := len(names) * 2 * len(precisionSweep)
 	if len(res.Points) != cells {
 		t.Fatalf("got %d points, want %d", len(res.Points), cells)

@@ -384,6 +384,7 @@ func TestCostPanicsOnNegativeInputs(t *testing.T) {
 	calls := []func(){
 		func() { d.GatherKernelCost(-1, 0, 1) },
 		func() { d.GatherKernelCost(0, -1, 1) },
+		func() { d.GatherKernelCost(0, 0, -1) },
 		func() { d.UnpackKernelCost(-1, 1) },
 		func() { d.UnpackKernelCost(1, -1) },
 		func() { d.MLPKernelCost(-1, 0) },

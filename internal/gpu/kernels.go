@@ -31,19 +31,9 @@ func (d *Device) occupancyUtil(workItems int) float64 {
 // GatherKernelCost models an embedding lookup+pooling kernel: readBytes of
 // random 256 B-granularity gathers plus writeBytes of streaming output
 // stores plus a fixed per-item cost, executed by workItems independent
-// output vectors at the occupancy-derived utilisation.
+// output vectors at the occupancy-derived utilisation: a kernel of one chunk.
 func (d *Device) GatherKernelCost(readBytes, writeBytes float64, workItems int) sim.Duration {
-	if readBytes < 0 || writeBytes < 0 {
-		panic(fmt.Sprintf("gpu%d: negative kernel traffic (%g, %g)", d.id, readBytes, writeBytes))
-	}
-	util := d.occupancyUtil(workItems)
-	if util == 0 {
-		return 0
-	}
-	read := readBytes / (d.params.HBMBandwidth * d.params.GatherEfficiency)
-	write := writeBytes / (d.params.HBMBandwidth * d.params.StreamEfficiency)
-	items := sim.Duration(sim.Duration(workItems) * d.params.ItemOverhead)
-	return (read + write + items) / util * sim.Duration(d.slow)
+	return d.GatherKernelChunkCost(readBytes, writeBytes, workItems, workItems)
 }
 
 // GatherKernelChunkCost prices one progress chunk of a larger gather

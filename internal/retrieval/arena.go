@@ -1,9 +1,8 @@
 package retrieval
 
 // Per-GPU scratch arenas. Every backend's RunBatch used to allocate its
-// working buffers (all-to-all segment sizes, the hybrid transport matrix)
-// per call; over a serving run that is thousands of short-lived slices per
-// second of simulated traffic. Each run now owns one gpuScratch per GPU,
+// working buffers (all-to-all segment sizes) per call; over a serving run
+// that is thousands of short-lived slices per second of simulated traffic. Each run now owns one gpuScratch per GPU,
 // and RunBatch borrows from it instead of calling make.
 //
 // Safety: the simulator's processes never run concurrently (strict handoff),
@@ -16,7 +15,6 @@ package retrieval
 type gpuScratch struct {
 	sendBytes []float64 // all-to-all segment sizes
 	recvBytes []float64
-	route     transport // hybrid transport matrix (see Hybrid.routes)
 }
 
 // scratchSlice returns (*buf)[:n], reallocating only when capacity is short,

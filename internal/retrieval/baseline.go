@@ -109,7 +109,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// Every segment the kernel packed, the local one included, is one
 	// logged transfer; on a single GPU the send buffer already is the final
 	// minibatch.
-	s.logSegments(g, bd, nil)
+	s.logSegments(g, bd)
 	if cfg.GPUs == 1 {
 		s.walkDone(bd)
 		return
@@ -139,7 +139,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// pre-collective phases with the previous batch's dense compute.
 	commStart := p.Now()
 	s.awaitExchangeGate(p, g)
-	s.exchangeSegments(p, g, bd, nil)
+	s.exchangeSegments(p, g, bd)
 	bk.Accumulate(CompComm, p.Now()-commStart)
 
 	// --- Phase 3: unpack the received rank-major segments into the
@@ -164,7 +164,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		// instead. When no peer serves this GPU a dense segment (all
 		// mirrored locally, or every source deduplicated), the unpack launch
 		// and its fixed cost disappear entirely.
-		if remote, segments := s.unpackVecs(g, plan, nil); segments > 0 {
+		if remote, segments := s.unpackVecs(g, plan); segments > 0 {
 			unpack := dev.UnpackKernelCost(float64(remote)*vb, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
 			p.WaitUntil(unpackEnd)
@@ -193,15 +193,11 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	s.walkDone(bd)
 }
 
-// The all-to-all's stages, shared by Baseline (route nil: every served pair
-// rides the collective) and PGASFused's routed walk (only the pairs the
-// hybrid transport matrix sends through the collective).
-
 // logSegments logs every pair GPU g packs into its all-to-all send buffer:
-// for each consumer, the exchanged shards g serves it, each the pair's whole
+// for each consumer, the shards g serves it, each the pair's whole
 // minibatch — its cache-missed pooled vectors, or on a wire-dedup pair its
 // unique rows. Local segments log with no wire bytes.
-func (s *System) logSegments(g int, bd *BatchData, route *transport) {
+func (s *System) logSegments(g int, bd *BatchData) {
 	if bd.log == nil {
 		return // timing runs keep no log
 	}
@@ -210,7 +206,7 @@ func (s *System) logSegments(g int, bd *BatchData, route *transport) {
 	for c := 0; c < s.Cfg.GPUs; c++ {
 		clo, chi := s.Minibatch(c)
 		for o := 0; o < s.Cfg.GPUs; o++ {
-			if plan.ServeGPU(o, c) != g || !route.exchanged(o, c) {
+			if plan.ServeGPU(o, c) != g {
 				continue
 			}
 			t := transfer{server: g, consumer: c, shard: o, lo: clo, hi: chi, route: RouteDense, vecs: plan.CollectiveVecs(o, c)}
@@ -225,9 +221,9 @@ func (s *System) logSegments(g int, bd *BatchData, route *transport) {
 	}
 }
 
-// exchangeSegments runs GPU g's all-to-all over the exchanged pairs, priced
+// exchangeSegments runs GPU g's all-to-all over the pairs it serves, priced
 // from the plan's segment sizes.
-func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData, route *transport) {
+func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData) {
 	cfg := s.Cfg
 	plan := bd.Plan
 	sc := s.scratchFor(g, bd)
@@ -240,20 +236,19 @@ func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData, route *tran
 		if peer == g {
 			continue
 		}
-		sendBytes[peer] = float64(plan.segmentVecs(g, peer, route)) * wvb
-		recvBytes[peer] = float64(plan.segmentVecs(peer, g, route)) * wvb
+		sendBytes[peer] = float64(plan.segmentVecs(g, peer)) * wvb
+		recvBytes[peer] = float64(plan.segmentVecs(peer, g)) * wvb
 	}
 	s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
 }
 
 // unpackVecs returns the vectors and segments the rearrangement kernel moves
-// into consumer g's layout: one segment per remote server of an exchanged
-// dense pair, holding those pairs' vectors (wire pairs go through expansion
-// instead).
-func (s *System) unpackVecs(g int, plan *RoutePlan, route *transport) (vecs int64, segments int) {
+// into consumer g's layout: one segment per remote server of a dense pair,
+// holding those pairs' vectors (wire pairs go through expansion instead).
+func (s *System) unpackVecs(g int, plan *RoutePlan) (vecs int64, segments int) {
 	for src := 0; src < s.Cfg.GPUs; src++ {
-		if src == g || !route.exchanged(src, g) {
-			continue // in place, or stored one-sidedly
+		if src == g {
+			continue // in place
 		}
 		dense := false
 		for o := 0; o < s.Cfg.GPUs; o++ {

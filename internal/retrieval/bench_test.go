@@ -108,10 +108,6 @@ func BenchmarkPGASFusedBatch(b *testing.B) {
 	benchRun(b, benchConfig(), &PGASFused{})
 }
 
-func BenchmarkHybridBatch(b *testing.B) {
-	benchRun(b, benchConfig(), &Hybrid{})
-}
-
 func BenchmarkPGASFusedBatchDedup(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Dedup = true
@@ -200,13 +196,6 @@ func BenchmarkMultiNodePGASBatchDedup(b *testing.B) {
 	cfg := benchConfig()
 	cfg.Dedup = true
 	benchRunHW(b, cfg, ClusterHardware(2), &PGASFused{})
-}
-
-// BenchmarkHybridBatchMixed drives the hybrid walk with both transports in
-// one batch: on the header-taxed 2-node cluster intra-node pairs ride the
-// all-to-all and cross-node pairs store one-sidedly.
-func BenchmarkHybridBatchMixed(b *testing.B) {
-	benchRunHW(b, benchConfig(), headerTaxedHardware(2), &Hybrid{})
 }
 
 // BenchmarkRoutePlanCompile measures the host-side route-plan compiler
@@ -349,52 +338,32 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 		replicas   int
 		depth      int
 		prec       Precision
-		hw         HardwareParams
 		backend    Backend
 		functional bool
 	}{
-		{"pgas-fused", false, false, 0, 1, FP32, cluster, &PGASFused{}, false},
-		{"pgas-fused-dedup", true, false, 0, 1, FP32, cluster, &PGASFused{}, false},
-		{"pgas-fused-replicas2", false, false, 2, 1, FP32, cluster, &PGASFused{}, false},
-		{"baseline", false, false, 0, 1, FP32, cluster, &Baseline{}, false},
-		{"baseline-replicas2", false, false, 2, 1, FP32, cluster, &Baseline{}, false},
+		{"pgas-fused", false, false, 0, 1, FP32, &PGASFused{}, false},
+		{"pgas-fused-dedup", true, false, 0, 1, FP32, &PGASFused{}, false},
+		{"pgas-fused-replicas2", false, false, 2, 1, FP32, &PGASFused{}, false},
+		{"baseline", false, false, 0, 1, FP32, &Baseline{}, false},
+		{"baseline-replicas2", false, false, 2, 1, FP32, &Baseline{}, false},
 		// Replicas beside the hot-row cache: one residency view, read by
 		// shard, in both served-pair walks.
-		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, cluster, &PGASFused{}, false},
-		{"baseline-replicas2-cached", false, true, 2, 1, FP32, cluster, &Baseline{}, false},
-		{"hybrid", false, false, 0, 1, FP32, cluster, &Hybrid{}, false},
-		{"hybrid-dedup", true, false, 0, 1, FP32, cluster, &Hybrid{}, false},
-		// Header-taxed variants: the hybrid walks that route pairs through
-		// the collective, mixed on two nodes and all-collective on one.
-		{"hybrid-mixed", false, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}, false},
-		{"hybrid-mixed-dedup", true, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}, false},
-		{"hybrid-all-collective", false, false, 0, 1, FP32, headerTaxedHardware(0), &Hybrid{}, false},
+		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, &PGASFused{}, false},
+		{"baseline-replicas2-cached", false, true, 2, 1, FP32, &Baseline{}, false},
 		// Depth-2 pipelined variants: the per-slot arenas, window rendezvous
 		// and QuietSlot path must hold the same zero-alloc contract.
-		{"pgas-fused-depth2", false, false, 0, 2, FP32, cluster, &PGASFused{}, false},
-		{"pgas-fused-dedup-depth2", true, false, 0, 2, FP32, cluster, &PGASFused{}, false},
-		{"baseline-depth2", false, false, 0, 2, FP32, cluster, &Baseline{}, false},
-		{"hybrid-depth2", false, false, 0, 2, FP32, cluster, &Hybrid{}, false},
+		{"pgas-fused-depth2", false, false, 0, 2, FP32, &PGASFused{}, false},
+		{"pgas-fused-dedup-depth2", true, false, 0, 2, FP32, &PGASFused{}, false},
+		{"baseline-depth2", false, false, 0, 2, FP32, &Baseline{}, false},
 		// Reduced-wire-precision variants: codec vector counting and the
 		// encode/decode kernel charges must not allocate either.
-		{"pgas-fused-batch-fp16", false, false, 0, 1, FP16, cluster, &PGASFused{}, false},
-		{"pgas-fused-batch-int8", false, false, 0, 1, Int8, cluster, &PGASFused{}, false},
-		{"baseline-fp16", false, false, 0, 1, FP16, cluster, &Baseline{}, false},
-		{"hybrid-int8", true, false, 0, 1, Int8, cluster, &Hybrid{}, false},
+		{"pgas-fused-batch-fp16", false, false, 0, 1, FP16, &PGASFused{}, false},
+		{"pgas-fused-batch-int8", false, false, 0, 1, Int8, &PGASFused{}, false},
+		{"baseline-fp16", false, false, 0, 1, FP16, &Baseline{}, false},
 		// Functional runs: the walks log every transfer and the executor
 		// replays the log, both into storage reused batch after batch.
-		{"pgas-fused-dedup-functional", true, false, 0, 1, FP32, cluster, &PGASFused{}, true},
-		{"baseline-dedup-functional", true, false, 0, 1, FP32, cluster, &Baseline{}, true},
-		{"hybrid-mixed-functional", false, false, 0, 1, FP32, headerTaxedHardware(2), &Hybrid{}, true},
-	}
-	// wantMode names the routing each hybrid case must engage, so a
-	// hardware change cannot silently fold a case into another's walk.
-	wantMode := map[string][2]bool{ // name -> {anyColl, allColl}
-		"hybrid":                {false, false},
-		"hybrid-dedup":          {false, false},
-		"hybrid-mixed":          {true, false},
-		"hybrid-mixed-dedup":    {true, false},
-		"hybrid-all-collective": {true, true},
+		{"pgas-fused-dedup-functional", true, false, 0, 1, FP32, &PGASFused{}, true},
+		{"baseline-dedup-functional", true, false, 0, 1, FP32, &Baseline{}, true},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -407,12 +376,7 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 			cfg.PipelineDepth = c.depth
 			cfg.WirePrecision = c.prec
 			cfg.Functional = c.functional
-			if want, ok := wantMode[c.name]; ok {
-				if anyColl, allColl := probeRoutes(t, cfg, c.hw); anyColl != want[0] || allColl != want[1] {
-					t.Fatalf("anyColl=%v allColl=%v, want %v", anyColl, allColl, want)
-				}
-			}
-			if allocs := steadyStateMallocs(t, cfg, c.hw, c.backend, 16); allocs != 0 {
+			if allocs := steadyStateMallocs(t, cfg, cluster, c.backend, 16); allocs != 0 {
 				t.Errorf("multi-node %s steady state allocates %d times over 16 batches (want 0)", c.name, allocs)
 			}
 		})

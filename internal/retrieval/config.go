@@ -244,7 +244,9 @@ func (c Config) Validate() error {
 			}
 		}
 	}
-	return nil
+	// The input generator's own rules (per-feature pooling bounds, Zipf
+	// index space, ...), so a run never refuses a config Validate accepted.
+	return c.WorkloadConfig().Validate()
 }
 
 // tableRows returns the hash size of table fid.

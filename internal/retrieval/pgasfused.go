@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"pgasemb/internal/gpu"
 	"pgasemb/internal/pgas"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/trace"
@@ -51,14 +50,6 @@ func (b *PGASFused) Name() string {
 // one-sided stores, staged unpack bytes and codec counts all come from the
 // same per-pair counts.
 func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
-	b.run(s, p, g, bd, bk, nil)
-}
-
-// run is RunBatch over a hybrid transport matrix (nil: every pair stores).
-// A collective-routed pair's outputs stream into the HBM send buffer
-// instead of leaving as one-sided stores, so they pay no remote-issue or
-// per-peer overhead; after quiet, one exchange phase ships and lands them.
-func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown, route *transport) {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	stream := dev.Stream("emb-fused")
@@ -86,14 +77,14 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 	batchHitVecs, _ := plan.Cache.HitAt(g)
 	kernelItems, peers := batchHitVecs, 0
 	for c := 0; c < cfg.GPUs; c++ {
-		stored := false
+		serves := false
 		for o := 0; o < cfg.GPUs; o++ {
 			if plan.ServeGPU(o, c) == g {
 				kernelItems += plan.pairItems(o, c)
-				stored = stored || !route.collective(o, c)
+				serves = true
 			}
 		}
-		if stored && c != g {
+		if serves && c != g {
 			peers++
 		}
 	}
@@ -118,13 +109,13 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 		if s0 == s1 {
 			continue
 		}
-		p.Wait(b.chunkCost(s, g, bd, s0, s1, kernelItems, peers, route))
+		p.Wait(b.chunkCost(s, g, bd, s0, s1, kernelItems, peers))
 
 		// One put per (peer, target) per chunk, carrying every served pair's
 		// stores to that peer.
 		for peer := 0; peer < cfg.GPUs; peer++ {
-			if peer == g || route.collective(g, peer) {
-				continue // collective-routed pairs ship in the exchange phase
+			if peer == g {
+				continue
 			}
 			plo, phi := s.Minibatch(peer)
 			o0, o1 := clampRange(s0, s1, plo, phi)
@@ -156,12 +147,6 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 	}
 	pe.QuietSlot(p, bd.Slot)
 	bk.Accumulate(CompFused, p.Now()-batchStart)
-
-	if route != nil {
-		b.exchange(s, p, g, bd, bk, stream, route)
-		s.walkDone(bd)
-		return
-	}
 
 	if bd.dedupBarrier != nil {
 		// Quiet drained only OUR pipes; expansion consumes rows streamed by
@@ -217,49 +202,8 @@ func (b *PGASFused) run(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.
 	s.walkDone(bd)
 }
 
-// exchange is the routed walk's post-quiet phase over the collective-routed
-// pairs. Every rank enters the all-to-all (bulk-synchronous contract), even
-// with all-zero segments; its entry rendezvous doubles as the post-store
-// barrier, so staged dedup rows are complete before any consumer expands.
-// Like the baseline's, the launch is stream-ordered behind the exchange gate
-// under pipelining. Then the consumer decodes both arrival paths, unpacks
-// the dense collective segments, and one expansion kernel re-pools every
-// wire pairing whichever transport delivered its rows.
-func (b *PGASFused) exchange(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown, stream *gpu.Stream, route *transport) {
-	cfg := s.Cfg
-	dev := s.Devs[g]
-	plan := bd.Plan
-	vb := float64(cfg.VectorBytes())
-
-	commStart := p.Now()
-	s.awaitExchangeGate(p, g)
-	s.logSegments(g, bd, route)
-	s.exchangeSegments(p, g, bd, route)
-	bk.Accumulate(CompComm, p.Now()-commStart)
-
-	unpackStart := p.Now()
-	if cfg.WireCodecActive() {
-		if _, recv := plan.OneSidedCodecVecs(g); recv > 0 {
-			dec := dev.DecodeKernelCost(float64(recv)*float64(cfg.WireVectorBytes()), float64(recv)*vb)
-			_, decEnd := stream.Launch(p, dec)
-			p.WaitUntil(decEnd)
-		}
-	}
-	if vecs, segments := s.unpackVecs(g, plan, route); segments > 0 {
-		_, unpackEnd := stream.Launch(p, dev.UnpackKernelCost(float64(vecs)*vb, segments))
-		p.WaitUntil(unpackEnd)
-	}
-	if expand, ok := s.expandCost(p, g, plan); ok {
-		_, expandEnd := stream.Launch(p, expand)
-		p.WaitUntil(expandEnd)
-	}
-	stream.Synchronize(p)
-	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
-}
-
 // expandCost prices consumer g's expansion kernel, which re-pools every wire
-// pairing it consumes from the unique rows that pairing shipped, whichever
-// transport delivered them. It first waits out the NVLink redistribution of
+// pairing it consumes from the unique rows that pairing stored. It first waits out the NVLink redistribution of
 // node-staged rows that landed on another lane GPU (still wire-encoded;
 // consumers decode before the final sync). ok is false when nothing expands.
 func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Duration, ok bool) {
@@ -302,12 +246,10 @@ func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Durat
 // indices and gathers by its route: a dense pair reads its references (or,
 // under gather dedup, its new unique rows once and the duplicates from the
 // staged working set) and pools its vectors; a wire or node-wire pair reads
-// and stages only the keys first seen in the chunk. Consumer-local and
-// collective-routed outputs stream to HBM (final output or all-to-all send
-// buffer); the rest issue one-sided stores. Chunk items sum exactly to the
-// kernel's occupancy item count. It logs every pair it does not leave to
-// the exchange phase.
-func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int, route *transport) sim.Duration {
+// and stages only the keys first seen in the chunk. Consumer-local outputs
+// stream to HBM (the final output); the rest issue one-sided stores. Chunk
+// items sum exactly to the kernel's occupancy item count. It logs every pair.
+func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelItems, peers int) sim.Duration {
 	cfg := s.Cfg
 	dev := s.Devs[g]
 	plan := bd.Plan
@@ -331,7 +273,7 @@ func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelIte
 			chunkIdx += missIdx
 			vecs, _ := plan.chunkItems(o, c, o0, o1)
 			items += vecs
-			cls, coll := plan.Class(o, c), route.collective(o, c)
+			cls := plan.Class(o, c)
 			switch {
 			case cls == RouteWire || cls == RouteNodeWire:
 				readBytes += float64(float64(vecs) * fvb)
@@ -342,18 +284,14 @@ func (b *PGASFused) chunkCost(s *System, g int, bd *BatchData, s0, s1, kernelIte
 			default:
 				readBytes += float64(float64(missIdx) * fvb)
 			}
-			if c == g || coll {
-				streamBytes += float64(float64(vecs) * fvb) // final output or all-to-all send buffer
+			t := transfer{server: g, consumer: c, shard: o, lo: o0, hi: o1, route: RouteDense, vecs: vecs}
+			if c == g {
+				streamBytes += float64(float64(vecs) * fvb) // final output
 			} else {
 				issues += vecs
+				t.route, t.wireBytes = cls, vecs*wvb
 			}
-			if !coll {
-				t := transfer{server: g, consumer: c, shard: o, lo: o0, hi: o1, route: RouteDense, vecs: vecs}
-				if c != g {
-					t.route, t.wireBytes = cls, vecs*wvb
-				}
-				bd.log.add(t)
-			}
+			bd.log.add(t)
 		}
 	}
 	hitVecs, hitIdx := plan.ConsumerChunkHits(g, s0, s1)

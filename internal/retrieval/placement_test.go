@@ -446,7 +446,6 @@ func TestAdaptivePlacementUnderDrift(t *testing.T) {
 var pipelinedPlacementTimes = map[string]sim.Duration{
 	"baseline":                  0.8099957518349503,
 	"baseline-direct-placement": 0.3177677518349504,
-	"hybrid":                    0.3202582287242682,
 	"pgas-fused":                0.3202582287242682,
 	"pgas-overlap-only":         0.812341873168713,
 }

@@ -22,8 +22,7 @@ import (
 // The plan is a pure function of the workload seed, the cache state and the
 // machine shape — never of simulated-process interleaving — so every GPU's
 // process reads identical routes, which is what lets backends make
-// whole-machine decisions (e.g. the hybrid backend's per-pair transport
-// choice) without any cross-process agreement protocol.
+// whole-machine decisions without any cross-process agreement protocol.
 
 // PairClass is the route of one (owner, consumer) pair.
 type PairClass uint8
@@ -227,12 +226,12 @@ func (p *RoutePlan) CollectiveVecs(src, dst int) int {
 
 // segmentVecs returns the vectors GPU server ships into consumer dst's
 // all-to-all segment: CollectiveVecs summed over every shard the plan has
-// server serving dst that route exchanges (all of them when route is nil).
-// Without replication that is CollectiveVecs(server, dst), or zero.
-func (p *RoutePlan) segmentVecs(server, dst int, route *transport) int {
+// server serving dst. Without replication that is CollectiveVecs(server,
+// dst), or zero.
+func (p *RoutePlan) segmentVecs(server, dst int) int {
 	vecs := 0
 	for o := 0; o < p.sys.Cfg.GPUs; o++ {
-		if p.ServeGPU(o, dst) == server && route.exchanged(o, dst) {
+		if p.ServeGPU(o, dst) == server {
 			vecs += p.CollectiveVecs(o, dst)
 		}
 	}
@@ -249,8 +248,8 @@ func (p *RoutePlan) CollectiveCodecVecs(g int) (sent, recv int64) {
 		if peer == g {
 			continue
 		}
-		sent += int64(p.segmentVecs(g, peer, nil))
-		recv += int64(p.segmentVecs(peer, g, nil))
+		sent += int64(p.segmentVecs(g, peer))
+		recv += int64(p.segmentVecs(peer, g))
 	}
 	return sent, recv
 }

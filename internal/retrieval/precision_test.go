@@ -100,7 +100,7 @@ func TestDedupWireSavingsFollowWirePrecision(t *testing.T) {
 // total communication volume, at the same seed.
 func TestWirePrecisionReducesNICWireBytes(t *testing.T) {
 	hw := ClusterHardware(2)
-	for _, name := range []string{"baseline", "pgas-fused", "hybrid"} {
+	for _, name := range []string{"baseline", "pgas-fused", "pgas-overlap-only"} {
 		t.Run(name, func(t *testing.T) {
 			var prevNIC, prevTotal float64
 			for i, prec := range wirePrecisions {
@@ -152,7 +152,7 @@ func TestWirePrecisionImprovesEMBTime(t *testing.T) {
 		t.Skip("paper-shape timing sweep")
 	}
 	hw := ClusterHardware(2)
-	for _, name := range []string{"baseline", "pgas-fused", "hybrid"} {
+	for _, name := range []string{"baseline", "pgas-fused", "pgas-overlap-only"} {
 		t.Run(name, func(t *testing.T) {
 			var prev float64
 			for i, prec := range wirePrecisions {

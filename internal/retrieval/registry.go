@@ -80,7 +80,4 @@ func init() {
 	RegisterBackend("pgas-overlap-only",
 		"pgas A2 ablation: overlap kept, remote staging round kept",
 		func() Backend { return &PGASFused{StageRemote: true} })
-	RegisterBackend("hybrid",
-		"per-pair adaptive: one-sided stores or collective, whichever the route plan prices cheaper",
-		func() Backend { return &Hybrid{} })
 }

@@ -193,78 +193,6 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompComputation, Duration: 0.07532631828327505}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.000257241881105541}},
 		{{Name: CompComputation, Duration: 0.07542826528737774}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.00015529487700284214}},
 	}},
-	"hybrid/single": {0.07632649713233561, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.0761966657228865}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07617837540676006}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07609653274139523}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07625257938567429}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/single+cache": {0.07631341533517116, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07619480487226954}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07617654441210475}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.0760728491792288}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07625129120241679}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/single+dedup": {0.07633270093045635, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07617466951446522}, {Name: CompSyncUnpack, Duration: 0.00015302554932446547}},
-		{{Name: CompFused, Duration: 0.07617732978662756}, {Name: CompSyncUnpack, Duration: 0.00015536740526670215}},
-		{{Name: CompFused, Duration: 0.07609909070828044}, {Name: CompSyncUnpack, Duration: 0.00022860553720859336}},
-		{{Name: CompFused, Duration: 0.07623167925410901}, {Name: CompSyncUnpack, Duration: 9.101509856955167e-05}},
-	}},
-	"hybrid/single+dedup+cache": {0.07632299288147126, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07618385251910016}, {Name: CompSyncUnpack, Duration: 0.0001341373140050818}},
-		{{Name: CompFused, Duration: 0.07617453100926685}, {Name: CompSyncUnpack, Duration: 0.0001434577362566941}},
-		{{Name: CompFused, Duration: 0.0760821648729904}, {Name: CompSyncUnpack, Duration: 0.000230823532663859}},
-		{{Name: CompFused, Duration: 0.0762385271920847}, {Name: CompSyncUnpack, Duration: 7.446220180486532e-05}},
-	}},
-	"hybrid/single+replicas2": {0.07602606866783895, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07591138238312775}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07590656944843002}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07587237956110443}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07597715376411898}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/single+replicas2+cache": {0.07602797413996906, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.0759056492973133}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07590207749808127}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07586154910348854}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07598196408822179}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/cluster2": {0.07633750225233561, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.0762057425228865}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07618745220676007}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07609653274139523}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07625257938567429}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/cluster2+cache": {0.07632441917517116, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07620387655226954}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07618561097210477}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07607284917922881}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07625129120241679}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/cluster2+dedup": {0.07626507532933638, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07609879719344619}, {Name: CompSyncUnpack, Duration: 0.00016622032151111105}},
-		{{Name: CompFused, Duration: 0.07607418039119065}, {Name: CompSyncUnpack, Duration: 0.0001908281167078106}},
-		{{Name: CompFused, Duration: 0.07608726442575132}, {Name: CompSyncUnpack, Duration: 0.0001778092471144653}},
-		{{Name: CompFused, Duration: 0.07615156300854199}, {Name: CompSyncUnpack, Duration: 0.00011350325726497759}},
-	}},
-	"hybrid/cluster2+dedup+cache": {0.0762339902349823, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07610829182465528}, {Name: CompSyncUnpack, Duration: 0.00012564679411787572}},
-		{{Name: CompFused, Duration: 0.07611200574282886}, {Name: CompSyncUnpack, Duration: 0.00012192187672859997}},
-		{{Name: CompFused, Duration: 0.0760534548360896}, {Name: CompSyncUnpack, Duration: 0.0001792015217685107}},
-		{{Name: CompFused, Duration: 0.07615636584383087}, {Name: CompSyncUnpack, Duration: 7.761893232791084e-05}},
-	}},
-	"hybrid/cluster2+replicas2": {0.07626081957047659, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07621435244888357}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07561471069800366}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07617515013784867}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07571547226243386}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
-	"hybrid/cluster2+replicas2+cache": {0.07625876703215748, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07621565910958394}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07560539567648863}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.0761695525497536}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-		{{Name: CompFused, Duration: 0.07569895272189722}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
-	}},
 	"pgas-fused/single": {0.07632649713233561, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.0761966657228865}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 		{{Name: CompFused, Duration: 0.07617837540676006}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},

@@ -13,7 +13,7 @@ import (
 
 func TestRegistryContents(t *testing.T) {
 	names := RegisteredBackends()
-	want := []string{"baseline", "baseline-direct-placement", "hybrid", "pgas-fused", "pgas-overlap-only"}
+	want := []string{"baseline", "baseline-direct-placement", "pgas-fused", "pgas-overlap-only"}
 	if len(names) != len(want) {
 		t.Fatalf("registered backends = %v, want %v", names, want)
 	}
