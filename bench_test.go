@@ -255,49 +255,3 @@ func BenchmarkSkewGreedyPlan(b *testing.B) {
 	cfg.GreedyPlan = true
 	runBackend(b, cfg, pgasemb.NewPGASFused())
 }
-
-// Criteo-shaped workload: single-valued bags, the latency-dominated regime.
-func BenchmarkCriteoShapedBaseline(b *testing.B) {
-	runBackend(b, pgasemb.CriteoShapedConfig(4), pgasemb.NewBaseline())
-}
-
-func BenchmarkCriteoShapedPGAS(b *testing.B) {
-	runBackend(b, pgasemb.CriteoShapedConfig(4), pgasemb.NewPGASFused())
-}
-
-// Cross-hardware sensitivity: the PGAS advantage on an A100-class machine.
-func BenchmarkA100WeakPGAS(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.Batches = benchBatches
-	var total float64
-	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.A100Hardware())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.Run(pgasemb.NewPGASFused())
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = res.TotalTime
-	}
-	b.ReportMetric(total*1e3/benchBatches, "sim_ms_per_batch")
-}
-
-func BenchmarkA100WeakBaseline(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.Batches = benchBatches
-	var total float64
-	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.A100Hardware())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.Run(pgasemb.NewBaseline())
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = res.TotalTime
-	}
-	b.ReportMetric(total*1e3/benchBatches, "sim_ms_per_batch")
-}

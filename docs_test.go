@@ -1,6 +1,7 @@
 package pgasemb_test
 
 import (
+	"encoding/json"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -10,6 +11,8 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"pgasemb"
 )
 
 // docRef matches a command or example path inside a doc span: cmd/report,
@@ -177,6 +180,153 @@ func TestDocsNameRealPathsAndAPI(t *testing.T) {
 					t.Errorf("%s: %q names pgasemb.%s, which pgasemb.go does not export", doc, span, m[1])
 				}
 			}
+		}
+	}
+}
+
+// structFields parses file and returns the field names of its struct type
+// named typ.
+func structFields(t *testing.T, file, typ string) []string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	ast.Inspect(f, func(n ast.Node) bool {
+		ts, ok := n.(*ast.TypeSpec)
+		if !ok || ts.Name.Name != typ {
+			return true
+		}
+		for _, field := range ts.Type.(*ast.StructType).Fields.List {
+			for _, id := range field.Names {
+				names = append(names, id.Name)
+			}
+		}
+		return false
+	})
+	if names == nil {
+		t.Fatalf("%s declares no struct %s", file, typ)
+	}
+	return names
+}
+
+// retrievalPresets parses internal/retrieval and returns its presets: the
+// package-level functions named *Config or *Hardware that return a Config
+// or HardwareParams.
+func retrievalPresets(t *testing.T) []string {
+	t.Helper()
+	files, err := filepath.Glob(filepath.Join("internal", "retrieval", "*.go"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fn, ok := decl.(*ast.FuncDecl)
+			if !ok || fn.Recv != nil || !fn.Name.IsExported() || fn.Type.Results == nil ||
+				len(fn.Type.Results.List) != 1 {
+				continue
+			}
+			res, ok := fn.Type.Results.List[0].Type.(*ast.Ident)
+			name := fn.Name.Name
+			if ok && (res.Name == "Config" && strings.HasSuffix(name, "Config") ||
+				res.Name == "HardwareParams" && strings.HasSuffix(name, "Hardware")) {
+				names = append(names, "retrieval."+name)
+			}
+		}
+	}
+	return names
+}
+
+// docResult matches a committed results file inside a table cell.
+var docResult = regexp.MustCompile(`results/[A-Za-z0-9_.-]+`)
+
+// TestKnobTableCoversEveryKnob holds DESIGN.md's knob reachability table
+// (§15) to the tree: one row per retrieval.Config and placement.Config
+// field, per retrieval preset and per registered backend, no row for a knob
+// that is gone, and every row names a command, example, benchmark workload
+// or existing results file that sets or runs its knob — or starts "Unset"
+// and says why the knob stays.
+func TestKnobTableCoversEveryKnob(t *testing.T) {
+	want := map[string]bool{}
+	for _, f := range structFields(t, filepath.Join("internal", "retrieval", "config.go"), "Config") {
+		want["retrieval.Config."+f] = true
+	}
+	for _, f := range structFields(t, filepath.Join("internal", "placement", "placement.go"), "Config") {
+		want["placement.Config."+f] = true
+	}
+	for _, p := range retrievalPresets(t) {
+		want[p] = true
+	}
+	for _, b := range pgasemb.RegisteredBackends() {
+		want[b+" backend"] = true
+	}
+
+	var bench struct{ Workloads []struct{ Name string } }
+	data, err := os.ReadFile("BENCHMARK.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := json.Unmarshal(data, &bench); err != nil {
+		t.Fatal(err)
+	}
+	workloads := map[string]bool{}
+	for _, w := range bench.Workloads {
+		workloads[w.Name] = true
+	}
+
+	data, err = os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(data), "\n## 15. Knob reachability")
+	if !ok {
+		t.Fatal("DESIGN.md has no knob reachability section")
+	}
+	table, _, _ = strings.Cut(table, "\n## ")
+	seen := map[string]bool{}
+	for _, line := range strings.Split(table, "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 4 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		knob := strings.ReplaceAll(strings.TrimSpace(cells[1]), "`", "")
+		by := strings.TrimSpace(cells[2])
+		if !want[knob] {
+			t.Errorf("DESIGN.md §15 has a row for %s, which does not exist", knob)
+		}
+		if seen[knob] {
+			t.Errorf("DESIGN.md §15 has two rows for %s", knob)
+		}
+		seen[knob] = true
+		if strings.HasPrefix(by, "Unset") {
+			continue
+		}
+		setter := docRef.MatchString(by)
+		for _, span := range docSpans(by) {
+			setter = setter || workloads[span]
+		}
+		for _, path := range docResult.FindAllString(by, -1) {
+			if _, err := os.Stat(path); err != nil {
+				t.Errorf("DESIGN.md §15: %s's row names %s, which does not exist", knob, path)
+			}
+			setter = true
+		}
+		if !setter {
+			t.Errorf("DESIGN.md §15: %s's row names no command, example, benchmark workload or results file", knob)
+		}
+	}
+	for knob := range want {
+		if !seen[knob] {
+			t.Errorf("DESIGN.md §15 has no row for %s", knob)
 		}
 	}
 }

@@ -161,23 +161,9 @@ type Collection struct {
 	Mode       PoolingMode
 }
 
-// NewCollection builds a collection with one fresh table per feature ID.
+// NewCollection builds a collection with one fresh table of rows rows per
+// feature ID.
 func NewCollection(featureIDs []int, rows, dim int, mode PoolingMode, rng *sim.RNG) *Collection {
-	rowsPer := make([]int, len(featureIDs))
-	for i := range rowsPer {
-		rowsPer[i] = rows
-	}
-	return NewCollectionWithRows(featureIDs, rowsPer, dim, mode, rng)
-}
-
-// NewCollectionWithRows builds a collection with heterogeneous table sizes:
-// rowsPer[i] rows for featureIDs[i]. Real feature populations mix tiny
-// tables (US states) with huge ones (browsed pages); planners must place
-// them under both memory and load constraints.
-func NewCollectionWithRows(featureIDs []int, rowsPer []int, dim int, mode PoolingMode, rng *sim.RNG) *Collection {
-	if len(rowsPer) != len(featureIDs) {
-		panic(fmt.Sprintf("embedding: %d row counts for %d features", len(rowsPer), len(featureIDs)))
-	}
 	c := &Collection{
 		FeatureIDs: append([]int(nil), featureIDs...),
 		Tables:     make([]*Table, len(featureIDs)),
@@ -185,7 +171,7 @@ func NewCollectionWithRows(featureIDs []int, rowsPer []int, dim int, mode Poolin
 		Mode:       mode,
 	}
 	for i := range featureIDs {
-		c.Tables[i] = NewTable(rowsPer[i], dim, rng)
+		c.Tables[i] = NewTable(rows, dim, rng)
 	}
 	return c
 }
@@ -224,30 +210,4 @@ func TableWisePlan(totalTables, gpus int) [][]int {
 		plan[g] = ids
 	}
 	return plan
-}
-
-// RoundRobinPlan assigns table t to GPU t % gpus — an alternative placement
-// with identical load for uniform workloads, used in sharding ablations.
-func RoundRobinPlan(totalTables, gpus int) [][]int {
-	if totalTables < 0 || gpus <= 0 {
-		panic(fmt.Sprintf("embedding: bad plan request (%d tables, %d gpus)", totalTables, gpus))
-	}
-	plan := make([][]int, gpus)
-	for g := range plan {
-		plan[g] = []int{}
-	}
-	for t := 0; t < totalTables; t++ {
-		g := t % gpus
-		plan[g] = append(plan[g], t)
-	}
-	return plan
-}
-
-// PlanShardSizes returns the per-GPU table counts of a plan.
-func PlanShardSizes(plan [][]int) []int {
-	sizes := make([]int, len(plan))
-	for g, ids := range plan {
-		sizes[g] = len(ids)
-	}
-	return sizes
 }

@@ -200,10 +200,9 @@ func TestLookupValidation(t *testing.T) {
 
 func TestTableWisePlan(t *testing.T) {
 	plan := TableWisePlan(96, 4)
-	sizes := PlanShardSizes(plan)
-	for _, s := range sizes {
-		if s != 24 {
-			t.Fatalf("sizes = %v", sizes)
+	for _, ids := range plan {
+		if len(ids) != 24 {
+			t.Fatalf("plan = %v", plan)
 		}
 	}
 	if plan[0][0] != 0 || plan[3][23] != 95 {
@@ -211,19 +210,8 @@ func TestTableWisePlan(t *testing.T) {
 	}
 	// Remainder case: 10 tables on 3 GPUs -> 4, 3, 3.
 	plan = TableWisePlan(10, 3)
-	sizes = PlanShardSizes(plan)
-	if sizes[0] != 4 || sizes[1] != 3 || sizes[2] != 3 {
-		t.Fatalf("remainder sizes = %v", sizes)
-	}
-}
-
-func TestRoundRobinPlan(t *testing.T) {
-	plan := RoundRobinPlan(5, 2)
-	if len(plan[0]) != 3 || len(plan[1]) != 2 {
-		t.Fatalf("round robin sizes: %v", PlanShardSizes(plan))
-	}
-	if plan[0][1] != 2 || plan[1][0] != 1 {
-		t.Fatalf("round robin contents: %v", plan)
+	if len(plan[0]) != 4 || len(plan[1]) != 3 || len(plan[2]) != 3 {
+		t.Fatalf("remainder plan = %v", plan)
 	}
 }
 
@@ -232,35 +220,25 @@ func TestPlansCoverAllTablesProperty(t *testing.T) {
 		rng := sim.NewRNG(seed)
 		tables := rng.IntRange(0, 40)
 		gpus := rng.IntRange(1, 6)
-		for _, plan := range [][][]int{TableWisePlan(tables, gpus), RoundRobinPlan(tables, gpus)} {
-			seen := make(map[int]bool)
-			for _, ids := range plan {
-				for _, id := range ids {
-					if id < 0 || id >= tables || seen[id] {
-						return false
-					}
-					seen[id] = true
+		plan := TableWisePlan(tables, gpus)
+		seen := make(map[int]bool)
+		for _, ids := range plan {
+			for _, id := range ids {
+				if id < 0 || id >= tables || seen[id] {
+					return false
 				}
-			}
-			if len(seen) != tables {
-				return false
-			}
-			// Balance: shard sizes differ by at most 1.
-			sizes := PlanShardSizes(plan)
-			minS, maxS := sizes[0], sizes[0]
-			for _, s := range sizes {
-				if s < minS {
-					minS = s
-				}
-				if s > maxS {
-					maxS = s
-				}
-			}
-			if maxS-minS > 1 {
-				return false
+				seen[id] = true
 			}
 		}
-		return true
+		if len(seen) != tables {
+			return false
+		}
+		// Balance: shard sizes differ by at most 1.
+		minS, maxS := len(plan[0]), len(plan[0])
+		for _, ids := range plan {
+			minS, maxS = min(minS, len(ids)), max(maxS, len(ids))
+		}
+		return maxS-minS <= 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
@@ -275,14 +253,6 @@ func TestPlanPanics(t *testing.T) {
 			}
 		}()
 		TableWisePlan(4, 0)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("RoundRobinPlan negative tables did not panic")
-			}
-		}()
-		RoundRobinPlan(-1, 2)
 	}()
 }
 
@@ -312,15 +282,6 @@ func TestNewCollection(t *testing.T) {
 			t.Fatalf("Bytes = %d, want %d", c.Bytes(), 3*100*8*4)
 		}
 	})
-	t.Run("heterogeneous-rows", func(t *testing.T) {
-		c := NewCollectionWithRows([]int{0, 1}, []int{10, 1000}, 4, SumPooling, sim.NewRNG(1))
-		if c.Tables[0].Rows != 10 || c.Tables[1].Rows != 1000 {
-			t.Fatalf("rows %d, %d; want 10, 1000", c.Tables[0].Rows, c.Tables[1].Rows)
-		}
-		if c.Bytes() != (10+1000)*4*4 {
-			t.Fatalf("Bytes = %d, want %d", c.Bytes(), (10+1000)*4*4)
-		}
-	})
 	// Tables draw from one stream in order, so the same seed gives the same
 	// weights and different tables get different ones.
 	t.Run("deterministic-per-seed", func(t *testing.T) {
@@ -338,13 +299,4 @@ func TestNewCollection(t *testing.T) {
 			t.Fatal("two tables start with the same weight")
 		}
 	})
-}
-
-func TestNewCollectionWithRowsMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("2 row counts for 3 features did not panic")
-		}
-	}()
-	NewCollectionWithRows([]int{0, 1, 2}, []int{5, 5}, 4, SumPooling, sim.NewRNG(1))
 }

@@ -216,15 +216,6 @@ func (r *ScalingResult) BreakdownSeries(component string) []float64 {
 	return out
 }
 
-// PGASTotals returns the PGAS total runtime per GPU count.
-func (r *ScalingResult) PGASTotals() []float64 {
-	var out []float64
-	for _, p := range r.Points {
-		out = append(out, p.PGAS.TotalTime)
-	}
-	return out
-}
-
 // BaselineTotals returns the baseline total runtime per GPU count.
 func (r *ScalingResult) BaselineTotals() []float64 {
 	var out []float64

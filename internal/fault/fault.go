@@ -16,11 +16,7 @@
 // long each batch takes.
 package fault
 
-import (
-	"fmt"
-
-	"pgasemb/internal/sim"
-)
+import "fmt"
 
 // OutageFactor is the residual bandwidth factor used to model a link or NIC
 // outage. Fully stopping a fluid pipe would strand queued traffic forever;
@@ -91,52 +87,6 @@ type Schedule struct {
 
 	// Events are the windowed faults. Overlapping degradations multiply.
 	Events []Event
-
-	// Retry tunes how the pgas proxy recovers dropped deliveries. The zero
-	// value means defaults (see RetryPolicy).
-	Retry RetryPolicy
-}
-
-// RetryPolicy tunes delivery-loss recovery at the proxy/Quiet boundary.
-type RetryPolicy struct {
-	// Timeout is how long past the expected delivery the proxy waits before
-	// retransmitting. Non-positive means 50 us.
-	Timeout sim.Duration
-
-	// Backoff multiplies the timeout after each failed attempt. Values
-	// below 1 mean 2 (binary exponential backoff).
-	Backoff float64
-
-	// MaxAttempts caps delivery attempts per message. Non-positive means
-	// 16.
-	MaxAttempts int
-}
-
-// Timeout returns the effective retransmission timeout.
-func (r RetryPolicy) timeout() sim.Duration {
-	if r.Timeout <= 0 {
-		return 50 * sim.Microsecond
-	}
-	return r.Timeout
-}
-
-// EffectiveTimeout returns the retransmission timeout with defaults applied.
-func (r RetryPolicy) EffectiveTimeout() sim.Duration { return r.timeout() }
-
-// EffectiveBackoff returns the backoff multiplier with defaults applied.
-func (r RetryPolicy) EffectiveBackoff() float64 {
-	if r.Backoff < 1 {
-		return 2
-	}
-	return r.Backoff
-}
-
-// EffectiveMaxAttempts returns the attempt cap with defaults applied.
-func (r RetryPolicy) EffectiveMaxAttempts() int {
-	if r.MaxAttempts <= 0 {
-		return 16
-	}
-	return r.MaxAttempts
 }
 
 // Validate reports the first malformed event, if any. Nil schedules are
@@ -291,18 +241,6 @@ func (s *Schedule) AnyActive(b int) bool {
 		}
 	}
 	return false
-}
-
-// MaxSlowdown returns the largest slowdown any GPU in [0, gpus) sees at
-// batch b — the health signal serving-layer shedding policies key on.
-func (s *Schedule) MaxSlowdown(b, gpus int) float64 {
-	worst := 1.0
-	for g := 0; g < gpus; g++ {
-		if f := s.Slowdown(b, g); f > worst {
-			worst = f
-		}
-	}
-	return worst
 }
 
 // uniform01 maps the given words to a uniform [0, 1) draw with a splitmix64

@@ -4,8 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-
-	"pgasemb/internal/sim"
 )
 
 // The nil schedule and the zero schedule are both the healthy machine: every
@@ -101,19 +99,6 @@ func TestFactorsCompose(t *testing.T) {
 	}
 }
 
-func TestMaxSlowdown(t *testing.T) {
-	s := &Schedule{Events: []Event{
-		{Kind: Straggler, GPU: 1, Factor: 2},
-		{Kind: Straggler, GPU: 3, Factor: 3},
-	}}
-	if f := s.MaxSlowdown(0, 4); f != 3 {
-		t.Errorf("MaxSlowdown over 4 GPUs = %g, want 3", f)
-	}
-	if f := s.MaxSlowdown(0, 2); f != 2 {
-		t.Errorf("MaxSlowdown over 2 GPUs = %g, want 2", f)
-	}
-}
-
 // Drop decisions are a pure function of (seed, pe, node, seq, attempt): the
 // same query always answers the same, the empirical rate tracks DropProb,
 // and a different seed replays a different loss pattern.
@@ -200,23 +185,6 @@ func TestValidateRejectsMalformedEvents(t *testing.T) {
 	}}
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("well-formed schedule rejected: %v", err)
-	}
-}
-
-func TestRetryPolicyDefaults(t *testing.T) {
-	var zero RetryPolicy
-	if got := zero.EffectiveTimeout(); got != 50*sim.Microsecond {
-		t.Errorf("default timeout %g, want 50us", float64(got))
-	}
-	if got := zero.EffectiveBackoff(); got != 2 {
-		t.Errorf("default backoff %g, want 2", got)
-	}
-	if got := zero.EffectiveMaxAttempts(); got != 16 {
-		t.Errorf("default attempt cap %d, want 16", got)
-	}
-	set := RetryPolicy{Timeout: sim.Millisecond, Backoff: 1.5, MaxAttempts: 3}
-	if set.EffectiveTimeout() != sim.Millisecond || set.EffectiveBackoff() != 1.5 || set.EffectiveMaxAttempts() != 3 {
-		t.Errorf("explicit policy not passed through: %+v", set)
 	}
 }
 

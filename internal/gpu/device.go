@@ -2,7 +2,6 @@ package gpu
 
 import (
 	"fmt"
-	"sort"
 
 	"pgasemb/internal/sim"
 )
@@ -25,10 +24,8 @@ type Device struct {
 // functional data lives in tensors — only capacity accounting, mirroring how
 // the paper's strong-scaling configuration is bounded by the 32 GB card.
 type Buffer struct {
-	dev   *Device
 	name  string
 	bytes int64
-	freed bool
 }
 
 // NewDevice returns a device with the given ID and parameters.
@@ -85,30 +82,10 @@ func (d *Device) Alloc(name string, bytes int64) (*Buffer, error) {
 		return nil, fmt.Errorf("gpu%d: out of memory: %q needs %d bytes, %d of %d in use",
 			d.id, name, bytes, d.allocated, d.params.MemoryCapacity)
 	}
-	b := &Buffer{dev: d, name: name, bytes: bytes}
+	b := &Buffer{name: name, bytes: bytes}
 	d.buffers[name] = b
 	d.allocated += bytes
 	return b, nil
-}
-
-// MustAlloc is Alloc that panics on failure, for setup code whose sizes are
-// validated elsewhere.
-func (d *Device) MustAlloc(name string, bytes int64) *Buffer {
-	b, err := d.Alloc(name, bytes)
-	if err != nil {
-		panic(err)
-	}
-	return b
-}
-
-// Free releases the buffer. Freeing twice panics.
-func (b *Buffer) Free() {
-	if b.freed {
-		panic(fmt.Sprintf("gpu%d: double free of %q", b.dev.id, b.name))
-	}
-	b.freed = true
-	b.dev.allocated -= b.bytes
-	delete(b.dev.buffers, b.name)
 }
 
 // Bytes returns the buffer size.
@@ -116,19 +93,6 @@ func (b *Buffer) Bytes() int64 { return b.bytes }
 
 // Name returns the buffer name.
 func (b *Buffer) Name() string { return b.name }
-
-// Allocated returns the bytes currently in use on the device.
-func (d *Device) Allocated() int64 { return d.allocated }
-
-// AllocationNames returns the live allocation names, sorted, for diagnostics.
-func (d *Device) AllocationNames() []string {
-	names := make([]string, 0, len(d.buffers))
-	for n := range d.buffers {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	return names
-}
 
 // NewStream creates an in-order execution stream on the device
 // (cudaStreamCreateWithFlags in the paper's Listing 2).
@@ -160,7 +124,6 @@ type Stream struct {
 	dev       *Device
 	name      string
 	busyUntil sim.Time
-	launches  int
 }
 
 // Name returns the stream name.
@@ -168,9 +131,6 @@ func (s *Stream) Name() string { return s.name }
 
 // Device returns the owning device.
 func (s *Stream) Device() *Device { return s.dev }
-
-// Launches returns how many work items were ever enqueued.
-func (s *Stream) Launches() int { return s.launches }
 
 // BusyUntil returns when the last enqueued work item finishes.
 func (s *Stream) BusyUntil() sim.Time { return s.busyUntil }
@@ -190,7 +150,6 @@ func (s *Stream) Launch(p *sim.Proc, d sim.Duration) (start, end sim.Time) {
 	}
 	end = start + d
 	s.busyUntil = end
-	s.launches++
 	return start, end
 }
 

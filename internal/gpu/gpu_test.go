@@ -76,28 +76,18 @@ func TestNewDeviceRejectsBadParams(t *testing.T) {
 
 func TestAllocAccounting(t *testing.T) {
 	_, d := testDevice()
-	b1, err := d.Alloc("tables", 10<<30)
-	if err != nil {
+	if _, err := d.Alloc("tables", 10<<30); err != nil {
 		t.Fatal(err)
 	}
-	b2, err := d.Alloc("outputs", 1<<30)
-	if err != nil {
+	if _, err := d.Alloc("outputs", 1<<30); err != nil {
 		t.Fatal(err)
 	}
-	if d.Allocated() != 11<<30 {
-		t.Fatalf("Allocated = %d", d.Allocated())
+	// 11 GB of the 32 GB card are in use: 22 GB no longer fit, 21 GB do.
+	if _, err := d.Alloc("too-big", 22<<30); err == nil {
+		t.Fatal("allocation beyond the remaining capacity succeeded")
 	}
-	names := d.AllocationNames()
-	if len(names) != 2 || names[0] != "outputs" || names[1] != "tables" {
-		t.Fatalf("names = %v", names)
-	}
-	b1.Free()
-	if d.Allocated() != 1<<30 {
-		t.Fatalf("Allocated after free = %d", d.Allocated())
-	}
-	b2.Free()
-	if d.Allocated() != 0 {
-		t.Fatalf("Allocated after all frees = %d", d.Allocated())
+	if _, err := d.Alloc("rest", 21<<30); err != nil {
+		t.Fatalf("allocation of the remaining capacity failed: %v", err)
 	}
 }
 
@@ -115,7 +105,9 @@ func TestAllocOverCapacityFails(t *testing.T) {
 
 func TestAllocDuplicateNameFails(t *testing.T) {
 	_, d := testDevice()
-	d.MustAlloc("x", 1)
+	if _, err := d.Alloc("x", 1); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := d.Alloc("x", 1); err == nil {
 		t.Fatal("duplicate allocation name succeeded")
 	}
@@ -128,21 +120,12 @@ func TestAllocNegativeFails(t *testing.T) {
 	}
 }
 
-func TestDoubleFreePanics(t *testing.T) {
-	_, d := testDevice()
-	b := d.MustAlloc("x", 4)
-	b.Free()
-	defer func() {
-		if recover() == nil {
-			t.Error("double free did not panic")
-		}
-	}()
-	b.Free()
-}
-
 func TestBufferAccessors(t *testing.T) {
 	_, d := testDevice()
-	b := d.MustAlloc("weights", 128)
+	b, err := d.Alloc("weights", 128)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if b.Bytes() != 128 || b.Name() != "weights" {
 		t.Fatalf("accessors: %d %q", b.Bytes(), b.Name())
 	}
@@ -168,9 +151,6 @@ func TestStreamSerializesKernels(t *testing.T) {
 	}
 	if !approxEq(ends[1], wantE2) {
 		t.Fatalf("second kernel end = %v, want %v", ends[1], wantE2)
-	}
-	if s.Launches() != 2 {
-		t.Fatalf("Launches = %d", s.Launches())
 	}
 }
 
@@ -416,7 +396,9 @@ func TestMultipleDevicesIndependentMemory(t *testing.T) {
 	env := sim.NewEnv()
 	d0 := NewDevice(env, 0, V100Params())
 	d1 := NewDevice(env, 1, V100Params())
-	d0.MustAlloc("x", 30<<30)
+	if _, err := d0.Alloc("x", 30<<30); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := d1.Alloc("x", 30<<30); err != nil {
 		t.Fatalf("second device shares the first's memory: %v", err)
 	}
@@ -434,29 +416,8 @@ func TestStreamManyKernelsAccumulate(t *testing.T) {
 			}
 			last = end
 		}
-		if s.Launches() != 50 {
-			t.Errorf("Launches = %d", s.Launches())
-		}
 	})
 	env.Run()
-}
-
-func TestA100ParamsValidAndFaster(t *testing.T) {
-	a, v := A100Params(), V100Params()
-	if err := a.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if a.HBMBandwidth <= v.HBMBandwidth || a.MemoryCapacity <= v.MemoryCapacity {
-		t.Fatalf("A100 (%g B/s, %d B) not larger than V100 (%g B/s, %d B)",
-			a.HBMBandwidth, a.MemoryCapacity, v.HBMBandwidth, v.MemoryCapacity)
-	}
-	// At saturation on both parts the same gather runs faster on the A100.
-	env := sim.NewEnv()
-	da, dv := NewDevice(env, 0, a), NewDevice(env, 1, v)
-	items := int(a.SaturationItems)
-	if ca, cv := da.GatherKernelCost(1<<30, 1<<28, items), dv.GatherKernelCost(1<<30, 1<<28, items); ca >= cv {
-		t.Fatalf("saturated gather: A100 %g s, V100 %g s", ca, cv)
-	}
 }
 
 func TestValidateRejectsHotRowEfficiency(t *testing.T) {
@@ -660,7 +621,4 @@ func TestStreamByNameReused(t *testing.T) {
 		}
 	})
 	env.Run()
-	if a.Launches() != 2 {
-		t.Fatalf("Launches = %d, want 2", a.Launches())
-	}
 }

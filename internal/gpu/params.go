@@ -131,22 +131,6 @@ func V100Params() Params {
 	}
 }
 
-// A100Params returns parameters for a 40 GB A100-class device: ~1.7x the
-// V100's memory bandwidth and compute, same overhead structure. Used by the
-// cross-hardware sensitivity experiments (does the PGAS advantage survive a
-// faster part?).
-func A100Params() Params {
-	p := V100Params()
-	p.Name = "A100-SXM4-40GB"
-	p.MemoryCapacity = 40 << 30
-	p.HBMBandwidth = 1555e9
-	p.PeakFLOPS = 19.5e12
-	// More SMs need proportionally more parallelism to saturate.
-	p.SaturationItems = 1.5e6
-	p.ItemOverhead = 18 * sim.Nanosecond
-	return p
-}
-
 // Validate reports whether the parameter set is physically meaningful.
 func (p Params) Validate() error {
 	switch {

@@ -49,20 +49,6 @@ func Speedup(baseline, optimized float64) float64 {
 	return baseline / optimized
 }
 
-// WeakScalingFactor returns singleGPU/runtime for a weak-scaling point:
-// 1.0 is perfect (runtime flat as GPUs and problem size grow together),
-// below 1.0 means the run slowed down.
-func WeakScalingFactor(singleGPU, runtime float64) float64 {
-	return Speedup(singleGPU, runtime)
-}
-
-// StrongScalingFactor returns singleGPU/runtime for a strong-scaling point:
-// the speedup over one GPU at fixed total problem size; ideal is the GPU
-// count.
-func StrongScalingFactor(singleGPU, runtime float64) float64 {
-	return Speedup(singleGPU, runtime)
-}
-
 // RelativeError returns |got-want| / |want|.
 func RelativeError(got, want float64) float64 {
 	if want == 0 {

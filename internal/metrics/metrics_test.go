@@ -91,17 +91,6 @@ func TestSpeedup(t *testing.T) {
 	Speedup(0, 5)
 }
 
-func TestScalingFactors(t *testing.T) {
-	// Weak: runtime doubled -> factor 0.5.
-	if f := WeakScalingFactor(10, 20); f != 0.5 {
-		t.Fatalf("weak factor = %v", f)
-	}
-	// Strong: runtime halved -> factor 2 (ideal for 2 GPUs).
-	if f := StrongScalingFactor(10, 5); f != 2 {
-		t.Fatalf("strong factor = %v", f)
-	}
-}
-
 func TestRelativeError(t *testing.T) {
 	if e := RelativeError(11, 10); math.Abs(e-0.1) > 1e-12 {
 		t.Fatalf("rel err = %v", e)

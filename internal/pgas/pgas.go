@@ -43,44 +43,22 @@ type FaultHooks struct {
 	// is lost on the given (0-based) delivery attempt. It must be a pure
 	// function of its arguments so same-seed runs replay identically.
 	Drop func(pe, dstNode int, seq int64, attempt int) bool
-
-	// RetryTimeout is how long after the expected delivery time the proxy
-	// waits before retransmitting a lost message.
-	RetryTimeout sim.Duration
-
-	// RetryBackoff multiplies the timeout after every failed attempt.
-	// Values below 1 are treated as 1 (constant timeout).
-	RetryBackoff float64
-
-	// MaxAttempts caps total delivery attempts per message; when it is
-	// reached the message is declared delivered by the out-of-band recovery
-	// path and counted in RetriesExhausted. Non-positive means 16.
-	MaxAttempts int
 }
 
-func (h *FaultHooks) maxAttempts() int {
-	if h.MaxAttempts <= 0 {
-		return 16
-	}
-	return h.MaxAttempts
-}
-
-func (h *FaultHooks) backoff() float64 {
-	if h.RetryBackoff < 1 {
-		return 1
-	}
-	return h.RetryBackoff
-}
+// The proxy's delivery-loss recovery: a lost message is retransmitted
+// retryTimeout after its expected delivery, the timeout doubles after every
+// failed attempt, and after maxAttempts attempts the message is declared
+// delivered by the out-of-band recovery path (counted in RetriesExhausted).
+const (
+	retryTimeout = 50 * sim.Microsecond
+	retryBackoff = 2
+	maxAttempts  = 16
+)
 
 // SetFaultHooks installs (or, with nil, removes) delivery-fault injection.
 // Hooks only affect inter-node proxy traffic; intra-node NVLink stores are
 // load/store operations with hardware-level delivery.
-func (rt *Runtime) SetFaultHooks(h *FaultHooks) {
-	if h != nil && h.Drop != nil && h.RetryTimeout <= 0 {
-		panic(fmt.Sprintf("pgas: fault hooks with non-positive RetryTimeout %g", h.RetryTimeout))
-	}
-	rt.hooks = h
-}
+func (rt *Runtime) SetFaultHooks(h *FaultHooks) { rt.hooks = h }
 
 // New creates a runtime with one PE per fabric endpoint. PEs reach
 // same-node peers through direct device stores on the NVLink fabric, while
@@ -193,7 +171,7 @@ type PE struct {
 	wireBytes    float64
 	drops        int64 // delivery attempts lost to injected faults
 	retries      int64 // retransmissions issued by the proxy
-	exhausted    int64 // messages that hit MaxAttempts
+	exhausted    int64 // messages that hit maxAttempts
 	counter      trace.VolumeTrace
 }
 

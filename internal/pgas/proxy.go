@@ -121,10 +121,10 @@ func (px *proxy) flush(dstNode int) {
 	px.pe.wireBytes += px.net.NIC().WireBytes(payload)
 	px.pe.counter.Add(issued, delivered, float64(payload))
 	if h := px.pe.rt.hooks; h != nil && h.Drop != nil {
-		timeout := h.RetryTimeout
+		timeout := retryTimeout
 		for attempt := 0; h.Drop(px.pe.id, dstNode, seq, attempt); attempt++ {
 			px.pe.drops++
-			if attempt+1 >= h.maxAttempts() {
+			if attempt+1 >= maxAttempts {
 				px.pe.exhausted++
 				break
 			}
@@ -133,7 +133,7 @@ func (px *proxy) flush(dstNode int) {
 			px.pe.wireBytes += px.net.NIC().WireBytes(payload)
 			px.pe.counter.Add(retryAt, delivered, float64(payload))
 			px.pe.retries++
-			timeout *= h.backoff()
+			timeout *= retryBackoff
 		}
 	}
 	if delivered > px.lastDelivery {

@@ -244,15 +244,12 @@ func quietAfterOnePut(t *testing.T, hooks *FaultHooks, payload int) (*PE, *fabri
 	return pe, net, quietAt
 }
 
-// A lost flush is resent after the retry timeout, the timeout grows by the
-// backoff factor per attempt, and Quiet waits for the delivery that landed.
+// A lost flush is resent after the retry timeout, the timeout doubles per
+// attempt, and Quiet waits for the delivery that landed.
 func TestProxyRetransmitsDroppedFlush(t *testing.T) {
 	payload := 4096
-	timeout := 5 * sim.Microsecond
 	hooks := &FaultHooks{
-		Drop:         func(pe, dstNode int, seq int64, attempt int) bool { return attempt < 2 },
-		RetryTimeout: timeout,
-		RetryBackoff: 2,
+		Drop: func(pe, dstNode int, seq int64, attempt int) bool { return attempt < 2 },
 	}
 	pe, net, quietAt := quietAfterOnePut(t, hooks, payload)
 	if pe.Drops() != 2 || pe.Retries() != 2 || pe.RetriesExhausted() != 0 {
@@ -264,6 +261,7 @@ func TestProxyRetransmitsDroppedFlush(t *testing.T) {
 	}
 	nic := net.NIC()
 	trip := nic.MessageOverhead + nic.WireBytes(payload)/nic.Bandwidth + nic.Latency
+	const timeout = 50 * sim.Microsecond
 	want := 3*trip + timeout + 2*timeout
 	if math.Abs(quietAt-want) > 1e-12 {
 		t.Fatalf("quiet returned at %g, want %g", quietAt, want)
@@ -273,57 +271,17 @@ func TestProxyRetransmitsDroppedFlush(t *testing.T) {
 	}
 }
 
+// A message lost on every attempt is given up after 16 of them.
 func TestProxyRetryAttemptCap(t *testing.T) {
 	always := func(pe, dstNode int, seq int64, attempt int) bool { return true }
-	cases := []struct {
-		name     string
-		max      int
-		attempts int
-	}{
-		{"explicit-cap", 3, 3},
-		{"default-cap", 0, 16},
+	pe, net, _ := quietAfterOnePut(t, &FaultHooks{Drop: always}, 256)
+	if pe.Drops() != 16 || pe.Retries() != 15 || pe.RetriesExhausted() != 1 {
+		t.Fatalf("drops %d retries %d exhausted %d, want 16 15 1",
+			pe.Drops(), pe.Retries(), pe.RetriesExhausted())
 	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			hooks := &FaultHooks{Drop: always, RetryTimeout: sim.Microsecond, MaxAttempts: c.max}
-			pe, net, _ := quietAfterOnePut(t, hooks, 256)
-			if pe.Drops() != int64(c.attempts) || pe.Retries() != int64(c.attempts-1) || pe.RetriesExhausted() != 1 {
-				t.Fatalf("drops %d retries %d exhausted %d, want %d %d 1",
-					pe.Drops(), pe.Retries(), pe.RetriesExhausted(), c.attempts, c.attempts-1)
-			}
-			if net.Messages() != int64(c.attempts) {
-				t.Fatalf("NIC carried %d messages, want %d", net.Messages(), c.attempts)
-			}
-		})
+	if net.Messages() != 16 {
+		t.Fatalf("NIC carried %d messages, want 16", net.Messages())
 	}
-}
-
-// A backoff below 1 keeps the timeout constant instead of shrinking it.
-func TestProxyBackoffBelowOneIsConstant(t *testing.T) {
-	payload := 256
-	timeout := 5 * sim.Microsecond
-	hooks := &FaultHooks{
-		Drop:         func(pe, dstNode int, seq int64, attempt int) bool { return attempt < 2 },
-		RetryTimeout: timeout,
-		RetryBackoff: 0.5,
-	}
-	_, net, quietAt := quietAfterOnePut(t, hooks, payload)
-	nic := net.NIC()
-	trip := nic.MessageOverhead + nic.WireBytes(payload)/nic.Bandwidth + nic.Latency
-	if want := 3*trip + 2*timeout; math.Abs(quietAt-want) > 1e-12 {
-		t.Fatalf("quiet returned at %g, want %g", quietAt, want)
-	}
-}
-
-func TestSetFaultHooksRejectsNonPositiveTimeout(t *testing.T) {
-	rt, _ := newClusterRuntime(sim.NewEnv(), 2, 2, DefaultProxyConfig())
-	rt.SetFaultHooks(nil) // removing hooks is always fine
-	defer func() {
-		if recover() == nil {
-			t.Error("hooks with RetryTimeout 0 accepted")
-		}
-	}()
-	rt.SetFaultHooks(&FaultHooks{Drop: func(int, int, int64, int) bool { return false }})
 }
 
 // Hooks touch only the inter-node proxy: same-node NVLink stores are never
@@ -333,8 +291,7 @@ func TestFaultHooksSkipSameNodeStores(t *testing.T) {
 	rt, _ := newClusterRuntime(env, 2, 2, DefaultProxyConfig())
 	called := false
 	rt.SetFaultHooks(&FaultHooks{
-		Drop:         func(int, int, int64, int) bool { called = true; return true },
-		RetryTimeout: sim.Microsecond,
+		Drop: func(int, int, int64, int) bool { called = true; return true },
 	})
 	pe := rt.PE(0)
 	env.Go("sender", func(p *sim.Proc) {

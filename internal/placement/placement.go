@@ -35,47 +35,15 @@ type Config struct {
 	// HotTables mirrors the top-K hottest tables on every GPU (selective
 	// replication). 0 disables mirroring.
 	HotTables int
-	// Alpha is the EMA smoothing factor in (0, 1]; 0 selects 0.25.
-	Alpha float64
-	// Buckets is the per-table row-bucket resolution of the statistics
-	// collector; 0 selects 64.
-	Buckets int
-	// Hysteresis is the minimum fractional cost improvement a candidate
-	// plan must show before the controller swaps (migration is not free);
-	// 0 selects 0.05. Negative disables hysteresis entirely.
-	Hysteresis float64
-	// MinConcentration gates mirror selection on row reuse: a table is
-	// mirror-worthy only when Concentration(t, 0.1) — the share of its
-	// lookups landing in the hottest 10% of row buckets — reaches this
-	// value. Mirrored reads are served from the copy's hottest rows, so a
-	// flat (uniform) table gains much less from a mirror than a skewed one.
-	// 0 keeps pure top-K selection.
-	MinConcentration float64
 }
 
-func (c Config) alpha() float64 {
-	if c.Alpha == 0 {
-		return 0.25
-	}
-	return c.Alpha
-}
-
-func (c Config) buckets() int {
-	if c.Buckets == 0 {
-		return 64
-	}
-	return c.Buckets
-}
-
-func (c Config) hysteresis() float64 {
-	if c.Hysteresis == 0 {
-		return 0.05
-	}
-	if c.Hysteresis < 0 {
-		return 0
-	}
-	return c.Hysteresis
-}
+const (
+	// alpha is the statistics' EMA smoothing factor.
+	alpha = 0.25
+	// hysteresis is the minimum fractional cost improvement a candidate
+	// plan must show before the controller swaps (migration is not free).
+	hysteresis = 0.05
+)
 
 // Validate reports configuration errors.
 func (c Config) Validate() error {
@@ -93,12 +61,6 @@ func (c Config) Validate() error {
 	case c.HotTables >= c.Tables:
 		return fmt.Errorf("placement: HotTables %d must leave at least one unmirrored table (%d total)",
 			c.HotTables, c.Tables)
-	case c.Alpha < 0 || c.Alpha > 1:
-		return fmt.Errorf("placement: Alpha %g outside (0, 1]", c.Alpha)
-	case c.Buckets < 0:
-		return fmt.Errorf("placement: negative Buckets %d", c.Buckets)
-	case c.MinConcentration < 0 || c.MinConcentration > 1:
-		return fmt.Errorf("placement: MinConcentration %g outside [0, 1]", c.MinConcentration)
 	}
 	for t, b := range c.TableBytes {
 		if b <= 0 {
@@ -108,41 +70,22 @@ func (c Config) Validate() error {
 	return nil
 }
 
-// Stats is the deterministic access-statistics collector: a per-table and a
-// per-row-bucket EMA of lookup counts, folded one batch at a time in batch
-// order. The feed path allocates nothing after construction.
+// Stats is the deterministic access-statistics collector: a per-table EMA
+// of lookup counts, folded one batch at a time in batch order. The feed path
+// allocates nothing after construction.
 type Stats struct {
-	tables, gpus int
-	buckets      int
-	alpha        float64
-
-	batches int
-	table   []float64 // per-table EMA of per-batch lookup counts
-	bucket  []float64 // [t*buckets+b] EMA of per-batch bucket lookup counts
-
-	tmpTable  []float64
-	tmpBucket []float64
-	sortTmp   []float64 // Concentration's scratch
+	batches  int
+	table    []float64 // per-table EMA of per-batch lookup counts
+	tmpTable []float64
 }
 
 // NewStats builds a collector for cfg's table population.
 func NewStats(cfg Config) *Stats {
-	nb := cfg.buckets()
 	return &Stats{
-		tables:    cfg.Tables,
-		gpus:      cfg.GPUs,
-		buckets:   nb,
-		alpha:     cfg.alpha(),
-		table:     make([]float64, cfg.Tables),
-		bucket:    make([]float64, cfg.Tables*nb),
-		tmpTable:  make([]float64, cfg.Tables),
-		tmpBucket: make([]float64, cfg.Tables*nb),
-		sortTmp:   make([]float64, nb),
+		table:    make([]float64, cfg.Tables),
+		tmpTable: make([]float64, cfg.Tables),
 	}
 }
-
-// NumBuckets returns the per-table row-bucket resolution.
-func (st *Stats) NumBuckets() int { return st.buckets }
 
 // Batches returns how many batches have been folded in.
 func (st *Stats) Batches() int { return st.batches }
@@ -152,32 +95,21 @@ func (st *Stats) BeginBatch() {
 	for i := range st.tmpTable {
 		st.tmpTable[i] = 0
 	}
-	for i := range st.tmpBucket {
-		st.tmpBucket[i] = 0
-	}
 }
 
 // AddTable accumulates count lookups against table t for the open batch.
 func (st *Stats) AddTable(t int, count float64) { st.tmpTable[t] += count }
 
-// AddBucket accumulates count lookups against table t's row bucket b.
-func (st *Stats) AddBucket(t, b int, count float64) { st.tmpBucket[t*st.buckets+b] += count }
-
-// EndBatch folds the open batch into the EMAs. The first batch seeds the
-// averages directly (no zero-warmup bias).
+// EndBatch folds the open batch into the EMA. The first batch seeds the
+// average directly (no zero-warmup bias).
 func (st *Stats) EndBatch() {
 	if st.batches == 0 {
 		copy(st.table, st.tmpTable)
-		copy(st.bucket, st.tmpBucket)
 		st.batches++
 		return
 	}
-	a := st.alpha
 	for i, x := range st.tmpTable {
-		st.table[i] += float64(a * (x - st.table[i]))
-	}
-	for i, x := range st.tmpBucket {
-		st.bucket[i] += float64(a * (x - st.bucket[i]))
+		st.table[i] += float64(alpha * (x - st.table[i]))
 	}
 	st.batches++
 }
@@ -186,41 +118,6 @@ func (st *Stats) EndBatch() {
 // slice is the collector's own; callers must not mutate or retain it across
 // EndBatch calls.
 func (st *Stats) Loads() []float64 { return st.table }
-
-// BucketLoads returns table t's per-row-bucket EMA (same ownership rules as
-// Loads).
-func (st *Stats) BucketLoads(t int) []float64 {
-	return st.bucket[t*st.buckets : (t+1)*st.buckets]
-}
-
-// Concentration returns the fraction of table t's observed lookups that land
-// in its hottest ceil(frac*buckets) row buckets — 1.0 means all traffic hits
-// a tiny working set (mirror- and cache-friendly), frac means a perfectly
-// flat table. Returns 0 before any lookups are observed.
-func (st *Stats) Concentration(t int, frac float64) float64 {
-	bl := st.BucketLoads(t)
-	var total float64
-	for i, v := range bl {
-		st.sortTmp[i] = v
-		total += v
-	}
-	if total <= 0 {
-		return 0
-	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(st.sortTmp)))
-	k := int(float64(float64(st.buckets)*frac) + 0.9999)
-	if k < 1 {
-		k = 1
-	}
-	if k > st.buckets {
-		k = st.buckets
-	}
-	var top float64
-	for i := 0; i < k; i++ {
-		top += st.sortTmp[i]
-	}
-	return top / total
-}
 
 // CostModel prices a candidate plan. All terms are per batch and derived
 // from observed loads: a GPU's service time is the lookup volume it gathers
@@ -522,7 +419,7 @@ func (c *Controller) Rebalance() (*Rebalance, error) {
 	// mirrored table's gather splits across every GPU.
 	var hot []int
 	if c.cfg.HotTables > 0 && c.cfg.GPUs > 1 {
-		hot = c.hotSet(loads)
+		hot = HotSet(loads, c.cfg.HotTables)
 	}
 	hotMask := make([]bool, c.cfg.Tables)
 	for _, t := range hot {
@@ -545,7 +442,7 @@ func (c *Controller) Rebalance() (*Rebalance, error) {
 	if cur.Total > 0 {
 		rb.Gain = (cur.Total - next.Total) / cur.Total
 	}
-	if rb.Gain >= c.cfg.hysteresis() {
+	if rb.Gain >= hysteresis {
 		rb.Moves = Moves(c.plan, cand)
 	}
 	if len(rb.Moves) > 0 {
@@ -569,28 +466,6 @@ func (c *Controller) Rebalance() (*Rebalance, error) {
 	c.hot = hot
 	c.hotMask = hotMask
 	return rb, nil
-}
-
-// hotSet picks the mirror set: the top-HotTables tables by observed load,
-// restricted (when MinConcentration > 0) to tables whose row-bucket
-// concentration shows an actual reusable working set.
-func (c *Controller) hotSet(loads []float64) []int {
-	if c.cfg.MinConcentration <= 0 {
-		return HotSet(loads, c.cfg.HotTables)
-	}
-	masked := make([]float64, len(loads))
-	eligible := 0
-	for t, l := range loads {
-		if c.stats.Concentration(t, 0.1) >= c.cfg.MinConcentration {
-			masked[t] = l
-			eligible++
-		}
-	}
-	k := c.cfg.HotTables
-	if k > eligible {
-		k = eligible
-	}
-	return HotSet(masked, k)
 }
 
 func clonePlan(plan [][]int) [][]int {

@@ -11,7 +11,6 @@ func testConfig() Config {
 		GPUs:           4,
 		TableBytes:     []int64{100, 100, 100, 100, 100, 100, 100, 100},
 		RebalanceEvery: 2,
-		Buckets:        4,
 	}
 }
 
@@ -30,9 +29,6 @@ func TestConfigValidate(t *testing.T) {
 		{"zero epoch", func(c *Config) { c.RebalanceEvery = 0 }},
 		{"negative hot", func(c *Config) { c.HotTables = -1 }},
 		{"all tables hot", func(c *Config) { c.HotTables = c.Tables }},
-		{"alpha out of range", func(c *Config) { c.Alpha = 1.5 }},
-		{"negative buckets", func(c *Config) { c.Buckets = -1 }},
-		{"bad concentration", func(c *Config) { c.MinConcentration = 2 }},
 		{"non-positive table bytes", func(c *Config) { c.TableBytes[2] = 0 }},
 	}
 	for _, tc := range cases {
@@ -64,7 +60,7 @@ func TestStatsEMA(t *testing.T) {
 		t.Fatalf("first batch must seed the EMA directly: got %g", got)
 	}
 	feed([]float64{20, 4, 0, 0, 0, 0, 0, 0})
-	// alpha defaults to 0.25: 10 + 0.25*(20-10) = 12.5; 0 + 0.25*4 = 1.
+	// alpha is 0.25: 10 + 0.25*(20-10) = 12.5; 0 + 0.25*4 = 1.
 	if got := st.Loads()[0]; got != 12.5 {
 		t.Fatalf("EMA after second batch: got %g, want 12.5", got)
 	}
@@ -73,28 +69,6 @@ func TestStatsEMA(t *testing.T) {
 	}
 	if st.Batches() != 2 {
 		t.Fatalf("Batches = %d, want 2", st.Batches())
-	}
-}
-
-func TestStatsConcentration(t *testing.T) {
-	cfg := testConfig()
-	cfg.Buckets = 10
-	st := NewStats(cfg)
-	st.BeginBatch()
-	// Table 0: all traffic in one bucket. Table 1: perfectly flat.
-	st.AddBucket(0, 3, 100)
-	for b := 0; b < 10; b++ {
-		st.AddBucket(1, b, 10)
-	}
-	st.EndBatch()
-	if got := st.Concentration(0, 0.1); got != 1 {
-		t.Fatalf("single-bucket table concentration = %g, want 1", got)
-	}
-	if got := st.Concentration(1, 0.1); got != 0.1 {
-		t.Fatalf("flat table concentration = %g, want 0.1", got)
-	}
-	if got := st.Concentration(2, 0.1); got != 0 {
-		t.Fatalf("unobserved table concentration = %g, want 0", got)
 	}
 }
 
@@ -295,7 +269,6 @@ func TestControllerDeterminism(t *testing.T) {
 			st.BeginBatch()
 			for tb := 0; tb < 8; tb++ {
 				st.AddTable(tb, float64((tb*7+batch)%11))
-				st.AddBucket(tb, tb%4, float64(tb))
 			}
 			st.EndBatch()
 		}
@@ -308,33 +281,5 @@ func TestControllerDeterminism(t *testing.T) {
 	a, b := build(), build()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical feeds diverged:\n%+v\n%+v", a, b)
-	}
-}
-
-func TestControllerMinConcentrationGatesMirrors(t *testing.T) {
-	cfg := testConfig()
-	cfg.HotTables = 2
-	cfg.MinConcentration = 0.9
-	cfg.Buckets = 10
-	c, err := NewController(cfg, testModel(), [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := c.Stats()
-	st.BeginBatch()
-	// Table 0: hot AND concentrated (one bucket). Table 1: hot but flat.
-	st.AddTable(0, 100)
-	st.AddBucket(0, 0, 100)
-	st.AddTable(1, 100)
-	for b := 0; b < 10; b++ {
-		st.AddBucket(1, b, 10)
-	}
-	st.EndBatch()
-	rb, err := c.Rebalance()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(rb.Hot, []int{0}) {
-		t.Fatalf("only the concentrated table qualifies for a mirror: got %v", rb.Hot)
 	}
 }

@@ -336,12 +336,10 @@ func TestAttachCachesWarm(t *testing.T) {
 		t.Fatal("AttachCaches accepted a dim-mismatched set")
 	}
 
-	// So is a set over another key space, even at the same slot count: one
-	// row moves between the first two tables.
+	// So is a set over another key space, even at the same slot count:
+	// every table has one more row.
 	reshaped := cfg
-	reshaped.PerFeatureRows = cfg.RowCounts()
-	reshaped.PerFeatureRows[0]++
-	reshaped.PerFeatureRows[1]--
+	reshaped.Rows++
 	reshapedSpec, err := NewSystemSpec(reshaped, hw)
 	if err != nil {
 		t.Fatal(err)

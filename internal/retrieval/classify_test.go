@@ -53,7 +53,7 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 		return src != dst && v != nil && v.Hit[src][fi*B+smp]
 	}
 	key := func(src, fi int, raw int64) uint64 {
-		row := embedding.HashIndex(raw, cfg.tableRows(s.Plan[src][fi]))
+		row := embedding.HashIndex(raw, cfg.Rows)
 		return uint64(fi)<<32 | uint64(row)
 	}
 	bag := func(src, fi, smp int) []int64 { return bd.Sparse.FeatureByID(s.Plan[src][fi]).Bag(smp) }
@@ -249,7 +249,8 @@ func checkAgainstOracle(t *testing.T, s *System, plan *RoutePlan, o *dedupOracle
 // Both runs step the tables in plan order; the functional run reads them
 // from its materialised batch, the timing run draws each as the walk
 // reaches it (Generator.Feature). The shapes cover one node and several,
-// one GPU (diagonal gather dedup only), a plan whose order is not the
+// one GPU (diagonal gather dedup only), row counts that are not a power of
+// two (hashed by division, not a mask), a plan whose order is not the
 // feature order, alone and with a cache (the one shape where the order the
 // timing run seeks its tables in decides what each cache holds), a drifting
 // hot set, and adaptive placement whose mirrored table skips vectors in the
@@ -264,15 +265,15 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 		{"flat4", DefaultHardware(), func(*Config) {}},
 		{"cluster2", ClusterHardware(2), func(*Config) {}},
 		{"cache", cacheTestHardware(), func(c *Config) { c.CacheFraction = 0.003 }},
-		{"hetero-rows", DefaultHardware(), func(c *Config) { c.PerFeatureRows = []int{4, 400, 16, 1000, 8, 64} }},
+		{"rows400", DefaultHardware(), func(c *Config) { c.Rows = 400 }},
 		{"nulls", DefaultHardware(), func(c *Config) { c.NullProbability = 0.4 }},
-		{"cluster2-cache-hetero-nulls", func() HardwareParams {
+		{"cluster2-cache-rows1000-nulls", func() HardwareParams {
 			hw := cacheTestHardware()
 			hw.Nodes = 2
 			return hw
 		}(), func(c *Config) {
 			c.CacheFraction = 0.003
-			c.PerFeatureRows = []int{4, 400, 16, 1000, 8, 64}
+			c.Rows = 1000
 			c.NullProbability = 0.4
 		}},
 		{"cluster4", ClusterHardware(4), func(c *Config) {

@@ -101,9 +101,6 @@ type Config struct {
 	// GreedyPlan balances table placement by expected pooling load instead
 	// of assigning contiguous blocks — the planner a skewed workload needs.
 	GreedyPlan bool
-	// PerFeatureRows optionally gives each table its own hash size (len
-	// TotalTables; nil = uniform Rows).
-	PerFeatureRows []int
 	// Pooling selects the pooling operation (functional mode).
 	Pooling embedding.PoolingMode
 	// NullProbability, Distribution, ZipfExponent pass through to the
@@ -131,12 +128,12 @@ type Config struct {
 	// excludes Dedup and AdaptivePlacement.
 	Replicas int
 	// AdaptivePlacement enables the access-statistics-driven placement
-	// layer: the route-plan compiler feeds per-table and per-row-bucket
-	// lookup statistics to a placement controller, and every RebalanceEvery
-	// batches the run recomputes table placement from OBSERVED loads (LPT
-	// over the EMA, cost-model-gated with hysteresis), charges the shard
-	// migration as real NVLink/NIC traffic on the simulated clock, and swaps
-	// the effective plan at the batch boundary. Outputs are bit-exact with
+	// layer: the route-plan compiler feeds per-table lookup statistics to
+	// a placement controller, and every RebalanceEvery batches the run
+	// recomputes table placement from OBSERVED loads (LPT over the EMA,
+	// cost-model-gated with hysteresis), charges the shard migration as
+	// real NVLink/NIC traffic on the simulated clock, and swaps the
+	// effective plan at the batch boundary. Outputs are bit-exact with
 	// rebalancing on or off. Forces pipeline depth 1 (a plan swap is
 	// defined against a lockstep batch sequence).
 	AdaptivePlacement bool
@@ -203,9 +200,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("retrieval: Batches must be positive")
 	case c.ChunksPerKernel <= 0:
 		return fmt.Errorf("retrieval: ChunksPerKernel must be positive")
-	case c.PerFeatureRows != nil && len(c.PerFeatureRows) != c.TotalTables:
-		return fmt.Errorf("retrieval: PerFeatureRows has %d entries for %d tables",
-			len(c.PerFeatureRows), c.TotalTables)
 	case c.CacheFraction < 0 || c.CacheFraction >= 1:
 		return fmt.Errorf("retrieval: CacheFraction %g outside [0, 1)", c.CacheFraction)
 	case c.Replicas < 0:
@@ -237,24 +231,9 @@ func (c Config) Validate() error {
 	case c.WirePrecision != FP32 && c.WirePrecision != FP16 && c.WirePrecision != Int8:
 		return fmt.Errorf("retrieval: unknown WirePrecision %d (want FP32, FP16 or Int8)", c.WirePrecision)
 	}
-	if c.PerFeatureRows != nil {
-		for f, r := range c.PerFeatureRows {
-			if r <= 0 {
-				return fmt.Errorf("retrieval: table %d has non-positive rows %d", f, r)
-			}
-		}
-	}
 	// The input generator's own rules (per-feature pooling bounds, Zipf
 	// index space, ...), so a run never refuses a config Validate accepted.
 	return c.WorkloadConfig().Validate()
-}
-
-// tableRows returns the hash size of table fid.
-func (c Config) tableRows(fid int) int {
-	if c.PerFeatureRows != nil {
-		return c.PerFeatureRows[fid]
-	}
-	return c.Rows
 }
 
 // RowCounts returns every table's hash size, indexed by global feature id:
@@ -262,7 +241,7 @@ func (c Config) tableRows(fid int) int {
 func (c Config) RowCounts() []int {
 	out := make([]int, c.TotalTables)
 	for fid := range out {
-		out[fid] = c.tableRows(fid)
+		out[fid] = c.Rows
 	}
 	return out
 }
@@ -293,7 +272,7 @@ func (c Config) WireCodecActive() bool { return c.WirePrecision != FP32 }
 func (c Config) tableBytesAll() []int64 {
 	out := make([]int64, c.TotalTables)
 	for fid := range out {
-		out[fid] = int64(c.tableRows(fid)) * int64(c.Dim) * 4
+		out[fid] = int64(c.Rows) * int64(c.Dim) * 4
 	}
 	return out
 }
@@ -311,11 +290,7 @@ func (c Config) CacheSlots(g gpu.Params) int {
 		return 0
 	}
 	slots := int(c.CacheFraction * float64(g.MemoryCapacity) / float64(c.cacheSlotBytes()))
-	var population int64
-	for fid := 0; fid < c.TotalTables; fid++ {
-		population += int64(c.tableRows(fid))
-	}
-	if int64(slots) > population {
+	if population := int64(c.Rows) * int64(c.TotalTables); int64(slots) > population {
 		slots = int(population)
 	}
 	if slots < 1 {
@@ -384,18 +359,6 @@ func StrongScalingConfig(gpus int) Config {
 	cfg := WeakScalingConfig(gpus)
 	cfg.TotalTables = 96
 	cfg.MaxPooling = 32
-	return cfg
-}
-
-// CriteoShapedConfig returns a Criteo-style inference configuration: 26
-// single-valued sparse features (pooling factor 1), 1M-row tables, d=64 —
-// the latency-dominated regime where the EMB layer's cost is overheads,
-// not gather bandwidth.
-func CriteoShapedConfig(gpus int) Config {
-	cfg := WeakScalingConfig(gpus)
-	cfg.TotalTables = 26
-	cfg.MinPooling = 1
-	cfg.MaxPooling = 1
 	return cfg
 }
 

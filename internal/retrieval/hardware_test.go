@@ -4,64 +4,7 @@ import (
 	"testing"
 
 	"pgasemb/internal/fault"
-	"pgasemb/internal/gpu"
 )
-
-func TestA100ParamsValid(t *testing.T) {
-	if err := gpu.A100Params().Validate(); err != nil {
-		t.Fatal(err)
-	}
-	v, a := gpu.V100Params(), gpu.A100Params()
-	if a.HBMBandwidth <= v.HBMBandwidth || a.MemoryCapacity <= v.MemoryCapacity {
-		t.Fatal("A100 should be uniformly bigger than V100")
-	}
-}
-
-func TestPGASAdvantageSurvivesA100(t *testing.T) {
-	// The paper's conclusion is about communication structure, not the V100
-	// balance point: on an A100-class machine (1.7x compute, 2x links) the
-	// PGAS scheme must still win clearly, and everything must run faster in
-	// absolute terms.
-	cfg := WeakScalingConfig(4)
-	cfg.Batches = 3
-	run := func(hw HardwareParams, b Backend) float64 {
-		s, err := NewSystem(cfg, hw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(b)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return res.TotalTime
-	}
-	v100Base := run(DefaultHardware(), &Baseline{})
-	v100PGAS := run(DefaultHardware(), &PGASFused{})
-	a100Base := run(A100Hardware(), &Baseline{})
-	a100PGAS := run(A100Hardware(), &PGASFused{})
-
-	if a100PGAS >= v100PGAS || a100Base >= v100Base {
-		t.Fatalf("A100 not faster in absolute terms: base %v->%v, pgas %v->%v",
-			v100Base, a100Base, v100PGAS, a100PGAS)
-	}
-	speedup := a100Base / a100PGAS
-	if speedup < 1.5 {
-		t.Fatalf("PGAS advantage collapsed on A100: %.2fx", speedup)
-	}
-}
-
-func TestA100FitsBiggerShards(t *testing.T) {
-	// 40 GB admits a 136-table shard that a V100 rejects.
-	cfg := WeakScalingConfig(1)
-	cfg.TotalTables = 136
-	cfg.Batches = 1
-	if _, err := NewSystem(cfg, DefaultHardware()); err == nil {
-		t.Fatal("136 tables should not fit a 32 GB V100")
-	}
-	if _, err := NewSystem(cfg, A100Hardware()); err != nil {
-		t.Fatalf("136 tables should fit a 40 GB A100: %v", err)
-	}
-}
 
 // degradedHW is a DGX Station in which the 0-1 pair runs at half its
 // bandwidth in both directions, as if it lost one of its two NVLink links —

@@ -2,20 +2,17 @@ package retrieval
 
 import (
 	"fmt"
-	"math/bits"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
-	"pgasemb/internal/sparse"
 )
 
 // Adaptive placement wiring. The placement package decides WHERE tables live
 // and WHICH are mirrored; this file connects those decisions to the machine:
 //
 //   - the route-plan compiler feeds the controller's statistics collector
-//     from its one walk over the tables (observeTable), the step after
-//     residency and dedup;
+//     each table's reference count from the batch's pooling pass
+//     (observeLoads);
 //   - mirrored hot tables are guaranteed hits in the route plan's residency
 //     view (residencyTable), so every backend's existing hit-skipping path
 //     serves mirror reads with zero backend edits;
@@ -24,8 +21,7 @@ import (
 //     epoch boundary, and the boundary batch starts once it has landed.
 //
 // Determinism: the controller sees identical statistics whether the run is
-// timing-only or functional (each table's bags are the same whether drawn
-// as the walk reaches them or read from the materialised batch), so the
+// timing-only or functional (both draw the same pooling pass), so the
 // placement trajectory — and therefore every route plan — is a pure function
 // of (config, seed).
 
@@ -76,42 +72,14 @@ func (s *System) Migration() (rebalances int, bytes float64) {
 	return s.rebalances, s.migratedBytes
 }
 
-// observeTable is the compile walk's placement step: it folds one table's
-// references, whose bags fb holds, into the controller's open batch of
-// statistics. Allocates nothing once its per-bucket scratch is sized.
-func (s *System) observeTable(st *placement.Stats, fb *sparse.FeatureBag) {
-	nb := st.NumBuckets()
-	load := scratchSlice(&s.planScr.bucketLoad, nb)
-	var hashed [256]int32 // a chunk of the table's references, hashed in bulk
-	fid := fb.FeatureID
-	refs := fb.Indices[:fb.Offsets[s.Cfg.BatchSize]]
-	rows := s.Cfg.tableRows(fid)
-	// Bucket row*nb/rows; a power-of-two table divides by a shift.
-	pow2, shift := rows&(rows-1) == 0, bits.TrailingZeros(uint(rows))
-	clear(load)
-	for rest := refs; len(rest) > 0; {
-		chunk := hashed[:min(len(rest), len(hashed))]
-		embedding.HashRows(chunk, rest[:len(chunk)], rows)
-		rest = rest[len(chunk):]
-		for _, row := range chunk {
-			b := uint64(row) * uint64(nb)
-			if pow2 {
-				b >>= shift
-			} else {
-				b /= uint64(rows)
-			}
-			load[b]++
-		}
+// observeLoads folds the open batch into st: a table's statistic is its
+// reference count, which the pooling pass already drew.
+func (s *System) observeLoads(st *placement.Stats) {
+	st.BeginBatch()
+	for fid := range s.Cfg.TotalTables {
+		st.AddTable(fid, float64(s.gen.FeatureLen(fid)))
 	}
-	// One add per bucket of its integer count: a float64 sum of ones is
-	// exact below 2^53, so the statistics match per-reference adds bit for
-	// bit.
-	for b, n := range load {
-		if n != 0 {
-			st.AddBucket(fid, b, float64(n))
-		}
-	}
-	st.AddTable(fid, float64(len(refs)))
+	st.EndBatch()
 }
 
 // accumOwnerLoad charges one batch's embedding service work to the GPU that

@@ -4,7 +4,6 @@ import (
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/metrics"
-	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 )
@@ -354,15 +353,14 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 // works, could own them. Simulated processes never run concurrently, so
 // NextBatchData needs no synchronisation.
 type planScratch struct {
-	pairSet    rowSet            // one (consumer, table)'s unique rows
-	nodeSet    rowSet            // one (remote node, table)'s unique rows
-	pairAcc    []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
-	nodeAcc    []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
-	rows       []int32           // residency step's hashed references of one minibatch range
-	bucketLoad []int32           // placement statistics' per-bucket counts of one table
-	hit        []bool            // timing mode's residency hits of one table, by sample
-	bag        sparse.FeatureBag // timing mode's one table, drawn in plan order
-	ownerOf    []int             // owner GPU of every feature, for the pooling pass
+	pairSet rowSet            // one (consumer, table)'s unique rows
+	nodeSet rowSet            // one (remote node, table)'s unique rows
+	pairAcc []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
+	nodeAcc []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
+	rows    []int32           // residency step's hashed references of one minibatch range
+	hit     []bool            // timing mode's residency hits of one table, by sample
+	bag     sparse.FeatureBag // timing mode's one table, drawn in plan order
+	ownerOf []int             // owner GPU of every feature, for the pooling pass
 }
 
 // drawPooling opens the next batch with the generator's pooling pass and
@@ -403,11 +401,12 @@ func (s *System) drawBatch() *sparse.Batch {
 // compileRoutePlan runs the classifier passes for one batch, whose pooled
 // prefixes drawPooling returned, and attaches the resulting plan to bd.
 // Every pass that reads indices runs in one walk over the tables in plan
-// order: for each table, the residency step for every consumer, the dedup
-// step, then the placement statistics, while its bags are in cache. The
+// order: for each table, the residency step for every consumer, then the
+// dedup step, while its bags are in cache. The
 // bags come from bd.Sparse when the batch is materialised (functional runs
 // and PlanCompileLoop); a timing run draws each table as the walk reaches
-// it (Generator.Feature). Runs that read no indices skip the walk.
+// it (Generator.Feature). Runs that read no indices skip the walk. The
+// placement statistics need only the pooling pass's per-table counts.
 func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 	plan := &RoutePlan{sys: s, pooled: pooled}
 	bd.Plan = plan
@@ -420,12 +419,7 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
 		s.beginDedup()
 	}
-	var st *placement.Stats
-	if s.placeCtl != nil {
-		st = s.placeCtl.Stats()
-		st.BeginBatch()
-	}
-	if plan.Cache != nil || s.Cfg.Dedup || st != nil {
+	if plan.Cache != nil || s.Cfg.Dedup {
 		for o, fids := range s.Plan {
 			for fi, fid := range fids {
 				fb := &s.planScr.bag
@@ -440,9 +434,6 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 				}
 				if s.Cfg.Dedup {
 					s.dedupTable(o, fi, fb, hit)
-				}
-				if st != nil {
-					s.observeTable(st, fb)
 				}
 			}
 		}
@@ -462,8 +453,8 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 			bd.dedupBarrier = sim.NewBarrier(s.Env, s.Cfg.GPUs)
 		}
 	}
-	if st != nil {
-		st.EndBatch()
+	if s.placeCtl != nil {
+		s.observeLoads(s.placeCtl.Stats())
 	}
 	if s.Cfg.Replicas > 1 {
 		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
@@ -570,7 +561,7 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 		if !mirrored {
 			raws := fb.Indices[base:fb.Offsets[hi]]
 			rows = scratchSlice(&s.planScr.rows, len(raws))
-			embedding.HashRows(rows, raws, cfg.tableRows(fid))
+			embedding.HashRows(rows, raws, cfg.Rows)
 		}
 		for smp := lo; smp < hi; smp++ {
 			bag := fb.Bag(smp)
@@ -670,7 +661,7 @@ func (s *System) beginDedup() {
 func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 	G := s.Cfg.GPUs
 	fn := s.Cfg.Functional
-	rows := s.Cfg.tableRows(fb.FeatureID)
+	rows := s.Cfg.Rows
 	pairSet, nodeSet := &s.planScr.pairSet, &s.planScr.nodeSet
 	accs := s.planScr.pairAcc[src*G : (src+1)*G]
 	per, multi := G, s.multiNode()

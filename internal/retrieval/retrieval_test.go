@@ -335,36 +335,6 @@ func TestRunsAreDeterministic(t *testing.T) {
 	}
 }
 
-func TestCriteoShapedConfig(t *testing.T) {
-	cfg := CriteoShapedConfig(4)
-	if err := cfg.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if cfg.TotalTables != 26 || cfg.MaxPooling != 1 {
-		t.Fatalf("criteo config wrong: %+v", cfg)
-	}
-	// Single-valued bags still verify functionally.
-	cfg.Rows = 64
-	cfg.BatchSize = 16
-	cfg.Batches = 2
-	cfg.Functional = true
-	cfg.ChunksPerKernel = 4
-	s, err := NewSystem(cfg, DefaultHardware())
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := s.Run(&PGASFused{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := mustReference(t, s, res.LastBatch)
-	for g := range want {
-		if !tensor.Equal(res.Final[g], want[g]) {
-			t.Fatalf("GPU %d differs on criteo-shaped workload", g)
-		}
-	}
-}
-
 func TestScalesBeyondPaperTo8GPUs(t *testing.T) {
 	// The paper stops at 4 GPUs (its testbed); the simulator extrapolates.
 	// On a hypothetical fully-connected 8-GPU chassis the weak-scaling story

@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"pgasemb/internal/collective"
@@ -146,10 +145,8 @@ type namedAlloc struct {
 
 func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 	cfg := spec.cfg
-	var shardBytes int64
-	for _, fid := range spec.plan[g] {
-		shardBytes += int64(cfg.tableRows(fid)) * int64(cfg.Dim) * 4
-	}
+	tableBytes := int64(cfg.Rows) * int64(cfg.Dim) * 4
+	shardBytes := int64(len(spec.plan[g])) * tableBytes
 	lo, hi := sparse.MinibatchRange(cfg.BatchSize, cfg.GPUs, g)
 	outBytes := int64(hi-lo) * int64(cfg.TotalTables) * int64(cfg.Dim) * 4
 	allocs := []namedAlloc{
@@ -163,16 +160,9 @@ func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 		})
 	}
 	if cfg.HotTables > 0 {
-		// Selective replication reserve: room for mirrors of the K largest
-		// tables — the hot set is chosen from observed load at run time, so
-		// the reserve is sized for the worst footprint it could pick.
-		bytes := append([]int64(nil), cfg.tableBytesAll()...)
-		sort.Slice(bytes, func(a, b int) bool { return bytes[a] > bytes[b] })
-		var mirrorBytes int64
-		for _, b := range bytes[:cfg.HotTables] {
-			mirrorBytes += b
-		}
-		allocs = append(allocs, namedAlloc{"hot-mirror", mirrorBytes})
+		// Selective replication reserve: room for mirrors of K tables — the
+		// hot set is chosen from observed load at run time.
+		allocs = append(allocs, namedAlloc{"hot-mirror", int64(cfg.HotTables) * tableBytes})
 	}
 	if cfg.Replicas > 1 {
 		// Mirrors of the other shards replicated onto this GPU: shard o is
@@ -181,9 +171,7 @@ func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 		var mirrorBytes int64
 		for k := 1; k < cfg.Replicas; k++ {
 			o := ((g-k)%cfg.GPUs + cfg.GPUs) % cfg.GPUs
-			for _, fid := range spec.plan[o] {
-				mirrorBytes += int64(cfg.tableRows(fid)) * int64(cfg.Dim) * 4
-			}
+			mirrorBytes += int64(len(spec.plan[o])) * tableBytes
 		}
 		allocs = append(allocs, namedAlloc{"mirror-shards", mirrorBytes})
 	}
@@ -255,9 +243,6 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 			Drop: func(pe, dstNode int, seq int64, attempt int) bool {
 				return sched.Drops(s.faultBatch, pe, dstNode, seq, attempt)
 			},
-			RetryTimeout: sched.Retry.EffectiveTimeout(),
-			RetryBackoff: sched.Retry.EffectiveBackoff(),
-			MaxAttempts:  sched.Retry.EffectiveMaxAttempts(),
 		})
 	}
 	for g := 0; g < cfg.GPUs; g++ {
@@ -272,11 +257,7 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	if cfg.Functional {
 		wrng := sim.NewRNG(cfg.Seed ^ 0xE3B0)
 		for g := 0; g < cfg.GPUs; g++ {
-			rowsPer := make([]int, len(spec.plan[g]))
-			for i, fid := range spec.plan[g] {
-				rowsPer[i] = cfg.tableRows(fid)
-			}
-			s.colls = append(s.colls, embedding.NewCollectionWithRows(spec.plan[g], rowsPer, cfg.Dim, cfg.Pooling, wrng))
+			s.colls = append(s.colls, embedding.NewCollection(spec.plan[g], cfg.Rows, cfg.Dim, cfg.Pooling, wrng))
 		}
 		if cfg.WireCodecActive() {
 			// Quantize-at-rest: round-trip every table through the wire codec

@@ -89,18 +89,6 @@ func ClusterHardware(nodes int) HardwareParams {
 	return hw
 }
 
-// A100Hardware returns an A100-generation machine: faster devices, NVLink
-// 3.0 (double the per-link bandwidth) and a correspondingly faster
-// collective channel. Used to check that the paper's conclusions are not an
-// artifact of the V100 balance point.
-func A100Hardware() HardwareParams {
-	hw := DefaultHardware()
-	hw.GPU = gpu.A100Params()
-	hw.Link.LinkBandwidth = 50e9
-	hw.Collective.ChannelBandwidth = 2 * hw.Collective.ChannelBandwidth
-	return hw
-}
-
 // System is one RUN of a wired-up simulated machine: devices, fabric, PGAS
 // runtime, NCCL communicator, table shards and the workload generator. All
 // of this state is mutable and belongs to exactly one run; the immutable

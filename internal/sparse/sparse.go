@@ -144,25 +144,6 @@ func MinibatchRange(n, p, rank int) (lo, hi int) {
 	return lo, lo + size
 }
 
-// OwnerOfSample returns the rank whose minibatch contains sample i under
-// MinibatchRange's split.
-func OwnerOfSample(n, p, i int) int {
-	if i < 0 || i >= n {
-		panic(fmt.Sprintf("sparse: sample %d out of batch %d", i, n))
-	}
-	base := n / p
-	rem := n % p
-	// First rem ranks own (base+1) samples each.
-	cut := rem * (base + 1)
-	if i < cut {
-		return i / (base + 1)
-	}
-	if base == 0 {
-		panic(fmt.Sprintf("sparse: sample %d beyond all minibatches (n=%d p=%d)", i, n, p))
-	}
-	return rem + (i-cut)/base
-}
-
 func min(a, b int) int {
 	if a < b {
 		return a

@@ -1,11 +1,6 @@
 package sparse
 
-import (
-	"testing"
-	"testing/quick"
-
-	"pgasemb/internal/sim"
-)
+import "testing"
 
 func validBag(id int) FeatureBag {
 	return FeatureBag{
@@ -155,33 +150,4 @@ func TestMinibatchRangePanics(t *testing.T) {
 			MinibatchRange(c[0], c[1], c[2])
 		}()
 	}
-}
-
-// Property: OwnerOfSample agrees with MinibatchRange for all splits.
-func TestOwnerOfSampleConsistentProperty(t *testing.T) {
-	f := func(seed uint64) bool {
-		rng := sim.NewRNG(seed)
-		n := rng.IntRange(1, 64)
-		p := rng.IntRange(1, 8)
-		for i := 0; i < n; i++ {
-			owner := OwnerOfSample(n, p, i)
-			lo, hi := MinibatchRange(n, p, owner)
-			if i < lo || i >= hi {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestOwnerOfSamplePanicsOutOfRange(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("out-of-range sample did not panic")
-		}
-	}()
-	OwnerOfSample(4, 2, 4)
 }

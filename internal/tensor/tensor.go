@@ -43,9 +43,6 @@ func New(shape ...int) *Tensor {
 	}
 }
 
-// Zeros is an alias for New, for readability at call sites.
-func Zeros(shape ...int) *Tensor { return New(shape...) }
-
 // FromSlice wraps data (without copying) in a tensor of the given shape. The
 // data length must match the shape volume exactly.
 func FromSlice(data []float32, shape ...int) *Tensor {

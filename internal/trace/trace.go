@@ -6,7 +6,6 @@ package trace
 
 import (
 	"fmt"
-	"sort"
 
 	"pgasemb/internal/sim"
 )
@@ -72,24 +71,6 @@ func (v *VolumeTrace) CumulativeAt(t sim.Time) float64 {
 		}
 	}
 	return sum
-}
-
-// Span returns the earliest start and latest end across intervals; ok is
-// false when the trace is empty.
-func (v *VolumeTrace) Span() (start, end sim.Time, ok bool) {
-	if len(v.intervals) == 0 {
-		return 0, 0, false
-	}
-	start, end = v.intervals[0].Start, v.intervals[0].End
-	for _, iv := range v.intervals[1:] {
-		if iv.Start < start {
-			start = iv.Start
-		}
-		if iv.End > end {
-			end = iv.End
-		}
-	}
-	return start, end, true
 }
 
 // Point is one sample of a reconstructed series.
@@ -228,12 +209,4 @@ func MergeMax(bs ...*Breakdown) *Breakdown {
 		out.Add(name, worst)
 	}
 	return out
-}
-
-// SortedNames returns all names sorted alphabetically (for stable test
-// output when order is irrelevant).
-func (b *Breakdown) SortedNames() []string {
-	names := b.Names()
-	sort.Strings(names)
-	return names
 }

@@ -46,8 +46,8 @@ func TestVolumeTraceInstantaneous(t *testing.T) {
 func TestVolumeTraceZeroBytesIgnored(t *testing.T) {
 	var v VolumeTrace
 	v.Add(0, 1, 0)
-	if _, _, ok := v.Span(); ok {
-		t.Fatal("zero-byte interval should not contribute to span")
+	if len(v.Intervals()) != 0 {
+		t.Fatal("zero-byte interval was recorded")
 	}
 }
 
@@ -69,20 +69,6 @@ func TestVolumeTracePanics(t *testing.T) {
 		}()
 		v.Add(0, 1, -1)
 	}()
-}
-
-func TestSpan(t *testing.T) {
-	var v VolumeTrace
-	if _, _, ok := v.Span(); ok {
-		t.Fatal("empty trace should have no span")
-	}
-	v.Add(3, 7, 1)
-	v.Add(1, 4, 1)
-	v.Add(5, 9, 1)
-	s, e, ok := v.Span()
-	if !ok || s != 1 || e != 9 {
-		t.Fatalf("Span = (%v, %v, %v)", s, e, ok)
-	}
 }
 
 func TestRateSeriesSumsToTotal(t *testing.T) {
@@ -167,10 +153,6 @@ func TestBreakdownBasics(t *testing.T) {
 		if names[i] != want[i] {
 			t.Fatalf("Names = %v", names)
 		}
-	}
-	sorted := b.SortedNames()
-	if sorted[0] != "Communication" {
-		t.Fatalf("SortedNames = %v", sorted)
 	}
 }
 

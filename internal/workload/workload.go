@@ -194,31 +194,6 @@ func PaperWeakScaling(numTables int, seed uint64) Config {
 	}
 }
 
-// PaperStrongScaling returns the strong-scaling workload of §IV-B: 96
-// tables total, batch 16384, pooling uniform in [1, 32].
-func PaperStrongScaling(seed uint64) Config {
-	cfg := PaperWeakScaling(96, seed)
-	cfg.MaxPooling = 32
-	return cfg
-}
-
-// CriteoShaped returns a workload shaped like the Criteo click-logs dataset
-// the DLRM benchmark ships with: 26 sparse features, 13 dense features,
-// single-valued bags (pooling factor 1) — the latency-dominated regime
-// where per-batch overheads, not bandwidth, decide the EMB layer's cost.
-func CriteoShaped(seed uint64) Config {
-	return Config{
-		NumFeatures:  26,
-		BatchSize:    16384,
-		MinPooling:   1,
-		MaxPooling:   1,
-		IndexSpace:   1_000_000,
-		Distribution: Uniform,
-		NumDense:     13,
-		Seed:         seed,
-	}
-}
-
 // Generator produces batches (or their timing summaries) deterministically.
 //
 // Each batch is opened by a pooling pass (NextPoolingSums, NextSummary or
@@ -349,6 +324,10 @@ func (g *Generator) NextPoolingSums(sum func(f int) []int64) {
 		poolFeature(g, f, sum(f))
 	}
 }
+
+// FeatureLen returns the number of indices feature f of the open batch
+// draws: the sum of its pooling factors.
+func (g *Generator) FeatureLen(f int) int { return g.idxLen[f] }
 
 // Feature draws feature f of the batch the last pooling pass opened into
 // fb, reusing the capacity of its slices: the offsets and indices of

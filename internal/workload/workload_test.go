@@ -56,10 +56,6 @@ func TestPaperConfigs(t *testing.T) {
 	if w.BatchSize != 16384 || w.MaxPooling != 128 || w.IndexSpace != 1_000_000 {
 		t.Fatalf("weak config wrong: %+v", w)
 	}
-	s := PaperStrongScaling(1)
-	if s.NumFeatures != 96 || s.MaxPooling != 32 {
-		t.Fatalf("strong config wrong: %+v", s)
-	}
 }
 
 func TestNextBatchValid(t *testing.T) {
@@ -641,30 +637,6 @@ func TestExpectedUniqueMatchesGenerator(t *testing.T) {
 		}
 		if math.Abs(measured/expected-1) > 0.02 {
 			t.Errorf("distribution %v: measured %g distinct, expected %g", dist, measured, expected)
-		}
-	}
-}
-
-func TestCriteoShaped(t *testing.T) {
-	c := CriteoShaped(3)
-	if err := c.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if c.NumFeatures != 26 || c.NumDense != 13 || c.MinPooling != 1 || c.MaxPooling != 1 {
-		t.Fatalf("not Criteo-shaped: %+v", c)
-	}
-	// Every bag is single-valued: a batch holds one index per sample.
-	c.BatchSize = 32
-	g, err := NewGenerator(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g.Config(), c) {
-		t.Fatalf("Config() = %+v, want %+v", g.Config(), c)
-	}
-	for f, fb := range g.NextBatch().Features {
-		if len(fb.Indices) != c.BatchSize {
-			t.Fatalf("feature %d: %d indices for %d samples", f, len(fb.Indices), c.BatchSize)
 		}
 	}
 }

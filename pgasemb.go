@@ -94,10 +94,6 @@ const (
 // NVLink node, the same machine as ClusterHardware(1).
 func DefaultHardware() HardwareParams { return retrieval.DefaultHardware() }
 
-// A100Hardware returns an A100-generation machine (faster devices, NVLink
-// 3.0), for cross-hardware sensitivity runs.
-func A100Hardware() HardwareParams { return retrieval.A100Hardware() }
-
 // ClusterHardware returns the default hardware composed into `nodes` NVLink
 // nodes joined by modeled NICs: inter-node traffic rides the fabric
 // interconnect (contention, message chunking, launch overhead), baseline
@@ -126,10 +122,6 @@ func WeakScalingConfig(gpus int) Config { return retrieval.WeakScalingConfig(gpu
 // StrongScalingConfig returns the paper's §IV-B configuration (96 tables
 // total, batch 16384, pooling up to 32, 100 batches).
 func StrongScalingConfig(gpus int) Config { return retrieval.StrongScalingConfig(gpus) }
-
-// CriteoShapedConfig returns a Criteo-style configuration (26
-// single-valued sparse features) — the latency-dominated EMB regime.
-func CriteoShapedConfig(gpus int) Config { return retrieval.CriteoShapedConfig(gpus) }
 
 // TestScaleConfig returns a small functional configuration whose outputs
 // are verified bit-exactly against a serial reference.
