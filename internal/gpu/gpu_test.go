@@ -372,8 +372,6 @@ func TestCostPanicsOnNegativeInputs(t *testing.T) {
 		func() { d.HotReadEquivalent(-1) },
 		func() { d.ExpandKernelCost(-1, 0, 256) },
 		func() { d.ExpandKernelCost(0, -1, 256) },
-		func() { d.GatherDedupWins(-1, 1) },
-		func() { d.GatherDedupWins(1, -1) },
 		func() { d.EncodeKernelCost(-1, 0) },
 		func() { d.EncodeKernelCost(0, -1) },
 		func() { d.DecodeKernelCost(-1, 0) },
@@ -506,33 +504,6 @@ func TestExpandKernelCost(t *testing.T) {
 			t.Fatalf("expand %g not below gather %g", e, gather)
 		}
 	})
-}
-
-// With V100 efficiencies (gather 0.49, stream and hot 0.85) the staged
-// path wins when uniq/refs < 1 - 0.49/0.85 ≈ 0.4235.
-func TestGatherDedupWins(t *testing.T) {
-	cases := []struct {
-		name       string
-		hot        float64
-		uniq, refs int64
-		want       bool
-	}{
-		{"heavy-duplication", 0.85, 10, 100, true},
-		{"just-below-break-even", 0.85, 42, 100, true},
-		{"just-above-break-even", 0.85, 43, 100, false},
-		{"no-duplicates", 0.85, 100, 100, false},
-		{"uniq-exceeds-refs", 0.85, 120, 100, false},
-		{"no-hot-path", 0, 1, 100, false},
-		{"empty", 0.85, 0, 0, false},
-	}
-	for _, c := range cases {
-		t.Run(c.name, func(t *testing.T) {
-			d := withParams(func(p *Params) { p.HotRowEfficiency = c.hot })
-			if got := d.GatherDedupWins(c.uniq, c.refs); got != c.want {
-				t.Fatalf("GatherDedupWins(%d, %d) = %v, want %v", c.uniq, c.refs, got, c.want)
-			}
-		})
-	}
 }
 
 func TestEncodeDecodeSymmetric(t *testing.T) {

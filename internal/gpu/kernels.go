@@ -100,28 +100,6 @@ func (d *Device) ExpandKernelCost(refs int64, outItems, vecBytes int) sim.Durati
 	return (sim.Duration(read) + sim.Duration(write)) * sim.Duration(d.slow)
 }
 
-// GatherDedupWins reports whether a gather over refs pooled-index references
-// that hit only uniq distinct rows is cheaper when each distinct row is read
-// from the table once, staged in a (L2-resident) scratch buffer, and the
-// remaining refs-uniq references re-read it hot — versus gathering every
-// reference at random-access efficiency. The vector size cancels, so the
-// decision depends only on the duplication factor and the efficiency
-// parameters; without a hot-row efficiency the staged path has no advantage
-// and the answer is always false.
-func (d *Device) GatherDedupWins(uniq, refs int64) bool {
-	if uniq < 0 || refs < 0 {
-		panic(fmt.Sprintf("gpu%d: negative dedup inputs (%d, %d)", d.id, uniq, refs))
-	}
-	he := d.params.HotRowEfficiency
-	if he <= 0 || uniq >= refs {
-		return false
-	}
-	ge, se := d.params.GatherEfficiency, d.params.StreamEfficiency
-	dense := float64(refs) / ge
-	staged := float64(uniq)/ge + float64(uniq)/se + float64(refs-uniq)/he
-	return staged < dense
-}
-
 // RemoteIssueCost returns the extra kernel time for issuing n one-sided
 // remote stores from inside a kernel. This is the PGAS backend's only
 // compute-side overhead relative to the local-only kernel.

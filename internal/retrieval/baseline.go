@@ -47,55 +47,20 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	dev := s.Devs[g]
 	stream := dev.Stream("emb")
 
-	// Hot-row cache discounts: vectors a served pair skips (a hit at their
-	// consumer) and vectors this consumer pools from its own cache. Both are
-	// zero when the cache is disabled (plan.Cache == nil). All routing
-	// decisions come from the batch's compiled plan; the views only supply
-	// counts.
-	plan := bd.Plan
-	hitVecs, hitIdx := plan.Cache.HitAt(g)
-	vb := float64(cfg.VectorBytes())
-
 	// --- Phase 1: lookup + pooling kernel over every served pair, writing
 	// each pair's segment into the rank-ordered send buffer, plus the
-	// consumer-side cache gathers (which read the small hot working set at
-	// near-streaming efficiency). A dense pair gathers and stores its
-	// cache-missed vectors; a gather-dedup pair stages its unique rows and
-	// serves duplicate references from the hot working set; a wire pair
-	// gathers and stages each unique row once (no pooling — the consumer
-	// expands). Every reference streams its index.
-	var idx int64
-	readBytes := dev.HotReadEquivalent(float64(hitIdx) * vb)
-	streamBytes := float64(hitVecs) * vb
-	items := hitVecs
-	for c := 0; c < cfg.GPUs; c++ {
-		for o := 0; o < cfg.GPUs; o++ {
-			if plan.ServeGPU(o, c) != g {
-				continue
-			}
-			missIdx := plan.pairMissIdx(o, c)
-			dense := plan.pairVecs(o, c)
-			idx += missIdx
-			switch {
-			case plan.CollectiveClass(o, c) == RouteWire:
-				uniq := plan.Dedup.Uniq[o][c]
-				readBytes += float64(float64(uniq) * vb)
-				streamBytes += float64(float64(uniq) * vb)
-				items += int(uniq)
-			case plan.GatherDedup(o, c):
-				uniq := plan.Dedup.Uniq[o][c]
-				readBytes += float64(float64(uniq)*vb) + dev.HotReadEquivalent(float64(missIdx-uniq)*vb)
-				streamBytes += float64(float64(dense+int(uniq)) * vb)
-				items += dense
-			default:
-				readBytes += float64(float64(missIdx) * vb)
-				streamBytes += float64(float64(dense) * vb)
-				items += dense
-			}
-		}
-	}
-	streamBytes += float64(float64(idx+hitIdx) * 8)
-	kernel := dev.GatherKernelCost(readBytes, streamBytes, items)
+	// consumer-side cache and mirror gathers: the fused kernel's gather as
+	// one chunk over the whole batch, under the collective's route rule.
+	// Every remote item streams into the send buffer, and every segment, the
+	// local one included, is one logged transfer. The hit read is added
+	// before the pairs' (pgas-fused adds it after): float addition is not
+	// associative, and these are the orders the pinned times were summed in.
+	plan := bd.Plan
+	vb := float64(cfg.VectorBytes())
+	var gt gatherTraffic
+	gt.addHits(s, g, plan, 0, cfg.BatchSize)
+	gt.addPairs(s, g, plan, 0, cfg.BatchSize, plan.CollectiveClass, bd.log)
+	kernel := dev.GatherKernelCost(gt.read, gt.stream+float64(float64(gt.remote)*vb), gt.items)
 
 	_, kernelEnd := stream.Launch(p, kernel)
 	p.WaitUntil(kernelEnd)
@@ -106,10 +71,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	stream.Synchronize(p)
 	bk.Accumulate(CompSyncUnpack, p.Now()-syncStart)
 
-	// Every segment the kernel packed, the local one included, is one
-	// logged transfer; on a single GPU the send buffer already is the final
-	// minibatch.
-	s.logSegments(g, bd)
+	// On a single GPU the send buffer already is the final minibatch.
 	if cfg.GPUs == 1 {
 		s.walkDone(bd)
 		return
@@ -120,7 +82,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// from the plan's counts.
 	if cfg.WireCodecActive() {
 		encStart := p.Now()
-		sent, _ := plan.CollectiveCodecVecs(g)
+		sent, _ := plan.codecVecs(g, plan.CollectiveClass)
 		if sent > 0 {
 			wvb := float64(cfg.WireVectorBytes())
 			enc := dev.EncodeKernelCost(float64(sent)*vb, float64(sent)*wvb)
@@ -149,7 +111,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// fp32 before unpack/expansion. Runs under DirectPlacement too — the
 	// ablation removes the rearrangement, not the dequantize.
 	if cfg.WireCodecActive() {
-		_, recv := plan.CollectiveCodecVecs(g)
+		_, recv := plan.codecVecs(g, plan.CollectiveClass)
 		if recv > 0 {
 			wvb := float64(cfg.WireVectorBytes())
 			dec := dev.DecodeKernelCost(float64(recv)*wvb, float64(recv)*vb)
@@ -164,7 +126,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 		// instead. When no peer serves this GPU a dense segment (all
 		// mirrored locally, or every source deduplicated), the unpack launch
 		// and its fixed cost disappear entirely.
-		if remote, segments := s.unpackVecs(g, plan); segments > 0 {
+		if remote, segments := plan.unpackWork(g, plan.CollectiveClass, false); segments > 0 {
 			unpack := dev.UnpackKernelCost(float64(remote)*vb, segments)
 			_, unpackEnd := stream.Launch(p, unpack)
 			p.WaitUntil(unpackEnd)
@@ -175,15 +137,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	// its unique row from the small received set (L2-resident), pooling into
 	// the final vectors. Runs under DirectPlacement too — expansion builds
 	// pooled outputs, it is not the rearrangement the ablation removes.
-	var refs int64
-	outVecs := 0
-	for src := 0; src < cfg.GPUs; src++ {
-		if plan.CollectiveClass(src, g) == RouteWire {
-			refs += plan.pairMissIdx(src, g)
-			outVecs += plan.pairVecs(src, g)
-		}
-	}
-	if outVecs > 0 {
+	if refs, outVecs := plan.expandWork(g, plan.CollectiveClass); outVecs > 0 {
 		expand := dev.ExpandKernelCost(refs, outVecs, cfg.VectorBytes())
 		_, expandEnd := stream.Launch(p, expand)
 		p.WaitUntil(expandEnd)
@@ -191,34 +145,6 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 	}
 	bk.Accumulate(CompSyncUnpack, p.Now()-unpackStart)
 	s.walkDone(bd)
-}
-
-// logSegments logs every pair GPU g packs into its all-to-all send buffer:
-// for each consumer, the shards g serves it, each the pair's whole
-// minibatch — its cache-missed pooled vectors, or on a wire-dedup pair its
-// unique rows. Local segments log with no wire bytes.
-func (s *System) logSegments(g int, bd *BatchData) {
-	if bd.log == nil {
-		return // timing runs keep no log
-	}
-	plan := bd.Plan
-	wvb := s.Cfg.WireVectorBytes()
-	for c := 0; c < s.Cfg.GPUs; c++ {
-		clo, chi := s.Minibatch(c)
-		for o := 0; o < s.Cfg.GPUs; o++ {
-			if plan.ServeGPU(o, c) != g {
-				continue
-			}
-			t := transfer{server: g, consumer: c, shard: o, lo: clo, hi: chi, route: RouteDense, vecs: plan.CollectiveVecs(o, c)}
-			if plan.CollectiveClass(o, c) == RouteWire {
-				t.route = RouteWire
-			}
-			if c != g {
-				t.wireBytes = t.vecs * wvb
-			}
-			bd.log.add(t)
-		}
-	}
 }
 
 // exchangeSegments runs GPU g's all-to-all over the pairs it serves, priced
@@ -240,28 +166,6 @@ func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData) {
 		recvBytes[peer] = float64(plan.segmentVecs(peer, g)) * wvb
 	}
 	s.Comm.AllToAllSingleSizes(p, g, sendBytes, recvBytes)
-}
-
-// unpackVecs returns the vectors and segments the rearrangement kernel moves
-// into consumer g's layout: one segment per remote server of a dense pair,
-// holding those pairs' vectors (wire pairs go through expansion instead).
-func (s *System) unpackVecs(g int, plan *RoutePlan) (vecs int64, segments int) {
-	for src := 0; src < s.Cfg.GPUs; src++ {
-		if src == g {
-			continue // in place
-		}
-		dense := false
-		for o := 0; o < s.Cfg.GPUs; o++ {
-			if plan.ServeGPU(o, g) == src && plan.CollectiveClass(o, g) == RouteDense {
-				vecs += int64(plan.pairVecs(o, g))
-				dense = true
-			}
-		}
-		if dense {
-			segments++
-		}
-	}
-	return vecs, segments
 }
 
 // Reference computes the expected per-GPU EMB outputs serially: the full

@@ -28,7 +28,8 @@ import (
 // adaptive-placement plan swaps. The refill path (admitting missed rows)
 // models HPS-style lazy asynchronous insertion: it rides along with the miss
 // traffic the system already pays for and is not charged to batch latency.
-// Cache-hit gathers are priced through gpu.HotReadEquivalent (the hot
+// Both walks price a consumer's cache-hit gathers with one stage count,
+// gatherTraffic.addHits (cost.go), at gpu.HotReadEquivalent (the hot
 // working set mostly lives in L2).
 
 // cacheEnabled reports whether this run classifies batches against a
@@ -90,19 +91,6 @@ type CacheView struct {
 	// prefix sums behind RoutePlan.OwnerChunkHits.
 	hitVecs [][]int64
 	hitIdx  [][]int64
-}
-
-// HitAt returns the vectors (and their pooled indices) that consumer g pools
-// from its own cache this batch. Nil-safe.
-func (v *CacheView) HitAt(g int) (vecs int, idx int64) {
-	if v == nil {
-		return 0, 0
-	}
-	for src := range v.WireVecs {
-		vecs += v.WireVecs[src][g]
-		idx += v.WireIdx[src][g]
-	}
-	return vecs, idx
 }
 
 // poolFromCache reproduces embedding.Table.LookupPooled bit-exactly from

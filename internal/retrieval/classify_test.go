@@ -93,7 +93,7 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 			uniq, dense, miss := int64(len(seen)), o.dense[src][dst], o.miss[src][dst]
 			wire := src != dst && uniq < dense
 			o.uniq[src][dst], o.newAt[src][dst], o.wire[src][dst] = uniq, newAt, wire
-			o.gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(uniq, miss)
+			o.gather[src][dst] = !wire && gatherDedupWins(s.Devs[src], uniq, miss, dense, float64(cfg.VectorBytes()))
 			if src != dst {
 				o.ctr.EligibleIdx += miss
 				o.ctr.EligibleVecs += dense

@@ -22,8 +22,9 @@ import (
 //   - Gather dedup (any pair, timing model only): even when dense shipping
 //     wins, the owner's gather can read each unique row from HBM once, stage
 //     it, and serve duplicate references from the staged working set at
-//     hot-row efficiency (gpu.GatherDedupWins decides). Output data is
-//     unchanged, so this needs no functional counterpart.
+//     hot-row efficiency. gatherDedupWins (cost.go) decides by pricing the
+//     pair's gather both ways with the bytes the walk charges. Output data
+//     is unchanged, so this needs no functional counterpart.
 //
 // Classification happens host-side, per batch, as one step of route-plan
 // compilation's walk over the tables in plan order (plan.go). Each table's

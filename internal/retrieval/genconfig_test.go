@@ -3,12 +3,15 @@ package retrieval
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand/v2"
 	"strings"
 	"testing"
 
 	"pgasemb/internal/embedding"
+	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
+	"pgasemb/internal/trace"
 	"pgasemb/internal/workload"
 )
 
@@ -250,7 +253,8 @@ func FuzzConfig(f *testing.F) {
 // checkCase holds one generated case to the registry gate on one backend. A
 // configuration Validate accepts must run to completion, match the serial
 // Reference byte for byte, land its timing-only run on the functional run's
-// simulated time, and give the same outputs pipelined as serially. One
+// simulated time, give the same outputs pipelined as serially, and price
+// every batch's gather the same whole as in chunks (chunkChecked). One
 // Validate refuses must come back as a setup error, never a panic.
 func checkCase(t *testing.T, c genCase, name string) {
 	if c.cfg.Validate() != nil {
@@ -315,7 +319,7 @@ func genRun(t *testing.T, c genCase, name string, functional bool, d int) (res *
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res, err = s.Run(be); err != nil {
+	if res, err = s.Run(chunkChecked{be, t}); err != nil {
 		return nil, err
 	}
 	if functional {
@@ -328,4 +332,44 @@ func genRun(t *testing.T, c genCase, name string, functional bool, d int) (res *
 		}
 	}
 	return res, nil
+}
+
+// chunkChecked runs a backend after checking, on every GPU of every batch and
+// under both route rules, that the gather traffic of the whole batch equals
+// the sum over the fused kernel's ChunksPerKernel sample ranges: items and
+// remote items exactly, read and streamed bytes within 1e-12 relative (float
+// addition is not associative). The one-sided whole batch's items are also
+// pgas-fused's kernel occupancy (fusedKernelItems). It reports with Errorf
+// only, since backends run on simulated-process goroutines.
+type chunkChecked struct {
+	Backend
+	t *testing.T
+}
+
+func (b chunkChecked) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown) {
+	plan := bd.Plan
+	B, chunks := s.Cfg.BatchSize, s.Cfg.ChunksPerKernel
+	near := func(a, b float64) bool { return math.Abs(a-b) <= 1e-12*math.Max(math.Abs(a), math.Abs(b)) }
+	for _, oneSided := range []bool{false, true} {
+		class := plan.CollectiveClass
+		if oneSided {
+			class = plan.Class
+		}
+		var whole, sum gatherTraffic
+		whole.addPairs(s, g, plan, 0, B, class, nil)
+		whole.addHits(s, g, plan, 0, B)
+		for k := 0; k < chunks; k++ {
+			s0, s1 := B*k/chunks, B*(k+1)/chunks
+			sum.addPairs(s, g, plan, s0, s1, class, nil)
+			sum.addHits(s, g, plan, s0, s1)
+		}
+		if whole.items != sum.items || whole.remote != sum.remote ||
+			!near(whole.read, sum.read) || !near(whole.stream, sum.stream) {
+			b.t.Errorf("GPU %d: whole-batch gather %+v, sum of %d chunks %+v", g, whole, chunks, sum)
+		}
+		if items, _ := plan.fusedKernelItems(g); oneSided && items != whole.items {
+			b.t.Errorf("GPU %d: fused kernel items %d, whole-batch gather items %d", g, items, whole.items)
+		}
+	}
+	b.Backend.RunBatch(s, p, g, bd, bk)
 }

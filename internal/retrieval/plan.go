@@ -108,17 +108,6 @@ func (p *RoutePlan) ServeGPU(o, c int) int {
 	return p.serve[o][c]
 }
 
-// serves reports whether GPU server serves consumer c at least one shard.
-// Without replication every GPU serves every consumer its own shard.
-func (p *RoutePlan) serves(server, c int) bool {
-	for o := 0; o < p.sys.Cfg.GPUs; o++ {
-		if p.ServeGPU(o, c) == server {
-			return true
-		}
-	}
-	return false
-}
-
 // pairVecs returns the pooled vectors shard o owes consumer c this batch:
 // c's minibatch times o's tables, minus the vectors c reads from its own
 // cache or hot-table mirrors.
@@ -132,12 +121,13 @@ func (p *RoutePlan) pairVecs(o, c int) int {
 	return vecs
 }
 
-// pairItems returns the rows pair (o, c) lands at its destination this
-// batch: its unique rows on a wire route, and on a node-wire route the whole
-// node-staged row set, which lands on the node's stage-lane GPU only (the
-// node's other pairs land nothing); its pooled vectors otherwise.
-func (p *RoutePlan) pairItems(o, c int) int {
-	switch p.Class(o, c) {
+// pairItems returns the rows pair (o, c), of route cls, lands at its
+// destination this batch: its unique rows on a wire route, and on a node-wire
+// route the whole node-staged row set, which lands on the node's stage-lane
+// GPU only (the node's other pairs land nothing); its pooled vectors
+// otherwise.
+func (p *RoutePlan) pairItems(cls PairClass, o, c int) int {
+	switch cls {
 	case RouteWire:
 		return int(p.Dedup.Uniq[o][c])
 	case RouteNodeWire:
@@ -149,15 +139,14 @@ func (p *RoutePlan) pairItems(o, c int) int {
 	return p.pairVecs(o, c)
 }
 
-// chunkItems returns the items pair (o, c) contributes to a fused-kernel
-// chunk covering samples [lo, hi) of c's minibatch, and the GPU they are
-// addressed to: on a wire route the pair's keys first seen in the chunk,
-// on a node-wire route the node-level keys first seen there (addressed to
-// the node's stage-lane GPU), otherwise its cache-missed vectors. Over the
-// whole batch they sum to pairItems (a node-wire route's summed over the
-// node's pairs).
-func (p *RoutePlan) chunkItems(o, c, lo, hi int) (items, target int) {
-	switch p.Class(o, c) {
+// itemsIn returns the items pair (o, c), of route cls, outputs for samples
+// [lo, hi) of c's minibatch, and the GPU they are addressed to: on a wire
+// route the pair's keys first seen in the range, on a node-wire route the
+// node-level keys first seen there (addressed to the node's stage-lane GPU),
+// otherwise its cache-missed vectors. Over the whole batch they sum to
+// pairItems (a node-wire route's summed over the node's pairs).
+func (p *RoutePlan) itemsIn(cls PairClass, o, c, lo, hi int) (items, target int) {
+	switch cls {
 	case RouteWire:
 		return p.NewKeysIn(o, c, lo, hi), c
 	case RouteNodeWire:
@@ -212,77 +201,17 @@ func (p *RoutePlan) CollectiveClass(src, dst int) PairClass {
 	return RouteDense
 }
 
-// CollectiveVecs returns how many vectors owner src contributes to consumer
-// dst's receive segment of the pair-addressed all-to-all: the pair's unique
-// rows on a wire route, its cache-missed pooled vectors otherwise (the whole
-// contiguous local segment on the diagonal).
-func (p *RoutePlan) CollectiveVecs(src, dst int) int {
-	if p.CollectiveClass(src, dst) == RouteWire {
-		return int(p.Dedup.Uniq[src][dst])
-	}
-	return p.pairVecs(src, dst)
-}
-
 // segmentVecs returns the vectors GPU server ships into consumer dst's
-// all-to-all segment: CollectiveVecs summed over every shard the plan has
-// server serving dst. Without replication that is CollectiveVecs(server,
-// dst), or zero.
+// all-to-all segment: the collective route's pairItems summed over every
+// shard the plan has server serving dst.
 func (p *RoutePlan) segmentVecs(server, dst int) int {
 	vecs := 0
 	for o := 0; o < p.sys.Cfg.GPUs; o++ {
 		if p.ServeGPU(o, dst) == server {
-			vecs += p.CollectiveVecs(o, dst)
+			vecs += p.pairItems(p.CollectiveClass(o, dst), o, dst)
 		}
 	}
 	return vecs
-}
-
-// CollectiveCodecVecs returns the vectors GPU g encodes into and decodes out
-// of the pair-addressed all-to-all when a wire codec is active: every
-// off-diagonal segment it contributes (sent) and receives (recv). Segments a
-// GPU serves itself — its own minibatch, mirror-local reads — stay local HBM
-// traffic and are never encoded.
-func (p *RoutePlan) CollectiveCodecVecs(g int) (sent, recv int64) {
-	for peer := 0; peer < p.sys.Cfg.GPUs; peer++ {
-		if peer == g {
-			continue
-		}
-		sent += int64(p.segmentVecs(g, peer))
-		recv += int64(p.segmentVecs(peer, g))
-	}
-	return sent, recv
-}
-
-// OneSidedCodecVecs returns the vectors GPU g encodes (as a server issuing
-// one-sided stores) and decodes (as a consumer, before expand/unpack) when a
-// wire codec is active, over every (shard, consumer) pair served across the
-// wire. Node-wire routes ship each node-deduplicated row once per
-// destination node (counted once on the send side), and every consumer on
-// the node decodes the full staged set its expansion references.
-func (p *RoutePlan) OneSidedCodecVecs(g int) (sent, recv int64) {
-	s := p.sys
-	for o := 0; o < s.Cfg.GPUs; o++ {
-		for c := 0; c < s.Cfg.GPUs; c++ {
-			if c != g && p.ServeGPU(o, c) == g && p.Class(o, c) != RouteNodeWire {
-				sent += int64(p.CollectiveVecs(o, c))
-			}
-		}
-		switch {
-		case p.ServeGPU(o, g) == g: // served locally, never on the wire
-		case p.Class(o, g) == RouteNodeWire:
-			recv += p.Dedup.NodeUniq[o][s.nodeOf(g)]
-		default:
-			recv += int64(p.CollectiveVecs(o, g))
-		}
-	}
-	if dv := p.Dedup; dv != nil && dv.NodeWire != nil {
-		for node, wire := range dv.NodeWire[g] {
-			if wire {
-				sent += dv.NodeUniq[g][node]
-			}
-		}
-	}
-	return sent, recv
 }
 
 // GatherDedup reports whether the pair's owner-side gather stages each unique
@@ -297,7 +226,10 @@ func (p *RoutePlan) GatherDedup(src, dst int) bool {
 // [s0, s1), clamped to the consumer's minibatch. Wire and gather-dedup routes
 // only.
 func (p *RoutePlan) NewKeysIn(src, dst, s0, s1 int) int {
-	lo, _ := p.sys.Minibatch(dst)
+	lo, hi := p.sys.Minibatch(dst)
+	if s0 <= lo && s1 >= hi {
+		return int(p.Dedup.Uniq[src][dst]) // the whole minibatch's NewAt sum
+	}
 	return firstSeenIn(p.Dedup.NewAt[src][dst], lo, s0, s1)
 }
 
@@ -752,7 +684,7 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 func (s *System) finishDedup() *DedupView {
 	G := s.Cfg.GPUs
 	fn := s.Cfg.Functional
-	wvb := float64(s.Cfg.WireVectorBytes())
+	vb, wvb := float64(s.Cfg.VectorBytes()), float64(s.Cfg.WireVectorBytes())
 	dv := &DedupView{
 		Uniq:   grid[int64](G, G),
 		Wire:   grid[bool](G, G),
@@ -768,7 +700,7 @@ func (s *System) finishDedup() *DedupView {
 			wire := src != dst && a.uniq < a.dense
 			dv.Uniq[src][dst] = a.uniq
 			dv.Wire[src][dst] = wire
-			dv.Gather[src][dst] = !wire && s.Devs[src].GatherDedupWins(a.uniq, a.miss)
+			dv.Gather[src][dst] = !wire && gatherDedupWins(s.Devs[src], a.uniq, a.miss, a.dense, vb)
 			dv.NewAt[src][dst] = a.newAt
 			if fn && wire {
 				dv.Keys[src][dst] = a.keys

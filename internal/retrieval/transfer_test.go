@@ -94,7 +94,9 @@ func walkBatches(t *testing.T, s *System, be Backend) []*BatchData {
 //   - each server's logged wire bytes equal the payload its PGAS PE issued
 //     (one-sided backends), or, summed over servers, the collective's egress
 //     volume (the baseline on one node, where the all-to-all is not relayed
-//     through node lanes).
+//     through node lanes);
+//   - each GPU's stage counts, under the backend's route rule, match the log
+//     (see checkStageCounts).
 func TestTransferLogConservation(t *testing.T) {
 	machines := []struct {
 		name string
@@ -132,6 +134,7 @@ func TestTransferLogConservation(t *testing.T) {
 							logged := make([]int, G)
 							for _, bd := range walkBatches(t, s, be) {
 								checkPairCounts(t, s, bd, collective)
+								checkStageCounts(t, s, bd, collective, name == "pgas-overlap-only")
 								for _, tr := range bd.log.recs {
 									logged[tr.server] += tr.wireBytes
 									seen[tr.route]++
@@ -214,6 +217,82 @@ func checkPairCounts(t *testing.T, s *System, bd *BatchData, collective bool) {
 	for k, w := range want {
 		if got[k] != w {
 			t.Errorf("server %d -> %d (%s): logged %d vectors, plan counts %d", k.server, k.dst, k.route, got[k], w)
+		}
+	}
+}
+
+// checkStageCounts compares one batch's stage counts for every GPU g, under
+// the collective's or the one-sided route rule, with the batch's log and
+// functional classification:
+//
+//   - codecVecs' sent equals g's logged vectors to other GPUs;
+//   - its recv equals the vectors other GPUs logged to g, where a node-wire
+//     pair counts the whole node-staged row set its shard logged to g's node;
+//   - unpackWork's vectors equal the logged remote dense vectors that land at
+//     g, or when staged every remote vector landing there (a node-wire
+//     transfer lands on its stage-lane GPU);
+//   - expandWork's references equal the expansion maps' lengths, and its
+//     outputs the non-hit vectors of g's wire and node-wire pairs.
+func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged bool) {
+	t.Helper()
+	plan := bd.Plan
+	class := plan.Class
+	if collective {
+		class = plan.CollectiveClass
+	}
+	G, B := s.Cfg.GPUs, s.Cfg.BatchSize
+	sent, recv, unpack := make([]int64, G), make([]int64, G), make([]int64, G)
+	nodeRows := map[[2]int]int64{} // (shard, node): logged node-wire rows
+	for _, tr := range bd.log.recs {
+		v := int64(tr.vecs)
+		land := tr.consumer
+		if tr.route == RouteNodeWire {
+			node := s.nodeOf(tr.consumer)
+			nodeRows[[2]int{tr.shard, node}] += v
+			land = s.stageGPU(tr.shard, node)
+		} else if tr.server != tr.consumer {
+			recv[tr.consumer] += v
+		}
+		if tr.server != tr.consumer {
+			sent[tr.server] += v
+		}
+		if tr.server != land && (staged || tr.route == RouteDense) {
+			unpack[land] += v
+		}
+	}
+	for g := 0; g < G; g++ {
+		lo, hi := s.Minibatch(g)
+		var refs int64
+		outs := 0
+		for o := 0; o < G; o++ {
+			cls := class(o, g)
+			if cls == RouteNodeWire && plan.ServeGPU(o, g) != g {
+				recv[g] += nodeRows[[2]int{o, s.nodeOf(g)}]
+			}
+			if cls != RouteWire && cls != RouteNodeWire {
+				continue
+			}
+			if cls == RouteWire {
+				refs += int64(len(plan.Dedup.Expand[o][g]))
+			} else {
+				refs += int64(len(plan.Dedup.NodeExpand[o][g]))
+			}
+			for fi := range s.Plan[o] {
+				for smp := lo; smp < hi; smp++ {
+					if v := plan.Cache; v == nil || !v.Hit[o][fi*B+smp] {
+						outs++
+					}
+				}
+			}
+		}
+		if gs, gr := plan.codecVecs(g, class); gs != sent[g] || gr != recv[g] {
+			t.Errorf("GPU %d: codecVecs (sent %d, recv %d), the log has (%d, %d)", g, gs, gr, sent[g], recv[g])
+		}
+		if v, _ := plan.unpackWork(g, class, staged); v != unpack[g] {
+			t.Errorf("GPU %d: unpackWork moves %d vectors, the log lands %d", g, v, unpack[g])
+		}
+		if r, n := plan.expandWork(g, class); r != refs || n != outs {
+			t.Errorf("GPU %d: expandWork (refs %d, outputs %d), the classification has (%d, %d)", g, r, n, refs, outs)
 		}
 	}
 }

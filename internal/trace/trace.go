@@ -163,26 +163,6 @@ func (b *Breakdown) Total() sim.Duration {
 	return sum
 }
 
-// Names returns the component names in insertion order.
-func (b *Breakdown) Names() []string {
-	names := make([]string, len(b.components))
-	for i, c := range b.components {
-		names[i] = c.Name
-	}
-	return names
-}
-
-// Scale multiplies every component by f (e.g. to convert an accumulated
-// 100-batch measurement to per-batch values).
-func (b *Breakdown) Scale(f float64) {
-	if f < 0 {
-		panic("trace: negative breakdown scale")
-	}
-	for i := range b.components {
-		b.components[i].Duration *= f
-	}
-}
-
 // MergeMax returns a breakdown whose components are the element-wise maxima
 // across the inputs — used to aggregate per-GPU breakdowns into the
 // slowest-GPU view the paper plots.

@@ -147,30 +147,16 @@ func TestBreakdownBasics(t *testing.T) {
 	if b.Total() != 20 {
 		t.Fatalf("Total = %v", b.Total())
 	}
-	names := b.Names()
+	comps := b.Components()
 	want := []string{"Computation", "Communication", "Sync+Unpack"}
+	if len(comps) != len(want) {
+		t.Fatalf("Components = %v", comps)
+	}
 	for i := range want {
-		if names[i] != want[i] {
-			t.Fatalf("Names = %v", names)
+		if comps[i].Name != want[i] {
+			t.Fatalf("Components = %v", comps)
 		}
 	}
-}
-
-func TestBreakdownScale(t *testing.T) {
-	var b Breakdown
-	b.Add("x", 10)
-	b.Scale(0.1)
-	if b.Get("x") != 1 {
-		t.Fatalf("scaled = %v", b.Get("x"))
-	}
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("negative scale did not panic")
-			}
-		}()
-		b.Scale(-1)
-	}()
 }
 
 func TestBreakdownNegativePanics(t *testing.T) {
@@ -205,9 +191,9 @@ func TestMergeMaxTakesWorstPerComponent(t *testing.T) {
 	if m.Get("comp") != 10 || m.Get("comm") != 6 || m.Get("sync") != 1 {
 		t.Fatalf("MergeMax = %+v", m.Components())
 	}
-	names := m.Names()
-	if names[0] != "comp" || names[1] != "comm" || names[2] != "sync" {
-		t.Fatalf("MergeMax order = %v", names)
+	comps := m.Components()
+	if len(comps) != 3 || comps[0].Name != "comp" || comps[1].Name != "comm" || comps[2].Name != "sync" {
+		t.Fatalf("MergeMax order = %v", comps)
 	}
 }
 
