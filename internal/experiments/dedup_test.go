@@ -4,6 +4,7 @@ import (
 	"context"
 	"testing"
 
+	"pgasemb/internal/metrics"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/serve"
 	"pgasemb/internal/sim"
@@ -67,15 +68,15 @@ func TestScalingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 }
 
 // The serving sweep's dedup axis: dedup points report real unique fractions
-// and wire savings, non-dedup points stay untouched, and the table is
+// and ship wire rows, non-dedup points stay untouched, and the table is
 // byte-identical at any worker count.
 func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
-	// Pooling 1 keeps pooled references equal to output vectors, so the
-	// Zipf-heavy batch always has fewer unique rows than dense vectors and
-	// the wire path of dedup wins (with deep pooling bags, shipping pooled
-	// vectors can legitimately be cheaper than shipping unique rows).
+	// Deep pooling bags make the wire path of dedup win: a dispatch's gather
+	// kernel runs far below saturation, where its time follows the bytes
+	// each item moves, and a unique row moves one row where a pooled vector
+	// gathers a whole bag (with pooling 1 the two move the same bytes, and
+	// the expansion kernel tips the price to dense vectors).
 	base := servingTestBase()
-	base.MaxPooling = 1
 	// Small dispatches carry little redundancy over 2048 rows; concentrate
 	// the traffic so batches repeat rows.
 	base.Rows = 256
@@ -116,22 +117,22 @@ func TestServingDedupAxisDeterministicAcrossParallelism(t *testing.T) {
 		t.Fatalf("dedup columns missing from table headers: %v", headers)
 	}
 	for _, p := range res.Points {
+		d := p.DedupStats
 		if !p.Dedup {
-			if p.UniqueFrac != 0 || p.WireSavedMB != 0 {
-				t.Errorf("dedup-off point reports savings: %+v", p)
+			if d != (metrics.DedupCounters{}) {
+				t.Errorf("dedup-off point reports dedup activity: %+v", p)
 			}
 			continue
 		}
-		if p.UniqueFrac <= 0 || p.UniqueFrac > 1 {
-			t.Errorf("dedup point unique fraction %g outside (0,1]", p.UniqueFrac)
+		if f := d.UniqueFraction(); f <= 0 || f > 1 {
+			t.Errorf("dedup point unique fraction %g outside (0,1]", f)
 		}
 		// With a warm cache the eligible misses are the cold tail — nearly
-		// all unique — so wire savings are only guaranteed uncached.
-		if p.CacheFraction == 0 && p.WireSavedMB <= 0 {
-			t.Errorf("uncached dedup point saved no wire bytes: %+v", p)
-		}
-		if p.WireSavedMB < 0 {
-			t.Errorf("negative wire savings: %+v", p)
+		// all unique — so wire routes are only guaranteed uncached. Their
+		// saved bytes are signed: a priced route may ship more unique rows
+		// than the pooled vectors it replaces.
+		if p.CacheFraction == 0 && d.WireRows <= 0 {
+			t.Errorf("uncached dedup point shipped no wire rows: %+v", p)
 		}
 	}
 }

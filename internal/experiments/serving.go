@@ -73,15 +73,13 @@ type ServingPoint struct {
 	Resilience metrics.RetryCounters
 
 	HitRate float64
-	// UniqueFrac is the batch-level dedup ratio across every dispatched
-	// batch (0 when dedup is off).
-	UniqueFrac float64
-	// WireSavedMB is the modeled wire traffic dedup avoided, in MB.
-	WireSavedMB float64
-	P50         sim.Duration
-	P95         sim.Duration
-	P99         sim.Duration
-	Goodput     float64
+	// DedupStats sums the dedup counters of every dispatched batch (all zero
+	// when dedup is off).
+	DedupStats metrics.DedupCounters
+	P50        sim.Duration
+	P95        sim.Duration
+	P99        sim.Duration
+	Goodput    float64
 }
 
 // ServingResult is the full sweep, in backend-major,
@@ -148,8 +146,7 @@ func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error
 			Dispatches:    r.Dispatches,
 			Resilience:    r.Resilience,
 			HitRate:       r.HitRate(),
-			UniqueFrac:    r.DedupStats.UniqueFraction(),
-			WireSavedMB:   r.DedupStats.WireSavedBytes / 1e6,
+			DedupStats:    r.DedupStats,
 			P50:           r.Percentile(50),
 			P95:           r.Percentile(95),
 			P99:           r.Percentile(99),
@@ -207,8 +204,8 @@ func (r *ServingResult) Table() *Table {
 		if hasDedup {
 			row = append(row,
 				fmt.Sprintf("%v", p.Dedup),
-				fmt.Sprintf("%.3f", p.UniqueFrac),
-				fmt.Sprintf("%.2f", p.WireSavedMB),
+				fmt.Sprintf("%.3f", p.DedupStats.UniqueFraction()),
+				fmt.Sprintf("%.2f", p.DedupStats.WireSavedBytes/1e6),
 			)
 		}
 		t.Rows = append(t.Rows, row)

@@ -203,17 +203,17 @@ func TestNegativeKernelDurationPanics(t *testing.T) {
 
 func TestOccupancyUtilShape(t *testing.T) {
 	_, d := testDevice()
-	if d.occupancyUtil(0) != 0 {
+	if d.params.occupancyUtil(0) != 0 {
 		t.Fatal("zero items should have zero utilisation")
 	}
 	sat := int(d.Params().SaturationItems)
-	if got := d.occupancyUtil(sat / 2); got < 0.49 || got > 0.51 {
+	if got := d.params.occupancyUtil(sat / 2); got < 0.49 || got > 0.51 {
 		t.Fatalf("util at half saturation = %v, want ~0.5", got)
 	}
-	if d.occupancyUtil(sat) != 1 || d.occupancyUtil(100*sat) != 1 {
+	if d.params.occupancyUtil(sat) != 1 || d.params.occupancyUtil(100*sat) != 1 {
 		t.Fatal("util should be exactly 1 at and beyond saturation")
 	}
-	if d.occupancyUtil(10) >= d.occupancyUtil(100) {
+	if d.params.occupancyUtil(10) >= d.params.occupancyUtil(100) {
 		t.Fatal("util should be increasing below saturation")
 	}
 }
@@ -369,7 +369,7 @@ func TestCostPanicsOnNegativeInputs(t *testing.T) {
 		func() { d.UnpackKernelCost(1, -1) },
 		func() { d.MLPKernelCost(-1, 0) },
 		func() { d.RemoteIssueCost(-1) },
-		func() { d.HotReadEquivalent(-1) },
+		func() { d.params.HotReadEquivalent(-1) },
 		func() { d.ExpandKernelCost(-1, 0, 256) },
 		func() { d.ExpandKernelCost(0, -1, 256) },
 		func() { d.EncodeKernelCost(-1, 0) },
@@ -443,7 +443,7 @@ func withParams(mut func(*Params)) *Device {
 func TestHotReadEquivalent(t *testing.T) {
 	t.Run("identity-without-hot-path", func(t *testing.T) {
 		d := withParams(func(p *Params) { p.HotRowEfficiency = 0 })
-		if got := d.HotReadEquivalent(4096); got != 4096 {
+		if got := d.params.HotReadEquivalent(4096); got != 4096 {
 			t.Fatalf("got %g, want 4096", got)
 		}
 	})
@@ -451,7 +451,7 @@ func TestHotReadEquivalent(t *testing.T) {
 		_, d := testDevice()
 		p := d.Params()
 		want := 4096 * p.GatherEfficiency / p.HotRowEfficiency
-		if got := d.HotReadEquivalent(4096); got != want {
+		if got := p.HotReadEquivalent(4096); got != want {
 			t.Fatalf("got %g, want %g", got, want)
 		}
 	})
@@ -462,7 +462,7 @@ func TestHotReadEquivalent(t *testing.T) {
 		p := d.Params()
 		items := int(p.SaturationItems) // util 1
 		hot := 1 << 24
-		got := d.GatherKernelCost(d.HotReadEquivalent(float64(hot)), 0, items)
+		got := d.GatherKernelCost(p.HotReadEquivalent(float64(hot)), 0, items)
 		want := float64(hot)/(p.HBMBandwidth*p.HotRowEfficiency) + sim.Duration(items)*p.ItemOverhead
 		if math.Abs(got-want) > 1e-12 {
 			t.Fatalf("cost %g, want %g", got, want)
@@ -592,4 +592,30 @@ func TestStreamByNameReused(t *testing.T) {
 		}
 	})
 	env.Run()
+}
+
+// A device prices every kernel as its parameter set does on a healthy device,
+// scaled by its slowdown: exactly equal at factor 1, so host-side planning on
+// the Params forms sees the same costs a healthy device charges.
+func TestDeviceCostsAreParamsCostsTimesSlowdown(t *testing.T) {
+	_, d := testDevice()
+	p := d.Params()
+	for _, slow := range []float64{1, 2.5} {
+		d.SetSlowdown(slow)
+		s := sim.Duration(slow)
+		checks := []struct {
+			name         string
+			device, pure sim.Duration
+		}{
+			{"gather", d.GatherKernelCost(3e6, 1e6, 5000), p.GatherKernelCost(3e6, 1e6, 5000)},
+			{"gather chunk", d.GatherKernelChunkCost(3e5, 1e5, 500, 5000), p.GatherKernelChunkCost(3e5, 1e5, 500, 5000)},
+			{"expand", d.ExpandKernelCost(9000, 700, 256), p.ExpandKernelCost(9000, 700, 256)},
+			{"remote issue", d.RemoteIssueCost(4321), p.RemoteIssueCost(4321)},
+		}
+		for _, c := range checks {
+			if c.device != c.pure*s {
+				t.Errorf("slowdown %g: device %s cost %v, params %v x slowdown", slow, c.name, c.device, c.pure)
+			}
+		}
+	}
 }

@@ -6,6 +6,12 @@ import (
 	"pgasemb/internal/sim"
 )
 
+// The kernel cost model. Each cost is a pure function of the parameter set:
+// the Params methods price a kernel on a healthy device, and a Device's
+// methods scale that price by its straggler slowdown. Host-side planning
+// (the route plan's pricing) calls the Params forms, so its decisions never
+// depend on which device is slowed.
+
 // occupancyUtil returns the fraction of asymptotic throughput a kernel with
 // the given number of independent work items achieves: linear in the
 // available parallelism up to SaturationItems, 1 beyond. The two regimes
@@ -14,14 +20,14 @@ import (
 // workload (≤0.8M) falls below it — there, runtime is the constant
 // (work/parallelism) × (saturation/throughput), so adding GPUs stops
 // helping: the "latency-limited beyond 2 GPUs" plateau.
-func (d *Device) occupancyUtil(workItems int) float64 {
+func (p Params) occupancyUtil(workItems int) float64 {
 	if workItems <= 0 {
 		return 0
 	}
-	if d.params.SaturationItems <= 0 {
+	if p.SaturationItems <= 0 {
 		return 1
 	}
-	u := float64(workItems) / d.params.SaturationItems
+	u := float64(workItems) / p.SaturationItems
 	if u > 1 {
 		return 1
 	}
@@ -32,8 +38,8 @@ func (d *Device) occupancyUtil(workItems int) float64 {
 // random 256 B-granularity gathers plus writeBytes of streaming output
 // stores plus a fixed per-item cost, executed by workItems independent
 // output vectors at the occupancy-derived utilisation: a kernel of one chunk.
-func (d *Device) GatherKernelCost(readBytes, writeBytes float64, workItems int) sim.Duration {
-	return d.GatherKernelChunkCost(readBytes, writeBytes, workItems, workItems)
+func (p Params) GatherKernelCost(readBytes, writeBytes float64, workItems int) sim.Duration {
+	return p.GatherKernelChunkCost(readBytes, writeBytes, workItems, workItems)
 }
 
 // GatherKernelChunkCost prices one progress chunk of a larger gather
@@ -42,21 +48,31 @@ func (d *Device) GatherKernelCost(readBytes, writeBytes float64, workItems int) 
 // parallelism (kernelItems) — chunking is a bookkeeping quantum of the
 // timing model, not a change in occupancy. Summing chunk costs over a
 // kernel reproduces GatherKernelCost of the totals exactly.
-func (d *Device) GatherKernelChunkCost(readBytes, writeBytes float64, chunkItems, kernelItems int) sim.Duration {
+func (p Params) GatherKernelChunkCost(readBytes, writeBytes float64, chunkItems, kernelItems int) sim.Duration {
 	if readBytes < 0 || writeBytes < 0 {
-		panic(fmt.Sprintf("gpu%d: negative chunk traffic (%g, %g)", d.id, readBytes, writeBytes))
+		panic(fmt.Sprintf("gpu: negative chunk traffic (%g, %g)", readBytes, writeBytes))
 	}
 	if chunkItems < 0 || chunkItems > kernelItems {
-		panic(fmt.Sprintf("gpu%d: chunk items %d outside kernel items %d", d.id, chunkItems, kernelItems))
+		panic(fmt.Sprintf("gpu: chunk items %d outside kernel items %d", chunkItems, kernelItems))
 	}
-	util := d.occupancyUtil(kernelItems)
+	util := p.occupancyUtil(kernelItems)
 	if util == 0 {
 		return 0
 	}
-	read := readBytes / (d.params.HBMBandwidth * d.params.GatherEfficiency)
-	write := writeBytes / (d.params.HBMBandwidth * d.params.StreamEfficiency)
-	items := sim.Duration(sim.Duration(chunkItems) * d.params.ItemOverhead)
-	return (read + write + items) / util * sim.Duration(d.slow)
+	read := readBytes / (p.HBMBandwidth * p.GatherEfficiency)
+	write := writeBytes / (p.HBMBandwidth * p.StreamEfficiency)
+	items := sim.Duration(sim.Duration(chunkItems) * p.ItemOverhead)
+	return (read + write + items) / util
+}
+
+// GatherKernelCost is Params.GatherKernelCost on this device.
+func (d *Device) GatherKernelCost(readBytes, writeBytes float64, workItems int) sim.Duration {
+	return d.GatherKernelChunkCost(readBytes, writeBytes, workItems, workItems)
+}
+
+// GatherKernelChunkCost is Params.GatherKernelChunkCost on this device.
+func (d *Device) GatherKernelChunkCost(readBytes, writeBytes float64, chunkItems, kernelItems int) sim.Duration {
+	return sim.Duration(d.params.GatherKernelChunkCost(readBytes, writeBytes, chunkItems, kernelItems) * sim.Duration(d.slow))
 }
 
 // HotReadEquivalent converts bytes gathered from the hot-row cache into the
@@ -64,15 +80,15 @@ func (d *Device) GatherKernelChunkCost(readBytes, writeBytes float64, chunkItems
 // kernel serving a mix of cold-table and cached rows can be priced with one
 // GatherKernelCost call: pass tableBytes + HotReadEquivalent(cacheBytes) as
 // readBytes. With HotRowEfficiency unset the conversion is the identity.
-func (d *Device) HotReadEquivalent(bytes float64) float64 {
+func (p Params) HotReadEquivalent(bytes float64) float64 {
 	if bytes < 0 {
-		panic(fmt.Sprintf("gpu%d: negative hot-read bytes %g", d.id, bytes))
+		panic(fmt.Sprintf("gpu: negative hot-read bytes %g", bytes))
 	}
-	eff := d.params.HotRowEfficiency
+	eff := p.HotRowEfficiency
 	if eff <= 0 {
 		return bytes
 	}
-	return bytes * d.params.GatherEfficiency / eff
+	return bytes * p.GatherEfficiency / eff
 }
 
 // ExpandKernelCost prices the inverse-expansion kernel of the dedup path:
@@ -86,28 +102,38 @@ func (d *Device) HotReadEquivalent(bytes float64) float64 {
 // re-reads are priced at the hot-row efficiency (falling back to the gather
 // efficiency when no hot path is modeled); outputs and the position map
 // stream at the streaming efficiency.
-func (d *Device) ExpandKernelCost(refs int64, outItems, vecBytes int) sim.Duration {
+func (p Params) ExpandKernelCost(refs int64, outItems, vecBytes int) sim.Duration {
 	if refs < 0 || outItems < 0 {
-		panic(fmt.Sprintf("gpu%d: negative expand inputs (%d, %d)", d.id, refs, outItems))
+		panic(fmt.Sprintf("gpu: negative expand inputs (%d, %d)", refs, outItems))
 	}
-	readEff := d.params.HotRowEfficiency
+	readEff := p.HotRowEfficiency
 	if readEff <= 0 {
-		readEff = d.params.GatherEfficiency
+		readEff = p.GatherEfficiency
 	}
-	read := float64(refs) * float64(vecBytes) / (d.params.HBMBandwidth * readEff)
+	read := float64(refs) * float64(vecBytes) / (p.HBMBandwidth * readEff)
 	write := (float64(float64(outItems)*float64(vecBytes)) + float64(float64(refs)*4)) /
-		(d.params.HBMBandwidth * d.params.StreamEfficiency)
-	return (sim.Duration(read) + sim.Duration(write)) * sim.Duration(d.slow)
+		(p.HBMBandwidth * p.StreamEfficiency)
+	return sim.Duration(read) + sim.Duration(write)
+}
+
+// ExpandKernelCost is Params.ExpandKernelCost on this device.
+func (d *Device) ExpandKernelCost(refs int64, outItems, vecBytes int) sim.Duration {
+	return sim.Duration(d.params.ExpandKernelCost(refs, outItems, vecBytes) * sim.Duration(d.slow))
 }
 
 // RemoteIssueCost returns the extra kernel time for issuing n one-sided
 // remote stores from inside a kernel. This is the PGAS backend's only
 // compute-side overhead relative to the local-only kernel.
-func (d *Device) RemoteIssueCost(n int) sim.Duration {
+func (p Params) RemoteIssueCost(n int) sim.Duration {
 	if n < 0 {
-		panic(fmt.Sprintf("gpu%d: negative remote store count %d", d.id, n))
+		panic(fmt.Sprintf("gpu: negative remote store count %d", n))
 	}
-	return sim.Duration(n) * d.params.RemoteIssueOverhead * sim.Duration(d.slow)
+	return sim.Duration(sim.Duration(n) * p.RemoteIssueOverhead)
+}
+
+// RemoteIssueCost is Params.RemoteIssueCost on this device.
+func (d *Device) RemoteIssueCost(n int) sim.Duration {
+	return sim.Duration(d.params.RemoteIssueCost(n) * sim.Duration(d.slow))
 }
 
 // UnpackKernelCost models the post-collective unpack/rearrangement of

@@ -199,11 +199,14 @@ type DedupCounters struct {
 	EligibleIdx  int64 // pooled index references on off-diagonal pairs (cache misses only)
 	EligibleVecs int64 // dense-scheme output vectors those pairs would ship
 	UniqueRows   int64 // distinct (table, row) keys among EligibleIdx
-	WireRows     int64 // unique rows actually shipped (pairs where dedup won)
-	WireVecs     int64 // dense vectors shipped on pairs where dedup lost
-	// WireSavedBytes is the modeled wire traffic avoided: for each pair
-	// where dedup won, (dense vectors - unique rows) × the vector's encoded
-	// wire size under the wire codec.
+	WireRows     int64 // unique rows shipped on the pairs routed wire
+	WireVecs     int64 // dense vectors shipped on the pairs routed dense
+	// WireSavedBytes is the modeled wire traffic the wire routes avoided:
+	// for each pair routed wire, (dense vectors - unique rows) × the
+	// vector's encoded wire size under the wire codec. It is signed: routes
+	// are chosen by price, not by count, and a pair whose gather kernel
+	// gains from the extra items ships more unique rows than the pooled
+	// vectors it replaces, which counts negative.
 	WireSavedBytes float64
 }
 

@@ -202,7 +202,9 @@ func BenchmarkMultiNodePGASBatchDedup(b *testing.B) {
 // across its classifier variants: plain, dedup key sets, hot-row cache view,
 // both combined, node-level dedup on a 2-node cluster, and a live mirror set
 // whose tables skip the residency pass, alone and beside a cache the other
-// tables probe and admit.
+// tables probe and admit. The cluster-dedup shape also runs at 16, 32 and 64
+// GPUs (4 per node, 4 tables per GPU), where route pricing's O(GPUs²) pass
+// grows against the walk.
 func BenchmarkRoutePlanCompile(b *testing.B) {
 	cases := []struct {
 		name    string
@@ -210,14 +212,18 @@ func BenchmarkRoutePlanCompile(b *testing.B) {
 		cached  bool
 		cluster bool
 		mirror  bool
+		gpus    int // 0: benchConfig's
 	}{
-		{"plain", false, false, false, false},
-		{"dedup", true, false, false, false},
-		{"cache", false, true, false, false},
-		{"dedup-cache", true, true, false, false},
-		{"cluster-dedup", true, false, true, false},
-		{"placement-mirror", false, false, false, true},
-		{"placement-mirror-cache", false, true, false, true},
+		{"plain", false, false, false, false, 0},
+		{"dedup", true, false, false, false, 0},
+		{"cache", false, true, false, false, 0},
+		{"dedup-cache", true, true, false, false, 0},
+		{"cluster-dedup", true, false, true, false, 0},
+		{"cluster-dedup/gpus=16", true, false, true, false, 16},
+		{"cluster-dedup/gpus=32", true, false, true, false, 32},
+		{"cluster-dedup/gpus=64", true, false, true, false, 64},
+		{"placement-mirror", false, false, false, true, 0},
+		{"placement-mirror-cache", false, true, false, true, 0},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -233,6 +239,10 @@ func BenchmarkRoutePlanCompile(b *testing.B) {
 			if c.cluster {
 				hw = ClusterHardware(2)
 			}
+			if c.gpus > 0 {
+				cfg.GPUs, cfg.TotalTables = c.gpus, 4*c.gpus
+				hw = ClusterHardware(c.gpus / 4)
+			}
 			sys, err := NewSystem(cfg, hw)
 			if err != nil {
 				b.Fatal(err)
@@ -240,14 +250,18 @@ func BenchmarkRoutePlanCompile(b *testing.B) {
 			if c.mirror {
 				primeMirrors(b, sys)
 			}
-			// A first compile grows the plan's arenas before the timer.
-			if err := PlanCompileLoop(sys, 1); err != nil {
-				b.Fatal(err)
-			}
+			// PlanCompileLoop's loop, with its one batch drawn before the
+			// timer: a draw allocates per table, so at 64 GPUs, where a
+			// quarter second runs a few compiles, it would move allocs/op
+			// with the iteration count. A first compile grows the plan's
+			// arenas.
+			pooled := sys.drawPooling()
+			bd := &BatchData{Sparse: sys.drawBatch()}
+			sys.compileRoutePlan(bd, pooled)
 			b.ReportAllocs()
 			b.ResetTimer()
-			if err := PlanCompileLoop(sys, b.N); err != nil {
-				b.Fatal(err)
+			for i := 0; i < b.N; i++ {
+				sys.compileRoutePlan(bd, pooled)
 			}
 		})
 	}

@@ -29,7 +29,7 @@ import (
 // models HPS-style lazy asynchronous insertion: it rides along with the miss
 // traffic the system already pays for and is not charged to batch latency.
 // Both walks price a consumer's cache-hit gathers with one stage count,
-// gatherTraffic.addHits (cost.go), at gpu.HotReadEquivalent (the hot
+// gatherTraffic.addHits (cost.go), at gpu.Params.HotReadEquivalent (the hot
 // working set mostly lives in L2).
 
 // cacheEnabled reports whether this run classifies batches against a

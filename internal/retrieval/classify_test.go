@@ -7,6 +7,7 @@ import (
 
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/metrics"
+	"pgasemb/internal/sim"
 )
 
 // dedupOracle is one batch's dedup classification recomputed by a plain
@@ -90,10 +91,68 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 					}
 				}
 			}
-			uniq, dense, miss := int64(len(seen)), o.dense[src][dst], o.miss[src][dst]
-			wire := src != dst && uniq < dense
-			o.uniq[src][dst], o.newAt[src][dst], o.wire[src][dst] = uniq, newAt, wire
-			o.gather[src][dst] = !wire && gatherDedupWins(s.Devs[src], uniq, miss, dense, float64(cfg.VectorBytes()))
+			o.uniq[src][dst], o.newAt[src][dst] = int64(len(seen)), newAt
+		}
+	}
+	if s.multiNode() {
+		N, per := s.cluster.Nodes, s.cluster.GPUsPerNode
+		o.nodeUniq, o.nodeDense = make([][]int64, G), make([][]int64, G)
+		o.nodeWire, o.nodeNewAt = make([][]bool, G), make([][][]int32, G)
+		for src := 0; src < G; src++ {
+			o.nodeUniq[src], o.nodeDense[src] = make([]int64, N), make([]int64, N)
+			o.nodeWire[src], o.nodeNewAt[src] = make([]bool, N), make([][]int32, N)
+			for node := 0; node < N; node++ {
+				if node == s.nodeOf(src) {
+					continue
+				}
+				nlo, nhi := s.nodeSampleRange(node)
+				seen := map[uint64]bool{}
+				newAt := make([]int32, nhi-nlo)
+				for dst := node * per; dst < (node+1)*per; dst++ {
+					o.nodeDense[src][node] += o.dense[src][dst]
+					lo, hi := s.Minibatch(dst)
+					for smp := lo; smp < hi; smp++ {
+						for fi := range s.Plan[src] {
+							if hit(src, dst, fi, smp) {
+								continue
+							}
+							for _, raw := range bag(src, fi, smp) {
+								if k := key(src, fi, raw); !seen[k] {
+									seen[k] = true
+									newAt[smp-nlo]++
+								}
+							}
+						}
+					}
+				}
+				o.nodeUniq[src][node], o.nodeNewAt[src][node] = int64(len(seen)), newAt
+			}
+		}
+	}
+	vb := float64(cfg.VectorBytes())
+	for src := 0; src < G; src++ {
+		// The owner's own cache and mirror hits, as a consumer, set part of
+		// its gather kernel's occupancy.
+		var hitVecs, hitIdx int64
+		lo, hi := s.Minibatch(src)
+		for own := 0; own < G; own++ {
+			for fi := range s.Plan[own] {
+				for smp := lo; smp < hi; smp++ {
+					if hit(own, src, fi, smp) {
+						hitVecs++
+						hitIdx += int64(len(bag(own, fi, smp)))
+					}
+				}
+			}
+		}
+		wins := make([]bool, G)
+		for dst := range wins {
+			wins[dst] = gatherDedupWins(&s.HW.GPU, o.uniq[src][dst], o.miss[src][dst], o.dense[src][dst], vb)
+		}
+		o.decide(s, src, wins, hitVecs, hitIdx)
+		for dst := 0; dst < G; dst++ {
+			uniq, dense, miss, wire := o.uniq[src][dst], o.dense[src][dst], o.miss[src][dst], o.wire[src][dst]
+			o.gather[src][dst] = !wire && wins[dst]
 			if src != dst {
 				o.ctr.EligibleIdx += miss
 				o.ctr.EligibleVecs += dense
@@ -107,44 +166,63 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 			}
 		}
 	}
-	if !s.multiNode() {
-		return o
-	}
-	N, per := s.cluster.Nodes, s.cluster.GPUsPerNode
-	o.nodeUniq, o.nodeDense = make([][]int64, G), make([][]int64, G)
-	o.nodeWire, o.nodeNewAt = make([][]bool, G), make([][][]int32, G)
-	for src := 0; src < G; src++ {
-		o.nodeUniq[src], o.nodeDense[src] = make([]int64, N), make([]int64, N)
-		o.nodeWire[src], o.nodeNewAt[src] = make([]bool, N), make([][]int32, N)
-		for node := 0; node < N; node++ {
-			if node == s.nodeOf(src) {
-				continue
-			}
-			nlo, nhi := s.nodeSampleRange(node)
-			seen := map[uint64]bool{}
-			newAt := make([]int32, nhi-nlo)
-			for dst := node * per; dst < (node+1)*per; dst++ {
-				o.nodeDense[src][node] += o.dense[src][dst]
-				lo, hi := s.Minibatch(dst)
-				for smp := lo; smp < hi; smp++ {
-					for fi := range s.Plan[src] {
-						if hit(src, dst, fi, smp) {
-							continue
-						}
-						for _, raw := range bag(src, fi, smp) {
-							if k := key(src, fi, raw); !seen[k] {
-								seen[k] = true
-								newAt[smp-nlo]++
-							}
-						}
-					}
-				}
-			}
-			o.nodeUniq[src][node], o.nodeNewAt[src][node] = int64(len(seen)), newAt
-			o.nodeWire[src][node] = o.nodeUniq[src][node] < o.nodeDense[src][node]
-		}
-	}
 	return o
+}
+
+// decide recomputes owner src's priced routes the slow way: from all-dense,
+// in consumer order, each remote node at its first consumer (under the
+// one-sided rule) and each remote pair (under the pair rule) flips when the
+// owner's batch, repriced from scratch over every one of its routes, gets
+// cheaper. wins[dst] is pair (src, dst)'s gather-dedup decision; hitVecs and
+// hitIdx count the owner's own cache and mirror hits.
+func (o *dedupOracle) decide(s *System, src int, wins []bool, hitVecs, hitIdx int64) {
+	G := s.Cfg.GPUs
+	vb := int64(s.Cfg.VectorBytes())
+	price := func(oneSided bool) sim.Duration {
+		sum := routeTerms{hot: hitIdx * vb, stream: hitIdx*8 + hitVecs*vb, items: hitVecs}
+		links := map[int]int64{} // wire vectors per owner link, named by its first consumer
+		for dst := 0; dst < G; dst++ {
+			cls, uniq := RouteDense, o.uniq[src][dst]
+			switch node := s.nodeOf(dst); {
+			case dst == src:
+				cls = RouteLocal
+			case oneSided && o.nodeWire != nil && o.nodeWire[src][node]:
+				cls, uniq = RouteNodeWire, 0
+				if dst == s.stageGPU(src, node) {
+					uniq = o.nodeUniq[src][node]
+				}
+			case o.wire[src][dst]:
+				cls = RouteWire
+			}
+			t := s.routeTermsOf(cls, o.miss[src][dst], o.dense[src][dst], uniq, wins[dst])
+			sum = sum.plus(t)
+			sum.stream += o.miss[src][dst] * 8
+			link := dst // a pair on the owner's node has its own NVLink links
+			if s.nodeOf(dst) != s.nodeOf(src) {
+				link = s.nodeOf(dst) * s.cluster.GPUsPerNode // a remote node's pairs share one NIC send
+			}
+			links[link] += t.remote
+		}
+		var slowest sim.Duration
+		for link, items := range links {
+			slowest = max(slowest, s.wireTime(src, link, items))
+		}
+		return s.batchPrice(sum, slowest)
+	}
+	try := func(flag *bool, oneSided bool) {
+		base := price(oneSided)
+		*flag = true
+		*flag = price(oneSided) < base
+	}
+	for dst := 0; dst < G; dst++ {
+		if dst == src {
+			continue
+		}
+		if node := s.nodeOf(dst); node != s.nodeOf(src) && dst == node*s.cluster.GPUsPerNode {
+			try(&o.nodeWire[src][node], true)
+		}
+		try(&o.wire[src][dst], false)
+	}
 }
 
 // checkKeys checks one functional key list and the expansion maps into it:

@@ -1,6 +1,9 @@
 package retrieval
 
-import "pgasemb/internal/gpu"
+import (
+	"pgasemb/internal/gpu"
+	"pgasemb/internal/sim"
+)
 
 // The stage-count layer. Every walk turns the batch's route-plan counts into
 // the traffic of the same stages: the gather kernel, the wire codec, the
@@ -17,7 +20,7 @@ type routeRule func(o, c int) PairClass
 
 // gatherTraffic is the traffic of a gather kernel, or of one sample-range
 // chunk of one. read is the random-gather bytes, with hot re-reads converted
-// by gpu.Device.HotReadEquivalent. stream is the streaming bytes: indices,
+// by gpu.Params.HotReadEquivalent. stream is the streaming bytes: indices,
 // staged unique rows and consumer-local outputs. items counts the output
 // items, and remote those addressed to another GPU: the baseline streams
 // them into its send buffer, and pgas-fused issues them as one-sided stores.
@@ -44,7 +47,7 @@ type gatherTraffic struct {
 // the baseline's whole send-buffer kernel; the sum over any split of the
 // range into chunks is the same traffic.
 func (t *gatherTraffic) addPairs(s *System, g int, plan *RoutePlan, s0, s1 int, class routeRule, log *transferLog) {
-	dev := s.Devs[g]
+	gp := &s.HW.GPU
 	vb := float64(s.Cfg.VectorBytes())
 	wvb := s.Cfg.WireVectorBytes()
 	var idx int64
@@ -68,7 +71,7 @@ func (t *gatherTraffic) addPairs(s *System, g int, plan *RoutePlan, s0, s1 int, 
 			case cls == RouteWire || cls == RouteNodeWire:
 				t.read += float64(float64(n) * vb)
 			case plan.GatherDedup(o, c):
-				read, stage := dedupGather(dev, int64(plan.NewKeysIn(o, c, lo, hi)), missIdx, vb)
+				read, stage := dedupGather(gp, int64(plan.NewKeysIn(o, c, lo, hi)), missIdx, vb)
 				t.read += read
 				t.stream += stage
 			default:
@@ -93,7 +96,7 @@ func (t *gatherTraffic) addPairs(s *System, g int, plan *RoutePlan, s0, s1 int, 
 func (t *gatherTraffic) addHits(s *System, g int, plan *RoutePlan, s0, s1 int) {
 	vb := float64(s.Cfg.VectorBytes())
 	vecs, idx := plan.ConsumerChunkHits(g, s0, s1)
-	t.read += s.Devs[g].HotReadEquivalent(float64(idx) * vb)
+	t.read += s.HW.GPU.HotReadEquivalent(float64(idx) * vb)
 	t.stream += float64(float64(idx)*8) + float64(float64(vecs)*vb)
 	t.items += vecs
 }
@@ -124,23 +127,24 @@ func (p *RoutePlan) fusedKernelItems(g int) (items, peers int) {
 // gather over refs references, uniq of them to rows first seen in the range:
 // each such row is read from its table once and staged, and the other
 // references re-read the staged working set hot.
-func dedupGather(dev *gpu.Device, uniq, refs int64, vb float64) (read, stage float64) {
-	return float64(float64(uniq)*vb) + dev.HotReadEquivalent(float64(refs-uniq)*vb), float64(float64(uniq) * vb)
+func dedupGather(gp *gpu.Params, uniq, refs int64, vb float64) (read, stage float64) {
+	return float64(float64(uniq)*vb) + gp.HotReadEquivalent(float64(refs-uniq)*vb), float64(float64(uniq) * vb)
 }
 
 // gatherDedupWins reports whether a pair whose gather reads refs references
 // to uniq distinct rows and outputs vecs pooled vectors is cheaper gathered
 // through dedupGather than reference by reference. Both ways are priced by
-// dev.GatherKernelCost with the bytes the walk charges; the pair's indices
-// and outputs stream either way.
-func gatherDedupWins(dev *gpu.Device, uniq, refs, vecs int64, vb float64) bool {
+// GatherKernelCost with the bytes the walk charges; the pair's indices and
+// outputs stream either way. Both ways run the same items, so the decision
+// holds at any kernel occupancy.
+func gatherDedupWins(gp *gpu.Params, uniq, refs, vecs int64, vb float64) bool {
 	if uniq >= refs {
 		return false
 	}
-	read, stage := dedupGather(dev, uniq, refs, vb)
+	read, stage := dedupGather(gp, uniq, refs, vb)
 	out := float64(float64(refs)*8) + float64(float64(vecs)*vb)
-	return dev.GatherKernelCost(read, out+stage, int(vecs)) <
-		dev.GatherKernelCost(float64(float64(refs)*vb), out, int(vecs))
+	return gp.GatherKernelCost(read, out+stage, int(vecs)) <
+		gp.GatherKernelCost(float64(float64(refs)*vb), out, int(vecs))
 }
 
 // codecVecs returns the vectors GPU g encodes, as the server of every pair it
@@ -209,4 +213,225 @@ func (p *RoutePlan) expandWork(g int, class routeRule) (refs int64, outVecs int)
 		}
 	}
 	return refs, outVecs
+}
+
+// Route pricing. Route-plan compilation decides every batch's wire routes by
+// what the walks charge, not by row counts (finishDedup). Each owner GPU's
+// batch is priced from its routes' terms: its whole gather kernel at
+// whole-kernel occupancy, its remote issue, its slowest wire, and its
+// consumers' expansion. Occupancy is why counts mislead: a kernel well below
+// SaturationItems runs at a utilisation proportional to its items, so
+// shipping a pair's unique rows can pay even when they outnumber its pooled
+// vectors. The prices read only plan counts and HardwareParams, never a
+// device's slowdown or any pipe or clock, so the plan stays a pure function
+// of the seed, the cache state and the machine. One decision per pair serves
+// both route rules and every backend.
+
+// routeTerms is one route's share of its owner's priced batch, or a sum of
+// shares: the gather's bytes read cold and re-read hot, its streamed bytes,
+// its items and remote stores, and the expansion references and vectors its
+// consumer runs. The counts are integers, so sums and differences are exact
+// in any order.
+type routeTerms struct {
+	cold, hot, stream int64
+	items, remote     int64
+	expRefs, expVecs  int64
+}
+
+// plus returns t + u.
+func (t routeTerms) plus(u routeTerms) routeTerms {
+	return routeTerms{
+		cold: t.cold + u.cold, hot: t.hot + u.hot, stream: t.stream + u.stream,
+		items: t.items + u.items, remote: t.remote + u.remote,
+		expRefs: t.expRefs + u.expRefs, expVecs: t.expVecs + u.expVecs,
+	}
+}
+
+// minus returns t - u.
+func (t routeTerms) minus(u routeTerms) routeTerms {
+	return t.plus(routeTerms{
+		cold: -u.cold, hot: -u.hot, stream: -u.stream,
+		items: -u.items, remote: -u.remote,
+		expRefs: -u.expRefs, expVecs: -u.expVecs,
+	})
+}
+
+// routeTermsOf returns the terms of pair (o, c) on route cls, from the pair's
+// cache-missed references miss, pooled vectors dense and unique rows uniq
+// (on a node-wire route, the node's unique rows at its stage-lane pair and 0
+// at the others), as the walk charges them (gatherTraffic.addPairs,
+// expandWork):
+//
+//   - a local or dense route gathers its references, staged when gather
+//     dedup wins (dedupGather), and outputs its pooled vectors;
+//   - a wire or node-wire route gathers and outputs its unique rows, and the
+//     consumer expands its references into its pooled vectors.
+//
+// Local outputs stream to HBM; remote ones are stores. Every route also
+// streams its references' indices, which no route choice changes, so the
+// terms leave them out.
+func (s *System) routeTermsOf(cls PairClass, miss, dense, uniq int64, gather bool) routeTerms {
+	vb := int64(s.Cfg.VectorBytes())
+	var t routeTerms
+	switch cls {
+	case RouteWire, RouteNodeWire:
+		t.items, t.cold = uniq, uniq*vb
+		t.expRefs, t.expVecs = miss, dense
+	default:
+		t.items, t.cold = dense, miss*vb
+		if gather {
+			t.cold, t.hot, t.stream = uniq*vb, (miss-uniq)*vb, uniq*vb
+		}
+	}
+	if cls == RouteLocal {
+		t.stream += t.items * vb
+	} else {
+		t.remote = t.items
+	}
+	return t
+}
+
+// wireTime returns the uncontended time items wire vectors take from GPU src
+// to GPU dst: over the pair's NVLink links within a node, or as one send on
+// a NIC rail between nodes (its messages' launches, then the payload and its
+// message headers at the NIC bandwidth). Latency, which every route pays
+// alike, is left out.
+func (s *System) wireTime(src, dst int, items int64) sim.Duration {
+	if items == 0 {
+		return 0
+	}
+	payload := int(items) * s.Cfg.WireVectorBytes()
+	if s.nodeOf(src) == s.nodeOf(dst) {
+		return sim.Duration(float64(payload) / (float64(s.cluster.Links(src, dst)) * s.HW.Link.LinkBandwidth))
+	}
+	nic := s.HW.NIC
+	return sim.Duration(sim.Duration(nic.Messages(payload))*nic.MessageOverhead) +
+		sim.Duration(nic.WireBytes(payload)/nic.Bandwidth)
+}
+
+// batchPrice prices an owner's batch from its summed route terms and its
+// slowest route's wire time: the gather kernel over every route at their
+// summed items' occupancy, the remote stores' issue, the wire, and the
+// expansion of every wire route.
+func (s *System) batchPrice(t routeTerms, wire sim.Duration) sim.Duration {
+	gp := &s.HW.GPU
+	read := float64(t.cold) + gp.HotReadEquivalent(float64(t.hot))
+	return gp.GatherKernelCost(read, float64(t.stream), int(t.items)) +
+		gp.RemoteIssueCost(int(t.remote)) + wire +
+		gp.ExpandKernelCost(t.expRefs, int(t.expVecs), s.Cfg.VectorBytes())
+}
+
+// priceRoutes decides owner src's routes for the batch in one pass over its
+// consumers, starting from all-dense. At each remote node's first consumer,
+// while the node's pairs are still dense, it flips the node's pairs to
+// node-wire (dv.NodeWire[src]) when that lowers the owner's batchPrice under
+// the one-sided rule; at each remote pair it flips the pair to wire
+// (dv.Wire[src]) when that lowers it under the pair rule, the collective's.
+// The two rules' prices are kept side by side: they differ only on node-wire
+// nodes, where the one-sided rule ignores the pair routes and ships one
+// staged send instead. gather[c] is pair (src, c)'s gather-dedup decision.
+//
+// The wire term is the owner's slowest link: each pair on its node has its
+// own NVLink links, and each remote node's pairs share one NIC rail, so they
+// are priced as one send. Running sums, and the slowest link among the
+// decided and among the still-dense ones, make each flip O(1), so a batch
+// costs O(GPUs²), allocation-free.
+func (s *System) priceRoutes(plan *RoutePlan, src int, gather []bool, dv *DedupView) {
+	G := s.Cfg.GPUs
+	vb := int64(s.Cfg.VectorBytes())
+	per := s.cluster.GPUsPerNode
+	accs := s.planScr.pairAcc[src*G : (src+1)*G]
+	// A link is named by its first consumer: a pair on the owner's node, or
+	// a remote node's first GPU.
+	link := func(c int) (first, end int) {
+		if s.nodeOf(c) == s.nodeOf(src) {
+			return c, c + 1
+		}
+		first = s.nodeOf(c) * per
+		return first, first + per
+	}
+	// after returns the slowest link from consumer c on (still dense).
+	after := func(c int) sim.Duration {
+		if c == G {
+			return 0
+		}
+		return accs[c].after
+	}
+
+	vecs, idx := plan.ConsumerChunkHits(src, 0, s.Cfg.BatchSize)
+	sum := routeTerms{hot: idx * vb, stream: idx*8 + int64(vecs)*vb, items: int64(vecs)}
+	for c := range accs {
+		a := &accs[c]
+		cls := RouteDense
+		if c == src {
+			cls = RouteLocal
+		}
+		a.terms = s.routeTermsOf(cls, a.miss, a.dense, a.uniq, gather[c])
+		sum = sum.plus(a.terms)
+		sum.stream += a.miss * 8
+		k, _ := link(c)
+		accs[k].link += a.terms.remote
+	}
+	for c := G - 1; c >= 0; c-- {
+		accs[c].after = after(c + 1)
+		if k, _ := link(c); k == c {
+			accs[c].after = max(accs[c].after, s.wireTime(src, k, accs[k].link))
+		}
+	}
+
+	// The one-sided rule's sum and slowest decided link; the pair rule's are
+	// sum and pairWire.
+	one := sum
+	var pairWire, oneWire sim.Duration
+	staged := false // consumer c's link is a node-wire node
+	for c := range accs {
+		a := &accs[c]
+		k, end := link(c)
+		l := &accs[k]
+		if c == k {
+			staged = false
+		}
+		if c != src {
+			others := max(pairWire, after(end))
+			if c == k && end == k+per {
+				// A remote node's first consumer: price its pairs as one
+				// staged send.
+				var dense, nodeWire routeTerms
+				nodeUniq := s.planScr.nodeAcc[src*s.cluster.Nodes+s.nodeOf(c)].uniq
+				lane := s.stageGPU(src, s.nodeOf(c))
+				for d := c; d < end; d++ {
+					var uniq int64
+					if d == lane {
+						uniq = nodeUniq
+					}
+					dense = dense.plus(accs[d].terms)
+					nodeWire = nodeWire.plus(s.routeTermsOf(RouteNodeWire, accs[d].miss, accs[d].dense, uniq, false))
+				}
+				rest := max(oneWire, after(end))
+				flip, wire := one.minus(dense).plus(nodeWire), s.wireTime(src, lane, nodeUniq)
+				staged = s.batchPrice(flip, max(rest, wire)) < s.batchPrice(one, max(rest, s.wireTime(src, k, l.link)))
+				if staged {
+					dv.NodeWire[src][s.nodeOf(c)] = true
+					one, oneWire = flip, max(oneWire, wire)
+				}
+			}
+			wire := s.routeTermsOf(RouteWire, a.miss, a.dense, a.uniq, false)
+			flipped := l.link - a.terms.remote + wire.remote
+			flip := sum.minus(a.terms).plus(wire)
+			if s.batchPrice(flip, max(others, s.wireTime(src, k, flipped))) <
+				s.batchPrice(sum, max(others, s.wireTime(src, k, l.link))) {
+				dv.Wire[src][c] = true
+				if !staged {
+					one = one.minus(a.terms).plus(wire)
+				}
+				sum, a.terms, l.link = flip, wire, flipped
+			}
+		}
+		if c == end-1 { // the link is decided
+			pairWire = max(pairWire, s.wireTime(src, k, l.link))
+			if !staged {
+				oneWire = max(oneWire, s.wireTime(src, k, l.link))
+			}
+		}
+	}
 }

@@ -12,12 +12,12 @@ import (
 // pair's cache-missed bag references collapse to a unique (table, row) key
 // set plus an inverse-expansion map. Two independent wins follow:
 //
-//   - Wire dedup (off-diagonal pairs): when the pair has fewer unique rows
-//     than dense output vectors, the owner gathers and ships each unique row
-//     ONCE; the consumer expands — re-pools every miss bag from the small
-//     received row set at L2-equivalent cost. With pooling factors above ~1
-//     the dense scheme can be cheaper (pooling is itself a compressor), so
-//     the choice is adaptive per pair per batch.
+//   - Wire dedup (off-diagonal pairs): the owner gathers and ships each
+//     unique row ONCE; the consumer expands — re-pools every miss bag from
+//     the small received row set at L2-equivalent cost. Whether that beats
+//     shipping the dense pooled vectors depends on what the walk charges
+//     (gather occupancy, wire, expansion), not on which count is smaller,
+//     so the choice is priced per pair per batch (priceRoutes, cost.go).
 //
 //   - Gather dedup (any pair, timing model only): even when dense shipping
 //     wins, the owner's gather can read each unique row from HBM once, stage
@@ -43,10 +43,11 @@ type DedupView struct {
 	// Uniq counts the distinct (table, hashed-row) keys among the pair's
 	// pooled bag references (cache misses only: RoutePlan.pairMissIdx).
 	Uniq [][]int64
-	// Wire marks pairs where unique-row shipping beats dense vectors
-	// (off-diagonal only, Uniq < RoutePlan.pairVecs: the consumer minibatch
-	// × owner tables, minus cache hits; empty bags count, as the dense
-	// scheme ships their zero vectors).
+	// Wire marks pairs whose priced route ships their unique rows instead
+	// of their dense vectors (off-diagonal only; RoutePlan.pairVecs counts
+	// the dense vectors: the consumer minibatch × owner tables, minus cache
+	// hits; empty bags count, as the dense scheme ships their zero
+	// vectors).
 	Wire [][]bool
 	// Gather marks non-wire pairs where the staged unique-row gather beats
 	// the dense gather (timing model only).
@@ -74,9 +75,8 @@ type DedupView struct {
 	// of once per (owner, consumer) pair or, dense, once per reference.
 	//
 	// NodeUniq counts distinct keys among the owner's miss references into
-	// the node; NodeWire marks remote nodes where NodeUniq is below the dense
-	// vectors those references produce (pairVecs summed over the node's
-	// consumers). NodeNewAt
+	// the node; NodeWire marks remote nodes whose priced route stages them
+	// instead of routing the node's pairs one by one. NodeNewAt
 	// spreads NodeUniq over the node's sample range, each key at the
 	// earliest node sample referencing it; NodeKeys/NodeExpand are the
 	// functional key list (table-major, as Keys) and each consumer GPU's

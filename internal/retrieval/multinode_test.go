@@ -127,3 +127,59 @@ func TestAggregatorNeutralOnNVLink(t *testing.T) {
 		t.Fatalf("aggregation should be neutral on NVLink: direct %v vs aggregated %v", direct, agg)
 	}
 }
+
+// TestMultiNodeBatchTimeHasNoCliff holds the priced route plan to two
+// properties of the multi-node weak sweep (4 GPUs per node, one batch of
+// MultiNodeConfig), for the baseline and pgas-fused:
+//
+//   - metamorphic: halving the global batch (8192 to 4096 samples) never
+//     makes the batch slower, on 1 to 4 nodes;
+//   - no cliff: at 8192 samples, neither backend's batch time rises more
+//     than 25% from one node count to the next, over 2 to 8 nodes.
+//
+// Routes chosen by row counts alone broke both: a pair whose unique rows
+// outnumber its pooled vectors stayed dense, and every dense remote segment
+// costs the baseline a per-segment unpack, so the batch time jumped as soon
+// as the minibatches got small (233 ms at 4096 samples against 41 ms at 8192
+// on 4 nodes; 41 ms to 299 ms from 4 to 5 nodes).
+func TestMultiNodeBatchTimeHasNoCliff(t *testing.T) {
+	if testing.Short() {
+		t.Skip("multi-node weak sweep")
+	}
+	backends := []Backend{&Baseline{}, &PGASFused{}}
+	batchTime := func(nodes, batch int, be Backend) sim.Duration {
+		cfg := MultiNodeConfig(nodes, 4)
+		cfg.Batches = 1
+		cfg.BatchSize = batch
+		s, err := NewSystem(cfg, ClusterHardware(nodes))
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res.TotalTime
+	}
+	full := map[string][]sim.Duration{} // per backend, indexed by nodes-1
+	for nodes := 1; nodes <= 8; nodes++ {
+		for _, be := range backends {
+			full[be.Name()] = append(full[be.Name()], batchTime(nodes, 8192, be))
+			if nodes > 4 {
+				continue
+			}
+			if half := batchTime(nodes, 4096, be); half > full[be.Name()][nodes-1] {
+				t.Errorf("%s on %d nodes: batch of 4096 takes %v, slower than 8192's %v",
+					be.Name(), nodes, half, full[be.Name()][nodes-1])
+			}
+		}
+	}
+	for _, be := range backends {
+		times := full[be.Name()]
+		for nodes := 3; nodes <= 8; nodes++ {
+			if prev, cur := times[nodes-2], times[nodes-1]; cur > 1.25*prev {
+				t.Errorf("%s: batch time jumps from %v on %d nodes to %v on %d", be.Name(), prev, nodes-1, cur, nodes)
+			}
+		}
+	}
+}

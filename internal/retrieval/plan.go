@@ -375,7 +375,7 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 		scan(v.hitIdx)
 	}
 	if s.Cfg.Dedup {
-		plan.Dedup = s.finishDedup()
+		plan.Dedup = s.finishDedup(plan)
 		if s.Cfg.GPUs > 1 {
 			// The post-quiet rendezvous one-sided backends await before
 			// expanding: quiet only drains a PE's OWN pipes, so a consumer
@@ -537,13 +537,18 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 // per-table key sets, which no step order could change.
 //
 // pairAcc accumulates one (owner, consumer) pair's classification over the
-// owner's tables.
+// owner's tables, and holds the pair's state while priceRoutes decides its
+// owner's routes.
 type pairAcc struct {
 	miss, dense, uniq int64
 	newAt             []int32
 	keys              []uint64 // functional only: first-seen keys, table-major
 	expand            []int32  // functional only: each reference's position in keys
 	nodeExpand        []int32  // functional only: each reference's position in the node's keys
+
+	terms routeTerms   // the pair's current route terms
+	link  int64        // wire vectors of the owner link the consumer names (0 from beginDedup)
+	after sim.Duration // slowest still-dense link from the consumer on
 }
 
 // nodeAcc accumulates one (owner, remote node) classification over the
@@ -677,11 +682,11 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 }
 
 // finishDedup builds the batch's dedup view from the walk's sums, deciding
-// every route, and folds the batch's savings into the run's counters. The
-// walk's miss and dense sums are the plan's pairMissIdx and pairVecs, so the
-// view keeps only what the plan cannot derive: the unique-key counts and the
-// decisions they drive.
-func (s *System) finishDedup() *DedupView {
+// every route by price (priceRoutes), and folds the batch's wire traffic into
+// the run's counters. The walk's miss and dense sums are the plan's
+// pairMissIdx and pairVecs, so the view keeps only what the plan cannot
+// derive: the unique-key counts and the decisions they drive.
+func (s *System) finishDedup(plan *RoutePlan) *DedupView {
 	G := s.Cfg.GPUs
 	fn := s.Cfg.Functional
 	vb, wvb := float64(s.Cfg.VectorBytes()), float64(s.Cfg.WireVectorBytes())
@@ -693,14 +698,27 @@ func (s *System) finishDedup() *DedupView {
 		Keys:   grid[[]uint64](G, G),
 		Expand: grid[[]int32](G, G),
 	}
+	var N, per int
+	if s.multiNode() {
+		N, per = s.cluster.Nodes, s.cluster.GPUsPerNode
+		dv.NodeUniq = grid[int64](G, N)
+		dv.NodeWire = grid[bool](G, N)
+		dv.NodeNewAt = grid[[]int32](G, N)
+		dv.NodeKeys = grid[[]uint64](G, N)
+		dv.NodeExpand = grid[[]int32](G, G)
+	}
 	ctr := metrics.DedupCounters{Batches: 1}
 	for src := 0; src < G; src++ {
 		for dst := 0; dst < G; dst++ {
 			a := &s.planScr.pairAcc[src*G+dst]
-			wire := src != dst && a.uniq < a.dense
+			dv.Gather[src][dst] = gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
+		}
+		s.priceRoutes(plan, src, dv.Gather[src], dv)
+		for dst := 0; dst < G; dst++ {
+			a := &s.planScr.pairAcc[src*G+dst]
+			wire := dv.Wire[src][dst]
 			dv.Uniq[src][dst] = a.uniq
-			dv.Wire[src][dst] = wire
-			dv.Gather[src][dst] = !wire && gatherDedupWins(s.Devs[src], a.uniq, a.miss, a.dense, vb)
+			dv.Gather[src][dst] = dv.Gather[src][dst] && !wire
 			dv.NewAt[src][dst] = a.newAt
 			if fn && wire {
 				dv.Keys[src][dst] = a.keys
@@ -719,39 +737,21 @@ func (s *System) finishDedup() *DedupView {
 				ctr.WireVecs += a.dense
 			}
 		}
-	}
-	s.dedupStats = s.dedupStats.Add(ctr)
-	if !s.multiNode() {
-		return dv
-	}
-	N, per := s.cluster.Nodes, s.cluster.GPUsPerNode
-	dv.NodeUniq = grid[int64](G, N)
-	dv.NodeWire = grid[bool](G, N)
-	dv.NodeNewAt = grid[[]int32](G, N)
-	dv.NodeKeys = grid[[]uint64](G, N)
-	dv.NodeExpand = grid[[]int32](G, G)
-	for src := 0; src < G; src++ {
 		for node := 0; node < N; node++ {
 			if node == s.nodeOf(src) {
 				continue
 			}
 			na := &s.planScr.nodeAcc[src*N+node]
-			consumers := s.planScr.pairAcc[src*G+node*per : src*G+(node+1)*per]
-			var nodeDense int64
-			for _, a := range consumers {
-				nodeDense += a.dense
-			}
-			nodeWire := na.uniq < nodeDense
 			dv.NodeUniq[src][node] = na.uniq
-			dv.NodeWire[src][node] = nodeWire
 			dv.NodeNewAt[src][node] = na.newAt
-			if fn && nodeWire {
+			if fn && dv.NodeWire[src][node] {
 				dv.NodeKeys[src][node] = na.keys
-				for li, a := range consumers {
-					dv.NodeExpand[src][node*per+li] = a.nodeExpand
+				for dst := node * per; dst < (node+1)*per; dst++ {
+					dv.NodeExpand[src][dst] = s.planScr.pairAcc[src*G+dst].nodeExpand
 				}
 			}
 		}
 	}
+	s.dedupStats = s.dedupStats.Add(ctr)
 	return dv
 }

@@ -64,11 +64,15 @@ func TestWirePrecisionReducesCommBytes(t *testing.T) {
 }
 
 // TestDedupWireSavingsFollowWirePrecision: the dedup counters' saved wire
-// bytes price each avoided vector at its encoded size, so the same dedup run
-// saves exactly half the fp32 bytes at fp16 and (d+4)/(4d) of them at int8
-// (routes do not depend on the wire precision).
+// bytes (signed: a priced wire route may ship more unique rows than the
+// pooled vectors it replaces) price each avoided vector at its encoded size,
+// so the same dedup run saves exactly half the fp32 bytes at fp16 and
+// (d+4)/(4d) of them at int8. Route prices include the wire time, which the
+// precision scales, but on this one-node shape it moves no route: every
+// precision ships the same wire rows.
 func TestDedupWireSavingsFollowWirePrecision(t *testing.T) {
 	saved := map[Precision]float64{}
+	wireRows := map[Precision]int64{}
 	for _, prec := range wirePrecisions {
 		cfg := dedupTestConfig(4)
 		cfg.WirePrecision = prec
@@ -81,10 +85,14 @@ func TestDedupWireSavingsFollowWirePrecision(t *testing.T) {
 			t.Fatal(err)
 		}
 		saved[prec] = res.DedupStats.WireSavedBytes
+		wireRows[prec] = res.DedupStats.WireRows
 	}
 	d := float64(dedupTestConfig(4).Dim)
-	if saved[FP32] <= 0 {
-		t.Fatal("fp32 run saved no wire bytes; the test is not exercising wire dedup")
+	if wireRows[FP32] == 0 {
+		t.Fatal("fp32 run shipped no wire rows; the test is not exercising wire dedup")
+	}
+	if wireRows[FP16] != wireRows[FP32] || wireRows[Int8] != wireRows[FP32] {
+		t.Fatalf("wire rows shipped differ by precision: %v", wireRows)
 	}
 	if 2*saved[FP16] != saved[FP32] {
 		t.Errorf("fp16 saved %g bytes, want half of fp32's %g", saved[FP16], saved[FP32])

@@ -61,17 +61,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompComputation, Duration: 0.07524209018794625}, {Name: CompSyncUnpack, Duration: 0.12308728055555562}, {Name: CompComm, Duration: 0.00032750808765922776}},
 		{{Name: CompComputation, Duration: 0.07542286561979007}, {Name: CompSyncUnpack, Duration: 0.12308728888888895}, {Name: CompComm, Duration: 0.00014675727120003548}},
 	}},
-	"baseline/single+dedup": {0.1856873924256102, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.07536067533252158}, {Name: CompSyncUnpack, Duration: 0.08412118113986933}, {Name: CompComm, Duration: 0.00022242645256564594}},
-		{{Name: CompComputation, Duration: 0.0753648595971722}, {Name: CompSyncUnpack, Duration: 0.056121138823529496}, {Name: CompComm, Duration: 0.0002182421879150312}},
-		{{Name: CompComputation, Duration: 0.07528282644586695}, {Name: CompSyncUnpack, Duration: 0.08412122676601314}, {Name: CompComm, Duration: 0.00030027533922028643}},
-		{{Name: CompComputation, Duration: 0.07541837040134063}, {Name: CompSyncUnpack, Duration: 0.09710426931764711}, {Name: CompComm, Duration: 0.00016473138374661564}},
+	"baseline/single+dedup": {0.13348607385589298, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.0751896800931437}, {Name: CompSyncUnpack, Duration: 0.015104034420915052}, {Name: CompComm, Duration: 0.00015834666772662764}},
+		{{Name: CompComputation, Duration: 0.07517355112789424}, {Name: CompSyncUnpack, Duration: 0.043121077537254915}, {Name: CompComm, Duration: 0.000174414094514512}},
+		{{Name: CompComputation, Duration: 0.07517809796807613}, {Name: CompSyncUnpack, Duration: 0.015104060041830097}, {Name: CompComm, Duration: 0.0001698549466403465}},
+		{{Name: CompComputation, Duration: 0.07521871581449031}, {Name: CompSyncUnpack, Duration: 8.701852549021158e-05}, {Name: CompComm, Duration: 0.00012927402330308382}},
 	}},
-	"baseline/single+dedup+cache": {0.18566846583387148, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.0753626870987154}, {Name: CompSyncUnpack, Duration: 0.08412115842091511}, {Name: CompComm, Duration: 0.00020151973254164957}},
-		{{Name: CompComputation, Duration: 0.0753526590697978}, {Name: CompSyncUnpack, Duration: 0.08412117400000002}, {Name: CompComm, Duration: 0.00021153545376696378}},
-		{{Name: CompComputation, Duration: 0.07524831800648346}, {Name: CompSyncUnpack, Duration: 0.110104245882353}, {Name: CompComm, Duration: 0.00031585190169664337}},
-		{{Name: CompComputation, Duration: 0.07540912092680209}, {Name: CompSyncUnpack, Duration: 0.0971042302039216}, {Name: CompComm, Duration: 0.0001550612890703386}},
+	"baseline/single+dedup+cache": {0.10544898459120135, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.07517804210013136}, {Name: CompSyncUnpack, Duration: 8.701141960784989e-05}, {Name: CompComm, Duration: 0.00014991882802323914}},
+		{{Name: CompComputation, Duration: 0.0751657961245103}, {Name: CompSyncUnpack, Duration: 0.030121046479738563}, {Name: CompComm, Duration: 0.00016210326518274407}},
+		{{Name: CompComputation, Duration: 0.0751523252850477}, {Name: CompSyncUnpack, Duration: 8.701514248366307e-05}, {Name: CompComm, Duration: 0.00017556179695307067}},
+		{{Name: CompComputation, Duration: 0.07521111249548297}, {Name: CompSyncUnpack, Duration: 8.701611503268356e-05}, {Name: CompComm, Duration: 0.00011681150959469769}},
 	}},
 	"baseline/single+replicas2": {0.159653592205996, [][]trace.Component{
 		{{Name: CompComputation, Duration: 0.07537857350559271}, {Name: CompSyncUnpack, Duration: 0.08408720000000003}, {Name: CompComm, Duration: 0.00018775203373660662}},
@@ -97,17 +97,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompComputation, Duration: 0.07524209018794625}, {Name: CompSyncUnpack, Duration: 0.12308728055555564}, {Name: CompComm, Duration: 0.00036300123227466646}},
 		{{Name: CompComputation, Duration: 0.07542286561979007}, {Name: CompSyncUnpack, Duration: 0.123087288888889}, {Name: CompComm, Duration: 0.00018222580043085468}},
 	}},
-	"baseline/cluster2+dedup": {0.18572304704714862, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.07536067533252158}, {Name: CompSyncUnpack, Duration: 0.08412118113986934}, {Name: CompComm, Duration: 0.0002574779971810347}},
-		{{Name: CompComputation, Duration: 0.0753648595971722}, {Name: CompSyncUnpack, Duration: 0.056121138823529496}, {Name: CompComm, Duration: 0.00025329373253039217}},
-		{{Name: CompComputation, Duration: 0.07528282644586695}, {Name: CompSyncUnpack, Duration: 0.08412122676601315}, {Name: CompComm, Duration: 0.00033592996075872475}},
-		{{Name: CompComputation, Duration: 0.07541837040134063}, {Name: CompSyncUnpack, Duration: 0.09710426931764712}, {Name: CompComm, Duration: 0.00020038600528505396}},
+	"baseline/cluster2+dedup": {0.13352181039743147, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.0751896800931437}, {Name: CompSyncUnpack, Duration: 0.015104034420915052}, {Name: CompComm, Duration: 0.00019367705541894695}},
+		{{Name: CompComputation, Duration: 0.07517355112789424}, {Name: CompSyncUnpack, Duration: 0.043121077537254915}, {Name: CompComm, Duration: 0.00020980602066837661}},
+		{{Name: CompComputation, Duration: 0.07517809796807613}, {Name: CompSyncUnpack, Duration: 0.015104060041830111}, {Name: CompComm, Duration: 0.00020602225740957297}},
+		{{Name: CompComputation, Duration: 0.07521871581449031}, {Name: CompSyncUnpack, Duration: 8.701852549021158e-05}, {Name: CompComm, Duration: 0.0001654044109953949}},
 	}},
-	"baseline/cluster2+dedup+cache": {0.1857038659132682, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.0753626870987154}, {Name: CompSyncUnpack, Duration: 0.08412115842091511}, {Name: CompComm, Duration: 0.000236389812541659}},
-		{{Name: CompComputation, Duration: 0.0753526590697978}, {Name: CompSyncUnpack, Duration: 0.08412117400000002}, {Name: CompComm, Duration: 0.0002464178414592691}},
-		{{Name: CompComputation, Duration: 0.07524831800648346}, {Name: CompSyncUnpack, Duration: 0.110104245882353}, {Name: CompComm, Duration: 0.00035128813554281824}},
-		{{Name: CompComputation, Duration: 0.07540912092680209}, {Name: CompSyncUnpack, Duration: 0.09710423020392163}, {Name: CompComm, Duration: 0.0001904852152242037}},
+	"baseline/cluster2+dedup+cache": {0.10548457294812442, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.07517804210013136}, {Name: CompSyncUnpack, Duration: 8.701141960784989e-05}, {Name: CompComm, Duration: 0.0001851502618693858}},
+		{{Name: CompComputation, Duration: 0.0751657961245103}, {Name: CompSyncUnpack, Duration: 0.030121046479738563}, {Name: CompComm, Duration: 0.00019739623749046378}},
+		{{Name: CompComputation, Duration: 0.0751523252850477}, {Name: CompSyncUnpack, Duration: 8.701514248366307e-05}, {Name: CompComm, Duration: 0.000211654769260744}},
+		{{Name: CompComputation, Duration: 0.07521111249548297}, {Name: CompSyncUnpack, Duration: 8.701611503268356e-05}, {Name: CompComm, Duration: 0.0001528675588254834}},
 	}},
 	"baseline/cluster2+replicas2": {0.15969744637488834, [][]trace.Component{
 		{{Name: CompComputation, Duration: 0.07537874769907964}, {Name: CompSyncUnpack, Duration: 0.08408720000000006}, {Name: CompComm, Duration: 0.00023113662452661082}},
@@ -133,17 +133,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompComputation, Duration: 0.07524209018794625}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.0003275080876592347}},
 		{{Name: CompComputation, Duration: 0.07542286561979007}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.00014675727120003548}},
 	}},
-	"baseline-direct-placement/single+dedup": {0.0756701110138454, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.07536067533252158}, {Name: CompSyncUnpack, Duration: 7.000336209149818e-05}, {Name: CompComm, Duration: 0.00022242645256564594}},
-		{{Name: CompComputation, Duration: 0.0753648595971722}, {Name: CompSyncUnpack, Duration: 8.700549019607581e-05}, {Name: CompComm, Duration: 0.00021824218791501732}},
-		{{Name: CompComputation, Duration: 0.07528282644586695}, {Name: CompSyncUnpack, Duration: 7.000454379084767e-05}, {Name: CompComm, Duration: 0.0003002753392202795}},
-		{{Name: CompComputation, Duration: 0.07541837040134063}, {Name: CompSyncUnpack, Duration: 5.300265098038756e-05}, {Name: CompComm, Duration: 0.00016473138374660176}},
+	"baseline-direct-placement/single+dedup": {0.07543504414649124, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.0751896800931437}, {Name: CompSyncUnpack, Duration: 8.70121986928131e-05}, {Name: CompComm, Duration: 0.00015834666772662764}},
+		{{Name: CompComputation, Duration: 0.07517355112789424}, {Name: CompSyncUnpack, Duration: 8.701087058823193e-05}, {Name: CompComm, Duration: 0.00017441409451453976}},
+		{{Name: CompComputation, Duration: 0.07517809796807613}, {Name: CompSyncUnpack, Duration: 8.701559738562986e-05}, {Name: CompComm, Duration: 0.0001698549466403465}},
+		{{Name: CompComputation, Duration: 0.07521871581449031}, {Name: CompSyncUnpack, Duration: 8.70185254901977e-05}, {Name: CompComm, Duration: 0.00012927402330308382}},
 	}},
-	"baseline-direct-placement/single+dedup+cache": {0.07565121098811976, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.0753626870987154}, {Name: CompSyncUnpack, Duration: 7.000286535947461e-05}, {Name: CompComm, Duration: 0.00020151973254162875}},
-		{{Name: CompComputation, Duration: 0.0753526590697978}, {Name: CompSyncUnpack, Duration: 7.000177777777283e-05}, {Name: CompComm, Duration: 0.00021153545376692215}},
-		{{Name: CompComputation, Duration: 0.07524831800648346}, {Name: CompSyncUnpack, Duration: 5.3001437908487686e-05}, {Name: CompComm, Duration: 0.00031585190169662256}},
-		{{Name: CompComputation, Duration: 0.07540912092680209}, {Name: CompSyncUnpack, Duration: 5.3002426143786835e-05}, {Name: CompComm, Duration: 0.0001550612890703039}},
+	"baseline-direct-placement/single+dedup+cache": {0.07541497679743564, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.07517804210013136}, {Name: CompSyncUnpack, Duration: 8.701141960784989e-05}, {Name: CompComm, Duration: 0.00014991882802324608}},
+		{{Name: CompComputation, Duration: 0.0751657961245103}, {Name: CompSyncUnpack, Duration: 8.701036862744649e-05}, {Name: CompComm, Duration: 0.00016210326518276488}},
+		{{Name: CompComputation, Duration: 0.0751523252850477}, {Name: CompSyncUnpack, Duration: 8.701514248366307e-05}, {Name: CompComm, Duration: 0.0001755617969530568}},
+		{{Name: CompComputation, Duration: 0.07521111249548297}, {Name: CompSyncUnpack, Duration: 8.701611503267662e-05}, {Name: CompComm, Duration: 0.00011681150959471157}},
 	}},
 	"baseline-direct-placement/single+replicas2": {0.07560232553932929, [][]trace.Component{
 		{{Name: CompComputation, Duration: 0.07537857350559271}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.00018775203373657887}},
@@ -169,17 +169,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompComputation, Duration: 0.07524209018794625}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.00036300123227464565}},
 		{{Name: CompComputation, Duration: 0.07542286561979007}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.00018222580043082692}},
 	}},
-	"baseline-direct-placement/cluster2+dedup": {0.07570556871230695, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.07536067533252158}, {Name: CompSyncUnpack, Duration: 7.000336209149818e-05}, {Name: CompComm, Duration: 0.0002574779971810416}},
-		{{Name: CompComputation, Duration: 0.0753648595971722}, {Name: CompSyncUnpack, Duration: 8.700549019607581e-05}, {Name: CompComm, Duration: 0.000253293732530413}},
-		{{Name: CompComputation, Duration: 0.07528282644586695}, {Name: CompSyncUnpack, Duration: 7.000454379084767e-05}, {Name: CompComm, Duration: 0.00033592996075875944}},
-		{{Name: CompComputation, Duration: 0.07541837040134063}, {Name: CompSyncUnpack, Duration: 5.300265098038756e-05}, {Name: CompComm, Duration: 0.00020038600528508171}},
+	"baseline-direct-placement/cluster2+dedup": {0.07547113917450532, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.0751896800931437}, {Name: CompSyncUnpack, Duration: 8.70121986928131e-05}, {Name: CompComm, Duration: 0.00019367705541894}},
+		{{Name: CompComputation, Duration: 0.07517355112789424}, {Name: CompSyncUnpack, Duration: 8.701087058823193e-05}, {Name: CompComm, Duration: 0.00020980602066839743}},
+		{{Name: CompComputation, Duration: 0.07517809796807613}, {Name: CompSyncUnpack, Duration: 8.701559738562986e-05}, {Name: CompComm, Duration: 0.0002060222574095799}},
+		{{Name: CompComputation, Duration: 0.07521871581449031}, {Name: CompSyncUnpack, Duration: 8.70185254901977e-05}, {Name: CompComm, Duration: 0.0001654044109953949}},
 	}},
-	"baseline-direct-placement/cluster2+dedup+cache": {0.07568626744036713, [][]trace.Component{
-		{{Name: CompComputation, Duration: 0.0753626870987154}, {Name: CompSyncUnpack, Duration: 7.000286535947461e-05}, {Name: CompComm, Duration: 0.00023638981254163818}},
-		{{Name: CompComputation, Duration: 0.0753526590697978}, {Name: CompSyncUnpack, Duration: 7.000177777777283e-05}, {Name: CompComm, Duration: 0.00024641784145924134}},
-		{{Name: CompComputation, Duration: 0.07524831800648346}, {Name: CompSyncUnpack, Duration: 5.3001437908487686e-05}, {Name: CompComm, Duration: 0.00035128813554278354}},
-		{{Name: CompComputation, Duration: 0.07540912092680209}, {Name: CompSyncUnpack, Duration: 5.3002426143786835e-05}, {Name: CompComm, Duration: 0.00019048521522415512}},
+	"baseline-direct-placement/cluster2+dedup+cache": {0.0754509971471189, [][]trace.Component{
+		{{Name: CompComputation, Duration: 0.07517804210013136}, {Name: CompSyncUnpack, Duration: 8.701141960784989e-05}, {Name: CompComm, Duration: 0.00018515026186939967}},
+		{{Name: CompComputation, Duration: 0.0751657961245103}, {Name: CompSyncUnpack, Duration: 8.701036862744649e-05}, {Name: CompComm, Duration: 0.00019739623749046378}},
+		{{Name: CompComputation, Duration: 0.0751523252850477}, {Name: CompSyncUnpack, Duration: 8.701514248366307e-05}, {Name: CompComm, Duration: 0.00021165476926075094}},
+		{{Name: CompComputation, Duration: 0.07521111249548297}, {Name: CompSyncUnpack, Duration: 8.701611503267662e-05}, {Name: CompComm, Duration: 0.0001528675588254834}},
 	}},
 	"baseline-direct-placement/cluster2+replicas2": {0.07564617970822161, [][]trace.Component{
 		{{Name: CompComputation, Duration: 0.07537874769907964}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}, {Name: CompComm, Duration: 0.00023113662452659}},
@@ -205,17 +205,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompFused, Duration: 0.0760728491792288}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 		{{Name: CompFused, Duration: 0.07625129120241679}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 	}},
-	"pgas-fused/single+dedup": {0.07633270093045635, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07617466951446522}, {Name: CompSyncUnpack, Duration: 0.00015302554932446547}},
-		{{Name: CompFused, Duration: 0.07617732978662756}, {Name: CompSyncUnpack, Duration: 0.00015536740526670215}},
-		{{Name: CompFused, Duration: 0.07609909070828044}, {Name: CompSyncUnpack, Duration: 0.00022860553720859336}},
-		{{Name: CompFused, Duration: 0.07623167925410901}, {Name: CompSyncUnpack, Duration: 9.101509856955167e-05}},
+	"pgas-fused/single+dedup": {0.0760930031112033, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.07599973439079553}, {Name: CompSyncUnpack, Duration: 9.326197008096768e-05}},
+		{{Name: CompFused, Duration: 0.07598342309394024}, {Name: CompSyncUnpack, Duration: 0.00010957193883168181}},
+		{{Name: CompFused, Duration: 0.07598983415599453}, {Name: CompSyncUnpack, Duration: 0.00010316560357480006}},
+		{{Name: CompFused, Duration: 0.07602804758007009}, {Name: CompSyncUnpack, Duration: 6.495510760378548e-05}},
 	}},
-	"pgas-fused/single+dedup+cache": {0.07632299288147126, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07618385251910016}, {Name: CompSyncUnpack, Duration: 0.0001341373140050818}},
-		{{Name: CompFused, Duration: 0.07617453100926685}, {Name: CompSyncUnpack, Duration: 0.0001434577362566941}},
-		{{Name: CompFused, Duration: 0.0760821648729904}, {Name: CompSyncUnpack, Duration: 0.000230823532663859}},
-		{{Name: CompFused, Duration: 0.0762385271920847}, {Name: CompSyncUnpack, Duration: 7.446220180486532e-05}},
+	"pgas-fused/single+dedup+cache": {0.07608826628808271, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.07599370904932053}, {Name: CompSyncUnpack, Duration: 9.455156555958355e-05}},
+		{{Name: CompFused, Duration: 0.07598143105229854}, {Name: CompSyncUnpack, Duration: 0.00010682851160116053}},
+		{{Name: CompFused, Duration: 0.07598032984288196}, {Name: CompSyncUnpack, Duration: 0.00010793449487396523}},
+		{{Name: CompFused, Duration: 0.07603305888017356}, {Name: CompSyncUnpack, Duration: 5.520643013137705e-05}},
 	}},
 	"pgas-fused/single+replicas2": {0.07602606866783895, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.07591138238312775}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
@@ -241,17 +241,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompFused, Duration: 0.07607284917922881}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 		{{Name: CompFused, Duration: 0.07625129120241679}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 	}},
-	"pgas-fused/cluster2+dedup": {0.07626507532933638, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07609879719344619}, {Name: CompSyncUnpack, Duration: 0.00016622032151111105}},
-		{{Name: CompFused, Duration: 0.07607418039119065}, {Name: CompSyncUnpack, Duration: 0.0001908281167078106}},
-		{{Name: CompFused, Duration: 0.07608726442575132}, {Name: CompSyncUnpack, Duration: 0.0001778092471144653}},
-		{{Name: CompFused, Duration: 0.07615156300854199}, {Name: CompSyncUnpack, Duration: 0.00011350325726497759}},
+	"pgas-fused/cluster2+dedup": {0.07613549497708325, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.0760324709858968}, {Name: CompSyncUnpack, Duration: 0.00010296773497730713}},
+		{{Name: CompFused, Duration: 0.07601876214822123}, {Name: CompSyncUnpack, Duration: 0.00011535760794697397}},
+		{{Name: CompFused, Duration: 0.07600561186933885}, {Name: CompSyncUnpack, Duration: 0.0001298819218620434}},
+		{{Name: CompFused, Duration: 0.07605697586458379}, {Name: CompSyncUnpack, Duration: 7.851014308768445e-05}},
 	}},
-	"pgas-fused/cluster2+dedup+cache": {0.0762339902349823, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07610829182465528}, {Name: CompSyncUnpack, Duration: 0.00012564679411787572}},
-		{{Name: CompFused, Duration: 0.07611200574282886}, {Name: CompSyncUnpack, Duration: 0.00012192187672859997}},
-		{{Name: CompFused, Duration: 0.0760534548360896}, {Name: CompSyncUnpack, Duration: 0.0001792015217685107}},
-		{{Name: CompFused, Duration: 0.07615636584383087}, {Name: CompSyncUnpack, Duration: 7.761893232791084e-05}},
+	"pgas-fused/cluster2+dedup+cache": {0.07612148976877978, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.07602677160200029}, {Name: CompSyncUnpack, Duration: 9.466383998210301e-05}},
+		{{Name: CompFused, Duration: 0.07601444275810337}, {Name: CompSyncUnpack, Duration: 0.00010567296100317397}},
+		{{Name: CompFused, Duration: 0.07599537707180479}, {Name: CompSyncUnpack, Duration: 0.00012611201305341366}},
+		{{Name: CompFused, Duration: 0.07606075197806622}, {Name: CompSyncUnpack, Duration: 6.072911934100825e-05}},
 	}},
 	"pgas-fused/cluster2+replicas2": {0.07626081957047659, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.07621435244888357}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
@@ -277,17 +277,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompFused, Duration: 0.07607284917922882}, {Name: CompSyncUnpack, Duration: 0.12305128055555561}},
 		{{Name: CompFused, Duration: 0.07625129120241678}, {Name: CompSyncUnpack, Duration: 0.12305128888888897}},
 	}},
-	"pgas-overlap-only/single+dedup": {0.19934795559058718, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07617466951446525}, {Name: CompSyncUnpack, Duration: 0.12316826940945524}},
-		{{Name: CompFused, Duration: 0.07617732978662758}, {Name: CompSyncUnpack, Duration: 0.1231705980261818}},
-		{{Name: CompFused, Duration: 0.07609909070828044}, {Name: CompSyncUnpack, Duration: 0.12324390099341784}},
-		{{Name: CompFused, Duration: 0.07623167925410902}, {Name: CompSyncUnpack, Duration: 0.12310633466981148}},
+	"pgas-overlap-only/single+dedup": {0.1991083730510727, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.07599973439079553}, {Name: CompSyncUnpack, Duration: 0.1231085219936105}},
+		{{Name: CompFused, Duration: 0.07598342309394028}, {Name: CompSyncUnpack, Duration: 0.123124855512688}},
+		{{Name: CompFused, Duration: 0.07598983415599456}, {Name: CompSyncUnpack, Duration: 0.12311850833952256}},
+		{{Name: CompFused, Duration: 0.07602804758007015}, {Name: CompSyncUnpack, Duration: 0.12308031435989146}},
 	}},
-	"pgas-overlap-only/single+dedup+cache": {0.19933822030107914, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07618385251910018}, {Name: CompSyncUnpack, Duration: 0.12314935944864566}},
-		{{Name: CompFused, Duration: 0.07617453100926685}, {Name: CompSyncUnpack, Duration: 0.12315866984736784}},
-		{{Name: CompFused, Duration: 0.0760821648729904}, {Name: CompSyncUnpack, Duration: 0.1232460970947554}},
-		{{Name: CompFused, Duration: 0.07623852719208468}, {Name: CompSyncUnpack, Duration: 0.12308974310899448}},
+	"pgas-overlap-only/single+dedup+cache": {0.1991036380841612, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.07599370904932057}, {Name: CompSyncUnpack, Duration: 0.1231098068126184}},
+		{{Name: CompFused, Duration: 0.07598143105229858}, {Name: CompSyncUnpack, Duration: 0.1231220986985293}},
+		{{Name: CompFused, Duration: 0.07598032984288194}, {Name: CompSyncUnpack, Duration: 0.1231232637968348}},
+		{{Name: CompFused, Duration: 0.07603305888017356}, {Name: CompSyncUnpack, Duration: 0.12307056809287654}},
 	}},
 	"pgas-overlap-only/single+replicas2": {0.16004131311228342, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.07591138238312772}, {Name: CompSyncUnpack, Duration: 0.08405120000000002}},
@@ -313,17 +313,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompFused, Duration: 0.07607284917922882}, {Name: CompSyncUnpack, Duration: 0.12305128055555563}},
 		{{Name: CompFused, Duration: 0.07625129120241678}, {Name: CompSyncUnpack, Duration: 0.12305128888888896}},
 	}},
-	"pgas-overlap-only/cluster2+dedup": {0.199280321234173, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07609879719344619}, {Name: CompSyncUnpack, Duration: 0.12318141491628239}},
-		{{Name: CompFused, Duration: 0.07607418039119068}, {Name: CompSyncUnpack, Duration: 0.12320605053631568}},
-		{{Name: CompFused, Duration: 0.07608726442575131}, {Name: CompSyncUnpack, Duration: 0.12319304482619947}},
-		{{Name: CompFused, Duration: 0.07615156300854196}, {Name: CompSyncUnpack, Duration: 0.12312875672785326}},
+	"pgas-overlap-only/cluster2+dedup": {0.19915075871329246, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.0760324709858968}, {Name: CompSyncUnpack, Duration: 0.1231181722029512}},
+		{{Name: CompFused, Duration: 0.07601876214822124}, {Name: CompSyncUnpack, Duration: 0.1231306201739601}},
+		{{Name: CompFused, Duration: 0.07600561186933885}, {Name: CompSyncUnpack, Duration: 0.12314513123950915}},
+		{{Name: CompFused, Duration: 0.07605697586458378}, {Name: CompSyncUnpack, Duration: 0.12309376939537535}},
 	}},
-	"pgas-overlap-only/cluster2+dedup+cache": {0.1992492018744595, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07610829182465527}, {Name: CompSyncUnpack, Duration: 0.1231408342320264}},
-		{{Name: CompFused, Duration: 0.07611200574282888}, {Name: CompSyncUnpack, Duration: 0.12313713357607509}},
-		{{Name: CompFused, Duration: 0.07605345483608962}, {Name: CompSyncUnpack, Duration: 0.12319447269170318}},
-		{{Name: CompFused, Duration: 0.07615636584383088}, {Name: CompSyncUnpack, Duration: 0.12309282895062859}},
+	"pgas-overlap-only/cluster2+dedup+cache": {0.1991367562134857, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.0760267716020003}, {Name: CompSyncUnpack, Duration: 0.12310986353148538}},
+		{{Name: CompFused, Duration: 0.0760144427581034}, {Name: CompSyncUnpack, Duration: 0.12312093150871567}},
+		{{Name: CompFused, Duration: 0.07599537707180481}, {Name: CompSyncUnpack, Duration: 0.12314136353723648}},
+		{{Name: CompFused, Duration: 0.07606075197806622}, {Name: CompSyncUnpack, Duration: 0.12307599078208611}},
 	}},
 	"pgas-overlap-only/cluster2+replicas2": {0.16027106565047666, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.07621435244888358}, {Name: CompSyncUnpack, Duration: 0.08405120000000005}},
