@@ -87,12 +87,13 @@ type Params struct {
 	RemoteIssueOverhead sim.Duration
 
 	// RemotePeerChunkOverhead is the extra fused-kernel time per compute
-	// chunk per remote peer: interleaving one-sided stores across several
-	// NVLink destinations shortens per-peer write bursts and costs some
-	// write-combining efficiency. This term gives the PGAS backend the mild
-	// runtime growth with GPU count the paper observes (its "small messages
-	// are not bandwidth-efficient" overhead that stays hidden until it
-	// isn't).
+	// chunk per GPU the kernel stores to: interleaving one-sided stores
+	// across several destinations shortens per-destination write bursts and
+	// costs some write-combining efficiency. A node-staged route stores to
+	// one stage GPU per remote node, not to every consumer there. This term
+	// gives the PGAS backend the mild runtime growth with GPU count the
+	// paper observes (its "small messages are not bandwidth-efficient"
+	// overhead that stays hidden until it isn't).
 	RemotePeerChunkOverhead sim.Duration
 
 	// UnpackFixed is the per-batch framework overhead of the baseline's

@@ -102,25 +102,40 @@ func (t *gatherTraffic) addHits(s *System, g int, plan *RoutePlan, s0, s1 int) {
 }
 
 // fusedKernelItems returns the items of GPU g's whole fused kernel, which
-// set its occupancy — every served pair's items plus the consumer's own cache
-// and mirror gathers — and the remote consumers it stores to, each of which
-// costs a per-chunk overhead.
-func (p *RoutePlan) fusedKernelItems(g int) (items, peers int) {
+// set its occupancy: every served pair's items plus the consumer's own cache
+// and mirror gathers.
+func (p *RoutePlan) fusedKernelItems(g int) int {
 	G := p.sys.Cfg.GPUs
-	items, _ = p.ConsumerChunkHits(g, 0, p.sys.Cfg.BatchSize)
+	items, _ := p.ConsumerChunkHits(g, 0, p.sys.Cfg.BatchSize)
 	for c := 0; c < G; c++ {
-		serves := false
 		for o := 0; o < G; o++ {
 			if p.ServeGPU(o, c) == g {
 				items += p.pairItems(p.Class(o, c), o, c)
-				serves = true
 			}
 		}
-		if serves && c != g {
-			peers++
+	}
+	return items
+}
+
+// storeFanOut returns the remote GPUs GPU g's one-sided stores address in the
+// batch, each of which costs the fused kernel a per-chunk overhead: every
+// other consumer of a pair g serves that lands rows there (pairItems > 0). A
+// node-wire route lands its node's rows on the stage-lane GPU only, so the
+// node's other GPUs are not addressed.
+func (p *RoutePlan) storeFanOut(g int) (peers int) {
+	G := p.sys.Cfg.GPUs
+	for c := 0; c < G; c++ {
+		if c == g {
+			continue
+		}
+		for o := 0; o < G; o++ {
+			if p.ServeGPU(o, c) == g && p.pairItems(p.Class(o, c), o, c) > 0 {
+				peers++
+				break
+			}
 		}
 	}
-	return items, peers
+	return peers
 }
 
 // dedupGather returns the read and staging bytes of a gather-dedup pair's

@@ -367,7 +367,7 @@ func (b chunkChecked) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk 
 			!near(whole.read, sum.read) || !near(whole.stream, sum.stream) {
 			b.t.Errorf("GPU %d: whole-batch gather %+v, sum of %d chunks %+v", g, whole, chunks, sum)
 		}
-		if items, _ := plan.fusedKernelItems(g); oneSided && items != whole.items {
+		if items := plan.fusedKernelItems(g); oneSided && items != whole.items {
 			b.t.Errorf("GPU %d: fused kernel items %d, whole-batch gather items %d", g, items, whole.items)
 		}
 	}

@@ -67,7 +67,7 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	fvb := float64(cfg.VectorBytes())
 	wireVecBytes := cfg.WireVectorBytes() // per-vector payload on the transport
 	plan := bd.Plan
-	kernelItems, peers := plan.fusedKernelItems(g)
+	kernelItems, peers := plan.fusedKernelItems(g), plan.storeFanOut(g)
 
 	// Owner-side wire encode: remote-bound vectors are compressed as they
 	// leave. Priced once for the batch from the plan's counts — a streaming
@@ -82,9 +82,9 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	// pays its share of compute time, then its remote outputs leave as
 	// one-sided stores while the next chunk computes — the fine-grained
 	// overlap of §III-B. A chunk's gather runs at the whole kernel's
-	// occupancy, issues its remote items as stores and pays the per-peer
-	// overhead. The hit read is added after the pairs' (see Baseline.RunBatch
-	// on the order).
+	// occupancy, issues its remote items as stores and pays the per-chunk
+	// overhead of each GPU it stores to. The hit read is added after the
+	// pairs' (see Baseline.RunBatch on the order).
 	chunks := cfg.ChunksPerKernel
 	for k := 0; k < chunks; k++ {
 		s0 := cfg.BatchSize * k / chunks

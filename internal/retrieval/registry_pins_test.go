@@ -241,17 +241,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompFused, Duration: 0.07607284917922881}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 		{{Name: CompFused, Duration: 0.07625129120241679}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
 	}},
-	"pgas-fused/cluster2+dedup": {0.07613549497708325, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.0760324709858968}, {Name: CompSyncUnpack, Duration: 0.00010296773497730713}},
-		{{Name: CompFused, Duration: 0.07601876214822123}, {Name: CompSyncUnpack, Duration: 0.00011535760794697397}},
-		{{Name: CompFused, Duration: 0.07600561186933885}, {Name: CompSyncUnpack, Duration: 0.0001298819218620434}},
-		{{Name: CompFused, Duration: 0.07605697586458379}, {Name: CompSyncUnpack, Duration: 7.851014308768445e-05}},
+	"pgas-fused/cluster2+dedup": {0.07589277956015465, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.0757324709858968}, {Name: CompSyncUnpack, Duration: 0.00016025231804870158}},
+		{{Name: CompFused, Duration: 0.07571876214822122}, {Name: CompSyncUnpack, Duration: 0.0001726421910183927}},
+		{{Name: CompFused, Duration: 0.07580561186933883}, {Name: CompSyncUnpack, Duration: 8.716650493346273e-05}},
+		{{Name: CompFused, Duration: 0.07575697586458378}, {Name: CompSyncUnpack, Duration: 0.00013579472615910318}},
 	}},
-	"pgas-fused/cluster2+dedup+cache": {0.07612148976877978, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.07602677160200029}, {Name: CompSyncUnpack, Duration: 9.466383998210301e-05}},
-		{{Name: CompFused, Duration: 0.07601444275810337}, {Name: CompSyncUnpack, Duration: 0.00010567296100317397}},
-		{{Name: CompFused, Duration: 0.07599537707180479}, {Name: CompSyncUnpack, Duration: 0.00012611201305341366}},
-		{{Name: CompFused, Duration: 0.07606075197806622}, {Name: CompSyncUnpack, Duration: 6.072911934100825e-05}},
+	"pgas-fused/cluster2+dedup+cache": {0.07588002152738889, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.0757267716020003}, {Name: CompSyncUnpack, Duration: 0.00015319559859120965}},
+		{{Name: CompFused, Duration: 0.07571444275810338}, {Name: CompSyncUnpack, Duration: 0.00016420471961229796}},
+		{{Name: CompFused, Duration: 0.07579537707180478}, {Name: CompSyncUnpack, Duration: 8.464377166252438e-05}},
+		{{Name: CompFused, Duration: 0.07576075197806621}, {Name: CompSyncUnpack, Duration: 0.00011926087795011836}},
 	}},
 	"pgas-fused/cluster2+replicas2": {0.07626081957047659, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.07621435244888357}, {Name: CompSyncUnpack, Duration: 3.599999999999784e-05}},
@@ -313,17 +313,17 @@ var pinnedTimes = map[string]pinnedRun{
 		{{Name: CompFused, Duration: 0.07607284917922882}, {Name: CompSyncUnpack, Duration: 0.12305128055555563}},
 		{{Name: CompFused, Duration: 0.07625129120241678}, {Name: CompSyncUnpack, Duration: 0.12305128888888896}},
 	}},
-	"pgas-overlap-only/cluster2+dedup": {0.19915075871329246, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.0760324709858968}, {Name: CompSyncUnpack, Duration: 0.1231181722029512}},
-		{{Name: CompFused, Duration: 0.07601876214822124}, {Name: CompSyncUnpack, Duration: 0.1231306201739601}},
-		{{Name: CompFused, Duration: 0.07600561186933885}, {Name: CompSyncUnpack, Duration: 0.12314513123950915}},
-		{{Name: CompFused, Duration: 0.07605697586458378}, {Name: CompSyncUnpack, Duration: 0.12309376939537535}},
+	"pgas-overlap-only/cluster2+dedup": {0.1989080432963639, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.0757324709858968}, {Name: CompSyncUnpack, Duration: 0.12317545678602265}},
+		{{Name: CompFused, Duration: 0.07571876214822126}, {Name: CompSyncUnpack, Duration: 0.12318790475703154}},
+		{{Name: CompFused, Duration: 0.07580561186933887}, {Name: CompSyncUnpack, Duration: 0.12310241582258058}},
+		{{Name: CompFused, Duration: 0.0757569758645838}, {Name: CompSyncUnpack, Duration: 0.12315105397844678}},
 	}},
-	"pgas-overlap-only/cluster2+dedup+cache": {0.1991367562134857, [][]trace.Component{
-		{{Name: CompFused, Duration: 0.0760267716020003}, {Name: CompSyncUnpack, Duration: 0.12310986353148538}},
-		{{Name: CompFused, Duration: 0.0760144427581034}, {Name: CompSyncUnpack, Duration: 0.12312093150871567}},
-		{{Name: CompFused, Duration: 0.07599537707180481}, {Name: CompSyncUnpack, Duration: 0.12314136353723648}},
-		{{Name: CompFused, Duration: 0.07606075197806622}, {Name: CompSyncUnpack, Duration: 0.12307599078208611}},
+	"pgas-overlap-only/cluster2+dedup+cache": {0.19889528797209483, [][]trace.Component{
+		{{Name: CompFused, Duration: 0.07572677160200032}, {Name: CompSyncUnpack, Duration: 0.12316839529009449}},
+		{{Name: CompFused, Duration: 0.0757144427581034}, {Name: CompSyncUnpack, Duration: 0.12317946326732478}},
+		{{Name: CompFused, Duration: 0.07579537707180481}, {Name: CompSyncUnpack, Duration: 0.12309989529584561}},
+		{{Name: CompFused, Duration: 0.0757607519780662}, {Name: CompSyncUnpack, Duration: 0.12313452254069529}},
 	}},
 	"pgas-overlap-only/cluster2+replicas2": {0.16027106565047666, [][]trace.Component{
 		{{Name: CompFused, Duration: 0.07621435244888358}, {Name: CompSyncUnpack, Duration: 0.08405120000000005}},

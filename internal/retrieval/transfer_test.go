@@ -232,7 +232,10 @@ func checkPairCounts(t *testing.T, s *System, bd *BatchData, collective bool) {
 //     g, or when staged every remote vector landing there (a node-wire
 //     transfer lands on its stage-lane GPU);
 //   - expandWork's references equal the expansion maps' lengths, and its
-//     outputs the non-hit vectors of g's wire and node-wire pairs.
+//     outputs the non-hit vectors of g's wire and node-wire pairs;
+//   - under the one-sided rule, storeFanOut, the fan-out the fused kernel
+//     charges per chunk, equals the distinct other GPUs g's logged transfers
+//     land on.
 func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged bool) {
 	t.Helper()
 	plan := bd.Plan
@@ -243,6 +246,7 @@ func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged
 	G, B := s.Cfg.GPUs, s.Cfg.BatchSize
 	sent, recv, unpack := make([]int64, G), make([]int64, G), make([]int64, G)
 	nodeRows := map[[2]int]int64{} // (shard, node): logged node-wire rows
+	lands := map[[2]int]bool{}     // (server, GPU): a logged transfer lands there
 	for _, tr := range bd.log.recs {
 		v := int64(tr.vecs)
 		land := tr.consumer
@@ -255,6 +259,9 @@ func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged
 		}
 		if tr.server != tr.consumer {
 			sent[tr.server] += v
+		}
+		if tr.server != land {
+			lands[[2]int{tr.server, land}] = true
 		}
 		if tr.server != land && (staged || tr.route == RouteDense) {
 			unpack[land] += v
@@ -293,6 +300,18 @@ func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged
 		}
 		if r, n := plan.expandWork(g, class); r != refs || n != outs {
 			t.Errorf("GPU %d: expandWork (refs %d, outputs %d), the classification has (%d, %d)", g, r, n, refs, outs)
+		}
+		if collective {
+			continue
+		}
+		fanOut := 0
+		for c := 0; c < G; c++ {
+			if lands[[2]int{g, c}] {
+				fanOut++
+			}
+		}
+		if f := plan.storeFanOut(g); f != fanOut {
+			t.Errorf("GPU %d: the fused kernel charges a fan-out of %d, its logged transfers land on %d GPUs", g, f, fanOut)
 		}
 	}
 }
