@@ -14,8 +14,10 @@ import (
 )
 
 // gradedSkewConfig is the placement sweep's graded-skew workload: four hot
-// tables (pooling up to 64 and 16) among 28 light ones, Zipf 1.2 rows and
-// dedup, under adaptive placement every 4 batches.
+// tables (pooling up to 64 and 16) among 28 light ones and Zipf 1.2 rows,
+// under adaptive placement every 4 batches. Without dedup the static plan's
+// hot owner ships every pooled vector, so moving a hot table pays for its
+// migration and the controller swaps.
 func gradedSkewConfig() retrieval.Config {
 	cfg := retrieval.ServingScaleConfig(4)
 	cfg.Batches = 24
@@ -29,7 +31,6 @@ func gradedSkewConfig() retrieval.Config {
 	cfg.PerFeatureMaxPooling = pool
 	cfg.Distribution = workload.Zipf
 	cfg.ZipfExponent = 1.2
-	cfg.Dedup = true
 	cfg.AdaptivePlacement = true
 	cfg.RebalanceEvery = 4
 	return cfg

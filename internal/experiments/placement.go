@@ -19,8 +19,8 @@ type PlacementOptions struct {
 	Sweep
 	// Policies names the placement policies to sweep. Known: static (the
 	// table-wise contiguous plan), greedy (the analytic LPT plan over
-	// EXPECTED loads), adaptive (statistics-driven rebalancing), and
-	// adaptive+mirror (rebalancing plus top-K hot-table replication).
+	// EXPECTED loads), adaptive (priced statistics-driven rebalancing), and
+	// adaptive+mirror (rebalancing plus a budget of hot-table mirrors).
 	// Default: all four.
 	Policies []string
 	// GPUs sizes the machine (default 4). Ignored when Base is set.

@@ -140,17 +140,22 @@ func (d *Device) RemoteIssueCost(n int) sim.Duration {
 // receivedBytes (from segments peer source ranks) into the layout the next
 // layer expects: a fixed framework cost, a per-source-segment op-chain cost,
 // and read+write traffic at the (low) unpack efficiency.
-func (d *Device) UnpackKernelCost(receivedBytes float64, segments int) sim.Duration {
+func (p Params) UnpackKernelCost(receivedBytes float64, segments int) sim.Duration {
 	if receivedBytes < 0 {
-		panic(fmt.Sprintf("gpu%d: negative unpack bytes %g", d.id, receivedBytes))
+		panic(fmt.Sprintf("gpu: negative unpack bytes %g", receivedBytes))
 	}
 	if segments < 0 {
-		panic(fmt.Sprintf("gpu%d: negative unpack segments %d", d.id, segments))
+		panic(fmt.Sprintf("gpu: negative unpack segments %d", segments))
 	}
 	moved := 2 * receivedBytes // read staging + write destination
-	return (d.params.UnpackFixed +
-		sim.Duration(sim.Duration(segments)*d.params.UnpackPerSegment) +
-		moved/(d.params.HBMBandwidth*d.params.UnpackEfficiency)) * sim.Duration(d.slow)
+	return p.UnpackFixed +
+		sim.Duration(sim.Duration(segments)*p.UnpackPerSegment) +
+		moved/(p.HBMBandwidth*p.UnpackEfficiency)
+}
+
+// UnpackKernelCost is Params.UnpackKernelCost on this device.
+func (d *Device) UnpackKernelCost(receivedBytes float64, segments int) sim.Duration {
+	return sim.Duration(d.params.UnpackKernelCost(receivedBytes, segments) * sim.Duration(d.slow))
 }
 
 // EncodeKernelCost models the owner-side wire-precision encode: rawBytes of

@@ -14,8 +14,53 @@ func testConfig() Config {
 	}
 }
 
-func testModel() CostModel {
-	return CostModel{GPUs: 4, VectorBytes: 256, HBMBandwidth: 900e9, WireBandwidth: 50e9}
+// loadPricer is a test Pricer with one transport: a GPU's batch takes its
+// owned tables' observed lookups at rate lookups per second, except that a
+// mirrored table's other consumers read it locally for free, so its owner
+// keeps only its own 1/GPUs share; migration sends bytes one after another
+// at bandwidth bytes per second.
+type loadPricer struct {
+	gpus            int
+	rate, bandwidth float64
+	tableBytes      []int64
+	load, out       []float64
+}
+
+func (p *loadPricer) Batch(st *Stats, owner []int, hot []bool) []float64 {
+	if p.out == nil {
+		p.load, p.out = make([]float64, p.gpus), make([]float64, 1)
+	}
+	load := p.load
+	clear(load)
+	for t, g := range owner {
+		l := st.Loads()[t]
+		if hot[t] {
+			l /= float64(p.gpus)
+		}
+		load[g] += l
+	}
+	p.out[0] = 0
+	for _, l := range load {
+		p.out[0] = max(p.out[0], l/p.rate)
+	}
+	return p.out
+}
+
+func (p *loadPricer) Migration(owner []int, moves []Move, newMirrors []int) float64 {
+	var bytes int64
+	for _, m := range moves {
+		bytes += p.tableBytes[m.Table]
+	}
+	for _, t := range newMirrors {
+		bytes += p.tableBytes[t] * int64(p.gpus-1)
+	}
+	return float64(bytes) / p.bandwidth
+}
+
+// testPricer prices testConfig's layouts: a lookup takes a microsecond, and
+// migration is cheap enough that any real saving pays for it.
+func testPricer() *loadPricer {
+	return &loadPricer{gpus: 4, rate: 1e6, bandwidth: 1e9, tableBytes: testConfig().TableBytes}
 }
 
 func TestConfigValidate(t *testing.T) {
@@ -142,41 +187,11 @@ func TestMovesAndBytes(t *testing.T) {
 	}
 }
 
-func TestCostModelPrefersBalance(t *testing.T) {
-	m := testModel()
-	loads := []float64{100, 1, 1, 1, 1, 1, 1, 1}
-	skewed := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-	balanced, err := LPT(loads, testConfig().TableBytes, 4, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if bs, ss := m.Score(balanced, loads, nil), m.Score(skewed, loads, nil); bs.Total >= ss.Total {
-		t.Fatalf("balanced plan scored %g, skewed %g; balance must win", bs.Total, ss.Total)
-	}
-}
-
-func TestCostModelMirrorSplitsHotLoad(t *testing.T) {
-	m := testModel()
-	loads := []float64{100, 1, 1, 1, 1, 1, 1, 1}
-	plan := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-	hot := make([]bool, 8)
-	hot[0] = true
-	plain := m.Score(plan, loads, nil)
-	mirrored := m.Score(plan, loads, hot)
-	if mirrored.MaxOwnerTime >= plain.MaxOwnerTime {
-		t.Fatalf("mirroring the hot table must cut the max owner time (%g vs %g)",
-			mirrored.MaxOwnerTime, plain.MaxOwnerTime)
-	}
-	if mirrored.WireBytes >= plain.WireBytes {
-		t.Fatalf("mirrored tables leave the wire (%g vs %g)", mirrored.WireBytes, plain.WireBytes)
-	}
-}
-
 func TestControllerLifecycle(t *testing.T) {
 	cfg := testConfig()
 	cfg.HotTables = 1
 	initial := [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}}
-	c, err := NewController(cfg, testModel(), initial)
+	c, err := NewController(cfg, testPricer(), initial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,9 +208,10 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatalf("rebalance with no stats must be a no-op: %+v", rb)
 	}
 
-	// Feed a heavily skewed epoch: table 0 is the hottest (it will be
-	// mirrored), and tables 2 and 3 — colocated on GPU 1 — carry the bulk
-	// of the unmirrorable load, so the LPT swap must separate them.
+	// Feed a heavily skewed epoch: table 0 is the hottest, and tables 2 and
+	// 3 — colocated on GPU 1 — carry the bulk of the rest. Moving one of
+	// them off GPU 1, then mirroring table 0, each lowers the slowest GPU's
+	// priced batch, so the search must separate them and mirror table 0.
 	feed := func() {
 		st := c.Stats()
 		for batch := 0; batch < 2; batch++ {
@@ -241,8 +257,8 @@ func TestControllerLifecycle(t *testing.T) {
 		t.Fatalf("Rebalances = %d, want 1", c.Rebalances())
 	}
 
-	// Same traffic again: the plan is already balanced, hysteresis holds
-	// it, and the already-installed mirror costs nothing new.
+	// Same traffic again: no neighbour of the adopted layout is cheaper, so
+	// the plan holds, and the already-installed mirror costs nothing new.
 	feed()
 	rb2, err := c.Rebalance()
 	if err != nil {
@@ -260,7 +276,7 @@ func TestControllerDeterminism(t *testing.T) {
 	build := func() *Rebalance {
 		cfg := testConfig()
 		cfg.HotTables = 2
-		c, err := NewController(cfg, testModel(), [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
+		c, err := NewController(cfg, testPricer(), [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -281,5 +297,108 @@ func TestControllerDeterminism(t *testing.T) {
 	a, b := build(), build()
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("identical feeds diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// A candidate must pay for its migration within the epoch: with the same
+// skew but a fabric so slow that any move or mirror costs more than the
+// epoch could save, the controller keeps the incumbent, mirrors nothing
+// despite its budget, and reports no gain.
+func TestControllerDeclinesUnpaidMigration(t *testing.T) {
+	cfg := testConfig()
+	cfg.HotTables = 2
+	pr := testPricer()
+	pr.bandwidth = 1e3 // 100 ms per table
+	c, err := NewController(cfg, pr, [][]int{{0, 1}, {2, 3}, {4, 5}, {6, 7}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := c.Stats()
+	for batch := 0; batch < 2; batch++ {
+		st.BeginBatch()
+		for tb, l := range []float64{100, 1, 90, 80, 1, 1, 1, 1} {
+			st.AddTable(tb, l)
+		}
+		st.EndBatch()
+	}
+	rb, err := c.Rebalance()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rb.Swapped || rb.Hot != nil || rb.MoveBytes+rb.MirrorBytes != 0 || rb.Gain != 0 {
+		t.Fatalf("an unpaid migration was adopted: %+v", rb)
+	}
+	// The same skew over a fast fabric pays: the decision follows the price.
+	pr.bandwidth = 1e9
+	if rb, err = c.Rebalance(); err != nil {
+		t.Fatal(err)
+	}
+	if !rb.Swapped || rb.Gain <= 0 {
+		t.Fatalf("a paying move was declined: %+v", rb)
+	}
+}
+
+// Stats folds every (table, consumer) count as an EMA, except that a batch
+// marking a table mirrored leaves its layout-dependent counts — cache hits,
+// distinct rows — and its node counts at their averages.
+func TestStatsPairCountsFoldAndFreeze(t *testing.T) {
+	st := NewStats(testConfig())
+	feed := func(x Counts, node float64, mirrored bool) {
+		st.BeginBatch()
+		*st.Open(3, 2) = x
+		st.AddNodeUniq(3, 1, node)
+		if mirrored {
+			st.Mirrored(3)
+		}
+		st.EndBatch()
+	}
+	first := Counts{Refs: 40, Vecs: 8, Bags: 10, CacheVecs: 2, CacheIdx: 6, Uniq: 12}
+	feed(first, 20, false)
+	if got := st.Pair(3, 2); got != first || st.NodeUniq(3, 1) != 20 {
+		t.Fatalf("first batch must seed the EMA directly: %+v, node %g", got, st.NodeUniq(3, 1))
+	}
+	feed(Counts{Refs: 80, Vecs: 8, Bags: 10}, 0, true)
+	want := Counts{Refs: 50, Vecs: 8, Bags: 10, CacheVecs: 2, CacheIdx: 6, Uniq: 12}
+	if got := st.Pair(3, 2); got != want || st.NodeUniq(3, 1) != 20 {
+		t.Fatalf("mirrored batch: %+v, node %g; want %+v, node 20", got, st.NodeUniq(3, 1), want)
+	}
+	feed(Counts{Refs: 50, Vecs: 8, Bags: 10, CacheVecs: 6, CacheIdx: 10, Uniq: 16}, 24, false)
+	want = Counts{Refs: 50, Vecs: 8, Bags: 10, CacheVecs: 3, CacheIdx: 7, Uniq: 13}
+	if got := st.Pair(3, 2); got != want || st.NodeUniq(3, 1) != 21 {
+		t.Fatalf("unmirrored batch: %+v, node %g; want %+v, node 21", got, st.NodeUniq(3, 1), want)
+	}
+	if got := st.Pair(2, 2); got != (Counts{}) {
+		t.Fatalf("an unfed pair holds %+v", got)
+	}
+}
+
+// BenchmarkRebalance measures one epoch decision on a 32-table, 4-GPU
+// machine with a two-table mirror budget: the descent over every single-table
+// move and mirror prefix, priced by a one-transport test pricer.
+func BenchmarkRebalance(b *testing.B) {
+	cfg := Config{Tables: 32, GPUs: 4, TableBytes: make([]int64, 32), RebalanceEvery: 8, HotTables: 2}
+	initial := make([][]int, cfg.GPUs)
+	for tb := range cfg.TableBytes {
+		cfg.TableBytes[tb] = 1 << 20
+		initial[tb/8] = append(initial[tb/8], tb)
+	}
+	pr := &loadPricer{gpus: cfg.GPUs, rate: 1e6, bandwidth: 1e12, tableBytes: cfg.TableBytes}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		c, err := NewController(cfg, pr, initial)
+		if err != nil {
+			b.Fatal(err)
+		}
+		st := c.Stats()
+		st.BeginBatch()
+		for tb := range cfg.TableBytes {
+			st.AddTable(tb, float64(int(64)>>min(tb/2, 6)+4))
+		}
+		st.EndBatch()
+		b.StartTimer()
+		if _, err := c.Rebalance(); err != nil {
+			b.Fatal(err)
+		}
 	}
 }

@@ -368,7 +368,11 @@ func TestClassifyDedupMatchesOracle(t *testing.T) {
 			c.CacheFraction = 0.003
 		}},
 		{"drift", DefaultHardware(), func(c *Config) { c.HotSetDriftEvery = 2 }},
+		// One dominant table, at a batch large enough that mirroring it
+		// pays for its install under dedup, so the controller mirrors it.
 		{"placement-mirror", DefaultHardware(), func(c *Config) {
+			c.PerFeatureMaxPooling = []int{32, 8, 8, 3, 3, 3}
+			c.BatchSize = 512
 			c.AdaptivePlacement = true
 			c.HotTables = 1
 			c.RebalanceEvery = 2

@@ -128,24 +128,25 @@ type Config struct {
 	// excludes Dedup and AdaptivePlacement.
 	Replicas int
 	// AdaptivePlacement enables the access-statistics-driven placement
-	// layer: the route-plan compiler feeds per-table lookup statistics to
-	// a placement controller, and every RebalanceEvery batches the run
-	// recomputes table placement from OBSERVED loads (LPT over the EMA,
-	// cost-model-gated with hysteresis), charges the shard migration as
-	// real NVLink/NIC traffic on the simulated clock, and swaps the
-	// effective plan at the batch boundary. Outputs are bit-exact with
-	// rebalancing on or off. Forces pipeline depth 1 (a plan swap is
-	// defined against a lockstep batch sequence).
+	// layer: the route-plan compiler feeds per-(table, consumer)
+	// statistics to a placement controller, and every RebalanceEvery
+	// batches the run moves tables and mirrors hot ones when the layout's
+	// priced batch pays for its migration within the epoch, charges the
+	// migration as real NVLink/NIC traffic on the simulated clock, and
+	// swaps the effective plan at the batch boundary. Outputs are
+	// bit-exact with rebalancing on or off. Forces pipeline depth 1 (a
+	// plan swap is defined against a lockstep batch sequence).
 	AdaptivePlacement bool
 	// RebalanceEvery is the adaptive-placement epoch length in batches.
 	// Required (positive) when AdaptivePlacement is set.
 	RebalanceEvery int
-	// HotTables additionally mirrors the top-K hottest OBSERVED tables on
-	// every GPU (selective replication — cheaper than the full-mirror
-	// Replicas): consumers pool mirrored vectors locally, exactly like a
-	// hot-row cache hit, and the mirror installs are charged as migration
-	// traffic. Requires AdaptivePlacement. Composes with the hot-row cache:
-	// a mirrored table's vectors never probe it.
+	// HotTables is the mirror budget: the controller may mirror up to this
+	// many of the hottest OBSERVED tables on every GPU (selective
+	// replication — cheaper than the full-mirror Replicas) when mirroring
+	// pays: consumers pool mirrored vectors locally, exactly like a hot-row
+	// cache hit, and the mirror installs are charged as migration traffic.
+	// Requires AdaptivePlacement. Composes with the hot-row cache: a
+	// mirrored table's vectors never probe it.
 	HotTables int
 	// HotSetDriftEvery passes through to the workload generator: the Zipf
 	// hot set rotates to a different index-space region every this many

@@ -1,7 +1,10 @@
 package retrieval
 
 import (
+	"math"
+
 	"pgasemb/internal/gpu"
+	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
 )
 
@@ -337,25 +340,29 @@ func (s *System) batchPrice(t routeTerms, wire sim.Duration) sim.Duration {
 }
 
 // priceRoutes decides owner src's routes for the batch in one pass over its
-// consumers, starting from all-dense. At each remote node's first consumer,
-// while the node's pairs are still dense, it flips the node's pairs to
-// node-wire (dv.NodeWire[src]) when that lowers the owner's batchPrice under
-// the one-sided rule; at each remote pair it flips the pair to wire
-// (dv.Wire[src]) when that lowers it under the pair rule, the collective's.
+// consumers, starting from all-dense, and returns the owner's priced batch
+// under the pair rule and under the one-sided rule. accs are the owner's pair accumulators by
+// consumer, nodes its (owner, node) accumulators (nil on one node), and
+// hitVecs and hitIdx the owner's own cache and mirror hits as a consumer;
+// gather[c] is pair (src, c)'s gather-dedup decision. At each remote node's
+// first consumer, while the node's pairs are still dense, it flips the
+// node's pairs to node-wire (nodeWire) when that lowers the owner's
+// batchPrice under the one-sided rule; at each remote pair it flips the pair
+// to wire (wire) when that lowers it under the pair rule, the collective's.
 // The two rules' prices are kept side by side: they differ only on node-wire
 // nodes, where the one-sided rule ignores the pair routes and ships one
-// staged send instead. gather[c] is pair (src, c)'s gather-dedup decision.
+// staged send instead. With wire nil (dedup off) every route stays dense and
+// only the price is returned.
 //
 // The wire term is the owner's slowest link: each pair on its node has its
 // own NVLink links, and each remote node's pairs share one NIC rail, so they
 // are priced as one send. Running sums, and the slowest link among the
 // decided and among the still-dense ones, make each flip O(1), so a batch
 // costs O(GPUs²), allocation-free.
-func (s *System) priceRoutes(plan *RoutePlan, src int, gather []bool, dv *DedupView) {
+func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, hitIdx int64, gather, wire, nodeWire []bool) (pairPrice, onePrice sim.Duration) {
 	G := s.Cfg.GPUs
 	vb := int64(s.Cfg.VectorBytes())
 	per := s.cluster.GPUsPerNode
-	accs := s.planScr.pairAcc[src*G : (src+1)*G]
 	// A link is named by its first consumer: a pair on the owner's node, or
 	// a remote node's first GPU.
 	link := func(c int) (first, end int) {
@@ -373,15 +380,14 @@ func (s *System) priceRoutes(plan *RoutePlan, src int, gather []bool, dv *DedupV
 		return accs[c].after
 	}
 
-	vecs, idx := plan.ConsumerChunkHits(src, 0, s.Cfg.BatchSize)
-	sum := routeTerms{hot: idx * vb, stream: idx*8 + int64(vecs)*vb, items: int64(vecs)}
+	sum := routeTerms{hot: hitIdx * vb, stream: hitIdx*8 + hitVecs*vb, items: hitVecs}
 	for c := range accs {
 		a := &accs[c]
 		cls := RouteDense
 		if c == src {
 			cls = RouteLocal
 		}
-		a.terms = s.routeTermsOf(cls, a.miss, a.dense, a.uniq, gather[c])
+		a.terms = s.routeTermsOf(cls, a.miss, a.dense, a.uniq, gather != nil && gather[c])
 		sum = sum.plus(a.terms)
 		sum.stream += a.miss * 8
 		k, _ := link(c)
@@ -406,13 +412,13 @@ func (s *System) priceRoutes(plan *RoutePlan, src int, gather []bool, dv *DedupV
 		if c == k {
 			staged = false
 		}
-		if c != src {
+		if c != src && wire != nil {
 			others := max(pairWire, after(end))
 			if c == k && end == k+per {
 				// A remote node's first consumer: price its pairs as one
 				// staged send.
-				var dense, nodeWire routeTerms
-				nodeUniq := s.planScr.nodeAcc[src*s.cluster.Nodes+s.nodeOf(c)].uniq
+				var dense, staging routeTerms
+				nodeUniq := nodes[s.nodeOf(c)].uniq
 				lane := s.stageGPU(src, s.nodeOf(c))
 				for d := c; d < end; d++ {
 					var uniq int64
@@ -420,26 +426,26 @@ func (s *System) priceRoutes(plan *RoutePlan, src int, gather []bool, dv *DedupV
 						uniq = nodeUniq
 					}
 					dense = dense.plus(accs[d].terms)
-					nodeWire = nodeWire.plus(s.routeTermsOf(RouteNodeWire, accs[d].miss, accs[d].dense, uniq, false))
+					staging = staging.plus(s.routeTermsOf(RouteNodeWire, accs[d].miss, accs[d].dense, uniq, false))
 				}
 				rest := max(oneWire, after(end))
-				flip, wire := one.minus(dense).plus(nodeWire), s.wireTime(src, lane, nodeUniq)
-				staged = s.batchPrice(flip, max(rest, wire)) < s.batchPrice(one, max(rest, s.wireTime(src, k, l.link)))
+				flip, send := one.minus(dense).plus(staging), s.wireTime(src, lane, nodeUniq)
+				staged = s.batchPrice(flip, max(rest, send)) < s.batchPrice(one, max(rest, s.wireTime(src, k, l.link)))
 				if staged {
-					dv.NodeWire[src][s.nodeOf(c)] = true
-					one, oneWire = flip, max(oneWire, wire)
+					nodeWire[s.nodeOf(c)] = true
+					one, oneWire = flip, max(oneWire, send)
 				}
 			}
-			wire := s.routeTermsOf(RouteWire, a.miss, a.dense, a.uniq, false)
-			flipped := l.link - a.terms.remote + wire.remote
-			flip := sum.minus(a.terms).plus(wire)
+			flipTerms := s.routeTermsOf(RouteWire, a.miss, a.dense, a.uniq, false)
+			flipped := l.link - a.terms.remote + flipTerms.remote
+			flip := sum.minus(a.terms).plus(flipTerms)
 			if s.batchPrice(flip, max(others, s.wireTime(src, k, flipped))) <
 				s.batchPrice(sum, max(others, s.wireTime(src, k, l.link))) {
-				dv.Wire[src][c] = true
+				wire[c] = true
 				if !staged {
-					one = one.minus(a.terms).plus(wire)
+					one = one.minus(a.terms).plus(flipTerms)
 				}
-				sum, a.terms, l.link = flip, wire, flipped
+				sum, a.terms, l.link = flip, flipTerms, flipped
 			}
 		}
 		if c == end-1 { // the link is decided
@@ -447,6 +453,203 @@ func (s *System) priceRoutes(plan *RoutePlan, src int, gather []bool, dv *DedupV
 			if !staged {
 				oneWire = max(oneWire, s.wireTime(src, k, l.link))
 			}
+		}
+	}
+	return s.batchPrice(sum, pairWire), s.batchPrice(one, oneWire)
+}
+
+// migrationTime returns the uncontended makespan of a placement decision's
+// sends (migrationSends): when the last of them lands if the fabric carries
+// nothing else, as chargeMigration's deliveries do on an idle fabric. Sends
+// within a node queue on their pair's NVLink pipe. Sends across nodes queue
+// their message launches on the sending GPU's NIC rail and their wire bytes
+// on that rail's egress and the destination node's ingress, then land after
+// the NIC latency.
+func (s *System) migrationTime(owner []int, moves []placement.Move, newMirrors []int, tableBytes []int64) sim.Duration {
+	G := s.Cfg.GPUs
+	nic := s.HW.NIC
+	rails := s.cluster.Nodes * nic.NICsPerNode
+	pipe := make([]sim.Duration, G*G)
+	nicFree := make([]sim.Duration, 3*rails) // launch, egress and ingress horizons per rail
+	launch, egress, ingress := nicFree[:rails], nicFree[rails:2*rails], nicFree[2*rails:]
+	var until sim.Duration
+	migrationSends(owner, moves, newMirrors, tableBytes, G, func(src, dst int, bytes int64) {
+		payload := int(bytes)
+		if s.nodeOf(src) == s.nodeOf(dst) {
+			p := &pipe[src*G+dst]
+			*p += sim.Duration(float64(payload) / (float64(s.cluster.Links(src, dst)) * s.HW.Link.LinkBandwidth))
+			until = max(until, *p+s.HW.Link.LinkLatency)
+			return
+		}
+		rail := s.cluster.Lane(src) % nic.NICsPerNode
+		out, in := s.nodeOf(src)*nic.NICsPerNode+rail, s.nodeOf(dst)*nic.NICsPerNode+rail
+		launch[out] += sim.Duration(sim.Duration(nic.Messages(payload)) * nic.MessageOverhead)
+		wire := sim.Duration(nic.WireBytes(payload) / nic.Bandwidth)
+		egress[out] = max(egress[out], launch[out]) + wire
+		ingress[in] = max(ingress[in], launch[out]) + wire
+		until = max(until, max(egress[out], ingress[in])+nic.Latency)
+	})
+	return until
+}
+
+// layoutPricer is the placement controller's Pricer. It prices a layout the
+// way route-plan compilation prices a batch: it rebuilds every pair's
+// accumulators from the controller's per-(table, consumer) statistics,
+// decides gather dedup (gatherDedupWins) and the routes (priceRoutes), and
+// takes each owner's priced batch. A pair's counts are sums over its owner's
+// tables:
+//
+//   - the owner's own table counts all its references and samples;
+//   - a mirrored table's other consumers read its non-empty vectors
+//     locally, as hit terms (addHits), and leave only their empty bags in
+//     the pair;
+//   - any other table's consumers bring their cache-missed counts to the
+//     pair and their cache hits to their hit terms.
+//
+// A layout has two prices, one per transport, and the controller adopts a
+// layout only when it pays under both: the one-sided rule's slowest owner,
+// and the pair rule's slowest GPU, whose owner's batch is followed by the
+// unpack of the dense segments it receives, as the collective's walk runs
+// them.
+//
+// On one batch's counts, the incumbent layout's prices are the compiled
+// plan's exactly. Other layouts reuse each (table, consumer)'s observed
+// counts: a move changes which GPU serves them, not how many there are. The
+// prices read only counts and HardwareParams, never a run's pipes or clock,
+// so decisions are the same in every backend and mode.
+type layoutPricer struct {
+	s          *System // configuration, hardware and geometry only
+	tableBytes []int64
+
+	sums   []pairSums // [owner*GPUs+consumer]
+	hits   []hitSums  // [consumer]
+	nodeU  []float64  // [owner*Nodes+node]
+	accs   []pairAcc
+	nodes  []nodeAcc
+	gather []bool
+	wire   []bool // [owner*GPUs+consumer]
+	staged []bool
+
+	one, pair, unpack []sim.Duration // per GPU
+	prices            []float64      // the one-sided and the pair rule's
+}
+
+// pairSums is a pair's count sums over its owner's tables.
+type pairSums struct{ miss, dense, uniq float64 }
+
+// hitSums is a consumer's cache and mirror hits: vectors and references.
+type hitSums struct{ vecs, idx float64 }
+
+func newLayoutPricer(s *System, tableBytes []int64) *layoutPricer {
+	G, N := s.Cfg.GPUs, s.cluster.Nodes
+	return &layoutPricer{
+		s: s, tableBytes: tableBytes,
+		sums: make([]pairSums, G*G), hits: make([]hitSums, G), nodeU: make([]float64, G*N),
+		accs: make([]pairAcc, G*G), nodes: make([]nodeAcc, G*N),
+		gather: make([]bool, G), wire: make([]bool, G*G), staged: make([]bool, N),
+		one: make([]sim.Duration, G), pair: make([]sim.Duration, G), unpack: make([]sim.Duration, G),
+		prices: make([]float64, 2),
+	}
+}
+
+// Batch implements placement.Pricer: the one-sided rule's slowest owner, and
+// the pair rule's slowest owner-plus-unpack.
+func (pr *layoutPricer) Batch(st *placement.Stats, owner []int, hot []bool) []float64 {
+	pr.price(st, owner, hot)
+	var one, pair sim.Duration
+	for g := range pr.one {
+		one = max(one, pr.one[g])
+		pair = max(pair, pr.pair[g]+pr.unpack[g])
+	}
+	pr.prices[0], pr.prices[1] = one, pair
+	return pr.prices
+}
+
+// Migration implements placement.Pricer.
+func (pr *layoutPricer) Migration(owner []int, moves []placement.Move, newMirrors []int) float64 {
+	return pr.s.migrationTime(owner, moves, newMirrors, pr.tableBytes)
+}
+
+// price fills every GPU's priced batch under the layout: as an owner under
+// each route rule (one, pair), and the unpack of the dense segments it
+// receives under the pair rule.
+func (pr *layoutPricer) price(st *placement.Stats, owner []int, hot []bool) {
+	s := pr.s
+	G, N := s.Cfg.GPUs, s.cluster.Nodes
+	clear(pr.sums)
+	clear(pr.hits)
+	clear(pr.nodeU)
+	for t, o := range owner {
+		for c := 0; c < G; c++ {
+			x := st.Pair(t, c)
+			a, h := &pr.sums[o*G+c], &pr.hits[c]
+			switch {
+			case c == o:
+				a.miss += x.Refs
+				a.dense += x.Bags
+				a.uniq += x.Uniq
+			case hot[t]:
+				a.dense += x.Bags - x.Vecs
+				h.vecs += x.Vecs
+				h.idx += x.Refs
+			default:
+				a.miss += x.Refs - x.CacheIdx
+				a.dense += x.Bags - x.CacheVecs
+				a.uniq += x.Uniq
+				h.vecs += x.CacheVecs
+				h.idx += x.CacheIdx
+			}
+		}
+		if N > 1 && !hot[t] {
+			for node := 0; node < N; node++ {
+				if node != s.nodeOf(o) {
+					pr.nodeU[o*N+node] += st.NodeUniq(t, node)
+				}
+			}
+		}
+	}
+	count := func(x float64) int64 { return int64(math.Round(x)) }
+	vb := float64(s.Cfg.VectorBytes())
+	clear(pr.wire)
+	for o := 0; o < G; o++ {
+		accs := pr.accs[o*G : (o+1)*G]
+		for c := range accs {
+			m := pr.sums[o*G+c]
+			miss := count(m.miss)
+			accs[c] = pairAcc{miss: miss, dense: count(m.dense), uniq: min(count(m.uniq), miss)}
+		}
+		var nodes []nodeAcc
+		if N > 1 {
+			nodes = pr.nodes[o*N : (o+1)*N]
+			for node := range nodes {
+				nodes[node] = nodeAcc{uniq: count(pr.nodeU[o*N+node])}
+			}
+		}
+		var gather, wire []bool
+		if s.Cfg.Dedup {
+			gather, wire = pr.gather, pr.wire[o*G:(o+1)*G]
+			clear(pr.staged)
+			for c, a := range accs {
+				gather[c] = gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
+			}
+		}
+		h := pr.hits[o]
+		pr.pair[o], pr.one[o] = s.priceRoutes(o, accs, nodes, count(h.vecs), count(h.idx), gather, wire, pr.staged)
+	}
+	// The pair rule's unpack (unpackWork): one segment per remote owner
+	// with a dense pair to the consumer, and its vectors.
+	for c := 0; c < G; c++ {
+		var vecs int64
+		segments := 0
+		for o := 0; o < G; o++ {
+			if o != c && !pr.wire[o*G+c] {
+				vecs += pr.accs[o*G+c].dense
+				segments++
+			}
+		}
+		pr.unpack[c] = 0
+		if segments > 0 {
+			pr.unpack[c] = s.HW.GPU.UnpackKernelCost(float64(vecs)*vb, segments)
 		}
 	}
 }

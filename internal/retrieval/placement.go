@@ -5,14 +5,15 @@ import (
 
 	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
+	"pgasemb/internal/sparse"
 )
 
 // Adaptive placement wiring. The placement package decides WHERE tables live
 // and WHICH are mirrored; this file connects those decisions to the machine:
 //
-//   - the route-plan compiler feeds the controller's statistics collector
-//     each table's reference count from the batch's pooling pass
-//     (observeLoads);
+//   - the route-plan compiler's walk feeds the controller's statistics
+//     collector each (table, consumer)'s counts (observeTable, and the
+//     residency and dedup steps);
 //   - mirrored hot tables are guaranteed hits in the route plan's residency
 //     view (residencyTable), so every backend's existing hit-skipping path
 //     serves mirror reads with zero backend edits;
@@ -72,14 +73,40 @@ func (s *System) Migration() (rebalances int, bytes float64) {
 	return s.rebalances, s.migratedBytes
 }
 
-// observeLoads folds the open batch into st: a table's statistic is its
-// reference count, which the pooling pass already drew.
-func (s *System) observeLoads(st *placement.Stats) {
-	st.BeginBatch()
-	for fid := range s.Cfg.TotalTables {
-		st.AddTable(fid, float64(s.gen.FeatureLen(fid)))
+// placeStats returns the attached controller's statistics collector, nil
+// without one.
+func (s *System) placeStats() *placement.Stats {
+	if s.placeCtl == nil {
+		return nil
 	}
-	st.EndBatch()
+	return s.placeCtl.Stats()
+}
+
+// observeTable records the layout-independent counts of the table whose
+// bags fb holds into the open batch of st: its lookup count, and per
+// consumer its references, non-empty bags and samples. A mirrored table is
+// marked so that its layout-dependent counts keep their averages.
+func (s *System) observeTable(st *placement.Stats, fb *sparse.FeatureBag) {
+	fid := fb.FeatureID
+	st.AddTable(fid, float64(fb.Offsets[s.Cfg.BatchSize]))
+	if s.hotMirrorActive() && s.hotMirror[fid] {
+		st.Mirrored(fid)
+	}
+	for c := 0; c < s.Cfg.GPUs; c++ {
+		lo, hi := s.Minibatch(c)
+		offs := fb.Offsets[lo : hi+1]
+		vecs, prev := 0, offs[0]
+		for _, off := range offs[1:] {
+			if off > prev {
+				vecs++
+			}
+			prev = off
+		}
+		x := st.Open(fid, c)
+		x.Refs = float64(offs[len(offs)-1] - offs[0])
+		x.Vecs = float64(vecs)
+		x.Bags = float64(hi - lo)
+	}
 }
 
 // accumOwnerLoad charges one batch's embedding service work to the GPU that
@@ -161,43 +188,43 @@ func (s *System) setHot(hot []int) {
 	s.hotCount = len(hot)
 }
 
-// chargeMigration prices a rebalance decision's data movement on the live
-// machine: each moved shard rides the direct NVLink pipe (or the NIC fabric
-// when source and destination sit on different nodes), and each new mirror
-// is copied from its owner to every other GPU. It returns the last delivery
-// time — the availability cost of rebalancing under traffic.
+// chargeMigration offers a rebalance decision's data movement to the live
+// machine (migrationSends): each send rides the direct NVLink pipe, or the
+// NIC fabric when source and destination sit on different nodes. It returns
+// the last delivery time — the availability cost of rebalancing under
+// traffic.
 func (s *System) chargeMigration(reb *placement.Rebalance) sim.Time {
-	tb := s.placeCtl.Config().TableBytes
-	var until sim.Time
-	send := func(src, dst int, bytes int64) {
-		if src == dst || bytes <= 0 {
-			return
+	owner := make([]int, s.Cfg.TotalTables)
+	for g, shard := range reb.Plan {
+		for _, t := range shard {
+			owner[t] = g
 		}
+	}
+	var until sim.Time
+	migrationSends(owner, reb.Moves, reb.NewMirrors, s.placeCtl.Config().TableBytes, s.Cfg.GPUs, func(src, dst int, bytes int64) {
 		var at sim.Time
 		if s.nodeOf(src) != s.nodeOf(dst) {
 			at = s.Net.Send(src, s.nodeOf(dst), int(bytes))
 		} else {
 			at = s.Fab.Pipe(src, dst).Offer(float64(bytes))
 		}
-		if at > until {
-			until = at
-		}
-	}
-	for _, mv := range reb.Moves {
-		send(mv.From, mv.To, tb[mv.Table])
-	}
-	if len(reb.NewMirrors) > 0 {
-		owner := make([]int, s.Cfg.TotalTables)
-		for g, shard := range reb.Plan {
-			for _, t := range shard {
-				owner[t] = g
-			}
-		}
-		for _, t := range reb.NewMirrors {
-			for g := 0; g < s.Cfg.GPUs; g++ {
-				send(owner[t], g, tb[t])
-			}
-		}
-	}
+		until = max(until, at)
+	})
 	return until
+}
+
+// migrationSends calls send for every transfer a placement decision makes,
+// in order: each moved table from its old owner to its new one, then each
+// new mirror from its owner under owner to every other GPU.
+func migrationSends(owner []int, moves []placement.Move, newMirrors []int, tableBytes []int64, gpus int, send func(src, dst int, bytes int64)) {
+	for _, mv := range moves {
+		send(mv.From, mv.To, tableBytes[mv.Table])
+	}
+	for _, t := range newMirrors {
+		for g := 0; g < gpus; g++ {
+			if g != owner[t] {
+				send(owner[t], g, tableBytes[t])
+			}
+		}
+	}
 }

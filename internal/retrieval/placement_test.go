@@ -8,7 +8,6 @@ import (
 	"slices"
 	"testing"
 
-	"pgasemb/internal/metrics"
 	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
@@ -18,13 +17,24 @@ import (
 
 // placementGateConfig is the registry gate's adaptive-placement variant of
 // clusterTestConfig: graded per-feature pooling — one dominant table, two
-// mid-hot tables, flat tail — so the observed loads are imbalanced enough
-// that the controller swaps both with and without the dominant table
-// mirrored, and enough batches for two rebalance boundaries.
+// mid-hot tables, flat tail — so the priced controller finds a move that
+// pays under every variant, and enough batches for two rebalance
+// boundaries. The mirror variants run mirrorGateConfig's shape instead.
 func placementGateConfig() Config {
 	cfg := clusterTestConfig(4)
 	cfg.Batches = 6
 	cfg.PerFeatureMaxPooling = []int{12, 8, 8, 3, 3, 3}
+	return cfg
+}
+
+// mirrorGateConfig is placementGateConfig with a more dominant hottest table
+// and a larger batch, so that under adaptive placement every 2 batches with
+// a one-table mirror budget, mirroring that table pays for its install, with
+// and without dedup, and the controller mirrors it at the first epoch.
+func mirrorGateConfig() Config {
+	cfg := placementGateConfig()
+	cfg.PerFeatureMaxPooling = []int{32, 8, 8, 3, 3, 3}
+	cfg.BatchSize = 512
 	return cfg
 }
 
@@ -42,6 +52,9 @@ func registryPlacementGate(t *testing.T, name, machine string, hw HardwareParams
 	run := func(t *testing.T, functional, adaptive, dedup, cached bool, hot int, prec Precision) (*Result, *System) {
 		t.Helper()
 		cfg := placementGateConfig()
+		if hot > 0 {
+			cfg = mirrorGateConfig()
+		}
 		cfg.Functional = functional
 		cfg.Dedup = dedup
 		cfg.WirePrecision = prec
@@ -98,10 +111,13 @@ func registryPlacementGate(t *testing.T, name, machine string, hw HardwareParams
 		{"rebalance+mirror+dedup+cache", 1, true, true, FP32},
 	} {
 		t.Run(fmt.Sprintf("%s/%s+placement-%s", name, machine, v.label), func(t *testing.T) {
-			off, _ := run(t, true, false, v.dedup, v.cache, 0, v.prec)
+			off, _ := run(t, true, false, v.dedup, v.cache, v.hot, v.prec)
 			on, sys := run(t, true, true, v.dedup, v.cache, v.hot, v.prec)
 			if on.Rebalances == 0 {
 				t.Fatal("skewed gate workload triggered no rebalance; the gate is not exercising swaps")
+			}
+			if v.hot > 0 && !sys.hotMirrorActive() {
+				t.Fatal("the controller mirrored no table; the gate is not exercising mirrors")
 			}
 			if v.cache && sys.Caches.Stats().Hits == 0 {
 				t.Fatal("cached gate workload saw no cache hits; the gate is not exercising the cache")
@@ -154,13 +170,13 @@ func placementSkewConfig() Config {
 
 // TestAdaptivePlacementBeatsStatic is the subsystem's acceptance criterion:
 // on the skewed workload, adaptive placement must strictly reduce the
-// slowest owner's served load versus the static table-wise plan, and must be
-// no worse than the analytic greedy planner (small slack: greedy knows the
-// expected loads a priori, adaptive has to learn them). The comparison is
-// made on the steady-state window — batches 12..24, after the controller has
-// learned the skew — isolated by differencing a 24-batch run against a
-// 12-batch run of the same seed (the load counters are deterministic
-// accumulators, so the difference is exactly that window's served load).
+// simulated time of the steady-state window versus the static table-wise
+// plan, and must be no slower than the analytic greedy planner beyond a 5%
+// slack (greedy knows the expected loads a priori, adaptive has to learn
+// them). The window is batches 12..24, after the controller has learned the
+// skew, isolated by differencing a 24-batch run against a 12-batch run of
+// the same seed: the runs are identical up to batch 12, so the difference is
+// exactly that window's time, migrations included.
 func TestAdaptivePlacementBeatsStatic(t *testing.T) {
 	run := func(batches int, mut func(*Config)) *Result {
 		t.Helper()
@@ -184,22 +200,8 @@ func TestAdaptivePlacementBeatsStatic(t *testing.T) {
 		c.RebalanceEvery = 3
 		c.HotTables = 2
 	}
-	steady := func(mut func(*Config)) []float64 {
-		long, short := run(24, mut), run(12, mut)
-		out := make([]float64, len(long.OwnerKeys))
-		for g := range out {
-			out[g] = float64(long.OwnerKeys[g] - short.OwnerKeys[g])
-		}
-		return out
-	}
-	maxOf := func(xs []float64) float64 {
-		var max float64
-		for _, x := range xs {
-			if x > max {
-				max = x
-			}
-		}
-		return max
+	steady := func(mut func(*Config)) float64 {
+		return run(24, mut).TotalTime - run(12, mut).TotalTime
 	}
 
 	adaptive := run(24, adapt)
@@ -210,18 +212,14 @@ func TestAdaptivePlacementBeatsStatic(t *testing.T) {
 		t.Error("rebalancing reported no migration traffic")
 	}
 
-	aLoad := steady(adapt)
-	sLoad := steady(nil)
-	gLoad := steady(func(c *Config) { c.GreedyPlan = true })
-	if a, s := maxOf(aLoad), maxOf(sLoad); a >= s {
-		t.Errorf("adaptive steady-state max-owner load %g is not below static table-wise %g", a, s)
+	a, s, g := steady(adapt), steady(nil), steady(func(c *Config) { c.GreedyPlan = true })
+	if a >= s {
+		t.Errorf("adaptive steady-state time %.6f ms is not below static table-wise %.6f ms", a*1e3, s*1e3)
 	}
-	if a, g := maxOf(aLoad), maxOf(gLoad); a > 1.05*g {
-		t.Errorf("adaptive steady-state max-owner load %g is worse than greedy %g beyond 5%% slack", a, g)
+	if a > 1.05*g {
+		t.Errorf("adaptive steady-state time %.6f ms is worse than greedy %.6f ms beyond 5%% slack", a*1e3, g*1e3)
 	}
-	if ai, si := metrics.Imbalance(aLoad), metrics.Imbalance(sLoad); ai >= si {
-		t.Errorf("adaptive owner imbalance %.3f is not below static %.3f", ai, si)
-	}
+	t.Logf("steady-state window: adaptive %.6f ms, static %.6f ms, greedy %.6f ms", a*1e3, s*1e3, g*1e3)
 }
 
 // TestOwnerLoadAccounting pins the served-load bookkeeping (the ROADMAP's
@@ -234,7 +232,7 @@ func TestOwnerLoadAccounting(t *testing.T) {
 	plain := TestScaleConfig(2)
 	cached := cacheTestConfig(3)
 	cached.CacheFraction = 0.003
-	mirrored := placementGateConfig()
+	mirrored := mirrorGateConfig()
 	mirrored.AdaptivePlacement = true
 	mirrored.RebalanceEvery = 2
 	mirrored.HotTables = 1
@@ -426,10 +424,10 @@ func TestAdaptivePlacementUnderDrift(t *testing.T) {
 // TestPipelinedPlacementRunsLockstep's run, the lockstep schedule that
 // finishes every rebalance epoch before it swaps the plan.
 var pipelinedPlacementTimes = map[string]sim.Duration{
-	"baseline":                  0.8099957518349503,
-	"baseline-direct-placement": 0.3177677518349504,
-	"pgas-fused":                0.3202582287242682,
-	"pgas-overlap-only":         0.812341873168713,
+	"baseline":                  0.8099396489176715,
+	"baseline-direct-placement": 0.3177100489176711,
+	"pgas-fused":                0.3201846969646134,
+	"pgas-overlap-only":         0.8122676302979468,
 }
 
 // batchRecorder is a backend that records the batches GPU 0 runs.
@@ -497,6 +495,288 @@ func TestPipelinedPlacementRunsLockstep(t *testing.T) {
 				t.Errorf("no pinned total for %q", name)
 			} else if res.TotalTime != want {
 				t.Errorf("TotalTime %v, want %v", res.TotalTime, want)
+			}
+		})
+	}
+}
+
+// gradedSkewServingConfig is the benchmark's infer-placement shape: the
+// placement sweep's graded-skew serving configuration (tables 0-1 pool up
+// to 64 rows, 2-3 up to 16, the tail up to 4; Zipf 1.2 rows, dedup) under
+// adaptive placement every 8 batches with a two-table mirror budget.
+func gradedSkewServingConfig(batches int) Config {
+	cfg := ServingScaleConfig(4)
+	cfg.Batches = batches
+	pool := make([]int, cfg.TotalTables)
+	for f := range pool {
+		pool[f] = 4
+	}
+	pool[0], pool[1] = 64, 64
+	pool[2], pool[3] = 16, 16
+	cfg.MinPooling, cfg.MaxPooling = 1, 4
+	cfg.PerFeatureMaxPooling = pool
+	cfg.ZipfExponent = 1.2
+	cfg.Dedup = true
+	cfg.AdaptivePlacement = true
+	cfg.RebalanceEvery = 8
+	cfg.HotTables = 2
+	return cfg
+}
+
+// TestAdaptivePlacementNeverSlowerThanStatic is the placement controller's
+// metamorphic gate: the controller adopts a layout only when its priced
+// batch over the epoch pays for the migration, so an adaptive run — with or
+// without a mirror budget — must never be slower than the same run on the
+// static plan, beyond a 0.5% allowance for what the prices leave out
+// (contention, unpack, latency). The grid is the registry gate's placement
+// and mirror workloads on every backend, one and two nodes, dedup and cache
+// on and off, plus the benchmark's infer-placement shape at 24 batches. Both outcomes
+// must occur: some point adopts a move or a mirror, and some declines
+// everything.
+func TestAdaptivePlacementNeverSlowerThanStatic(t *testing.T) {
+	type point struct {
+		name string
+		cfg  Config
+		hw   HardwareParams
+		be   string
+	}
+	var points []point
+	for _, be := range RegisteredBackends() {
+		for _, m := range []struct {
+			name string
+			hw   HardwareParams
+		}{{"single", DefaultHardware()}, {"cluster2", ClusterHardware(2)}} {
+			for _, shape := range []struct {
+				name string
+				cfg  Config
+			}{{"gate", placementGateConfig()}, {"mirror-gate", mirrorGateConfig()}} {
+				for _, dedup := range []bool{false, true} {
+					for _, cached := range []bool{false, true} {
+						cfg := shape.cfg
+						cfg.Functional = false
+						cfg.Dedup = dedup
+						if cached {
+							cfg.CacheFraction = 1e-8
+						}
+						cfg.AdaptivePlacement, cfg.RebalanceEvery, cfg.HotTables = true, 2, 1
+						name := fmt.Sprintf("%s/%s/%s/dedup=%v/cache=%v", be, m.name, shape.name, dedup, cached)
+						points = append(points, point{name, cfg, m.hw, be})
+					}
+				}
+			}
+		}
+	}
+	for _, be := range []string{"baseline", "pgas-fused"} {
+		points = append(points, point{"infer-placement/" + be, gradedSkewServingConfig(24), DefaultHardware(), be})
+	}
+	run := func(t *testing.T, p point, cfg Config) *Result {
+		t.Helper()
+		s, err := NewSystem(cfg, p.hw)
+		if err != nil {
+			t.Fatal(err)
+		}
+		be, err := NewBackendByName(p.be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := s.Run(be)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	var acted, declined int
+	for _, p := range points {
+		static := p.cfg
+		static.AdaptivePlacement, static.RebalanceEvery, static.HotTables = false, 0, 0
+		base := run(t, p, static).TotalTime
+		for _, hot := range []int{0, p.cfg.HotTables} {
+			cfg := p.cfg
+			cfg.HotTables = hot
+			res := run(t, p, cfg)
+			if res.MigratedBytes > 0 {
+				acted++
+			} else {
+				declined++
+			}
+			if res.TotalTime > 1.005*base {
+				t.Errorf("%s, mirror budget %d: adaptive %.6f ms exceeds static %.6f ms by %.2f%% (%d swaps, %.0f bytes migrated)",
+					p.name, hot, res.TotalTime*1e3, base*1e3, (res.TotalTime/base-1)*100, res.Rebalances, res.MigratedBytes)
+			}
+		}
+	}
+	if acted == 0 || declined == 0 {
+		t.Errorf("%d points moved or mirrored a table and %d declined; the gate needs both", acted, declined)
+	}
+}
+
+// TestPlacementPriceMatchesPlan holds the controller's prices to the route
+// plan's: rebuilt from one batch's raw per-table counts (no averaging), the
+// incumbent layout's price of every owner must equal, exactly, the
+// batchPrice of the terms the compiled plan charges that owner under each
+// route rule — its served pairs on their routes, its own cache and mirror
+// hits, and its slowest link — and every GPU's priced unpack must equal the
+// pair rule's unpack the collective's walk charges. The grid runs one and two nodes with dedup and the cache
+// on and off; every machine also runs a mirrored table, and the cached runs
+// warm the cache over earlier batches, so the priced batch has real hits.
+func TestPlacementPriceMatchesPlan(t *testing.T) {
+	for _, m := range []struct {
+		name string
+		hw   HardwareParams
+	}{{"single", DefaultHardware()}, {"cluster2", ClusterHardware(2)}} {
+		for _, dedup := range []bool{false, true} {
+			for _, cached := range []bool{false, true} {
+				for _, mirror := range []bool{false, true} {
+					name := fmt.Sprintf("%s/dedup=%v/cache=%v/mirror=%v", m.name, dedup, cached, mirror)
+					t.Run(name, func(t *testing.T) {
+						cfg := placementGateConfig()
+						cfg.Functional = false
+						cfg.Dedup = dedup
+						if cached {
+							cfg.CacheFraction = 1e-8
+						}
+						cfg.AdaptivePlacement = true
+						cfg.RebalanceEvery = 100
+						s, err := NewSystem(cfg, m.hw)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if mirror {
+							s.setHot([]int{0})
+						}
+						for b := 0; b < 2; b++ { // warm the cache
+							if _, err := s.NextBatchData(); err != nil {
+								t.Fatal(err)
+							}
+						}
+						// A fresh controller's first batch seeds its
+						// statistics with the raw counts.
+						ctl, err := s.Spec.NewPlacementController()
+						if err != nil {
+							t.Fatal(err)
+						}
+						s.placeCtl = ctl
+						bd, err := s.NextBatchData()
+						if err != nil {
+							t.Fatal(err)
+						}
+						if cached && bd.Plan.Cache != nil && s.Caches.Stats().Hits == 0 {
+							t.Fatal("no cache hits; the hit terms go unchecked")
+						}
+						owner := make([]int, cfg.TotalTables)
+						for g, shard := range s.Plan {
+							for _, fid := range shard {
+								owner[fid] = g
+							}
+						}
+						pr := newLayoutPricer(s, cfg.tableBytesAll())
+						pr.price(ctl.Stats(), owner, s.hotMirror)
+						plan := bd.Plan
+						for g := 0; g < cfg.GPUs; g++ {
+							if want := planPrice(s, plan, g, plan.Class); pr.one[g] != want {
+								t.Errorf("owner %d, one-sided rule: priced from statistics %v, from the compiled plan %v", g, pr.one[g], want)
+							}
+							if want := planPrice(s, plan, g, plan.CollectiveClass); pr.pair[g] != want {
+								t.Errorf("owner %d, pair rule: priced from statistics %v, from the compiled plan %v", g, pr.pair[g], want)
+							}
+							var want sim.Duration
+							if vecs, segments := plan.unpackWork(g, plan.CollectiveClass, false); segments > 0 {
+								want = s.HW.GPU.UnpackKernelCost(float64(vecs)*float64(cfg.VectorBytes()), segments)
+							}
+							if pr.unpack[g] != want {
+								t.Errorf("GPU %d: unpack priced from statistics %v, the walk's %v", g, pr.unpack[g], want)
+							}
+						}
+					})
+				}
+			}
+		}
+	}
+}
+
+// planPrice returns owner o's priced batch from the compiled plan under a
+// route rule: the batchPrice of the route terms of every pair it serves,
+// plus its own hits as a consumer, over its slowest link — a pair's NVLink
+// links, or one NIC send per remote node (the staged rows on a node-wire
+// node).
+func planPrice(s *System, plan *RoutePlan, o int, class routeRule) sim.Duration {
+	G := s.Cfg.GPUs
+	vb := int64(s.Cfg.VectorBytes())
+	vecs, idx := plan.ConsumerChunkHits(o, 0, s.Cfg.BatchSize)
+	sum := routeTerms{hot: idx * vb, stream: idx*8 + int64(vecs)*vb, items: int64(vecs)}
+	links := make([]int64, G) // wire vectors per link, named by its first consumer
+	for c := 0; c < G; c++ {
+		cls := class(o, c)
+		miss := plan.pairMissIdx(o, c)
+		uniq := int64(plan.pairItems(cls, o, c))
+		if plan.Dedup != nil && (cls == RouteLocal || cls == RouteDense) {
+			uniq = plan.Dedup.Uniq[o][c] // the gather-dedup split
+		}
+		terms := s.routeTermsOf(cls, miss, int64(plan.pairVecs(o, c)), uniq, plan.GatherDedup(o, c))
+		sum = sum.plus(terms)
+		sum.stream += miss * 8
+		k := c
+		if s.nodeOf(c) != s.nodeOf(o) {
+			k = s.nodeOf(c) * s.cluster.GPUsPerNode
+			if cls == RouteNodeWire {
+				k = s.stageGPU(o, s.nodeOf(c))
+			}
+		}
+		links[k] += terms.remote
+	}
+	var wire sim.Duration
+	for k, n := range links {
+		wire = max(wire, s.wireTime(o, k, n))
+	}
+	return s.batchPrice(sum, wire)
+}
+
+// TestMigrationTimeMatchesCharge holds migrationTime to the fabric: on an
+// idle machine, the priced makespan of a decision's sends must equal the
+// last delivery chargeMigration reports, exactly — moves within a node, and
+// on two nodes moves across them and mirror installs whose sends share a
+// NIC rail.
+func TestMigrationTimeMatchesCharge(t *testing.T) {
+	for _, c := range []struct {
+		name       string
+		hw         HardwareParams
+		moves      []placement.Move
+		newMirrors []int
+	}{
+		{"single/moves", DefaultHardware(), []placement.Move{{Table: 1, From: 0, To: 2}, {Table: 2, From: 1, To: 0}, {Table: 3, From: 1, To: 0}}, nil},
+		{"single/mirrors", DefaultHardware(), nil, []int{0, 4}},
+		{"single/moves+mirrors", DefaultHardware(), []placement.Move{{Table: 1, From: 0, To: 3}}, []int{0, 1}},
+		{"cluster2/moves", ClusterHardware(2), []placement.Move{{Table: 1, From: 0, To: 2}, {Table: 2, From: 1, To: 3}, {Table: 4, From: 2, To: 0}}, nil},
+		{"cluster2/mirrors", ClusterHardware(2), nil, []int{0, 2}},
+		{"cluster2/moves+mirrors", ClusterHardware(2), []placement.Move{{Table: 3, From: 1, To: 2}}, []int{0, 3}},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			cfg := placementGateConfig()
+			cfg.Functional = false
+			cfg.AdaptivePlacement = true
+			cfg.RebalanceEvery = 2
+			s, err := NewSystem(cfg, c.hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plan := make([][]int, cfg.GPUs)
+			owner := make([]int, cfg.TotalTables)
+			for g, shard := range s.Plan {
+				for _, fid := range shard {
+					owner[fid] = g
+				}
+			}
+			for _, mv := range c.moves {
+				owner[mv.Table] = mv.To
+			}
+			for fid, g := range owner {
+				plan[g] = append(plan[g], fid)
+			}
+			reb := &placement.Rebalance{Plan: plan, Moves: c.moves, NewMirrors: c.newMirrors}
+			want := s.chargeMigration(reb)
+			got := s.migrationTime(owner, c.moves, c.newMirrors, cfg.tableBytesAll())
+			if got != want || got <= 0 {
+				t.Errorf("migrationTime %v, chargeMigration delivers the last send at %v", got, want)
 			}
 		})
 	}

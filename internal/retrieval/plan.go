@@ -4,6 +4,7 @@ import (
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/metrics"
+	"pgasemb/internal/placement"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 )
@@ -337,8 +338,10 @@ func (s *System) drawBatch() *sparse.Batch {
 // dedup step, while its bags are in cache. The
 // bags come from bd.Sparse when the batch is materialised (functional runs
 // and PlanCompileLoop); a timing run draws each table as the walk reaches
-// it (Generator.Feature). Runs that read no indices skip the walk. The
-// placement statistics need only the pooling pass's per-table counts.
+// it (Generator.Feature). With a placement controller attached the walk
+// also records its statistics (observeTable, and the residency and dedup
+// steps' per-table counts). Runs that read no indices and record nothing
+// skip the walk.
 func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 	plan := &RoutePlan{sys: s, pooled: pooled}
 	bd.Plan = plan
@@ -351,7 +354,11 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
 		s.beginDedup()
 	}
-	if plan.Cache != nil || s.Cfg.Dedup {
+	st := s.placeStats()
+	if st != nil {
+		st.BeginBatch()
+	}
+	if plan.Cache != nil || s.Cfg.Dedup || st != nil {
 		for o, fids := range s.Plan {
 			for fi, fid := range fids {
 				fb := &s.planScr.bag
@@ -359,6 +366,9 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 					fb = bd.Sparse.FeatureByID(fid)
 				} else {
 					s.gen.Feature(fid, fb)
+				}
+				if st != nil {
+					s.observeTable(st, fb)
 				}
 				var hit []bool
 				if plan.Cache != nil {
@@ -385,8 +395,8 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 			bd.dedupBarrier = sim.NewBarrier(s.Env, s.Cfg.GPUs)
 		}
 	}
-	if s.placeCtl != nil {
-		s.observeLoads(s.placeCtl.Stats())
+	if st != nil {
+		st.EndBatch()
 	}
 	if s.Cfg.Replicas > 1 {
 		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
@@ -471,6 +481,10 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 	if !mirrored && !s.cacheEnabled() {
 		return hit
 	}
+	st := s.placeStats()
+	if mirrored {
+		st = nil // a mirrored table's cache counts are not observed
+	}
 	var tbl *embedding.Table
 	var w []float32
 	if cfg.Functional {
@@ -484,6 +498,10 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 		var c *cache.Cache
 		if !mirrored {
 			c = s.Caches.GPU(g)
+		}
+		var obs *placement.Counts
+		if st != nil {
+			obs = st.Open(fid, g)
 		}
 		lo, hi := s.Minibatch(g)
 		// The minibatch's hashed rows; bag smp's are
@@ -509,6 +527,10 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 				}
 			}
 			hit[smp] = true
+			if obs != nil {
+				obs.CacheVecs++
+				obs.CacheIdx += float64(len(bag))
+			}
 			view.WireVecs[p][g]++
 			view.WireIdx[p][g] += int64(len(bag))
 			view.hitVecs[p][smp+1]++
@@ -606,16 +628,23 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 		per = s.cluster.GPUsPerNode
 	}
 	srcNode := s.nodeOf(src)
+	st := s.placeStats()
+	fid := fb.FeatureID
 	// Each bag is hashed in bulk, up to len(hashed) rows at a time, into a
 	// stack buffer: a run-owned scratch would allocate in every short run.
 	var hashed [64]int32
 	for first := 0; first < G; first += per {
-		// The remote node's accumulator and sample base.
+		// The remote node's accumulator and sample base. The placement
+		// statistics count the owner's node's distinct rows too.
 		var na *nodeAcc
 		var nodeLo int
-		if node := s.nodeOf(first); multi && node != srcNode {
+		node := s.nodeOf(first)
+		if multi && node != srcNode {
 			na = &s.planScr.nodeAcc[src*s.cluster.Nodes+node]
 			nodeLo, _ = s.nodeSampleRange(node)
+		}
+		nodes := na != nil || (multi && st != nil)
+		if nodes {
 			nodeSet.reset(rows, fn)
 		}
 		for dst := first; dst < first+per; dst++ {
@@ -626,13 +655,14 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 				skip = nil
 			}
 			pairSet.reset(rows, fn)
+			dense, miss := a.dense, a.miss
 			for smp := dlo; smp < dhi; smp++ {
 				if skip != nil && skip[smp] {
 					continue
 				}
-				a.dense++
 				raws := fb.Bag(smp)
-				a.miss += int64(len(raws))
+				dense++
+				miss += int64(len(raws))
 				var pairNew, nodeNew int32
 				for len(raws) > 0 {
 					bag := hashed[:min(len(raws), len(hashed))]
@@ -645,7 +675,7 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 							// set entered the node set when it was pair-fresh,
 							// so adding it there again adds 0.
 							pairNew += pairSet.add(row)
-							if na != nil {
+							if nodes {
 								nodeNew += nodeSet.add(row)
 							}
 							continue
@@ -658,6 +688,9 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 						}
 						a.expand = append(a.expand, pos)
 						if na == nil {
+							if nodes {
+								nodeSet.add(row)
+							}
 							continue
 						}
 						pos, fresh = nodeSet.insert(row, int32(len(na.keys)))
@@ -673,10 +706,17 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 					na.newAt[smp-nodeLo] += nodeNew
 				}
 			}
+			a.dense, a.miss = dense, miss
 			a.uniq += int64(pairSet.len())
+			if st != nil {
+				st.Open(fid, dst).Uniq += float64(pairSet.len())
+			}
 		}
 		if na != nil {
 			na.uniq += int64(nodeSet.len())
+		}
+		if nodes && st != nil {
+			st.AddNodeUniq(fid, node, float64(nodeSet.len()))
 		}
 	}
 }
@@ -713,7 +753,13 @@ func (s *System) finishDedup(plan *RoutePlan) *DedupView {
 			a := &s.planScr.pairAcc[src*G+dst]
 			dv.Gather[src][dst] = gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
 		}
-		s.priceRoutes(plan, src, dv.Gather[src], dv)
+		vecs, idx := plan.ConsumerChunkHits(src, 0, s.Cfg.BatchSize)
+		var nodes []nodeAcc
+		var staged []bool
+		if N > 0 {
+			nodes, staged = s.planScr.nodeAcc[src*N:(src+1)*N], dv.NodeWire[src]
+		}
+		s.priceRoutes(src, s.planScr.pairAcc[src*G:(src+1)*G], nodes, int64(vecs), idx, dv.Gather[src], dv.Wire[src], staged)
 		for dst := 0; dst < G; dst++ {
 			a := &s.planScr.pairAcc[src*G+dst]
 			wire := dv.Wire[src][dst]

@@ -151,7 +151,7 @@ func TestRoutePlanPrefixesMatchResum(t *testing.T) {
 	nullFree.MinPooling = 1
 	cached := cacheTestConfig(3)
 	cached.CacheFraction = 0.003
-	mirrored := placementGateConfig()
+	mirrored := mirrorGateConfig()
 	mirrored.AdaptivePlacement = true
 	mirrored.RebalanceEvery = 2
 	mirrored.HotTables = 1

@@ -340,13 +340,8 @@ func (spec *SystemSpec) NewPlacementController() (*placement.Controller, error) 
 		RebalanceEvery: cfg.RebalanceEvery,
 		HotTables:      cfg.HotTables,
 	}
-	model := placement.CostModel{
-		GPUs:         cfg.GPUs,
-		VectorBytes:  cfg.VectorBytes(),
-		HBMBandwidth: spec.hw.GPU.HBMBandwidth,
-		// Two NVLink links per pair on the reference machine; the model only
-		// needs a consistent scale to compare plans, not an exact wire time.
-		WireBandwidth: 2 * spec.hw.Link.LinkBandwidth,
-	}
-	return placement.NewController(pcfg, model, spec.plan)
+	// The pricer needs the machine's shape and hardware, never a run's
+	// pipes or clock.
+	s := &System{Spec: spec, Cfg: cfg, HW: spec.hw, cluster: spec.hw.cluster(cfg.GPUs)}
+	return placement.NewController(pcfg, newLayoutPricer(s, pcfg.TableBytes), spec.plan)
 }

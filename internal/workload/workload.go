@@ -325,10 +325,6 @@ func (g *Generator) NextPoolingSums(sum func(f int) []int64) {
 	}
 }
 
-// FeatureLen returns the number of indices feature f of the open batch
-// draws: the sum of its pooling factors.
-func (g *Generator) FeatureLen(f int) int { return g.idxLen[f] }
-
 // Feature draws feature f of the batch the last pooling pass opened into
 // fb, reusing the capacity of its slices: the offsets and indices of
 // feature f of the batch NextBatch would draw, in any order, any number of
