@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race bench benchdiff .bench-tmp/bench.txt bench-smoke chaos multinode placement precision serving report artifacts fmt vet loc nofma
+.PHONY: build test race bench benchdiff .bench-tmp/bench.txt bench-smoke report artifacts fmt vet loc nofma
 
 build:
 	$(GO) build ./...
@@ -21,12 +21,13 @@ race:
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 250ms ./internal/... > $@ || { cat $@; exit 1; }
 
 # bench regenerates results/bench.json: the experiment wall-clock records of
-# a short cmd/report run plus the hot-path rows (ns/op, B/op, allocs/op)
+# a short cmd/report run of the six paper experiments (weak-scaling ...
+# pipeline-depth-4gpu) plus the hot-path rows (ns/op, B/op, allocs/op)
 # future changes diff against for regressions. The diff against the previous
 # baseline is printed first (non-fatal here — regenerating is how an accepted
 # change lands).
 bench: .bench-tmp/bench.txt
-	$(GO) run ./cmd/report -batches 10 -seeds 0 -out .bench-tmp >/dev/null
+	$(GO) run ./cmd/report -only scaling,commvolume,ablations,pipeline-depth -batches 10 -out .bench-tmp >/dev/null
 	-$(GO) run ./cmd/benchdiff -old results/bench.json -new .bench-tmp/bench.txt
 	$(GO) run ./cmd/benchdiff -new .bench-tmp/bench.txt -write .bench-tmp/bench.json
 	@mkdir -p results
@@ -47,54 +48,24 @@ benchdiff: .bench-tmp/bench.txt
 bench-smoke:
 	$(GO) test -run XXX -bench . -benchtime=1x ./...
 
-# chaos regenerates results/chaos.{txt,csv}: the fault-injection resilience
-# sweep (backend x fault profile x replica count) with the degraded-serving
-# policy active.
-chaos:
-	$(GO) run ./cmd/chaos -out results
-
-# multinode regenerates results/multinode.txt and results/multinode_b4096.txt:
-# the §V multi-node weak and strong sweeps (1-4 nodes x 4 GPUs, baseline vs
-# PGAS with NIC-traffic columns) at the configuration's default batch size
-# and at a 4096-sample global batch.
-multinode:
-	@mkdir -p results
-	$(GO) run ./cmd/multinode > results/multinode.txt
-	$(GO) run ./cmd/multinode -batchsize 4096 > results/multinode_b4096.txt
-
-# placement regenerates results/placement.{txt,csv}: the placement-policy
-# sweep (static / greedy / adaptive / adaptive+mirror x backend x Zipf) with
-# per-owner load imbalance, plan swaps and migration volume.
-placement:
-	$(GO) run ./cmd/placement -out results
-
-# precision regenerates results/precision.{txt,csv}: the mixed-precision
-# wire-transport sweep (backend x dedup x fp32/fp16/int8) on a 2-node
-# cluster, with comm-volume, NIC-traffic and measured output-error columns.
-precision:
-	$(GO) run ./cmd/precision -nodes 2 -gpus-per-node 2 -out results
-
-# serving regenerates results/serving.{txt,csv}: the online-serving sweep
-# (both backends x dedup off/on x no cache, an eviction-heavy 0.0001 and a
-# non-evicting 0.01 hot-row cache) at 8000 rps over a 500 ms window.
-serving:
-	$(GO) run ./cmd/serve -rate 8000 -cache 0,0.0001,0.01 -duration 500ms -dedup -out results
-
-# report regenerates the paper artifacts in results/ (Figs 5-10, Tables 1-2,
-# ablations, stats, pipeline depth, scorecard). It writes to a temp dir and
-# copies everything but bench.json: the committed bench.json also holds the
-# hot-path rows only `make bench` writes, which a report-only file would drop.
+# report regenerates results/ from the artifact manifest
+# (internal/experiments/manifest.go): every entry, or the entries named by
+# ONLY (make report ONLY=placement,chaos). It writes to a temp dir and copies
+# everything but bench.json: the committed bench.json also holds the hot-path
+# rows only `make bench` writes, which a report-only file would drop.
+ONLY ?=
 report:
 	@rm -rf .report-tmp
-	$(GO) run ./cmd/report -out .report-tmp
+	$(GO) run ./cmd/report -out .report-tmp $(if $(ONLY),-only $(ONLY))
 	@mkdir -p results
 	@for f in .report-tmp/*; do [ "$$(basename "$$f")" = bench.json ] || cp "$$f" results/; done
 	@rm -rf .report-tmp
 
-# artifacts regenerates every committed sweep and paper artifact and fails if
-# any file under results/ changed: they must regenerate byte for byte from
-# the source. bench.json holds host wall-clock, and report never writes it.
-artifacts: placement chaos precision multinode serving report
+# artifacts regenerates every committed artifact in one cmd/report run and
+# fails if any file under results/ changed: they must regenerate byte for
+# byte from the source. bench.json holds host wall-clock, and report never
+# writes it.
+artifacts: report
 	git diff --exit-code -- results/
 
 fmt:

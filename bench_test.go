@@ -1,4 +1,4 @@
-package pgasemb_test
+package pgasemb
 
 // The benchmark harness regenerates every table and figure of the paper's
 // evaluation (run with `go test -bench=. -benchmem`):
@@ -26,7 +26,8 @@ import (
 	"fmt"
 	"testing"
 
-	"pgasemb"
+	"pgasemb/internal/experiments"
+	"pgasemb/internal/retrieval"
 )
 
 // benchBatches keeps one benchmark iteration around a second of wall time;
@@ -34,11 +35,11 @@ import (
 // identical).
 const benchBatches = 5
 
-func runScaling(b *testing.B, kind pgasemb.ScalingKind) *pgasemb.ScalingResult {
+func runScaling(b *testing.B, kind experiments.ScalingKind) *experiments.ScalingResult {
 	b.Helper()
-	var res *pgasemb.ScalingResult
+	var res *experiments.ScalingResult
 	for i := 0; i < b.N; i++ {
-		r, err := pgasemb.RunScaling(context.Background(), kind, pgasemb.ExperimentOptions{Batches: benchBatches})
+		r, err := experiments.RunScaling(context.Background(), kind, experiments.Options{Batches: benchBatches})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -48,7 +49,7 @@ func runScaling(b *testing.B, kind pgasemb.ScalingKind) *pgasemb.ScalingResult {
 }
 
 func BenchmarkTable1WeakScalingSpeedup(b *testing.B) {
-	res := runScaling(b, pgasemb.WeakScaling)
+	res := runScaling(b, experiments.WeakScaling)
 	for _, gpus := range []int{2, 3, 4} {
 		b.ReportMetric(res.Point(gpus).Speedup(), fmt.Sprintf("speedup_%dgpu", gpus))
 	}
@@ -56,7 +57,7 @@ func BenchmarkTable1WeakScalingSpeedup(b *testing.B) {
 }
 
 func BenchmarkTable2StrongScalingSpeedup(b *testing.B) {
-	res := runScaling(b, pgasemb.StrongScaling)
+	res := runScaling(b, experiments.StrongScaling)
 	for _, gpus := range []int{2, 3, 4} {
 		b.ReportMetric(res.Point(gpus).Speedup(), fmt.Sprintf("speedup_%dgpu", gpus))
 	}
@@ -64,7 +65,7 @@ func BenchmarkTable2StrongScalingSpeedup(b *testing.B) {
 }
 
 func BenchmarkFig5WeakScalingFactor(b *testing.B) {
-	res := runScaling(b, pgasemb.WeakScaling)
+	res := runScaling(b, experiments.WeakScaling)
 	base := res.Factors(false)
 	pgas := res.Factors(true)
 	b.ReportMetric(base[1], "baseline_factor_2gpu")
@@ -74,17 +75,17 @@ func BenchmarkFig5WeakScalingFactor(b *testing.B) {
 }
 
 func BenchmarkFig6WeakBreakdown(b *testing.B) {
-	res := runScaling(b, pgasemb.WeakScaling)
+	res := runScaling(b, experiments.WeakScaling)
 	pt := res.Point(2)
 	perBatch := 1e3 / float64(benchBatches)
-	b.ReportMetric(pt.Baseline.Breakdown.Get(pgasemb.CompComputation)*perBatch, "comp_ms_per_batch")
-	b.ReportMetric(pt.Baseline.Breakdown.Get(pgasemb.CompComm)*perBatch, "comm_ms_per_batch")
-	b.ReportMetric(pt.Baseline.Breakdown.Get(pgasemb.CompSyncUnpack)*perBatch, "syncunpack_ms_per_batch")
+	b.ReportMetric(pt.Baseline.Breakdown.Get(retrieval.CompComputation)*perBatch, "comp_ms_per_batch")
+	b.ReportMetric(pt.Baseline.Breakdown.Get(retrieval.CompComm)*perBatch, "comm_ms_per_batch")
+	b.ReportMetric(pt.Baseline.Breakdown.Get(retrieval.CompSyncUnpack)*perBatch, "syncunpack_ms_per_batch")
 	b.ReportMetric(pt.PGAS.TotalTime*perBatch, "pgas_total_ms_per_batch")
 }
 
 func BenchmarkFig8StrongScalingFactor(b *testing.B) {
-	res := runScaling(b, pgasemb.StrongScaling)
+	res := runScaling(b, experiments.StrongScaling)
 	base := res.Factors(false)
 	pgas := res.Factors(true)
 	b.ReportMetric(base[1], "baseline_factor_2gpu")
@@ -94,20 +95,20 @@ func BenchmarkFig8StrongScalingFactor(b *testing.B) {
 }
 
 func BenchmarkFig9StrongBreakdown(b *testing.B) {
-	res := runScaling(b, pgasemb.StrongScaling)
+	res := runScaling(b, experiments.StrongScaling)
 	pt := res.Point(4)
 	perBatch := 1e3 / float64(benchBatches)
-	b.ReportMetric(pt.Baseline.Breakdown.Get(pgasemb.CompComputation)*perBatch, "comp_ms_per_batch")
-	b.ReportMetric(pt.Baseline.Breakdown.Get(pgasemb.CompComm)*perBatch, "comm_ms_per_batch")
-	b.ReportMetric(pt.Baseline.Breakdown.Get(pgasemb.CompSyncUnpack)*perBatch, "syncunpack_ms_per_batch")
+	b.ReportMetric(pt.Baseline.Breakdown.Get(retrieval.CompComputation)*perBatch, "comp_ms_per_batch")
+	b.ReportMetric(pt.Baseline.Breakdown.Get(retrieval.CompComm)*perBatch, "comm_ms_per_batch")
+	b.ReportMetric(pt.Baseline.Breakdown.Get(retrieval.CompSyncUnpack)*perBatch, "syncunpack_ms_per_batch")
 	b.ReportMetric(pt.PGAS.TotalTime*perBatch, "pgas_total_ms_per_batch")
 }
 
-func benchCommVolume(b *testing.B, kind pgasemb.ScalingKind, gpus int) {
+func benchCommVolume(b *testing.B, kind experiments.ScalingKind, gpus int) {
 	b.Helper()
-	var cv *pgasemb.CommVolumeResult
+	var cv *experiments.CommVolumeResult
 	for i := 0; i < b.N; i++ {
-		r, err := pgasemb.RunCommVolume(context.Background(), kind, gpus, 100, pgasemb.ExperimentOptions{Batches: 2})
+		r, err := experiments.RunCommVolume(context.Background(), kind, gpus, 100, experiments.Options{Batches: 2})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -131,21 +132,21 @@ func benchCommVolume(b *testing.B, kind pgasemb.ScalingKind, gpus int) {
 }
 
 func BenchmarkFig7CommVolume2GPU(b *testing.B) {
-	benchCommVolume(b, pgasemb.WeakScaling, 2)
+	benchCommVolume(b, experiments.WeakScaling, 2)
 }
 
 func BenchmarkFig10CommVolume4GPU(b *testing.B) {
-	benchCommVolume(b, pgasemb.StrongScaling, 4)
+	benchCommVolume(b, experiments.StrongScaling, 4)
 }
 
 // runBackend times one backend on one configuration, reporting simulated
 // per-batch milliseconds.
-func runBackend(b *testing.B, cfg pgasemb.Config, backend pgasemb.Backend) {
+func runBackend(b *testing.B, cfg retrieval.Config, backend retrieval.Backend) {
 	b.Helper()
 	cfg.Batches = benchBatches
 	var total float64
 	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.DefaultHardware())
+		sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -159,61 +160,61 @@ func runBackend(b *testing.B, cfg pgasemb.Config, backend pgasemb.Backend) {
 }
 
 func BenchmarkBaselineWeak4GPU(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewBaseline())
+	runBackend(b, retrieval.WeakScalingConfig(4), &retrieval.Baseline{})
 }
 
 func BenchmarkPGASFusedWeak4GPU(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewPGASFused())
+	runBackend(b, retrieval.WeakScalingConfig(4), &retrieval.PGASFused{})
 }
 
 func BenchmarkBaselineStrong4GPU(b *testing.B) {
-	runBackend(b, pgasemb.StrongScalingConfig(4), pgasemb.NewBaseline())
+	runBackend(b, retrieval.StrongScalingConfig(4), &retrieval.Baseline{})
 }
 
 func BenchmarkPGASFusedStrong4GPU(b *testing.B) {
-	runBackend(b, pgasemb.StrongScalingConfig(4), pgasemb.NewPGASFused())
+	runBackend(b, retrieval.StrongScalingConfig(4), &retrieval.PGASFused{})
 }
 
 // Ablation A1: how much of the win is unpack elimination alone?
 func BenchmarkAblationUnpackOnly(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewUnpackOnlyAblation())
+	runBackend(b, retrieval.WeakScalingConfig(4), &retrieval.Baseline{DirectPlacement: true})
 }
 
 // Ablation A2: how much of the win is overlap alone?
 func BenchmarkAblationOverlapOnly(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewOverlapOnlyAblation())
+	runBackend(b, retrieval.WeakScalingConfig(4), &retrieval.PGASFused{StageRemote: true})
 }
 
 // Extension A3: aggregated one-sided stores (future-work §V).
 func BenchmarkAggregatedPGASWeak4GPU(b *testing.B) {
-	runBackend(b, pgasemb.WeakScalingConfig(4), pgasemb.NewAggregatedPGAS(pgasemb.AggregatorConfig{
+	runBackend(b, retrieval.WeakScalingConfig(4), &retrieval.PGASFused{Aggregate: &retrieval.AggregatorConfig{
 		FlushBytes: 64 << 10,
 		MaxWait:    50e-6,
-	}))
+	}})
 }
 
 // Extension A6: Zipf-skewed indices (hot items) versus the paper's uniform
 // distribution.
 func BenchmarkZipfWorkloadPGAS(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
+	cfg := retrieval.WeakScalingConfig(4)
 	cfg.Rows = 1 << 20
 	cfg.Distribution = 1 // workload.Zipf
 	cfg.ZipfExponent = 1.1
-	runBackend(b, cfg, pgasemb.NewPGASFused())
+	runBackend(b, cfg, &retrieval.PGASFused{})
 }
 
 // Multi-node (future-work §V): direct vs aggregated PGAS across two
 // NIC-joined nodes.
 func BenchmarkMultiNodeDirectPGAS(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
+	cfg := retrieval.WeakScalingConfig(4)
 	cfg.Batches = benchBatches
 	var total float64
 	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.ClusterHardware(2))
+		sys, err := retrieval.NewSystem(cfg, retrieval.ClusterHardware(2))
 		if err != nil {
 			b.Fatal(err)
 		}
-		res, err := sys.Run(pgasemb.NewPGASFused())
+		res, err := sys.Run(&retrieval.PGASFused{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -223,12 +224,12 @@ func BenchmarkMultiNodeDirectPGAS(b *testing.B) {
 }
 
 func BenchmarkMultiNodeAggregatedPGAS(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
+	cfg := retrieval.WeakScalingConfig(4)
 	cfg.Batches = benchBatches
-	backend := pgasemb.NewAggregatedPGAS(pgasemb.AggregatorConfig{FlushBytes: 64 << 10, MaxWait: 100e-6})
+	backend := &retrieval.PGASFused{Aggregate: &retrieval.AggregatorConfig{FlushBytes: 64 << 10, MaxWait: 100e-6}}
 	var total float64
 	for i := 0; i < b.N; i++ {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.ClusterHardware(2))
+		sys, err := retrieval.NewSystem(cfg, retrieval.ClusterHardware(2))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -244,14 +245,14 @@ func BenchmarkMultiNodeAggregatedPGAS(b *testing.B) {
 // Extension A8: heterogeneous (skewed) features under block vs greedy
 // table placement.
 func BenchmarkSkewBlockPlan(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.PerFeatureMaxPooling = pgasemb.SkewedPooling(cfg.TotalTables, 0.125, 256, 16)
-	runBackend(b, cfg, pgasemb.NewPGASFused())
+	cfg := retrieval.WeakScalingConfig(4)
+	cfg.PerFeatureMaxPooling = retrieval.SkewedPooling(cfg.TotalTables, 0.125, 256, 16)
+	runBackend(b, cfg, &retrieval.PGASFused{})
 }
 
 func BenchmarkSkewGreedyPlan(b *testing.B) {
-	cfg := pgasemb.WeakScalingConfig(4)
-	cfg.PerFeatureMaxPooling = pgasemb.SkewedPooling(cfg.TotalTables, 0.125, 256, 16)
+	cfg := retrieval.WeakScalingConfig(4)
+	cfg.PerFeatureMaxPooling = retrieval.SkewedPooling(cfg.TotalTables, 0.125, 256, 16)
 	cfg.GreedyPlan = true
-	runBackend(b, cfg, pgasemb.NewPGASFused())
+	runBackend(b, cfg, &retrieval.PGASFused{})
 }

@@ -39,8 +39,8 @@ import (
 	"strconv"
 	"strings"
 
-	"pgasemb"
 	"pgasemb/internal/cliflag"
+	"pgasemb/internal/experiments"
 )
 
 // row is one hot-path measurement: a benchmark's figures folded over its runs.
@@ -54,7 +54,7 @@ type row struct {
 
 // benchFile is bench.json: cmd/report's sweep records and the hot-path rows.
 type benchFile struct {
-	pgasemb.BenchReport
+	experiments.BenchReport
 	HotPaths []row `json:"hot_paths"`
 }
 

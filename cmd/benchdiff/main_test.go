@@ -9,7 +9,7 @@ import (
 	"strings"
 	"testing"
 
-	"pgasemb"
+	"pgasemb/internal/experiments"
 )
 
 // testdata/bench.txt is go test -bench -count 3 output over four packages:
@@ -122,7 +122,7 @@ func TestDiffRules(t *testing.T) {
 // -write replaces the hot-path rows and keeps cmd/report's sweep records.
 func TestStoreKeepsSweepRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	bench := pgasemb.NewBench()
+	bench := experiments.NewBench()
 	bench.Start("fig5", 2)()
 	var buf bytes.Buffer
 	if err := bench.WriteJSON(&buf); err != nil {

@@ -26,8 +26,9 @@ import (
 	"fmt"
 	"os"
 
-	"pgasemb"
 	"pgasemb/internal/cliflag"
+	"pgasemb/internal/dlrm"
+	"pgasemb/internal/retrieval"
 )
 
 func main() {
@@ -45,18 +46,18 @@ func main() {
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 
-	prec, err := pgasemb.ParsePrecision(*precision)
+	prec, err := retrieval.ParsePrecision(*precision)
 	if err != nil {
 		cliflag.Usage(err)
 	}
 	backends := cliflag.Backends("backend", *backendNames)
 
-	var cfg pgasemb.Config
+	var cfg retrieval.Config
 	switch *kind {
 	case "weak":
-		cfg = pgasemb.WeakScalingConfig(*gpus)
+		cfg = retrieval.WeakScalingConfig(*gpus)
 	case "strong":
-		cfg = pgasemb.StrongScalingConfig(*gpus)
+		cfg = retrieval.StrongScalingConfig(*gpus)
 	default:
 		cliflag.Usage(fmt.Errorf("-kind must be weak or strong"))
 	}
@@ -71,12 +72,12 @@ func main() {
 	fmt.Printf("DLRM inference: %s scaling, %d GPUs, %d tables, batch %d, %d batches, pipeline depth %d, wire %s, seed %d\n\n",
 		*kind, *gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches, cfg.PipelineSlots(), prec, cfg.Seed)
 	fmt.Printf("%-12s  %-14s  %-14s  %-10s\n", "backend", "total", "EMB segment", "EMB share")
-	results := make(map[string]*pgasemb.PipelineResult)
+	results := make(map[string]*dlrm.PipelineResult)
 	failed := false
 	for _, backend := range backends {
-		pl, err := pgasemb.NewPipeline(cfg, pgasemb.DefaultHardware(), backend)
+		pl, err := dlrm.NewPipeline(cfg, retrieval.DefaultHardware(), backend)
 		if err == nil {
-			var res *pgasemb.PipelineResult
+			var res *dlrm.PipelineResult
 			res, err = pl.RunContext(ctx)
 			if err == nil {
 				results[backend.Name()] = res

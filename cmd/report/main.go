@@ -1,19 +1,24 @@
-// Command report reproduces the paper's entire evaluation in one run and
-// writes every artifact — Tables 1-2, Figures 5-10, the mechanism
-// ablations, and the multi-seed statistics — to a results directory as
-// aligned-text and CSV files, plus a summary to stdout and a
+// Command report regenerates the committed evaluation in one run: every
+// entry of the artifact manifest (internal/experiments/manifest.go) — the
+// paper's Tables 1-2 and Figures 5-10, the scorecard, the mechanism
+// ablations, the pipeline-depth table, the multi-seed statistics, and the
+// precision, multi-node, placement, chaos and serving sweeps — with the
+// options it was committed with. It writes each entry's files to a results
+// directory as aligned text and CSV, plus a summary to stdout and a
 // machine-readable bench.json timing record.
 //
 // Usage:
 //
-//	report [-out results] [-batches 100] [-seeds 3] [-dedup]
-//	       [-backend pgas-fused] [-parallel N] [-timeout 0]
+//	report [-out results] [-only scaling,stats] [-batches 0] [-seeds 0]
+//	       [-dedup] [-backend pgas-fused] [-parallel N] [-timeout 0]
 //
-// -dedup adds the batch-level index-deduplication axis to the scaling
-// sweeps (each backend runs with dedup off and on; the tables grow the
-// dedup columns). -backend swaps the accelerated column's backend for any
-// registered name (e.g. pgas-overlap-only); the baseline column always runs
-// for comparison.
+// -only runs the named entries alone (see results/README.md for which
+// entry writes which file). -batches and -seeds replace the committed batch
+// and seed counts of every entry that has one (0 = the committed values).
+// -dedup adds the batch-level index-deduplication axis to the paper's
+// scaling sweeps (the tables grow the dedup columns). -backend swaps the
+// accelerated backend for any registered name (e.g. pgas-overlap-only);
+// the baseline always runs beside it.
 //
 // Independent simulation runs within each experiment execute concurrently
 // on -parallel workers (default GOMAXPROCS); the tables and CSVs are
@@ -27,113 +32,65 @@ import (
 	"path/filepath"
 	"runtime"
 
-	"pgasemb"
 	"pgasemb/internal/cliflag"
+	"pgasemb/internal/experiments"
+	"pgasemb/internal/retrieval"
 )
 
 func main() {
 	out := flag.String("out", "results", "output directory")
-	batches := flag.Int("batches", 100, "batches per run (paper: 100)")
-	seeds := flag.Int("seeds", 3, "workload seeds for the statistics tables (0 = skip)")
+	only := flag.String("only", "", "comma-separated manifest entries to run (empty = every entry)")
+	batches := flag.Int("batches", 0, "batches per run of every batch-counted entry (0 = each entry's committed count)")
+	seeds := flag.Int("seeds", 0, "workload seeds for the statistics tables (0 = the committed 3)")
 	dedup := flag.Bool("dedup", false, "add the index-deduplication axis to the scaling sweeps")
-	backend := flag.String("backend", "pgas-fused", "registered backend for the accelerated column (baseline always runs for comparison)")
+	backend := flag.String("backend", "pgas-fused", "registered accelerated backend (the baseline always runs beside it)")
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
 	timeout := flag.Duration("timeout", 0, "abort the whole report after this duration (0 = no limit)")
 	flag.Parse()
-	cliflag.RequireAtLeast(1, "batches")
-	cliflag.RequireAtLeast(0, "seeds", "parallel")
+	cliflag.RequireAtLeast(0, "batches", "seeds", "parallel")
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 
-	if err := os.MkdirAll(*out, 0o755); err != nil {
-		cliflag.Fatal(err)
+	var names []string
+	if *only != "" {
+		names = cliflag.Strings("only", *only)
 	}
-	be, err := pgasemb.NewBackendByName(*backend)
+	entries, err := experiments.Manifest(names...)
 	if err != nil {
 		cliflag.Usage(err)
 	}
-	bench := pgasemb.NewBench()
-	opts := pgasemb.ExperimentOptions{
-		Sweep:   pgasemb.Sweep{Backends: []pgasemb.Backend{be}, Parallel: *parallel, Bench: bench},
+	be, err := retrieval.NewBackendByName(*backend)
+	if err != nil {
+		cliflag.Usage(err)
+	}
+	if err := os.MkdirAll(*out, 0o755); err != nil {
+		cliflag.Fatal(err)
+	}
+	bench := experiments.NewBench()
+	o := experiments.Overrides{
+		Sweep:   experiments.Sweep{Backends: []retrieval.Backend{be}, Parallel: *parallel, Bench: bench},
 		Batches: *batches,
+		Seeds:   *seeds,
 		Dedup:   *dedup,
 	}
 
-	write := func(name string, t *pgasemb.RenderedTable) {
-		if err := cliflag.WriteTable(*out, name, t); err != nil {
+	for _, e := range entries {
+		fmt.Printf("== %s ==\n", e.Name)
+		outs, err := e.Run(ctx, o)
+		if err != nil {
 			cliflag.Fatal(err)
 		}
-		fmt.Println(t.Render())
-	}
-	writeChart := func(name, chart string) {
-		if err := os.WriteFile(filepath.Join(*out, name+".txt"), []byte(chart), 0o644); err != nil {
-			cliflag.Fatal(err)
-		}
-	}
-
-	fmt.Println("== Weak scaling (Table 1, Figures 5-6) ==")
-	weak, err := pgasemb.RunScaling(ctx, pgasemb.WeakScaling, opts)
-	if err != nil {
-		cliflag.Fatal(err)
-	}
-	write("table1_weak_speedups", weak.SpeedupTable())
-	write("fig5_weak_factors", weak.FactorTable())
-	write("fig6_weak_breakdown", weak.BreakdownTable())
-
-	fmt.Println("== Strong scaling (Table 2, Figures 8-9) ==")
-	strong, err := pgasemb.RunScaling(ctx, pgasemb.StrongScaling, opts)
-	if err != nil {
-		cliflag.Fatal(err)
-	}
-	write("table2_strong_speedups", strong.SpeedupTable())
-	write("fig8_strong_factors", strong.FactorTable())
-	write("fig9_strong_breakdown", strong.BreakdownTable())
-
-	fmt.Println("== Reproduction scorecard ==")
-	write("scorecard", pgasemb.Scorecard(weak, strong))
-
-	fmt.Println("== Communication volume over time (Figures 7, 10) ==")
-	traceBatches := 3
-	if *batches < traceBatches {
-		traceBatches = *batches
-	}
-	traceOpts := opts
-	traceOpts.Batches = traceBatches
-	fig7, err := pgasemb.RunCommVolume(ctx, pgasemb.WeakScaling, 2, 120, traceOpts)
-	if err != nil {
-		cliflag.Fatal(err)
-	}
-	write("fig7_comm_volume_2gpu", fig7.CSVTable())
-	writeChart("fig7_comm_volume_2gpu_chart", fig7.CommVolumeCharts(10))
-	fig10, err := pgasemb.RunCommVolume(ctx, pgasemb.StrongScaling, 4, 120, traceOpts)
-	if err != nil {
-		cliflag.Fatal(err)
-	}
-	write("fig10_comm_volume_4gpu", fig10.CSVTable())
-	writeChart("fig10_comm_volume_4gpu_chart", fig10.CommVolumeCharts(10))
-
-	fmt.Println("== Mechanism ablations ==")
-	ab, err := pgasemb.RunAblations(ctx, 4, opts)
-	if err != nil {
-		cliflag.Fatal(err)
-	}
-	write("ablations", pgasemb.AblationTable(ab))
-
-	fmt.Println("== Inter-batch pipelining ==")
-	pd, err := pgasemb.RunPipelineDepth(ctx, 4, []int{1, 2}, opts)
-	if err != nil {
-		cliflag.Fatal(err)
-	}
-	write("pipeline_depth", pgasemb.PipelineDepthTable(pd))
-
-	if *seeds > 0 {
-		fmt.Println("== Multi-seed statistics ==")
-		for _, kind := range []pgasemb.ScalingKind{pgasemb.WeakScaling, pgasemb.StrongScaling} {
-			stats, err := pgasemb.RunScalingStats(ctx, kind, *seeds, opts)
+		for _, f := range outs {
+			if f.Table != nil {
+				err = cliflag.WriteTable(*out, f.Stem, f.Table)
+				fmt.Println(f.Table.Render())
+			} else {
+				err = os.WriteFile(filepath.Join(*out, f.Stem+".txt"), []byte(f.Text), 0o644)
+				fmt.Print(f.Text)
+			}
 			if err != nil {
 				cliflag.Fatal(err)
 			}
-			write(fmt.Sprintf("stats_%s", kind), pgasemb.StatsTable(kind, stats))
 		}
 	}
 

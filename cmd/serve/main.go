@@ -25,8 +25,10 @@ import (
 	"runtime"
 	"time"
 
-	"pgasemb"
 	"pgasemb/internal/cliflag"
+	"pgasemb/internal/experiments"
+	"pgasemb/internal/retrieval"
+	"pgasemb/internal/serve"
 )
 
 func main() {
@@ -49,27 +51,27 @@ func main() {
 	ctx, cancel := cliflag.Context(*timeout)
 	defer cancel()
 
-	prec, err := pgasemb.ParsePrecision(*precision)
+	prec, err := retrieval.ParsePrecision(*precision)
 	if err != nil {
 		cliflag.Usage(err)
 	}
-	var arr pgasemb.Arrival
+	var arr serve.Arrival
 	switch *arrival {
 	case "poisson":
-		arr = pgasemb.PoissonArrivals
+		arr = serve.Poisson
 	case "bursty":
-		arr = pgasemb.BurstyArrivals
+		arr = serve.Bursty
 	default:
 		cliflag.Usage(fmt.Errorf("unknown -arrival %q (want poisson or bursty)", *arrival))
 	}
 
-	opts := pgasemb.ServingOptions{
+	opts := experiments.ServingOptions{
 		Rates:          cliflag.Floats("rate", *rates),
 		CacheFractions: cliflag.Floats("cache", *cacheFracs),
-		Sweep:          pgasemb.Sweep{Backends: cliflag.Backends("backend", *backend), Parallel: *parallel},
+		Sweep:          experiments.Sweep{Backends: cliflag.Backends("backend", *backend), Parallel: *parallel},
 		GPUs:           *gpus,
 		Duration:       duration.Seconds(),
-		Serve:          pgasemb.ServeConfig{Arrival: arr, Seed: *seed},
+		Serve:          serve.Config{Arrival: arr, Seed: *seed},
 		PipelineDepth:  *pipeline,
 		WirePrecision:  prec,
 	}
@@ -79,7 +81,7 @@ func main() {
 
 	fmt.Printf("== Online serving sweep (%d GPUs, %s arrivals, %v simulated per point) ==\n",
 		*gpus, arr, *duration)
-	res, err := pgasemb.RunServing(ctx, opts)
+	res, err := experiments.RunServing(ctx, opts)
 	if err != nil {
 		cliflag.Fatal(err)
 	}

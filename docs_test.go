@@ -1,4 +1,4 @@
-package pgasemb_test
+package pgasemb
 
 import (
 	"encoding/json"
@@ -12,7 +12,8 @@ import (
 	"strings"
 	"testing"
 
-	"pgasemb"
+	"pgasemb/internal/experiments"
+	"pgasemb/internal/retrieval"
 )
 
 // docRef matches a command or example path inside a doc span: cmd/report,
@@ -22,8 +23,9 @@ var docRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/])(?:\./)?(cmd|examples)/([A-
 // docPath matches a repository path under internal/ inside a doc span.
 var docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])(internal/[A-Za-z0-9_./-]*[A-Za-z0-9_])`)
 
-// docAPI matches a facade identifier inside a doc span: pgasemb.RunChaos.
-var docAPI = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])pgasemb\.([A-Za-z_][A-Za-z0-9_]*)`)
+// docAPI matches an exported identifier of a package the programs import
+// inside a doc span: experiments.RunChaos, retrieval.Config.
+var docAPI = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])(retrieval|experiments|serve|dlrm)\.([A-Z][A-Za-z0-9_]*)`)
 
 // docFlag matches a command-line flag token: -batches, -out=results.
 var docFlag = regexp.MustCompile(`^--?([A-Za-z][A-Za-z0-9-]*)(?:=.*)?$`)
@@ -123,11 +125,12 @@ func TestDocsNameRealCommandsAndFlags(t *testing.T) {
 	}
 }
 
-// facadeNames parses pgasemb.go and returns the exported package-level
-// identifiers it declares: functions, types, constants and variables.
-func facadeNames(t *testing.T) map[string]bool {
+// exportedNames parses the non-test files of internal/<pkg> and returns the
+// exported package-level identifiers they declare: functions, types,
+// constants and variables.
+func exportedNames(t *testing.T, pkg string) map[string]bool {
 	t.Helper()
-	f, err := parser.ParseFile(token.NewFileSet(), "pgasemb.go", nil, 0)
+	files, err := filepath.Glob(filepath.Join("internal", pkg, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,20 +140,29 @@ func facadeNames(t *testing.T) map[string]bool {
 			names[id.Name] = true
 		}
 	}
-	for _, decl := range f.Decls {
-		switch d := decl.(type) {
-		case *ast.FuncDecl:
-			if d.Recv == nil {
-				add(d.Name)
-			}
-		case *ast.GenDecl:
-			for _, spec := range d.Specs {
-				switch sp := spec.(type) {
-				case *ast.TypeSpec:
-					add(sp.Name)
-				case *ast.ValueSpec:
-					for _, id := range sp.Names {
-						add(id)
+	for _, file := range files {
+		if strings.HasSuffix(file, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), file, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			switch d := decl.(type) {
+			case *ast.FuncDecl:
+				if d.Recv == nil {
+					add(d.Name)
+				}
+			case *ast.GenDecl:
+				for _, spec := range d.Specs {
+					switch sp := spec.(type) {
+					case *ast.TypeSpec:
+						add(sp.Name)
+					case *ast.ValueSpec:
+						for _, id := range sp.Names {
+							add(id)
+						}
 					}
 				}
 			}
@@ -161,9 +173,13 @@ func facadeNames(t *testing.T) map[string]bool {
 
 // TestDocsNameRealPathsAndAPI checks the user-facing docs against the tree:
 // every internal/... path they put in backticks exists, and every
-// pgasemb.<Name> is an exported identifier of the facade.
+// retrieval., experiments., serve. or dlrm.<Name> is an exported identifier
+// of that internal package.
 func TestDocsNameRealPathsAndAPI(t *testing.T) {
-	api := facadeNames(t)
+	api := map[string]map[string]bool{}
+	for _, pkg := range []string{"retrieval", "experiments", "serve", "dlrm"} {
+		api[pkg] = exportedNames(t, pkg)
+	}
 	for _, doc := range []string{"README.md", "DESIGN.md", "EXPERIMENTS.md"} {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -176,8 +192,8 @@ func TestDocsNameRealPathsAndAPI(t *testing.T) {
 				}
 			}
 			for _, m := range docAPI.FindAllStringSubmatch(span, -1) {
-				if !api[m[1]] {
-					t.Errorf("%s: %q names pgasemb.%s, which pgasemb.go does not export", doc, span, m[1])
+				if !api[m[1]][m[2]] {
+					t.Errorf("%s: %q names %s.%s, which internal/%s does not export", doc, span, m[1], m[2], m[1])
 				}
 			}
 		}
@@ -266,7 +282,7 @@ func TestKnobTableCoversEveryKnob(t *testing.T) {
 	for _, p := range retrievalPresets(t) {
 		want[p] = true
 	}
-	for _, b := range pgasemb.RegisteredBackends() {
+	for _, b := range retrieval.RegisteredBackends() {
 		want[b+" backend"] = true
 	}
 
@@ -327,6 +343,71 @@ func TestKnobTableCoversEveryKnob(t *testing.T) {
 	for knob := range want {
 		if !seen[knob] {
 			t.Errorf("DESIGN.md §15 has no row for %s", knob)
+		}
+	}
+}
+
+// TestResultsReadmeCoversManifest holds results/README.md's file table to
+// the artifact manifest: each row names stems and the manifest entry that
+// writes them, every stem an entry writes has a row, no row names a stem no
+// entry writes, and every file under results/ but bench.json and README.md
+// is one an entry writes.
+func TestResultsReadmeCoversManifest(t *testing.T) {
+	entries, err := experiments.Manifest()
+	if err != nil {
+		t.Fatal(err)
+	}
+	writer := map[string]string{}
+	for _, e := range entries {
+		for _, stem := range e.Stems {
+			writer[stem] = e.Name
+		}
+	}
+	data, err := os.ReadFile(filepath.Join("results", "README.md"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		cells := strings.Split(line, "|")
+		if len(cells) != 5 || !strings.HasPrefix(strings.TrimSpace(cells[1]), "`") {
+			continue
+		}
+		entry := strings.Trim(strings.TrimSpace(cells[2]), "`")
+		for _, stem := range docSpans(cells[1]) {
+			switch {
+			case writer[stem] == "":
+				t.Errorf("results/README.md has a row for %s, which no manifest entry writes", stem)
+			case writer[stem] != entry:
+				t.Errorf("results/README.md says entry %s writes %s; the manifest says %s", entry, stem, writer[stem])
+			}
+			if seen[stem] {
+				t.Errorf("results/README.md has two rows for %s", stem)
+			}
+			seen[stem] = true
+		}
+	}
+	for _, e := range entries {
+		for _, stem := range e.Stems {
+			if !seen[stem] {
+				t.Errorf("results/README.md has no row for %s, which manifest entry %s writes", stem, e.Name)
+			}
+			if _, err := os.Stat(filepath.Join("results", stem+".txt")); err != nil {
+				t.Errorf("manifest entry %s writes %s.txt, which results/ does not hold", e.Name, stem)
+			}
+		}
+	}
+	files, err := os.ReadDir("results")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		name := f.Name()
+		if name == "bench.json" || name == "README.md" {
+			continue
+		}
+		if writer[strings.TrimSuffix(name, filepath.Ext(name))] == "" {
+			t.Errorf("results/%s is committed, but no manifest entry writes it", name)
 		}
 	}
 }

@@ -12,12 +12,13 @@ import (
 	"fmt"
 	"log"
 
-	"pgasemb"
+	"pgasemb/internal/experiments"
+	"pgasemb/internal/retrieval"
 )
 
 func main() {
 	// Profile the paper's Figure 7 setting: weak scaling on 2 GPUs.
-	cv, err := pgasemb.RunCommVolume(context.Background(), pgasemb.WeakScaling, 2, 96, pgasemb.ExperimentOptions{Batches: 2})
+	cv, err := experiments.RunCommVolume(context.Background(), experiments.WeakScaling, 2, 96, experiments.Options{Batches: 2})
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -25,19 +26,19 @@ func main() {
 
 	// The aggregator variant: same traffic, fewer headers.
 	fmt.Println("\naggregated one-sided stores (future-work variant):")
-	cfg := pgasemb.WeakScalingConfig(2)
+	cfg := retrieval.WeakScalingConfig(2)
 	cfg.Batches = 2
 	for _, tc := range []struct {
 		name    string
-		backend pgasemb.Backend
+		backend retrieval.Backend
 	}{
-		{"direct (one message per vector)", pgasemb.NewPGASFused()},
-		{"aggregated (64 KiB flushes)", pgasemb.NewAggregatedPGAS(pgasemb.AggregatorConfig{
+		{"direct (one message per vector)", &retrieval.PGASFused{}},
+		{"aggregated (64 KiB flushes)", &retrieval.PGASFused{Aggregate: &retrieval.AggregatorConfig{
 			FlushBytes: 64 << 10,
 			MaxWait:    50e-6,
-		})},
+		}}},
 	} {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.DefaultHardware())
+		sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -16,34 +16,34 @@ import (
 	"fmt"
 	"log"
 
-	"pgasemb"
+	"pgasemb/internal/retrieval"
 )
 
 func main() {
-	cfg := pgasemb.WeakScalingConfig(4)
+	cfg := retrieval.WeakScalingConfig(4)
 	cfg.Batches = 5
 
-	cluster := pgasemb.ClusterHardware(2)
-	oneVector := pgasemb.ClusterHardware(2)
+	cluster := retrieval.ClusterHardware(2)
+	oneVector := retrieval.ClusterHardware(2)
 	oneVector.Proxy.StagingBytes = cfg.VectorBytes()
-	aggregated := pgasemb.NewAggregatedPGAS(pgasemb.AggregatorConfig{FlushBytes: 64 << 10, MaxWait: 100e-6})
+	aggregated := &retrieval.PGASFused{Aggregate: &retrieval.AggregatorConfig{FlushBytes: 64 << 10, MaxWait: 100e-6}}
 
 	fmt.Println("4 GPUs as 2 nodes x 2 GPUs: NVLink inside a node, NICs across")
 	fmt.Println()
 
 	scenarios := []struct {
 		name    string
-		hw      pgasemb.HardwareParams
-		backend pgasemb.Backend
+		hw      retrieval.HardwareParams
+		backend retrieval.Backend
 	}{
-		{"default proxy, baseline collective", cluster, pgasemb.NewBaseline()},
-		{"default proxy, direct PGAS", cluster, pgasemb.NewPGASFused()},
+		{"default proxy, baseline collective", cluster, &retrieval.Baseline{}},
+		{"default proxy, direct PGAS", cluster, &retrieval.PGASFused{}},
 		{"default proxy, aggregated PGAS", cluster, aggregated},
-		{"one-vector proxy, direct PGAS", oneVector, pgasemb.NewPGASFused()},
+		{"one-vector proxy, direct PGAS", oneVector, &retrieval.PGASFused{}},
 		{"one-vector proxy, aggregated PGAS", oneVector, aggregated},
 	}
 	for _, sc := range scenarios {
-		sys, err := pgasemb.NewSystem(cfg, sc.hw)
+		sys, err := retrieval.NewSystem(cfg, sc.hw)
 		if err != nil {
 			log.Fatal(err)
 		}

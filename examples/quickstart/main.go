@@ -9,19 +9,19 @@ import (
 	"fmt"
 	"log"
 
-	"pgasemb"
+	"pgasemb/internal/retrieval"
 )
 
 func main() {
 	// A test-scale configuration runs the REAL data plane: embeddings are
 	// looked up, pooled and moved for real, so the two backends can be
 	// compared bit-for-bit.
-	cfg := pgasemb.TestScaleConfig(4)
+	cfg := retrieval.TestScaleConfig(4)
 	fmt.Printf("quickstart: %d GPUs, %d tables, batch %d, %d batches (functional mode)\n\n",
 		cfg.GPUs, cfg.TotalTables, cfg.BatchSize, cfg.Batches)
 
-	run := func(backend pgasemb.Backend) *pgasemb.Result {
-		sys, err := pgasemb.NewSystem(cfg, pgasemb.DefaultHardware())
+	run := func(backend retrieval.Backend) *retrieval.Result {
+		sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -32,8 +32,8 @@ func main() {
 		return res
 	}
 
-	base := run(pgasemb.NewBaseline())
-	pgas := run(pgasemb.NewPGASFused())
+	base := run(&retrieval.Baseline{})
+	pgas := run(&retrieval.PGASFused{})
 
 	fmt.Printf("baseline   (NCCL all-to-all + unpack): %8.3fms\n", base.TotalTime*1e3)
 	fmt.Printf("pgas-fused (one-sided remote stores):  %8.3fms\n", pgas.TotalTime*1e3)

@@ -11,11 +11,12 @@ import (
 	"fmt"
 	"log"
 
-	"pgasemb"
+	"pgasemb/internal/dlrm"
+	"pgasemb/internal/retrieval"
 )
 
 func main() {
-	cfg := pgasemb.TestScaleConfig(2)
+	cfg := retrieval.TestScaleConfig(2)
 	cfg.Batches = 2
 
 	fmt.Println("DLRM inference on 2 simulated GPUs")
@@ -23,8 +24,8 @@ func main() {
 	fmt.Printf("  sparse path: %d embedding tables, table-wise sharded, %s communication\n\n",
 		cfg.TotalTables, "one-sided PGAS")
 
-	for _, backend := range []pgasemb.Backend{pgasemb.NewBaseline(), pgasemb.NewPGASFused()} {
-		pl, err := pgasemb.NewPipeline(cfg, pgasemb.DefaultHardware(), backend)
+	for _, backend := range []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}} {
+		pl, err := dlrm.NewPipeline(cfg, retrieval.DefaultHardware(), backend)
 		if err != nil {
 			log.Fatal(err)
 		}

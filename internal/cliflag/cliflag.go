@@ -50,10 +50,6 @@ func Strings(name, value string) []string {
 	return list(name, value, func(s string) (string, error) { return s, nil })
 }
 
-// Ints is Strings for an axis of integers; a malformed entry exits with
-// status 2.
-func Ints(name, value string) []int { return list(name, value, strconv.Atoi) }
-
 // Floats is Strings for an axis of floats; a malformed entry exits with
 // status 2.
 func Floats(name, value string) []float64 {

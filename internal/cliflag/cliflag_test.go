@@ -3,7 +3,6 @@ package cliflag
 import (
 	"context"
 	"errors"
-	"fmt"
 	"os/exec"
 	"path/filepath"
 	"reflect"
@@ -17,9 +16,6 @@ import (
 func TestListsAndBackends(t *testing.T) {
 	if got := Strings("profiles", " none, ,straggler "); !reflect.DeepEqual(got, []string{"none", "straggler"}) {
 		t.Errorf("Strings = %q", got)
-	}
-	if got := Ints("replicas", "1,2,"); !reflect.DeepEqual(got, []int{1, 2}) {
-		t.Errorf("Ints = %v", got)
 	}
 	if got := Floats("rate", "4000, 0.5"); !reflect.DeepEqual(got, []float64{4000, 0.5}) {
 		t.Errorf("Floats = %v", got)
@@ -43,7 +39,8 @@ func TestListsAndBackends(t *testing.T) {
 // TestCommandsRejectNonPositiveSizes builds the commands and runs each with a
 // size flag below 1, or a negative value of a flag where 0 selects a
 // default: every run must exit with status 2 and name the flag, rather than
-// run on a default that the command's header misreports.
+// run on a default that the command's header misreports. An -only naming no
+// manifest entry is refused the same way.
 func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 	goTool, err := exec.LookPath("go")
 	if err != nil {
@@ -52,36 +49,19 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 	cases := []struct {
 		cmd  string
 		args []string
-		flag string
-		min  int
+		say  string
 	}{
-		{"serve", []string{"-gpus", "0"}, "-gpus", 1},
-		{"serve", []string{"-pipeline", "0"}, "-pipeline", 1},
-		{"serve", []string{"-parallel", "-1"}, "-parallel", 0},
-		{"chaos", []string{"-gpus", "-1"}, "-gpus", 1},
-		{"chaos", []string{"-nodes", "0"}, "-nodes", 1},
-		{"chaos", []string{"-parallel", "-1"}, "-parallel", 0},
-		{"placement", []string{"-batches", "0"}, "-batches", 1},
-		{"placement", []string{"-every", "0"}, "-every", 1},
-		{"placement", []string{"-gpus", "0"}, "-gpus", 1},
-		{"placement", []string{"-hot", "0"}, "-hot", 1},
-		{"placement", []string{"-parallel", "-1"}, "-parallel", 0},
-		{"multinode", []string{"-nodes", "0"}, "-nodes", 1},
-		{"multinode", []string{"-gpus-per-node", "0"}, "-gpus-per-node", 1},
-		{"multinode", []string{"-batches", "-5"}, "-batches", 0},
-		{"multinode", []string{"-batchsize", "-5"}, "-batchsize", 0},
-		{"multinode", []string{"-parallel", "-1"}, "-parallel", 0},
-		{"precision", []string{"-nodes", "-2"}, "-nodes", 1},
-		{"precision", []string{"-gpus-per-node", "0"}, "-gpus-per-node", 1},
-		{"precision", []string{"-batches", "-5"}, "-batches", 0},
-		{"precision", []string{"-batchsize", "-5"}, "-batchsize", 0},
-		{"precision", []string{"-parallel", "-1"}, "-parallel", 0},
-		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus", 1},
-		{"dlrminfer", []string{"-batches", "0"}, "-batches", 1},
-		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline", 1},
-		{"report", []string{"-batches", "0"}, "-batches", 1},
-		{"report", []string{"-seeds", "-1"}, "-seeds", 0},
-		{"report", []string{"-parallel", "-1"}, "-parallel", 0},
+		{"serve", []string{"-gpus", "0"}, "-gpus must be at least 1"},
+		{"serve", []string{"-pipeline", "0"}, "-pipeline must be at least 1"},
+		{"serve", []string{"-parallel", "-1"}, "-parallel must be at least 0"},
+		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus must be at least 1"},
+		{"dlrminfer", []string{"-batches", "0"}, "-batches must be at least 1"},
+		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline must be at least 1"},
+		{"report", []string{"-batches", "-5"}, "-batches must be at least 0"},
+		{"report", []string{"-seeds", "-1"}, "-seeds must be at least 0"},
+		{"report", []string{"-parallel", "-1"}, "-parallel must be at least 0"},
+		{"report", []string{"-only", "fig5"}, `unknown manifest entry "fig5"`},
+		{"report", []string{"-only", ","}, "-only: empty sweep"},
 	}
 	bin := t.TempDir()
 	pkgs := []string{"build", "-o", bin + string(filepath.Separator)}
@@ -96,11 +76,11 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 		t.Fatalf("go build: %v\n%s", err, out)
 	}
 	for _, c := range cases {
-		t.Run(c.cmd+c.flag, func(t *testing.T) {
+		t.Run(c.cmd+c.args[0], func(t *testing.T) {
 			// A command that accepts the value would start its sweep; the
 			// short -timeout and a scratch -out bound that failure mode.
 			args := append([]string{"-timeout", "2s"}, c.args...)
-			if c.cmd == "serve" || c.cmd == "chaos" || c.cmd == "placement" || c.cmd == "report" {
+			if c.cmd == "serve" || c.cmd == "report" {
 				args = append(args, "-out", t.TempDir())
 			}
 			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
@@ -110,8 +90,8 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 			if !errors.As(err, &exit) || exit.ExitCode() != 2 {
 				t.Fatalf("%s %v: err %v, want exit status 2\n%s", c.cmd, c.args, err, out)
 			}
-			if want := fmt.Sprintf("%s must be at least %d", c.flag, c.min); !strings.Contains(string(out), want) {
-				t.Fatalf("%s %v: output does not say %q:\n%s", c.cmd, c.args, want, out)
+			if !strings.Contains(string(out), c.say) {
+				t.Fatalf("%s %v: output does not say %q:\n%s", c.cmd, c.args, c.say, out)
 			}
 		})
 	}

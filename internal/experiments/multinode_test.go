@@ -127,3 +127,23 @@ func TestMultiNodeParallelInvariance(t *testing.T) {
 		}
 	}
 }
+
+// TestMultiNodeNodeStagedFP16 runs the 4 × 4 fp16 shape no committed
+// artifact runs: at batch 1024 every remote node of the 4-node point can be
+// node-staged, and the sweep must run to completion with PGAS stores on the
+// NICs.
+func TestMultiNodeNodeStagedFP16(t *testing.T) {
+	for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
+		t.Run(kind.String(), func(t *testing.T) {
+			res, err := RunMultiNode(context.Background(), kind, MultiNodeOptions{
+				MaxNodes: 4, GPUsPerNode: 4, Batches: 1, BatchSize: 1024, WirePrecision: retrieval.FP16,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if p := res.Point(4); p.PGAS.TotalTime <= 0 || p.PGAS.NICWireBytes <= 0 {
+				t.Errorf("4 nodes: PGAS time %g, NIC bytes %g", p.PGAS.TotalTime, p.PGAS.NICWireBytes)
+			}
+		})
+	}
+}
