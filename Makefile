@@ -20,10 +20,10 @@ race:
 	@mkdir -p .bench-tmp
 	$(GO) test -run '^$$' -bench . -benchmem -count 3 -benchtime 250ms ./internal/... > $@ || { cat $@; exit 1; }
 
-# bench regenerates results/bench.json: the experiment wall-clock records of
-# a short cmd/report run of the six paper experiments (weak-scaling ...
-# pipeline-depth-4gpu) plus the hot-path rows (ns/op, B/op, allocs/op)
-# future changes diff against for regressions. The diff against the previous
+# bench regenerates results/bench.json: the per-entry wall-clock records of
+# a short cmd/report run of the paper's manifest entries (scaling,
+# commvolume, ablations, pipeline-depth) plus the hot-path rows (ns/op,
+# B/op, allocs/op) future changes diff against for regressions. The diff against the previous
 # baseline is printed first (non-fatal here — regenerating is how an accepted
 # change lands).
 bench: .bench-tmp/bench.txt

@@ -19,10 +19,10 @@ package pgasemb
 // sim_ms_per_batch reports the simulated per-batch runtime.
 //
 // cmd/report writes the same artifacts as rendered tables and charts into
-// results/, at the paper's full 100-batch configuration.
+// results/, at the paper's full 100-batch configuration; these benchmarks
+// drive retrieval directly, serially, one run per backend and GPU count.
 
 import (
-	"context"
 	"fmt"
 	"testing"
 
@@ -35,15 +35,36 @@ import (
 // identical).
 const benchBatches = 5
 
+// run executes one backend on one configuration.
+func run(b *testing.B, cfg retrieval.Config, backend retrieval.Backend) *retrieval.Result {
+	b.Helper()
+	sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
+	if err != nil {
+		b.Fatal(err)
+	}
+	res, err := sys.Run(backend)
+	if err != nil {
+		b.Fatal(err)
+	}
+	return res
+}
+
+// runScaling runs the scaling sweep behind Tables 1-2 and Figures 5-6 and
+// 8-9: both backends on 1 to 4 GPUs.
 func runScaling(b *testing.B, kind experiments.ScalingKind) *experiments.ScalingResult {
 	b.Helper()
 	var res *experiments.ScalingResult
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunScaling(context.Background(), kind, experiments.Options{Batches: benchBatches})
-		if err != nil {
-			b.Fatal(err)
+		res = &experiments.ScalingResult{Kind: kind}
+		for gpus := 1; gpus <= 4; gpus++ {
+			cfg := kind.Config(gpus)
+			cfg.Batches = benchBatches
+			res.Points = append(res.Points, experiments.ScalingPoint{
+				GPUs:     gpus,
+				Baseline: run(b, cfg, &retrieval.Baseline{}),
+				PGAS:     run(b, cfg, &retrieval.PGASFused{}),
+			})
 		}
-		res = r
 	}
 	return res
 }
@@ -106,29 +127,26 @@ func BenchmarkFig9StrongBreakdown(b *testing.B) {
 
 func benchCommVolume(b *testing.B, kind experiments.ScalingKind, gpus int) {
 	b.Helper()
-	var cv *experiments.CommVolumeResult
+	cfg := kind.Config(gpus)
+	cfg.Batches = 2
+	var base, pgas *retrieval.Result
 	for i := 0; i < b.N; i++ {
-		r, err := experiments.RunCommVolume(context.Background(), kind, gpus, 100, experiments.Options{Batches: 2})
-		if err != nil {
-			b.Fatal(err)
-		}
-		cv = r
+		base, pgas = run(b, cfg, &retrieval.Baseline{}), run(b, cfg, &retrieval.PGASFused{})
 	}
 	// Active fraction of the timeline carrying volume: the paper's
 	// smoothness evidence (PGAS near 1, baseline bursty).
-	pgActive, blActive := 0, 0
-	for _, p := range cv.PGAS {
-		if p.V > 0 {
-			pgActive++
+	active := func(r *retrieval.Result) float64 {
+		series := r.CommTrace.RateSeries(0, r.TotalTime, 100)
+		n := 0
+		for _, p := range series {
+			if p.V > 0 {
+				n++
+			}
 		}
+		return float64(n) / float64(len(series))
 	}
-	for _, p := range cv.Baseline {
-		if p.V > 0 {
-			blActive++
-		}
-	}
-	b.ReportMetric(float64(pgActive)/float64(len(cv.PGAS)), "pgas_active_frac")
-	b.ReportMetric(float64(blActive)/float64(len(cv.Baseline)), "baseline_active_frac")
+	b.ReportMetric(active(pgas), "pgas_active_frac")
+	b.ReportMetric(active(base), "baseline_active_frac")
 }
 
 func BenchmarkFig7CommVolume2GPU(b *testing.B) {
@@ -146,15 +164,7 @@ func runBackend(b *testing.B, cfg retrieval.Config, backend retrieval.Backend) {
 	cfg.Batches = benchBatches
 	var total float64
 	for i := 0; i < b.N; i++ {
-		sys, err := retrieval.NewSystem(cfg, retrieval.DefaultHardware())
-		if err != nil {
-			b.Fatal(err)
-		}
-		res, err := sys.Run(backend)
-		if err != nil {
-			b.Fatal(err)
-		}
-		total = res.TotalTime
+		total = run(b, cfg, backend).TotalTime
 	}
 	b.ReportMetric(total*1e3/benchBatches, "sim_ms_per_batch")
 }

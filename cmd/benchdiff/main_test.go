@@ -122,13 +122,13 @@ func TestDiffRules(t *testing.T) {
 // -write replaces the hot-path rows and keeps cmd/report's sweep records.
 func TestStoreKeepsSweepRecords(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "bench.json")
-	bench := experiments.NewBench()
-	bench.Start("fig5", 2)()
-	var buf bytes.Buffer
-	if err := bench.WriteJSON(&buf); err != nil {
+	sweeps, err := json.Marshal(experiments.BenchReport{
+		Experiments: []*experiments.BenchExperiment{{Name: "scaling", Parallel: 2, Runs: 16}},
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, sweeps, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	rep, err := load(path)

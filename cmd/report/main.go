@@ -10,18 +10,16 @@
 // Usage:
 //
 //	report [-out results] [-only scaling,stats] [-batches 0] [-seeds 0]
-//	       [-dedup] [-backend pgas-fused] [-parallel N] [-timeout 0]
+//	       [-backend pgas-fused] [-parallel N] [-timeout 0]
 //
 // -only runs the named entries alone (see results/README.md for which
 // entry writes which file). -batches and -seeds replace the committed batch
 // and seed counts of every entry that has one (0 = the committed values).
-// -dedup adds the batch-level index-deduplication axis to the paper's
-// scaling sweeps (the tables grow the dedup columns). -backend swaps the
-// accelerated backend for any registered name (e.g. pgas-overlap-only);
-// the baseline always runs beside it.
+// -backend swaps the accelerated backend for any registered name (e.g.
+// pgas-overlap-only); the baseline always runs beside it.
 //
-// Independent simulation runs within each experiment execute concurrently
-// on -parallel workers (default GOMAXPROCS); the tables and CSVs are
+// The simulation runs of every selected entry execute on one pool of
+// -parallel workers (default GOMAXPROCS); the tables and CSVs are
 // byte-identical at any parallelism. -timeout bounds the whole run.
 package main
 
@@ -42,9 +40,8 @@ func main() {
 	only := flag.String("only", "", "comma-separated manifest entries to run (empty = every entry)")
 	batches := flag.Int("batches", 0, "batches per run of every batch-counted entry (0 = each entry's committed count)")
 	seeds := flag.Int("seeds", 0, "workload seeds for the statistics tables (0 = the committed 3)")
-	dedup := flag.Bool("dedup", false, "add the index-deduplication axis to the scaling sweeps")
 	backend := flag.String("backend", "pgas-fused", "registered accelerated backend (the baseline always runs beside it)")
-	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs per experiment")
+	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "concurrent simulation runs")
 	timeout := flag.Duration("timeout", 0, "abort the whole report after this duration (0 = no limit)")
 	flag.Parse()
 	cliflag.RequireAtLeast(0, "batches", "seeds", "parallel")
@@ -67,20 +64,20 @@ func main() {
 		cliflag.Fatal(err)
 	}
 	bench := experiments.NewBench()
-	o := experiments.Overrides{
-		Sweep:   experiments.Sweep{Backends: []retrieval.Backend{be}, Parallel: *parallel, Bench: bench},
-		Batches: *batches,
-		Seeds:   *seeds,
-		Dedup:   *dedup,
+	files, err := experiments.Run(ctx, entries, experiments.Overrides{
+		Backends: []retrieval.Backend{be},
+		Parallel: *parallel,
+		Bench:    bench,
+		Batches:  *batches,
+		Seeds:    *seeds,
+	})
+	if err != nil {
+		cliflag.Fatal(err)
 	}
 
-	for _, e := range entries {
+	for i, e := range entries {
 		fmt.Printf("== %s ==\n", e.Name)
-		outs, err := e.Run(ctx, o)
-		if err != nil {
-			cliflag.Fatal(err)
-		}
-		for _, f := range outs {
+		for _, f := range files[i] {
 			if f.Table != nil {
 				err = cliflag.WriteTable(*out, f.Stem, f.Table)
 				fmt.Println(f.Table.Render())
@@ -107,7 +104,7 @@ func main() {
 	}
 	rep := bench.Report()
 	fmt.Printf("host timing: %.1fs wall, %.1fs of simulation across %d workers (%s)\n",
-		rep.TotalWallSeconds, rep.TotalRunSeconds, rep.Experiments[0].Parallel, benchPath)
+		rep.TotalWallSeconds, rep.TotalRunSeconds, *parallel, benchPath)
 
 	fmt.Printf("artifacts written to %s/\n", *out)
 }

@@ -66,9 +66,9 @@ func main() {
 	}
 
 	opts := experiments.ServingOptions{
+		Backends:       cliflag.Backends("backend", *backend),
 		Rates:          cliflag.Floats("rate", *rates),
 		CacheFractions: cliflag.Floats("cache", *cacheFracs),
-		Sweep:          experiments.Sweep{Backends: cliflag.Backends("backend", *backend), Parallel: *parallel},
 		GPUs:           *gpus,
 		Duration:       duration.Seconds(),
 		Serve:          serve.Config{Arrival: arr, Seed: *seed},
@@ -81,11 +81,11 @@ func main() {
 
 	fmt.Printf("== Online serving sweep (%d GPUs, %s arrivals, %v simulated per point) ==\n",
 		*gpus, arr, *duration)
-	res, err := experiments.RunServing(ctx, opts)
+	files, err := experiments.Run(ctx, []experiments.Entry{opts.Entry()}, experiments.Overrides{Parallel: *parallel})
 	if err != nil {
 		cliflag.Fatal(err)
 	}
-	t := res.Table()
+	t := files[0][0].Table
 	if err := cliflag.WriteTable(*out, "serving", t); err != nil {
 		cliflag.Fatal(err)
 	}

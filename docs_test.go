@@ -24,7 +24,7 @@ var docRef = regexp.MustCompile(`(?:^|[^A-Za-z0-9_/])(?:\./)?(cmd|examples)/([A-
 var docPath = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])(internal/[A-Za-z0-9_./-]*[A-Za-z0-9_])`)
 
 // docAPI matches an exported identifier of a package the programs import
-// inside a doc span: experiments.RunChaos, retrieval.Config.
+// inside a doc span: experiments.Manifest, retrieval.Config.
 var docAPI = regexp.MustCompile(`(?:^|[^A-Za-z0-9_./])(retrieval|experiments|serve|dlrm)\.([A-Z][A-Za-z0-9_]*)`)
 
 // docFlag matches a command-line flag token: -batches, -out=results.

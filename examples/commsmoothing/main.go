@@ -17,12 +17,21 @@ import (
 )
 
 func main() {
-	// Profile the paper's Figure 7 setting: weak scaling on 2 GPUs.
-	cv, err := experiments.RunCommVolume(context.Background(), experiments.WeakScaling, 2, 96, experiments.Options{Batches: 2})
+	// Profile the paper's Figure 7 setting, weak scaling on 2 GPUs, with
+	// the artifact manifest's commvolume entry at 2 batches.
+	entries, err := experiments.Manifest("commvolume")
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(cv.CommVolumeCharts(8))
+	files, err := experiments.Run(context.Background(), entries, experiments.Overrides{Batches: 2})
+	if err != nil {
+		log.Fatal(err)
+	}
+	for _, f := range files[0] {
+		if f.Stem == "fig7_comm_volume_2gpu_chart" {
+			fmt.Print(f.Text)
+		}
+	}
 
 	// The aggregator variant: same traffic, fewer headers.
 	fmt.Println("\naggregated one-sided stores (future-work variant):")

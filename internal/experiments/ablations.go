@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pgasemb/internal/retrieval"
@@ -14,18 +13,15 @@ type AblationResult struct {
 	TotalTime sim.Duration
 }
 
-// RunAblations executes the mechanism-isolation suite on the weak-scaling
+// ablationSweep declares the mechanism-isolation suite on the weak-scaling
 // configuration at the given GPU count: baseline, unpack-elimination only
 // (A1), overlap only (A2), full PGAS, and aggregated PGAS (A3). The paper
 // attributes its speedup to two mechanisms; this run shows each mechanism's
-// isolated contribution. All five backends run concurrently from one shared
-// spec. It returns early when ctx is done.
-func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult, error) {
-	spec, err := opts.spec(retrieval.WeakScalingConfig(gpus))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: ablations: %w", err)
-	}
-	backends := []retrieval.Backend{
+// isolated contribution.
+func ablationSweep(gpus, batches int) sweep[[]AblationResult] {
+	cfg := sized(retrieval.WeakScalingConfig(gpus), batches, 0)
+	var pts []point
+	for _, b := range []retrieval.Backend{
 		&retrieval.Baseline{},
 		&retrieval.Baseline{DirectPlacement: true},
 		&retrieval.PGASFused{StageRemote: true},
@@ -34,14 +30,16 @@ func RunAblations(ctx context.Context, gpus int, opts Options) ([]AblationResult
 			FlushBytes: 64 << 10,
 			MaxWait:    100 * sim.Microsecond,
 		}},
+	} {
+		pts = append(pts, point{cfg: cfg, hw: retrieval.ClusterHardware(1), backend: b})
 	}
-	return runJobs(ctx, opts.Sweep, fmt.Sprintf("ablations-%dgpu", gpus), len(backends), func(i int) (AblationResult, error) {
-		r, err := runSpec(ctx, spec, backends[i], spec.Config().Seed)
-		if err != nil {
-			return AblationResult{}, fmt.Errorf("experiments: ablations, %s: %w", backends[i].Name(), err)
+	return sweep[[]AblationResult]{pts, func(outs []outcome) []AblationResult {
+		res := make([]AblationResult, len(outs))
+		for i, o := range outs {
+			res[i] = AblationResult{Name: o.sys.Backend, TotalTime: o.sys.TotalTime}
 		}
-		return AblationResult{Name: r.Backend, TotalTime: r.TotalTime}, nil
-	})
+		return res
+	}}
 }
 
 // AblationTable renders ablation results with speedups over the first

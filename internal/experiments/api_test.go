@@ -3,31 +3,28 @@ package experiments_test
 import (
 	"context"
 	"fmt"
-	"testing"
 
 	"pgasemb/internal/experiments"
 )
 
-func TestPublicAPIExperimentHarness(t *testing.T) {
-	res, err := experiments.RunScaling(context.Background(), experiments.WeakScaling, experiments.Options{Batches: 2, MaxGPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.SpeedupTable().Render(); got == "" {
-		t.Fatal("empty table render")
-	}
-	if s := res.Point(2).Speedup(); s <= 1 {
-		t.Fatalf("speedup %v", s)
-	}
-}
-
-// ExampleRunScaling regenerates the headline of the paper's Table 1 at
-// reduced batch count.
-func ExampleRunScaling() {
-	res, err := experiments.RunScaling(context.Background(), experiments.WeakScaling, experiments.Options{Batches: 2, MaxGPUs: 2})
+// ExampleRun regenerates the mechanism ablations at a reduced batch count
+// and lists the backends of the suite, baseline first.
+func ExampleRun() {
+	entries, err := experiments.Manifest("ablations")
 	if err != nil {
 		panic(err)
 	}
-	fmt.Printf("PGAS beats NCCL baseline at 2 GPUs: %v\n", res.Point(2).Speedup() > 1.8)
-	// Output: PGAS beats NCCL baseline at 2 GPUs: true
+	files, err := experiments.Run(context.Background(), entries, experiments.Overrides{Batches: 2})
+	if err != nil {
+		panic(err)
+	}
+	for _, row := range files[0][0].Table.Rows {
+		fmt.Println(row[0])
+	}
+	// Output:
+	// baseline
+	// baseline-direct-placement
+	// pgas-overlap-only
+	// pgas-fused
+	// pgas-aggregated
 }

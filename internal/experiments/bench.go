@@ -4,29 +4,29 @@ import (
 	"encoding/json"
 	"io"
 	"runtime"
-	"sync"
 	"time"
 )
 
-// Bench records host-side timing for a sequence of experiments: each
-// experiment's wall-clock time, the summed duration of its individual
-// simulation runs, and the parallelism it dispatched with. The ratio of
-// run-seconds to wall-seconds is the realised speedup of the worker pool.
-// A nil *Bench is valid and records nothing.
+// Bench records host-side timing per manifest entry: each entry's
+// wall-clock time, the summed duration of its individual simulation runs,
+// and the parallelism it ran with. The ratio of run-seconds to wall-seconds
+// is the realised speedup of the worker pool. A nil *Bench is valid and
+// records nothing.
 type Bench struct {
-	mu          sync.Mutex
-	cur         *BenchExperiment
 	experiments []*BenchExperiment
+	wall        time.Duration
 }
 
-// BenchExperiment is one experiment's timing record.
+// BenchExperiment is one manifest entry's timing record.
 type BenchExperiment struct {
 	Name string `json:"name"`
-	// Parallel is the worker count the experiment dispatched runs with.
+	// Parallel is the worker count of the pool the entry's runs shared.
 	Parallel int `json:"parallel"`
 	// Runs counts the individual simulation runs executed.
 	Runs int `json:"runs"`
-	// WallSeconds is the experiment's host wall-clock time.
+	// WallSeconds is the entry's host wall-clock time, from its first run's
+	// start to its last run's end. Entries share one pool, so their walls
+	// overlap.
 	WallSeconds float64 `json:"wall_seconds"`
 	// RunSeconds sums the wall-clock time of every simulation run — the
 	// serial work the pool spread over its workers.
@@ -38,44 +38,36 @@ type BenchExperiment struct {
 // NewBench returns an empty recorder.
 func NewBench() *Bench { return &Bench{} }
 
-// Start opens a new experiment record and returns the closure that seals it
-// (measuring wall-clock time in between). Experiments are recorded one at a
-// time; runs noted while the record is open are attributed to it.
-func (b *Bench) Start(name string, parallel int) func() {
+// record adds the record of entry `name` from the host times of its runs.
+func (b *Bench) record(name string, parallel int, runs []span) {
 	if b == nil {
-		return func() {}
+		return
 	}
-	b.mu.Lock()
-	e := &BenchExperiment{Name: name, Parallel: parallel}
+	e := &BenchExperiment{Name: name, Parallel: parallel, Runs: len(runs)}
+	if len(runs) > 0 {
+		first, last := runs[0].start, runs[0].end
+		for _, r := range runs {
+			e.RunSeconds += r.end.Sub(r.start).Seconds()
+			if r.start.Before(first) {
+				first = r.start
+			}
+			if r.end.After(last) {
+				last = r.end
+			}
+		}
+		e.WallSeconds = last.Sub(first).Seconds()
+	}
+	if e.WallSeconds > 0 {
+		e.Speedup = e.RunSeconds / e.WallSeconds
+	}
 	b.experiments = append(b.experiments, e)
-	b.cur = e
-	b.mu.Unlock()
-	start := time.Now()
-	return func() {
-		b.mu.Lock()
-		defer b.mu.Unlock()
-		e.WallSeconds = time.Since(start).Seconds()
-		if e.WallSeconds > 0 {
-			e.Speedup = e.RunSeconds / e.WallSeconds
-		}
-		if b.cur == e {
-			b.cur = nil
-		}
-	}
 }
 
-// noteRun attributes one simulation run's host time to the open experiment.
-func (b *Bench) noteRun(d time.Duration) {
-	if b == nil {
-		return
+// addWall adds one engine run's wall-clock time to the total.
+func (b *Bench) addWall(d time.Duration) {
+	if b != nil {
+		b.wall += d
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.cur == nil {
-		return
-	}
-	b.cur.Runs++
-	b.cur.RunSeconds += d.Seconds()
 }
 
 // BenchReport is the machine-readable summary written to bench.json.
@@ -92,12 +84,10 @@ func (b *Bench) Report() *BenchReport {
 	if b == nil {
 		return rep
 	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
+	rep.TotalWallSeconds = b.wall.Seconds()
 	for _, e := range b.experiments {
 		c := *e
 		rep.Experiments = append(rep.Experiments, &c)
-		rep.TotalWallSeconds += e.WallSeconds
 		rep.TotalRunSeconds += e.RunSeconds
 	}
 	return rep

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"sync"
 	"testing"
 
@@ -18,7 +17,7 @@ import (
 
 // Ten batches keep the tests fast; the trends are batch-count invariant
 // because batches are statistically identical.
-var calOpts = Options{Batches: 10}
+const calBatches = 10
 
 var (
 	weakOnce   sync.Once
@@ -30,11 +29,7 @@ var (
 func weak(t *testing.T) *ScalingResult {
 	t.Helper()
 	weakOnce.Do(func() {
-		r, err := RunScaling(context.Background(), WeakScaling, calOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		weakRes = r
+		weakRes = runSweep(t, scalingSweep(WeakScaling, 4, calBatches, &retrieval.PGASFused{}))
 	})
 	if weakRes == nil {
 		t.Fatal("weak scaling run failed earlier")
@@ -45,11 +40,7 @@ func weak(t *testing.T) *ScalingResult {
 func strong(t *testing.T) *ScalingResult {
 	t.Helper()
 	strongOnce.Do(func() {
-		r, err := RunScaling(context.Background(), StrongScaling, calOpts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		strongRes = r
+		strongRes = runSweep(t, scalingSweep(StrongScaling, 4, calBatches, &retrieval.PGASFused{}))
 	})
 	if strongRes == nil {
 		t.Fatal("strong scaling run failed earlier")
@@ -202,19 +193,11 @@ func TestFig9StrongBreakdownTrends(t *testing.T) {
 }
 
 func TestFig7CommVolumeOverTime2GPUs(t *testing.T) {
-	cv, err := RunCommVolume(context.Background(), WeakScaling, 2, 100, Options{Batches: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCommShape(t, cv)
+	assertCommShape(t, runSweep(t, commVolumeSweep(WeakScaling, 2, 100, 3, &retrieval.PGASFused{})))
 }
 
 func TestFig10CommVolumeOverTime4GPUs(t *testing.T) {
-	cv, err := RunCommVolume(context.Background(), StrongScaling, 4, 100, Options{Batches: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertCommShape(t, cv)
+	assertCommShape(t, runSweep(t, commVolumeSweep(StrongScaling, 4, 100, 3, &retrieval.PGASFused{})))
 }
 
 // assertCommShape checks the figures' defining property: PGAS volume is

@@ -1,8 +1,6 @@
 package experiments
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"pgasemb/internal/metrics"
@@ -11,56 +9,24 @@ import (
 	"pgasemb/internal/sim"
 )
 
-func chaosTestOptions() ChaosOptions {
-	base := servingTestBase()
-	hw := servingTestHW()
-	return ChaosOptions{
-		Profiles: []string{"none", "straggler"},
-		Replicas: []int{1, 2},
-		Sweep:    Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}},
-		Rate:     2400,
-		Duration: 200 * sim.Millisecond,
-		Base:     &base,
-		HW:       &hw,
-		Serve:    serve.Config{MaxWait: 2 * sim.Millisecond},
-	}
-}
-
-// The chaos sweep must be byte-identical at any worker count: parallelism
-// changes wall-clock time, never the table.
-func TestChaosDeterministicAcrossParallelism(t *testing.T) {
-	var results []*ChaosResult
-	var renders []string
-	for _, parallel := range []int{1, 4} {
-		o := chaosTestOptions()
-		o.Parallel = parallel
-		res, err := RunChaos(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-		renders = append(renders, res.Table().CSV()+res.Table().Render())
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatalf("chaos sweep differs between Parallel=1 and Parallel=4:\n%+v\nvs\n%+v",
-			results[0], results[1])
-	}
-	if renders[0] != renders[1] {
-		t.Fatalf("chaos table differs between Parallel=1 and Parallel=4:\n%s\nvs\n%s",
-			renders[0], renders[1])
-	}
+// chaosTestSweep is a small chaos sweep of both backends on the small
+// serving workload, 2400 requests/s for 200 simulated ms per point.
+func chaosTestSweep(profiles []string, replicas []int) (sweep[*ChaosResult], error) {
+	return chaosSweep(profiles, replicas, servingTestBase(), servingTestHW(),
+		serve.Config{Rate: 2400, Duration: 200 * sim.Millisecond, MaxWait: 2 * sim.Millisecond},
+		[]retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
 }
 
 // Sanity on the sweep's content: every point serves traffic, the grid is
 // ordered backend-major, the healthy control is fully available, and the
 // straggler profile costs the collective baseline tail latency.
 func TestChaosSweepContent(t *testing.T) {
-	opts := chaosTestOptions()
-	res, err := RunChaos(context.Background(), opts)
+	s, err := chaosTestSweep([]string{"none", "straggler"}, []int{1, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPoints := len(opts.Backends) * len(opts.Profiles) * len(opts.Replicas)
+	res := runSweep(t, s)
+	wantPoints := 2 * 2 * 2
 	if len(res.Points) != wantPoints {
 		t.Fatalf("%d points, want %d", len(res.Points), wantPoints)
 	}
@@ -102,14 +68,10 @@ func TestChaosSweepContent(t *testing.T) {
 
 // Invalid sweeps are configuration errors, not silent empty tables.
 func TestChaosValidation(t *testing.T) {
-	o := chaosTestOptions()
-	o.Replicas = []int{0}
-	if _, err := RunChaos(context.Background(), o); err == nil {
+	if _, err := chaosTestSweep([]string{"none"}, []int{0}); err == nil {
 		t.Fatal("replica count 0 accepted")
 	}
-	o = chaosTestOptions()
-	o.Profiles = []string{"nope"}
-	if _, err := RunChaos(context.Background(), o); err == nil {
+	if _, err := chaosTestSweep([]string{"nope"}, []int{1}); err == nil {
 		t.Fatal("unknown fault profile accepted")
 	}
 }

@@ -10,7 +10,6 @@ import (
 	"testing"
 
 	"pgasemb/internal/retrieval"
-	"pgasemb/internal/sim"
 )
 
 func TestForEachRunsEveryIndexOnce(t *testing.T) {
@@ -96,304 +95,186 @@ func TestForEachHonoursCancelledContext(t *testing.T) {
 	}
 }
 
-// fastOpts keeps the engine determinism sweeps quick.
-func fastOpts(parallel int) Options {
-	return Options{Batches: 2, MaxGPUs: 3, Sweep: Sweep{Parallel: parallel}}
+// runSweep runs one sweep on the engine as an entry of its own and returns
+// its result.
+func runSweep[T any](t testing.TB, s sweep[T]) T {
+	t.Helper()
+	var res T
+	e := Entry{Name: "test", build: func(Overrides) (sweep[[]Output], error) {
+		return rendered(s, func(r T) []Output { res = r; return nil }), nil
+	}}
+	if _, err := Run(context.Background(), []Entry{e}, Overrides{}); err != nil {
+		t.Fatal(err)
+	}
+	return res
 }
 
-// TestParallelScalingMatchesSerial is the engine's core guarantee: the
-// rendered tables and CSVs of a parallel sweep are byte-identical to a
-// serial sweep's.
-func TestParallelScalingMatchesSerial(t *testing.T) {
-	for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
-		serial, err := RunScaling(context.Background(), kind, fastOpts(1))
-		if err != nil {
-			t.Fatal(err)
-		}
-		parallel, err := RunScaling(context.Background(), kind, fastOpts(4))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, pair := range []struct {
-			name string
-			s, p *Table
-		}{
-			{"speedups", serial.SpeedupTable(), parallel.SpeedupTable()},
-			{"factors", serial.FactorTable(), parallel.FactorTable()},
-			{"breakdown", serial.BreakdownTable(), parallel.BreakdownTable()},
-		} {
-			if pair.s.Render() != pair.p.Render() {
-				t.Errorf("%s %s: parallel Render differs from serial", kind, pair.name)
+// manifestRun is one engine run of the whole manifest at one batch and one
+// seed, on `parallel` workers, with its bench records.
+type manifestRun struct {
+	files [][]Output
+	bench *BenchReport
+}
+
+var manifestRuns sync.Map // parallel -> *manifestRun
+
+// runManifest runs the whole manifest at test size on `parallel` workers,
+// once per worker count for the package's tests.
+func runManifest(t *testing.T, parallel int) *manifestRun {
+	t.Helper()
+	if r, ok := manifestRuns.Load(parallel); ok {
+		return r.(*manifestRun)
+	}
+	b := NewBench()
+	files, err := Run(context.Background(), manifest, Overrides{Batches: 1, Seeds: 1, Parallel: parallel, Bench: b})
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, _ := manifestRuns.LoadOrStore(parallel, &manifestRun{files, b.Report()})
+	return r.(*manifestRun)
+}
+
+// The engine's core guarantee: every file of every entry, run in one pool,
+// is byte-identical at 1 and 4 workers, and each entry renders one
+// non-empty file per stem, named after it.
+func TestManifestDeterministicAcrossParallelism(t *testing.T) {
+	serial, parallel := runManifest(t, 1), runManifest(t, 4)
+	for i, e := range manifest {
+		t.Run(e.Name, func(t *testing.T) {
+			s, p := serial.files[i], parallel.files[i]
+			if len(s) != len(e.Stems) || len(p) != len(e.Stems) {
+				t.Fatalf("rendered %d and %d files for %d stems", len(s), len(p), len(e.Stems))
 			}
-			if pair.s.CSV() != pair.p.CSV() {
-				t.Errorf("%s %s: parallel CSV differs from serial", kind, pair.name)
+			for j, out := range s {
+				if out.Stem != e.Stems[j] {
+					t.Errorf("file %d is %s, want %s", j, out.Stem, e.Stems[j])
+				}
+				if out.Table == nil && out.Text == "" || out.Table != nil && len(out.Table.Rows) == 0 {
+					t.Errorf("%s rendered empty", out.Stem)
+				}
+				if render(out) != render(p[j]) {
+					t.Errorf("%s differs between Parallel=1 and Parallel=4:\n%s\nvs\n%s", out.Stem, render(out), render(p[j]))
+				}
 			}
-		}
+		})
 	}
 }
 
-func TestParallelAblationsMatchSerial(t *testing.T) {
-	serial, err := RunAblations(context.Background(), 3, fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
+// render is every byte an output writes.
+func render(out Output) string {
+	if out.Table == nil {
+		return out.Text
 	}
-	parallel, err := RunAblations(context.Background(), 3, fastOpts(5))
-	if err != nil {
-		t.Fatal(err)
+	return out.Table.Render() + out.Table.CSV()
+}
+
+// The engine writes one bench record per entry, named after it, with the
+// pool's worker count and one timed run per declared point.
+func TestBenchRecordsExperiments(t *testing.T) {
+	rep := runManifest(t, 4).bench
+	if len(rep.Experiments) != len(manifest) {
+		t.Fatalf("recorded %d experiments, want one per entry (%d)", len(rep.Experiments), len(manifest))
 	}
-	if AblationTable(serial).CSV() != AblationTable(parallel).CSV() {
-		t.Fatal("parallel ablation table differs from serial")
+	if rep.TotalWallSeconds <= 0 || rep.TotalRunSeconds <= 0 || rep.GoMaxProcs <= 0 {
+		t.Fatalf("report totals missing: %+v", rep)
+	}
+	for i, e := range manifest {
+		t.Run(e.Name, func(t *testing.T) {
+			s, err := e.build(Overrides{Batches: 1, Seeds: 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			r := rep.Experiments[i]
+			if r.Name != e.Name || r.Parallel != 4 || r.Runs != len(s.points) {
+				t.Errorf("record %+v, want name %q, parallel 4, %d runs", r, e.Name, len(s.points))
+			}
+			if r.WallSeconds <= 0 || r.RunSeconds <= 0 || r.Speedup <= 0 {
+				t.Errorf("timings not recorded: %+v", r)
+			}
+		})
 	}
 }
 
-func TestParallelStatsMatchSerial(t *testing.T) {
-	serial, err := RunScalingStats(context.Background(), WeakScaling, 3, fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunScalingStats(context.Background(), WeakScaling, 3, fastOpts(6))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := StatsTable(WeakScaling, serial)
-	p := StatsTable(WeakScaling, parallel)
-	if s.CSV() != p.CSV() {
-		t.Fatalf("parallel stats differ from serial:\n%s\n---\n%s", s.CSV(), p.CSV())
-	}
-}
-
-func TestParallelCommVolumeMatchesSerial(t *testing.T) {
-	serial, err := RunCommVolume(context.Background(), WeakScaling, 2, 50, fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunCommVolume(context.Background(), WeakScaling, 2, 50, fastOpts(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial.CSVTable().CSV() != parallel.CSVTable().CSV() {
-		t.Fatal("parallel comm-volume profile differs from serial")
-	}
-}
-
-func TestParallelPipelineDepthMatchesSerial(t *testing.T) {
-	serial, err := RunPipelineDepth(context.Background(), 2, []int{1, 2}, fastOpts(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := RunPipelineDepth(context.Background(), 2, []int{1, 2}, fastOpts(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, p := PipelineDepthTable(serial), PipelineDepthTable(parallel)
-	if s.Render() != p.Render() || s.CSV() != p.CSV() {
-		t.Fatalf("parallel pipeline-depth table differs from serial:\n%s\n---\n%s", s.CSV(), p.CSV())
-	}
-}
-
-// entryPoint is one Run* entry point at test size: run executes it with sw
-// as its options' Sweep (nil Backends = the entry point's default). jobs is
-// its job count and bench its bench record's name.
-type entryPoint struct {
-	name  string
-	bench string
-	jobs  int
-	run   func(ctx context.Context, sw Sweep) error
-}
-
-func entryPoints() []entryPoint {
-	opts := func(sw Sweep) Options {
-		o := fastOpts(0)
-		o.Sweep = sw
-		return o
-	}
-	return []entryPoint{
-		{"RunScaling", "weak-scaling", 2 * 3, func(ctx context.Context, sw Sweep) error {
-			_, err := RunScaling(ctx, WeakScaling, opts(sw))
-			return err
-		}},
-		{"RunCommVolume", "weak-commvolume-2gpu", 2, func(ctx context.Context, sw Sweep) error {
-			_, err := RunCommVolume(ctx, WeakScaling, 2, 50, opts(sw))
-			return err
-		}},
-		{"RunScalingStats", "weak-scaling-stats", 2 * 2 * 2, func(ctx context.Context, sw Sweep) error {
-			_, err := RunScalingStats(ctx, WeakScaling, 2, opts(sw))
-			return err
-		}},
-		{"RunAblations", "ablations-2gpu", 5, func(ctx context.Context, sw Sweep) error {
-			_, err := RunAblations(ctx, 2, opts(sw))
-			return err
-		}},
-		{"RunPipelineDepth", "pipeline-depth-2gpu", 2 * 2, func(ctx context.Context, sw Sweep) error {
-			_, err := RunPipelineDepth(ctx, 2, []int{1, 2}, opts(sw))
-			return err
-		}},
-		{"RunMultiNode", "multinode-weak-scaling", 2 * 3, func(ctx context.Context, sw Sweep) error {
-			o := multiNodeTestOptions()
-			o.Sweep = sw
-			_, err := RunMultiNode(ctx, WeakScaling, o)
-			return err
-		}},
-		{"RunPrecision", "precision-sweep", 2*2*3 + 3, func(ctx context.Context, sw Sweep) error {
-			o := precisionTestOptions()
-			o.Sweep, o.Batches = sw, 1
-			_, err := RunPrecision(ctx, o)
-			return err
-		}},
-		{"RunServing", "serving", 2, func(ctx context.Context, sw Sweep) error {
-			base, hw := servingTestBase(), servingTestHW()
-			_, err := RunServing(ctx, ServingOptions{
-				Sweep: sw, Rates: []float64{1500}, CacheFractions: []float64{0},
-				Duration: 200 * sim.Millisecond, Base: &base, HW: &hw,
-			})
-			return err
-		}},
-		{"RunChaos", "chaos", 2 * 2 * 2, func(ctx context.Context, sw Sweep) error {
-			o := chaosTestOptions()
-			o.Sweep = sw
-			_, err := RunChaos(ctx, o)
-			return err
-		}},
-		{"RunPlacement", "placement", 2 * 4, func(ctx context.Context, sw Sweep) error {
-			o := placementTestOptions()
-			o.Sweep = sw
-			_, err := RunPlacement(ctx, o)
-			return err
-		}},
-	}
-}
-
-// Every sweep entry point honours a context cancelled before it starts.
+// The engine honours a context cancelled before it starts, for the whole
+// manifest and for every entry run alone.
 func TestExperimentContextCancellation(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, ep := range entryPoints() {
-		t.Run(ep.name, func(t *testing.T) {
-			if err := ep.run(ctx, Sweep{Parallel: 2}); !errors.Is(err, context.Canceled) {
+	if _, err := Run(ctx, manifest, Overrides{Parallel: 2}); !errors.Is(err, context.Canceled) {
+		t.Fatalf("manifest: err = %v, want context.Canceled", err)
+	}
+	for _, e := range manifest {
+		t.Run(e.Name, func(t *testing.T) {
+			b := NewBench()
+			if _, err := Run(ctx, []Entry{e}, Overrides{Parallel: 2, Bench: b}); !errors.Is(err, context.Canceled) {
 				t.Fatalf("err = %v, want context.Canceled", err)
 			}
-		})
-	}
-}
-
-// Every entry point opens one bench record, under its own name and worker
-// count, and notes one timed run per job.
-func TestBenchRecordsExperiments(t *testing.T) {
-	for _, ep := range entryPoints() {
-		t.Run(ep.name, func(t *testing.T) {
-			b := NewBench()
-			if err := ep.run(context.Background(), Sweep{Parallel: 2, Bench: b}); err != nil {
-				t.Fatal(err)
-			}
-			rep := b.Report()
-			if len(rep.Experiments) != 1 {
-				t.Fatalf("recorded %d experiments, want 1", len(rep.Experiments))
-			}
-			e := rep.Experiments[0]
-			if e.Name != ep.bench || e.Parallel != 2 || e.Runs != ep.jobs {
-				t.Fatalf("record %+v, want name %q, parallel 2, %d runs", e, ep.bench, ep.jobs)
-			}
-			if e.WallSeconds <= 0 || e.RunSeconds <= 0 || e.Speedup <= 0 {
-				t.Fatalf("timings not recorded: %+v", e)
-			}
-			if rep.TotalWallSeconds <= 0 || rep.GoMaxProcs <= 0 {
-				t.Fatalf("report totals missing: %+v", rep)
+			if rep := b.Report(); len(rep.Experiments) != 0 {
+				t.Fatalf("a cancelled run recorded %+v", rep.Experiments)
 			}
 		})
 	}
 }
 
-// A negative value in a "0 = default" shared field is an error naming the
-// field, never a silent default, on every entry point family.
+// A negative value in a "0 = default" override is an error naming the
+// field, never a silent default, and is refused before anything runs:
+// for the whole manifest and for every entry run alone.
 func TestSweepsRefuseNegativeSharedFields(t *testing.T) {
-	ctx := context.Background()
-	for _, ep := range entryPoints() {
-		t.Run(ep.name+"/Parallel", func(t *testing.T) {
-			err := ep.run(ctx, Sweep{Parallel: -1})
-			if err == nil || !strings.Contains(err.Error(), "Parallel must be >= 0") {
-				t.Fatalf("err = %v, want a Parallel error", err)
-			}
-		})
-	}
-	// Each entry point taking batch overrides, with the fields it has.
-	both := []string{"Batches", "BatchSize"}
-	sized := []struct {
-		name   string
-		fields []string
-		run    func(batches, batchSize int) error
+	fields := []struct {
+		name string
+		o    Overrides
 	}{
-		{"RunScaling", both, func(b, s int) error {
-			_, err := RunScaling(ctx, WeakScaling, Options{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunCommVolume", both, func(b, s int) error {
-			_, err := RunCommVolume(ctx, WeakScaling, 2, 50, Options{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunScalingStats", both, func(b, s int) error {
-			_, err := RunScalingStats(ctx, WeakScaling, 2, Options{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunAblations", both, func(b, s int) error {
-			_, err := RunAblations(ctx, 2, Options{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunPipelineDepth", both, func(b, s int) error {
-			_, err := RunPipelineDepth(ctx, 2, nil, Options{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunMultiNode", both, func(b, s int) error {
-			_, err := RunMultiNode(ctx, WeakScaling, MultiNodeOptions{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunPrecision", both, func(b, s int) error {
-			_, err := RunPrecision(ctx, PrecisionOptions{Batches: b, BatchSize: s})
-			return err
-		}},
-		{"RunPlacement", []string{"Batches"}, func(b, _ int) error {
-			_, err := RunPlacement(ctx, PlacementOptions{Batches: b})
-			return err
-		}},
+		{"Parallel", Overrides{Parallel: -1}},
+		{"Batches", Overrides{Batches: -1}},
+		{"Seeds", Overrides{Seeds: -1}},
 	}
-	for _, sz := range sized {
-		for _, field := range sz.fields {
-			t.Run(sz.name+"/"+field, func(t *testing.T) {
-				batches, batchSize := -1, 0
-				if field == "BatchSize" {
-					batches, batchSize = 0, -1
+	for _, f := range fields {
+		if _, err := Run(context.Background(), manifest, f.o); err == nil || !strings.Contains(err.Error(), f.name+" must be >= 0") {
+			t.Errorf("manifest: err = %v, want a %s error", err, f.name)
+		}
+	}
+	for _, e := range manifest {
+		for _, f := range fields {
+			t.Run(e.Name+"/"+f.name, func(t *testing.T) {
+				o := f.o
+				o.Bench = NewBench()
+				if _, err := Run(context.Background(), []Entry{e}, o); err == nil || !strings.Contains(err.Error(), f.name+" must be >= 0") {
+					t.Errorf("err = %v, want a %s error", err, f.name)
 				}
-				err := sz.run(batches, batchSize)
-				if err == nil || !strings.Contains(err.Error(), field+" must be >= 0") {
-					t.Fatalf("err = %v, want a %s error", err, field)
+				if rep := o.Bench.Report(); len(rep.Experiments) != 0 {
+					t.Errorf("a refused run recorded %+v", rep.Experiments)
 				}
 			})
 		}
 	}
 }
 
-// The baseline-vs-accelerated sweeps take one accelerated backend, and no
-// sweep takes a nil one.
+// The overrides take one accelerated backend, never a nil one, whatever
+// entries run.
 func TestSweepsRefuseBadBackends(t *testing.T) {
-	two := fastOpts(1)
-	two.Backends = []retrieval.Backend{&retrieval.PGASFused{}, &retrieval.PGASFused{StageRemote: true}}
-	if _, err := RunScaling(context.Background(), WeakScaling, two); err == nil ||
-		!strings.Contains(err.Error(), "accelerated column alone") {
-		t.Errorf("two accelerated backends: err = %v", err)
-	}
-	for _, ep := range entryPoints() {
-		if err := ep.run(context.Background(), Sweep{Backends: []retrieval.Backend{nil}}); err == nil ||
-			!strings.Contains(err.Error(), "Backends[0] is nil") {
-			t.Errorf("%s: nil backend: err = %v", ep.name, err)
+	two := []retrieval.Backend{&retrieval.PGASFused{}, &retrieval.PGASFused{StageRemote: true}}
+	check := func(t *testing.T, entries []Entry) {
+		t.Helper()
+		if _, err := Run(context.Background(), entries, Overrides{Backends: two}); err == nil ||
+			!strings.Contains(err.Error(), "accelerated backend alone") {
+			t.Errorf("two accelerated backends: err = %v", err)
 		}
+		if _, err := Run(context.Background(), entries, Overrides{Backends: []retrieval.Backend{nil}}); err == nil ||
+			!strings.Contains(err.Error(), "Backends[0] is nil") {
+			t.Errorf("nil backend: err = %v", err)
+		}
+	}
+	check(t, manifest)
+	for _, e := range manifest {
+		t.Run(e.Name, func(t *testing.T) { check(t, []Entry{e}) })
 	}
 }
 
 func TestBenchNilSafe(t *testing.T) {
 	var b *Bench
-	stop := b.Start("x", 1)
-	b.noteRun(0)
-	stop()
-	if rep := b.Report(); len(rep.Experiments) != 0 {
+	b.record("x", 1, []span{{}})
+	b.addWall(1)
+	if rep := b.Report(); len(rep.Experiments) != 0 || rep.TotalWallSeconds != 0 {
 		t.Fatal("nil bench recorded experiments")
 	}
 }

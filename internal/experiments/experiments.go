@@ -6,14 +6,15 @@
 //	Figure 6 / Figure 9 — runtime component breakdowns
 //	Figure 7 / Figure 10 — communication volume over time
 //
-// Each experiment returns structured data plus ASCII/CSV renderings; the
+// plus the sweeps beyond it. Each experiment is a declared sweep whose
+// points run on one engine (Run) and whose results render as ASCII/CSV
+// tables; the artifact manifest (Manifest) lists every committed one. The
 // calibration shape tests in this package assert that the regenerated
 // results match the paper's qualitative and (within tolerance) quantitative
 // findings.
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pgasemb/internal/metrics"
@@ -47,47 +48,11 @@ func (k ScalingKind) Config(gpus int) retrieval.Config {
 	return retrieval.StrongScalingConfig(gpus)
 }
 
-// Options tunes the paper's sweeps: scaling, statistics, communication
-// volume, ablations and pipeline depth.
-type Options struct {
-	Sweep
-	// MaxGPUs bounds the sweep (paper: 4).
-	MaxGPUs int
-	// Batches overrides the per-run batch count (0 = paper's 100).
-	Batches int
-	// BatchSize overrides the per-run batch size (0 = the configuration's).
-	// Mainly for tests: the paper-scale batch makes index-level passes
-	// (dedup classification) expensive.
-	BatchSize int
-	// HW selects the hardware model (zero value = calibrated defaults).
-	HW *retrieval.HardwareParams
-	// Dedup adds the batch-level index-deduplication axis: every scaling
-	// point runs each backend twice, with deduplication off and on, and the
-	// rendered tables grow the dedup columns.
-	Dedup bool
-}
-
-// spec builds a sweep point's spec from cfg with the batch overrides and
-// the hardware applied.
-func (o Options) spec(cfg retrieval.Config) (*retrieval.SystemSpec, error) {
-	cfg, err := resize(cfg, o.Batches, o.BatchSize)
-	if err != nil {
-		return nil, err
-	}
-	return retrieval.NewSystemSpec(cfg, hardware(o.HW, 1))
-}
-
-// ScalingPoint holds one GPU count's pair of runs. When the sweep carries
-// the dedup axis (Options.Dedup), the dedup-enabled runs ride along.
+// ScalingPoint holds one GPU count's pair of runs.
 type ScalingPoint struct {
 	GPUs     int
 	Baseline *retrieval.Result
 	PGAS     *retrieval.Result
-
-	// BaselineDedup / PGASDedup are the same runs with batch-level index
-	// deduplication enabled; nil unless Options.Dedup was set.
-	BaselineDedup *retrieval.Result
-	PGASDedup     *retrieval.Result
 }
 
 // Speedup returns baseline/PGAS total time.
@@ -95,67 +60,27 @@ func (p ScalingPoint) Speedup() float64 {
 	return metrics.Speedup(p.Baseline.TotalTime, p.PGAS.TotalTime)
 }
 
-// DedupSpeedup returns baseline/PGAS total time with deduplication enabled
-// on both sides. It panics unless the sweep carried the dedup axis.
-func (p ScalingPoint) DedupSpeedup() float64 {
-	return metrics.Speedup(p.BaselineDedup.TotalTime, p.PGASDedup.TotalTime)
-}
-
 // ScalingResult is a full sweep over GPU counts.
 type ScalingResult struct {
-	Kind ScalingKind
-	// Dedup reports whether the sweep carried the dedup on/off axis.
-	Dedup  bool
+	Kind   ScalingKind
 	Points []ScalingPoint
 }
 
-// RunScaling executes the weak- or strong-scaling sweep with both backends.
-// The sweep's runs (baseline and PGAS at every GPU count, ×2 when the dedup
-// axis is on) dispatch onto the worker pool; each (GPU count, dedup)
-// combination shares one immutable spec, and results land in an
-// index-addressed slice so the tables are byte-identical at any Parallel. It
-// returns early when ctx is done.
-func RunScaling(ctx context.Context, kind ScalingKind, opts Options) (*ScalingResult, error) {
-	maxGPUs := orDefault(opts.MaxGPUs, 4)
-	dedups := []bool{false}
-	if opts.Dedup {
-		dedups = append(dedups, true)
-	}
-	// Point p is GPU count p/len(dedups)+1 with dedup dedups[p%len(dedups)].
-	var specs []*retrieval.SystemSpec
+// scalingSweep declares the weak- or strong-scaling sweep on 1 .. maxGPUs
+// GPUs at the given batch count (0 = the configuration's): each GPU count's
+// baseline run, then its run on acc.
+func scalingSweep(kind ScalingKind, maxGPUs, batches int, acc retrieval.Backend) sweep[*ScalingResult] {
+	var pts []point
 	for gpus := 1; gpus <= maxGPUs; gpus++ {
-		for _, dedup := range dedups {
-			cfg := kind.Config(gpus)
-			cfg.Dedup = dedup
-			spec, err := opts.spec(cfg)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s scaling, %d GPUs, dedup=%v: %w", kind, gpus, dedup, err)
-			}
-			specs = append(specs, spec)
+		pts = append(pts, pair(sized(kind.Config(gpus), batches, 0), retrieval.ClusterHardware(1), acc)...)
+	}
+	return sweep[*ScalingResult]{pts, func(outs []outcome) *ScalingResult {
+		res := &ScalingResult{Kind: kind}
+		for i := 0; i < len(outs); i += 2 {
+			res.Points = append(res.Points, ScalingPoint{GPUs: i/2 + 1, Baseline: outs[i].sys, PGAS: outs[i+1].sys})
 		}
-	}
-	results, err := versus(ctx, opts.Sweep, fmt.Sprintf("%s-scaling", kind), len(specs),
-		func(p int, b retrieval.Backend) (*retrieval.Result, error) {
-			spec := specs[p]
-			r, err := runSpec(ctx, spec, b, spec.Config().Seed)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: %s scaling, %d GPUs, %s: %w", kind, spec.Config().GPUs, b.Name(), err)
-			}
-			return r, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	res := &ScalingResult{Kind: kind, Dedup: opts.Dedup}
-	for gpus := 1; gpus <= maxGPUs; gpus++ {
-		at := 2 * len(dedups) * (gpus - 1)
-		p := ScalingPoint{GPUs: gpus, Baseline: results[at], PGAS: results[at+1]}
-		if opts.Dedup {
-			p.BaselineDedup, p.PGASDedup = results[at+2], results[at+3]
-		}
-		res.Points = append(res.Points, p)
-	}
-	return res, nil
+		return res
+	}}
 }
 
 // Point returns the entry for the given GPU count.
@@ -239,33 +164,20 @@ type CommVolumeResult struct {
 	BaselineSpan sim.Duration
 }
 
-// RunCommVolume profiles communication volume over time (the paper's
+// commVolumeSweep profiles communication volume over time (the paper's
 // "communication counter" experiment) for the given scaling kind and GPU
-// count. The paper plots 2 GPUs for the weak configuration (Figure 7) and 4
-// GPUs for the strong one (Figure 10). The baseline and PGAS runs execute
-// concurrently from one shared spec. It returns early when ctx is done.
-func RunCommVolume(ctx context.Context, kind ScalingKind, gpus, bins int, opts Options) (*CommVolumeResult, error) {
-	if gpus < 2 {
-		return nil, fmt.Errorf("experiments: communication profiling needs >= 2 GPUs")
-	}
-	bins = orDefault(bins, 120)
-	spec, err := opts.spec(kind.Config(gpus))
-	if err != nil {
-		return nil, fmt.Errorf("experiments: %s comm volume, %d GPUs: %w", kind, gpus, err)
-	}
-	runs, err := versus(ctx, opts.Sweep, fmt.Sprintf("%s-commvolume-%dgpu", kind, gpus), 1,
-		func(_ int, b retrieval.Backend) (*retrieval.Result, error) {
-			return runSpec(ctx, spec, b, spec.Config().Seed)
-		})
-	if err != nil {
-		return nil, err
-	}
-	base, pgas := runs[0], runs[1]
-	return &CommVolumeResult{
-		Kind: kind, GPUs: gpus, Bins: bins,
-		Baseline:     base.CommTrace.RateSeries(0, base.TotalTime, bins),
-		PGAS:         pgas.CommTrace.RateSeries(0, pgas.TotalTime, bins),
-		BaselineSpan: base.TotalTime,
-		PGASSpan:     pgas.TotalTime,
-	}, nil
+// count, in `bins` time bins. The paper plots 2 GPUs for the weak
+// configuration (Figure 7) and 4 GPUs for the strong one (Figure 10).
+func commVolumeSweep(kind ScalingKind, gpus, bins, batches int, acc retrieval.Backend) sweep[*CommVolumeResult] {
+	pts := pair(sized(kind.Config(gpus), batches, 0), retrieval.ClusterHardware(1), acc)
+	return sweep[*CommVolumeResult]{pts, func(outs []outcome) *CommVolumeResult {
+		base, pgas := outs[0].sys, outs[1].sys
+		return &CommVolumeResult{
+			Kind: kind, GPUs: gpus, Bins: bins,
+			Baseline:     base.CommTrace.RateSeries(0, base.TotalTime, bins),
+			PGAS:         pgas.CommTrace.RateSeries(0, pgas.TotalTime, bins),
+			BaselineSpan: base.TotalTime,
+			PGASSpan:     pgas.TotalTime,
+		}
+	}}
 }

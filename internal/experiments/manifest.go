@@ -1,11 +1,11 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 
 	"pgasemb/internal/retrieval"
+	"pgasemb/internal/serve"
 	"pgasemb/internal/sim"
 )
 
@@ -13,41 +13,6 @@ import (
 // under results/, run with the options those files were committed with.
 // cmd/report runs every entry, or the ones its -only flag names, and
 // results/README.md's table is held to the entries' stems.
-
-// Overrides are what one run of the manifest may change across its entries.
-// A zero field keeps each entry's committed value.
-type Overrides struct {
-	// Sweep.Backends holds at most one backend, the accelerated one
-	// (empty = pgas-fused). Every entry runs it beside the baseline: as the
-	// accelerated column of the baseline-vs-accelerated sweeps, and as the
-	// second backend of the grid sweeps (precision, placement, chaos,
-	// serving). The ablation suite runs its fixed backends regardless.
-	Sweep
-	// Batches replaces the batch count of every entry that counts batches:
-	// all but chaos and serving, which run a simulated arrival window.
-	Batches int
-	// Seeds replaces the stats entry's 3 workload seeds.
-	Seeds int
-	// Dedup adds the index-deduplication axis to the paper's scaling
-	// sweeps (the scaling and stats entries).
-	Dedup bool
-}
-
-// paper is the options of the paper's sweeps at the committed 100 batches
-// (the configurations' own count) unless Batches overrides it.
-func (o Overrides) paper() Options {
-	return Options{Sweep: o.Sweep, Batches: o.Batches, Dedup: o.Dedup}
-}
-
-// grid is the sweep of the grid entries: the baseline and the accelerated
-// backend, or the sweeps' own baseline and pgas-fused when none is given.
-func (o Overrides) grid() Sweep {
-	s := o.Sweep
-	if len(s.Backends) == 1 {
-		s.Backends = []retrieval.Backend{&retrieval.Baseline{}, s.Backends[0]}
-	}
-	return s
-}
 
 // Output is one rendered file group of an entry: a table, written as the
 // aligned <stem>.txt and the <stem>.csv, or, when Table is nil, a text
@@ -58,34 +23,22 @@ type Output struct {
 	Text  string
 }
 
-// Entry is one committed artifact group: the sweep that renders it and the
-// options it was committed with.
+// Entry is one committed artifact group: the sweep that renders it,
+// declared with the options it was committed with.
 type Entry struct {
 	// Name selects the entry on cmd/report's -only flag.
 	Name string
 	// Stems are the files the entry writes under results/, without their
-	// extensions, in the order its run renders them.
+	// extensions, in the order its sweep renders them.
 	Stems []string
-	run   func(ctx context.Context, o Overrides) ([]Output, error)
+	// build declares the entry's points under the overrides, with the
+	// assembler that renders their outcomes, one file per stem.
+	build func(o Overrides) (sweep[[]Output], error)
 }
 
-// Run runs the entry's sweep with its committed options under o and returns
-// its rendered files, one per stem.
-func (e Entry) Run(ctx context.Context, o Overrides) ([]Output, error) {
-	if len(o.Backends) > 1 {
-		return nil, fmt.Errorf("experiments: %s: Overrides.Backends holds the accelerated backend alone, got %d", e.Name, len(o.Backends))
-	}
-	outs, err := e.run(ctx, o)
-	if err != nil {
-		return nil, err
-	}
-	if len(outs) != len(e.Stems) {
-		return nil, fmt.Errorf("experiments: %s rendered %d files for %d stems", e.Name, len(outs), len(e.Stems))
-	}
-	for i := range outs {
-		outs[i].Stem = e.Stems[i]
-	}
-	return outs, nil
+// rendered maps a sweep's result to its files.
+func rendered[T any](s sweep[T], files func(T) []Output) sweep[[]Output] {
+	return sweep[[]Output]{s.points, func(outs []outcome) []Output { return files(s.result(outs)) }}
 }
 
 func tables(ts ...*Table) []Output {
@@ -96,19 +49,24 @@ func tables(ts ...*Table) []Output {
 	return outs
 }
 
-// multiNodeText renders both kinds of a multi-node sweep as one text: each
-// kind's scaling table, then its inter-node communication table.
-func multiNodeText(ctx context.Context, opts MultiNodeOptions) (Output, error) {
-	var b strings.Builder
+// multiNodeText renders both kinds of a multi-node sweep at one batch size
+// as one text: each kind's scaling table, then its inter-node communication
+// table.
+func multiNodeText(o Overrides, batchSize int) sweep[Output] {
+	var pts []point
+	var kinds []func([]outcome) *MultiNodeResult
 	for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
-		res, err := RunMultiNode(ctx, kind, opts)
-		if err != nil {
-			return Output{}, err
-		}
-		b.WriteString(res.ScalingTable().Render() + "\n")
-		b.WriteString(res.CommTable().Render() + "\n")
+		kinds = append(kinds, join(&pts, multiNodeSweep(kind, 4, 4, o.Batches, batchSize, retrieval.FP32, o.accelerated())))
 	}
-	return Output{Text: b.String()}, nil
+	return sweep[Output]{pts, func(outs []outcome) Output {
+		var b strings.Builder
+		for _, kind := range kinds {
+			res := kind(outs)
+			b.WriteString(res.ScalingTable().Render() + "\n")
+			b.WriteString(res.CommTable().Render() + "\n")
+		}
+		return Output{Text: b.String()}
+	}}
 }
 
 var manifest = []Entry{
@@ -119,18 +77,15 @@ var manifest = []Entry{
 			"table2_strong_speedups", "fig8_strong_factors", "fig9_strong_breakdown",
 			"scorecard",
 		},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			weak, err := RunScaling(ctx, WeakScaling, o.paper())
-			if err != nil {
-				return nil, err
-			}
-			strong, err := RunScaling(ctx, StrongScaling, o.paper())
-			if err != nil {
-				return nil, err
-			}
-			return tables(weak.SpeedupTable(), weak.FactorTable(), weak.BreakdownTable(),
-				strong.SpeedupTable(), strong.FactorTable(), strong.BreakdownTable(),
-				Scorecard(weak, strong)), nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			var pts []point
+			weak := join(&pts, scalingSweep(WeakScaling, 4, o.Batches, o.accelerated()))
+			strong := join(&pts, scalingSweep(StrongScaling, 4, o.Batches, o.accelerated()))
+			return sweep[[]Output]{pts, func(outs []outcome) []Output {
+				w, s := weak(outs), strong(outs)
+				return tables(w.SpeedupTable(), w.FactorTable(), w.BreakdownTable(),
+					s.SpeedupTable(), s.FactorTable(), s.BreakdownTable(), Scorecard(w, s))
+			}}, nil
 		},
 	},
 	{
@@ -139,144 +94,99 @@ var manifest = []Entry{
 			"fig7_comm_volume_2gpu", "fig7_comm_volume_2gpu_chart",
 			"fig10_comm_volume_4gpu", "fig10_comm_volume_4gpu_chart",
 		},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			opts := o.paper()
-			opts.Batches = orDefault(o.Batches, 3)
-			fig7, err := RunCommVolume(ctx, WeakScaling, 2, 120, opts)
-			if err != nil {
-				return nil, err
-			}
-			fig10, err := RunCommVolume(ctx, StrongScaling, 4, 120, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []Output{
-				{Table: fig7.CSVTable()}, {Text: fig7.CommVolumeCharts(10)},
-				{Table: fig10.CSVTable()}, {Text: fig10.CommVolumeCharts(10)},
-			}, nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			batches := orDefault(o.Batches, 3)
+			var pts []point
+			fig7 := join(&pts, commVolumeSweep(WeakScaling, 2, 120, batches, o.accelerated()))
+			fig10 := join(&pts, commVolumeSweep(StrongScaling, 4, 120, batches, o.accelerated()))
+			return sweep[[]Output]{pts, func(outs []outcome) []Output {
+				f7, f10 := fig7(outs), fig10(outs)
+				return []Output{
+					{Table: f7.CSVTable()}, {Text: f7.CommVolumeCharts(10)},
+					{Table: f10.CSVTable()}, {Text: f10.CommVolumeCharts(10)},
+				}
+			}}, nil
 		},
 	},
 	{
 		Name:  "ablations",
 		Stems: []string{"ablations"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			ab, err := RunAblations(ctx, 4, o.paper())
-			if err != nil {
-				return nil, err
-			}
-			return tables(AblationTable(ab)), nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			return rendered(ablationSweep(4, o.Batches), func(ab []AblationResult) []Output {
+				return tables(AblationTable(ab))
+			}), nil
 		},
 	},
 	{
 		Name:  "pipeline-depth",
 		Stems: []string{"pipeline_depth"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			pd, err := RunPipelineDepth(ctx, 4, []int{1, 2}, o.paper())
-			if err != nil {
-				return nil, err
-			}
-			return tables(PipelineDepthTable(pd)), nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			return rendered(pipelineDepthSweep(4, []int{1, 2}, o.Batches, o.accelerated()), func(pd []PipelineDepthPoint) []Output {
+				return tables(PipelineDepthTable(pd))
+			}), nil
 		},
 	},
 	{
 		Name:  "stats",
 		Stems: []string{"stats_weak", "stats_strong"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			var outs []Output
-			for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
-				stats, err := RunScalingStats(ctx, kind, orDefault(o.Seeds, 3), o.paper())
-				if err != nil {
-					return nil, err
-				}
-				outs = append(outs, tables(StatsTable(kind, stats))...)
-			}
-			return outs, nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			seeds := orDefault(o.Seeds, 3)
+			var pts []point
+			weak := join(&pts, statsSweep(WeakScaling, 4, seeds, o.Batches, o.accelerated()))
+			strong := join(&pts, statsSweep(StrongScaling, 4, seeds, o.Batches, o.accelerated()))
+			return sweep[[]Output]{pts, func(outs []outcome) []Output {
+				return tables(StatsTable(WeakScaling, weak(outs)), StatsTable(StrongScaling, strong(outs)))
+			}}, nil
 		},
 	},
 	{
 		Name:  "precision",
 		Stems: []string{"precision"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			res, err := RunPrecision(ctx, PrecisionOptions{Sweep: o.grid(), Nodes: 2, GPUsPerNode: 2, Batches: o.Batches})
-			if err != nil {
-				return nil, err
-			}
-			return tables(res.SweepTable()), nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			return rendered(precisionSweep(2, 2, o.Batches, o.grid()), func(r *PrecisionResult) []Output {
+				return tables(r.SweepTable())
+			}), nil
 		},
 	},
 	{
 		Name:  "multinode",
 		Stems: []string{"multinode", "multinode_b4096"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			opts := MultiNodeOptions{Sweep: o.Sweep, MaxNodes: 4, GPUsPerNode: 4, Batches: o.Batches}
-			full, err := multiNodeText(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			opts.BatchSize = 4096
-			small, err := multiNodeText(ctx, opts)
-			if err != nil {
-				return nil, err
-			}
-			return []Output{full, small}, nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			var pts []point
+			full := join(&pts, multiNodeText(o, 0))
+			small := join(&pts, multiNodeText(o, 4096))
+			return sweep[[]Output]{pts, func(outs []outcome) []Output {
+				return []Output{full(outs), small(outs)}
+			}}, nil
 		},
 	},
 	{
 		Name:  "placement",
 		Stems: []string{"placement"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			res, err := RunPlacement(ctx, PlacementOptions{
-				Sweep:          o.grid(),
-				Policies:       PlacementPolicies,
-				ZipfExponents:  []float64{1.05, 1.2},
-				GPUs:           4,
-				Batches:        orDefault(o.Batches, 48),
-				RebalanceEvery: 8,
-				HotTables:      2,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return tables(res.Table()), nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			s, err := placementSweep(PlacementPolicies, []float64{1.05, 1.2}, 8,
+				placementBase(4, orDefault(o.Batches, 48)), retrieval.ClusterHardware(1), o.grid())
+			return rendered(s, func(r *PlacementResult) []Output { return tables(r.Table()) }), err
 		},
 	},
 	{
 		Name:  "chaos",
 		Stems: []string{"chaos"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			res, err := RunChaos(ctx, ChaosOptions{
-				Sweep:    o.grid(),
-				Profiles: []string{"none", "flaky-link", "straggler"},
-				Replicas: []int{1, 2},
-				GPUs:     4,
-				Rate:     4000,
-				Duration: sim.Second,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return tables(res.Table()), nil
+		build: func(o Overrides) (sweep[[]Output], error) {
+			s, err := chaosSweep([]string{"none", "flaky-link", "straggler"}, []int{1, 2},
+				retrieval.ServingScaleConfig(4), retrieval.ClusterHardware(1),
+				serve.Config{Rate: 4000, Duration: sim.Second}, o.grid())
+			return rendered(s, func(r *ChaosResult) []Output { return tables(r.Table()) }), err
 		},
 	},
-	{
-		Name:  "serving",
-		Stems: []string{"serving"},
-		run: func(ctx context.Context, o Overrides) ([]Output, error) {
-			res, err := RunServing(ctx, ServingOptions{
-				Sweep:          o.grid(),
-				Rates:          []float64{8000},
-				CacheFractions: []float64{0, 0.0001, 0.01},
-				Dedups:         []bool{false, true},
-				GPUs:           4,
-				Duration:       500 * sim.Millisecond,
-				PipelineDepth:  1,
-			})
-			if err != nil {
-				return nil, err
-			}
-			return tables(res.Table()), nil
-		},
-	},
+	ServingOptions{
+		Rates:          []float64{8000},
+		CacheFractions: []float64{0, 0.0001, 0.01},
+		Dedups:         []bool{false, true},
+		GPUs:           4,
+		Duration:       500 * sim.Millisecond,
+		PipelineDepth:  1,
+	}.Entry(),
 }
 
 // Manifest returns the committed evaluation's entries, or, when only is

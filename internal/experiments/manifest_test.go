@@ -41,33 +41,8 @@ func TestManifestSelection(t *testing.T) {
 	}
 }
 
-// Every entry runs at one batch and one seed and renders one non-empty file
-// per stem, named after it: the manifest's stems are what its runs write.
-func TestManifestEntriesRenderTheirStems(t *testing.T) {
-	entries, err := Manifest()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, e := range entries {
-		t.Run(e.Name, func(t *testing.T) {
-			outs, err := e.Run(context.Background(), Overrides{Batches: 1, Seeds: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, out := range outs {
-				if out.Stem != e.Stems[i] {
-					t.Errorf("file %d is %s, want %s", i, out.Stem, e.Stems[i])
-				}
-				if out.Table == nil && out.Text == "" || out.Table != nil && len(out.Table.Rows) == 0 {
-					t.Errorf("%s rendered empty", out.Stem)
-				}
-			}
-		})
-	}
-}
-
 // The accelerated backend of the overrides joins the baseline in a grid
-// entry, and more than one accelerated backend is refused.
+// entry.
 func TestManifestBackendOverride(t *testing.T) {
 	entries, err := Manifest("chaos")
 	if err != nil {
@@ -77,19 +52,15 @@ func TestManifestBackendOverride(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	outs, err := entries[0].Run(context.Background(), Overrides{Sweep: Sweep{Backends: []retrieval.Backend{overlap}}})
+	files, err := Run(context.Background(), entries, Overrides{Backends: []retrieval.Backend{overlap}})
 	if err != nil {
 		t.Fatal(err)
 	}
 	backends := map[string]bool{}
-	for _, row := range outs[0].Table.Rows {
+	for _, row := range files[0][0].Table.Rows {
 		backends[row[0]] = true
 	}
 	if len(backends) != 2 || !backends["baseline"] || !backends["pgas-overlap-only"] {
 		t.Errorf("chaos entry under pgas-overlap-only ran backends %v", backends)
-	}
-	two := Overrides{Sweep: Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}, overlap}}}
-	if _, err := entries[0].Run(context.Background(), two); err == nil {
-		t.Error("two accelerated backends accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pgasemb/internal/metrics"
@@ -16,27 +15,6 @@ import (
 // carry NIC traffic columns next to the usual speedups, since the byte
 // volume crossing the network is the quantity the node-level deduplication
 // exists to shrink.
-
-// MultiNodeOptions tunes the multi-node sweep.
-type MultiNodeOptions struct {
-	Sweep
-	// MaxNodes bounds the sweep (default 4).
-	MaxNodes int
-	// GPUsPerNode is each node's GPU count (default 4).
-	GPUsPerNode int
-	// Batches overrides the per-run batch count (0 = the configuration's).
-	Batches int
-	// BatchSize overrides the per-run global batch size (0 = the
-	// configuration's). Mainly for tests and CI smoke runs.
-	BatchSize int
-	// HW optionally overrides the base hardware model; its Nodes field is
-	// set per sweep point. Zero value = retrieval.ClusterHardware.
-	HW *retrieval.HardwareParams
-	// WirePrecision sets the wire transport format for embedding rows at
-	// every sweep point (FP32 = uncompressed, the default). Both columns
-	// run at the same precision, so the speedups stay like-for-like.
-	WirePrecision retrieval.Precision
-}
 
 // MultiNodePoint holds one node count's pair of runs.
 type MultiNodePoint struct {
@@ -68,56 +46,34 @@ func (r *MultiNodeResult) Point(nodes int) MultiNodePoint {
 	panic(fmt.Sprintf("experiments: no point for %d nodes", nodes))
 }
 
-// RunMultiNode executes the multi-node scaling sweep with both backends.
-// Every (node count, backend) run dispatches onto the worker pool; each node
-// count shares one immutable spec, and results land in an index-addressed
-// slice, so the tables are byte-identical at any Parallel. It returns early
-// when ctx is done.
-func RunMultiNode(ctx context.Context, kind ScalingKind, opts MultiNodeOptions) (*MultiNodeResult, error) {
-	maxNodes := orDefault(opts.MaxNodes, 4)
-	perNode := orDefault(opts.GPUsPerNode, 4)
-	specs := make([]*retrieval.SystemSpec, maxNodes)
-	for i := range specs {
-		nodes := i + 1
+// multiNodeSweep declares the multi-node scaling sweep on 1 .. maxNodes
+// nodes of perNode GPUs: each node count's baseline run, then its run on
+// acc. A positive batches or batchSize replaces the configuration's, and
+// every point carries embedding rows on the wire at prec.
+func multiNodeSweep(kind ScalingKind, maxNodes, perNode, batches, batchSize int, prec retrieval.Precision,
+	acc retrieval.Backend) sweep[*MultiNodeResult] {
+	var pts []point
+	for nodes := 1; nodes <= maxNodes; nodes++ {
 		cfg := retrieval.MultiNodeConfig(nodes, perNode)
 		if kind == StrongScaling {
 			cfg = retrieval.MultiNodeStrongConfig(nodes, perNode)
 		}
-		cfg.WirePrecision = opts.WirePrecision
-		fail := func(err error) error {
-			return fmt.Errorf("experiments: multi-node %s scaling, %d nodes: %w", kind, nodes, err)
-		}
-		cfg, err := resize(cfg, opts.Batches, opts.BatchSize)
-		if err != nil {
-			return nil, fail(err)
-		}
-		hw := hardware(opts.HW, nodes)
-		hw.Nodes = nodes
-		if specs[i], err = retrieval.NewSystemSpec(cfg, hw); err != nil {
-			return nil, fail(err)
-		}
+		cfg.WirePrecision = prec
+		pts = append(pts, pair(sized(cfg, batches, batchSize), retrieval.ClusterHardware(nodes), acc)...)
 	}
-	results, err := versus(ctx, opts.Sweep, fmt.Sprintf("multinode-%s-scaling", kind), maxNodes,
-		func(p int, b retrieval.Backend) (*retrieval.Result, error) {
-			r, err := runSpec(ctx, specs[p], b, specs[p].Config().Seed)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: multi-node %s scaling, %d nodes, %s: %w", kind, p+1, b.Name(), err)
-			}
-			return r, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	res := &MultiNodeResult{Kind: kind, GPUsPerNode: perNode}
-	for i := range specs {
-		res.Points = append(res.Points, MultiNodePoint{
-			Nodes:    i + 1,
-			GPUs:     (i + 1) * perNode,
-			Baseline: results[2*i],
-			PGAS:     results[2*i+1],
-		})
-	}
-	return res, nil
+	return sweep[*MultiNodeResult]{pts, func(outs []outcome) *MultiNodeResult {
+		res := &MultiNodeResult{Kind: kind, GPUsPerNode: perNode}
+		for i := 0; i < len(outs); i += 2 {
+			nodes := i/2 + 1
+			res.Points = append(res.Points, MultiNodePoint{
+				Nodes:    nodes,
+				GPUs:     nodes * perNode,
+				Baseline: outs[i].sys,
+				PGAS:     outs[i+1].sys,
+			})
+		}
+		return res
+	}}
 }
 
 // gigabytes renders a byte count as GB with enough precision for small

@@ -1,17 +1,21 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
 	"pgasemb/internal/retrieval"
 )
 
-func multiNodeTestOptions() MultiNodeOptions {
-	// Full multi-node batch (the node-dedup win needs the cross-sample
-	// reuse of the real batch size), trimmed to 2 batches and 2 GPUs per
-	// node so the sweep stays test-sized.
-	return MultiNodeOptions{MaxNodes: 3, GPUsPerNode: 2, Batches: 2}
+// The multi-node tests run the full multi-node batch (the node-dedup win
+// needs the cross-sample reuse of the real batch size), trimmed to 2
+// batches and 2 GPUs per node so the sweeps stay test-sized.
+const (
+	mnPerNode = 2
+	mnBatches = 2
+)
+
+func multiNodeTestSweep(kind ScalingKind, maxNodes int) sweep[*MultiNodeResult] {
+	return multiNodeSweep(kind, maxNodes, mnPerNode, mnBatches, 0, retrieval.FP32, &retrieval.PGASFused{})
 }
 
 // The sweep's acceptance criteria: single-node results identical to the
@@ -19,13 +23,10 @@ func multiNodeTestOptions() MultiNodeOptions {
 // the proxy-coalesced PGAS path putting strictly fewer bytes on the NICs
 // than the hierarchical baseline.
 func TestMultiNodeWeakScaling(t *testing.T) {
-	opts := multiNodeTestOptions()
-	res, err := RunMultiNode(context.Background(), WeakScaling, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Points) != opts.MaxNodes {
-		t.Fatalf("got %d points, want %d", len(res.Points), opts.MaxNodes)
+	const maxNodes = 3
+	res := runSweep(t, multiNodeTestSweep(WeakScaling, maxNodes))
+	if len(res.Points) != maxNodes {
+		t.Fatalf("got %d points, want %d", len(res.Points), maxNodes)
 	}
 
 	// 1 node: the NICs carry nothing, and the sweep point matches a one-off
@@ -35,8 +36,8 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 		t.Errorf("1-node sweep point moved NIC bytes: base %g, pgas %g",
 			p1.Baseline.NICWireBytes, p1.PGAS.NICWireBytes)
 	}
-	cfg := retrieval.MultiNodeConfig(1, opts.GPUsPerNode)
-	cfg.Batches = opts.Batches
+	cfg := retrieval.MultiNodeConfig(1, mnPerNode)
+	cfg.Batches = mnBatches
 	for _, c := range []struct {
 		backend retrieval.Backend
 		got     *retrieval.Result
@@ -77,54 +78,22 @@ func TestMultiNodeWeakScaling(t *testing.T) {
 	}
 
 	// Tables render without panicking and carry one row per point.
-	if rows := len(res.ScalingTable().Rows); rows != opts.MaxNodes {
-		t.Errorf("scaling table has %d rows, want %d", rows, opts.MaxNodes)
+	if rows := len(res.ScalingTable().Rows); rows != maxNodes {
+		t.Errorf("scaling table has %d rows, want %d", rows, maxNodes)
 	}
-	if rows := len(res.CommTable().Rows); rows != opts.MaxNodes {
-		t.Errorf("comm table has %d rows, want %d", rows, opts.MaxNodes)
+	if rows := len(res.CommTable().Rows); rows != maxNodes {
+		t.Errorf("comm table has %d rows, want %d", rows, maxNodes)
 	}
 }
 
 func TestMultiNodeStrongScaling(t *testing.T) {
-	opts := multiNodeTestOptions()
-	opts.MaxNodes = 2
-	res, err := RunMultiNode(context.Background(), StrongScaling, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	p := res.Point(2)
+	p := runSweep(t, multiNodeTestSweep(StrongScaling, 2)).Point(2)
 	if p.PGAS.NICWireBytes >= p.Baseline.NICWireBytes {
 		t.Errorf("strong scaling, 2 nodes: PGAS NIC bytes %g not fewer than baseline %g",
 			p.PGAS.NICWireBytes, p.Baseline.NICWireBytes)
 	}
 	if p.Speedup() <= 1 {
 		t.Errorf("strong scaling, 2 nodes: PGAS not faster than baseline (%.2fx)", p.Speedup())
-	}
-}
-
-// The sweep must be byte-identical at any worker count.
-func TestMultiNodeParallelInvariance(t *testing.T) {
-	opts := multiNodeTestOptions()
-	opts.MaxNodes = 2
-	opts.Batches = 1
-	opts.Parallel = 1
-	serial, err := RunMultiNode(context.Background(), WeakScaling, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts.Parallel = 4
-	parallel, err := RunMultiNode(context.Background(), WeakScaling, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range serial.Points {
-		s, p := serial.Points[i], parallel.Points[i]
-		if s.Baseline.TotalTime != p.Baseline.TotalTime || s.PGAS.TotalTime != p.PGAS.TotalTime {
-			t.Errorf("%d nodes: totals differ across parallelism", s.Nodes)
-		}
-		if s.Baseline.NICWireBytes != p.Baseline.NICWireBytes || s.PGAS.NICWireBytes != p.PGAS.NICWireBytes {
-			t.Errorf("%d nodes: NIC bytes differ across parallelism", s.Nodes)
-		}
 	}
 }
 
@@ -135,12 +104,7 @@ func TestMultiNodeParallelInvariance(t *testing.T) {
 func TestMultiNodeNodeStagedFP16(t *testing.T) {
 	for _, kind := range []ScalingKind{WeakScaling, StrongScaling} {
 		t.Run(kind.String(), func(t *testing.T) {
-			res, err := RunMultiNode(context.Background(), kind, MultiNodeOptions{
-				MaxNodes: 4, GPUsPerNode: 4, Batches: 1, BatchSize: 1024, WirePrecision: retrieval.FP16,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+			res := runSweep(t, multiNodeSweep(kind, 4, 4, 1, 1024, retrieval.FP16, &retrieval.PGASFused{}))
 			if p := res.Point(4); p.PGAS.TotalTime <= 0 || p.PGAS.NICWireBytes <= 0 {
 				t.Errorf("4 nodes: PGAS time %g, NIC bytes %g", p.PGAS.TotalTime, p.PGAS.NICWireBytes)
 			}

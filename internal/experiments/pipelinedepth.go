@@ -1,10 +1,8 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
-	"pgasemb/internal/dlrm"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
 )
@@ -25,61 +23,33 @@ type PipelineDepthPoint struct {
 	Speedup float64
 }
 
-// RunPipelineDepth sweeps the inter-batch pipeline depth for the baseline
-// and the accelerated backend on the weak-scaling DLRM workload at the given
-// GPU count. Depth 1 is the serial schedule; deeper runs overlap the next
-// batch's EMB exchange with the current batch's dense tail. Every (backend,
-// depth) run is independent and dispatches onto the worker pool; results
-// land in an index-addressed slice, identical at any parallelism. It returns
-// early when ctx is done.
-func RunPipelineDepth(ctx context.Context, gpus int, depths []int, opts Options) ([]PipelineDepthPoint, error) {
-	if len(depths) == 0 {
-		depths = []int{1, 2}
-	}
-	for _, d := range depths {
-		if d < 1 {
-			return nil, fmt.Errorf("experiments: pipeline-depth sweep needs depths >= 1, got %d", d)
+// pipelineDepthSweep declares the inter-batch pipeline-depth sweep of the
+// baseline and acc on the weak-scaling DLRM workload at the given GPU
+// count: one end-to-end pipeline run per (backend, depth), backend-major.
+// Depth 1 is the serial schedule; deeper runs overlap the next batch's EMB
+// exchange with the current batch's dense tail.
+func pipelineDepthSweep(gpus int, depths []int, batches int, acc retrieval.Backend) sweep[[]PipelineDepthPoint] {
+	var pts []point
+	for _, b := range []retrieval.Backend{&retrieval.Baseline{}, acc} {
+		for _, d := range depths {
+			cfg := sized(retrieval.WeakScalingConfig(gpus), batches, 0)
+			cfg.PipelineDepth = d
+			pts = append(pts, point{kind: pipelineRun, cfg: cfg, hw: retrieval.ClusterHardware(1), backend: b})
 		}
 	}
-	base, err := resize(retrieval.WeakScalingConfig(gpus), opts.Batches, opts.BatchSize)
-	if err != nil {
-		return nil, fmt.Errorf("experiments: pipeline-depth sweep: %w", err)
-	}
-	hw := hardware(opts.HW, 1)
-	// Each job wires its own pipeline (spec and model), so its recorded run
-	// time includes the wiring: that is serial work the pool spreads.
-	runs, err := versus(ctx, opts.Sweep, fmt.Sprintf("pipeline-depth-%dgpu", gpus), len(depths),
-		func(p int, b retrieval.Backend) (PipelineDepthPoint, error) {
-			cfg := base
-			cfg.PipelineDepth = depths[p]
-			fail := func(err error) (PipelineDepthPoint, error) {
-				return PipelineDepthPoint{}, fmt.Errorf("experiments: pipeline-depth sweep, %s depth %d: %w",
-					b.Name(), depths[p], err)
-			}
-			pl, err := dlrm.NewPipeline(cfg, hw, b)
-			if err != nil {
-				return fail(err)
-			}
-			r, err := pl.RunContext(ctx)
-			if err != nil {
-				return fail(err)
-			}
-			return PipelineDepthPoint{Backend: r.Backend, Depth: depths[p], Total: r.TotalTime,
-				EMB: r.EMBTime, Dense: r.DenseTime, Stall: r.EMBStall}, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	// Rows run backend-major. Speedups are relative to each backend's own
-	// shallowest run, so the column reads as "what deeper pipelining alone
-	// bought this backend".
-	out := make([]PipelineDepthPoint, len(runs))
-	for i, r := range runs {
-		side, di := i%2, i/2
-		r.Speedup = float64(runs[side].Total / r.Total)
-		out[side*len(depths)+di] = r
-	}
-	return out, nil
+	return sweep[[]PipelineDepthPoint]{pts, func(outs []outcome) []PipelineDepthPoint {
+		res := make([]PipelineDepthPoint, len(outs))
+		for i, o := range outs {
+			r := o.pipe
+			// Speedups are relative to each backend's own shallowest run, so
+			// the column reads as "what deeper pipelining alone bought this
+			// backend".
+			first := outs[i-i%len(depths)].pipe
+			res[i] = PipelineDepthPoint{Backend: r.Backend, Depth: depths[i%len(depths)], Total: r.TotalTime,
+				EMB: r.EMBTime, Dense: r.DenseTime, Stall: r.EMBStall, Speedup: float64(first.TotalTime / r.TotalTime)}
+		}
+		return res
+	}}
 }
 
 // PipelineDepthTable renders the sweep: one row per (backend, depth), with

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pgasemb/internal/metrics"
@@ -9,54 +8,26 @@ import (
 	"pgasemb/internal/workload"
 )
 
-// PlacementOptions tunes the adaptive-placement sweep: placement policy ×
-// backend × Zipf exponent, each point one offline retrieval run on a
-// workload whose per-feature pooling is graded (two dominant tables, two
-// mid-hot, flat tail) so table loads are skewed the way production
-// recommendation traffic is.
-type PlacementOptions struct {
-	// Sweep.Backends defaults to baseline and pgas-fused.
-	Sweep
-	// Policies names the placement policies to sweep. Known: static (the
-	// table-wise contiguous plan), greedy (the analytic LPT plan over
-	// EXPECTED loads), adaptive (priced statistics-driven rebalancing), and
-	// adaptive+mirror (rebalancing plus a budget of hot-table mirrors).
-	// Default: all four.
-	Policies []string
-	// GPUs sizes the machine (default 4). Ignored when Base is set.
-	GPUs int
-	// ZipfExponents are the row-skew settings to sweep (default {1.05, 1.2}).
-	ZipfExponents []float64
-	// Batches is each point's batch count (default 48). Ignored when Base is
-	// set.
-	Batches int
-	// RebalanceEvery is the adaptive policies' epoch length in batches
-	// (default 8).
-	RebalanceEvery int
-	// HotTables is the adaptive+mirror policy's mirror budget (default 2).
-	HotTables int
-	// Base overrides the workload configuration (default: a graded-skew
-	// variant of ServingScaleConfig); its placement and Zipf fields are
-	// overwritten by the sweep.
-	Base *retrieval.Config
-	// HW selects the hardware model (nil = calibrated defaults).
-	HW *retrieval.HardwareParams
-}
+// The adaptive-placement sweep: placement policy × backend × Zipf
+// exponent, each point one offline retrieval run on a workload whose
+// per-feature pooling is graded (two dominant tables, two mid-hot, flat
+// tail) so table loads are skewed the way production recommendation
+// traffic is.
 
-// PlacementPolicies are the known policy names, in sweep order.
+// PlacementPolicies are the known policy names, in sweep order: static (the
+// table-wise contiguous plan), greedy (the analytic LPT plan over EXPECTED
+// loads), adaptive (priced statistics-driven rebalancing), and
+// adaptive+mirror (rebalancing plus a budget of two hot-table mirrors).
 var PlacementPolicies = []string{"static", "greedy", "adaptive", "adaptive+mirror"}
 
-// base builds the sweep workload: ServingScaleConfig sized to the machine,
-// re-pooled so the first two tables dominate (max pooling 64), the next two
-// are mid-hot (16), and the tail is flat (4) — the static table-wise plan
-// colocates all four heavy tables on GPU 0.
-func (o PlacementOptions) base() (retrieval.Config, error) {
-	if o.Base != nil {
-		return *o.Base, nil
-	}
-	cfg := servingBase(nil, o.GPUs)
+// placementBase builds the sweep workload: ServingScaleConfig sized to the
+// machine, re-pooled so the first two tables dominate (max pooling 64), the
+// next two are mid-hot (16), and the tail is flat (4) — the static
+// table-wise plan colocates all four heavy tables on GPU 0.
+func placementBase(gpus, batches int) retrieval.Config {
+	cfg := retrieval.ServingScaleConfig(gpus)
 	cfg.Functional = false
-	cfg.Batches = 48
+	cfg.Batches = batches
 	pool := make([]int, cfg.TotalTables)
 	for f := range pool {
 		pool[f] = 4
@@ -70,7 +41,7 @@ func (o PlacementOptions) base() (retrieval.Config, error) {
 	// Dedup makes the Zipf dimension bite: hot-row duplication — and so the
 	// wire traffic each policy leaves behind — scales with the exponent.
 	cfg.Dedup = true
-	return resize(cfg, o.Batches, 0)
+	return cfg
 }
 
 // PlacementPoint is one (backend, Zipf exponent, policy) retrieval run.
@@ -104,99 +75,71 @@ type PlacementResult struct {
 	Points   []PlacementPoint
 }
 
-// RunPlacement executes the placement-policy sweep. Every grid point owns
-// its system, so points dispatch freely onto the worker pool; results land
-// in an index-addressed slice, byte-identical at any parallelism. It returns
-// early when ctx is done.
-func RunPlacement(ctx context.Context, opts PlacementOptions) (*PlacementResult, error) {
-	policies := orList(opts.Policies, PlacementPolicies)
-	zipfs := orList(opts.ZipfExponents, []float64{1.05, 1.2})
-	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
-	base, err := opts.base()
-	if err != nil {
-		return nil, fmt.Errorf("experiments: placement: %w", err)
-	}
-	hw := hardware(opts.HW, 1)
-	for _, p := range policies {
-		switch p {
-		case "static", "greedy", "adaptive", "adaptive+mirror":
-		default:
-			return nil, fmt.Errorf("experiments: unknown placement policy %q (known: %v)", p, PlacementPolicies)
-		}
-	}
-	res := &PlacementResult{Policies: policies, Zipfs: zipfs}
-	n := len(backends) * len(zipfs) * len(policies)
-	res.Points, err = runJobs(ctx, opts.Sweep, "placement", n, func(i int) (PlacementPoint, error) {
-		pi := i % len(policies)
-		zi := i / len(policies) % len(zipfs)
-		bi := i / (len(policies) * len(zipfs))
-		backend := backends[bi]
-		policy := policies[pi]
-
-		cfg := base
-		cfg.ZipfExponent = zipfs[zi]
-		switch policy {
-		case "greedy":
-			cfg.GreedyPlan = true
-		case "adaptive", "adaptive+mirror":
-			cfg.AdaptivePlacement = true
-			cfg.RebalanceEvery = orDefault(opts.RebalanceEvery, 8)
-			if policy == "adaptive+mirror" {
-				cfg.HotTables = orDefault(opts.HotTables, 2)
+// placementSweep declares the placement-policy sweep over base on hw:
+// backend-major, then Zipf exponent, then policy. The adaptive policies
+// rebalance every rebalanceEvery batches.
+func placementSweep(policies []string, zipfs []float64, rebalanceEvery int, base retrieval.Config,
+	hw retrieval.HardwareParams, backends []retrieval.Backend) (sweep[*PlacementResult], error) {
+	var pts []point
+	for _, b := range backends {
+		for _, z := range zipfs {
+			for _, policy := range policies {
+				cfg := base
+				cfg.ZipfExponent = z
+				switch policy {
+				case "static":
+				case "greedy":
+					cfg.GreedyPlan = true
+				case "adaptive", "adaptive+mirror":
+					cfg.AdaptivePlacement = true
+					cfg.RebalanceEvery = rebalanceEvery
+					if policy == "adaptive+mirror" {
+						cfg.HotTables = 2
+					}
+				default:
+					return sweep[*PlacementResult]{}, fmt.Errorf("unknown placement policy %q (known: %v)", policy, PlacementPolicies)
+				}
+				pts = append(pts, point{cfg: cfg, hw: hw, backend: b})
 			}
 		}
-		fail := func(err error) (PlacementPoint, error) {
-			return PlacementPoint{}, fmt.Errorf("experiments: placement, %s policy %s zipf %g: %w",
-				backend.Name(), policy, cfg.ZipfExponent, err)
+	}
+	return sweep[*PlacementResult]{pts, func(outs []outcome) *PlacementResult {
+		res := &PlacementResult{Policies: policies, Zipfs: zipfs}
+		for i, o := range outs {
+			r := o.sys
+			var maxKeys int64
+			keys := make([]float64, len(r.OwnerKeys))
+			for g, k := range r.OwnerKeys {
+				keys[g] = float64(k)
+				maxKeys = max(maxKeys, k)
+			}
+			res.Points = append(res.Points, PlacementPoint{
+				Backend:       pts[i].backend.Name(),
+				Zipf:          pts[i].cfg.ZipfExponent,
+				Policy:        policies[i%len(policies)],
+				TotalTime:     r.TotalTime,
+				MaxOwnerKeys:  maxKeys,
+				Imbalance:     metrics.Imbalance(keys),
+				Rebalances:    r.Rebalances,
+				MigratedBytes: r.MigratedBytes,
+			})
 		}
-		s, err := retrieval.NewSystem(cfg, hw)
-		if err != nil {
-			return fail(err)
-		}
-		r, err := s.RunContext(ctx, backend)
-		if err != nil {
-			return fail(err)
-		}
-		var maxKeys int64
-		keys := make([]float64, len(r.OwnerKeys))
-		for g, k := range r.OwnerKeys {
-			keys[g] = float64(k)
-			if k > maxKeys {
-				maxKeys = k
+		// Speedups against the same (backend, Zipf) group's static point.
+		for g := 0; g < len(res.Points); g += len(policies) {
+			group := res.Points[g : g+len(policies)]
+			for _, p := range group {
+				if p.Policy != "static" {
+					continue
+				}
+				for i := range group {
+					if group[i].TotalTime > 0 {
+						group[i].Speedup = p.TotalTime / group[i].TotalTime
+					}
+				}
 			}
 		}
-		return PlacementPoint{
-			Backend:       backend.Name(),
-			Zipf:          cfg.ZipfExponent,
-			Policy:        policy,
-			TotalTime:     r.TotalTime,
-			MaxOwnerKeys:  maxKeys,
-			Imbalance:     metrics.Imbalance(keys),
-			Rebalances:    r.Rebalances,
-			MigratedBytes: r.MigratedBytes,
-		}, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	// Speedups against the same (backend, Zipf) static point, once every
-	// point is in place.
-	static := make(map[[2]int]float64)
-	for i, p := range res.Points {
-		if p.Policy == "static" {
-			zi := i / len(policies) % len(zipfs)
-			bi := i / (len(policies) * len(zipfs))
-			static[[2]int{bi, zi}] = p.TotalTime
-		}
-	}
-	for i := range res.Points {
-		zi := i / len(policies) % len(zipfs)
-		bi := i / (len(policies) * len(zipfs))
-		if st, ok := static[[2]int{bi, zi}]; ok && res.Points[i].TotalTime > 0 {
-			res.Points[i].Speedup = st / res.Points[i].TotalTime
-		}
-	}
-	return res, nil
+		return res
+	}}, nil
 }
 
 // Table renders the sweep.

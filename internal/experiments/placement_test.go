@@ -1,15 +1,16 @@
 package experiments
 
 import (
-	"context"
-	"reflect"
 	"testing"
 
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/workload"
 )
 
-func placementTestOptions() PlacementOptions {
+// placementTestSweep is a small graded-skew placement sweep of both
+// backends over policies, at Zipf 1.2 with a rebalancing epoch of 3
+// batches.
+func placementTestSweep(policies []string) (sweep[*PlacementResult], error) {
 	base := retrieval.Config{
 		GPUs:                 4,
 		TotalTables:          16,
@@ -24,38 +25,8 @@ func placementTestOptions() PlacementOptions {
 		ChunksPerKernel:      4,
 		Distribution:         workload.Zipf,
 	}
-	hw := retrieval.DefaultHardware()
-	return PlacementOptions{
-		ZipfExponents:  []float64{1.2},
-		Sweep:          Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}}},
-		RebalanceEvery: 3,
-		Base:           &base,
-		HW:             &hw,
-	}
-}
-
-// The placement sweep must be byte-identical at any worker count.
-func TestPlacementDeterministicAcrossParallelism(t *testing.T) {
-	var results []*PlacementResult
-	var renders []string
-	for _, parallel := range []int{1, 4} {
-		o := placementTestOptions()
-		o.Parallel = parallel
-		res, err := RunPlacement(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		results = append(results, res)
-		renders = append(renders, res.Table().CSV()+res.Table().Render())
-	}
-	if !reflect.DeepEqual(results[0], results[1]) {
-		t.Fatalf("placement sweep differs between Parallel=1 and Parallel=4:\n%+v\nvs\n%+v",
-			results[0], results[1])
-	}
-	if renders[0] != renders[1] {
-		t.Fatalf("placement table differs between Parallel=1 and Parallel=4:\n%s\nvs\n%s",
-			renders[0], renders[1])
-	}
+	return placementSweep(policies, []float64{1.2}, 3, base, retrieval.DefaultHardware(),
+		[]retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
 }
 
 // Sanity on the sweep's content: the grid is complete, every point tracks
@@ -63,12 +34,12 @@ func TestPlacementDeterministicAcrossParallelism(t *testing.T) {
 // rebalance, and on the skewed workload they end better balanced than the
 // static plan.
 func TestPlacementSweepContent(t *testing.T) {
-	opts := placementTestOptions()
-	res, err := RunPlacement(context.Background(), opts)
+	s, err := placementTestSweep(PlacementPolicies)
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantPoints := len(opts.Backends) * len(opts.ZipfExponents) * len(PlacementPolicies)
+	res := runSweep(t, s)
+	wantPoints := 2 * len(PlacementPolicies)
 	if len(res.Points) != wantPoints {
 		t.Fatalf("%d points, want %d", len(res.Points), wantPoints)
 	}
@@ -123,9 +94,7 @@ func TestPlacementSweepContent(t *testing.T) {
 
 // Invalid sweeps are configuration errors, not silent empty tables.
 func TestPlacementValidation(t *testing.T) {
-	o := placementTestOptions()
-	o.Policies = []string{"nope"}
-	if _, err := RunPlacement(context.Background(), o); err == nil {
+	if _, err := placementTestSweep([]string{"nope"}); err == nil {
 		t.Fatal("unknown placement policy accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pgasemb/internal/metrics"
@@ -19,25 +18,8 @@ import (
 // accuracy cost is independent of backend and machine shape (every backend
 // reads the same quantized-at-rest tables).
 
-// PrecisionOptions tunes the wire-precision sweep.
-type PrecisionOptions struct {
-	// Sweep.Backends are the backends to sweep. Empty means baseline and
-	// pgas-fused.
-	Sweep
-	// Nodes picks the machine: 1 = a single NVLink node, >1 = a cluster of
-	// NVLink nodes joined by NICs (default 1).
-	Nodes int
-	// GPUsPerNode is each node's GPU count (default 4).
-	GPUsPerNode int
-	// Batches overrides the per-run batch count (0 = the configuration's).
-	Batches int
-	// BatchSize overrides the per-run global batch size (0 = the
-	// configuration's). Mainly for tests and CI smoke runs.
-	BatchSize int
-}
-
-// precisionSweep is the fixed precision axis, widest wire format first.
-var precisionSweep = []retrieval.Precision{retrieval.FP32, retrieval.FP16, retrieval.Int8}
+// precisions is the fixed precision axis, widest wire format first.
+var precisions = []retrieval.Precision{retrieval.FP32, retrieval.FP16, retrieval.Int8}
 
 // PrecisionPoint holds one (backend, dedup, precision) timing run.
 type PrecisionPoint struct {
@@ -69,104 +51,56 @@ func (r *PrecisionResult) Point(backend string, dedup bool, prec retrieval.Preci
 	panic(fmt.Sprintf("experiments: no precision point for %s/dedup=%v/%s", backend, dedup, prec))
 }
 
-// RunPrecision executes the wire-precision sweep. All timing cells and the
-// functional accuracy runs dispatch onto one worker pool; specs are built up
-// front and results land in index-addressed slices, so the tables are
-// byte-identical at any Parallel. It returns early when ctx is done.
-func RunPrecision(ctx context.Context, opts PrecisionOptions) (*PrecisionResult, error) {
-	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
-	nodes := orDefault(opts.Nodes, 1)
-	perNode := orDefault(opts.GPUsPerNode, 4)
-	hw := hardware(nil, nodes)
-	dedups := []bool{false, true}
-	// One spec per (dedup, precision); every backend shares it.
-	var specs []*retrieval.SystemSpec
-	for _, dedup := range dedups {
-		for _, prec := range precisionSweep {
-			cfg := retrieval.MultiNodeConfig(nodes, perNode)
-			cfg.Dedup = dedup
-			cfg.WirePrecision = prec
-			cfg, err := resize(cfg, opts.Batches, opts.BatchSize)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: precision sweep: %w", err)
+// precisionSweep declares the wire-precision sweep on `nodes` nodes of
+// perNode GPUs: every backend's timing cells, backend-major, then dedup,
+// then precision, followed by the accuracy sidecar's baseline run per
+// precision.
+func precisionSweep(nodes, perNode, batches int, backends []retrieval.Backend) sweep[*PrecisionResult] {
+	hw := retrieval.ClusterHardware(nodes)
+	var pts []point
+	for _, b := range backends {
+		for _, dedup := range []bool{false, true} {
+			for _, prec := range precisions {
+				cfg := sized(retrieval.MultiNodeConfig(nodes, perNode), batches, 0)
+				cfg.Dedup = dedup
+				cfg.WirePrecision = prec
+				pts = append(pts, point{cfg: cfg, hw: hw, backend: b})
 			}
-			spec, err := retrieval.NewSystemSpec(cfg, hw)
-			if err != nil {
-				return nil, fmt.Errorf("experiments: precision sweep, dedup=%v %s: %w", dedup, prec, err)
-			}
-			specs = append(specs, spec)
 		}
 	}
 	// The accuracy sidecar runs the small functional workload, whose outputs
 	// depend only on the precision (quantize-at-rest), not the backend.
-	for _, prec := range precisionSweep {
+	for _, prec := range precisions {
 		cfg := retrieval.TestScaleConfig(perNode)
 		cfg.WirePrecision = prec
-		spec, err := retrieval.NewSystemSpec(cfg, retrieval.DefaultHardware())
-		if err != nil {
-			return nil, fmt.Errorf("experiments: precision accuracy run, %s: %w", prec, err)
+		pts = append(pts, point{cfg: cfg, hw: retrieval.DefaultHardware(), backend: &retrieval.Baseline{}})
+	}
+	timing := len(pts) - len(precisions)
+	return sweep[*PrecisionResult]{pts, func(outs []outcome) *PrecisionResult {
+		res := &PrecisionResult{
+			Nodes:       nodes,
+			GPUsPerNode: perNode,
+			MaxAbsErr:   map[retrieval.Precision]float64{},
 		}
-		specs = append(specs, spec)
-	}
-
-	// Cells run backend-major over the timing specs, then the baseline on
-	// each accuracy spec.
-	type cell struct {
-		backend retrieval.Backend
-		spec    *retrieval.SystemSpec
-	}
-	timing := len(dedups) * len(precisionSweep)
-	var cells []cell
-	for _, b := range backends {
-		for _, spec := range specs[:timing] {
-			cells = append(cells, cell{b, spec})
+		for i, p := range pts[:timing] {
+			res.Points = append(res.Points, PrecisionPoint{
+				Backend:   p.backend.Name(),
+				Dedup:     p.cfg.Dedup,
+				Precision: p.cfg.WirePrecision,
+				Result:    outs[i].sys,
+			})
 		}
-	}
-	timingRuns := len(cells)
-	for _, spec := range specs[timing:] {
-		cells = append(cells, cell{&retrieval.Baseline{}, spec})
-	}
-	results, err := runJobs(ctx, opts.Sweep, "precision-sweep", len(cells), func(i int) (*retrieval.Result, error) {
-		c := cells[i]
-		r, err := runSpec(ctx, c.spec, c.backend, c.spec.Config().Seed)
-		if err != nil {
-			return nil, fmt.Errorf("experiments: precision sweep, %s dedup=%v %s: %w",
-				c.backend.Name(), c.spec.Config().Dedup, c.spec.Config().WirePrecision, err)
-		}
-		return r, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-
-	res := &PrecisionResult{
-		Nodes:       nodes,
-		GPUsPerNode: perNode,
-		MaxAbsErr:   map[retrieval.Precision]float64{},
-	}
-	for i, c := range cells[:timingRuns] {
-		res.Points = append(res.Points, PrecisionPoint{
-			Backend:   c.backend.Name(),
-			Dedup:     c.spec.Config().Dedup,
-			Precision: c.spec.Config().WirePrecision,
-			Result:    results[i],
-		})
-	}
-	fp32 := results[timingRuns]
-	for pi, prec := range precisionSweep {
-		if prec == retrieval.FP32 {
-			continue
-		}
-		var worst float64
-		got := results[timingRuns+pi]
-		for g := range got.Final {
-			if d := tensor.MaxAbsDiff(got.Final[g], fp32.Final[g]); d > worst {
-				worst = d
+		fp32 := outs[timing].sys
+		for pi, prec := range precisions[1:] {
+			var worst float64
+			got := outs[timing+1+pi].sys
+			for g := range got.Final {
+				worst = max(worst, tensor.MaxAbsDiff(got.Final[g], fp32.Final[g]))
 			}
+			res.MaxAbsErr[prec] = worst
 		}
-		res.MaxAbsErr[prec] = worst
-	}
-	return res, nil
+		return res
+	}}
 }
 
 // SweepTable renders the full grid: per cell, EMB time, the speedup the

@@ -80,9 +80,6 @@ func (r *ScalingResult) SpeedupTable() *Table {
 		Title:   title,
 		Headers: []string{"GPUs", "Baseline", "PGAS fused", "Speedup", "Paper"},
 	}
-	if r.Dedup {
-		t.Headers = append(t.Headers, "Base+dedup", "PGAS+dedup", "Dedup speedup")
-	}
 	for _, p := range r.Points {
 		if p.GPUs < 2 {
 			continue
@@ -91,33 +88,21 @@ func (r *ScalingResult) SpeedupTable() *Table {
 		if v, ok := paper[r.Kind][p.GPUs]; ok {
 			paperCell = fmt.Sprintf("%.2fx", v)
 		}
-		row := []string{
+		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", p.GPUs),
 			sim.FormatTime(p.Baseline.TotalTime),
 			sim.FormatTime(p.PGAS.TotalTime),
 			fmt.Sprintf("%.2fx", p.Speedup()),
 			paperCell,
-		}
-		if r.Dedup {
-			row = append(row,
-				sim.FormatTime(p.BaselineDedup.TotalTime),
-				sim.FormatTime(p.PGASDedup.TotalTime),
-				fmt.Sprintf("%.2fx", p.DedupSpeedup()),
-			)
-		}
-		t.Rows = append(t.Rows, row)
+		})
 	}
 	paperGeo := 1.97
 	if r.Kind == StrongScaling {
 		paperGeo = 2.63
 	}
-	geo := []string{
+	t.Rows = append(t.Rows, []string{
 		"geomean", "", "", fmt.Sprintf("%.2fx", r.GeomeanSpeedup()), fmt.Sprintf("%.2fx", paperGeo),
-	}
-	if r.Dedup {
-		geo = append(geo, "", "", "")
-	}
-	t.Rows = append(t.Rows, geo)
+	})
 	return t
 }
 
@@ -158,25 +143,15 @@ func (r *ScalingResult) BreakdownTable() *Table {
 		Headers: []string{"GPUs", "Base Computation", "Base Communication",
 			"Base Sync+Unpack", "Base total", "PGAS total"},
 	}
-	if r.Dedup {
-		t.Headers = append(t.Headers, "Base+dedup Comm", "uniq_frac")
-	}
 	for _, p := range r.Points {
-		row := []string{
+		t.Rows = append(t.Rows, []string{
 			fmt.Sprintf("%d", p.GPUs),
 			sim.FormatTime(p.Baseline.Breakdown.Get("Computation")),
 			sim.FormatTime(p.Baseline.Breakdown.Get("Communication")),
 			sim.FormatTime(p.Baseline.Breakdown.Get("Sync+Unpack")),
 			sim.FormatTime(p.Baseline.TotalTime),
 			sim.FormatTime(p.PGAS.TotalTime),
-		}
-		if r.Dedup {
-			row = append(row,
-				sim.FormatTime(p.BaselineDedup.Breakdown.Get("Communication")),
-				fmt.Sprintf("%.3f", p.BaselineDedup.DedupStats.UniqueFraction()),
-			)
-		}
-		t.Rows = append(t.Rows, row)
+		})
 	}
 	return t
 }

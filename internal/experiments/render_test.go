@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"strings"
 	"testing"
 
@@ -107,10 +106,7 @@ func TestTimeSeriesChart(t *testing.T) {
 }
 
 func TestCommVolumeRendering(t *testing.T) {
-	cv, err := RunCommVolume(context.Background(), WeakScaling, 2, 40, Options{Batches: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
+	cv := runSweep(t, commVolumeSweep(WeakScaling, 2, 40, 1, &retrieval.PGASFused{}))
 	charts := cv.CommVolumeCharts(6)
 	if !strings.Contains(charts, "Figure 7") || !strings.Contains(charts, "PGAS fused") {
 		t.Fatalf("charts missing parts:\n%s", charts)
@@ -118,12 +114,6 @@ func TestCommVolumeRendering(t *testing.T) {
 	csv := cv.CSVTable()
 	if len(csv.Rows) != 40 {
 		t.Fatalf("csv rows = %d", len(csv.Rows))
-	}
-}
-
-func TestRunCommVolumeValidation(t *testing.T) {
-	if _, err := RunCommVolume(context.Background(), WeakScaling, 1, 10, calOpts); err == nil {
-		t.Fatal("1-GPU comm profile accepted")
 	}
 }
 
@@ -149,11 +139,8 @@ func TestPointLookupPanics(t *testing.T) {
 	r.Point(99)
 }
 
-func TestRunAblationsOrdering(t *testing.T) {
-	res, err := RunAblations(context.Background(), 4, Options{Batches: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestAblationsOrdering(t *testing.T) {
+	res := runSweep(t, ablationSweep(4, 3))
 	if len(res) != 5 {
 		t.Fatalf("ablation suite has %d entries", len(res))
 	}
@@ -181,11 +168,8 @@ func TestRunAblationsOrdering(t *testing.T) {
 	}
 }
 
-func TestRunScalingStats(t *testing.T) {
-	stats, err := RunScalingStats(context.Background(), WeakScaling, 3, Options{Batches: 2, MaxGPUs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
+func TestScalingStats(t *testing.T) {
+	stats := runSweep(t, statsSweep(WeakScaling, 2, 3, 2, &retrieval.PGASFused{}))
 	if len(stats) != 1 {
 		t.Fatalf("stats entries = %d", len(stats))
 	}
@@ -210,23 +194,13 @@ func TestRunScalingStats(t *testing.T) {
 }
 
 // The statistics compare the baseline with the accelerated column the
-// options choose: with the baseline in both columns every speedup is 1.
-func TestRunScalingStatsHonoursBackend(t *testing.T) {
-	opts := Options{Batches: 2, MaxGPUs: 3, Sweep: Sweep{Backends: []retrieval.Backend{&retrieval.Baseline{}}}}
-	stats, err := RunScalingStats(context.Background(), WeakScaling, 2, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
+// sweep is given: with the baseline in both columns every speedup is 1.
+func TestScalingStatsHonoursBackend(t *testing.T) {
+	stats := runSweep(t, statsSweep(WeakScaling, 3, 2, 2, &retrieval.Baseline{}))
 	for _, s := range stats {
 		if s.Mean != 1 || s.StdDev != 0 || s.Min != 1 || s.Max != 1 {
 			t.Errorf("%d GPUs: baseline over baseline gave %+v, want exactly 1", s.GPUs, s)
 		}
-	}
-}
-
-func TestRunScalingStatsValidation(t *testing.T) {
-	if _, err := RunScalingStats(context.Background(), WeakScaling, 0, Options{}); err == nil {
-		t.Fatal("zero seeds accepted")
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 
 	"pgasemb/internal/metrics"
@@ -10,11 +9,14 @@ import (
 	"pgasemb/internal/sim"
 )
 
-// ServingOptions tunes the online-serving sweep: arrival rate × cache
-// fraction × backend, each point one full serving simulation.
+// ServingOptions are the axes of the online-serving sweep: backend ×
+// arrival rate × cache fraction × dedup, each point one full serving
+// simulation on the serving workload (retrieval.ServingScaleConfig).
 type ServingOptions struct {
-	// Sweep.Backends defaults to baseline and pgas-fused.
-	Sweep
+	// Backends are the backends to sweep (default: baseline and
+	// pgas-fused). An Overrides.Backends backend replaces them with the
+	// baseline and itself.
+	Backends []retrieval.Backend
 	// Rates are the arrival rates to sweep (requests/second). Required.
 	Rates []float64
 	// CacheFractions are the hot-row cache sizes to sweep, as fractions of
@@ -24,19 +26,13 @@ type ServingOptions struct {
 	// {false}). It is the innermost axis, so each (backend, rate, fraction)
 	// combination's dedup variants render adjacently.
 	Dedups []bool
-	// GPUs sizes the serving machine (default 4). Ignored when Base is set.
+	// GPUs sizes the serving machine (default 4).
 	GPUs int
 	// Duration is each point's arrival window (default 2 simulated seconds).
 	Duration sim.Duration
-	// Base overrides the serving workload configuration (default
-	// retrieval.ServingScaleConfig(GPUs)); its CacheFraction is overwritten
-	// by the sweep.
-	Base *retrieval.Config
-	// HW selects the hardware model (nil = calibrated defaults).
-	HW *retrieval.HardwareParams
-	// PipelineDepth sets the base configuration's inter-batch pipelining
-	// depth at every point (0 keeps the base configuration's own depth;
-	// 1 = serial dispatch, ≥2 overlaps in-flight dispatches).
+	// PipelineDepth sets the workload's inter-batch pipelining depth at
+	// every point (0 keeps the workload's own depth; 1 = serial dispatch,
+	// ≥2 overlaps in-flight dispatches).
 	PipelineDepth int
 	// WirePrecision sets the wire transport format for embedding rows at
 	// every point (FP32 = uncompressed, the default).
@@ -46,13 +42,18 @@ type ServingOptions struct {
 	Serve serve.Config
 }
 
-// servingBase returns the Base override, or the serving workload on gpus
-// GPUs (default 4).
-func servingBase(base *retrieval.Config, gpus int) retrieval.Config {
-	if base != nil {
-		return *base
-	}
-	return retrieval.ServingScaleConfig(orDefault(gpus, 4))
+// Entry returns the serving sweep as an engine entry named "serving", which
+// renders the serving table.
+func (opts ServingOptions) Entry() Entry {
+	return Entry{Name: "serving", Stems: []string{"serving"}, build: func(o Overrides) (sweep[[]Output], error) {
+		backends := opts.Backends
+		if len(backends) == 0 || len(o.Backends) == 1 {
+			backends = o.grid()
+		}
+		s, err := servingSweep(opts, retrieval.ServingScaleConfig(orDefault(opts.GPUs, 4)),
+			retrieval.ClusterHardware(1), backends)
+		return rendered(s, func(r *ServingResult) []Output { return tables(r.Table()) }), err
+	}}
 }
 
 // ServingPoint is one (backend, rate, cache fraction, dedup) serving run.
@@ -91,73 +92,61 @@ type ServingResult struct {
 	Points         []ServingPoint
 }
 
-// RunServing executes the serving sweep. Every grid point owns its server
-// (and therefore its cache set), so points are independent and dispatch
-// freely onto the worker pool; results land in an index-addressed slice,
-// byte-identical at any parallelism. It returns early when ctx is done.
-func RunServing(ctx context.Context, opts ServingOptions) (*ServingResult, error) {
+// servingSweep declares the serving sweep's points over base on hw:
+// backend-major, then rate, then cache fraction, then dedup. Every point
+// owns its server and therefore its cache set.
+func servingSweep(opts ServingOptions, base retrieval.Config, hw retrieval.HardwareParams,
+	backends []retrieval.Backend) (sweep[*ServingResult], error) {
 	if len(opts.Rates) == 0 || len(opts.CacheFractions) == 0 {
-		return nil, fmt.Errorf("experiments: serving sweep needs at least one rate and one cache fraction")
+		return sweep[*ServingResult]{}, fmt.Errorf("serving sweep needs at least one rate and one cache fraction")
 	}
-	backends := orList(opts.Backends, []retrieval.Backend{&retrieval.Baseline{}, &retrieval.PGASFused{}})
-	dedups := orList(opts.Dedups, []bool{false})
-	base := servingBase(opts.Base, opts.GPUs)
-	hw := hardware(opts.HW, 1)
-	res := &ServingResult{Rates: opts.Rates, CacheFractions: opts.CacheFractions, Dedups: dedups}
-	n := len(backends) * len(opts.Rates) * len(opts.CacheFractions) * len(dedups)
-	points, err := runJobs(ctx, opts.Sweep, "serving", n, func(i int) (ServingPoint, error) {
-		di := i % len(dedups)
-		fi := i / len(dedups) % len(opts.CacheFractions)
-		ri := i / (len(dedups) * len(opts.CacheFractions)) % len(opts.Rates)
-		bi := i / (len(dedups) * len(opts.CacheFractions) * len(opts.Rates))
-		backend := backends[bi]
-
-		cfg := base
-		cfg.CacheFraction = opts.CacheFractions[fi]
-		cfg.Dedup = dedups[di]
-		cfg.WirePrecision = opts.WirePrecision
-		if opts.PipelineDepth > 0 {
-			cfg.PipelineDepth = opts.PipelineDepth
-		}
-		scfg := opts.Serve
-		scfg.Rate = opts.Rates[ri]
-		scfg.Duration = orDefault(opts.Duration, 2*sim.Second)
-		fail := func(err error) (ServingPoint, error) {
-			return ServingPoint{}, fmt.Errorf("experiments: serving, %s rate %.0f frac %g dedup %v: %w",
-				backend.Name(), scfg.Rate, cfg.CacheFraction, cfg.Dedup, err)
-		}
-		srv, err := serve.NewServer(cfg, hw, backend, scfg)
-		if err != nil {
-			return fail(err)
-		}
-		r, err := srv.RunContext(ctx)
-		if err != nil {
-			return fail(err)
-		}
-		return ServingPoint{
-			Backend:       r.Backend,
-			Rate:          r.Rate,
-			CacheFraction: r.CacheFraction,
-			CacheSlots:    cfg.CacheSlots(hw.GPU),
-			Dedup:         cfg.Dedup,
-			Offered:       r.Offered,
-			Completed:     r.Completed,
-			Dropped:       r.Dropped,
-			Dispatches:    r.Dispatches,
-			Resilience:    r.Resilience,
-			HitRate:       r.HitRate(),
-			DedupStats:    r.DedupStats,
-			P50:           r.Percentile(50),
-			P95:           r.Percentile(95),
-			P99:           r.Percentile(99),
-			Goodput:       r.Goodput(),
-		}, nil
-	})
-	if err != nil {
-		return nil, err
+	dedups := opts.Dedups
+	if len(dedups) == 0 {
+		dedups = []bool{false}
 	}
-	res.Points = points
-	return res, nil
+	var pts []point
+	for _, b := range backends {
+		for _, rate := range opts.Rates {
+			for _, frac := range opts.CacheFractions {
+				for _, dedup := range dedups {
+					cfg := base
+					cfg.CacheFraction = frac
+					cfg.Dedup = dedup
+					cfg.WirePrecision = opts.WirePrecision
+					cfg.PipelineDepth = orDefault(opts.PipelineDepth, cfg.PipelineDepth)
+					scfg := opts.Serve
+					scfg.Rate = rate
+					scfg.Duration = orDefault(opts.Duration, 2*sim.Second)
+					pts = append(pts, point{kind: serveRun, cfg: cfg, hw: hw, backend: b, serve: scfg})
+				}
+			}
+		}
+	}
+	return sweep[*ServingResult]{pts, func(outs []outcome) *ServingResult {
+		res := &ServingResult{Rates: opts.Rates, CacheFractions: opts.CacheFractions, Dedups: dedups}
+		for i, o := range outs {
+			r, cfg := o.serve, pts[i].cfg
+			res.Points = append(res.Points, ServingPoint{
+				Backend:       r.Backend,
+				Rate:          r.Rate,
+				CacheFraction: r.CacheFraction,
+				CacheSlots:    cfg.CacheSlots(hw.GPU),
+				Dedup:         cfg.Dedup,
+				Offered:       r.Offered,
+				Completed:     r.Completed,
+				Dropped:       r.Dropped,
+				Dispatches:    r.Dispatches,
+				Resilience:    r.Resilience,
+				HitRate:       r.HitRate(),
+				DedupStats:    r.DedupStats,
+				P50:           r.Percentile(50),
+				P95:           r.Percentile(95),
+				P99:           r.Percentile(99),
+				Goodput:       r.Goodput(),
+			})
+		}
+		return res
+	}}, nil
 }
 
 // P99Series returns the p99 latencies (seconds) across cache fractions for

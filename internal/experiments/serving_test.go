@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"testing"
 
 	"pgasemb/internal/metrics"
@@ -40,20 +39,16 @@ func servingTestHW() retrieval.HardwareParams {
 // growing the hot-row cache must not worsen the PGAS backend's p99 and must
 // strictly improve it by the largest fraction.
 func TestServingP99ImprovesWithCacheFraction(t *testing.T) {
-	base := servingTestBase()
-	hw := servingTestHW()
-	res, err := RunServing(context.Background(), ServingOptions{
+	s, err := servingSweep(ServingOptions{
 		Rates:          []float64{2600},
 		CacheFractions: []float64{0, 0.001, 0.01, 0.05},
-		Sweep:          Sweep{Backends: []retrieval.Backend{&retrieval.PGASFused{}}},
 		Duration:       1 * sim.Second,
-		Base:           &base,
-		HW:             &hw,
 		Serve:          serve.Config{MaxWait: 2 * sim.Millisecond},
-	})
+	}, servingTestBase(), servingTestHW(), []retrieval.Backend{&retrieval.PGASFused{}})
 	if err != nil {
 		t.Fatal(err)
 	}
+	res := runSweep(t, s)
 	p99 := res.P99Series("pgas-fused", 2600)
 	if len(p99) != 4 {
 		t.Fatalf("got %d p99 points, want 4", len(p99))
@@ -76,41 +71,13 @@ func TestServingP99ImprovesWithCacheFraction(t *testing.T) {
 	}
 }
 
-// The serving table must be byte-identical at any worker count: parallelism
-// changes wall-clock time, never output.
-func TestServingTableDeterministicAcrossParallelism(t *testing.T) {
-	base := servingTestBase()
-	hw := servingTestHW()
-	opts := ServingOptions{
-		Rates:          []float64{1500, 2400},
-		CacheFractions: []float64{0, 0.01},
-		Duration:       200 * sim.Millisecond,
-		Base:           &base,
-		HW:             &hw,
-		Serve:          serve.Config{MaxWait: 2 * sim.Millisecond},
-	}
-	var renders []string
-	for _, parallel := range []int{1, 4} {
-		o := opts
-		o.Parallel = parallel
-		res, err := RunServing(context.Background(), o)
-		if err != nil {
-			t.Fatal(err)
-		}
-		renders = append(renders, res.Table().CSV()+res.Table().Render())
-	}
-	if renders[0] != renders[1] {
-		t.Fatalf("serving table differs between Parallel=1 and Parallel=4:\n%s\nvs\n%s",
-			renders[0], renders[1])
-	}
-}
-
 // An empty grid is a configuration error, not a silent empty table.
 func TestServingSweepValidation(t *testing.T) {
-	if _, err := RunServing(context.Background(), ServingOptions{Rates: []float64{100}}); err == nil {
+	backends := []retrieval.Backend{&retrieval.PGASFused{}}
+	if _, err := servingSweep(ServingOptions{Rates: []float64{100}}, servingTestBase(), servingTestHW(), backends); err == nil {
 		t.Fatal("sweep without cache fractions accepted")
 	}
-	if _, err := RunServing(context.Background(), ServingOptions{CacheFractions: []float64{0}}); err == nil {
+	if _, err := servingSweep(ServingOptions{CacheFractions: []float64{0}}, servingTestBase(), servingTestHW(), backends); err == nil {
 		t.Fatal("sweep without rates accepted")
 	}
 }

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"math"
 
@@ -19,76 +18,53 @@ type SpeedupStats struct {
 	Max    float64
 }
 
-// RunScalingStats repeats the scaling sweep across `seeds` workload seeds
-// and reports per-GPU-count speedup statistics — the variance the paper's
-// single-seed tables do not show. The pooling draws are the only stochastic
-// input, so at paper scale the spread is small; the statistics quantify
-// exactly how small. All seeds × GPU counts × backends runs dispatch onto
-// the worker pool; every seed of a GPU count shares that count's immutable
-// spec (the per-seed RNG streams are derived at run creation). It returns
-// early when ctx is done.
-func RunScalingStats(ctx context.Context, kind ScalingKind, seeds int, opts Options) ([]SpeedupStats, error) {
-	if seeds <= 0 {
-		return nil, fmt.Errorf("experiments: need at least one seed")
-	}
-	maxGPUs := orDefault(opts.MaxGPUs, 4)
-	counts := maxGPUs - 1 // GPU counts 2..maxGPUs
-	if counts <= 0 {
-		return nil, fmt.Errorf("experiments: statistics need MaxGPUs >= 2")
-	}
-	specs := make([]*retrieval.SystemSpec, counts)
-	for c := range specs {
-		spec, err := opts.spec(kind.Config(c + 2))
-		if err != nil {
-			return nil, fmt.Errorf("experiments: %s scaling stats, %d GPUs: %w", kind, c+2, err)
+// statsSweep repeats the scaling sweep across `seeds` workload seeds on
+// 2 .. maxGPUs GPUs and reports per-GPU-count speedup statistics — the
+// variance the paper's single-seed tables do not show. The pooling draws
+// are the only stochastic input, so at paper scale the spread is small; the
+// statistics quantify exactly how small. Seed s of a GPU count runs at the
+// configuration's seed + s*1_000_003.
+func statsSweep(kind ScalingKind, maxGPUs, seeds, batches int, acc retrieval.Backend) sweep[[]SpeedupStats] {
+	var pts []point
+	for s := 0; s < seeds; s++ {
+		for gpus := 2; gpus <= maxGPUs; gpus++ {
+			cfg := sized(kind.Config(gpus), batches, 0)
+			cfg.Seed += uint64(s) * 1_000_003
+			pts = append(pts, pair(cfg, retrieval.ClusterHardware(1), acc)...)
 		}
-		specs[c] = spec
 	}
-	// Point p is seed p/counts at GPU count p%counts+2; results land
-	// indexed, so the assembled statistics are identical at any parallelism.
-	times, err := versus(ctx, opts.Sweep, fmt.Sprintf("%s-scaling-stats", kind), seeds*counts,
-		func(p int, b retrieval.Backend) (float64, error) {
-			spec := specs[p%counts]
-			r, err := runSpec(ctx, spec, b, spec.Config().Seed+uint64(p/counts)*1_000_003)
-			if err != nil {
-				return 0, err
-			}
-			return r.TotalTime, nil
-		})
-	if err != nil {
-		return nil, err
-	}
-	samples := make([][]float64, counts)
-	for p := 0; p < seeds*counts; p++ {
-		samples[p%counts] = append(samples[p%counts], times[2*p]/times[2*p+1])
-	}
-	var out []SpeedupStats
-	for c, xs := range samples {
-		var sum float64
-		mn, mx := xs[0], xs[0]
-		for _, x := range xs {
-			sum += x
-			if x < mn {
-				mn = x
-			}
-			if x > mx {
-				mx = x
-			}
+	return sweep[[]SpeedupStats]{pts, func(outs []outcome) []SpeedupStats {
+		samples := make([][]float64, maxGPUs-1)
+		for i := 0; i < len(outs); i += 2 {
+			c := i / 2 % len(samples)
+			samples[c] = append(samples[c], outs[i].sys.TotalTime/outs[i+1].sys.TotalTime)
 		}
-		mean := sum / float64(len(xs))
-		var sq float64
-		for _, x := range xs {
-			sq += float64((x - mean) * (x - mean))
+		var out []SpeedupStats
+		for c, xs := range samples {
+			out = append(out, speedupStats(c+2, xs))
 		}
-		sd := 0.0
-		if len(xs) > 1 {
-			sd = math.Sqrt(sq / float64(len(xs)-1))
-		}
-		out = append(out, SpeedupStats{
-			GPUs: c + 2, Seeds: seeds, Mean: mean, StdDev: sd, Min: mn, Max: mx,
-		})
+		return out
+	}}
+}
+
+// speedupStats summarises one GPU count's speedup samples.
+func speedupStats(gpus int, xs []float64) SpeedupStats {
+	var sum float64
+	mn, mx := xs[0], xs[0]
+	for _, x := range xs {
+		sum += x
+		mn, mx = min(mn, x), max(mx, x)
 	}
-	return out, nil
+	mean := sum / float64(len(xs))
+	var sq float64
+	for _, x := range xs {
+		sq += float64((x - mean) * (x - mean))
+	}
+	sd := 0.0
+	if len(xs) > 1 {
+		sd = math.Sqrt(sq / float64(len(xs)-1))
+	}
+	return SpeedupStats{GPUs: gpus, Seeds: len(xs), Mean: mean, StdDev: sd, Min: mn, Max: mx}
 }
 
 // StatsTable renders speedup statistics.

@@ -25,10 +25,12 @@ func dedupTestConfig(gpus int) Config {
 // The headline acceptance test: with dedup enabled, every table-wise
 // backend's gathered embeddings are bit-identical to the non-dedup run and
 // to the serial reference — expansion from unique rows must reproduce dense
-// pooling exactly, in every pooling mode.
+// pooling exactly, in every pooling mode — and the baseline and pgas-fused
+// report the same dedup counters on the same configuration.
 func TestDedupRetrievalBitExact(t *testing.T) {
 	for _, gpus := range []int{2, 3} {
 		for _, mode := range []embedding.PoolingMode{embedding.SumPooling, embedding.MeanPooling, embedding.MaxPooling} {
+			counters := map[string]metrics.DedupCounters{}
 			for _, mkBackend := range []func() Backend{
 				func() Backend { return &Baseline{} },
 				func() Backend { return &PGASFused{} },
@@ -61,6 +63,7 @@ func TestDedupRetrievalBitExact(t *testing.T) {
 
 				name := dedupRes.Backend
 				stats := dedupRes.DedupStats
+				counters[name] = stats
 				if stats.UniqueRows == 0 || stats.UniqueRows >= stats.EligibleIdx {
 					t.Fatalf("%s@%dgpu mode=%v: dedup saw no duplicates (unique %d of %d); test exercises nothing",
 						name, gpus, mode, stats.UniqueRows, stats.EligibleIdx)
@@ -78,6 +81,9 @@ func TestDedupRetrievalBitExact(t *testing.T) {
 						t.Fatalf("%s@%dgpu mode=%v: GPU %d deduped output differs from reference", name, gpus, mode, g)
 					}
 				}
+			}
+			if base, pgas := counters["baseline"], counters["pgas-fused"]; base != pgas {
+				t.Errorf("%dgpu mode=%v: backend dedup counters disagree: baseline %+v, pgas-fused %+v", gpus, mode, base, pgas)
 			}
 		}
 	}
