@@ -7,6 +7,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"path/filepath"
 	"strconv"
@@ -50,10 +51,16 @@ func Strings(name, value string) []string {
 	return list(name, value, func(s string) (string, error) { return s, nil })
 }
 
-// Floats is Strings for an axis of floats; a malformed entry exits with
-// status 2.
+// Floats is Strings for an axis of finite floats; a malformed or non-finite
+// entry exits with status 2.
 func Floats(name, value string) []float64 {
-	return list(name, value, func(s string) (float64, error) { return strconv.ParseFloat(s, 64) })
+	return list(name, value, func(s string) (float64, error) {
+		v, err := strconv.ParseFloat(s, 64)
+		if err == nil && (math.IsNaN(v) || math.IsInf(v, 0)) {
+			err = fmt.Errorf("%q is not a finite number", s)
+		}
+		return v, err
+	})
 }
 
 func list[T any](name, value string, parse func(string) (T, error)) []T {

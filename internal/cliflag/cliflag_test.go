@@ -54,6 +54,7 @@ func TestCommandsRejectNonPositiveSizes(t *testing.T) {
 		{"serve", []string{"-gpus", "0"}, "-gpus must be at least 1"},
 		{"serve", []string{"-pipeline", "0"}, "-pipeline must be at least 1"},
 		{"serve", []string{"-parallel", "-1"}, "-parallel must be at least 0"},
+		{"serve", []string{"-rate", "inf"}, `-rate: "inf" is not a finite number`},
 		{"dlrminfer", []string{"-gpus", "-1"}, "-gpus must be at least 1"},
 		{"dlrminfer", []string{"-batches", "0"}, "-batches must be at least 1"},
 		{"dlrminfer", []string{"-pipeline", "0"}, "-pipeline must be at least 1"},

@@ -134,10 +134,6 @@ func (c *Comm) Params() Params { return c.params }
 // own convention for plotting the baseline's communication volume).
 func (c *Comm) Volume() *trace.VolumeTrace { return c.volume }
 
-// ResetVolume clears the volume trace in place between measurement
-// repetitions.
-func (c *Comm) ResetVolume() { c.volume.Reset() }
-
 // pairBandwidth returns the effective rate from src to dst inside a
 // collective.
 func (c *Comm) pairBandwidth(src, dst int) float64 {

@@ -57,7 +57,7 @@ func TestPipelineRebalancesLikeRun(t *testing.T) {
 	if res.Rebalances == 0 {
 		t.Fatal("System.Run swapped no plan; the workload no longer exercises placement")
 	}
-	pl, err := NewPipelineFromSpec(spec, &retrieval.PGASFused{})
+	pl, err := NewPipeline(cfg, retrieval.DefaultHardware(), &retrieval.PGASFused{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -36,14 +36,7 @@ func NewPipeline(cfg retrieval.Config, hw retrieval.HardwareParams, backend retr
 	if err != nil {
 		return nil, err
 	}
-	return NewPipelineFromSpec(spec, backend)
-}
-
-// NewPipelineFromSpec wires a pipeline run from an existing immutable spec —
-// the entry point for executing many pipeline runs of one configuration
-// concurrently.
-func NewPipelineFromSpec(spec *retrieval.SystemSpec, backend retrieval.Backend) (*Pipeline, error) {
-	cfg := spec.Config()
+	cfg = spec.Config()
 	model, err := NewModel(DefaultModelConfig(cfg.TotalTables, cfg.Dim), cfg.Seed)
 	if err != nil {
 		return nil, err
@@ -51,10 +44,9 @@ func NewPipelineFromSpec(spec *retrieval.SystemSpec, backend retrieval.Backend) 
 	return NewPipelineRun(spec, backend, model, cfg.Seed)
 }
 
-// NewPipelineRun wires one pipeline run with a caller-owned model and an
-// explicit run seed — the serving layer's entry point: one trained model is
-// shared (read-only) across every dispatched request batch, while each
-// dispatch gets its own workload seed.
+// NewPipelineRun wires one pipeline run on a fresh machine with a
+// caller-owned model and an explicit run seed: one trained model can be
+// shared (read-only) across any number of runs.
 func NewPipelineRun(spec *retrieval.SystemSpec, backend retrieval.Backend, model *Model, seed uint64) (*Pipeline, error) {
 	cfg := spec.Config()
 	if model.Cfg.NumSparse != cfg.TotalTables || model.Cfg.EmbDim != cfg.Dim {
@@ -65,9 +57,29 @@ func NewPipelineRun(spec *retrieval.SystemSpec, backend retrieval.Backend, model
 	if err != nil {
 		return nil, err
 	}
+	return pipelineOn(sys, backend, model)
+}
+
+// On wires a pipeline of spec's batch shape onto pl's machine, sharing its
+// model and backend (see retrieval.SystemSpec.NewRunOn): the serving layer
+// runs every dispatch shape of a session this way.
+func (pl *Pipeline) On(spec *retrieval.SystemSpec) (*Pipeline, error) {
+	sys, err := spec.NewRunOn(pl.Sys)
+	if err != nil {
+		return nil, err
+	}
+	return pipelineOn(sys, pl.Backend, pl.Model)
+}
+
+func pipelineOn(sys *retrieval.System, backend retrieval.Backend, model *Model) (*Pipeline, error) {
+	pl := &Pipeline{Sys: sys, Backend: backend, Model: model}
+	if !sys.Cfg.Functional {
+		return pl, nil
+	}
 	// A second generator over the same workload config supplies the dense
 	// inputs of functional runs; its dense stream is independent of the
 	// sparse draws, so it stays in sync with the retrieval system's batches.
+	cfg := sys.Cfg
 	gen, err := workload.NewGenerator(workload.Config{
 		NumFeatures: cfg.TotalTables,
 		BatchSize:   cfg.BatchSize,
@@ -75,12 +87,13 @@ func NewPipelineRun(spec *retrieval.SystemSpec, backend retrieval.Backend, model
 		MaxPooling:  cfg.MaxPooling,
 		IndexSpace:  int64(cfg.Rows),
 		NumDense:    model.Cfg.DenseFeatures,
-		Seed:        seed,
+		Seed:        cfg.Seed,
 	})
 	if err != nil {
 		return nil, err
 	}
-	return &Pipeline{Sys: sys, Backend: backend, Model: model, denseGen: gen}, nil
+	pl.denseGen = gen
+	return pl, nil
 }
 
 // PipelineResult summarises a timed inference run.
@@ -136,85 +149,146 @@ func (pl *Pipeline) Run() (*PipelineResult, error) {
 // one-sided stores (issued from inside the fused gather kernel) proceed
 // immediately.
 func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
+	r := pl.newRun()
+	last, err := pl.Sys.Drive(ctx, 1, r.body)
+	if err != nil {
+		return nil, fmt.Errorf("dlrm: %s pipeline run: %w", pl.Backend.Name(), err)
+	}
+	return r.finish(pl.Sys.Env.Now(), last), nil
+}
+
+// Start is Run on a clock that is already running — the serving layer's
+// per-dispatch form: it begins the pipeline's batches, drawn from seed, on
+// the machine's clock (see retrieval.System.Start), and the returned flight's
+// Done fires once the last batch has completed on every GPU. The flight
+// hands the machine over once the last batch's EMB exchange is done on every
+// GPU, so the next flight's exchange overlaps this one's dense path.
+func (pl *Pipeline) Start(ctx context.Context, seed uint64) (*retrieval.Flight, error) {
+	r := pl.newRun()
+	r.exchanged = sim.NewSignal(pl.Sys.Env)
+	f, err := pl.Sys.Start(ctx, 1, seed, r.exchanged, r.body)
+	if err != nil {
+		return nil, err
+	}
+	if pl.denseGen != nil {
+		pl.denseGen.Reseed(seed)
+	}
+	return f, nil
+}
+
+// pipelineRun is one Run or Start's schedule state: each GPU's dense-path
+// costs and accumulators, and the result they fill.
+type pipelineRun struct {
+	pl      *Pipeline
+	res     PipelineResult
+	gpus    []gpuState
+	preds   []*tensor.Tensor
+	embDone *sim.Barrier
+	start   sim.Time
+	depth   int
+	n       int
+	// exchanged, the handover of a Start flight, fires when the last
+	// batch's EMB exchange is done on every GPU (nil for Run).
+	exchanged *sim.Signal
+}
+
+type gpuState struct {
+	dense              *gpu.Stream
+	top, tail          sim.Duration
+	lo, mini           int
+	tailRing           []sim.Time // tail end of the batch last in each slot
+	embTime, denseTime sim.Duration
+	bk                 trace.Breakdown
+}
+
+func (pl *Pipeline) newRun() *pipelineRun {
 	s := pl.Sys
 	cfg := s.Cfg
-	res := &PipelineResult{Backend: pl.Backend.Name()}
-	depth := s.PipelineDepth()
-	n := cfg.Batches
-
-	type gpuState struct {
-		dense              *gpu.Stream
-		top, tail          sim.Duration
-		lo, mini           int
-		tailRing           []sim.Time // tail end of the batch last in each slot
-		embTime, denseTime sim.Duration
-		bk                 trace.Breakdown
+	r := &pipelineRun{
+		pl:      pl,
+		res:     PipelineResult{Backend: pl.Backend.Name()},
+		gpus:    make([]gpuState, cfg.GPUs),
+		embDone: sim.NewBarrier(s.Env, cfg.GPUs),
+		start:   s.Env.Now(),
+		depth:   s.PipelineDepth(),
+		n:       cfg.Batches,
 	}
-	gpus := make([]gpuState, cfg.GPUs)
 	features := pl.Model.Cfg.NumSparse + 1
-	for g := range gpus {
+	for g := range r.gpus {
 		dev := s.Devs[g]
 		lo, hi := s.Minibatch(g)
 		mini := hi - lo
 		// The explicit float64 conversion rounds the product, so no
 		// architecture fuses it into the add below.
 		interFLOPs := float64(float64(mini) * float64(features*(features-1)/2) * float64(2*cfg.Dim))
-		st := &gpus[g]
-		st.dense = dev.NewStream("dense")
+		st := &r.gpus[g]
+		st.dense = dev.Stream("dense")
 		st.lo, st.mini = lo, mini
-		st.top = dev.MLPKernelCost(pl.Model.Top.FLOPs(mini), pl.Model.Top.Bytes(mini))
-		st.tail = dev.MLPKernelCost(
+		// The dense path is priced once per run at the device's healthy
+		// speed: straggler windows slow the EMB layer's kernels only.
+		hp := dev.Params()
+		st.top = hp.MLPKernelCost(pl.Model.Top.FLOPs(mini), pl.Model.Top.Bytes(mini))
+		st.tail = hp.MLPKernelCost(
 			interFLOPs+pl.Model.Bottom.FLOPs(mini),
 			pl.Model.DensePathBytes(mini)-pl.Model.Top.Bytes(mini))
-		if depth > 1 {
-			st.tailRing = make([]sim.Time, depth)
+		if r.depth > 1 {
+			st.tailRing = make([]sim.Time, r.depth)
 		}
-		st.denseTime = sim.Duration(n) * (st.top + st.tail)
+		st.denseTime = sim.Duration(r.n) * (st.top + st.tail)
 	}
-	functional := cfg.Functional
-	var preds []*tensor.Tensor
+	if cfg.Functional {
+		r.preds = make([]*tensor.Tensor, cfg.GPUs)
+	}
+	return r
+}
+
+// body runs batch i on GPU g.
+func (r *pipelineRun) body(p *sim.Proc, g, i int, bd *retrieval.BatchData) {
+	pl, s, res := r.pl, r.pl.Sys, &r.res
+	functional := s.Cfg.Functional
+	if functional && g == 0 {
+		// GPU 0 draws the batch's dense input into res.LastDense. Every
+		// GPU reads it only after embDone, which GPU 0 reaches after the
+		// draw, and the lockstep drive starts no GPU on this batch
+		// before all have finished the previous one.
+		res.LastDense = pl.denseGen.NextDense()
+	}
+	st := &r.gpus[g]
+	embStart := p.Now()
+	// At depth 1 the stream has drained, so the gate is already open.
+	s.SetExchangeGate(g, st.dense.BusyUntil())
+	_, topEnd := st.dense.Launch(p, st.top)
+	pl.Backend.RunBatch(s, p, g, bd, &st.bk)
+	r.embDone.Await(p)
+	st.embTime += p.Now() - embStart
+	if r.exchanged != nil && i == r.n-1 && !r.exchanged.Fired() {
+		r.exchanged.Fire()
+	}
 	if functional {
-		preds = make([]*tensor.Tensor, cfg.GPUs)
+		denseMini := res.LastDense.Narrow(0, st.lo, st.mini).Contiguous()
+		r.preds[g] = pl.Model.Forward(denseMini, bd.Final[g])
 	}
-	embDone := sim.NewBarrier(s.Env, cfg.GPUs)
-	start := s.Env.Now()
-	last, err := s.Drive(ctx, 1, func(p *sim.Proc, g, i int, bd *retrieval.BatchData) {
-		if functional && g == 0 {
-			// GPU 0 draws the batch's dense input into res.LastDense. Every
-			// GPU reads it only after embDone, which GPU 0 reaches after the
-			// draw, and the lockstep drive starts no GPU on this batch
-			// before all have finished the previous one.
-			res.LastDense = pl.denseGen.NextDense()
-		}
-		st := &gpus[g]
-		embStart := p.Now()
-		// At depth 1 the stream has drained, so the gate is already open.
-		s.SetExchangeGate(g, st.dense.BusyUntil())
-		_, topEnd := st.dense.Launch(p, st.top)
-		pl.Backend.RunBatch(s, p, g, bd, &st.bk)
-		embDone.Await(p)
-		st.embTime += p.Now() - embStart
-		if functional {
-			denseMini := res.LastDense.Narrow(0, st.lo, st.mini).Contiguous()
-			preds[g] = pl.Model.Forward(denseMini, bd.Final[g])
-		}
-		p.WaitUntil(topEnd)
-		_, tailEnd := st.dense.Launch(p, st.tail)
-		if depth > 1 && i+1 < n {
-			st.tailRing[i%depth] = tailEnd
-			p.WaitUntil(st.tailRing[(i+1)%depth])
-			return
-		}
-		p.WaitUntil(tailEnd)
-		st.dense.Synchronize(p)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("dlrm: %s pipeline run: %w", pl.Backend.Name(), err)
+	p.WaitUntil(topEnd)
+	_, tailEnd := st.dense.Launch(p, st.tail)
+	if r.depth > 1 && i+1 < r.n {
+		st.tailRing[i%r.depth] = tailEnd
+		p.WaitUntil(st.tailRing[(i+1)%r.depth])
+		return
 	}
-	res.TotalTime = s.Env.Now() - start
-	perGPU := make([]*trace.Breakdown, cfg.GPUs)
-	for g := range gpus {
-		st := &gpus[g]
+	// The batch's own tail is the last kernel it waits for: a later
+	// flight's kernels may already be queued behind it.
+	p.WaitUntil(tailEnd)
+	p.Wait(s.Devs[g].Params().StreamSync)
+}
+
+// finish summarises a run that ended at the given time with last as its
+// final batch.
+func (r *pipelineRun) finish(end sim.Time, last *retrieval.BatchData) *PipelineResult {
+	res := &r.res
+	res.TotalTime = end - r.start
+	perGPU := make([]*trace.Breakdown, len(r.gpus))
+	for g := range r.gpus {
+		st := &r.gpus[g]
 		perGPU[g] = &st.bk
 		res.EMBTime = max(res.EMBTime, st.embTime)
 		res.DenseTime = max(res.DenseTime, st.denseTime)
@@ -223,11 +297,11 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 		res.EMBStall = stall
 	}
 	res.EMBBreakdown = trace.MergeMax(perGPU...)
-	res.Predictions = preds
-	if functional {
+	res.Predictions = r.preds
+	if r.pl.Sys.Cfg.Functional {
 		res.LastSparse = last.Sparse
 	}
-	return res, nil
+	return res
 }
 
 // ReferencePredictions computes single-device predictions for a batch:

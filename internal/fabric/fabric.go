@@ -291,15 +291,3 @@ func (ic *Interconnect) PayloadBytes() float64 { return ic.payloadBytes }
 
 // WireBytes returns the cumulative payload+header bytes sent over the NICs.
 func (ic *Interconnect) WireBytes() float64 { return ic.wireBytes }
-
-// Reset clears all rail state and counters between measurement repetitions.
-func (ic *Interconnect) Reset() {
-	for i := range ic.egress {
-		ic.egress[i].Reset()
-		ic.ingress[i].Reset()
-		ic.launchFree[i] = 0
-	}
-	ic.messages = 0
-	ic.payloadBytes = 0
-	ic.wireBytes = 0
-}

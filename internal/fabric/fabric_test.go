@@ -147,7 +147,7 @@ func TestSingleFlowAnalyticTime(t *testing.T) {
 	big := 5<<20 + 3
 	msgs := nic.Messages(big)
 	wire = nic.WireBytes(big)
-	ic.Reset()
+	ic = NewInterconnect(sim.NewEnv(), cl, nic)
 	want = sim.Duration(msgs)*nic.MessageOverhead + wire/nic.Bandwidth + nic.Latency
 	if got := ic.Send(0, 1, big); !almostEqual(got, want) {
 		t.Fatalf("multi-message delivery at %g, want %g", got, want)
@@ -249,27 +249,6 @@ func TestRailAssignment(t *testing.T) {
 		if got, want := ic.Rail(g), cl.Lane(g)%2; got != want {
 			t.Fatalf("Rail(%d) = %d, want %d", g, got, want)
 		}
-	}
-}
-
-func TestInterconnectReset(t *testing.T) {
-	ic := NewInterconnect(sim.NewEnv(), Cluster{Nodes: 2, GPUsPerNode: 2, IntraLinks: 2}, DefaultNICParams())
-	ic.Send(0, 1, 1<<20)
-	egress, ingress := ic.egress[ic.railIndex(0, ic.Rail(0))], ic.ingress[ic.railIndex(1, ic.Rail(0))]
-	if egress.BusyUntil() == 0 || ingress.BusyUntil() == 0 ||
-		ic.Messages() == 0 || ic.PayloadBytes() == 0 || ic.WireBytes() == 0 {
-		t.Fatal("send left no trace")
-	}
-	ic.Reset()
-	if egress.BusyUntil() != 0 || ingress.BusyUntil() != 0 ||
-		ic.Messages() != 0 || ic.PayloadBytes() != 0 || ic.WireBytes() != 0 {
-		t.Fatal("reset incomplete")
-	}
-	// After a reset the first send sees a cold interconnect again.
-	nic := DefaultNICParams()
-	want := nic.MessageOverhead + nic.WireBytes(64)/nic.Bandwidth + nic.Latency
-	if got := ic.Send(0, 1, 64); !almostEqual(got, want) {
-		t.Fatalf("post-reset delivery %g, want %g", got, want)
 	}
 }
 

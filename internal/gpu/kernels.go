@@ -178,16 +178,19 @@ func (d *Device) DecodeKernelCost(encBytes, rawBytes float64) sim.Duration {
 	return (encBytes + rawBytes) / (d.params.HBMBandwidth * d.params.StreamEfficiency) * sim.Duration(d.slow)
 }
 
-// MLPKernelCost models a dense layer batch: flops of fp32 work, plus the
-// activation/weight traffic if it dominates (roofline max of the two).
+// MLPKernelCost models a dense layer batch on a healthy device: flops of
+// fp32 work, plus the activation/weight traffic if it dominates (roofline
+// max of the two).
+func (p Params) MLPKernelCost(flops, bytes float64) sim.Duration {
+	compute := flops / (p.PeakFLOPS * p.MLPEfficiency)
+	memory := bytes / (p.HBMBandwidth * p.StreamEfficiency)
+	return max(compute, memory)
+}
+
+// MLPKernelCost is Params.MLPKernelCost at the device's current slowdown.
 func (d *Device) MLPKernelCost(flops, bytes float64) sim.Duration {
 	if flops < 0 || bytes < 0 {
 		panic(fmt.Sprintf("gpu%d: negative MLP cost inputs (%g, %g)", d.id, flops, bytes))
 	}
-	compute := flops / (d.params.PeakFLOPS * d.params.MLPEfficiency)
-	memory := bytes / (d.params.HBMBandwidth * d.params.StreamEfficiency)
-	if memory > compute {
-		return memory * sim.Duration(d.slow)
-	}
-	return compute * sim.Duration(d.slow)
+	return d.params.MLPKernelCost(flops, bytes) * sim.Duration(d.slow)
 }

@@ -187,17 +187,6 @@ func (f *Fabric) SetLinkDegrade(src, dst int, factor float64) {
 	f.Pipe(src, dst).SetDegrade(factor)
 }
 
-// Reset clears all pipe state between measurement repetitions.
-func (f *Fabric) Reset() {
-	for _, row := range f.pipes {
-		for _, p := range row {
-			if p != nil {
-				p.Reset()
-			}
-		}
-	}
-}
-
 // TotalBytes returns the cumulative payload+header bytes offered across the
 // whole fabric.
 func (f *Fabric) TotalBytes() float64 {

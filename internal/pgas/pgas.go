@@ -106,25 +106,6 @@ func (rt *Runtime) NewBarrier() *sim.Barrier {
 	return sim.NewBarrier(rt.env, len(rt.pes))
 }
 
-// ResetCounters clears every PE's communication counter.
-func (rt *Runtime) ResetCounters() {
-	for i := range rt.pes {
-		pe := &rt.pes[i]
-		pe.counter.Reset()
-		pe.puts = 0
-		pe.payloadBytes = 0
-		pe.wireBytes = 0
-		pe.drops = 0
-		pe.retries = 0
-		pe.exhausted = 0
-		for i := range pe.slotMarks {
-			pe.slotMarks[i] = 0
-		}
-		pe.curSlot = 0
-		pe.proxy.reset()
-	}
-}
-
 // TotalTrace merges all PE counters into one volume trace — the machine-wide
 // communication-volume-over-time curve of Figures 7 and 10.
 func (rt *Runtime) TotalTrace() *trace.VolumeTrace {
@@ -189,6 +170,10 @@ func (pe *PE) WireBytes() float64 { return pe.wireBytes }
 
 // Drops returns how many delivery attempts were lost to injected faults.
 func (pe *PE) Drops() int64 { return pe.drops }
+
+// Flushes returns how many coalesced NIC messages this PE's proxy has sent:
+// the sequence number its next one carries.
+func (pe *PE) Flushes() int64 { return pe.proxy.flushes }
 
 // Retries returns how many retransmissions this PE's proxy issued.
 func (pe *PE) Retries() int64 { return pe.retries }

@@ -145,16 +145,6 @@ func TestTotalTraceMergesPEs(t *testing.T) {
 	}
 }
 
-func TestResetCounters(t *testing.T) {
-	_, rt := testRuntime(2)
-	rt.PE(0).PutBytes(rt.PE(1), 100)
-	rt.ResetCounters()
-	pe := rt.PE(0)
-	if pe.Puts() != 0 || pe.PayloadBytes() != 0 || pe.WireBytes() != 0 || pe.Counter().Total() != 0 {
-		t.Fatal("ResetCounters left residue")
-	}
-}
-
 func TestBarrierAcrossPEs(t *testing.T) {
 	env, rt := testRuntime(4)
 	b := rt.NewBarrier()

@@ -148,13 +148,3 @@ func (px *proxy) drain() {
 		px.flush(node)
 	}
 }
-
-// reset clears staging state and counters between measurement repetitions.
-// A stale drain timer firing on an emptied bucket is a no-op.
-func (px *proxy) reset() {
-	for i := range px.bufs {
-		px.bufs[i].pending = 0
-	}
-	px.lastDelivery = 0
-	px.flushes = 0
-}

@@ -174,28 +174,6 @@ func TestAggregatorRoutesCrossNodeThroughProxy(t *testing.T) {
 	}
 }
 
-func TestProxyResetClearsState(t *testing.T) {
-	env := sim.NewEnv()
-	rt, net := newClusterRuntime(env, 2, 2, ProxyConfig{StagingBytes: 1 << 20, DrainInterval: 0})
-	pe, remote := rt.PE(0), rt.PE(2)
-	env.Go("sender", func(p *sim.Proc) {
-		pe.PutBytes(remote, 123) // left pending: no threshold, no timer
-	})
-	env.Run()
-	rt.ResetCounters()
-	net.Reset()
-	if pe.proxy.bufs[1].pending != 0 || pe.proxy.flushes != 0 || pe.proxy.lastDelivery != 0 {
-		t.Fatal("proxy state survived reset")
-	}
-	env.Go("sender2", func(p *sim.Proc) {
-		pe.Quiet(p)
-	})
-	env.Run()
-	if net.Messages() != 0 {
-		t.Fatalf("reset proxy still flushed %d messages", net.Messages())
-	}
-}
-
 func TestProxyConfigValidate(t *testing.T) {
 	cases := []struct {
 		name string

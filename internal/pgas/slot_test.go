@@ -104,19 +104,3 @@ func TestConfigureSlotsPanicsBelowTwo(t *testing.T) {
 	}()
 	rt.ConfigureSlots(1)
 }
-
-func TestResetCountersClearsSlotMarks(t *testing.T) {
-	env, rt := testRuntime(2)
-	rt.ConfigureSlots(2)
-	pe, dst := rt.PE(0), rt.PE(1)
-	env.Go("pe0", func(p *sim.Proc) {
-		pe.SetSlot(1)
-		pe.PutVectors(dst, 16, 256)
-		rt.ResetCounters()
-		pe.QuietSlot(p, 1)
-		if p.Now() != 0 {
-			t.Errorf("QuietSlot after ResetCounters waited until %v, want 0", p.Now())
-		}
-	})
-	env.Run()
-}

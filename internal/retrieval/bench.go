@@ -39,7 +39,7 @@ func BenchLoop(s *System, b Backend, n int) error {
 	for g := range bks {
 		bks[g] = &trace.Breakdown{}
 	}
-	err := s.drive(&batchLoop{ctx: context.Background(), n: n, fixed: bds}, depth, func(p *sim.Proc, g, _ int, bd *BatchData) {
+	err := s.fly(&Flight{ctx: context.Background(), n: n, fixed: bds}, depth, func(p *sim.Proc, g, _ int, bd *BatchData) {
 		s.dropVolumeRecords(g)
 		b.RunBatch(s, p, g, bd, bks[g])
 	})

@@ -2,7 +2,6 @@ package retrieval
 
 import (
 	"fmt"
-	"slices"
 
 	"pgasemb/internal/cache"
 	"pgasemb/internal/embedding"
@@ -36,41 +35,6 @@ import (
 // hot-row cache. Single-GPU systems have no remote rows to cache.
 func (s *System) cacheEnabled() bool {
 	return s.Cfg.CacheFraction > 0 && s.Cfg.GPUs > 1
-}
-
-// ensureCaches lazily builds the run-owned cache set sized by the
-// configuration. AttachCaches preempts it with a caller-owned set.
-func (s *System) ensureCaches() {
-	if s.Caches == nil {
-		s.Caches = cache.NewSet(s.Cfg.GPUs, s.Cfg.CacheSlots(s.HW.GPU), s.Cfg.Dim, s.Cfg.RowCounts(), s.Cfg.Functional)
-	}
-}
-
-// AttachCaches installs a caller-owned cache set, so cache state (residency,
-// counters) persists across runs — the serving layer attaches one warm set
-// to every dispatched batch's run. It must be called before the first batch
-// is generated and the set's shape must match the configuration.
-func (s *System) AttachCaches(set *cache.Set) error {
-	if !s.cacheEnabled() {
-		return fmt.Errorf("retrieval: AttachCaches needs CacheFraction > 0 and >1 GPU")
-	}
-	switch {
-	case set == nil:
-		return fmt.Errorf("retrieval: AttachCaches of nil set")
-	case set.NumGPUs() != s.Cfg.GPUs:
-		return fmt.Errorf("retrieval: cache set spans %d GPUs, system has %d", set.NumGPUs(), s.Cfg.GPUs)
-	case set.Dim() != s.Cfg.Dim:
-		return fmt.Errorf("retrieval: cache set dim %d, system dim %d", set.Dim(), s.Cfg.Dim)
-	case set.Functional() != s.Cfg.Functional:
-		return fmt.Errorf("retrieval: cache set functional=%v, system functional=%v", set.Functional(), s.Cfg.Functional)
-	case set.Slots() != s.Cfg.CacheSlots(s.HW.GPU):
-		return fmt.Errorf("retrieval: cache set has %d slots, configuration implies %d",
-			set.Slots(), s.Cfg.CacheSlots(s.HW.GPU))
-	case !slices.Equal(set.TableRows(), s.Cfg.RowCounts()):
-		return fmt.Errorf("retrieval: cache set's per-table row counts differ from the configuration's")
-	}
-	s.Caches = set
-	return nil
 }
 
 // CacheView is one batch's residency result: which output vectors their

@@ -286,9 +286,10 @@ func TestServingCacheSetBytes(t *testing.T) {
 	}
 }
 
-// AttachCaches must reject shape mismatches and carry residency (warm
-// caches) across runs when shapes agree.
-func TestAttachCachesWarm(t *testing.T) {
+// A System wired onto another's machine shares its hot-row cache set, so the
+// second System's batches run against a warm cache, and NewRunOn refuses a
+// spec the machine's allocations or Zipf table do not cover.
+func TestNewRunOnSharesMachine(t *testing.T) {
 	cfg := cacheTestConfig(2)
 	cfg.CacheFraction = 0.003
 	hw := cacheTestHardware()
@@ -306,12 +307,12 @@ func TestAttachCachesWarm(t *testing.T) {
 	}
 	coldHits := cold.Caches.Stats().Hits
 
-	warm, err := spec.NewRun()
+	warm, err := spec.NewRunOn(cold)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := warm.AttachCaches(cold.Caches); err != nil {
-		t.Fatal(err)
+	if warm.Caches != cold.Caches || warm.Env != cold.Env {
+		t.Fatal("NewRunOn wired a System onto a machine of its own")
 	}
 	if _, err := warm.Run(&PGASFused{}); err != nil {
 		t.Fatal(err)
@@ -321,37 +322,23 @@ func TestAttachCachesWarm(t *testing.T) {
 		t.Fatalf("warm run hits %d not above cold run hits %d", warmHits, coldHits)
 	}
 
-	// Mismatched shapes are rejected.
-	other := cfg
-	other.Dim = 16
-	otherSpec, err := NewSystemSpec(other, hw)
+	half, err := spec.WithBatchSize(cfg.BatchSize / 2)
 	if err != nil {
 		t.Fatal(err)
 	}
-	otherSys, err := otherSpec.NewRun()
+	if _, err := half.NewRunOn(cold); err != nil {
+		t.Fatalf("a smaller shape of the machine's spec was refused: %v", err)
+	}
+	if double, err := spec.WithBatchSize(2 * cfg.BatchSize); err == nil {
+		if _, err := double.NewRunOn(cold); err == nil {
+			t.Fatal("NewRunOn accepted a batch larger than the machine's allocations")
+		}
+	}
+	other, err := NewSystemSpec(cfg, hw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := otherSys.AttachCaches(cold.Caches); err == nil {
-		t.Fatal("AttachCaches accepted a dim-mismatched set")
-	}
-
-	// So is a set over another key space, even at the same slot count:
-	// every table has one more row.
-	reshaped := cfg
-	reshaped.Rows++
-	reshapedSpec, err := NewSystemSpec(reshaped, hw)
-	if err != nil {
-		t.Fatal(err)
-	}
-	reshapedSys, err := reshapedSpec.NewRun()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reshaped.CacheSlots(hw.GPU) != cold.Caches.Slots() {
-		t.Fatalf("reshaped config implies %d slots, want the set's %d", reshaped.CacheSlots(hw.GPU), cold.Caches.Slots())
-	}
-	if err := reshapedSys.AttachCaches(cold.Caches); err == nil {
-		t.Fatal("AttachCaches accepted a set over different table row counts")
+	if _, err := other.NewRunOn(cold); err == nil {
+		t.Fatal("NewRunOn accepted a spec that shares no Zipf table with the machine's")
 	}
 }

@@ -201,7 +201,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("retrieval: Batches must be positive")
 	case c.ChunksPerKernel <= 0:
 		return fmt.Errorf("retrieval: ChunksPerKernel must be positive")
-	case c.CacheFraction < 0 || c.CacheFraction >= 1:
+	case !(c.CacheFraction >= 0 && c.CacheFraction < 1): // NaN too
 		return fmt.Errorf("retrieval: CacheFraction %g outside [0, 1)", c.CacheFraction)
 	case c.Replicas < 0:
 		return fmt.Errorf("retrieval: negative Replicas %d", c.Replicas)

@@ -12,7 +12,8 @@ import (
 type BatchBody func(p *sim.Proc, g, i int, bd *BatchData)
 
 // Drive runs the run's Cfg.Batches batches through body on one simulated
-// process per GPU — the one batch loop behind Run and the DLRM pipeline.
+// process per GPU — the one batch loop behind Run and the DLRM pipeline — and
+// runs the machine's clock until they are done.
 //
 // GPUs meet at a sliding-window rendezvous of the given depth (sim.Window):
 // depth 1 is the lockstep barrier, depth d lets a GPU run up to d-1 batches
@@ -28,63 +29,126 @@ type BatchBody func(p *sim.Proc, g, i int, bd *BatchData)
 // has finished it, or ctx.Err() if ctx ends first, or an error naming the GPU
 // whose body panicked.
 func (s *System) Drive(ctx context.Context, depth int, body BatchBody) (*BatchData, error) {
-	if depth < 1 || depth > s.PipelineDepth() {
-		return nil, fmt.Errorf("retrieval: drive depth %d outside 1..%d", depth, s.PipelineDepth())
-	}
-	l := &batchLoop{ctx: ctx, n: s.Cfg.Batches}
-	if err := s.drive(l, depth, body); err != nil {
+	if err := s.checkDepth(depth); err != nil {
 		return nil, err
 	}
-	return l.live[(l.n-1)%depth], nil
+	f := &Flight{ctx: ctx, n: s.Cfg.Batches}
+	if err := s.fly(f, depth, body); err != nil {
+		return nil, err
+	}
+	return f.live[(f.n-1)%depth], nil
 }
 
-// batchLoop is one drive's batch source and the state its GPUs share.
-type batchLoop struct {
+// Start is Drive on a clock that is already running: it begins the run's
+// Cfg.Batches batches, drawn from seed, on the machine's clock and returns
+// without running it. The flight's GPUs begin once the machine's previous
+// flight has fired its handover, and share the machine's devices, links and
+// runtimes with whatever work that flight has left; body fires this flight's
+// handover once its exchanges are done. Done fires when every GPU has
+// finished the last batch, or when one fails (Flight.Err).
+func (s *System) Start(ctx context.Context, depth int, seed uint64, handover *sim.Signal, body BatchBody) (*Flight, error) {
+	if err := s.checkDepth(depth); err != nil {
+		return nil, err
+	}
+	s.gen.Reseed(seed)
+	s.Cfg.Seed = seed
+	f := &Flight{Done: sim.NewSignal(s.Env), ctx: ctx, n: s.Cfg.Batches, after: s.handover}
+	s.handover = handover
+	s.launch(f, depth, body)
+	return f, nil
+}
+
+func (s *System) checkDepth(depth int) error {
+	if depth < 1 || depth > s.PipelineDepth() {
+		return fmt.Errorf("retrieval: drive depth %d outside 1..%d", depth, s.PipelineDepth())
+	}
+	return nil
+}
+
+// Flight is one Drive or Start: its batch source and the state its GPUs
+// share.
+type Flight struct {
+	// Done fires once every GPU has finished the flight's last batch, or
+	// once a GPU has failed. Nil for Drive, which runs the clock itself.
+	Done *sim.Signal
+
 	ctx context.Context
 	n   int // batches to run
 	// fixed, when non-nil, is cycled as the run's batches instead of
 	// drawing fresh ones.
 	fixed []*BatchData
+	// after is the previous flight's handover (nil if none).
+	after *sim.Signal
 
+	base  int          // the machine's index of the flight's first batch
 	live  []*BatchData // batch i sits in live[i%depth]
 	drawn int          // batches pulled so far
 	ready sim.Time     // the last rebalance's migration end
 	err   error        // the first pull error or panic
 }
 
+// Err returns the error that ended the flight early, if any.
+func (f *Flight) Err() error { return f.err }
+
+// fail records the flight's first error and releases its waiters.
+func (f *Flight) fail(err error) {
+	if f.err != nil {
+		return
+	}
+	f.err = err
+	if f.Done != nil && !f.Done.Fired() {
+		f.Done.Fire()
+	}
+}
+
 // pull makes batch i live. A batch that opens an adaptive-placement epoch is
 // drawn after the rebalance, which moves ready to the end of its migration
-// traffic.
-func (l *batchLoop) pull(s *System, i int) error {
-	if l.fixed != nil {
-		l.live[i%len(l.live)] = l.fixed[i%len(l.fixed)]
+// traffic. The first pull numbers the flight's batches on the machine.
+func (f *Flight) pull(s *System, i int) error {
+	if f.fixed != nil {
+		f.live[i%len(f.live)] = f.fixed[i%len(f.fixed)]
 		return nil
 	}
-	if err := l.ctx.Err(); err != nil {
+	if err := f.ctx.Err(); err != nil {
 		return err
 	}
-	if s.placementEnabled() && s.placeCtl.Due(i) {
+	if i == 0 {
+		f.base = s.batchSeq
+		for pe := range s.dropSeq0 {
+			s.dropSeq0[pe] = s.PGAS.PE(pe).Flushes()
+		}
+	}
+	if s.placementEnabled() && s.placeCtl.Due(f.base+i) {
 		ready, err := s.rebalanceNow()
 		if err != nil {
 			return err
 		}
-		l.ready = ready
+		f.ready = ready
 	}
 	bd, err := s.NextBatchData()
 	if err != nil {
 		return err
 	}
-	l.live[i%len(l.live)] = bd
+	f.live[i%len(f.live)] = bd
 	return nil
 }
 
-// drive runs l's batches through body on one simulated process per GPU at
-// the given rendezvous depth. The first GPU to enter batch i pulls it; after
-// the rendezvous each GPU waits out any migration, applies the batch's fault
+// fly runs f's batches through body and the clock until it drains.
+func (s *System) fly(f *Flight, depth int, body BatchBody) error {
+	s.launch(f, depth, body)
+	if _, err := s.Env.RunContext(f.ctx); err != nil {
+		return err
+	}
+	return f.err
+}
+
+// launch starts f's batches on one simulated process per GPU at the given
+// rendezvous depth. The first GPU to enter batch i pulls it; after the
+// rendezvous each GPU waits out any migration, applies the batch's fault
 // factors and runs body. After the last batch every GPU meets once more, so
-// the clock ends at the makespan.
-func (s *System) drive(l *batchLoop, depth int, body BatchBody) error {
-	l.live = make([]*BatchData, depth)
+// Done fires at the makespan.
+func (s *System) launch(f *Flight, depth int, body BatchBody) {
+	f.live = make([]*BatchData, depth)
 	win := sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
 	for g := 0; g < s.Cfg.GPUs; g++ {
 		g := g
@@ -92,33 +156,35 @@ func (s *System) drive(l *batchLoop, depth int, body BatchBody) error {
 		// the race detector, which would make set-up allocation counts vary.
 		s.Env.Go("gpu"+strconv.Itoa(g), func(p *sim.Proc) {
 			defer func() {
-				if r := recover(); r != nil && l.err == nil {
-					l.err = fmt.Errorf("GPU %d: %v", g, r)
+				if r := recover(); r != nil {
+					f.fail(fmt.Errorf("GPU %d: %v", g, r))
 				}
 			}()
-			for i := 0; i < l.n; i++ {
+			if f.after != nil {
+				p.WaitSignal(f.after)
+			}
+			for i := 0; i < f.n; i++ {
 				win.Enter(p, i)
-				if i == l.drawn {
-					l.drawn++
-					if err := l.pull(s, i); err != nil && l.err == nil {
-						l.err = err
+				if i == f.drawn {
+					f.drawn++
+					if err := f.pull(s, i); err != nil {
+						f.fail(err)
 					}
 				}
-				if l.err != nil {
+				if f.err != nil {
 					return
 				}
-				p.WaitUntil(l.ready)
-				s.ApplyFaults(i)
-				body(p, g, i, l.live[i%depth])
+				p.WaitUntil(f.ready)
+				s.ApplyFaults(f.base + i)
+				body(p, g, i, f.live[i%depth])
 				win.Retire(g)
 			}
 			// The makespan rendezvous: round n+depth-1 opens once every GPU
 			// has retired the last batch, releasing them as a barrier would.
-			win.Enter(p, l.n+depth-1)
+			win.Enter(p, f.n+depth-1)
+			if f.Done != nil && !f.Done.Fired() {
+				f.Done.Fire()
+			}
 		})
 	}
-	if _, err := s.Env.RunContext(l.ctx); err != nil {
-		return err
-	}
-	return l.err
 }

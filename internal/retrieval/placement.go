@@ -29,45 +29,15 @@ import (
 // placementEnabled reports whether this run rebalances adaptively.
 func (s *System) placementEnabled() bool { return s.placeCtl != nil }
 
-// Placement returns the run's adaptive-placement controller (nil unless
-// Config.AdaptivePlacement, or a controller was attached).
+// Placement returns the machine's adaptive-placement controller (nil unless
+// Config.AdaptivePlacement).
 func (s *System) Placement() *placement.Controller { return s.placeCtl }
-
-// AttachPlacement installs a caller-owned controller and adopts its current
-// plan and mirror set — the serving layer's hook: one controller per session,
-// shared across the per-dispatch runs, so access statistics and placement
-// decisions survive dispatch boundaries. Call before the first batch.
-func (s *System) AttachPlacement(ctl *placement.Controller) {
-	s.placeCtl = ctl
-	if s.hotMirror == nil {
-		s.hotMirror = make([]bool, s.Cfg.TotalTables)
-	}
-	s.applyPlan(ctl.Plan())
-	s.setHot(ctl.Hot())
-}
 
 // hotMirrorActive reports whether any table is currently mirrored — the
 // route-plan compiler's gate for the mirror classification pass.
 func (s *System) hotMirrorActive() bool { return s.placeCtl != nil && s.hotCount > 0 }
 
-// resetOwnerLoad zeroes the run's served-load accounting (run start).
-func (s *System) resetOwnerLoad() {
-	for g := range s.ownerKeys {
-		s.ownerKeys[g] = 0
-		s.ownerBytes[g] = 0
-	}
-	s.rebalances = 0
-	s.migratedBytes = 0
-}
-
-// OwnerLoad returns the run's accumulated per-GPU served load so far (the
-// live counters behind Result.OwnerKeys/OwnerBytes). The serving layer reads
-// it between dispatches.
-func (s *System) OwnerLoad() (keys []int64, bytes []float64) {
-	return s.ownerKeys, s.ownerBytes
-}
-
-// Migration returns the run's adaptive-placement plan swaps and migrated
+// Migration returns the machine's adaptive-placement plan swaps and migrated
 // bytes so far (the live counters behind Result.Rebalances/MigratedBytes).
 func (s *System) Migration() (rebalances int, bytes float64) {
 	return s.rebalances, s.migratedBytes

@@ -168,6 +168,62 @@ func placementSkewConfig() Config {
 	}
 }
 
+// Flights started one after another on one machine rebalance on the
+// machine's batch index, and a flight whose batch opens an epoch starts its
+// GPUs only once the migration has landed: when the batch's first kernel
+// launches, no pipe is still busy with migration traffic.
+func TestStartWaitsForMigration(t *testing.T) {
+	cfg := placementSkewConfig()
+	cfg.Batches = 1
+	cfg.AdaptivePlacement = true
+	cfg.RebalanceEvery = 3
+	cfg.HotTables = 2
+	s, err := NewSystem(cfg, DefaultHardware())
+	if err != nil {
+		t.Fatal(err)
+	}
+	be, epochs := &PGASFused{}, 0
+	s.Env.Go("dispatcher", func(p *sim.Proc) {
+		for d := 0; d < 12; d++ {
+			_, before := s.Migration()
+			handover := sim.NewSignal(s.Env)
+			f, err := s.Start(context.Background(), 1, cfg.Seed+uint64(d), handover, func(p *sim.Proc, g, _ int, bd *BatchData) {
+				if _, after := s.Migration(); g == 0 && after > before {
+					epochs++
+					for a := 0; a < cfg.GPUs; a++ {
+						for b := 0; b < cfg.GPUs; b++ {
+							if a == b {
+								continue
+							}
+							if busy := s.Fab.Pipe(a, b).BusyUntil(); busy > p.Now() {
+								t.Errorf("dispatch %d started at %g, pipe %d->%d busy with migration until %g",
+									d, p.Now(), a, b, busy)
+							}
+						}
+					}
+				}
+				be.RunBatch(s, p, g, bd, &trace.Breakdown{})
+				if !handover.Fired() {
+					handover.Fire()
+				}
+			})
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			p.WaitSignal(f.Done)
+			if err := f.Err(); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	})
+	s.Env.Run()
+	if rebalances, _ := s.Migration(); rebalances == 0 || epochs == 0 {
+		t.Fatalf("%d rebalances, %d migrating epochs over 12 flights; the wait goes unchecked", rebalances, epochs)
+	}
+}
+
 // TestAdaptivePlacementBeatsStatic is the subsystem's acceptance criterion:
 // on the skewed workload, adaptive placement must strictly reduce the
 // simulated time of the steady-state window versus the static table-wise
@@ -651,7 +707,7 @@ func TestPlacementPriceMatchesPlan(t *testing.T) {
 						}
 						// A fresh controller's first batch seeds its
 						// statistics with the raw counts.
-						ctl, err := s.Spec.NewPlacementController()
+						ctl, err := s.Spec.newPlacementController()
 						if err != nil {
 							t.Fatal(err)
 						}

@@ -399,7 +399,7 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 		st.EndBatch()
 	}
 	if s.Cfg.Replicas > 1 {
-		plan.serve = s.computeServe(s.batchSeq + s.faultOffset)
+		plan.serve = s.computeServe(s.batchSeq)
 	}
 }
 
@@ -438,9 +438,6 @@ func (s *System) newCacheView() *CacheView {
 		for p := range view.Hit {
 			view.Hit[p] = make([]bool, len(s.Plan[p])*B)
 		}
-	}
-	if s.cacheEnabled() {
-		s.ensureCaches()
 	}
 	return view
 }

@@ -1,12 +1,15 @@
 package retrieval
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 	"pgasemb/internal/tensor"
+	"pgasemb/internal/workload"
 )
 
 // mustReference is Reference with test-fatal error handling.
@@ -43,6 +46,20 @@ func TestConfigValidation(t *testing.T) {
 		m.mut(&c)
 		if c.Validate() == nil {
 			t.Errorf("%s not rejected", m.name)
+		}
+	}
+	// A NaN float field is refused by a message naming it, not by accident
+	// further down (a 1-slot cache, a rank-table mismatch).
+	nan := math.NaN()
+	for field, mut := range map[string]func(*Config){
+		"CacheFraction":   func(c *Config) { c.CacheFraction = nan },
+		"NullProbability": func(c *Config) { c.NullProbability = nan },
+		"ZipfExponent":    func(c *Config) { c.Distribution = workload.Zipf; c.ZipfExponent = nan },
+	} {
+		c := TestScaleConfig(2)
+		mut(&c)
+		if err := c.Validate(); err == nil || !strings.Contains(err.Error(), field) {
+			t.Errorf("NaN %s: got %v, want an error naming the field", field, err)
 		}
 	}
 	// The hot-row cache composes with replicas, adaptive placement and hot-

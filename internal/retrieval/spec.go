@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync"
 
+	"pgasemb/internal/cache"
 	"pgasemb/internal/collective"
 	"pgasemb/internal/embedding"
 	"pgasemb/internal/fabric"
@@ -178,10 +179,10 @@ func (spec *SystemSpec) allocPlan(g int) []namedAlloc {
 	return allocs
 }
 
-// NewRun wires a fresh per-run System from the spec: its own simulator
-// clock, devices, fabric, PGAS runtime, communicator, workload generator and
-// (in functional mode) table weights. Runs are independent; many can execute
-// concurrently from host goroutines.
+// NewRun wires a fresh machine from the spec and the spec's System on it:
+// its own simulator clock, devices, fabric, PGAS runtime, communicator,
+// workload generator and (in functional mode) table weights. Runs are
+// independent; many can execute concurrently from host goroutines.
 func (spec *SystemSpec) NewRun() (*System, error) {
 	return spec.NewRunWithSeed(spec.cfg.Seed)
 }
@@ -192,29 +193,27 @@ func (spec *SystemSpec) NewRun() (*System, error) {
 // gradients) derives from this seed, so a (spec, seed) pair identifies a
 // bit-exact result.
 func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
-	cfg := spec.cfg
-	cfg.Seed = seed
-	gen, err := workload.NewGeneratorWithZipf(cfg.WorkloadConfig(), spec.zipfCDF())
-	if err != nil {
+	// The System and its machine are one allocation.
+	run := &struct {
+		s System
+		m machine
+	}{}
+	s, m := &run.s, &run.m
+	s.machine = m
+	if err := spec.wire(s, seed); err != nil {
 		return nil, err
 	}
+	cfg := s.Cfg
 	env := sim.NewEnv()
-	cluster := spec.hw.cluster(cfg.GPUs)
-	fab, err := nvlink.NewFabric(env, spec.hw.Link, cluster)
+	fab, err := nvlink.NewFabric(env, spec.hw.Link, s.cluster)
 	if err != nil {
 		return nil, err
 	}
-	s := &System{
-		Spec:       spec,
-		Cfg:        cfg,
-		HW:         spec.hw,
+	*m = machine{
+		spec:       spec,
 		Env:        env,
 		Fab:        fab,
 		Plan:       spec.plan,
-		cluster:    cluster,
-		gen:        gen,
-		scratch:    make([]gpuScratch, cfg.GPUs*cfg.PipelineSlots()),
-		gates:      make([]sim.Time, cfg.GPUs),
 		faultBatch: -1,
 		ownerKeys:  make([]int64, cfg.GPUs),
 		ownerBytes: make([]float64, cfg.GPUs),
@@ -222,9 +221,9 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	// The NIC interconnect carries inter-node traffic, one-sided stores to
 	// remote nodes ride the per-GPU proxies, and the baseline's collectives
 	// go hierarchical once the machine spans more than one node.
-	s.Net = fabric.NewInterconnect(env, s.cluster, spec.hw.NIC)
-	s.PGAS = pgas.New(env, fab, s.Net, spec.hw.Proxy)
-	s.Comm, err = collective.New(env, fab, spec.hw.Collective, s.Net)
+	m.Net = fabric.NewInterconnect(env, s.cluster, spec.hw.NIC)
+	m.PGAS = pgas.New(env, fab, m.Net, spec.hw.Proxy)
+	m.Comm, err = collective.New(env, fab, spec.hw.Collective, m.Net)
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: wiring communicator: %w", err)
 	}
@@ -232,18 +231,23 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		// Double-buffered symmetric heap: each PE's staging region is split
 		// into per-slot halves, so quiet can retire one slot's stores while
 		// the next slot's are still in flight.
-		s.PGAS.ConfigureSlots(slots)
+		m.PGAS.ConfigureSlots(slots)
 	}
 	if sched := spec.hw.Faults; !sched.Empty() && sched.HasProxyDrops() {
 		// Drops model NIC-level delivery failure, and the retry loop lives
 		// in the proxy, so they only bite on a multi-node machine. The
-		// closure reads s.faultBatch so the loss process follows the
-		// batch the machine is currently executing.
-		s.PGAS.SetFaultHooks(&pgas.FaultHooks{
+		// closure reads the machine's fault batch so the loss process
+		// follows the batch the machine is currently executing, and numbers
+		// the flushes from the flight's start.
+		m.dropSeq0 = make([]int64, cfg.GPUs)
+		m.PGAS.SetFaultHooks(&pgas.FaultHooks{
 			Drop: func(pe, dstNode int, seq int64, attempt int) bool {
-				return sched.Drops(s.faultBatch, pe, dstNode, seq, attempt)
+				return sched.Drops(m.faultBatch, pe, dstNode, seq-m.dropSeq0[pe], attempt)
 			},
 		})
+	}
+	if s.cacheEnabled() {
+		m.Caches = cache.NewSet(cfg.GPUs, cfg.CacheSlots(spec.hw.GPU), cfg.Dim, cfg.RowCounts(), cfg.Functional)
 	}
 	for g := 0; g < cfg.GPUs; g++ {
 		dev := gpu.NewDevice(env, g, spec.hw.GPU)
@@ -252,12 +256,12 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 				return nil, fmt.Errorf("retrieval: GPU %d cannot hold %q: %w", g, a.name, err)
 			}
 		}
-		s.Devs = append(s.Devs, dev)
+		m.Devs = append(m.Devs, dev)
 	}
 	if cfg.Functional {
 		wrng := sim.NewRNG(cfg.Seed ^ 0xE3B0)
 		for g := 0; g < cfg.GPUs; g++ {
-			s.colls = append(s.colls, embedding.NewCollection(spec.plan[g], cfg.Rows, cfg.Dim, cfg.Pooling, wrng))
+			m.colls = append(m.colls, embedding.NewCollection(spec.plan[g], cfg.Rows, cfg.Dim, cfg.Pooling, wrng))
 		}
 		if cfg.WireCodecActive() {
 			// Quantize-at-rest: round-trip every table through the wire codec
@@ -265,7 +269,7 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 			// the serial Reference — observes identical post-codec values
 			// regardless of which route (store, collective, replica failover,
 			// post-rebalance owner) delivered the row. See internal/tensor.
-			for _, coll := range s.colls {
+			for _, coll := range m.colls {
 				for _, tbl := range coll.Tables {
 					switch cfg.WirePrecision {
 					case FP16:
@@ -278,31 +282,64 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		}
 	}
 	if cfg.AdaptivePlacement {
-		// The run owns a mutable copy of the plan (rebalance epochs rewrite
-		// it); weights were created above in spec-plan order, so every run of
-		// this spec starts from identical tables regardless of how its
-		// placement later evolves.
+		// The machine owns a mutable copy of the plan (rebalance epochs
+		// rewrite it); weights were created above in spec-plan order, so
+		// every run of this spec starts from identical tables regardless of
+		// how its placement later evolves.
 		plan := make([][]int, cfg.GPUs)
 		for g := range plan {
 			plan[g] = append([]int(nil), spec.plan[g]...)
 		}
-		s.Plan = plan
-		ctl, err := spec.NewPlacementController()
+		m.Plan = plan
+		ctl, err := spec.newPlacementController()
 		if err != nil {
 			return nil, err
 		}
-		s.placeCtl = ctl
-		s.hotMirror = make([]bool, cfg.TotalTables)
+		m.placeCtl = ctl
+		m.hotMirror = make([]bool, cfg.TotalTables)
 		if cfg.Functional {
-			s.tableByFID = make([]*embedding.Table, cfg.TotalTables)
-			for g := range s.colls {
-				for i, fid := range s.colls[g].FeatureIDs {
-					s.tableByFID[fid] = s.colls[g].Tables[i]
+			m.tableByFID = make([]*embedding.Table, cfg.TotalTables)
+			for g := range m.colls {
+				for i, fid := range m.colls[g].FeatureIDs {
+					m.tableByFID[fid] = m.colls[g].Tables[i]
 				}
 			}
 		}
 	}
 	return s, nil
+}
+
+// NewRunOn wires the spec's System onto on's machine: the new System has its
+// own configuration, workload generator, plan arena, scratch and gates, and
+// shares on's clock, devices, fabric, runtimes, caches, placement, fault
+// state, tables and counters. The spec must share a Zipf table with the
+// machine's (be derived from it by WithBatchSize, or it) at a batch size no
+// larger than the machine's, whose device allocations then cover it.
+func (spec *SystemSpec) NewRunOn(on *System) (*System, error) {
+	if m := on.machine; spec.zipf != m.spec.zipf || spec.cfg.BatchSize > m.spec.cfg.BatchSize {
+		return nil, fmt.Errorf("retrieval: NewRunOn needs a spec derived by WithBatchSize from the machine's, "+
+			"at a batch size up to %d", m.spec.cfg.BatchSize)
+	}
+	s := &System{machine: on.machine}
+	if err := spec.wire(s, on.Cfg.Seed); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// wire fills s's per-shape state for a run of the spec with the given seed.
+func (spec *SystemSpec) wire(s *System, seed uint64) error {
+	cfg := spec.cfg
+	cfg.Seed = seed
+	gen, err := workload.NewGeneratorWithZipf(cfg.WorkloadConfig(), spec.zipfCDF())
+	if err != nil {
+		return err
+	}
+	s.Spec, s.Cfg, s.HW, s.gen = spec, cfg, spec.hw, gen
+	s.cluster = spec.hw.cluster(cfg.GPUs)
+	s.scratch = make([]gpuScratch, cfg.GPUs*cfg.PipelineSlots())
+	s.gates = make([]sim.Time, cfg.GPUs)
+	return nil
 }
 
 // placementCapacity returns the per-GPU byte budget available to primary
@@ -326,11 +363,9 @@ func (spec *SystemSpec) placementCapacity() int64 {
 	return spec.hw.GPU.MemoryCapacity - worst
 }
 
-// NewPlacementController builds the adaptive-placement controller for this
-// spec's initial plan. NewRunWithSeed calls it per run; the serving layer
-// builds ONE per session and shares it across dispatch runs via
-// System.AttachPlacement, so statistics survive dispatch boundaries.
-func (spec *SystemSpec) NewPlacementController() (*placement.Controller, error) {
+// newPlacementController builds the adaptive-placement controller for this
+// spec's initial plan, one per machine.
+func (spec *SystemSpec) newPlacementController() (*placement.Controller, error) {
 	cfg := spec.cfg
 	pcfg := placement.Config{
 		Tables:         cfg.TotalTables,

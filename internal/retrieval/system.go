@@ -89,50 +89,24 @@ func ClusterHardware(nodes int) HardwareParams {
 	return hw
 }
 
-// System is one RUN of a wired-up simulated machine: devices, fabric, PGAS
-// runtime, NCCL communicator, table shards and the workload generator. All
-// of this state is mutable and belongs to exactly one run; the immutable
-// part (config, hardware, sharding plan) lives in the Spec, which any number
-// of concurrent Systems may share.
+// System is one batch shape's run on a simulated machine: its configuration,
+// workload generator, route-plan arena, per-GPU scratch and exchange gates.
+// The machine itself — clock, devices, fabric, runtimes, caches, placement,
+// fault state, tables and counters — sits behind the embedded pointer, which
+// every System wired onto it (SystemSpec.NewRunOn) shares: a serving session
+// runs its batch shapes on one machine. The immutable part (config,
+// hardware, sharding plan) lives in the Spec, which any number of concurrent
+// machines may share.
 type System struct {
+	*machine
 	Spec *SystemSpec
 	Cfg  Config
 	HW   HardwareParams
-	Env  *sim.Env
-	Devs []*gpu.Device
-	Fab  *nvlink.Fabric
-	PGAS *pgas.Runtime
-	Comm *collective.Comm
-	// Net is the inter-node NIC interconnect. It is never nil; on a
-	// single-node machine it carries no traffic.
-	Net *fabric.Interconnect
-	// Plan[g] = global feature IDs resident on GPU g. Shared with the Spec
-	// and read-only — except under adaptive placement, where the run owns a
-	// deep copy that rebalance epochs swap at batch boundaries.
-	Plan [][]int
 
 	// cluster is the node geometry.
 	cluster fabric.Cluster
 
-	// Caches is the per-GPU hot-row cache set, built lazily on the first
-	// batch when Cfg.CacheFraction > 0 (or installed warm via AttachCaches).
-	// Nil when the cache is disabled.
-	Caches *cache.Set
-
 	gen *workload.Generator
-
-	// batchSeq counts NextBatchData calls: the batch index the route-plan
-	// compiler hands to the fault schedule when picking replica routes.
-	batchSeq int
-	// faultBatch is the batch whose fault factors are currently applied to
-	// the machine (-1 before the first ApplyFaults). Makes ApplyFaults
-	// idempotent so every GPU's process may call it at the batch barrier.
-	faultBatch int
-	// faultOffset shifts the machine's batch indices on the fault schedule's
-	// timeline. The serving layer executes each dispatch as its own one-batch
-	// run (internal index 0); SetFaultOffset maps that onto the dispatch
-	// sequence so faults unfold across a serving session.
-	faultOffset int
 
 	// scratch holds each GPU's reusable per-batch working buffers, one arena
 	// per (GPU, pipeline slot): scratch[g*slots+k] belongs to GPU g's slot k,
@@ -153,14 +127,57 @@ type System struct {
 	// plan.go).
 	planScr planScratch
 
-	// dedupStats accumulates the run's deduplication savings (finishDedup
-	// folds one batch in at a time; host-side, so no synchronisation).
+	// replayScr is the transfer executor's row-staging scratch (functional
+	// runs only).
+	replayScr []float32
+}
+
+// machine is the shape-independent state of one simulated machine, shared by
+// every System wired onto it.
+type machine struct {
+	// spec is the spec the machine was built from: its device allocations
+	// cover that spec's batch size and every smaller one.
+	spec *SystemSpec
+
+	Env  *sim.Env
+	Devs []*gpu.Device
+	Fab  *nvlink.Fabric
+	PGAS *pgas.Runtime
+	Comm *collective.Comm
+	// Net is the inter-node NIC interconnect. It is never nil; on a
+	// single-node machine it carries no traffic.
+	Net *fabric.Interconnect
+	// Plan[g] = global feature IDs resident on GPU g. Shared with the Spec
+	// and read-only — except under adaptive placement, where the machine owns
+	// a deep copy that rebalance epochs swap at batch boundaries.
+	Plan [][]int
+
+	// Caches is the per-GPU hot-row cache set (nil when the cache is
+	// disabled).
+	Caches *cache.Set
+
+	// batchSeq counts NextBatchData calls: the machine's batch index, which
+	// the fault schedule, the rebalance cadence and the pipeline slots key on.
+	batchSeq int
+	// faultBatch is the batch whose fault factors are currently applied to
+	// the machine (-1 before the first ApplyFaults). Makes ApplyFaults
+	// idempotent so every GPU's process may call it at the batch barrier.
+	faultBatch int
+	// dropSeq0[pe] is PE pe's proxy flush count when the current flight
+	// started: the drop process numbers each flight's flushes from zero.
+	// Nil unless the fault schedule drops deliveries.
+	dropSeq0 []int64
+	// handover is the signal the latest flight Start began fires when the
+	// next flight's GPUs may begin (nil before the first).
+	handover *sim.Signal
+
+	// dedupStats accumulates the machine's deduplication savings
+	// (finishDedup folds one batch in at a time; host-side, so no
+	// synchronisation).
 	dedupStats metrics.DedupCounters
 
 	// Adaptive placement state (nil/zero unless Cfg.AdaptivePlacement).
-	// placeCtl owns the access statistics and rebalance decisions; the
-	// serving layer installs a session-shared controller via AttachPlacement
-	// so statistics survive across its one-batch dispatch runs.
+	// placeCtl owns the access statistics and rebalance decisions.
 	placeCtl *placement.Controller
 	// tableByFID maps global feature ID -> table object so a plan swap
 	// re-points shard collections without touching weights (functional
@@ -171,7 +188,7 @@ type System struct {
 	// trues. Both change only at epoch boundaries.
 	hotMirror []bool
 	hotCount  int
-	// rebalances / migratedBytes summarise the run's plan swaps and the
+	// rebalances / migratedBytes summarise the machine's plan swaps and the
 	// shard payload they moved between owners.
 	rebalances    int
 	migratedBytes float64
@@ -182,10 +199,8 @@ type System struct {
 	ownerKeys  []int64
 	ownerBytes []float64
 
-	// Functional state (nil slices in timing mode): the shard collections,
-	// and the transfer executor's row-staging scratch.
-	colls     []*embedding.Collection
-	replayScr []float32
+	// colls are the functional shard collections (nil in timing mode).
+	colls []*embedding.Collection
 }
 
 // NewSystem builds a spec and wires one run from it — the one-shot entry
@@ -251,7 +266,6 @@ type BatchData struct {
 // time-identical to a machine without fault hooks.
 func (s *System) ApplyFaults(batch int) {
 	sched := s.HW.Faults
-	batch += s.faultOffset
 	if sched.Empty() || batch == s.faultBatch {
 		return
 	}
@@ -310,14 +324,6 @@ func (s *System) awaitExchangeGate(p *sim.Proc, g int) {
 	}
 }
 
-// SetFaultOffset shifts this run's batch indices by off on the fault
-// schedule's timeline: internal batch b is treated as schedule batch b+off
-// by ApplyFaults, the route-plan compiler's replica selection, and the proxy
-// drop process. The serving layer calls it with the dispatch sequence number
-// before each one-batch dispatch run, so a fault window expressed in
-// dispatches hits the right requests. Call before the first batch.
-func (s *System) SetFaultOffset(off int) { s.faultOffset = off }
-
 // NextBatchData draws the next batch in the mode the system was built for
 // and compiles its route plan. A timing run never holds its batch: the plan
 // carries every count the timing model reads (dedup keys and expansions are
@@ -346,7 +352,7 @@ func (s *System) NextBatchData() (*BatchData, error) {
 	return bd, nil
 }
 
-// DedupStats returns the run's accumulated index-deduplication counters
+// DedupStats returns the machine's accumulated index-deduplication counters
 // (zero-valued when Config.Dedup is off).
 func (s *System) DedupStats() metrics.DedupCounters { return s.dedupStats }
 
@@ -432,12 +438,6 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 	for g := range res.PerGPU {
 		res.PerGPU[g] = &trace.Breakdown{}
 	}
-	s.PGAS.ResetCounters()
-	s.Comm.ResetVolume()
-	s.Fab.Reset()
-	s.Net.Reset()
-	s.resetOwnerLoad()
-
 	start := s.Env.Now()
 	last, err := s.Drive(ctx, s.PipelineDepth(), func(p *sim.Proc, g, _ int, bd *BatchData) {
 		b.RunBatch(s, p, g, bd, res.PerGPU[g])

@@ -2,26 +2,24 @@
 // generator (Poisson or bursty arrivals on the simulated clock), a bounded
 // admission queue, and a dynamic batcher that coalesces pending requests
 // into device batches under a max-latency/max-batch policy and dispatches
-// them through the DLRM pipeline on either retrieval backend. The per-GPU
-// hot-row embedding cache (internal/cache) stays attached — and warm —
-// across dispatches, so a skewed request stream builds up cache residency
-// exactly as a production parameter server would.
+// them through the DLRM pipeline on either retrieval backend.
 //
-// Two clocks are involved: the MACRO simulation carries arrivals, queueing
-// and batching; each dispatched batch then runs the existing micro-level
-// pipeline simulation to obtain its service time, which the macro clock
-// advances by. Requests complete when their batch's pipeline run does;
-// latency = completion − arrival.
+// A serving session is one simulation on one machine: arrivals, batching and
+// every dispatched batch's GPU processes share one clock, and the batches
+// share the machine's devices, links, runtimes and per-GPU hot-row embedding
+// cache (internal/cache), which stays warm across dispatches, so a skewed
+// request stream builds up cache residency exactly as a production parameter
+// server would. Requests complete when their batch does; latency =
+// completion − arrival.
 package serve
 
 import (
 	"context"
 	"fmt"
+	"math"
 
-	"pgasemb/internal/cache"
 	"pgasemb/internal/dlrm"
 	"pgasemb/internal/metrics"
-	"pgasemb/internal/placement"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
 )
@@ -85,16 +83,16 @@ type DegradePolicy struct {
 
 // withDefaults resolves the zero-value knobs against the base configuration.
 func (c Config) withDefaults(base retrieval.Config) Config {
-	if c.BurstFactor <= 0 {
+	if c.BurstFactor == 0 {
 		c.BurstFactor = 4
 	}
-	if c.BurstCycle <= 0 {
+	if c.BurstCycle == 0 {
 		c.BurstCycle = 100 * sim.Millisecond
 	}
 	if c.MaxBatch <= 0 {
 		c.MaxBatch = base.BatchSize
 	}
-	if c.MaxWait <= 0 {
+	if c.MaxWait == 0 {
 		c.MaxWait = 5 * sim.Millisecond
 	}
 	if c.QueueCap <= 0 {
@@ -106,9 +104,9 @@ func (c Config) withDefaults(base retrieval.Config) Config {
 	return c
 }
 
-// Server owns the immutable pieces of a serving run: the bucketed system
-// specs (one per device batch shape), the shared model, and the persistent
-// hot-row cache set.
+// Server owns the immutable pieces of a serving setup: the bucketed system
+// specs (one per device batch shape) and the shared model. Each Run is one
+// session on a machine of its own, which starts cold.
 type Server struct {
 	base    retrieval.Config
 	hw      retrieval.HardwareParams
@@ -117,13 +115,9 @@ type Server struct {
 	shapes  []int // ascending device batch shapes (halving buckets)
 	specs   map[int]*retrieval.SystemSpec
 	model   *dlrm.Model
-	caches  *cache.Set
-	// placeCtl is the session-shared adaptive-placement controller (nil
-	// unless the base configuration enables AdaptivePlacement): one
-	// controller per serving session, attached to every dispatched run, so
-	// access statistics and placement decisions survive dispatch boundaries
-	// — the rebalance cadence is counted in DISPATCHES here, not batches.
-	placeCtl *placement.Controller
+	// observe, when set, sees each dispatch as it retires: the pipeline it
+	// ran on, its seed, and when it was dispatched and completed.
+	observe func(pl *dlrm.Pipeline, seed uint64, start, done sim.Time)
 }
 
 // NewServer validates and wires a serving setup. The base configuration's
@@ -133,14 +127,20 @@ type Server struct {
 func NewServer(base retrieval.Config, hw retrieval.HardwareParams, backend retrieval.Backend, cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults(base)
 	switch {
-	case cfg.Rate <= 0:
-		return nil, fmt.Errorf("serve: Rate must be positive")
-	case cfg.Duration <= 0:
-		return nil, fmt.Errorf("serve: Duration must be positive")
+	case !positiveFinite(cfg.Rate):
+		return nil, fmt.Errorf("serve: Rate must be positive and finite, got %v", cfg.Rate)
+	case !positiveFinite(cfg.Duration):
+		return nil, fmt.Errorf("serve: Duration must be positive and finite, got %v", cfg.Duration)
 	case cfg.MaxBatch > base.BatchSize:
 		return nil, fmt.Errorf("serve: MaxBatch %d exceeds the base batch size %d", cfg.MaxBatch, base.BatchSize)
-	case cfg.MaxWait <= 0:
-		return nil, fmt.Errorf("serve: MaxWait must be positive")
+	case !positiveFinite(cfg.MaxWait):
+		return nil, fmt.Errorf("serve: MaxWait must be positive and finite, got %v", cfg.MaxWait)
+	case !positiveFinite(cfg.BurstCycle):
+		return nil, fmt.Errorf("serve: BurstCycle must be positive and finite, got %v", cfg.BurstCycle)
+	case !(cfg.BurstFactor >= 1) || math.IsInf(cfg.BurstFactor, 1):
+		// Below 1 the on window would outlast the cycle, and the mean rate
+		// would fall short of Rate.
+		return nil, fmt.Errorf("serve: BurstFactor must be at least 1 and finite, got %v", cfg.BurstFactor)
 	}
 	base.Batches = 1 // each dispatch is one batch
 
@@ -149,7 +149,7 @@ func NewServer(base retrieval.Config, hw retrieval.HardwareParams, backend retri
 		srv.shapes = append([]int{shape}, srv.shapes...)
 	}
 	// The bucket specs derive from the largest so they share one Zipf rank
-	// table, built lazily by the first dispatch.
+	// table, built lazily by the session's machine.
 	top, err := retrieval.NewSystemSpec(base, hw)
 	if err != nil {
 		return nil, err
@@ -169,21 +169,11 @@ func NewServer(base retrieval.Config, hw retrieval.HardwareParams, backend retri
 		return nil, err
 	}
 	srv.model = model
-	if slots := base.CacheSlots(hw.GPU); slots > 0 && base.GPUs > 1 {
-		srv.caches = cache.NewSet(base.GPUs, slots, base.Dim, base.RowCounts(), base.Functional)
-	}
-	if base.AdaptivePlacement {
-		// Build the controller off the largest shape's spec: table sizes are
-		// shape-independent and its capacity bound (largest activation
-		// buffers) is the most conservative across the buckets.
-		ctl, err := srv.specs[base.BatchSize].NewPlacementController()
-		if err != nil {
-			return nil, err
-		}
-		srv.placeCtl = ctl
-	}
 	return srv, nil
 }
+
+// positiveFinite reports whether x is a usable positive quantity.
+func positiveFinite(x float64) bool { return x > 0 && !math.IsInf(x, 1) }
 
 // Shapes returns the ascending device batch shapes the batcher buckets into.
 func (s *Server) Shapes() []int { return s.shapes }
@@ -210,26 +200,20 @@ type Result struct {
 	PaddedSamples int // bucket slack: shape minus real requests, summed
 
 	// Latencies holds each completed request's arrival-to-completion time,
-	// in completion order.
+	// in dispatch order.
 	Latencies []sim.Duration
 	// Makespan is when the last dispatch completed (≥ Duration when the
 	// queue drained after the arrival window).
 	Makespan sim.Duration
-	// CacheStats aggregates this run's hot-row cache counters across GPUs
-	// (zero when the cache is disabled). The cache set stays warm across a
-	// Server's runs, but each run counts only its own row probes.
+	// CacheStats aggregates the session's hot-row cache counters across GPUs
+	// (zero when the cache is disabled).
 	CacheStats metrics.CacheCounters
 	// DedupStats aggregates the index-deduplication counters across every
 	// dispatched batch (zero when Config.Dedup is off).
 	DedupStats metrics.DedupCounters
 
-	// OwnerKeys and OwnerBytes accumulate each GPU's served embedding load
-	// (pooled-index gathers and HBM vector bytes) across every dispatched
-	// batch — nil unless the base configuration shards table-wise.
-	OwnerKeys  []int64
-	OwnerBytes []float64
-	// Rebalances counts adaptive-placement plan swaps applied between
-	// dispatches, and MigratedBytes the shard and mirror bytes they copied
+	// Rebalances counts adaptive-placement plan swaps applied at dispatch
+	// boundaries, and MigratedBytes the shard and mirror bytes they copied
 	// (both zero unless the base configuration enables AdaptivePlacement).
 	Rebalances    int
 	MigratedBytes float64
@@ -263,22 +247,6 @@ func (r *Result) Goodput() float64 {
 // HitRate returns the aggregate cache hit rate (0 without a cache).
 func (r *Result) HitRate() float64 { return r.CacheStats.HitRate() }
 
-// Imbalance returns the max/mean spread of the per-GPU pooled-gather counts
-// — the placement subsystem's headline balance metric: 1.0 is perfectly
-// balanced, GPUs is all load on one device (0 when owner load is not
-// tracked). Gather counts, not egress bytes: every owner emits the same
-// number of output vectors per batch, it is the HBM row reads that skew.
-func (r *Result) Imbalance() float64 {
-	if len(r.OwnerKeys) == 0 {
-		return 0
-	}
-	xs := make([]float64, len(r.OwnerKeys))
-	for g, k := range r.OwnerKeys {
-		xs[g] = float64(k)
-	}
-	return metrics.Imbalance(xs)
-}
-
 // Availability returns the fraction of offered requests that completed —
 // the headline resilience number (sheds, queue-full drops and timeout
 // rejects all reduce it). 0 when nothing was offered.
@@ -294,20 +262,33 @@ func (s *Server) Run() (*Result, error) {
 	return s.RunContext(context.Background())
 }
 
-// RunContext is Run with cancellation; both the macro serving clock and
-// every dispatched pipeline run stop when ctx is cancelled.
+// RunContext is Run with cancellation: the session's clock stops when ctx is
+// cancelled.
+//
+// The session builds its machine from the largest shape's spec, whose device
+// allocations cover every smaller shape, and wires each other shape's
+// pipeline onto it at that shape's first dispatch. Dispatch d draws its batch
+// from seed base.Seed + (d+1)·1_000_003. Up to the machine's pipeline depth
+// (System.PipelineDepth) of dispatches are in flight; with that many, the
+// dispatcher waits for the oldest to complete before it forms the next
+// batch, so at depth 1 every dispatch starts on an idle machine. At depth
+// d > 1 a dispatch's GPUs start once the previous dispatch's EMB exchange
+// has drained, and contend with its dense path. Fault windows and rebalance
+// epochs are keyed on the dispatch index, which is the machine's batch
+// index.
 func (s *Server) RunContext(ctx context.Context) (*Result, error) {
-	env := sim.NewEnv()
+	top, err := dlrm.NewPipelineRun(s.specs[s.base.BatchSize], s.backend, s.model, s.base.Seed)
+	if err != nil {
+		return nil, fmt.Errorf("serve: %s run: %w", s.backend.Name(), err)
+	}
+	pipes := map[int]*dlrm.Pipeline{s.base.BatchSize: top}
+	sys := top.Sys
+	env := sys.Env
 	res := &Result{
 		Backend:       s.backend.Name(),
 		CacheFraction: s.base.CacheFraction,
 		Rate:          s.cfg.Rate,
 		Duration:      s.cfg.Duration,
-	}
-	// The cache set outlives runs; this run reports only its own activity.
-	var cacheBefore metrics.CacheCounters
-	if s.caches != nil {
-		cacheBefore = s.caches.Stats()
 	}
 
 	var (
@@ -334,7 +315,7 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 			res.Offered++
 			// Health-aware load shedding: while a fault window is active and
 			// the queue is already deep, refuse at the door. Keyed on the
-			// NEXT dispatch index — the one this request would ride.
+			// count of completed dispatches.
 			if d := s.cfg.Degrade; d.ShedAt > 0 && s.hw.Faults.AnyActive(res.Dispatches) &&
 				float64(len(queue)) >= d.ShedAt*float64(s.cfg.QueueCap) {
 				res.Resilience.Shed++
@@ -353,29 +334,39 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 		kick()
 	})
 
-	// Pipelined dispatch: with PipelineDepth > 1 the dispatcher keeps up to
-	// depth device batches in flight — it hands the next batch to the
-	// accelerator as soon as the previous one's EMB exchange stage drains,
-	// instead of idling until the full pipeline completes. Fault schedules
-	// force depth 1: their windows are expressed against the serial dispatch
-	// sequence.
-	depth := s.base.PipelineSlots()
-	if !s.hw.Faults.Empty() || s.placeCtl != nil {
-		// Fault windows are expressed against the serial dispatch sequence,
-		// and a placement swap is a barrier: the plan a dispatch compiles
-		// against must be the plan it executes under.
-		depth = 1
+	// inFlight holds the dispatched, uncompleted batches, oldest first.
+	type dispatch struct {
+		flight *retrieval.Flight
+		taken  []sim.Time // the batch's requests' arrival times
+		pad    int
+		pl     *dlrm.Pipeline
+		seed   uint64
+		start  sim.Time
 	}
-	var (
-		completions []sim.Time
-		dispatched  int
-	)
-	if depth > 1 {
-		completions = make([]sim.Time, depth)
-	}
-
+	var inFlight []dispatch
+	depth, launched := sys.PipelineDepth(), 0
 	env.Go("dispatcher", func(p *sim.Proc) {
 		for {
+			if len(inFlight) == depth || len(inFlight) > 0 && len(queue) == 0 && arrivalsDone {
+				d := inFlight[0]
+				inFlight = inFlight[1:]
+				p.WaitSignal(d.flight.Done)
+				if runErr = d.flight.Err(); runErr != nil {
+					return
+				}
+				done := d.flight.Done.FiredAt()
+				for _, arr := range d.taken {
+					res.Latencies = append(res.Latencies, sim.Duration(done-arr))
+				}
+				res.Completed += len(d.taken)
+				res.Dispatches++
+				res.PaddedSamples += d.pad
+				res.Makespan = max(res.Makespan, sim.Duration(done))
+				if s.observe != nil {
+					s.observe(d.pl, d.seed, d.start, done)
+				}
+				continue
+			}
 			if len(queue) == 0 {
 				if arrivalsDone {
 					return
@@ -405,11 +396,6 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 					}
 				}
 			}
-			// In-flight cap: slot (dispatched % depth) is free only once the
-			// batch that last used it has fully completed.
-			if depth > 1 && dispatched >= depth {
-				p.WaitUntil(completions[(dispatched-depth)%depth])
-			}
 			n := len(queue)
 			if n > s.cfg.MaxBatch {
 				n = s.cfg.MaxBatch
@@ -425,102 +411,24 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 					break
 				}
 			}
-			seed := s.base.Seed + uint64(res.Dispatches+1)*1_000_003
-			pl, err := dlrm.NewPipelineRun(s.specs[shape], s.backend, s.model, seed)
-			if err == nil && s.caches != nil {
-				err = pl.Sys.AttachCaches(s.caches)
-			}
-			if err != nil {
-				runErr = err
-				return
-			}
-			if s.placeCtl != nil {
-				// Replace the run's private controller with the session's:
-				// the dispatch adopts the current plan and mirror set, and
-				// its batch feeds the shared statistics.
-				pl.Sys.AttachPlacement(s.placeCtl)
-			}
-			// The dispatch is one internal batch (index 0); shifting it onto
-			// the dispatch sequence lets fault windows expressed in dispatch
-			// indices unfold across the serving session.
-			pl.Sys.SetFaultOffset(res.Dispatches)
-			degraded := s.hw.Faults.AnyActive(res.Dispatches)
-			if s.cfg.Degrade.StaleCacheServe && s.caches != nil {
-				s.caches.SetFrozen(degraded)
-			}
-			plRes, err := pl.RunContext(ctx)
-			if err != nil {
-				runErr = err
-				return
-			}
-			res.DedupStats = res.DedupStats.Add(pl.Sys.DedupStats())
-			if keys, bytes := pl.Sys.OwnerLoad(); keys != nil {
-				if res.OwnerKeys == nil {
-					res.OwnerKeys = make([]int64, len(keys))
-					res.OwnerBytes = make([]float64, len(keys))
-				}
-				for g := range keys {
-					res.OwnerKeys[g] += keys[g]
-					res.OwnerBytes[g] += bytes[g]
-				}
-			}
-			for g := 0; g < pl.Sys.PGAS.NumPEs(); g++ {
-				pe := pl.Sys.PGAS.PE(g)
-				res.Resilience.Drops += pe.Drops()
-				res.Resilience.Retries += pe.Retries()
-				res.Resilience.Exhausted += pe.RetriesExhausted()
-			}
-			if depth > 1 {
-				// The batch completes plRes.TotalTime from now; its requests
-				// retire then (a scheduled completion event — the event heap's
-				// FIFO tie-break keeps completion order deterministic). The
-				// dispatcher itself only blocks for the EMB exchange stage,
-				// the resource the next dispatch actually contends for.
-				done := p.Now() + sim.Time(plRes.TotalTime)
-				completions[dispatched%depth] = done
-				dispatched++
-				env.Schedule(done, func() {
-					for _, arr := range taken {
-						res.Latencies = append(res.Latencies, sim.Duration(done-arr))
-					}
-					res.Completed += n
-				})
-				res.Dispatches++
-				res.PaddedSamples += shape - n
-				occupancy := plRes.EMBTime
-				if plRes.TotalTime < occupancy {
-					occupancy = plRes.TotalTime
-				}
-				p.Wait(occupancy)
-				continue
-			}
-			p.Wait(plRes.TotalTime)
-			done := p.Now()
-			for _, arr := range taken {
-				res.Latencies = append(res.Latencies, sim.Duration(done-arr))
-			}
-			res.Completed += n
-			res.Dispatches++
-			res.PaddedSamples += shape - n
-			// Adaptive placement: every RebalanceEvery dispatches the shared
-			// controller re-plans off the accumulated statistics; the copied
-			// shard and mirror bytes occupy the dispatcher for their wire
-			// time, so rebalancing delays the queue exactly as the microlevel
-			// model charges it (placement forces serial dispatch above).
-			if ctl := s.placeCtl; ctl != nil && ctl.Due(res.Dispatches) {
-				reb, err := ctl.Rebalance()
-				if err != nil {
-					runErr = err
+			pl := pipes[shape]
+			if pl == nil {
+				if pl, runErr = top.On(s.specs[shape]); runErr != nil {
 					return
 				}
-				if reb.Swapped {
-					res.Rebalances++
-				}
-				if bytes := reb.MoveBytes + reb.MirrorBytes; bytes > 0 {
-					res.MigratedBytes += float64(bytes)
-					p.Wait(float64(bytes) / (2 * s.hw.Link.LinkBandwidth))
-				}
+				pipes[shape] = pl
 			}
+			if s.cfg.Degrade.StaleCacheServe && sys.Caches != nil {
+				sys.Caches.SetFrozen(s.hw.Faults.AnyActive(launched))
+			}
+			seed := s.base.Seed + uint64(launched+1)*1_000_003
+			flight, err := pl.Start(ctx, seed)
+			if err != nil {
+				runErr = err
+				return
+			}
+			launched++
+			inFlight = append(inFlight, dispatch{flight, taken, shape - n, pl, seed, p.Now()})
 		}
 	})
 
@@ -530,12 +438,17 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 	if runErr != nil {
 		return nil, fmt.Errorf("serve: %s run: %w", s.backend.Name(), runErr)
 	}
-	res.Makespan = sim.Duration(env.Now())
-	if s.caches != nil {
-		// Thaw: the cache set outlives this run (warm across serving runs in
-		// sweeps) and must not stay frozen past a degraded final dispatch.
-		s.caches.SetFrozen(false)
-		res.CacheStats = s.caches.Stats().Sub(cacheBefore)
+	res.Makespan = max(res.Makespan, s.cfg.Duration)
+	res.DedupStats = sys.DedupStats()
+	res.Rebalances, res.MigratedBytes = sys.Migration()
+	if sys.Caches != nil {
+		res.CacheStats = sys.Caches.Stats()
+	}
+	for g := 0; g < sys.PGAS.NumPEs(); g++ {
+		pe := sys.PGAS.PE(g)
+		res.Resilience.Drops += pe.Drops()
+		res.Resilience.Retries += pe.Retries()
+		res.Resilience.Exhausted += pe.RetriesExhausted()
 	}
 	return res, nil
 }

@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"pgasemb/internal/dlrm"
 	"pgasemb/internal/fault"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
@@ -143,10 +144,9 @@ func TestServingCacheWarmsAcrossDispatches(t *testing.T) {
 	}
 }
 
-// The cache set stays warm across a Server's runs, but each Result counts
-// only its own run's probes: the same arrivals and dispatch seeds make the
-// same row probes, so a second run's access count equals the first's, and
-// the two runs together make up the set's lifetime totals.
+// Each Run is one session on a machine of its own, which starts cold: a
+// second run of one Server makes the same row probes and returns the same
+// result as the first.
 func TestServingCacheCountsPerRun(t *testing.T) {
 	base := serveTestConfig()
 	base.CacheFraction = 0.003
@@ -168,11 +168,8 @@ func TestServingCacheCountsPerRun(t *testing.T) {
 	if first.CacheStats.Accesses() == 0 {
 		t.Fatal("first run probed no rows; the test exercises nothing")
 	}
-	if got, want := second.CacheStats.Accesses(), first.CacheStats.Accesses(); got != want {
-		t.Fatalf("second run counted %d row probes, want the first run's %d", got, want)
-	}
-	if got, want := first.CacheStats.Add(second.CacheStats), srv.caches.Stats(); got != want {
-		t.Fatalf("runs sum to %+v, the cache set's lifetime totals are %+v", got, want)
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("a second run of one server differs from the first:\n%+v\n%+v", first, second)
 	}
 }
 
@@ -351,6 +348,117 @@ func TestServerValidation(t *testing.T) {
 	if _, err := NewServer(base, hw, &retrieval.PGASFused{}, Config{Rate: 100, Duration: sim.Millisecond, MaxBatch: base.BatchSize * 2}); err == nil {
 		t.Fatal("MaxBatch above base batch size accepted")
 	}
+	// Inputs that would hang the arrival process, run until the context
+	// ends, or silently serve another rate.
+	inf, nan := math.Inf(1), math.NaN()
+	for name, cfg := range map[string]Config{
+		"Rate +Inf":        {Rate: inf, Duration: sim.Millisecond},
+		"Rate NaN":         {Rate: nan, Duration: sim.Millisecond},
+		"Duration +Inf":    {Rate: 100, Duration: inf},
+		"Duration NaN":     {Rate: 100, Duration: nan},
+		"MaxWait +Inf":     {Rate: 100, Duration: sim.Millisecond, MaxWait: inf},
+		"MaxWait NaN":      {Rate: 100, Duration: sim.Millisecond, MaxWait: nan},
+		"BurstCycle +Inf":  {Rate: 100, Duration: sim.Millisecond, Arrival: Bursty, BurstCycle: inf},
+		"BurstCycle NaN":   {Rate: 100, Duration: sim.Millisecond, Arrival: Bursty, BurstCycle: nan},
+		"BurstFactor 0.5":  {Rate: 100, Duration: sim.Millisecond, Arrival: Bursty, BurstFactor: 0.5},
+		"BurstFactor NaN":  {Rate: 100, Duration: sim.Millisecond, Arrival: Bursty, BurstFactor: nan},
+		"BurstFactor +Inf": {Rate: 100, Duration: sim.Millisecond, Arrival: Bursty, BurstFactor: inf},
+	} {
+		if _, err := NewServer(base, hw, &retrieval.PGASFused{}, cfg); err == nil {
+			t.Errorf("%s accepted", name)
+		}
+	}
+}
+
+// observedDispatch is one dispatch as Server.observe saw it.
+type observedDispatch struct {
+	pl          *dlrm.Pipeline
+	seed        uint64
+	start, done sim.Time
+}
+
+// observedRun serves cfg on base and returns the result and every dispatch.
+func observedRun(t *testing.T, base retrieval.Config, cfg Config) (*Server, *Result, []observedDispatch) {
+	t.Helper()
+	srv, err := NewServer(base, retrieval.DefaultHardware(), &retrieval.PGASFused{}, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ds []observedDispatch
+	srv.observe = func(pl *dlrm.Pipeline, seed uint64, start, done sim.Time) {
+		ds = append(ds, observedDispatch{pl, seed, start, done})
+	}
+	res, err := srv.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds) != res.Dispatches {
+		t.Fatalf("observed %d dispatches, the result counts %d", len(ds), res.Dispatches)
+	}
+	return srv, res, ds
+}
+
+// standalone returns d's service time as a pipeline run of its own: a fresh
+// machine at d's shape and seed.
+func standalone(t *testing.T, srv *Server, d observedDispatch) sim.Duration {
+	t.Helper()
+	pl, err := dlrm.NewPipelineRun(srv.specs[d.pl.Sys.Cfg.BatchSize], srv.backend, srv.model, d.seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := pl.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.TotalTime
+}
+
+// At depth 1 every dispatch starts on an idle machine, so sharing one machine
+// across the session changes no service time: each dispatch takes exactly as
+// long as a standalone pipeline run of its shape and seed, up to the rounding
+// of absolute times against durations.
+func TestServingDispatchMatchesStandalone(t *testing.T) {
+	srv, _, ds := observedRun(t, serveTestConfig(), serveTestServeConfig())
+	shapes := map[int]bool{}
+	var worst float64
+	for i, d := range ds {
+		shapes[d.pl.Sys.Cfg.BatchSize] = true
+		got, want := d.done-d.start, standalone(t, srv, d)
+		gap := math.Abs(got-want) / want
+		worst = max(worst, gap)
+		if gap > 1e-12 {
+			t.Errorf("dispatch %d (batch %d): served in %g s, standalone %g s", i, d.pl.Sys.Cfg.BatchSize, got, want)
+		}
+	}
+	if len(shapes) < 2 {
+		t.Fatalf("dispatches ran %d shape(s); the shared machine's smaller shapes go unchecked", len(shapes))
+	}
+	t.Logf("%d dispatches over %d shapes: largest relative gap %.3g", len(ds), len(shapes), worst)
+}
+
+// At depth 2 a dispatch's exchange overlaps the previous one's dense tail on
+// the same machine: no dispatch is served faster than it would run alone,
+// and contention for the dense stream makes some strictly slower.
+func TestServingPipelinedContention(t *testing.T) {
+	base := serveTestConfig()
+	base.PipelineDepth = 2
+	cfg := serveTestServeConfig()
+	cfg.Rate = 20000
+	srv, _, ds := observedRun(t, base, cfg)
+	slower := 0
+	for i, d := range ds {
+		got, alone := d.done-d.start, standalone(t, srv, d)
+		if got < alone*(1-1e-12) {
+			t.Errorf("dispatch %d: served in %g s, faster than its standalone %g s", i, got, alone)
+		}
+		if got > alone*(1+1e-9) {
+			slower++
+		}
+	}
+	if slower == 0 {
+		t.Fatalf("none of %d overlapped dispatches met contention", len(ds))
+	}
+	t.Logf("%d of %d dispatches slowed by contention", slower, len(ds))
 }
 
 // Pipelined dispatch: with PipelineDepth > 1 the dispatcher keeps multiple
@@ -397,7 +505,7 @@ func TestServingPipelinedGoodput(t *testing.T) {
 		base.PipelineDepth = depth
 		cfg := serveTestServeConfig()
 		cfg.Rate = 20000 // saturate: the dispatcher, not arrivals, is the bottleneck
-		cfg.QueueCap = 256
+		cfg.QueueCap = 4096
 		return runOnce(t, base, cfg, &retrieval.PGASFused{})
 	}
 	serial := run(1)
@@ -418,28 +526,21 @@ func TestServingPipelinedGoodput(t *testing.T) {
 		piped.Completed, float64(piped.Makespan)*1e3, piped.Goodput())
 }
 
-// TestServingAdaptivePlacement pins the serving-layer placement hooks: one
-// controller shared across dispatches accumulates statistics and re-plans
-// every RebalanceEvery DISPATCHES; the swap shows up in the result counters,
-// served owner load is tracked across the session, and the whole trajectory
-// is deterministic. On the graded-skew workload the rebalanced session must
-// end better balanced than the static one. The cached input runs the same
-// session beside the warm hot-row cache: cache keys name (table, row), so
-// plan swaps keep its hits.
+// TestServingAdaptivePlacement pins placement on the serving machine: its
+// controller accumulates statistics across dispatches and re-plans every
+// RebalanceEvery DISPATCHES; the swap shows up in the result counters, the
+// whole trajectory is deterministic, and a dispatch that opens an epoch
+// completes no earlier than its migration traffic can have landed on the
+// machine's pipes, because its GPUs wait for the last delivery. The cached
+// input runs the same session beside the warm hot-row cache: cache keys name
+// (table, row), so plan swaps keep its hits.
 func TestServingAdaptivePlacement(t *testing.T) {
 	base := serveTestConfig()
 	base.PerFeatureMaxPooling = []int{12, 8, 3, 3, 3, 3}
-	run := func(adaptive bool, cacheFraction float64) *Result {
-		b := base
-		b.CacheFraction = cacheFraction
-		if adaptive {
-			b.AdaptivePlacement = true
-			b.RebalanceEvery = 4
-		}
-		cfg := serveTestServeConfig()
-		cfg.Duration = 200 * sim.Millisecond // ~12 dispatches: several epochs
-		return runOnce(t, b, cfg, &retrieval.PGASFused{})
-	}
+	base.AdaptivePlacement = true
+	base.RebalanceEvery = 4
+	cfg := serveTestServeConfig()
+	cfg.Duration = 200 * sim.Millisecond // ~12 dispatches: several epochs
 	for _, in := range []struct {
 		name          string
 		cacheFraction float64
@@ -448,9 +549,11 @@ func TestServingAdaptivePlacement(t *testing.T) {
 		{"cached", 1e-8},
 	} {
 		t.Run(in.name, func(t *testing.T) {
-			a, b := run(true, in.cacheFraction), run(true, in.cacheFraction)
-			if !reflect.DeepEqual(a, b) {
-				t.Fatalf("same-seed adaptive serving runs diverged:\n%+v\n%+v", a, b)
+			b := base
+			b.CacheFraction = in.cacheFraction
+			_, a, ds := observedRun(t, b, cfg)
+			if again := runOnce(t, b, cfg, &retrieval.PGASFused{}); !reflect.DeepEqual(a, again) {
+				t.Fatalf("same-seed adaptive serving runs diverged:\n%+v\n%+v", a, again)
 			}
 			if a.Dispatches < 8 {
 				t.Fatalf("only %d dispatches; the session never crossed a rebalance boundary twice", a.Dispatches)
@@ -462,21 +565,38 @@ func TestServingAdaptivePlacement(t *testing.T) {
 				t.Fatal("cached adaptive serving session saw no cache hits")
 			}
 			if a.MigratedBytes <= 0 {
-				t.Error("plan swaps reported no migration traffic")
+				t.Fatal("plan swaps reported no migration traffic")
 			}
-			if len(a.OwnerKeys) != base.GPUs {
-				t.Fatalf("owner load has %d entries for %d GPUs", len(a.OwnerKeys), base.GPUs)
-			}
-			for g, k := range a.OwnerKeys {
-				if k <= 0 || a.OwnerBytes[g] <= 0 {
-					t.Errorf("GPU %d served no load (%d keys, %g bytes)", g, k, a.OwnerBytes[g])
+			var seen float64 // migrated bytes as of the previous dispatch
+			epochs := 0
+			for i, d := range ds {
+				_, migrated := d.pl.Sys.Migration()
+				if migrated == seen {
+					continue
 				}
+				// Dispatch i opened an epoch; its migration's sends share the
+				// machine's pipes, so they cannot all land before the bytes
+				// have crossed at the pipes' combined bandwidth.
+				epochs++
+				var bw float64
+				for src := 0; src < b.GPUs; src++ {
+					for dst := 0; dst < b.GPUs; dst++ {
+						if src != dst {
+							bw += d.pl.Sys.Fab.Pipe(src, dst).Bandwidth()
+						}
+					}
+				}
+				if wire := (migrated - seen) / bw; d.done-d.start < wire {
+					t.Errorf("dispatch %d opened an epoch moving %g bytes (%g s on the wire) but completed %g s after dispatch",
+						i, migrated-seen, wire, d.done-d.start)
+				}
+				seen = migrated
 			}
-			static := run(false, in.cacheFraction)
-			if ai, si := a.Imbalance(), static.Imbalance(); ai >= si {
-				t.Errorf("adaptive serving imbalance %.3f is not below static %.3f", ai, si)
+			if epochs == 0 {
+				t.Fatal("no dispatch opened an epoch that migrated bytes")
 			}
-			t.Logf("%d dispatches, %d rebalances, %d cache hits", a.Dispatches, a.Rebalances, a.CacheStats.Hits)
+			t.Logf("%d dispatches, %d rebalances, %d migrating epochs, %d cache hits",
+				a.Dispatches, a.Rebalances, epochs, a.CacheStats.Hits)
 		})
 	}
 }

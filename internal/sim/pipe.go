@@ -95,12 +95,3 @@ func (p *Pipe) TotalBytes() float64 { return p.totalBytes }
 
 // Transfers returns the number of transfers ever offered.
 func (p *Pipe) Transfers() int64 { return p.transfers }
-
-// Reset clears counters, the busy horizon and any degrade factor. Intended
-// for reusing a topology across measurement repetitions.
-func (p *Pipe) Reset() {
-	p.busyUntil = 0
-	p.totalBytes = 0
-	p.transfers = 0
-	p.scale = 1
-}

@@ -100,10 +100,6 @@ func TestPipeAccounting(t *testing.T) {
 	if p.Transfers() != 3 {
 		t.Fatalf("Transfers = %v, want 3", p.Transfers())
 	}
-	p.Reset()
-	if p.TotalBytes() != 0 || p.Transfers() != 0 || p.BusyUntil() != 0 {
-		t.Fatal("Reset did not clear state")
-	}
 }
 
 // A degraded pipe drains at factor x its bandwidth from the next transfer

@@ -93,8 +93,10 @@ func (c Config) Validate() error {
 	case c.PerFeatureMaxPooling != nil && len(c.PerFeatureMaxPooling) != c.NumFeatures:
 		return fmt.Errorf("workload: PerFeatureMaxPooling has %d entries for %d features",
 			len(c.PerFeatureMaxPooling), c.NumFeatures)
-	case c.NullProbability < 0 || c.NullProbability > 1:
-		return fmt.Errorf("workload: NullProbability outside [0,1]")
+	case !(c.NullProbability >= 0 && c.NullProbability <= 1): // NaN too
+		return fmt.Errorf("workload: NullProbability %v outside [0,1]", c.NullProbability)
+	case math.IsNaN(c.ZipfExponent):
+		return fmt.Errorf("workload: ZipfExponent is NaN")
 	case c.IndexSpace <= 0:
 		return fmt.Errorf("workload: IndexSpace must be positive")
 	case c.Distribution == Zipf && c.ZipfExponent <= 0:
@@ -253,14 +255,12 @@ func NewGeneratorWithZipf(cfg Config, zipf *sim.ZipfCDF) (*Generator, error) {
 	F := cfg.NumFeatures
 	rngs := make([]sim.RNG, 2*F+1) // poolAt and idxAt, in one allocation
 	g := &Generator{
-		cfg:      cfg,
-		rngPool:  *sim.NewRNG(cfg.Seed ^ 0xA5A5_0001),
-		rngDense: *sim.NewRNG(cfg.Seed ^ 0xA5A5_0003),
-		poolAt:   rngs[:F:F],
-		idxLen:   make([]int, F),
-		idxAt:    rngs[F:],
+		cfg:    cfg,
+		poolAt: rngs[:F:F],
+		idxLen: make([]int, F),
+		idxAt:  rngs[F:],
 	}
-	g.idxAt[0] = *sim.NewRNG(cfg.Seed ^ 0xA5A5_0002)
+	g.Reseed(cfg.Seed)
 	if cfg.Distribution == Zipf {
 		if zipf == nil {
 			zipf = cfg.ZipfCDF()
@@ -272,14 +272,24 @@ func NewGeneratorWithZipf(cfg Config, zipf *sim.ZipfCDF) (*Generator, error) {
 	} else if zipf != nil {
 		return nil, fmt.Errorf("workload: a Zipf table was supplied for a uniform configuration")
 	}
-	if cfg.HotSetDriftEvery > 0 && cfg.IndexSpace > 1 {
+	return g, nil
+}
+
+// Reseed restarts the generator's streams from seed, in place: the next
+// batch it draws is the first batch of a new generator with that seed.
+func (g *Generator) Reseed(seed uint64) {
+	g.cfg.Seed = seed
+	g.rngPool = *sim.NewRNG(seed ^ 0xA5A5_0001)
+	g.rngDense = *sim.NewRNG(seed ^ 0xA5A5_0003)
+	g.idxAt[0] = *sim.NewRNG(seed ^ 0xA5A5_0002)
+	g.frontier, g.batches, g.driftOffset, g.driftStep = 0, 0, 0, 0
+	if g.cfg.HotSetDriftEvery > 0 && g.cfg.IndexSpace > 1 {
 		// A seed-derived rotation step in [1, IndexSpace): golden-ratio
 		// mixing spreads consecutive seeds across the index space, and the
 		// floor at 1 guarantees every drift epoch actually moves the hot set.
-		g.driftStep = int64((cfg.Seed*0x9E3779B97F4A7C15 + 0xD1F7) % uint64(cfg.IndexSpace-1))
+		g.driftStep = int64((seed*0x9E3779B97F4A7C15 + 0xD1F7) % uint64(g.cfg.IndexSpace-1))
 		g.driftStep++
 	}
-	return g, nil
 }
 
 // Config returns the generator's configuration.

@@ -28,6 +28,9 @@ func TestValidateRejects(t *testing.T) {
 		{"minpool", func(c *Config) { c.MinPooling = -1 }},
 		{"maxpool", func(c *Config) { c.MaxPooling = 0; c.MinPooling = 1 }},
 		{"null", func(c *Config) { c.NullProbability = 1.5 }},
+		{"null NaN", func(c *Config) { c.NullProbability = math.NaN() }},
+		{"zipf exp NaN", func(c *Config) { c.Distribution = Zipf; c.ZipfExponent = math.NaN() }},
+		{"uniform zipf exp NaN", func(c *Config) { c.ZipfExponent = math.NaN() }},
 		{"space", func(c *Config) { c.IndexSpace = 0 }},
 		{"zipf exp", func(c *Config) { c.Distribution = Zipf; c.ZipfExponent = 0 }},
 		{"zipf space", func(c *Config) { c.Distribution = Zipf; c.ZipfExponent = 1; c.IndexSpace = 1 << 30 }},
