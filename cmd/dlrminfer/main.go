@@ -70,7 +70,7 @@ func main() {
 	}
 
 	fmt.Printf("DLRM inference: %s scaling, %d GPUs, %d tables, batch %d, %d batches, pipeline depth %d, wire %s, seed %d\n\n",
-		*kind, *gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches, cfg.PipelineSlots(), prec, cfg.Seed)
+		*kind, *gpus, cfg.TotalTables, cfg.BatchSize, cfg.Batches, cfg.PipelineDepth, prec, cfg.Seed)
 	fmt.Printf("%-12s  %-14s  %-14s  %-10s\n", "backend", "total", "EMB segment", "EMB share")
 	results := make(map[string]*dlrm.PipelineResult)
 	failed := false

@@ -133,24 +133,23 @@ func (pl *Pipeline) Run() (*PipelineResult, error) {
 // is cancelled or its deadline passes. A cancelled pipeline is left
 // mid-simulation and must be discarded.
 //
-// Every batch runs the same schedule on each GPU: a lockstep rendezvous, the
-// top MLP queued on the dense stream, the EMB retrieval driving the process,
-// a second rendezvous (the EMB layer is complete only once every GPU's
-// one-sided stores have landed — the paper's Listing 2 synchronises all
-// devices' streams for the same reason), then the interaction + bottom MLP
-// tail once the top MLP is done. At depth 1 the GPU drains the tail before
-// the next batch. At depth d > 1 (software pipelining, inter-batch double
+// Every batch runs the same schedule on each GPU: the top MLP queued on the
+// dense stream, the EMB retrieval driving the process, a rendezvous (the EMB
+// layer is complete only once every GPU's one-sided stores have landed — the
+// paper's Listing 2 synchronises all devices' streams for the same reason),
+// then the interaction + bottom MLP tail once the top MLP is done, and the
+// drive's lockstep barrier. At depth 1 the GPU drains the tail before the
+// barrier. At depth d > 1 (software pipelining, inter-batch double
 // buffering) the tail of batch N stays queued while the process moves on to
-// batch N+1's exchange in the next staging slot; a slot is reused only once
-// its previous occupant's tail has drained, and the exchange gate tells
-// collective backends where the dense stream's queue ends, because a
-// collective kernel cannot overtake compute kernels launched before it —
-// which is why the baseline overlaps only its pre-collective phases while
-// one-sided stores (issued from inside the fused gather kernel) proceed
-// immediately.
+// batch N+1's exchange; a GPU keeps at most d tails queued, and the exchange
+// gate tells collective backends where the dense stream's queue ends,
+// because a collective kernel cannot overtake compute kernels launched
+// before it — which is why the baseline overlaps only its pre-collective
+// phases while one-sided stores (issued from inside the fused gather kernel)
+// proceed immediately.
 func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 	r := pl.newRun()
-	last, err := pl.Sys.Drive(ctx, 1, r.body)
+	last, err := pl.Sys.Drive(ctx, r.body)
 	if err != nil {
 		return nil, fmt.Errorf("dlrm: %s pipeline run: %w", pl.Backend.Name(), err)
 	}
@@ -163,17 +162,14 @@ func (pl *Pipeline) RunContext(ctx context.Context) (*PipelineResult, error) {
 // Done fires once the last batch has completed on every GPU. The flight
 // hands the machine over once the last batch's EMB exchange is done on every
 // GPU, so the next flight's exchange overlaps this one's dense path.
-func (pl *Pipeline) Start(ctx context.Context, seed uint64) (*retrieval.Flight, error) {
+func (pl *Pipeline) Start(ctx context.Context, seed uint64) *retrieval.Flight {
 	r := pl.newRun()
 	r.exchanged = sim.NewSignal(pl.Sys.Env)
-	f, err := pl.Sys.Start(ctx, 1, seed, r.exchanged, r.body)
-	if err != nil {
-		return nil, err
-	}
+	f := pl.Sys.Start(ctx, seed, r.exchanged, r.body)
 	if pl.denseGen != nil {
 		pl.denseGen.Reseed(seed)
 	}
-	return f, nil
+	return f
 }
 
 // pipelineRun is one Run or Start's schedule state: each GPU's dense-path
@@ -196,7 +192,7 @@ type gpuState struct {
 	dense              *gpu.Stream
 	top, tail          sim.Duration
 	lo, mini           int
-	tailRing           []sim.Time // tail end of the batch last in each slot
+	tailRing           []sim.Time // tail ends of the last depth batches, by batch mod depth
 	embTime, denseTime sim.Duration
 	bk                 trace.Breakdown
 }

@@ -14,7 +14,7 @@ func BenchmarkHashIndex(b *testing.B) {
 	_ = sink
 }
 
-func benchLookup(b *testing.B, pooling int, mode PoolingMode) {
+func benchLookup(b *testing.B, pooling int) {
 	b.Helper()
 	rng := sim.NewRNG(1)
 	tbl := NewTable(1<<16, 64, rng)
@@ -25,11 +25,10 @@ func benchLookup(b *testing.B, pooling int, mode PoolingMode) {
 	out := make([]float32, 64)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tbl.LookupPooled(bag, mode, out)
+		tbl.LookupPooled(bag, out)
 	}
 	b.SetBytes(int64(pooling) * 64 * 4)
 }
 
-func BenchmarkLookupPooledSum32(b *testing.B)  { benchLookup(b, 32, SumPooling) }
-func BenchmarkLookupPooledSum128(b *testing.B) { benchLookup(b, 128, SumPooling) }
-func BenchmarkLookupPooledMax32(b *testing.B)  { benchLookup(b, 32, MaxPooling) }
+func BenchmarkLookupPooledSum32(b *testing.B)  { benchLookup(b, 32) }
+func BenchmarkLookupPooledSum128(b *testing.B) { benchLookup(b, 128) }

@@ -54,31 +54,6 @@ func HashRows(dst []int32, raws []int64, rows int) {
 	}
 }
 
-// PoolingMode selects how a bag's embedding vectors combine into one.
-type PoolingMode int
-
-const (
-	// SumPooling element-wise sums the bag (the paper's pooling operation).
-	SumPooling PoolingMode = iota
-	// MeanPooling divides the sum by the bag size.
-	MeanPooling
-	// MaxPooling takes the element-wise maximum.
-	MaxPooling
-)
-
-func (m PoolingMode) String() string {
-	switch m {
-	case SumPooling:
-		return "sum"
-	case MeanPooling:
-		return "mean"
-	case MaxPooling:
-		return "max"
-	default:
-		return fmt.Sprintf("PoolingMode(%d)", int(m))
-	}
-}
-
 // Table is one embedding table: Rows learned vectors of dimension Dim.
 type Table struct {
 	Rows, Dim int
@@ -102,53 +77,23 @@ func NewTable(rows, dim int, rng *sim.RNG) *Table {
 // Bytes returns the table's device-memory footprint.
 func (t *Table) Bytes() int64 { return int64(t.Rows) * int64(t.Dim) * 4 }
 
-// LookupPooled hashes every raw index in bag, gathers the rows and pools
-// them into out (length Dim). An empty bag yields zeros — the NULL case of
-// the paper's Figure 3.
-func (t *Table) LookupPooled(bag []int64, mode PoolingMode, out []float32) {
+// LookupPooled hashes every raw index in bag, gathers the rows and sums them
+// into out (length Dim) — the paper's pooling operation. An empty bag yields
+// zeros — the NULL case of the paper's Figure 3.
+func (t *Table) LookupPooled(bag []int64, out []float32) {
 	if len(out) != t.Dim {
 		panic(fmt.Sprintf("embedding: output length %d != dim %d", len(out), t.Dim))
 	}
 	for i := range out {
 		out[i] = 0
 	}
-	if len(bag) == 0 {
-		return
-	}
 	w := t.Weights.Data()
-	switch mode {
-	case SumPooling, MeanPooling:
-		for _, raw := range bag {
-			row := HashIndex(raw, t.Rows)
-			vec := w[row*t.Dim : (row+1)*t.Dim]
-			for i, v := range vec {
-				out[i] += v
-			}
+	for _, raw := range bag {
+		row := HashIndex(raw, t.Rows)
+		vec := w[row*t.Dim : (row+1)*t.Dim]
+		for i, v := range vec {
+			out[i] += v
 		}
-		if mode == MeanPooling {
-			inv := 1 / float32(len(bag))
-			for i := range out {
-				out[i] *= inv
-			}
-		}
-	case MaxPooling:
-		first := true
-		for _, raw := range bag {
-			row := HashIndex(raw, t.Rows)
-			vec := w[row*t.Dim : (row+1)*t.Dim]
-			if first {
-				copy(out, vec)
-				first = false
-				continue
-			}
-			for i, v := range vec {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("embedding: unknown pooling mode %d", mode))
 	}
 }
 
@@ -158,17 +103,15 @@ type Collection struct {
 	FeatureIDs []int
 	Tables     []*Table
 	Dim        int
-	Mode       PoolingMode
 }
 
 // NewCollection builds a collection with one fresh table of rows rows per
 // feature ID.
-func NewCollection(featureIDs []int, rows, dim int, mode PoolingMode, rng *sim.RNG) *Collection {
+func NewCollection(featureIDs []int, rows, dim int, rng *sim.RNG) *Collection {
 	c := &Collection{
 		FeatureIDs: append([]int(nil), featureIDs...),
 		Tables:     make([]*Table, len(featureIDs)),
 		Dim:        dim,
-		Mode:       mode,
 	}
 	for i := range featureIDs {
 		c.Tables[i] = NewTable(rows, dim, rng)

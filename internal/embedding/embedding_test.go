@@ -116,7 +116,7 @@ func TestLookupPooledSum(t *testing.T) {
 	tbl := NewTable(50, 4, sim.NewRNG(2))
 	bag := []int64{7, 19, 7} // duplicate raw index counts twice
 	out := make([]float32, 4)
-	tbl.LookupPooled(bag, SumPooling, out)
+	tbl.LookupPooled(bag, out)
 	want := make([]float32, 4)
 	for _, raw := range bag {
 		for i, v := range hashedRow(tbl, raw) {
@@ -130,72 +130,25 @@ func TestLookupPooledSum(t *testing.T) {
 	}
 }
 
-func TestLookupPooledMean(t *testing.T) {
-	tbl := NewTable(50, 4, sim.NewRNG(3))
-	bag := []int64{1, 2, 3, 4}
-	sum := make([]float32, 4)
-	tbl.LookupPooled(bag, SumPooling, sum)
-	mean := make([]float32, 4)
-	tbl.LookupPooled(bag, MeanPooling, mean)
-	for i := range sum {
-		if math.Abs(float64(mean[i]-sum[i]/4)) > 1e-6 {
-			t.Fatalf("mean != sum/4 at %d", i)
-		}
-	}
-}
-
-func TestLookupPooledMax(t *testing.T) {
-	tbl := NewTable(50, 4, sim.NewRNG(4))
-	bag := []int64{11, 22}
-	out := make([]float32, 4)
-	tbl.LookupPooled(bag, MaxPooling, out)
-	a, b := hashedRow(tbl, 11), hashedRow(tbl, 22)
-	for i := range out {
-		want := a[i]
-		if b[i] > want {
-			want = b[i]
-		}
-		if out[i] != want {
-			t.Fatalf("max pooling out[%d] = %v, want %v", i, out[i], want)
-		}
-	}
-}
-
 func TestLookupEmptyBagZeros(t *testing.T) {
 	tbl := NewTable(50, 4, sim.NewRNG(5))
 	out := []float32{9, 9, 9, 9}
-	tbl.LookupPooled(nil, SumPooling, out)
+	tbl.LookupPooled(nil, out)
 	for _, v := range out {
 		if v != 0 {
 			t.Fatal("NULL bag must produce zeros")
-		}
-	}
-	tbl.LookupPooled(nil, MaxPooling, out)
-	for _, v := range out {
-		if v != 0 {
-			t.Fatal("NULL bag must produce zeros under max pooling too")
 		}
 	}
 }
 
 func TestLookupValidation(t *testing.T) {
 	tbl := NewTable(50, 4, sim.NewRNG(6))
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("wrong out length did not panic")
-			}
-		}()
-		tbl.LookupPooled([]int64{1}, SumPooling, make([]float32, 3))
+	defer func() {
+		if recover() == nil {
+			t.Error("wrong out length did not panic")
+		}
 	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("unknown mode did not panic")
-			}
-		}()
-		tbl.LookupPooled([]int64{1}, PoolingMode(99), make([]float32, 4))
-	}()
+	tbl.LookupPooled([]int64{1}, make([]float32, 3))
 }
 
 func TestTableWisePlan(t *testing.T) {
@@ -256,21 +209,12 @@ func TestPlanPanics(t *testing.T) {
 	}()
 }
 
-func TestPoolingModeString(t *testing.T) {
-	if SumPooling.String() != "sum" || MeanPooling.String() != "mean" || MaxPooling.String() != "max" {
-		t.Fatal("pooling mode names wrong")
-	}
-	if PoolingMode(42).String() != "PoolingMode(42)" {
-		t.Fatal("unknown mode string wrong")
-	}
-}
-
 func TestNewCollection(t *testing.T) {
 	t.Run("uniform-rows", func(t *testing.T) {
 		ids := []int{4, 9, 2}
-		c := NewCollection(ids, 100, 8, MeanPooling, sim.NewRNG(1))
+		c := NewCollection(ids, 100, 8, sim.NewRNG(1))
 		ids[0] = 99 // the collection keeps its own copy
-		if c.FeatureIDs[0] != 4 || len(c.Tables) != 3 || c.Dim != 8 || c.Mode != MeanPooling {
+		if c.FeatureIDs[0] != 4 || len(c.Tables) != 3 || c.Dim != 8 {
 			t.Fatalf("collection %+v", c)
 		}
 		for i, tbl := range c.Tables {
@@ -285,8 +229,8 @@ func TestNewCollection(t *testing.T) {
 	// Tables draw from one stream in order, so the same seed gives the same
 	// weights and different tables get different ones.
 	t.Run("deterministic-per-seed", func(t *testing.T) {
-		a := NewCollection([]int{0, 1}, 16, 4, SumPooling, sim.NewRNG(7))
-		b := NewCollection([]int{0, 1}, 16, 4, SumPooling, sim.NewRNG(7))
+		a := NewCollection([]int{0, 1}, 16, 4, sim.NewRNG(7))
+		b := NewCollection([]int{0, 1}, 16, 4, sim.NewRNG(7))
 		for i := range a.Tables {
 			wa, wb := a.Tables[i].Weights.Data(), b.Tables[i].Weights.Data()
 			for j := range wa {

@@ -118,34 +118,12 @@ func (rt *Runtime) TotalTrace() *trace.VolumeTrace {
 	return merged
 }
 
-// ConfigureSlots splits every PE's symmetric-heap staging region into n
-// pipeline slots (n >= 2; double buffering is n == 2). Each slot tracks its
-// own outstanding-store horizon, so QuietSlot can retire one slot's stores
-// while a later slot's are still being issued — the completion structure
-// inter-batch software pipelining needs. Call once, before any traffic.
-func (rt *Runtime) ConfigureSlots(n int) {
-	if n < 2 {
-		panic(fmt.Sprintf("pgas: ConfigureSlots(%d): need at least 2 slots (1 is the unsliced heap)", n))
-	}
-	for i := range rt.pes {
-		pe := &rt.pes[i]
-		pe.slotMarks = make([]sim.Time, n)
-		pe.curSlot = 0
-	}
-}
-
 // PE is one processing element (GPU) of the partitioned global address
 // space.
 type PE struct {
 	rt    *Runtime
 	id    int
 	proxy proxy // inter-node forwarding engine
-
-	// slotMarks[k] is slot k's outstanding-store horizon: the latest delivery
-	// time of any store issued while slot k was active. Nil when the heap is
-	// unsliced (no pipelining); see ConfigureSlots.
-	slotMarks []sim.Time
-	curSlot   int
 
 	puts         int64
 	payloadBytes float64
@@ -185,35 +163,6 @@ func (pe *PE) RetriesExhausted() int64 { return pe.exhausted }
 // Counter returns this PE's communication-volume trace.
 func (pe *PE) Counter() *trace.VolumeTrace { return &pe.counter }
 
-// Slots returns the number of staging slots the heap is sliced into (1 when
-// unsliced).
-func (pe *PE) Slots() int {
-	if pe.slotMarks == nil {
-		return 1
-	}
-	return len(pe.slotMarks)
-}
-
-// SetSlot selects the staging slot subsequent stores are issued against.
-// No-op on an unsliced heap.
-func (pe *PE) SetSlot(slot int) {
-	if pe.slotMarks == nil {
-		return
-	}
-	if slot < 0 || slot >= len(pe.slotMarks) {
-		panic(fmt.Sprintf("pgas: SetSlot(%d) out of range (%d slots)", slot, len(pe.slotMarks)))
-	}
-	pe.curSlot = slot
-}
-
-// markDelivery folds a store's delivery time into the active slot's horizon.
-func (pe *PE) markDelivery(at sim.Time) sim.Time {
-	if pe.slotMarks != nil && at > pe.slotMarks[pe.curSlot] {
-		pe.slotMarks[pe.curSlot] = at
-	}
-	return at
-}
-
 // PutBytes issues a one-sided store of payload bytes to target and returns
 // its simulated delivery time. Local "stores" (target == pe) are plain
 // writes that never touch the fabric; the caller's kernel cost model already
@@ -251,7 +200,7 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 		for i := 0; i < count; i++ {
 			last = pe.proxy.stage(dn, vecBytes)
 		}
-		return pe.markDelivery(last)
+		return last
 	}
 	wire := float64(float64(count) * pe.rt.fabric.WireBytes(vecBytes))
 	pipe := pe.rt.fabric.Pipe(pe.id, target.id)
@@ -262,7 +211,7 @@ func (pe *PE) PutVectors(target *PE, count, vecBytes int) sim.Time {
 	pe.payloadBytes += payload
 	pe.wireBytes += wire
 	pe.counter.Add(issued, delivered, payload)
-	return pe.markDelivery(delivered)
+	return delivered
 }
 
 // remoteNode returns the destination node index when target lives on a
@@ -279,7 +228,7 @@ func (pe *PE) accountPut(target *PE, payload int) sim.Time {
 	if dn := pe.remoteNode(target); dn >= 0 {
 		pe.puts++
 		pe.payloadBytes += float64(payload)
-		return pe.markDelivery(pe.proxy.stage(dn, payload))
+		return pe.proxy.stage(dn, payload)
 	}
 	wire := pe.rt.fabric.WireBytes(payload)
 	pipe := pe.rt.fabric.Pipe(pe.id, target.id)
@@ -289,7 +238,7 @@ func (pe *PE) accountPut(target *PE, payload int) sim.Time {
 	pe.payloadBytes += float64(payload)
 	pe.wireBytes += wire
 	pe.counter.Add(issued, delivered, float64(payload))
-	return pe.markDelivery(delivered)
+	return delivered
 }
 
 // Quiet blocks the calling process until every store this PE has issued so
@@ -310,27 +259,4 @@ func (pe *PE) Quiet(p *sim.Proc) {
 		}
 	}
 	p.WaitUntil(worst)
-}
-
-// QuietSlot blocks the calling process until every store issued against the
-// given staging slot has drained, then retires the slot for reuse. Unlike
-// Quiet — which waits on the whole outgoing-pipe horizon — QuietSlot only
-// needs the slot's own store horizon (plus the proxy's coalescing flush),
-// which is what lets a pipelined schedule quiesce slot k while slot k+1's
-// stores are still in flight. On an unsliced heap it degrades to Quiet.
-func (pe *PE) QuietSlot(p *sim.Proc, slot int) {
-	if pe.slotMarks == nil {
-		pe.Quiet(p)
-		return
-	}
-	if slot < 0 || slot >= len(pe.slotMarks) {
-		panic(fmt.Sprintf("pgas: QuietSlot(%d) out of range (%d slots)", slot, len(pe.slotMarks)))
-	}
-	worst := pe.slotMarks[slot]
-	pe.proxy.drain()
-	if pe.proxy.lastDelivery > worst {
-		worst = pe.proxy.lastDelivery
-	}
-	p.WaitUntil(worst)
-	pe.slotMarks[slot] = 0 // slot retired: its staging half is reusable
 }

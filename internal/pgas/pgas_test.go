@@ -260,3 +260,43 @@ func TestPutVectorsChargesEncodedBytes(t *testing.T) {
 		}
 	}
 }
+
+// Quiet is the one completion point of a PE's stores: it returns exactly at
+// the later of its own outgoing pipes' drain horizon (BusyUntil, not the
+// last byte's delivery one link latency later) and its proxy's last NIC
+// delivery, whichever of the two dominates, and ignores other PEs' traffic.
+func TestQuietReturnsAtItsOwnHorizon(t *testing.T) {
+	for _, c := range []struct {
+		name                  string
+		nvlinkBytes, nicBytes int
+	}{
+		{"nvlink-dominates", 50_000_000, 256},
+		{"proxy-dominates", 256, 50_000_000},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			env := sim.NewEnv()
+			rt, _ := newClusterRuntime(env, 2, 2, ProxyConfig{StagingBytes: 64 << 10, DrainInterval: 0})
+			pe := rt.PE(0) // PE 1 shares its node, PEs 2 and 3 sit on the other
+			env.Go("pe0", func(p *sim.Proc) {
+				delivered := pe.PutBytes(rt.PE(1), c.nvlinkBytes)
+				pe.PutBytes(rt.PE(2), c.nicBytes)
+				rt.PE(1).PutBytes(rt.PE(0), 500_000_000) // another PE's 10 ms store
+				pe.Quiet(p)
+				pipe := rt.Fabric().Pipe(0, 1).BusyUntil()
+				want := max(pipe, pe.proxy.lastDelivery)
+				if p.Now() != want {
+					t.Errorf("Quiet returned at %v, want %v (pipe drained %v, proxy delivered %v)",
+						p.Now(), want, pipe, pe.proxy.lastDelivery)
+				}
+				if c.nvlinkBytes > c.nicBytes && (p.Now() != pipe || p.Now() >= delivered) {
+					t.Errorf("Quiet returned at %v, want the pipe's drain %v, before delivery at %v", p.Now(), pipe, delivered)
+				}
+				if c.nicBytes > c.nvlinkBytes && (p.Now() != pe.proxy.lastDelivery || p.Now() <= pipe) {
+					t.Errorf("Quiet returned at %v, want the proxy's delivery %v, after the pipe's drain %v",
+						p.Now(), pe.proxy.lastDelivery, pipe)
+				}
+			})
+			env.Run()
+		})
+	}
+}

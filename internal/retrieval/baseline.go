@@ -152,7 +152,7 @@ func (b *Baseline) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *tr
 func (s *System) exchangeSegments(p *sim.Proc, g int, bd *BatchData) {
 	cfg := s.Cfg
 	plan := bd.Plan
-	sc := s.scratchFor(g, bd)
+	sc := &s.scratch[g]
 	sendBytes := scratchSlice(&sc.sendBytes, cfg.GPUs)
 	recvBytes := scratchSlice(&sc.recvBytes, cfg.GPUs)
 	wvb := float64(cfg.WireVectorBytes())
@@ -186,7 +186,7 @@ func Reference(s *System, batch *sparse.Batch) ([]*tensor.Tensor, error) {
 			tbl := coll.Tables[fi]
 			for smp := 0; smp < cfg.BatchSize; smp++ {
 				off := (smp*cfg.TotalTables + fid) * cfg.Dim
-				tbl.LookupPooled(fb.Bag(smp), coll.Mode, data[off:off+cfg.Dim])
+				tbl.LookupPooled(fb.Bag(smp), data[off:off+cfg.Dim])
 			}
 		}
 	}

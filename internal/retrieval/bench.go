@@ -14,32 +14,25 @@ import (
 // so what the loop exercises is exactly the steady-state RunBatch path — the
 // code the per-run arenas keep allocation-free.
 //
-// The loop draws one batch per pipeline slot and cycles them round-robin
-// through the run's batch driver: barrier-synchronised at depth 1, and at
-// Config.PipelineDepth > 1 the window-pipelined schedule, the same per-slot
-// hot path the pipelined DLRM scheduler runs. The batches' input and
-// classification state is reused read-only by every iteration; output buffers
-// are rewritten in place, which every backend tolerates (they overwrite).
+// The loop draws one batch and runs it n times through the run's lockstep
+// batch driver. The batch's input and classification state is reused
+// read-only by every iteration; output buffers are rewritten in place, which
+// every backend tolerates (they overwrite).
 // Each iteration starts by emptying the communication-volume traces, which
 // only a Run's Result reads.
 func BenchLoop(s *System, b Backend, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("retrieval: BenchLoop needs a positive batch count, got %d", n)
 	}
-	depth := s.PipelineDepth()
-	bds := make([]*BatchData, depth)
-	for i := range bds {
-		bd, err := s.NextBatchData()
-		if err != nil {
-			return err
-		}
-		bds[i] = bd
+	bd, err := s.NextBatchData()
+	if err != nil {
+		return err
 	}
 	bks := make([]*trace.Breakdown, s.Cfg.GPUs)
 	for g := range bks {
 		bks[g] = &trace.Breakdown{}
 	}
-	err := s.fly(&Flight{ctx: context.Background(), n: n, fixed: bds}, depth, func(p *sim.Proc, g, _ int, bd *BatchData) {
+	err = s.fly(&Flight{ctx: context.Background(), n: n, fixed: bd}, func(p *sim.Proc, g, _ int, bd *BatchData) {
 		s.dropVolumeRecords(g)
 		b.RunBatch(s, p, g, bd, bks[g])
 	})

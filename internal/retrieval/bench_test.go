@@ -114,15 +114,6 @@ func BenchmarkPGASFusedBatchDedup(b *testing.B) {
 	benchRun(b, cfg, &PGASFused{})
 }
 
-// BenchmarkPGASFusedBatchPipelined drives the window-pipelined (depth 2)
-// schedule: per-slot arenas, the sliding-window rendezvous and QuietSlot are
-// all on the measured loop.
-func BenchmarkPGASFusedBatchPipelined(b *testing.B) {
-	cfg := benchConfig()
-	cfg.PipelineDepth = 2
-	benchRun(b, cfg, &PGASFused{})
-}
-
 // Reduced-wire-precision variants: the codec's per-transfer accounting (vector
 // counts, encode/decode kernel charges) must ride the same warm arenas.
 func BenchmarkPGASFusedBatchFP16(b *testing.B) {
@@ -302,7 +293,7 @@ func BenchmarkNextBatchData(b *testing.B) {
 
 // steadyStateMallocs returns the heap allocations BenchLoop makes for k
 // batches beyond its warm-up: the difference between twin systems driven for
-// warm+k and warm batches, where warm is one batch per pipeline slot. Input
+// warm+k and warm batches, where warm is one batch. Input
 // generation, plan compilation and arena warm-up are identical in both runs
 // and cancel, so any remainder is a real per-batch allocation. The runtime's
 // own per-P caches (channel waiters, goroutines) refill unpredictably when
@@ -311,7 +302,7 @@ func BenchmarkNextBatchData(b *testing.B) {
 func steadyStateMallocs(t *testing.T, cfg Config, hw HardwareParams, b Backend, k int) int64 {
 	t.Helper()
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	warm := cfg.PipelineSlots()
+	const warm = 1
 	run := func(n int) int64 {
 		best := int64(-1)
 		for rep := 0; rep < 3; rep++ {
@@ -364,8 +355,8 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 		// shard, in both served-pair walks.
 		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, &PGASFused{}, false},
 		{"baseline-replicas2-cached", false, true, 2, 1, FP32, &Baseline{}, false},
-		// Depth-2 pipelined variants: the per-slot arenas, window rendezvous
-		// and QuietSlot path must hold the same zero-alloc contract.
+		// Depth-2 variants: the exchange runs in lockstep at any depth, so a
+		// deeper pipeline must hold the same zero-alloc contract.
 		{"pgas-fused-depth2", false, false, 0, 2, FP32, &PGASFused{}, false},
 		{"pgas-fused-dedup-depth2", true, false, 0, 2, FP32, &PGASFused{}, false},
 		{"baseline-depth2", false, false, 0, 2, FP32, &Baseline{}, false},

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"pgasemb/internal/cache"
-	"pgasemb/internal/embedding"
 )
 
 // Hot-row cache integration. Each GPU g may hold a software-managed cache of
@@ -58,49 +57,19 @@ type CacheView struct {
 }
 
 // poolFromCache reproduces embedding.Table.LookupPooled bit-exactly from
-// cached rows: same accumulation order (bag order), same mean scaling, same
-// max copy-then-compare. rows holds the bag's hashed row indices, which the
-// classifier has just verified resident.
-func poolFromCache(c *cache.Cache, fid int32, rows []int32, mode embedding.PoolingMode, out []float32) {
+// cached rows: the same sum in the same (bag) order. rows holds the bag's
+// hashed row indices, which the classifier has just verified resident.
+func poolFromCache(c *cache.Cache, fid int32, rows []int32, out []float32) {
 	for i := range out {
 		out[i] = 0
 	}
-	switch mode {
-	case embedding.SumPooling, embedding.MeanPooling:
-		for _, row := range rows {
-			vec := c.Row(cache.Key{Feature: fid, Row: row})
-			if vec == nil {
-				panic(fmt.Sprintf("retrieval: hit-classified row %d of table %d not resident", row, fid))
-			}
-			for i, v := range vec {
-				out[i] += v
-			}
+	for _, row := range rows {
+		vec := c.Row(cache.Key{Feature: fid, Row: row})
+		if vec == nil {
+			panic(fmt.Sprintf("retrieval: hit-classified row %d of table %d not resident", row, fid))
 		}
-		if mode == embedding.MeanPooling {
-			inv := 1 / float32(len(rows))
-			for i := range out {
-				out[i] *= inv
-			}
+		for i, v := range vec {
+			out[i] += v
 		}
-	case embedding.MaxPooling:
-		first := true
-		for _, row := range rows {
-			vec := c.Row(cache.Key{Feature: fid, Row: row})
-			if vec == nil {
-				panic(fmt.Sprintf("retrieval: hit-classified row %d of table %d not resident", row, fid))
-			}
-			if first {
-				copy(out, vec)
-				first = false
-				continue
-			}
-			for i, v := range vec {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	default:
-		panic(fmt.Sprintf("retrieval: unknown pooling mode %d", mode))
 	}
 }

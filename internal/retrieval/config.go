@@ -24,7 +24,6 @@ package retrieval
 import (
 	"fmt"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/gpu"
 	"pgasemb/internal/workload"
 )
@@ -101,8 +100,6 @@ type Config struct {
 	// GreedyPlan balances table placement by expected pooling load instead
 	// of assigning contiguous blocks — the planner a skewed workload needs.
 	GreedyPlan bool
-	// Pooling selects the pooling operation (functional mode).
-	Pooling embedding.PoolingMode
 	// NullProbability, Distribution, ZipfExponent pass through to the
 	// workload generator.
 	NullProbability float64
@@ -133,9 +130,9 @@ type Config struct {
 	// batches the run moves tables and mirrors hot ones when the layout's
 	// priced batch pays for its migration within the epoch, charges the
 	// migration as real NVLink/NIC traffic on the simulated clock, and
-	// swaps the effective plan at the batch boundary. Outputs are
-	// bit-exact with rebalancing on or off. Forces pipeline depth 1 (a
-	// plan swap is defined against a lockstep batch sequence).
+	// swaps the effective plan at the batch boundary, which no exchange
+	// crosses at any PipelineDepth. Outputs are bit-exact with rebalancing
+	// on or off.
 	AdaptivePlacement bool
 	// RebalanceEvery is the adaptive-placement epoch length in batches.
 	// Required (positive) when AdaptivePlacement is set.
@@ -153,14 +150,11 @@ type Config struct {
 	// batches (see workload.Config.HotSetDriftEvery). The shifting-traffic
 	// regime adaptive placement is built to chase. Zipf distribution only.
 	HotSetDriftEvery int
-	// PipelineDepth enables inter-batch software pipelining: scratch arenas,
-	// route plans and the PGAS staging region are replicated across this many
-	// slots, and the global inter-batch barrier relaxes to a sliding-window
-	// rendezvous so batch N+1's embedding exchange can start while batch N's
-	// dense compute (or a slower GPU's batch N) is still in flight. 0 and 1
-	// both mean today's serial behavior; 2 is double buffering. Runs with a
-	// fault schedule force depth 1 (fault windows are defined against a
-	// lockstep batch sequence).
+	// PipelineDepth enables inter-batch software pipelining: how many
+	// batches' dense tails (the DLRM pipeline) or dispatches (serve) may
+	// overlap the next batch's embedding exchange. Exchanges themselves
+	// always run in lockstep, one batch at a time, so an EMB-only System.Run
+	// ignores it. 0 and 1 both mean no overlap; 2 is double buffering.
 	PipelineDepth int
 	// WirePrecision compresses embedding rows for transport: owners encode
 	// rows to fp16 or per-row-scaled int8 before they cross NVLink or the
@@ -171,15 +165,6 @@ type Config struct {
 	// codec, so bit-exactness still holds). The backward gradient path stays
 	// fp32.
 	WirePrecision Precision
-}
-
-// PipelineSlots returns the normalized pipeline depth (>= 1): the number of
-// per-GPU resource slots batches rotate through.
-func (c Config) PipelineSlots() int {
-	if c.PipelineDepth <= 1 {
-		return 1
-	}
-	return c.PipelineDepth
 }
 
 // Validate reports configuration errors.

@@ -75,7 +75,7 @@ func TestGatherDedupDecisionMatchesWalk(t *testing.T) {
 					t.Fatal(err)
 				}
 				bk := &trace.Breakdown{}
-				_, err = s.Drive(context.Background(), 1, func(p *sim.Proc, g, _ int, bd *BatchData) {
+				_, err = s.Drive(context.Background(), func(p *sim.Proc, g, _ int, bd *BatchData) {
 					plan := bd.Plan
 					class := plan.Class
 					if collective {

@@ -1,7 +1,6 @@
 package retrieval
 
 import (
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/sparse"
 )
 
@@ -107,8 +106,7 @@ func firstSeenIn(newAt []int32, lo, s0, s1 int) int {
 // dense path (owner-side LookupPooled + ship) would have written: it steps
 // through the bags table-major, as the expansion maps do, and pools each in
 // the same accumulation order (bag order, via the inverse-expansion
-// positions), with the same
-// mean scaling, same max copy-then-compare. expand is the inverse-expansion
+// positions). expand is the inverse-expansion
 // map addressing rows — dv.Expand[src][g] for pair-level wire dedup,
 // dv.NodeExpand[src][g] for node-level (where rows is the node staging
 // buffer) — and part is src's partition of the batch, whose bag lengths
@@ -126,7 +124,7 @@ func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, pa
 			}
 			bagLen := part.Features[fi].PoolingFactor(smp)
 			out := dst[((smp-lo)*cfg.TotalTables+fid)*cfg.Dim:][:cfg.Dim]
-			poolFromRows(rows, expand[e:e+bagLen], cfg.Dim, cfg.Pooling, out)
+			poolFromRows(rows, expand[e:e+bagLen], cfg.Dim, out)
 			e += bagLen
 		}
 	}
@@ -135,43 +133,14 @@ func (s *System) functionalExpand(g, src int, rows []float32, expand []int32, pa
 // poolFromRows pools one bag from staged unique rows: positions index into
 // rows (dim floats each), in bag order. Mirrors embedding.Table.LookupPooled
 // exactly (see poolFromCache).
-func poolFromRows(rows []float32, pos []int32, dim int, mode embedding.PoolingMode, out []float32) {
+func poolFromRows(rows []float32, pos []int32, dim int, out []float32) {
 	for i := range out {
 		out[i] = 0
 	}
-	if len(pos) == 0 {
-		return
-	}
-	switch mode {
-	case embedding.SumPooling, embedding.MeanPooling:
-		for _, p := range pos {
-			vec := rows[int(p)*dim:][:dim]
-			for i, v := range vec {
-				out[i] += v
-			}
+	for _, p := range pos {
+		vec := rows[int(p)*dim:][:dim]
+		for i, v := range vec {
+			out[i] += v
 		}
-		if mode == embedding.MeanPooling {
-			inv := 1 / float32(len(pos))
-			for i := range out {
-				out[i] *= inv
-			}
-		}
-	case embedding.MaxPooling:
-		first := true
-		for _, p := range pos {
-			vec := rows[int(p)*dim:][:dim]
-			if first {
-				copy(out, vec)
-				first = false
-				continue
-			}
-			for i, v := range vec {
-				if v > out[i] {
-					out[i] = v
-				}
-			}
-		}
-	default:
-		panic("retrieval: unknown pooling mode")
 	}
 }

@@ -25,66 +25,63 @@ func dedupTestConfig(gpus int) Config {
 // The headline acceptance test: with dedup enabled, every table-wise
 // backend's gathered embeddings are bit-identical to the non-dedup run and
 // to the serial reference — expansion from unique rows must reproduce dense
-// pooling exactly, in every pooling mode — and the baseline and pgas-fused
-// report the same dedup counters on the same configuration.
+// pooling exactly — and the baseline and pgas-fused report the same dedup
+// counters on the same configuration.
 func TestDedupRetrievalBitExact(t *testing.T) {
 	for _, gpus := range []int{2, 3} {
-		for _, mode := range []embedding.PoolingMode{embedding.SumPooling, embedding.MeanPooling, embedding.MaxPooling} {
-			counters := map[string]metrics.DedupCounters{}
-			for _, mkBackend := range []func() Backend{
-				func() Backend { return &Baseline{} },
-				func() Backend { return &PGASFused{} },
-				func() Backend { return &PGASFused{StageRemote: true} },
-				func() Backend { return &Baseline{DirectPlacement: true} },
-			} {
-				deduped := dedupTestConfig(gpus)
-				deduped.Pooling = mode
-				hw := DefaultHardware()
+		counters := map[string]metrics.DedupCounters{}
+		for _, mkBackend := range []func() Backend{
+			func() Backend { return &Baseline{} },
+			func() Backend { return &PGASFused{} },
+			func() Backend { return &PGASFused{StageRemote: true} },
+			func() Backend { return &Baseline{DirectPlacement: true} },
+		} {
+			deduped := dedupTestConfig(gpus)
+			hw := DefaultHardware()
 
-				dedupSys, err := NewSystem(deduped, hw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				dedupRes, err := dedupSys.Run(mkBackend())
-				if err != nil {
-					t.Fatal(err)
-				}
+			dedupSys, err := NewSystem(deduped, hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dedupRes, err := dedupSys.Run(mkBackend())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				plain := deduped
-				plain.Dedup = false
-				plainSys, err := NewSystem(plain, hw)
-				if err != nil {
-					t.Fatal(err)
-				}
-				plainRes, err := plainSys.Run(mkBackend())
-				if err != nil {
-					t.Fatal(err)
-				}
+			plain := deduped
+			plain.Dedup = false
+			plainSys, err := NewSystem(plain, hw)
+			if err != nil {
+				t.Fatal(err)
+			}
+			plainRes, err := plainSys.Run(mkBackend())
+			if err != nil {
+				t.Fatal(err)
+			}
 
-				name := dedupRes.Backend
-				stats := dedupRes.DedupStats
-				counters[name] = stats
-				if stats.UniqueRows == 0 || stats.UniqueRows >= stats.EligibleIdx {
-					t.Fatalf("%s@%dgpu mode=%v: dedup saw no duplicates (unique %d of %d); test exercises nothing",
-						name, gpus, mode, stats.UniqueRows, stats.EligibleIdx)
-				}
+			name := dedupRes.Backend
+			stats := dedupRes.DedupStats
+			counters[name] = stats
+			if stats.UniqueRows == 0 || stats.UniqueRows >= stats.EligibleIdx {
+				t.Fatalf("%s@%dgpu: dedup saw no duplicates (unique %d of %d); test exercises nothing",
+					name, gpus, stats.UniqueRows, stats.EligibleIdx)
+			}
 
-				ref, err := Reference(dedupSys, dedupRes.LastBatch)
-				if err != nil {
-					t.Fatal(err)
+			ref, err := Reference(dedupSys, dedupRes.LastBatch)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := 0; g < gpus; g++ {
+				if !tensor.Equal(dedupRes.Final[g], plainRes.Final[g]) {
+					t.Fatalf("%s@%dgpu: GPU %d deduped output differs from dense", name, gpus, g)
 				}
-				for g := 0; g < gpus; g++ {
-					if !tensor.Equal(dedupRes.Final[g], plainRes.Final[g]) {
-						t.Fatalf("%s@%dgpu mode=%v: GPU %d deduped output differs from dense", name, gpus, mode, g)
-					}
-					if !tensor.Equal(dedupRes.Final[g], ref[g]) {
-						t.Fatalf("%s@%dgpu mode=%v: GPU %d deduped output differs from reference", name, gpus, mode, g)
-					}
+				if !tensor.Equal(dedupRes.Final[g], ref[g]) {
+					t.Fatalf("%s@%dgpu: GPU %d deduped output differs from reference", name, gpus, g)
 				}
 			}
-			if base, pgas := counters["baseline"], counters["pgas-fused"]; base != pgas {
-				t.Errorf("%dgpu mode=%v: backend dedup counters disagree: baseline %+v, pgas-fused %+v", gpus, mode, base, pgas)
-			}
+		}
+		if base, pgas := counters["baseline"], counters["pgas-fused"]; base != pgas {
+			t.Errorf("%dgpu: backend dedup counters disagree: baseline %+v, pgas-fused %+v", gpus, base, pgas)
 		}
 	}
 }

@@ -15,28 +15,23 @@ type BatchBody func(p *sim.Proc, g, i int, bd *BatchData)
 // process per GPU — the one batch loop behind Run and the DLRM pipeline — and
 // runs the machine's clock until they are done.
 //
-// GPUs meet at a sliding-window rendezvous of the given depth (sim.Window):
-// depth 1 is the lockstep barrier, depth d lets a GPU run up to d-1 batches
-// ahead of the slowest one. Batch i is drawn (NextBatchData) exactly once, in
-// batch order, when the first GPU enters it, so at most depth batches are
-// ever live. Depth runs from 1 to PipelineDepth: batches rotate through
-// PipelineDepth resource slots, and a run with adaptive placement or a fault
-// schedule has depth 1, so every GPU has finished the batches before a
-// rebalance epoch when the plan swaps. A batch that opens an epoch is drawn
-// only after the controller has rebalanced, so every route plan is compiled
-// against the placement that runs it, and no GPU starts the batch before the
-// migration traffic has landed. Drive returns the last batch once every GPU
-// has finished it, or ctx.Err() if ctx ends first, or an error naming the GPU
-// whose body panicked.
-func (s *System) Drive(ctx context.Context, depth int, body BatchBody) (*BatchData, error) {
-	if err := s.checkDepth(depth); err != nil {
-		return nil, err
-	}
+// Every batch runs in lockstep: the GPUs meet at a barrier after each batch's
+// body. The first GPU to start draws batch 0 (NextBatchData) and the last to
+// reach each barrier draws the next, so exactly one batch is live at a time
+// and each is drawn once, in batch order. A body may leave work queued on a
+// device past its return (the DLRM pipeline's dense tail); the exchange
+// itself never crosses the barrier. A batch that opens an adaptive-placement
+// epoch is drawn only after the controller has rebalanced, so every route
+// plan is compiled against the placement that runs it, and no GPU starts the
+// batch before the migration traffic has landed. Drive returns the last batch
+// once every GPU has finished it, or ctx.Err() if ctx ends first, or an error
+// naming the GPU whose body panicked.
+func (s *System) Drive(ctx context.Context, body BatchBody) (*BatchData, error) {
 	f := &Flight{ctx: ctx, n: s.Cfg.Batches}
-	if err := s.fly(f, depth, body); err != nil {
+	if err := s.fly(f, body); err != nil {
 		return nil, err
 	}
-	return f.live[(f.n-1)%depth], nil
+	return f.live, nil
 }
 
 // Start is Drive on a clock that is already running: it begins the run's
@@ -46,23 +41,13 @@ func (s *System) Drive(ctx context.Context, depth int, body BatchBody) (*BatchDa
 // runtimes with whatever work that flight has left; body fires this flight's
 // handover once its exchanges are done. Done fires when every GPU has
 // finished the last batch, or when one fails (Flight.Err).
-func (s *System) Start(ctx context.Context, depth int, seed uint64, handover *sim.Signal, body BatchBody) (*Flight, error) {
-	if err := s.checkDepth(depth); err != nil {
-		return nil, err
-	}
+func (s *System) Start(ctx context.Context, seed uint64, handover *sim.Signal, body BatchBody) *Flight {
 	s.gen.Reseed(seed)
 	s.Cfg.Seed = seed
 	f := &Flight{Done: sim.NewSignal(s.Env), ctx: ctx, n: s.Cfg.Batches, after: s.handover}
 	s.handover = handover
-	s.launch(f, depth, body)
-	return f, nil
-}
-
-func (s *System) checkDepth(depth int) error {
-	if depth < 1 || depth > s.PipelineDepth() {
-		return fmt.Errorf("retrieval: drive depth %d outside 1..%d", depth, s.PipelineDepth())
-	}
-	return nil
+	s.launch(f, body)
+	return f
 }
 
 // Flight is one Drive or Start: its batch source and the state its GPUs
@@ -74,17 +59,17 @@ type Flight struct {
 
 	ctx context.Context
 	n   int // batches to run
-	// fixed, when non-nil, is cycled as the run's batches instead of
-	// drawing fresh ones.
-	fixed []*BatchData
+	// fixed, when non-nil, is run as every batch instead of drawing fresh
+	// ones.
+	fixed *BatchData
 	// after is the previous flight's handover (nil if none).
 	after *sim.Signal
 
-	base  int          // the machine's index of the flight's first batch
-	live  []*BatchData // batch i sits in live[i%depth]
-	drawn int          // batches pulled so far
-	ready sim.Time     // the last rebalance's migration end
-	err   error        // the first pull error or panic
+	base  int        // the machine's index of the flight's first batch
+	live  *BatchData // the batch in flight
+	drawn int        // batches pulled so far
+	ready sim.Time   // the last rebalance's migration end
+	err   error      // the first pull error or panic
 }
 
 // Err returns the error that ended the flight early, if any.
@@ -106,7 +91,7 @@ func (f *Flight) fail(err error) {
 // traffic. The first pull numbers the flight's batches on the machine.
 func (f *Flight) pull(s *System, i int) error {
 	if f.fixed != nil {
-		f.live[i%len(f.live)] = f.fixed[i%len(f.fixed)]
+		f.live = f.fixed
 		return nil
 	}
 	if err := f.ctx.Err(); err != nil {
@@ -129,27 +114,25 @@ func (f *Flight) pull(s *System, i int) error {
 	if err != nil {
 		return err
 	}
-	f.live[i%len(f.live)] = bd
+	f.live = bd
 	return nil
 }
 
 // fly runs f's batches through body and the clock until it drains.
-func (s *System) fly(f *Flight, depth int, body BatchBody) error {
-	s.launch(f, depth, body)
+func (s *System) fly(f *Flight, body BatchBody) error {
+	s.launch(f, body)
 	if _, err := s.Env.RunContext(f.ctx); err != nil {
 		return err
 	}
 	return f.err
 }
 
-// launch starts f's batches on one simulated process per GPU at the given
-// rendezvous depth. The first GPU to enter batch i pulls it; after the
-// rendezvous each GPU waits out any migration, applies the batch's fault
-// factors and runs body. After the last batch every GPU meets once more, so
-// Done fires at the makespan.
-func (s *System) launch(f *Flight, depth int, body BatchBody) {
-	f.live = make([]*BatchData, depth)
-	win := sim.NewWindow(s.Env, s.Cfg.GPUs, depth)
+// launch starts f's batches on one simulated process per GPU. The first GPU
+// to reach batch i pulls it; each GPU then waits out any migration, applies
+// the batch's fault factors, runs body and meets the others at the batch
+// barrier, so Done fires at the makespan.
+func (s *System) launch(f *Flight, body BatchBody) {
+	bar := sim.NewBarrier(s.Env, s.Cfg.GPUs)
 	for g := 0; g < s.Cfg.GPUs; g++ {
 		g := g
 		// Named without fmt: its printer pool drops entries at random under
@@ -164,7 +147,6 @@ func (s *System) launch(f *Flight, depth int, body BatchBody) {
 				p.WaitSignal(f.after)
 			}
 			for i := 0; i < f.n; i++ {
-				win.Enter(p, i)
 				if i == f.drawn {
 					f.drawn++
 					if err := f.pull(s, i); err != nil {
@@ -176,12 +158,9 @@ func (s *System) launch(f *Flight, depth int, body BatchBody) {
 				}
 				p.WaitUntil(f.ready)
 				s.ApplyFaults(f.base + i)
-				body(p, g, i, f.live[i%depth])
-				win.Retire(g)
+				body(p, g, i, f.live)
+				bar.Await(p)
 			}
-			// The makespan rendezvous: round n+depth-1 opens once every GPU
-			// has retired the last batch, releasing them as a barrier would.
-			win.Enter(p, f.n+depth-1)
 			if f.Done != nil && !f.Done.Fired() {
 				f.Done.Fire()
 			}

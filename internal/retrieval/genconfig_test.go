@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
 	"pgasemb/internal/trace"
@@ -41,9 +40,6 @@ func (c genCase) label() string {
 	}
 	if cfg.NullProbability > 0 {
 		parts = append(parts, fmt.Sprintf("nulls%g", cfg.NullProbability))
-	}
-	if cfg.Pooling == embedding.MeanPooling {
-		parts = append(parts, "mean")
 	}
 	if cfg.Dedup {
 		parts = append(parts, "dedup")
@@ -169,9 +165,6 @@ func generateConfig(c choices) genCase {
 		WirePrecision:   []Precision{FP32, FP16, Int8}[c.IntN("wire", 3)],
 		PipelineDepth:   1 + c.IntN("depth", 3),
 	}
-	if on(c, "mean", 2) {
-		cfg.Pooling = embedding.MeanPooling
-	}
 	if on(c, "zipf", 2) {
 		cfg.Distribution = workload.Zipf
 		cfg.ZipfExponent = []float64{0.9, 1.05, 1.2}[c.IntN("zipf-exponent", 3)]
@@ -267,25 +260,17 @@ func checkCase(t *testing.T, c genCase, name string) {
 }
 
 // checkGenerated runs an accepted configuration functionally and timing-only,
-// serially and pipelined (at the configuration's depth, or 2 when it asks for
-// none), and checks the registry gate's invariants on every run.
+// serially and at the configuration's pipeline depth (or 2 when it asks for
+// none), and checks the registry gate's invariants on every run. An EMB-only
+// run ignores the depth, so the deeper runs' outputs, totals and per-GPU
+// breakdowns must equal the depth-1 runs' exactly.
 func checkGenerated(t *testing.T, c genCase, name string) {
 	depth := max(c.cfg.PipelineDepth, 2)
-	var serial *Result
+	var fSerial, tSerial *Result
 	for _, d := range []int{1, depth} {
 		fRes, err := genRun(t, c, name, true, d)
 		if err != nil {
 			t.Fatalf("depth %d: accepted config failed: %v", d, err)
-		}
-		if d == 1 {
-			serial = fRes
-		} else {
-			for g := range fRes.Final {
-				if !tensor.Equal(fRes.Final[g], serial.Final[g]) {
-					t.Fatalf("depth %d: GPU %d differs from the depth-1 run (max diff %g)",
-						d, g, tensor.MaxAbsDiff(fRes.Final[g], serial.Final[g]))
-				}
-			}
 		}
 		tRes, err := genRun(t, c, name, false, d)
 		if err != nil {
@@ -294,6 +279,18 @@ func checkGenerated(t *testing.T, c genCase, name string) {
 		if fRes.TotalTime != tRes.TotalTime {
 			t.Errorf("depth %d: functional total %g != timing total %g", d, fRes.TotalTime, tRes.TotalTime)
 		}
+		if d == 1 {
+			fSerial, tSerial = fRes, tRes
+			continue
+		}
+		for g := range fRes.Final {
+			if !tensor.Equal(fRes.Final[g], fSerial.Final[g]) {
+				t.Fatalf("depth %d: GPU %d differs from the depth-1 run (max diff %g)",
+					d, g, tensor.MaxAbsDiff(fRes.Final[g], fSerial.Final[g]))
+			}
+		}
+		sameTimes(t, fRes, fSerial)
+		sameTimes(t, tRes, tSerial)
 	}
 }
 

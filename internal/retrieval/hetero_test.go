@@ -4,7 +4,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/tensor"
 )
@@ -73,7 +72,6 @@ func TestBackendsAgreeOnRandomConfigsProperty(t *testing.T) {
 			ChunksPerKernel: rng.IntRange(1, 6),
 			Functional:      true,
 			NullProbability: rng.Float64() * 0.3,
-			Pooling:         embedding.PoolingMode(rng.Intn(2)), // sum or mean
 		}
 		if cfg.Validate() != nil {
 			return true // skip invalid combos

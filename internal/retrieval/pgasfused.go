@@ -54,7 +54,6 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	dev := s.Devs[g]
 	stream := dev.Stream("emb-fused")
 	pe := s.PGAS.PE(g)
-	pe.SetSlot(bd.Slot)
 
 	var agg *pgas.Aggregator
 	if b.Aggregate != nil {
@@ -133,7 +132,7 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	if agg != nil {
 		agg.FlushAll()
 	}
-	pe.QuietSlot(p, bd.Slot)
+	pe.Quiet(p)
 	bk.Accumulate(CompFused, p.Now()-batchStart)
 
 	if bd.dedupBarrier != nil {

@@ -81,22 +81,18 @@ func (s *System) observeTable(st *placement.Stats, fb *sparse.FeatureBag) {
 
 // accumOwnerLoad charges one batch's embedding service work to the GPU that
 // performs it: for every (owner, consumer) pair, the serving GPU (the owner,
-// or its replica under Config.Replicas) pays the pooled-index gathers and the
-// vector bytes it reads out of HBM; vectors the consumer resolves locally —
-// cache hits and hot-mirror reads — are charged to the consumer instead,
-// which is exactly the load-spreading effect mirroring buys.
+// or its replica under Config.Replicas) pays the pooled-index gathers it
+// reads out of HBM; keys the consumer resolves locally — cache hits and
+// hot-mirror reads — are charged to the consumer instead, which is exactly
+// the load-spreading effect mirroring buys.
 func (s *System) accumOwnerLoad(bd *BatchData) {
-	vb := float64(s.Cfg.VectorBytes())
 	plan := bd.Plan
 	for o := 0; o < s.Cfg.GPUs; o++ {
 		for c := 0; c < s.Cfg.GPUs; c++ {
 			if v := plan.Cache; v != nil {
 				s.ownerKeys[c] += v.WireIdx[o][c]
-				s.ownerBytes[c] += float64(float64(v.WireVecs[o][c]) * vb)
 			}
-			g := plan.ServeGPU(o, c)
-			s.ownerKeys[g] += plan.pairMissIdx(o, c)
-			s.ownerBytes[g] += float64(float64(plan.pairVecs(o, c)) * vb)
+			s.ownerKeys[plan.ServeGPU(o, c)] += plan.pairMissIdx(o, c)
 		}
 	}
 }

@@ -281,10 +281,10 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 // planScratch is the per-run arena for plan COMPILATION: working state that
 // never outlives one NextBatchData call. Per-batch outputs — the views, key
 // lists, expansion maps — are still allocated per batch. The run's batch
-// driver (Drive) compiles each batch at its rendezvous, in batch order, and
-// keeps at most depth batches live, so a per-slot arena, the way gpuScratch
-// works, could own them. Simulated processes never run concurrently, so
-// NextBatchData needs no synchronisation.
+// driver (Drive) compiles each batch at its barrier, in batch order, and
+// keeps one batch live, so one per-run arena could own them. Simulated
+// processes never run concurrently, so NextBatchData needs no
+// synchronisation.
 type planScratch struct {
 	pairSet rowSet            // one (consumer, table)'s unique rows
 	nodeSet rowSet            // one (remote node, table)'s unique rows
@@ -538,9 +538,9 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 			off := ((smp-lo)*cfg.TotalTables + fid) * cfg.Dim
 			out := bd.Final[g].Data()[off : off+cfg.Dim]
 			if mirrored {
-				tbl.LookupPooled(bag, cfg.Pooling, out)
+				tbl.LookupPooled(bag, out)
 			} else {
-				poolFromCache(c, int32(fid), bagRows, cfg.Pooling, out)
+				poolFromCache(c, int32(fid), bagRows, out)
 			}
 		}
 	}

@@ -3,6 +3,7 @@ package retrieval
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -119,34 +120,53 @@ func TestRegistryBitExactnessGate(t *testing.T) {
 								return res
 							}
 							// The gate holds at every pipeline depth: functional
-							// output == serial reference, timing run == functional
-							// run's simulated time, and the pipelined schedule's
-							// outputs are byte-identical to the serial schedule's.
-							fSerial := run(true, 1)
+							// output == serial reference and timing run ==
+							// functional run's simulated time. An EMB-only run
+							// has no dense tail to overlap, so at depth 2 its
+							// outputs are byte-identical to the depth-1 run's
+							// and its total and every GPU's breakdown equal
+							// them exactly.
+							var fSerial, tSerial *Result
 							for _, depth := range []int{1, 2} {
-								fRes := fSerial
-								if depth > 1 {
-									fRes = run(true, depth)
-									for g := range fRes.Final {
-										if !tensor.Equal(fRes.Final[g], fSerial.Final[g]) {
-											t.Fatalf("depth %d: GPU %d differs from the depth-1 run (max diff %g)",
-												depth, g, tensor.MaxAbsDiff(fRes.Final[g], fSerial.Final[g]))
-										}
-									}
-								}
-								tRes := run(false, depth)
+								fRes, tRes := run(true, depth), run(false, depth)
 								if fRes.TotalTime != tRes.TotalTime {
 									t.Errorf("depth %d: functional total %g != timing total %g",
 										depth, fRes.TotalTime, tRes.TotalTime)
 								}
-								if depth == 1 && prec == FP32 && m.name != "cluster1" {
-									checkPinned(t, label, tRes)
+								if depth == 1 {
+									fSerial, tSerial = fRes, tRes
+									if prec == FP32 && m.name != "cluster1" {
+										checkPinned(t, label, tRes)
+									}
+									continue
 								}
+								for g := range fRes.Final {
+									if !tensor.Equal(fRes.Final[g], fSerial.Final[g]) {
+										t.Fatalf("depth %d: GPU %d differs from the depth-1 run (max diff %g)",
+											depth, g, tensor.MaxAbsDiff(fRes.Final[g], fSerial.Final[g]))
+									}
+								}
+								sameTimes(t, fRes, fSerial)
+								sameTimes(t, tRes, tSerial)
 							}
 						})
 					}
 				}
 			}
+		}
+	}
+}
+
+// sameTimes fails t unless got's simulated total and every GPU's component
+// breakdown equal want's exactly.
+func sameTimes(t *testing.T, got, want *Result) {
+	t.Helper()
+	if got.TotalTime != want.TotalTime {
+		t.Errorf("TotalTime %v, want %v", got.TotalTime, want.TotalTime)
+	}
+	for g := range want.PerGPU {
+		if a, b := got.PerGPU[g].Components(), want.PerGPU[g].Components(); !slices.Equal(a, b) {
+			t.Errorf("GPU %d breakdown %v, want %v", g, a, b)
 		}
 	}
 }

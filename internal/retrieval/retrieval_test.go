@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"pgasemb/internal/embedding"
 	"pgasemb/internal/sim"
 	"pgasemb/internal/sparse"
 	"pgasemb/internal/tensor"
@@ -213,27 +212,6 @@ func TestAblationBackendsMatchReference(t *testing.T) {
 	verifyBackend(t, 3, &Baseline{DirectPlacement: true})
 	verifyBackend(t, 3, &PGASFused{StageRemote: true})
 	verifyBackend(t, 3, &PGASFused{Aggregate: &AggregatorConfig{FlushBytes: 4096, MaxWait: sim.Millisecond}})
-}
-
-func TestDifferentPoolingModesMatchReference(t *testing.T) {
-	for _, mode := range []embedding.PoolingMode{embedding.SumPooling, embedding.MeanPooling, embedding.MaxPooling} {
-		cfg := TestScaleConfig(2)
-		cfg.Pooling = mode
-		s, err := NewSystem(cfg, DefaultHardware())
-		if err != nil {
-			t.Fatal(err)
-		}
-		res, err := s.Run(&PGASFused{})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := mustReference(t, s, res.LastBatch)
-		for g := 0; g < 2; g++ {
-			if !tensor.Equal(res.Final[g], want[g]) {
-				t.Fatalf("pooling %v: GPU %d differs from reference", mode, g)
-			}
-		}
-	}
 }
 
 func TestResultBreakdownComponents(t *testing.T) {

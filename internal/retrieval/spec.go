@@ -216,7 +216,6 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 		Plan:       spec.plan,
 		faultBatch: -1,
 		ownerKeys:  make([]int64, cfg.GPUs),
-		ownerBytes: make([]float64, cfg.GPUs),
 	}
 	// The NIC interconnect carries inter-node traffic, one-sided stores to
 	// remote nodes ride the per-GPU proxies, and the baseline's collectives
@@ -226,12 +225,6 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	m.Comm, err = collective.New(env, fab, spec.hw.Collective, m.Net)
 	if err != nil {
 		return nil, fmt.Errorf("retrieval: wiring communicator: %w", err)
-	}
-	if slots := cfg.PipelineSlots(); slots > 1 {
-		// Double-buffered symmetric heap: each PE's staging region is split
-		// into per-slot halves, so quiet can retire one slot's stores while
-		// the next slot's are still in flight.
-		m.PGAS.ConfigureSlots(slots)
 	}
 	if sched := spec.hw.Faults; !sched.Empty() && sched.HasProxyDrops() {
 		// Drops model NIC-level delivery failure, and the retry loop lives
@@ -261,7 +254,7 @@ func (spec *SystemSpec) NewRunWithSeed(seed uint64) (*System, error) {
 	if cfg.Functional {
 		wrng := sim.NewRNG(cfg.Seed ^ 0xE3B0)
 		for g := 0; g < cfg.GPUs; g++ {
-			m.colls = append(m.colls, embedding.NewCollection(spec.plan[g], cfg.Rows, cfg.Dim, cfg.Pooling, wrng))
+			m.colls = append(m.colls, embedding.NewCollection(spec.plan[g], cfg.Rows, cfg.Dim, wrng))
 		}
 		if cfg.WireCodecActive() {
 			// Quantize-at-rest: round-trip every table through the wire codec
@@ -337,7 +330,7 @@ func (spec *SystemSpec) wire(s *System, seed uint64) error {
 	}
 	s.Spec, s.Cfg, s.HW, s.gen = spec, cfg, spec.hw, gen
 	s.cluster = spec.hw.cluster(cfg.GPUs)
-	s.scratch = make([]gpuScratch, cfg.GPUs*cfg.PipelineSlots())
+	s.scratch = make([]gpuScratch, cfg.GPUs)
 	s.gates = make([]sim.Time, cfg.GPUs)
 	return nil
 }

@@ -108,10 +108,8 @@ type System struct {
 
 	gen *workload.Generator
 
-	// scratch holds each GPU's reusable per-batch working buffers, one arena
-	// per (GPU, pipeline slot): scratch[g*slots+k] belongs to GPU g's slot k,
-	// and only GPU g's simulated process touches it. With pipelining off
-	// (slots == 1) this is exactly one arena per GPU.
+	// scratch[g] holds GPU g's reusable per-batch working buffers; only GPU
+	// g's simulated process touches it.
 	scratch []gpuScratch
 
 	// gates[g] is GPU g's exchange gate: the earliest simulated time its next
@@ -157,7 +155,7 @@ type machine struct {
 	Caches *cache.Set
 
 	// batchSeq counts NextBatchData calls: the machine's batch index, which
-	// the fault schedule, the rebalance cadence and the pipeline slots key on.
+	// the fault schedule and the rebalance cadence key on.
 	batchSeq int
 	// faultBatch is the batch whose fault factors are currently applied to
 	// the machine (-1 before the first ApplyFaults). Makes ApplyFaults
@@ -193,11 +191,9 @@ type machine struct {
 	rebalances    int
 	migratedBytes float64
 
-	// ownerKeys/ownerBytes accumulate each GPU's served embedding load:
-	// keys gathered from its shard and bytes leaving its HBM on behalf of
-	// all consumers.
-	ownerKeys  []int64
-	ownerBytes []float64
+	// ownerKeys accumulates each GPU's served embedding load: keys gathered
+	// from its shard on behalf of all consumers.
+	ownerKeys []int64
 
 	// colls are the functional shard collections (nil in timing mode).
 	colls []*embedding.Collection
@@ -227,11 +223,6 @@ func (s *System) Minibatch(g int) (lo, hi int) {
 // plan, which holds the pooled-index arithmetic the timing model reads, plus
 // real indices and output buffers in functional mode.
 type BatchData struct {
-	// Slot is the batch's pipeline slot (batch index modulo the effective
-	// pipeline depth): the index of the per-GPU scratch arena, route-plan
-	// arena and PGAS staging region this batch borrows. Always 0 when
-	// pipelining is off.
-	Slot int
 	// Sparse is the materialised input batch (nil in timing mode).
 	Sparse *sparse.Batch
 	// Parts are the per-GPU model-parallel partitions of Sparse.
@@ -289,25 +280,12 @@ func (s *System) ApplyFaults(batch int) {
 	}
 }
 
-// PipelineDepth returns the run's effective inter-batch pipeline depth: the
-// configured Config.PipelineDepth normalized to >= 1, forced to 1 when a
-// fault schedule is installed or adaptive placement is enabled. Fault windows
-// are defined against a lockstep batch sequence, and rebalance epochs swap
-// the sharding plan at batch boundaries — in both cases letting GPUs skew
-// across batches would make "the machine's state during batch N" ambiguous.
-func (s *System) PipelineDepth() int {
-	if !s.HW.Faults.Empty() || s.placementEnabled() {
-		return 1
-	}
-	return s.Cfg.PipelineSlots()
-}
-
-// scratchFor returns GPU g's scratch arena for bd's pipeline slot. Only GPU
-// g's simulated process may use the returned arena, and only while bd is the
-// batch in flight on that slot.
-func (s *System) scratchFor(g int, bd *BatchData) *gpuScratch {
-	return &s.scratch[g*s.Cfg.PipelineSlots()+bd.Slot]
-}
+// PipelineDepth returns the run's inter-batch pipeline depth,
+// Config.PipelineDepth normalized to >= 1: how many batches' dense tails
+// (the DLRM pipeline) or dispatches (serve) may overlap the next batch's
+// exchange. Every exchange runs in lockstep, so fault windows and rebalance
+// epochs, which apply at batch boundaries, compose with any depth.
+func (s *System) PipelineDepth() int { return max(1, s.Cfg.PipelineDepth) }
 
 // SetExchangeGate marks the earliest simulated time GPU g's next collective
 // exchange may launch. The pipelined DLRM scheduler points it at the dense
@@ -331,7 +309,7 @@ func (s *System) awaitExchangeGate(p *sim.Proc, g int) {
 // A functional run materialises the whole batch.
 func (s *System) NextBatchData() (*BatchData, error) {
 	defer func() { s.batchSeq++ }()
-	bd := &BatchData{Slot: s.batchSeq % s.PipelineDepth()}
+	bd := &BatchData{}
 	pooled := s.drawPooling()
 	if s.Cfg.Functional {
 		bd.Sparse = s.drawBatch()
@@ -361,11 +339,8 @@ type Backend interface {
 	// Name labels the backend in results ("baseline", "pgas-fused", ...).
 	Name() string
 	// RunBatch executes one batch on GPU g's process and records component
-	// times into bk. With pipelining off the caller barriers between batches,
-	// so all GPUs enter at the same simulated time; with PipelineDepth > 1
-	// the caller's sliding-window rendezvous allows up to depth-1 batches of
-	// skew between GPUs, and each batch's slot resources (scratch arena,
-	// staging region) are private to that batch until it retires.
+	// times into bk. The caller barriers between batches, so no GPU starts a
+	// batch before every GPU has finished the previous one.
 	RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *trace.Breakdown)
 }
 
@@ -396,18 +371,10 @@ type Result struct {
 	NICMessages     int64
 	NICPayloadBytes float64
 	NICWireBytes    float64
-	// ProxyDrops, ProxyRetries and ProxyRetriesExhausted summarise the
-	// fault-injected delivery losses the proxies absorbed (all zero without
-	// a fault schedule injecting ProxyDrop events).
-	ProxyDrops            int64
-	ProxyRetries          int64
-	ProxyRetriesExhausted int64
-	// OwnerKeys[g] / OwnerBytes[g] are GPU g's served embedding load across
-	// the run: keys gathered from its shard and bytes leaving its HBM on
-	// behalf of all consumers. metrics.Imbalance over either quantifies how
-	// skewed the placement was.
-	OwnerKeys  []int64
-	OwnerBytes []float64
+	// OwnerKeys[g] is GPU g's served embedding load across the run: keys
+	// gathered from its shard on behalf of all consumers. metrics.Imbalance
+	// over it quantifies how skewed the placement was.
+	OwnerKeys []int64
 	// Rebalances counts adaptive-placement plan swaps; MigratedBytes is the
 	// total shard payload those swaps moved between owners (charged to the
 	// fabric on the simulated clock, so it also shows up in TotalTime).
@@ -417,9 +384,9 @@ type Result struct {
 
 // Run executes the configured number of batches under the given backend and
 // returns timing results (plus functional outputs in functional mode).
-// Each batch is barrier-synchronised across GPUs (or window-pipelined at
-// PipelineDepth), mirroring the paper's measurement of accumulated EMB-layer
-// time over 100 batches.
+// Each batch is barrier-synchronised across GPUs, mirroring the paper's
+// measurement of accumulated EMB-layer time over 100 batches; an EMB-only
+// run has no dense tail to overlap, so it ignores Config.PipelineDepth.
 func (s *System) Run(b Backend) (*Result, error) {
 	return s.RunContext(context.Background(), b)
 }
@@ -439,7 +406,7 @@ func (s *System) RunContext(ctx context.Context, b Backend) (*Result, error) {
 		res.PerGPU[g] = &trace.Breakdown{}
 	}
 	start := s.Env.Now()
-	last, err := s.Drive(ctx, s.PipelineDepth(), func(p *sim.Proc, g, _ int, bd *BatchData) {
+	last, err := s.Drive(ctx, func(p *sim.Proc, g, _ int, bd *BatchData) {
 		b.RunBatch(s, p, g, bd, res.PerGPU[g])
 	})
 	if err != nil {
@@ -457,18 +424,11 @@ func (s *System) finishResult(res *Result, last *BatchData) {
 	res.CommTrace = s.commTrace()
 	res.DedupStats = s.dedupStats
 	res.OwnerKeys = append([]int64(nil), s.ownerKeys...)
-	res.OwnerBytes = append([]float64(nil), s.ownerBytes...)
 	res.Rebalances = s.rebalances
 	res.MigratedBytes = s.migratedBytes
 	res.NICMessages = s.Net.Messages()
 	res.NICPayloadBytes = s.Net.PayloadBytes()
 	res.NICWireBytes = s.Net.WireBytes()
-	for g := 0; g < s.PGAS.NumPEs(); g++ {
-		pe := s.PGAS.PE(g)
-		res.ProxyDrops += pe.Drops()
-		res.ProxyRetries += pe.Retries()
-		res.ProxyRetriesExhausted += pe.RetriesExhausted()
-	}
 	if s.Cfg.Functional {
 		res.Final = last.Final
 		res.LastBatch = last.Sparse

@@ -122,7 +122,7 @@ func (s *System) replayDense(bd *BatchData, t transfer) {
 			}
 			fb := &part.Features[fi]
 			off := ((smp-clo)*cfg.TotalTables + fb.FeatureID) * cfg.Dim
-			coll.Tables[fi].LookupPooled(fb.Bag(smp), coll.Mode, dst[off:off+cfg.Dim])
+			coll.Tables[fi].LookupPooled(fb.Bag(smp), dst[off:off+cfg.Dim])
 		}
 	}
 }

@@ -71,7 +71,7 @@ func walkBatches(t *testing.T, s *System, be Backend) []*BatchData {
 	for g := range bks {
 		bks[g] = &trace.Breakdown{}
 	}
-	_, err := s.Drive(context.Background(), 1, func(p *sim.Proc, g, _ int, bd *BatchData) {
+	_, err := s.Drive(context.Background(), func(p *sim.Proc, g, _ int, bd *BatchData) {
 		if g == 0 {
 			batches = append(batches, bd)
 		}

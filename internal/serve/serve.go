@@ -422,11 +422,7 @@ func (s *Server) RunContext(ctx context.Context) (*Result, error) {
 				sys.Caches.SetFrozen(s.hw.Faults.AnyActive(launched))
 			}
 			seed := s.base.Seed + uint64(launched+1)*1_000_003
-			flight, err := pl.Start(ctx, seed)
-			if err != nil {
-				runErr = err
-				return
-			}
+			flight := pl.Start(ctx, seed)
 			launched++
 			inFlight = append(inFlight, dispatch{flight, taken, shape - n, pl, seed, p.Now()})
 		}

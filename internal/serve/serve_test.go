@@ -9,6 +9,8 @@ import (
 	"pgasemb/internal/fault"
 	"pgasemb/internal/retrieval"
 	"pgasemb/internal/sim"
+	"pgasemb/internal/tensor"
+	"pgasemb/internal/trace"
 	"pgasemb/internal/workload"
 )
 
@@ -598,5 +600,117 @@ func TestServingAdaptivePlacement(t *testing.T) {
 			t.Logf("%d dispatches, %d rebalances, %d migrating epochs, %d cache hits",
 				a.Dispatches, a.Rebalances, epochs, a.CacheStats.Hits)
 		})
+	}
+}
+
+// dispatchProbe wraps a backend and records each dispatch's EMB span — the
+// longest RunBatch on any GPU — with the system and batch it ran. At the
+// first RunBatch of a dispatch whose draw migrated tables it checks that the
+// migration has landed: no NVLink pipe is still busy.
+type dispatchProbe struct {
+	retrieval.Backend
+	t      *testing.T
+	calls  []int          // dispatches each GPU has run
+	emb    []sim.Duration // each dispatch's EMB span
+	sys    []*retrieval.System
+	ran    []*retrieval.BatchData
+	moved  float64 // migrated bytes as of the last dispatch
+	epochs int     // dispatches that opened after a migration
+}
+
+func (d *dispatchProbe) RunBatch(s *retrieval.System, p *sim.Proc, g int, bd *retrieval.BatchData, bk *trace.Breakdown) {
+	if d.calls == nil {
+		d.calls = make([]int, s.Cfg.GPUs)
+	}
+	i := d.calls[g]
+	d.calls[g]++
+	if i == len(d.emb) {
+		d.emb = append(d.emb, 0)
+		d.sys = append(d.sys, s)
+		d.ran = append(d.ran, bd)
+		if _, moved := s.Migration(); moved > d.moved {
+			d.moved = moved
+			d.epochs++
+			for src := 0; src < s.Cfg.GPUs; src++ {
+				for dst := 0; dst < s.Cfg.GPUs; dst++ {
+					if src == dst {
+						continue
+					}
+					if busy := s.Fab.Pipe(src, dst).BusyUntil(); busy > p.Now() {
+						d.t.Errorf("dispatch %d started at %g, pipe %d->%d busy with migration until %g", i, p.Now(), src, dst, busy)
+					}
+				}
+			}
+		}
+	}
+	start := p.Now()
+	d.Backend.RunBatch(s, p, g, bd, bk)
+	d.emb[i] = max(d.emb[i], p.Now()-start)
+}
+
+// TestServingPipelinedComposesFaultsAndPlacement serves a saturating stream
+// at depth 2 with adaptive placement, healthy and with a straggler window on
+// dispatch 5. Every exchange runs in lockstep, so the straggler lengthens
+// dispatch 5's EMB and no other dispatch's, every dispatch that opens a
+// rebalance epoch starts after its migration has landed, and every
+// dispatch's EMB output equals the serial reference.
+func TestServingPipelinedComposesFaultsAndPlacement(t *testing.T) {
+	const k = 5
+	base := retrieval.TestScaleConfig(2)
+	base.Rows = 16384 // a migration outlasts the kernel launch ahead of RunBatch
+	base.PerFeatureMaxPooling = []int{12, 8, 3, 3, 3, 3}
+	base.Distribution = workload.Zipf
+	base.ZipfExponent = 1.2
+	base.AdaptivePlacement = true
+	base.RebalanceEvery = 4
+	base.PipelineDepth = 2
+	cfg := serveTestServeConfig()
+	cfg.Rate = 20000 // saturate: every dispatch but the last takes a full batch
+	cfg.QueueCap = 4096
+	run := func(faults *fault.Schedule) *dispatchProbe {
+		hw := retrieval.DefaultHardware()
+		hw.Faults = faults
+		probe := &dispatchProbe{Backend: &retrieval.PGASFused{}, t: t}
+		res := runOnceHW(t, base, hw, cfg, probe)
+		if res.Dispatches < 8 || len(probe.emb) != res.Dispatches {
+			t.Fatalf("%d dispatches, %d probed; the session never crossed a rebalance boundary twice",
+				res.Dispatches, len(probe.emb))
+		}
+		if res.Rebalances == 0 || probe.epochs == 0 {
+			t.Fatal("no dispatch opened an epoch that migrated bytes")
+		}
+		for i, bd := range probe.ran {
+			want, err := retrieval.Reference(probe.sys[i], bd.Sparse)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for g := range want {
+				if !tensor.Equal(bd.Final[g], want[g]) {
+					t.Fatalf("dispatch %d, GPU %d differs from reference (max diff %g)",
+						i, g, tensor.MaxAbsDiff(bd.Final[g], want[g]))
+				}
+			}
+		}
+		return probe
+	}
+	healthy := run(nil)
+	t.Logf("%d dispatches, %d migrating epochs", len(healthy.emb), healthy.epochs)
+	slow := run(&fault.Schedule{Events: []fault.Event{
+		{Kind: fault.Straggler, FromBatch: k, ToBatch: k + 1, GPU: 1, Factor: 4},
+	}})
+	if len(slow.emb) != len(healthy.emb) {
+		t.Fatalf("straggled session ran %d dispatches, healthy %d", len(slow.emb), len(healthy.emb))
+	}
+	for i := range healthy.emb {
+		if a, b := slow.sys[i].Cfg.BatchSize, healthy.sys[i].Cfg.BatchSize; a != b {
+			t.Fatalf("dispatch %d ran batch %d straggled, %d healthy; the sessions batch differently", i, a, b)
+		}
+		gap := math.Abs(slow.emb[i]-healthy.emb[i]) / healthy.emb[i]
+		switch {
+		case i == k && slow.emb[i] <= healthy.emb[i]:
+			t.Errorf("straggled dispatch %d took %g s, healthy %g s", i, slow.emb[i], healthy.emb[i])
+		case i != k && gap > 1e-9:
+			t.Errorf("dispatch %d took %g s beside a straggler on dispatch %d, %g s healthy", i, slow.emb[i], k, healthy.emb[i])
+		}
 	}
 }

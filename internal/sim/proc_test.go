@@ -245,3 +245,34 @@ func TestBarrierInvalidParties(t *testing.T) {
 	}()
 	NewBarrier(NewEnv(), 0)
 }
+
+// TestBarrierSteadyStateZeroAllocs pins the recycling contract every batch's
+// rendezvous relies on: after warm-up, a barrier cycle must not allocate.
+func TestBarrierSteadyStateZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("benchmark-backed test")
+	}
+	r := testing.Benchmark(func(b *testing.B) {
+		e := NewEnv()
+		bar := NewBarrier(e, 3)
+		rounds := b.N + 2 // warm-up rounds before the timer resets
+		for g := 0; g < 3; g++ {
+			g := g
+			e.Go("p", func(p *Proc) {
+				for r := 0; r < rounds; r++ {
+					p.Wait(Duration(g + 1))
+					bar.Await(p)
+				}
+			})
+		}
+		for e.Pending() > 0 && e.EventsFired() < 64 {
+			e.Step()
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		e.Run()
+	})
+	if a := r.AllocsPerOp(); a != 0 {
+		t.Errorf("barrier cycle allocates %d times per round (want 0)", a)
+	}
+}
