@@ -31,7 +31,6 @@ package cache
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"pgasemb/internal/metrics"
 )
@@ -250,21 +249,14 @@ func (c *Cache) Len() int { return len(c.keys) }
 // dispatches.
 func (c *Cache) SetFrozen(frozen bool) { c.frozen = frozen }
 
-// Frozen reports whether admissions are currently refused.
-func (c *Cache) Frozen() bool { return c.frozen }
-
 // Stats returns the cache's counters so far.
 func (c *Cache) Stats() metrics.CacheCounters { return c.stats }
 
-// Set is the per-system bundle: one Cache per GPU, shared shape. A Set can
-// outlive a single System run — the serving layer attaches one Set to every
-// dispatched batch's run so the caches stay warm across requests.
+// Set is one machine's bundle: one Cache per GPU, shared shape. A serving
+// session runs every dispatch on one machine, so its Set stays warm across
+// requests.
 type Set struct {
 	caches []*Cache
-	slots  int
-	dim    int
-	rows   []int
-	funct  bool
 }
 
 // NewSet builds one cache per GPU over the key space of tables with the
@@ -273,37 +265,15 @@ func NewSet(gpus, slots, dim int, tableRows []int, functional bool) *Set {
 	if gpus <= 0 {
 		panic(fmt.Sprintf("cache: non-positive GPU count %d", gpus))
 	}
-	s := &Set{
-		caches: make([]*Cache, gpus),
-		slots:  slots,
-		dim:    dim,
-		rows:   slices.Clone(tableRows),
-		funct:  functional,
-	}
+	s := &Set{caches: make([]*Cache, gpus)}
 	for g := range s.caches {
 		s.caches[g] = New(slots, dim, tableRows, functional)
 	}
 	return s
 }
 
-// NumGPUs returns the number of per-GPU caches.
-func (s *Set) NumGPUs() int { return len(s.caches) }
-
 // GPU returns GPU g's cache.
 func (s *Set) GPU(g int) *Cache { return s.caches[g] }
-
-// Slots returns the per-GPU capacity in rows.
-func (s *Set) Slots() int { return s.slots }
-
-// Dim returns the row dimension.
-func (s *Set) Dim() int { return s.dim }
-
-// TableRows returns the per-table row counts of the key space the caches
-// cover. The slice aliases the set's own; callers must not modify it.
-func (s *Set) TableRows() []int { return s.rows }
-
-// Functional reports whether the caches store row values.
-func (s *Set) Functional() bool { return s.funct }
 
 // SetFrozen freezes or thaws every GPU's cache (see Cache.SetFrozen).
 func (s *Set) SetFrozen(frozen bool) {

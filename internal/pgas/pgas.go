@@ -74,7 +74,8 @@ func New(env *sim.Env, fab *nvlink.Fabric, net *fabric.Interconnect, cfg ProxyCo
 		panic(fmt.Sprintf("pgas: NVLink fabric has %d GPUs but the cluster %d", n, net.Cluster().NumGPUs()))
 	}
 	// One allocation each for the PEs and every proxy's staging buffers:
-	// the serving layer wires a fresh runtime per dispatch.
+	// every run a sweep builds, and every serving session, wires a fresh
+	// runtime.
 	rt := &Runtime{env: env, fabric: fab, pes: make([]PE, n)}
 	nodes := net.Cluster().Nodes
 	bufs := make([]proxyBuf, n*nodes)

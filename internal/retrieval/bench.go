@@ -54,8 +54,9 @@ func (s *System) dropVolumeRecords(g int) {
 }
 
 // PlanCompileLoop drives n route-plan compilations over ONE materialised
-// batch, for Go benchmarks of the host-side classifier passes (residency view,
-// dedup key sets, node-level dedup, placement statistics, replica serve map).
+// batch, for Go benchmarks of the host-side classifier passes (residency
+// hits, dedup key sets, node-level dedup, placement statistics, replica serve
+// column).
 // Input generation, the pooled prefix sums included, runs once outside the
 // loop, so what the loop measures is exactly the per-batch compile cost the
 // pipelined scheduler pays on the host while the device works on the
@@ -64,10 +65,10 @@ func PlanCompileLoop(s *System, n int) error {
 	if n <= 0 {
 		return fmt.Errorf("retrieval: PlanCompileLoop needs a positive count, got %d", n)
 	}
-	pooled := s.drawPooling()
+	s.drawPooling()
 	bd := &BatchData{Sparse: s.drawBatch()}
 	for i := 0; i < n; i++ {
-		s.compileRoutePlan(bd, pooled)
+		s.compileRoutePlan(bd)
 	}
 	return nil
 }

@@ -141,7 +141,7 @@ func BenchmarkPGASFusedBatchReplicated(b *testing.B) {
 }
 
 // Adaptive placement: the statistics collector on the compile pass, and a
-// live mirror set serving hot tables through the CacheView skip path.
+// live mirror set serving hot tables through the plan's hit-skipping path.
 func BenchmarkPGASFusedBatchPlacement(b *testing.B) {
 	benchRun(b, benchPlacementConfig(), &PGASFused{})
 }
@@ -189,70 +189,100 @@ func BenchmarkMultiNodePGASBatchDedup(b *testing.B) {
 	benchRunHW(b, cfg, ClusterHardware(2), &PGASFused{})
 }
 
-// BenchmarkRoutePlanCompile measures the host-side route-plan compiler
-// across its classifier variants: plain, dedup key sets, hot-row cache view,
-// both combined, node-level dedup on a 2-node cluster, and a live mirror set
-// whose tables skip the residency pass, alone and beside a cache the other
-// tables probe and admit. The cluster-dedup shape also runs at 16, 32 and 64
-// GPUs (4 per node, 4 tables per GPU), where route pricing's O(GPUs²) pass
-// grows against the walk.
-func BenchmarkRoutePlanCompile(b *testing.B) {
-	cases := []struct {
-		name    string
-		dedup   bool
-		cached  bool
-		cluster bool
-		mirror  bool
-		gpus    int // 0: benchConfig's
-	}{
-		{"plain", false, false, false, false, 0},
-		{"dedup", true, false, false, false, 0},
-		{"cache", false, true, false, false, 0},
-		{"dedup-cache", true, true, false, false, 0},
-		{"cluster-dedup", true, false, true, false, 0},
-		{"cluster-dedup/gpus=16", true, false, true, false, 16},
-		{"cluster-dedup/gpus=32", true, false, true, false, 32},
-		{"cluster-dedup/gpus=64", true, false, true, false, 64},
-		{"placement-mirror", false, false, false, true, 0},
-		{"placement-mirror-cache", false, true, false, true, 0},
+// planCompileCases are BenchmarkRoutePlanCompile's classifier variants:
+// plain, dedup key sets, hot-row cache residency, both combined, node-level
+// dedup on a 2-node cluster, a live mirror set whose tables skip the
+// residency pass, alone and beside a cache the other tables probe and admit,
+// and replicated shards, whose compile writes the serve column. The
+// cluster-dedup shape also runs at 16, 32 and 64 GPUs (4 per node, 4 tables
+// per GPU), where route pricing's O(GPUs²) pass grows against the walk.
+var planCompileCases = []struct {
+	name     string
+	dedup    bool
+	cached   bool
+	cluster  bool
+	mirror   bool
+	replicas int
+	gpus     int // 0: benchConfig's
+}{
+	{"plain", false, false, false, false, 0, 0},
+	{"dedup", true, false, false, false, 0, 0},
+	{"cache", false, true, false, false, 0, 0},
+	{"dedup-cache", true, true, false, false, 0, 0},
+	{"cluster-dedup", true, false, true, false, 0, 0},
+	{"cluster-dedup/gpus=16", true, false, true, false, 0, 16},
+	{"cluster-dedup/gpus=32", true, false, true, false, 0, 32},
+	{"cluster-dedup/gpus=64", true, false, true, false, 0, 64},
+	{"placement-mirror", false, false, false, true, 0, 0},
+	{"placement-mirror-cache", false, true, false, true, 0, 0},
+	{"replicas", false, false, false, false, 2, 0},
+}
+
+// planCompileSystem builds planCompileCases[i]'s system and draws its one
+// batch, which PlanCompileLoop's loop compiles over and over, and compiles
+// it once: a draw allocates per table, so at 64 GPUs, where a quarter second
+// runs a few compiles, drawing inside a timed loop would move allocs/op with
+// the iteration count, and the first compile sizes the run's plan.
+func planCompileSystem(tb testing.TB, i int) (*System, *BatchData) {
+	tb.Helper()
+	c := planCompileCases[i]
+	cfg := benchConfig()
+	if c.mirror {
+		cfg = benchMirrorConfig()
 	}
-	for _, c := range cases {
+	cfg.Dedup = c.dedup
+	if c.cached {
+		cfg.CacheFraction = 0.0001
+	}
+	cfg.Replicas = c.replicas
+	hw := DefaultHardware()
+	if c.cluster {
+		hw = ClusterHardware(2)
+	}
+	if c.gpus > 0 {
+		cfg.GPUs, cfg.TotalTables = c.gpus, 4*c.gpus
+		hw = ClusterHardware(c.gpus / 4)
+	}
+	sys, err := NewSystem(cfg, hw)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if c.mirror {
+		primeMirrors(tb, sys)
+	}
+	sys.drawPooling()
+	bd := &BatchData{Sparse: sys.drawBatch()}
+	sys.compileRoutePlan(bd)
+	return sys, bd
+}
+
+// BenchmarkRoutePlanCompile measures the host-side route-plan compiler
+// across planCompileCases, in PlanCompileLoop's loop.
+func BenchmarkRoutePlanCompile(b *testing.B) {
+	for i, c := range planCompileCases {
 		b.Run(c.name, func(b *testing.B) {
-			cfg := benchConfig()
-			if c.mirror {
-				cfg = benchMirrorConfig()
-			}
-			cfg.Dedup = c.dedup
-			if c.cached {
-				cfg.CacheFraction = 0.0001
-			}
-			hw := DefaultHardware()
-			if c.cluster {
-				hw = ClusterHardware(2)
-			}
-			if c.gpus > 0 {
-				cfg.GPUs, cfg.TotalTables = c.gpus, 4*c.gpus
-				hw = ClusterHardware(c.gpus / 4)
-			}
-			sys, err := NewSystem(cfg, hw)
-			if err != nil {
-				b.Fatal(err)
-			}
-			if c.mirror {
-				primeMirrors(b, sys)
-			}
-			// PlanCompileLoop's loop, with its one batch drawn before the
-			// timer: a draw allocates per table, so at 64 GPUs, where a
-			// quarter second runs a few compiles, it would move allocs/op
-			// with the iteration count. A first compile grows the plan's
-			// arenas.
-			pooled := sys.drawPooling()
-			bd := &BatchData{Sparse: sys.drawBatch()}
-			sys.compileRoutePlan(bd, pooled)
+			sys, bd := planCompileSystem(b, i)
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				sys.compileRoutePlan(bd, pooled)
+				sys.compileRoutePlan(bd)
+			}
+		})
+	}
+}
+
+// TestRoutePlanCompileSteadyStateZeroAllocs pins the per-run plan's
+// allocation contract in every BenchmarkRoutePlanCompile case: once the
+// run's first compile has sized the plan, a compile allocates nothing.
+func TestRoutePlanCompileSteadyStateZeroAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation-counting test")
+	}
+	for i, c := range planCompileCases {
+		t.Run(c.name, func(t *testing.T) {
+			sys, bd := planCompileSystem(t, i)
+			if allocs := testing.AllocsPerRun(2, func() { sys.compileRoutePlan(bd) }); allocs != 0 {
+				t.Errorf("%s: a steady-state compile allocates %v times (want 0)", c.name, allocs)
 			}
 		})
 	}
@@ -351,7 +381,7 @@ func TestMultiNodeSteadyStateZeroAllocs(t *testing.T) {
 		{"pgas-fused-replicas2", false, false, 2, 1, FP32, &PGASFused{}, false},
 		{"baseline", false, false, 0, 1, FP32, &Baseline{}, false},
 		{"baseline-replicas2", false, false, 2, 1, FP32, &Baseline{}, false},
-		// Replicas beside the hot-row cache: one residency view, read by
+		// Replicas beside the hot-row cache: one set of hit prefixes, read by
 		// shard, in both served-pair walks.
 		{"pgas-fused-replicas2-cached", false, true, 2, 1, FP32, &PGASFused{}, false},
 		{"baseline-replicas2-cached", false, true, 2, 1, FP32, &Baseline{}, false},

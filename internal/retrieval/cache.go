@@ -36,26 +36,6 @@ func (s *System) cacheEnabled() bool {
 	return s.Cfg.CacheFraction > 0 && s.Cfg.GPUs > 1
 }
 
-// CacheView is one batch's residency result: which output vectors their
-// consumers read without the owner (hot-row cache hits and hot-table mirror
-// reads alike), and the per-(owner, consumer) totals the timing model needs.
-type CacheView struct {
-	// Hit[p][fi*BatchSize+smp] marks the vector (owner p, p-local table fi,
-	// sample smp) as a hit at smp's consumer. Vectors of p's own minibatch
-	// never appear (they are local either way). Functional mode only (nil
-	// in timing runs, whose walk keeps one table's hits at a time).
-	Hit [][]bool
-	// WireVecs[src][dst] counts hit vectors owned by src and consumed by
-	// dst; WireIdx totals their bag sizes (pooled index counts).
-	WireVecs [][]int
-	WireIdx  [][]int64
-	// hitVecs[p][smp] and hitIdx[p][smp] count shard p's hit vectors and
-	// their pooled indices over samples [0, smp) (len BatchSize+1): the
-	// prefix sums behind RoutePlan.OwnerChunkHits.
-	hitVecs [][]int64
-	hitIdx  [][]int64
-}
-
 // poolFromCache reproduces embedding.Table.LookupPooled bit-exactly from
 // cached rows: the same sum in the same (bag) order. rows holds the bag's
 // hashed row indices, which the classifier has just verified resident.

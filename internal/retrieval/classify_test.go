@@ -26,10 +26,10 @@ type dedupOracle struct {
 	ctr                 metrics.DedupCounters
 }
 
-// classifyOracle recomputes the dedup view of functional batch bd.
+// classifyOracle recomputes the dedup classification of functional batch bd.
 func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 	cfg := s.Cfg
-	B, G := cfg.BatchSize, cfg.GPUs
+	G := cfg.GPUs
 	grid := func() [][]int64 {
 		m := make([][]int64, G)
 		for i := range m {
@@ -50,8 +50,7 @@ func classifyOracle(s *System, bd *BatchData) *dedupOracle {
 		ctr: metrics.DedupCounters{Batches: 1},
 	}
 	hit := func(src, dst, fi, smp int) bool {
-		v := bd.Plan.Cache
-		return src != dst && v != nil && v.Hit[src][fi*B+smp]
+		return src != dst && bd.Plan.isHit(src, fi, smp)
 	}
 	key := func(src, fi int, raw int64) uint64 {
 		row := embedding.HashIndex(raw, cfg.Rows)
@@ -252,40 +251,45 @@ func checkKeys(t *testing.T, what string, keys []uint64, uniq int64, expands [][
 	}
 }
 
-// checkAgainstOracle compares every count and flag of the plan's dedup view
-// with the oracle — the miss and dense counts through the plan's prefix-sum
-// arithmetic — and on functional views the key lists and expansion maps.
+// checkAgainstOracle compares every count and flag of the plan's pair and
+// node records with the oracle — the miss and dense counts through the
+// plan's prefix-sum arithmetic — and on functional plans every key list and
+// expansion map; a timing plan keeps none.
 func checkAgainstOracle(t *testing.T, s *System, plan *RoutePlan, o *dedupOracle) {
 	t.Helper()
 	G := s.Cfg.GPUs
 	fn := s.Cfg.Functional
-	dv := plan.Dedup
 	for src := 0; src < G; src++ {
 		for dst := 0; dst < G; dst++ {
 			pair := fmt.Sprintf("pair %d->%d", src, dst)
+			a := plan.pair(src, dst)
 			miss, dense := plan.pairMissIdx(src, dst), int64(plan.pairVecs(src, dst))
-			if miss != o.miss[src][dst] || dv.Uniq[src][dst] != o.uniq[src][dst] || dense != o.dense[src][dst] {
+			if miss != o.miss[src][dst] || a.uniq != o.uniq[src][dst] || dense != o.dense[src][dst] {
 				t.Fatalf("%s: miss/uniq/dense %d/%d/%d, oracle %d/%d/%d", pair,
-					miss, dv.Uniq[src][dst], dense, o.miss[src][dst], o.uniq[src][dst], o.dense[src][dst])
+					miss, a.uniq, dense, o.miss[src][dst], o.uniq[src][dst], o.dense[src][dst])
 			}
-			if dv.Wire[src][dst] != o.wire[src][dst] || dv.Gather[src][dst] != o.gather[src][dst] {
+			if a.miss != miss || a.dense != dense {
+				t.Fatalf("%s: the walk summed miss/dense %d/%d, the plan's prefixes %d/%d", pair, a.miss, a.dense, miss, dense)
+			}
+			if a.wire != o.wire[src][dst] || a.gather != o.gather[src][dst] {
 				t.Fatalf("%s: wire/gather %v/%v, oracle %v/%v", pair,
-					dv.Wire[src][dst], dv.Gather[src][dst], o.wire[src][dst], o.gather[src][dst])
+					a.wire, a.gather, o.wire[src][dst], o.gather[src][dst])
 			}
-			if !slices.Equal(dv.NewAt[src][dst], o.newAt[src][dst]) {
-				t.Fatalf("%s: NewAt %v, oracle %v", pair, dv.NewAt[src][dst], o.newAt[src][dst])
+			if !slices.Equal(a.newAt, o.newAt[src][dst]) {
+				t.Fatalf("%s: newAt %v, oracle %v", pair, a.newAt, o.newAt[src][dst])
 			}
-			if fn && o.wire[src][dst] {
-				checkKeys(t, pair, dv.Keys[src][dst], o.uniq[src][dst],
-					[][]int32{dv.Expand[src][dst]}, [][]uint64{o.refs[src][dst]})
-			} else if dv.Keys[src][dst] != nil || dv.Expand[src][dst] != nil {
-				t.Fatalf("%s: keeps a key list or expansion map off a functional wire route", pair)
+			if fn {
+				checkKeys(t, pair, a.keys, o.uniq[src][dst], [][]int32{a.expand}, [][]uint64{o.refs[src][dst]})
+			} else if len(a.keys) != 0 || len(a.expand) != 0 {
+				t.Fatalf("%s: a timing plan keeps a key list or expansion map", pair)
 			}
 		}
 	}
 	if !s.multiNode() {
-		if dv.NodeUniq != nil || dv.NodeWire != nil || dv.NodeKeys != nil {
-			t.Fatal("single-node view carries a node-level classification")
+		for src := 0; src < G; src++ {
+			if na := plan.node(src, 0); na.uniq != 0 || na.wire || len(na.newAt) != 0 || len(na.keys) != 0 {
+				t.Fatal("single-node plan carries a node-level classification")
+			}
 		}
 		return
 	}
@@ -293,27 +297,31 @@ func checkAgainstOracle(t *testing.T, s *System, plan *RoutePlan, o *dedupOracle
 	for src := 0; src < G; src++ {
 		for node := 0; node < s.cluster.Nodes; node++ {
 			at := fmt.Sprintf("owner %d -> node %d", src, node)
+			na := plan.node(src, node)
 			var nodeDense int64 // the owner's own node has no node-level route
 			for dst := node * per; dst < (node+1)*per && node != s.nodeOf(src); dst++ {
 				nodeDense += int64(plan.pairVecs(src, dst))
 			}
-			if dv.NodeUniq[src][node] != o.nodeUniq[src][node] || nodeDense != o.nodeDense[src][node] ||
-				dv.NodeWire[src][node] != o.nodeWire[src][node] {
+			if na.uniq != o.nodeUniq[src][node] || nodeDense != o.nodeDense[src][node] ||
+				na.wire != o.nodeWire[src][node] {
 				t.Fatalf("%s: uniq/dense/wire %d/%d/%v, oracle %d/%d/%v", at,
-					dv.NodeUniq[src][node], nodeDense, dv.NodeWire[src][node],
+					na.uniq, nodeDense, na.wire,
 					o.nodeUniq[src][node], o.nodeDense[src][node], o.nodeWire[src][node])
 			}
-			if !slices.Equal(dv.NodeNewAt[src][node], o.nodeNewAt[src][node]) {
-				t.Fatalf("%s: NodeNewAt %v, oracle %v", at, dv.NodeNewAt[src][node], o.nodeNewAt[src][node])
+			if !slices.Equal(na.newAt, o.nodeNewAt[src][node]) {
+				t.Fatalf("%s: newAt %v, oracle %v", at, na.newAt, o.nodeNewAt[src][node])
 			}
-			consumers := dv.NodeExpand[src][node*per : (node+1)*per]
-			if fn && o.nodeWire[src][node] {
-				checkKeys(t, at, dv.NodeKeys[src][node], o.nodeUniq[src][node],
+			var consumers [][]int32
+			for dst := node * per; dst < (node+1)*per; dst++ {
+				consumers = append(consumers, plan.pair(src, dst).nodeExpand)
+			}
+			if fn && node != s.nodeOf(src) {
+				checkKeys(t, at, na.keys, o.nodeUniq[src][node],
 					consumers, o.refs[src][node*per:(node+1)*per])
 				continue
 			}
-			if dv.NodeKeys[src][node] != nil || slices.ContainsFunc(consumers, func(e []int32) bool { return e != nil }) {
-				t.Fatalf("%s: keeps a node key list or expansion map off a functional node-wire route", at)
+			if len(na.keys) != 0 || slices.ContainsFunc(consumers, func(e []int32) bool { return len(e) != 0 }) {
+				t.Fatalf("%s: keeps a node key list or expansion map on a timing plan or the owner's own node", at)
 			}
 		}
 	}

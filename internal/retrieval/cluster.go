@@ -32,13 +32,3 @@ func (s *System) stageGPU(src, node int) int {
 	per := s.cluster.GPUsPerNode
 	return node*per + src%per
 }
-
-// nodeWirePair reports whether the (src owner -> dst consumer) pair is
-// carried by node-level wire dedup: dst's whole node receives src's unique
-// rows once, superseding the pair-level decision.
-func (s *System) nodeWirePair(dv *DedupView, src, dst int) bool {
-	if dv.NodeWire == nil {
-		return false
-	}
-	return dv.NodeWire[src][s.nodeOf(dst)]
-}

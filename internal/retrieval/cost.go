@@ -184,7 +184,7 @@ func (p *RoutePlan) codecVecs(g int, class routeRule) (sent, recv int64) {
 			continue
 		}
 		if cls := class(o, g); cls == RouteNodeWire {
-			recv += p.Dedup.NodeUniq[o][p.sys.nodeOf(g)]
+			recv += p.node(o, p.sys.nodeOf(g)).uniq
 		} else {
 			recv += int64(p.pairItems(cls, o, g))
 		}
@@ -341,25 +341,26 @@ func (s *System) batchPrice(t routeTerms, wire sim.Duration) sim.Duration {
 
 // priceRoutes decides owner src's routes for the batch in one pass over its
 // consumers, starting from all-dense, and returns the owner's priced batch
-// under the pair rule and under the one-sided rule. accs are the owner's pair accumulators by
-// consumer, nodes its (owner, node) accumulators (nil on one node), and
-// hitVecs and hitIdx the owner's own cache and mirror hits as a consumer;
-// gather[c] is pair (src, c)'s gather-dedup decision. At each remote node's
-// first consumer, while the node's pairs are still dense, it flips the
-// node's pairs to node-wire (nodeWire) when that lowers the owner's
-// batchPrice under the one-sided rule; at each remote pair it flips the pair
-// to wire (wire) when that lowers it under the pair rule, the collective's.
-// The two rules' prices are kept side by side: they differ only on node-wire
-// nodes, where the one-sided rule ignores the pair routes and ships one
-// staged send instead. With wire nil (dedup off) every route stays dense and
-// only the price is returned.
+// under the pair rule and under the one-sided rule. accs are the owner's
+// pair records by consumer, whose gather fields hold the gather-dedup
+// decisions and whose wire fields start false; nodes are its (owner, node)
+// records (unread on one node), whose wire fields start false; hitVecs and
+// hitIdx are the owner's own cache and mirror hits as a consumer. At each
+// remote node's first consumer, while the node's pairs are still dense, it
+// marks the node node-wire (nodeAcc.wire) when that lowers the owner's
+// batchPrice under the one-sided rule; at each remote pair it marks the
+// pair wire (pairAcc.wire) when that lowers it under the pair rule, the
+// collective's. The two rules' prices are kept side by side: they differ
+// only on node-wire nodes, where the one-sided rule ignores the pair routes
+// and ships one staged send instead. With dedup off every route stays dense
+// and only the price is returned.
 //
 // The wire term is the owner's slowest link: each pair on its node has its
 // own NVLink links, and each remote node's pairs share one NIC rail, so they
 // are priced as one send. Running sums, and the slowest link among the
 // decided and among the still-dense ones, make each flip O(1), so a batch
 // costs O(GPUs²), allocation-free.
-func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, hitIdx int64, gather, wire, nodeWire []bool) (pairPrice, onePrice sim.Duration) {
+func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, hitIdx int64) (pairPrice, onePrice sim.Duration) {
 	G := s.Cfg.GPUs
 	vb := int64(s.Cfg.VectorBytes())
 	per := s.cluster.GPUsPerNode
@@ -387,7 +388,7 @@ func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, 
 		if c == src {
 			cls = RouteLocal
 		}
-		a.terms = s.routeTermsOf(cls, a.miss, a.dense, a.uniq, gather != nil && gather[c])
+		a.terms = s.routeTermsOf(cls, a.miss, a.dense, a.uniq, a.gather)
 		sum = sum.plus(a.terms)
 		sum.stream += a.miss * 8
 		k, _ := link(c)
@@ -412,7 +413,7 @@ func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, 
 		if c == k {
 			staged = false
 		}
-		if c != src && wire != nil {
+		if c != src && s.Cfg.Dedup {
 			others := max(pairWire, after(end))
 			if c == k && end == k+per {
 				// A remote node's first consumer: price its pairs as one
@@ -432,7 +433,7 @@ func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, 
 				flip, send := one.minus(dense).plus(staging), s.wireTime(src, lane, nodeUniq)
 				staged = s.batchPrice(flip, max(rest, send)) < s.batchPrice(one, max(rest, s.wireTime(src, k, l.link)))
 				if staged {
-					nodeWire[s.nodeOf(c)] = true
+					nodes[s.nodeOf(c)].wire = true
 					one, oneWire = flip, max(oneWire, send)
 				}
 			}
@@ -441,7 +442,7 @@ func (s *System) priceRoutes(src int, accs []pairAcc, nodes []nodeAcc, hitVecs, 
 			flip := sum.minus(a.terms).plus(flipTerms)
 			if s.batchPrice(flip, max(others, s.wireTime(src, k, flipped))) <
 				s.batchPrice(sum, max(others, s.wireTime(src, k, l.link))) {
-				wire[c] = true
+				a.wire = true
 				if !staged {
 					one = one.minus(a.terms).plus(flipTerms)
 				}
@@ -494,7 +495,7 @@ func (s *System) migrationTime(owner []int, moves []placement.Move, newMirrors [
 
 // layoutPricer is the placement controller's Pricer. It prices a layout the
 // way route-plan compilation prices a batch: it rebuilds every pair's
-// accumulators from the controller's per-(table, consumer) statistics,
+// record from the controller's per-(table, consumer) statistics,
 // decides gather dedup (gatherDedupWins) and the routes (priceRoutes), and
 // takes each owner's priced batch. A pair's counts are sums over its owner's
 // tables:
@@ -521,14 +522,11 @@ type layoutPricer struct {
 	s          *System // configuration, hardware and geometry only
 	tableBytes []int64
 
-	sums   []pairSums // [owner*GPUs+consumer]
-	hits   []hitSums  // [consumer]
-	nodeU  []float64  // [owner*Nodes+node]
-	accs   []pairAcc
-	nodes  []nodeAcc
-	gather []bool
-	wire   []bool // [owner*GPUs+consumer]
-	staged []bool
+	sums  []pairSums // [owner*GPUs+consumer]
+	hits  []hitSums  // [consumer]
+	nodeU []float64  // [owner*Nodes+node]
+	accs  []pairAcc  // [owner*GPUs+consumer]
+	nodes []nodeAcc  // [owner*Nodes+node]
 
 	one, pair, unpack []sim.Duration // per GPU
 	prices            []float64      // the one-sided and the pair rule's
@@ -546,7 +544,6 @@ func newLayoutPricer(s *System, tableBytes []int64) *layoutPricer {
 		s: s, tableBytes: tableBytes,
 		sums: make([]pairSums, G*G), hits: make([]hitSums, G), nodeU: make([]float64, G*N),
 		accs: make([]pairAcc, G*G), nodes: make([]nodeAcc, G*N),
-		gather: make([]bool, G), wire: make([]bool, G*G), staged: make([]bool, N),
 		one: make([]sim.Duration, G), pair: make([]sim.Duration, G), unpack: make([]sim.Duration, G),
 		prices: make([]float64, 2),
 	}
@@ -610,13 +607,14 @@ func (pr *layoutPricer) price(st *placement.Stats, owner []int, hot []bool) {
 	}
 	count := func(x float64) int64 { return int64(math.Round(x)) }
 	vb := float64(s.Cfg.VectorBytes())
-	clear(pr.wire)
 	for o := 0; o < G; o++ {
 		accs := pr.accs[o*G : (o+1)*G]
 		for c := range accs {
 			m := pr.sums[o*G+c]
 			miss := count(m.miss)
-			accs[c] = pairAcc{miss: miss, dense: count(m.dense), uniq: min(count(m.uniq), miss)}
+			a := pairAcc{miss: miss, dense: count(m.dense), uniq: min(count(m.uniq), miss)}
+			a.gather = s.Cfg.Dedup && gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
+			accs[c] = a
 		}
 		var nodes []nodeAcc
 		if N > 1 {
@@ -625,16 +623,8 @@ func (pr *layoutPricer) price(st *placement.Stats, owner []int, hot []bool) {
 				nodes[node] = nodeAcc{uniq: count(pr.nodeU[o*N+node])}
 			}
 		}
-		var gather, wire []bool
-		if s.Cfg.Dedup {
-			gather, wire = pr.gather, pr.wire[o*G:(o+1)*G]
-			clear(pr.staged)
-			for c, a := range accs {
-				gather[c] = gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
-			}
-		}
 		h := pr.hits[o]
-		pr.pair[o], pr.one[o] = s.priceRoutes(o, accs, nodes, count(h.vecs), count(h.idx), gather, wire, pr.staged)
+		pr.pair[o], pr.one[o] = s.priceRoutes(o, accs, nodes, count(h.vecs), count(h.idx))
 	}
 	// The pair rule's unpack (unpackWork): one segment per remote owner
 	// with a dense pair to the consumer, and its vectors.
@@ -642,7 +632,7 @@ func (pr *layoutPricer) price(st *placement.Stats, owner []int, hot []bool) {
 		var vecs int64
 		segments := 0
 		for o := 0; o < G; o++ {
-			if o != c && !pr.wire[o*G+c] {
+			if o != c && !pr.accs[o*G+c].wire {
 				vecs += pr.accs[o*G+c].dense
 				segments++
 			}

@@ -100,9 +100,9 @@ func TestGatherDedupDecisionMatchesWalk(t *testing.T) {
 							decided := plan.GatherDedup(o, c)
 							seen[decided]++
 							base := kernel()
-							plan.Dedup.Gather[o][c] = !decided
+							plan.pair(o, c).gather = !decided
 							flipped := kernel()
-							plan.Dedup.Gather[o][c] = decided
+							plan.pair(o, c).gather = decided
 							if flipped < base*(1-1e-12) {
 								t.Errorf("%s: GPU %d pair (%d, %d): gather dedup %v costs %g, the other way %g",
 									in.name, g, o, c, decided, base, flipped)
@@ -127,7 +127,7 @@ func TestGatherDedupDecisionMatchesWalk(t *testing.T) {
 // pair (pairItems).
 func planTerms(s *System, plan *RoutePlan, o, c int) routeTerms {
 	cls := plan.Class(o, c)
-	uniq := plan.Dedup.Uniq[o][c]
+	uniq := plan.pair(o, c).uniq
 	if cls == RouteNodeWire {
 		uniq = int64(plan.pairItems(cls, o, c))
 	}

@@ -1,7 +1,7 @@
 package retrieval
 
 import (
-	"encoding/json"
+	"fmt"
 	"testing"
 
 	"pgasemb/internal/embedding"
@@ -375,11 +375,11 @@ func TestDedupSingleGPUMatchesReference(t *testing.T) {
 }
 
 // Timing-mode runs draw each table of every batch into one reused scratch
-// bag and keep only the compiled plan. The plan must own its views: each
-// batch's DedupView, CacheView and prefix sums read the same after every
-// later batch is drawn over the scratch bag as right after their own
-// compile, and the residency hits, which are scratch too, are gone.
-func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
+// bag and keep only the compiled plan. The plan must own its records: a
+// batch's pair and node records, prefix sums and hit prefixes read the same
+// after the next batch is drawn over the scratch bag as right after their
+// compile, and the residency hits, which are scratch too, are not kept.
+func TestTimingPlanOutlivesScratchBatch(t *testing.T) {
 	cfg := dedupTestConfig(3)
 	cfg.Functional = false
 	cfg.CacheFraction = 0.003
@@ -389,37 +389,31 @@ func TestTimingPlanViewsOutliveScratchBatch(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	snapshot := func(bd *BatchData) string {
-		t.Helper()
-		c := bd.Plan.Cache
-		b, err := json.Marshal([]any{bd.Plan.Dedup, c, bd.Plan.pooled, c.hitVecs, c.hitIdx})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return string(b)
+	snapshot := func(p *RoutePlan) string {
+		return fmt.Sprint(p.pairs, p.nodes, p.pooled, p.hitVecs, p.hitIdx)
 	}
-	var bds []*BatchData
-	var at []string
+	discard := make([]int64, cfg.BatchSize)
 	for i := 0; i < cfg.Batches; i++ {
 		bd, err := sys.NextBatchData()
 		if err != nil {
 			t.Fatal(err)
 		}
-		if bd.Sparse != nil || bd.Plan.Dedup == nil || bd.Plan.Cache == nil {
-			t.Fatalf("batch %d: timing batch keeps its input (%v) or lacks a dedup/cache view", i, bd.Sparse != nil)
+		if bd.Sparse != nil || !bd.Plan.resident {
+			t.Fatalf("batch %d: timing batch keeps its input (%v) or ran no residency step", i, bd.Sparse != nil)
 		}
-		if bd.Plan.Cache.Hit != nil {
+		if bd.Plan.hit != nil {
 			t.Fatalf("batch %d: timing plan keeps the residency bitmap, which the next batch redraws", i)
 		}
-		bds = append(bds, bd)
-		at = append(at, snapshot(bd))
+		at := snapshot(bd.Plan)
+		sys.gen.NextPoolingSums(func(int) []int64 { return discard })
+		for f := 0; f < cfg.TotalTables; f++ {
+			sys.gen.Feature(f, &sys.planScr.bag)
+		}
+		if snapshot(bd.Plan) != at {
+			t.Fatalf("batch %d: the compiled plan changed when the next batch was drawn over the scratch bag", i)
+		}
 	}
 	if sys.Caches.Stats().Hits == 0 {
-		t.Fatal("cache saw no hits; the cache view is not exercised")
-	}
-	for i, bd := range bds {
-		if snapshot(bd) != at[i] {
-			t.Fatalf("batch %d: compiled views changed after later batches were drawn", i)
-		}
+		t.Fatal("cache saw no hits; the residency hits are not exercised")
 	}
 }

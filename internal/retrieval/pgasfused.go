@@ -135,11 +135,11 @@ func (b *PGASFused) RunBatch(s *System, p *sim.Proc, g int, bd *BatchData, bk *t
 	pe.Quiet(p)
 	bk.Accumulate(CompFused, p.Now()-batchStart)
 
-	if bd.dedupBarrier != nil {
+	if plan.barrier != nil {
 		// Quiet drained only OUR pipes; expansion consumes rows streamed by
 		// every owner, so all PEs rendezvous first.
 		expandStart := p.Now()
-		bd.dedupBarrier.Await(p)
+		plan.barrier.Await(p)
 		if expand, ok := s.expandCost(p, g, plan); ok {
 			stream.Launch(p, expand) // drains before the final Synchronize
 		}
@@ -190,7 +190,7 @@ func (s *System) expandCost(p *sim.Proc, g int, plan *RoutePlan) (cost sim.Durat
 			continue
 		}
 		if lane := s.stageGPU(src, myNode); lane != g {
-			bytes := float64(plan.Dedup.NodeUniq[src][myNode]) * s.Fab.WireBytes(s.Cfg.WireVectorBytes())
+			bytes := float64(plan.node(src, myNode).uniq) * s.Fab.WireBytes(s.Cfg.WireVectorBytes())
 			if done := s.Fab.Pipe(lane, g).Offer(bytes); done > redist {
 				redist = done
 			}

@@ -15,7 +15,7 @@ import (
 //     collector each (table, consumer)'s counts (observeTable, and the
 //     residency and dedup steps);
 //   - mirrored hot tables are guaranteed hits in the route plan's residency
-//     view (residencyTable), so every backend's existing hit-skipping path
+//     step (residencyTable), so every backend's existing hit-skipping path
 //     serves mirror reads with zero backend edits;
 //   - rebalance epochs run on the ONE simulated clock: migration traffic is
 //     charged to the NVLink pipes (or the NIC fabric across nodes) at the
@@ -89,9 +89,9 @@ func (s *System) accumOwnerLoad(bd *BatchData) {
 	plan := bd.Plan
 	for o := 0; o < s.Cfg.GPUs; o++ {
 		for c := 0; c < s.Cfg.GPUs; c++ {
-			if v := plan.Cache; v != nil {
-				s.ownerKeys[c] += v.WireIdx[o][c]
-			}
+			lo, hi := s.Minibatch(c)
+			_, hits := plan.OwnerChunkHits(o, lo, hi)
+			s.ownerKeys[c] += hits
 			s.ownerKeys[plan.ServeGPU(o, c)] += plan.pairMissIdx(o, c)
 		}
 	}

@@ -414,7 +414,7 @@ func TestPlacementStatsMatchPerReferenceCounts(t *testing.T) {
 // TestAdaptivePlacementSteadyStateZeroAllocs pins the hot-path contract with
 // placement enabled AND mirrors active: statistics feeding rides the
 // existing host-side compile pass, and serving mirrored reads through the
-// CacheView skip-arithmetic must not allocate inside RunBatch.
+// plan's hit-skipping arithmetic must not allocate inside RunBatch.
 func TestAdaptivePlacementSteadyStateZeroAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-backed test")
@@ -695,7 +695,7 @@ func TestPlacementPriceMatchesPlan(t *testing.T) {
 						if err != nil {
 							t.Fatal(err)
 						}
-						if cached && bd.Plan.Cache != nil && s.Caches.Stats().Hits == 0 {
+						if cached && bd.Plan.resident && s.Caches.Stats().Hits == 0 {
 							t.Fatal("no cache hits; the hit terms go unchecked")
 						}
 						owner := make([]int, cfg.TotalTables)
@@ -744,8 +744,8 @@ func planPrice(s *System, plan *RoutePlan, o int, class routeRule) sim.Duration 
 		cls := class(o, c)
 		miss := plan.pairMissIdx(o, c)
 		uniq := int64(plan.pairItems(cls, o, c))
-		if plan.Dedup != nil && (cls == RouteLocal || cls == RouteDense) {
-			uniq = plan.Dedup.Uniq[o][c] // the gather-dedup split
+		if cls == RouteLocal || cls == RouteDense {
+			uniq = plan.pair(o, c).uniq // the gather-dedup split (0 without dedup)
 		}
 		terms := s.routeTermsOf(cls, miss, int64(plan.pairVecs(o, c)), uniq, plan.GatherDedup(o, c))
 		sum = sum.plus(terms)

@@ -9,15 +9,22 @@ import (
 	"pgasemb/internal/sparse"
 )
 
-// Route-plan compilation. Every batch's key classification — which output
-// vectors are cache hits, which (owner, consumer) pairs ship unique rows
-// instead of dense pooled vectors, which pairs ride node-level staging — used
-// to be consulted ad hoc by each backend in each mode. It now happens in ONE
-// host-side pass per batch: NextBatchData compiles a RoutePlan, and backends
-// only ask the plan how a pair is routed. Timing and functional execution
-// therefore follow the same decisions by construction, and a new
-// classification feature is wired once, here, instead of once per backend
-// per mode.
+// Route-plan compilation. One host-side pass per batch classifies its keys:
+// which output vectors their consumers read without the owner (cache hits
+// and hot-table mirror reads), which (owner, consumer) pairs ship unique rows
+// instead of dense pooled vectors, which pairs ride node-level staging, and
+// which replica serves each pair. NextBatchData runs the pass, and backends
+// and the transfer executor only ask the plan how a pair is routed, so timing
+// and functional execution follow the same decisions by construction, and a
+// new classification feature is wired once, here.
+//
+// Each System holds ONE plan: a record set the compile walk refills in place
+// for every batch. Its readers are done with a batch's plan before the next
+// compile: backends read it until walkDone, the lockstep drive compiles the
+// next batch only after every GPU has left its body, and a serving flight of
+// the same shape pulls only after the previous flight's handover. So the
+// records never outlive their batch, and a steady-state compile allocates
+// nothing.
 //
 // The plan is a pure function of the workload seed, the cache state and the
 // machine shape — never of simulated-process interleaving — so every GPU's
@@ -59,36 +66,80 @@ func (c PairClass) String() string {
 	}
 }
 
-// RoutePlan is one batch's compiled classification: the hot-row cache view,
-// the deduplication view, and the per-pair route queries every backend
-// shares. Cache and Dedup are nil when the corresponding feature is off.
+// RoutePlan is the run's compiled classification of its live batch: one
+// record per (owner, consumer) pair and per (owner, node), the residency
+// hits, the replica serve column and the pooled-index prefixes, behind the
+// per-pair route queries every backend shares. routePlan sizes it on the
+// run's first batch; every later compile rewrites it in place.
 type RoutePlan struct {
-	sys   *System
-	Cache *CacheView
-	Dedup *DedupView
+	sys *System
 
-	// serve is the batch's replica routing (nil unless Config.Replicas > 1):
-	// serve[o][c] is the GPU that serves shard o's vectors to consumer c,
-	// chosen from the shard's healthy replicas — the consumer itself when it
-	// holds a mirror, otherwise the replica with the best degradation-aware
-	// path to the consumer. Computed host-side per batch from the fault
-	// schedule, so recompilation routes around links that fault mid-run.
-	// Backends read it only through ServeGPU.
-	serve [][]int
+	// pairs[o*GPUs+c] is pair (o, c)'s record: the dedup walk's counts,
+	// first-seen spread and functional keys, and the priced wire and gather
+	// decisions (pairAcc). All zero unless Config.Dedup.
+	pairs []pairAcc
+	// nodes[o*Nodes+n] is owner o's record for destination node n
+	// (nodeAcc). Only remote nodes of a multi-node dedup run are written.
+	nodes []nodeAcc
 
-	// pooled is the batch's pooled-index arithmetic: pooled[o][smp] counts
-	// the indices of shard o's tables over samples [0, smp), under the
-	// placement the batch executes (len BatchSize+1 per shard). Every
-	// pooled-index total the timing model needs is a difference of two
-	// entries, so no timing path reads the batch or its pooling factors
-	// after compile.
-	pooled [][]int64
+	// resident reports whether the batch ran the residency step (a hot-row
+	// cache or a live mirror set). Without it no vector is a hit, and the
+	// hit prefixes and bitmap hold an older batch's.
+	resident bool
+	// hitVecs[o][smp] and hitIdx[o][smp] count shard o's hit vectors and
+	// their pooled indices over samples [0, smp) (len BatchSize+1): the
+	// prefix sums behind OwnerChunkHits. Sized by the first resident batch.
+	hitVecs, hitIdx [][]int64
+	// hit[o][fi*BatchSize+smp] marks the vector (owner o, o-local table fi,
+	// sample smp) as a hit at smp's consumer. Vectors of o's own minibatch
+	// never are (they are local either way). Functional runs only: a timing
+	// walk keeps one table's hits at a time.
+	hit [][]bool
+
+	// serve[o*GPUs+c] is the GPU that serves shard o's vectors to consumer
+	// c (nil unless Config.Replicas > 1), chosen from the shard's healthy
+	// replicas — the consumer itself when it holds a mirror, otherwise the
+	// replica with the best degradation-aware path to the consumer.
+	// Computed host-side per batch from the fault schedule, so
+	// recompilation routes around links that fault mid-run. Backends read
+	// it only through ServeGPU.
+	serve []int
+
+	// pooled is the batch's pooled-index arithmetic: shard o's
+	// BatchSize+1 entries start at o*(BatchSize+1) (pooledOf), and entry
+	// smp counts the indices of the shard's tables over samples [0, smp),
+	// under the placement the batch executes. Every pooled-index total the
+	// timing model needs is a difference of two entries, so no timing path
+	// reads the batch or its pooling factors after compile.
+	pooled []int64
+
+	// barrier is the post-quiet rendezvous one-sided backends await before
+	// expanding (nil unless Config.Dedup on more than one GPU): quiet only
+	// drains a PE's OWN pipes, so a consumer must not expand until every
+	// owner has finished streaming. The baseline never awaits it (its
+	// collective is already a global synchronisation point).
+	barrier *sim.Barrier
+
+	// spread backs the pairs' and the nodes' first-seen spreads.
+	spread []int32
+}
+
+// pair returns pair (o, c)'s record.
+func (p *RoutePlan) pair(o, c int) *pairAcc { return &p.pairs[o*p.sys.Cfg.GPUs+c] }
+
+// node returns owner o's record for destination node n.
+func (p *RoutePlan) node(o, n int) *nodeAcc { return &p.nodes[o*p.sys.cluster.Nodes+n] }
+
+// pooledOf returns shard o's pooled-index prefixes.
+func (p *RoutePlan) pooledOf(o int) []int64 {
+	n := p.sys.Cfg.BatchSize + 1
+	return p.pooled[o*n : (o+1)*n]
 }
 
 // localIndexTotal returns the pooled-index total of shard o's tables over
 // samples [lo, hi).
 func (p *RoutePlan) localIndexTotal(o, lo, hi int) int64 {
-	return rangeSum(p.pooled[o], lo, hi)
+	return rangeSum(p.pooledOf(o), lo, hi)
 }
 
 // rangeSum returns the total over samples [lo, hi) of a prefix array whose
@@ -106,20 +157,16 @@ func (p *RoutePlan) ServeGPU(o, c int) int {
 	if p.serve == nil {
 		return o
 	}
-	return p.serve[o][c]
+	return p.serve[o*p.sys.Cfg.GPUs+c]
 }
 
 // pairVecs returns the pooled vectors shard o owes consumer c this batch:
 // c's minibatch times o's tables, minus the vectors c reads from its own
 // cache or hot-table mirrors.
 func (p *RoutePlan) pairVecs(o, c int) int {
-	s := p.sys
-	lo, hi := s.Minibatch(c)
-	vecs := (hi - lo) * s.LocalTables(o)
-	if v := p.Cache; v != nil {
-		vecs -= v.WireVecs[o][c]
-	}
-	return vecs
+	lo, hi := p.sys.Minibatch(c)
+	hits, _ := p.OwnerChunkHits(o, lo, hi)
+	return (hi-lo)*p.sys.LocalTables(o) - hits
 }
 
 // pairItems returns the rows pair (o, c), of route cls, lands at its
@@ -130,10 +177,10 @@ func (p *RoutePlan) pairVecs(o, c int) int {
 func (p *RoutePlan) pairItems(cls PairClass, o, c int) int {
 	switch cls {
 	case RouteWire:
-		return int(p.Dedup.Uniq[o][c])
+		return int(p.pair(o, c).uniq)
 	case RouteNodeWire:
 		if node := p.sys.nodeOf(c); p.sys.stageGPU(o, node) == c {
-			return int(p.Dedup.NodeUniq[o][node])
+			return int(p.node(o, node).uniq)
 		}
 		return 0
 	}
@@ -163,40 +210,28 @@ func (p *RoutePlan) itemsIn(cls PairClass, o, c, lo, hi int) (items, target int)
 // own cache or hot-table mirrors.
 func (p *RoutePlan) pairMissIdx(o, c int) int64 {
 	lo, hi := p.sys.Minibatch(c)
-	idx := p.localIndexTotal(o, lo, hi)
-	if v := p.Cache; v != nil {
-		idx -= v.WireIdx[o][c]
-	}
-	return idx
+	_, hits := p.OwnerChunkHits(o, lo, hi)
+	return p.localIndexTotal(o, lo, hi) - hits
 }
 
 // Class returns the (owner src → consumer dst) route under a one-sided
-// transport, where node-level wire dedup supersedes the pair-level decision.
+// transport, where node-level wire dedup supersedes the pair-level decision:
+// dst's whole node receives src's unique rows once.
 func (p *RoutePlan) Class(src, dst int) PairClass {
-	if src == dst {
-		return RouteLocal
-	}
-	dv := p.Dedup
-	if dv == nil {
-		return RouteDense
-	}
-	if p.sys.nodeWirePair(dv, src, dst) {
+	if p.node(src, p.sys.nodeOf(dst)).wire {
 		return RouteNodeWire
 	}
-	if dv.Wire[src][dst] {
-		return RouteWire
-	}
-	return RouteDense
+	return p.CollectiveClass(src, dst)
 }
 
 // CollectiveClass returns the pair's route under a pair-addressed collective:
 // the all-to-all's segments are addressed per (owner, consumer), so node-level
 // staging never applies and the pair-level wire decision stands.
 func (p *RoutePlan) CollectiveClass(src, dst int) PairClass {
-	if src == dst {
+	switch {
+	case src == dst:
 		return RouteLocal
-	}
-	if dv := p.Dedup; dv != nil && dv.Wire[src][dst] {
+	case p.pair(src, dst).wire:
 		return RouteWire
 	}
 	return RouteDense
@@ -218,10 +253,7 @@ func (p *RoutePlan) segmentVecs(server, dst int) int {
 // GatherDedup reports whether the pair's owner-side gather stages each unique
 // row once and serves duplicate references from the staged working set
 // (timing model only; output data is unchanged).
-func (p *RoutePlan) GatherDedup(src, dst int) bool {
-	dv := p.Dedup
-	return dv != nil && dv.Gather[src][dst]
-}
+func (p *RoutePlan) GatherDedup(src, dst int) bool { return p.pair(src, dst).gather }
 
 // NewKeysIn returns the pair's unique keys first seen in sample range
 // [s0, s1), clamped to the consumer's minibatch. Wire and gather-dedup routes
@@ -229,9 +261,9 @@ func (p *RoutePlan) GatherDedup(src, dst int) bool {
 func (p *RoutePlan) NewKeysIn(src, dst, s0, s1 int) int {
 	lo, hi := p.sys.Minibatch(dst)
 	if s0 <= lo && s1 >= hi {
-		return int(p.Dedup.Uniq[src][dst]) // the whole minibatch's NewAt sum
+		return int(p.pair(src, dst).uniq) // the whole minibatch's spread
 	}
-	return firstSeenIn(p.Dedup.NewAt[src][dst], lo, s0, s1)
+	return firstSeenIn(p.pair(src, dst).newAt, lo, s0, s1)
 }
 
 // NodeNewKeysIn returns owner src's node-level unique keys first seen in
@@ -239,7 +271,7 @@ func (p *RoutePlan) NewKeysIn(src, dst, s0, s1 int) int {
 // only.
 func (p *RoutePlan) NodeNewKeysIn(src, node, s0, s1 int) int {
 	lo, _ := p.sys.nodeSampleRange(node)
-	return firstSeenIn(p.Dedup.NodeNewAt[src][node], lo, s0, s1)
+	return firstSeenIn(p.node(src, node).newAt, lo, s0, s1)
 }
 
 // OwnerChunkHits returns the hit vectors (and pooled indices) of shard o
@@ -247,20 +279,16 @@ func (p *RoutePlan) NodeNewKeysIn(src, node, s0, s1 int) int {
 // owner, so no server gathers or sends them: the fused kernel's per-chunk
 // discount.
 func (p *RoutePlan) OwnerChunkHits(o, s0, s1 int) (vecs int, idx int64) {
-	view := p.Cache
-	if view == nil {
+	if !p.resident {
 		return 0, 0
 	}
-	return int(rangeSum(view.hitVecs[o], s0, s1)), rangeSum(view.hitIdx[o], s0, s1)
+	return int(rangeSum(p.hitVecs[o], s0, s1)), rangeSum(p.hitIdx[o], s0, s1)
 }
 
 // ConsumerChunkHits returns the hit vectors (and pooled indices) that
 // consumer g pools locally — from its cache or its hot-table mirrors — for
 // its minibatch samples within [s0, s1).
 func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
-	if p.Cache == nil {
-		return 0, 0
-	}
 	s := p.sys
 	lo, hi := s.Minibatch(g)
 	s0, s1 = clampRange(s0, s1, lo, hi)
@@ -278,47 +306,88 @@ func (p *RoutePlan) ConsumerChunkHits(g, s0, s1 int) (vecs int, idx int64) {
 	return vecs, idx
 }
 
-// planScratch is the per-run arena for plan COMPILATION: working state that
-// never outlives one NextBatchData call. Per-batch outputs — the views, key
-// lists, expansion maps — are still allocated per batch. The run's batch
-// driver (Drive) compiles each batch at its barrier, in batch order, and
-// keeps one batch live, so one per-run arena could own them. Simulated
-// processes never run concurrently, so NextBatchData needs no
-// synchronisation.
+// planScratch is the compile walk's working state, which never outlives one
+// compile: the row sets, one minibatch range's hashed rows, a timing run's
+// one table of bags and of hits, and the pooling pass's owner map. The walk
+// accumulates straight into the plan's records. Simulated processes never
+// run concurrently, so compiling needs no synchronisation.
 type planScratch struct {
 	pairSet rowSet            // one (consumer, table)'s unique rows
 	nodeSet rowSet            // one (remote node, table)'s unique rows
-	pairAcc []pairAcc         // the dedup walk's per-pair sums, [owner*GPUs+consumer]
-	nodeAcc []nodeAcc         // the dedup walk's per-(owner, node) sums, [owner*Nodes+node]
 	rows    []int32           // residency step's hashed references of one minibatch range
 	hit     []bool            // timing mode's residency hits of one table, by sample
 	bag     sparse.FeatureBag // timing mode's one table, drawn in plan order
 	ownerOf []int             // owner GPU of every feature, for the pooling pass
 }
 
+// routePlan returns the run's route plan, sizing it on the run's first batch:
+// a record for every pair and every (owner, node), the pooled-index
+// prefixes, the serve column under replication and, under dedup, the
+// expansion barrier and the first-seen spreads, which one backing array
+// holds for every pair and every remote node.
+func (s *System) routePlan() *RoutePlan {
+	p := &s.route
+	if p.sys != nil {
+		return p
+	}
+	G, B, N := s.Cfg.GPUs, s.Cfg.BatchSize, s.cluster.Nodes
+	*p = RoutePlan{
+		sys:    s,
+		pairs:  make([]pairAcc, G*G),
+		nodes:  make([]nodeAcc, G*N),
+		pooled: make([]int64, G*(B+1)),
+	}
+	if s.Cfg.Replicas > 1 {
+		p.serve = make([]int, G*G)
+	}
+	if !s.Cfg.Dedup {
+		return p
+	}
+	if G > 1 {
+		p.barrier = sim.NewBarrier(s.Env, G)
+	}
+	// Each owner's pair spreads cover the batch once, and so do its remote
+	// nodes' on a multi-node machine.
+	spread := make([]int32, G*B*min(N, 2))
+	p.spread = spread
+	for src := 0; src < G; src++ {
+		for dst := 0; dst < G; dst++ {
+			lo, hi := s.Minibatch(dst)
+			p.pair(src, dst).newAt, spread = spread[:hi-lo:hi-lo], spread[hi-lo:]
+		}
+		for node := 0; node < N; node++ {
+			if node != s.nodeOf(src) {
+				lo, hi := s.nodeSampleRange(node)
+				p.node(src, node).newAt, spread = spread[:hi-lo:hi-lo], spread[hi-lo:]
+			}
+		}
+	}
+	return p
+}
+
 // drawPooling opens the next batch with the generator's pooling pass and
-// returns the plan's per-shard pooled-index prefix sums under the current
-// placement: pooled[o][smp] counts shard o's indices over samples [0, smp).
+// fills the plan's per-shard pooled-index prefix sums under the current
+// placement: shard o's entry smp counts its indices over samples [0, smp).
 // Each feature's factors are added into its owner's shard as they are drawn.
-func (s *System) drawPooling() [][]int64 {
-	pooled := grid[int64](s.Cfg.GPUs, s.Cfg.BatchSize+1)
+func (s *System) drawPooling() {
+	plan := s.routePlan()
+	clear(plan.pooled)
 	owner := scratchSlice(&s.planScr.ownerOf, s.Cfg.TotalTables)
 	for o, fids := range s.Plan {
 		for _, fid := range fids {
 			owner[fid] = o
 		}
 	}
-	s.gen.NextPoolingSums(func(f int) []int64 { return pooled[owner[f]][1:] })
-	scan(pooled)
-	return pooled
+	s.gen.NextPoolingSums(func(f int) []int64 { return plan.pooledOf(owner[f])[1:] })
+	for o := range s.Plan {
+		scan(plan.pooledOf(o))
+	}
 }
 
-// scan turns every row's per-sample counts into prefix sums, in place.
-func scan(rows [][]int64) {
-	for _, row := range rows {
-		for smp := 1; smp < len(row); smp++ {
-			row[smp] += row[smp-1]
-		}
+// scan turns per-sample counts into prefix sums, in place.
+func scan(row []int64) {
+	for smp := 1; smp < len(row); smp++ {
+		row[smp] += row[smp-1]
 	}
 }
 
@@ -331,34 +400,34 @@ func (s *System) drawBatch() *sparse.Batch {
 	return b
 }
 
-// compileRoutePlan runs the classifier passes for one batch, whose pooled
-// prefixes drawPooling returned, and attaches the resulting plan to bd.
+// compileRoutePlan runs the classifier passes for the batch drawPooling
+// opened, rewriting the run's plan in place, and attaches the plan to bd.
 // Every pass that reads indices runs in one walk over the tables in plan
 // order: for each table, the residency step for every consumer, then the
-// dedup step, while its bags are in cache. The
-// bags come from bd.Sparse when the batch is materialised (functional runs
-// and PlanCompileLoop); a timing run draws each table as the walk reaches
-// it (Generator.Feature). With a placement controller attached the walk
-// also records its statistics (observeTable, and the residency and dedup
-// steps' per-table counts). Runs that read no indices and record nothing
-// skip the walk.
-func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
-	plan := &RoutePlan{sys: s, pooled: pooled}
+// dedup step, while its bags are in cache. The bags come from bd.Sparse when
+// the batch is materialised (functional runs and PlanCompileLoop); a timing
+// run draws each table as the walk reaches it (Generator.Feature). With a
+// placement controller attached the walk also records its statistics
+// (observeTable, and the residency and dedup steps' per-table counts). Runs
+// that read no indices and record nothing skip the walk.
+func (s *System) compileRoutePlan(bd *BatchData) {
+	plan := s.routePlan()
 	bd.Plan = plan
-	if s.cacheEnabled() || s.hotMirrorActive() {
-		// Residency first: vectors a consumer reads without their owner
-		// never enter the dedup key sets, so the dedup step sees only the
-		// owner-served misses.
-		plan.Cache = s.newCacheView()
+	// Residency first: vectors a consumer reads without their owner never
+	// enter the dedup key sets, so the dedup step sees only the owner-served
+	// misses.
+	plan.resident = s.cacheEnabled() || s.hotMirrorActive()
+	if plan.resident {
+		plan.beginResidency()
 	}
 	if s.Cfg.Dedup { // single-GPU systems too: diagonal gather dedup
-		s.beginDedup()
+		plan.beginDedup()
 	}
 	st := s.placeStats()
 	if st != nil {
 		st.BeginBatch()
 	}
-	if plan.Cache != nil || s.Cfg.Dedup || st != nil {
+	if plan.resident || s.Cfg.Dedup || st != nil {
 		for o, fids := range s.Plan {
 			for fi, fid := range fids {
 				fb := &s.planScr.bag
@@ -371,7 +440,7 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 					s.observeTable(st, fb)
 				}
 				var hit []bool
-				if plan.Cache != nil {
+				if plan.resident {
 					hit = s.residencyTable(bd, o, fi, fb)
 				}
 				if s.Cfg.Dedup {
@@ -380,26 +449,20 @@ func (s *System) compileRoutePlan(bd *BatchData, pooled [][]int64) {
 			}
 		}
 	}
-	if v := plan.Cache; v != nil {
-		scan(v.hitVecs)
-		scan(v.hitIdx)
+	if plan.resident {
+		for o := range plan.hitVecs {
+			scan(plan.hitVecs[o])
+			scan(plan.hitIdx[o])
+		}
 	}
 	if s.Cfg.Dedup {
-		plan.Dedup = s.finishDedup(plan)
-		if s.Cfg.GPUs > 1 {
-			// The post-quiet rendezvous one-sided backends await before
-			// expanding: quiet only drains a PE's OWN pipes, so a consumer
-			// must not expand until every owner has finished streaming. The
-			// baseline never awaits it (its collective is already a global
-			// synchronisation point); an unawaited barrier is inert.
-			bd.dedupBarrier = sim.NewBarrier(s.Env, s.Cfg.GPUs)
-		}
+		s.finishDedup()
 	}
 	if st != nil {
 		st.EndBatch()
 	}
 	if s.Cfg.Replicas > 1 {
-		plan.serve = s.computeServe(s.batchSeq)
+		s.computeServe(s.batchSeq)
 	}
 }
 
@@ -421,25 +484,33 @@ func (s *System) holdsReplica(c, o int) bool {
 	return c == o || ((c-o)%G+G)%G < s.Cfg.Replicas
 }
 
-// newCacheView returns an empty residency view for the batch, with its
-// functional hit bitmap when the run is functional.
-func (s *System) newCacheView() *CacheView {
-	cfg := s.Cfg
-	B := cfg.BatchSize
-	hits := grid[int64](2*cfg.GPUs, B+1)
-	view := &CacheView{
-		WireVecs: grid[int](cfg.GPUs, cfg.GPUs),
-		WireIdx:  grid[int64](cfg.GPUs, cfg.GPUs),
-		hitVecs:  hits[:cfg.GPUs],
-		hitIdx:   hits[cfg.GPUs:],
-	}
-	if cfg.Functional {
-		view.Hit = make([][]bool, cfg.GPUs)
-		for p := range view.Hit {
-			view.Hit[p] = make([]bool, len(s.Plan[p])*B)
+// beginResidency readies the plan for a resident batch: zeroed hit counts,
+// and in a functional run a hit bitmap sized to every owner's tables under
+// the current placement (residencyTable clears each table's hits as it
+// reaches it). The first resident batch sizes the prefixes.
+func (p *RoutePlan) beginResidency() {
+	s := p.sys
+	G, B := s.Cfg.GPUs, s.Cfg.BatchSize
+	if p.hitVecs == nil {
+		hits := grid[int64](2*G, B+1)
+		p.hitVecs, p.hitIdx = hits[:G], hits[G:]
+		if s.Cfg.Functional {
+			p.hit = make([][]bool, G)
 		}
 	}
-	return view
+	for o := 0; o < G; o++ {
+		clear(p.hitVecs[o])
+		clear(p.hitIdx[o])
+	}
+	for o := range p.hit {
+		scratchSlice(&p.hit[o], s.LocalTables(o)*B)
+	}
+}
+
+// isHit reports whether the vector (owner o, o-local table fi, sample smp)
+// is read by its consumer without the owner. Functional runs only.
+func (p *RoutePlan) isHit(o, fi, smp int) bool {
+	return p.resident && p.hit[o][fi*p.sys.Cfg.BatchSize+smp]
 }
 
 // residencyTable is the residency step: it decides, for every consumer,
@@ -467,11 +538,11 @@ func (s *System) newCacheView() *CacheView {
 func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag) []bool {
 	cfg := s.Cfg
 	B := cfg.BatchSize
-	view := bd.Plan.Cache
+	plan := &s.route
 	fid := fb.FeatureID
 	hit := scratchSlice(&s.planScr.hit, B)
 	if cfg.Functional {
-		hit = view.Hit[p][fi*B : (fi+1)*B]
+		hit = plan.hit[p][fi*B : (fi+1)*B]
 	}
 	clear(hit)
 	mirrored := s.hotMirrorActive() && s.hotMirror[fid]
@@ -528,10 +599,8 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 				obs.CacheVecs++
 				obs.CacheIdx += float64(len(bag))
 			}
-			view.WireVecs[p][g]++
-			view.WireIdx[p][g] += int64(len(bag))
-			view.hitVecs[p][smp+1]++
-			view.hitIdx[p][smp+1] += int64(len(bag))
+			plan.hitVecs[p][smp+1]++
+			plan.hitIdx[p][smp+1] += int64(len(bag))
 			if !cfg.Functional {
 				continue
 			}
@@ -549,69 +618,88 @@ func (s *System) residencyTable(bd *BatchData, p, fi int, fb *sparse.FeatureBag)
 
 // Dedup classification is one step of the compile walk. The step,
 // dedupTable, runs one (owner, table)'s references through the row sets and
-// adds into per-pair and per-(owner, node) accumulators; finishDedup turns
-// the sums into the batch's view. The walk steps the tables in plan order,
-// so functional key lists come out table-major in plan order. A key is
-// (table, hashed row), so every count the view holds is a sum over
-// per-table key sets, which no step order could change.
+// adds into the plan's pair and (owner, node) records; finishDedup decides
+// every route from the sums. The walk steps the tables in plan order, so
+// functional key lists come out table-major in plan order. A key is (table,
+// hashed row), so every count a record holds is a sum over per-table key
+// sets, which no step order could change.
 //
-// pairAcc accumulates one (owner, consumer) pair's classification over the
-// owner's tables, and holds the pair's state while priceRoutes decides its
-// owner's routes.
+// pairAcc is one (owner, consumer) pair's record. The walk accumulates its
+// classification over the owner's tables; priceRoutes then holds the pair's
+// pricing state in it while deciding its owner's routes, and leaves the
+// decisions. The diagonal describes each GPU's local (own minibatch)
+// lookups, where only gather dedup can apply. The walk's miss and dense sums
+// are the plan's pairMissIdx and pairVecs.
 type pairAcc struct {
-	miss, dense, uniq int64
-	newAt             []int32
-	keys              []uint64 // functional only: first-seen keys, table-major
-	expand            []int32  // functional only: each reference's position in keys
-	nodeExpand        []int32  // functional only: each reference's position in the node's keys
+	// miss counts the pair's cache-missed pooled references and dense its
+	// cache-missed pooled vectors (empty bags count: the dense scheme ships
+	// their zero vectors).
+	miss, dense int64
+	// uniq counts the distinct (table, hashed-row) keys among the pair's
+	// miss references.
+	uniq int64
+	// newAt[smp-lo] counts the pair's keys FIRST seen at consumer sample
+	// smp, where lo starts the consumer's minibatch. It sums to uniq and
+	// lets the chunked fused kernel apportion unique-row work per chunk.
+	newAt []int32
+	// keys lists the pair's unique keys (owner-local table index <<32 |
+	// hashed row) table-major: tables in plan order, each table's keys in
+	// first-seen sample order. expand is the inverse-expansion map: for
+	// every miss reference in table-major order (tables in plan order, then
+	// samples ascending, bag order), the position of its row in keys.
+	// nodeExpand is the same map into the consumer node's key list (remote
+	// nodes only). Functional runs only; the executor reads them on wire
+	// and node-wire routes.
+	keys       []uint64
+	expand     []int32
+	nodeExpand []int32
+
+	// wire marks a pair whose priced route ships its unique rows instead of
+	// its dense vectors (off-diagonal only); gather a non-wire pair whose
+	// staged unique-row gather beats the dense gather (timing model only).
+	wire, gather bool
 
 	terms routeTerms   // the pair's current route terms
 	link  int64        // wire vectors of the owner link the consumer names (0 from beginDedup)
 	after sim.Duration // slowest still-dense link from the consumer on
 }
 
-// nodeAcc accumulates one (owner, remote node) classification over the
-// owner's tables.
+// nodeAcc is one (owner, remote node) record: the union of the owner's pair
+// key sets over the node's consumers. When a node-level wire win holds, each
+// unique row crosses the NIC once per node — staged on one lane GPU and
+// redistributed over NVLink — instead of once per (owner, consumer) pair or,
+// dense, once per reference.
 type nodeAcc struct {
+	// uniq counts the distinct keys among the owner's miss references into
+	// the node; newAt spreads them over the node's sample range, each key at
+	// the earliest node sample referencing it.
 	uniq  int64
-	newAt []int32  // spread over the node's sample range
-	keys  []uint64 // functional only: first-seen keys, table-major
+	newAt []int32
+	// keys is the functional key list (table-major, as pairAcc.keys).
+	keys []uint64
+	// wire marks a node whose priced route stages the owner's unique rows
+	// instead of routing the node's pairs one by one.
+	wire bool
 }
 
-// beginDedup readies the walk's accumulators for a batch. Each pair's NewAt
-// spread and each remote node's are fresh per batch (the view keeps them);
-// both come from one backing array per kind.
-func (s *System) beginDedup() {
-	G, B := s.Cfg.GPUs, s.Cfg.BatchSize
-	pairs := scratchSlice(&s.planScr.pairAcc, G*G)
-	newAt := make([]int32, G*B)
-	for src := 0; src < G; src++ {
-		for dst := 0; dst < G; dst++ {
-			lo, hi := s.Minibatch(dst)
-			pairs[src*G+dst], newAt = pairAcc{newAt: newAt[: hi-lo : hi-lo]}, newAt[hi-lo:]
-		}
+// beginDedup readies the plan's records for the dedup walk: every count,
+// spread and decision zeroed, and the functional key lists and expansion
+// maps emptied, keeping their storage.
+func (p *RoutePlan) beginDedup() {
+	clear(p.spread)
+	for i := range p.pairs {
+		a := &p.pairs[i]
+		*a = pairAcc{newAt: a.newAt, keys: a.keys[:0], expand: a.expand[:0], nodeExpand: a.nodeExpand[:0]}
 	}
-	if !s.multiNode() {
-		return
-	}
-	N := s.cluster.Nodes
-	nodes := scratchSlice(&s.planScr.nodeAcc, G*N)
-	newAt = make([]int32, G*B)
-	for src := 0; src < G; src++ {
-		for node := 0; node < N; node++ {
-			na := nodeAcc{}
-			if node != s.nodeOf(src) {
-				lo, hi := s.nodeSampleRange(node)
-				na.newAt, newAt = newAt[:hi-lo:hi-lo], newAt[hi-lo:]
-			}
-			nodes[src*N+node] = na
-		}
+	for i := range p.nodes {
+		na := &p.nodes[i]
+		*na = nodeAcc{newAt: na.newAt, keys: na.keys[:0]}
 	}
 }
 
 // dedupTable is the walk's step: it runs owner src's local table fi, whose
 // references fb holds, through the row sets and adds the results into the
-// walk's accumulators. hit, when non-nil, marks the table's vectors remote
+// plan's records. hit, when non-nil, marks the table's vectors remote
 // consumers read without the owner (indexed by sample); they never enter
 // the key sets.
 func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
@@ -619,7 +707,7 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 	fn := s.Cfg.Functional
 	rows := s.Cfg.Rows
 	pairSet, nodeSet := &s.planScr.pairSet, &s.planScr.nodeSet
-	accs := s.planScr.pairAcc[src*G : (src+1)*G]
+	accs := s.route.pairs[src*G : (src+1)*G]
 	per, multi := G, s.multiNode()
 	if multi {
 		per = s.cluster.GPUsPerNode
@@ -637,7 +725,7 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 		var nodeLo int
 		node := s.nodeOf(first)
 		if multi && node != srcNode {
-			na = &s.planScr.nodeAcc[src*s.cluster.Nodes+node]
+			na = s.route.node(src, node)
 			nodeLo, _ = s.nodeSampleRange(node)
 		}
 		nodes := na != nil || (multi && st != nil)
@@ -718,83 +806,39 @@ func (s *System) dedupTable(src, fi int, fb *sparse.FeatureBag, hit []bool) {
 	}
 }
 
-// finishDedup builds the batch's dedup view from the walk's sums, deciding
-// every route by price (priceRoutes), and folds the batch's wire traffic into
-// the run's counters. The walk's miss and dense sums are the plan's
-// pairMissIdx and pairVecs, so the view keeps only what the plan cannot
-// derive: the unique-key counts and the decisions they drive.
-func (s *System) finishDedup(plan *RoutePlan) *DedupView {
-	G := s.Cfg.GPUs
-	fn := s.Cfg.Functional
+// finishDedup decides every route of the batch by price from the walk's
+// sums: each pair's gather dedup (gatherDedupWins), then each owner's wire
+// and node-wire routes (priceRoutes), which rule out gather dedup on a wire
+// pair. It folds the batch's wire traffic into the run's counters.
+func (s *System) finishDedup() {
+	plan := &s.route
+	G, N := s.Cfg.GPUs, s.cluster.Nodes
 	vb, wvb := float64(s.Cfg.VectorBytes()), float64(s.Cfg.WireVectorBytes())
-	dv := &DedupView{
-		Uniq:   grid[int64](G, G),
-		Wire:   grid[bool](G, G),
-		Gather: grid[bool](G, G),
-		NewAt:  grid[[]int32](G, G),
-		Keys:   grid[[]uint64](G, G),
-		Expand: grid[[]int32](G, G),
-	}
-	var N, per int
-	if s.multiNode() {
-		N, per = s.cluster.Nodes, s.cluster.GPUsPerNode
-		dv.NodeUniq = grid[int64](G, N)
-		dv.NodeWire = grid[bool](G, N)
-		dv.NodeNewAt = grid[[]int32](G, N)
-		dv.NodeKeys = grid[[]uint64](G, N)
-		dv.NodeExpand = grid[[]int32](G, G)
-	}
 	ctr := metrics.DedupCounters{Batches: 1}
 	for src := 0; src < G; src++ {
-		for dst := 0; dst < G; dst++ {
-			a := &s.planScr.pairAcc[src*G+dst]
-			dv.Gather[src][dst] = gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
+		accs := plan.pairs[src*G : (src+1)*G]
+		for dst := range accs {
+			a := &accs[dst]
+			a.gather = gatherDedupWins(&s.HW.GPU, a.uniq, a.miss, a.dense, vb)
 		}
 		vecs, idx := plan.ConsumerChunkHits(src, 0, s.Cfg.BatchSize)
-		var nodes []nodeAcc
-		var staged []bool
-		if N > 0 {
-			nodes, staged = s.planScr.nodeAcc[src*N:(src+1)*N], dv.NodeWire[src]
-		}
-		s.priceRoutes(src, s.planScr.pairAcc[src*G:(src+1)*G], nodes, int64(vecs), idx, dv.Gather[src], dv.Wire[src], staged)
-		for dst := 0; dst < G; dst++ {
-			a := &s.planScr.pairAcc[src*G+dst]
-			wire := dv.Wire[src][dst]
-			dv.Uniq[src][dst] = a.uniq
-			dv.Gather[src][dst] = dv.Gather[src][dst] && !wire
-			dv.NewAt[src][dst] = a.newAt
-			if fn && wire {
-				dv.Keys[src][dst] = a.keys
-				dv.Expand[src][dst] = a.expand
-			}
+		s.priceRoutes(src, accs, plan.nodes[src*N:(src+1)*N], int64(vecs), idx)
+		for dst := range accs {
+			a := &accs[dst]
+			a.gather = a.gather && !a.wire
 			if src == dst {
 				continue
 			}
 			ctr.EligibleIdx += a.miss
 			ctr.EligibleVecs += a.dense
 			ctr.UniqueRows += a.uniq
-			if wire {
+			if a.wire {
 				ctr.WireRows += a.uniq
 				ctr.WireSavedBytes += float64(float64(a.dense-a.uniq) * wvb)
 			} else {
 				ctr.WireVecs += a.dense
 			}
 		}
-		for node := 0; node < N; node++ {
-			if node == s.nodeOf(src) {
-				continue
-			}
-			na := &s.planScr.nodeAcc[src*N+node]
-			dv.NodeUniq[src][node] = na.uniq
-			dv.NodeNewAt[src][node] = na.newAt
-			if fn && dv.NodeWire[src][node] {
-				dv.NodeKeys[src][node] = na.keys
-				for dst := node * per; dst < (node+1)*per; dst++ {
-					dv.NodeExpand[src][dst] = s.planScr.pairAcc[src*G+dst].nodeExpand
-				}
-			}
-		}
 	}
 	s.dedupStats = s.dedupStats.Add(ctr)
-	return dv
 }

@@ -26,13 +26,10 @@ func naiveIndexTotal(sum *workload.Summary, tables []int, lo, hi int) int64 {
 
 // naiveChunkHits re-sums shard o's hit vectors, and their pooled indices,
 // over samples [lo, hi) from the residency bitmap (tables is o's placement).
-func naiveChunkHits(sum *workload.Summary, view *CacheView, tables []int, o, lo, hi int) (vecs int, idx int64) {
-	if view == nil {
-		return 0, 0
-	}
+func naiveChunkHits(sum *workload.Summary, plan *RoutePlan, tables []int, o, lo, hi int) (vecs int, idx int64) {
 	for fi, fid := range tables {
 		for smp := lo; smp < hi; smp++ {
-			if view.Hit[o][fi*sum.BatchSize+smp] {
+			if plan.isHit(o, fi, smp) {
 				vecs++
 				idx += int64(sum.PoolingFactor(fid, smp))
 			}
@@ -44,42 +41,37 @@ func naiveChunkHits(sum *workload.Summary, view *CacheView, tables []int, o, lo,
 // checkPlanPrefixes compares every pooled-index and hit query of a compiled
 // functional plan with the naive re-sum: each owner over the whole batch and
 // each consumer's minibatch, each chunk ∩ minibatch range the fused kernel asks for, the
-// consumer-side hit totals per chunk, and seeded random ranges (empty and
-// inverted ones included, which must sum to zero). tables is the placement
-// the batch was compiled under.
+// consumer-side hit totals per chunk, each pair's cache-missed vectors and
+// indices, and seeded random ranges (empty and inverted ones included, which
+// must sum to zero). tables is the placement the batch was compiled under.
 func checkPlanPrefixes(t *testing.T, s *System, plan *RoutePlan, sum *workload.Summary, tables [][]int, rng *sim.RNG) {
 	t.Helper()
 	cfg := s.Cfg
 	B, G := cfg.BatchSize, cfg.GPUs
-	view := plan.Cache
 	check := func(what string, o, lo, hi int) {
 		t.Helper()
 		if got, want := plan.localIndexTotal(o, lo, hi), naiveIndexTotal(sum, tables[o], lo, hi); got != want {
 			t.Fatalf("%s: shard %d indices over [%d, %d) = %d, re-sum %d", what, o, lo, hi, got, want)
 		}
 		gv, gi := plan.OwnerChunkHits(o, lo, hi)
-		if wv, wi := naiveChunkHits(sum, view, tables[o], o, lo, hi); gv != wv || gi != wi {
+		if wv, wi := naiveChunkHits(sum, plan, tables[o], o, lo, hi); gv != wv || gi != wi {
 			t.Fatalf("%s: shard %d hits over [%d, %d) = %d vecs/%d idx, re-sum %d/%d", what, o, lo, hi, gv, gi, wv, wi)
 		}
 	}
 	for o := 0; o < G; o++ {
-		if plan.pooled[o][0] != 0 {
-			t.Fatalf("shard %d index prefix starts at %d", o, plan.pooled[o][0])
+		if plan.pooledOf(o)[0] != 0 {
+			t.Fatalf("shard %d index prefix starts at %d", o, plan.pooledOf(o)[0])
 		}
 		check("batch", o, 0, B)
 		for c := 0; c < G; c++ {
 			lo, hi := s.Minibatch(c)
 			check("minibatch", o, lo, hi)
-		}
-		if view != nil {
-			var vecs, idx int64
-			for c := 0; c < G; c++ {
-				vecs += int64(view.WireVecs[o][c])
-				idx += view.WireIdx[o][c]
+			hv, hidx := naiveChunkHits(sum, plan, tables[o], o, lo, hi)
+			if got, want := plan.pairVecs(o, c), (hi-lo)*len(tables[o])-hv; got != want {
+				t.Fatalf("pair %d->%d: %d cache-missed vectors, re-sum %d", o, c, got, want)
 			}
-			if view.hitVecs[o][B] != vecs || view.hitIdx[o][B] != idx {
-				t.Fatalf("shard %d hit prefixes end at %d/%d, residency counted %d/%d",
-					o, view.hitVecs[o][B], view.hitIdx[o][B], vecs, idx)
+			if got, want := plan.pairMissIdx(o, c), naiveIndexTotal(sum, tables[o], lo, hi)-hidx; got != want {
+				t.Fatalf("pair %d->%d: %d cache-missed indices, re-sum %d", o, c, got, want)
 			}
 		}
 	}
@@ -94,7 +86,7 @@ func checkPlanPrefixes(t *testing.T, s *System, plan *RoutePlan, sum *workload.S
 			for o := 0; o < G; o++ {
 				check(fmt.Sprintf("chunk %d", k), o, o0, o1)
 				if o != c {
-					v, i := naiveChunkHits(sum, view, tables[o], o, o0, o1)
+					v, i := naiveChunkHits(sum, plan, tables[o], o, o0, o1)
 					wv += v
 					wi += i
 				}
@@ -129,7 +121,7 @@ func checkPlanPrefixes(t *testing.T, s *System, plan *RoutePlan, sum *workload.S
 // [lo, hi): the owners partition the tables, so it is the batch-wide total.
 func ownersIndexTotal(plan *RoutePlan, lo, hi int) int64 {
 	var total int64
-	for o := range plan.pooled {
+	for o := 0; o < plan.sys.Cfg.GPUs; o++ {
 		total += plan.localIndexTotal(o, lo, hi)
 	}
 	return total
@@ -229,21 +221,21 @@ func TestRoutePlanPrefixesMatchResum(t *testing.T) {
 				if !reflect.DeepEqual(tbd.Plan.pooled, fbd.Plan.pooled) {
 					t.Fatalf("batch %d: timing index prefixes differ from functional", i)
 				}
-				fv, tv := fbd.Plan.Cache, tbd.Plan.Cache
-				if (fv == nil) != (tv == nil) {
-					t.Fatalf("batch %d: residency view present in one mode only", i)
+				fp, tp := fbd.Plan, tbd.Plan
+				if fp.resident != tp.resident {
+					t.Fatalf("batch %d: residency ran in one mode only", i)
 				}
-				if fv == nil {
+				if !fp.resident {
 					continue
 				}
-				if !reflect.DeepEqual(tv.hitVecs, fv.hitVecs) || !reflect.DeepEqual(tv.hitIdx, fv.hitIdx) {
+				if !reflect.DeepEqual(tp.hitVecs, fp.hitVecs) || !reflect.DeepEqual(tp.hitIdx, fp.hitIdx) {
 					t.Fatalf("batch %d: timing hit prefixes differ from functional", i)
 				}
-				if tv.Hit != nil {
+				if tp.hit != nil {
 					t.Fatalf("batch %d: timing plan keeps the residency bitmap", i)
 				}
-				for o := range fv.hitVecs {
-					hits += fv.hitVecs[o][c.cfg.BatchSize]
+				for o := range fp.hitVecs {
+					hits += fp.hitVecs[o][c.cfg.BatchSize]
 				}
 			}
 			if c.wantHits && hits == 0 {
@@ -255,9 +247,10 @@ func TestRoutePlanPrefixesMatchResum(t *testing.T) {
 
 // TestTimingBatchAllocatesNoPerBagArray pins the retained-memory contract of
 // timing runs on a scaled-down weak-scaling shape: a warm NextBatchData
-// draws one feature's pooling factors at a time and keeps only the compiled
-// plan, whose pooled-index prefixes take G×(B+1)×8 bytes. A batch that allocated
-// a per-(table, sample) array again — one int32 per bag — fails here.
+// draws one feature's pooling factors at a time into the run's plan, whose
+// pooled-index prefixes (G×(B+1)×8 bytes) it rewrites in place. A batch that
+// allocated a per-(table, sample) array again — one int32 per bag — fails
+// here.
 func TestTimingBatchAllocatesNoPerBagArray(t *testing.T) {
 	cfg := WeakScalingConfig(4)
 	cfg.TotalTables = 64

@@ -8,10 +8,10 @@ import "pgasemb/internal/fault"
 // consumer itself when it holds a mirror (the remote read becomes a local
 // gather), otherwise the replica with the best degradation-aware path. The
 // selection is a pure function of (fault schedule, batch index, machine
-// shape), so every GPU derives the same serve matrix host-side and no
+// shape), so every GPU derives the same serve column host-side and no
 // agreement protocol runs on the simulated machine. Backends walk the pairs
 // each GPU serves through RoutePlan.ServeGPU, so a replicated run takes the
-// same batch path as an unreplicated one, whose serve matrix is the
+// same batch path as an unreplicated one, whose serve column is the
 // identity.
 //
 // Functionally, mirrors alias the primary shard's collection (s.colls[o]):
@@ -19,16 +19,16 @@ import "pgasemb/internal/fault"
 // themselves, so replicated results are bit-exact against the serial
 // reference under any fault schedule by construction.
 
-// computeServe builds the batch's replica routing: serve[o][c] is the GPU
-// serving shard o to consumer c. Ties between equally healthy replicas break
-// toward the smallest replica offset k, keeping the choice deterministic.
-func (s *System) computeServe(batch int) [][]int {
+// computeServe writes the batch's replica routing into the plan's serve
+// column: serve[o*GPUs+c] is the GPU serving shard o to consumer c. Ties
+// between equally healthy replicas break toward the smallest replica offset
+// k, keeping the choice deterministic.
+func (s *System) computeServe(batch int) {
 	cfg := s.Cfg
 	G := cfg.GPUs
 	sched := s.HW.Faults
-	serve := make([][]int, G)
+	serve := s.route.serve
 	for o := 0; o < G; o++ {
-		row := make([]int, G)
 		for c := 0; c < G; c++ {
 			best, bestBW := o, -1.0
 			for k := 0; k < cfg.Replicas; k++ {
@@ -42,11 +42,9 @@ func (s *System) computeServe(batch int) [][]int {
 					best, bestBW = r, bw
 				}
 			}
-			row[c] = best
+			serve[o*G+c] = best
 		}
-		serve[o] = row
 	}
-	return serve
 }
 
 // replicaPathBW scores the replica r -> consumer c path: the effective

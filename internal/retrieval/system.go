@@ -121,8 +121,9 @@ type System struct {
 	// All zeros unless the pipelined scheduler sets them.
 	gates []sim.Time
 
-	// planScr is the route-plan compiler's per-run arena (host-side; see
-	// plan.go).
+	// route is the run's route plan, which every compile rewrites in place,
+	// and planScr the compile walk's working state (host-side; see plan.go).
+	route   RoutePlan
 	planScr planScratch
 
 	// replayScr is the transfer executor's row-staging scratch (functional
@@ -233,18 +234,15 @@ type BatchData struct {
 	// consumes. Functional mode only.
 	Final []*tensor.Tensor
 
-	// Plan is the batch's compiled route plan: the per-(owner, consumer)
-	// routing every backend consults in both timing and functional mode.
-	// Always non-nil once NextBatchData returns; its Cache/Dedup views are
-	// nil when the corresponding feature is off.
+	// Plan is the run's route plan, compiled for this batch: the
+	// per-(owner, consumer) routing every backend consults in both timing
+	// and functional mode. Always non-nil once NextBatchData returns; the
+	// next NextBatchData rewrites it.
 	Plan *RoutePlan
 
 	// log records the transfers the walks price, for the executor that
 	// replays them into Final (functional mode only; see transfer.go).
 	log *transferLog
-	// dedupBarrier is the post-quiet rendezvous PGAS backends await before
-	// consumer-side expansion (nil when dedup is off or single-GPU).
-	dedupBarrier *sim.Barrier
 }
 
 // ApplyFaults installs the fault schedule's factors for the given batch onto
@@ -310,7 +308,7 @@ func (s *System) awaitExchangeGate(p *sim.Proc, g int) {
 func (s *System) NextBatchData() (*BatchData, error) {
 	defer func() { s.batchSeq++ }()
 	bd := &BatchData{}
-	pooled := s.drawPooling()
+	s.drawPooling()
 	if s.Cfg.Functional {
 		bd.Sparse = s.drawBatch()
 		parts, err := sparse.PartitionByFeature(bd.Sparse, s.Plan)
@@ -325,7 +323,7 @@ func (s *System) NextBatchData() (*BatchData, error) {
 		}
 	}
 	// After Final is allocated: the residency step pools hit vectors into it.
-	s.compileRoutePlan(bd, pooled)
+	s.compileRoutePlan(bd)
 	s.accumOwnerLoad(bd)
 	return bd, nil
 }

@@ -11,7 +11,7 @@ import (
 // runs alike; no walk touches embedding data. In a functional run each walk
 // also appends one record per transfer it prices to the batch's log, and once
 // every server has finished the batch, one executor replays the log into
-// bd.Final from the tables and the plan's dedup key lists. Timing equals
+// bd.Final from the tables and the plan's functional key lists. Timing equals
 // functional by construction. A record the walk forgets leaves a missing
 // output the registry gate catches; a miscounted one fails the log's
 // conservation test.
@@ -110,14 +110,10 @@ func (s *System) replayDense(bd *BatchData, t transfer) {
 	cfg := s.Cfg
 	clo, _ := s.Minibatch(t.consumer)
 	coll, part := s.colls[t.shard], bd.Parts[t.shard]
-	var hit []bool
-	if view := bd.Plan.Cache; view != nil {
-		hit = view.Hit[t.shard]
-	}
 	dst := bd.Final[t.consumer].Data()
 	for smp := t.lo; smp < t.hi; smp++ {
 		for fi := range part.Features {
-			if hit != nil && hit[fi*cfg.BatchSize+smp] {
+			if bd.Plan.isHit(t.shard, fi, smp) {
 				continue
 			}
 			fb := &part.Features[fi]
@@ -137,12 +133,12 @@ func (s *System) replayRows(bd *BatchData, group []transfer) {
 	cfg := s.Cfg
 	t := group[0]
 	o := t.shard
-	dv := bd.Plan.Dedup
-	keys := dv.Keys[o][t.consumer]
+	plan := bd.Plan
+	keys := plan.pair(o, t.consumer).keys
 	first, last := t.consumer, t.consumer
 	if t.route == RouteNodeWire {
 		node := s.nodeOf(t.consumer)
-		keys = dv.NodeKeys[o][node]
+		keys = plan.node(o, node).keys
 		first = node * s.cluster.GPUsPerNode
 		last = first + s.cluster.GPUsPerNode - 1
 	}
@@ -161,10 +157,10 @@ func (s *System) replayRows(bd *BatchData, group []transfer) {
 		copy(rows[at*cfg.Dim:(at+1)*cfg.Dim], w[row*cfg.Dim:(row+1)*cfg.Dim])
 	}
 	for c := first; c <= last; c++ {
-		expand := dv.Expand[o][c]
+		expand := plan.pair(o, c).expand
 		if t.route == RouteNodeWire {
-			expand = dv.NodeExpand[o][c]
+			expand = plan.pair(o, c).nodeExpand
 		}
-		s.functionalExpand(c, o, rows, expand, bd.Parts[o], bd.Plan.Cache, bd.Final[c].Data())
+		s.functionalExpand(c, o, rows, expand, bd.Parts[o], plan, bd.Final[c].Data())
 	}
 }

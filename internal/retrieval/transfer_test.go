@@ -62,25 +62,27 @@ func TestAggregatedPGASMatchesReferenceAndTiming(t *testing.T) {
 	}
 }
 
-// walkBatches runs s's functional batches under be and returns them with
-// their transfer logs intact.
-func walkBatches(t *testing.T, s *System, be Backend) []*BatchData {
+// walkBatches runs s's functional batches under be and calls check on each
+// once every GPU has walked it: its transfer log is complete and its route
+// plan is still the run's live one. check runs on a simulated process, so it
+// reports with t.Error, never t.Fatal.
+func walkBatches(t *testing.T, s *System, be Backend, check func(bd *BatchData)) {
 	t.Helper()
-	var batches []*BatchData
 	bks := make([]*trace.Breakdown, s.Cfg.GPUs)
 	for g := range bks {
 		bks[g] = &trace.Breakdown{}
 	}
+	walked := 0
 	_, err := s.Drive(context.Background(), func(p *sim.Proc, g, _ int, bd *BatchData) {
-		if g == 0 {
-			batches = append(batches, bd)
-		}
 		be.RunBatch(s, p, g, bd, bks[g])
+		if walked++; walked == s.Cfg.GPUs {
+			walked = 0
+			check(bd)
+		}
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return batches
 }
 
 // TestTransferLogConservation sums the transfer log of functional runs over
@@ -132,14 +134,14 @@ func TestTransferLogConservation(t *testing.T) {
 							}
 							G := cfg.GPUs
 							logged := make([]int, G)
-							for _, bd := range walkBatches(t, s, be) {
+							walkBatches(t, s, be, func(bd *BatchData) {
 								checkPairCounts(t, s, bd, collective)
 								checkStageCounts(t, s, bd, collective, name == "pgas-overlap-only")
 								for _, tr := range bd.log.recs {
 									logged[tr.server] += tr.wireBytes
 									seen[tr.route]++
 								}
-							}
+							})
 							total := 0
 							for g := 0; g < G; g++ {
 								total += logged[g]
@@ -195,10 +197,10 @@ func checkPairCounts(t *testing.T, s *System, bd *BatchData, collective bool) {
 			server := plan.ServeGPU(o, c)
 			switch route {
 			case RouteWire:
-				want[key{server, c, RouteWire}] += int(plan.Dedup.Uniq[o][c])
+				want[key{server, c, RouteWire}] += int(plan.pair(o, c).uniq)
 			case RouteNodeWire:
 				node := s.nodeOf(c)
-				want[key{server, node, RouteNodeWire}] = int(plan.Dedup.NodeUniq[o][node])
+				want[key{server, node, RouteNodeWire}] = int(plan.node(o, node).uniq)
 			default:
 				if v := plan.pairVecs(o, c); v > 0 {
 					want[key{server, c, RouteDense}] += v
@@ -243,7 +245,7 @@ func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged
 	if collective {
 		class = plan.CollectiveClass
 	}
-	G, B := s.Cfg.GPUs, s.Cfg.BatchSize
+	G := s.Cfg.GPUs
 	sent, recv, unpack := make([]int64, G), make([]int64, G), make([]int64, G)
 	nodeRows := map[[2]int]int64{} // (shard, node): logged node-wire rows
 	lands := map[[2]int]bool{}     // (server, GPU): a logged transfer lands there
@@ -280,13 +282,13 @@ func checkStageCounts(t *testing.T, s *System, bd *BatchData, collective, staged
 				continue
 			}
 			if cls == RouteWire {
-				refs += int64(len(plan.Dedup.Expand[o][g]))
+				refs += int64(len(plan.pair(o, g).expand))
 			} else {
-				refs += int64(len(plan.Dedup.NodeExpand[o][g]))
+				refs += int64(len(plan.pair(o, g).nodeExpand))
 			}
 			for fi := range s.Plan[o] {
 				for smp := lo; smp < hi; smp++ {
-					if v := plan.Cache; v == nil || !v.Hit[o][fi*B+smp] {
+					if !plan.isHit(o, fi, smp) {
 						outs++
 					}
 				}

@@ -52,22 +52,23 @@ type Config struct {
 	// Seed). Dispatched batches draw their workload from per-dispatch
 	// seeds derived from the base seed.
 	Seed uint64
-	// Degrade is the degraded-serving policy, consulted only while the
-	// hardware's fault schedule has an active event. The zero value serves
+	// Degrade is the degraded-serving policy: its ShedAt and
+	// StaleCacheServe act only while the hardware's fault schedule has an
+	// active event, its QueueTimeout at every dispatch. The zero value serves
 	// every admitted request normally regardless of machine health.
 	Degrade DegradePolicy
 }
 
-// DegradePolicy decides what the serving layer sacrifices while the machine
-// is unhealthy (a fault-schedule event is active at the current dispatch
-// index): availability for new arrivals, latency for stale queue heads, or
-// freshness for cache stability. Each knob is independent; the zero value
-// disables all three.
+// DegradePolicy decides what the serving layer sacrifices: availability for
+// new arrivals and freshness for cache stability while the machine is
+// unhealthy (a fault-schedule event is active at the current dispatch
+// index), and latency for stale queue heads at every dispatch, healthy or
+// not. Each knob is independent; the zero value disables all three.
 type DegradePolicy struct {
-	// QueueTimeout rejects queued requests older than this at dispatch time
-	// (0 disables): during an outage it fails the stale heads fast instead
-	// of serving hopelessly late responses, bounding the tail the survivors
-	// see.
+	// QueueTimeout rejects queued requests older than this at every
+	// dispatch, whether or not a fault is active (0 disables): during an
+	// outage it fails the stale heads fast instead of serving hopelessly
+	// late responses, bounding the tail the survivors see.
 	QueueTimeout sim.Duration
 	// ShedAt sheds incoming arrivals while the machine is degraded and the
 	// queue has already grown past ShedAt × QueueCap (0 disables; 0.5 is a
